@@ -104,7 +104,6 @@ func run() error {
 		kbFile       = flag.String("kb", "", "knowledge base JSON (default: built-in canonical patterns)")
 		extended     = flag.Bool("extended", false, "use the extended built-in knowledge base (patterns E-G)")
 		workers      = flag.Int("workers", 0, "matcher worker-pool size (default: GOMAXPROCS)")
-		prefilter    = flag.Bool("prefilter", true, "vocabulary prefilter + per-graph query specialization")
 		shards       = flag.Int("shards", 0, "plan-store shard count; scans stay byte-identical at any value (0: auto = GOMAXPROCS capped at 16)")
 		batchMaxRecs = flag.Int("batch-max-records", 1024, "max NDJSON records accepted by one POST /api/plans:batch")
 		batchMaxB    = flag.Int64("batch-max-bytes", 8<<20, "max request-body bytes for one POST /api/plans:batch")
@@ -137,7 +136,6 @@ func run() error {
 
 	engOpts := []core.Option{
 		core.WithWorkers(*workers),
-		core.WithPrefilter(*prefilter),
 		core.WithShards(*shards),
 		core.WithInstrumentation(server.EngineInstrumentation(reg)),
 	}

@@ -50,30 +50,19 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithExecOptions overrides SPARQL evaluation options (used by the ablation
-// benchmarks).
+// WithExecOptions overrides SPARQL evaluation options (the join-order
+// ablation in internal/experiments turns reordering off with it).
 func WithExecOptions(opts sparql.ExecOptions) Option {
 	return func(e *Engine) { e.execOpts = opts }
 }
 
-// WithPrefilter toggles the workload-scale acceleration path (default on).
-// When disabled, the engine evaluates every (plan, query) pair with the
-// baseline evaluator: no vocabulary prefilter and no per-graph query
-// specialization. This is the single ablation switch the benchmarks use to
-// measure the acceleration end to end; results are identical either way.
+// WithPrefilter toggles the vocabulary prefilter (default on): the per-shard
+// and per-plan required-constant probes that discard (plan, query) pairs
+// before evaluation. When disabled, every pair is evaluated. Results are
+// identical either way; the disabled engine is the reference
+// TestPrefilterSoundness* compares reports against.
 func WithPrefilter(enabled bool) Option {
 	return func(e *Engine) { e.prefilter = enabled }
-}
-
-// WithPathIndex toggles the path-closure acceleration layer (default on):
-// per-predicate CSR adjacency snapshots cached on each plan graph, bitset
-// BFS with pooled buffers, cardinality-chosen walk direction and
-// per-evaluation closure memoization. When disabled, arbitrary-length
-// property paths (`input+` descendant searches) fall back to the seed-era
-// per-start map BFS. This is the path-acceleration ablation switch,
-// mirroring WithPrefilter; results are identical either way.
-func WithPathIndex(enabled bool) Option {
-	return func(e *Engine) { e.pathIndex = enabled }
 }
 
 // WithShards sets how many independent shards the plan repository is split
@@ -108,9 +97,8 @@ const maxAutoShards = 16
 // Cached result slices are shared between callers and must be treated as
 // read-only (every in-tree caller already does). The same cache instance
 // may also back the server's rendered-response caching; keys are
-// namespaced. Per-execution ablation:
-// sparql.ExecOptions.DisableResultCache (engine-wide, via WithExecOptions)
-// or cache.WithBypass on the call's context (per call).
+// namespaced. cache.WithBypass on a call's context skips the cache for that
+// call.
 func WithResultCache(c *cache.Cache) Option {
 	return func(e *Engine) { e.resCache = c }
 }
@@ -138,7 +126,6 @@ type Engine struct {
 	resCache   *cache.Cache
 
 	prefilter  bool
-	pathIndex  bool
 	pfProbed   atomic.Int64
 	pfSkipped  atomic.Int64
 	shardSkips atomic.Int64 // (shard, query) pairs discarded by the union-vocabulary probe
@@ -156,7 +143,6 @@ func New(opts ...Option) *Engine {
 		numShards: 1,
 		workers:   runtime.GOMAXPROCS(0),
 		prefilter: true,
-		pathIndex: true,
 		id:        engineIDs.Add(1),
 	}
 	for _, o := range opts {
@@ -169,21 +155,13 @@ func New(opts ...Option) *Engine {
 	return e
 }
 
-// evalOpts returns the SPARQL evaluation options in effect for one scan:
-// disabling the prefilter also pins evaluation to the unspecialized baseline
-// so WithPrefilter(false) ablates the whole acceleration path at once. The
-// engine's own evaluator-dispatch counters are attached unless the caller
-// supplied their own through WithExecOptions, and the scan's context is
-// threaded through so every evaluation observes cancellation cooperatively.
+// evalOpts returns the SPARQL evaluation options in effect for one scan. The
+// engine's own evaluation counters are attached unless the caller supplied
+// their own through WithExecOptions, and the scan's context is threaded
+// through so every evaluation observes cancellation cooperatively.
 func (e *Engine) evalOpts(ctx context.Context) sparql.ExecOptions {
 	opts := e.execOpts
 	opts.Ctx = ctx
-	if !e.prefilter {
-		opts.DisableSpecialization = true
-	}
-	if !e.pathIndex {
-		opts.DisablePathIndex = true
-	}
 	if opts.Stats == nil {
 		opts.Stats = &e.evalStats
 	}
@@ -504,7 +482,7 @@ func (e *Engine) FindSPARQLContext(ctx context.Context, query string) ([]Match, 
 	if err != nil {
 		return nil, err
 	}
-	if e.resCache == nil || e.execOpts.DisableResultCache {
+	if e.resCache == nil {
 		ms, _, err := e.findSPARQL(ctx, q)
 		return ms, err
 	}
@@ -639,7 +617,7 @@ func (e *Engine) RunKB(k *kb.KnowledgeBase) ([]PlanReport, error) {
 // slice is then shared and must be treated as read-only. Cancelled scans
 // are never cached.
 func (e *Engine) RunKBContext(ctx context.Context, k *kb.KnowledgeBase) ([]PlanReport, error) {
-	if e.resCache == nil || e.execOpts.DisableResultCache {
+	if e.resCache == nil {
 		reports, _, err := e.runKB(ctx, k)
 		return reports, err
 	}

@@ -64,9 +64,9 @@ func (e *Engine) CacheStats() CacheStats {
 	}
 }
 
-// EvalStats returns a snapshot of the evaluator-dispatch counters: how many
-// executions ran specialized vs on the term-space fallback, and how many
-// bailed out on a missing required constant.
+// EvalStats returns a snapshot of the evaluation counters: how many query
+// executions ran, how many of them bailed out on a missing required
+// constant, and the path-closure work they did.
 func (e *Engine) EvalStats() sparql.EvalSnapshot {
 	return e.evalStats.Snapshot()
 }

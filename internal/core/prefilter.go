@@ -44,8 +44,9 @@ func (e *Engine) PrefilterStats() PrefilterStats {
 }
 
 // mayMatch reports whether the plan's graph can possibly match the analyzed
-// query. It never returns false for a plan with at least one match (the
-// prefilter property test asserts this over generated workloads).
+// query. It never returns false for a plan with at least one match
+// (sparql's TestRequiredConstantSoundness asserts this of RequiredIn over
+// generated workloads).
 func (e *Engine) mayMatch(a *sparql.Analysis, r *transform.Result) bool {
 	if !e.prefilter {
 		return true

@@ -11,7 +11,6 @@ import (
 	"optimatch/internal/cache"
 	"optimatch/internal/fixtures"
 	"optimatch/internal/kb"
-	"optimatch/internal/sparql"
 )
 
 func cachedEngine(t *testing.T, opts ...Option) (*Engine, *cache.Cache) {
@@ -149,24 +148,7 @@ func TestResultCacheKBKeying(t *testing.T) {
 	}
 }
 
-func TestResultCacheDisableOption(t *testing.T) {
-	c := cache.New(cache.Config{MaxBytes: 1 << 20})
-	eng := New(WithResultCache(c), WithExecOptions(sparql.ExecOptions{DisableResultCache: true}))
-	if err := eng.LoadPlans(fixtures.All()); err != nil {
-		t.Fatal(err)
-	}
-	query := kb.MustCanonical().Entries()[0].SPARQL
-	for i := 0; i < 3; i++ {
-		if _, err := eng.FindSPARQL(query); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := c.Stats(); st.Hits != 0 && st.Misses != 0 {
-		t.Fatalf("stats = %+v, want untouched cache under DisableResultCache", st)
-	}
-}
-
-// TestResultCacheBypassContext checks the per-call ablation switch: a
+// TestResultCacheBypassContext checks the per-call bypass: a
 // bypassing context runs uncached and returns a byte-identical report.
 func TestResultCacheBypassContext(t *testing.T) {
 	eng, c := cachedEngine(t)

@@ -146,9 +146,8 @@ func (s *Server) registerStateMetrics() {
 		func() float64 { return float64(s.batch.requests.Load()) })
 
 	const evalName = "optimatch_sparql_eval_total"
-	const evalHelp = "SPARQL executions by evaluator path."
-	reg.CounterFunc(evalName, evalHelp, func() float64 { return float64(s.eng.EvalStats().Specialized) }, "path", "specialized")
-	reg.CounterFunc(evalName, evalHelp, func() float64 { return float64(s.eng.EvalStats().Fallback) }, "path", "fallback")
+	const evalHelp = "SPARQL executions: all of them, and the subset that skipped WHERE evaluation on a missing required constant (pairs the engine prefilter discards never reach the evaluator, so the subset moves only with the prefilter off)."
+	reg.CounterFunc(evalName, evalHelp, func() float64 { return float64(s.eng.EvalStats().Specialized) }, "path", "all")
 	reg.CounterFunc(evalName, evalHelp, func() float64 { return float64(s.eng.EvalStats().ConstantBailouts) }, "path", "constant_bailout")
 
 	reg.GaugeFunc("optimatch_exec_in_flight", "Weighted units of engine scan work currently admitted.",

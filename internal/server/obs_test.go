@@ -168,6 +168,30 @@ func metricValue(t *testing.T, exposition, series string) float64 {
 	return -1
 }
 
+// TestEvalBailoutMetric moves the one evaluator series TestMetricsEndToEnd
+// cannot: the engine prefilter discards a pair with a missing required
+// constant before the evaluator sees it, so the evaluator's own bail-out only
+// counts on an engine without the prefilter.
+func TestEvalBailoutMetric(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng := core.New(core.WithPrefilter(false))
+	if err := eng.LoadPlans(fixtures.All()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(eng, nil, WithMetrics(reg)).Handler())
+	t.Cleanup(ts.Close)
+	postBody(t, ts.URL+"/api/sparql", `PREFIX preduri: <http://optimatch/pred/>
+SELECT ?s WHERE { ?s preduri:hasPopType "NO_SUCH_TYPE" }`, http.StatusOK, nil)
+
+	_, metrics := cacheReq(t, "GET", ts.URL+"/metrics", "", nil)
+	plans := float64(len(fixtures.All()))
+	for _, path := range []string{"all", "constant_bailout"} {
+		if v := metricValue(t, metrics, `optimatch_sparql_eval_total{path="`+path+`"}`); v != plans {
+			t.Errorf("optimatch_sparql_eval_total{path=%q} = %v, want %v (one per plan)", path, v, plans)
+		}
+	}
+}
+
 // TestMetricsEndToEnd drives upload -> search -> kb/run -> delete against a
 // fully instrumented store-backed server and asserts the counters and
 // histograms of every layer moved, and that the exposition parses.
@@ -235,7 +259,7 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`
 		`optimatch_core_pool_tasks_total`,
 		`optimatch_core_plans_loaded`,
 		`optimatch_core_query_cache_total{result="miss"}`,
-		`optimatch_sparql_eval_total{path="specialized"}`,
+		`optimatch_sparql_eval_total{path="all"}`,
 		// The canonical KB patterns use descendant (`hasChildPop+`) paths,
 		// so a kb/run must build CSR snapshots and run closure BFS walks.
 		`optimatch_sparql_path_total{kind="csr_build"}`,
@@ -250,6 +274,12 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`
 	for _, series := range positive {
 		if v := metricValue(t, out, series); v <= 0 {
 			t.Errorf("series %s = %v, want > 0", series, v)
+		}
+	}
+	// There is one evaluator: no series counts a second one.
+	for _, gone := range []string{"specialized", "fallback"} {
+		if v := metricValue(t, out, `optimatch_sparql_eval_total{path="`+gone+`"}`); v != -1 {
+			t.Errorf(`optimatch_sparql_eval_total{path=%q} = %v, want the series absent`, gone, v)
 		}
 	}
 	// The delete left 4 of 5 plans.

@@ -600,7 +600,7 @@ type statsBody struct {
 	KBEntries  int                 `json:"kbEntries"`
 	Prefilter  core.PrefilterStats `json:"prefilter"`
 	QueryCache core.CacheStats     `json:"queryCache"`
-	Eval       sparql.EvalSnapshot `json:"eval"`
+	Eval       sparql.EvalSnapshot `json:"eval"` // "specialized" counts every execution; "fallback" is always 0 (one evaluator)
 	Exec       ExecStats           `json:"exec"`
 	Batch      BatchStats          `json:"batch"`
 	Shards     []core.ShardStat    `json:"shards,omitempty"` // per-shard plan-store state

@@ -128,7 +128,7 @@ func collectAggregates(e Expression, out map[string]AggExpr) {
 }
 
 // computeAggregate evaluates one aggregate over a group of solutions.
-func computeAggregate(ctx *evalCtx, agg AggExpr, group []solution) (rdf.Term, error) {
+func computeAggregate(ec *evalCtx, agg AggExpr, group []solution) (rdf.Term, error) {
 	if agg.Fn == "COUNT" && agg.Star {
 		return rdf.Int(int64(len(group))), nil
 	}
@@ -138,7 +138,7 @@ func computeAggregate(ctx *evalCtx, agg AggExpr, group []solution) (rdf.Term, er
 		seen = make(map[string]bool)
 	}
 	for _, s := range group {
-		v, err := agg.Arg.Eval(solView{ctx, s})
+		v, err := agg.Arg.Eval(solView{ec, s})
 		if err != nil {
 			continue // per SPARQL, error rows are skipped by aggregates
 		}
@@ -192,13 +192,13 @@ func computeAggregate(ctx *evalCtx, agg AggExpr, group []solution) (rdf.Term, er
 // groupSolutions partitions the solutions by the GROUP BY variables. With
 // no GROUP BY, all solutions form one group (even an empty one, so that
 // COUNT(*) over no matches yields 0).
-func groupSolutions(ctx *evalCtx, groupBy []string, sols []solution) [][]solution {
+func groupSolutions(ec *evalCtx, groupBy []string, sols []solution) [][]solution {
 	if len(groupBy) == 0 {
 		return [][]solution{sols}
 	}
 	slots := make([]int, len(groupBy))
 	for i, v := range groupBy {
-		slots[i] = ctx.slot(v)
+		slots[i] = ec.slot(v)
 	}
 	index := make(map[string]int)
 	var groups [][]solution
@@ -221,25 +221,8 @@ func groupSolutions(ctx *evalCtx, groupBy []string, sols []solution) [][]solutio
 }
 
 // evalGrouped performs grouping, aggregation, HAVING and projection for
-// queries that use GROUP BY or aggregates.
-func (ctx *evalCtx) evalGrouped(q *Query, sols []solution) (*Results, error) {
-	// Validate projection: non-aggregate select expressions may reference
-	// only grouped variables.
-	grouped := make(map[string]bool, len(q.GroupBy))
-	for _, v := range q.GroupBy {
-		grouped[v] = true
-	}
-	for _, item := range q.Select {
-		if hasAggregate(item.Expr) {
-			continue
-		}
-		for _, v := range exprVars(item.Expr) {
-			if !grouped[v] {
-				return nil, fmt.Errorf("sparql: variable ?%s in SELECT is neither aggregated nor in GROUP BY", v)
-			}
-		}
-	}
-
+// queries that use GROUP BY or aggregates (and passed checkAggregation).
+func (ec *evalCtx) evalGrouped(q *Query, sols []solution) (*Results, error) {
 	// Collect every aggregate instance used anywhere.
 	aggs := make(map[string]AggExpr)
 	for _, item := range q.Select {
@@ -252,7 +235,7 @@ func (ctx *evalCtx) evalGrouped(q *Query, sols []solution) (*Results, error) {
 		collectAggregates(key.Expr, aggs)
 	}
 
-	groups := groupSolutions(ctx, q.GroupBy, sols)
+	groups := groupSolutions(ec, q.GroupBy, sols)
 
 	type groupRow struct {
 		rep    solution // representative solution for grouped vars
@@ -260,12 +243,12 @@ func (ctx *evalCtx) evalGrouped(q *Query, sols []solution) (*Results, error) {
 	}
 	var rows []groupRow
 	for _, g := range groups {
-		if err := ctx.cancel.check(); err != nil {
+		if err := ec.cancel.check(); err != nil {
 			return nil, err
 		}
 		values := make(map[string]rdf.Term, len(aggs))
 		for key, agg := range aggs {
-			v, err := computeAggregate(ctx, agg, g)
+			v, err := computeAggregate(ec, agg, g)
 			if err != nil {
 				continue // unbound aggregate: projection yields unbound
 			}
@@ -275,10 +258,10 @@ func (ctx *evalCtx) evalGrouped(q *Query, sols []solution) (*Results, error) {
 		if len(g) > 0 {
 			rep = g[0]
 		} else {
-			rep = ctx.emptySolution()
+			rep = ec.emptySolution()
 		}
 		if q.Having != nil {
-			ok, err := ebv(substituteAggregates(q.Having, values), solView{ctx, rep})
+			ok, err := ebv(substituteAggregates(q.Having, values), solView{ec, rep})
 			if err != nil || !ok {
 				continue
 			}
@@ -297,7 +280,7 @@ func (ctx *evalCtx) evalGrouped(q *Query, sols []solution) (*Results, error) {
 			keys := make([]rdf.Term, len(q.OrderBy))
 			for j, ok := range q.OrderBy {
 				expr := substituteAggregates(ok.Expr, row.values)
-				if v, err := expr.Eval(solView{ctx, row.rep}); err == nil {
+				if v, err := expr.Eval(solView{ec, row.rep}); err == nil {
 					keys[j] = v
 				}
 			}
@@ -334,16 +317,16 @@ func (ctx *evalCtx) evalGrouped(q *Query, sols []solution) (*Results, error) {
 	var keyer distinctKeyer
 	if q.Distinct {
 		seen = make(map[string]bool)
-		keyer.dict = ctx.g.Dict()
+		keyer.dict = ec.g.Dict()
 	}
 	for _, row := range rows {
-		if err := ctx.cancel.check(); err != nil {
+		if err := ec.cancel.check(); err != nil {
 			return nil, err
 		}
 		out := make([]rdf.Term, len(q.Select))
 		for i, item := range q.Select {
 			expr := substituteAggregates(item.Expr, row.values)
-			if v, err := expr.Eval(solView{ctx, row.rep}); err == nil {
+			if v, err := expr.Eval(solView{ec, row.rep}); err == nil {
 				out[i] = v
 			}
 		}
@@ -369,20 +352,38 @@ func (ctx *evalCtx) evalGrouped(q *Query, sols []solution) (*Results, error) {
 	return res, nil
 }
 
-// usesAggregation reports whether the query needs grouped evaluation.
-func (q *Query) usesAggregation() bool {
-	if len(q.GroupBy) > 0 || q.Having != nil {
-		return true
+// checkAggregation reports whether the query needs grouped evaluation and
+// rejects the projections grouped evaluation cannot produce. Both errors
+// depend only on the query's shape, so ExecOpts reports them before it
+// evaluates anything.
+func (q *Query) checkAggregation() (grouped bool, err error) {
+	grouped = len(q.GroupBy) > 0 || q.Having != nil
+	for _, item := range q.Select {
+		grouped = grouped || hasAggregate(item.Expr)
+	}
+	for _, key := range q.OrderBy {
+		grouped = grouped || hasAggregate(key.Expr)
+	}
+	if !grouped {
+		return false, nil
+	}
+	if q.Star {
+		return true, fmt.Errorf("sparql: SELECT * cannot be combined with aggregation")
+	}
+	// Non-aggregate select expressions may reference only grouped variables.
+	inGroupBy := make(map[string]bool, len(q.GroupBy))
+	for _, v := range q.GroupBy {
+		inGroupBy[v] = true
 	}
 	for _, item := range q.Select {
 		if hasAggregate(item.Expr) {
-			return true
+			continue
+		}
+		for _, v := range exprVars(item.Expr) {
+			if !inGroupBy[v] {
+				return true, fmt.Errorf("sparql: variable ?%s in SELECT is neither aggregated nor in GROUP BY", v)
+			}
 		}
 	}
-	for _, key := range q.OrderBy {
-		if hasAggregate(key.Expr) {
-			return true
-		}
-	}
-	return false
+	return true, nil
 }

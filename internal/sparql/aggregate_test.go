@@ -178,6 +178,34 @@ func TestAggregateErrors(t *testing.T) {
 	}
 }
 
+// Both projection errors depend only on the query's shape, so ExecOpts must
+// report them before doing any work: with nothing to evaluate, and ahead of a
+// context that would cancel the evaluation at its first poll.
+func TestAggregateErrorsBeforeEvaluation(t *testing.T) {
+	for query, want := range map[string]string{
+		`SELECT * WHERE { ?x <urn:child>+ ?y } GROUP BY ?x`:                    "sparql: SELECT * cannot be combined with aggregation",
+		`SELECT ?y (COUNT(?x) AS ?n) WHERE { ?x <urn:child>+ ?y } GROUP BY ?x`: "sparql: variable ?y in SELECT is neither aggregated nor in GROUP BY",
+	} {
+		q := mustParse(t, query)
+		if _, err := q.Exec(rdf.NewGraph()); err == nil || err.Error() != want {
+			t.Errorf("empty graph: err = %v, want %q", err, want)
+		}
+		// Enough closure work that the late-cancelling context always trips
+		// before the WHERE clause finishes.
+		g := rdf.NewGraph()
+		for i := 0; i < 2000; i++ {
+			g.Add(rdf.IRI(node(i)), rdf.IRI("urn:child"), rdf.IRI(node(i+1)))
+		}
+		ctx := newLateCancelCtx()
+		if _, err := q.ExecOpts(g, ExecOptions{Ctx: ctx}); err == nil || err.Error() != want {
+			t.Errorf("cancelling context: err = %v, want %q", err, want)
+		}
+		if ctx.calls != 0 {
+			t.Errorf("context consulted %d times before the static error", ctx.calls)
+		}
+	}
+}
+
 func TestAggregateSumNonNumericErrors(t *testing.T) {
 	g := aggTestGraph()
 	// SUM over the type strings: the aggregate errors, the projection

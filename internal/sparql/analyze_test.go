@@ -161,68 +161,3 @@ SELECT ?p WHERE { ?p pred:hasPopType ?t . OPTIONAL { ?p pred:hasPopType "ZZTOP" 
 		t.Error("RequiredIn must ignore constants that appear only under OPTIONAL")
 	}
 }
-
-// TestSpecializedMatchesLegacy runs a spread of queries with the specialized
-// evaluator (default) and the legacy term-space evaluator and requires
-// identical results. This keeps the legacy path covered and pins the
-// equivalence the ablation benchmarks rely on.
-func TestSpecializedMatchesLegacy(t *testing.T) {
-	g := evalTestGraph()
-	queries := []string{
-		`SELECT ?pop WHERE { ?pop pred:hasPopType "TBSCAN" }`,
-		`SELECT ?pop ?t WHERE { ?pop pred:hasPopType ?t } ORDER BY ?t ?pop`,
-		`SELECT ?type WHERE {
-		   ?pop pred:hasPopType ?type .
-		   ?pop pred:hasEstimateCardinality ?card .
-		   FILTER(?card > 100)
-		 } ORDER BY ?type`,
-		`SELECT ?pop ?jt WHERE {
-		   ?pop pred:hasPopType ?t .
-		   OPTIONAL { ?pop pred:hasJoinType ?jt }
-		 } ORDER BY ?pop`,
-		`SELECT ?pop WHERE {
-		   { ?pop pred:hasPopType "TBSCAN" } UNION { ?pop pred:hasPopType "IXSCAN" }
-		 } ORDER BY ?pop`,
-		`SELECT ?a ?b WHERE { ?a pred:hasChildPop+ ?b } ORDER BY ?a ?b`,
-		`SELECT ?a ?b WHERE { ?a (pred:hasOuterInputStream|pred:hasInnerInputStream)/pred:hasInnerInputStream ?b } ORDER BY ?a ?b`,
-		`SELECT ?pop WHERE {
-		   ?pop pred:hasPopType ?t .
-		   FILTER EXISTS { ?pop pred:hasEstimateCardinality ?c }
-		 } ORDER BY ?pop`,
-		`SELECT ?t (COUNT(?pop) AS ?n) WHERE { ?pop pred:hasPopType ?t } GROUP BY ?t ORDER BY ?t`,
-		`SELECT ?pop ?double WHERE {
-		   ?pop pred:hasEstimateCardinality ?c .
-		   BIND(?c * 2 AS ?double)
-		 } ORDER BY ?pop`,
-		`SELECT ?pop WHERE { ?pop pred:hasPopType "NO_SUCH_TYPE" }`,
-		`SELECT (COUNT(?pop) AS ?n) WHERE { ?pop pred:hasPopType "NO_SUCH_TYPE" }`,
-	}
-	for _, text := range queries {
-		q, err := Parse(predPrefix + text)
-		if err != nil {
-			t.Fatalf("Parse(%s): %v", text, err)
-		}
-		fast, err := q.ExecOpts(g, ExecOptions{})
-		if err != nil {
-			t.Fatalf("specialized Exec(%s): %v", text, err)
-		}
-		slow, err := q.ExecOpts(g, ExecOptions{DisableSpecialization: true})
-		if err != nil {
-			t.Fatalf("legacy Exec(%s): %v", text, err)
-		}
-		if len(fast.Vars) != len(slow.Vars) {
-			t.Fatalf("%s: vars %v vs %v", text, fast.Vars, slow.Vars)
-		}
-		if fast.Len() != slow.Len() {
-			t.Fatalf("%s: rows %d (specialized) vs %d (legacy)", text, fast.Len(), slow.Len())
-		}
-		for i := 0; i < fast.Len(); i++ {
-			for c := range fast.Vars {
-				if fast.At(i, c) != slow.At(i, c) {
-					t.Fatalf("%s: row %d col %s: %v (specialized) vs %v (legacy)",
-						text, i, fast.Vars[c], fast.At(i, c), slow.At(i, c))
-				}
-			}
-		}
-	}
-}

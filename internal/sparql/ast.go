@@ -221,6 +221,9 @@ func (g *GroupPattern) Vars() []string {
 			switch el := el.(type) {
 			case TriplePattern:
 				add(el.S.Var)
+				if pv, ok := el.P.(predVarPath); ok {
+					add(pv.name)
+				}
 				add(el.O.Var)
 			case FilterElem:
 				for _, v := range exprVars(el.Expr) {

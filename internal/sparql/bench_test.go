@@ -75,28 +75,19 @@ func node(i int) string {
 }
 
 // runPathClosureBench measures `child+` from a bound start at the evalPath
-// layer — the component the CSR/bitset acceleration replaces — under the
-// indexed engine and the path-index ablation. A fresh pathEnv per iteration
-// reproduces real per-query state (the per-graph CSR cache persists, the
-// per-evaluation memo does not).
+// layer. A fresh pathEnv per iteration reproduces real per-query state (the
+// per-graph CSR cache persists, the per-evaluation memo does not).
 func runPathClosureBench(b *testing.B, g *rdf.Graph, want int) {
 	path := ModPath{Inner: PredPath{IRI: "urn:child"}, Mod: ModOneOrMore}
 	start := g.Dict().Lookup(rdf.IRI(node(0)))
-	for _, cfg := range []struct {
-		name    string
-		noIndex bool
-	}{{"indexed", false}, {"ablated", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				count := 0
-				evalPath(&pathEnv{g: g, noIndex: cfg.noIndex}, path, start, rdf.NoID,
-					func(_, _ rdf.ID) bool { count++; return true })
-				if count != want {
-					b.Fatalf("count = %d, want %d", count, want)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		count := 0
+		evalPath(&pathEnv{g: g}, path, start, rdf.NoID,
+			func(_, _ rdf.ID) bool { count++; return true })
+		if count != want {
+			b.Fatalf("count = %d, want %d", count, want)
+		}
 	}
 }
 
@@ -151,7 +142,7 @@ func BenchmarkPathClosureFanOut(b *testing.B) {
 
 // BenchmarkPathClosureQuery runs a full `?a child+ ?b` query (closure from
 // every node, row materialization included) over a chain — the end-to-end
-// number, where projection overhead is shared by both configurations.
+// number.
 func BenchmarkPathClosureQuery(b *testing.B) {
 	const n = 550
 	g := rdf.NewGraph()
@@ -163,21 +154,14 @@ func BenchmarkPathClosureQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, cfg := range []struct {
-		name string
-		opts ExecOptions
-	}{{"indexed", ExecOptions{}}, {"ablated", ExecOptions{DisablePathIndex: true}}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := q.ExecOpts(g, cfg.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Len() != n*(n+1)/2 {
-					b.Fatalf("rows = %d", res.Len())
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := q.Exec(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Len() != n*(n+1)/2 {
+			b.Fatalf("rows = %d", res.Len())
+		}
 	}
 }

@@ -78,20 +78,6 @@ func TestExecCancelledMidEvaluation(t *testing.T) {
 	}
 }
 
-func TestExecCancelledMidEvaluationFallbackPath(t *testing.T) {
-	// DisablePathIndex forces the legacy per-node BFS, which has its own
-	// cancellation poll; it must stop just like the CSR walk.
-	g := chainGraph(2000)
-	q := mustParse(t, predPrefix+"SELECT ?x ?y WHERE { ?x pred:hasChildPop+ ?y }")
-	res, err := q.ExecOpts(g, ExecOptions{Ctx: newLateCancelCtx(), DisablePathIndex: true})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res != nil {
-		t.Fatal("cancelled evaluation must not return partial rows")
-	}
-}
-
 func TestInterruptedBFSNotMemoized(t *testing.T) {
 	g := chainGraph(1500)
 	inner := PredPath{IRI: "http://optimatch/pred/hasChildPop"}

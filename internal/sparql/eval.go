@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -25,32 +24,10 @@ type ExecOptions struct {
 	// the ablation benchmarks.
 	DisableReorder bool
 
-	// DisableSpecialization turns off per-graph query specialization: the
-	// required-constant bail-out, the one-shot resolution of the query's
-	// constant terms to the graph's dense IDs, and the ID-space solution
-	// representation. Evaluation falls back to the term-space path, which
-	// re-resolves terms against the dictionary as it goes. Used by the
-	// ablation benchmarks; results are identical either way.
-	DisableSpecialization bool
-
-	// DisablePathIndex turns off the path-closure acceleration layer: CSR
-	// adjacency snapshots, bitset BFS with pooled buffers, cardinality-based
-	// walk direction and the per-evaluation closure memo. Closures fall back
-	// to the seed-era per-start map BFS over Match callbacks. Used by the
-	// ablation benchmarks; results are identical either way.
-	DisablePathIndex bool
-
-	// DisableResultCache turns off the engine-level result cache
-	// (core.WithResultCache): every FindSPARQL/RunKB call re-executes the
-	// full prefilter + specialize + match pipeline even when a cache is
-	// configured. The switch lives here so one ExecOptions struct carries
-	// every ablation the benchmarks flip; the SPARQL evaluator itself
-	// ignores it. Results are identical either way.
-	DisableResultCache bool
-
-	// Stats, when non-nil, tallies which evaluator ran for each execution.
-	// The same EvalStats may be shared by concurrent evaluations (the
-	// counters are atomic); nil costs nothing on the hot path.
+	// Stats, when non-nil, tallies executions, required-constant bail-outs
+	// and path-closure work. The same EvalStats may be shared by concurrent
+	// evaluations (the counters are atomic); nil costs nothing on the hot
+	// path.
 	Stats *EvalStats
 }
 
@@ -118,12 +95,11 @@ func (c *canceller) tripped() error {
 	return c.err
 }
 
-// EvalStats counts evaluator dispatch decisions across executions. The zero
-// value is ready to use; all fields are atomic so one instance can be shared
-// by every worker of an engine.
+// EvalStats counts executions, required-constant bail-outs and path-closure
+// work. The zero value is ready to use; all fields are atomic so one instance
+// can be shared by every worker of an engine.
 type EvalStats struct {
-	specialized     atomic.Int64
-	fallback        atomic.Int64
+	executions      atomic.Int64
 	constantBailout atomic.Int64
 
 	pathCSRBuilds   atomic.Int64
@@ -136,13 +112,14 @@ type EvalStats struct {
 
 // EvalSnapshot is a point-in-time copy of EvalStats, in wire form.
 type EvalSnapshot struct {
-	// Specialized counts executions on the ID-space specialized path.
+	// Specialized counts every execution (the name predates the removal of
+	// the second evaluator; the benchmark module and /api/stats read it).
 	Specialized int64 `json:"specialized"`
-	// Fallback counts executions on the legacy term-space path.
+	// Fallback is always 0; kept because the benchmark module reads it.
 	Fallback int64 `json:"fallback"`
-	// ConstantBailouts counts specialized executions that skipped WHERE
-	// evaluation entirely because a required constant was missing from the
-	// graph's vocabulary (a subset of Specialized).
+	// ConstantBailouts counts executions that skipped WHERE evaluation
+	// entirely because a required constant was missing from the graph's
+	// vocabulary (a subset of Specialized).
 	ConstantBailouts int64 `json:"constantBailouts"`
 	// Path aggregates the path-closure acceleration counters.
 	Path PathSnapshot `json:"path"`
@@ -168,8 +145,7 @@ type PathSnapshot struct {
 // Snapshot returns the current counter values.
 func (s *EvalStats) Snapshot() EvalSnapshot {
 	return EvalSnapshot{
-		Specialized:      s.specialized.Load(),
-		Fallback:         s.fallback.Load(),
+		Specialized:      s.executions.Load(),
 		ConstantBailouts: s.constantBailout.Load(),
 		Path: PathSnapshot{
 			CSRBuilds:   s.pathCSRBuilds.Load(),
@@ -239,38 +215,48 @@ func (q *Query) Exec(g *rdf.Graph) (*Results, error) {
 }
 
 // ExecOpts evaluates the query against g.
+//
+// Before matching starts, every constant term the query mentions
+// (Analysis.Consts) is resolved to g's dense dictionary ID exactly once, and
+// WHERE evaluation is skipped altogether when a required constant is absent
+// from g's vocabulary. Pattern matching then runs in ID space (see
+// specialize.go); terms materialize once, in the projection tail.
 func (q *Query) ExecOpts(g *rdf.Graph, opts ExecOptions) (*Results, error) {
+	grouped, err := q.checkAggregation()
+	if err != nil {
+		return nil, err
+	}
 	if opts.Ctx != nil {
 		if err := opts.Ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	if !opts.DisableSpecialization {
-		if opts.Stats != nil {
-			opts.Stats.specialized.Add(1)
+	ec := newEvalCtx(g, q, opts)
+	if opts.Stats != nil {
+		opts.Stats.executions.Add(1)
+		defer func() { opts.Stats.addPath(ec.env.stats) }()
+	}
+	// Required-constant bail-out: when the graph's vocabulary misses a term
+	// every match must contain, the WHERE clause is known to produce zero
+	// solutions without being evaluated. The projection tail still runs so
+	// aggregates over the empty solution set keep their one-row result.
+	var sols []isol
+	if q.Analysis().RequiredIn(g) {
+		sols, err = ec.evalGroupIDs(q.Where, []isol{make(isol, len(ec.varNames))})
+		if err != nil {
+			return nil, err
 		}
-		return q.execSpecialized(g, opts)
-	}
-	if opts.Stats != nil {
-		opts.Stats.fallback.Add(1)
-	}
-	ctx := newEvalCtx(g, q, opts)
-	if opts.Stats != nil {
-		defer func() { opts.Stats.addPath(ctx.env.stats) }()
-	}
-	seed := []solution{ctx.emptySolution()}
-	sols, err := ctx.evalGroup(q.Where, seed)
-	if err != nil {
-		return nil, err
+	} else if opts.Stats != nil {
+		opts.Stats.constantBailout.Add(1)
 	}
 	var res *Results
-	if q.usesAggregation() {
-		if q.Star {
-			return nil, fmt.Errorf("sparql: SELECT * cannot be combined with aggregation")
-		}
-		res, err = ctx.evalGrouped(q, sols)
+	if grouped {
+		res, err = ec.evalGrouped(q, ec.toTermSolutions(sols))
 	} else {
-		res, err = ctx.project(q, sols)
+		var ok bool
+		if res, ok, err = ec.projectIDs(q, sols); err == nil && !ok {
+			res, err = ec.project(q, ec.toTermSolutions(sols))
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -278,16 +264,19 @@ func (q *Query) ExecOpts(g *rdf.Graph, opts ExecOptions) (*Results, error) {
 	// A cancellation observed inside a path callback stops emission without
 	// an error return path of its own; surface it here so truncated results
 	// never masquerade as complete ones.
-	if cerr := ctx.cancel.tripped(); cerr != nil {
+	if cerr := ec.cancel.tripped(); cerr != nil {
 		return nil, cerr
 	}
 	return res, nil
 }
 
-// solution is a variable assignment, indexed by the context's variable
-// slots. A zero Term means unbound.
+// solution is a variable assignment in term space, indexed by the context's
+// variable slots. A zero Term means unbound. WHERE evaluation works on isol
+// rows; solutions exist only in the projection and aggregation tail.
 type solution []rdf.Term
 
+// evalCtx is the state of one evaluation of one query against one graph. Not
+// safe for concurrent use.
 type evalCtx struct {
 	g        *rdf.Graph
 	opts     ExecOptions
@@ -296,65 +285,95 @@ type evalCtx struct {
 
 	// cancel is the cooperative cancellation checkpoint for this
 	// evaluation (nil when ExecOptions.Ctx cannot be cancelled). The same
-	// pointer is shared with the pathEnv so closure BFS walks poll it too.
+	// pointer is shared with env so closure BFS walks poll it too.
 	cancel *canceller
 
 	// env is the property-path environment shared by every path evaluation
 	// of this execution: it owns the closure memo and the pooled BFS
-	// buffers. The specialized context re-points its own env instead.
+	// buffers, and resolves predicate IRIs through constIDs.
 	env pathEnv
+
+	// constIDs maps every constant term of the query to its dense ID in the
+	// target graph (NoID when absent), resolved once before evaluation.
+	constIDs map[rdf.Term]rdf.ID
+
+	// predCard memoizes Count(NoID, p, NoID) per predicate, the only Count
+	// combination that is not O(1) on the index maps; the join-order
+	// heuristic asks for it once per pattern per BGP step.
+	predCard map[rdf.ID]int
+
+	// extra and extraIDs hold terms synthesized during evaluation (BIND
+	// results) that the graph's dictionary does not contain.
+	extra    []rdf.Term
+	extraIDs map[rdf.Term]rdf.ID
+
+	// floats memoizes numeric parsing per term ID: FILTER comparisons over
+	// cardinalities and costs re-visit the same few literals for every row.
+	floats map[rdf.ID]cachedFloat
 }
 
 func newEvalCtx(g *rdf.Graph, q *Query, opts ExecOptions) *evalCtx {
-	ctx := &evalCtx{g: g, opts: opts, varIndex: make(map[string]int)}
-	ctx.cancel = newCanceller(opts.Ctx)
-	ctx.env = pathEnv{g: g, noIndex: opts.DisablePathIndex, cancel: ctx.cancel}
+	an := q.Analysis()
+	ec := &evalCtx{
+		g:        g,
+		opts:     opts,
+		varIndex: make(map[string]int),
+		cancel:   newCanceller(opts.Ctx),
+		constIDs: make(map[rdf.Term]rdf.ID, len(an.Consts)),
+	}
+	dict := g.Dict()
+	for _, t := range an.Consts {
+		ec.constIDs[t] = dict.Lookup(t)
+	}
+	ec.env = pathEnv{g: g, cancel: ec.cancel, pred: func(iri string) rdf.ID {
+		return ec.constID(rdf.IRI(iri))
+	}}
 	for _, v := range q.Where.Vars() {
-		ctx.slot(v)
+		ec.slot(v)
 	}
 	for _, item := range q.Select {
 		for _, v := range exprVars(item.Expr) {
-			ctx.slot(v)
+			ec.slot(v)
 		}
 	}
 	for _, key := range q.OrderBy {
 		for _, v := range exprVars(key.Expr) {
-			ctx.slot(v)
+			ec.slot(v)
 		}
 	}
 	for _, v := range q.GroupBy {
-		ctx.slot(v)
+		ec.slot(v)
 	}
 	if q.Having != nil {
 		for _, v := range exprVars(q.Having) {
-			ctx.slot(v)
+			ec.slot(v)
 		}
 	}
-	return ctx
+	return ec
 }
 
-func (ctx *evalCtx) slot(v string) int {
-	if i, ok := ctx.varIndex[v]; ok {
+func (ec *evalCtx) slot(v string) int {
+	if i, ok := ec.varIndex[v]; ok {
 		return i
 	}
-	i := len(ctx.varNames)
-	ctx.varIndex[v] = i
-	ctx.varNames = append(ctx.varNames, v)
+	i := len(ec.varNames)
+	ec.varIndex[v] = i
+	ec.varNames = append(ec.varNames, v)
 	return i
 }
 
-func (ctx *evalCtx) emptySolution() solution {
-	return make(solution, len(ctx.varNames))
+func (ec *evalCtx) emptySolution() solution {
+	return make(solution, len(ec.varNames))
 }
 
 // solView adapts a solution to the expression evaluator's bindingView.
 type solView struct {
-	ctx *evalCtx
+	ec  *evalCtx
 	sol solution
 }
 
 func (v solView) lookupVar(name string) (rdf.Term, bool) {
-	i, ok := v.ctx.varIndex[name]
+	i, ok := v.ec.varIndex[name]
 	if !ok {
 		return rdf.Term{}, false
 	}
@@ -367,14 +386,6 @@ func (v solView) lookupVar(name string) (rdf.Term, bool) {
 
 // boundSet tracks statically-bound variables during group evaluation.
 type boundSet map[string]bool
-
-func (b boundSet) clone() boundSet {
-	c := make(boundSet, len(b))
-	for k := range b {
-		c[k] = true
-	}
-	return c
-}
 
 func (b boundSet) hasAll(vars []string) bool {
 	for _, v := range vars {
@@ -391,161 +402,6 @@ type pendingFilter struct {
 	vars    []string
 	eager   bool // safe to apply as soon as vars are statically bound
 	applied bool
-}
-
-// evalGroup evaluates a group pattern seeded with the given solutions.
-func (ctx *evalCtx) evalGroup(g *GroupPattern, seed []solution) ([]solution, error) {
-	if len(seed) == 0 {
-		return nil, nil
-	}
-	// Variables bound in every seed solution are statically available.
-	bound := make(boundSet)
-	for name, idx := range ctx.varIndex {
-		all := true
-		for _, s := range seed {
-			if s[idx].Zero() {
-				all = false
-				break
-			}
-		}
-		if all {
-			bound[name] = true
-		}
-	}
-
-	// Collect top-level filters; everything else evaluates in order with
-	// consecutive triple patterns grouped into reorderable BGP blocks.
-	var filters []*pendingFilter
-	for _, el := range g.Elems {
-		if f, ok := el.(FilterElem); ok {
-			filters = append(filters, &pendingFilter{
-				expr:  f.Expr,
-				vars:  exprVars(f.Expr),
-				eager: filterIsEager(f.Expr),
-			})
-		}
-	}
-
-	sols := seed
-	var err error
-	i := 0
-	for i < len(g.Elems) {
-		switch el := g.Elems[i].(type) {
-		case FilterElem:
-			i++ // collected above
-		case TriplePattern:
-			// Gather the maximal run of triple patterns (skipping filters,
-			// which are group-scoped anyway).
-			var block []TriplePattern
-			for i < len(g.Elems) {
-				if tp, ok := g.Elems[i].(TriplePattern); ok {
-					block = append(block, tp)
-					i++
-					continue
-				}
-				if _, ok := g.Elems[i].(FilterElem); ok {
-					i++
-					continue
-				}
-				break
-			}
-			sols, err = ctx.evalBGP(block, sols, bound, filters)
-			if err != nil {
-				return nil, err
-			}
-		case OptionalElem:
-			i++
-			sols, err = ctx.evalOptional(el, sols)
-			if err != nil {
-				return nil, err
-			}
-		case UnionElem:
-			i++
-			sols, err = ctx.evalUnion(el, sols)
-			if err != nil {
-				return nil, err
-			}
-			// Vars bound in every branch become statically bound.
-			branchBound := ctx.groupBoundVars(el.Branches[0])
-			for _, b := range el.Branches[1:] {
-				next := ctx.groupBoundVars(b)
-				for v := range branchBound {
-					if !next[v] {
-						delete(branchBound, v)
-					}
-				}
-			}
-			for v := range branchBound {
-				bound[v] = true
-			}
-			sols, err = ctx.applyReadyFilters(filters, bound, sols)
-			if err != nil {
-				return nil, err
-			}
-		case GroupElem:
-			i++
-			sols, err = ctx.evalGroup(el.Group, sols)
-			if err != nil {
-				return nil, err
-			}
-			for v := range ctx.groupBoundVars(el.Group) {
-				bound[v] = true
-			}
-			sols, err = ctx.applyReadyFilters(filters, bound, sols)
-			if err != nil {
-				return nil, err
-			}
-		case FilterExistsElem:
-			i++
-			out := sols[:0]
-			for _, s := range sols {
-				res, eerr := ctx.evalGroup(el.Group, []solution{append(solution(nil), s...)})
-				if eerr != nil {
-					return nil, eerr
-				}
-				if (len(res) > 0) != el.Not {
-					out = append(out, s)
-				}
-			}
-			sols = out
-		case BindElem:
-			i++
-			slot := ctx.slot(el.Var)
-			out := sols[:0]
-			for _, s := range sols {
-				v, verr := el.Expr.Eval(solView{ctx, s})
-				ns := append(solution(nil), s...)
-				if verr == nil {
-					if len(ns) <= slot {
-						grown := make(solution, len(ctx.varNames))
-						copy(grown, ns)
-						ns = grown
-					}
-					ns[slot] = v
-				}
-				out = append(out, ns)
-			}
-			sols = out
-			bound[el.Var] = true
-			sols, err = ctx.applyReadyFilters(filters, bound, sols)
-			if err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("sparql: unknown pattern element %T", el)
-		}
-	}
-
-	// Apply any filters not yet applied; unbound variables make the filter
-	// false (SPARQL error-as-false), dropping the solution.
-	for _, f := range filters {
-		if f.applied {
-			continue
-		}
-		sols = ctx.filterSolutions(f.expr, sols)
-		f.applied = true
-	}
-	return sols, nil
 }
 
 // filterIsEager reports whether the filter may be applied as soon as its
@@ -585,32 +441,10 @@ func filterIsEager(e Expression) bool {
 	return eager
 }
 
-func (ctx *evalCtx) applyReadyFilters(filters []*pendingFilter, bound boundSet, sols []solution) ([]solution, error) {
-	for _, f := range filters {
-		if f.applied || !f.eager || !bound.hasAll(f.vars) {
-			continue
-		}
-		sols = ctx.filterSolutions(f.expr, sols)
-		f.applied = true
-	}
-	return sols, nil
-}
-
-func (ctx *evalCtx) filterSolutions(expr Expression, sols []solution) []solution {
-	out := sols[:0]
-	for _, s := range sols {
-		ok, err := ebv(expr, solView{ctx, s})
-		if err == nil && ok {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // groupBoundVars computes the variables a group binds in every solution it
 // produces (conservatively: triple patterns and BINDs; OPTIONAL binds
 // nothing; UNION binds the intersection of its branches).
-func (ctx *evalCtx) groupBoundVars(g *GroupPattern) boundSet {
+func (ec *evalCtx) groupBoundVars(g *GroupPattern) boundSet {
 	out := make(boundSet)
 	for _, el := range g.Elems {
 		switch el := el.(type) {
@@ -627,13 +461,13 @@ func (ctx *evalCtx) groupBoundVars(g *GroupPattern) boundSet {
 		case BindElem:
 			out[el.Var] = true
 		case GroupElem:
-			for v := range ctx.groupBoundVars(el.Group) {
+			for v := range ec.groupBoundVars(el.Group) {
 				out[v] = true
 			}
 		case UnionElem:
-			common := ctx.groupBoundVars(el.Branches[0])
+			common := ec.groupBoundVars(el.Branches[0])
 			for _, b := range el.Branches[1:] {
-				next := ctx.groupBoundVars(b)
+				next := ec.groupBoundVars(b)
 				for v := range common {
 					if !next[v] {
 						delete(common, v)
@@ -648,249 +482,8 @@ func (ctx *evalCtx) groupBoundVars(g *GroupPattern) boundSet {
 	return out
 }
 
-func (ctx *evalCtx) evalOptional(el OptionalElem, sols []solution) ([]solution, error) {
-	var out []solution
-	for _, s := range sols {
-		res, err := ctx.evalGroup(el.Group, []solution{append(solution(nil), s...)})
-		if err != nil {
-			return nil, err
-		}
-		if len(res) > 0 {
-			out = append(out, res...)
-		} else {
-			out = append(out, s)
-		}
-	}
-	return out, nil
-}
-
-func (ctx *evalCtx) evalUnion(el UnionElem, sols []solution) ([]solution, error) {
-	var out []solution
-	for _, s := range sols {
-		for _, branch := range el.Branches {
-			res, err := ctx.evalGroup(branch, []solution{append(solution(nil), s...)})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, res...)
-		}
-	}
-	return out, nil
-}
-
-// evalBGP evaluates a block of triple patterns, reordering them greedily by
-// estimated selectivity (unless disabled) and applying eager filters as soon
-// as their variables become bound.
-func (ctx *evalCtx) evalBGP(block []TriplePattern, sols []solution, bound boundSet, filters []*pendingFilter) ([]solution, error) {
-	remaining := make([]TriplePattern, len(block))
-	copy(remaining, block)
-
-	for len(remaining) > 0 {
-		idx := 0
-		if !ctx.opts.DisableReorder {
-			best := ctx.patternCost(remaining[0], bound)
-			for i := 1; i < len(remaining); i++ {
-				if c := ctx.patternCost(remaining[i], bound); c < best {
-					best = c
-					idx = i
-				}
-			}
-		}
-		tp := remaining[idx]
-		remaining = append(remaining[:idx], remaining[idx+1:]...)
-
-		var err error
-		sols, err = ctx.extendTriple(tp, sols)
-		if err != nil {
-			return nil, err
-		}
-		if tp.S.IsVar() {
-			bound[tp.S.Var] = true
-		}
-		if tp.O.IsVar() {
-			bound[tp.O.Var] = true
-		}
-		if pv, ok := tp.P.(predVarPath); ok {
-			bound[pv.name] = true
-		}
-		sols, err = ctx.applyReadyFilters(filters, bound, sols)
-		if err != nil {
-			return nil, err
-		}
-		if len(sols) == 0 {
-			return nil, nil
-		}
-	}
-	return sols, nil
-}
-
-// patternCost estimates the result size of a triple pattern given which
-// variables are statically bound. Lower is better.
-func (ctx *evalCtx) patternCost(tp TriplePattern, bound boundSet) float64 {
-	var sid, oid rdf.ID
-	sBound := !tp.S.IsVar() || bound[tp.S.Var]
-	oBound := !tp.O.IsVar() || bound[tp.O.Var]
-	if !tp.S.IsVar() {
-		sid = ctx.g.Dict().Lookup(tp.S.Term)
-		if sid == rdf.NoID {
-			return 0 // constant absent: zero results, run it first
-		}
-	}
-	if !tp.O.IsVar() {
-		oid = ctx.g.Dict().Lookup(tp.O.Term)
-		if oid == rdf.NoID {
-			return 0
-		}
-	}
-	var base float64
-	switch p := tp.P.(type) {
-	case PredPath:
-		pid := ctx.g.Dict().Lookup(rdf.IRI(p.IRI))
-		if pid == rdf.NoID {
-			return 0
-		}
-		base = float64(ctx.g.Count(sid, pid, oid))
-	case predVarPath:
-		base = float64(ctx.g.Count(sid, rdf.NoID, oid))
-		if !bound[p.name] {
-			base *= 1.5
-		}
-	default:
-		// Complex property path: expensive unless an endpoint is anchored.
-		base = float64(ctx.g.Len())
-		if sBound || oBound {
-			base /= 4
-		} else {
-			base *= 4
-		}
-	}
-	// Bound variables narrow the match at execution time even though the
-	// static estimate cannot see the concrete value.
-	if sBound && tp.S.IsVar() {
-		base /= 8
-	}
-	if oBound && tp.O.IsVar() {
-		base /= 8
-	}
-	return base
-}
-
-// extendTriple extends each solution with every match of tp.
-func (ctx *evalCtx) extendTriple(tp TriplePattern, sols []solution) ([]solution, error) {
-	g := ctx.g
-	dict := g.Dict()
-
-	sSlot, oSlot := -1, -1
-	if tp.S.IsVar() {
-		sSlot = ctx.slot(tp.S.Var)
-	}
-	if tp.O.IsVar() {
-		oSlot = ctx.slot(tp.O.Var)
-	}
-	pSlot := -1
-	var predPath Path = tp.P
-	if pv, ok := tp.P.(predVarPath); ok {
-		pSlot = ctx.slot(pv.name)
-		predPath = nil
-		_ = pv
-	}
-
-	var constS, constO rdf.ID
-	if !tp.S.IsVar() {
-		constS = dict.Lookup(tp.S.Term)
-		if constS == rdf.NoID {
-			return nil, nil
-		}
-	}
-	if !tp.O.IsVar() {
-		constO = dict.Lookup(tp.O.Term)
-		if constO == rdf.NoID {
-			return nil, nil
-		}
-	}
-	var constP rdf.ID
-	if pp, ok := tp.P.(PredPath); ok {
-		constP = dict.Lookup(rdf.IRI(pp.IRI))
-		if constP == rdf.NoID {
-			return nil, nil
-		}
-	}
-
-	var out []solution
-	for _, s := range sols {
-		if err := ctx.cancel.check(); err != nil {
-			return nil, err
-		}
-		sid, oid := constS, constO
-		if sSlot >= 0 && !s[sSlot].Zero() {
-			sid = dict.Lookup(s[sSlot])
-			if sid == rdf.NoID {
-				continue // bound to a term not in this graph
-			}
-		}
-		if oSlot >= 0 && !s[oSlot].Zero() {
-			oid = dict.Lookup(s[oSlot])
-			if oid == rdf.NoID {
-				continue
-			}
-		}
-		sameVar := tp.S.IsVar() && tp.O.IsVar() && tp.S.Var == tp.O.Var
-
-		emit := func(ms, mo rdf.ID, mp rdf.ID) {
-			if sameVar && ms != mo {
-				return
-			}
-			ns := append(solution(nil), s...)
-			if sSlot >= 0 {
-				ns[sSlot] = dict.Term(ms)
-			}
-			if oSlot >= 0 {
-				ns[oSlot] = dict.Term(mo)
-			}
-			if pSlot >= 0 {
-				ns[pSlot] = dict.Term(mp)
-			}
-			out = append(out, ns)
-		}
-
-		switch {
-		case pSlot >= 0:
-			pid := rdf.NoID
-			if !s[pSlot].Zero() {
-				pid = dict.Lookup(s[pSlot])
-				if pid == rdf.NoID {
-					continue
-				}
-			}
-			g.Match(sid, pid, oid, func(ms, mp, mo rdf.ID) bool {
-				emit(ms, mo, mp)
-				return true
-			})
-		case predPath != nil:
-			if _, simple := predPath.(PredPath); simple {
-				g.Match(sid, constP, oid, func(ms, _, mo rdf.ID) bool {
-					emit(ms, mo, rdf.NoID)
-					return true
-				})
-			} else {
-				seen := make(map[[2]rdf.ID]bool)
-				evalPath(&ctx.env, predPath, sid, oid, func(ms, mo rdf.ID) bool {
-					key := [2]rdf.ID{ms, mo}
-					if seen[key] {
-						return true
-					}
-					seen[key] = true
-					emit(ms, mo, rdf.NoID)
-					return true
-				})
-			}
-		}
-	}
-	return out, nil
-}
-
 // project applies SELECT, DISTINCT, ORDER BY, LIMIT and OFFSET.
-func (ctx *evalCtx) project(q *Query, sols []solution) (*Results, error) {
+func (ec *evalCtx) project(q *Query, sols []solution) (*Results, error) {
 	// ORDER BY before projection (keys may reference non-projected vars).
 	if len(q.OrderBy) > 0 {
 		type keyed struct {
@@ -901,7 +494,7 @@ func (ctx *evalCtx) project(q *Query, sols []solution) (*Results, error) {
 		for i, s := range sols {
 			keys := make([]rdf.Term, len(q.OrderBy))
 			for j, ok := range q.OrderBy {
-				if v, err := ok.Expr.Eval(solView{ctx, s}); err == nil {
+				if v, err := ok.Expr.Eval(solView{ec, s}); err == nil {
 					keys[j] = v
 				}
 			}
@@ -927,7 +520,7 @@ func (ctx *evalCtx) project(q *Query, sols []solution) (*Results, error) {
 	var vars []string
 	var exprs []Expression
 	if q.Star {
-		for _, v := range ctx.varNames {
+		for _, v := range ec.varNames {
 			if !strings.HasPrefix(v, "!") {
 				vars = append(vars, v)
 				exprs = append(exprs, VarExpr{Name: v})
@@ -945,15 +538,15 @@ func (ctx *evalCtx) project(q *Query, sols []solution) (*Results, error) {
 	var keyer distinctKeyer
 	if q.Distinct {
 		seen = make(map[string]bool)
-		keyer.dict = ctx.g.Dict()
+		keyer.dict = ec.g.Dict()
 	}
 	for _, s := range sols {
-		if err := ctx.cancel.check(); err != nil {
+		if err := ec.cancel.check(); err != nil {
 			return nil, err
 		}
 		row := make([]rdf.Term, len(exprs))
 		for i, e := range exprs {
-			if v, err := e.Eval(solView{ctx, s}); err == nil {
+			if v, err := e.Eval(solView{ec, s}); err == nil {
 				row[i] = v
 			}
 		}

@@ -337,6 +337,21 @@ SELECT ?p ?o WHERE { <http://optimatch/qep/pop/5> ?p ?o } ORDER BY ?p`)
 	}
 }
 
+// A predicate variable that the query never projects must still get its
+// solution slot up front; it used to be allocated mid-evaluation, past the end
+// of the rows already built (found by FuzzEvalEquivalence).
+func TestExecUnprojectedVariablePredicate(t *testing.T) {
+	g := evalTestGraph()
+	res := execQuery(t, g, `SELECT ?s WHERE { ?s ?p ?o }`)
+	if res.Len() != g.Len() {
+		t.Errorf("rows = %d, want one per triple (%d)", res.Len(), g.Len())
+	}
+	star := execQuery(t, g, `SELECT * WHERE { <http://optimatch/qep/pop/5> ?p ?o }`)
+	if !reflect.DeepEqual(star.Vars, []string{"p", "o"}) {
+		t.Errorf("SELECT * vars = %v, want [p o]", star.Vars)
+	}
+}
+
 func TestExecSameVarSubjectObject(t *testing.T) {
 	g := rdf.NewGraph()
 	g.Add(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("a"))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"optimatch/internal/rdf"
@@ -25,52 +26,38 @@ func fuzzDecodeGraph(edges []byte) *rdf.Graph {
 	return g
 }
 
-// fuzzDecodePath reads a path AST from buf, one operator byte per node,
-// bounded by a depth budget so the fuzzer cannot build towers of closures.
-func fuzzDecodePath(buf []byte, pos *int, depth int) Path {
+// fuzzDecodePath reads a path AST over preds from buf, one operator byte per
+// node, bounded by a depth budget so the fuzzer cannot build towers of
+// closures.
+func fuzzDecodePath(buf []byte, pos *int, depth int, preds []string) Path {
 	if *pos >= len(buf) || depth <= 0 {
-		return PredPath{IRI: fuzzPreds[0]}
+		return PredPath{IRI: preds[0]}
 	}
 	b := buf[*pos]
 	*pos++
+	sub := func() Path { return fuzzDecodePath(buf, pos, depth-1, preds) }
 	switch b % 6 {
 	case 0, 1:
-		return PredPath{IRI: fuzzPreds[int(b/6)%len(fuzzPreds)]}
+		return PredPath{IRI: preds[int(b/6)%len(preds)]}
 	case 2:
-		return InvPath{Inner: fuzzDecodePath(buf, pos, depth-1)}
+		return InvPath{Inner: sub()}
 	case 3:
-		return SeqPath{Parts: []Path{fuzzDecodePath(buf, pos, depth-1), fuzzDecodePath(buf, pos, depth-1)}}
+		return SeqPath{Parts: []Path{sub(), sub()}}
 	case 4:
-		return AltPath{Alts: []Path{fuzzDecodePath(buf, pos, depth-1), fuzzDecodePath(buf, pos, depth-1)}}
+		return AltPath{Alts: []Path{sub(), sub()}}
 	default:
 		mods := []byte{ModOneOrMore, ModZeroOrMore, ModZeroOrOne}
-		return ModPath{Inner: fuzzDecodePath(buf, pos, depth-1), Mod: mods[int(b/6)%len(mods)]}
+		return ModPath{Inner: sub(), Mod: mods[int(b/6)%len(mods)]}
 	}
-}
-
-// sortedRows renders result rows as sorted strings for set comparison
-// across evaluator modes.
-func sortedRows(r *Results) []string {
-	out := make([]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		s := ""
-		for _, t := range row {
-			s += t.String() + "\x1f"
-		}
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // FuzzPathEquivalence is a differential fuzz test for the path evaluator:
-// for a random small graph and a random path, the CSR-indexed engine, the
-// path-index-ablated engine, and the naive reference semantics must agree
-// on the (s, o) relation under every endpoint binding, and full query
-// execution must agree across the specialized / fallback x indexed /
-// ablated configuration grid. Indexed vs ablated must match in exact
-// emission order — that is the byte-identical-results bar the acceleration
-// layer promises.
+// for a random small graph and a random path, evalPath must agree with the
+// naive reference semantics (refEval) on the (s, o) relation under every
+// endpoint binding, its emission order must be reproducible — two fresh
+// environments emit the same sequence, and replaying a filled closure memo
+// emits what the live BFS that filled it did — and a full query over the
+// path must agree with the reference evaluator.
 func FuzzPathEquivalence(f *testing.F) {
 	// Seed corpus: edges first (2 bytes each), final bytes decode the path.
 	// Node packing: s = b%8, o = (b>>3)%8.
@@ -99,7 +86,7 @@ func FuzzPathEquivalence(f *testing.F) {
 		split := len(data) - len(data)/4
 		g := fuzzDecodeGraph(data[:split])
 		pos := split
-		p := fuzzDecodePath(data, &pos, 3)
+		p := fuzzDecodePath(data, &pos, 3, fuzzPreds)
 
 		ref := refEval(g, p)
 		nodes := refNodes(g)
@@ -110,67 +97,329 @@ func FuzzPathEquivalence(f *testing.F) {
 			ob = nodes[int(data[len(data)-1])%len(nodes)]
 		}
 
-		// evalPath level: indexed and ablated vs reference, all bindings.
 		for _, bind := range [][2]rdf.ID{
 			{rdf.NoID, rdf.NoID}, {sb, rdf.NoID}, {rdf.NoID, ob}, {sb, ob},
 		} {
 			want := filterRef(ref, bind[0], bind[1])
-			indexed := collectPathEnv(&pathEnv{g: g}, p, bind[0], bind[1])
-			if !reflect.DeepEqual(indexed, want) {
-				t.Fatalf("path %s bind %v: indexed %v, reference %v", PathString(p), bind, indexed, want)
+			if got := collectPath(g, p, bind[0], bind[1]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("path %s bind %v: evalPath %v, reference %v", PathString(p), bind, got, want)
 			}
-			ablated := collectPathEnv(&pathEnv{g: g, noIndex: true}, p, bind[0], bind[1])
-			if !reflect.DeepEqual(ablated, want) {
-				t.Fatalf("path %s bind %v: ablated %v, reference %v", PathString(p), bind, ablated, want)
-			}
-			// Exact emission order must match between indexed and ablated.
 			// With both endpoints unbound, plain predicate enumeration goes
-			// through map iteration (nondeterministic run to run in both
-			// modes), so the order guarantee only holds for bound endpoints —
-			// and for top-level closures, which walk the deterministic
-			// NodeIDs list.
+			// through map iteration (nondeterministic run to run), so the
+			// order guarantee only holds for bound endpoints — and for
+			// top-level closures, which walk the deterministic NodeIDs list.
 			if bind[0] == rdf.NoID && bind[1] == rdf.NoID {
 				if m, ok := p.(ModPath); !ok || m.Mod == ModZeroOrOne {
 					continue
 				}
 			}
-			var seqA, seqB [][2]rdf.ID
-			evalPath(&pathEnv{g: g}, p, bind[0], bind[1], func(s, o rdf.ID) bool {
-				seqA = append(seqA, [2]rdf.ID{s, o})
-				return true
-			})
-			evalPath(&pathEnv{g: g, noIndex: true}, p, bind[0], bind[1], func(s, o rdf.ID) bool {
-				seqB = append(seqB, [2]rdf.ID{s, o})
-				return true
-			})
-			if !reflect.DeepEqual(seqA, seqB) {
-				t.Fatalf("path %s bind %v: emission order diverged\nindexed: %v\nablated: %v",
-					PathString(p), bind, seqA, seqB)
+			sequence := func(env *pathEnv) (seq [][2]rdf.ID) {
+				evalPath(env, p, bind[0], bind[1], func(s, o rdf.ID) bool {
+					seq = append(seq, [2]rdf.ID{s, o})
+					return true
+				})
+				return seq
+			}
+			env := &pathEnv{g: g}
+			live := sequence(env)
+			if fresh := sequence(&pathEnv{g: g}); !reflect.DeepEqual(live, fresh) {
+				t.Fatalf("path %s bind %v: two fresh environments diverged\nfirst:  %v\nsecond: %v",
+					PathString(p), bind, live, fresh)
+			}
+			if replay := sequence(env); !reflect.DeepEqual(live, replay) {
+				t.Fatalf("path %s bind %v: memo replay diverged from the live BFS\nlive:   %v\nreplay: %v",
+					PathString(p), bind, live, replay)
 			}
 		}
 
-		// Full query execution across the evaluator configuration grid.
 		q, err := Parse("SELECT ?s ?o WHERE { ?s " + PathString(p) + " ?o }")
 		if err != nil {
 			t.Fatalf("Parse(%s): %v", PathString(p), err)
 		}
-		base, err := q.ExecOpts(g, ExecOptions{})
+		requireEquivalent(t, q, g)
+	})
+}
+
+// The eval fuzzer's graphs use the plan vocabulary of evalTestGraph, so the
+// hand-written refSeedQueries mean something on them: eight operators, three
+// operator-to-operator predicates and three literal-valued ones.
+var (
+	fuzzNodePreds = []string{predIRI + "hasChildPop", predIRI + "hasInnerInputStream", predIRI + "hasOuterInputStream"}
+	fuzzPopTypes  = []string{"NLJOIN", "TBSCAN", "IXSCAN", "FETCH"}
+	fuzzJoinTypes = []string{"INNER", "LEFT_OUTER"}
+	// One lexical form per value, all multiples of 0.5: no two distinct
+	// graph terms compare equal (MIN/MAX and ORDER BY have no ties to break
+	// by join order) and SUM is exact in any order.
+	fuzzCards = []string{"0.5", "1", "2.5", "19", "100", "4043", "15771", "1.0E+07"}
+)
+
+func fuzzPop(i int) string { return fmt.Sprintf("http://optimatch/qep/pop/%d", i%8) }
+
+// fuzzDecodePlanGraph reads 2-byte triples: subject and object index packed
+// in byte 0, predicate selector in byte 1.
+func fuzzDecodePlanGraph(triples []byte) *rdf.Graph {
+	g := rdf.NewGraph()
+	for i := 0; i+1 < len(triples) && i < 80; i += 2 {
+		s, o := int(triples[i]%8), int(triples[i]>>3%8)
+		subj := rdf.IRI(fuzzPop(s))
+		switch k := int(triples[i+1]) % 6; k {
+		case 0, 1, 2:
+			g.Add(subj, rdf.IRI(fuzzNodePreds[k]), rdf.IRI(fuzzPop(o)))
+		case 3:
+			g.Add(subj, rdf.IRI(predIRI+"hasPopType"), rdf.String(fuzzPopTypes[o%len(fuzzPopTypes)]))
+		case 4:
+			g.Add(subj, rdf.IRI(predIRI+"hasEstimateCardinality"), rdf.TypedLiteral(fuzzCards[o], rdf.XSDDouble))
+		default:
+			g.Add(subj, rdf.IRI(predIRI+"hasJoinType"), rdf.String(fuzzJoinTypes[o%len(fuzzJoinTypes)]))
+		}
+	}
+	return g
+}
+
+// fuzzQueryGen decodes a query from fuzz bytes, one choice per byte (zero
+// once the input runs out, so every prefix decodes to a complete query).
+type fuzzQueryGen struct {
+	buf  []byte
+	pos  int
+	vars []string // variables mentioned so far, in first-mention order
+}
+
+func (r *fuzzQueryGen) pick(n int) int {
+	if r.pos >= len(r.buf) {
+		return 0
+	}
+	b := r.buf[r.pos]
+	r.pos++
+	return int(b) % n
+}
+
+// use records a variable mention and returns it.
+func (r *fuzzQueryGen) use(v string) string {
+	for _, seen := range r.vars {
+		if seen == v {
+			return v
+		}
+	}
+	r.vars = append(r.vars, v)
+	return v
+}
+
+func (r *fuzzQueryGen) nodeVar() string { return r.use([]string{"?a", "?b", "?c"}[r.pick(3)]) }
+func (r *fuzzQueryGen) numVar() string  { return r.use([]string{"?n0", "?n1"}[r.pick(2)]) }
+
+// litVar draws from the type variables and the BIND targets, so a pattern
+// can join against a term BIND synthesized.
+func (r *fuzzQueryGen) litVar() string {
+	return r.use([]string{"?t0", "?t1", "?x0", "?x1"}[r.pick(4)])
+}
+
+func (r *fuzzQueryGen) triple() string {
+	switch r.pick(9) {
+	case 0:
+		return r.nodeVar() + " pred:hasPopType " + r.litVar()
+	case 1:
+		return fmt.Sprintf("%s pred:hasPopType %q", r.nodeVar(), fuzzPopTypes[r.pick(len(fuzzPopTypes))])
+	case 2:
+		return r.nodeVar() + " pred:hasEstimateCardinality " + r.numVar()
+	case 3:
+		// Both ends may draw the same variable: the repeated-variable case.
+		return r.nodeVar() + " " + PathString(fuzzDecodePath(r.buf, &r.pos, 2, fuzzNodePreds)) + " " + r.nodeVar()
+	case 4:
+		return r.nodeVar() + " " + r.use("?p") + " " + r.nodeVar()
+	case 5:
+		return r.nodeVar() + " " + r.use("?p") + " " + r.litVar()
+	case 6:
+		return fmt.Sprintf("<%s> pred:hasChildPop %s", fuzzPop(r.pick(8)), r.nodeVar())
+	case 7:
+		return fmt.Sprintf("%s pred:hasChildPop+ <%s>", r.nodeVar(), fuzzPop(r.pick(8)))
+	default:
+		return r.nodeVar() + " pred:hasInnerInputStream []"
+	}
+}
+
+func (r *fuzzQueryGen) filter() string {
+	consts := []string{"0", "2", "50", "1000"}
+	switch r.pick(7) {
+	case 0:
+		return fmt.Sprintf("FILTER(%s > %s)", r.numVar(), consts[r.pick(4)])
+	case 6:
+		// Divides by zero where the cardinality is 1.
+		return fmt.Sprintf("FILTER(%s / (%s - 1) < %s)", r.numVar(), r.numVar(), consts[r.pick(4)])
+	case 1:
+		return fmt.Sprintf("FILTER(%s * 2 <= %s)", r.numVar(), consts[r.pick(4)])
+	case 2:
+		return fmt.Sprintf("FILTER(%s %s %s)", r.numVar(), []string{"!=", "<", "="}[r.pick(3)], r.numVar())
+	case 3:
+		return fmt.Sprintf("FILTER(%s != %s)", r.nodeVar(), r.nodeVar())
+	case 4:
+		return fmt.Sprintf("FILTER(%s = %q)", r.litVar(), fuzzPopTypes[r.pick(len(fuzzPopTypes))])
+	default:
+		return fmt.Sprintf("FILTER(%sBOUND(%s))", []string{"", "!"}[r.pick(2)], r.litVar())
+	}
+}
+
+// bind produces terms the graph does not contain: x.5 sums the cardinality
+// table has no entry for, lower-cased type names, stringified IRIs.
+func (r *fuzzQueryGen) bind() string {
+	var expr string
+	switch r.pick(3) {
+	case 0:
+		expr = r.numVar() + " + 0.25"
+	case 1:
+		expr = "LCASE(" + r.use([]string{"?t0", "?t1"}[r.pick(2)]) + ")"
+	default:
+		expr = "STR(" + r.nodeVar() + ")"
+	}
+	return fmt.Sprintf("BIND(%s AS %s)", expr, r.use([]string{"?x0", "?x1"}[r.pick(2)]))
+}
+
+func (r *fuzzQueryGen) group(depth int) string {
+	s := "{ "
+	for i, n := 0, 1+r.pick(4); i < n; i++ {
+		kind := r.pick(10)
+		if depth == 0 && (kind == 6 || kind == 7 || kind == 9) {
+			kind = 0
+		}
+		switch kind {
+		case 5:
+			s += r.filter() + " "
+		case 6:
+			s += "OPTIONAL " + r.group(depth-1) + " "
+		case 7:
+			s += r.group(depth-1) + " UNION " + r.group(depth-1) + " "
+		case 8:
+			s += r.bind() + " "
+		case 9:
+			s += "FILTER " + []string{"", "NOT "}[r.pick(2)] + "EXISTS " + r.group(depth-1) + " "
+		default:
+			s += r.triple() + " . "
+		}
+	}
+	return s + "}"
+}
+
+// query decodes a whole SELECT. Aggregated shapes only read grouped
+// variables outside aggregates, SUM/AVG/MIN/MAX only range over the ?n
+// variables (graph terms, see fuzzCards), and ORDER BY lists plain projected
+// variables — so every result is a function of the solution multiset, not of
+// the join order that produced it. LIMIT/OFFSET ride on an ORDER BY;
+// requireEquivalent checks them only when that order turns out total.
+func (r *fuzzQueryGen) query() string {
+	where := r.group(2)
+	shape := r.pick(5)
+	switch shape {
+	case 0:
+		return "SELECT * WHERE " + where
+	case 1, 2:
+		key := r.vars[r.pick(len(r.vars))]
+		sel := key + " (COUNT(" + r.vars[r.pick(len(r.vars))] + ") AS ?cnt)"
+		if r.pick(2) == 1 {
+			sel += " (SUM(?n0) AS ?sum) (MAX(?n1) AS ?mx)"
+		}
+		if r.pick(2) == 1 {
+			sel += " (COUNT(DISTINCT " + r.vars[r.pick(len(r.vars))] + ") AS ?dc) (COUNT(*) AS ?all)"
+		}
+		q := "SELECT " + sel + " WHERE " + where + " GROUP BY " + key
+		if r.pick(2) == 1 {
+			q += " HAVING(COUNT(*) > 1)"
+		}
+		if r.pick(2) == 1 {
+			q += " ORDER BY " + []string{key, "DESC(" + key + ")"}[r.pick(2)] + r.window()
+		}
+		return q
+	case 3:
+		return "SELECT (COUNT(*) AS ?all) (AVG(?n0) AS ?avg) (MIN(?n1) AS ?mn) WHERE " + where
+	}
+	var cols []string
+	for _, v := range r.vars {
+		if len(cols) == 0 || r.pick(2) == 1 {
+			cols = append(cols, v)
+		}
+	}
+	sel := strings.Join(cols, " ")
+	if r.pick(4) == 0 {
+		// A computed column sends projection through the term-space tail.
+		sel += " (?n0 * 2 AS ?twice)"
+	}
+	q := "SELECT " + []string{"", "DISTINCT "}[r.pick(2)] + sel + " WHERE " + where
+	if r.pick(2) == 1 {
+		q += " ORDER BY " + strings.Join(cols, " ") + r.window()
+	}
+	return q
+}
+
+func (r *fuzzQueryGen) window() string {
+	s := ""
+	if r.pick(2) == 1 {
+		s += fmt.Sprintf(" LIMIT %d", r.pick(6))
+	}
+	if r.pick(3) == 1 {
+		s += fmt.Sprintf(" OFFSET %d", r.pick(4))
+	}
+	return s
+}
+
+// FuzzEvalEquivalence is the differential fuzz test for the evaluator as a
+// whole: over a random small plan-like graph, ExecOpts (with and without join
+// reordering) must agree with the reference term-space evaluator
+// (execReference) on every query — the hand-written refSeedQueries and
+// queries decoded from the input over the full shape the parser accepts (BGPs
+// with shared, repeated and predicate variables, numeric and variable-to-
+// variable FILTERs, OPTIONAL, UNION, BIND of terms absent from the graph,
+// FILTER [NOT] EXISTS, property paths, GROUP BY/aggregates/HAVING, DISTINCT,
+// ORDER BY, and LIMIT/OFFSET under a total order).
+//
+// Input layout: byte 0 selects a refSeedQueries entry or (past the table) the
+// generator; the first two thirds of the rest decode the graph, the last third
+// the generated query.
+func FuzzEvalEquivalence(f *testing.F) {
+	triple := func(s, o, pred byte) []byte { return []byte{s%8 | o%8<<3, pred} }
+	// A graph in the shape of evalTestGraph (join over a fetch/index-scan arm
+	// and a table-scan arm), padded so the generator's third has room.
+	var plan []byte
+	for _, tr := range [][3]byte{
+		{2, 0, 3}, {3, 3, 3}, {4, 2, 3}, {5, 1, 3}, // types
+		{2, 3, 4}, {5, 5, 4}, {4, 7, 4}, {2, 0, 5}, // cardinalities, join type
+		{2, 3, 0}, {2, 5, 0}, {3, 4, 0}, {2, 3, 2}, {2, 5, 1}, {3, 4, 1}, // edges
+	} {
+		plan = append(plan, triple(tr[0], tr[1], tr[2])...)
+	}
+	for i := range refSeedQueries {
+		f.Add(append([]byte{byte(i)}, plan...))
+	}
+	// Generated shapes: the all-zero query, then a few byte ramps that reach
+	// OPTIONAL/UNION/BIND/EXISTS, aggregates and ordered windows.
+	for _, tail := range [][]byte{
+		{},
+		{1, 6, 2, 0, 1, 5, 0, 1, 9, 1, 1, 2, 0, 4, 1, 1, 1, 1, 0, 1, 1, 2},
+		{3, 7, 0, 0, 0, 1, 1, 3, 8, 0, 1, 0, 3, 5, 11, 1, 0, 2, 1, 1, 1, 1, 1, 1},
+		{2, 2, 0, 1, 0, 0, 3, 4, 1, 2, 4, 0, 1, 0, 1, 1, 1, 3, 1, 1},
+	} {
+		f.Add(append(append([]byte{255}, plan...), tail...))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		if len(data) > 160 {
+			data = data[:160]
+		}
+		mode, rest := int(data[0]), data[1:]
+		split := len(rest) - len(rest)/3
+		g := fuzzDecodePlanGraph(rest[:split])
+		var text string
+		if mode < len(refSeedQueries) {
+			text = refSeedQueries[mode].text
+		} else {
+			gen := fuzzQueryGen{buf: rest[split:]}
+			text = gen.query()
+		}
+		q, err := Parse(predPrefix + text)
 		if err != nil {
-			t.Fatalf("Exec(%s): %v", PathString(p), err)
+			t.Fatalf("Parse(%s): %v", text, err)
 		}
-		want := sortedRows(base)
-		for _, opts := range []ExecOptions{
-			{DisablePathIndex: true},
-			{DisableSpecialization: true},
-			{DisableSpecialization: true, DisablePathIndex: true},
-		} {
-			res, err := q.ExecOpts(g, opts)
-			if err != nil {
-				t.Fatalf("Exec(%s) with %+v: %v", PathString(p), opts, err)
-			}
-			if got := sortedRows(res); !reflect.DeepEqual(got, want) {
-				t.Fatalf("query over %s: opts %+v rows %v, base rows %v", PathString(p), opts, got, want)
-			}
-		}
+		t.Log(text)
+		requireEquivalent(t, q, g)
 	})
 }

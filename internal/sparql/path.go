@@ -5,22 +5,14 @@ import "optimatch/internal/rdf"
 // Property-path evaluation. Arbitrary-length paths (`+`, `*`) are the hot
 // spot: OptImatch's expert patterns use them to find problem shapes anywhere
 // in a QEP tree, so a 1000-plan knowledge-base scan runs thousands of
-// closure walks. Two evaluation strategies coexist:
-//
-//   - The indexed path (default): BFS over per-predicate CSR adjacency
-//     snapshots cached on the graph (rdf.Graph.PredCSR), with bitset visited
-//     sets and pooled frontier buffers, full closure results memoized per
-//     (path, direction, start) for the lifetime of one query evaluation, and
-//     walk direction for doubly-bound closures chosen from index
-//     cardinalities.
-//   - The legacy path (ExecOptions.DisablePathIndex): the seed-era
-//     per-start-node BFS over map visited sets, stepping through generic
-//     Graph.Match callbacks. Kept verbatim as the ablation baseline.
-//
-// Both strategies emit identical pair sequences: CSR neighbor lists preserve
-// Match's iteration order, the BFS discovers nodes in the same order, and
-// the memo replays discovery order — so reports stay byte-identical with
-// the index on or off.
+// closure walks. A closure is a BFS over per-predicate CSR adjacency
+// snapshots cached on the graph (rdf.Graph.PredCSR), with bitset visited
+// sets and pooled frontier buffers; full closure results are memoized per
+// (path, direction, start) for the lifetime of one query evaluation, and the
+// walk direction for doubly-bound closures is chosen from index
+// cardinalities. Emission order is deterministic: CSR neighbor lists
+// preserve Match's iteration order and the memo replays BFS discovery order,
+// so a replayed closure and a live one emit the same pair sequence.
 
 // pathEnv carries the graph a property path evaluates against plus the
 // per-evaluation acceleration state: an optional memoized predicate-IRI
@@ -30,11 +22,8 @@ type pathEnv struct {
 	g    *rdf.Graph
 	pred func(iri string) rdf.ID
 
-	// noIndex pins evaluation to the legacy closure path (ablation).
-	noIndex bool
-
 	// cancel is the evaluation's cooperative cancellation checkpoint
-	// (shared with the evalCtx/specCtx that owns this env; nil means the
+	// (shared with the evalCtx that owns this env; nil means the
 	// evaluation cannot be cancelled). Closure BFS walks poll it per
 	// frontier expansion so an unanchored walk over a large ID space stops
 	// within one stride of the deadline.
@@ -142,8 +131,8 @@ func evalSeq(env *pathEnv, parts []Path, s, o rdf.ID, emit func(s, o rdf.ID) boo
 	if s != rdf.NoID || o == rdf.NoID {
 		// Evaluate left to right; dedupe (start, mid) pairs so diamond
 		// shapes do not explode. With a bound start every pair shares it, so
-		// the indexed path dedupes mids on a pooled bitset instead of a map.
-		if s != rdf.NoID && !env.noIndex {
+		// mids dedupe on a pooled bitset instead of a map.
+		if s != rdf.NoID {
 			seen := env.getVisited()
 			marked := env.getIDs()
 			cont := evalPath(env, parts[0], s, rdf.NoID, func(start, mid rdf.ID) bool {
@@ -175,34 +164,21 @@ func evalSeq(env *pathEnv, parts []Path, s, o rdf.ID, emit func(s, o rdf.ID) boo
 	// Only the object side is bound: evaluate right to left. Every pair
 	// shares the bound end, so dedupe mids the same way.
 	last := parts[len(parts)-1]
-	if !env.noIndex {
-		seen := env.getVisited()
-		marked := env.getIDs()
-		cont := evalPath(env, last, rdf.NoID, o, func(mid, end rdf.ID) bool {
-			if bitGet(seen, mid) {
-				return true
-			}
-			bitSet(seen, mid)
-			marked = append(marked, mid)
-			return evalSeq(env, parts[:len(parts)-1], rdf.NoID, mid, func(start, _ rdf.ID) bool {
-				return emit(start, end)
-			})
-		})
-		env.putVisited(seen, marked)
-		env.putIDs(marked)
-		return cont
-	}
-	seen := make(map[[2]rdf.ID]bool)
-	return evalPath(env, last, rdf.NoID, o, func(mid, end rdf.ID) bool {
-		key := [2]rdf.ID{mid, end}
-		if seen[key] {
+	seen := env.getVisited()
+	marked := env.getIDs()
+	cont := evalPath(env, last, rdf.NoID, o, func(mid, end rdf.ID) bool {
+		if bitGet(seen, mid) {
 			return true
 		}
-		seen[key] = true
+		bitSet(seen, mid)
+		marked = append(marked, mid)
 		return evalSeq(env, parts[:len(parts)-1], rdf.NoID, mid, func(start, _ rdf.ID) bool {
 			return emit(start, end)
 		})
 	})
+	env.putVisited(seen, marked)
+	env.putIDs(marked)
+	return cont
 }
 
 func evalMod(env *pathEnv, p ModPath, s, o rdf.ID, emit func(s, o rdf.ID) bool) bool {
@@ -226,8 +202,7 @@ func evalMod(env *pathEnv, p ModPath, s, o rdf.ID, emit func(s, o rdf.ID) bool) 
 		case s != rdf.NoID && o != rdf.NoID:
 			// Both ends bound: at most one pair can come out, so either walk
 			// direction is equivalent — pick the one whose first frontier is
-			// smaller (index cardinalities). The legacy path keeps the fixed
-			// forward rule.
+			// smaller (index cardinalities).
 			if closureBackwardCheaper(env, p.Inner, s, o) {
 				return closure(env, p.Inner, o, s, includeZero, true, func(a, b rdf.ID) bool {
 					return emit(b, a)
@@ -303,11 +278,8 @@ func basePred(p Path) (iri string, inverted bool, ok bool) {
 // closureBackwardCheaper decides the walk direction for a doubly-bound
 // closure: walk backward from o when o's first frontier is smaller than s's.
 // Only simple (possibly inverted) predicate paths have usable cardinalities;
-// anything else keeps the forward default, as does the ablated configuration.
+// anything else keeps the forward default.
 func closureBackwardCheaper(env *pathEnv, inner Path, s, o rdf.ID) bool {
-	if env.noIndex {
-		return false
-	}
 	iri, inverted, ok := basePred(inner)
 	if !ok {
 		return false
@@ -331,9 +303,6 @@ func closureBackwardCheaper(env *pathEnv, inner Path, s, o rdf.ID) bool {
 func closure(env *pathEnv, inner Path, start, other rdf.ID, includeZero, backward bool, emit func(s, o rdf.ID) bool) bool {
 	if env.cancel.tripped() != nil {
 		return false
-	}
-	if env.noIndex {
-		return closureLegacy(env, inner, start, other, includeZero, backward, emit)
 	}
 	set := env.closureSet(inner, start, backward)
 	emittedStart := false
@@ -473,72 +442,6 @@ bfs:
 	env.putIDs(frontier)
 	env.putIDs(next)
 	return set, complete
-}
-
-// closureLegacy is the seed-era closure: per-start map visited set, stepping
-// through the generic path evaluator. Kept as the ablation baseline
-// (ExecOptions.DisablePathIndex); the only post-seed addition is the
-// cooperative cancellation poll, which the ablated configuration needs just
-// as much as the indexed one.
-func closureLegacy(env *pathEnv, inner Path, start, other rdf.ID, includeZero, backward bool, emit func(s, o rdf.ID) bool) bool {
-	// emittedStart tracks whether the (start, start) pair has been produced:
-	// by the zero-length component for `*`, or — for `+` — by a cycle back
-	// to the start node found during the walk.
-	emittedStart := false
-	if includeZero {
-		if other == rdf.NoID || other == start {
-			emittedStart = true
-			if !emit(start, start) {
-				return false
-			}
-		}
-	}
-	visited := map[rdf.ID]bool{start: true}
-	frontier := []rdf.ID{start}
-	step := func(from rdf.ID, fn func(to rdf.ID) bool) bool {
-		if backward {
-			return evalPath(env, inner, rdf.NoID, from, func(a, _ rdf.ID) bool { return fn(a) })
-		}
-		return evalPath(env, inner, from, rdf.NoID, func(_, b rdf.ID) bool { return fn(b) })
-	}
-	for len(frontier) > 0 {
-		var next []rdf.ID
-		for _, n := range frontier {
-			if env.cancel.check() != nil {
-				return false
-			}
-			stopped := !step(n, func(to rdf.ID) bool {
-				if to == start {
-					// A cycle back to the start: (start, start) is reachable
-					// in >= 1 steps, which the pre-marked visited set would
-					// otherwise hide.
-					if !emittedStart && (other == rdf.NoID || other == start) {
-						emittedStart = true
-						if !emit(start, start) {
-							return false
-						}
-					}
-					return true
-				}
-				if visited[to] {
-					return true
-				}
-				visited[to] = true
-				next = append(next, to)
-				if other == rdf.NoID || other == to {
-					if !emit(start, to) {
-						return false
-					}
-				}
-				return true
-			})
-			if stopped {
-				return false
-			}
-		}
-		frontier = next
-	}
-	return true
 }
 
 // Bitset helpers. Bit i represents dense term ID i; word 0 bit 0 (NoID) is

@@ -123,14 +123,8 @@ func refNodes(g *rdf.Graph) []rdf.ID {
 // duplicates removed (closure paths have set semantics; plain alternatives
 // may emit duplicates which the engine dedupes at extendTriple level).
 func collectPath(g *rdf.Graph, p Path, s, o rdf.ID) [][2]rdf.ID {
-	return collectPathEnv(&pathEnv{g: g}, p, s, o)
-}
-
-// collectPathEnv is collectPath over an explicit environment, so tests can
-// compare the indexed and noIndex evaluators.
-func collectPathEnv(env *pathEnv, p Path, s, o rdf.ID) [][2]rdf.ID {
 	set := map[[2]rdf.ID]bool{}
-	evalPath(env, p, s, o, func(ms, mo rdf.ID) bool {
+	evalPath(&pathEnv{g: g}, p, s, o, func(ms, mo rdf.ID) bool {
 		set[[2]rdf.ID{ms, mo}] = true
 		return true
 	})
@@ -222,28 +216,25 @@ func TestPathAgainstReferenceProperty(t *testing.T) {
 			o = nodes[rng.Intn(len(nodes))]
 		}
 
-		for _, noIndex := range []bool{false, true} {
-			env := &pathEnv{g: g, noIndex: noIndex}
-			// Unbound-unbound.
-			if !reflect.DeepEqual(collectPathEnv(env, p, rdf.NoID, rdf.NoID), filterRef(ref, rdf.NoID, rdf.NoID)) {
-				t.Logf("seed %d path %s noIndex=%v: unbound mismatch", seed, PathString(p), noIndex)
-				return false
-			}
-			if len(nodes) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(collectPathEnv(env, p, s, rdf.NoID), filterRef(ref, s, rdf.NoID)) {
-				t.Logf("seed %d path %s noIndex=%v: s-bound mismatch", seed, PathString(p), noIndex)
-				return false
-			}
-			if !reflect.DeepEqual(collectPathEnv(env, p, rdf.NoID, o), filterRef(ref, rdf.NoID, o)) {
-				t.Logf("seed %d path %s noIndex=%v: o-bound mismatch", seed, PathString(p), noIndex)
-				return false
-			}
-			if !reflect.DeepEqual(collectPathEnv(env, p, s, o), filterRef(ref, s, o)) {
-				t.Logf("seed %d path %s noIndex=%v: both-bound mismatch", seed, PathString(p), noIndex)
-				return false
-			}
+		// Unbound-unbound.
+		if !reflect.DeepEqual(collectPath(g, p, rdf.NoID, rdf.NoID), filterRef(ref, rdf.NoID, rdf.NoID)) {
+			t.Logf("seed %d path %s: unbound mismatch", seed, PathString(p))
+			return false
+		}
+		if len(nodes) == 0 {
+			return true
+		}
+		if !reflect.DeepEqual(collectPath(g, p, s, rdf.NoID), filterRef(ref, s, rdf.NoID)) {
+			t.Logf("seed %d path %s: s-bound mismatch", seed, PathString(p))
+			return false
+		}
+		if !reflect.DeepEqual(collectPath(g, p, rdf.NoID, o), filterRef(ref, rdf.NoID, o)) {
+			t.Logf("seed %d path %s: o-bound mismatch", seed, PathString(p))
+			return false
+		}
+		if !reflect.DeepEqual(collectPath(g, p, s, o), filterRef(ref, s, o)) {
+			t.Logf("seed %d path %s: both-bound mismatch", seed, PathString(p))
+			return false
 		}
 		return true
 	}

@@ -8,24 +8,16 @@ import (
 	"optimatch/internal/rdf"
 )
 
-// This file implements per-graph query specialization, the default
-// evaluation path. Before matching starts, every constant term the query
-// mentions (Analysis.Consts) is resolved to the target graph's dense
-// dictionary ID exactly once, and evaluation bails out immediately when a
-// required constant is absent from the graph's vocabulary. Pattern matching
-// then runs entirely in ID space: a solution is a []rdf.ID instead of a
-// []rdf.Term, so extending a solution copies machine words instead of term
-// structs, comparing bindings never hashes strings, and the GC sees no
-// pointers inside solution rows. Terms synthesized by BIND (which may not
-// exist in the graph) live in a per-evaluation side table addressed by IDs
-// with the top bit set. Projection, ORDER BY, DISTINCT and aggregation are
-// shared with the term-space path in eval.go: solutions are converted back
-// to terms once, after the WHERE clause has finished.
-//
-// ExecOptions.DisableSpecialization selects the legacy term-space path in
-// eval.go instead; both paths produce identical results (the ablation
-// benchmarks and the prefilter property test in internal/core rely on
-// this).
+// This file implements WHERE-clause evaluation. Matching runs entirely in
+// the target graph's ID space: the query's constants were resolved to dense
+// dictionary IDs when the evalCtx was built, and a solution is a []rdf.ID
+// instead of a []rdf.Term, so extending a solution copies machine words
+// instead of term structs, comparing bindings never hashes strings, and the
+// GC sees no pointers inside solution rows. Terms synthesized by BIND (which
+// may not exist in the graph) live in a per-evaluation side table addressed
+// by IDs with the top bit set. Solutions are converted back to terms once,
+// after the WHERE clause has finished — and only for the rows that survive
+// DISTINCT and LIMIT/OFFSET when the projection is plain variables.
 
 // extraIDBit marks IDs addressing the per-evaluation side table of terms
 // that are not in the graph's dictionary. Graph dictionaries are per-plan
@@ -36,87 +28,43 @@ const extraIDBit rdf.ID = 1 << 31
 // ID) per variable slot, rdf.NoID meaning unbound.
 type isol []rdf.ID
 
-// specCtx extends the shared evaluation context with the per-(query, graph)
-// specialization state.
-type specCtx struct {
-	*evalCtx
-
-	// constIDs maps every constant term of the query to its dense ID in the
-	// target graph (NoID when absent), resolved once before evaluation.
-	constIDs map[rdf.Term]rdf.ID
-
-	// predCard memoizes Count(NoID, p, NoID) per predicate, the only Count
-	// combination that is not O(1) on the index maps; the join-order
-	// heuristic asks for it once per pattern per BGP step.
-	predCard map[rdf.ID]int
-
-	// env is the property-path environment with the memoized predicate
-	// resolver.
-	env pathEnv
-
-	// extra and extraIDs hold terms synthesized during evaluation (BIND
-	// results) that the graph's dictionary does not contain.
-	extra    []rdf.Term
-	extraIDs map[rdf.Term]rdf.ID
-
-	// floats memoizes numeric parsing per term ID: FILTER comparisons over
-	// cardinalities and costs re-visit the same few literals for every row.
-	floats map[rdf.ID]cachedFloat
-}
-
 type cachedFloat struct {
 	f  float64
 	ok bool
 }
 
 // floatOf is Term.Float for the term behind id, memoized per evaluation.
-func (sc *specCtx) floatOf(id rdf.ID) (float64, bool) {
-	if v, hit := sc.floats[id]; hit {
+func (ec *evalCtx) floatOf(id rdf.ID) (float64, bool) {
+	if v, hit := ec.floats[id]; hit {
 		return v.f, v.ok
 	}
-	f, ok := sc.term(id).Float()
-	if sc.floats == nil {
-		sc.floats = make(map[rdf.ID]cachedFloat)
+	f, ok := ec.term(id).Float()
+	if ec.floats == nil {
+		ec.floats = make(map[rdf.ID]cachedFloat)
 	}
-	sc.floats[id] = cachedFloat{f, ok}
+	ec.floats[id] = cachedFloat{f, ok}
 	return f, ok
-}
-
-func newSpecCtx(g *rdf.Graph, q *Query, opts ExecOptions) *specCtx {
-	an := q.Analysis()
-	sc := &specCtx{
-		evalCtx:  newEvalCtx(g, q, opts),
-		constIDs: make(map[rdf.Term]rdf.ID, len(an.Consts)),
-	}
-	dict := g.Dict()
-	for _, t := range an.Consts {
-		sc.constIDs[t] = dict.Lookup(t)
-	}
-	sc.env = pathEnv{g: g, noIndex: opts.DisablePathIndex, cancel: sc.cancel, pred: func(iri string) rdf.ID {
-		return sc.constID(rdf.IRI(iri))
-	}}
-	return sc
 }
 
 // constID resolves a constant term through the pre-resolved table, falling
 // back to the dictionary for terms the static analysis did not see (hand-
 // assembled queries only).
-func (sc *specCtx) constID(t rdf.Term) rdf.ID {
-	if id, ok := sc.constIDs[t]; ok {
+func (ec *evalCtx) constID(t rdf.Term) rdf.ID {
+	if id, ok := ec.constIDs[t]; ok {
 		return id
 	}
-	return sc.g.Dict().Lookup(t)
+	return ec.g.Dict().Lookup(t)
 }
 
 // term converts an ID-space binding back to a term.
-func (sc *specCtx) term(id rdf.ID) rdf.Term {
+func (ec *evalCtx) term(id rdf.ID) rdf.Term {
 	switch {
 	case id == rdf.NoID:
 		return rdf.Term{}
 	case id&extraIDBit != 0:
-		return sc.extra[id&^extraIDBit]
+		return ec.extra[id&^extraIDBit]
 	default:
-		return sc.g.Dict().Term(id)
+		return ec.g.Dict().Term(id)
 	}
 }
 
@@ -124,33 +72,33 @@ func (sc *specCtx) term(id rdf.ID) rdf.Term {
 // ID when the dictionary knows the term, a side-table ID otherwise. Side-
 // table IDs never collide with graph IDs, so an ID equality test is exactly
 // a term equality test.
-func (sc *specCtx) intern(t rdf.Term) rdf.ID {
+func (ec *evalCtx) intern(t rdf.Term) rdf.ID {
 	if t.Zero() {
 		return rdf.NoID
 	}
-	if id := sc.g.Dict().Lookup(t); id != rdf.NoID {
+	if id := ec.g.Dict().Lookup(t); id != rdf.NoID {
 		return id
 	}
-	if id, ok := sc.extraIDs[t]; ok {
+	if id, ok := ec.extraIDs[t]; ok {
 		return id
 	}
-	if sc.extraIDs == nil {
-		sc.extraIDs = make(map[rdf.Term]rdf.ID)
+	if ec.extraIDs == nil {
+		ec.extraIDs = make(map[rdf.Term]rdf.ID)
 	}
-	id := extraIDBit | rdf.ID(len(sc.extra))
-	sc.extra = append(sc.extra, t)
-	sc.extraIDs[t] = id
+	id := extraIDBit | rdf.ID(len(ec.extra))
+	ec.extra = append(ec.extra, t)
+	ec.extraIDs[t] = id
 	return id
 }
 
 // specView adapts an ID-space solution to the expression evaluator.
 type specView struct {
-	sc  *specCtx
+	ec  *evalCtx
 	sol isol
 }
 
 func (v specView) lookupVar(name string) (rdf.Term, bool) {
-	i, ok := v.sc.varIndex[name]
+	i, ok := v.ec.varIndex[name]
 	if !ok || i >= len(v.sol) {
 		return rdf.Term{}, false
 	}
@@ -158,61 +106,11 @@ func (v specView) lookupVar(name string) (rdf.Term, bool) {
 	if id == rdf.NoID {
 		return rdf.Term{}, false
 	}
-	return v.sc.term(id), true
-}
-
-// execSpecialized is the specialized counterpart of the term-space body of
-// ExecOpts: same structure, ID-space WHERE evaluation, shared projection
-// and aggregation tail.
-func (q *Query) execSpecialized(g *rdf.Graph, opts ExecOptions) (*Results, error) {
-	sc := newSpecCtx(g, q, opts)
-	if opts.Stats != nil {
-		defer func() { opts.Stats.addPath(sc.env.stats) }()
-	}
-	var sols []solution
-	// Required-constant bail-out: when the graph's vocabulary misses a term
-	// every match must contain, the WHERE clause is known to produce zero
-	// solutions without being evaluated. The projection tail still runs so
-	// aggregates over the empty solution set behave exactly as in the
-	// term-space path.
-	var isols []isol
-	var err error
-	if q.Analysis().RequiredIn(g) {
-		seed := []isol{make(isol, len(sc.varNames))}
-		isols, err = sc.evalGroupIDs(q.Where, seed)
-		if err != nil {
-			return nil, err
-		}
-	} else if opts.Stats != nil {
-		opts.Stats.constantBailout.Add(1)
-	}
-	var res *Results
-	var ok bool
-	switch {
-	case q.usesAggregation():
-		if q.Star {
-			return nil, fmt.Errorf("sparql: SELECT * cannot be combined with aggregation")
-		}
-		res, err = sc.evalCtx.evalGrouped(q, sc.toTermSolutions(isols))
-	default:
-		if res, ok, err = sc.projectIDs(q, isols); err == nil && !ok {
-			sols = sc.toTermSolutions(isols)
-			res, err = sc.evalCtx.project(q, sols)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Mirror ExecOpts: a cancellation observed mid-path must not let a
-	// truncated result escape as a complete one.
-	if cerr := sc.cancel.tripped(); cerr != nil {
-		return nil, cerr
-	}
-	return res, nil
+	return v.ec.term(id), true
 }
 
 // projectIDs applies SELECT, DISTINCT, ORDER BY, LIMIT and OFFSET directly
-// on ID-space solutions, mirroring evalCtx.project step for step (sort
+// on ID-space solutions, doing what evalCtx.project does step for step (sort
 // before dedup, same comparator, same stable order). It handles only
 // projections and order keys that are plain variables — the shape of every
 // pattern- and knowledge-base-compiled query — and reports false otherwise
@@ -220,17 +118,17 @@ func (q *Query) execSpecialized(g *rdf.Graph, opts ExecOptions) (*Results, error
 // materialize only for sort keys and for rows that survive DISTINCT and
 // LIMIT/OFFSET; dictionary interning makes an ID tuple an exact stand-in
 // for a term tuple in the DISTINCT probe.
-func (sc *specCtx) projectIDs(q *Query, sols []isol) (*Results, bool, error) {
+func (ec *evalCtx) projectIDs(q *Query, sols []isol) (*Results, bool, error) {
 	var vars []string
 	var slots []int
 	slotOf := func(name string) int {
-		if i, ok := sc.varIndex[name]; ok {
+		if i, ok := ec.varIndex[name]; ok {
 			return i
 		}
 		return -1
 	}
 	if q.Star {
-		for i, v := range sc.varNames {
+		for i, v := range ec.varNames {
 			if !strings.HasPrefix(v, "!") {
 				vars = append(vars, v)
 				slots = append(slots, i)
@@ -272,7 +170,7 @@ func (sc *specCtx) projectIDs(q *Query, sols []isol) (*Results, bool, error) {
 			keys := make([]rdf.Term, len(orderSlots))
 			for j, slot := range orderSlots {
 				if id := at(s, slot); id != rdf.NoID {
-					keys[j] = sc.term(id)
+					keys[j] = ec.term(id)
 				}
 			}
 			ks[i] = keyed{sol: s, keys: keys}
@@ -301,7 +199,7 @@ func (sc *specCtx) projectIDs(q *Query, sols []isol) (*Results, bool, error) {
 		seen = make(map[string]bool, len(sols))
 	}
 	for _, s := range sols {
-		if err := sc.cancel.check(); err != nil {
+		if err := ec.cancel.check(); err != nil {
 			return nil, true, err
 		}
 		if q.Distinct {
@@ -340,7 +238,7 @@ func (sc *specCtx) projectIDs(q *Query, sols []isol) (*Results, bool, error) {
 			row := make([]rdf.Term, len(r))
 			for j, id := range r {
 				if id != rdf.NoID {
-					row[j] = sc.term(id)
+					row[j] = ec.term(id)
 				}
 			}
 			res.Rows[i] = row
@@ -351,13 +249,13 @@ func (sc *specCtx) projectIDs(q *Query, sols []isol) (*Results, bool, error) {
 
 // toTermSolutions converts ID-space solutions to term space for the shared
 // projection/aggregation tail, padding rows to the final slot count.
-func (sc *specCtx) toTermSolutions(in []isol) []solution {
+func (ec *evalCtx) toTermSolutions(in []isol) []solution {
 	out := make([]solution, len(in))
 	for i, s := range in {
-		ts := make(solution, len(sc.varNames))
+		ts := make(solution, len(ec.varNames))
 		for j, id := range s {
 			if id != rdf.NoID {
-				ts[j] = sc.term(id)
+				ts[j] = ec.term(id)
 			}
 		}
 		out[i] = ts
@@ -365,13 +263,14 @@ func (sc *specCtx) toTermSolutions(in []isol) []solution {
 	return out
 }
 
-// evalGroupIDs mirrors evalCtx.evalGroup in ID space.
-func (sc *specCtx) evalGroupIDs(g *GroupPattern, seed []isol) ([]isol, error) {
+// evalGroupIDs evaluates a group pattern seeded with the given solutions.
+func (ec *evalCtx) evalGroupIDs(g *GroupPattern, seed []isol) ([]isol, error) {
 	if len(seed) == 0 {
 		return nil, nil
 	}
+	// Variables bound in every seed solution are statically available.
 	bound := make(boundSet)
-	for name, idx := range sc.varIndex {
+	for name, idx := range ec.varIndex {
 		all := true
 		for _, s := range seed {
 			if idx >= len(s) || s[idx] == rdf.NoID {
@@ -384,6 +283,8 @@ func (sc *specCtx) evalGroupIDs(g *GroupPattern, seed []isol) ([]isol, error) {
 		}
 	}
 
+	// Collect top-level filters; everything else evaluates in order with
+	// consecutive triple patterns grouped into reorderable BGP blocks.
 	var filters []*pendingFilter
 	for _, el := range g.Elems {
 		if f, ok := el.(FilterElem); ok {
@@ -403,6 +304,8 @@ func (sc *specCtx) evalGroupIDs(g *GroupPattern, seed []isol) ([]isol, error) {
 		case FilterElem:
 			i++ // collected above
 		case TriplePattern:
+			// Gather the maximal run of triple patterns (skipping filters,
+			// which are group-scoped anyway).
 			var block []TriplePattern
 			for i < len(g.Elems) {
 				if tp, ok := g.Elems[i].(TriplePattern); ok {
@@ -416,25 +319,26 @@ func (sc *specCtx) evalGroupIDs(g *GroupPattern, seed []isol) ([]isol, error) {
 				}
 				break
 			}
-			sols, err = sc.evalBGPIDs(block, sols, bound, filters)
+			sols, err = ec.evalBGPIDs(block, sols, bound, filters)
 			if err != nil {
 				return nil, err
 			}
 		case OptionalElem:
 			i++
-			sols, err = sc.evalOptionalIDs(el, sols)
+			sols, err = ec.evalOptionalIDs(el, sols)
 			if err != nil {
 				return nil, err
 			}
 		case UnionElem:
 			i++
-			sols, err = sc.evalUnionIDs(el, sols)
+			sols, err = ec.evalUnionIDs(el, sols)
 			if err != nil {
 				return nil, err
 			}
-			branchBound := sc.groupBoundVars(el.Branches[0])
+			// Vars bound in every branch become statically bound.
+			branchBound := ec.groupBoundVars(el.Branches[0])
 			for _, b := range el.Branches[1:] {
-				next := sc.groupBoundVars(b)
+				next := ec.groupBoundVars(b)
 				for v := range branchBound {
 					if !next[v] {
 						delete(branchBound, v)
@@ -444,28 +348,22 @@ func (sc *specCtx) evalGroupIDs(g *GroupPattern, seed []isol) ([]isol, error) {
 			for v := range branchBound {
 				bound[v] = true
 			}
-			sols, err = sc.applyReadyFiltersIDs(filters, bound, sols)
-			if err != nil {
-				return nil, err
-			}
+			sols = ec.applyReadyFiltersIDs(filters, bound, sols)
 		case GroupElem:
 			i++
-			sols, err = sc.evalGroupIDs(el.Group, sols)
+			sols, err = ec.evalGroupIDs(el.Group, sols)
 			if err != nil {
 				return nil, err
 			}
-			for v := range sc.groupBoundVars(el.Group) {
+			for v := range ec.groupBoundVars(el.Group) {
 				bound[v] = true
 			}
-			sols, err = sc.applyReadyFiltersIDs(filters, bound, sols)
-			if err != nil {
-				return nil, err
-			}
+			sols = ec.applyReadyFiltersIDs(filters, bound, sols)
 		case FilterExistsElem:
 			i++
 			out := sols[:0]
 			for _, s := range sols {
-				res, eerr := sc.evalGroupIDs(el.Group, []isol{append(isol(nil), s...)})
+				res, eerr := ec.evalGroupIDs(el.Group, []isol{append(isol(nil), s...)})
 				if eerr != nil {
 					return nil, eerr
 				}
@@ -476,57 +374,56 @@ func (sc *specCtx) evalGroupIDs(g *GroupPattern, seed []isol) ([]isol, error) {
 			sols = out
 		case BindElem:
 			i++
-			slot := sc.slot(el.Var)
+			slot := ec.slot(el.Var)
 			out := sols[:0]
 			for _, s := range sols {
-				v, verr := el.Expr.Eval(specView{sc, s})
+				v, verr := el.Expr.Eval(specView{ec, s})
 				ns := append(isol(nil), s...)
 				if verr == nil {
 					if len(ns) <= slot {
-						grown := make(isol, len(sc.varNames))
+						grown := make(isol, len(ec.varNames))
 						copy(grown, ns)
 						ns = grown
 					}
-					ns[slot] = sc.intern(v)
+					ns[slot] = ec.intern(v)
 				}
 				out = append(out, ns)
 			}
 			sols = out
 			bound[el.Var] = true
-			sols, err = sc.applyReadyFiltersIDs(filters, bound, sols)
-			if err != nil {
-				return nil, err
-			}
+			sols = ec.applyReadyFiltersIDs(filters, bound, sols)
 		default:
 			return nil, fmt.Errorf("sparql: unknown pattern element %T", el)
 		}
 	}
 
+	// Apply any filters not yet applied; unbound variables make the filter
+	// false (SPARQL error-as-false), dropping the solution.
 	for _, f := range filters {
 		if f.applied {
 			continue
 		}
-		sols = sc.filterSolutionsIDs(f.expr, sols)
+		sols = ec.filterSolutionsIDs(f.expr, sols)
 		f.applied = true
 	}
 	return sols, nil
 }
 
-func (sc *specCtx) applyReadyFiltersIDs(filters []*pendingFilter, bound boundSet, sols []isol) ([]isol, error) {
+func (ec *evalCtx) applyReadyFiltersIDs(filters []*pendingFilter, bound boundSet, sols []isol) []isol {
 	for _, f := range filters {
 		if f.applied || !f.eager || !bound.hasAll(f.vars) {
 			continue
 		}
-		sols = sc.filterSolutionsIDs(f.expr, sols)
+		sols = ec.filterSolutionsIDs(f.expr, sols)
 		f.applied = true
 	}
-	return sols, nil
+	return sols
 }
 
-func (sc *specCtx) filterSolutionsIDs(expr Expression, sols []isol) []isol {
-	keep, fast := sc.fastFilter(expr)
+func (ec *evalCtx) filterSolutionsIDs(expr Expression, sols []isol) []isol {
+	keep, fast := ec.fastFilter(expr)
 	if !fast {
-		keep = sc.genericFilter(expr)
+		keep = ec.genericFilter(expr)
 	}
 	out := sols[:0]
 	for _, s := range sols {
@@ -538,10 +435,10 @@ func (sc *specCtx) filterSolutionsIDs(expr Expression, sols []isol) []isol {
 }
 
 // genericFilter evaluates the expression through the shared evaluator; an
-// evaluation error drops the row, as in the term-space path.
-func (sc *specCtx) genericFilter(expr Expression) func(isol) bool {
+// evaluation error drops the row.
+func (ec *evalCtx) genericFilter(expr Expression) func(isol) bool {
 	return func(s isol) bool {
-		ok, err := ebv(expr, specView{sc, s})
+		ok, err := ebv(expr, specView{ec, s})
 		return err == nil && ok
 	}
 }
@@ -551,8 +448,8 @@ func (sc *specCtx) genericFilter(expr Expression) func(isol) bool {
 // (FILTER(?card > 1000)) and variable (in)equality (FILTER(?a != ?b)) —
 // into closures over ID-space solutions with memoized numeric parsing.
 // Rows the closure cannot decide exactly fall back to the generic evaluator
-// per row, so the semantics of eval.go's CmpExpr are preserved bit for bit.
-func (sc *specCtx) fastFilter(expr Expression) (func(isol) bool, bool) {
+// per row, so the semantics of CmpExpr.Eval are preserved bit for bit.
+func (ec *evalCtx) fastFilter(expr Expression) (func(isol) bool, bool) {
 	cmp, ok := expr.(CmpExpr)
 	if !ok {
 		return nil, false
@@ -562,8 +459,8 @@ func (sc *specCtx) fastFilter(expr Expression) (func(isol) bool, bool) {
 	// leave it to the generic path).
 	if lv, lok := cmp.L.(VarExpr); lok {
 		if rv, rok := cmp.R.(VarExpr); rok && (cmp.Op == OpEq || cmp.Op == OpNeq) {
-			li, liok := sc.varIndex[lv.Name]
-			ri, riok := sc.varIndex[rv.Name]
+			li, liok := ec.varIndex[lv.Name]
+			ri, riok := ec.varIndex[rv.Name]
 			if !liok || !riok {
 				return nil, false
 			}
@@ -575,15 +472,15 @@ func (sc *specCtx) fastFilter(expr Expression) (func(isol) bool, bool) {
 				// Mirror CmpExpr.Eval: numeric comparison when both sides
 				// parse as numbers, term value equality otherwise. Distinct
 				// IDs are distinct terms (intern checks the dictionary
-				// before the side table), so termValueEqual sees the same
-				// terms the legacy path would.
-				lf, lnum := sc.floatOf(lid)
-				rf, rnum := sc.floatOf(rid)
+				// before the side table), so termValueEqual only runs on
+				// distinct terms.
+				lf, lnum := ec.floatOf(lid)
+				rf, rnum := ec.floatOf(rid)
 				var eq bool
 				if lnum && rnum {
 					eq = lf == rf
 				} else {
-					eq = lid == rid || termValueEqual(sc.term(lid), sc.term(rid))
+					eq = lid == rid || termValueEqual(ec.term(lid), ec.term(rid))
 				}
 				return eq == (cmp.Op == OpEq)
 			}, true
@@ -594,12 +491,12 @@ func (sc *specCtx) fastFilter(expr Expression) (func(isol) bool, bool) {
 	// (variables, numeric literals, arithmetic over them). Rows where a
 	// side is unbound or non-numeric re-evaluate generically, so error and
 	// lexical-fallback semantics stay identical.
-	lf, lok := sc.compileNumeric(cmp.L)
-	rf, rok := sc.compileNumeric(cmp.R)
+	lf, lok := ec.compileNumeric(cmp.L)
+	rf, rok := ec.compileNumeric(cmp.R)
 	if !lok || !rok {
 		return nil, false
 	}
-	generic := sc.genericFilter(expr)
+	generic := ec.genericFilter(expr)
 	return func(s isol) bool {
 		l, ok := lf(s)
 		if !ok {
@@ -623,7 +520,7 @@ type numFn func(s isol) (float64, bool)
 // and the four arithmetic operators. ArithExpr evaluates in float64 and
 // renders through rdf.Float, whose round-trip formatting makes computing
 // directly on float64 exact.
-func (sc *specCtx) compileNumeric(e Expression) (numFn, bool) {
+func (ec *evalCtx) compileNumeric(e Expression) (numFn, bool) {
 	switch e := e.(type) {
 	case LitExpr:
 		f, ok := e.Term.Float()
@@ -632,7 +529,7 @@ func (sc *specCtx) compileNumeric(e Expression) (numFn, bool) {
 		}
 		return func(isol) (float64, bool) { return f, true }, true
 	case VarExpr:
-		slot, ok := sc.varIndex[e.Name]
+		slot, ok := ec.varIndex[e.Name]
 		if !ok {
 			return nil, false
 		}
@@ -641,10 +538,10 @@ func (sc *specCtx) compileNumeric(e Expression) (numFn, bool) {
 			if id == rdf.NoID {
 				return 0, false
 			}
-			return sc.floatOf(id)
+			return ec.floatOf(id)
 		}, true
 	case NegExpr:
-		inner, ok := sc.compileNumeric(e.Inner)
+		inner, ok := ec.compileNumeric(e.Inner)
 		if !ok {
 			return nil, false
 		}
@@ -653,8 +550,8 @@ func (sc *specCtx) compileNumeric(e Expression) (numFn, bool) {
 			return -v, ok
 		}, true
 	case ArithExpr:
-		l, lok := sc.compileNumeric(e.L)
-		r, rok := sc.compileNumeric(e.R)
+		l, lok := ec.compileNumeric(e.L)
+		r, rok := ec.compileNumeric(e.R)
 		if !lok || !rok {
 			return nil, false
 		}
@@ -689,10 +586,10 @@ func (sc *specCtx) compileNumeric(e Expression) (numFn, bool) {
 	return nil, false
 }
 
-func (sc *specCtx) evalOptionalIDs(el OptionalElem, sols []isol) ([]isol, error) {
+func (ec *evalCtx) evalOptionalIDs(el OptionalElem, sols []isol) ([]isol, error) {
 	var out []isol
 	for _, s := range sols {
-		res, err := sc.evalGroupIDs(el.Group, []isol{append(isol(nil), s...)})
+		res, err := ec.evalGroupIDs(el.Group, []isol{append(isol(nil), s...)})
 		if err != nil {
 			return nil, err
 		}
@@ -705,11 +602,11 @@ func (sc *specCtx) evalOptionalIDs(el OptionalElem, sols []isol) ([]isol, error)
 	return out, nil
 }
 
-func (sc *specCtx) evalUnionIDs(el UnionElem, sols []isol) ([]isol, error) {
+func (ec *evalCtx) evalUnionIDs(el UnionElem, sols []isol) ([]isol, error) {
 	var out []isol
 	for _, s := range sols {
 		for _, branch := range el.Branches {
-			res, err := sc.evalGroupIDs(branch, []isol{append(isol(nil), s...)})
+			res, err := ec.evalGroupIDs(branch, []isol{append(isol(nil), s...)})
 			if err != nil {
 				return nil, err
 			}
@@ -719,17 +616,19 @@ func (sc *specCtx) evalUnionIDs(el UnionElem, sols []isol) ([]isol, error) {
 	return out, nil
 }
 
-// evalBGPIDs mirrors evalCtx.evalBGP in ID space.
-func (sc *specCtx) evalBGPIDs(block []TriplePattern, sols []isol, bound boundSet, filters []*pendingFilter) ([]isol, error) {
+// evalBGPIDs evaluates a block of triple patterns, reordering them greedily
+// by estimated selectivity (unless disabled) and applying eager filters as
+// soon as their variables become bound.
+func (ec *evalCtx) evalBGPIDs(block []TriplePattern, sols []isol, bound boundSet, filters []*pendingFilter) ([]isol, error) {
 	remaining := make([]TriplePattern, len(block))
 	copy(remaining, block)
 
 	for len(remaining) > 0 {
 		idx := 0
-		if !sc.opts.DisableReorder {
-			best := sc.patternCostIDs(remaining[0], bound)
+		if !ec.opts.DisableReorder {
+			best := ec.patternCostIDs(remaining[0], bound)
 			for i := 1; i < len(remaining); i++ {
-				if c := sc.patternCostIDs(remaining[i], bound); c < best {
+				if c := ec.patternCostIDs(remaining[i], bound); c < best {
 					best = c
 					idx = i
 				}
@@ -739,7 +638,7 @@ func (sc *specCtx) evalBGPIDs(block []TriplePattern, sols []isol, bound boundSet
 		remaining = append(remaining[:idx], remaining[idx+1:]...)
 
 		var err error
-		sols, err = sc.extendTripleIDs(tp, sols)
+		sols, err = ec.extendTripleIDs(tp, sols)
 		if err != nil {
 			return nil, err
 		}
@@ -752,10 +651,7 @@ func (sc *specCtx) evalBGPIDs(block []TriplePattern, sols []isol, bound boundSet
 		if pv, ok := tp.P.(predVarPath); ok {
 			bound[pv.name] = true
 		}
-		sols, err = sc.applyReadyFiltersIDs(filters, bound, sols)
-		if err != nil {
-			return nil, err
-		}
+		sols = ec.applyReadyFiltersIDs(filters, bound, sols)
 		if len(sols) == 0 {
 			return nil, nil
 		}
@@ -765,33 +661,32 @@ func (sc *specCtx) evalBGPIDs(block []TriplePattern, sols []isol, bound boundSet
 
 // predCount memoizes the unbounded per-predicate triple count, the one
 // Count combination that iterates an index bucket.
-func (sc *specCtx) predCount(pid rdf.ID) int {
-	if n, ok := sc.predCard[pid]; ok {
+func (ec *evalCtx) predCount(pid rdf.ID) int {
+	if n, ok := ec.predCard[pid]; ok {
 		return n
 	}
-	if sc.predCard == nil {
-		sc.predCard = make(map[rdf.ID]int)
+	if ec.predCard == nil {
+		ec.predCard = make(map[rdf.ID]int)
 	}
-	n := sc.g.Count(rdf.NoID, pid, rdf.NoID)
-	sc.predCard[pid] = n
+	n := ec.g.Count(rdf.NoID, pid, rdf.NoID)
+	ec.predCard[pid] = n
 	return n
 }
 
-// patternCostIDs mirrors evalCtx.patternCost using the pre-resolved
-// constant table and the memoized per-predicate counts; the estimates (and
-// therefore the join order) are identical.
-func (sc *specCtx) patternCostIDs(tp TriplePattern, bound boundSet) float64 {
+// patternCostIDs estimates the result size of a triple pattern given which
+// variables are statically bound. Lower is better.
+func (ec *evalCtx) patternCostIDs(tp TriplePattern, bound boundSet) float64 {
 	var sid, oid rdf.ID
 	sBound := !tp.S.IsVar() || bound[tp.S.Var]
 	oBound := !tp.O.IsVar() || bound[tp.O.Var]
 	if !tp.S.IsVar() {
-		sid = sc.constID(tp.S.Term)
+		sid = ec.constID(tp.S.Term)
 		if sid == rdf.NoID {
 			return 0 // constant absent: zero results, run it first
 		}
 	}
 	if !tp.O.IsVar() {
-		oid = sc.constID(tp.O.Term)
+		oid = ec.constID(tp.O.Term)
 		if oid == rdf.NoID {
 			return 0
 		}
@@ -799,28 +694,31 @@ func (sc *specCtx) patternCostIDs(tp TriplePattern, bound boundSet) float64 {
 	var base float64
 	switch p := tp.P.(type) {
 	case PredPath:
-		pid := sc.constID(rdf.IRI(p.IRI))
+		pid := ec.constID(rdf.IRI(p.IRI))
 		if pid == rdf.NoID {
 			return 0
 		}
 		if sid == rdf.NoID && oid == rdf.NoID {
-			base = float64(sc.predCount(pid))
+			base = float64(ec.predCount(pid))
 		} else {
-			base = float64(sc.g.Count(sid, pid, oid))
+			base = float64(ec.g.Count(sid, pid, oid))
 		}
 	case predVarPath:
-		base = float64(sc.g.Count(sid, rdf.NoID, oid))
+		base = float64(ec.g.Count(sid, rdf.NoID, oid))
 		if !bound[p.name] {
 			base *= 1.5
 		}
 	default:
-		base = float64(sc.g.Len())
+		// Complex property path: expensive unless an endpoint is anchored.
+		base = float64(ec.g.Len())
 		if sBound || oBound {
 			base /= 4
 		} else {
 			base *= 4
 		}
 	}
+	// Bound variables narrow the match at execution time even though the
+	// static estimate cannot see the concrete value.
 	if sBound && tp.S.IsVar() {
 		base /= 8
 	}
@@ -830,43 +728,41 @@ func (sc *specCtx) patternCostIDs(tp TriplePattern, bound boundSet) float64 {
 	return base
 }
 
-// extendTripleIDs mirrors evalCtx.extendTriple in ID space: bound variables
-// are already graph IDs, so no dictionary lookups happen per solution, and
-// emitted bindings are stored without materializing terms.
-func (sc *specCtx) extendTripleIDs(tp TriplePattern, sols []isol) ([]isol, error) {
-	g := sc.g
+// extendTripleIDs extends each solution with every match of tp. Bound
+// variables are already graph IDs, so no dictionary lookups happen per
+// solution, and emitted bindings are stored without materializing terms.
+func (ec *evalCtx) extendTripleIDs(tp TriplePattern, sols []isol) ([]isol, error) {
+	g := ec.g
 
 	sSlot, oSlot := -1, -1
 	if tp.S.IsVar() {
-		sSlot = sc.slot(tp.S.Var)
+		sSlot = ec.slot(tp.S.Var)
 	}
 	if tp.O.IsVar() {
-		oSlot = sc.slot(tp.O.Var)
+		oSlot = ec.slot(tp.O.Var)
 	}
 	pSlot := -1
-	var predPath Path = tp.P
 	if pv, ok := tp.P.(predVarPath); ok {
-		pSlot = sc.slot(pv.name)
-		predPath = nil
-		_ = pv
+		pSlot = ec.slot(pv.name)
 	}
 
 	var constS, constO rdf.ID
 	if !tp.S.IsVar() {
-		constS = sc.constID(tp.S.Term)
+		constS = ec.constID(tp.S.Term)
 		if constS == rdf.NoID {
 			return nil, nil
 		}
 	}
 	if !tp.O.IsVar() {
-		constO = sc.constID(tp.O.Term)
+		constO = ec.constID(tp.O.Term)
 		if constO == rdf.NoID {
 			return nil, nil
 		}
 	}
 	var constP rdf.ID
-	if pp, ok := tp.P.(PredPath); ok {
-		constP = sc.constID(rdf.IRI(pp.IRI))
+	pp, simple := tp.P.(PredPath)
+	if simple {
+		constP = ec.constID(rdf.IRI(pp.IRI))
 		if constP == rdf.NoID {
 			return nil, nil
 		}
@@ -874,7 +770,7 @@ func (sc *specCtx) extendTripleIDs(tp TriplePattern, sols []isol) ([]isol, error
 
 	var out []isol
 	for _, s := range sols {
-		if err := sc.cancel.check(); err != nil {
+		if err := ec.cancel.check(); err != nil {
 			return nil, err
 		}
 		sid, oid := constS, constO
@@ -922,24 +818,22 @@ func (sc *specCtx) extendTripleIDs(tp TriplePattern, sols []isol) ([]isol, error
 				emit(ms, mo, mp)
 				return true
 			})
-		case predPath != nil:
-			if _, simple := predPath.(PredPath); simple {
-				g.Match(sid, constP, oid, func(ms, _, mo rdf.ID) bool {
-					emit(ms, mo, rdf.NoID)
+		case simple:
+			g.Match(sid, constP, oid, func(ms, _, mo rdf.ID) bool {
+				emit(ms, mo, rdf.NoID)
+				return true
+			})
+		default:
+			seen := make(map[[2]rdf.ID]bool)
+			evalPath(&ec.env, tp.P, sid, oid, func(ms, mo rdf.ID) bool {
+				key := [2]rdf.ID{ms, mo}
+				if seen[key] {
 					return true
-				})
-			} else {
-				seen := make(map[[2]rdf.ID]bool)
-				evalPath(&sc.env, predPath, sid, oid, func(ms, mo rdf.ID) bool {
-					key := [2]rdf.ID{ms, mo}
-					if seen[key] {
-						return true
-					}
-					seen[key] = true
-					emit(ms, mo, rdf.NoID)
-					return true
-				})
-			}
+				}
+				seen[key] = true
+				emit(ms, mo, rdf.NoID)
+				return true
+			})
 		}
 	}
 	return out, nil
