@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"optimatch/internal/cache"
 	"optimatch/internal/core"
 	"optimatch/internal/kb"
 	"optimatch/internal/obs"
@@ -102,15 +101,11 @@ func renderReports(reports []core.PlanReport) string {
 
 // BenchmarkFigure8KBScan measures the workload-scale knowledge-base scan on
 // the full 1000-plan configuration (the paper's Figure 8 recommendation run)
-// under three engine configurations:
+// under two engine configurations:
 //
 //	accelerated  — the default engine (the name is the one nightly.yml and
 //	               EXPERIMENTS.md have tracked since the scan was accelerated)
-//	cached-warm  — the default engine plus a warm result cache
 //	instrumented — the default engine with the metrics pipeline attached
-//
-// Setup verifies once that the cached engine reports byte-identically to the
-// uncached one; the benchmark then times each configuration.
 func BenchmarkFigure8KBScan(b *testing.B) {
 	rs, _ := benchResults(b, fig9Config(1000))
 	k := kb.MustExtended()
@@ -127,36 +122,12 @@ func BenchmarkFigure8KBScan(b *testing.B) {
 	// Same configuration as fast but with the full metrics pipeline attached,
 	// to pin the observability overhead on the hot path (budget: <2%).
 	instrumented := build(core.WithInstrumentation(server.EngineInstrumentation(obs.NewRegistry())))
-	// Same configuration as fast plus the generation-keyed result cache:
-	// after the warm-up below, every RunKB is a cache hit. Acceptance target
-	// (DESIGN.md §13): ≥10× faster than the accelerated cold scan.
-	cached := build(core.WithResultCache(cache.New(cache.Config{MaxBytes: 256 << 20})))
-
-	fastReports, err := fast.RunKB(k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cachedReports, err := cached.RunKB(k) // warm the cache
-	if err != nil {
-		b.Fatal(err)
-	}
-	if renderReports(fastReports) != renderReports(cachedReports) {
-		b.Fatal("cached engine's KB reports differ from uncached")
-	}
-	warmReports, err := cached.RunKB(k) // served from cache
-	if err != nil {
-		b.Fatal(err)
-	}
-	if renderReports(fastReports) != renderReports(warmReports) {
-		b.Fatal("warm cache hit returned different KB reports")
-	}
 
 	for _, cfg := range []struct {
 		name string
 		eng  *core.Engine
 	}{
 		{"accelerated", fast},
-		{"cached-warm", cached},
 		{"instrumented", instrumented},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
@@ -170,67 +141,6 @@ func BenchmarkFigure8KBScan(b *testing.B) {
 	}
 	stats := fast.PrefilterStats()
 	b.Logf("prefilter: probed %d pairs, skipped %d", stats.Probed, stats.Skipped)
-}
-
-// BenchmarkCachedKBScan isolates the result cache's three regimes on the
-// Figure 8 workload scan:
-//
-//	cold      — every iteration clears the cache first: full scan + store
-//	warm      — cache warmed once: every iteration is a hit
-//	collapsed — 8 concurrent identical scans against a cleared cache: one
-//	            executes, the rest join its flight
-func BenchmarkCachedKBScan(b *testing.B) {
-	rs, _ := benchResults(b, fig9Config(1000))
-	k := kb.MustExtended()
-	c := cache.New(cache.Config{MaxBytes: 256 << 20})
-	eng := core.New(core.WithResultCache(c))
-	for _, r := range rs {
-		if err := eng.LoadResult(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.Clear()
-			if _, err := eng.RunKB(k); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		if _, err := eng.RunKB(k); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.RunKB(k); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("collapsed", func(b *testing.B) {
-		const concurrent = 8
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.Clear()
-			var wg sync.WaitGroup
-			for j := 0; j < concurrent; j++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if _, err := eng.RunKB(k); err != nil {
-						b.Error(err)
-					}
-				}()
-			}
-			wg.Wait()
-		}
-		st := c.Stats()
-		b.ReportMetric(float64(st.Collapsed), "collapsed-total")
-	})
 }
 
 // BenchmarkFigure9WorkloadSize regenerates Figure 9: pattern search time as

@@ -36,10 +36,10 @@
 // excess load with 503 + Retry-After instead of queueing without bound.
 //
 // Repeated searches and scans are served from a generation-keyed result
-// cache (-cache-bytes budget, optional -cache-ttl/-cache-min-cost):
-// mutations change the cache key instead of invalidating, concurrent
-// identical requests collapse onto one execution, responses carry an
-// X-Cache header, and Cache-Control: no-cache bypasses per request.
+// cache of rendered responses (-cache-bytes budget): mutations change the
+// cache key instead of invalidating, concurrent identical requests collapse
+// onto one execution, responses carry an X-Cache header, and Cache-Control:
+// no-cache bypasses per request.
 //
 // Storage faults do not kill the daemon: when a WAL append or compaction
 // hits a disk error the store enters degraded read-only mode — writes
@@ -112,8 +112,6 @@ func run() error {
 		failDegraded = flag.Bool("fail-on-degraded", false, "exit with code 3 when shutting down while the store is degraded (read-only)")
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "deadline for one engine execution (search/sparql/kb-run); clients may shorten it per request with X-Timeout-Ms (0: no deadline)")
 		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "byte budget for the generation-keyed result cache (0: caching disabled)")
-		cacheTTL     = flag.Duration("cache-ttl", 0, "optional max age for cached results; generation keying already guarantees freshness, a TTL only bounds memory held by idle entries (0: no TTL)")
-		cacheMinCost = flag.Duration("cache-min-cost", 0, "only cache results whose execution took at least this long (0: cache everything)")
 		maxInflight  = flag.Int("max-inflight", 0, "cap on concurrently admitted scan work, in weighted units (kb/run counts 2, search/sparql 1; 0: unlimited)")
 		queueWait    = flag.Duration("queue-wait", 100*time.Millisecond, "how long a request may queue for an admission slot before being shed with 503")
 		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -140,17 +138,11 @@ func run() error {
 		core.WithInstrumentation(server.EngineInstrumentation(reg)),
 	}
 
-	// One cache instance backs both tiers: the engine caches structured scan
-	// results, the server caches rendered response bytes. Namespaced keys
-	// keep them apart while one -cache-bytes budget bounds the total.
+	// The server's rendered-response cache is the only result cache; the
+	// engine below it caches nothing but parsed queries.
 	var resCache *cache.Cache
 	if *cacheBytes > 0 {
-		resCache = cache.New(cache.Config{
-			MaxBytes: *cacheBytes,
-			TTL:      *cacheTTL,
-			MinCost:  *cacheMinCost,
-		})
-		engOpts = append(engOpts, core.WithResultCache(resCache))
+		resCache = cache.New(cache.Config{MaxBytes: *cacheBytes})
 	}
 
 	base, err := loadKB(*kbFile, *extended)

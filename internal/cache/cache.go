@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // entryOverhead is the accounting charge, per entry, for the LRU list
@@ -18,16 +17,6 @@ type Config struct {
 	// MaxBytes is the budget for resident entries (key + value + fixed
 	// per-entry overhead). Required; New panics on MaxBytes <= 0.
 	MaxBytes int64
-	// TTL, when positive, expires entries that have been resident longer
-	// than this, independent of generation keying. Generation keys already
-	// guarantee freshness; a TTL additionally bounds how long orphaned
-	// generations may occupy budget before eviction would get to them.
-	TTL time.Duration
-	// MinCost is the cost-aware admission floor: only results whose
-	// computation took at least this long are stored. Cheap results are
-	// cheaper to recompute than to hold under a contended byte budget.
-	// 0 admits everything.
-	MinCost time.Duration
 }
 
 // Outcome classifies how one Do call was served.
@@ -58,32 +47,24 @@ func (o Outcome) String() string {
 	}
 }
 
-// Result is what a Do function returns: the value, its precise size in
-// bytes (rendered length for []byte values, an estimate for structured
-// ones), and a NoStore escape hatch for results that are valid to return
-// but not to cache — e.g. a scan that observed a different data generation
-// than the one baked into the key.
+// Result is what a Do function returns: the rendered bytes (charged at
+// their length) and a NoStore escape hatch for results that are valid to
+// return but not to cache — e.g. a response rendered while the data
+// generation baked into the key moved on.
 type Result struct {
-	Val     any
-	Size    int64
+	Body    []byte
 	NoStore bool
 }
 
 // flight is one in-progress execution that concurrent identical requests
-// collapse onto. waiters is guarded by the cache mutex; val/err are written
+// collapse onto. waiters is guarded by the cache mutex; body/err are written
 // before done is closed and read only after it.
 type flight struct {
 	done    chan struct{}
-	val     any
+	body    []byte
 	err     error
 	waiters int
 	cancel  context.CancelFunc
-}
-
-// entry is one resident cache value.
-type entry struct {
-	val    any
-	stored time.Time
 }
 
 // Cache is a byte-bounded, generation-keyed result cache with singleflight
@@ -102,7 +83,6 @@ type Cache struct {
 	collapsed atomic.Int64
 	evictions atomic.Int64
 	rejected  atomic.Int64
-	expired   atomic.Int64
 }
 
 // New returns an empty cache. It panics if cfg.MaxBytes <= 0 — an
@@ -139,7 +119,7 @@ func Bypassed(ctx context.Context) bool {
 	return on
 }
 
-// Do returns the cached value for key, or executes fn exactly once across
+// Do returns the cached body for key, or executes fn exactly once across
 // all concurrent callers with the same key and caches the result.
 //
 // Execution runs on its own goroutine under a context that is cancelled
@@ -147,24 +127,24 @@ func Bypassed(ctx context.Context) bool {
 // deadline or disconnect never poisons the result for the others; each
 // waiter is individually released by its own ctx. Results are stored only
 // when fn succeeded (a cancelled or deadline-exceeded execution returns a
-// context error and is never cached), did not set NoStore, took at least
-// MinCost to compute, and fits the byte budget on its own.
-func (c *Cache) Do(ctx context.Context, key string, fn func(context.Context) (Result, error)) (any, Outcome, error) {
+// context error and is never cached), did not set NoStore, and fits the
+// byte budget on its own.
+func (c *Cache) Do(ctx context.Context, key string, fn func(context.Context) (Result, error)) ([]byte, Outcome, error) {
 	if c == nil || Bypassed(ctx) {
 		res, err := fn(ctx)
-		return res.Val, Bypass, err
+		return res.Body, Bypass, err
 	}
 	c.mu.Lock()
-	if e, ok := c.lookupLocked(key); ok {
+	if v, ok := c.lru.Get(key); ok {
 		c.mu.Unlock()
 		c.hits.Add(1)
-		return e.val, Hit, nil
+		return v.([]byte), Hit, nil
 	}
 	if f, ok := c.flights[key]; ok {
 		f.waiters++
 		c.mu.Unlock()
 		c.collapsed.Add(1)
-		return c.wait(ctx, f, Collapsed)
+		return c.wait(ctx, key, f, Collapsed)
 	}
 	c.misses.Add(1)
 	fctx, cancel := context.WithCancel(context.Background())
@@ -172,23 +152,28 @@ func (c *Cache) Do(ctx context.Context, key string, fn func(context.Context) (Re
 	c.flights[key] = f
 	c.mu.Unlock()
 	go c.run(key, f, fctx, fn)
-	return c.wait(ctx, f, Miss)
+	return c.wait(ctx, key, f, Miss)
 }
 
 // run executes one flight and publishes its result.
 func (c *Cache) run(key string, f *flight, fctx context.Context, fn func(context.Context) (Result, error)) {
 	defer f.cancel()
-	start := time.Now()
 	res, err := fn(fctx)
-	cost := time.Since(start)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.flights, key)
-	f.val, f.err = res.Val, err
+	// An abandoned flight was already unlisted by its last waiter, and the
+	// slot may by now hold a newcomer's flight: only clear our own.
+	if c.flights[key] == f {
+		delete(c.flights, key)
+	}
+	f.body, f.err = res.Body, err
 	if err == nil {
-		if !res.NoStore && cost >= c.cfg.MinCost && c.admitLocked(key, res.Size) {
-			c.lru.Add(key, &entry{val: res.Val, stored: time.Now()}, res.Size+int64(len(key))+entryOverhead)
+		// An entry that alone exceeds the budget is rejected outright
+		// instead of flushing the whole cache on its way through the LRU.
+		size := int64(len(res.Body)) + int64(len(key)) + entryOverhead
+		if !res.NoStore && size <= c.cfg.MaxBytes {
+			c.lru.Add(key, res.Body, size)
 		} else {
 			c.rejected.Add(1)
 		}
@@ -196,21 +181,17 @@ func (c *Cache) run(key string, f *flight, fctx context.Context, fn func(context
 	close(f.done)
 }
 
-// admitLocked reports whether a successful result of the given size may be
-// stored: an entry that alone exceeds the budget is rejected outright
-// instead of flushing the whole cache on its way through the LRU.
-func (c *Cache) admitLocked(key string, size int64) bool {
-	return size+int64(len(key))+entryOverhead <= c.cfg.MaxBytes
-}
-
 // wait blocks until the flight completes or ctx is done. A waiter that
 // gives up decrements the flight's refcount and, as the last one out,
-// cancels the execution context — cooperative evaluators then stop within
-// a bounded number of iterations and the (failed) result is not cached.
-func (c *Cache) wait(ctx context.Context, f *flight, oc Outcome) (any, Outcome, error) {
+// cancels the execution context and unlists the flight — cooperative
+// evaluators then stop within a bounded number of iterations, the (failed)
+// result is not cached, and a caller arriving while the evaluator winds
+// down starts its own flight instead of inheriting a cancellation it never
+// asked for.
+func (c *Cache) wait(ctx context.Context, key string, f *flight, oc Outcome) ([]byte, Outcome, error) {
 	select {
 	case <-f.done:
-		return f.val, oc, f.err
+		return f.body, oc, f.err
 	case <-ctx.Done():
 		c.mu.Lock()
 		select {
@@ -218,46 +199,19 @@ func (c *Cache) wait(ctx context.Context, f *flight, oc Outcome) (any, Outcome, 
 			// Completed between ctx firing and taking the lock: the result
 			// is real, deliver it.
 			c.mu.Unlock()
-			return f.val, oc, f.err
+			return f.body, oc, f.err
 		default:
 		}
 		f.waiters--
 		if f.waiters == 0 {
+			// No one can have joined since (joining needs the lock), and
+			// run has not published yet, so the slot still holds f.
 			f.cancel()
+			delete(c.flights, key)
 		}
 		c.mu.Unlock()
 		return nil, oc, ctx.Err()
 	}
-}
-
-// lookupLocked resolves key against the resident entries, expiring it if
-// the TTL has lapsed.
-func (c *Cache) lookupLocked(key string) (*entry, bool) {
-	v, ok := c.lru.Peek(key)
-	if !ok {
-		return nil, false
-	}
-	e := v.(*entry)
-	if c.cfg.TTL > 0 && time.Since(e.stored) > c.cfg.TTL {
-		// Remove fires the eviction hook; reclassify as expiry.
-		c.lru.Remove(key)
-		c.evictions.Add(-1)
-		c.expired.Add(1)
-		return nil, false
-	}
-	c.lru.Get(key) // touch recency only for live hits
-	return e, true
-}
-
-// Clear drops every resident entry (counters are preserved). Used by the
-// cold-cache benchmarks and tests.
-func (c *Cache) Clear() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lru.Clear()
 }
 
 // Stats is a point-in-time snapshot of the cache counters, served under
@@ -272,10 +226,8 @@ type Stats struct {
 	Collapsed int64 `json:"collapsed"`
 	// Evictions counts entries displaced by byte-budget pressure.
 	Evictions int64 `json:"evictions"`
-	// Expired counts entries dropped by the TTL at lookup time.
-	Expired int64 `json:"expired"`
-	// Rejected counts successful executions not stored: cost below the
-	// admission floor, NoStore results, or a size over the whole budget.
+	// Rejected counts successful executions not stored: NoStore results,
+	// or a size over the whole budget.
 	Rejected int64 `json:"rejected"`
 	// Bytes is the charged size of resident entries; Entries their count.
 	Bytes   int64 `json:"bytes"`
@@ -296,7 +248,6 @@ func (c *Cache) Stats() Stats {
 		Misses:    c.misses.Load(),
 		Collapsed: c.collapsed.Load(),
 		Evictions: c.evictions.Load(),
-		Expired:   c.expired.Load(),
 		Rejected:  c.rejected.Load(),
 	}
 	c.mu.Lock()

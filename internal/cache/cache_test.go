@@ -66,10 +66,11 @@ func TestLRURemoveAndClear(t *testing.T) {
 	}
 }
 
-func doVal(c *Cache, ctx context.Context, key, val string) (any, Outcome, error) {
-	return c.Do(ctx, key, func(context.Context) (Result, error) {
-		return Result{Val: val, Size: int64(len(val))}, nil
+func doVal(c *Cache, ctx context.Context, key, val string) (string, Outcome, error) {
+	b, oc, err := c.Do(ctx, key, func(context.Context) (Result, error) {
+		return Result{Body: []byte(val)}, nil
 	})
+	return string(b), oc, err
 }
 
 func TestDoHitMiss(t *testing.T) {
@@ -79,12 +80,12 @@ func TestDoHitMiss(t *testing.T) {
 	if err != nil || v != "first" || oc != Miss {
 		t.Fatalf("first Do = (%v, %v, %v)", v, oc, err)
 	}
-	v, oc, err = c.Do(ctx, "k", func(context.Context) (Result, error) {
+	b, oc, err := c.Do(ctx, "k", func(context.Context) (Result, error) {
 		t.Error("fn ran on a resident key")
 		return Result{}, nil
 	})
-	if err != nil || v != "first" || oc != Hit {
-		t.Fatalf("second Do = (%v, %v, %v)", v, oc, err)
+	if err != nil || string(b) != "first" || oc != Hit {
+		t.Fatalf("second Do = (%q, %v, %v)", b, oc, err)
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.Bytes == 0 {
@@ -120,16 +121,16 @@ func TestDoBypass(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	v, oc, err := c.Do(WithBypass(ctx), "k", func(context.Context) (Result, error) {
+	b, oc, err := c.Do(WithBypass(ctx), "k", func(context.Context) (Result, error) {
 		calls++
-		return Result{Val: "fresh", Size: 5}, nil
+		return Result{Body: []byte("fresh")}, nil
 	})
-	if err != nil || v != "fresh" || oc != Bypass || calls != 1 {
-		t.Fatalf("bypass Do = (%v, %v, %v), calls=%d", v, oc, err, calls)
+	if err != nil || string(b) != "fresh" || oc != Bypass || calls != 1 {
+		t.Fatalf("bypass Do = (%q, %v, %v), calls=%d", b, oc, err, calls)
 	}
 	// A nil cache bypasses too, with no nil checks at the call site.
 	var nilc *Cache
-	v, oc, err = doVal(nilc, ctx, "k", "direct")
+	v, oc, err := doVal(nilc, ctx, "k", "direct")
 	if err != nil || v != "direct" || oc != Bypass {
 		t.Fatalf("nil-cache Do = (%v, %v, %v)", v, oc, err)
 	}
@@ -142,12 +143,12 @@ func TestDoNoStore(t *testing.T) {
 	c := New(Config{MaxBytes: 1 << 20})
 	calls := 0
 	for i := 0; i < 2; i++ {
-		v, _, err := c.Do(context.Background(), "k", func(context.Context) (Result, error) {
+		b, _, err := c.Do(context.Background(), "k", func(context.Context) (Result, error) {
 			calls++
-			return Result{Val: "v", Size: 1, NoStore: true}, nil
+			return Result{Body: []byte("v"), NoStore: true}, nil
 		})
-		if err != nil || v != "v" {
-			t.Fatal(v, err)
+		if err != nil || string(b) != "v" {
+			t.Fatal(b, err)
 		}
 	}
 	if calls != 2 {
@@ -158,62 +159,15 @@ func TestDoNoStore(t *testing.T) {
 	}
 }
 
-func TestCostAwareAdmission(t *testing.T) {
-	c := New(Config{MaxBytes: 1 << 20, MinCost: 5 * time.Millisecond})
-	cheap := 0
-	for i := 0; i < 2; i++ {
-		if _, _, err := c.Do(context.Background(), "cheap", func(context.Context) (Result, error) {
-			cheap++
-			return Result{Val: "v", Size: 1}, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cheap != 2 {
-		t.Errorf("cheap result cached despite cost floor (calls=%d)", cheap)
-	}
-	costly := 0
-	for i := 0; i < 2; i++ {
-		if _, _, err := c.Do(context.Background(), "costly", func(context.Context) (Result, error) {
-			costly++
-			time.Sleep(10 * time.Millisecond)
-			return Result{Val: "v", Size: 1}, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if costly != 1 {
-		t.Errorf("costly result not cached (calls=%d)", costly)
-	}
-}
-
 func TestOversizedRejected(t *testing.T) {
 	c := New(Config{MaxBytes: 256})
 	if _, _, err := c.Do(context.Background(), "big", func(context.Context) (Result, error) {
-		return Result{Val: "v", Size: 10_000}, nil
+		return Result{Body: make([]byte, 10_000)}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Rejected != 1 {
 		t.Errorf("stats = %+v (oversized entry must be rejected, not flush the cache)", st)
-	}
-}
-
-func TestTTLExpiry(t *testing.T) {
-	c := New(Config{MaxBytes: 1 << 20, TTL: 10 * time.Millisecond})
-	if _, _, err := doVal(c, context.Background(), "k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	if _, oc, _ := doVal(c, context.Background(), "k", "v2"); oc != Hit {
-		t.Fatalf("immediate lookup = %v, want Hit", oc)
-	}
-	time.Sleep(20 * time.Millisecond)
-	v, oc, err := doVal(c, context.Background(), "k", "fresh")
-	if err != nil || oc != Miss || v != "fresh" {
-		t.Fatalf("post-TTL Do = (%v, %v, %v)", v, oc, err)
-	}
-	if st := c.Stats(); st.Expired != 1 || st.Evictions != 0 {
-		t.Errorf("stats = %+v", st)
 	}
 }
 
@@ -226,7 +180,7 @@ func TestSingleflightCollapse(t *testing.T) {
 	const n = 16
 	var wg sync.WaitGroup
 	outcomes := make([]Outcome, n)
-	vals := make([]any, n)
+	vals := make([]string, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -234,12 +188,12 @@ func TestSingleflightCollapse(t *testing.T) {
 			v, oc, err := c.Do(context.Background(), "k", func(context.Context) (Result, error) {
 				calls.Add(1)
 				<-release
-				return Result{Val: "shared", Size: 6}, nil
+				return Result{Body: []byte("shared")}, nil
 			})
 			if err != nil {
 				t.Error(err)
 			}
-			vals[i], outcomes[i] = v, oc
+			vals[i], outcomes[i] = string(v), oc
 		}(i)
 	}
 	// Wait for the flight to exist, then for all waiters to pile on.
@@ -288,13 +242,13 @@ func TestWaiterCancelDoesNotPoisonFlight(t *testing.T) {
 		close(started)
 		select {
 		case <-release:
-			return Result{Val: "ok", Size: 2}, nil
+			return Result{Body: []byte("ok")}, nil
 		case <-fctx.Done():
 			return Result{}, fctx.Err()
 		}
 	}
 	type out struct {
-		v   any
+		v   []byte
 		err error
 	}
 	leader := make(chan out, 1)
@@ -330,8 +284,8 @@ func TestWaiterCancelDoesNotPoisonFlight(t *testing.T) {
 	}
 	close(release)
 	got = <-follower
-	if got.err != nil || got.v != "ok" {
-		t.Fatalf("surviving waiter got (%v, %v)", got.v, got.err)
+	if got.err != nil || string(got.v) != "ok" {
+		t.Fatalf("surviving waiter got (%q, %v)", got.v, got.err)
 	}
 }
 
@@ -343,7 +297,7 @@ func TestAllWaitersGoneCancelsExecution(t *testing.T) {
 	executionDone := make(chan error, 1)
 	cctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
-	_, _, err := func() (any, Outcome, error) {
+	_, _, err := func() ([]byte, Outcome, error) {
 		go func() { <-started; cancel() }()
 		return c.Do(cctx, "k", func(fctx context.Context) (Result, error) {
 			close(started)
@@ -362,6 +316,73 @@ func TestAllWaitersGoneCancelsExecution(t *testing.T) {
 	v, oc, err := doVal(c, context.Background(), "k", "fresh")
 	if err != nil || oc != Miss || v != "fresh" {
 		t.Fatalf("re-Do = (%v, %v, %v)", v, oc, err)
+	}
+}
+
+// TestAbandonedFlightDoesNotPoisonNewcomer: between the last waiter leaving
+// and the cooperative evaluator noticing, a caller with a live context must
+// start its own execution — not join the cancelled flight and inherit a
+// context.Canceled it never asked for — and the abandoned flight publishing
+// late must not unlist the newcomer's flight.
+func TestAbandonedFlightDoesNotPoisonNewcomer(t *testing.T) {
+	c := New(Config{MaxBytes: 1 << 20})
+	flightFor := func() *flight {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.flights["k"]
+	}
+
+	started := make(chan *flight)
+	windDown := make(chan struct{}) // the abandoned evaluator "notices" only when this closes
+	cctx, cancel := context.WithCancel(context.Background())
+	var abandoned *flight
+	go func() { abandoned = <-started; cancel() }()
+	_, _, err := c.Do(cctx, "k", func(fctx context.Context) (Result, error) {
+		started <- flightFor()
+		<-fctx.Done()
+		<-windDown
+		return Result{}, fctx.Err()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoning caller err = %v", err)
+	}
+
+	// The abandoned execution is still winding down; a newcomer arrives.
+	release := make(chan struct{})
+	type out struct {
+		v   []byte
+		oc  Outcome
+		err error
+	}
+	newcomer := make(chan out, 1)
+	go func() {
+		v, oc, err := c.Do(context.Background(), "k", func(context.Context) (Result, error) {
+			<-release
+			return Result{Body: []byte("fresh")}, nil
+		})
+		newcomer <- out{v, oc, err}
+	}()
+	var own *flight
+	for deadline := time.Now().Add(2 * time.Second); own == nil || own == abandoned; own = flightFor() {
+		if time.Now().After(deadline) {
+			close(windDown)
+			got := <-newcomer
+			t.Fatalf("newcomer joined the abandoned flight: Do = (%q, %v, %v)", got.v, got.oc, got.err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	close(windDown)
+	<-abandoned.done
+	if flightFor() != own {
+		t.Fatal("the abandoned flight unlisted the newcomer's flight when it published")
+	}
+	close(release)
+	if got := <-newcomer; got.err != nil || got.oc != Miss || string(got.v) != "fresh" {
+		t.Fatalf("newcomer Do = (%q, %v, %v), want its own successful miss", got.v, got.oc, got.err)
+	}
+	if st := c.Stats(); st.Collapsed != 0 || st.Misses != 2 || st.Entries != 1 {
+		t.Errorf("stats = %+v", st)
 	}
 }
 
@@ -388,7 +409,7 @@ func TestGenerationKeyedEntriesAgeOut(t *testing.T) {
 	for gen := 0; gen < 20; gen++ {
 		key := Key("scan", fmt.Sprint(gen))
 		if _, _, err := c.Do(context.Background(), key, func(context.Context) (Result, error) {
-			return Result{Val: gen, Size: 256}, nil
+			return Result{Body: make([]byte, 256)}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,11 @@
-// Package cache is the serving stack's result cache subsystem: a
-// byte-bounded LRU keyed by (canonical request identity, data generation)
-// with singleflight collapsing of concurrent identical misses. The paper's
-// workload is read-heavy and repetitive — the same expert-pattern scans and
-// problem-pattern searches are re-issued continuously against plan corpora
-// that change rarely — so a correct cache in front of the
-// prefilter/specialize/match pipeline is the single biggest latency lever.
+// Package cache is the serving stack's result cache: a byte-bounded LRU of
+// rendered response bytes keyed by (canonical request identity, data
+// generation) with singleflight collapsing of concurrent identical misses.
+// The paper's workload is read-heavy and repetitive — the same
+// expert-pattern scans and problem-pattern searches are re-issued
+// continuously against plan corpora that change rarely — so a correct cache
+// in front of the prefilter/specialize/match pipeline is the single biggest
+// latency lever. internal/server is its one producer.
 //
 // Correctness comes from generation keying, not invalidation walks: every
 // mutable data source (the engine's plan set, a knowledge base's entry
@@ -12,8 +13,8 @@
 // cache key, and a mutation therefore orphans every prior entry instead of
 // racing an explicit purge. Orphans age out under the byte budget.
 //
-// The package is dependency-free (stdlib only) and imported by core, so it
-// must stay that way.
+// The package is dependency-free (stdlib only) and imported by core (for
+// the LRU behind the parse-once query cache), so it must stay that way.
 package cache
 
 import "container/list"
@@ -108,7 +109,7 @@ func (l *LRU) evictOldest() {
 }
 
 // Remove deletes key, reporting whether it was resident. Removal counts as
-// an eviction for the OnEvict hook (Cache uses Remove for TTL expiry).
+// an eviction for the OnEvict hook.
 func (l *LRU) Remove(key string) bool {
 	el, ok := l.items[key]
 	if !ok {

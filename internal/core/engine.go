@@ -89,23 +89,17 @@ func WithShards(n int) Option {
 // bookkeeping outweighs the contention a shard split saves.
 const maxAutoShards = 16
 
-// WithResultCache installs a result cache on the engine: FindSPARQL,
-// FindPattern and RunKB results are cached keyed by (query or KB identity,
-// engine data generation) and concurrent identical scans collapse onto one
-// execution. Every Load/Remove bumps the generation, so a stale result is
-// never served — old entries are orphaned and age out of the byte budget.
-// Cached result slices are shared between callers and must be treated as
-// read-only (every in-tree caller already does). The same cache instance
-// may also back the server's rendered-response caching; keys are
-// namespaced. cache.WithBypass on a call's context skips the cache for that
-// call.
+// WithResultCache and ResultCacheStats are frozen benchmark surface: delete
+// at the next re-baseline, with EvalSnapshot.Fallback. The engine caches no
+// results (internal/server's rendered-response cache is the only tier); it
+// only remembers the handle bench/ passes and reports that cache's counters.
 func WithResultCache(c *cache.Cache) Option {
-	return func(e *Engine) { e.resCache = c }
+	return func(e *Engine) { e.benchCache = c }
 }
 
-// engineIDs hands every engine a process-unique ID so two engines sharing
-// one cache.Cache never collide on (generation, query) keys.
-var engineIDs atomic.Uint64
+// ResultCacheStats reports the counters of the cache handed to
+// WithResultCache (zeros without one); see there.
+func (e *Engine) ResultCacheStats() cache.Stats { return e.benchCache.Stats() }
 
 // Engine holds a workload of transformed plans and matches patterns against
 // it.
@@ -116,14 +110,12 @@ type Engine struct {
 	workers   int
 	execOpts  sparql.ExecOptions
 
-	// id and generation identify the engine's exact plan set for the
-	// result cache: generation is bumped — while the mutated shard's lock
-	// (or, for batches, every shard lock) is still held — by every load
-	// and removal, mirroring rdf.Graph's per-graph counter at workload
-	// scope. A batch load bumps it once, not per plan.
-	id         uint64
+	// generation identifies the engine's exact plan set for callers that
+	// cache what they derive from it: it is bumped — while the mutated
+	// shard's lock (or, for batches, every shard lock) is still held — by
+	// every load and removal. A batch load bumps it once, not per plan.
 	generation atomic.Uint64
-	resCache   *cache.Cache
+	benchCache *cache.Cache // see WithResultCache
 
 	prefilter  bool
 	pfProbed   atomic.Int64
@@ -143,7 +135,6 @@ func New(opts ...Option) *Engine {
 		numShards: 1,
 		workers:   runtime.GOMAXPROCS(0),
 		prefilter: true,
-		id:        engineIDs.Add(1),
 	}
 	for _, o := range opts {
 		o(e)
@@ -343,10 +334,10 @@ func (e *Engine) RemovePlan(id string) bool {
 }
 
 // Generation returns the engine's data generation: a monotonic counter
-// bumped by every plan load and removal. Result-cache keys embed it, so a
-// mutation orphans every cached result instead of racing an invalidation.
-// A value that is stable across a scan proves the scan saw exactly that
-// plan set.
+// bumped by every plan load and removal. The server's response-cache keys
+// embed it, so a mutation orphans every cached response instead of racing
+// an invalidation. A value that is stable across a scan proves the scan saw
+// exactly that plan set.
 func (e *Engine) Generation() uint64 { return e.generation.Load() }
 
 // NumPlans reports how many plans are loaded.
@@ -472,43 +463,11 @@ func (e *Engine) FindSPARQL(query string) ([]Match, error) {
 // plans, each running SPARQL evaluation returns from its binding loops and
 // closure walks within a bounded number of iterations, and the pool drains
 // without leaking goroutines. The returned error then wraps ctx.Err().
-//
-// With a result cache configured (WithResultCache), the match list is
-// cached keyed by (query text, data generation) and concurrent identical
-// searches collapse onto one execution; the returned slice is then shared
-// and must be treated as read-only. Cancelled executions are never cached.
 func (e *Engine) FindSPARQLContext(ctx context.Context, query string) ([]Match, error) {
 	q, err := e.getQuery(query)
 	if err != nil {
 		return nil, err
 	}
-	if e.resCache == nil {
-		ms, _, err := e.findSPARQL(ctx, q)
-		return ms, err
-	}
-	// The key pins the generation observed now; if the scan inside the
-	// flight sees a different plan-set generation (a load or removal won
-	// the race), the result is still returned but marked NoStore, so a
-	// newer result is never filed under an older key.
-	keyGen := e.generation.Load()
-	key := cache.Key("core.q", e.cacheID(keyGen), query)
-	v, _, err := e.resCache.Do(ctx, key, func(fctx context.Context) (cache.Result, error) {
-		ms, gen, err := e.findSPARQL(fctx, q)
-		if err != nil {
-			return cache.Result{}, err
-		}
-		return cache.Result{Val: ms, Size: sizeOfMatches(ms), NoStore: gen != keyGen}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	ms, _ := v.([]Match)
-	return ms, nil
-}
-
-// findSPARQL runs one uncached search, returning the data generation the
-// plan snapshot was taken at (for cache-store validation).
-func (e *Engine) findSPARQL(ctx context.Context, q *sparql.Query) ([]Match, uint64, error) {
 	analysis := q.Analysis()
 	ss := e.snapshot([]*sparql.Analysis{analysis})
 	if e.instr.Search != nil {
@@ -531,14 +490,14 @@ func (e *Engine) findSPARQL(ctx context.Context, q *sparql.Query) ([]Match, uint
 	var out []Match
 	for _, c := range results {
 		if c.err != nil {
-			return nil, ss.gen, c.err
+			return nil, c.err
 		}
 		out = append(out, c.matches...)
 	}
 	if ferr != nil {
-		return nil, ss.gen, ferr
+		return nil, ferr
 	}
-	return out, ss.gen, nil
+	return out, nil
 }
 
 func (e *Engine) matchPlan(ctx context.Context, q *sparql.Query, r *transform.Result) ([]Match, error) {
@@ -610,42 +569,13 @@ func (e *Engine) RunKB(k *kb.KnowledgeBase) ([]PlanReport, error) {
 // fan-out from dispatching further plans, interrupts the SPARQL evaluation
 // of the plan each worker is on, and drains the pool without leaking
 // goroutines before returning an error that wraps ctx.Err().
-//
-// With a result cache configured (WithResultCache), the report list is
-// cached keyed by (knowledge-base identity, data generation) and
-// concurrent identical scans collapse onto one execution; the returned
-// slice is then shared and must be treated as read-only. Cancelled scans
-// are never cached.
 func (e *Engine) RunKBContext(ctx context.Context, k *kb.KnowledgeBase) ([]PlanReport, error) {
-	if e.resCache == nil {
-		reports, _, err := e.runKB(ctx, k)
-		return reports, err
-	}
-	keyGen := e.generation.Load()
-	key := cache.Key("core.kb", e.cacheID(keyGen), k.CacheKey())
-	v, _, err := e.resCache.Do(ctx, key, func(fctx context.Context) (cache.Result, error) {
-		reports, gen, err := e.runKB(fctx, k)
-		if err != nil {
-			return cache.Result{}, err
-		}
-		return cache.Result{Val: reports, Size: sizeOfReports(reports), NoStore: gen != keyGen}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	reports, _ := v.([]PlanReport)
-	return reports, nil
-}
-
-// runKB runs one uncached knowledge-base scan, returning the data
-// generation the plan snapshot was taken at (for cache-store validation).
-func (e *Engine) runKB(ctx context.Context, k *kb.KnowledgeBase) ([]PlanReport, uint64, error) {
 	// Parse every entry query once (cached across RunKB calls).
 	entries := make([]compiledEntry, 0, k.Len())
 	for _, entry := range k.Entries() {
 		q, err := e.getQuery(entry.SPARQL)
 		if err != nil {
-			return nil, 0, fmt.Errorf("core: kb entry %q: %w", entry.Name, err)
+			return nil, fmt.Errorf("core: kb entry %q: %w", entry.Name, err)
 		}
 		entries = append(entries, compiledEntry{entry: entry, query: q, analysis: q.Analysis()})
 	}
@@ -666,13 +596,13 @@ func (e *Engine) runKB(ctx context.Context, k *kb.KnowledgeBase) ([]PlanReport, 
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, ss.gen, err
+			return nil, err
 		}
 	}
 	if ferr != nil {
-		return nil, ss.gen, ferr
+		return nil, ferr
 	}
-	return reports, ss.gen, nil
+	return reports, nil
 }
 
 // compiledEntry pairs a knowledge-base entry with its parsed query and the

@@ -52,6 +52,16 @@ func renderReports(reports []PlanReport) string {
 	return b.String()
 }
 
+// renderMatches flattens a match list, in order, to a canonical string.
+func renderMatches(ms []Match) string {
+	var b strings.Builder
+	for i := range ms {
+		b.WriteString(ms[i].String())
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
 // sortedMatches renders FindSPARQL matches order-independently (for queries
 // without a total ORDER BY, within-plan row order is not specified).
 func sortedMatches(ms []Match) []string {

@@ -7,15 +7,11 @@
 // sequence, so the report order — and therefore every rendered byte — is
 // identical to the seed's single-table order regardless of the shard count.
 //
-// Generation protocol: every mutation bumps the engine's global generation
-// counter while still holding the lock of the shard (or, for a batch, of
-// all shards) it mutated. A scan reads the counter, copies the shards, and
-// reads the counter again: equal readings prove no mutation's critical
-// section overlapped the copy, so the snapshot equals the exact plan set of
-// that generation and may be filed in the result cache under it. Unequal
-// readings make the two generations differ from any key pinned before the
-// copy (the counter is monotonic), so the result is still served but never
-// cached under a stale key.
+// Every mutation bumps the engine's global generation counter while still
+// holding the lock of the shard (or, for a batch, of all shards) it mutated,
+// so a caller that reads Generation() before and after a scan and sees equal
+// values knows no mutation's critical section overlapped the scan's copy of
+// the shards (server.serveCached is that caller).
 package core
 
 import (
@@ -151,7 +147,6 @@ type scanSet struct {
 	plans []*transform.Result
 	shard []int    // aligned with plans: index into pass
 	pass  [][]bool // pass[shardIdx][queryIdx]: shard may match query
-	gen   uint64   // engine generation observed after the copy
 }
 
 // mayMatchAt runs the two-level prefilter for one (plan, query) pair: the
@@ -203,7 +198,6 @@ func (e *Engine) snapshot(queries []*sparql.Analysis) *scanSet {
 		ss.plans[i] = en.res
 		ss.shard[i] = en.shard
 	}
-	ss.gen = e.generation.Load()
 	return ss
 }
 

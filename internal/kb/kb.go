@@ -70,13 +70,6 @@ type KnowledgeBase struct {
 // New returns an empty knowledge base.
 func New() *KnowledgeBase { return &KnowledgeBase{id: kbIDs.Add(1)} }
 
-// Generation returns the knowledge base's mutation counter: 0 when fresh,
-// bumped once per successful Add or Remove. Like the engine's plan
-// generation, it exists for generation-keyed caching. Callers must hold
-// whatever lock guards the knowledge base's mutations (snapshots need
-// none — their entry list is fixed).
-func (kb *KnowledgeBase) Generation() uint64 { return kb.version }
-
 // CacheKey returns a token identifying this knowledge base's exact entry
 // list, suitable as a cache-key component: two knowledge bases with equal
 // keys hold identical entries. Snapshots share the key of the state they

@@ -27,12 +27,6 @@ type Graph struct {
 	// CSR adjacency, distinct-node list); see csr.go. Add invalidates it.
 	acc atomic.Pointer[accel]
 
-	// gen is the graph's data generation: a monotonic counter bumped by
-	// every successful insertion. Caches keyed by (query, generation) use
-	// it to guarantee a stale entry is never served — a mutation changes
-	// the key instead of racing an invalidation walk.
-	gen atomic.Uint64
-
 	size int
 }
 
@@ -56,12 +50,6 @@ func (g *Graph) Dict() *Dict { return g.dict }
 
 // Len reports the number of distinct triples in the graph.
 func (g *Graph) Len() int { return g.size }
-
-// Generation returns the graph's monotonic data generation: 0 for an empty
-// graph, bumped once per successful insertion (duplicates don't count — the
-// triple set is unchanged). Safe for concurrent readers; a stable value
-// across a read means the read saw one consistent triple set.
-func (g *Graph) Generation() uint64 { return g.gen.Load() }
 
 // Add inserts the triple (s, p, o). Duplicate triples are ignored.
 // It reports whether the triple was newly inserted.
@@ -122,7 +110,6 @@ func (g *Graph) AddIDs(s, p, o ID) bool {
 	so[s] = append(so[s], p)
 
 	g.size++
-	g.gen.Add(1)
 	return true
 }
 

@@ -238,7 +238,7 @@ func TestBatchUploadStoreSingleFsync(t *testing.T) {
 // protocol holds with the full HTTP stack in the loop.
 func TestBatchHammerRace(t *testing.T) {
 	c := cache.New(cache.Config{MaxBytes: 16 << 20})
-	eng := core.New(core.WithShards(4), core.WithResultCache(c))
+	eng := core.New(core.WithShards(4))
 	s := New(eng, nil, WithResultCache(c))
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)

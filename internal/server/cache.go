@@ -1,7 +1,8 @@
 // Response caching for the read-mostly API routes. The server caches
 // fully-rendered response bytes (JSON reports, N-Triples dumps) in the
-// shared generation-keyed cache, in front of the engine's structured-result
-// tier: a warm hit costs one map lookup and one write, no rendering. Every
+// generation-keyed cache: a warm hit costs one map lookup and one write, no
+// scan and no rendering. This is the only result cache in the system — the
+// engine below is a pure function of (plan set, query or KB). Every
 // cacheable route answers with an X-Cache header (hit | miss | bypass |
 // collapsed), honours Cache-Control: no-cache / no-store as a per-request
 // bypass, and /api/plans/{id}/rdf additionally carries an ETag keyed by
@@ -23,9 +24,7 @@ import (
 // /api/sparql, /api/kb/run and GET /api/plans/{id}/rdf in c. Keys include
 // the engine's data generation (and the knowledge base's cache key for
 // kb/run), so a plan or KB mutation simply orphans old entries — they age
-// out under the byte budget, and a stale response is never served. The
-// cache is usually the same instance wired into the engine via
-// core.WithResultCache; the key namespaces keep the tiers apart.
+// out under the byte budget, and a stale response is never served.
 func WithResultCache(c *cache.Cache) Option {
 	return func(s *Server) { s.cache = c }
 }
@@ -45,8 +44,7 @@ func encodeJSON(v interface{}) ([]byte, error) {
 
 // cacheContext applies the client's cache directives to the execution
 // context: Cache-Control: no-cache or no-store (the request-side
-// directives) makes the whole execution — server and engine tier alike —
-// bypass the cache.
+// directives) makes the execution bypass the cache.
 func cacheContext(ctx context.Context, r *http.Request) context.Context {
 	cc := strings.ToLower(r.Header.Get("Cache-Control"))
 	if strings.Contains(cc, "no-cache") || strings.Contains(cc, "no-store") ||
@@ -70,12 +68,12 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, ctx context
 	key string, keyGen uint64, contentType string, fallback int,
 	render func(context.Context) ([]byte, error)) {
 
-	v, out, err := s.cache.Do(ctx, key, func(fctx context.Context) (cache.Result, error) {
+	b, out, err := s.cache.Do(ctx, key, func(fctx context.Context) (cache.Result, error) {
 		b, err := render(fctx)
 		if err != nil {
 			return cache.Result{}, err
 		}
-		return cache.Result{Val: b, Size: int64(len(b)), NoStore: s.eng.Generation() != keyGen}, nil
+		return cache.Result{Body: b, NoStore: s.eng.Generation() != keyGen}, nil
 	})
 	if err != nil {
 		if !s.execError(w, r, err) {
@@ -83,7 +81,6 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, ctx context
 		}
 		return
 	}
-	b := v.([]byte)
 	w.Header().Set("X-Cache", out.String())
 	w.Header().Set("Content-Type", contentType)
 	// Content-Length is set explicitly so HEAD answers carry the same

@@ -1,28 +1,34 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"optimatch/internal/cache"
 	"optimatch/internal/core"
 	"optimatch/internal/fixtures"
+	"optimatch/internal/kb"
 	"optimatch/internal/obs"
 	"optimatch/internal/pattern"
+	"optimatch/internal/qep"
 )
 
 const sortQuery = `PREFIX preduri: <http://optimatch/pred/>
 SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`
 
-// cachedTestServer builds a server whose engine and response layer share
-// one result cache, mirroring the optimatchd wiring.
+// cachedTestServer builds a server with a response cache, mirroring the
+// optimatchd wiring.
 func cachedTestServer(t *testing.T, opts ...Option) (*Server, *httptest.Server, *cache.Cache) {
 	t.Helper()
 	c := cache.New(cache.Config{MaxBytes: 16 << 20})
-	eng := core.New(core.WithResultCache(c))
+	eng := core.New()
 	if err := eng.LoadPlans(fixtures.All()); err != nil {
 		t.Fatal(err)
 	}
@@ -224,28 +230,34 @@ func TestPlanRDFETag(t *testing.T) {
 
 func TestStatsCacheGroup(t *testing.T) {
 	_, ts, _ := cachedTestServer(t)
-	// Warm one entry so the counters are nonzero.
-	cacheReq(t, "POST", ts.URL+"/api/sparql", sortQuery, nil)
-	cacheReq(t, "POST", ts.URL+"/api/sparql", sortQuery, nil)
 
-	var stats struct {
-		Cache *cache.Stats `json:"cache"`
+	type cacheStats struct {
+		Cache map[string]json.Number `json:"cache"`
 		Query struct {
 			Capacity int `json:"capacity"`
 		} `json:"queryCache"`
 	}
-	getJSON(t, ts.URL+"/api/stats", http.StatusOK, &stats)
-	if stats.Cache == nil {
-		t.Fatal("stats missing cache group")
-	}
-	if stats.Cache.Hits < 1 || stats.Cache.Misses < 1 || stats.Cache.Entries < 1 {
-		t.Fatalf("cache stats = %+v", stats.Cache)
-	}
-	if stats.Cache.HitRatio <= 0 || stats.Cache.HitRatio > 1 {
-		t.Fatalf("hit ratio = %v", stats.Cache.HitRatio)
-	}
-	if stats.Query.Capacity <= 0 {
-		t.Fatalf("query cache capacity = %d", stats.Query.Capacity)
+	// One cold cacheable request is exactly one lookup and one flight; the
+	// identical request after it is exactly one hit.
+	for i, want := range []struct{ hits, misses, hitRatio string }{{"0", "1", "0"}, {"1", "1", "0.5"}} {
+		cacheReq(t, "POST", ts.URL+"/api/kb/run", "", nil)
+		var stats cacheStats
+		getJSON(t, ts.URL+"/api/stats", http.StatusOK, &stats)
+		if stats.Cache == nil {
+			t.Fatal("stats missing cache group")
+		}
+		c := stats.Cache
+		if c["hits"].String() != want.hits || c["misses"].String() != want.misses ||
+			c["collapsed"].String() != "0" || c["entries"].String() != "1" || c["hitRatio"].String() != want.hitRatio {
+			t.Fatalf("after kb/run #%d: cache stats = %v, want hits=%s misses=%s hitRatio=%s entries=1",
+				i+1, c, want.hits, want.misses, want.hitRatio)
+		}
+		if _, ok := c["expired"]; ok {
+			t.Errorf("cache stats still carry %q: %v", "expired", c)
+		}
+		if stats.Query.Capacity <= 0 {
+			t.Fatalf("query cache capacity = %d", stats.Query.Capacity)
+		}
 	}
 
 	// A cache-less server omits the group.
@@ -262,8 +274,15 @@ func TestStatsCacheGroup(t *testing.T) {
 func TestCacheMetricsExported(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, ts, _ := cachedTestServer(t, WithMetrics(reg))
-	cacheReq(t, "POST", ts.URL+"/api/sparql", sortQuery, nil)
-	cacheReq(t, "POST", ts.URL+"/api/sparql", sortQuery, nil)
+	for _, want := range []struct{ hits, misses float64 }{{0, 1}, {1, 1}} {
+		cacheReq(t, "POST", ts.URL+"/api/kb/run", "", nil)
+		_, metrics := cacheReq(t, "GET", ts.URL+"/metrics", "", nil)
+		hits := metricValue(t, metrics, `optimatch_cache_requests_total{result="hit"}`)
+		misses := metricValue(t, metrics, `optimatch_cache_requests_total{result="miss"}`)
+		if hits != want.hits || misses != want.misses {
+			t.Fatalf("hit/miss series = %v/%v, want %v/%v (one request is one lookup)", hits, misses, want.hits, want.misses)
+		}
+	}
 
 	_, metrics := cacheReq(t, "GET", ts.URL+"/metrics", "", nil)
 	for _, want := range []string{
@@ -280,6 +299,135 @@ func TestCacheMetricsExported(t *testing.T) {
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %s", want)
+		}
+	}
+	// There is no TTL: no series counts expiries.
+	if v := metricValue(t, metrics, "optimatch_cache_expired_total"); v != -1 {
+		t.Errorf("optimatch_cache_expired_total = %v, want the series absent", v)
+	}
+}
+
+// TestResponseCacheHammer races plan uploads/deletes and KB entry edits
+// against cached and Cache-Control: no-cache reads of the three exec routes,
+// all through Handler(), under the race detector. Whenever the engine
+// generation and the KB cache key are the same before and after a
+// cached/bypassed pair, no mutation overlapped it: the two bodies must be
+// byte-identical, and identical to every other body — hit, miss, collapsed
+// or bypassed — observed at that state.
+func TestResponseCacheHammer(t *testing.T) {
+	s, _, _ := cachedTestServer(t)
+	h := s.Handler()
+	do := func(method, path, body string, noCache bool) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		if noCache {
+			req.Header.Set("Cache-Control", "no-cache")
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	state := func() string {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return fmt.Sprintf("gen %d, %s", s.eng.Generation(), s.kb.CacheKey())
+	}
+
+	searchBody, err := pattern.A().ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := []struct{ path, body string }{
+		{"/api/kb/run", ""},
+		{"/api/search", string(searchBody)},
+		{"/api/sparql", sortQuery},
+	}
+	entryBody, err := json.Marshal(addEntryRequest{
+		Pattern:         pattern.F(),
+		Recommendations: []kb.Recommendation{{Title: "review CSE", Template: "check @TOP"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// pair issues one cached and one bypassed read of a route and, if no
+	// mutation overlapped them, checks both bodies against every other body
+	// seen at that state. It returns the cached read's X-Cache outcome.
+	var seen sync.Map // route + state -> body
+	pair := func(path, body string) string {
+		before := state()
+		cached := do("POST", path, body, false)
+		bypassed := do("POST", path, body, true)
+		if cached.Code != http.StatusOK || bypassed.Code != http.StatusOK {
+			t.Errorf("%s: status %d cached, %d bypassed", path, cached.Code, bypassed.Code)
+		}
+		if got := bypassed.Header().Get("X-Cache"); got != "bypass" {
+			t.Errorf("%s with no-cache: X-Cache = %q", path, got)
+		}
+		if state() == before {
+			for _, rec := range []*httptest.ResponseRecorder{cached, bypassed} {
+				got := rec.Body.String()
+				if prev, loaded := seen.LoadOrStore(path+" at "+before, got); loaded && prev.(string) != got {
+					t.Errorf("%s at %s: X-Cache %s body differs from an earlier one:\n--- first\n%s\n--- now\n%s",
+						path, before, rec.Header().Get("X-Cache"), prev, got)
+				}
+			}
+		}
+		return cached.Header().Get("X-Cache")
+	}
+
+	const (
+		readers = 4
+		iters   = 40
+	)
+	deadline := time.Now().Add(10 * time.Second)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters && time.Now().Before(deadline) && !t.Failed(); i++ {
+				for _, route := range routes {
+					pair(route.path, route.body)
+				}
+			}
+		}()
+	}
+	wg.Add(2)
+	go func() { // plan mutator
+		defer wg.Done()
+		for i := 0; i < iters && time.Now().Before(deadline); i++ {
+			id := fmt.Sprintf("HAMMER-%d", i)
+			if rec := do("POST", "/api/plans", qep.Text(fixtures.Renamed(fixtures.SortSpill(), id)), false); rec.Code != http.StatusCreated {
+				t.Errorf("upload %s: status %d", id, rec.Code)
+				return
+			}
+			if rec := do("DELETE", "/api/plans/"+id, "", false); rec.Code != http.StatusOK {
+				t.Errorf("delete %s: status %d", id, rec.Code)
+				return
+			}
+		}
+	}()
+	go func() { // KB mutator
+		defer wg.Done()
+		for i := 0; i < iters && time.Now().Before(deadline); i++ {
+			if rec := do("POST", "/api/kb/entries", string(entryBody), false); rec.Code != http.StatusCreated {
+				t.Errorf("add entry: status %d: %s", rec.Code, rec.Body)
+				return
+			}
+			if rec := do("DELETE", "/api/kb/entries/"+pattern.F().Name, "", false); rec.Code != http.StatusOK {
+				t.Errorf("delete entry: status %d", rec.Code)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+
+	// At quiescence the second pair's cached read is a hit by construction,
+	// so every route has had a hit compared with a bypass.
+	for _, route := range routes {
+		pair(route.path, route.body)
+		if got := pair(route.path, route.body); got != "hit" {
+			t.Errorf("%s at quiescence: X-Cache = %q, want hit", route.path, got)
 		}
 	}
 }

@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"optimatch/internal/cache"
 	"optimatch/internal/core"
+	"optimatch/internal/fixtures"
 	"optimatch/internal/workload"
 )
 
@@ -290,6 +292,62 @@ func TestClientDisconnectLogs499(t *testing.T) {
 		return strings.Contains(line, "client closed request") &&
 			strings.Contains(line, fmt.Sprintf("status=%d", StatusClientClosedRequest))
 	})
+}
+
+// TestDisconnectDoesNotPoisonNextIdenticalRequest: a client hanging up
+// mid-kb/run abandons its cache flight; an identical request arriving while
+// the abandoned scan is still winding down must run its own scan and answer
+// 200, not inherit the cancellation as a 503.
+func TestDisconnectDoesNotPoisonNextIdenticalRequest(t *testing.T) {
+	// The first plan evaluation of the first scan parks until windDown
+	// closes: the window between "last waiter gone" and "evaluator noticed".
+	var once sync.Once
+	inScan, windDown := make(chan struct{}), make(chan struct{})
+	eng := core.New(core.WithInstrumentation(core.Instrumentation{
+		PlanMatch: func(time.Duration) { once.Do(func() { close(inScan); <-windDown }) },
+	}))
+	if err := eng.LoadPlans(fixtures.All()); err != nil {
+		t.Fatal(err)
+	}
+	c := cache.New(cache.Config{MaxBytes: 16 << 20})
+	s := New(eng, nil, WithResultCache(c), WithQueryTimeout(time.Minute))
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	ctx, hangUp := context.WithCancel(context.Background())
+	req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/api/kb/run", nil)
+	gone := make(chan struct{})
+	go func() {
+		defer close(gone)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-inScan
+	hangUp()
+	<-gone
+	waitFor(t, func() bool { return s.exec.snapshot().Cancelled == 1 })
+
+	// The abandoned scan is still parked; the same request arrives again.
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/api/kb/run", "", nil)
+		if err != nil {
+			t.Error(err)
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	waitFor(t, func() bool { st := c.Stats(); return st.Misses+st.Collapsed == 2 })
+	close(windDown)
+	if got := <-status; got != http.StatusOK {
+		t.Fatalf("identical request after a disconnect: status = %d, want 200", got)
+	}
+	if got := s.exec.snapshot().Cancelled; got != 1 {
+		t.Fatalf("exec.cancelled = %d, want 1 (only the client that hung up)", got)
+	}
 }
 
 func TestKBRunHonoursDeadline(t *testing.T) {

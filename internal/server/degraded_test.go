@@ -17,17 +17,14 @@ import (
 )
 
 // degradedTestServer builds the full daemon wiring — durable store behind a
-// fault injector, shared result cache, metrics registry — so the HTTP
+// fault injector, response cache, metrics registry — so the HTTP
 // contract under storage faults is tested end to end.
 func degradedTestServer(t *testing.T) (*faultfs.FS, *store.Store, *httptest.Server, *obs.Registry) {
 	t.Helper()
 	ffs := faultfs.Wrap(storefs.OS{})
 	c := cache.New(cache.Config{MaxBytes: 16 << 20})
 	reg := obs.NewRegistry()
-	st, err := store.Open(t.TempDir(),
-		store.WithFS(ffs),
-		store.WithEngineOptions(core.WithResultCache(c)),
-	)
+	st, err := store.Open(t.TempDir(), store.WithFS(ffs))
 	if err != nil {
 		t.Fatal(err)
 	}

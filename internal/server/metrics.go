@@ -173,9 +173,7 @@ func (s *Server) registerStateMetrics() {
 		reg.CounterFunc(reqName, reqHelp, cst(func(st cache.Stats) float64 { return float64(st.Collapsed) }), "result", "collapsed")
 		reg.CounterFunc("optimatch_cache_evictions_total", "Result-cache entries evicted under the byte budget.",
 			cst(func(st cache.Stats) float64 { return float64(st.Evictions) }))
-		reg.CounterFunc("optimatch_cache_expired_total", "Result-cache entries dropped at lookup past their TTL.",
-			cst(func(st cache.Stats) float64 { return float64(st.Expired) }))
-		reg.CounterFunc("optimatch_cache_rejected_total", "Results not admitted to the cache (cost floor, oversized).",
+		reg.CounterFunc("optimatch_cache_rejected_total", "Results not admitted to the cache (generation moved while rendering, oversized).",
 			cst(func(st cache.Stats) float64 { return float64(st.Rejected) }))
 		reg.GaugeFunc("optimatch_cache_bytes", "Bytes currently held by result-cache entries.",
 			cst(func(st cache.Stats) float64 { return float64(st.Bytes) }))
