@@ -36,6 +36,10 @@ type Entry struct {
 	Profile         []float64        `json:"profile,omitempty"`
 
 	compiled *pattern.Compiled
+	// templates holds the parsed template of every recommendation, by index:
+	// Add parses each once, to validate it, and Apply expands from the nodes.
+	// Nil for an entry Add did not build.
+	templates [][]templateNode
 }
 
 // Compiled returns the compiled form of the entry's pattern.
@@ -127,9 +131,11 @@ func (kb *KnowledgeBase) Add(p *pattern.Pattern, recs ...Recommendation) (*Entry
 		if strings.TrimSpace(rec.Template) == "" {
 			return nil, fmt.Errorf("kb: entry %q: recommendation %q has empty template", p.Name, rec.Title)
 		}
-		if err := validateTemplate(rec.Template, aliases); err != nil {
+		nodes, err := validateTemplate(rec.Template, aliases)
+		if err != nil {
 			return nil, fmt.Errorf("kb: entry %q: recommendation %q: %w", p.Name, rec.Title, err)
 		}
+		e.templates = append(e.templates, nodes)
 	}
 	kb.entries = append(kb.entries, e)
 	kb.version++
@@ -187,13 +193,19 @@ type Ranked struct {
 func (e *Entry) Apply(occs []Occurrence) ([]Ranked, error) {
 	SortOccurrences(occs)
 	var out []Ranked
-	for _, rec := range e.Recommendations {
+	for ri, rec := range e.Recommendations {
 		limit := rec.MaxOccurrences
 		for i := range occs {
 			if limit > 0 && i >= limit {
 				break
 			}
-			text, err := expandTemplate(rec.Template, &occs[i])
+			var text string
+			var err error
+			if ri < len(e.templates) {
+				text, err = expandNodes(e.templates[ri], &occs[i])
+			} else {
+				text, err = expandTemplate(rec.Template, &occs[i])
+			}
 			if err != nil {
 				return nil, fmt.Errorf("kb: entry %q: %w", e.Name, err)
 			}

@@ -120,11 +120,13 @@ var knownFields = map[string]bool{
 
 var knownFns = map[string]bool{FnInput: true, FnPredicate: true, FnColumns: true}
 
-// validateTemplate checks a template against the set of legal aliases.
-func validateTemplate(tmpl string, aliases map[string]bool) error {
+// validateTemplate parses a template and checks it against the set of legal
+// aliases. It returns the parsed nodes, which the entry keeps so that
+// expanding the template never parses again.
+func validateTemplate(tmpl string, aliases map[string]bool) ([]templateNode, error) {
 	nodes, err := parseTemplate(tmpl)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, n := range nodes {
 		if n.literal != "" {
@@ -132,34 +134,38 @@ func validateTemplate(tmpl string, aliases map[string]bool) error {
 		}
 		for _, a := range n.aliases {
 			if !aliases[strings.ToUpper(a)] {
-				return fmt.Errorf("kb: template references unknown handler @%s", a)
+				return nil, fmt.Errorf("kb: template references unknown handler @%s", a)
 			}
 		}
 		if n.field != "" && !knownFields[strings.ToUpper(n.field)] {
-			return fmt.Errorf("kb: template uses unknown field .%s", n.field)
+			return nil, fmt.Errorf("kb: template uses unknown field .%s", n.field)
 		}
 		if n.fn != "" && !knownFns[strings.ToUpper(n.fn)] {
-			return fmt.Errorf("kb: template uses unknown helper (%s)", n.fn)
+			return nil, fmt.Errorf("kb: template uses unknown helper (%s)", n.fn)
 		}
 	}
-	return nil
+	return nodes, nil
 }
 
-// expandTemplate renders a template against one occurrence, adapting the
-// stored recommendation to the context of the user-supplied plan.
+// expandTemplate parses a template and renders it against one occurrence.
 func expandTemplate(tmpl string, o *Occurrence) (string, error) {
 	nodes, err := parseTemplate(tmpl)
 	if err != nil {
 		return "", err
 	}
+	return expandNodes(nodes, o)
+}
+
+// expandNodes renders a parsed template against one occurrence, adapting the
+// stored recommendation to the context of the user-supplied plan.
+func expandNodes(nodes []templateNode, o *Occurrence) (string, error) {
 	var b strings.Builder
 	for _, n := range nodes {
 		if n.literal != "" {
 			b.WriteString(n.literal)
 			continue
 		}
-		var parts []string
-		for _, alias := range n.aliases {
+		for i, alias := range n.aliases {
 			var s string
 			var err error
 			switch {
@@ -173,9 +179,11 @@ func expandTemplate(tmpl string, o *Occurrence) (string, error) {
 			if err != nil {
 				return "", err
 			}
-			parts = append(parts, s)
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(s)
 		}
-		b.WriteString(strings.Join(parts, ", "))
 	}
 	return b.String(), nil
 }

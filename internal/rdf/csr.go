@@ -5,13 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the graph's path-acceleration snapshots: per-predicate
-// CSR (compressed sparse row) adjacency arrays and a cached distinct-node
-// list. Both exploit the engine's central invariant — plan graphs are
-// immutable after load — so each snapshot is built at most once per graph and
-// then shared, lock-free, by every concurrent reader. A mutation through Add
-// after a snapshot was built invalidates all snapshots; the next reader
-// rebuilds them against the new state.
+// This file implements the graph's acceleration snapshots: per-predicate
+// CSR (compressed sparse row) adjacency arrays, a cached distinct-node list
+// and the per-predicate triple totals. All exploit the engine's central
+// invariant — plan graphs are immutable after load — so each snapshot is built
+// at most once per graph and then shared, lock-free, by every concurrent
+// reader. A mutation through Add after a snapshot was built invalidates all
+// snapshots; the next reader rebuilds them against the new state.
 
 // CSR is an immutable compressed-sparse-row adjacency snapshot for a single
 // predicate: forward (subject -> objects) and reverse (object -> subjects)
@@ -62,9 +62,10 @@ func (c *CSR) Bytes() int {
 // slices behind the atomic pointers are immutable once published; builders
 // serialize on mu and publish copy-on-write.
 type accel struct {
-	mu    sync.Mutex
-	csr   atomic.Pointer[map[ID]*CSR]
-	nodes atomic.Pointer[[]ID]
+	mu     sync.Mutex
+	csr    atomic.Pointer[map[ID]*CSR]
+	nodes  atomic.Pointer[[]ID]
+	totals atomic.Pointer[map[ID]int]
 }
 
 // accel returns the graph's snapshot container, creating it on first use.
@@ -120,6 +121,32 @@ func (g *Graph) NodeIDs() []ID {
 	}
 	a.nodes.Store(&out)
 	return out
+}
+
+// predTotal returns the number of triples carrying predicate p. The totals
+// of every predicate are counted in one pass over the POS index the first
+// time any is asked for, so the join-order heuristic, which asks once per
+// triple pattern per evaluation, reads them in O(1).
+func (g *Graph) predTotal(p ID) int {
+	a := g.accel()
+	if t := a.totals.Load(); t != nil {
+		return (*t)[p]
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if t := a.totals.Load(); t != nil {
+		return (*t)[p]
+	}
+	totals := make(map[ID]int, len(g.pos))
+	for pred, byObj := range g.pos {
+		n := 0
+		for _, subjs := range byObj {
+			n += len(subjs)
+		}
+		totals[pred] = n
+	}
+	a.totals.Store(&totals)
+	return totals[p]
 }
 
 // PredCSR returns the CSR adjacency snapshot for predicate p, building and

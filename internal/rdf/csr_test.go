@@ -139,8 +139,13 @@ func TestAddInvalidatesAccel(t *testing.T) {
 	c, _ := g.PredCSR(p)
 	pop2 := d.Lookup(IRI("pop2"))
 	outBefore := len(c.Out(pop2))
+	totalBefore := g.Count(NoID, p, NoID)
 
 	g.Add(IRI("pop2"), IRI("hasOuterInputStream"), IRI("brandNewNode"))
+
+	if got := g.Count(NoID, p, NoID); got != totalBefore+1 {
+		t.Errorf("predicate total after Add = %d, want %d", got, totalBefore+1)
+	}
 
 	c2, built := g.PredCSR(p)
 	if !built {
@@ -180,6 +185,7 @@ func TestPredCSRConcurrentBuild(t *testing.T) {
 		go func() {
 			c, _ := g.PredCSR(p)
 			g.NodeIDs()
+			g.Count(NoID, p, NoID)
 			results <- c
 		}()
 	}

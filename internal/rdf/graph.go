@@ -23,8 +23,9 @@ type Graph struct {
 	// insertion order is preserved either way.
 	spoSets map[[2]ID]map[ID]struct{}
 
-	// acc holds the lazily built path-acceleration snapshots (per-predicate
-	// CSR adjacency, distinct-node list); see csr.go. Add invalidates it.
+	// acc holds the lazily built acceleration snapshots (per-predicate CSR
+	// adjacency, distinct-node list, predicate totals); see csr.go. Add
+	// invalidates it.
 	acc atomic.Pointer[accel]
 
 	size int
@@ -202,7 +203,9 @@ func (g *Graph) Match(s, p, o ID, fn func(s, p, o ID) bool) {
 
 // Count estimates the number of triples matching the pattern (NoID =
 // wildcard). For the (s,-,o) combination it returns an upper bound without
-// enumerating; all other combinations are exact and O(1) or O(index bucket).
+// enumerating; all other combinations are exact and O(1) — the (-,p,-) total
+// through a snapshot counted once per graph (see predTotal) — or O(index
+// bucket).
 func (g *Graph) Count(s, p, o ID) int {
 	switch {
 	case s != NoID && p != NoID && o != NoID:
@@ -223,11 +226,7 @@ func (g *Graph) Count(s, p, o ID) int {
 		}
 		return n
 	case p != NoID:
-		n := 0
-		for _, subjs := range g.pos[p] {
-			n += len(subjs)
-		}
-		return n
+		return g.predTotal(p)
 	case o != NoID:
 		n := 0
 		for _, preds := range g.osp[o] {

@@ -150,6 +150,10 @@ func (s *Server) registerStateMetrics() {
 	reg.CounterFunc(evalName, evalHelp, func() float64 { return float64(s.eng.EvalStats().Specialized) }, "path", "all")
 	reg.CounterFunc(evalName, evalHelp, func() float64 { return float64(s.eng.EvalStats().ConstantBailouts) }, "path", "constant_bailout")
 
+	reg.CounterFunc("optimatch_sparql_join_rows_total",
+		"Binding extensions the depth-first join attempted (one per triple pattern run on one row): the summed size of every intermediate result, i.e. what a join order cost.",
+		func() float64 { return float64(s.eng.EvalStats().JoinRows) })
+
 	reg.GaugeFunc("optimatch_exec_in_flight", "Weighted units of engine scan work currently admitted.",
 		func() float64 { return float64(s.exec.inFlight.Load()) })
 	reg.CounterFunc("optimatch_exec_cancelled_total",

@@ -260,6 +260,8 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`
 		`optimatch_core_plans_loaded`,
 		`optimatch_core_query_cache_total{result="miss"}`,
 		`optimatch_sparql_eval_total{path="all"}`,
+		// A cold kb/run joins: every evaluated pair extends bindings.
+		`optimatch_sparql_join_rows_total`,
 		// The canonical KB patterns use descendant (`hasChildPop+`) paths,
 		// so a kb/run must build CSR snapshots and run closure BFS walks.
 		`optimatch_sparql_path_total{kind="csr_build"}`,
@@ -362,8 +364,8 @@ func TestStatsGainsObservabilityCounters(t *testing.T) {
 	if stats.QueryCache.Hits == 0 {
 		t.Errorf("queryCache hits = 0 after second kb/run: %+v", stats.QueryCache)
 	}
-	if stats.Eval.Specialized == 0 {
-		t.Errorf("eval.specialized = 0 after kb/run: %+v", stats.Eval)
+	if stats.Eval.Specialized == 0 || stats.Eval.JoinRows == 0 {
+		t.Errorf("eval.specialized or eval.joinRows = 0 after kb/run: %+v", stats.Eval)
 	}
 	// The canonical KB descendant patterns run closures: the first kb/run
 	// builds CSR snapshots, the second is served from the per-graph cache.

@@ -198,7 +198,7 @@ func groupSolutions(ec *evalCtx, groupBy []string, sols []solution) [][]solution
 	}
 	slots := make([]int, len(groupBy))
 	for i, v := range groupBy {
-		slots[i] = ec.slot(v)
+		slots[i] = ec.prog.varIndex[v]
 	}
 	index := make(map[string]int)
 	var groups [][]solution

@@ -7,8 +7,8 @@ import "optimatch/internal/rdf"
 // workload-scale acceleration in internal/core: Required is the set of
 // constant terms every matching graph must contain, so a caller holding a
 // graph whose vocabulary misses any of them can skip evaluation outright
-// (the engine's prefilter), and the specialized evaluator can resolve all
-// of Consts to the target graph's dense IDs in one pass before matching.
+// (the engine's prefilter), and the evaluator can resolve all of Consts to
+// the target graph's dense IDs in one pass before matching.
 type Analysis struct {
 	// Required holds constant terms (IRIs and literals from triple patterns,
 	// plus predicate IRIs from property paths) that any graph with at least
@@ -19,9 +19,14 @@ type Analysis struct {
 
 	// Consts holds every constant term appearing in any triple pattern or
 	// property path of the query, Required or not, in first-appearance
-	// order. The specialized evaluator resolves these against the target
-	// graph's dictionary once per (query, graph) pair.
+	// order. The evaluator resolves these against the target graph's
+	// dictionary once per (query, graph) pair.
 	Consts []rdf.Term
+
+	// prog is the query's compiled program (see compile.go): what the
+	// evaluator runs, built here so that it is computed and shared exactly
+	// like the rest of the analysis.
+	prog *program
 }
 
 // RequiredIn reports whether every required term is present in the graph's
@@ -76,7 +81,7 @@ func (s *termSet) addAll(o *termSet) {
 func analyzeQuery(q *Query) *Analysis {
 	consts := newTermSet()
 	req := groupRequired(q.Where, consts)
-	return &Analysis{Required: req.order, Consts: consts.order}
+	return &Analysis{Required: req.order, Consts: consts.order, prog: compile(q, consts.order, req.order)}
 }
 
 // groupRequired computes the required-term set of a group pattern while

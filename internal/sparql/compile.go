@@ -1,0 +1,501 @@
+package sparql
+
+import "optimatch/internal/rdf"
+
+// This file compiles a query into its graph-independent program. Everything
+// about an evaluation that depends only on the query text is decided here,
+// once per parsed query (Parse computes it with the static analysis and the
+// engine's parse-once cache shares it): the variable→slot table, triple
+// patterns carrying slot and constant numbers, each group's filters with the
+// slots they read as a bitmask and a compiled row predicate, and the
+// variables every element binds as a bitmask. What is left for the
+// evaluator to do per (query, graph) pair is to resolve the constants to the
+// graph's dense IDs, choose the join order from the graph's statistics, and
+// run (see specialize.go).
+
+// program is the compiled form of one query. It is immutable after compile
+// and shared by every concurrent evaluation of the query.
+type program struct {
+	vars     []string       // slot -> variable name
+	varIndex map[string]int // variable name -> slot
+	width    int            // row width: len(vars), at least 1 so a row count survives a variable-free query
+
+	consts    []rdf.Term     // const number -> term (Analysis.Consts)
+	required  []int          // const numbers of Analysis.Required
+	predConst map[string]int // IRI -> const number, for predicates inside property paths
+
+	root  *groupProg
+	nPats int // triple patterns in the whole query: the size of the step arena
+	nBlks int // BGP blocks in the whole query
+
+	// grouped and aggErr are checkAggregation's verdict.
+	grouped bool
+	aggErr  error
+
+	// The projection tail. idTail: the projection and every ORDER BY key is a
+	// plain variable (the shape of every pattern- and knowledge-base-compiled
+	// query), so SELECT/DISTINCT/ORDER BY/LIMIT run on ID rows. earlyDistinct:
+	// additionally the query is DISTINCT and every ORDER BY key is projected,
+	// so the WHERE clause emits projected, already deduplicated rows and the
+	// sort runs over the survivors; orderCols then index the projection.
+	idTail        bool
+	earlyDistinct bool
+	projVars      []string
+	projSlots     []int
+	orderSlots    []int
+	orderCols     []int
+	projCols      []int // 0..len(projSlots)-1: the projection of an already projected row
+}
+
+// groupProg is a compiled group pattern: its elements in evaluation order
+// (consecutive triple patterns gathered into one reorderable block, FILTERs
+// lifted out — they are group-scoped) and its filters.
+type groupProg struct {
+	elems   []elemProg
+	filters []filterProg
+	binds   uint64 // slots bound in every solution the group produces
+}
+
+type elemKind uint8
+
+const (
+	elemBlock elemKind = iota
+	elemOptional
+	elemUnion
+	elemGroup
+	elemExists
+	elemBind
+)
+
+// elemProg is one compiled pattern element.
+type elemProg struct {
+	kind   elemKind
+	block  *blockProg   // elemBlock
+	groups []*groupProg // OPTIONAL, nested group and EXISTS: one; UNION: one per branch
+	not    bool         // FILTER NOT EXISTS
+	slot   int          // BIND target
+	expr   Expression   // BIND expression
+	// binds holds the slots bound in every row once the element has run: a
+	// block's and a BIND's variables, what a nested group binds, what every
+	// branch of a UNION binds; nothing for OPTIONAL and EXISTS.
+	binds uint64
+}
+
+// blockProg is a maximal run of triple patterns. id indexes the evaluation's
+// plan table; off is where the block's steps live in its step arena.
+type blockProg struct {
+	id, off int
+	pats    []patProg
+}
+
+type patKind uint8
+
+const (
+	patSimple  patKind = iota // constant predicate
+	patPredVar                // variable predicate
+	patPath                   // property path
+)
+
+// patProg is a triple pattern with its variables as slots and its constants
+// as const numbers; -1 marks the other case in each position. pSlot is set
+// for patPredVar only, pConst for patSimple only.
+type patProg struct {
+	kind                   patKind
+	sSlot, oSlot, pSlot    int
+	sConst, oConst, pConst int
+	path                   Path // patPath
+}
+
+// rowPred decides one row. It receives the evaluation because numeric parsing
+// is memoized per evaluation and the generic fallback reads the row through
+// the evaluation's binding view.
+type rowPred func(ec *evalCtx, row []rdf.ID) bool
+
+// filterProg is a compiled group-level FILTER.
+type filterProg struct {
+	vars uint64 // slots the expression reads
+	// eager filters may run as soon as vars are statically bound. Filters
+	// that inspect boundness wait for the end of the group, and so do the
+	// ones a 64-bit mask cannot track (see slotBit) — which is always sound,
+	// the end of the group being where SPARQL scopes every filter.
+	eager bool
+	keep  rowPred
+}
+
+// slotBit is the bitmask bit of a slot. Slots past 63 have none: such a
+// variable never counts as statically bound, which only costs it the eager
+// filters and the bound-variable discount of the join-order heuristic.
+func slotBit(slot int) uint64 {
+	if slot < 64 {
+		return 1 << uint(slot)
+	}
+	return 0
+}
+
+type compiler struct {
+	p       *program
+	constNo map[rdf.Term]int
+}
+
+// compile builds q's program over the constants and requirements the static
+// analysis collected.
+func compile(q *Query, consts, required []rdf.Term) *program {
+	p := &program{varIndex: make(map[string]int), consts: consts, predConst: make(map[string]int)}
+	c := &compiler{p: p, constNo: make(map[rdf.Term]int, len(consts))}
+	for i, t := range consts {
+		c.constNo[t] = i
+		if t.IsIRI() {
+			p.predConst[t.Value] = i
+		}
+	}
+	for _, t := range required {
+		p.required = append(p.required, c.constNo[t])
+	}
+
+	// Slot order is first appearance in WHERE, then in the solution
+	// modifiers; SELECT * projects in this order.
+	for _, v := range q.Where.Vars() {
+		c.slot(v)
+	}
+	for _, item := range q.Select {
+		c.slots(exprVars(item.Expr))
+	}
+	for _, key := range q.OrderBy {
+		c.slots(exprVars(key.Expr))
+	}
+	c.slots(q.GroupBy)
+	if q.Having != nil {
+		c.slots(exprVars(q.Having))
+	}
+	p.width = max(len(p.vars), 1)
+
+	p.root = c.group(q.Where)
+	p.grouped, p.aggErr = q.checkAggregation()
+	if !p.grouped {
+		c.tail(q)
+	}
+	return p
+}
+
+func (c *compiler) slot(v string) int {
+	if i, ok := c.p.varIndex[v]; ok {
+		return i
+	}
+	i := len(c.p.vars)
+	c.p.varIndex[v] = i
+	c.p.vars = append(c.p.vars, v)
+	return i
+}
+
+func (c *compiler) slots(vars []string) {
+	for _, v := range vars {
+		c.slot(v)
+	}
+}
+
+// tail decides whether the projection tail can run on ID rows and, if so,
+// lays out the projection and the sort keys.
+func (c *compiler) tail(q *Query) {
+	p := c.p
+	if q.Star {
+		for i, v := range p.vars {
+			if len(v) == 0 || v[0] != '!' {
+				p.projVars = append(p.projVars, v)
+				p.projSlots = append(p.projSlots, i)
+			}
+		}
+	} else {
+		for _, item := range q.Select {
+			ve, ok := item.Expr.(VarExpr)
+			if !ok {
+				return
+			}
+			p.projVars = append(p.projVars, item.Alias)
+			p.projSlots = append(p.projSlots, c.slot(ve.Name))
+		}
+	}
+	for i := range p.projSlots {
+		p.projCols = append(p.projCols, i)
+	}
+	// A projection of no columns has no flat-table form to count rows in.
+	early := q.Distinct && len(p.projSlots) > 0
+	for _, key := range q.OrderBy {
+		ve, ok := key.Expr.(VarExpr)
+		if !ok {
+			return
+		}
+		slot, col := c.slot(ve.Name), -1
+		for i, ps := range p.projSlots {
+			if ps == slot {
+				col = i
+				break
+			}
+		}
+		p.orderSlots = append(p.orderSlots, slot)
+		p.orderCols = append(p.orderCols, col)
+		early = early && col >= 0
+	}
+	p.idTail, p.earlyDistinct = true, early
+}
+
+func (c *compiler) group(g *GroupPattern) *groupProg {
+	gp := &groupProg{}
+	for _, el := range g.Elems {
+		if f, ok := el.(FilterElem); ok {
+			gp.filters = append(gp.filters, c.filter(f.Expr, len(gp.filters)))
+		}
+	}
+	for i := 0; i < len(g.Elems); i++ {
+		var ep elemProg
+		switch el := g.Elems[i].(type) {
+		case FilterElem:
+			continue
+		case TriplePattern:
+			// The maximal run of triple patterns, skipping the filters
+			// between them.
+			b := &blockProg{id: c.p.nBlks, off: c.p.nPats}
+			end := i
+			for ; end < len(g.Elems); end++ {
+				if tp, ok := g.Elems[end].(TriplePattern); ok {
+					pat := c.pattern(tp)
+					b.pats = append(b.pats, pat)
+					ep.binds |= pat.binds()
+				} else if _, ok := g.Elems[end].(FilterElem); !ok {
+					break
+				}
+			}
+			i = end - 1
+			c.p.nBlks++
+			c.p.nPats += len(b.pats)
+			ep.kind, ep.block = elemBlock, b
+		case OptionalElem:
+			ep.kind, ep.groups = elemOptional, []*groupProg{c.group(el.Group)}
+		case UnionElem:
+			ep.kind, ep.binds = elemUnion, ^uint64(0)
+			for _, b := range el.Branches {
+				bp := c.group(b)
+				ep.groups = append(ep.groups, bp)
+				ep.binds &= bp.binds
+			}
+		case GroupElem:
+			ep.kind, ep.groups = elemGroup, []*groupProg{c.group(el.Group)}
+			ep.binds = ep.groups[0].binds
+		case FilterExistsElem:
+			ep.kind, ep.groups, ep.not = elemExists, []*groupProg{c.group(el.Group)}, el.Not
+		case BindElem:
+			ep.kind, ep.slot, ep.expr = elemBind, c.slot(el.Var), el.Expr
+			ep.binds = slotBit(ep.slot)
+		}
+		gp.elems = append(gp.elems, ep)
+		gp.binds |= ep.binds
+	}
+	return gp
+}
+
+func (c *compiler) pattern(tp TriplePattern) patProg {
+	pat := patProg{sSlot: -1, oSlot: -1, pSlot: -1, sConst: -1, oConst: -1, pConst: -1}
+	if tp.S.IsVar() {
+		pat.sSlot = c.slot(tp.S.Var)
+	} else {
+		pat.sConst = c.constNo[tp.S.Term]
+	}
+	if tp.O.IsVar() {
+		pat.oSlot = c.slot(tp.O.Var)
+	} else {
+		pat.oConst = c.constNo[tp.O.Term]
+	}
+	switch p := tp.P.(type) {
+	case PredPath:
+		pat.kind, pat.pConst = patSimple, c.constNo[rdf.IRI(p.IRI)]
+	case predVarPath:
+		pat.kind, pat.pSlot = patPredVar, c.slot(p.name)
+	default:
+		pat.kind, pat.path = patPath, tp.P
+	}
+	return pat
+}
+
+// binds is the bitmask of the pattern's variables.
+func (p *patProg) binds() uint64 {
+	var m uint64
+	for _, slot := range [...]int{p.sSlot, p.oSlot, p.pSlot} {
+		if slot >= 0 {
+			m |= slotBit(slot)
+		}
+	}
+	return m
+}
+
+// filter compiles the index-th FILTER of a group.
+func (c *compiler) filter(expr Expression, index int) filterProg {
+	f := filterProg{eager: filterIsEager(expr) && index < 64}
+	for _, v := range exprVars(expr) {
+		slot := c.slot(v)
+		f.vars |= slotBit(slot)
+		f.eager = f.eager && slot < 64
+	}
+	var fast bool
+	if f.keep, fast = c.fastFilter(expr); !fast {
+		f.keep = genericFilter(expr)
+	}
+	return f
+}
+
+// filterIsEager reports whether the filter may be applied as soon as its
+// variables are statically bound. Filters that inspect boundness must wait
+// for the end of the group.
+func filterIsEager(e Expression) bool {
+	eager := true
+	walkExpr(e, func(sub Expression) {
+		if call, ok := sub.(CallExpr); ok && (call.Name == "BOUND" || call.Name == "COALESCE") {
+			eager = false
+		}
+	})
+	return eager
+}
+
+// genericFilter evaluates the expression through the shared evaluator; an
+// evaluation error drops the row.
+func genericFilter(expr Expression) rowPred {
+	return func(ec *evalCtx, row []rdf.ID) bool {
+		ec.view = row
+		ok, err := ebv(expr, ec)
+		return err == nil && ok
+	}
+}
+
+// fastFilter compiles the two filter shapes that dominate pattern and
+// knowledge-base queries — a variable compared against a numeric constant
+// (FILTER(?card > 1000)) and variable (in)equality (FILTER(?a != ?b)) —
+// into predicates over ID rows with memoized numeric parsing. Rows the
+// predicate cannot decide exactly fall back to the generic evaluator per row,
+// so the semantics of CmpExpr.Eval are preserved bit for bit.
+func (c *compiler) fastFilter(expr Expression) (rowPred, bool) {
+	cmp, ok := expr.(CmpExpr)
+	if !ok {
+		return nil, false
+	}
+
+	// ?a op ?b, equality only (ordering mixes numeric and lexical compares;
+	// leave it to the generic path).
+	if lv, lok := cmp.L.(VarExpr); lok {
+		if rv, rok := cmp.R.(VarExpr); rok && (cmp.Op == OpEq || cmp.Op == OpNeq) {
+			li, ri := c.slot(lv.Name), c.slot(rv.Name)
+			return func(ec *evalCtx, row []rdf.ID) bool {
+				lid, rid := row[li], row[ri]
+				if lid == rdf.NoID || rid == rdf.NoID {
+					return false // comparing an unbound var errors: row dropped
+				}
+				// Mirror CmpExpr.Eval: numeric comparison when both sides
+				// parse as numbers, term value equality otherwise. Distinct
+				// IDs are distinct terms (intern checks the dictionary
+				// before the side table), so termValueEqual only runs on
+				// distinct terms.
+				lf, lnum := ec.floatOf(lid)
+				rf, rnum := ec.floatOf(rid)
+				var eq bool
+				if lnum && rnum {
+					eq = lf == rf
+				} else {
+					eq = lid == rid || termValueEqual(ec.term(lid), ec.term(rid))
+				}
+				return eq == (cmp.Op == OpEq)
+			}, true
+		}
+	}
+
+	// Numeric comparison: both sides compile to float evaluators
+	// (variables, numeric literals, arithmetic over them). Rows where a
+	// side is unbound or non-numeric re-evaluate generically, so error and
+	// lexical-fallback semantics stay identical.
+	lf, lok := c.compileNumeric(cmp.L)
+	rf, rok := c.compileNumeric(cmp.R)
+	if !lok || !rok {
+		return nil, false
+	}
+	generic := genericFilter(expr)
+	return func(ec *evalCtx, row []rdf.ID) bool {
+		l, ok := lf(ec, row)
+		if !ok {
+			return generic(ec, row)
+		}
+		r, ok := rf(ec, row)
+		if !ok {
+			return generic(ec, row)
+		}
+		return cmpFloat(cmp.Op, l, r)
+	}, true
+}
+
+// numFn evaluates a numeric sub-expression against an ID row. The bool
+// result is false when the row needs the generic evaluator (an unbound
+// variable, a non-numeric binding, division by zero).
+type numFn func(ec *evalCtx, row []rdf.ID) (float64, bool)
+
+// compileNumeric compiles the numeric expression fragment the FILTER
+// grammar of patterns produces: variables, numeric literals, unary minus
+// and the four arithmetic operators. ArithExpr evaluates in float64 and
+// renders through rdf.Float, whose round-trip formatting makes computing
+// directly on float64 exact.
+func (c *compiler) compileNumeric(e Expression) (numFn, bool) {
+	switch e := e.(type) {
+	case LitExpr:
+		f, ok := e.Term.Float()
+		if !ok {
+			return nil, false
+		}
+		return func(*evalCtx, []rdf.ID) (float64, bool) { return f, true }, true
+	case VarExpr:
+		slot := c.slot(e.Name)
+		return func(ec *evalCtx, row []rdf.ID) (float64, bool) {
+			id := row[slot]
+			if id == rdf.NoID {
+				return 0, false
+			}
+			return ec.floatOf(id)
+		}, true
+	case NegExpr:
+		inner, ok := c.compileNumeric(e.Inner)
+		if !ok {
+			return nil, false
+		}
+		return func(ec *evalCtx, row []rdf.ID) (float64, bool) {
+			v, ok := inner(ec, row)
+			return -v, ok
+		}, true
+	case ArithExpr:
+		l, lok := c.compileNumeric(e.L)
+		r, rok := c.compileNumeric(e.R)
+		if !lok || !rok {
+			return nil, false
+		}
+		op := e.Op
+		if op != '+' && op != '-' && op != '*' && op != '/' {
+			return nil, false
+		}
+		return func(ec *evalCtx, row []rdf.ID) (float64, bool) {
+			lv, ok := l(ec, row)
+			if !ok {
+				return 0, false
+			}
+			rv, ok := r(ec, row)
+			if !ok {
+				return 0, false
+			}
+			switch op {
+			case '+':
+				return lv + rv, true
+			case '-':
+				return lv - rv, true
+			case '*':
+				return lv * rv, true
+			default:
+				if rv == 0 {
+					return 0, false // division by zero errors in ArithExpr
+				}
+				return lv / rv, true
+			}
+		}, true
+	}
+	return nil, false
+}

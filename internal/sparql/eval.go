@@ -95,12 +95,13 @@ func (c *canceller) tripped() error {
 	return c.err
 }
 
-// EvalStats counts executions, required-constant bail-outs and path-closure
-// work. The zero value is ready to use; all fields are atomic so one instance
-// can be shared by every worker of an engine.
+// EvalStats counts executions, required-constant bail-outs, join extensions
+// and path-closure work. The zero value is ready to use; all fields are atomic
+// so one instance can be shared by every worker of an engine.
 type EvalStats struct {
 	executions      atomic.Int64
 	constantBailout atomic.Int64
+	joinRows        atomic.Int64
 
 	pathCSRBuilds   atomic.Int64
 	pathCSRHits     atomic.Int64
@@ -121,6 +122,11 @@ type EvalSnapshot struct {
 	// entirely because a required constant was missing from the graph's
 	// vocabulary (a subset of Specialized).
 	ConstantBailouts int64 `json:"constantBailouts"`
+	// JoinRows counts the binding extensions the depth-first join attempted
+	// (one per triple pattern run on one row): the size of every
+	// intermediate result a join order produced, summed — plan quality as a
+	// number.
+	JoinRows int64 `json:"joinRows"`
 	// Path aggregates the path-closure acceleration counters.
 	Path PathSnapshot `json:"path"`
 }
@@ -147,6 +153,7 @@ func (s *EvalStats) Snapshot() EvalSnapshot {
 	return EvalSnapshot{
 		Specialized:      s.executions.Load(),
 		ConstantBailouts: s.constantBailout.Load(),
+		JoinRows:         s.joinRows.Load(),
 		Path: PathSnapshot{
 			CSRBuilds:   s.pathCSRBuilds.Load(),
 			CSRHits:     s.pathCSRHits.Load(),
@@ -158,8 +165,12 @@ func (s *EvalStats) Snapshot() EvalSnapshot {
 	}
 }
 
-// addPath folds one evaluation's path counters into the shared stats.
-func (s *EvalStats) addPath(p PathStats) {
+// addEval folds one evaluation's join and path counters into the shared
+// stats.
+func (s *EvalStats) addEval(p PathStats, joinRows int64) {
+	if joinRows != 0 {
+		s.joinRows.Add(joinRows)
+	}
 	if p == (PathStats{}) {
 		return
 	}
@@ -216,154 +227,73 @@ func (q *Query) Exec(g *rdf.Graph) (*Results, error) {
 
 // ExecOpts evaluates the query against g.
 //
-// Before matching starts, every constant term the query mentions
-// (Analysis.Consts) is resolved to g's dense dictionary ID exactly once, and
-// WHERE evaluation is skipped altogether when a required constant is absent
-// from g's vocabulary. Pattern matching then runs in ID space (see
-// specialize.go); terms materialize once, in the projection tail.
+// The query's compiled program (see compile.go) is evaluated on a pooled
+// evalCtx: every constant term the query mentions is resolved to g's dense
+// dictionary ID exactly once, WHERE evaluation is skipped altogether when a
+// required constant is absent from g's vocabulary, and pattern matching runs
+// in ID space (see specialize.go); terms materialize once, in the projection
+// tail.
 func (q *Query) ExecOpts(g *rdf.Graph, opts ExecOptions) (*Results, error) {
-	grouped, err := q.checkAggregation()
-	if err != nil {
-		return nil, err
+	p := q.Analysis().prog
+	if p.aggErr != nil {
+		return nil, p.aggErr
 	}
 	if opts.Ctx != nil {
 		if err := opts.Ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	ec := newEvalCtx(g, q, opts)
+	ec := acquireEvalCtx(g, p, opts)
+	res, err := ec.exec(q)
 	if opts.Stats != nil {
 		opts.Stats.executions.Add(1)
-		defer func() { opts.Stats.addPath(ec.env.stats) }()
+		opts.Stats.addEval(ec.env.stats, ec.joinRows)
 	}
+	ec.release()
+	return res, err
+}
+
+// exec runs the WHERE clause and the projection tail.
+func (ec *evalCtx) exec(q *Query) (*Results, error) {
+	p := ec.prog
 	// Required-constant bail-out: when the graph's vocabulary misses a term
 	// every match must contain, the WHERE clause is known to produce zero
 	// solutions without being evaluated. The projection tail still runs so
 	// aggregates over the empty solution set keep their one-row result.
-	var sols []isol
-	if q.Analysis().RequiredIn(g) {
-		sols, err = ec.evalGroupIDs(q.Where, []isol{make(isol, len(ec.varNames))})
-		if err != nil {
-			return nil, err
-		}
-	} else if opts.Stats != nil {
-		opts.Stats.constantBailout.Add(1)
+	required := true
+	for _, n := range p.required {
+		required = required && ec.consts[n] != rdf.NoID
 	}
-	var res *Results
-	if grouped {
-		res, err = ec.evalGrouped(q, ec.toTermSolutions(sols))
-	} else {
-		var ok bool
-		if res, ok, err = ec.projectIDs(q, sols); err == nil && !ok {
-			res, err = ec.project(q, ec.toTermSolutions(sols))
-		}
+	out := ec.pushTable()
+	if required {
+		ec.evalGroup(p.root, ec.zero, out, p.earlyDistinct)
+	} else if ec.opts.Stats != nil {
+		ec.opts.Stats.constantBailout.Add(1)
 	}
-	if err != nil {
+	table := ec.tabs[out]
+	// A cancellation stops the join and the path walks without an error
+	// return path of their own; surface it here so truncated results never
+	// masquerade as complete ones.
+	if err := ec.cancel.tripped(); err != nil {
 		return nil, err
 	}
-	// A cancellation observed inside a path callback stops emission without
-	// an error return path of its own; surface it here so truncated results
-	// never masquerade as complete ones.
-	if cerr := ec.cancel.tripped(); cerr != nil {
-		return nil, cerr
+	switch {
+	case p.grouped:
+		return ec.evalGrouped(q, ec.toTermSolutions(table))
+	case p.idTail:
+		return ec.projectIDs(q, table)
+	default:
+		return ec.project(q, ec.toTermSolutions(table))
 	}
-	return res, nil
 }
 
-// solution is a variable assignment in term space, indexed by the context's
-// variable slots. A zero Term means unbound. WHERE evaluation works on isol
+// solution is a variable assignment in term space, indexed by the program's
+// variable slots. A zero Term means unbound. WHERE evaluation works on ID
 // rows; solutions exist only in the projection and aggregation tail.
 type solution []rdf.Term
 
-// evalCtx is the state of one evaluation of one query against one graph. Not
-// safe for concurrent use.
-type evalCtx struct {
-	g        *rdf.Graph
-	opts     ExecOptions
-	varIndex map[string]int
-	varNames []string
-
-	// cancel is the cooperative cancellation checkpoint for this
-	// evaluation (nil when ExecOptions.Ctx cannot be cancelled). The same
-	// pointer is shared with env so closure BFS walks poll it too.
-	cancel *canceller
-
-	// env is the property-path environment shared by every path evaluation
-	// of this execution: it owns the closure memo and the pooled BFS
-	// buffers, and resolves predicate IRIs through constIDs.
-	env pathEnv
-
-	// constIDs maps every constant term of the query to its dense ID in the
-	// target graph (NoID when absent), resolved once before evaluation.
-	constIDs map[rdf.Term]rdf.ID
-
-	// predCard memoizes Count(NoID, p, NoID) per predicate, the only Count
-	// combination that is not O(1) on the index maps; the join-order
-	// heuristic asks for it once per pattern per BGP step.
-	predCard map[rdf.ID]int
-
-	// extra and extraIDs hold terms synthesized during evaluation (BIND
-	// results) that the graph's dictionary does not contain.
-	extra    []rdf.Term
-	extraIDs map[rdf.Term]rdf.ID
-
-	// floats memoizes numeric parsing per term ID: FILTER comparisons over
-	// cardinalities and costs re-visit the same few literals for every row.
-	floats map[rdf.ID]cachedFloat
-}
-
-func newEvalCtx(g *rdf.Graph, q *Query, opts ExecOptions) *evalCtx {
-	an := q.Analysis()
-	ec := &evalCtx{
-		g:        g,
-		opts:     opts,
-		varIndex: make(map[string]int),
-		cancel:   newCanceller(opts.Ctx),
-		constIDs: make(map[rdf.Term]rdf.ID, len(an.Consts)),
-	}
-	dict := g.Dict()
-	for _, t := range an.Consts {
-		ec.constIDs[t] = dict.Lookup(t)
-	}
-	ec.env = pathEnv{g: g, cancel: ec.cancel, pred: func(iri string) rdf.ID {
-		return ec.constID(rdf.IRI(iri))
-	}}
-	for _, v := range q.Where.Vars() {
-		ec.slot(v)
-	}
-	for _, item := range q.Select {
-		for _, v := range exprVars(item.Expr) {
-			ec.slot(v)
-		}
-	}
-	for _, key := range q.OrderBy {
-		for _, v := range exprVars(key.Expr) {
-			ec.slot(v)
-		}
-	}
-	for _, v := range q.GroupBy {
-		ec.slot(v)
-	}
-	if q.Having != nil {
-		for _, v := range exprVars(q.Having) {
-			ec.slot(v)
-		}
-	}
-	return ec
-}
-
-func (ec *evalCtx) slot(v string) int {
-	if i, ok := ec.varIndex[v]; ok {
-		return i
-	}
-	i := len(ec.varNames)
-	ec.varIndex[v] = i
-	ec.varNames = append(ec.varNames, v)
-	return i
-}
-
 func (ec *evalCtx) emptySolution() solution {
-	return make(solution, len(ec.varNames))
+	return make(solution, len(ec.prog.vars))
 }
 
 // solView adapts a solution to the expression evaluator's bindingView.
@@ -373,7 +303,7 @@ type solView struct {
 }
 
 func (v solView) lookupVar(name string) (rdf.Term, bool) {
-	i, ok := v.ec.varIndex[name]
+	i, ok := v.ec.prog.varIndex[name]
 	if !ok {
 		return rdf.Term{}, false
 	}
@@ -382,104 +312,6 @@ func (v solView) lookupVar(name string) (rdf.Term, bool) {
 		return rdf.Term{}, false
 	}
 	return t, true
-}
-
-// boundSet tracks statically-bound variables during group evaluation.
-type boundSet map[string]bool
-
-func (b boundSet) hasAll(vars []string) bool {
-	for _, v := range vars {
-		if !b[v] {
-			return false
-		}
-	}
-	return true
-}
-
-// pendingFilter is a group-level filter awaiting application.
-type pendingFilter struct {
-	expr    Expression
-	vars    []string
-	eager   bool // safe to apply as soon as vars are statically bound
-	applied bool
-}
-
-// filterIsEager reports whether the filter may be applied as soon as its
-// variables are statically bound. Filters that inspect boundness must wait
-// for the end of the group.
-func filterIsEager(e Expression) bool {
-	eager := true
-	var walk func(Expression)
-	walk = func(e Expression) {
-		switch e := e.(type) {
-		case CallExpr:
-			if e.Name == "BOUND" || e.Name == "COALESCE" {
-				eager = false
-			}
-			for _, a := range e.Args {
-				walk(a)
-			}
-		case NotExpr:
-			walk(e.Inner)
-		case NegExpr:
-			walk(e.Inner)
-		case AndExpr:
-			walk(e.L)
-			walk(e.R)
-		case OrExpr:
-			walk(e.L)
-			walk(e.R)
-		case CmpExpr:
-			walk(e.L)
-			walk(e.R)
-		case ArithExpr:
-			walk(e.L)
-			walk(e.R)
-		}
-	}
-	walk(e)
-	return eager
-}
-
-// groupBoundVars computes the variables a group binds in every solution it
-// produces (conservatively: triple patterns and BINDs; OPTIONAL binds
-// nothing; UNION binds the intersection of its branches).
-func (ec *evalCtx) groupBoundVars(g *GroupPattern) boundSet {
-	out := make(boundSet)
-	for _, el := range g.Elems {
-		switch el := el.(type) {
-		case TriplePattern:
-			if el.S.IsVar() {
-				out[el.S.Var] = true
-			}
-			if el.O.IsVar() {
-				out[el.O.Var] = true
-			}
-			if pv, ok := el.P.(predVarPath); ok {
-				out[pv.name] = true
-			}
-		case BindElem:
-			out[el.Var] = true
-		case GroupElem:
-			for v := range ec.groupBoundVars(el.Group) {
-				out[v] = true
-			}
-		case UnionElem:
-			common := ec.groupBoundVars(el.Branches[0])
-			for _, b := range el.Branches[1:] {
-				next := ec.groupBoundVars(b)
-				for v := range common {
-					if !next[v] {
-						delete(common, v)
-					}
-				}
-			}
-			for v := range common {
-				out[v] = true
-			}
-		}
-	}
-	return out
 }
 
 // project applies SELECT, DISTINCT, ORDER BY, LIMIT and OFFSET.
@@ -520,7 +352,7 @@ func (ec *evalCtx) project(q *Query, sols []solution) (*Results, error) {
 	var vars []string
 	var exprs []Expression
 	if q.Star {
-		for _, v := range ec.varNames {
+		for _, v := range ec.prog.vars {
 			if !strings.HasPrefix(v, "!") {
 				vars = append(vars, v)
 				exprs = append(exprs, VarExpr{Name: v})

@@ -26,8 +26,8 @@ func execReference(q *Query, g *rdf.Graph) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := newEvalCtx(g, q, ExecOptions{})
-	sols, err := ctx.evalGroup(q.Where, []solution{ctx.emptySolution()})
+	ctx := acquireEvalCtx(g, q.Analysis().prog, ExecOptions{})
+	sols, err := ctx.refEvalGroup(q.Where, []solution{ctx.emptySolution()})
 	if err != nil {
 		return nil, err
 	}
@@ -37,14 +37,78 @@ func execReference(q *Query, g *rdf.Graph) (*Results, error) {
 	return ctx.project(q, sols)
 }
 
-// evalGroup evaluates a group pattern seeded with the given solutions.
-func (ctx *evalCtx) evalGroup(g *GroupPattern, seed []solution) ([]solution, error) {
+// slot is v's position in a solution.
+func (ctx *evalCtx) slot(v string) int { return ctx.prog.varIndex[v] }
+
+// boundSet tracks statically-bound variables during group evaluation.
+type boundSet map[string]bool
+
+func (b boundSet) hasAll(vars []string) bool {
+	for _, v := range vars {
+		if !b[v] {
+			return false
+		}
+	}
+	return true
+}
+
+// pendingFilter is a group-level filter awaiting application.
+type pendingFilter struct {
+	expr    Expression
+	vars    []string
+	eager   bool // safe to apply as soon as vars are statically bound
+	applied bool
+}
+
+// groupBoundVars computes the variables a group binds in every solution it
+// produces (conservatively: triple patterns and BINDs; OPTIONAL binds
+// nothing; UNION binds the intersection of its branches).
+func (ctx *evalCtx) groupBoundVars(g *GroupPattern) boundSet {
+	out := make(boundSet)
+	for _, el := range g.Elems {
+		switch el := el.(type) {
+		case TriplePattern:
+			if el.S.IsVar() {
+				out[el.S.Var] = true
+			}
+			if el.O.IsVar() {
+				out[el.O.Var] = true
+			}
+			if pv, ok := el.P.(predVarPath); ok {
+				out[pv.name] = true
+			}
+		case BindElem:
+			out[el.Var] = true
+		case GroupElem:
+			for v := range ctx.groupBoundVars(el.Group) {
+				out[v] = true
+			}
+		case UnionElem:
+			common := ctx.groupBoundVars(el.Branches[0])
+			for _, b := range el.Branches[1:] {
+				next := ctx.groupBoundVars(b)
+				for v := range common {
+					if !next[v] {
+						delete(common, v)
+					}
+				}
+			}
+			for v := range common {
+				out[v] = true
+			}
+		}
+	}
+	return out
+}
+
+// refEvalGroup evaluates a group pattern seeded with the given solutions.
+func (ctx *evalCtx) refEvalGroup(g *GroupPattern, seed []solution) ([]solution, error) {
 	if len(seed) == 0 {
 		return nil, nil
 	}
 	// Variables bound in every seed solution are statically available.
 	bound := make(boundSet)
-	for name, idx := range ctx.varIndex {
+	for name, idx := range ctx.prog.varIndex {
 		all := true
 		for _, s := range seed {
 			if s[idx].Zero() {
@@ -117,7 +181,7 @@ func (ctx *evalCtx) evalGroup(g *GroupPattern, seed []solution) ([]solution, err
 			sols = ctx.applyReadyFilters(filters, bound, sols)
 		case GroupElem:
 			i++
-			sols, err = ctx.evalGroup(el.Group, sols)
+			sols, err = ctx.refEvalGroup(el.Group, sols)
 			if err != nil {
 				return nil, err
 			}
@@ -129,7 +193,7 @@ func (ctx *evalCtx) evalGroup(g *GroupPattern, seed []solution) ([]solution, err
 			i++
 			out := sols[:0]
 			for _, s := range sols {
-				res, eerr := ctx.evalGroup(el.Group, []solution{append(solution(nil), s...)})
+				res, eerr := ctx.refEvalGroup(el.Group, []solution{append(solution(nil), s...)})
 				if eerr != nil {
 					return nil, eerr
 				}
@@ -195,7 +259,7 @@ func (ctx *evalCtx) filterSolutions(expr Expression, sols []solution) []solution
 func (ctx *evalCtx) evalOptional(el OptionalElem, sols []solution) ([]solution, error) {
 	var out []solution
 	for _, s := range sols {
-		res, err := ctx.evalGroup(el.Group, []solution{append(solution(nil), s...)})
+		res, err := ctx.refEvalGroup(el.Group, []solution{append(solution(nil), s...)})
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +276,7 @@ func (ctx *evalCtx) evalUnion(el UnionElem, sols []solution) ([]solution, error)
 	var out []solution
 	for _, s := range sols {
 		for _, branch := range el.Branches {
-			res, err := ctx.evalGroup(branch, []solution{append(solution(nil), s...)})
+			res, err := ctx.refEvalGroup(branch, []solution{append(solution(nil), s...)})
 			if err != nil {
 				return nil, err
 			}

@@ -15,12 +15,22 @@ import "optimatch/internal/rdf"
 // so a replayed closure and a live one emit the same pair sequence.
 
 // pathEnv carries the graph a property path evaluates against plus the
-// per-evaluation acceleration state: an optional memoized predicate-IRI
-// resolver, the closure memo, and reusable bitset/frontier buffers. One
-// pathEnv lives per query evaluation and is not safe for concurrent use.
+// per-evaluation acceleration state: the evaluation's resolved predicate
+// IRIs (optional), the closure memo, and reusable bitset/frontier buffers.
+// One pathEnv lives per query evaluation and is not safe for concurrent use.
+//
+// The buffer pools are stacks and every walk returns what it took, whether
+// it ran to the end or was stopped, so the environment is re-entrant: a walk
+// may start while another one's buffers are still out (nested closures, the
+// pair buffers the depth-first join holds across its descent), and an
+// environment a cancelled evaluation hands back to the evalCtx pool is clean.
 type pathEnv struct {
-	g    *rdf.Graph
-	pred func(iri string) rdf.ID
+	g *rdf.Graph
+
+	// predConst maps a predicate IRI to its const number in the evaluation's
+	// program and consts that number to its ID in g.
+	predConst map[string]int
+	consts    []rdf.ID
 
 	// cancel is the evaluation's cooperative cancellation checkpoint
 	// (shared with the evalCtx that owns this env; nil means the
@@ -56,12 +66,15 @@ type PathStats struct {
 	BitsetBytes int64 // bytes allocated for visited bitsets (pool misses)
 }
 
-// closureKey identifies one memoized closure: the inner path (rendered to
-// its canonical SPARQL syntax), the walk direction, and the start node.
+// closureKey identifies one memoized closure: the inner path, the walk
+// direction, and the start node. A (possibly inverted) plain predicate — the
+// inner path of nearly every closure — is keyed by its IRI and orientation,
+// which costs no allocation; any other path by its canonical SPARQL syntax.
 type closureKey struct {
-	path     string
-	backward bool
-	start    rdf.ID
+	path             string
+	simple, inverted bool
+	backward         bool
+	start            rdf.ID
 }
 
 // closureSet is a memoized closure result: every node reachable from start
@@ -74,8 +87,8 @@ type closureSet struct {
 }
 
 func (e *pathEnv) predID(iri string) rdf.ID {
-	if e.pred != nil {
-		return e.pred(iri)
+	if n, ok := e.predConst[iri]; ok {
+		return e.consts[n]
 	}
 	return e.g.Dict().Lookup(rdf.IRI(iri))
 }
@@ -337,7 +350,12 @@ func closure(env *pathEnv, inner Path, start, other rdf.ID, includeZero, backwar
 // is NOT memoized: the evaluation is about to fail with the context error,
 // and a later evaluation must never replay truncated reachability as truth.
 func (env *pathEnv) closureSet(inner Path, start rdf.ID, backward bool) *closureSet {
-	key := closureKey{path: PathString(inner), backward: backward, start: start}
+	key := closureKey{backward: backward, start: start}
+	if iri, inverted, ok := basePred(inner); ok {
+		key.path, key.simple, key.inverted = iri, true, inverted
+	} else {
+		key.path = PathString(inner)
+	}
 	if set, ok := env.memo[key]; ok {
 		env.stats.MemoHits++
 		return set

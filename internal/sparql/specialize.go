@@ -1,59 +1,249 @@
 package sparql
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"optimatch/internal/rdf"
 )
 
-// This file implements WHERE-clause evaluation. Matching runs entirely in
-// the target graph's ID space: the query's constants were resolved to dense
-// dictionary IDs when the evalCtx was built, and a solution is a []rdf.ID
-// instead of a []rdf.Term, so extending a solution copies machine words
-// instead of term structs, comparing bindings never hashes strings, and the
-// GC sees no pointers inside solution rows. Terms synthesized by BIND (which
-// may not exist in the graph) live in a per-evaluation side table addressed
-// by IDs with the top bit set. Solutions are converted back to terms once,
-// after the WHERE clause has finished — and only for the rows that survive
-// DISTINCT and LIMIT/OFFSET when the projection is plain variables.
+// This file implements WHERE-clause evaluation over a compiled program (see
+// compile.go). Matching runs entirely in the target graph's ID space: the
+// query's constants are resolved to dense dictionary IDs once per evaluation,
+// and a solution is a run of rdf.IDs instead of rdf.Terms, so binding a
+// variable stores a machine word, comparing bindings never hashes strings,
+// and the GC sees no pointers inside solution rows. Terms synthesized by BIND
+// (which may not exist in the graph) live in a per-evaluation side table
+// addressed by IDs with the top bit set.
+//
+// A block of triple patterns is ordered first — by the greedy selectivity
+// heuristic, which reads only the query and the graph's statistics, never the
+// rows — and then run depth-first on one binding row: each step binds its
+// variables in place, applies the filters whose variables it completed,
+// recurses, and restores. Only rows that survive the whole block are copied
+// out, into a flat table (width = slots) that the group's other elements
+// consume seed row by seed row. Level-at-a-time evaluation that preserves seed
+// order visits the same rows in the same order, so the row sequence is the
+// one the reference evaluator produces for the same join order. Every buffer
+// an evaluation needs lives on its evalCtx, and evalCtxs are pooled, so a
+// (query, graph) pair that matches nothing allocates next to nothing.
 
 // extraIDBit marks IDs addressing the per-evaluation side table of terms
 // that are not in the graph's dictionary. Graph dictionaries are per-plan
 // and orders of magnitude smaller than 2^31 entries, so the bit is free.
 const extraIDBit rdf.ID = 1 << 31
 
-// isol is a solution in ID space: one graph dictionary ID (or side-table
-// ID) per variable slot, rdf.NoID meaning unbound.
-type isol []rdf.ID
+// evalCtx is the state of one evaluation of one query against one graph. Not
+// safe for concurrent use.
+type evalCtx struct {
+	g    *rdf.Graph
+	prog *program
+	opts ExecOptions
+
+	// cancel is the cooperative cancellation checkpoint for this
+	// evaluation (nil when ExecOptions.Ctx cannot be cancelled; else it
+	// points at cancelBuf). The same pointer is shared with env so closure
+	// BFS walks poll it too.
+	cancel    *canceller
+	cancelBuf canceller
+
+	// env is the property-path environment shared by every path evaluation
+	// of this execution: it owns the closure memo and the pooled BFS
+	// buffers, and resolves predicate IRIs through consts.
+	env pathEnv
+
+	// consts holds the dense ID in the target graph of every constant of
+	// the query, by const number (NoID when absent).
+	consts []rdf.ID
+
+	// rowBuf backs row, the one binding row the depth-first join works on,
+	// and zero, the all-unbound seed of the root group.
+	rowBuf    []rdf.ID
+	row, zero []rdf.ID
+	// view is the row the generic expression evaluator reads (lookupVar).
+	view []rdf.ID
+
+	// steps is the step arena (one entry per triple pattern of the query,
+	// each block owning a fixed range) and plans the per-block plan table.
+	steps []stepRun
+	plans []blockPlan
+	run   blockRun
+
+	// tabs is the stack of row tables: a group pushes the tables its elements
+	// hand rows through and pops them when it is done, nested groups push
+	// theirs above. Tables are addressed by index because the stack may be
+	// reallocated while a group is running.
+	tabs [][]rdf.ID
+
+	// seen and keyBuf dedup projected rows for DISTINCT; pairSeen dedups the
+	// pairs of a property path with both ends unbound.
+	seen     map[string]struct{}
+	keyBuf   []byte
+	pairSeen map[[2]rdf.ID]struct{}
+
+	// floats memoizes numeric parsing per term ID: FILTER comparisons over
+	// cardinalities and costs re-visit the same few literals for every row.
+	// An entry counts only while its epoch is the evaluation's, so the table
+	// needs no clearing between evaluations.
+	floats []cachedFloat
+	epoch  uint32
+
+	// extra and extraIDs hold terms synthesized during evaluation (BIND
+	// results) that the graph's dictionary does not contain.
+	extra    []rdf.Term
+	extraIDs map[rdf.Term]rdf.ID
+
+	// joinRows counts the binding extensions attempted (recursion nodes of
+	// the depth-first join), folded into ExecOptions.Stats at the end.
+	joinRows int64
+}
+
+// stepRun is one triple pattern prepared for one evaluation: constants
+// resolved, position in the join order decided.
+type stepRun struct {
+	pat           *patProg
+	sid, oid, pid rdf.ID  // resolved constants, NoID in variable positions
+	dead          bool    // a constant is absent from the graph: no matches
+	base          float64 // cost before the bound-variable adjustments
+	filters       uint64  // the group's filters to apply once this step has bound its variables
+}
+
+// blockPlan records for which entry state a block's steps are currently
+// ordered, and the state the block leaves behind.
+type blockPlan struct {
+	valid                bool
+	bound, applied       uint64
+	outBound, outApplied uint64
+}
+
+// blockRun is the block the depth-first join is currently running.
+type blockRun struct {
+	steps   []stepRun
+	filters []filterProg
+	// final: the block is the last element of its group, so its leaves apply
+	// the group's remaining filters (those not in applied) and emit to the
+	// group's own output table; otherwise the rows go to table out as they
+	// are.
+	final    bool
+	applied  uint64
+	distinct bool
+	out      int
+}
 
 type cachedFloat struct {
-	f  float64
-	ok bool
+	f     float64
+	epoch uint32
+	ok    bool
 }
 
-// floatOf is Term.Float for the term behind id, memoized per evaluation.
+// maxPooledWords and maxPooledKeys bound what a pooled evalCtx may keep
+// alive between evaluations: one huge ad-hoc result must not pin its tables,
+// nor make every later clear() of a dedup set walk its buckets.
+const (
+	maxPooledWords = 1 << 16
+	maxPooledKeys  = 1 << 12
+)
+
+var evalCtxPool = sync.Pool{New: func() any { return new(evalCtx) }}
+
+// acquireEvalCtx readies a pooled evalCtx for one evaluation of program p
+// against g: it sizes the row, the step arena and the plan table for p and
+// resolves every constant against g's dictionary.
+func acquireEvalCtx(g *rdf.Graph, p *program, opts ExecOptions) *evalCtx {
+	ec := evalCtxPool.Get().(*evalCtx)
+	ec.g, ec.prog, ec.opts = g, p, opts
+	if c := newCanceller(opts.Ctx); c != nil {
+		ec.cancelBuf = *c
+		ec.cancel = &ec.cancelBuf
+	}
+	ec.consts = slices.Grow(ec.consts[:0], len(p.consts))
+	dict := g.Dict()
+	for _, t := range p.consts {
+		ec.consts = append(ec.consts, dict.Lookup(t))
+	}
+	ec.env.g, ec.env.cancel = g, ec.cancel
+	ec.env.predConst, ec.env.consts = p.predConst, ec.consts
+
+	ec.rowBuf = slices.Grow(ec.rowBuf[:0], 2*p.width)[:2*p.width]
+	clear(ec.rowBuf)
+	ec.row, ec.zero = ec.rowBuf[:p.width], ec.rowBuf[p.width:]
+	ec.steps = slices.Grow(ec.steps[:0], p.nPats)[:p.nPats]
+	ec.plans = slices.Grow(ec.plans[:0], p.nBlks)[:p.nBlks]
+	clear(ec.plans)
+
+	if ec.epoch++; ec.epoch == 0 {
+		clear(ec.floats)
+		ec.epoch = 1
+	}
+	return ec
+}
+
+// release returns ec to the pool, dropping every reference to the
+// evaluation's graph, query and context and whatever grew past the pooling
+// bounds.
+func (ec *evalCtx) release() {
+	ec.g, ec.prog, ec.opts = nil, nil, ExecOptions{}
+	ec.cancel, ec.cancelBuf = nil, canceller{}
+	env := &ec.env
+	env.g, env.cancel, env.predConst, env.consts = nil, nil, nil, nil
+	env.stats = PathStats{}
+	env.memo = resetMap(env.memo)
+	ec.view = nil
+	clear(ec.steps)
+	ec.run = blockRun{}
+	ec.popTables(0)
+	ec.seen = resetMap(ec.seen)
+	ec.pairSeen = resetMap(ec.pairSeen)
+	if len(ec.floats) > maxPooledWords {
+		ec.floats = nil
+	}
+	clear(ec.extra)
+	ec.extra = ec.extra[:0]
+	clear(ec.extraIDs)
+	ec.joinRows = 0
+	evalCtxPool.Put(ec)
+}
+
+// resetMap empties a pooled map, or drops it when it grew past the pooling
+// bound.
+func resetMap[K comparable, V any](m map[K]V) map[K]V {
+	if len(m) > maxPooledKeys {
+		return nil
+	}
+	clear(m)
+	return m
+}
+
+// lookupVar makes the evaluation the bindingView of the generic expression
+// evaluator, over the row in ec.view.
+func (ec *evalCtx) lookupVar(name string) (rdf.Term, bool) {
+	i, ok := ec.prog.varIndex[name]
+	if !ok {
+		return rdf.Term{}, false
+	}
+	id := ec.view[i]
+	if id == rdf.NoID {
+		return rdf.Term{}, false
+	}
+	return ec.term(id), true
+}
+
+// floatOf is Term.Float for the term behind id, memoized per evaluation for
+// graph terms.
 func (ec *evalCtx) floatOf(id rdf.ID) (float64, bool) {
-	if v, hit := ec.floats[id]; hit {
-		return v.f, v.ok
+	if id&extraIDBit != 0 {
+		return ec.term(id).Float()
 	}
-	f, ok := ec.term(id).Float()
-	if ec.floats == nil {
-		ec.floats = make(map[rdf.ID]cachedFloat)
+	if int(id) >= len(ec.floats) {
+		ec.floats = append(ec.floats, make([]cachedFloat, int(ec.g.MaxID())+1-len(ec.floats))...)
 	}
-	ec.floats[id] = cachedFloat{f, ok}
-	return f, ok
-}
-
-// constID resolves a constant term through the pre-resolved table, falling
-// back to the dictionary for terms the static analysis did not see (hand-
-// assembled queries only).
-func (ec *evalCtx) constID(t rdf.Term) rdf.ID {
-	if id, ok := ec.constIDs[t]; ok {
-		return id
+	c := &ec.floats[id]
+	if c.epoch != ec.epoch {
+		c.f, c.ok = ec.g.Dict().Term(id).Float()
+		c.epoch = ec.epoch
 	}
-	return ec.g.Dict().Lookup(t)
+	return c.f, c.ok
 }
 
 // term converts an ID-space binding back to a term.
@@ -91,627 +281,311 @@ func (ec *evalCtx) intern(t rdf.Term) rdf.ID {
 	return id
 }
 
-// specView adapts an ID-space solution to the expression evaluator.
-type specView struct {
-	ec  *evalCtx
-	sol isol
-}
-
-func (v specView) lookupVar(name string) (rdf.Term, bool) {
-	i, ok := v.ec.varIndex[name]
-	if !ok || i >= len(v.sol) {
-		return rdf.Term{}, false
-	}
-	id := v.sol[i]
-	if id == rdf.NoID {
-		return rdf.Term{}, false
-	}
-	return v.ec.term(id), true
-}
-
-// projectIDs applies SELECT, DISTINCT, ORDER BY, LIMIT and OFFSET directly
-// on ID-space solutions, doing what evalCtx.project does step for step (sort
-// before dedup, same comparator, same stable order). It handles only
-// projections and order keys that are plain variables — the shape of every
-// pattern- and knowledge-base-compiled query — and reports false otherwise
-// so the caller falls back to the term-space tail. The payoff is that terms
-// materialize only for sort keys and for rows that survive DISTINCT and
-// LIMIT/OFFSET; dictionary interning makes an ID tuple an exact stand-in
-// for a term tuple in the DISTINCT probe.
-func (ec *evalCtx) projectIDs(q *Query, sols []isol) (*Results, bool, error) {
-	var vars []string
-	var slots []int
-	slotOf := func(name string) int {
-		if i, ok := ec.varIndex[name]; ok {
-			return i
-		}
-		return -1
-	}
-	if q.Star {
-		for i, v := range ec.varNames {
-			if !strings.HasPrefix(v, "!") {
-				vars = append(vars, v)
-				slots = append(slots, i)
-			}
-		}
+// pushTable opens an empty row table on top of the stack, reusing the
+// capacity a table popped there earlier left behind.
+func (ec *evalCtx) pushTable() int {
+	n := len(ec.tabs)
+	if n < cap(ec.tabs) {
+		ec.tabs = ec.tabs[:n+1]
+		ec.tabs[n] = ec.tabs[n][:0]
 	} else {
-		for _, item := range q.Select {
-			ve, ok := item.Expr.(VarExpr)
-			if !ok {
-				return nil, false, nil
-			}
-			vars = append(vars, item.Alias)
-			slots = append(slots, slotOf(ve.Name))
-		}
+		ec.tabs = append(ec.tabs, nil)
 	}
-	orderSlots := make([]int, len(q.OrderBy))
-	for j, key := range q.OrderBy {
-		ve, ok := key.Expr.(VarExpr)
-		if !ok {
-			return nil, false, nil
-		}
-		orderSlots[j] = slotOf(ve.Name)
-	}
-
-	at := func(s isol, slot int) rdf.ID {
-		if slot >= 0 && slot < len(s) {
-			return s[slot]
-		}
-		return rdf.NoID
-	}
-
-	if len(orderSlots) > 0 {
-		type keyed struct {
-			sol  isol
-			keys []rdf.Term
-		}
-		ks := make([]keyed, len(sols))
-		for i, s := range sols {
-			keys := make([]rdf.Term, len(orderSlots))
-			for j, slot := range orderSlots {
-				if id := at(s, slot); id != rdf.NoID {
-					keys[j] = ec.term(id)
-				}
-			}
-			ks[i] = keyed{sol: s, keys: keys}
-		}
-		sort.SliceStable(ks, func(a, b int) bool {
-			for j := range orderSlots {
-				c := ks[a].keys[j].Compare(ks[b].keys[j])
-				if q.OrderBy[j].Desc {
-					c = -c
-				}
-				if c != 0 {
-					return c < 0
-				}
-			}
-			return false
-		})
-		for i := range ks {
-			sols[i] = ks[i].sol
-		}
-	}
-
-	idRows := make([]isol, 0, len(sols))
-	var seen map[string]bool
-	var keyBuf []byte
-	if q.Distinct {
-		seen = make(map[string]bool, len(sols))
-	}
-	for _, s := range sols {
-		if err := ec.cancel.check(); err != nil {
-			return nil, true, err
-		}
-		if q.Distinct {
-			keyBuf = keyBuf[:0]
-			for _, slot := range slots {
-				id := at(s, slot)
-				keyBuf = append(keyBuf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-			}
-			if seen[string(keyBuf)] {
-				continue
-			}
-			seen[string(keyBuf)] = true
-		}
-		row := make(isol, len(slots))
-		for i, slot := range slots {
-			row[i] = at(s, slot)
-		}
-		idRows = append(idRows, row)
-	}
-
-	if q.Offset > 0 {
-		if q.Offset >= len(idRows) {
-			idRows = nil
-		} else {
-			idRows = idRows[q.Offset:]
-		}
-	}
-	if q.Limit >= 0 && q.Limit < len(idRows) {
-		idRows = idRows[:q.Limit]
-	}
-
-	res := &Results{Vars: vars}
-	if len(idRows) > 0 {
-		res.Rows = make([][]rdf.Term, len(idRows))
-		for i, r := range idRows {
-			row := make([]rdf.Term, len(r))
-			for j, id := range r {
-				if id != rdf.NoID {
-					row[j] = ec.term(id)
-				}
-			}
-			res.Rows[i] = row
-		}
-	}
-	return res, true, nil
-}
-
-// toTermSolutions converts ID-space solutions to term space for the shared
-// projection/aggregation tail, padding rows to the final slot count.
-func (ec *evalCtx) toTermSolutions(in []isol) []solution {
-	out := make([]solution, len(in))
-	for i, s := range in {
-		ts := make(solution, len(ec.varNames))
-		for j, id := range s {
-			if id != rdf.NoID {
-				ts[j] = ec.term(id)
-			}
-		}
-		out[i] = ts
-	}
-	return out
-}
-
-// evalGroupIDs evaluates a group pattern seeded with the given solutions.
-func (ec *evalCtx) evalGroupIDs(g *GroupPattern, seed []isol) ([]isol, error) {
-	if len(seed) == 0 {
-		return nil, nil
-	}
-	// Variables bound in every seed solution are statically available.
-	bound := make(boundSet)
-	for name, idx := range ec.varIndex {
-		all := true
-		for _, s := range seed {
-			if idx >= len(s) || s[idx] == rdf.NoID {
-				all = false
-				break
-			}
-		}
-		if all {
-			bound[name] = true
-		}
-	}
-
-	// Collect top-level filters; everything else evaluates in order with
-	// consecutive triple patterns grouped into reorderable BGP blocks.
-	var filters []*pendingFilter
-	for _, el := range g.Elems {
-		if f, ok := el.(FilterElem); ok {
-			filters = append(filters, &pendingFilter{
-				expr:  f.Expr,
-				vars:  exprVars(f.Expr),
-				eager: filterIsEager(f.Expr),
-			})
-		}
-	}
-
-	sols := seed
-	var err error
-	i := 0
-	for i < len(g.Elems) {
-		switch el := g.Elems[i].(type) {
-		case FilterElem:
-			i++ // collected above
-		case TriplePattern:
-			// Gather the maximal run of triple patterns (skipping filters,
-			// which are group-scoped anyway).
-			var block []TriplePattern
-			for i < len(g.Elems) {
-				if tp, ok := g.Elems[i].(TriplePattern); ok {
-					block = append(block, tp)
-					i++
-					continue
-				}
-				if _, ok := g.Elems[i].(FilterElem); ok {
-					i++
-					continue
-				}
-				break
-			}
-			sols, err = ec.evalBGPIDs(block, sols, bound, filters)
-			if err != nil {
-				return nil, err
-			}
-		case OptionalElem:
-			i++
-			sols, err = ec.evalOptionalIDs(el, sols)
-			if err != nil {
-				return nil, err
-			}
-		case UnionElem:
-			i++
-			sols, err = ec.evalUnionIDs(el, sols)
-			if err != nil {
-				return nil, err
-			}
-			// Vars bound in every branch become statically bound.
-			branchBound := ec.groupBoundVars(el.Branches[0])
-			for _, b := range el.Branches[1:] {
-				next := ec.groupBoundVars(b)
-				for v := range branchBound {
-					if !next[v] {
-						delete(branchBound, v)
-					}
-				}
-			}
-			for v := range branchBound {
-				bound[v] = true
-			}
-			sols = ec.applyReadyFiltersIDs(filters, bound, sols)
-		case GroupElem:
-			i++
-			sols, err = ec.evalGroupIDs(el.Group, sols)
-			if err != nil {
-				return nil, err
-			}
-			for v := range ec.groupBoundVars(el.Group) {
-				bound[v] = true
-			}
-			sols = ec.applyReadyFiltersIDs(filters, bound, sols)
-		case FilterExistsElem:
-			i++
-			out := sols[:0]
-			for _, s := range sols {
-				res, eerr := ec.evalGroupIDs(el.Group, []isol{append(isol(nil), s...)})
-				if eerr != nil {
-					return nil, eerr
-				}
-				if (len(res) > 0) != el.Not {
-					out = append(out, s)
-				}
-			}
-			sols = out
-		case BindElem:
-			i++
-			slot := ec.slot(el.Var)
-			out := sols[:0]
-			for _, s := range sols {
-				v, verr := el.Expr.Eval(specView{ec, s})
-				ns := append(isol(nil), s...)
-				if verr == nil {
-					if len(ns) <= slot {
-						grown := make(isol, len(ec.varNames))
-						copy(grown, ns)
-						ns = grown
-					}
-					ns[slot] = ec.intern(v)
-				}
-				out = append(out, ns)
-			}
-			sols = out
-			bound[el.Var] = true
-			sols = ec.applyReadyFiltersIDs(filters, bound, sols)
-		default:
-			return nil, fmt.Errorf("sparql: unknown pattern element %T", el)
-		}
-	}
-
-	// Apply any filters not yet applied; unbound variables make the filter
-	// false (SPARQL error-as-false), dropping the solution.
-	for _, f := range filters {
-		if f.applied {
-			continue
-		}
-		sols = ec.filterSolutionsIDs(f.expr, sols)
-		f.applied = true
-	}
-	return sols, nil
-}
-
-func (ec *evalCtx) applyReadyFiltersIDs(filters []*pendingFilter, bound boundSet, sols []isol) []isol {
-	for _, f := range filters {
-		if f.applied || !f.eager || !bound.hasAll(f.vars) {
-			continue
-		}
-		sols = ec.filterSolutionsIDs(f.expr, sols)
-		f.applied = true
-	}
-	return sols
-}
-
-func (ec *evalCtx) filterSolutionsIDs(expr Expression, sols []isol) []isol {
-	keep, fast := ec.fastFilter(expr)
-	if !fast {
-		keep = ec.genericFilter(expr)
-	}
-	out := sols[:0]
-	for _, s := range sols {
-		if keep(s) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// genericFilter evaluates the expression through the shared evaluator; an
-// evaluation error drops the row.
-func (ec *evalCtx) genericFilter(expr Expression) func(isol) bool {
-	return func(s isol) bool {
-		ok, err := ebv(expr, specView{ec, s})
-		return err == nil && ok
-	}
-}
-
-// fastFilter compiles the two filter shapes that dominate pattern and
-// knowledge-base queries — a variable compared against a numeric constant
-// (FILTER(?card > 1000)) and variable (in)equality (FILTER(?a != ?b)) —
-// into closures over ID-space solutions with memoized numeric parsing.
-// Rows the closure cannot decide exactly fall back to the generic evaluator
-// per row, so the semantics of CmpExpr.Eval are preserved bit for bit.
-func (ec *evalCtx) fastFilter(expr Expression) (func(isol) bool, bool) {
-	cmp, ok := expr.(CmpExpr)
-	if !ok {
-		return nil, false
-	}
-
-	// ?a op ?b, equality only (ordering mixes numeric and lexical compares;
-	// leave it to the generic path).
-	if lv, lok := cmp.L.(VarExpr); lok {
-		if rv, rok := cmp.R.(VarExpr); rok && (cmp.Op == OpEq || cmp.Op == OpNeq) {
-			li, liok := ec.varIndex[lv.Name]
-			ri, riok := ec.varIndex[rv.Name]
-			if !liok || !riok {
-				return nil, false
-			}
-			return func(s isol) bool {
-				lid, rid := s[li], s[ri]
-				if lid == rdf.NoID || rid == rdf.NoID {
-					return false // comparing an unbound var errors: row dropped
-				}
-				// Mirror CmpExpr.Eval: numeric comparison when both sides
-				// parse as numbers, term value equality otherwise. Distinct
-				// IDs are distinct terms (intern checks the dictionary
-				// before the side table), so termValueEqual only runs on
-				// distinct terms.
-				lf, lnum := ec.floatOf(lid)
-				rf, rnum := ec.floatOf(rid)
-				var eq bool
-				if lnum && rnum {
-					eq = lf == rf
-				} else {
-					eq = lid == rid || termValueEqual(ec.term(lid), ec.term(rid))
-				}
-				return eq == (cmp.Op == OpEq)
-			}, true
-		}
-	}
-
-	// Numeric comparison: both sides compile to float evaluators
-	// (variables, numeric literals, arithmetic over them). Rows where a
-	// side is unbound or non-numeric re-evaluate generically, so error and
-	// lexical-fallback semantics stay identical.
-	lf, lok := ec.compileNumeric(cmp.L)
-	rf, rok := ec.compileNumeric(cmp.R)
-	if !lok || !rok {
-		return nil, false
-	}
-	generic := ec.genericFilter(expr)
-	return func(s isol) bool {
-		l, ok := lf(s)
-		if !ok {
-			return generic(s)
-		}
-		r, ok := rf(s)
-		if !ok {
-			return generic(s)
-		}
-		return cmpFloat(cmp.Op, l, r)
-	}, true
-}
-
-// numFn evaluates a numeric sub-expression against an ID-space solution.
-// The bool result is false when the row needs the generic evaluator (an
-// unbound variable, a non-numeric binding, division by zero).
-type numFn func(s isol) (float64, bool)
-
-// compileNumeric compiles the numeric expression fragment the FILTER
-// grammar of patterns produces: variables, numeric literals, unary minus
-// and the four arithmetic operators. ArithExpr evaluates in float64 and
-// renders through rdf.Float, whose round-trip formatting makes computing
-// directly on float64 exact.
-func (ec *evalCtx) compileNumeric(e Expression) (numFn, bool) {
-	switch e := e.(type) {
-	case LitExpr:
-		f, ok := e.Term.Float()
-		if !ok {
-			return nil, false
-		}
-		return func(isol) (float64, bool) { return f, true }, true
-	case VarExpr:
-		slot, ok := ec.varIndex[e.Name]
-		if !ok {
-			return nil, false
-		}
-		return func(s isol) (float64, bool) {
-			id := s[slot]
-			if id == rdf.NoID {
-				return 0, false
-			}
-			return ec.floatOf(id)
-		}, true
-	case NegExpr:
-		inner, ok := ec.compileNumeric(e.Inner)
-		if !ok {
-			return nil, false
-		}
-		return func(s isol) (float64, bool) {
-			v, ok := inner(s)
-			return -v, ok
-		}, true
-	case ArithExpr:
-		l, lok := ec.compileNumeric(e.L)
-		r, rok := ec.compileNumeric(e.R)
-		if !lok || !rok {
-			return nil, false
-		}
-		op := e.Op
-		if op != '+' && op != '-' && op != '*' && op != '/' {
-			return nil, false
-		}
-		return func(s isol) (float64, bool) {
-			lv, ok := l(s)
-			if !ok {
-				return 0, false
-			}
-			rv, ok := r(s)
-			if !ok {
-				return 0, false
-			}
-			switch op {
-			case '+':
-				return lv + rv, true
-			case '-':
-				return lv - rv, true
-			case '*':
-				return lv * rv, true
-			default:
-				if rv == 0 {
-					return 0, false // division by zero errors in ArithExpr
-				}
-				return lv / rv, true
-			}
-		}, true
-	}
-	return nil, false
-}
-
-func (ec *evalCtx) evalOptionalIDs(el OptionalElem, sols []isol) ([]isol, error) {
-	var out []isol
-	for _, s := range sols {
-		res, err := ec.evalGroupIDs(el.Group, []isol{append(isol(nil), s...)})
-		if err != nil {
-			return nil, err
-		}
-		if len(res) > 0 {
-			out = append(out, res...)
-		} else {
-			out = append(out, s)
-		}
-	}
-	return out, nil
-}
-
-func (ec *evalCtx) evalUnionIDs(el UnionElem, sols []isol) ([]isol, error) {
-	var out []isol
-	for _, s := range sols {
-		for _, branch := range el.Branches {
-			res, err := ec.evalGroupIDs(branch, []isol{append(isol(nil), s...)})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, res...)
-		}
-	}
-	return out, nil
-}
-
-// evalBGPIDs evaluates a block of triple patterns, reordering them greedily
-// by estimated selectivity (unless disabled) and applying eager filters as
-// soon as their variables become bound.
-func (ec *evalCtx) evalBGPIDs(block []TriplePattern, sols []isol, bound boundSet, filters []*pendingFilter) ([]isol, error) {
-	remaining := make([]TriplePattern, len(block))
-	copy(remaining, block)
-
-	for len(remaining) > 0 {
-		idx := 0
-		if !ec.opts.DisableReorder {
-			best := ec.patternCostIDs(remaining[0], bound)
-			for i := 1; i < len(remaining); i++ {
-				if c := ec.patternCostIDs(remaining[i], bound); c < best {
-					best = c
-					idx = i
-				}
-			}
-		}
-		tp := remaining[idx]
-		remaining = append(remaining[:idx], remaining[idx+1:]...)
-
-		var err error
-		sols, err = ec.extendTripleIDs(tp, sols)
-		if err != nil {
-			return nil, err
-		}
-		if tp.S.IsVar() {
-			bound[tp.S.Var] = true
-		}
-		if tp.O.IsVar() {
-			bound[tp.O.Var] = true
-		}
-		if pv, ok := tp.P.(predVarPath); ok {
-			bound[pv.name] = true
-		}
-		sols = ec.applyReadyFiltersIDs(filters, bound, sols)
-		if len(sols) == 0 {
-			return nil, nil
-		}
-	}
-	return sols, nil
-}
-
-// predCount memoizes the unbounded per-predicate triple count, the one
-// Count combination that iterates an index bucket.
-func (ec *evalCtx) predCount(pid rdf.ID) int {
-	if n, ok := ec.predCard[pid]; ok {
-		return n
-	}
-	if ec.predCard == nil {
-		ec.predCard = make(map[rdf.ID]int)
-	}
-	n := ec.g.Count(rdf.NoID, pid, rdf.NoID)
-	ec.predCard[pid] = n
 	return n
 }
 
-// patternCostIDs estimates the result size of a triple pattern given which
-// variables are statically bound. Lower is better.
-func (ec *evalCtx) patternCostIDs(tp TriplePattern, bound boundSet) float64 {
-	var sid, oid rdf.ID
-	sBound := !tp.S.IsVar() || bound[tp.S.Var]
-	oBound := !tp.O.IsVar() || bound[tp.O.Var]
-	if !tp.S.IsVar() {
-		sid = ec.constID(tp.S.Term)
-		if sid == rdf.NoID {
-			return 0 // constant absent: zero results, run it first
+// popTables closes every table from base up.
+func (ec *evalCtx) popTables(base int) {
+	for i := base; i < len(ec.tabs); i++ {
+		if cap(ec.tabs[i]) > maxPooledWords {
+			ec.tabs[i] = nil
 		}
 	}
-	if !tp.O.IsVar() {
-		oid = ec.constID(tp.O.Term)
-		if oid == rdf.NoID {
-			return 0
+	ec.tabs = ec.tabs[:base]
+}
+
+// boundMask is the bitmask of the slots bound in row.
+func boundMask(row []rdf.ID) uint64 {
+	var m uint64
+	for i, id := range row[:min(len(row), 64)] {
+		if id != rdf.NoID {
+			m |= 1 << uint(i)
 		}
 	}
-	var base float64
-	switch p := tp.P.(type) {
-	case PredPath:
-		pid := ec.constID(rdf.IRI(p.IRI))
-		if pid == rdf.NoID {
-			return 0
+	return m
+}
+
+// evalGroup evaluates a group seeded with the rows of in and appends the
+// solutions to table out: full-width rows, or — when distinct is set, for the
+// root group of a query whose tail allows it — projected rows no two of which
+// are equal. in is only read. A cancellation stops the evaluation wherever it
+// is; the caller finds it in ec.cancel.
+func (ec *evalCtx) evalGroup(gp *groupProg, in []rdf.ID, out int, distinct bool) {
+	if len(in) == 0 || ec.cancel.tripped() != nil {
+		return
+	}
+	w := ec.prog.width
+	// Variables bound in every seed row are statically available.
+	bound := ^uint64(0)
+	for r := 0; r < len(in); r += w {
+		bound &= boundMask(in[r : r+w])
+	}
+	var applied uint64 // the group's filters already applied, by index
+
+	// Elements hand their rows on through two tables used in turn.
+	base := len(ec.tabs)
+	defer ec.popTables(base)
+	pair, k := [2]int{-1, -1}, 0
+
+	cur := in
+	for i := range gp.elems {
+		el := &gp.elems[i]
+		if el.kind == elemBlock && i == len(gp.elems)-1 {
+			ec.runBlock(el.block, gp, bound, applied, cur, out, true, distinct)
+			return
 		}
-		if sid == rdf.NoID && oid == rdf.NoID {
-			base = float64(ec.predCount(pid))
-		} else {
-			base = float64(ec.g.Count(sid, pid, oid))
+		if pair[k] < 0 {
+			pair[k] = ec.pushTable()
 		}
-	case predVarPath:
-		base = float64(ec.g.Count(sid, rdf.NoID, oid))
-		if !bound[p.name] {
+		next := pair[k]
+		ec.tabs[next] = ec.tabs[next][:0]
+		k ^= 1
+		switch el.kind {
+		case elemBlock:
+			pl := ec.runBlock(el.block, gp, bound, applied, cur, next, false, false)
+			bound, applied = pl.outBound, pl.outApplied
+		case elemOptional:
+			for r := 0; r < len(cur); r += w {
+				before := len(ec.tabs[next])
+				ec.evalGroup(el.groups[0], cur[r:r+w], next, false)
+				if len(ec.tabs[next]) == before {
+					ec.tabs[next] = append(ec.tabs[next], cur[r:r+w]...)
+				}
+			}
+		case elemUnion:
+			for r := 0; r < len(cur); r += w {
+				for _, branch := range el.groups {
+					ec.evalGroup(branch, cur[r:r+w], next, false)
+				}
+			}
+		case elemGroup:
+			ec.evalGroup(el.groups[0], cur, next, false)
+		case elemExists:
+			res := ec.pushTable()
+			for r := 0; r < len(cur); r += w {
+				ec.tabs[res] = ec.tabs[res][:0]
+				ec.evalGroup(el.groups[0], cur[r:r+w], res, false)
+				if (len(ec.tabs[res]) > 0) != el.not {
+					ec.tabs[next] = append(ec.tabs[next], cur[r:r+w]...)
+				}
+			}
+			ec.popTables(res)
+		case elemBind:
+			for r := 0; r < len(cur); r += w {
+				ec.view = cur[r : r+w]
+				v, err := el.expr.Eval(ec)
+				t := append(ec.tabs[next], cur[r:r+w]...)
+				if err == nil {
+					t[len(t)-w+el.slot] = ec.intern(v)
+				}
+				ec.tabs[next] = t
+			}
+		}
+		if el.kind == elemUnion || el.kind == elemGroup || el.kind == elemBind {
+			bound |= el.binds
+			applied = ec.applyEagerFilters(gp, bound, applied, next)
+		}
+		cur = ec.tabs[next]
+		if len(cur) == 0 || ec.cancel.tripped() != nil {
+			return
+		}
+	}
+	// The group did not end in a block: its remaining filters run here;
+	// unbound variables make a filter false (SPARQL error-as-false).
+	for r := 0; r < len(cur); r += w {
+		ec.emit(gp.filters, applied, cur[r:r+w], out, distinct)
+	}
+}
+
+// applyEagerFilters applies, in place, the eager filters whose variables have
+// just become statically bound.
+func (ec *evalCtx) applyEagerFilters(gp *groupProg, bound, applied uint64, table int) uint64 {
+	w, t := ec.prog.width, ec.tabs[table]
+	for i := range gp.filters {
+		f := &gp.filters[i]
+		if !f.eager || applied&(1<<uint(i)) != 0 || f.vars&^bound != 0 {
+			continue
+		}
+		applied |= 1 << uint(i)
+		n := 0
+		for r := 0; r < len(t); r += w {
+			if f.keep(ec, t[r:r+w]) {
+				n += copy(t[n:n+w], t[r:r+w])
+			}
+		}
+		t = t[:n]
+	}
+	ec.tabs[table] = t
+	return applied
+}
+
+// emit sends one solution of a group to its output once the group's filters
+// not yet applied have passed it.
+func (ec *evalCtx) emit(filters []filterProg, applied uint64, row []rdf.ID, out int, distinct bool) {
+	for i := range filters {
+		if i < 64 && applied&(1<<uint(i)) != 0 {
+			continue
+		}
+		if !filters[i].keep(ec, row) {
+			return
+		}
+	}
+	if !distinct {
+		ec.tabs[out] = append(ec.tabs[out], row...)
+		return
+	}
+	slots := ec.prog.projSlots
+	if ec.firstSeen(row, slots) {
+		t := ec.tabs[out]
+		for _, slot := range slots {
+			t = append(t, row[slot])
+		}
+		ec.tabs[out] = t
+	}
+}
+
+// firstSeen reports whether the projection of row onto cols has not been
+// seen before in this evaluation. Dictionary interning makes an ID tuple an
+// exact stand-in for a term tuple.
+func (ec *evalCtx) firstSeen(row []rdf.ID, cols []int) bool {
+	key := ec.keyBuf[:0]
+	for _, c := range cols {
+		id := row[c]
+		key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+	}
+	ec.keyBuf = key
+	if _, dup := ec.seen[string(key)]; dup {
+		return false
+	}
+	if ec.seen == nil {
+		ec.seen = make(map[string]struct{})
+	}
+	ec.seen[string(key)] = struct{}{}
+	return true
+}
+
+// runBlock orders the block for the given entry state and runs it
+// depth-first from every seed row of in.
+func (ec *evalCtx) runBlock(b *blockProg, gp *groupProg, bound, applied uint64, in []rdf.ID, out int, final, distinct bool) *blockPlan {
+	pl := ec.planBlock(b, gp, bound, applied)
+	ec.run = blockRun{
+		steps:    ec.steps[b.off : b.off+len(b.pats)],
+		filters:  gp.filters,
+		final:    final,
+		applied:  pl.outApplied,
+		distinct: distinct,
+		out:      out,
+	}
+	w := ec.prog.width
+	for r := 0; r < len(in); r += w {
+		copy(ec.row, in[r:r+w])
+		if !ec.descend(0) {
+			break
+		}
+	}
+	return pl
+}
+
+// planBlock resolves the block's constants and chooses its join order: the
+// greedy selectivity heuristic (unless disabled) picks, step by step, the
+// cheapest remaining pattern given what is statically bound, and each step
+// is handed the eager filters whose variables it completes. The order is a
+// function of the query, the graph's statistics and the entry state only —
+// never of the rows — so a block entered again in the same state (an
+// OPTIONAL leg, once per seed row) keeps its plan.
+func (ec *evalCtx) planBlock(b *blockProg, gp *groupProg, bound, applied uint64) *blockPlan {
+	pl := &ec.plans[b.id]
+	if pl.valid && pl.bound == bound && pl.applied == applied {
+		return pl
+	}
+	pl.valid, pl.bound, pl.applied = true, bound, applied
+	steps := ec.steps[b.off : b.off+len(b.pats)]
+	for i := range b.pats {
+		steps[i] = ec.prepareStep(&b.pats[i])
+	}
+	for k := range steps {
+		if !ec.opts.DisableReorder {
+			best, bestCost := k, steps[k].cost(bound)
+			for i := k + 1; i < len(steps); i++ {
+				if c := steps[i].cost(bound); c < bestCost {
+					best, bestCost = i, c
+				}
+			}
+			// Move the choice to position k, keeping the rest in textual
+			// order: ties go to the earlier pattern at every step.
+			chosen := steps[best]
+			copy(steps[k+1:best+1], steps[k:best])
+			steps[k] = chosen
+		}
+		st := &steps[k]
+		bound |= st.pat.binds()
+		for i := range gp.filters {
+			f := &gp.filters[i]
+			if f.eager && applied&(1<<uint(i)) == 0 && f.vars&^bound == 0 {
+				applied |= 1 << uint(i)
+				st.filters |= 1 << uint(i)
+			}
+		}
+	}
+	pl.outBound, pl.outApplied = bound, applied
+	return pl
+}
+
+// prepareStep resolves a pattern's constants and takes the count its cost
+// starts from: the triples matching the pattern's constants (the predicate's
+// total when it has none), all O(1) on the graph's indexes.
+func (ec *evalCtx) prepareStep(p *patProg) stepRun {
+	st := stepRun{pat: p}
+	if p.sConst >= 0 {
+		st.sid = ec.consts[p.sConst]
+		st.dead = st.dead || st.sid == rdf.NoID
+	}
+	if p.oConst >= 0 {
+		st.oid = ec.consts[p.oConst]
+		st.dead = st.dead || st.oid == rdf.NoID
+	}
+	if p.pConst >= 0 {
+		st.pid = ec.consts[p.pConst]
+		st.dead = st.dead || st.pid == rdf.NoID
+	}
+	switch {
+	case st.dead:
+	case p.kind == patPath:
+		st.base = float64(ec.g.Len())
+	default:
+		st.base = float64(ec.g.Count(st.sid, st.pid, st.oid))
+	}
+	return st
+}
+
+// cost estimates the result size of the step given which variables are
+// statically bound. Lower is better.
+func (st *stepRun) cost(bound uint64) float64 {
+	if st.dead {
+		return 0 // constant absent: zero results, run it first
+	}
+	p := st.pat
+	sVar := p.sSlot >= 0 && bound&slotBit(p.sSlot) != 0
+	oVar := p.oSlot >= 0 && bound&slotBit(p.oSlot) != 0
+	base := st.base
+	switch p.kind {
+	case patPredVar:
+		if bound&slotBit(p.pSlot) == 0 {
 			base *= 1.5
 		}
-	default:
+	case patPath:
 		// Complex property path: expensive unless an endpoint is anchored.
-		base = float64(ec.g.Len())
-		if sBound || oBound {
+		if sVar || p.sSlot < 0 || oVar || p.oSlot < 0 {
 			base /= 4
 		} else {
 			base *= 4
@@ -719,122 +593,266 @@ func (ec *evalCtx) patternCostIDs(tp TriplePattern, bound boundSet) float64 {
 	}
 	// Bound variables narrow the match at execution time even though the
 	// static estimate cannot see the concrete value.
-	if sBound && tp.S.IsVar() {
+	if sVar {
 		base /= 8
 	}
-	if oBound && tp.O.IsVar() {
+	if oVar {
 		base /= 8
 	}
 	return base
 }
 
-// extendTripleIDs extends each solution with every match of tp. Bound
-// variables are already graph IDs, so no dictionary lookups happen per
-// solution, and emitted bindings are stored without materializing terms.
-func (ec *evalCtx) extendTripleIDs(tp TriplePattern, sols []isol) ([]isol, error) {
-	g := ec.g
+// descend runs step d of the current block on ec.row and, through extend,
+// every step after it. It reports false when the evaluation was cancelled.
+func (ec *evalCtx) descend(d int) bool {
+	r := &ec.run
+	if d == len(r.steps) {
+		if r.final {
+			ec.emit(r.filters, r.applied, ec.row, r.out, r.distinct)
+		} else {
+			ec.tabs[r.out] = append(ec.tabs[r.out], ec.row...)
+		}
+		return true
+	}
+	if ec.cancel.check() != nil {
+		return false
+	}
+	ec.joinRows++
+	st := &r.steps[d]
+	if st.dead {
+		return true
+	}
+	p, row := st.pat, ec.row
 
-	sSlot, oSlot := -1, -1
-	if tp.S.IsVar() {
-		sSlot = ec.slot(tp.S.Var)
+	// A variable the row already binds constrains the match; one it does not
+	// is bound by extend and unbound again below.
+	sid, oid, pid := st.sid, st.oid, st.pid
+	sFree, oFree, pFree := false, false, false
+	if p.sSlot >= 0 {
+		if sid = row[p.sSlot]; sid&extraIDBit != 0 {
+			return true // synthesized term, not in this graph
+		}
+		sFree = sid == rdf.NoID
 	}
-	if tp.O.IsVar() {
-		oSlot = ec.slot(tp.O.Var)
+	if p.oSlot >= 0 {
+		if oid = row[p.oSlot]; oid&extraIDBit != 0 {
+			return true
+		}
+		oFree = oid == rdf.NoID
 	}
-	pSlot := -1
-	if pv, ok := tp.P.(predVarPath); ok {
-		pSlot = ec.slot(pv.name)
+	if p.pSlot >= 0 {
+		if pid = row[p.pSlot]; pid&extraIDBit != 0 {
+			return true
+		}
+		pFree = pid == rdf.NoID
 	}
 
-	var constS, constO rdf.ID
-	if !tp.S.IsVar() {
-		constS = ec.constID(tp.S.Term)
-		if constS == rdf.NoID {
-			return nil, nil
+	live := true
+	switch p.kind {
+	case patSimple:
+		ec.g.Match(sid, pid, oid, func(ms, _, mo rdf.ID) bool {
+			live = ec.extend(d, ms, mo, rdf.NoID)
+			return live
+		})
+	case patPredVar:
+		ec.g.Match(sid, pid, oid, func(ms, mp, mo rdf.ID) bool {
+			live = ec.extend(d, ms, mo, mp)
+			return live
+		})
+	default:
+		pairs := ec.pathPairs(p.path, sid, oid)
+		for i := 0; i < len(pairs) && live; i += 2 {
+			live = ec.extend(d, pairs[i], pairs[i+1], rdf.NoID)
+		}
+		ec.env.putIDs(pairs)
+	}
+
+	if sFree {
+		row[p.sSlot] = rdf.NoID
+	}
+	if oFree {
+		row[p.oSlot] = rdf.NoID
+	}
+	if pFree {
+		row[p.pSlot] = rdf.NoID
+	}
+	return live
+}
+
+// extend binds one match of step d into ec.row, applies the filters the step
+// completed, and descends.
+func (ec *evalCtx) extend(d int, ms, mo, mp rdf.ID) bool {
+	st := &ec.run.steps[d]
+	p, row := st.pat, ec.row
+	if p.sSlot >= 0 {
+		if p.sSlot == p.oSlot && ms != mo {
+			return true // ?x p ?x
+		}
+		row[p.sSlot] = ms
+	}
+	if p.oSlot >= 0 {
+		row[p.oSlot] = mo
+	}
+	if p.pSlot >= 0 {
+		row[p.pSlot] = mp
+	}
+	for f := st.filters; f != 0; f &= f - 1 {
+		if !ec.run.filters[bits.TrailingZeros64(f)].keep(ec, row) {
+			return true
 		}
 	}
-	if !tp.O.IsVar() {
-		constO = ec.constID(tp.O.Term)
-		if constO == rdf.NoID {
-			return nil, nil
+	return ec.descend(d + 1)
+}
+
+// pathPairs collects the distinct (s, o) pairs the property path connects
+// under the given endpoint bindings, in emission order, into a buffer of the
+// path environment's stack pool (the caller returns it with putIDs). The
+// pairs are complete before the join descends, so the walk's own pooled
+// buffers are back on the stack by then, and the steps below may run paths —
+// and hold pair buffers — of their own.
+func (ec *evalCtx) pathPairs(p Path, sid, oid rdf.ID) []rdf.ID {
+	env := &ec.env
+	pairs := env.getIDs()
+	switch {
+	case sid != rdf.NoID && oid != rdf.NoID:
+		// Every pair is (sid, oid).
+		evalPath(env, p, sid, oid, func(ms, mo rdf.ID) bool {
+			if len(pairs) == 0 {
+				pairs = append(pairs, ms, mo)
+			}
+			return true
+		})
+	case sid != rdf.NoID || oid != rdf.NoID:
+		// One end is shared by every pair: dedup the other on a bitset.
+		seen := env.getVisited()
+		evalPath(env, p, sid, oid, func(ms, mo rdf.ID) bool {
+			free := mo
+			if sid == rdf.NoID {
+				free = ms
+			}
+			if !bitGet(seen, free) {
+				bitSet(seen, free)
+				pairs = append(pairs, ms, mo)
+			}
+			return true
+		})
+		env.putVisited(seen, pairs)
+	default:
+		if ec.pairSeen == nil {
+			ec.pairSeen = make(map[[2]rdf.ID]struct{})
 		}
+		clear(ec.pairSeen)
+		evalPath(env, p, sid, oid, func(ms, mo rdf.ID) bool {
+			key := [2]rdf.ID{ms, mo}
+			if _, dup := ec.pairSeen[key]; !dup {
+				ec.pairSeen[key] = struct{}{}
+				pairs = append(pairs, ms, mo)
+			}
+			return true
+		})
 	}
-	var constP rdf.ID
-	pp, simple := tp.P.(PredPath)
-	if simple {
-		constP = ec.constID(rdf.IRI(pp.IRI))
-		if constP == rdf.NoID {
-			return nil, nil
+	return pairs
+}
+
+// projectIDs applies SELECT, DISTINCT, ORDER BY, LIMIT and OFFSET to the
+// ID rows of table, doing what project does step for step (same comparator,
+// same stable order) for projections and order keys that are plain
+// variables. Terms materialize only for sort keys and for the rows that
+// survive DISTINCT and LIMIT/OFFSET.
+//
+// With the program's earlyDistinct the rows arrive projected and already
+// deduplicated (see evalCtx.emit), so what remains is the sort and the
+// window. Deduplicating first is exact there: every sort key is a projected
+// column, so equal projections tie on all keys, a stable sort keeps tied rows
+// in arrival order, and the first occurrence of each projection therefore
+// lands where sort-then-dedup would have kept it.
+func (ec *evalCtx) projectIDs(q *Query, table []rdf.ID) (*Results, error) {
+	p := ec.prog
+	w, cols, orderCols, dedup := p.width, p.projSlots, p.orderSlots, q.Distinct
+	if p.earlyDistinct {
+		w, cols, orderCols, dedup = len(p.projSlots), p.projCols, p.orderCols, false
+	}
+	n := len(table) / w
+	at := func(i int) []rdf.ID { return table[i*w : (i+1)*w] }
+
+	// order[i] is the table row at result position i.
+	var order []int32
+	if k := len(orderCols); k > 0 && n > 1 {
+		keys := make([]rdf.Term, n*k)
+		order = make([]int32, n)
+		for i := range order {
+			order[i] = int32(i)
+			for j, c := range orderCols {
+				keys[i*k+j] = ec.term(at(i)[c])
+			}
 		}
+		slices.SortStableFunc(order, func(a, b int32) int {
+			for j := range orderCols {
+				c := keys[int(a)*k+j].Compare(keys[int(b)*k+j])
+				if q.OrderBy[j].Desc {
+					c = -c
+				}
+				if c != 0 {
+					return c
+				}
+			}
+			return 0
+		})
 	}
 
-	var out []isol
-	for _, s := range sols {
+	res := &Results{Vars: slices.Clone(p.projVars)}
+	var cells []rdf.Term
+	if !dedup {
+		// The row count is known: the window over n.
+		rows := max(n-q.Offset, 0)
+		if q.Limit >= 0 {
+			rows = min(rows, q.Limit)
+		}
+		if rows > 0 {
+			cells, res.Rows = make([]rdf.Term, 0, rows*len(cols)), make([][]rdf.Term, 0, rows)
+		}
+	}
+	kept := 0
+	for i := 0; i < n; i++ {
 		if err := ec.cancel.check(); err != nil {
 			return nil, err
 		}
-		sid, oid := constS, constO
-		if sSlot >= 0 && s[sSlot] != rdf.NoID {
-			sid = s[sSlot]
-			if sid&extraIDBit != 0 {
-				continue // synthesized term, not in this graph
-			}
+		row := at(i)
+		if order != nil {
+			row = at(int(order[i]))
 		}
-		if oSlot >= 0 && s[oSlot] != rdf.NoID {
-			oid = s[oSlot]
-			if oid&extraIDBit != 0 {
-				continue
-			}
+		if dedup && !ec.firstSeen(row, cols) {
+			continue
 		}
-		sameVar := tp.S.IsVar() && tp.O.IsVar() && tp.S.Var == tp.O.Var
+		if kept++; kept <= q.Offset {
+			continue
+		}
+		if q.Limit >= 0 && kept-q.Offset > q.Limit {
+			break
+		}
+		for _, c := range cols {
+			cells = append(cells, ec.term(row[c]))
+		}
+		res.Rows = append(res.Rows, nil)
+	}
+	pc := len(cols)
+	for i := range res.Rows {
+		res.Rows[i] = cells[i*pc : (i+1)*pc : (i+1)*pc]
+	}
+	return res, nil
+}
 
-		emit := func(ms, mo, mp rdf.ID) {
-			if sameVar && ms != mo {
-				return
-			}
-			ns := append(isol(nil), s...)
-			if sSlot >= 0 {
-				ns[sSlot] = ms
-			}
-			if oSlot >= 0 {
-				ns[oSlot] = mo
-			}
-			if pSlot >= 0 {
-				ns[pSlot] = mp
-			}
-			out = append(out, ns)
-		}
-
-		switch {
-		case pSlot >= 0:
-			pid := rdf.NoID
-			if s[pSlot] != rdf.NoID {
-				pid = s[pSlot]
-				if pid&extraIDBit != 0 {
-					continue
-				}
-			}
-			g.Match(sid, pid, oid, func(ms, mp, mo rdf.ID) bool {
-				emit(ms, mo, mp)
-				return true
-			})
-		case simple:
-			g.Match(sid, constP, oid, func(ms, _, mo rdf.ID) bool {
-				emit(ms, mo, rdf.NoID)
-				return true
-			})
-		default:
-			seen := make(map[[2]rdf.ID]bool)
-			evalPath(&ec.env, tp.P, sid, oid, func(ms, mo rdf.ID) bool {
-				key := [2]rdf.ID{ms, mo}
-				if seen[key] {
-					return true
-				}
-				seen[key] = true
-				emit(ms, mo, rdf.NoID)
-				return true
-			})
+// toTermSolutions converts ID rows to term space for the shared
+// projection/aggregation tail.
+func (ec *evalCtx) toTermSolutions(table []rdf.ID) []solution {
+	w, nv := ec.prog.width, len(ec.prog.vars)
+	out := make([]solution, len(table)/w)
+	cells := make([]rdf.Term, len(out)*nv)
+	for i := range out {
+		out[i] = cells[i*nv : (i+1)*nv : (i+1)*nv]
+		for j, id := range table[i*w : i*w+nv] {
+			out[i][j] = ec.term(id)
 		}
 	}
-	return out, nil
+	return out
 }
