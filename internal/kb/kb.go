@@ -38,7 +38,6 @@ type Entry struct {
 	compiled *pattern.Compiled
 	// templates holds the parsed template of every recommendation, by index:
 	// Add parses each once, to validate it, and Apply expands from the nodes.
-	// Nil for an entry Add did not build.
 	templates [][]templateNode
 }
 
@@ -199,13 +198,7 @@ func (e *Entry) Apply(occs []Occurrence) ([]Ranked, error) {
 			if limit > 0 && i >= limit {
 				break
 			}
-			var text string
-			var err error
-			if ri < len(e.templates) {
-				text, err = expandNodes(e.templates[ri], &occs[i])
-			} else {
-				text, err = expandTemplate(rec.Template, &occs[i])
-			}
+			text, err := expandNodes(e.templates[ri], &occs[i])
 			if err != nil {
 				return nil, fmt.Errorf("kb: entry %q: %w", e.Name, err)
 			}

@@ -37,6 +37,15 @@ func matchEntry(t *testing.T, e *Entry, plan *qep.Plan) []Occurrence {
 	return occs
 }
 
+// expandTemplate parses a template and renders it against one occurrence.
+func expandTemplate(tmpl string, o *Occurrence) (string, error) {
+	nodes, err := parseTemplate(tmpl)
+	if err != nil {
+		return "", err
+	}
+	return expandNodes(nodes, o)
+}
+
 func TestCanonicalKB(t *testing.T) {
 	k := MustCanonical()
 	if k.Len() != 4 {

@@ -147,15 +147,6 @@ func validateTemplate(tmpl string, aliases map[string]bool) ([]templateNode, err
 	return nodes, nil
 }
 
-// expandTemplate parses a template and renders it against one occurrence.
-func expandTemplate(tmpl string, o *Occurrence) (string, error) {
-	nodes, err := parseTemplate(tmpl)
-	if err != nil {
-		return "", err
-	}
-	return expandNodes(nodes, o)
-}
-
 // expandNodes renders a parsed template against one occurrence, adapting the
 // stored recommendation to the context of the user-supplied plan.
 func expandNodes(nodes []templateNode, o *Occurrence) (string, error) {

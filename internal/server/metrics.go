@@ -197,7 +197,7 @@ func (s *Server) registerStateMetrics() {
 		"Edges traversed by closure BFS walks.",
 		func() float64 { return float64(s.eng.EvalStats().Path.BFSSteps) })
 	reg.CounterFunc("optimatch_sparql_path_bitset_bytes_total",
-		"Bytes allocated for closure visited bitsets (pool misses).",
+		"Bytes of closure visited bitset brought into use, once per bitset per evaluation (allocated or taken from the pooled scratch).",
 		func() float64 { return float64(s.eng.EvalStats().Path.BitsetBytes) })
 
 	if s.st == nil {

@@ -167,13 +167,15 @@ func compile(q *Query, consts, required []rdf.Term) *program {
 	if q.Having != nil {
 		c.slots(exprVars(q.Having))
 	}
-	p.width = max(len(p.vars), 1)
 
 	p.root = c.group(q.Where)
 	p.grouped, p.aggErr = q.checkAggregation()
 	if !p.grouped {
 		c.tail(q)
 	}
+	// Fixed last: group and tail reach their slots through c.slot, so a
+	// variable the walks above missed still gets a cell in every row.
+	p.width = max(len(p.vars), 1)
 	return p
 }
 

@@ -144,7 +144,9 @@ type PathSnapshot struct {
 	MemoMisses int64 `json:"memoMisses"`
 	// BFSSteps counts edges traversed by closure BFS walks.
 	BFSSteps int64 `json:"bfsSteps"`
-	// BitsetBytes counts bytes allocated for visited bitsets (pool misses).
+	// BitsetBytes counts the bytes of visited bitset evaluations brought into
+	// use: each bitset once per evaluation that uses it, freshly allocated or
+	// taken over from the pooled scratch alike.
 	BitsetBytes int64 `json:"bitsetBytes"`
 }
 

@@ -218,6 +218,31 @@ func TestPathStepsAreReentrant(t *testing.T) {
 	}
 }
 
+// The bitset-bytes counter charges an evaluation for every bitset it brings
+// into use, whether the pooled evalCtx it drew already held one or not: the
+// same evaluation moves it by the same amount on a cold pool and a warm one.
+func TestBitsetBytesIgnoresPoolState(t *testing.T) {
+	g := chainGraph(30)
+	q := mustParse(t, predPrefix+`SELECT ?a ?c WHERE { ?a pred:hasChildPop+ ?b . ?b pred:hasChildPop+ ?c }`)
+	var stats EvalStats
+	var charged []int64
+	for run := 0; run < 4; run++ {
+		before := stats.Snapshot().Path.BitsetBytes
+		if _, err := q.ExecOpts(g, ExecOptions{Stats: &stats}); err != nil {
+			t.Fatal(err)
+		}
+		charged = append(charged, stats.Snapshot().Path.BitsetBytes-before)
+	}
+	if charged[0] <= 0 {
+		t.Fatalf("a closure evaluation charged %d bitset bytes", charged[0])
+	}
+	for _, c := range charged[1:] {
+		if c != charged[0] {
+			t.Fatalf("bitset bytes per evaluation depend on the pool: %v", charged)
+		}
+	}
+}
+
 // A cancellation observed deep in the recursion unwinds it, surfaces as the
 // context's error with no rows, and leaves the evalCtx fit for the pool.
 func TestCancelMidRecursion(t *testing.T) {

@@ -49,9 +49,14 @@ type pathEnv struct {
 	memo map[closureKey]*closureSet
 
 	// visitedPool and idPool recycle bitset and frontier buffers across the
-	// closures of one evaluation (nested closures pop their own buffers).
+	// closures of one evaluation (nested closures pop their own buffers) and,
+	// the env living on a pooled evalCtx, across evaluations. stale is how
+	// many bitsets at the bottom of visitedPool this evaluation has not used
+	// yet: taking one of those is charged to BitsetBytes like an allocation,
+	// so the counter does not depend on what the pool happened to hold.
 	visitedPool [][]uint64
 	idPool      [][]rdf.ID
+	stale       int
 }
 
 // PathStats counts path-acceleration events during one evaluation. Plain
@@ -63,7 +68,7 @@ type PathStats struct {
 	MemoHits    int64 // closures replayed from the per-evaluation memo
 	MemoMisses  int64 // closures that ran a BFS
 	BFSSteps    int64 // edges traversed by closure BFS walks
-	BitsetBytes int64 // bytes allocated for visited bitsets (pool misses)
+	BitsetBytes int64 // bytes of visited bitset brought into use (first use by this evaluation; reuse within it is free)
 }
 
 // closureKey identifies one memoized closure: the inner path, the walk
@@ -470,17 +475,24 @@ func bitClear(b []uint64, id rdf.ID)    { b[id>>6] &^= 1 << (id & 63) }
 func bitGet(b []uint64, id rdf.ID) bool { return b[id>>6]&(1<<(id&63)) != 0 }
 
 // getVisited pops (or allocates) a zeroed bitset sized for the graph's ID
-// space. Buffers pop from a stack so nested closures never share one.
+// space. Buffers pop from a stack so nested closures never share one. What
+// this evaluation returned sits above the stale bitsets earlier evaluations
+// left, so a pop below the stale mark is a first use and is charged.
 func (env *pathEnv) getVisited() []uint64 {
 	words := int(env.g.MaxID())>>6 + 1
+	var v []uint64
 	if k := len(env.visitedPool); k > 0 {
-		v := env.visitedPool[k-1]
+		v = env.visitedPool[k-1]
 		env.visitedPool = env.visitedPool[:k-1]
-		if len(v) >= words {
+		if k > env.stale && len(v) >= words {
 			return v
 		}
+		env.stale = min(env.stale, k-1)
 	}
 	env.stats.BitsetBytes += int64(words * 8)
+	if len(v) >= words {
+		return v
+	}
 	return make([]uint64, words)
 }
 

@@ -164,6 +164,7 @@ func acquireEvalCtx(g *rdf.Graph, p *program, opts ExecOptions) *evalCtx {
 	}
 	ec.env.g, ec.env.cancel = g, ec.cancel
 	ec.env.predConst, ec.env.consts = p.predConst, ec.consts
+	ec.env.stale = len(ec.env.visitedPool)
 
 	ec.rowBuf = slices.Grow(ec.rowBuf[:0], 2*p.width)[:2*p.width]
 	clear(ec.rowBuf)
@@ -189,6 +190,8 @@ func (ec *evalCtx) release() {
 	env.g, env.cancel, env.predConst, env.consts = nil, nil, nil, nil
 	env.stats = PathStats{}
 	env.memo = resetMap(env.memo)
+	env.visitedPool = dropOversized(env.visitedPool)
+	env.idPool = dropOversized(env.idPool)
 	ec.view = nil
 	clear(ec.steps)
 	ec.run = blockRun{}
@@ -213,6 +216,12 @@ func resetMap[K comparable, V any](m map[K]V) map[K]V {
 	}
 	clear(m)
 	return m
+}
+
+// dropOversized removes from a pooled buffer stack the buffers that grew past
+// the pooling bound.
+func dropOversized[T any](pool [][]T) [][]T {
+	return slices.DeleteFunc(pool, func(b []T) bool { return cap(b) > maxPooledWords })
 }
 
 // lookupVar makes the evaluation the bindingView of the generic expression
