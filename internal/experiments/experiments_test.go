@@ -60,7 +60,10 @@ func TestFigure10SmallScale(t *testing.T) {
 
 func TestFigure11SmallScale(t *testing.T) {
 	res, err := Figure11(Fig11Config{
-		Seed: 3, NumPlans: 12, KBSizes: []int{1, 4, 8}, MinOps: 15, MaxOps: 30, Reps: 1,
+		// The median of three: a single run of the one-entry scan is the
+		// process's first and pays its cold start, which on an idle machine
+		// outweighs seven more entries.
+		Seed: 3, NumPlans: 12, KBSizes: []int{1, 4, 8}, MinOps: 15, MaxOps: 30, Reps: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

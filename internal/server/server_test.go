@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -402,5 +405,60 @@ func TestConcurrentKBReadsAndWrites(t *testing.T) {
 	getJSON(t, ts.URL+"/api/kb", http.StatusOK, &entries)
 	if len(entries) != 4+writers*iters {
 		t.Errorf("entries = %d, want %d", len(entries), 4+writers*iters)
+	}
+}
+
+// The benchmark's qGroup shape orders on the COUNT's alias: /api/sparql must
+// return, plan by plan, the k most frequent operator types — counted here from
+// the unordered, unlimited form of the same query.
+func TestSPARQLGroupedTopKPerPlan(t *testing.T) {
+	_, ts := testServer(t)
+	const grouped = `PREFIX preduri: <http://optimatch/pred/>
+SELECT ?type (COUNT(?pop) AS ?n) WHERE { ?pop preduri:hasPopType ?type . }
+GROUP BY ?type`
+	type row struct {
+		typ string
+		n   float64
+	}
+	perPlan := func(query string) (plans []string, rows map[string][]row) {
+		var out struct {
+			Matches []matchBody `json:"matches"`
+		}
+		postBody(t, ts.URL+"/api/sparql", query, http.StatusOK, &out)
+		rows = make(map[string][]row)
+		for _, m := range out.Matches {
+			n, err := strconv.ParseFloat(m.Bindings["n"], 64)
+			if err != nil {
+				t.Fatalf("plan %s: count %q: %v", m.Plan, m.Bindings["n"], err)
+			}
+			if _, seen := rows[m.Plan]; !seen {
+				plans = append(plans, m.Plan)
+			}
+			rows[m.Plan] = append(rows[m.Plan], row{m.Bindings["type"], n})
+		}
+		return plans, rows
+	}
+
+	plans, all := perPlan(grouped)
+	_, top := perPlan(grouped + "\nORDER BY DESC(?n) ?type\nLIMIT 3")
+	if len(plans) < 2 {
+		t.Fatalf("%d plans answered", len(plans))
+	}
+	ranked := false
+	for _, plan := range plans {
+		want := all[plan]
+		sort.Slice(want, func(a, b int) bool {
+			if want[a].n != want[b].n {
+				return want[a].n > want[b].n
+			}
+			return want[a].typ < want[b].typ
+		})
+		ranked = ranked || len(want) > 3 && want[0].n > want[len(want)-1].n
+		if want = want[:min(3, len(want))]; !reflect.DeepEqual(top[plan], want) {
+			t.Errorf("plan %s: top 3 %v, want %v", plan, top[plan], want)
+		}
+	}
+	if !ranked {
+		t.Error("no plan has more than 3 types of different frequency: the check is vacuous")
 	}
 }

@@ -9,8 +9,9 @@ import (
 
 // AggExpr is an aggregate function call: COUNT(?x), COUNT(*), COUNT(DISTINCT
 // ?x), SUM/AVG/MIN/MAX(expr). Aggregates may appear in SELECT expressions,
-// HAVING constraints and ORDER BY keys; the evaluator computes them per
-// group and substitutes their values before ordinary expression evaluation.
+// HAVING constraints and ORDER BY keys; the compiler gives each a slot and
+// rewrites the expressions around it to read that slot (compiler.tail), the
+// evaluator fills the slot per group (evalCtx.group).
 type AggExpr struct {
 	Fn       string // COUNT, SUM, AVG, MIN, MAX (uppercase)
 	Distinct bool
@@ -71,31 +72,30 @@ func walkExpr(e Expression, fn func(Expression)) {
 	}
 }
 
-// substituteAggregates returns a copy of e with every AggExpr replaced by
-// the literal its computed value, looked up by the aggregate's key.
-func substituteAggregates(e Expression, values map[string]rdf.Term) Expression {
+// substitute returns a copy of e in which every subexpression repl returns a
+// replacement for is replaced by it; repl returns nil to have the
+// subexpression's operands visited instead.
+func substitute(e Expression, repl func(Expression) Expression) Expression {
+	if r := repl(e); r != nil {
+		return r
+	}
 	switch e := e.(type) {
-	case AggExpr:
-		if v, ok := values[aggKey(e)]; ok {
-			return LitExpr{Term: v}
-		}
-		return e
 	case NotExpr:
-		return NotExpr{Inner: substituteAggregates(e.Inner, values)}
+		return NotExpr{Inner: substitute(e.Inner, repl)}
 	case NegExpr:
-		return NegExpr{Inner: substituteAggregates(e.Inner, values)}
+		return NegExpr{Inner: substitute(e.Inner, repl)}
 	case AndExpr:
-		return AndExpr{L: substituteAggregates(e.L, values), R: substituteAggregates(e.R, values)}
+		return AndExpr{L: substitute(e.L, repl), R: substitute(e.R, repl)}
 	case OrExpr:
-		return OrExpr{L: substituteAggregates(e.L, values), R: substituteAggregates(e.R, values)}
+		return OrExpr{L: substitute(e.L, repl), R: substitute(e.R, repl)}
 	case CmpExpr:
-		return CmpExpr{Op: e.Op, L: substituteAggregates(e.L, values), R: substituteAggregates(e.R, values)}
+		return CmpExpr{Op: e.Op, L: substitute(e.L, repl), R: substitute(e.R, repl)}
 	case ArithExpr:
-		return ArithExpr{Op: e.Op, L: substituteAggregates(e.L, values), R: substituteAggregates(e.R, values)}
+		return ArithExpr{Op: e.Op, L: substitute(e.L, repl), R: substitute(e.R, repl)}
 	case CallExpr:
 		args := make([]Expression, len(e.Args))
 		for i, a := range e.Args {
-			args[i] = substituteAggregates(a, values)
+			args[i] = substitute(a, repl)
 		}
 		return CallExpr{Name: e.Name, Args: args}
 	default:
@@ -103,7 +103,8 @@ func substituteAggregates(e Expression, values map[string]rdf.Term) Expression {
 	}
 }
 
-// aggKey identifies one aggregate instance for memoization within a group.
+// aggKey identifies one aggregate instance of a query, so that the compiler
+// gives repeated mentions of it one slot.
 func aggKey(e AggExpr) string {
 	var b strings.Builder
 	b.WriteString(e.Fn)
@@ -118,238 +119,126 @@ func aggKey(e AggExpr) string {
 	return b.String()
 }
 
-// collectAggregates gathers the distinct aggregate instances of e into out.
-func collectAggregates(e Expression, out map[string]AggExpr) {
-	walkExpr(e, func(sub Expression) {
-		if agg, ok := sub.(AggExpr); ok {
-			out[aggKey(agg)] = agg
-		}
-	})
+// aggAcc accumulates one aggregate over one group.
+type aggAcc struct {
+	n    int64    // values counted
+	sum  float64  // SUM, AVG
+	best rdf.Term // MIN, MAX
+	bad  bool     // SUM, AVG: a value was not numeric
 }
 
-// computeAggregate evaluates one aggregate over a group of solutions.
-func computeAggregate(ec *evalCtx, agg AggExpr, group []solution) (rdf.Term, error) {
-	if agg.Fn == "COUNT" && agg.Star {
-		return rdf.Int(int64(len(group))), nil
+// add feeds the row in ec.view to accumulator number no. Rows whose argument
+// fails to evaluate are skipped, per SPARQL; DISTINCT skips the values (as
+// interned IDs, so by term equality) the accumulator has already taken.
+func (ec *evalCtx) add(agg *AggExpr, acc *aggAcc, no int) {
+	if agg.Star {
+		acc.n++
+		return
 	}
-	var values []rdf.Term
-	var seen map[string]bool
+	v, err := agg.Arg.Eval(ec)
+	if err != nil {
+		return
+	}
 	if agg.Distinct {
-		seen = make(map[string]bool)
-	}
-	for _, s := range group {
-		v, err := agg.Arg.Eval(solView{ec, s})
-		if err != nil {
-			continue // per SPARQL, error rows are skipped by aggregates
+		key := [2]rdf.ID{rdf.ID(no), ec.intern(v)}
+		if _, dup := ec.pairSeen[key]; dup {
+			return
 		}
-		if agg.Distinct {
-			k := v.String()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		values = append(values, v)
+		ec.pairSeen[key] = struct{}{}
 	}
+	acc.n++
 	switch agg.Fn {
-	case "COUNT":
-		return rdf.Int(int64(len(values))), nil
 	case "SUM", "AVG":
-		sum := 0.0
-		n := 0
-		for _, v := range values {
-			f, ok := v.Float()
-			if !ok {
-				return rdf.Term{}, fmt.Errorf("%w: %s over non-numeric value %s", errType, agg.Fn, v)
-			}
-			sum += f
-			n++
-		}
-		if agg.Fn == "SUM" {
-			return rdf.Float(sum), nil
-		}
-		if n == 0 {
-			return rdf.Term{}, fmt.Errorf("%w: AVG over empty group", errType)
-		}
-		return rdf.Float(sum / float64(n)), nil
+		f, ok := v.Float()
+		acc.sum += f
+		acc.bad = acc.bad || !ok
 	case "MIN", "MAX":
-		if len(values) == 0 {
-			return rdf.Term{}, fmt.Errorf("%w: %s over empty group", errType, agg.Fn)
-		}
-		best := values[0]
-		for _, v := range values[1:] {
-			c := v.Compare(best)
-			if (agg.Fn == "MIN" && c < 0) || (agg.Fn == "MAX" && c > 0) {
-				best = v
+		if acc.n > 1 {
+			if c := v.Compare(acc.best); c == 0 || (c < 0) != (agg.Fn == "MIN") {
+				return
 			}
 		}
-		return best, nil
-	default:
-		return rdf.Term{}, fmt.Errorf("%w: unknown aggregate %s", errType, agg.Fn)
+		acc.best = v
 	}
 }
 
-// groupSolutions partitions the solutions by the GROUP BY variables. With
-// no GROUP BY, all solutions form one group (even an empty one, so that
-// COUNT(*) over no matches yields 0).
-func groupSolutions(ec *evalCtx, groupBy []string, sols []solution) [][]solution {
-	if len(groupBy) == 0 {
-		return [][]solution{sols}
+// value is the aggregate's result for the group, the zero Term when it has
+// none (SUM or AVG over a non-numeric value; AVG, MIN or MAX over no values):
+// the slot stays unbound and what reads it fails like any unbound variable.
+func (acc *aggAcc) value(fn string) rdf.Term {
+	switch {
+	case fn == "COUNT":
+		return rdf.Int(acc.n)
+	case fn == "SUM" && !acc.bad:
+		return rdf.Float(acc.sum)
+	case fn == "AVG" && !acc.bad && acc.n > 0:
+		return rdf.Float(acc.sum / float64(acc.n))
+	case fn == "MIN" || fn == "MAX":
+		return acc.best
 	}
-	slots := make([]int, len(groupBy))
-	for i, v := range groupBy {
-		slots[i] = ec.prog.varIndex[v]
+	return rdf.Term{}
+}
+
+// group replaces the WHERE rows by one row per group, in order of first
+// appearance: the group's first row — where the grouped variables are read
+// from — with the value of every aggregate in its slot. Rows are keyed by the
+// ID tuple of the GROUP BY slots; without GROUP BY all rows form one group,
+// present even when there are no rows (COUNT(*) over no matches is 0). HAVING
+// then decides which groups stay. A cancellation stops the pass wherever it
+// is; the caller finds it in ec.cancel.
+func (ec *evalCtx) group(table []rdf.ID) []rdf.ID {
+	p := ec.prog
+	w, na := p.width, len(p.aggs)
+	if ec.groups == nil {
+		ec.groups = make(map[string]int32)
 	}
-	index := make(map[string]int)
-	var groups [][]solution
-	for _, s := range sols {
-		var key strings.Builder
-		for _, slot := range slots {
-			key.WriteString(s[slot].String())
-			key.WriteByte('\x1f')
+	if ec.pairSeen == nil {
+		ec.pairSeen = make(map[[2]rdf.ID]struct{})
+	}
+	clear(ec.pairSeen)
+	out := ec.pushTable()
+	open := func(row []rdf.ID) {
+		ec.tabs[out] = append(ec.tabs[out], row...)
+		ec.accs = append(ec.accs, make([]aggAcc, na)...)
+	}
+	if len(p.groupSlots) == 0 && len(table) == 0 {
+		open(ec.zero)
+	}
+	for r := 0; r < len(table) && ec.cancel.check() == nil; r += w {
+		row := table[r : r+w]
+		key := ec.keyBuf[:0]
+		for _, slot := range p.groupSlots {
+			key = appendID(key, row[slot])
 		}
-		k := key.String()
-		gi, ok := index[k]
+		ec.keyBuf = key
+		gi, ok := ec.groups[string(key)]
 		if !ok {
-			gi = len(groups)
-			index[k] = gi
-			groups = append(groups, nil)
+			gi = int32(len(ec.groups))
+			ec.groups[string(key)] = gi
+			open(row)
 		}
-		groups[gi] = append(groups[gi], s)
-	}
-	return groups
-}
-
-// evalGrouped performs grouping, aggregation, HAVING and projection for
-// queries that use GROUP BY or aggregates (and passed checkAggregation).
-func (ec *evalCtx) evalGrouped(q *Query, sols []solution) (*Results, error) {
-	// Collect every aggregate instance used anywhere.
-	aggs := make(map[string]AggExpr)
-	for _, item := range q.Select {
-		collectAggregates(item.Expr, aggs)
-	}
-	if q.Having != nil {
-		collectAggregates(q.Having, aggs)
-	}
-	for _, key := range q.OrderBy {
-		collectAggregates(key.Expr, aggs)
+		ec.view = row
+		for j := range p.aggs {
+			no := int(gi)*na + j
+			ec.add(&p.aggs[j].agg, &ec.accs[no], no)
+		}
 	}
 
-	groups := groupSolutions(ec, q.GroupBy, sols)
-
-	type groupRow struct {
-		rep    solution // representative solution for grouped vars
-		values map[string]rdf.Term
-	}
-	var rows []groupRow
-	for _, g := range groups {
-		if err := ec.cancel.check(); err != nil {
-			return nil, err
+	groups, n := ec.tabs[out], 0
+	for r := 0; r < len(groups); r += w {
+		row := groups[r : r+w]
+		for j, a := range p.aggs {
+			row[a.slot] = ec.intern(ec.accs[r/w*na+j].value(a.agg.Fn))
 		}
-		values := make(map[string]rdf.Term, len(aggs))
-		for key, agg := range aggs {
-			v, err := computeAggregate(ec, agg, g)
-			if err != nil {
-				continue // unbound aggregate: projection yields unbound
-			}
-			values[key] = v
-		}
-		var rep solution
-		if len(g) > 0 {
-			rep = g[0]
-		} else {
-			rep = ec.emptySolution()
-		}
-		if q.Having != nil {
-			ok, err := ebv(substituteAggregates(q.Having, values), solView{ec, rep})
-			if err != nil || !ok {
+		if p.having != nil {
+			ec.view = row
+			if ok, err := ebv(p.having, ec); err != nil || !ok {
 				continue
 			}
 		}
-		rows = append(rows, groupRow{rep: rep, values: values})
+		n += copy(groups[n:n+w], row)
 	}
-
-	// ORDER BY over groups.
-	if len(q.OrderBy) > 0 {
-		type keyed struct {
-			row  groupRow
-			keys []rdf.Term
-		}
-		ks := make([]keyed, len(rows))
-		for i, row := range rows {
-			keys := make([]rdf.Term, len(q.OrderBy))
-			for j, ok := range q.OrderBy {
-				expr := substituteAggregates(ok.Expr, row.values)
-				if v, err := expr.Eval(solView{ec, row.rep}); err == nil {
-					keys[j] = v
-				}
-			}
-			ks[i] = keyed{row: row, keys: keys}
-		}
-		sortKeyed := func(a, b keyed) bool {
-			for j := range q.OrderBy {
-				c := a.keys[j].Compare(b.keys[j])
-				if q.OrderBy[j].Desc {
-					c = -c
-				}
-				if c != 0 {
-					return c < 0
-				}
-			}
-			return false
-		}
-		for i := 1; i < len(ks); i++ {
-			for j := i; j > 0 && sortKeyed(ks[j], ks[j-1]); j-- {
-				ks[j], ks[j-1] = ks[j-1], ks[j]
-			}
-		}
-		for i := range ks {
-			rows[i] = ks[i].row
-		}
-	}
-
-	// Projection.
-	res := &Results{}
-	for _, item := range q.Select {
-		res.Vars = append(res.Vars, item.Alias)
-	}
-	var seen map[string]bool
-	var keyer distinctKeyer
-	if q.Distinct {
-		seen = make(map[string]bool)
-		keyer.dict = ec.g.Dict()
-	}
-	for _, row := range rows {
-		if err := ec.cancel.check(); err != nil {
-			return nil, err
-		}
-		out := make([]rdf.Term, len(q.Select))
-		for i, item := range q.Select {
-			expr := substituteAggregates(item.Expr, row.values)
-			if v, err := expr.Eval(solView{ec, row.rep}); err == nil {
-				out[i] = v
-			}
-		}
-		if q.Distinct {
-			key := keyer.key(out)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-		}
-		res.Rows = append(res.Rows, out)
-	}
-	if q.Offset > 0 {
-		if q.Offset >= len(res.Rows) {
-			res.Rows = nil
-		} else {
-			res.Rows = res.Rows[q.Offset:]
-		}
-	}
-	if q.Limit >= 0 && q.Limit < len(res.Rows) {
-		res.Rows = res.Rows[:q.Limit]
-	}
-	return res, nil
+	return groups[:n]
 }
 
 // checkAggregation reports whether the query needs grouped evaluation and

@@ -3,7 +3,9 @@
 package sparql_test
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"optimatch/internal/kb"
 	"optimatch/internal/rdf"
@@ -12,9 +14,10 @@ import (
 	"optimatch/internal/workload"
 )
 
-// Allocation budgets of the evaluator. They live outside the race build: the
-// race detector's instrumentation allocates, so testing.AllocsPerRun counts
-// mean nothing under it.
+// Allocation budgets of the evaluator, and its one wall-clock bound. They live
+// outside the race build: the race detector's instrumentation allocates, so
+// testing.AllocsPerRun counts mean nothing under it, and it slows the sort
+// several times over.
 
 // generatedGraph transforms one generated plan of ops operators carrying none
 // of the canonical patterns.
@@ -80,5 +83,69 @@ SELECT DISTINCT ?top WHERE {
 	large := allocsPerExec(t, q, generatedGraph(t, 240), 1)
 	if large > small+2 || large < small-2 {
 		t.Errorf("allocations follow the join rows: %.0f over 60 operators, %.0f over 240", small, large)
+	}
+}
+
+// The grouped tail allocates for its result rows, not for its groups: the
+// benchmark's qGroup shape costs the same over a plan with four times the
+// operators (12 groups over 60 operators, 13 over 240; a group costs its key
+// string, nothing else). Grouping used to cost a map of values, a string key
+// and an expression tree per use for every group, and a term-space copy of
+// every WHERE row before that. (The benchmark's second sort key, ?type, is left
+// out: a tie on ?n compares two type names, rdf.Term.Compare tries them as
+// numbers first, and strconv's error allocates — the count would follow the
+// ties.)
+func TestAllocBudgetGroupedTail(t *testing.T) {
+	q, err := sparql.Parse(`PREFIX preduri: <http://optimatch/pred/>
+SELECT ?type (COUNT(?pop) AS ?n) WHERE {
+  ?pop preduri:hasPopType ?type .
+  ?pop preduri:hasIOCost ?io .
+  FILTER(?io > 100) .
+}
+GROUP BY ?type
+ORDER BY DESC(?n)
+LIMIT 5`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := allocsPerExec(t, q, generatedGraph(t, 60), 5)
+	if mid := allocsPerExec(t, q, generatedGraph(t, 120), 5); mid > 40 {
+		t.Errorf("qGroup over a 120-operator plan: %.0f allocations per evaluation, budget 40", mid)
+	}
+	large := allocsPerExec(t, q, generatedGraph(t, 240), 5)
+	if large > small+2 || large < small-2 {
+		t.Errorf("allocations follow the groups: %.0f over 60 operators, %.0f over 240", small, large)
+	}
+}
+
+// Grouped ORDER BY goes through the tail's one stable sort: 32 000 groups in
+// pseudo-random order took 49 s through the insertion sort the grouped tail
+// used to have, a third of a second now. The fastest of three runs counts, so
+// that a neighbour's burst of load does not.
+func TestTailSortsManyGroups(t *testing.T) {
+	const n = 32000
+	g := rdf.NewGraph()
+	for i := 0; i < n; i++ {
+		g.Add(rdf.IRI(fmt.Sprintf("urn:pop%d", i)), rdf.IRI("http://optimatch/pred/hasPopType"), rdf.String(fmt.Sprintf("T%05d", i*7919%n)))
+	}
+	q, err := sparql.Parse(`PREFIX pred: <http://optimatch/pred/>
+SELECT ?type (COUNT(?pop) AS ?n) WHERE { ?pop pred:hasPopType ?type } GROUP BY ?type ORDER BY DESC(?n) DESC(?type)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fastest := time.Hour
+	for run := 0; run < 3 && fastest > time.Second; run++ {
+		start := time.Now()
+		res, err := q.Exec(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fastest = min(fastest, time.Since(start))
+		if res.Len() != n || res.Rows[0][0].Value != fmt.Sprintf("T%05d", n-1) || res.Rows[n-1][0].Value != "T00000" {
+			t.Fatalf("%d rows from %v to %v", res.Len(), res.Rows[0], res.Rows[res.Len()-1])
+		}
+	}
+	if fastest > time.Second {
+		t.Errorf("ordering %d groups took %v at best, want under 1s", n, fastest)
 	}
 }

@@ -1,22 +1,32 @@
 package sparql
 
-import "optimatch/internal/rdf"
+import (
+	"slices"
+	"strconv"
+	"strings"
+
+	"optimatch/internal/rdf"
+)
 
 // This file compiles a query into its graph-independent program. Everything
 // about an evaluation that depends only on the query text is decided here,
 // once per parsed query (Parse computes it with the static analysis and the
 // engine's parse-once cache shares it): the variable→slot table, triple
 // patterns carrying slot and constant numbers, each group's filters with the
-// slots they read as a bitmask and a compiled row predicate, and the
-// variables every element binds as a bitmask. What is left for the
-// evaluator to do per (query, graph) pair is to resolve the constants to the
-// graph's dense IDs, choose the join order from the graph's statistics, and
-// run (see specialize.go).
+// slots they read as a bitmask and a compiled row predicate, the variables
+// every element binds as a bitmask, and the result tail — which slots are
+// grouped on, aggregated into, computed, sorted by and projected. What is left
+// for the evaluator to do per (query, graph) pair is to resolve the constants
+// to the graph's dense IDs, choose the join order from the graph's statistics,
+// and run (see specialize.go).
 
 // program is the compiled form of one query. It is immutable after compile
 // and shared by every concurrent evaluation of the query.
 type program struct {
-	vars     []string       // slot -> variable name
+	// vars maps slot -> variable name. The query's own variables come first,
+	// in first-appearance order; the tail's slots (aggregate values, computed
+	// columns) follow under names no query can spell ("!tail<slot>").
+	vars     []string
 	varIndex map[string]int // variable name -> slot
 	width    int            // row width: len(vars), at least 1 so a row count survives a variable-free query
 
@@ -32,19 +42,39 @@ type program struct {
 	grouped bool
 	aggErr  error
 
-	// The projection tail. idTail: the projection and every ORDER BY key is a
-	// plain variable (the shape of every pattern- and knowledge-base-compiled
-	// query), so SELECT/DISTINCT/ORDER BY/LIMIT run on ID rows. earlyDistinct:
-	// additionally the query is DISTINCT and every ORDER BY key is projected,
-	// so the WHERE clause emits projected, already deduplicated rows and the
-	// sort runs over the survivors; orderCols then index the projection.
-	idTail        bool
+	// The result tail, laid out by compiler.tail: the rows of the WHERE clause
+	// are grouped on groupSlots with every aggregate's value stored in its slot
+	// and having deciding which groups stay (grouped queries only), extended by
+	// the computed columns, sorted on orderSlots and projected onto projSlots.
+	groupSlots []int
+	aggs       []aggProg
+	having     Expression // reads the aggregate slots; nil when absent
+	computed   []colProg
+	projVars   []string
+	projSlots  []int
+	orderSlots []int
+	// earlyDistinct: the query is DISTINCT, nothing is grouped or computed and
+	// every ORDER BY key is projected (the shape of every pattern- and
+	// knowledge-base-compiled query), so the WHERE clause emits projected,
+	// already deduplicated rows and the sort runs over the survivors; orderCols
+	// and projCols then index the projection.
 	earlyDistinct bool
-	projVars      []string
-	projSlots     []int
-	orderSlots    []int
 	orderCols     []int
-	projCols      []int // 0..len(projSlots)-1: the projection of an already projected row
+	projCols      []int // 0..len(projSlots)-1
+}
+
+// aggProg is one distinct aggregate of the query and the slot a group's value
+// of it is stored in.
+type aggProg struct {
+	agg  AggExpr
+	slot int
+}
+
+// colProg is a computed column: a SELECT expression or ORDER BY key that is
+// not a plain variable, evaluated once per row into a slot of its own.
+type colProg struct {
+	slot int
+	expr Expression
 }
 
 // groupProg is a compiled group pattern: its elements in evaluation order
@@ -157,6 +187,7 @@ func compile(q *Query, consts, required []rdf.Term) *program {
 	for _, v := range q.Where.Vars() {
 		c.slot(v)
 	}
+	nWhere := len(p.vars)
 	for _, item := range q.Select {
 		c.slots(exprVars(item.Expr))
 	}
@@ -170,8 +201,8 @@ func compile(q *Query, consts, required []rdf.Term) *program {
 
 	p.root = c.group(q.Where)
 	p.grouped, p.aggErr = q.checkAggregation()
-	if !p.grouped {
-		c.tail(q)
+	if p.aggErr == nil {
+		c.tail(q, nWhere)
 	}
 	// Fixed last: group and tail reach their slots through c.slot, so a
 	// variable the walks above missed still gets a cell in every row.
@@ -195,49 +226,88 @@ func (c *compiler) slots(vars []string) {
 	}
 }
 
-// tail decides whether the projection tail can run on ID rows and, if so,
-// lays out the projection and the sort keys.
-func (c *compiler) tail(q *Query) {
+// tailSlot opens a slot for a value the tail computes.
+func (c *compiler) tailSlot() int {
+	return c.slot("!tail" + strconv.Itoa(len(c.p.vars)))
+}
+
+// tail lays out the result tail. Each distinct aggregate gets a slot, and
+// HAVING, the SELECT expressions and the ORDER BY keys are rewritten once to
+// read it like a variable; what is then not a plain variable becomes a
+// computed column with a slot of its own, so that the sort, DISTINCT and the
+// projection only ever see slots. An ORDER BY key may name a SELECT alias: it
+// then reads the slot of the first column of that name, unless the WHERE
+// clause mentions the name (slots below nWhere) — the variable wins.
+func (c *compiler) tail(q *Query, nWhere int) {
 	p := c.p
+	for _, v := range q.GroupBy {
+		p.groupSlots = append(p.groupSlots, c.slot(v))
+	}
+	aggSlot := make(map[string]int) // aggKey -> slot
+	alias := make(map[string]int)   // ORDER BY only: SELECT alias -> slot
+	rewrite := func(e Expression) Expression {
+		return substitute(e, func(sub Expression) Expression {
+			switch sub := sub.(type) {
+			case AggExpr:
+				key := aggKey(sub)
+				if _, ok := aggSlot[key]; !ok {
+					aggSlot[key] = c.tailSlot()
+					p.aggs = append(p.aggs, aggProg{agg: sub, slot: aggSlot[key]})
+				}
+				return VarExpr{Name: p.vars[aggSlot[key]]}
+			case VarExpr:
+				if slot, ok := alias[sub.Name]; ok && p.varIndex[sub.Name] >= nWhere {
+					return VarExpr{Name: p.vars[slot]}
+				}
+			case CallExpr:
+				if sub.Name == "BOUND" && hasAggregate(sub.Args[0]) {
+					return sub // BOUND takes a variable: this stays the type error it is
+				}
+			}
+			return nil
+		})
+	}
+	column := func(e Expression) int {
+		e = rewrite(e)
+		if ve, ok := e.(VarExpr); ok {
+			return c.slot(ve.Name)
+		}
+		slot := c.tailSlot()
+		p.computed = append(p.computed, colProg{slot: slot, expr: e})
+		return slot
+	}
+
+	if q.Having != nil {
+		p.having = rewrite(q.Having)
+	}
 	if q.Star {
 		for i, v := range p.vars {
-			if len(v) == 0 || v[0] != '!' {
+			if !strings.HasPrefix(v, "!") {
 				p.projVars = append(p.projVars, v)
 				p.projSlots = append(p.projSlots, i)
 			}
 		}
-	} else {
-		for _, item := range q.Select {
-			ve, ok := item.Expr.(VarExpr)
-			if !ok {
-				return
-			}
-			p.projVars = append(p.projVars, item.Alias)
-			p.projSlots = append(p.projSlots, c.slot(ve.Name))
+	}
+	for _, item := range q.Select {
+		p.projVars = append(p.projVars, item.Alias)
+		p.projSlots = append(p.projSlots, column(item.Expr))
+	}
+	for i, item := range q.Select {
+		if _, dup := alias[item.Alias]; !dup {
+			alias[item.Alias] = p.projSlots[i]
 		}
 	}
 	for i := range p.projSlots {
 		p.projCols = append(p.projCols, i)
 	}
-	// A projection of no columns has no flat-table form to count rows in.
-	early := q.Distinct && len(p.projSlots) > 0
 	for _, key := range q.OrderBy {
-		ve, ok := key.Expr.(VarExpr)
-		if !ok {
-			return
-		}
-		slot, col := c.slot(ve.Name), -1
-		for i, ps := range p.projSlots {
-			if ps == slot {
-				col = i
-				break
-			}
-		}
+		slot := column(key.Expr)
 		p.orderSlots = append(p.orderSlots, slot)
-		p.orderCols = append(p.orderCols, col)
-		early = early && col >= 0
+		p.orderCols = append(p.orderCols, slices.Index(p.projSlots, slot))
 	}
-	p.idTail, p.earlyDistinct = true, early
+	// A projection of no columns has no flat-table form to count rows in.
+	p.earlyDistinct = q.Distinct && !p.grouped && len(p.computed) == 0 && len(p.projSlots) > 0 &&
+		!slices.Contains(p.orderCols, -1)
 }
 
 func (c *compiler) group(g *GroupPattern) *groupProg {

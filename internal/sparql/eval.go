@@ -2,8 +2,6 @@ package sparql
 
 import (
 	"context"
-	"sort"
-	"strings"
 	"sync/atomic"
 
 	"optimatch/internal/rdf"
@@ -255,13 +253,14 @@ func (q *Query) ExecOpts(g *rdf.Graph, opts ExecOptions) (*Results, error) {
 	return res, err
 }
 
-// exec runs the WHERE clause and the projection tail.
+// exec runs the WHERE clause and the result tail: group, compute, then sort,
+// dedup, window and materialize.
 func (ec *evalCtx) exec(q *Query) (*Results, error) {
 	p := ec.prog
 	// Required-constant bail-out: when the graph's vocabulary misses a term
 	// every match must contain, the WHERE clause is known to produce zero
-	// solutions without being evaluated. The projection tail still runs so
-	// aggregates over the empty solution set keep their one-row result.
+	// solutions without being evaluated. The tail still runs so aggregates
+	// over the empty solution set keep their one-row result.
 	required := true
 	for _, n := range p.required {
 		required = required && ec.consts[n] != rdf.NoID
@@ -273,174 +272,15 @@ func (ec *evalCtx) exec(q *Query) (*Results, error) {
 		ec.opts.Stats.constantBailout.Add(1)
 	}
 	table := ec.tabs[out]
-	// A cancellation stops the join and the path walks without an error
-	// return path of their own; surface it here so truncated results never
-	// masquerade as complete ones.
+	if p.grouped {
+		table = ec.group(table)
+	}
+	ec.compute(table)
+	// A cancellation stops the join, the path walks and the two passes above
+	// without an error return path of their own; surface it here so truncated
+	// results never masquerade as complete ones.
 	if err := ec.cancel.tripped(); err != nil {
 		return nil, err
 	}
-	switch {
-	case p.grouped:
-		return ec.evalGrouped(q, ec.toTermSolutions(table))
-	case p.idTail:
-		return ec.projectIDs(q, table)
-	default:
-		return ec.project(q, ec.toTermSolutions(table))
-	}
-}
-
-// solution is a variable assignment in term space, indexed by the program's
-// variable slots. A zero Term means unbound. WHERE evaluation works on ID
-// rows; solutions exist only in the projection and aggregation tail.
-type solution []rdf.Term
-
-func (ec *evalCtx) emptySolution() solution {
-	return make(solution, len(ec.prog.vars))
-}
-
-// solView adapts a solution to the expression evaluator's bindingView.
-type solView struct {
-	ec  *evalCtx
-	sol solution
-}
-
-func (v solView) lookupVar(name string) (rdf.Term, bool) {
-	i, ok := v.ec.prog.varIndex[name]
-	if !ok {
-		return rdf.Term{}, false
-	}
-	t := v.sol[i]
-	if t.Zero() {
-		return rdf.Term{}, false
-	}
-	return t, true
-}
-
-// project applies SELECT, DISTINCT, ORDER BY, LIMIT and OFFSET.
-func (ec *evalCtx) project(q *Query, sols []solution) (*Results, error) {
-	// ORDER BY before projection (keys may reference non-projected vars).
-	if len(q.OrderBy) > 0 {
-		type keyed struct {
-			sol  solution
-			keys []rdf.Term
-		}
-		ks := make([]keyed, len(sols))
-		for i, s := range sols {
-			keys := make([]rdf.Term, len(q.OrderBy))
-			for j, ok := range q.OrderBy {
-				if v, err := ok.Expr.Eval(solView{ec, s}); err == nil {
-					keys[j] = v
-				}
-			}
-			ks[i] = keyed{sol: s, keys: keys}
-		}
-		sort.SliceStable(ks, func(a, b int) bool {
-			for j := range q.OrderBy {
-				c := ks[a].keys[j].Compare(ks[b].keys[j])
-				if q.OrderBy[j].Desc {
-					c = -c
-				}
-				if c != 0 {
-					return c < 0
-				}
-			}
-			return false
-		})
-		for i := range ks {
-			sols[i] = ks[i].sol
-		}
-	}
-
-	var vars []string
-	var exprs []Expression
-	if q.Star {
-		for _, v := range ec.prog.vars {
-			if !strings.HasPrefix(v, "!") {
-				vars = append(vars, v)
-				exprs = append(exprs, VarExpr{Name: v})
-			}
-		}
-	} else {
-		for _, item := range q.Select {
-			vars = append(vars, item.Alias)
-			exprs = append(exprs, item.Expr)
-		}
-	}
-
-	res := &Results{Vars: vars}
-	var seen map[string]bool
-	var keyer distinctKeyer
-	if q.Distinct {
-		seen = make(map[string]bool)
-		keyer.dict = ec.g.Dict()
-	}
-	for _, s := range sols {
-		if err := ec.cancel.check(); err != nil {
-			return nil, err
-		}
-		row := make([]rdf.Term, len(exprs))
-		for i, e := range exprs {
-			if v, err := e.Eval(solView{ec, s}); err == nil {
-				row[i] = v
-			}
-		}
-		if q.Distinct {
-			key := keyer.key(row)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-		}
-		res.Rows = append(res.Rows, row)
-	}
-
-	// OFFSET / LIMIT.
-	if q.Offset > 0 {
-		if q.Offset >= len(res.Rows) {
-			res.Rows = nil
-		} else {
-			res.Rows = res.Rows[q.Offset:]
-		}
-	}
-	if q.Limit >= 0 && q.Limit < len(res.Rows) {
-		res.Rows = res.Rows[:q.Limit]
-	}
-	return res, nil
-}
-
-// distinctKeyer builds DISTINCT dedup keys from dense term IDs instead of
-// rendering every cell to N-Triples text: 4 bytes per column and no string
-// building per cell. Terms the graph's dictionary does not know (BIND
-// results) are interned into a local side table whose IDs carry the top bit,
-// so they never collide with graph IDs — byte-equal keys are exactly
-// term-equal rows.
-type distinctKeyer struct {
-	dict  *rdf.Dict
-	extra map[rdf.Term]rdf.ID
-	buf   []byte
-}
-
-// key encodes the row as a little-endian ID tuple. The returned string is
-// only valid as a map key (it is re-materialized by the string conversion).
-func (k *distinctKeyer) key(row []rdf.Term) string {
-	k.buf = k.buf[:0]
-	for _, t := range row {
-		var id rdf.ID
-		if !t.Zero() {
-			id = k.dict.Lookup(t)
-			if id == rdf.NoID {
-				var ok bool
-				id, ok = k.extra[t]
-				if !ok {
-					if k.extra == nil {
-						k.extra = make(map[rdf.Term]rdf.ID)
-					}
-					id = extraIDBit | rdf.ID(len(k.extra)+1)
-					k.extra[t] = id
-				}
-			}
-		}
-		k.buf = append(k.buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return string(k.buf)
+	return ec.projectIDs(q, table)
 }

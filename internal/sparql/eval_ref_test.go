@@ -3,7 +3,9 @@ package sparql
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"optimatch/internal/rdf"
@@ -15,26 +17,67 @@ import (
 // space — a solution is a []rdf.Term and every bound variable is re-resolved
 // against the dictionary per row — and it is deliberately plain: triple
 // patterns join in textual order, there is no cost model, no required-constant
-// bail-out, no compiled filters and no cancellation. It shares the variable
-// slot table and the projection/aggregation tail (project, evalGrouped) with
-// the evaluator under test; closures go through evalPath, whose own oracle is
-// refEval in path_test.go.
+// bail-out, no compiled filters and no cancellation. Its result tail
+// (refProject, refEvalGrouped and what they call, at the end of this file) is
+// the term-space tail production ran before it got its compiled one, moved
+// here: it evaluates the query's own expressions per row and per group and
+// shares with the evaluator under test only Expression.Eval, Term.Compare and
+// the helpers that read query text (checkAggregation, walkExpr, aggKey). The
+// variable slot table is shared too; closures go through evalPath, whose own
+// oracle is refEval in path_test.go.
 
 // execReference evaluates q against g with the reference evaluator.
 func execReference(q *Query, g *rdf.Graph) (*Results, error) {
-	grouped, err := q.checkAggregation()
+	ctx, sols, err := refSolutions(q, g)
 	if err != nil {
 		return nil, err
+	}
+	return ctx.refTail(q, sols), nil
+}
+
+// refSolutions evaluates q's WHERE clause.
+func refSolutions(q *Query, g *rdf.Graph) (*evalCtx, []solution, error) {
+	if _, err := q.checkAggregation(); err != nil {
+		return nil, nil, err
 	}
 	ctx := acquireEvalCtx(g, q.Analysis().prog, ExecOptions{})
 	sols, err := ctx.refEvalGroup(q.Where, []solution{ctx.emptySolution()})
-	if err != nil {
-		return nil, err
+	return ctx, sols, err
+}
+
+// refTail turns the WHERE clause's solutions into q's result. sols is only
+// read.
+func (ctx *evalCtx) refTail(q *Query, sols []solution) *Results {
+	if grouped, _ := q.checkAggregation(); grouped {
+		return ctx.refEvalGrouped(q, sols)
 	}
-	if grouped {
-		return ctx.evalGrouped(q, sols)
+	return ctx.refProject(q, sols)
+}
+
+// solution is a variable assignment in term space, indexed by the program's
+// variable slots. A zero Term means unbound.
+type solution []rdf.Term
+
+func (ctx *evalCtx) emptySolution() solution {
+	return make(solution, len(ctx.prog.vars))
+}
+
+// solView adapts a solution to the expression evaluator's bindingView.
+type solView struct {
+	ec  *evalCtx
+	sol solution
+}
+
+func (v solView) lookupVar(name string) (rdf.Term, bool) {
+	i, ok := v.ec.prog.varIndex[name]
+	if !ok {
+		return rdf.Term{}, false
 	}
-	return ctx.project(q, sols)
+	t := v.sol[i]
+	if t.Zero() {
+		return rdf.Term{}, false
+	}
+	return t, true
 }
 
 // slot is v's position in a solution.
@@ -410,44 +453,24 @@ func rowStrings(r *Results) []string {
 	return out
 }
 
-// totallyOrdered reports whether q's ORDER BY pins the row sequence of res
-// (q's un-LIMITed result): every key is a plain projected variable, and no
-// two adjacent rows tie on all keys unless they are the same row. Anything
-// else leaves the order of tied rows to the join order, which the reference
-// does not share with the evaluator under test.
-func totallyOrdered(q *Query, res *Results) bool {
+// totallyOrdered reports whether q's ORDER BY pins the row sequence of q's
+// un-LIMITed result on g: the reference tail must produce the same sequence
+// from the same solutions arriving back to front. Its sort being stable, two
+// rows that tie on every key trade places then — as do two groups, and the
+// solutions a group reads its ungrouped variables from — so the sequences
+// agree only where no tie is left for the join order to break. The keys may
+// be anything: aliases, expressions, variables not projected.
+func totallyOrdered(q *Query, g *rdf.Graph) bool {
 	if len(q.OrderBy) == 0 {
 		return false
 	}
-	cols := make([]int, len(q.OrderBy))
-	for i, key := range q.OrderBy {
-		ve, ok := key.Expr.(VarExpr)
-		if !ok {
-			return false
-		}
-		cols[i] = -1
-		if q.Star {
-			cols[i] = res.Column(ve.Name)
-		}
-		for j, item := range q.Select {
-			if sel, ok := item.Expr.(VarExpr); ok && sel == ve && item.Alias == ve.Name {
-				cols[i] = j
-			}
-		}
-		if cols[i] < 0 {
-			return false
-		}
+	ctx, sols, err := refSolutions(q, g)
+	if err != nil {
+		return false
 	}
-	for i := 1; i < len(res.Rows); i++ {
-		tied := true
-		for _, c := range cols {
-			tied = tied && res.Rows[i-1][c].Compare(res.Rows[i][c]) == 0
-		}
-		if tied && !reflect.DeepEqual(res.Rows[i-1], res.Rows[i]) {
-			return false
-		}
-	}
-	return true
+	forth := rowStrings(ctx.refTail(q, sols))
+	slices.Reverse(sols)
+	return reflect.DeepEqual(forth, rowStrings(ctx.refTail(q, sols)))
 }
 
 // requireEquivalent runs q through ExecOpts (with and without join
@@ -485,7 +508,7 @@ func requireEquivalent(t *testing.T, q *Query, g *rdf.Graph) (exact bool) {
 	full := *q
 	full.Limit, full.Offset = -1, 0
 	want := compare(&full, false)
-	if want == nil || !totallyOrdered(&full, want) {
+	if want == nil || !totallyOrdered(&full, g) {
 		return false
 	}
 	compare(&full, true)
@@ -546,4 +569,300 @@ func TestEvalEquivalence(t *testing.T) {
 			t.Errorf("%s: compared in exact order = %v, want %v", c.text, exact, c.ordered)
 		}
 	}
+}
+
+// The reference result tail. It works on term-space solutions and on the
+// query's own expression trees: aggregates are computed per group into a map
+// and substituted into each expression as literals, group keys and DISTINCT
+// sets are rendered strings.
+
+// refRow is one row on its way through the reference tail: the solution ORDER
+// BY keys are read from (a group's first solution in grouped queries), the
+// group's aggregate values, the projected cells and the sort keys.
+type refRow struct {
+	sol    solution
+	values map[string]rdf.Term
+	cells  []rdf.Term
+	keys   []rdf.Term
+}
+
+// orderView is what an ORDER BY key reads: the solution and, under a name the
+// WHERE clause does not mention, the first projected column of that name.
+type orderView struct {
+	solView
+	q     *Query
+	cells []rdf.Term
+}
+
+func (v orderView) lookupVar(name string) (rdf.Term, bool) {
+	for _, w := range v.q.Where.Vars() {
+		if w == name {
+			return v.solView.lookupVar(name)
+		}
+	}
+	for i, item := range v.q.Select {
+		if item.Alias == name {
+			return v.cells[i], !v.cells[i].Zero()
+		}
+	}
+	return v.solView.lookupVar(name)
+}
+
+// refProject applies SELECT and hands the rows to refFinish.
+func (ctx *evalCtx) refProject(q *Query, sols []solution) *Results {
+	var vars []string
+	var exprs []Expression
+	if q.Star {
+		for _, v := range ctx.prog.vars {
+			if !strings.HasPrefix(v, "!") {
+				vars = append(vars, v)
+				exprs = append(exprs, VarExpr{Name: v})
+			}
+		}
+	} else {
+		for _, item := range q.Select {
+			vars = append(vars, item.Alias)
+			exprs = append(exprs, item.Expr)
+		}
+	}
+	rows := make([]refRow, len(sols))
+	for i, s := range sols {
+		cells := make([]rdf.Term, len(exprs))
+		for j, e := range exprs {
+			if v, err := e.Eval(solView{ctx, s}); err == nil {
+				cells[j] = v
+			}
+		}
+		rows[i] = refRow{sol: s, cells: cells}
+	}
+	return ctx.refFinish(q, vars, rows)
+}
+
+// refFinish applies ORDER BY, DISTINCT, OFFSET and LIMIT to projected rows.
+func (ctx *evalCtx) refFinish(q *Query, vars []string, rows []refRow) *Results {
+	if len(q.OrderBy) > 0 {
+		for i := range rows {
+			rows[i].keys = make([]rdf.Term, len(q.OrderBy))
+			for j, ok := range q.OrderBy {
+				expr := refSubstituteAggregates(ok.Expr, rows[i].values)
+				view := orderView{solView{ctx, rows[i].sol}, q, rows[i].cells}
+				if v, err := expr.Eval(view); err == nil {
+					rows[i].keys[j] = v
+				}
+			}
+		}
+		sort.SliceStable(rows, func(a, b int) bool {
+			for j := range q.OrderBy {
+				c := rows[a].keys[j].Compare(rows[b].keys[j])
+				if q.OrderBy[j].Desc {
+					c = -c
+				}
+				if c != 0 {
+					return c < 0
+				}
+			}
+			return false
+		})
+	}
+
+	res := &Results{Vars: vars}
+	seen := make(map[string]bool)
+	for _, row := range rows {
+		if q.Distinct {
+			key := fmt.Sprintf("%#v", row.cells)
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+		}
+		res.Rows = append(res.Rows, row.cells)
+	}
+	if q.Offset > 0 {
+		if q.Offset >= len(res.Rows) {
+			res.Rows = nil
+		} else {
+			res.Rows = res.Rows[q.Offset:]
+		}
+	}
+	if q.Limit >= 0 && q.Limit < len(res.Rows) {
+		res.Rows = res.Rows[:q.Limit]
+	}
+	return res
+}
+
+// refSubstituteAggregates returns a copy of e with every AggExpr replaced by
+// the literal its computed value, looked up by the aggregate's key.
+func refSubstituteAggregates(e Expression, values map[string]rdf.Term) Expression {
+	switch e := e.(type) {
+	case AggExpr:
+		if v, ok := values[aggKey(e)]; ok {
+			return LitExpr{Term: v}
+		}
+		return e
+	case NotExpr:
+		return NotExpr{Inner: refSubstituteAggregates(e.Inner, values)}
+	case NegExpr:
+		return NegExpr{Inner: refSubstituteAggregates(e.Inner, values)}
+	case AndExpr:
+		return AndExpr{L: refSubstituteAggregates(e.L, values), R: refSubstituteAggregates(e.R, values)}
+	case OrExpr:
+		return OrExpr{L: refSubstituteAggregates(e.L, values), R: refSubstituteAggregates(e.R, values)}
+	case CmpExpr:
+		return CmpExpr{Op: e.Op, L: refSubstituteAggregates(e.L, values), R: refSubstituteAggregates(e.R, values)}
+	case ArithExpr:
+		return ArithExpr{Op: e.Op, L: refSubstituteAggregates(e.L, values), R: refSubstituteAggregates(e.R, values)}
+	case CallExpr:
+		args := make([]Expression, len(e.Args))
+		for i, a := range e.Args {
+			args[i] = refSubstituteAggregates(a, values)
+		}
+		return CallExpr{Name: e.Name, Args: args}
+	default:
+		return e
+	}
+}
+
+// refComputeAggregate evaluates one aggregate over a group of solutions.
+func refComputeAggregate(ctx *evalCtx, agg AggExpr, group []solution) (rdf.Term, error) {
+	if agg.Fn == "COUNT" && agg.Star {
+		return rdf.Int(int64(len(group))), nil
+	}
+	var values []rdf.Term
+	var seen map[string]bool
+	if agg.Distinct {
+		seen = make(map[string]bool)
+	}
+	for _, s := range group {
+		v, err := agg.Arg.Eval(solView{ctx, s})
+		if err != nil {
+			continue // per SPARQL, error rows are skipped by aggregates
+		}
+		if agg.Distinct {
+			k := v.String()
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+		}
+		values = append(values, v)
+	}
+	switch agg.Fn {
+	case "COUNT":
+		return rdf.Int(int64(len(values))), nil
+	case "SUM", "AVG":
+		sum := 0.0
+		n := 0
+		for _, v := range values {
+			f, ok := v.Float()
+			if !ok {
+				return rdf.Term{}, fmt.Errorf("%w: %s over non-numeric value %s", errType, agg.Fn, v)
+			}
+			sum += f
+			n++
+		}
+		if agg.Fn == "SUM" {
+			return rdf.Float(sum), nil
+		}
+		if n == 0 {
+			return rdf.Term{}, fmt.Errorf("%w: AVG over empty group", errType)
+		}
+		return rdf.Float(sum / float64(n)), nil
+	case "MIN", "MAX":
+		if len(values) == 0 {
+			return rdf.Term{}, fmt.Errorf("%w: %s over empty group", errType, agg.Fn)
+		}
+		best := values[0]
+		for _, v := range values[1:] {
+			c := v.Compare(best)
+			if (agg.Fn == "MIN" && c < 0) || (agg.Fn == "MAX" && c > 0) {
+				best = v
+			}
+		}
+		return best, nil
+	default:
+		return rdf.Term{}, fmt.Errorf("%w: unknown aggregate %s", errType, agg.Fn)
+	}
+}
+
+// refGroupSolutions partitions the solutions by the GROUP BY variables. With
+// no GROUP BY, all solutions form one group (even an empty one, so that
+// COUNT(*) over no matches yields 0).
+func refGroupSolutions(ctx *evalCtx, groupBy []string, sols []solution) [][]solution {
+	if len(groupBy) == 0 {
+		return [][]solution{sols}
+	}
+	index := make(map[string]int)
+	var groups [][]solution
+	for _, s := range sols {
+		var key strings.Builder
+		for _, v := range groupBy {
+			key.WriteString(s[ctx.slot(v)].String())
+			key.WriteByte('\x1f')
+		}
+		k := key.String()
+		gi, ok := index[k]
+		if !ok {
+			gi = len(groups)
+			index[k] = gi
+			groups = append(groups, nil)
+		}
+		groups[gi] = append(groups[gi], s)
+	}
+	return groups
+}
+
+// refEvalGrouped performs grouping, aggregation, HAVING and SELECT for queries
+// that use GROUP BY or aggregates (and passed checkAggregation).
+func (ctx *evalCtx) refEvalGrouped(q *Query, sols []solution) *Results {
+	// Collect every aggregate instance used anywhere.
+	aggs := make(map[string]AggExpr)
+	collect := func(e Expression) {
+		walkExpr(e, func(sub Expression) {
+			if agg, ok := sub.(AggExpr); ok {
+				aggs[aggKey(agg)] = agg
+			}
+		})
+	}
+	var vars []string
+	for _, item := range q.Select {
+		vars = append(vars, item.Alias)
+		collect(item.Expr)
+	}
+	if q.Having != nil {
+		collect(q.Having)
+	}
+	for _, key := range q.OrderBy {
+		collect(key.Expr)
+	}
+
+	var rows []refRow
+	for _, g := range refGroupSolutions(ctx, q.GroupBy, sols) {
+		values := make(map[string]rdf.Term, len(aggs))
+		for key, agg := range aggs {
+			v, err := refComputeAggregate(ctx, agg, g)
+			if err != nil {
+				continue // unbound aggregate: projection yields unbound
+			}
+			values[key] = v
+		}
+		rep := ctx.emptySolution() // representative solution for grouped vars
+		if len(g) > 0 {
+			rep = g[0]
+		}
+		if q.Having != nil {
+			ok, err := ebv(refSubstituteAggregates(q.Having, values), solView{ctx, rep})
+			if err != nil || !ok {
+				continue
+			}
+		}
+		cells := make([]rdf.Term, len(q.Select))
+		for i, item := range q.Select {
+			expr := refSubstituteAggregates(item.Expr, values)
+			if v, err := expr.Eval(solView{ctx, rep}); err == nil {
+				cells[i] = v
+			}
+		}
+		rows = append(rows, refRow{sol: rep, values: values, cells: cells})
+	}
+	return ctx.refFinish(q, vars, rows)
 }

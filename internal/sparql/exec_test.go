@@ -12,8 +12,8 @@ import (
 	"optimatch/internal/rdf"
 )
 
-// The tests in this file cover the depth-first executor's own edges: the two
-// projection tails against each other, row order against the reference where
+// The tests in this file cover the depth-first executor's own edges: DISTINCT
+// at the leaf against DISTINCT in the tail, row order against the reference where
 // the order is defined, re-entrant path evaluation, cancellation inside the
 // recursion, and one program shared by concurrent evaluations.
 
@@ -63,9 +63,9 @@ func withTail(t *testing.T, text string, early bool) *Query {
 }
 
 // TestDistinctSortTailEquivalence runs queries whose tail qualifies for
-// DISTINCT at the leaf through that tail and through the generic one (stable
-// sort of the full rows, then dedup) and requires the same row sequence from
-// both, and from the reference evaluator.
+// DISTINCT at the leaf with that shortcut and without it (stable sort of the
+// full rows, then dedup) and requires the same row sequence from both, and
+// from the reference evaluator's term-space tail.
 func TestDistinctSortTailEquivalence(t *testing.T) {
 	g := anchoredGraph()
 	body := `WHERE { ` + anchoredRoot + ` pred:hasChildPop ?c . ?c pred:hasPopType ?t . ?c pred:hasEstimateCardinality ?n `

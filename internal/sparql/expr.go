@@ -414,37 +414,10 @@ var builtinArity = map[string][2]int{
 // exprVars returns every variable mentioned in e.
 func exprVars(e Expression) []string {
 	var out []string
-	var walk func(Expression)
-	walk = func(e Expression) {
-		switch e := e.(type) {
-		case VarExpr:
-			out = append(out, e.Name)
-		case NotExpr:
-			walk(e.Inner)
-		case NegExpr:
-			walk(e.Inner)
-		case AndExpr:
-			walk(e.L)
-			walk(e.R)
-		case OrExpr:
-			walk(e.L)
-			walk(e.R)
-		case CmpExpr:
-			walk(e.L)
-			walk(e.R)
-		case ArithExpr:
-			walk(e.L)
-			walk(e.R)
-		case CallExpr:
-			for _, a := range e.Args {
-				walk(a)
-			}
-		case AggExpr:
-			if e.Arg != nil {
-				walk(e.Arg)
-			}
+	walkExpr(e, func(sub Expression) {
+		if v, ok := sub.(VarExpr); ok {
+			out = append(out, v.Name)
 		}
-	}
-	walk(e)
+	})
 	return out
 }

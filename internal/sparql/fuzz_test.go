@@ -299,11 +299,12 @@ func (r *fuzzQueryGen) group(depth int) string {
 }
 
 // query decodes a whole SELECT. Aggregated shapes only read grouped
-// variables outside aggregates, SUM/AVG/MIN/MAX only range over the ?n
-// variables (graph terms, see fuzzCards), and ORDER BY lists plain projected
-// variables — so every result is a function of the solution multiset, not of
-// the join order that produced it. LIMIT/OFFSET ride on an ORDER BY;
-// requireEquivalent checks them only when that order turns out total.
+// variables outside aggregates and SUM/AVG/MIN/MAX only range over the ?n
+// variables (graph terms, see fuzzCards), so every result is a function of the
+// solution multiset, not of the join order that produced it. ORDER BY sorts
+// on an alias or an expression first and then on the projected variables;
+// LIMIT/OFFSET ride on an ORDER BY, and requireEquivalent checks both only
+// when the order turns out total.
 func (r *fuzzQueryGen) query() string {
 	where := r.group(2)
 	shape := r.pick(5)
@@ -320,11 +321,15 @@ func (r *fuzzQueryGen) query() string {
 			sel += " (COUNT(DISTINCT " + r.vars[r.pick(len(r.vars))] + ") AS ?dc) (COUNT(*) AS ?all)"
 		}
 		q := "SELECT " + sel + " WHERE " + where + " GROUP BY " + key
-		if r.pick(2) == 1 {
-			q += " HAVING(COUNT(*) > 1)"
-		}
-		if r.pick(2) == 1 {
+		// The second HAVING reads an aggregate nothing projects.
+		q += []string{"", " HAVING(COUNT(*) > 1)", " HAVING(MIN(?n0) < 50)"}[r.pick(3)]
+		switch r.pick(4) {
+		case 1:
 			q += " ORDER BY " + []string{key, "DESC(" + key + ")"}[r.pick(2)] + r.window()
+		case 2:
+			q += " ORDER BY DESC(?cnt) " + key + r.window()
+		case 3:
+			q += " ORDER BY DESC(COUNT(*) * 2) ?cnt " + key + r.window()
 		}
 		return q
 	case 3:
@@ -338,12 +343,12 @@ func (r *fuzzQueryGen) query() string {
 	}
 	sel := strings.Join(cols, " ")
 	if r.pick(4) == 0 {
-		// A computed column sends projection through the term-space tail.
-		sel += " (?n0 * 2 AS ?twice)"
+		sel += " (?n0 * 2 AS ?twice)" // a computed column, under DISTINCT half the time
 	}
 	q := "SELECT " + []string{"", "DISTINCT "}[r.pick(2)] + sel + " WHERE " + where
-	if r.pick(2) == 1 {
-		q += " ORDER BY " + strings.Join(cols, " ") + r.window()
+	if first := r.pick(4); first > 0 {
+		// ?twice is an alias or, without the computed column, never bound.
+		q += " ORDER BY " + []string{"", "DESC(?twice) ", "DESC(?n0 + 1) "}[first-1] + strings.Join(cols, " ") + r.window()
 	}
 	return q
 }
@@ -366,8 +371,9 @@ func (r *fuzzQueryGen) window() string {
 // queries decoded from the input over the full shape the parser accepts (BGPs
 // with shared, repeated and predicate variables, numeric and variable-to-
 // variable FILTERs, OPTIONAL, UNION, BIND of terms absent from the graph,
-// FILTER [NOT] EXISTS, property paths, GROUP BY/aggregates/HAVING, DISTINCT,
-// ORDER BY, and LIMIT/OFFSET under a total order).
+// FILTER [NOT] EXISTS, property paths, GROUP BY/aggregates/HAVING, computed
+// columns, DISTINCT, ORDER BY on variables, aliases and expressions, and
+// LIMIT/OFFSET under a total order).
 //
 // Input layout: byte 0 selects a refSeedQueries entry or (past the table) the
 // generator; the first two thirds of the rest decode the graph, the last third
@@ -394,6 +400,14 @@ func FuzzEvalEquivalence(f *testing.F) {
 		{1, 6, 2, 0, 1, 5, 0, 1, 9, 1, 1, 2, 0, 4, 1, 1, 1, 1, 0, 1, 1, 2},
 		{3, 7, 0, 0, 0, 1, 1, 3, 8, 0, 1, 0, 3, 5, 11, 1, 0, 2, 1, 1, 1, 1, 1, 1},
 		{2, 2, 0, 1, 0, 0, 3, 4, 1, 2, 4, 0, 1, 0, 1, 1, 1, 3, 1, 1},
+		// The tail over a one- or two-pattern WHERE: grouped with HAVING on an
+		// unprojected aggregate and ORDER BY on an alias, then on an expression
+		// over an aggregate; DISTINCT over a computed column ordered by its
+		// alias; ORDER BY DESC(?n0 + 1). All four windowed.
+		{0, 0, 2, 0, 0, 1, 0, 1, 1, 0, 2, 2, 1, 3, 1, 1},
+		{0, 0, 2, 0, 0, 2, 0, 1, 0, 1, 1, 1, 3, 1, 2, 0},
+		{1, 0, 2, 0, 0, 0, 0, 0, 0, 4, 1, 0, 0, 1, 2, 1, 2, 0},
+		{1, 0, 2, 0, 0, 0, 0, 0, 0, 4, 1, 1, 1, 0, 3, 1, 4, 1, 2},
 	} {
 		f.Add(append(append([]byte{255}, plan...), tail...))
 	}

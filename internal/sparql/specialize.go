@@ -13,9 +13,10 @@ import (
 // query's constants are resolved to dense dictionary IDs once per evaluation,
 // and a solution is a run of rdf.IDs instead of rdf.Terms, so binding a
 // variable stores a machine word, comparing bindings never hashes strings,
-// and the GC sees no pointers inside solution rows. Terms synthesized by BIND
-// (which may not exist in the graph) live in a per-evaluation side table
-// addressed by IDs with the top bit set.
+// and the GC sees no pointers inside solution rows. Terms the evaluation
+// synthesizes — BIND results, aggregate values, computed columns — may not
+// exist in the graph; they live in a per-evaluation side table addressed by IDs
+// with the top bit set.
 //
 // A block of triple patterns is ordered first — by the greedy selectivity
 // heuristic, which reads only the query and the graph's statistics, never the
@@ -77,10 +78,17 @@ type evalCtx struct {
 	tabs [][]rdf.ID
 
 	// seen and keyBuf dedup projected rows for DISTINCT; pairSeen dedups the
-	// pairs of a property path with both ends unbound.
+	// pairs of a property path with both ends unbound and, once the WHERE
+	// clause is done, the (accumulator, value) pairs of DISTINCT aggregates.
 	seen     map[string]struct{}
 	keyBuf   []byte
 	pairSeen map[[2]rdf.ID]struct{}
+
+	// groups numbers the GROUP BY key tuples in order of first appearance;
+	// accs holds the aggregate accumulators, one run of len(prog.aggs) per
+	// group.
+	groups map[string]int32
+	accs   []aggAcc
 
 	// floats memoizes numeric parsing per term ID: FILTER comparisons over
 	// cardinalities and costs re-visit the same few literals for every row.
@@ -90,7 +98,8 @@ type evalCtx struct {
 	epoch  uint32
 
 	// extra and extraIDs hold terms synthesized during evaluation (BIND
-	// results) that the graph's dictionary does not contain.
+	// results, aggregate values, computed columns) that the graph's dictionary
+	// does not contain.
 	extra    []rdf.Term
 	extraIDs map[rdf.Term]rdf.ID
 
@@ -198,6 +207,11 @@ func (ec *evalCtx) release() {
 	ec.popTables(0)
 	ec.seen = resetMap(ec.seen)
 	ec.pairSeen = resetMap(ec.pairSeen)
+	ec.groups = resetMap(ec.groups)
+	clear(ec.accs)
+	if ec.accs = ec.accs[:0]; cap(ec.accs) > maxPooledKeys {
+		ec.accs = nil
+	}
 	if len(ec.floats) > maxPooledWords {
 		ec.floats = nil
 	}
@@ -469,8 +483,7 @@ func (ec *evalCtx) emit(filters []filterProg, applied uint64, row []rdf.ID, out 
 func (ec *evalCtx) firstSeen(row []rdf.ID, cols []int) bool {
 	key := ec.keyBuf[:0]
 	for _, c := range cols {
-		id := row[c]
-		key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+		key = appendID(key, row[c])
 	}
 	ec.keyBuf = key
 	if _, dup := ec.seen[string(key)]; dup {
@@ -481,6 +494,11 @@ func (ec *evalCtx) firstSeen(row []rdf.ID, cols []int) bool {
 	}
 	ec.seen[string(key)] = struct{}{}
 	return true
+}
+
+// appendID appends id's four bytes to a map key under construction.
+func appendID(key []byte, id rdf.ID) []byte {
+	return append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 }
 
 // runBlock orders the block for the given entry state and runs it
@@ -763,11 +781,30 @@ func (ec *evalCtx) pathPairs(p Path, sid, oid rdf.ID) []rdf.ID {
 	return pairs
 }
 
-// projectIDs applies SELECT, DISTINCT, ORDER BY, LIMIT and OFFSET to the
-// ID rows of table, doing what project does step for step (same comparator,
-// same stable order) for projections and order keys that are plain
-// variables. Terms materialize only for sort keys and for the rows that
-// survive DISTINCT and LIMIT/OFFSET.
+// compute evaluates the computed columns of every row of table into their
+// slots, in place: a value is interned like a BIND result, a failed evaluation
+// leaves the cell unbound. A cancellation stops the pass wherever it is; the
+// caller finds it in ec.cancel.
+func (ec *evalCtx) compute(table []rdf.ID) {
+	p := ec.prog
+	if len(p.computed) == 0 {
+		return
+	}
+	for r, w := 0, p.width; r < len(table) && ec.cancel.check() == nil; r += w {
+		ec.view = table[r : r+w]
+		for _, col := range p.computed {
+			if v, err := col.expr.Eval(ec); err == nil {
+				ec.view[col.slot] = ec.intern(v)
+			}
+		}
+	}
+}
+
+// projectIDs is the end of every query: it applies ORDER BY, SELECT, DISTINCT,
+// OFFSET and LIMIT to the ID rows of table — the WHERE rows or the groups,
+// computed columns filled in, so every sort key and every projected column is
+// a slot. The sort is stable, and terms materialize only for sort keys and for
+// the rows that survive DISTINCT and the window.
 //
 // With the program's earlyDistinct the rows arrive projected and already
 // deduplicated (see evalCtx.emit), so what remains is the sort and the
@@ -849,19 +886,4 @@ func (ec *evalCtx) projectIDs(q *Query, table []rdf.ID) (*Results, error) {
 		res.Rows[i] = cells[i*pc : (i+1)*pc : (i+1)*pc]
 	}
 	return res, nil
-}
-
-// toTermSolutions converts ID rows to term space for the shared
-// projection/aggregation tail.
-func (ec *evalCtx) toTermSolutions(table []rdf.ID) []solution {
-	w, nv := ec.prog.width, len(ec.prog.vars)
-	out := make([]solution, len(table)/w)
-	cells := make([]rdf.Term, len(out)*nv)
-	for i := range out {
-		out[i] = cells[i*nv : (i+1)*nv : (i+1)*nv]
-		for j, id := range table[i*w : i*w+nv] {
-			out[i][j] = ec.term(id)
-		}
-	}
-	return out
 }
