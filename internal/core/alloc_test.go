@@ -36,7 +36,7 @@ func TestAllocBudgetKBScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	scan() // warm-up: query cache, CSR snapshots, pooled evaluation contexts
+	scan() // warm-up: query cache, pooled evaluation contexts
 
 	const runs = 10
 	var before, after runtime.MemStats

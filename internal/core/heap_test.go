@@ -1,0 +1,64 @@
+//go:build !race
+
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"optimatch/internal/rdf"
+	"optimatch/internal/workload"
+)
+
+// heapBudgetPerTriple is what a resident plan may hold per triple beyond its
+// parsed plan model. Measured 165–167 B on the plans below: triple log and
+// index ≈ 47, dictionary ≈ 85 (map[Term]ID and []Term ≈ 71, term strings
+// ≈ 14), the shard's union vocabulary ≈ 32. The map-of-map indexes the log
+// and index replaced measured 436 B on the same plans, so the budget is
+// tripped by any second copy of the adjacency long before it is by noise.
+const heapBudgetPerTriple = 180
+
+// TestHeapBudgetPerTriple pins the live heap a loaded plan graph holds, and
+// that whatever enters the repository is frozen. (Outside the race build,
+// whose shadow memory is not the program's heap.)
+func TestHeapBudgetPerTriple(t *testing.T) {
+	w, err := workload.Generate(workload.Config{Seed: 16, NumPlans: 16, MinOps: 60, MaxOps: 240})
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	e := New()
+	before := liveHeap()
+	for _, p := range w.Plans {
+		if err := e.LoadPlan(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := liveHeap()
+
+	triples := 0
+	for _, p := range w.Plans {
+		g := e.Result(p.ID).Graph
+		triples += g.Len()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("plan %s: Add on a loaded graph did not panic: the graph is not frozen", p.ID)
+				}
+			}()
+			g.Add(rdf.IRI("urn:x"), rdf.IRI("urn:y"), rdf.IRI("urn:z"))
+		}()
+	}
+	perTriple := float64(after-before) / float64(triples)
+	t.Logf("%d plans, %d triples, %.1f B/triple live", len(w.Plans), triples, perTriple)
+	if perTriple > heapBudgetPerTriple {
+		t.Errorf("a resident plan holds %.1f B/triple, budget %d", perTriple, heapBudgetPerTriple)
+	}
+	runtime.KeepAlive(e)
+}

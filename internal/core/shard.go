@@ -102,8 +102,11 @@ func (sh *planShard) hasRequiredLocked(a *sparql.Analysis) bool {
 }
 
 // insertLocked registers a transformed plan under the next load sequence.
-// Caller holds sh.mu and has already checked for duplicates.
+// Caller holds sh.mu and has already checked for duplicates. Transform
+// freezes its graph outside the lock; the Freeze here is a no-op for those
+// and keeps a hand-built Result from entering the repository mutable.
 func (e *Engine) insertLocked(sh *planShard, r *transform.Result) {
+	r.Graph.Freeze()
 	sh.plans = append(sh.plans, shardPlan{seq: e.nextSeq.Add(1), res: r})
 	sh.byID[r.Plan.ID] = r
 	sh.addVocabLocked(r.Graph)

@@ -1,0 +1,211 @@
+package rdf
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// FuzzGraphIndex is a differential fuzz test for the graph's index. The input
+// drives a sequence of Adds (duplicates included), interleaved reads, terms
+// interned without a triple, and a Freeze at whatever point the bytes put it;
+// the test keeps its own insertion log and, at every read, compares every
+// Match shape (the exact documented sequence, not only the set), Count,
+// HasIDs, the adjacency accessors, NodeIDs, Len and Triples with scans of
+// that log. After the Freeze every Add must panic and change nothing.
+//
+// Ops, one byte each: b%8 in 0..4 adds the triple named by the next three
+// bytes, 5 reads, 6 interns the term named by the next byte, 7 freezes. All
+// positions draw from one pool of 32 terms, so a predicate is routinely a
+// subject or an object too. A read also runs when the input ends.
+func FuzzGraphIndex(f *testing.F) {
+	add := func(s, p, o byte) []byte { return []byte{0, s, p, o} }
+	bucket := func(n int) (in []byte) {
+		for i := 0; i < n; i++ {
+			in = append(in, add(1, 2, byte(3+i))...)
+		}
+		return in
+	}
+	f.Add([]byte{})                                         // empty graph
+	f.Add([]byte{5, 7, 5})                                  // empty graph, read, frozen, read
+	f.Add(add(1, 2, 3))                                     // one triple
+	f.Add(append(add(1, 2, 3), 6, 9, 5))                    // a term interned but used in no triple: ID past the last offset
+	f.Add(append(bucket(16), 5, 7))                         // an (s,p) bucket of 16 ...
+	f.Add(append(bucket(17), 5, 7))                         // ... and of 17, either side of the old set-probe threshold
+	f.Add(append(add(4, 2, 4), 5))                          // a self-loop
+	f.Add(append(add(1, 2, 3), add(2, 2, 1)...))            // a predicate that is also a subject (and its own predicate)
+	f.Add(append(add(1, 2, 3), add(1, 2, 3)...))            // a duplicate
+	f.Add(append(append(add(1, 2, 3), 5), add(3, 2, 1)...)) // a read, then an Add that discards the index
+	f.Add(append(append(add(1, 2, 3), 7), add(3, 2, 1)...)) // an Add after Freeze
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 160 {
+			data = data[:160]
+		}
+		term := func(b byte) Term { return IRI(fmt.Sprintf("urn:t%d", b%32)) }
+		g := NewGraph()
+		var log [][3]ID
+		inLog := map[[3]ID]bool{}
+		frozen := false
+		for i := 0; i < len(data); i++ {
+			switch op := data[i] % 8; {
+			case op <= 4:
+				if i+3 >= len(data) {
+					i = len(data)
+					break
+				}
+				s, p, o := term(data[i+1]), term(data[i+2]), term(data[i+3])
+				i += 3
+				if frozen {
+					terms := g.Dict().Len()
+					if !panics(func() { g.Add(s, p, o) }) {
+						t.Fatalf("Add(%v, %v, %v) on a frozen graph did not panic", s, p, o)
+					}
+					if g.Dict().Len() != terms {
+						t.Fatal("a refused Add interned a term")
+					}
+					continue
+				}
+				added := g.Add(s, p, o)
+				tr := [3]ID{g.Dict().Lookup(s), g.Dict().Lookup(p), g.Dict().Lookup(o)}
+				if added == inLog[tr] {
+					t.Fatalf("Add(%v) = %v, but the log has it: %v", tr, added, inLog[tr])
+				}
+				if added {
+					inLog[tr] = true
+					log = append(log, tr)
+				}
+			case op == 5:
+				checkAgainstLog(t, g, log)
+			case op == 6:
+				if i+1 < len(data) && !frozen {
+					i++
+					g.Dict().Intern(term(data[i]))
+				}
+			default:
+				g.Freeze()
+				frozen = true
+			}
+		}
+		checkAgainstLog(t, g, log)
+	})
+}
+
+// expectMatch is the reference for Match(s, p, o): the matching triples of the
+// log in insertion order, re-sorted — stably — by the component the contract
+// names for the three single-bound shapes.
+func expectMatch(log [][3]ID, s, p, o ID) [][3]ID {
+	out := [][3]ID{}
+	for _, tr := range log {
+		if (s == NoID || tr[0] == s) && (p == NoID || tr[1] == p) && (o == NoID || tr[2] == o) {
+			out = append(out, tr)
+		}
+	}
+	key := -1
+	switch {
+	case s != NoID && p == NoID && o == NoID:
+		key = 1
+	case s == NoID && p != NoID && o == NoID:
+		key = 2
+	case s == NoID && p == NoID && o != NoID:
+		key = 0
+	}
+	if key >= 0 {
+		sort.SliceStable(out, func(i, j int) bool { return out[i][key] < out[j][key] })
+	}
+	return out
+}
+
+// checkAgainstLog compares every read the graph offers with the log, probing
+// each shape with every ID the dictionary issued plus two it did not.
+func checkAgainstLog(t *testing.T, g *Graph, log [][3]ID) {
+	t.Helper()
+	if g.Len() != len(log) {
+		t.Fatalf("Len = %d, log has %d", g.Len(), len(log))
+	}
+	triples := g.Triples()
+	for i, tr := range log {
+		want := Triple{g.Dict().Term(tr[0]), g.Dict().Term(tr[1]), g.Dict().Term(tr[2])}
+		if i >= len(triples) || triples[i] != want {
+			t.Fatalf("Triples()[%d] differs from the log entry %v", i, want)
+		}
+	}
+
+	// Probe IDs: everything issued, one past it, and one far past it.
+	var ids []ID
+	for id := NoID; id <= g.MaxID()+1; id++ {
+		ids = append(ids, id)
+	}
+	ids = append(ids, g.MaxID()+1000)
+
+	probe := func(s, p, o ID) {
+		want := expectMatch(log, s, p, o)
+		got := [][3]ID{}
+		g.Match(s, p, o, func(s, p, o ID) bool {
+			got = append(got, [3]ID{s, p, o})
+			return true
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Match(%d,%d,%d) = %v, log order gives %v", s, p, o, got, want)
+		}
+		if n := g.Count(s, p, o); n != len(want) {
+			t.Fatalf("Count(%d,%d,%d) = %d, log has %d", s, p, o, n, len(want))
+		}
+		if len(want) > 1 { // early stop after the first callback
+			calls := 0
+			g.Match(s, p, o, func(_, _, _ ID) bool { calls++; return false })
+			if calls != 1 {
+				t.Fatalf("Match(%d,%d,%d) called back %d times after fn returned false", s, p, o, calls)
+			}
+		}
+	}
+	col := func(rows [][3]ID, k int) []ID {
+		out := make([]ID, len(rows))
+		for i, r := range rows {
+			out[i] = r[k]
+		}
+		return out
+	}
+	probe(NoID, NoID, NoID)
+	for _, a := range ids[1:] {
+		probe(a, NoID, NoID)
+		probe(NoID, a, NoID)
+		probe(NoID, NoID, a)
+		for _, b := range ids[1:] {
+			probe(a, b, NoID)
+			probe(NoID, a, b)
+			probe(a, NoID, b)
+			if got, want := g.ObjectIDs(a, b), col(expectMatch(log, a, b, NoID), 2); !sameIDs(got, want) {
+				t.Fatalf("ObjectIDs(%d,%d) = %v, log order gives %v", a, b, got, want)
+			}
+			if got, want := g.SubjectIDs(a, b), col(expectMatch(log, NoID, a, b), 0); !sameIDs(got, want) {
+				t.Fatalf("SubjectIDs(%d,%d) = %v, log order gives %v", a, b, got, want)
+			}
+		}
+	}
+	// Fully bound: every triple of the log, and each with one component moved.
+	for _, tr := range log {
+		for _, q := range [][3]ID{tr, {tr[2], tr[1], tr[0]}, {tr[0], tr[1], g.MaxID() + 1}, {tr[1], tr[0], tr[2]}} {
+			want := len(expectMatch(log, q[0], q[1], q[2])) == 1
+			if g.HasIDs(q[0], q[1], q[2]) != want {
+				t.Fatalf("HasIDs(%v) = %v, log says %v", q, !want, want)
+			}
+			probe(q[0], q[1], q[2])
+		}
+	}
+
+	nodes := map[ID]bool{}
+	for _, tr := range log {
+		nodes[tr[0]], nodes[tr[2]] = true, true
+	}
+	got := g.NodeIDs()
+	if len(got) != len(nodes) {
+		t.Fatalf("NodeIDs = %v, log has %d distinct nodes", got, len(nodes))
+	}
+	for i, id := range got {
+		if !nodes[id] || (i > 0 && got[i-1] >= id) {
+			t.Fatalf("NodeIDs = %v: not the log's nodes in ascending order", got)
+		}
+	}
+}

@@ -1,48 +1,38 @@
 package rdf
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Graph is an in-memory RDF graph (triple store). Triples are dictionary
-// encoded: every term is interned to a dense ID and three permutation
-// indexes (SPO, POS, OSP) answer every bound/unbound combination of a triple
-// pattern without scanning.
+// encoded: every term is interned to a dense ID, the triples are kept as an
+// insertion-ordered log, and one immutable index over that log (see
+// index.go) answers every bound/unbound combination of a triple pattern
+// without scanning.
 //
-// A Graph is safe for concurrent readers once loading has finished; loading
-// (Add) must not run concurrently with anything else. OptImatch builds one
-// graph per query execution plan, then matches many patterns against it.
+// A graph is written once and read forever. While it is being built (Add),
+// nothing else may touch it; the index is built by the first read, shared
+// lock-free by every later one, and discarded by an Add that follows it.
+// Freeze ends the building phase: it builds the index, drops the builder's
+// duplicate-detection set and makes any later Add panic. From the first read
+// on — frozen or not — a graph is safe for concurrent readers. OptImatch
+// builds one graph per query execution plan, freezes it, then matches many
+// patterns against it.
 type Graph struct {
 	dict *Dict
 
-	spo map[ID]map[ID][]ID // subject -> predicate -> objects
-	pos map[ID]map[ID][]ID // predicate -> object -> subjects
-	osp map[ID]map[ID][]ID // object -> subject -> predicates
+	log    [][3]ID            // distinct triples (s, p, o) in insertion order
+	seen   map[[3]ID]struct{} // the log as a set; builder-only, nil once frozen
+	frozen bool
 
-	// spoSets shadows large SPO buckets with a membership set so that bulk
-	// loading stays linear per bucket; small buckets keep the plain slice
-	// scan. The slices above remain the iteration source for Match, so
-	// insertion order is preserved either way.
-	spoSets map[[2]ID]map[ID]struct{}
-
-	// acc holds the lazily built acceleration snapshots (per-predicate CSR
-	// adjacency, distinct-node list, predicate totals); see csr.go. Add
-	// invalidates it.
-	acc atomic.Pointer[accel]
-
-	size int
+	mu  sync.Mutex // serializes index builds
+	idx atomic.Pointer[index]
 }
-
-// dupSetThreshold is the SPO bucket size above which duplicate detection
-// switches from a linear slice scan to a set probe.
-const dupSetThreshold = 16
 
 // NewGraph returns an empty graph with a fresh dictionary.
 func NewGraph() *Graph {
-	return &Graph{
-		dict: NewDict(),
-		spo:  make(map[ID]map[ID][]ID),
-		pos:  make(map[ID]map[ID][]ID),
-		osp:  make(map[ID]map[ID][]ID),
-	}
+	return &Graph{dict: NewDict(), seen: make(map[[3]ID]struct{})}
 }
 
 // Dict exposes the graph's term dictionary. Callers must treat it as
@@ -50,11 +40,18 @@ func NewGraph() *Graph {
 func (g *Graph) Dict() *Dict { return g.dict }
 
 // Len reports the number of distinct triples in the graph.
-func (g *Graph) Len() int { return g.size }
+func (g *Graph) Len() int { return len(g.log) }
+
+// MaxID returns the largest dense term ID the graph's dictionary has issued.
+// Valid IDs are 1..MaxID; bitsets and the index's offset arrays are sized off
+// it.
+func (g *Graph) MaxID() ID { return ID(g.dict.Len()) }
 
 // Add inserts the triple (s, p, o). Duplicate triples are ignored.
-// It reports whether the triple was newly inserted.
+// It reports whether the triple was newly inserted. Add panics on a frozen
+// graph.
 func (g *Graph) Add(s, p, o Term) bool {
+	g.mustBeMutable()
 	return g.AddIDs(g.dict.Intern(s), g.dict.Intern(p), g.dict.Intern(o))
 }
 
@@ -62,56 +59,60 @@ func (g *Graph) Add(s, p, o Term) bool {
 func (g *Graph) AddTriple(t Triple) bool { return g.Add(t.S, t.P, t.O) }
 
 // AddIDs inserts a triple given already-interned IDs. It reports whether the
-// triple was newly inserted.
+// triple was newly inserted, and panics on a frozen graph or on an ID the
+// graph's dictionary never issued (the index is sized off MaxID).
 func (g *Graph) AddIDs(s, p, o ID) bool {
-	g.invalidateAccel()
-	ps := g.spo[s]
-	if ps == nil {
-		ps = make(map[ID][]ID)
-		g.spo[s] = ps
+	g.mustBeMutable()
+	if max(s, p, o) > g.MaxID() || min(s, p, o) == NoID {
+		panic("rdf: AddIDs with an ID the dictionary never issued")
 	}
-	objs := ps[p]
-	if set, ok := g.spoSets[[2]ID{s, p}]; ok {
-		if _, dup := set[o]; dup {
-			return false
-		}
-		set[o] = struct{}{}
-	} else {
-		for _, existing := range objs {
-			if existing == o {
-				return false
-			}
-		}
-		if len(objs)+1 > dupSetThreshold {
-			set := make(map[ID]struct{}, 2*len(objs))
-			for _, existing := range objs {
-				set[existing] = struct{}{}
-			}
-			set[o] = struct{}{}
-			if g.spoSets == nil {
-				g.spoSets = make(map[[2]ID]map[ID]struct{})
-			}
-			g.spoSets[[2]ID{s, p}] = set
-		}
+	t := [3]ID{s, p, o}
+	if _, dup := g.seen[t]; dup {
+		return false
 	}
-	ps[p] = append(objs, o)
-
-	op := g.pos[p]
-	if op == nil {
-		op = make(map[ID][]ID)
-		g.pos[p] = op
+	g.seen[t] = struct{}{}
+	g.log = append(g.log, t)
+	if g.idx.Load() != nil {
+		g.idx.Store(nil)
 	}
-	op[o] = append(op[o], s)
-
-	so := g.osp[o]
-	if so == nil {
-		so = make(map[ID][]ID)
-		g.osp[o] = so
-	}
-	so[s] = append(so[s], p)
-
-	g.size++
 	return true
+}
+
+// mustBeMutable panics when the graph was frozen: like Dict.Term on an ID it
+// never issued, an Add after Freeze is always a programming error.
+func (g *Graph) mustBeMutable() {
+	if g.frozen {
+		panic("rdf: Add on a frozen graph")
+	}
+}
+
+// Freeze ends the graph's building phase: it builds the index now (so no
+// reader pays for it), releases the duplicate-detection set and makes every
+// later Add panic. Freezing is one-way and idempotent. Like Add it must not
+// run concurrently with anything else on an unfrozen graph.
+func (g *Graph) Freeze() {
+	if g.frozen {
+		return
+	}
+	g.index()
+	g.seen = nil
+	g.frozen = true
+}
+
+// index returns the graph's index, building it on first use after the last
+// Add. Safe for concurrent readers.
+func (g *Graph) index() *index {
+	if ix := g.idx.Load(); ix != nil {
+		return ix
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if ix := g.idx.Load(); ix != nil {
+		return ix
+	}
+	ix := buildIndex(g.log, int(g.MaxID()))
+	g.idx.Store(ix)
+	return ix
 }
 
 // Has reports whether the triple (s, p, o) is in the graph.
@@ -124,156 +125,138 @@ func (g *Graph) Has(s, p, o Term) bool {
 }
 
 // HasIDs reports whether the fully bound triple is in the graph.
-func (g *Graph) HasIDs(s, p, o ID) bool {
-	if set, ok := g.spoSets[[2]ID{s, p}]; ok {
-		_, present := set[o]
-		return present
-	}
-	for _, existing := range g.spo[s][p] {
-		if existing == o {
-			return true
-		}
-	}
-	return false
-}
+func (g *Graph) HasIDs(s, p, o ID) bool { return g.index().has(s, p, o) }
+
+// ObjectIDs returns the objects of (s, p) in insertion order. The slice is
+// shared with the index and must not be mutated. This and SubjectIDs are the
+// adjacency lists a property-path closure walks.
+func (g *Graph) ObjectIDs(s, p ID) []ID { return g.index().spo.third(s, p) }
+
+// SubjectIDs returns the subjects of (p, o) in insertion order. The slice is
+// shared with the index and must not be mutated.
+func (g *Graph) SubjectIDs(p, o ID) []ID { return g.index().pos.third(p, o) }
+
+// NodeIDs returns every distinct term ID used as a subject or an object, in
+// ascending ID (= first-interned) order. The list is part of the index;
+// callers must treat it as read-only. Zero-length property paths and
+// unanchored closures enumerate it instead of rescanning every triple.
+func (g *Graph) NodeIDs() []ID { return g.index().nodes }
 
 // Match calls fn for every triple matching the pattern, where NoID in any
 // position acts as a wildcard. Iteration stops early when fn returns false.
-// The iteration order is unspecified.
+//
+// The iteration order is a function of the sequence of Adds that built the
+// graph, never of a map: (s,p,-) yields objects and (-,p,o) subjects in
+// insertion order (closure walks and the golden reports rely on both),
+// (s,-,o) predicates likewise, (-,-,-) is the insertion order itself, and
+// the single-bound shapes run in ascending ID of the next component —
+// (s,-,-) by predicate, (-,p,-) by object, (-,-,o) by subject — with ties in
+// insertion order. Two graphs built by the same Add sequence iterate alike.
 func (g *Graph) Match(s, p, o ID, fn func(s, p, o ID) bool) {
+	ix := g.index()
 	switch {
 	case s != NoID && p != NoID && o != NoID:
-		if g.HasIDs(s, p, o) {
+		if ix.has(s, p, o) {
 			fn(s, p, o)
 		}
 	case s != NoID && p != NoID:
-		for _, obj := range g.spo[s][p] {
+		for _, obj := range ix.spo.third(s, p) {
 			if !fn(s, p, obj) {
 				return
 			}
 		}
 	case s != NoID && o != NoID:
-		for _, pred := range g.osp[o][s] {
+		for _, pred := range ix.osp.third(o, s) {
 			if !fn(s, pred, o) {
 				return
 			}
 		}
 	case p != NoID && o != NoID:
-		for _, subj := range g.pos[p][o] {
+		for _, subj := range ix.pos.third(p, o) {
 			if !fn(subj, p, o) {
 				return
 			}
 		}
 	case s != NoID:
-		for pred, objs := range g.spo[s] {
-			for _, obj := range objs {
-				if !fn(s, pred, obj) {
-					return
-				}
+		for i, end := ix.spo.bucket(s); i < end; i++ {
+			if !fn(s, ix.spo.b[i], ix.spo.c[i]) {
+				return
 			}
 		}
 	case p != NoID:
-		for obj, subjs := range g.pos[p] {
-			for _, subj := range subjs {
-				if !fn(subj, p, obj) {
-					return
-				}
+		for i, end := ix.pos.bucket(p); i < end; i++ {
+			if !fn(ix.pos.c[i], p, ix.pos.b[i]) {
+				return
 			}
 		}
 	case o != NoID:
-		for subj, preds := range g.osp[o] {
-			for _, pred := range preds {
-				if !fn(subj, pred, o) {
-					return
-				}
+		for i, end := ix.osp.bucket(o); i < end; i++ {
+			if !fn(ix.osp.b[i], ix.osp.c[i], o) {
+				return
 			}
 		}
 	default:
-		for subj, ps := range g.spo {
-			for pred, objs := range ps {
-				for _, obj := range objs {
-					if !fn(subj, pred, obj) {
-						return
-					}
-				}
-			}
-		}
+		g.MatchScan(NoID, NoID, NoID, fn)
 	}
 }
 
-// Count estimates the number of triples matching the pattern (NoID =
-// wildcard). For the (s,-,o) combination it returns an upper bound without
-// enumerating; all other combinations are exact and O(1) — the (-,p,-) total
-// through a snapshot counted once per graph (see predTotal) — or O(index
-// bucket).
+// Count reports the number of triples matching the pattern (NoID =
+// wildcard). Every combination is exact and read off the index's offset
+// arrays: an offset difference for the single-bound shapes, two short binary
+// searches inside one bucket for the double-bound ones.
 func (g *Graph) Count(s, p, o ID) int {
+	ix := g.index()
 	switch {
 	case s != NoID && p != NoID && o != NoID:
-		if g.HasIDs(s, p, o) {
+		if ix.has(s, p, o) {
 			return 1
 		}
 		return 0
 	case s != NoID && p != NoID:
-		return len(g.spo[s][p])
+		return len(ix.spo.third(s, p))
 	case p != NoID && o != NoID:
-		return len(g.pos[p][o])
+		return len(ix.pos.third(p, o))
 	case s != NoID && o != NoID:
-		return len(g.osp[o][s])
+		return len(ix.osp.third(o, s))
 	case s != NoID:
-		n := 0
-		for _, objs := range g.spo[s] {
-			n += len(objs)
-		}
-		return n
+		lo, hi := ix.spo.bucket(s)
+		return hi - lo
 	case p != NoID:
-		return g.predTotal(p)
+		lo, hi := ix.pos.bucket(p)
+		return hi - lo
 	case o != NoID:
-		n := 0
-		for _, preds := range g.osp[o] {
-			n += len(preds)
-		}
-		return n
+		lo, hi := ix.osp.bucket(o)
+		return hi - lo
 	default:
-		return g.size
+		return len(g.log)
 	}
 }
 
-// MatchScan is a deliberately unindexed full-scan matcher with the same
-// contract as Match. It exists only for the index ablation benchmark.
+// MatchScan is a deliberately unindexed matcher with the same contract as
+// Match: a filtered scan of the insertion log. It is the reference the index
+// is tested against and the baseline of the index ablation benchmark.
 func (g *Graph) MatchScan(s, p, o ID, fn func(s, p, o ID) bool) {
-	for subj, ps := range g.spo {
-		if s != NoID && subj != s {
-			continue
-		}
-		for pred, objs := range ps {
-			if p != NoID && pred != p {
-				continue
-			}
-			for _, obj := range objs {
-				if o != NoID && obj != o {
-					continue
-				}
-				if !fn(subj, pred, obj) {
-					return
-				}
+	for _, t := range g.log {
+		if (s == NoID || t[0] == s) && (p == NoID || t[1] == p) && (o == NoID || t[2] == o) {
+			if !fn(t[0], t[1], t[2]) {
+				return
 			}
 		}
 	}
 }
 
-// Triples materializes every triple in the graph. Intended for tests and
-// serialization, not for matching.
+// Triples materializes every triple in the graph, in insertion order.
+// Intended for tests and serialization, not for matching.
 func (g *Graph) Triples() []Triple {
-	out := make([]Triple, 0, g.size)
-	g.Match(NoID, NoID, NoID, func(s, p, o ID) bool {
-		out = append(out, Triple{g.dict.Term(s), g.dict.Term(p), g.dict.Term(o)})
-		return true
-	})
+	out := make([]Triple, len(g.log))
+	for i, t := range g.log {
+		out[i] = Triple{g.dict.Term(t[0]), g.dict.Term(t[1]), g.dict.Term(t[2])}
+	}
 	return out
 }
 
 // Subjects returns the distinct subjects carrying predicate p with object o
-// (either may be NoID as wildcard), as terms. Convenience for tests.
+// (o may be the zero Term as wildcard), as terms. Convenience for tests.
 func (g *Graph) Subjects(p, o Term) []Term {
 	pid := g.dict.Lookup(p)
 	var oid ID
@@ -305,7 +288,7 @@ func (g *Graph) Objects(s, p Term) []Term {
 	if sid == NoID || pid == NoID {
 		return nil
 	}
-	objs := g.spo[sid][pid]
+	objs := g.ObjectIDs(sid, pid)
 	out := make([]Term, len(objs))
 	for i, o := range objs {
 		out[i] = g.dict.Term(o)

@@ -114,26 +114,6 @@ func TestGraphMatchEarlyStop(t *testing.T) {
 	}
 }
 
-func TestGraphCountMatchesEnumeration(t *testing.T) {
-	g := testGraph()
-	d := g.Dict()
-	patterns := [][3]ID{
-		{NoID, NoID, NoID},
-		{d.Lookup(IRI("pop2")), NoID, NoID},
-		{NoID, d.Lookup(IRI("hasPopType")), NoID},
-		{NoID, NoID, d.Lookup(String("NLJOIN"))},
-		{d.Lookup(IRI("pop2")), d.Lookup(IRI("hasPopType")), NoID},
-		{NoID, d.Lookup(IRI("hasPopType")), d.Lookup(String("NLJOIN"))},
-		{d.Lookup(IRI("pop2")), d.Lookup(IRI("hasPopType")), d.Lookup(String("NLJOIN"))},
-	}
-	for _, p := range patterns {
-		want := len(collectMatches(g, p[0], p[1], p[2]))
-		if got := g.Count(p[0], p[1], p[2]); got != want {
-			t.Errorf("Count(%v) = %d, enumeration = %d", p, got, want)
-		}
-	}
-}
-
 func TestGraphMatchScanAgreesWithMatch(t *testing.T) {
 	g := testGraph()
 	d := g.Dict()

@@ -102,6 +102,39 @@ func TestXCacheBypassHeader(t *testing.T) {
 	}
 }
 
+// Without ORDER BY the rows of a response are still a function of the loaded
+// plans alone (rdf.Graph.Match iterates in an order fixed by each graph's Add
+// sequence), so at one generation every execution of a body renders the same
+// bytes, and a cache hit is indistinguishable from executing again.
+func TestUnorderedResponseIsByteStable(t *testing.T) {
+	_, ts, _ := cachedTestServer(t)
+	const query = `PREFIX preduri: <http://optimatch/pred/>
+SELECT ?pop ?t ?c WHERE { ?pop preduri:hasPopType ?t . ?pop preduri:hasEstimateCardinality ?c }`
+
+	noCache := map[string]string{"Cache-Control": "no-cache"}
+	_, first := cacheReq(t, "POST", ts.URL+"/api/sparql", query, noCache)
+	if !strings.Contains(first, "TBSCAN") {
+		t.Fatalf("query matched nothing worth comparing: %s", first)
+	}
+	for i := 0; i < 5; i++ {
+		resp, again := cacheReq(t, "POST", ts.URL+"/api/sparql", query, noCache)
+		if got := resp.Header.Get("X-Cache"); got != "bypass" {
+			t.Fatalf("X-Cache = %q, want bypass", got)
+		}
+		if again != first {
+			t.Fatalf("execution %d of one body at one generation rendered other bytes:\n%s\nvs\n%s", i+2, first, again)
+		}
+	}
+	cacheReq(t, "POST", ts.URL+"/api/sparql", query, nil) // miss: fills the cache
+	resp, hit := cacheReq(t, "POST", ts.URL+"/api/sparql", query, nil)
+	if got := resp.Header.Get("X-Cache"); got != "hit" {
+		t.Fatalf("X-Cache = %q, want hit", got)
+	}
+	if hit != first {
+		t.Fatal("cache hit differs from the uncached executions")
+	}
+}
+
 // A server without WithResultCache still answers, reporting bypass.
 func TestXCacheDisabled(t *testing.T) {
 	_, ts := testServer(t)

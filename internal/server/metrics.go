@@ -188,9 +188,7 @@ func (s *Server) registerStateMetrics() {
 	}
 
 	const pathName = "optimatch_sparql_path_total"
-	const pathHelp = "Property-path closure acceleration events by kind (CSR snapshot builds/cache hits, per-evaluation memo hits/misses)."
-	reg.CounterFunc(pathName, pathHelp, func() float64 { return float64(s.eng.EvalStats().Path.CSRBuilds) }, "kind", "csr_build")
-	reg.CounterFunc(pathName, pathHelp, func() float64 { return float64(s.eng.EvalStats().Path.CSRHits) }, "kind", "csr_hit")
+	const pathHelp = "Property-path closure acceleration events by kind (per-evaluation memo hits/misses)."
 	reg.CounterFunc(pathName, pathHelp, func() float64 { return float64(s.eng.EvalStats().Path.MemoHits) }, "kind", "memo_hit")
 	reg.CounterFunc(pathName, pathHelp, func() float64 { return float64(s.eng.EvalStats().Path.MemoMisses) }, "kind", "memo_miss")
 	reg.CounterFunc("optimatch_sparql_path_bfs_steps_total",

@@ -263,8 +263,7 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`
 		// A cold kb/run joins: every evaluated pair extends bindings.
 		`optimatch_sparql_join_rows_total`,
 		// The canonical KB patterns use descendant (`hasChildPop+`) paths,
-		// so a kb/run must build CSR snapshots and run closure BFS walks.
-		`optimatch_sparql_path_total{kind="csr_build"}`,
+		// so a kb/run must run closure BFS walks.
 		`optimatch_sparql_path_total{kind="memo_miss"}`,
 		`optimatch_sparql_path_bfs_steps_total`,
 		`optimatch_sparql_path_bitset_bytes_total`,
@@ -367,9 +366,8 @@ func TestStatsGainsObservabilityCounters(t *testing.T) {
 	if stats.Eval.Specialized == 0 || stats.Eval.JoinRows == 0 {
 		t.Errorf("eval.specialized or eval.joinRows = 0 after kb/run: %+v", stats.Eval)
 	}
-	// The canonical KB descendant patterns run closures: the first kb/run
-	// builds CSR snapshots, the second is served from the per-graph cache.
-	if p := stats.Eval.Path; p.CSRBuilds == 0 || p.CSRHits == 0 || p.MemoMisses == 0 || p.BFSSteps == 0 {
+	// The canonical KB descendant patterns run closures.
+	if p := stats.Eval.Path; p.MemoMisses == 0 || p.BFSSteps == 0 {
 		t.Errorf("eval.path counters did not move: %+v", stats.Eval.Path)
 	}
 }

@@ -76,7 +76,7 @@ func node(i int) string {
 
 // runPathClosureBench measures `child+` from a bound start at the evalPath
 // layer. A fresh pathEnv per iteration reproduces real per-query state (the
-// per-graph CSR cache persists, the per-evaluation memo does not).
+// graph's index persists, the per-evaluation memo does not).
 func runPathClosureBench(b *testing.B, g *rdf.Graph, want int) {
 	path := ModPath{Inner: PredPath{IRI: "urn:child"}, Mod: ModOneOrMore}
 	start := g.Dict().Lookup(rdf.IRI(node(0)))

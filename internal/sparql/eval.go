@@ -101,8 +101,6 @@ type EvalStats struct {
 	constantBailout atomic.Int64
 	joinRows        atomic.Int64
 
-	pathCSRBuilds   atomic.Int64
-	pathCSRHits     atomic.Int64
 	pathMemoHits    atomic.Int64
 	pathMemoMisses  atomic.Int64
 	pathBFSSteps    atomic.Int64
@@ -131,11 +129,9 @@ type EvalSnapshot struct {
 
 // PathSnapshot is the wire form of the path-acceleration counters.
 type PathSnapshot struct {
-	// CSRBuilds counts CSR adjacency snapshots built (once per
-	// (graph, predicate) until the graph mutates).
+	// CSRBuilds is always 0 (closures walk the graph's one index; nothing is
+	// built per predicate); kept because the benchmark module reads it.
 	CSRBuilds int64 `json:"csrBuilds"`
-	// CSRHits counts closure walks served by an already-built snapshot.
-	CSRHits int64 `json:"csrHits"`
 	// MemoHits counts closures replayed from a per-evaluation memo.
 	MemoHits int64 `json:"memoHits"`
 	// MemoMisses counts closures that ran a fresh BFS.
@@ -155,8 +151,6 @@ func (s *EvalStats) Snapshot() EvalSnapshot {
 		ConstantBailouts: s.constantBailout.Load(),
 		JoinRows:         s.joinRows.Load(),
 		Path: PathSnapshot{
-			CSRBuilds:   s.pathCSRBuilds.Load(),
-			CSRHits:     s.pathCSRHits.Load(),
 			MemoHits:    s.pathMemoHits.Load(),
 			MemoMisses:  s.pathMemoMisses.Load(),
 			BFSSteps:    s.pathBFSSteps.Load(),
@@ -174,8 +168,6 @@ func (s *EvalStats) addEval(p PathStats, joinRows int64) {
 	if p == (PathStats{}) {
 		return
 	}
-	s.pathCSRBuilds.Add(p.CSRBuilds)
-	s.pathCSRHits.Add(p.CSRHits)
 	s.pathMemoHits.Add(p.MemoHits)
 	s.pathMemoMisses.Add(p.MemoMisses)
 	s.pathBFSSteps.Add(p.BFSSteps)

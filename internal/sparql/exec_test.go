@@ -373,3 +373,53 @@ func TestWideQueryBeyondTheBitmasks(t *testing.T) {
 		t.Fatalf("%d rows, want the 10 windows of 71 nodes in an 80-node chain", res.Len())
 	}
 }
+
+// TestRowSequenceIsAFunctionOfTheAddSequence pins the order contract of
+// rdf.Graph.Match one level up: without ORDER BY the row sequence of a query
+// is fixed by the sequence of Adds that built the graph — never by Go's map
+// order — so a LIMIT picks the same rows every time and two graphs built
+// alike answer alike. Twelve triples, four subjects to a predicate: enough
+// for a map-ordered index to show a second sequence within a few calls.
+func TestRowSequenceIsAFunctionOfTheAddSequence(t *testing.T) {
+	build := func() *rdf.Graph {
+		g := rdf.NewGraph()
+		for i := 0; i < 4; i++ {
+			s := rdf.IRI(fmt.Sprintf("urn:s%d", 3-i))
+			g.Add(s, rdf.IRI("urn:p"), rdf.IRI(fmt.Sprintf("urn:o%d", i%2)))
+			g.Add(s, rdf.IRI("urn:q"), rdf.Int(int64(i)))
+			g.Add(rdf.IRI(fmt.Sprintf("urn:o%d", i%2)), rdf.IRI("urn:p"), s)
+		}
+		return g
+	}
+	for _, text := range []string{
+		"SELECT ?s ?o WHERE { ?s <urn:p> ?o }",
+		"SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
+		"SELECT ?s ?o WHERE { ?s <urn:p> ?o } LIMIT 3",
+	} {
+		q := mustParse(t, text)
+		g := build()
+		first, err := q.Exec(g)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		if first.Len() < 3 {
+			t.Fatalf("%s: %d rows, want at least 3", text, first.Len())
+		}
+		for i := 0; i < 100; i++ {
+			again, err := q.Exec(g)
+			if err != nil {
+				t.Fatalf("%s: %v", text, err)
+			}
+			if !reflect.DeepEqual(again.Rows, first.Rows) {
+				t.Fatalf("%s: execution %d returned another row sequence\nfirst: %v\nnow:   %v", text, i+2, first.Rows, again.Rows)
+			}
+		}
+		twin, err := q.Exec(build())
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		if !reflect.DeepEqual(twin.Rows, first.Rows) {
+			t.Errorf("%s: a graph built by the same Add sequence answered in another order\nfirst: %v\ntwin:  %v", text, first.Rows, twin.Rows)
+		}
+	}
+}

@@ -104,15 +104,9 @@ func FuzzPathEquivalence(f *testing.F) {
 			if got := collectPath(g, p, bind[0], bind[1]); !reflect.DeepEqual(got, want) {
 				t.Fatalf("path %s bind %v: evalPath %v, reference %v", PathString(p), bind, got, want)
 			}
-			// With both endpoints unbound, plain predicate enumeration goes
-			// through map iteration (nondeterministic run to run), so the
-			// order guarantee only holds for bound endpoints — and for
-			// top-level closures, which walk the deterministic NodeIDs list.
-			if bind[0] == rdf.NoID && bind[1] == rdf.NoID {
-				if m, ok := p.(ModPath); !ok || m.Mod == ModZeroOrOne {
-					continue
-				}
-			}
+			// The order guarantee holds under every binding, both endpoints
+			// unbound included: every Match shape iterates the graph's index
+			// in an order fixed by the Add sequence.
 			sequence := func(env *pathEnv) (seq [][2]rdf.ID) {
 				evalPath(env, p, bind[0], bind[1], func(s, o rdf.ID) bool {
 					seq = append(seq, [2]rdf.ID{s, o})

@@ -5,14 +5,14 @@ import "optimatch/internal/rdf"
 // Property-path evaluation. Arbitrary-length paths (`+`, `*`) are the hot
 // spot: OptImatch's expert patterns use them to find problem shapes anywhere
 // in a QEP tree, so a 1000-plan knowledge-base scan runs thousands of
-// closure walks. A closure is a BFS over per-predicate CSR adjacency
-// snapshots cached on the graph (rdf.Graph.PredCSR), with bitset visited
-// sets and pooled frontier buffers; full closure results are memoized per
-// (path, direction, start) for the lifetime of one query evaluation, and the
-// walk direction for doubly-bound closures is chosen from index
-// cardinalities. Emission order is deterministic: CSR neighbor lists
-// preserve Match's iteration order and the memo replays BFS discovery order,
-// so a replayed closure and a live one emit the same pair sequence.
+// closure walks. A closure is a BFS over the adjacency slices of the graph's
+// index (rdf.Graph.ObjectIDs / SubjectIDs), with bitset visited sets and
+// pooled frontier buffers; full closure results are memoized per (path,
+// direction, start) for the lifetime of one query evaluation, and the walk
+// direction for doubly-bound closures is chosen from index cardinalities.
+// Emission order is deterministic: the adjacency slices are the lists Match
+// iterates, in insertion order, and the memo replays BFS discovery order, so
+// a replayed closure and a live one emit the same pair sequence.
 
 // pathEnv carries the graph a property path evaluates against plus the
 // per-evaluation acceleration state: the evaluation's resolved predicate
@@ -63,8 +63,6 @@ type pathEnv struct {
 // ints: a pathEnv is single-goroutine; the totals are flushed into the
 // atomic EvalStats once per execution.
 type PathStats struct {
-	CSRBuilds   int64 // CSR adjacency snapshots built on the graph
-	CSRHits     int64 // closures served by an already-built snapshot
 	MemoHits    int64 // closures replayed from the per-evaluation memo
 	MemoMisses  int64 // closures that ran a BFS
 	BFSSteps    int64 // edges traversed by closure BFS walks
@@ -377,26 +375,18 @@ func (env *pathEnv) closureSet(inner Path, start rdf.ID, backward bool) *closure
 }
 
 // runBFS computes the full reachable set of inner from start in the given
-// direction: over CSR adjacency slices when the inner path is a (possibly
-// inverted) plain predicate, through the generic path evaluator otherwise —
-// either way with a pooled bitset visited set and reusable frontiers.
-// complete is false when the walk was interrupted by cancellation; the
-// returned set is then partial and must not be memoized.
+// direction: over the index's adjacency slices when the inner path is a
+// (possibly inverted) plain predicate (pid is then set), through the generic
+// path evaluator otherwise — either way with a pooled bitset visited set and
+// reusable frontiers. complete is false when the walk was interrupted by
+// cancellation; the returned set is then partial and must not be memoized.
 func (env *pathEnv) runBFS(inner Path, start rdf.ID, backward bool) (set *closureSet, complete bool) {
-	var csr *rdf.CSR
+	pid := rdf.NoID
 	useIn := backward
 	if iri, inverted, ok := basePred(inner); ok {
-		pid := env.predID(iri)
-		if pid == rdf.NoID {
+		if pid = env.predID(iri); pid == rdf.NoID {
 			return &closureSet{}, true
 		}
-		c, built := env.g.PredCSR(pid)
-		if built {
-			env.stats.CSRBuilds++
-		} else {
-			env.stats.CSRHits++
-		}
-		csr = c
 		if inverted {
 			useIn = !useIn
 		}
@@ -436,12 +426,12 @@ bfs:
 				break bfs
 			}
 			switch {
-			case csr != nil && useIn:
-				for _, to := range csr.In(from) {
+			case pid != rdf.NoID && useIn:
+				for _, to := range env.g.SubjectIDs(pid, from) {
 					visit(to)
 				}
-			case csr != nil:
-				for _, to := range csr.Out(from) {
+			case pid != rdf.NoID:
+				for _, to := range env.g.ObjectIDs(from, pid) {
 					visit(to)
 				}
 			case backward:

@@ -15,6 +15,7 @@ package transform
 
 import (
 	"fmt"
+	"sort"
 
 	"optimatch/internal/qep"
 	"optimatch/internal/rdf"
@@ -129,7 +130,8 @@ func (r *Result) Describe(t rdf.Term) string {
 	return t.Value
 }
 
-// Transform converts a plan into its RDF graph representation.
+// Transform converts a plan into its RDF graph representation. The returned
+// graph is frozen.
 func Transform(p *qep.Plan) *Result {
 	r := &Result{
 		Plan:  p,
@@ -150,7 +152,8 @@ func Transform(p *qep.Plan) *Result {
 	}
 
 	// Base objects.
-	for _, obj := range p.Objects {
+	for _, name := range sortedKeys(p.Objects) {
+		obj := p.Objects[name]
 		node := r.ObjIRI(obj)
 		r.objs[node.Value] = obj
 		g.Add(node, rdf.IRI(PredIsBaseObj), rdf.Bool(true))
@@ -181,8 +184,8 @@ func Transform(p *qep.Plan) *Result {
 		for _, pr := range op.Predicates {
 			g.Add(node, rdf.IRI(PredPredicateText), rdf.String(pr))
 		}
-		for k, v := range op.Args {
-			g.Add(node, rdf.IRI(ArgNS+k), rdf.String(v))
+		for _, k := range sortedKeys(op.Args) {
+			g.Add(node, rdf.IRI(ArgNS+k), rdf.String(op.Args[k]))
 		}
 	}
 
@@ -233,7 +236,24 @@ func Transform(p *qep.Plan) *Result {
 			}
 		}
 	}
+	// A plan's graph is complete here and never changes again: build its
+	// index now, on the transforming goroutine, so no shard lock or first
+	// query pays for it.
+	g.Freeze()
 	return r
+}
+
+// sortedKeys returns m's keys in ascending order. Transform walks the plan
+// model's maps through it: a graph iterates as a function of its Add
+// sequence, so that sequence must be a function of the plan, not of Go's map
+// order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func joinTypeName(op *qep.Operator) string {

@@ -269,3 +269,29 @@ func TestTransformAll(t *testing.T) {
 		t.Error("plan namespaces collide")
 	}
 }
+
+// A plan's graph iterates as a function of its Add sequence, so Transform
+// must produce one sequence per plan — in particular not the map order of an
+// operator's arguments — and must hand the graph over frozen.
+func TestTransformIsDeterministicAndFrozen(t *testing.T) {
+	p := figure1Plan(t)
+	p.Operators[2].Args = map[string]string{"FETCHMAX": "IGNORE", "EARLYOUT": "NONE", "JN INPUT": "OUTER", "BITFLTR": "FALSE", "INNERCOL": "1", "OUTERCOL": "2"}
+	want := Transform(p).Graph.Triples()
+	for i := 0; i < 20; i++ {
+		got := Transform(p).Graph.Triples()
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d triples, want %d", i, len(got), len(want))
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("run %d: triple %d = %v, first run had %v", i, j, got[j], want[j])
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Add on a transformed graph did not panic: Transform must freeze it")
+		}
+	}()
+	Transform(p).Graph.Add(rdf.IRI("urn:s"), rdf.IRI("urn:p"), rdf.IRI("urn:o"))
+}

@@ -205,8 +205,15 @@ func CorrelateMatches(res *ClusterResult, patternName string, matches []Match, t
 // their artifacts and reuse the same pattern matching (see
 // examples/logdiag).
 
-// Graph is an in-memory RDF graph: a dictionary-encoded triple store with
-// SPO/POS/OSP indexes.
+// Graph is an in-memory RDF graph: a dictionary-encoded, write-once triple
+// store. Build it with Add, then query it; the index (three sorted SPO/POS/OSP
+// permutations of the triples) is built by the first query, or eagerly by
+// Freeze, after which Add panics and the graph is immutable for good. Adding
+// after a query but before Freeze is allowed and rebuilds the index on the
+// next query. Results without ORDER BY come back in an order fixed by the
+// sequence of Adds — the same on every execution and for every graph built
+// the same way. Once reading has begun a graph is safe for concurrent queries;
+// Add and Freeze must not run concurrently with anything else.
 type Graph = rdf.Graph
 
 // Term is an RDF term (IRI, blank node or literal).
@@ -218,7 +225,8 @@ type Triple = rdf.Triple
 // QueryResults is a SPARQL solution table.
 type QueryResults = sparql.Results
 
-// NewGraph returns an empty RDF graph.
+// NewGraph returns an empty, unfrozen RDF graph (see Graph for the
+// Add / query / Freeze lifecycle).
 func NewGraph() *Graph { return rdf.NewGraph() }
 
 // IRI, Blank, Lit and Num construct RDF terms for custom diagnostic graphs.
