@@ -10,7 +10,6 @@ package optimatch
 //	go test -bench=. -benchmem
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -85,20 +84,6 @@ func fig9Config(size int) workload.Config {
 	}
 }
 
-// renderReports serializes KB reports canonically so two engine
-// configurations can be compared byte for byte.
-func renderReports(reports []core.PlanReport) string {
-	var sb strings.Builder
-	for i := range reports {
-		fmt.Fprintf(&sb, "%s: %s\n", reports[i].Plan.ID, reports[i].Message())
-		for _, rec := range reports[i].Recommendations {
-			fmt.Fprintf(&sb, "  [%s %.6f] %s: %s\n",
-				rec.Entry.Name, rec.Confidence, rec.Recommendation.Title, rec.Text)
-		}
-	}
-	return sb.String()
-}
-
 // BenchmarkFigure8KBScan measures the workload-scale knowledge-base scan on
 // the full 1000-plan configuration (the paper's Figure 8 recommendation run)
 // under two engine configurations:
@@ -139,8 +124,6 @@ func BenchmarkFigure8KBScan(b *testing.B) {
 			}
 		})
 	}
-	stats := fast.PrefilterStats()
-	b.Logf("prefilter: probed %d pairs, skipped %d", stats.Probed, stats.Skipped)
 }
 
 // BenchmarkFigure9WorkloadSize regenerates Figure 9: pattern search time as
@@ -408,43 +391,6 @@ ORDER BY ?pop1
 			}
 		}
 	})
-}
-
-// BenchmarkShardedKBScan measures the Figure 8 workload scan across the plan
-// repository's shard grid. Setup verifies once that every shard count yields
-// byte-identical reports (the sharding determinism invariant, DESIGN.md §14);
-// the benchmark then times each configuration. Shards cut lock contention on
-// the snapshot path, not scan work, so the per-op spread should be small —
-// the win shows up when scans race with ingest (TestBatchHammerRace's shape).
-func BenchmarkShardedKBScan(b *testing.B) {
-	rs, _ := benchResults(b, fig9Config(1000))
-	k := kb.MustExtended()
-	var baseline string
-	for _, shards := range []int{1, 4, 8} {
-		e := core.New(core.WithShards(shards))
-		for _, r := range rs {
-			if err := e.LoadResult(r); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reports, err := e.RunKB(k)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rendered := renderReports(reports); baseline == "" {
-			baseline = rendered
-		} else if rendered != baseline {
-			b.Fatalf("%d-shard KB reports differ from single-shard", shards)
-		}
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.RunKB(k); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkBatchIngest compares durable ingest one plan at a time (a WAL

@@ -16,13 +16,10 @@
 //
 //	optimatchd -addr :8080 -data ./optimatch-data
 //
-// The plan repository is sharded (-shards; 0 = auto) so concurrent ingest
-// and scans on different shards never contend; results are byte-identical
-// at any shard count. Workload-scale ingest goes through POST
-// /api/plans:batch (NDJSON, one plan per line, bounded by
-// -batch-max-records/-batch-max-bytes): the whole batch is one WAL record,
-// one fsync and one result-cache invalidation, with a per-record outcome
-// report.
+// Workload-scale ingest goes through POST /api/plans:batch (NDJSON, one plan
+// per line, bounded by -batch-max-records/-batch-max-bytes): the whole batch
+// is one WAL record, one fsync and one result-cache invalidation, with a
+// per-record outcome report.
 //
 // The daemon is observable in production: every request gets a structured
 // access-log line (-log-format json for machine ingestion, -slow-ms for a
@@ -104,7 +101,6 @@ func run() error {
 		kbFile       = flag.String("kb", "", "knowledge base JSON (default: built-in canonical patterns)")
 		extended     = flag.Bool("extended", false, "use the extended built-in knowledge base (patterns E-G)")
 		workers      = flag.Int("workers", 0, "matcher worker-pool size (default: GOMAXPROCS)")
-		shards       = flag.Int("shards", 0, "plan-store shard count; scans stay byte-identical at any value (0: auto = GOMAXPROCS capped at 16)")
 		batchMaxRecs = flag.Int("batch-max-records", 1024, "max NDJSON records accepted by one POST /api/plans:batch")
 		batchMaxB    = flag.Int64("batch-max-bytes", 8<<20, "max request-body bytes for one POST /api/plans:batch")
 		data         = flag.String("data", "", "durable store directory (empty: in-memory only, state lost on exit)")
@@ -134,7 +130,6 @@ func run() error {
 
 	engOpts := []core.Option{
 		core.WithWorkers(*workers),
-		core.WithShards(*shards),
 		core.WithInstrumentation(server.EngineInstrumentation(reg)),
 	}
 

@@ -4,7 +4,7 @@
 // The paper's workload is read-heavy and repetitive — the same
 // expert-pattern scans and problem-pattern searches are re-issued
 // continuously against plan corpora that change rarely — so a correct cache
-// in front of the prefilter/specialize/match pipeline is the single biggest
+// in front of the parse/specialize/match pipeline is the single biggest
 // latency lever. internal/server is its one producer.
 //
 // Correctness comes from generation keying, not invalidation walks: every

@@ -128,7 +128,7 @@ func TestContextVariantsMatchPlain(t *testing.T) {
 // asserts the fan-out stops dispatching instead of visiting every plan.
 func TestForEachPlanCancelStopsDispatch(t *testing.T) {
 	e := workloadEngine(t, 2)
-	plans := e.snapshot(nil).plans
+	plans := e.snapshot()
 	if len(plans) < 20 {
 		t.Fatalf("want a workload of plans, got %d", len(plans))
 	}

@@ -56,71 +56,29 @@ func WithExecOptions(opts sparql.ExecOptions) Option {
 	return func(e *Engine) { e.execOpts = opts }
 }
 
-// WithPrefilter toggles the vocabulary prefilter (default on): the per-shard
-// and per-plan required-constant probes that discard (plan, query) pairs
-// before evaluation. When disabled, every pair is evaluated. Results are
-// identical either way; the disabled engine is the reference
-// TestPrefilterSoundness* compares reports against.
-func WithPrefilter(enabled bool) Option {
-	return func(e *Engine) { e.prefilter = enabled }
-}
-
-// WithShards sets how many independent shards the plan repository is split
-// into (fnv64a of the plan ID routes each plan to one). Each shard carries
-// its own lock, union prefilter vocabulary and generation counter, so
-// ingest on distinct shards never contends and scans can discard whole
-// shards with one vocabulary probe. Results are byte-identical for every
-// shard count: scans merge shard snapshots back into global load order.
-// n <= 0 asks for the automatic count (GOMAXPROCS capped at 16); the
-// default without this option is 1 (the seed's single-table layout).
-func WithShards(n int) Option {
-	return func(e *Engine) {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-			if n > maxAutoShards {
-				n = maxAutoShards
-			}
-		}
-		e.numShards = n
-	}
-}
-
-// maxAutoShards caps WithShards' automatic shard count: past this, per-shard
-// bookkeeping outweighs the contention a shard split saves.
-const maxAutoShards = 16
-
-// WithResultCache and ResultCacheStats are frozen benchmark surface: delete
-// at the next re-baseline, with EvalSnapshot.Fallback. The engine caches no
-// results (internal/server's rendered-response cache is the only tier); it
-// only remembers the handle bench/ passes and reports that cache's counters.
-func WithResultCache(c *cache.Cache) Option {
-	return func(e *Engine) { e.benchCache = c }
-}
-
-// ResultCacheStats reports the counters of the cache handed to
-// WithResultCache (zeros without one); see there.
-func (e *Engine) ResultCacheStats() cache.Stats { return e.benchCache.Stats() }
-
 // Engine holds a workload of transformed plans and matches patterns against
-// it.
+// it. The plan repository is one table under one lock.
 type Engine struct {
-	shards    []*planShard
-	numShards int           // set by WithShards before the shards are built
-	nextSeq   atomic.Uint64 // global load sequence: the cross-shard merge key
-	workers   int
-	execOpts  sparql.ExecOptions
+	// mu guards plans and byID. plans is the repository in load order:
+	// between removals it only grows by append, and a removal always builds
+	// a new backing array (RemovePlan). Nothing a scan can see is therefore
+	// ever overwritten, so a scan's snapshot is the slice header read under
+	// mu.RLock — no copy.
+	mu    sync.RWMutex
+	plans []*transform.Result
+	byID  map[string]*transform.Result
+
+	workers  int
+	execOpts sparql.ExecOptions
 
 	// generation identifies the engine's exact plan set for callers that
-	// cache what they derive from it: it is bumped — while the mutated
-	// shard's lock (or, for batches, every shard lock) is still held — by
-	// every load and removal. A batch load bumps it once, not per plan.
+	// cache what they derive from it: every load and removal bumps it while
+	// still holding mu, a batch load once, not per plan. A caller that reads
+	// equal values before and after a scan knows no mutation's critical
+	// section overlapped the scan's snapshot (server.serveCached is that
+	// caller).
 	generation atomic.Uint64
-	benchCache *cache.Cache // see WithResultCache
-
-	prefilter  bool
-	pfProbed   atomic.Int64
-	pfSkipped  atomic.Int64
-	shardSkips atomic.Int64 // (shard, query) pairs discarded by the union-vocabulary probe
+	benchCache *cache.Cache // see frozen.go
 
 	queries     queryCache
 	cacheHits   atomic.Int64
@@ -132,16 +90,11 @@ type Engine struct {
 // New returns an empty engine.
 func New(opts ...Option) *Engine {
 	e := &Engine{
-		numShards: 1,
-		workers:   runtime.GOMAXPROCS(0),
-		prefilter: true,
+		byID:    make(map[string]*transform.Result),
+		workers: runtime.GOMAXPROCS(0),
 	}
 	for _, o := range opts {
 		o(e)
-	}
-	e.shards = make([]*planShard, e.numShards)
-	for i := range e.shards {
-		e.shards[i] = newShard()
 	}
 	return e
 }
@@ -175,17 +128,28 @@ func (e *Engine) LoadResult(r *transform.Result) error {
 	return e.loadOne(r)
 }
 
-// loadOne registers one transformed plan in its home shard, bumping the
-// shard and engine generations inside the shard's critical section.
+// loadOne registers one transformed plan.
 func (e *Engine) loadOne(r *transform.Result) error {
-	sh := e.shardFor(r.Plan.ID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, dup := sh.byID[r.Plan.ID]; dup {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.insertLocked(r); err != nil {
+		return err
+	}
+	e.generation.Add(1)
+	return nil
+}
+
+// insertLocked appends a transformed plan to the table unless its ID is
+// taken. Caller holds e.mu. Transform freezes its graph outside the lock; the
+// Freeze here is a no-op for those and keeps a hand-built Result from
+// entering the repository mutable.
+func (e *Engine) insertLocked(r *transform.Result) error {
+	if _, dup := e.byID[r.Plan.ID]; dup {
 		return fmt.Errorf("core: plan %q %w", r.Plan.ID, ErrDuplicatePlan)
 	}
-	e.insertLocked(sh, r)
-	e.generation.Add(1)
+	r.Graph.Freeze()
+	e.plans = append(e.plans, r)
+	e.byID[r.Plan.ID] = r
 	return nil
 }
 
@@ -203,9 +167,9 @@ func (e *Engine) LoadPlans(plans []*qep.Plan) error {
 
 // LoadBatch validates, transforms and registers a batch of plans as one
 // repository mutation: transformation runs on the worker pool outside any
-// lock, the inserts happen under every shard lock at once, and the data
-// generation is bumped exactly once (if anything loaded), so a result
-// cache keyed on it invalidates once per batch instead of once per plan.
+// lock, the inserts happen in one critical section, and the data generation
+// is bumped exactly once inside it (if anything loaded), so a result cache
+// keyed on it invalidates once per batch instead of once per plan.
 // The i-th returned error is the i-th plan's outcome — validation failures
 // and duplicate IDs (within the engine or earlier in the same batch) are
 // per-plan, never batch-fatal.
@@ -229,24 +193,20 @@ func (e *Engine) LoadBatch(plans []*qep.Plan) []error {
 	}
 	wg.Wait()
 
-	e.lockAll()
-	loaded := 0
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	loaded := false
 	for i, r := range results {
 		if r == nil {
 			continue
 		}
-		sh := e.shardFor(r.Plan.ID)
-		if _, dup := sh.byID[r.Plan.ID]; dup {
-			errs[i] = fmt.Errorf("core: plan %q %w", r.Plan.ID, ErrDuplicatePlan)
-			continue
+		if errs[i] = e.insertLocked(r); errs[i] == nil {
+			loaded = true
 		}
-		e.insertLocked(sh, r)
-		loaded++
 	}
-	if loaded > 0 {
+	if loaded {
 		e.generation.Add(1)
 	}
-	e.unlockAll()
 	return errs
 }
 
@@ -322,13 +282,22 @@ func (e *Engine) LoadDir(dir string) (int, error) {
 // their own snapshot of the plan list, so removal never disturbs a running
 // scan.
 func (e *Engine) RemovePlan(id string) bool {
-	sh := e.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.byID[id]; !ok {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	r, ok := e.byID[id]
+	if !ok {
 		return false
 	}
-	sh.removeLocked(id)
+	delete(e.byID, id)
+	for i := range e.plans {
+		if e.plans[i] == r {
+			// The three-index slice caps the head at its length, so the
+			// append copies into a new array (and after removing the last
+			// plan, the next load does): snapshots keep what they listed.
+			e.plans = append(e.plans[:i:i], e.plans[i+1:]...)
+			break
+		}
+	}
 	e.generation.Add(1)
 	return true
 }
@@ -340,23 +309,22 @@ func (e *Engine) RemovePlan(id string) bool {
 // exactly that plan set.
 func (e *Engine) Generation() uint64 { return e.generation.Load() }
 
-// NumPlans reports how many plans are loaded.
-func (e *Engine) NumPlans() int {
-	n := 0
-	for _, sh := range e.shards {
-		sh.mu.RLock()
-		n += len(sh.plans)
-		sh.mu.RUnlock()
-	}
-	return n
+// snapshot returns the current plan list for one scan to iterate; see the
+// plans field for why the shared slice is safe to read after the unlock.
+func (e *Engine) snapshot() []*transform.Result {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.plans
 }
 
-// Plans returns the loaded plans in load order (merged across shards by
-// global load sequence).
+// NumPlans reports how many plans are loaded.
+func (e *Engine) NumPlans() int { return len(e.snapshot()) }
+
+// Plans returns the loaded plans in load order.
 func (e *Engine) Plans() []*qep.Plan {
-	ss := e.snapshot(nil)
-	out := make([]*qep.Plan, len(ss.plans))
-	for i, r := range ss.plans {
+	plans := e.snapshot()
+	out := make([]*qep.Plan, len(plans))
+	for i, r := range plans {
 		out[i] = r.Plan
 	}
 	return out
@@ -364,10 +332,7 @@ func (e *Engine) Plans() []*qep.Plan {
 
 // Plan returns the loaded plan with the given ID, or nil.
 func (e *Engine) Plan(id string) *qep.Plan {
-	sh := e.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if r, ok := sh.byID[id]; ok {
+	if r := e.Result(id); r != nil {
 		return r.Plan
 	}
 	return nil
@@ -379,10 +344,9 @@ func (e *Engine) Plan(id string) *qep.Plan {
 // paying for a fresh transformation whose blank-node labels might differ.
 // Results are immutable after load and safe for concurrent readers.
 func (e *Engine) Result(id string) *transform.Result {
-	sh := e.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.byID[id]
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.byID[id]
 }
 
 // Binding is one de-transformed result-handler binding of a match.
@@ -468,21 +432,17 @@ func (e *Engine) FindSPARQLContext(ctx context.Context, query string) ([]Match, 
 	if err != nil {
 		return nil, err
 	}
-	analysis := q.Analysis()
-	ss := e.snapshot([]*sparql.Analysis{analysis})
+	plans := e.snapshot()
 	if e.instr.Search != nil {
-		defer func(start time.Time) { e.instr.Search(time.Since(start), len(ss.plans)) }(time.Now())
+		defer func(start time.Time) { e.instr.Search(time.Since(start), len(plans)) }(time.Now())
 	}
 
 	type chunk struct {
 		matches []Match
 		err     error
 	}
-	results := make([]chunk, len(ss.plans))
-	ferr := e.forEachPlan(ctx, ss.plans, func(i int, r *transform.Result) {
-		if !e.mayMatchAt(ss, i, 0, analysis) {
-			return
-		}
+	results := make([]chunk, len(plans))
+	ferr := e.forEachPlan(ctx, plans, func(i int, r *transform.Result) {
 		ms, err := e.matchPlan(ctx, q, r)
 		results[i] = chunk{matches: ms, err: err}
 	})
@@ -526,7 +486,9 @@ func (e *Engine) matchPlan(ctx context.Context, q *sparql.Query, r *transform.Re
 
 // execTimed evaluates one (query, plan) pair, reporting the evaluation
 // latency to the PlanMatch hook. With no hook installed the only overhead
-// is one nil check.
+// is one nil check. Every pair of every scan comes through here: whether the
+// plan's vocabulary can match at all is the evaluator's question (the
+// required-constant bail-out in sparql's evalCtx.exec), not the engine's.
 func (e *Engine) execTimed(ctx context.Context, q *sparql.Query, r *transform.Result) (*sparql.Results, error) {
 	if e.instr.PlanMatch == nil {
 		return q.ExecOpts(r.Graph, e.evalOpts(ctx))
@@ -577,22 +539,18 @@ func (e *Engine) RunKBContext(ctx context.Context, k *kb.KnowledgeBase) ([]PlanR
 		if err != nil {
 			return nil, fmt.Errorf("core: kb entry %q: %w", entry.Name, err)
 		}
-		entries = append(entries, compiledEntry{entry: entry, query: q, analysis: q.Analysis()})
+		entries = append(entries, compiledEntry{entry: entry, query: q})
 	}
 
-	analyses := make([]*sparql.Analysis, len(entries))
-	for i := range entries {
-		analyses[i] = entries[i].analysis
-	}
-	ss := e.snapshot(analyses)
+	plans := e.snapshot()
 	if e.instr.KBScan != nil {
-		defer func(start time.Time) { e.instr.KBScan(time.Since(start), len(ss.plans), len(entries)) }(time.Now())
+		defer func(start time.Time) { e.instr.KBScan(time.Since(start), len(plans), len(entries)) }(time.Now())
 	}
 
-	reports := make([]PlanReport, len(ss.plans))
-	errs := make([]error, len(ss.plans))
-	ferr := e.forEachPlan(ctx, ss.plans, func(i int, r *transform.Result) {
-		reports[i], errs[i] = e.planReport(ctx, ss, i, entries, r)
+	reports := make([]PlanReport, len(plans))
+	errs := make([]error, len(plans))
+	ferr := e.forEachPlan(ctx, plans, func(i int, r *transform.Result) {
+		reports[i], errs[i] = e.planReport(ctx, entries, r)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -605,23 +563,17 @@ func (e *Engine) RunKBContext(ctx context.Context, k *kb.KnowledgeBase) ([]PlanR
 	return reports, nil
 }
 
-// compiledEntry pairs a knowledge-base entry with its parsed query and the
-// query's static analysis (for the prefilter probe).
+// compiledEntry pairs a knowledge-base entry with its parsed query.
 type compiledEntry struct {
-	entry    *kb.Entry
-	query    *sparql.Query
-	analysis *sparql.Analysis
+	entry *kb.Entry
+	query *sparql.Query
 }
 
 // planReport matches every knowledge-base entry against one plan and
-// assembles the ranked recommendation list. i indexes the plan within the
-// scan set, so the shard-level prefilter verdicts apply per entry.
-func (e *Engine) planReport(ctx context.Context, ss *scanSet, i int, entries []compiledEntry, r *transform.Result) (PlanReport, error) {
+// assembles the ranked recommendation list.
+func (e *Engine) planReport(ctx context.Context, entries []compiledEntry, r *transform.Result) (PlanReport, error) {
 	report := PlanReport{Plan: r.Plan}
-	for ei, ce := range entries {
-		if !e.mayMatchAt(ss, i, ei, ce.analysis) {
-			continue
-		}
+	for _, ce := range entries {
 		res, err := e.execTimed(ctx, ce.query, r)
 		if err != nil {
 			return report, fmt.Errorf("core: plan %s, entry %s: %w", r.Plan.ID, ce.entry.Name, err)

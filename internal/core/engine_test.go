@@ -143,6 +143,16 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`)
 	if len(matches) != 1 || matches[0].Plan.ID != "Q9" {
 		t.Errorf("matches = %+v", matches)
 	}
+	// An ungrouped aggregate has one row per plan whether the plan matches
+	// nothing because it lacks the constant (every plan but Q9) or not.
+	counts, err := e.FindSPARQL(`PREFIX preduri: <http://optimatch/pred/>
+SELECT (COUNT(?s) AS ?n) WHERE { ?s preduri:hasPopType "SORT" }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(counts) != e.NumPlans() {
+		t.Errorf("COUNT over %d plans returned %d rows, want one per plan", e.NumPlans(), len(counts))
+	}
 	if _, err := e.FindSPARQL("SELECT nonsense"); err == nil {
 		t.Error("bad query accepted")
 	}

@@ -1,0 +1,46 @@
+// Frozen benchmark surface. The benchmark module (bench/, which a PR may not
+// edit) compiles against these names; nothing else in the repository should.
+// The engine has no shards, no prefilter and no result cache: every name
+// here is inert or a view of a counter kept elsewhere, and the whole file —
+// with Instrumentation.PrefilterProbe and sparql's EvalSnapshot.Fallback — is
+// deleted at the next benchmark re-baseline (ROADMAP).
+package core
+
+import "optimatch/internal/cache"
+
+// WithShards does nothing: the plan repository is one table (DESIGN.md §14
+// holds the measurements that removed the shards).
+func WithShards(int) Option { return func(*Engine) {} }
+
+// WithPrefilter does nothing: the one vocabulary test is the evaluator's
+// required-constant bail-out, which cannot be turned off.
+func WithPrefilter(bool) Option { return func(*Engine) {} }
+
+// WithResultCache only remembers the handle for ResultCacheStats: the engine
+// caches no results (internal/server's rendered-response cache is the only
+// tier).
+func WithResultCache(c *cache.Cache) Option {
+	return func(e *Engine) { e.benchCache = c }
+}
+
+// ResultCacheStats reports the counters of the cache handed to
+// WithResultCache (zeros without one).
+func (e *Engine) ResultCacheStats() cache.Stats { return e.benchCache.Stats() }
+
+// PrefilterStats is the evaluator's bail-out counters under the names the
+// prefilter published them by; see Engine.PrefilterStats.
+type PrefilterStats struct {
+	Probed     int64 // (plan, query) pairs executed
+	Skipped    int64 // of those, the ones that bailed out on a missing required constant
+	ShardSkips int64 // always 0
+}
+
+// PrefilterStats is a view of EvalStats: the pairs the prefilter used to
+// probe are the pairs the evaluator now executes, and the pairs it used to
+// skip are exactly the ones the evaluator bails out of, so /api/stats'
+// "prefilter" group and the benchmark's core.prefilter_skip_ratio keep their
+// values.
+func (e *Engine) PrefilterStats() PrefilterStats {
+	ev := e.EvalStats()
+	return PrefilterStats{Probed: ev.Specialized, Skipped: ev.ConstantBailouts}
+}

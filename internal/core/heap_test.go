@@ -11,12 +11,13 @@ import (
 )
 
 // heapBudgetPerTriple is what a resident plan may hold per triple beyond its
-// parsed plan model. Measured 165–167 B on the plans below: triple log and
+// parsed plan model. Measured ≈ 133 B on the plans below: triple log and
 // index ≈ 47, dictionary ≈ 85 (map[Term]ID and []Term ≈ 71, term strings
-// ≈ 14), the shard's union vocabulary ≈ 32. The map-of-map indexes the log
-// and index replaced measured 436 B on the same plans, so the budget is
-// tripped by any second copy of the adjacency long before it is by noise.
-const heapBudgetPerTriple = 180
+// ≈ 14); the engine's table adds a pointer and a map entry per plan, nothing
+// per triple. A second copy of the vocabulary (the shards' union map measured
+// ≈ 32 B) or of the adjacency (the map-of-map indexes measured 436 B in all)
+// trips the budget long before noise does.
+const heapBudgetPerTriple = 145
 
 // TestHeapBudgetPerTriple pins the live heap a loaded plan graph holds, and
 // that whatever enters the repository is frozen. (Outside the race build,

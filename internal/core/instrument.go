@@ -16,13 +16,12 @@ import (
 // Any field may be nil; hooks must be safe for concurrent use (scans run on
 // the worker pool).
 type Instrumentation struct {
-	// PrefilterProbe observes one vocabulary-prefilter probe: how long the
-	// required-constant lookup took and whether it discarded the
-	// (plan, query) pair without evaluation.
+	// PrefilterProbe is never called; frozen benchmark surface (frozen.go).
 	PrefilterProbe func(d time.Duration, skipped bool)
 
 	// PlanMatch observes one SPARQL evaluation of a query against one
-	// plan's graph (a pair that passed the prefilter).
+	// plan's graph: every (plan, query) pair of a scan, including the ones
+	// the evaluator bails out of on a missing required constant.
 	PlanMatch func(d time.Duration)
 
 	// KBScan observes one whole RunKB pass: wall time, plans scanned,

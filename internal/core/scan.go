@@ -1,73 +1,15 @@
-// Workload-scale match prefiltering. Every loaded plan's RDF graph interns
-// its full term vocabulary in its dictionary, and the static analysis of a
-// query (sparql.Analysis) names the constant terms any matching graph must
-// contain. Probing the vocabulary for those required terms is a handful of
-// O(1) set lookups, so the engine can discard a (plan, query) pair without
-// paying for SPARQL evaluation whenever a required term is missing — the
-// common case when scanning a large workload against a knowledge base whose
-// entries each match a small fraction of plans.
+// Scan plumbing shared by FindSPARQL and RunKB: the bounded worker pool that
+// fans one scan out over the plan list, and the parse-once query cache.
 package core
 
 import (
 	"context"
 	"sync"
-	"time"
 
 	"optimatch/internal/cache"
 	"optimatch/internal/sparql"
 	"optimatch/internal/transform"
 )
-
-// PrefilterStats reports the cumulative effect of the vocabulary prefilter
-// on an engine since construction.
-type PrefilterStats struct {
-	// Probed counts (plan, query) pairs the prefilter inspected.
-	Probed int64
-	// Skipped counts pairs discarded without evaluation because the plan's
-	// vocabulary misses a required constant of the query.
-	Skipped int64
-	// ShardSkips counts (shard, query) pairs discarded wholesale by the
-	// shard-level union-vocabulary probe. Every such skip also advances
-	// Probed and Skipped by the shard's plan count, so those two counters
-	// stay identical to probing each member plan individually.
-	ShardSkips int64
-}
-
-// PrefilterStats returns a snapshot of the prefilter counters. With the
-// prefilter disabled all counters stay zero.
-func (e *Engine) PrefilterStats() PrefilterStats {
-	return PrefilterStats{
-		Probed:     e.pfProbed.Load(),
-		Skipped:    e.pfSkipped.Load(),
-		ShardSkips: e.shardSkips.Load(),
-	}
-}
-
-// mayMatch reports whether the plan's graph can possibly match the analyzed
-// query. It never returns false for a plan with at least one match
-// (sparql's TestRequiredConstantSoundness asserts this of RequiredIn over
-// generated workloads).
-func (e *Engine) mayMatch(a *sparql.Analysis, r *transform.Result) bool {
-	if !e.prefilter {
-		return true
-	}
-	e.pfProbed.Add(1)
-	if hook := e.instr.PrefilterProbe; hook != nil {
-		start := time.Now()
-		ok := a.RequiredIn(r.Graph)
-		d := time.Since(start)
-		if !ok {
-			e.pfSkipped.Add(1)
-		}
-		hook(d, !ok)
-		return ok
-	}
-	if a.RequiredIn(r.Graph) {
-		return true
-	}
-	e.pfSkipped.Add(1)
-	return false
-}
 
 // forEachPlan runs fn over the plans on the engine's bounded worker pool.
 // Unlike a goroutine-per-plan fan-out, a workload of thousands of plans

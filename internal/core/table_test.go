@@ -1,0 +1,330 @@
+package core
+
+import (
+	"errors"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"optimatch/internal/kb"
+	"optimatch/internal/qep"
+	"optimatch/internal/transform"
+	"optimatch/internal/workload"
+)
+
+// TestLoadOrderAcrossMutations pins the one order the repository has: after
+// a history of single loads, one batch load and removals spread over the
+// table, Plans(), RunKB and FindSPARQL all answer in load order minus the
+// removed plans. The same history on an engine built with the frozen
+// WithShards / WithPrefilter shims renders the same bytes: the options are
+// inert.
+func TestLoadOrderAcrossMutations(t *testing.T) {
+	w, err := workload.Generate(workload.Config{
+		Seed: 2016, NumPlans: 48, MinOps: 25, MaxOps: 80,
+		InjectA: 8, InjectB: 6, InjectC: 8, InjectD: 5, InjectG: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := kb.MustExtended()
+	removed := map[int]bool{3: true, 17: true, 29: true, 41: true, 47: true}
+
+	// First third loaded one by one, middle third as one batch, last third
+	// one by one, then the removals (the last plan among them).
+	build := func(opts ...Option) *Engine {
+		e := New(append(opts, WithWorkers(4))...)
+		third := len(w.Plans) / 3
+		for _, p := range w.Plans[:third] {
+			if err := e.LoadPlan(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, err := range e.LoadBatch(w.Plans[third : 2*third]) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, p := range w.Plans[2*third:] {
+			if err := e.LoadPlan(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range w.Plans {
+			if removed[i] && !e.RemovePlan(w.Plans[i].ID) {
+				t.Fatalf("plan %s not removed", w.Plans[i].ID)
+			}
+		}
+		return e
+	}
+
+	var want []string
+	rank := make(map[string]int)
+	for i, p := range w.Plans {
+		if !removed[i] {
+			rank[p.ID] = len(want)
+			want = append(want, p.ID)
+		}
+	}
+
+	e := build()
+	var ids []string
+	for _, p := range e.Plans() {
+		ids = append(ids, p.ID)
+	}
+	if !slices.Equal(ids, want) {
+		t.Fatalf("Plans() order:\n got %v\nwant %v", ids, want)
+	}
+	reports, err := e.RunKB(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids = ids[:0]
+	recommended := 0
+	for i := range reports {
+		ids = append(ids, reports[i].Plan.ID)
+		recommended += len(reports[i].Recommendations)
+	}
+	if !slices.Equal(ids, want) {
+		t.Fatalf("RunKB report order:\n got %v\nwant %v", ids, want)
+	}
+	ms, err := e.FindSPARQL(cancelTestQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recommended == 0 || len(ms) == 0 {
+		t.Fatal("the workload produced no recommendations or no matches; the order checks are vacuous")
+	}
+	last := -1
+	for i := range ms {
+		r, loaded := rank[ms[i].Plan.ID]
+		if !loaded || r < last {
+			t.Fatalf("FindSPARQL match %d is of plan %s: removed, or out of load order", i, ms[i].Plan.ID)
+		}
+		last = r
+	}
+
+	shimmed := build(WithShards(8), WithPrefilter(false))
+	shimReports, err := shimmed.RunKB(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shimMs, err := shimmed.FindSPARQL(cancelTestQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderReports(shimReports) != renderReports(reports) || renderMatches(shimMs) != renderMatches(ms) {
+		t.Fatal("WithShards(8), WithPrefilter(false) changed what the engine answers")
+	}
+	if got, want := shimmed.PrefilterStats(), e.PrefilterStats(); got != want || got.Skipped == 0 {
+		t.Fatalf("PrefilterStats view: shimmed %+v, plain %+v; want equal and Skipped > 0", got, want)
+	}
+}
+
+// TestSnapshotSurvivesMutations pins the discipline that lets a scan read the
+// table's slice without copying it: a snapshot taken before {append,
+// remove-last (what a failed store.AddPlan rolls back with), append,
+// remove-middle} lists exactly the plans it listed, and keeps doing so while
+// eight goroutines load, batch-load, remove and scan. Under -race an in-place
+// removal is also reported as a write racing the scans.
+func TestSnapshotSurvivesMutations(t *testing.T) {
+	w, err := workload.Generate(workload.Config{Seed: 17, NumPlans: 42, MinOps: 10, MaxOps: 25, InjectA: 4, InjectC: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := kb.MustExtended()
+	base, spare := w.Plans[:8], w.Plans[8:10]
+	e := New(WithWorkers(2))
+	if err := e.LoadPlans(base); err != nil {
+		t.Fatal(err)
+	}
+	listed := func(snap []*transform.Result) string {
+		var b strings.Builder
+		for _, r := range snap {
+			b.WriteString(r.Plan.ID)
+			b.WriteByte(' ')
+		}
+		return b.String()
+	}
+	snap := e.snapshot()
+	want := listed(snap)
+
+	steps := []struct {
+		name string
+		do   func() bool
+	}{
+		{"append", func() bool { return e.LoadPlan(spare[0]) == nil }},
+		{"remove-last", func() bool { return e.RemovePlan(spare[0].ID) }},
+		{"append after remove-last", func() bool { return e.LoadPlan(spare[1]) == nil }},
+		{"remove-middle", func() bool { return e.RemovePlan(base[3].ID) }},
+	}
+	for _, st := range steps {
+		if !st.do() {
+			t.Fatalf("%s failed", st.name)
+		}
+		if got := listed(snap); got != want {
+			t.Fatalf("after %s the earlier snapshot lists\n %s\nwant\n %s", st.name, got, want)
+		}
+	}
+	if got, want := len(e.snapshot()), len(base); got != want {
+		t.Fatalf("table holds %d plans after the four steps, want %d", got, want)
+	}
+
+	// Each goroutine owns four plans, so loads and removals never collide;
+	// every one checks a snapshot of its own across its mutation or scan.
+	own := w.Plans[10:]
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		mine := own[4*g : 4*g+4]
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 6; round++ {
+				s := e.snapshot()
+				before := listed(s)
+				switch g % 4 {
+				case 0:
+					for _, p := range mine {
+						if err := e.LoadPlan(p); err != nil {
+							t.Error(err)
+						}
+					}
+				case 1:
+					for _, err := range e.LoadBatch(mine) {
+						if err != nil {
+							t.Error(err)
+						}
+					}
+				default:
+					if _, err := e.RunKB(k); err != nil {
+						t.Error(err)
+					}
+				}
+				if g%4 < 2 {
+					for _, p := range mine {
+						if !e.RemovePlan(p.ID) {
+							t.Errorf("plan %s not removed", p.ID)
+						}
+					}
+				}
+				if after := listed(s); after != before {
+					t.Errorf("goroutine %d round %d: snapshot changed under it:\n %s\nwas\n %s", g, round, after, before)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := listed(snap); got != want {
+		t.Fatalf("after the hammer the first snapshot lists\n %s\nwant\n %s", got, want)
+	}
+	if got, want := e.NumPlans(), len(base); got != want {
+		t.Fatalf("NumPlans = %d after every goroutine removed what it loaded, want %d", got, want)
+	}
+}
+
+// TestLoadBatchSingleGenerationBump pins the batch cache-invalidation
+// contract: one batch, however many plans, bumps the data generation exactly
+// once; an all-rejected batch does not bump it at all.
+func TestLoadBatchSingleGenerationBump(t *testing.T) {
+	w, err := workload.Generate(workload.Config{Seed: 5, NumPlans: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New()
+	before := e.Generation()
+	for _, err := range e.LoadBatch(w.Plans) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.Generation(); got != before+1 {
+		t.Fatalf("generation after %d-plan batch = %d, want %d", len(w.Plans), got, before+1)
+	}
+	if got := e.NumPlans(); got != len(w.Plans) {
+		t.Fatalf("NumPlans = %d, want %d", got, len(w.Plans))
+	}
+
+	// Re-loading the same batch rejects every plan as a duplicate and must
+	// leave the generation untouched.
+	before = e.Generation()
+	for i, err := range e.LoadBatch(w.Plans) {
+		if !errors.Is(err, ErrDuplicatePlan) {
+			t.Fatalf("plan %d: err = %v, want ErrDuplicatePlan", i, err)
+		}
+	}
+	if got := e.Generation(); got != before {
+		t.Fatalf("generation after all-duplicate batch = %d, want unchanged %d", got, before)
+	}
+}
+
+// TestLoadBatchPerPlanOutcomes exercises the mixed-outcome contract: invalid
+// plans, intra-batch duplicates and engine-level duplicates fail per-record
+// while the rest of the batch loads.
+func TestLoadBatchPerPlanOutcomes(t *testing.T) {
+	w, err := workload.Generate(workload.Config{Seed: 11, NumPlans: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New()
+	if err := e.LoadPlan(w.Plans[0]); err != nil {
+		t.Fatal(err)
+	}
+	batch := []*qep.Plan{
+		w.Plans[0], // duplicate of an already-loaded plan
+		w.Plans[1], // fresh
+		w.Plans[1], // intra-batch duplicate
+		{},         // invalid: fails validation
+		w.Plans[2], // fresh
+	}
+	errs := e.LoadBatch(batch)
+	if !errors.Is(errs[0], ErrDuplicatePlan) {
+		t.Fatalf("errs[0] = %v, want ErrDuplicatePlan", errs[0])
+	}
+	if errs[1] != nil {
+		t.Fatalf("errs[1] = %v, want nil", errs[1])
+	}
+	if !errors.Is(errs[2], ErrDuplicatePlan) {
+		t.Fatalf("errs[2] = %v, want ErrDuplicatePlan (intra-batch)", errs[2])
+	}
+	if errs[3] == nil {
+		t.Fatal("errs[3] = nil, want a validation error")
+	}
+	if errs[4] != nil {
+		t.Fatalf("errs[4] = %v, want nil", errs[4])
+	}
+	if got := e.NumPlans(); got != 3 {
+		t.Fatalf("NumPlans = %d, want 3", got)
+	}
+}
+
+// TestLoadTextBatch exercises the text-level batch entry point: parse
+// failures are per-record and parsed plans are reported even when loading
+// then fails as a duplicate.
+func TestLoadTextBatch(t *testing.T) {
+	w, err := workload.Generate(workload.Config{Seed: 33, NumPlans: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := w.Texts()
+	texts := []string{byID[w.Plans[0].ID], "not a plan", byID[w.Plans[1].ID], byID[w.Plans[0].ID]}
+	e := New()
+	plans, errs := e.LoadTextBatch(texts)
+	if errs[0] != nil || errs[2] != nil {
+		t.Fatalf("valid texts failed: %v / %v", errs[0], errs[2])
+	}
+	if errs[1] == nil {
+		t.Fatal("garbage text parsed without error")
+	}
+	if plans[1] != nil {
+		t.Fatal("garbage text yielded a plan")
+	}
+	if !errors.Is(errs[3], ErrDuplicatePlan) {
+		t.Fatalf("errs[3] = %v, want ErrDuplicatePlan", errs[3])
+	}
+	if plans[3] == nil {
+		t.Fatal("duplicate text should still report its parsed plan")
+	}
+	if got := e.NumPlans(); got != 2 {
+		t.Fatalf("NumPlans = %d, want 2", got)
+	}
+}

@@ -26,8 +26,8 @@ import (
 // fast in-process scans (sub-millisecond) through slow HTTP requests.
 var DefBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
-// MicroBuckets resolve sub-microsecond operations — vocabulary prefilter
-// probes, WAL buffer writes — that DefBuckets would lump into one bucket.
+// MicroBuckets resolve microsecond-scale operations — WAL buffer writes —
+// that DefBuckets would lump into one bucket.
 var MicroBuckets = []float64{1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 1e-2}
 
 var metricName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)

@@ -59,7 +59,7 @@ func postBatch(t *testing.T, url, body string) (*http.Response, batchResponse) {
 }
 
 func TestBatchUploadAllCreated(t *testing.T) {
-	eng := core.New(core.WithShards(4))
+	eng := core.New()
 	s := New(eng, nil)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -89,7 +89,7 @@ func TestBatchUploadAllCreated(t *testing.T) {
 }
 
 func TestBatchUploadMixedOutcomes207(t *testing.T) {
-	eng := core.New(core.WithShards(2))
+	eng := core.New()
 	if err := eng.LoadPlans(fixtures.Numbered(1)); err != nil { // W1 pre-loaded
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestBatchUploadObjectRecords(t *testing.T) {
 // contract over HTTP: a store-backed batch of N plans costs one WAL record
 // and one fsync, and /api/stats exposes the batch counters.
 func TestBatchUploadStoreSingleFsync(t *testing.T) {
-	st, err := store.Open(t.TempDir(), store.WithEngineOptions(core.WithShards(4)))
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,24 +221,17 @@ func TestBatchUploadStoreSingleFsync(t *testing.T) {
 	if stats.Batch.Requests != 1 || stats.Batch.Accepted != int64(len(texts)) {
 		t.Fatalf("stats.Batch = %+v", stats.Batch)
 	}
-	if len(stats.Shards) != 4 {
-		t.Fatalf("stats.Shards has %d entries, want 4", len(stats.Shards))
-	}
-	totalPlans := 0
-	for _, sh := range stats.Shards {
-		totalPlans += sh.Plans
-	}
-	if totalPlans != len(texts) {
-		t.Fatalf("shard stats sum to %d plans, want %d", totalPlans, len(texts))
+	if stats.Plans != len(texts) {
+		t.Fatalf("stats.Plans = %d, want %d", stats.Plans, len(texts))
 	}
 }
 
 // TestBatchHammerRace mixes concurrent batch ingests with cached and
-// bypassed KB scans; under -race it proves the sharded snapshot/generation
-// protocol holds with the full HTTP stack in the loop.
+// bypassed KB scans; under -race it proves the snapshot/generation protocol
+// holds with the full HTTP stack in the loop.
 func TestBatchHammerRace(t *testing.T) {
 	c := cache.New(cache.Config{MaxBytes: 16 << 20})
-	eng := core.New(core.WithShards(4))
+	eng := core.New()
 	s := New(eng, nil, WithResultCache(c))
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)

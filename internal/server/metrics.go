@@ -1,7 +1,6 @@
 package server
 
 import (
-	"strconv"
 	"time"
 
 	"optimatch/internal/cache"
@@ -22,12 +21,8 @@ import (
 // core itself never imports obs — it publishes timings through the hook
 // struct, and this adapter owns the metric names.
 func EngineInstrumentation(reg *obs.Registry) core.Instrumentation {
-	const probeName = "optimatch_core_prefilter_probe_seconds"
-	const probeHelp = "Vocabulary prefilter probe latency by outcome (pass: pair goes on to evaluation, skip: discarded)."
-	probePass := reg.Histogram(probeName, probeHelp, obs.MicroBuckets, "outcome", "pass")
-	probeSkip := reg.Histogram(probeName, probeHelp, obs.MicroBuckets, "outcome", "skip")
 	match := reg.Histogram("optimatch_core_plan_match_seconds",
-		"SPARQL evaluation latency per (plan, query) pair that passed the prefilter.", nil)
+		"SPARQL evaluation latency of every (plan, query) pair, required-constant bail-outs included.", nil)
 	kbScan := reg.Histogram("optimatch_core_kb_scan_seconds",
 		"Wall time of one whole RunKB pass over the workload.", nil)
 	search := reg.Histogram("optimatch_core_search_seconds",
@@ -39,13 +34,6 @@ func EngineInstrumentation(reg *obs.Registry) core.Instrumentation {
 	poolFanouts := reg.Counter("optimatch_core_pool_fanouts_total",
 		"Scan fan-outs dispatched to the worker pool.")
 	return core.Instrumentation{
-		PrefilterProbe: func(d time.Duration, skipped bool) {
-			if skipped {
-				probeSkip.ObserveDuration(d)
-			} else {
-				probePass.ObserveDuration(d)
-			}
-		},
 		PlanMatch: func(d time.Duration) { match.ObserveDuration(d) },
 		KBScan:    func(d time.Duration, _, _ int) { kbScan.ObserveDuration(d) },
 		Search:    func(d time.Duration, _ int) { search.ObserveDuration(d) },
@@ -111,32 +99,6 @@ func (s *Server) registerStateMetrics() {
 	reg.GaugeFunc("optimatch_core_query_cache_bytes", "Query-text bytes held by the parse-once cache.",
 		func() float64 { return float64(s.eng.CacheStats().Bytes) })
 
-	const pfName = "optimatch_core_prefilter_pairs_total"
-	const pfHelp = "(plan, query) pairs probed by the vocabulary prefilter, by outcome."
-	reg.CounterFunc(pfName, pfHelp, func() float64 {
-		st := s.eng.PrefilterStats()
-		return float64(st.Probed - st.Skipped)
-	}, "outcome", "passed")
-	reg.CounterFunc(pfName, pfHelp, func() float64 { return float64(s.eng.PrefilterStats().Skipped) }, "outcome", "skipped")
-	reg.CounterFunc("optimatch_core_prefilter_shard_skips_total",
-		"(shard, query) pairs discarded wholesale by the shard-level union-vocabulary probe.",
-		func() float64 { return float64(s.eng.PrefilterStats().ShardSkips) })
-
-	// Per-shard plan-store gauges: the shard count is fixed at construction,
-	// so one GaugeFunc per shard keeps cardinality bounded.
-	const shardPlansName = "optimatch_core_shard_plans"
-	const shardPlansHelp = "Plans held by each shard of the plan repository."
-	const shardGenName = "optimatch_core_shard_generation"
-	const shardGenHelp = "Mutation counter of each shard of the plan repository."
-	for i := 0; i < s.eng.NumShards(); i++ {
-		shard := strconv.Itoa(i)
-		idx := i
-		reg.GaugeFunc(shardPlansName, shardPlansHelp,
-			func() float64 { return float64(s.eng.ShardStats()[idx].Plans) }, "shard", shard)
-		reg.GaugeFunc(shardGenName, shardGenHelp,
-			func() float64 { return float64(s.eng.ShardStats()[idx].Generation) }, "shard", shard)
-	}
-
 	const batchName = "optimatch_ingest_batch_records_total"
 	const batchHelp = "NDJSON records received by POST /api/plans:batch, by outcome."
 	reg.CounterFunc(batchName, batchHelp, func() float64 { return float64(s.batch.accepted.Load()) }, "outcome", "accepted")
@@ -146,7 +108,7 @@ func (s *Server) registerStateMetrics() {
 		func() float64 { return float64(s.batch.requests.Load()) })
 
 	const evalName = "optimatch_sparql_eval_total"
-	const evalHelp = "SPARQL executions: all of them, and the subset that skipped WHERE evaluation on a missing required constant (pairs the engine prefilter discards never reach the evaluator, so the subset moves only with the prefilter off)."
+	const evalHelp = "SPARQL executions: all of them (every (plan, query) pair of every scan), and the subset that skipped WHERE evaluation because the plan's vocabulary misses a constant the query requires."
 	reg.CounterFunc(evalName, evalHelp, func() float64 { return float64(s.eng.EvalStats().Specialized) }, "path", "all")
 	reg.CounterFunc(evalName, evalHelp, func() float64 { return float64(s.eng.EvalStats().ConstantBailouts) }, "path", "constant_bailout")
 

@@ -168,13 +168,12 @@ func metricValue(t *testing.T, exposition, series string) float64 {
 	return -1
 }
 
-// TestEvalBailoutMetric moves the one evaluator series TestMetricsEndToEnd
-// cannot: the engine prefilter discards a pair with a missing required
-// constant before the evaluator sees it, so the evaluator's own bail-out only
-// counts on an engine without the prefilter.
+// TestEvalBailoutMetric pins the evaluator's two series to exact values: a
+// query whose required constant no plan contains is executed once per plan,
+// and every execution bails out.
 func TestEvalBailoutMetric(t *testing.T) {
 	reg := obs.NewRegistry()
-	eng := core.New(core.WithPrefilter(false))
+	eng := core.New()
 	if err := eng.LoadPlans(fixtures.All()); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +248,8 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`
 	}
 
 	// One series per layer must have moved: HTTP, core scan stages, sparql
-	// evaluator, prefilter, store.
+	// evaluator (its required-constant bail-out included: some fixture plan
+	// lacks a constant some canonical entry requires), store.
 	positive := []string{
 		`optimatch_http_requests_total{route="POST /api/plans",method="POST",class="2xx"}`,
 		`optimatch_http_request_seconds_count{route="POST /api/kb/run"}`,
@@ -267,7 +267,7 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`
 		`optimatch_sparql_path_total{kind="memo_miss"}`,
 		`optimatch_sparql_path_bfs_steps_total`,
 		`optimatch_sparql_path_bitset_bytes_total`,
-		`optimatch_core_prefilter_pairs_total{outcome="passed"}`,
+		`optimatch_sparql_eval_total{path="constant_bailout"}`,
 		`optimatch_store_wal_fsync_seconds_count`,
 		`optimatch_store_appended_records_total`,
 		`optimatch_kb_entries`,
@@ -287,10 +287,17 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`
 	if v := metricValue(t, out, "optimatch_core_plans_loaded"); v != 4 {
 		t.Errorf("optimatch_core_plans_loaded = %v, want 4", v)
 	}
-	// The prefilter probed pairs during kb/run: probed = passed + skipped.
-	stats := st.Engine().PrefilterStats()
-	if stats.Probed == 0 {
-		t.Error("prefilter probed nothing during kb/run")
+	// The engine has no prefilter and no shards to report on.
+	for _, family := range []string{
+		"optimatch_core_prefilter_probe_seconds",
+		"optimatch_core_prefilter_pairs_total",
+		"optimatch_core_prefilter_shard_skips_total",
+		"optimatch_core_shard_plans",
+		"optimatch_core_shard_generation",
+	} {
+		if strings.Contains(out, family) {
+			t.Errorf("metric family %s is still exposed", family)
+		}
 	}
 
 	// Request IDs are minted and echoed.

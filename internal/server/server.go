@@ -592,20 +592,19 @@ func (s *Server) handleRunKB(w http.ResponseWriter, r *http.Request) {
 		})
 }
 
-// statsBody is the GET /api/stats response. New counter groups are only
-// ever added — existing fields never change shape, so old clients keep
-// decoding it.
+// statsBody is the GET /api/stats response. Existing fields never change
+// shape, so old clients keep decoding it; only an omitempty group may go
+// away with what it described (as "shards" did with the shards).
 type statsBody struct {
 	Plans      int                 `json:"plans"`
 	KBEntries  int                 `json:"kbEntries"`
-	Prefilter  core.PrefilterStats `json:"prefilter"`
+	Prefilter  core.PrefilterStats `json:"prefilter"` // the eval counters under their older names (core/frozen.go)
 	QueryCache core.CacheStats     `json:"queryCache"`
 	Eval       sparql.EvalSnapshot `json:"eval"` // "specialized" counts every execution; "fallback" is always 0 (one evaluator)
 	Exec       ExecStats           `json:"exec"`
 	Batch      BatchStats          `json:"batch"`
-	Shards     []core.ShardStat    `json:"shards,omitempty"` // per-shard plan-store state
-	Cache      *cache.Stats        `json:"cache,omitempty"`  // nil without -cache-bytes
-	Store      *store.Stats        `json:"store,omitempty"`  // nil without -data
+	Cache      *cache.Stats        `json:"cache,omitempty"` // nil without -cache-bytes
+	Store      *store.Stats        `json:"store,omitempty"` // nil without -data
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -620,7 +619,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Eval:       s.eng.EvalStats(),
 		Exec:       s.exec.snapshot(),
 		Batch:      s.batch.snapshot(),
-		Shards:     s.eng.ShardStats(),
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()

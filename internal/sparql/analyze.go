@@ -3,12 +3,11 @@ package sparql
 import "optimatch/internal/rdf"
 
 // Analysis is the static, graph-independent analysis of a query, computed
-// once per parsed query and shared by every evaluation. It drives the
-// workload-scale acceleration in internal/core: Required is the set of
-// constant terms every matching graph must contain, so a caller holding a
-// graph whose vocabulary misses any of them can skip evaluation outright
-// (the engine's prefilter), and the evaluator can resolve all of Consts to
-// the target graph's dense IDs in one pass before matching.
+// once per parsed query and shared by every evaluation. Required is the set
+// of constant terms every matching graph must contain: the evaluator, which
+// resolves all of Consts to the target graph's dense IDs in one pass before
+// matching, skips the WHERE clause when one of them has no ID there
+// (evalCtx.exec's bail-out — the one vocabulary test a workload scan runs).
 type Analysis struct {
 	// Required holds constant terms (IRIs and literals from triple patterns,
 	// plus predicate IRIs from property paths) that any graph with at least
@@ -31,8 +30,10 @@ type Analysis struct {
 
 // RequiredIn reports whether every required term is present in the graph's
 // vocabulary (its term dictionary). When it returns false the query has no
-// solutions over g and evaluation can be skipped; when it returns true the
-// graph is a candidate and must still be evaluated.
+// solutions over g; when it returns true the graph is a candidate. It is the
+// term-space statement of ExecOpts' bail-out, which acts on the same verdict
+// in ID space; TestRequiredConstantSoundness holds both to the reference
+// evaluator. Production code does not call it.
 func (a *Analysis) RequiredIn(g *rdf.Graph) bool {
 	d := g.Dict()
 	for _, t := range a.Required {

@@ -13,7 +13,7 @@ import (
 
 // This file holds the reference WHERE evaluator the ID-space evaluator is
 // differentially tested against (FuzzEvalEquivalence, TestEvalEquivalence
-// and the prefilter soundness test in soundness_test.go). It works in term
+// and the required-constant soundness test in soundness_test.go). It works in term
 // space — a solution is a []rdf.Term and every bound variable is re-resolved
 // against the dictionary per row — and it is deliberately plain: triple
 // patterns join in textual order, there is no cost model, no required-constant

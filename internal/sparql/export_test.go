@@ -4,3 +4,6 @@ package sparql
 // in package sparql_test, which may import the packages that build real
 // workloads without an import cycle.
 var ExecReference = execReference
+
+// RowStrings exposes the row rendering the equivalence tests compare by.
+var RowStrings = rowStrings

@@ -26,7 +26,7 @@ func batchTexts(n int) []string {
 // one WAL record, and a reopen replays the batch record exactly.
 func TestAddPlanBatchRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, WithEngineOptions(core.WithShards(4)))
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestAddPlanBatchRoundTrip(t *testing.T) {
 	want := reportString(t, s.Engine(), s.KB())
 	s.Close()
 
-	r, err := Open(dir, WithEngineOptions(core.WithShards(4)))
+	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

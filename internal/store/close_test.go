@@ -4,8 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-
-	"optimatch/internal/core"
 )
 
 // TestCloseIdempotent pins Close's contract: the first call flushes and
@@ -43,7 +41,7 @@ func TestCloseIdempotent(t *testing.T) {
 // panics, no writes acknowledged after Close returns.
 func TestCloseConcurrentWithMutations(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, WithEngineOptions(core.WithShards(4)))
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

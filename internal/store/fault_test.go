@@ -261,6 +261,63 @@ func TestDegradedBatchIsAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestFailedRemoveLeavesStateUntouched: a delete whose journal append fails
+// never happened. The plan or entry keeps its place in load order — what the
+// degraded server goes on serving, and what a restart recovers — and neither
+// the engine's generation nor the knowledge base's cache key moves, so no
+// cached response is orphaned for it. (reportString sorts its blocks, so the
+// order is compared here by name.)
+func TestFailedRemoveLeavesStateUntouched(t *testing.T) {
+	state := func(s *Store) string {
+		var plans, entries []string
+		for _, p := range s.Engine().Plans() {
+			plans = append(plans, p.ID)
+		}
+		for _, e := range s.KB().Entries() {
+			entries = append(entries, e.Name)
+		}
+		return fmt.Sprintf("plans %v generation %d, entries %v key %s",
+			plans, s.Engine().Generation(), entries, s.KB().CacheKey())
+	}
+	faults := []struct {
+		name string
+		op   faultfs.Op
+		kind faultfs.Kind
+	}{
+		{"write", faultfs.OpWrite, faultfs.KindErr},
+		{"fsync", faultfs.OpSync, faultfs.KindErr},
+		{"ENOSPC", faultfs.OpWrite, faultfs.KindENOSPC},
+	}
+	// Both targets are first in their order, where re-adding would show.
+	removals := []struct {
+		name   string
+		remove func(*Store) (bool, error)
+	}{
+		{"plan", func(s *Store) (bool, error) { return s.RemovePlan("W1") }},
+		{"entry", func(s *Store) (bool, error) { return s.RemoveEntry(s.KB().Entries()[0].Name) }},
+	}
+	for _, f := range faults {
+		for _, r := range removals {
+			t.Run(f.name+"/"+r.name, func(t *testing.T) {
+				dir, ffs, s, want := faultStore(t)
+				ackSeq := s.Stats().LastSeq
+				before := state(s)
+				ffs.FailNth(f.op, 1, f.kind)
+				if ok, err := r.remove(s); ok || !errors.Is(err, ErrPersist) {
+					t.Fatalf("remove = %v, %v; want false, ErrPersist", ok, err)
+				}
+				if after := state(s); after != before {
+					t.Fatalf("failed remove changed served state:\n--- before\n%s\n--- after\n%s", before, after)
+				}
+				wantDegraded(t, s, want)
+				if seq, got := recoverImage(t, dir); seq != ackSeq || got != want {
+					t.Fatalf("recovered seq %d (want %d), report mismatch %v", seq, ackSeq, got != want)
+				}
+			})
+		}
+	}
+}
+
 // TestCompactionCrashWindows walks every persistence step of a compaction —
 // temp-file creation, the data write, the temp fsync, the publishing
 // rename, the directory fsync, the WAL-reset rename and the WAL handle

@@ -494,21 +494,22 @@ func (s *Store) AddPlanBatch(texts []string) ([]BatchOutcome, error) {
 }
 
 // RemovePlan unloads a plan durably. It reports whether the plan existed.
+// The removal is journaled first and applied once the append succeeds (s.mu
+// serialises every mutator, so the existence check cannot go stale): a failed
+// append leaves the engine exactly as it was.
 func (s *Store) RemovePlan(id string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writableLocked(); err != nil {
 		return false, err
 	}
-	p := s.eng.Plan(id)
-	if p == nil {
+	if s.eng.Plan(id) == nil {
 		return false, nil
 	}
-	s.eng.RemovePlan(id)
 	if err := s.appendLocked(&record{Seq: s.seq + 1, Op: opRemovePlan, ID: id}); err != nil {
-		_ = s.eng.LoadPlan(p) // roll back
 		return false, err
 	}
+	s.eng.RemovePlan(id)
 	s.seq++
 	s.maybeAutoCompact()
 	return true, nil
@@ -541,24 +542,20 @@ func (s *Store) AddEntry(p *pattern.Pattern, recs ...kb.Recommendation) (*kb.Ent
 }
 
 // RemoveEntry deletes a knowledge-base entry durably. It reports whether
-// the entry existed.
+// the entry existed. Journal first, apply after, as RemovePlan does.
 func (s *Store) RemoveEntry(name string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writableLocked(); err != nil {
 		return false, err
 	}
-	entry := s.base.Entry(name)
-	if entry == nil {
+	if s.base.Entry(name) == nil {
 		return false, nil
 	}
-	s.base.Remove(name)
 	if err := s.appendLocked(&record{Seq: s.seq + 1, Op: opRemoveEntry, ID: name}); err != nil {
-		if readded, aerr := s.base.Add(entry.Pattern, entry.Recommendations...); aerr == nil {
-			readded.Profile = entry.Profile // roll back
-		}
 		return false, err
 	}
+	s.base.Remove(name)
 	s.seq++
 	s.maybeAutoCompact()
 	return true, nil

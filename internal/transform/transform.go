@@ -237,8 +237,8 @@ func Transform(p *qep.Plan) *Result {
 		}
 	}
 	// A plan's graph is complete here and never changes again: build its
-	// index now, on the transforming goroutine, so no shard lock or first
-	// query pays for it.
+	// index now, on the transforming goroutine, so neither the engine's
+	// table lock nor the first query pays for it.
 	g.Freeze()
 	return r
 }
