@@ -117,6 +117,35 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`
 	}
 }
 
+func TestRunExplain(t *testing.T) {
+	dir := writeFixtures(t)
+	plan := fixtureFile(t, dir, "Q2")
+	if err := run([]string{"explain", "-entry", "nljoin-inner-tbscan", plan}); err != nil {
+		t.Errorf("explain -entry: %v", err)
+	}
+	qfile := filepath.Join(dir, "q.rq")
+	query := `PREFIX preduri: <http://optimatch/pred/>
+SELECT DISTINCT ?s WHERE { ?s preduri:hasPopType ?t . FILTER NOT EXISTS { ?s preduri:hasJoinType ?j } ?x preduri:hasTotalCost ?c }`
+	if err := os.WriteFile(qfile, []byte(query), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"explain", "-query", qfile, plan}); err != nil {
+		t.Errorf("explain -query: %v", err)
+	}
+	for name, args := range map[string][]string{
+		"neither -query nor -entry": {"explain", plan},
+		"both":                      {"explain", "-query", qfile, "-entry", "sort-spill", plan},
+		"no plan":                   {"explain", "-entry", "sort-spill"},
+		"a directory of plans":      {"explain", "-entry", "sort-spill", dir},
+		"an unknown entry":          {"explain", "-entry", "no-such-entry", plan},
+		"a missing query file":      {"explain", "-query", filepath.Join(dir, "missing.rq"), plan},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("explain with %s accepted", name)
+		}
+	}
+}
+
 func TestRunKBCanonicalAndFile(t *testing.T) {
 	dir := writeFixtures(t)
 	if err := run([]string{"kb", dir}); err != nil {

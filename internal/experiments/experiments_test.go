@@ -122,7 +122,10 @@ func TestFigure12AndTable1SmallScale(t *testing.T) {
 }
 
 func TestAblationsSmallScale(t *testing.T) {
-	cfg := AblationConfig{Seed: 5, NumPlans: 12, MinOps: 15, MaxOps: 40, Reps: 1}
+	// Three repetitions, of which timeIt takes the median: the index probe
+	// lasts a few microseconds, and with one a single preemption inside it made
+	// the indexes "slower than scans" in about one run of forty.
+	cfg := AblationConfig{Seed: 5, NumPlans: 12, MinOps: 15, MaxOps: 40, Reps: 3}
 	idx, err := AblationIndexes(cfg)
 	if err != nil {
 		t.Fatal(err)

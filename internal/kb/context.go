@@ -243,11 +243,29 @@ func dedupeColumns(cols []string) []string {
 }
 
 // SortOccurrences orders occurrences deterministically by their binding
-// fingerprint, so reports are stable across runs.
+// fingerprint, so reports are stable across runs. Each fingerprint is built
+// once, and moves with its occurrence.
 func SortOccurrences(occs []Occurrence) {
-	sort.SliceStable(occs, func(i, j int) bool {
-		return occurrenceKey(occs[i]) < occurrenceKey(occs[j])
-	})
+	if len(occs) < 2 {
+		return
+	}
+	keys := make([]string, len(occs))
+	for i := range occs {
+		keys[i] = occurrenceKey(occs[i])
+	}
+	sort.Stable(byFingerprint{keys, occs})
+}
+
+type byFingerprint struct {
+	keys []string
+	occs []Occurrence
+}
+
+func (b byFingerprint) Len() int           { return len(b.keys) }
+func (b byFingerprint) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byFingerprint) Swap(i, j int) {
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.occs[i], b.occs[j] = b.occs[j], b.occs[i]
 }
 
 func occurrenceKey(o Occurrence) string {

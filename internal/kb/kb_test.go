@@ -2,6 +2,8 @@ package kb
 
 import (
 	"bytes"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -191,6 +193,34 @@ func TestApplyDeterministic(t *testing.T) {
 		if r1[i].Text != r2[i].Text || r1[i].Confidence != r2[i].Confidence {
 			t.Error("nondeterministic Apply")
 		}
+	}
+}
+
+// SortOccurrences builds each fingerprint once and sorts on the keys: the order
+// must be the one a comparator that rebuilds both keys per comparison gives —
+// stable, so occurrences with equal fingerprints keep their arrival order.
+func TestSortOccurrencesOrder(t *testing.T) {
+	var occs []Occurrence
+	for i := 0; i < 200; i++ {
+		// 40 distinct fingerprints, five arrivals of each, told apart by Plan.
+		occs = append(occs, Occurrence{
+			Plan: &qep.Plan{ID: fmt.Sprint(i)},
+			Bindings: map[string]rdf.Term{
+				"TOP":   rdf.IRI(fmt.Sprintf("urn:pop/%d", i*7919%8)),
+				"INNER": rdf.IRI(fmt.Sprintf("urn:pop/%d", i*104729%5)),
+			},
+		})
+	}
+	want := append([]Occurrence(nil), occs...)
+	sort.SliceStable(want, func(i, j int) bool { return occurrenceKey(want[i]) < occurrenceKey(want[j]) })
+	SortOccurrences(occs)
+	for i := range occs {
+		if occs[i].Plan != want[i].Plan {
+			t.Fatalf("position %d holds arrival %s, the comparator sort puts %s there", i, occs[i].Plan.ID, want[i].Plan.ID)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { SortOccurrences(occs) }); allocs > 6*float64(len(occs)) {
+		t.Errorf("%.0f allocations to sort %d occurrences: the fingerprints are being rebuilt per comparison", allocs, len(occs))
 	}
 }
 

@@ -1,7 +1,9 @@
 package rdf
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -13,12 +15,17 @@ import (
 // the test keeps its own insertion log and, at every read, compares every
 // Match shape (the exact documented sequence, not only the set), Count,
 // HasIDs, the adjacency accessors, NodeIDs, Len and Triples with scans of
-// that log. After the Freeze every Add must panic and change nothing.
+// that log — and the numeric column with Term.Float of every term, the
+// statistics of every predicate with a pass over the log. After the Freeze
+// every Add must panic and change nothing. At the end the graph is written as
+// N-Triples and read back: the loaded graph must pass the same checks and
+// give every predicate the same statistics.
 //
 // Ops, one byte each: b%8 in 0..4 adds the triple named by the next three
 // bytes, 5 reads, 6 interns the term named by the next byte, 7 freezes. All
-// positions draw from one pool of 32 terms, so a predicate is routinely a
-// subject or an object too. A read also runs when the input ends.
+// positions draw from one pool of 24 IRIs, so a predicate is routinely a
+// subject or an object too; the object position draws from 8 literals
+// besides (fuzzLiterals). A read also runs when the input ends.
 func FuzzGraphIndex(f *testing.F) {
 	add := func(s, p, o byte) []byte { return []byte{0, s, p, o} }
 	bucket := func(n int) (in []byte) {
@@ -38,12 +45,23 @@ func FuzzGraphIndex(f *testing.F) {
 	f.Add(append(add(1, 2, 3), add(1, 2, 3)...))            // a duplicate
 	f.Add(append(append(add(1, 2, 3), 5), add(3, 2, 1)...)) // a read, then an Add that discards the index
 	f.Add(append(append(add(1, 2, 3), 7), add(3, 2, 1)...)) // an Add after Freeze
+	var lits []byte                                         // one predicate over every literal, another over the numbers that are not NaN, a third over an IRI
+	for i := 0; i < len(fuzzLiterals); i++ {
+		lits = append(lits, add(byte(i), 2, byte(24+i))...)
+	}
+	f.Add(append(append(lits, add(1, 3, 25)...), append(add(1, 3, 30), add(1, 4, 5)...)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 160 {
 			data = data[:160]
 		}
-		term := func(b byte) Term { return IRI(fmt.Sprintf("urn:t%d", b%32)) }
+		term := func(b byte) Term { return IRI(fmt.Sprintf("urn:t%d", b%24)) }
+		object := func(b byte) Term {
+			if b%32 >= 24 {
+				return fuzzLiterals[b%32-24]
+			}
+			return term(b % 32)
+		}
 		g := NewGraph()
 		var log [][3]ID
 		inLog := map[[3]ID]bool{}
@@ -55,7 +73,7 @@ func FuzzGraphIndex(f *testing.F) {
 					i = len(data)
 					break
 				}
-				s, p, o := term(data[i+1]), term(data[i+2]), term(data[i+3])
+				s, p, o := term(data[i+1]), term(data[i+2]), object(data[i+3])
 				i += 3
 				if frozen {
 					terms := g.Dict().Len()
@@ -81,7 +99,7 @@ func FuzzGraphIndex(f *testing.F) {
 			case op == 6:
 				if i+1 < len(data) && !frozen {
 					i++
-					g.Dict().Intern(term(data[i]))
+					g.Dict().Intern(object(data[i]))
 				}
 			default:
 				g.Freeze()
@@ -89,7 +107,66 @@ func FuzzGraphIndex(f *testing.F) {
 			}
 		}
 		checkAgainstLog(t, g, log)
+
+		var nt bytes.Buffer
+		if err := WriteNTriples(&nt, g); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ParseNTriples(&nt)
+		if err != nil {
+			t.Fatalf("ParseNTriples of the graph's own N-Triples: %v", err)
+		}
+		var loadedLog [][3]ID
+		loaded.MatchScan(NoID, NoID, NoID, func(s, p, o ID) bool {
+			loadedLog = append(loadedLog, [3]ID{s, p, o})
+			return true
+		})
+		checkAgainstLog(t, loaded, loadedLog)
+		for id := ID(1); id <= g.MaxID(); id++ {
+			want, got := g.PredStats(id), loaded.PredStats(loaded.Dict().Lookup(g.Dict().Term(id)))
+			if (want == nil) != (got == nil) {
+				t.Fatalf("predicate %v: statistics %v, after the round trip %v", g.Dict().Term(id), want, got)
+			}
+			if want != nil {
+				w, l := *want, *got
+				w.Pred, l.Pred = NoID, NoID // the two graphs number their terms independently
+				if w != l {
+					t.Fatalf("predicate %v: statistics %+v, after the round trip %+v", g.Dict().Term(id), w, l)
+				}
+			}
+		}
 	})
+}
+
+// fuzzLiterals are the literals FuzzGraphIndex puts in the object position:
+// numbers in the lexical forms strconv accepts and a plan graph does not
+// usually hold (NaN, padding, an exponent, a signed infinity), near misses (a
+// hexadecimal integer without its exponent, a string that starts with a digit,
+// one that starts like "nan"), and a plain number.
+var fuzzLiterals = []Term{
+	String("NaN"), String(" 12 "), TypedLiteral("1e5", XSDDouble), String("+Inf"),
+	String("0x10"), String("7 rows"), Float(-2.5), String("NLJOIN"),
+}
+
+// expectPredStats is the reference for PredStats(p): one pass over the log.
+func expectPredStats(g *Graph, log [][3]ID, p ID) *PredStats {
+	st := PredStats{Pred: p, Min: math.Inf(1), Max: math.Inf(-1)}
+	subjects, objects := map[ID]bool{}, map[ID]bool{}
+	for _, tr := range log {
+		if tr[1] != p {
+			continue
+		}
+		st.Triples++
+		subjects[tr[0]], objects[tr[2]] = true, true
+		if f, ok := g.Dict().Term(tr[2]).Float(); ok && f == f {
+			st.Min, st.Max = math.Min(st.Min, f), math.Max(st.Max, f)
+		}
+	}
+	if st.Triples == 0 {
+		return nil
+	}
+	st.Subjects, st.Objects = uint32(len(subjects)), uint32(len(objects))
+	return &st
 }
 
 // expectMatch is the reference for Match(s, p, o): the matching triples of the
@@ -168,6 +245,20 @@ func checkAgainstLog(t *testing.T, g *Graph, log [][3]ID) {
 		return out
 	}
 	probe(NoID, NoID, NoID)
+	for _, a := range ids {
+		want, got := expectPredStats(g, log, a), g.PredStats(a)
+		if (want == nil) != (got == nil) || (want != nil && *want != *got) {
+			t.Fatalf("PredStats(%d) = %+v, the log gives %+v", a, got, want)
+		}
+		if a == NoID || a > g.MaxID() {
+			continue
+		}
+		// Bit for bit: a NaN is not equal to itself.
+		wantF, wantOK := g.Dict().Term(a).Float()
+		if gotF, gotOK := g.Float(a); gotOK != wantOK || math.Float64bits(gotF) != math.Float64bits(wantF) {
+			t.Fatalf("Float(%d) = %v, %v; %v is %v, %v", a, gotF, gotOK, g.Dict().Term(a), wantF, wantOK)
+		}
+	}
 	for _, a := range ids[1:] {
 		probe(a, NoID, NoID)
 		probe(NoID, a, NoID)

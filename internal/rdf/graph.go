@@ -1,6 +1,9 @@
 package rdf
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -110,7 +113,7 @@ func (g *Graph) index() *index {
 	if ix := g.idx.Load(); ix != nil {
 		return ix
 	}
-	ix := buildIndex(g.log, int(g.MaxID()))
+	ix := buildIndex(g.log, g.dict.byID)
 	g.idx.Store(ix)
 	return ix
 }
@@ -141,6 +144,32 @@ func (g *Graph) SubjectIDs(p, o ID) []ID { return g.index().pos.third(p, o) }
 // callers must treat it as read-only. Zero-length property paths and
 // unanchored closures enumerate it instead of rescanning every triple.
 func (g *Graph) NodeIDs() []ID { return g.index().nodes }
+
+// Float is Term.Float of the term behind id, read from the column the index
+// parsed when it was built: FILTERs over cardinalities and costs compare the
+// same few literals for every row of every evaluation.
+func (g *Graph) Float(id ID) (float64, bool) {
+	num := g.index().num
+	if int(id) >= len(num) {
+		return g.dict.Term(id).Float() // interned after the index was built
+	}
+	if num[id] == notNumber {
+		return 0, false
+	}
+	return math.Float64frombits(num[id]), true
+}
+
+// PredStats returns the statistics of predicate p, nil when no triple
+// carries it: a binary search over the predicates in use. The entry is part
+// of the index; callers must treat it as read-only.
+func (g *Graph) PredStats(p ID) *PredStats {
+	preds := g.index().preds
+	i, found := slices.BinarySearchFunc(preds, p, func(e PredStats, p ID) int { return cmp.Compare(e.Pred, p) })
+	if !found {
+		return nil
+	}
+	return &preds[i]
+}
 
 // Match calls fn for every triple matching the pattern, where NoID in any
 // position acts as a wildcard. Iteration stops early when fn returns false.

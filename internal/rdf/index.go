@@ -1,8 +1,11 @@
 package rdf
 
+import "math"
+
 // index is the one immutable index over a graph's triple log: the three
 // permutations SPO, POS and OSP as pointer-free columns, plus the distinct
-// node list. It exploits the engine's central invariant — plan graphs are
+// node list, the numeric value of every term and the statistics of every
+// predicate. It exploits the engine's central invariant — plan graphs are
 // immutable after load — so it is built once (by Freeze, or by the first
 // read of a graph still being assembled) and then shared, lock-free, by
 // every concurrent reader. An Add after it was built discards it; the next
@@ -10,6 +13,27 @@ package rdf
 type index struct {
 	spo, pos, osp perm
 	nodes         []ID // distinct subjects and objects, ascending
+	// num holds Term.Float of every term by ID, as float bits: notNumber where
+	// the term has no numeric value. Every literal is parsed here, once, for
+	// all the evaluations the graph will see.
+	num   []uint64
+	preds []PredStats // one entry per predicate in use, ascending by Pred
+}
+
+// notNumber marks a term without a numeric value in index.num: a NaN payload
+// no parse produces (strconv's "NaN" is 0x7FF8000000000001).
+const notNumber uint64 = 0x7FF8_0000_0BAD_0BAD
+
+// PredStats describes the triples of one predicate: what a join-order
+// estimate can know about a pattern over it without looking at a triple.
+type PredStats struct {
+	Pred     ID
+	Triples  uint32 // triples carrying the predicate
+	Subjects uint32 // distinct subjects among them
+	Objects  uint32 // distinct objects among them
+	// Min and Max bound the numeric objects (Term.Float, NaN left out); Min >
+	// Max when no object is numeric.
+	Min, Max float64
 }
 
 // perm is one permutation (a, b, c) of the log's columns, sorted by (a, b)
@@ -69,11 +93,14 @@ func lowerBound(col []ID, v ID) int {
 	return lo
 }
 
-// buildIndex sorts the log three ways. maxID is the largest ID a triple may
-// carry. Per column one histogram, prefix-summed into the bucket offsets;
-// each permutation is then two stable counting-sort passes over row numbers
-// (least significant key first), so ties keep the log's insertion order.
-func buildIndex(log [][3]ID, maxID int) *index {
+// buildIndex sorts the log three ways. terms is the dictionary's ID -> term
+// table; its last ID is the largest a triple may carry. Per column one
+// histogram, prefix-summed into the bucket offsets; each permutation is then
+// two stable counting-sort passes over row numbers (least significant key
+// first), so ties keep the log's insertion order. The numeric column and the
+// predicate statistics are read off the sorted columns afterwards.
+func buildIndex(log [][3]ID, terms []Term) *index {
+	maxID := len(terms) - 1
 	var off [3][]uint32
 	for k := range off {
 		off[k] = make([]uint32, maxID+2)
@@ -115,10 +142,58 @@ func buildIndex(log [][3]ID, maxID int) *index {
 		osp:   permute(insertion, 2, 0, 1),
 		nodes: make([]ID, 0, maxID),
 	}
+	ix.num = make([]uint64, maxID+1)
+	ix.num[NoID] = notNumber
+	// In SPO the rows of one (s, p) are contiguous: each run is one distinct
+	// subject of p. The counts go to the sort's cursor array, done with.
+	subjects, nPreds := cursor, 0
+	clear(subjects)
 	for id := 1; id <= maxID; id++ {
 		if off[0][id] != off[0][id+1] || off[2][id] != off[2][id+1] {
 			ix.nodes = append(ix.nodes, ID(id))
 		}
+		if off[1][id] != off[1][id+1] {
+			nPreds++
+		}
+		ix.num[id] = notNumber
+		if f, ok := terms[id].Float(); ok {
+			ix.num[id] = math.Float64bits(f)
+		}
+		prev := NoID
+		for _, p := range ix.spo.b[off[0][id]:off[0][id+1]] {
+			if p != prev {
+				subjects[p]++
+				prev = p
+			}
+		}
+	}
+	// In POS a predicate's bucket is its triples, sorted by object.
+	ix.preds = make([]PredStats, 0, nPreds)
+	for id := 1; id <= maxID; id++ {
+		lo, hi := off[1][id], off[1][id+1]
+		if lo == hi {
+			continue
+		}
+		st := PredStats{Pred: ID(id), Triples: hi - lo, Subjects: subjects[id], Min: math.Inf(1), Max: math.Inf(-1)}
+		prev := NoID
+		for _, o := range ix.pos.b[lo:hi] {
+			if o == prev {
+				continue
+			}
+			prev = o
+			st.Objects++
+			if bits := ix.num[o]; bits != notNumber {
+				// Compared, not min()/max()ed: a NaN fails both and stays out.
+				f := math.Float64frombits(bits)
+				if f < st.Min {
+					st.Min = f
+				}
+				if f > st.Max {
+					st.Max = f
+				}
+			}
+		}
+		ix.preds = append(ix.preds, st)
 	}
 	return ix
 }

@@ -97,11 +97,34 @@ func (t Term) Float() (float64, bool) {
 	if t.Kind != LiteralKind {
 		return 0, false
 	}
-	f, err := strconv.ParseFloat(strings.TrimSpace(t.Value), 64)
+	s := strings.TrimSpace(t.Value)
+	if !numericStart(s) {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return 0, false
 	}
 	return f, true
+}
+
+// numericStart reports whether s begins the way a number in
+// strconv.ParseFloat's syntax can: with a sign, a digit or a point, or with
+// the first letter of "inf", "infinity" or "nan" in a string of their length.
+// ParseFloat allocates the error it returns, and most literals of a plan graph
+// are operator names, column lists and predicate texts: they are refused here
+// for one byte's look.
+func numericStart(s string) bool {
+	if s == "" {
+		return false
+	}
+	switch c := s[0]; {
+	case '0' <= c && c <= '9', c == '.', c == '+', c == '-':
+		return true
+	case c|0x20 == 'i', c|0x20 == 'n':
+		return len(s) == 3 || len(s) == 8
+	}
+	return false
 }
 
 // Bool reports the boolean value of an xsd:boolean literal.

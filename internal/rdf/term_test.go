@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -129,6 +130,29 @@ func TestTermStringEscaping(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("escaped form %q missing %q", s, want)
 		}
+	}
+}
+
+// Float refuses what cannot start a number before it parses (numericStart):
+// the verdict and the value must stay strconv.ParseFloat's, bit for bit, on
+// everything strconv accepts — the special values in any case and length, hex
+// floats, signs, padding — and on the near misses around them.
+func TestTermFloatIsParseFloat(t *testing.T) {
+	for _, lex := range []string{
+		"NaN", "nan", "nAn", "+nan", "nanx", "na", "n",
+		"inf", "Inf", "INF", "+Inf", "-inf", "infinity", "Infinity", "-INFINITY", "infinit", "infinityx", "in", "i",
+		"0x10", "0x1p4", "0X1.8P1", "1_000", "0x_1p0",
+		"0", "-0", "+5", ".5", "5.", "-.5e-3", "1e5", "1E+07", "1e999", "-1e999", "4e-400",
+		" 12 ", "\t7\n", "1 2", "7 rows", "", " ", ".", "+", "-", "e5", "NLJOIN", "Index", "NIL", "N", "I",
+	} {
+		want, err := strconv.ParseFloat(strings.TrimSpace(lex), 64)
+		got, ok := String(lex).Float()
+		if ok != (err == nil) || (ok && math.Float64bits(got) != math.Float64bits(want)) {
+			t.Errorf("Float(%q) = %v, %v; ParseFloat gives %v, %v", lex, got, ok, want, err)
+		}
+	}
+	if _, ok := IRI("12").Float(); ok {
+		t.Error("an IRI reported numeric")
 	}
 }
 

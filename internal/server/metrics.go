@@ -113,8 +113,11 @@ func (s *Server) registerStateMetrics() {
 	reg.CounterFunc(evalName, evalHelp, func() float64 { return float64(s.eng.EvalStats().ConstantBailouts) }, "path", "constant_bailout")
 
 	reg.CounterFunc("optimatch_sparql_join_rows_total",
-		"Binding extensions the depth-first join attempted (one per triple pattern run on one row): the summed size of every intermediate result, i.e. what a join order cost.",
+		"Recursion nodes of the depth-first join: one per triple pattern run on one row.",
 		func() float64 { return float64(s.eng.EvalStats().JoinRows) })
+	reg.CounterFunc("optimatch_sparql_match_rows_total",
+		"Matches the join's recursion nodes tried to bind into their row, the ones a filter then refused included: with join_rows, what a join order cost.",
+		func() float64 { return float64(s.eng.EvalStats().MatchRows) })
 
 	reg.GaugeFunc("optimatch_exec_in_flight", "Weighted units of engine scan work currently admitted.",
 		func() float64 { return float64(s.exec.inFlight.Load()) })

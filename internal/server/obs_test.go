@@ -260,8 +260,10 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`
 		`optimatch_core_plans_loaded`,
 		`optimatch_core_query_cache_total{result="miss"}`,
 		`optimatch_sparql_eval_total{path="all"}`,
-		// A cold kb/run joins: every evaluated pair extends bindings.
+		// A cold kb/run joins: every evaluated pair runs patterns on rows and
+		// tries their matches.
 		`optimatch_sparql_join_rows_total`,
+		`optimatch_sparql_match_rows_total`,
 		// The canonical KB patterns use descendant (`hasChildPop+`) paths,
 		// so a kb/run must run closure BFS walks.
 		`optimatch_sparql_path_total{kind="memo_miss"}`,
@@ -370,8 +372,8 @@ func TestStatsGainsObservabilityCounters(t *testing.T) {
 	if stats.QueryCache.Hits == 0 {
 		t.Errorf("queryCache hits = 0 after second kb/run: %+v", stats.QueryCache)
 	}
-	if stats.Eval.Specialized == 0 || stats.Eval.JoinRows == 0 {
-		t.Errorf("eval.specialized or eval.joinRows = 0 after kb/run: %+v", stats.Eval)
+	if stats.Eval.Specialized == 0 || stats.Eval.JoinRows == 0 || stats.Eval.MatchRows == 0 {
+		t.Errorf("eval.specialized, eval.joinRows or eval.matchRows = 0 after kb/run: %+v", stats.Eval)
 	}
 	// The canonical KB descendant patterns run closures.
 	if p := stats.Eval.Path; p.MemoMisses == 0 || p.BFSSteps == 0 {

@@ -86,6 +86,52 @@ SELECT DISTINCT ?top WHERE {
 	}
 }
 
+// The same-work budget beside the allocation budgets: what the join does for
+// each entry of the extended knowledge base over the benchmark's 64 resident
+// plans (joinWorkGraphs), as exact counts — recursion nodes (JoinRows) and
+// matches tried (MatchRows), both functions of (query, graph) alone. A change
+// to the estimates, the tie-break, the witness rule or the EXISTS hoisting
+// moves a number here before any benchmark runs; when the move is meant, the
+// failure prints the table to paste. For scale, the evaluator before the
+// estimates read predicate statistics, EXISTS ran as a filter and DISTINCT
+// stopped at a witness (PR 17) did, in the same order of entries, 5 065 / 5 011,
+// 1 279 / 1 279, 24 390 / 30 638, 2 799 / 3 192, 2 624 / 76 252, 3 051 / 3 416
+// and 27 097 / 30 033: 66 305 recursion nodes and 149 821 matches in all.
+func TestJoinWorkBudgetKB(t *testing.T) {
+	want := map[string][2]int64{ // entry -> {JoinRows, MatchRows}
+		"nljoin-inner-tbscan":       {5099, 5045},
+		"loj-both-sides":            {1265, 1265},
+		"scan-cardinality-collapse": {3514, 14381},
+		"sort-spill":                {2799, 3192},
+		"expensive-subquery":        {2624, 4010},
+		"shared-temp":               {3051, 3416},
+		"cartesian-join":            {3097, 6033},
+	}
+	graphs := joinWorkGraphs(t)
+	table, failed := "", false
+	for _, e := range kb.MustExtended().Entries() {
+		q, err := sparql.Parse(e.SPARQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats sparql.EvalStats
+		for _, g := range graphs {
+			if _, err := q.ExecOpts(g, sparql.ExecOptions{Stats: &stats}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := stats.Snapshot()
+		table += fmt.Sprintf("\t\t%q: {%d, %d},\n", e.Name, got.JoinRows, got.MatchRows)
+		if w, ok := want[e.Name]; !ok || w != [2]int64{got.JoinRows, got.MatchRows} {
+			failed = true
+			t.Errorf("%s: %d recursion nodes and %d matches tried over the %d plans, pinned at %v", e.Name, got.JoinRows, got.MatchRows, len(graphs), w)
+		}
+	}
+	if failed {
+		t.Logf("measured:\n%s", table)
+	}
+}
+
 // The grouped tail allocates for its result rows, not for its groups: the
 // benchmark's qGroup shape costs the same over a plan with four times the
 // operators (12 groups over 60 operators, 13 over 240; a group costs its key

@@ -206,7 +206,14 @@ func PathString(p Path) string {
 
 // Vars returns the distinct variable names mentioned anywhere in the group,
 // in first-appearance order. Used for SELECT * expansion.
-func (g *GroupPattern) Vars() []string {
+func (g *GroupPattern) Vars() []string { return g.vars(false) }
+
+// mentions is Vars plus the variables only a BIND expression reads: those are
+// never bound by the group (so SELECT * has no column for them), but whoever
+// asks which bindings the group's evaluation depends on must see them.
+func (g *GroupPattern) mentions() []string { return g.vars(true) }
+
+func (g *GroupPattern) vars(bindExprs bool) []string {
 	var out []string
 	seen := make(map[string]bool)
 	add := func(v string) {
@@ -238,6 +245,11 @@ func (g *GroupPattern) Vars() []string {
 			case GroupElem:
 				walkGroup(el.Group)
 			case BindElem:
+				if bindExprs {
+					for _, v := range exprVars(el.Expr) {
+						add(v)
+					}
+				}
 				add(el.Var)
 			case FilterExistsElem:
 				walkGroup(el.Group)

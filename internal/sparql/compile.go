@@ -61,6 +61,10 @@ type program struct {
 	earlyDistinct bool
 	orderCols     []int
 	projCols      []int // 0..len(projSlots)-1
+	// projected marks the projected slots, by slot number (a 64-bit mask loses
+	// the slots past 63): where the last of them is bound is where an
+	// earlyDistinct join stops needing more than one witness.
+	projected []bool
 }
 
 // aggProg is one distinct aggregate of the query and the slot a group's value
@@ -79,7 +83,8 @@ type colProg struct {
 
 // groupProg is a compiled group pattern: its elements in evaluation order
 // (consecutive triple patterns gathered into one reorderable block, FILTERs
-// lifted out — they are group-scoped) and its filters.
+// lifted out — they are group-scoped) and its filters, the FILTER [NOT]
+// EXISTS that hoistExists admits among them.
 type groupProg struct {
 	elems   []elemProg
 	filters []filterProg
@@ -133,28 +138,43 @@ type patProg struct {
 	kind                   patKind
 	sSlot, oSlot, pSlot    int
 	sConst, oConst, pConst int
-	path                   Path // patPath
+	path                   Path   // patPath
+	mask                   uint64 // the bitmask of the pattern's variables
 }
 
-// rowPred decides one row. It receives the evaluation because numeric parsing
-// is memoized per evaluation and the generic fallback reads the row through
-// the evaluation's binding view.
+// rowPred decides one row. It receives the evaluation because numbers are read
+// from the graph's numeric column, the generic fallback reads the row through
+// the evaluation's binding view, and a hoisted EXISTS runs its group on it.
 type rowPred func(ec *evalCtx, row []rdf.ID) bool
 
-// filterProg is a compiled group-level FILTER.
+// filterProg is a compiled group-level FILTER, or a FILTER [NOT] EXISTS that
+// may run like one (see hoistExists).
 type filterProg struct {
-	vars uint64 // slots the expression reads
+	vars uint64 // slots the filter needs bound: the ones its expression reads
 	// eager filters may run as soon as vars are statically bound. Filters
 	// that inspect boundness wait for the end of the group, and so do the
 	// ones a 64-bit mask cannot track (see slotBit) — which is always sound,
 	// the end of the group being where SPARQL scopes every filter.
 	eager bool
 	keep  rowPred
+
+	// cmpSlot, cmpOp and cmpConst describe a filter of the shape ?v op number
+	// (cmpSlot is -1 for every other): the join-order estimate of a pattern
+	// whose free object is ?v holds the predicate's numeric range against it.
+	cmpSlot  int
+	cmpOp    CmpOp
+	cmpConst float64
+
+	// What the filter was compiled from, for Explain: the expression, or the
+	// group of an EXISTS (expr is nil then).
+	expr   Expression
+	exists *groupProg
+	not    bool
 }
 
 // slotBit is the bitmask bit of a slot. Slots past 63 have none: such a
 // variable never counts as statically bound, which only costs it the eager
-// filters and the bound-variable discount of the join-order heuristic.
+// filters and the bound-variable division of the join-order estimate.
 func slotBit(slot int) uint64 {
 	if slot < 64 {
 		return 1 << uint(slot)
@@ -207,6 +227,10 @@ func compile(q *Query, consts, required []rdf.Term) *program {
 	// Fixed last: group and tail reach their slots through c.slot, so a
 	// variable the walks above missed still gets a cell in every row.
 	p.width = max(len(p.vars), 1)
+	p.projected = make([]bool, p.width)
+	for _, slot := range p.projSlots {
+		p.projected[slot] = true
+	}
 	return p
 }
 
@@ -323,20 +347,30 @@ func (c *compiler) group(g *GroupPattern) *groupProg {
 		case FilterElem:
 			continue
 		case TriplePattern:
-			// The maximal run of triple patterns, skipping the filters
-			// between them.
-			b := &blockProg{id: c.p.nBlks, off: c.p.nPats}
+			// The maximal run of triple patterns, skipping the filters — the
+			// EXISTS that may run as filters among them — between them.
+			b := &blockProg{}
 			end := i
+		run:
 			for ; end < len(g.Elems); end++ {
-				if tp, ok := g.Elems[end].(TriplePattern); ok {
-					pat := c.pattern(tp)
+				switch el := g.Elems[end].(type) {
+				case TriplePattern:
+					pat := c.pattern(el)
 					b.pats = append(b.pats, pat)
-					ep.binds |= pat.binds()
-				} else if _, ok := g.Elems[end].(FilterElem); !ok {
-					break
+					ep.binds |= pat.mask
+				case FilterElem:
+				case FilterExistsElem:
+					if !c.hoistExists(g, end, gp, gp.binds|ep.binds) {
+						break run
+					}
+				default:
+					break run
 				}
 			}
 			i = end - 1
+			// Numbered once the run is gathered: a hoisted EXISTS in it has
+			// compiled blocks of its own meanwhile.
+			b.id, b.off = c.p.nBlks, c.p.nPats
 			c.p.nBlks++
 			c.p.nPats += len(b.pats)
 			ep.kind, ep.block = elemBlock, b
@@ -353,6 +387,9 @@ func (c *compiler) group(g *GroupPattern) *groupProg {
 			ep.kind, ep.groups = elemGroup, []*groupProg{c.group(el.Group)}
 			ep.binds = ep.groups[0].binds
 		case FilterExistsElem:
+			if c.hoistExists(g, i, gp, gp.binds) {
+				continue
+			}
 			ep.kind, ep.groups, ep.not = elemExists, []*groupProg{c.group(el.Group)}, el.Not
 		case BindElem:
 			ep.kind, ep.slot, ep.expr = elemBind, c.slot(el.Var), el.Expr
@@ -362,6 +399,60 @@ func (c *compiler) group(g *GroupPattern) *groupProg {
 		gp.binds |= ep.binds
 	}
 	return gp
+}
+
+// hoistExists compiles the FILTER [NOT] EXISTS at g.Elems[i] into a filter of
+// gp — handed, like any eager filter, to the step that completes its
+// variables, instead of splitting the block at its textual position — when
+// that cannot change its verdict: every variable its group mentions is either
+// bound in every row by the elements before it (before; these become the
+// filter's vars) or mentioned nowhere else in g. The first kind has the same
+// value wherever in g the filter runs once vars are bound — patterns only ever
+// constrain a bound variable, but a BIND assigns its target whatever it held,
+// so a variable some BIND of g targets does not qualify —; the second is
+// whatever the seed row made it, everywhere in g. Variables g binds elsewhere —
+// later, under an OPTIONAL, in one UNION branch — are neither: such an EXISTS
+// stays the positional element it is in the reference evaluator. It reports
+// whether it hoisted.
+func (c *compiler) hoistExists(g *GroupPattern, i int, gp *groupProg, before uint64) bool {
+	el := g.Elems[i].(FilterExistsElem)
+	rest := &GroupPattern{Elems: slices.Concat(g.Elems[:i:i], g.Elems[i+1:])}
+	elsewhere, assigned := rest.mentions(), bindTargets(rest, nil)
+	f := filterProg{eager: len(gp.filters) < 64, cmpSlot: -1, not: el.Not}
+	for _, v := range el.Group.mentions() {
+		// A variable only a BIND expression reads has no slot, and gets none
+		// here: SELECT * projects every slot.
+		if slot, ok := c.p.varIndex[v]; ok && before&slotBit(slot) != 0 && !slices.Contains(assigned, v) {
+			f.vars |= slotBit(slot)
+		} else if slices.Contains(elsewhere, v) {
+			return false
+		}
+	}
+	inner, not := c.group(el.Group), el.Not
+	f.exists = inner
+	f.keep = func(ec *evalCtx, row []rdf.ID) bool { return ec.exists(inner, row) != not }
+	gp.filters = append(gp.filters, f)
+	return true
+}
+
+// bindTargets appends to out the variables a BIND assigns anywhere in g. What
+// an EXISTS group assigns stays inside it.
+func bindTargets(g *GroupPattern, out []string) []string {
+	for _, el := range g.Elems {
+		switch el := el.(type) {
+		case BindElem:
+			out = append(out, el.Var)
+		case OptionalElem:
+			out = bindTargets(el.Group, out)
+		case GroupElem:
+			out = bindTargets(el.Group, out)
+		case UnionElem:
+			for _, b := range el.Branches {
+				out = bindTargets(b, out)
+			}
+		}
+	}
+	return out
 }
 
 func (c *compiler) pattern(tp TriplePattern) patProg {
@@ -384,23 +475,17 @@ func (c *compiler) pattern(tp TriplePattern) patProg {
 	default:
 		pat.kind, pat.path = patPath, tp.P
 	}
-	return pat
-}
-
-// binds is the bitmask of the pattern's variables.
-func (p *patProg) binds() uint64 {
-	var m uint64
-	for _, slot := range [...]int{p.sSlot, p.oSlot, p.pSlot} {
+	for _, slot := range [...]int{pat.sSlot, pat.oSlot, pat.pSlot} {
 		if slot >= 0 {
-			m |= slotBit(slot)
+			pat.mask |= slotBit(slot)
 		}
 	}
-	return m
+	return pat
 }
 
 // filter compiles the index-th FILTER of a group.
 func (c *compiler) filter(expr Expression, index int) filterProg {
-	f := filterProg{eager: filterIsEager(expr) && index < 64}
+	f := filterProg{eager: filterIsEager(expr) && index < 64, cmpSlot: -1, expr: expr}
 	for _, v := range exprVars(expr) {
 		slot := c.slot(v)
 		f.vars |= slotBit(slot)
@@ -409,6 +494,20 @@ func (c *compiler) filter(expr Expression, index int) filterProg {
 	var fast bool
 	if f.keep, fast = c.fastFilter(expr); !fast {
 		f.keep = genericFilter(expr)
+	}
+	if cmp, ok := expr.(CmpExpr); ok {
+		// ?v op number, or number op ?v turned around.
+		l, r, op := cmp.L, cmp.R, cmp.Op
+		if _, ok := l.(LitExpr); ok {
+			l, r, op = r, l, [...]CmpOp{OpEq: OpEq, OpNeq: OpNeq, OpLt: OpGt, OpGt: OpLt, OpLe: OpGe, OpGe: OpLe}[op]
+		}
+		if v, ok := l.(VarExpr); ok {
+			if lit, ok := r.(LitExpr); ok {
+				if n, ok := lit.Term.Float(); ok {
+					f.cmpSlot, f.cmpOp, f.cmpConst = c.slot(v.Name), op, n
+				}
+			}
+		}
 	}
 	return f
 }
@@ -439,9 +538,10 @@ func genericFilter(expr Expression) rowPred {
 // fastFilter compiles the two filter shapes that dominate pattern and
 // knowledge-base queries — a variable compared against a numeric constant
 // (FILTER(?card > 1000)) and variable (in)equality (FILTER(?a != ?b)) —
-// into predicates over ID rows with memoized numeric parsing. Rows the
-// predicate cannot decide exactly fall back to the generic evaluator per row,
-// so the semantics of CmpExpr.Eval are preserved bit for bit.
+// into predicates over ID rows that read numbers from the graph's numeric
+// column. Rows the predicate cannot decide exactly fall back to the generic
+// evaluator per row, so the semantics of CmpExpr.Eval are preserved bit for
+// bit.
 func (c *compiler) fastFilter(expr Expression) (rowPred, bool) {
 	cmp, ok := expr.(CmpExpr)
 	if !ok {

@@ -17,9 +17,9 @@ type ExecOptions struct {
 	// ctx.Err() as soon as cancellation is observed. A nil Ctx (or one
 	// that can never be cancelled) costs nothing.
 	Ctx context.Context
-	// DisableReorder turns off the selectivity-based join-order heuristic
-	// for basic graph patterns; patterns evaluate in textual order. Used by
-	// the ablation benchmarks.
+	// DisableReorder turns off the estimate-based join order for basic graph
+	// patterns; patterns evaluate in textual order. Used by the ablation
+	// benchmarks.
 	DisableReorder bool
 
 	// Stats, when non-nil, tallies executions, required-constant bail-outs
@@ -93,13 +93,14 @@ func (c *canceller) tripped() error {
 	return c.err
 }
 
-// EvalStats counts executions, required-constant bail-outs, join extensions
-// and path-closure work. The zero value is ready to use; all fields are atomic
+// EvalStats counts executions, required-constant bail-outs, join work and
+// path-closure work. The zero value is ready to use; all fields are atomic
 // so one instance can be shared by every worker of an engine.
 type EvalStats struct {
 	executions      atomic.Int64
 	constantBailout atomic.Int64
 	joinRows        atomic.Int64
+	matchRows       atomic.Int64
 
 	pathMemoHits    atomic.Int64
 	pathMemoMisses  atomic.Int64
@@ -118,11 +119,15 @@ type EvalSnapshot struct {
 	// entirely because a required constant was missing from the graph's
 	// vocabulary (a subset of Specialized).
 	ConstantBailouts int64 `json:"constantBailouts"`
-	// JoinRows counts the binding extensions the depth-first join attempted
-	// (one per triple pattern run on one row): the size of every
-	// intermediate result a join order produced, summed — plan quality as a
-	// number.
+	// JoinRows counts the recursion nodes of the depth-first join: one per
+	// triple pattern run on one row, whatever number of matches the pattern
+	// then finds there.
 	JoinRows int64 `json:"joinRows"`
+	// MatchRows counts the matches those runs tried to bind into the row, the
+	// ones a filter or a repeated variable then refused included: the work
+	// JoinRows cannot see, e.g. a last step that scans a predicate to keep one
+	// row.
+	MatchRows int64 `json:"matchRows"`
 	// Path aggregates the path-closure acceleration counters.
 	Path PathSnapshot `json:"path"`
 }
@@ -150,6 +155,7 @@ func (s *EvalStats) Snapshot() EvalSnapshot {
 		Specialized:      s.executions.Load(),
 		ConstantBailouts: s.constantBailout.Load(),
 		JoinRows:         s.joinRows.Load(),
+		MatchRows:        s.matchRows.Load(),
 		Path: PathSnapshot{
 			MemoHits:    s.pathMemoHits.Load(),
 			MemoMisses:  s.pathMemoMisses.Load(),
@@ -161,9 +167,12 @@ func (s *EvalStats) Snapshot() EvalSnapshot {
 
 // addEval folds one evaluation's join and path counters into the shared
 // stats.
-func (s *EvalStats) addEval(p PathStats, joinRows int64) {
+func (s *EvalStats) addEval(p PathStats, joinRows, matchRows int64) {
 	if joinRows != 0 {
 		s.joinRows.Add(joinRows)
+	}
+	if matchRows != 0 {
+		s.matchRows.Add(matchRows)
 	}
 	if p == (PathStats{}) {
 		return
@@ -239,7 +248,7 @@ func (q *Query) ExecOpts(g *rdf.Graph, opts ExecOptions) (*Results, error) {
 	res, err := ec.exec(q)
 	if opts.Stats != nil {
 		opts.Stats.executions.Add(1)
-		opts.Stats.addEval(ec.env.stats, ec.joinRows)
+		opts.Stats.addEval(ec.env.stats, ec.joinRows, ec.matchRows)
 	}
 	ec.release()
 	return res, err
@@ -259,7 +268,11 @@ func (ec *evalCtx) exec(q *Query) (*Results, error) {
 	}
 	out := ec.pushTable()
 	if required {
-		ec.evalGroup(p.root, ec.zero, out, p.earlyDistinct)
+		mode := emitAll
+		if p.earlyDistinct {
+			mode = emitDistinct
+		}
+		ec.evalGroup(p.root, ec.zero, out, mode)
 	} else if ec.opts.Stats != nil {
 		ec.opts.Stats.constantBailout.Add(1)
 	}

@@ -339,12 +339,28 @@ func (r *fuzzQueryGen) query() string {
 	if r.pick(4) == 0 {
 		sel += " (?n0 * 2 AS ?twice)" // a computed column, under DISTINCT half the time
 	}
-	q := "SELECT " + []string{"", "DISTINCT "}[r.pick(2)] + sel + " WHERE " + where
+	sel = []string{"", "DISTINCT "}[r.pick(2)] + sel
+	order := ""
 	if first := r.pick(4); first > 0 {
 		// ?twice is an alias or, without the computed column, never bound.
-		q += " ORDER BY " + []string{"", "DESC(?twice) ", "DESC(?n0 + 1) "}[first-1] + strings.Join(cols, " ") + r.window()
+		order = " ORDER BY " + []string{"", "DESC(?twice) ", "DESC(?n0 + 1) "}[first-1] + strings.Join(cols, " ") + r.window()
 	}
-	return q
+	// Two shapes drawn last, so that inputs older than them decode as they
+	// did. An unprojected cross product closing the WHERE clause — under
+	// DISTINCT the witness-only tail — that turns witnesses down at its step
+	// (an eager filter) or at the leaf (BOUND waits for the end of the group);
+	// and 64 variables mentioned ahead of all others, which moves every slot
+	// the query uses past the ones a bitmask tracks.
+	switch r.pick(4) {
+	case 1:
+		where = where[:len(where)-1] + "?w0 pred:hasEstimateCardinality ?m0 . FILTER(?m0 > 50) }"
+	case 2:
+		where = where[:len(where)-1] + "?w0 pred:hasEstimateCardinality ?m0 . FILTER(BOUND(?m0) && ?m0 * 2 < ?n0) }"
+	}
+	if r.pick(8) == 1 {
+		where = "{ " + wideOptional + where[1:]
+	}
+	return "SELECT " + sel + " WHERE " + where + order
 }
 
 func (r *fuzzQueryGen) window() string {
@@ -366,8 +382,9 @@ func (r *fuzzQueryGen) window() string {
 // with shared, repeated and predicate variables, numeric and variable-to-
 // variable FILTERs, OPTIONAL, UNION, BIND of terms absent from the graph,
 // FILTER [NOT] EXISTS, property paths, GROUP BY/aggregates/HAVING, computed
-// columns, DISTINCT, ORDER BY on variables, aliases and expressions, and
-// LIMIT/OFFSET under a total order).
+// columns, DISTINCT — with and without an unprojected tail —, ORDER BY on
+// variables, aliases and expressions, LIMIT/OFFSET under a total order, and
+// all of it with every variable's slot past the 64 a bitmask tracks).
 //
 // Input layout: byte 0 selects a refSeedQueries entry or (past the table) the
 // generator; the first two thirds of the rest decode the graph, the last third
@@ -402,6 +419,12 @@ func FuzzEvalEquivalence(f *testing.F) {
 		{0, 0, 2, 0, 0, 2, 0, 1, 0, 1, 1, 1, 3, 1, 2, 0},
 		{1, 0, 2, 0, 0, 0, 0, 0, 0, 4, 1, 0, 0, 1, 2, 1, 2, 0},
 		{1, 0, 2, 0, 0, 0, 0, 0, 0, 4, 1, 1, 1, 0, 3, 1, 4, 1, 2},
+		// DISTINCT ?a over { ?a type ?t0 . ?a card ?n0 } closed by the
+		// unprojected cross product: filtered at the step, at the leaf, and at
+		// the leaf with every slot past 63.
+		{1, 0, 0, 0, 0, 0, 2, 0, 0, 4, 0, 0, 1, 1, 1, 0, 0, 1, 0},
+		{1, 0, 0, 0, 0, 0, 2, 0, 0, 4, 0, 0, 1, 1, 1, 0, 0, 2, 0},
+		{1, 0, 0, 0, 0, 0, 2, 0, 0, 4, 0, 0, 1, 1, 1, 0, 0, 2, 1},
 	} {
 		f.Add(append(append([]byte{255}, plan...), tail...))
 	}

@@ -18,17 +18,20 @@ import (
 // exist in the graph; they live in a per-evaluation side table addressed by IDs
 // with the top bit set.
 //
-// A block of triple patterns is ordered first — by the greedy selectivity
-// heuristic, which reads only the query and the graph's statistics, never the
+// A block of triple patterns is ordered first — greedily by estimated rows
+// out, which reads only the query and the graph's statistics, never the
 // rows — and then run depth-first on one binding row: each step binds its
 // variables in place, applies the filters whose variables it completed,
 // recurses, and restores. Only rows that survive the whole block are copied
 // out, into a flat table (width = slots) that the group's other elements
 // consume seed row by seed row. Level-at-a-time evaluation that preserves seed
 // order visits the same rows in the same order, so the row sequence is the
-// one the reference evaluator produces for the same join order. Every buffer
-// an evaluation needs lives on its evalCtx, and evalCtxs are pooled, so a
-// (query, graph) pair that matches nothing allocates next to nothing.
+// one the reference evaluator produces for the same join order. Where the
+// answer cannot tell two rows apart — below the last step that binds a
+// projected variable of a DISTINCT query, inside an EXISTS — the recursion
+// stops at the first one (see blockRun.tail). Every buffer an evaluation needs
+// lives on its evalCtx, and evalCtxs are pooled, so a (query, graph) pair that
+// matches nothing allocates next to nothing.
 
 // extraIDBit marks IDs addressing the per-evaluation side table of terms
 // that are not in the graph's dictionary. Graph dictionaries are per-plan
@@ -90,32 +93,42 @@ type evalCtx struct {
 	groups map[string]int32
 	accs   []aggAcc
 
-	// floats memoizes numeric parsing per term ID: FILTER comparisons over
-	// cardinalities and costs re-visit the same few literals for every row.
-	// An entry counts only while its epoch is the evaluation's, so the table
-	// needs no clearing between evaluations.
-	floats []cachedFloat
-	epoch  uint32
-
 	// extra and extraIDs hold terms synthesized during evaluation (BIND
 	// results, aggregate values, computed columns) that the graph's dictionary
 	// does not contain.
 	extra    []rdf.Term
 	extraIDs map[rdf.Term]rdf.ID
 
-	// joinRows counts the binding extensions attempted (recursion nodes of
-	// the depth-first join), folded into ExecOptions.Stats at the end.
-	joinRows int64
+	// joinRows counts the recursion nodes of the depth-first join (descend:
+	// one triple pattern run on one row), matchRows the matches they tried to
+	// bind (extend); both are folded into ExecOptions.Stats at the end.
+	// actuals, nil unless Explain asked for it, splits the two by triple
+	// pattern: one entry per pattern of the query, at the pattern's place in
+	// the step arena.
+	joinRows, matchRows int64
+	actuals             []stepActual
 }
+
+// stepActual is what one triple pattern did in one evaluation.
+type stepActual struct{ descends, extends int64 }
 
 // stepRun is one triple pattern prepared for one evaluation: constants
 // resolved, position in the join order decided.
 type stepRun struct {
 	pat           *patProg
-	sid, oid, pid rdf.ID  // resolved constants, NoID in variable positions
-	dead          bool    // a constant is absent from the graph: no matches
-	base          float64 // cost before the bound-variable adjustments
-	filters       uint64  // the group's filters to apply once this step has bound its variables
+	no            int    // the pattern's textual position in its block
+	sid, oid, pid rdf.ID // resolved constants, NoID in variable positions
+	dead          bool   // a constant is absent from the graph: no matches
+
+	// What cost reads (see there): the triples matching the constants, what a
+	// bound subject or object variable divides them by, and what the filters
+	// on a free object keep of them.
+	count      float64
+	perS, perO float64
+	objSel     float64
+
+	est     float64 // the estimate the step was placed with
+	filters uint64  // the group's filters to apply once this step has bound its variables
 }
 
 // blockPlan records for which entry state a block's steps are currently
@@ -124,11 +137,13 @@ type blockPlan struct {
 	valid                bool
 	bound, applied       uint64
 	outBound, outApplied uint64
+	tail                 int // blockRun.tail of the block's last run, for Explain
 }
 
 // blockRun is the block the depth-first join is currently running.
 type blockRun struct {
 	steps   []stepRun
+	off     int // the block's place in the step arena
 	filters []filterProg
 	// final: the block is the last element of its group, so its leaves apply
 	// the group's remaining filters (those not in applied) and emit to the
@@ -138,13 +153,24 @@ type blockRun struct {
 	applied  uint64
 	distinct bool
 	out      int
+	// tail is the depth from which one witness is enough: the steps from
+	// there on bind nothing the group's output can show, so once a leaf below
+	// has passed the group's remaining filters — found — they stop, and step
+	// tail-1 goes on with its next match. 0 moves on to the next seed row, -1
+	// (the first solution is all that was asked for) ends the block, and
+	// len(steps) means every leaf counts.
+	tail  int
+	found bool
 }
 
-type cachedFloat struct {
-	f     float64
-	epoch uint32
-	ok    bool
-}
+// emitMode is what a group's caller wants of its solutions.
+type emitMode uint8
+
+const (
+	emitAll      emitMode = iota // every solution, full width
+	emitDistinct                 // projected rows, no two equal: the root group of an earlyDistinct program
+	emitFirst                    // the first solution ends the group: EXISTS asks nothing more
+)
 
 // maxPooledWords and maxPooledKeys bound what a pooled evalCtx may keep
 // alive between evaluations: one huge ad-hoc result must not pin its tables,
@@ -181,11 +207,6 @@ func acquireEvalCtx(g *rdf.Graph, p *program, opts ExecOptions) *evalCtx {
 	ec.steps = slices.Grow(ec.steps[:0], p.nPats)[:p.nPats]
 	ec.plans = slices.Grow(ec.plans[:0], p.nBlks)[:p.nBlks]
 	clear(ec.plans)
-
-	if ec.epoch++; ec.epoch == 0 {
-		clear(ec.floats)
-		ec.epoch = 1
-	}
 	return ec
 }
 
@@ -212,13 +233,10 @@ func (ec *evalCtx) release() {
 	if ec.accs = ec.accs[:0]; cap(ec.accs) > maxPooledKeys {
 		ec.accs = nil
 	}
-	if len(ec.floats) > maxPooledWords {
-		ec.floats = nil
-	}
 	clear(ec.extra)
 	ec.extra = ec.extra[:0]
 	clear(ec.extraIDs)
-	ec.joinRows = 0
+	ec.joinRows, ec.matchRows, ec.actuals = 0, 0, nil
 	evalCtxPool.Put(ec)
 }
 
@@ -252,21 +270,13 @@ func (ec *evalCtx) lookupVar(name string) (rdf.Term, bool) {
 	return ec.term(id), true
 }
 
-// floatOf is Term.Float for the term behind id, memoized per evaluation for
-// graph terms.
+// floatOf is Term.Float for the term behind id: a load from the graph's
+// numeric column for graph terms.
 func (ec *evalCtx) floatOf(id rdf.ID) (float64, bool) {
 	if id&extraIDBit != 0 {
 		return ec.term(id).Float()
 	}
-	if int(id) >= len(ec.floats) {
-		ec.floats = append(ec.floats, make([]cachedFloat, int(ec.g.MaxID())+1-len(ec.floats))...)
-	}
-	c := &ec.floats[id]
-	if c.epoch != ec.epoch {
-		c.f, c.ok = ec.g.Dict().Term(id).Float()
-		c.epoch = ec.epoch
-	}
-	return c.f, c.ok
+	return ec.g.Float(id)
 }
 
 // term converts an ID-space binding back to a term.
@@ -339,11 +349,11 @@ func boundMask(row []rdf.ID) uint64 {
 }
 
 // evalGroup evaluates a group seeded with the rows of in and appends the
-// solutions to table out: full-width rows, or — when distinct is set, for the
-// root group of a query whose tail allows it — projected rows no two of which
-// are equal. in is only read. A cancellation stops the evaluation wherever it
-// is; the caller finds it in ec.cancel.
-func (ec *evalCtx) evalGroup(gp *groupProg, in []rdf.ID, out int, distinct bool) {
+// solutions to table out, as mode says: full-width rows, projected rows no two
+// of which are equal, or the first full-width row and no more. in is only
+// read. A cancellation stops the evaluation wherever it is; the caller finds
+// it in ec.cancel.
+func (ec *evalCtx) evalGroup(gp *groupProg, in []rdf.ID, out int, mode emitMode) {
 	if len(in) == 0 || ec.cancel.tripped() != nil {
 		return
 	}
@@ -364,7 +374,7 @@ func (ec *evalCtx) evalGroup(gp *groupProg, in []rdf.ID, out int, distinct bool)
 	for i := range gp.elems {
 		el := &gp.elems[i]
 		if el.kind == elemBlock && i == len(gp.elems)-1 {
-			ec.runBlock(el.block, gp, bound, applied, cur, out, true, distinct)
+			ec.runBlock(el.block, gp, bound, applied, cur, out, true, mode)
 			return
 		}
 		if pair[k] < 0 {
@@ -375,12 +385,12 @@ func (ec *evalCtx) evalGroup(gp *groupProg, in []rdf.ID, out int, distinct bool)
 		k ^= 1
 		switch el.kind {
 		case elemBlock:
-			pl := ec.runBlock(el.block, gp, bound, applied, cur, next, false, false)
+			pl := ec.runBlock(el.block, gp, bound, applied, cur, next, false, emitAll)
 			bound, applied = pl.outBound, pl.outApplied
 		case elemOptional:
 			for r := 0; r < len(cur); r += w {
 				before := len(ec.tabs[next])
-				ec.evalGroup(el.groups[0], cur[r:r+w], next, false)
+				ec.evalGroup(el.groups[0], cur[r:r+w], next, emitAll)
 				if len(ec.tabs[next]) == before {
 					ec.tabs[next] = append(ec.tabs[next], cur[r:r+w]...)
 				}
@@ -388,21 +398,17 @@ func (ec *evalCtx) evalGroup(gp *groupProg, in []rdf.ID, out int, distinct bool)
 		case elemUnion:
 			for r := 0; r < len(cur); r += w {
 				for _, branch := range el.groups {
-					ec.evalGroup(branch, cur[r:r+w], next, false)
+					ec.evalGroup(branch, cur[r:r+w], next, emitAll)
 				}
 			}
 		case elemGroup:
-			ec.evalGroup(el.groups[0], cur, next, false)
+			ec.evalGroup(el.groups[0], cur, next, emitAll)
 		case elemExists:
-			res := ec.pushTable()
 			for r := 0; r < len(cur); r += w {
-				ec.tabs[res] = ec.tabs[res][:0]
-				ec.evalGroup(el.groups[0], cur[r:r+w], res, false)
-				if (len(ec.tabs[res]) > 0) != el.not {
+				if ec.exists(el.groups[0], cur[r:r+w]) != el.not {
 					ec.tabs[next] = append(ec.tabs[next], cur[r:r+w]...)
 				}
 			}
-			ec.popTables(res)
 		case elemBind:
 			for r := 0; r < len(cur); r += w {
 				ec.view = cur[r : r+w]
@@ -426,8 +432,29 @@ func (ec *evalCtx) evalGroup(gp *groupProg, in []rdf.ID, out int, distinct bool)
 	// The group did not end in a block: its remaining filters run here;
 	// unbound variables make a filter false (SPARQL error-as-false).
 	for r := 0; r < len(cur); r += w {
-		ec.emit(gp.filters, applied, cur[r:r+w], out, distinct)
+		if ec.emit(gp.filters, applied, cur[r:r+w], out, mode == emitDistinct) && mode == emitFirst {
+			return
+		}
 	}
+}
+
+// exists reports whether group gp has a solution seeded with row. It may be
+// called from inside a block's recursion — a hoisted EXISTS is a step's filter,
+// and row then is the binding row itself — so it seeds the group with a copy
+// and puts the block being run and its row back as they were.
+func (ec *evalCtx) exists(gp *groupProg, row []rdf.ID) bool {
+	run := ec.run
+	seed := ec.pushTable()
+	ec.tabs[seed] = append(ec.tabs[seed], row...)
+	res := ec.pushTable()
+	ec.evalGroup(gp, ec.tabs[seed], res, emitFirst)
+	found := len(ec.tabs[res]) > 0
+	if &row[0] == &ec.row[0] {
+		copy(row, ec.tabs[seed])
+	}
+	ec.popTables(seed)
+	ec.run = run
+	return found
 }
 
 // applyEagerFilters applies, in place, the eager filters whose variables have
@@ -453,19 +480,20 @@ func (ec *evalCtx) applyEagerFilters(gp *groupProg, bound, applied uint64, table
 }
 
 // emit sends one solution of a group to its output once the group's filters
-// not yet applied have passed it.
-func (ec *evalCtx) emit(filters []filterProg, applied uint64, row []rdf.ID, out int, distinct bool) {
+// not yet applied have passed it, and reports whether they did — a row
+// DISTINCT has seen before passes like a new one.
+func (ec *evalCtx) emit(filters []filterProg, applied uint64, row []rdf.ID, out int, distinct bool) bool {
 	for i := range filters {
 		if i < 64 && applied&(1<<uint(i)) != 0 {
 			continue
 		}
 		if !filters[i].keep(ec, row) {
-			return
+			return false
 		}
 	}
 	if !distinct {
 		ec.tabs[out] = append(ec.tabs[out], row...)
-		return
+		return true
 	}
 	slots := ec.prog.projSlots
 	if ec.firstSeen(row, slots) {
@@ -475,6 +503,7 @@ func (ec *evalCtx) emit(filters []filterProg, applied uint64, row []rdf.ID, out 
 		}
 		ec.tabs[out] = t
 	}
+	return true
 }
 
 // firstSeen reports whether the projection of row onto cols has not been
@@ -503,33 +532,75 @@ func appendID(key []byte, id rdf.ID) []byte {
 
 // runBlock orders the block for the given entry state and runs it
 // depth-first from every seed row of in.
-func (ec *evalCtx) runBlock(b *blockProg, gp *groupProg, bound, applied uint64, in []rdf.ID, out int, final, distinct bool) *blockPlan {
+func (ec *evalCtx) runBlock(b *blockProg, gp *groupProg, bound, applied uint64, in []rdf.ID, out int, final bool, mode emitMode) *blockPlan {
 	pl := ec.planBlock(b, gp, bound, applied)
+	steps := ec.steps[b.off : b.off+len(b.pats)]
+	pl.tail = len(steps)
+	switch {
+	case !final:
+	case mode == emitFirst:
+		pl.tail = -1
+	case mode == emitDistinct:
+		// What the seed rows really bind, not bound: that one takes a BIND's
+		// word for its target, which a failed BIND leaves unbound — for the
+		// step below to bind, projected or not.
+		seeded := ^uint64(0)
+		for r, w := 0, ec.prog.width; r < len(in); r += w {
+			seeded &= boundMask(in[r : r+w])
+		}
+		pl.tail = witnessTail(steps, ec.prog.projected, seeded)
+	}
 	ec.run = blockRun{
-		steps:    ec.steps[b.off : b.off+len(b.pats)],
+		steps:    steps,
+		off:      b.off,
 		filters:  gp.filters,
 		final:    final,
 		applied:  pl.outApplied,
-		distinct: distinct,
+		distinct: mode == emitDistinct,
 		out:      out,
+		tail:     pl.tail,
 	}
 	w := ec.prog.width
 	for r := 0; r < len(in); r += w {
 		copy(ec.row, in[r:r+w])
-		if !ec.descend(0) {
+		if ec.descend(0) {
+			continue
+		}
+		// Stopped: by a cancellation, or by a witness that ends this seed row
+		// (tail 0) or the block (tail -1).
+		if !ec.run.found || pl.tail < 0 {
 			break
 		}
+		ec.run.found = false
 	}
 	return pl
 }
 
-// planBlock resolves the block's constants and chooses its join order: the
-// greedy selectivity heuristic (unless disabled) picks, step by step, the
-// cheapest remaining pattern given what is statically bound, and each step
-// is handed the eager filters whose variables it completes. The order is a
-// function of the query, the graph's statistics and the entry state only —
-// never of the rows — so a block entered again in the same state (an
-// OPTIONAL leg, once per seed row) keeps its plan.
+// witnessTail returns the depth after which no step of an ordered block binds
+// a projected slot: the rows below one prefix of that length all project
+// alike, and DISTINCT keeps the first. A step binds a slot it mentions unless
+// the slot is bound in every seed row (bound) or mentioned by an earlier step;
+// slots past 63, which bound cannot track, count as bound by every step that
+// mentions them — the tail then only starts later than it might.
+func witnessTail(steps []stepRun, projected []bool, bound uint64) int {
+	binds := func(slot int) bool { return slot >= 0 && projected[slot] && bound&slotBit(slot) == 0 }
+	tail := 0
+	for k := range steps {
+		if p := steps[k].pat; binds(p.sSlot) || binds(p.oSlot) || binds(p.pSlot) {
+			tail = k + 1
+		}
+		bound |= steps[k].pat.mask
+	}
+	return tail
+}
+
+// planBlock resolves the block's constants and chooses its join order: step by
+// step (unless reordering is disabled) the remaining pattern with the fewest
+// estimated rows out given what is statically bound, ties to the textually
+// earlier one; each step is handed the eager filters whose variables it
+// completes. The order is a function of the query, the graph's statistics and
+// the entry state only — never of the rows — so a block entered again in the
+// same state (an OPTIONAL leg, once per seed row) keeps its plan.
 func (ec *evalCtx) planBlock(b *blockProg, gp *groupProg, bound, applied uint64) *blockPlan {
 	pl := &ec.plans[b.id]
 	if pl.valid && pl.bound == bound && pl.applied == applied {
@@ -538,14 +609,15 @@ func (ec *evalCtx) planBlock(b *blockProg, gp *groupProg, bound, applied uint64)
 	pl.valid, pl.bound, pl.applied = true, bound, applied
 	steps := ec.steps[b.off : b.off+len(b.pats)]
 	for i := range b.pats {
-		steps[i] = ec.prepareStep(&b.pats[i])
+		ec.prepareStep(&steps[i], b, i, gp.filters)
+		steps[i].est = steps[i].cost(bound)
 	}
 	for k := range steps {
 		if !ec.opts.DisableReorder {
-			best, bestCost := k, steps[k].cost(bound)
+			best := k
 			for i := k + 1; i < len(steps); i++ {
-				if c := steps[i].cost(bound); c < bestCost {
-					best, bestCost = i, c
+				if steps[i].est < steps[best].est {
+					best = i
 				}
 			}
 			// Move the choice to position k, keeping the rest in textual
@@ -555,7 +627,15 @@ func (ec *evalCtx) planBlock(b *blockProg, gp *groupProg, bound, applied uint64)
 			steps[k] = chosen
 		}
 		st := &steps[k]
-		bound |= st.pat.binds()
+		// Only the patterns that share a variable the step has just bound
+		// have a new estimate.
+		fresh := st.pat.mask &^ bound
+		bound |= fresh
+		for i := k + 1; i < len(steps) && fresh != 0; i++ {
+			if steps[i].pat.mask&fresh != 0 {
+				steps[i].est = steps[i].cost(bound)
+			}
+		}
 		for i := range gp.filters {
 			f := &gp.filters[i]
 			if f.eager && applied&(1<<uint(i)) == 0 && f.vars&^bound == 0 {
@@ -568,11 +648,27 @@ func (ec *evalCtx) planBlock(b *blockProg, gp *groupProg, bound, applied uint64)
 	return pl
 }
 
-// prepareStep resolves a pattern's constants and takes the count its cost
-// starts from: the triples matching the pattern's constants (the predicate's
-// total when it has none), all O(1) on the graph's indexes.
-func (ec *evalCtx) prepareStep(p *patProg) stepRun {
-	st := stepRun{pat: p}
+// Defaults of the estimate, where the graph has no statistic to read.
+const (
+	// unknownFanout is what a bound subject or object variable divides a
+	// pattern's count by when the predicate is a variable or a path.
+	unknownFanout = 8
+	// filterKeeps is the share of a predicate's triples an eager ?o-op-number
+	// filter on the pattern's free object is taken to keep when the constant
+	// lies inside the predicate's numeric range. It is the same for every
+	// constant on purpose: entries that differ only in a threshold get the same
+	// join order on the same graph.
+	filterKeeps = 1.0 / 3
+)
+
+// prepareStep resolves the constants of the block's i-th pattern and reads
+// what its estimate needs, in O(1) on the index's offsets plus one binary
+// search over the predicates: the exact count of the triples matching the
+// constants (the graph's size for a path), the predicate's distinct subjects
+// and objects, and its numeric range against the filters on the object.
+func (ec *evalCtx) prepareStep(st *stepRun, b *blockProg, i int, filters []filterProg) {
+	p := &b.pats[i]
+	*st = stepRun{pat: p, no: i, perS: unknownFanout, perO: unknownFanout, objSel: 1}
 	if p.sConst >= 0 {
 		st.sid = ec.consts[p.sConst]
 		st.dead = st.dead || st.sid == rdf.NoID
@@ -587,16 +683,61 @@ func (ec *evalCtx) prepareStep(p *patProg) stepRun {
 	}
 	switch {
 	case st.dead:
+		return
 	case p.kind == patPath:
-		st.base = float64(ec.g.Len())
-	default:
-		st.base = float64(ec.g.Count(st.sid, st.pid, st.oid))
+		st.count = float64(ec.g.Len())
+		return
 	}
-	return st
+	st.count = float64(ec.g.Count(st.sid, st.pid, st.oid))
+	if p.kind != patSimple {
+		return
+	}
+	ps := ec.g.PredStats(st.pid)
+	if ps == nil {
+		return
+	}
+	st.perS, st.perO = float64(ps.Subjects), float64(ps.Objects)
+	for i := range filters {
+		if f := &filters[i]; f.eager && f.cmpSlot == p.oSlot && f.cmpSlot != p.sSlot {
+			st.objSel *= f.keeps(ps)
+		}
+	}
 }
 
-// cost estimates the result size of the step given which variables are
-// statically bound. Lower is better.
+// keeps estimates the share of a predicate's triples whose object passes the
+// ?o-op-number filter: none when the predicate's numeric objects all lie on
+// the failing side of the constant, filterKeeps otherwise.
+func (f *filterProg) keeps(ps *rdf.PredStats) float64 {
+	c, none := f.cmpConst, false
+	switch f.cmpOp {
+	case OpLt:
+		none = ps.Min >= c
+	case OpLe:
+		none = ps.Min > c
+	case OpGt:
+		none = ps.Max <= c
+	case OpGe:
+		none = ps.Max < c
+	case OpEq:
+		none = c < ps.Min || c > ps.Max
+	}
+	if none && ps.Min <= ps.Max { // no numeric object: no range to hold c against
+		return 0
+	}
+	return filterKeeps
+}
+
+// cost estimates the rows the step puts out per row it is run on, given which
+// variables are statically bound. Lower is better.
+//
+//	constant predicate: the exact count of the triples matching the pattern's
+//	    constants, ÷ the predicate's distinct subjects for a bound subject
+//	    variable, ÷ its distinct objects for a bound object variable, × what
+//	    the filters on a free object keep (filterProg.keeps)
+//	variable predicate: the count, × 1.5 while the predicate is unbound, ÷
+//	    unknownFanout per bound subject or object variable
+//	path: the graph's size, ÷ 4 with an end anchored and × 4 without, ÷
+//	    unknownFanout per bound subject or object variable
 func (st *stepRun) cost(bound uint64) float64 {
 	if st.dead {
 		return 0 // constant absent: zero results, run it first
@@ -604,48 +745,57 @@ func (st *stepRun) cost(bound uint64) float64 {
 	p := st.pat
 	sVar := p.sSlot >= 0 && bound&slotBit(p.sSlot) != 0
 	oVar := p.oSlot >= 0 && bound&slotBit(p.oSlot) != 0
-	base := st.base
+	est := st.count
 	switch p.kind {
 	case patPredVar:
 		if bound&slotBit(p.pSlot) == 0 {
-			base *= 1.5
+			est *= 1.5
 		}
 	case patPath:
 		// Complex property path: expensive unless an endpoint is anchored.
 		if sVar || p.sSlot < 0 || oVar || p.oSlot < 0 {
-			base /= 4
+			est /= 4
 		} else {
-			base *= 4
+			est *= 4
 		}
 	}
-	// Bound variables narrow the match at execution time even though the
-	// static estimate cannot see the concrete value.
+	// A bound variable narrows the match to one of the predicate's subjects
+	// (objects), whichever the row holds.
 	if sVar {
-		base /= 8
+		est /= st.perS
 	}
 	if oVar {
-		base /= 8
+		est /= st.perO
+	} else {
+		est *= st.objSel
 	}
-	return base
+	return est
 }
 
 // descend runs step d of the current block on ec.row and, through extend,
-// every step after it. It reports false when the evaluation was cancelled.
+// every step after it. It reports false when the recursion is to stop: the
+// evaluation was cancelled, or a witness was found (see blockRun.tail).
 func (ec *evalCtx) descend(d int) bool {
 	r := &ec.run
 	if d == len(r.steps) {
-		if r.final {
-			ec.emit(r.filters, r.applied, ec.row, r.out, r.distinct)
-		} else {
+		if !r.final {
 			ec.tabs[r.out] = append(ec.tabs[r.out], ec.row...)
+			return true
+		}
+		if ec.emit(r.filters, r.applied, ec.row, r.out, r.distinct) && r.tail < d {
+			r.found = true
+			return false
 		}
 		return true
 	}
 	if ec.cancel.check() != nil {
 		return false
 	}
-	ec.joinRows++
 	st := &r.steps[d]
+	ec.joinRows++
+	if ec.actuals != nil {
+		ec.actuals[r.off+st.no].descends++
+	}
 	if st.dead {
 		return true
 	}
@@ -707,9 +857,15 @@ func (ec *evalCtx) descend(d int) bool {
 }
 
 // extend binds one match of step d into ec.row, applies the filters the step
-// completed, and descends.
+// completed, and descends. It reports whether step d is to go on with its next
+// match.
 func (ec *evalCtx) extend(d int, ms, mo, mp rdf.ID) bool {
-	st := &ec.run.steps[d]
+	r := &ec.run
+	st := &r.steps[d]
+	ec.matchRows++
+	if ec.actuals != nil {
+		ec.actuals[r.off+st.no].extends++
+	}
 	p, row := st.pat, ec.row
 	if p.sSlot >= 0 {
 		if p.sSlot == p.oSlot && ms != mo {
@@ -724,11 +880,20 @@ func (ec *evalCtx) extend(d int, ms, mo, mp rdf.ID) bool {
 		row[p.pSlot] = mp
 	}
 	for f := st.filters; f != 0; f &= f - 1 {
-		if !ec.run.filters[bits.TrailingZeros64(f)].keep(ec, row) {
+		if !r.filters[bits.TrailingZeros64(f)].keep(ec, row) {
 			return true
 		}
 	}
-	return ec.descend(d + 1)
+	if ec.descend(d + 1) {
+		return true
+	}
+	// A witness below ends the steps of the tail; the last step before them
+	// takes it for what it is — this match is done — and goes on.
+	if r.found && d+1 == r.tail {
+		r.found = false
+		return true
+	}
+	return false
 }
 
 // pathPairs collects the distinct (s, o) pairs the property path connects
