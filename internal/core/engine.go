@@ -114,10 +114,11 @@ func (e *Engine) evalOpts(ctx context.Context) sparql.ExecOptions {
 
 // LoadPlan transforms and registers a parsed plan.
 func (e *Engine) LoadPlan(p *qep.Plan) error {
-	if err := p.Validate(); err != nil {
+	r, err := transformValid(p)
+	if err != nil {
 		return err
 	}
-	return e.loadOne(transform.Transform(p))
+	return e.loadOne(r)
 }
 
 // LoadResult registers an already-transformed plan, sharing its RDF graph
@@ -174,22 +175,50 @@ func (e *Engine) LoadPlans(plans []*qep.Plan) error {
 // and duplicate IDs (within the engine or earlier in the same batch) are
 // per-plan, never batch-fatal.
 func (e *Engine) LoadBatch(plans []*qep.Plan) []error {
-	errs := make([]error, len(plans))
-	results := make([]*transform.Result, len(plans))
+	return e.loadEach(len(plans), func(i int) (*transform.Result, error) { return transformValid(plans[i]) })
+}
+
+// LoadTextBatch parses and registers a batch of explain texts the way
+// LoadBatch registers plans; a text is parsed in the pool task that validates
+// and transforms its plan, not ahead of the pool on the calling goroutine.
+// plans[i] is the parsed plan when text i parsed (set even when loading then
+// failed as a duplicate); errs[i] is the per-text outcome.
+func (e *Engine) LoadTextBatch(texts []string) (plans []*qep.Plan, errs []error) {
+	plans = make([]*qep.Plan, len(texts))
+	errs = e.loadEach(len(texts), func(i int) (*transform.Result, error) {
+		p, err := qep.Parse(texts[i])
+		if err != nil {
+			return nil, err
+		}
+		plans[i] = p
+		return transformValid(p)
+	})
+	return plans, errs
+}
+
+func transformValid(p *qep.Plan) (*transform.Result, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return transform.Transform(p), nil
+}
+
+// loadEach prepares n plans on the worker pool, each task writing only its
+// own slot, and registers what came out in input order — so of two plans with
+// one ID the earlier wins — under the one lock with the one generation bump.
+func (e *Engine) loadEach(n int, prepare func(i int) (*transform.Result, error)) []error {
+	errs := make([]error, n)
+	results := make([]*transform.Result, n)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, max(e.workers, 1))
-	for i, p := range plans {
-		if err := p.Validate(); err != nil {
-			errs[i] = err
-			continue
-		}
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, p *qep.Plan) {
+		go func(i int) {
 			defer wg.Done()
-			results[i] = transform.Transform(p)
+			results[i], errs[i] = prepare(i)
 			<-sem
-		}(i, p)
+		}(i)
 	}
 	wg.Wait()
 
@@ -208,32 +237,6 @@ func (e *Engine) LoadBatch(plans []*qep.Plan) []error {
 		e.generation.Add(1)
 	}
 	return errs
-}
-
-// LoadTextBatch parses and registers a batch of explain texts through
-// LoadBatch. plans[i] is the parsed plan when text i parsed (set even when
-// loading then failed as a duplicate); errs[i] is the per-text outcome.
-func (e *Engine) LoadTextBatch(texts []string) (plans []*qep.Plan, errs []error) {
-	plans = make([]*qep.Plan, len(texts))
-	errs = make([]error, len(texts))
-	var parsed []*qep.Plan
-	var idx []int
-	for i, text := range texts {
-		p, err := qep.Parse(text)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		plans[i] = p
-		parsed = append(parsed, p)
-		idx = append(idx, i)
-	}
-	for j, err := range e.LoadBatch(parsed) {
-		if err != nil {
-			errs[idx[j]] = err
-		}
-	}
-	return plans, errs
 }
 
 // LoadText parses explain text and registers the plan.

@@ -11,12 +11,15 @@ import (
 )
 
 // heapBudgetPerTriple is what a resident plan may hold per triple beyond its
-// parsed plan model. Measured ≈ 137 B on the plans below: triple log and
-// index ≈ 47, the index's numeric column ≈ 4 (8 B per term at ≈ 0.49 terms
-// per triple; the predicate statistics are ≈ 40 entries of 32 B per plan,
-// ≈ 0.4 B per triple), dictionary ≈ 85 (map[Term]ID and []Term ≈ 71, term
-// strings ≈ 14); the engine's table adds a pointer and a map entry per plan,
-// nothing per triple. A second copy of the vocabulary (the shards' union map
+// parsed plan model. Measured 130.6 B on the plans below (136.2 before Freeze
+// cut the term table and the log to their lengths, and a dictionary sized for
+// every literal occurrence of the plan instead of two fifths of them reads
+// 154.9):
+// triple log and index ≈ 46, the index's numeric column ≈ 4 (8 B per term at
+// ≈ 0.49 terms per triple; the predicate statistics are ≈ 40 entries of 32 B
+// per plan, ≈ 0.4 B per triple), dictionary ≈ 81 (map[Term]ID and []Term
+// ≈ 67, term strings ≈ 14); the engine's table adds a pointer and a map entry
+// per plan, nothing per triple. A second copy of the vocabulary (the shards' union map
 // measured ≈ 32 B) or of the adjacency (the map-of-map indexes measured 436 B
 // in all) trips the budget long before noise does.
 const heapBudgetPerTriple = 145

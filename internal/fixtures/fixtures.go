@@ -189,6 +189,35 @@ func SharedTemp() *qep.Plan {
 	return mustResolve(p)
 }
 
+// DoubleFedJoin returns a DAG plan whose shared TEMP is both inputs of one
+// join — a self-join of a common subexpression — so Algorithm 1 derives the
+// hasChildPop edge from the join to the TEMP twice; a stream column, a
+// predicate text and a base-object column also repeat. A graph holds each
+// triple once, at the place of its first occurrence. The statement ID, an
+// argument key and the object name carry characters an IRI must not hold raw.
+// It is what the build path's oracles are run on besides All and SharedTemp,
+// and deliberately not part of All.
+func DoubleFedJoin() *qep.Plan {
+	p := qep.NewPlan("Q a>b")
+	p.Statement = "WITH CSE AS (SELECT ...) SELECT * FROM CSE X JOIN CSE Y ON X.K = Y.K"
+	p.TotalCost = 500
+
+	src := p.AddObject(&qep.BaseObject{Name: "SCHEMA.\"SRC\"", Type: "TABLE", Cardinality: 20000, Columns: []string{"K", "X", "K"}})
+
+	ret := mustAdd(p, &qep.Operator{ID: 1, Type: "RETURN", TotalCost: 500, Cardinality: 40})
+	join := mustAdd(p, &qep.Operator{ID: 2, Type: "HSJOIN", TotalCost: 490, Cardinality: 40,
+		Predicates: []string{"(Q1.K = Q2.K)", "(Q1.K = Q2.K)"}, Args: map[string]string{"BIT FLTR": "FALSE", "EARLY<OUT>": "NONE"}})
+	temp := mustAdd(p, &qep.Operator{ID: 3, Type: "TEMP", TotalCost: 300, Cardinality: 2500})
+	scan := mustAdd(p, &qep.Operator{ID: 4, Type: "TBSCAN", TotalCost: 280, Cardinality: 2500})
+
+	p.Link(ret, qep.GeneralStream, join, nil, 40, nil)
+	p.Link(join, qep.OuterStream, temp, nil, 2500, []string{"Q3.K", "Q3.X", "Q3.K"})
+	p.Link(join, qep.InnerStream, temp, nil, 2500, []string{"Q3.K", "Q3.X"})
+	p.Link(temp, qep.GeneralStream, scan, nil, 2500, nil)
+	p.Link(scan, qep.GeneralStream, nil, src, 20000, nil)
+	return mustResolve(p)
+}
+
 // Clean returns a small plan that matches none of the canonical patterns:
 // a hash join fed by two index scans.
 func Clean() *qep.Plan {

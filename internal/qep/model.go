@@ -12,7 +12,7 @@ package qep
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -223,9 +223,11 @@ type Plan struct {
 	Statement string // SQL text (may be multi-line)
 	TotalCost float64
 	Root      *Operator
-	Operators map[int]*Operator
+	Operators map[int]*Operator // registered through AddOperator only, which keeps ops beside it
 	Objects   map[string]*BaseObject
 	Source    string // the raw explain text this plan was parsed from, if any
+
+	ops []*Operator // Operators by ascending ID, what Ops returns
 }
 
 // NewPlan returns an empty plan with initialized maps.
@@ -243,6 +245,12 @@ func (p *Plan) AddOperator(op *Operator) error {
 		return fmt.Errorf("qep: duplicate operator id %d", op.ID)
 	}
 	p.Operators[op.ID] = op
+	// Explain files and generators number operators upwards: mostly an append.
+	i := len(p.ops)
+	for i > 0 && p.ops[i-1].ID > op.ID {
+		i--
+	}
+	p.ops = slices.Insert(p.ops, i, op)
 	return nil
 }
 
@@ -256,15 +264,11 @@ func (p *Plan) AddObject(obj *BaseObject) *BaseObject {
 	return obj
 }
 
-// Ops returns the plan's operators sorted by ID.
-func (p *Plan) Ops() []*Operator {
-	out := make([]*Operator, 0, len(p.Operators))
-	for _, op := range p.Operators {
-		out = append(out, op)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// Ops returns the plan's operators sorted by ID. The slice is the plan's own,
+// kept in order by AddOperator and handed out on every call (parsing,
+// transforming and writing a plan and every @ALIAS(COLUMNS) expansion walk
+// it): callers must treat it as read-only.
+func (p *Plan) Ops() []*Operator { return p.ops }
 
 // NumOps reports the number of LOLEPOPs in the plan.
 func (p *Plan) NumOps() int { return len(p.Operators) }

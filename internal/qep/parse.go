@@ -1,8 +1,9 @@
 package qep
 
 import (
+	"cmp"
 	"fmt"
-	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -19,17 +20,85 @@ func Parse(text string) (*Plan, error) {
 	return pp.plan, nil
 }
 
-// opHeaderRe matches operator block headers like
+// operatorHeader recognises an operator block header like
 //
 //  2. NLJOIN: (Nested Loop Join)
 //  7. >HSJOIN: (Hash Join)
-var opHeaderRe = regexp.MustCompile(`^(\d+)\)\s+([<>^]?)([A-Z][A-Z0-9_]*):`)
+//
+// and returns its number, its join modifier ("", ">", "<" or "^") and its
+// type. It accepts the language of ^(\d+)\)\s+([<>^]?)([A-Z][A-Z0-9_]*): —
+// opHeaderRe in the tests, which FuzzParse holds it to — by a scan that gives
+// up, on nearly every line of the details section, at the first byte.
+func operatorHeader(line string) (number, modifier, typ string, ok bool) {
+	number, rest, ok := numbered(line)
+	if !ok {
+		return "", "", "", false
+	}
+	if rest != "" && (rest[0] == '<' || rest[0] == '>' || rest[0] == '^') {
+		modifier, rest = rest[:1], rest[1:]
+	}
+	n := 0
+	for n < len(rest) && ('A' <= rest[n] && rest[n] <= 'Z' || n > 0 && ('0' <= rest[n] && rest[n] <= '9' || rest[n] == '_')) {
+		n++
+	}
+	if n == 0 || n == len(rest) || rest[n] != ':' {
+		return "", "", "", false
+	}
+	return number, modifier, rest[:n], true
+}
 
-// streamHeaderRe matches input stream headers like
+// streamHeader recognises an input stream header like
 //
 //  1. From Operator #3
 //  2. From Object CUST_DIM
-var streamHeaderRe = regexp.MustCompile(`^\d+\)\s+From (Operator #(\d+)|Object (\S+))`)
+//
+// and returns the operator's number or the object's name, the other empty. It
+// accepts the language of ^\d+\)\s+From (Operator #(\d+)|Object (\S+)),
+// streamHeaderRe in the tests.
+func streamHeader(line string) (operator, object string, ok bool) {
+	_, rest, ok := numbered(line)
+	if !ok {
+		return "", "", false
+	}
+	if op, found := strings.CutPrefix(rest, "From Operator #"); found {
+		n := leadingDigits(op)
+		return op[:n], "", n > 0
+	}
+	if obj, found := strings.CutPrefix(rest, "From Object "); found {
+		n := 0
+		for n < len(obj) && !isSpace(obj[n]) {
+			n++
+		}
+		return "", obj[:n], n > 0
+	}
+	return "", "", false
+}
+
+// numbered splits a line that starts like a list item, `12)  rest` — the
+// language of ^(\d+)\)\s+ — into the digits and what follows the white space.
+func numbered(line string) (digits, rest string, ok bool) {
+	n := leadingDigits(line)
+	if n == 0 || n == len(line) || line[n] != ')' {
+		return "", "", false
+	}
+	rest = line[n+1:]
+	for rest != "" && isSpace(rest[0]) {
+		rest = rest[1:]
+	}
+	return line[:n], rest, len(rest) < len(line)-n-1
+}
+
+// leadingDigits is the length of the \d* s starts with.
+func leadingDigits(s string) int {
+	n := 0
+	for n < len(s) && '0' <= s[n] && s[n] <= '9' {
+		n++
+	}
+	return n
+}
+
+// isSpace is the class \s of the two expressions above: [\t\n\f\r ].
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\f' || c == '\r' }
 
 type inputSpec struct {
 	kind    StreamKind
@@ -73,11 +142,11 @@ func (pp *planParser) errf(format string, args ...interface{}) error {
 }
 
 func (pp *planParser) run(text string) error {
-	lines := strings.Split(text, "\n")
-	for i, raw := range lines {
-		pp.lineNo = i + 1
-		line := strings.TrimSpace(raw)
-		if err := pp.line(line); err != nil {
+	for rest, more := text, true; more; {
+		var raw string
+		raw, rest, more = strings.Cut(rest, "\n")
+		pp.lineNo++
+		if err := pp.line(strings.TrimSpace(raw)); err != nil {
 			return err
 		}
 	}
@@ -139,17 +208,17 @@ func (pp *planParser) line(line string) error {
 }
 
 func (pp *planParser) detailsLine(line string) error {
-	if m := opHeaderRe.FindStringSubmatch(line); m != nil {
-		id, err := strconv.Atoi(m[1])
+	if number, modifier, typ, ok := operatorHeader(line); ok {
+		id, err := strconv.Atoi(number)
 		if err != nil || id <= 0 {
-			return pp.errf("bad operator id %q", m[1])
+			return pp.errf("bad operator id %q", number)
 		}
 		op := &Operator{
 			ID:   id,
-			Type: m[3],
+			Type: typ,
 			Args: make(map[string]string),
 		}
-		switch m[2] {
+		switch modifier {
 		case ">":
 			op.JoinMod = LeftOuterJoin
 		case "<":
@@ -196,42 +265,37 @@ func (pp *planParser) detailsLine(line string) error {
 	}
 
 	if pp.subSect == "streams" {
-		if m := streamHeaderRe.FindStringSubmatch(line); m != nil {
-			in := inputSpec{}
-			if m[2] != "" {
-				id, err := strconv.Atoi(m[2])
-				if err != nil {
-					return pp.errf("bad input operator id %q", m[2])
+		if operator, object, ok := streamHeader(line); ok {
+			in := inputSpec{objName: object}
+			if operator != "" {
+				id, err := strconv.Atoi(operator)
+				if err != nil || id <= 0 { // #0 would read as "no operator": an input from the object ""
+					return pp.errf("bad input operator id %q", operator)
 				}
 				in.opID = id
-			} else {
-				in.objName = m[3]
 			}
 			pp.cur.inputs = append(pp.cur.inputs, in)
 			pp.curIn = &pp.cur.inputs[len(pp.cur.inputs)-1]
 			return nil
 		}
-		if pp.curIn != nil {
-			if v, ok := cutKey(line, "Stream Type"); ok {
-				kind, err := ParseStreamKind(v)
-				if err != nil {
-					return pp.errf("%v", err)
-				}
-				pp.curIn.kind = kind
-				return nil
+		if pp.curIn == nil {
+			return nil
+		}
+		switch key, v := keyValue(line); key {
+		case "Stream Type":
+			kind, err := ParseStreamKind(v)
+			if err != nil {
+				return pp.errf("%v", err)
 			}
-			if v, ok := cutKey(line, "Estimated Rows"); ok {
-				f, err := parseNum(v)
-				if err != nil {
-					return pp.errf("bad Estimated Rows %q", v)
-				}
-				pp.curIn.rows = f
-				return nil
+			pp.curIn.kind = kind
+		case "Estimated Rows":
+			f, err := parseNum(v)
+			if err != nil {
+				return pp.errf("bad Estimated Rows %q", v)
 			}
-			if v, ok := cutKey(line, "Columns"); ok {
-				pp.curIn.columns = parseColumns(v)
-				return nil
-			}
+			pp.curIn.rows = f
+		case "Columns":
+			pp.curIn.columns = parseColumns(v)
 		}
 		return nil
 	}
@@ -247,29 +311,31 @@ func (pp *planParser) detailsLine(line string) error {
 		return nil
 	}
 
-	// Operator properties.
-	numProps := []struct {
-		key string
-		dst *float64
-	}{
-		{"Cumulative Total Cost", &pp.cur.op.TotalCost},
-		{"Cumulative CPU Cost", &pp.cur.op.CPUCost},
-		{"Cumulative I/O Cost", &pp.cur.op.IOCost},
-		{"Cumulative First Row Cost", &pp.cur.op.FirstRow},
-		{"Estimated Bufferpool Buffers", &pp.cur.op.Buffers},
-		{"Estimated Cardinality", &pp.cur.op.Cardinality},
+	// Operator properties; unknown property lines are tolerated.
+	var dst *float64
+	key, v := keyValue(line)
+	switch key {
+	case "Cumulative Total Cost":
+		dst = &pp.cur.op.TotalCost
+	case "Cumulative CPU Cost":
+		dst = &pp.cur.op.CPUCost
+	case "Cumulative I/O Cost":
+		dst = &pp.cur.op.IOCost
+	case "Cumulative First Row Cost":
+		dst = &pp.cur.op.FirstRow
+	case "Estimated Bufferpool Buffers":
+		dst = &pp.cur.op.Buffers
+	case "Estimated Cardinality":
+		dst = &pp.cur.op.Cardinality
+	default:
+		return nil
 	}
-	for _, prop := range numProps {
-		if v, ok := cutKey(line, prop.key); ok {
-			f, err := parseNum(v)
-			if err != nil {
-				return pp.errf("bad %s %q", prop.key, v)
-			}
-			*prop.dst = f
-			return nil
-		}
+	f, err := parseNum(v)
+	if err != nil {
+		return pp.errf("bad %s %q", key, v)
 	}
-	return nil // tolerate unknown property lines
+	*dst = f
+	return nil
 }
 
 func (pp *planParser) objectLine(line string) error {
@@ -304,7 +370,16 @@ func (pp *planParser) link() error {
 	if len(pp.specs) == 0 {
 		return fmt.Errorf("qep: no Plan Details section or no operators found")
 	}
-	for _, spec := range pp.specs {
+	// AddOperator keeps the plan's operators in ID order by inserting, which is
+	// an append for ascending IDs and a copy of the tail otherwise: a file that
+	// lists its blocks in any other order is sorted first, so that no input
+	// makes registering n operators cost n².
+	byID := pp.specs
+	if ascending := func(a, b *opSpec) int { return cmp.Compare(a.op.ID, b.op.ID) }; !slices.IsSortedFunc(byID, ascending) {
+		byID = slices.Clone(byID)
+		slices.SortStableFunc(byID, ascending)
+	}
+	for _, spec := range byID {
 		if err := pp.plan.AddOperator(spec.op); err != nil {
 			return err
 		}
@@ -334,6 +409,17 @@ func (pp *planParser) link() error {
 		}
 	}
 	return pp.plan.Resolve()
+}
+
+// keyValue splits `key: value` (and `key : value`) at the first ':' into the
+// trimmed key and value: cutKey for a line that is then looked up among
+// several keys. A line without a ':' has no key.
+func keyValue(line string) (key, value string) {
+	k, v, ok := strings.Cut(line, ":")
+	if !ok {
+		return "", ""
+	}
+	return strings.TrimSpace(k), strings.TrimSpace(v)
 }
 
 // cutKey matches `key: value` (and `key : value`), returning the trimmed

@@ -15,10 +15,13 @@ type Dict struct {
 }
 
 // NewDict returns an empty dictionary.
-func NewDict() *Dict {
+func NewDict() *Dict { return newDictSize(0) }
+
+// newDictSize returns an empty dictionary with room for terms terms.
+func newDictSize(terms int) *Dict {
 	return &Dict{
-		byTerm: make(map[Term]ID),
-		byID:   make([]Term, 1),
+		byTerm: make(map[Term]ID, terms),
+		byID:   make([]Term, 1, terms+1),
 	}
 }
 

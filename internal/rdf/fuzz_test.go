@@ -10,22 +10,25 @@ import (
 )
 
 // FuzzGraphIndex is a differential fuzz test for the graph's index. The input
-// drives a sequence of Adds (duplicates included), interleaved reads, terms
+// drives a sequence of Adds (duplicates included — the graph drops them when
+// it builds its index, the test when it logs them), interleaved reads, terms
 // interned without a triple, and a Freeze at whatever point the bytes put it;
 // the test keeps its own insertion log and, at every read, compares every
 // Match shape (the exact documented sequence, not only the set), Count,
 // HasIDs, the adjacency accessors, NodeIDs, Len and Triples with scans of
 // that log — and the numeric column with Term.Float of every term, the
 // statistics of every predicate with a pass over the log. After the Freeze
-// every Add must panic and change nothing. At the end the graph is written as
-// N-Triples and read back: the loaded graph must pass the same checks and
-// give every predicate the same statistics.
+// every Add and Intern must panic and change nothing. At the end the graph is
+// written as N-Triples — by WriteNTriples and by the line-sorting writer it
+// replaced, which must agree — and read back: the loaded graph must pass the
+// same checks and give every predicate the same statistics.
 //
 // Ops, one byte each: b%8 in 0..4 adds the triple named by the next three
 // bytes, 5 reads, 6 interns the term named by the next byte, 7 freezes. All
 // positions draw from one pool of 24 IRIs, so a predicate is routinely a
 // subject or an object too; the object position draws from 8 literals
-// besides (fuzzLiterals). A read also runs when the input ends.
+// (fuzzLiterals) and 9 numbers (fuzzFloats) besides, the numbers entering
+// through InternFloat and AddIDs. A read also runs when the input ends.
 func FuzzGraphIndex(f *testing.F) {
 	add := func(s, p, o byte) []byte { return []byte{0, s, p, o} }
 	bucket := func(n int) (in []byte) {
@@ -34,15 +37,19 @@ func FuzzGraphIndex(f *testing.F) {
 		}
 		return in
 	}
-	f.Add([]byte{})                                         // empty graph
-	f.Add([]byte{5, 7, 5})                                  // empty graph, read, frozen, read
-	f.Add(add(1, 2, 3))                                     // one triple
-	f.Add(append(add(1, 2, 3), 6, 9, 5))                    // a term interned but used in no triple: ID past the last offset
-	f.Add(append(bucket(16), 5, 7))                         // an (s,p) bucket of 16 ...
-	f.Add(append(bucket(17), 5, 7))                         // ... and of 17, either side of the old set-probe threshold
-	f.Add(append(add(4, 2, 4), 5))                          // a self-loop
-	f.Add(append(add(1, 2, 3), add(2, 2, 1)...))            // a predicate that is also a subject (and its own predicate)
-	f.Add(append(add(1, 2, 3), add(1, 2, 3)...))            // a duplicate
+	f.Add([]byte{})                                   // empty graph
+	f.Add([]byte{5, 7, 5})                            // empty graph, read, frozen, read
+	f.Add(add(1, 2, 3))                               // one triple
+	f.Add(append(add(1, 2, 3), 6, 9, 5))              // a term interned but used in no triple: ID past the last offset
+	f.Add(append(bucket(16), 5, 7))                   // an (s,p) bucket of 16 ...
+	f.Add(append(bucket(17), 5, 7))                   // ... and of 17, either side of the old set-probe threshold
+	f.Add(append(add(4, 2, 4), 5))                    // a self-loop
+	f.Add(append(add(1, 2, 3), add(2, 2, 1)...))      // a predicate that is also a subject (and its own predicate)
+	f.Add(append(add(1, 2, 3), add(1, 2, 3)...))      // a duplicate
+	again := append(add(1, 2, 3), 5)                  // one triple added again after every read, around a second one,
+	again = append(append(again, add(1, 2, 3)...), 5) // and once more before the Freeze: the index build drops each
+	again = append(append(again, add(4, 2, 3)...), add(1, 2, 3)...)
+	f.Add(append(append(again, 5), append(add(1, 2, 3), 7, 5)...))
 	f.Add(append(append(add(1, 2, 3), 5), add(3, 2, 1)...)) // a read, then an Add that discards the index
 	f.Add(append(append(add(1, 2, 3), 7), add(3, 2, 1)...)) // an Add after Freeze
 	var lits []byte                                         // one predicate over every literal, another over the numbers that are not NaN, a third over an IRI
@@ -50,19 +57,32 @@ func FuzzGraphIndex(f *testing.F) {
 		lits = append(lits, add(byte(i), 2, byte(24+i))...)
 	}
 	f.Add(append(append(lits, add(1, 3, 25)...), append(add(1, 3, 30), add(1, 4, 5)...)...))
+	var nums []byte // every number through InternFloat, a read in the middle, one of them twice, one also as a literal
+	for i := 0; i < len(fuzzFloats); i++ {
+		nums = append(nums, add(byte(i), 2, byte(32+i))...)
+		if i == 3 {
+			nums = append(nums, 5)
+		}
+	}
+	f.Add(append(append(nums, add(9, 2, 32)...), append(add(9, 3, 30), 6, 36, 5, 6, 37)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 160 {
 			data = data[:160]
 		}
 		term := func(b byte) Term { return IRI(fmt.Sprintf("urn:t%d", b%24)) }
-		object := func(b byte) Term {
-			if b%32 >= 24 {
-				return fuzzLiterals[b%32-24]
-			}
-			return term(b % 32)
-		}
 		g := NewGraph()
+		// object interns the object b names the way a builder would, and
+		// returns the term the dictionary must then hold.
+		object := func(b byte) Term {
+			switch b %= byte(32 + len(fuzzFloats)); {
+			case b >= 32:
+				return g.Dict().Term(g.InternFloat(fuzzFloats[b-32]))
+			case b >= 24:
+				return fuzzLiterals[b-24]
+			}
+			return term(b)
+		}
 		var log [][3]ID
 		inLog := map[[3]ID]bool{}
 		frozen := false
@@ -73,34 +93,43 @@ func FuzzGraphIndex(f *testing.F) {
 					i = len(data)
 					break
 				}
-				s, p, o := term(data[i+1]), term(data[i+2]), object(data[i+3])
+				s, p := term(data[i+1]), term(data[i+2])
 				i += 3
 				if frozen {
 					terms := g.Dict().Len()
-					if !panics(func() { g.Add(s, p, o) }) {
-						t.Fatalf("Add(%v, %v, %v) on a frozen graph did not panic", s, p, o)
+					if !panics(func() { g.Add(s, p, object(data[i])) }) {
+						t.Fatalf("Add(%v, %v, object %d) on a frozen graph did not panic", s, p, data[i])
 					}
 					if g.Dict().Len() != terms {
 						t.Fatal("a refused Add interned a term")
 					}
 					continue
 				}
-				added := g.Add(s, p, o)
-				tr := [3]ID{g.Dict().Lookup(s), g.Dict().Lookup(p), g.Dict().Lookup(o)}
-				if added == inLog[tr] {
-					t.Fatalf("Add(%v) = %v, but the log has it: %v", tr, added, inLog[tr])
+				tr := [3]ID{g.Intern(s), g.Intern(p), NoID}
+				tr[2] = g.Intern(object(data[i]))
+				if data[i]%2 == 0 {
+					g.AddIDs(tr[0], tr[1], tr[2])
+				} else {
+					g.Add(s, p, g.Dict().Term(tr[2]))
 				}
-				if added {
+				if !inLog[tr] {
 					inLog[tr] = true
 					log = append(log, tr)
 				}
 			case op == 5:
 				checkAgainstLog(t, g, log)
 			case op == 6:
-				if i+1 < len(data) && !frozen {
-					i++
-					g.Dict().Intern(object(data[i]))
+				if i+1 >= len(data) {
+					break
 				}
+				i++
+				if terms := g.Dict().Len(); frozen {
+					if !panics(func() { g.Intern(object(data[i])) }) || g.Dict().Len() != terms {
+						t.Fatalf("Intern of object %d on a frozen graph did not panic, or interned", data[i])
+					}
+					continue
+				}
+				g.Intern(object(data[i]))
 			default:
 				g.Freeze()
 				frozen = true
@@ -108,9 +137,15 @@ func FuzzGraphIndex(f *testing.F) {
 		}
 		checkAgainstLog(t, g, log)
 
-		var nt bytes.Buffer
+		var nt, ref bytes.Buffer
 		if err := WriteNTriples(&nt, g); err != nil {
 			t.Fatal(err)
+		}
+		if err := writeNTriplesReference(&ref, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(nt.Bytes(), ref.Bytes()) {
+			t.Fatalf("WriteNTriples:\n%s\nthe line-sorting writer:\n%s", nt.Bytes(), ref.Bytes())
 		}
 		loaded, err := ParseNTriples(&nt)
 		if err != nil {
@@ -146,6 +181,17 @@ func FuzzGraphIndex(f *testing.F) {
 var fuzzLiterals = []Term{
 	String("NaN"), String(" 12 "), TypedLiteral("1e5", XSDDouble), String("+Inf"),
 	String("0x10"), String("7 rows"), Float(-2.5), String("NLJOIN"),
+}
+
+// fuzzFloats are the numbers FuzzGraphIndex hands to InternFloat: the values
+// whose lexical form is not a plain decimal (two NaNs — strconv reads one back,
+// whatever the payload written — both infinities, minus zero, an exponent
+// FormatFloat spells out), a 16- and a 17-digit value, the longest the
+// shortest round-tripping form gets, and -2.5, which is in fuzzLiterals too:
+// one term, reached both ways.
+var fuzzFloats = []float64{
+	math.NaN(), math.Float64frombits(0x7FF8_0000_0000_0123), math.Inf(1), math.Inf(-1),
+	math.Copysign(0, -1), 1e5, 0.1234567890123456, 0.30000000000000004, -2.5,
 }
 
 // expectPredStats is the reference for PredStats(p): one pass over the log.

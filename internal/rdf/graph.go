@@ -14,19 +14,24 @@ import (
 // index.go) answers every bound/unbound combination of a triple pattern
 // without scanning.
 //
-// A graph is written once and read forever. While it is being built (Add),
-// nothing else may touch it; the index is built by the first read, shared
-// lock-free by every later one, and discarded by an Add that follows it.
-// Freeze ends the building phase: it builds the index, drops the builder's
-// duplicate-detection set and makes any later Add panic. From the first read
-// on — frozen or not — a graph is safe for concurrent readers. OptImatch
-// builds one graph per query execution plan, freezes it, then matches many
-// patterns against it.
+// A graph is written once and read forever. While it is being built (Add,
+// Intern), nothing else may touch it; the index is built by the first read,
+// shared lock-free by every later one, and discarded by an Add that follows
+// it. An Add only appends: a triple added twice sits in the log twice until
+// the index build, which sorts the log anyway, drops every occurrence but the
+// first — so every read, Len included, starts at the index. Freeze ends the
+// building phase: it builds the index and makes any later Add or Intern
+// panic. From the first read on — frozen or not — a graph is safe for
+// concurrent readers. OptImatch builds one graph per query execution plan,
+// freezes it, then matches many patterns against it.
 type Graph struct {
 	dict *Dict
 
-	log    [][3]ID            // distinct triples (s, p, o) in insertion order
-	seen   map[[3]ID]struct{} // the log as a set; builder-only, nil once frozen
+	log [][3]ID // triples (s, p, o) in insertion order; distinct once indexed
+	// num is the index's numeric column while it is being filled: InternFloat
+	// records the value it was handed, the index build parses the rest
+	// (unparsed, or past the end) and every index built shares the result.
+	num    []uint64
 	frozen bool
 
 	mu  sync.Mutex // serializes index builds
@@ -34,51 +39,79 @@ type Graph struct {
 }
 
 // NewGraph returns an empty graph with a fresh dictionary.
-func NewGraph() *Graph {
-	return &Graph{dict: NewDict(), seen: make(map[[3]ID]struct{})}
+func NewGraph() *Graph { return NewGraphSize(0, 0) }
+
+// NewGraphSize returns an empty graph with room for terms distinct terms and
+// triples Adds, for a builder that can count them beforehand: neither the
+// dictionary nor the log then grows by copying itself.
+func NewGraphSize(terms, triples int) *Graph {
+	return &Graph{dict: newDictSize(terms), log: make([][3]ID, 0, triples), num: make([]uint64, 0, terms+1)}
 }
 
 // Dict exposes the graph's term dictionary. Callers must treat it as
-// read-only; interning new terms is done through Add.
+// read-only; terms are interned through Add or Intern.
 func (g *Graph) Dict() *Dict { return g.dict }
 
 // Len reports the number of distinct triples in the graph.
-func (g *Graph) Len() int { return len(g.log) }
+func (g *Graph) Len() int { return len(g.triples()) }
+
+// triples returns the log once the index build has dropped its duplicates.
+func (g *Graph) triples() [][3]ID {
+	g.index()
+	return g.log
+}
 
 // MaxID returns the largest dense term ID the graph's dictionary has issued.
 // Valid IDs are 1..MaxID; bitsets and the index's offset arrays are sized off
 // it.
 func (g *Graph) MaxID() ID { return ID(g.dict.Len()) }
 
-// Add inserts the triple (s, p, o). Duplicate triples are ignored.
-// It reports whether the triple was newly inserted. Add panics on a frozen
-// graph.
-func (g *Graph) Add(s, p, o Term) bool {
+// Intern returns the ID of t in the graph's dictionary, issuing the next one
+// when t is new. A builder that uses a term in many triples interns it once
+// and adds the triples with AddIDs. Intern panics on a frozen graph.
+func (g *Graph) Intern(t Term) ID {
 	g.mustBeMutable()
-	return g.AddIDs(g.dict.Intern(s), g.dict.Intern(p), g.dict.Intern(o))
+	return g.dict.Intern(t)
 }
 
-// AddTriple inserts t. Duplicate triples are ignored.
-func (g *Graph) AddTriple(t Triple) bool { return g.Add(t.S, t.P, t.O) }
+// InternFloat is Intern(Float(f)) for a builder that holds the number: the
+// value goes to the numeric column as it is, so the index build does not parse
+// back the lexical form written here. What it records is what Term.Float
+// reads from that form, bit for bit (of a NaN, the one NaN strconv returns).
+func (g *Graph) InternFloat(f float64) ID {
+	id := g.Intern(Float(f))
+	for len(g.num) <= int(id) {
+		g.num = append(g.num, unparsed)
+	}
+	if f != f {
+		f = math.NaN()
+	}
+	g.num[id] = math.Float64bits(f)
+	return id
+}
 
-// AddIDs inserts a triple given already-interned IDs. It reports whether the
-// triple was newly inserted, and panics on a frozen graph or on an ID the
-// graph's dictionary never issued (the index is sized off MaxID).
-func (g *Graph) AddIDs(s, p, o ID) bool {
+// Add inserts the triple (s, p, o); a triple already in the graph is ignored.
+// Add panics on a frozen graph.
+func (g *Graph) Add(s, p, o Term) {
+	g.mustBeMutable()
+	g.AddIDs(g.dict.Intern(s), g.dict.Intern(p), g.dict.Intern(o))
+}
+
+// AddTriple inserts t; a triple already in the graph is ignored.
+func (g *Graph) AddTriple(t Triple) { g.Add(t.S, t.P, t.O) }
+
+// AddIDs inserts a triple given already-interned IDs. It panics on a frozen
+// graph or on an ID the graph's dictionary never issued (the index is sized
+// off MaxID).
+func (g *Graph) AddIDs(s, p, o ID) {
 	g.mustBeMutable()
 	if max(s, p, o) > g.MaxID() || min(s, p, o) == NoID {
 		panic("rdf: AddIDs with an ID the dictionary never issued")
 	}
-	t := [3]ID{s, p, o}
-	if _, dup := g.seen[t]; dup {
-		return false
-	}
-	g.seen[t] = struct{}{}
-	g.log = append(g.log, t)
+	g.log = append(g.log, [3]ID{s, p, o})
 	if g.idx.Load() != nil {
 		g.idx.Store(nil)
 	}
-	return true
 }
 
 // mustBeMutable panics when the graph was frozen: like Dict.Term on an ID it
@@ -90,16 +123,26 @@ func (g *Graph) mustBeMutable() {
 }
 
 // Freeze ends the graph's building phase: it builds the index now (so no
-// reader pays for it), releases the duplicate-detection set and makes every
-// later Add panic. Freezing is one-way and idempotent. Like Add it must not
-// run concurrently with anything else on an unfrozen graph.
+// reader pays for it), cuts the dictionary's term table and the log to their
+// lengths — what a capacity hint or an append's doubling left over would stay
+// resident with the graph — and makes every later Add panic. Freezing is
+// one-way and idempotent. Like Add it must not run concurrently with anything
+// else on an unfrozen graph.
 func (g *Graph) Freeze() {
 	if g.frozen {
 		return
 	}
 	g.index()
-	g.seen = nil
+	g.dict.byID, g.log = clip(g.dict.byID), clip(g.log)
 	g.frozen = true
+}
+
+// clip returns s without spare capacity, in a new array if it has any.
+func clip[S ~[]E, E any](s S) S {
+	if cap(s) == len(s) {
+		return s
+	}
+	return slices.Clone(s)
 }
 
 // index returns the graph's index, building it on first use after the last
@@ -113,7 +156,9 @@ func (g *Graph) index() *index {
 	if ix := g.idx.Load(); ix != nil {
 		return ix
 	}
-	ix := buildIndex(g.log, g.dict.byID)
+	g.num = parseNumbers(g.num, g.dict.byID)
+	var ix *index
+	ix, g.log = buildIndex(g.log, g.num)
 	g.idx.Store(ix)
 	return ix
 }
@@ -257,7 +302,7 @@ func (g *Graph) Count(s, p, o ID) int {
 		lo, hi := ix.osp.bucket(o)
 		return hi - lo
 	default:
-		return len(g.log)
+		return len(g.log) // distinct: ix was built over it
 	}
 }
 
@@ -265,7 +310,7 @@ func (g *Graph) Count(s, p, o ID) int {
 // Match: a filtered scan of the insertion log. It is the reference the index
 // is tested against and the baseline of the index ablation benchmark.
 func (g *Graph) MatchScan(s, p, o ID, fn func(s, p, o ID) bool) {
-	for _, t := range g.log {
+	for _, t := range g.triples() {
 		if (s == NoID || t[0] == s) && (p == NoID || t[1] == p) && (o == NoID || t[2] == o) {
 			if !fn(t[0], t[1], t[2]) {
 				return
@@ -277,8 +322,9 @@ func (g *Graph) MatchScan(s, p, o ID, fn func(s, p, o ID) bool) {
 // Triples materializes every triple in the graph, in insertion order.
 // Intended for tests and serialization, not for matching.
 func (g *Graph) Triples() []Triple {
-	out := make([]Triple, len(g.log))
-	for i, t := range g.log {
+	log := g.triples()
+	out := make([]Triple, len(log))
+	for i, t := range log {
 		out[i] = Triple{g.dict.Term(t[0]), g.dict.Term(t[1]), g.dict.Term(t[2])}
 	}
 	return out

@@ -26,15 +26,19 @@ func TestGraphAddAndLen(t *testing.T) {
 	if g.Len() != 8 {
 		t.Fatalf("Len = %d, want 8", g.Len())
 	}
-	// Duplicate insert is a no-op.
-	if g.Add(IRI("pop2"), IRI("hasPopType"), String("NLJOIN")) {
-		t.Error("duplicate Add reported inserted")
-	}
+	// Duplicate insert is a no-op, before a read and after one.
+	g.Add(IRI("pop2"), IRI("hasPopType"), String("NLJOIN"))
+	g.Add(IRI("pop2"), IRI("hasPopType"), String("NLJOIN"))
 	if g.Len() != 8 {
 		t.Errorf("Len after duplicate = %d, want 8", g.Len())
 	}
-	if !g.Add(IRI("pop2"), IRI("hasPopType"), String("HSJOIN")) {
-		t.Error("fresh Add reported not-inserted")
+	g.Add(IRI("pop3"), IRI("hasPopType"), String("FETCH"))
+	if g.Len() != 8 {
+		t.Errorf("Len after a duplicate that follows a read = %d, want 8", g.Len())
+	}
+	g.Add(IRI("pop2"), IRI("hasPopType"), String("HSJOIN"))
+	if g.Len() != 9 {
+		t.Errorf("Len after a fresh Add = %d, want 9", g.Len())
 	}
 }
 

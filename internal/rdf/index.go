@@ -14,15 +14,43 @@ type index struct {
 	spo, pos, osp perm
 	nodes         []ID // distinct subjects and objects, ascending
 	// num holds Term.Float of every term by ID, as float bits: notNumber where
-	// the term has no numeric value. Every literal is parsed here, once, for
-	// all the evaluations the graph will see.
+	// the term has no numeric value. Every literal is parsed — or was handed
+	// over as a number, by InternFloat — once, for all the evaluations the
+	// graph will see.
 	num   []uint64
 	preds []PredStats // one entry per predicate in use, ascending by Pred
 }
 
-// notNumber marks a term without a numeric value in index.num: a NaN payload
-// no parse produces (strconv's "NaN" is 0x7FF8000000000001).
-const notNumber uint64 = 0x7FF8_0000_0BAD_0BAD
+// notNumber marks a term without a numeric value in index.num, unparsed one
+// whose lexical form the next index build has yet to read: NaN payloads no
+// parse produces (strconv's "NaN" is 0x7FF8000000000001).
+const (
+	notNumber uint64 = 0x7FF8_0000_0BAD_0BAD
+	unparsed  uint64 = 0x7FF8_0000_0BAD_0BAE
+)
+
+// parseNumbers completes the numeric column: it extends num to one entry per
+// term and parses every entry still unparsed. Entries already filled are
+// final, so an index built earlier keeps sharing them.
+func parseNumbers(num []uint64, terms []Term) []uint64 {
+	if len(num) != len(terms) {
+		all := make([]uint64, len(terms))
+		for i := copy(all, num); i < len(all); i++ {
+			all[i] = unparsed
+		}
+		num = all
+	}
+	for id, bits := range num {
+		if bits != unparsed {
+			continue
+		}
+		num[id] = notNumber
+		if f, ok := terms[id].Float(); ok {
+			num[id] = math.Float64bits(f)
+		}
+	}
+	return num
+}
 
 // PredStats describes the triples of one predicate: what a join-order
 // estimate can know about a pattern over it without looking at a triple.
@@ -93,14 +121,18 @@ func lowerBound(col []ID, v ID) int {
 	return lo
 }
 
-// buildIndex sorts the log three ways. terms is the dictionary's ID -> term
-// table; its last ID is the largest a triple may carry. Per column one
-// histogram, prefix-summed into the bucket offsets; each permutation is then
-// two stable counting-sort passes over row numbers (least significant key
-// first), so ties keep the log's insertion order. The numeric column and the
-// predicate statistics are read off the sorted columns afterwards.
-func buildIndex(log [][3]ID, terms []Term) *index {
-	maxID := len(terms) - 1
+// buildIndex sorts the log three ways and returns it without its duplicates.
+// num is the numeric column, one entry per term; its last ID is the largest a
+// triple may carry. Per column one histogram, prefix-summed into the bucket
+// offsets; each permutation is then two stable counting-sort passes over row
+// numbers (least significant key first), so ties keep the log's insertion
+// order. A third pass over POS's rows sorts them by the whole triple, which
+// puts the occurrences of one triple side by side, earliest Add first: when
+// there are any, the later ones are cut out of the log — in place, every
+// other row keeping its order — and the build starts over on what is left.
+// The predicate statistics are read off the sorted columns afterwards.
+func buildIndex(log [][3]ID, num []uint64) (*index, [][3]ID) {
+	maxID := len(num) - 1
 	var off [3][]uint32
 	for k := range off {
 		off[k] = make([]uint32, maxID+2)
@@ -123,9 +155,8 @@ func buildIndex(log [][3]ID, terms []Term) *index {
 		}
 		return out
 	}
-	// permute materializes the permutation (a, b, c) of columns.
-	permute := func(rows []uint32, a, b, c int) perm {
-		rows = sortBy(sortBy(rows, b), a)
+	// columns materializes rows, sorted by (a, b), as the permutation (a, b, c).
+	columns := func(rows []uint32, a, b, c int) perm {
 		p := perm{off: off[a], b: make([]ID, len(rows)), c: make([]ID, len(rows))}
 		for i, r := range rows {
 			p.b[i], p.c[i] = log[r][b], log[r][c]
@@ -136,14 +167,33 @@ func buildIndex(log [][3]ID, terms []Term) *index {
 	for i := range insertion {
 		insertion[i] = uint32(i)
 	}
-	ix := &index{
-		spo:   permute(insertion, 0, 1, 2),
-		pos:   permute(insertion, 1, 2, 0),
-		osp:   permute(insertion, 2, 0, 1),
-		nodes: make([]ID, 0, maxID),
+	byPO := sortBy(sortBy(insertion, 2), 1)
+	bySPO := sortBy(byPO, 0)
+	var dup []bool // by row; allocated with the first duplicate found
+	for i := 1; i < len(bySPO); i++ {
+		if log[bySPO[i]] == log[bySPO[i-1]] {
+			if dup == nil {
+				dup = make([]bool, len(log))
+			}
+			dup[bySPO[i]] = true
+		}
 	}
-	ix.num = make([]uint64, maxID+1)
-	ix.num[NoID] = notNumber
+	if dup != nil {
+		distinct := log[:0]
+		for r, t := range log {
+			if !dup[r] {
+				distinct = append(distinct, t)
+			}
+		}
+		return buildIndex(distinct, num)
+	}
+	ix := &index{
+		spo:   columns(sortBy(sortBy(insertion, 1), 0), 0, 1, 2),
+		pos:   columns(byPO, 1, 2, 0),
+		osp:   columns(sortBy(sortBy(insertion, 0), 2), 2, 0, 1),
+		nodes: make([]ID, 0, maxID),
+		num:   num,
+	}
 	// In SPO the rows of one (s, p) are contiguous: each run is one distinct
 	// subject of p. The counts go to the sort's cursor array, done with.
 	subjects, nPreds := cursor, 0
@@ -154,10 +204,6 @@ func buildIndex(log [][3]ID, terms []Term) *index {
 		}
 		if off[1][id] != off[1][id+1] {
 			nPreds++
-		}
-		ix.num[id] = notNumber
-		if f, ok := terms[id].Float(); ok {
-			ix.num[id] = math.Float64bits(f)
 		}
 		prev := NoID
 		for _, p := range ix.spo.b[off[0][id]:off[0][id+1]] {
@@ -195,5 +241,5 @@ func buildIndex(log [][3]ID, terms []Term) *index {
 		}
 		ix.preds = append(ix.preds, st)
 	}
-	return ix
+	return ix, log
 }

@@ -197,9 +197,6 @@ func TestFreeze(t *testing.T) {
 	if g.index() != ix {
 		t.Error("second Freeze rebuilt the index")
 	}
-	if g.seen != nil {
-		t.Error("Freeze kept the builder's duplicate set")
-	}
 	if got := g.Triples(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Triples after Freeze = %v, want %v", got, want)
 	}

@@ -2,31 +2,178 @@ package rdf
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // WriteNTriples serializes the graph in N-Triples form, one statement per
-// line, sorted lexicographically so output is deterministic. This is the
-// "generated RDF in textual representation" of the paper's Figure 2.
+// line, the lines in ascending byte order so output is deterministic. This is
+// the "generated RDF in textual representation" of the paper's Figure 2.
+//
+// A term is rendered once, however many triples carry it, and the lines are
+// never compared: the rendered tokens are ranked and the triples ordered by
+// (rank s, rank p, rank o). That is the order of the lines because the set of
+// tokens, each with the space that follows it on a line, is prefix-free — so
+// two lines differ first inside the first token they do not share, at a byte
+// that also decides those two tokens' ranks. Prefix-free: were `a ` a proper
+// prefix of `b `, b would continue behind a with a space. Behind an IRI token
+// that needs a raw '>' inside b's IRI (the IRI of b's datatype, if b is a
+// literal starting with a's), which appendIRI escapes; behind a literal's
+// closing quote it needs an unescaped '"' inside b's lexical form — the same
+// bytes precede it in a and in b, so it is unescaped in both — which
+// appendQuoted escapes; behind a literal's datatype see the IRI case. A blank
+// node label holding a space would do it; N-Triples has no such label and
+// cannot read the line back either way.
 func WriteNTriples(w io.Writer, g *Graph) error {
-	lines := make([]string, 0, g.Len())
-	for _, t := range g.Triples() {
-		lines = append(lines, t.String())
+	log, terms := g.triples(), g.dict.byID
+	// Token id is text[start[id]:start[id+1]], its trailing space included.
+	start := make([]int, len(terms)+1)
+	size := 0
+	for _, t := range terms {
+		size += len(t.Value) + len(t.Datatype) + 8
 	}
-	sort.Strings(lines)
-	bw := bufio.NewWriter(w)
-	for _, line := range lines {
-		if _, err := bw.WriteString(line); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
+	text := make([]byte, 0, size)
+	for id := 1; id < len(terms); id++ {
+		start[id] = len(text)
+		text = append(appendTerm(text, terms[id]), ' ')
+	}
+	start[len(terms)] = len(text)
+	token := func(id ID) []byte { return text[start[id]:start[id+1]] }
+
+	// byRank lists the IDs in token order; two terms that render alike (a plain
+	// literal and its xsd:string twin) share the rank of the first.
+	byRank := make([]ID, len(terms)-1)
+	for i := range byRank {
+		byRank[i] = ID(i + 1)
+	}
+	slices.SortFunc(byRank, func(a, b ID) int { return bytes.Compare(token(a), token(b)) })
+	rank := make([]ID, len(terms))
+	for i, id := range byRank {
+		rank[id] = ID(i)
+		if i > 0 && bytes.Equal(token(id), token(byRank[i-1])) {
+			rank[id] = rank[byRank[i-1]]
 		}
 	}
-	return bw.Flush()
+
+	// The triples as ranks, ordered by three stable counting-sort passes, the
+	// least significant component first.
+	rows, sorted := make([][3]ID, len(log)), make([][3]ID, len(log))
+	size = 0
+	for i, t := range log {
+		rows[i] = [3]ID{rank[t[0]], rank[t[1]], rank[t[2]]}
+		size += len(token(t[0])) + len(token(t[1])) + len(token(t[2])) + len(".\n")
+	}
+	next := make([]int, len(terms)+1)
+	for k := 2; k >= 0; k-- {
+		clear(next)
+		for _, r := range rows {
+			next[r[k]+1]++
+		}
+		for i := 1; i < len(next); i++ {
+			next[i] += next[i-1]
+		}
+		for _, r := range rows {
+			sorted[next[r[k]]] = r
+			next[r[k]]++
+		}
+		rows, sorted = sorted, rows
+	}
+	out := make([]byte, 0, size)
+	for _, r := range rows {
+		for _, rk := range r {
+			out = append(out, token(byRank[rk])...)
+		}
+		out = append(out, ".\n"...)
+	}
+	_, err := w.Write(out)
+	return err
+}
+
+// appendTerm appends t in N-Triples syntax: <iri>, _:label, or
+// "lexical"^^<datatype>.
+func appendTerm(dst []byte, t Term) []byte {
+	switch t.Kind {
+	case IRIKind:
+		return append(appendIRI(append(dst, '<'), t.Value), '>')
+	case BlankKind:
+		return append(append(dst, "_:"...), t.Value...)
+	case LiteralKind:
+		dst = appendQuoted(dst, t.Value)
+		if t.Datatype == "" || t.Datatype == XSDString {
+			return dst
+		}
+		return append(appendIRI(append(dst, "^^<"...), t.Datatype), '>')
+	default:
+		return append(dst, "<invalid term>"...)
+	}
+}
+
+// appendIRI appends iri with every character the IRIREF production excludes —
+// controls and space, <>"{}|^`, backslash — written as a \u escape. An explain
+// file can put any of them into a statement ID, an argument key or an object
+// name, and so into an IRI; raw, a '>' or a space ends the term early for
+// whoever reads the document.
+func appendIRI(dst []byte, iri string) []byte {
+	const hex = "0123456789ABCDEF"
+	clean := 0 // iri[clean:i] needs no escape and is not yet appended
+	for i := 0; i < len(iri); i++ {
+		if c := iri[i]; iriExcluded[c] {
+			dst = append(append(dst, iri[clean:i]...), '\\', 'u', '0', '0', hex[c>>4], hex[c&15])
+			clean = i + 1
+		}
+	}
+	return append(dst, iri[clean:]...)
+}
+
+var iriExcluded = func() (excluded [256]bool) {
+	for c := 0; c <= ' '; c++ {
+		excluded[c] = true
+	}
+	for _, c := range []byte("<>\"{}|^`\\") {
+		excluded[c] = true
+	}
+	return excluded
+}()
+
+// appendQuoted appends s as a quoted N-Triples string: quote, backslash, line
+// feed, carriage return and tab escaped, every byte that is not part of a
+// UTF-8 sequence replaced by U+FFFD, everything else as it is.
+func appendQuoted(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	clean := 0 // s[clean:i] goes out as it is and is not yet appended
+	for i := 0; i < len(s); {
+		var escape string
+		switch c := s[i]; {
+		case c == '"':
+			escape = `\"`
+		case c == '\\':
+			escape = `\\`
+		case c == '\n':
+			escape = `\n`
+		case c == '\r':
+			escape = `\r`
+		case c == '\t':
+			escape = `\t`
+		case c < utf8.RuneSelf:
+			i++
+			continue
+		default:
+			if r, size := utf8.DecodeRuneInString(s[i:]); r != utf8.RuneError || size > 1 {
+				i += size
+				continue
+			}
+			escape = string(utf8.RuneError)
+		}
+		dst = append(append(dst, s[clean:i]...), escape...)
+		i++
+		clean = i
+	}
+	return append(append(dst, s[clean:]...), '"')
 }
 
 // ParseNTriples reads N-Triples statements from r into a fresh graph.
@@ -98,7 +245,10 @@ func (p *ntParser) term() (Term, error) {
 		if end < 0 {
 			return Term{}, fmt.Errorf("unterminated IRI")
 		}
-		iri := p.input[p.pos+1 : p.pos+end]
+		iri, err := unescapeIRI(p.input[p.pos+1 : p.pos+end])
+		if err != nil {
+			return Term{}, err
+		}
 		p.pos += end + 1
 		return IRI(iri), nil
 	case '_':
@@ -129,7 +279,9 @@ func (p *ntParser) term() (Term, error) {
 			if end < 0 {
 				return Term{}, fmt.Errorf("unterminated datatype IRI")
 			}
-			datatype = p.input[p.pos : p.pos+end]
+			if datatype, err = unescapeIRI(p.input[p.pos : p.pos+end]); err != nil {
+				return Term{}, err
+			}
 			p.pos += end + 1
 		}
 		return TypedLiteral(lex, datatype), nil
@@ -139,6 +291,40 @@ func (p *ntParser) term() (Term, error) {
 }
 
 func isNTSpace(b byte) bool { return b == ' ' || b == '\t' }
+
+// unescapeIRI decodes the \uXXXX and \UXXXXXXXX escapes of an IRI, the only
+// ones the grammar gives it (see appendIRI for the writing side).
+func unescapeIRI(s string) (string, error) {
+	if strings.IndexByte(s, '\\') < 0 {
+		return s, nil
+	}
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		if s[i] != '\\' {
+			b.WriteByte(s[i])
+			continue
+		}
+		digits := 0
+		if i+1 < len(s) {
+			switch s[i+1] {
+			case 'u':
+				digits = 4
+			case 'U':
+				digits = 8
+			}
+		}
+		if digits == 0 || i+2+digits > len(s) {
+			return "", fmt.Errorf("bad escape in IRI %q", s)
+		}
+		r, err := strconv.ParseUint(s[i+2:i+2+digits], 16, 32)
+		if err != nil || !utf8.ValidRune(rune(r)) {
+			return "", fmt.Errorf("bad escape in IRI %q", s)
+		}
+		b.WriteRune(rune(r))
+		i += 1 + digits
+	}
+	return b.String(), nil
+}
 
 func unquoteLiteral(s string, start int) (lex string, next int, err error) {
 	var b strings.Builder

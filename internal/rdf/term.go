@@ -149,22 +149,7 @@ func (t Term) IsNumeric() bool {
 
 // String renders the term in N-Triples syntax: <iri>, _:label, or
 // "lexical"^^<datatype>.
-func (t Term) String() string {
-	switch t.Kind {
-	case IRIKind:
-		return "<" + t.Value + ">"
-	case BlankKind:
-		return "_:" + t.Value
-	case LiteralKind:
-		q := quoteLiteral(t.Value)
-		if t.Datatype == "" || t.Datatype == XSDString {
-			return q
-		}
-		return q + "^^<" + t.Datatype + ">"
-	default:
-		return "<invalid term>"
-	}
-}
+func (t Term) String() string { return string(appendTerm(nil, t)) }
 
 // Compare orders terms: IRIs before blanks before literals; within a kind,
 // lexicographically by value (numeric literals compare by value when both
@@ -191,30 +176,6 @@ func (t Term) Compare(o Term) int {
 		}
 	}
 	return strings.Compare(t.Value, o.Value)
-}
-
-func quoteLiteral(s string) string {
-	var b strings.Builder
-	b.Grow(len(s) + 2)
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	b.WriteByte('"')
-	return b.String()
 }
 
 // Triple is a single RDF statement.

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"sort"
 	"strconv"
@@ -17,7 +20,9 @@ import (
 	"optimatch/internal/kb"
 	"optimatch/internal/pattern"
 	"optimatch/internal/qep"
+	"optimatch/internal/rdf"
 	"optimatch/internal/store"
+	"optimatch/internal/transform"
 )
 
 func testServer(t *testing.T) (*Server, *httptest.Server) {
@@ -125,6 +130,51 @@ func TestUploadRenderAndRDF(t *testing.T) {
 	}
 	// Unknown plan -> 404.
 	getJSON(t, ts.URL+"/api/plans/GHOST/render", http.StatusNotFound, nil)
+}
+
+// A statement ID, an argument key and an object name are free text in an
+// explain file and part of an IRI in the plan's graph. The N-Triples served
+// for such a plan must be N-Triples: before IRIs were escaped, `a>b c` put a
+// raw '>' and a space inside <...> and rdf.ParseNTriples refused line 1.
+func TestPlanRDFEscapesIRIs(t *testing.T) {
+	s, ts := testServer(t)
+	const id = "a>b c"
+	p := fixtures.Renamed(fixtures.Figure1(), id)
+	p.Operators[2].Args["MAX PAGES<^>"] = "ALL"
+	const object = "CUST{DIM}|`\\\""
+	text := strings.ReplaceAll(qep.Text(p), "CUST_DIM", object)
+	postBody(t, ts.URL+"/api/plans", text, http.StatusCreated, nil)
+
+	resp, err := http.Get(ts.URL + "/api/plans/" + url.PathEscape(id) + "/rdf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET rdf: status %d, %v", resp.StatusCode, err)
+	}
+	g, err := rdf.ParseNTriples(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("the served N-Triples do not parse: %v", err)
+	}
+	if want := s.eng.Result(id).Graph; g.Len() != want.Len() {
+		t.Errorf("read back %d triples, the plan's graph has %d", g.Len(), want.Len())
+	}
+	var again bytes.Buffer
+	if err := rdf.WriteNTriples(&again, g); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), body) {
+		t.Error("the graph read back serializes differently from what was served")
+	}
+	for _, iri := range []string{
+		transform.PopNS + id + "/plan", transform.ArgNS + "MAX PAGES<^>", transform.PopNS + id + "/obj/" + object,
+	} {
+		if g.Dict().Lookup(rdf.IRI(iri)) == rdf.NoID {
+			t.Errorf("IRI %q did not come back", iri)
+		}
+	}
 }
 
 func TestSearchEndpoint(t *testing.T) {

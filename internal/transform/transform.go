@@ -16,6 +16,7 @@ package transform
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"optimatch/internal/qep"
 	"optimatch/internal/rdf"
@@ -87,7 +88,7 @@ type Result struct {
 
 // PopIRI returns the resource IRI of an operator in this plan.
 func (r *Result) PopIRI(op *qep.Operator) rdf.Term {
-	return rdf.IRI(fmt.Sprintf("%s%s/pop/%d", PopNS, r.Plan.ID, op.ID))
+	return rdf.IRI(PopNS + r.Plan.ID + "/pop/" + strconv.Itoa(op.ID))
 }
 
 // ObjIRI returns the resource IRI of a base object in this plan.
@@ -132,107 +133,121 @@ func (r *Result) Describe(t rdf.Term) string {
 
 // Transform converts a plan into its RDF graph representation. The returned
 // graph is frozen.
+//
+// A plan resource or a predicate is in many triples and a literal mostly in
+// one, so the graph is built from IDs: every resource and predicate is
+// interned once (builder) and only literal objects go through the dictionary
+// per triple. Each term is interned where its first triple needs it — Go
+// evaluates add's arguments left to right, subject before predicate before
+// object — so the dictionary numbers the terms in the order of their first
+// appearance in the triple sequence, which every Match order, served report
+// and N-Triples line of a plan is a function of. transformReference, in the
+// tests, is the term-at-a-time form of the same sequence.
 func Transform(p *qep.Plan) *Result {
+	ops := p.Ops()
 	r := &Result{
-		Plan:  p,
-		Graph: rdf.NewGraph(),
-		ops:   make(map[string]*qep.Operator, len(p.Operators)),
-		objs:  make(map[string]*qep.BaseObject, len(p.Objects)),
+		Plan: p,
+		ops:  make(map[string]*qep.Operator, len(ops)),
+		objs: make(map[string]*qep.BaseObject, len(p.Objects)),
 	}
-	g := r.Graph
+	b := newBuilder(r, ops)
+	g, add := b.g, b.g.AddIDs
+	r.Graph = g
+	str := func(s string) rdf.ID { return g.Intern(rdf.String(s)) }
+	iriOf := func(id rdf.ID) string { return g.Dict().Term(id).Value }
 
 	// Plan-level resource.
-	plan := r.PlanIRI()
-	g.Add(plan, rdf.IRI(PredStatementID), rdf.String(p.ID))
-	g.Add(plan, rdf.IRI(PredStatementText), rdf.String(p.Statement))
-	g.Add(plan, rdf.IRI(PredTotalCost), rdf.Float(p.TotalCost))
-	g.Add(plan, rdf.IRI(PredNumOperators), rdf.Int(int64(p.NumOps())))
+	plan := g.Intern(r.PlanIRI())
+	add(plan, b.pred(hasStatementID), str(p.ID))
+	add(plan, b.pred(hasStatementText), str(p.Statement))
+	add(plan, b.pred(hasTotalCost), g.InternFloat(p.TotalCost))
+	add(plan, b.pred(hasNumOperators), g.Intern(rdf.Int(int64(p.NumOps()))))
 	if p.Root != nil {
-		g.Add(plan, rdf.IRI(PredRootPop), r.PopIRI(p.Root))
+		add(plan, b.pred(hasRootPop), b.pop(p.Root))
 	}
 
 	// Base objects.
 	for _, name := range sortedKeys(p.Objects) {
 		obj := p.Objects[name]
-		node := r.ObjIRI(obj)
-		r.objs[node.Value] = obj
-		g.Add(node, rdf.IRI(PredIsBaseObj), rdf.Bool(true))
-		g.Add(node, rdf.IRI(PredPopType), rdf.String(BaseObjType))
-		g.Add(node, rdf.IRI(PredName), rdf.String(obj.Name))
-		g.Add(node, rdf.IRI(PredObjectType), rdf.String(obj.Type))
-		g.Add(node, rdf.IRI(PredCardinality), rdf.Float(obj.Cardinality))
+		node := b.obj(obj)
+		r.objs[iriOf(node)] = obj
+		add(node, b.pred(isABaseObj), g.Intern(rdf.Bool(true)))
+		add(node, b.pred(hasPopType), str(BaseObjType))
+		add(node, b.pred(hasName), str(obj.Name))
+		add(node, b.pred(hasObjectType), str(obj.Type))
+		add(node, b.pred(hasEstimateCardinality), g.InternFloat(obj.Cardinality))
 		for _, col := range obj.Columns {
-			g.Add(node, rdf.IRI(PredColumn), rdf.String(col))
+			add(node, b.pred(hasColumn), str(col))
 		}
 	}
 
 	// Operators with their properties.
-	for _, op := range p.Ops() {
-		node := r.PopIRI(op)
-		r.ops[node.Value] = op
-		g.Add(node, rdf.IRI(PredPopType), rdf.String(op.Type))
-		g.Add(node, rdf.IRI(PredPopClass), rdf.String(op.Class()))
-		g.Add(node, rdf.IRI(PredOperatorNumber), rdf.Int(int64(op.ID)))
-		g.Add(node, rdf.IRI(PredTotalCost), rdf.Float(op.TotalCost))
-		g.Add(node, rdf.IRI(PredIOCost), rdf.Float(op.IOCost))
-		g.Add(node, rdf.IRI(PredCPUCost), rdf.Float(op.CPUCost))
-		g.Add(node, rdf.IRI(PredFirstRowCost), rdf.Float(op.FirstRow))
-		g.Add(node, rdf.IRI(PredBufferpool), rdf.Float(op.Buffers))
-		g.Add(node, rdf.IRI(PredCardinality), rdf.Float(op.Cardinality))
-		g.Add(node, rdf.IRI(PredTotalCostIncrease), rdf.Float(op.SelfCost()))
-		g.Add(node, rdf.IRI(PredJoinType), rdf.String(joinTypeName(op)))
+	for _, op := range ops {
+		node := b.pop(op)
+		r.ops[iriOf(node)] = op
+		add(node, b.pred(hasPopType), str(op.Type))
+		add(node, b.pred(hasPopClass), str(op.Class()))
+		add(node, b.pred(hasOperatorNumber), g.Intern(rdf.Int(int64(op.ID))))
+		add(node, b.pred(hasTotalCost), g.InternFloat(op.TotalCost))
+		add(node, b.pred(hasIOCost), g.InternFloat(op.IOCost))
+		add(node, b.pred(hasCPUCost), g.InternFloat(op.CPUCost))
+		add(node, b.pred(hasFirstRowCost), g.InternFloat(op.FirstRow))
+		add(node, b.pred(hasBufferpoolBuffers), g.InternFloat(op.Buffers))
+		add(node, b.pred(hasEstimateCardinality), g.InternFloat(op.Cardinality))
+		add(node, b.pred(hasTotalCostIncrease), g.InternFloat(op.SelfCost()))
+		add(node, b.pred(hasJoinType), str(joinTypeName(op)))
 		for _, pr := range op.Predicates {
-			g.Add(node, rdf.IRI(PredPredicateText), rdf.String(pr))
+			add(node, b.pred(hasPredicateText), str(pr))
 		}
 		for _, k := range sortedKeys(op.Args) {
-			g.Add(node, rdf.IRI(ArgNS+k), rdf.String(op.Args[k]))
+			add(node, b.arg(k), str(op.Args[k]))
 		}
 	}
 
 	// Streams: one reified node per (parent, input) edge, so each consumer
 	// of a shared subexpression has a distinct connection.
-	for _, op := range p.Ops() {
-		parent := r.PopIRI(op)
+	for _, op := range ops {
+		parent := b.pop(op)
 		for i, in := range op.Inputs {
-			streamPred := PredInputStream
-			childPred := PredChildPop
+			streamPred, childPred := hasInputStream, hasChildPop
 			switch in.Kind {
 			case qep.OuterStream:
-				streamPred = PredOuterInputStream
-				childPred = PredOuterChildPop
+				streamPred, childPred = hasOuterInputStream, hasOuterChildPop
 			case qep.InnerStream:
-				streamPred = PredInnerInputStream
-				childPred = PredInnerChildPop
+				streamPred, childPred = hasInnerInputStream, hasInnerChildPop
 			}
-			var child rdf.Term
+			typed := b.pred(streamPred)
+			stream := g.Intern(rdf.IRI(PopNS + p.ID + "/stream/" + strconv.Itoa(op.ID) + "_" + strconv.Itoa(i)))
+			add(parent, typed, stream)
+			var child rdf.ID
 			if in.Op != nil {
-				child = r.PopIRI(in.Op)
+				child = b.pop(in.Op)
 			} else {
-				child = r.ObjIRI(in.Obj)
+				child = b.obj(in.Obj)
 			}
-			stream := rdf.IRI(fmt.Sprintf("%s%s/stream/%d_%d", PopNS, p.ID, op.ID, i))
-			g.Add(parent, rdf.IRI(streamPred), stream)
-			g.Add(stream, rdf.IRI(streamPred), child)
-			g.Add(child, rdf.IRI(PredOutputStream), stream)
-			g.Add(stream, rdf.IRI(PredOutputStream), parent)
-			if streamPred != PredInputStream {
+			add(stream, typed, child)
+			add(child, b.pred(hasOutputStream), stream)
+			add(stream, b.pred(hasOutputStream), parent)
+			if streamPred != hasInputStream {
 				// Typed streams also carry the generic hasInputStream edge,
 				// so a pattern's generic-input clause matches any stream
 				// kind (the paper's "generic input used for any kind of
 				// operator").
-				g.Add(parent, rdf.IRI(PredInputStream), stream)
-				g.Add(stream, rdf.IRI(PredInputStream), child)
+				add(parent, b.pred(hasInputStream), stream)
+				add(stream, b.pred(hasInputStream), child)
 			}
-			g.Add(stream, rdf.IRI(PredStreamRows), rdf.Float(in.Rows))
+			add(stream, b.pred(hasStreamRows), g.InternFloat(in.Rows))
 			for _, col := range in.Columns {
-				g.Add(stream, rdf.IRI(PredStreamColumn), rdf.String(col))
+				add(stream, b.pred(hasStreamColumn), str(col))
 			}
 
 			// Derived direct edges (general hasChildPop plus the typed
 			// variant) to keep descendant property paths single-predicate.
-			g.Add(parent, rdf.IRI(PredChildPop), child)
-			if childPred != PredChildPop {
-				g.Add(parent, rdf.IRI(childPred), child)
+			// A child that feeds one parent twice derives the general edge
+			// twice; the graph keeps the first.
+			add(parent, b.pred(hasChildPop), child)
+			if childPred != hasChildPop {
+				add(parent, b.pred(childPred), child)
 			}
 		}
 	}
@@ -241,6 +256,157 @@ func Transform(p *qep.Plan) *Result {
 	// table lock nor the first query pays for it.
 	g.Freeze()
 	return r
+}
+
+// pred numbers the fixed vocabulary for the builder's table of interned
+// predicates; predIRI is the vocabulary by number.
+type pred uint8
+
+const (
+	hasPopType pred = iota
+	hasPopClass
+	hasOperatorNumber
+	hasTotalCost
+	hasIOCost
+	hasCPUCost
+	hasFirstRowCost
+	hasBufferpoolBuffers
+	hasEstimateCardinality
+	hasTotalCostIncrease
+	hasJoinType
+	hasPredicateText
+	hasOuterInputStream
+	hasInnerInputStream
+	hasInputStream
+	hasOutputStream
+	hasStreamRows
+	hasStreamColumn
+	hasChildPop
+	hasOuterChildPop
+	hasInnerChildPop
+	isABaseObj
+	hasName
+	hasObjectType
+	hasColumn
+	hasStatementID
+	hasStatementText
+	hasNumOperators
+	hasRootPop
+	numPreds
+)
+
+var predIRI = [numPreds]string{
+	hasPopType:             PredPopType,
+	hasPopClass:            PredPopClass,
+	hasOperatorNumber:      PredOperatorNumber,
+	hasTotalCost:           PredTotalCost,
+	hasIOCost:              PredIOCost,
+	hasCPUCost:             PredCPUCost,
+	hasFirstRowCost:        PredFirstRowCost,
+	hasBufferpoolBuffers:   PredBufferpool,
+	hasEstimateCardinality: PredCardinality,
+	hasTotalCostIncrease:   PredTotalCostIncrease,
+	hasJoinType:            PredJoinType,
+	hasPredicateText:       PredPredicateText,
+	hasOuterInputStream:    PredOuterInputStream,
+	hasInnerInputStream:    PredInnerInputStream,
+	hasInputStream:         PredInputStream,
+	hasOutputStream:        PredOutputStream,
+	hasStreamRows:          PredStreamRows,
+	hasStreamColumn:        PredStreamColumn,
+	hasChildPop:            PredChildPop,
+	hasOuterChildPop:       PredOuterChildPop,
+	hasInnerChildPop:       PredInnerChildPop,
+	isABaseObj:             PredIsBaseObj,
+	hasName:                PredName,
+	hasObjectType:          PredObjectType,
+	hasColumn:              PredColumn,
+	hasStatementID:         PredStatementID,
+	hasStatementText:       PredStatementText,
+	hasNumOperators:        PredNumOperators,
+	hasRootPop:             PredRootPop,
+}
+
+// builder holds the ID of every term Transform uses more than once, interned
+// on first use: the predicates of the vocabulary by number, the argument
+// predicates by argument key, the plan's operator and base-object resources
+// by the plan entity they stand for.
+type builder struct {
+	r     *Result
+	g     *rdf.Graph
+	preds [numPreds]rdf.ID
+	args  map[string]rdf.ID
+	pops  map[*qep.Operator]rdf.ID
+	objs  map[*qep.BaseObject]rdf.ID
+}
+
+// newBuilder sizes the graph from the plan. The log is for exactly the triples
+// Transform adds. The dictionary is for the terms that cannot coincide — plan,
+// operators, objects, stream nodes, vocabulary — plus two fifths of the triples
+// whose object is a literal: literals repeat (column names, types, zero
+// costs), the plans measured keep 0.46 to 0.61 of those occurrences distinct,
+// and a hint past the real count would stay resident as a larger map, where
+// one short of it costs a regrow of part of the map (DESIGN.md §11).
+func newBuilder(r *Result, ops []*qep.Operator) *builder {
+	p := r.Plan
+	triples, links, streams := 5, 1, 0 // links: the triples whose object is a resource
+	for _, obj := range p.Objects {
+		triples += 5 + len(obj.Columns)
+	}
+	for _, op := range ops {
+		triples += 11 + len(op.Predicates) + len(op.Args)
+		for _, in := range op.Inputs {
+			edges := 5
+			if in.Kind != qep.GeneralStream {
+				edges = 8
+			}
+			streams++
+			links += edges
+			triples += edges + 1 + len(in.Columns)
+		}
+	}
+	terms := 1 + len(ops) + len(p.Objects) + streams + int(numPreds) + (triples-links)*2/5
+	return &builder{
+		r:    r,
+		g:    rdf.NewGraphSize(terms, triples),
+		args: make(map[string]rdf.ID),
+		pops: make(map[*qep.Operator]rdf.ID, len(ops)),
+		objs: make(map[*qep.BaseObject]rdf.ID, len(p.Objects)),
+	}
+}
+
+func (b *builder) pred(p pred) rdf.ID {
+	if b.preds[p] == rdf.NoID {
+		b.preds[p] = b.g.Intern(rdf.IRI(predIRI[p]))
+	}
+	return b.preds[p]
+}
+
+func (b *builder) arg(key string) rdf.ID {
+	id, ok := b.args[key]
+	if !ok {
+		id = b.g.Intern(rdf.IRI(ArgNS + key))
+		b.args[key] = id
+	}
+	return id
+}
+
+func (b *builder) pop(op *qep.Operator) rdf.ID {
+	id, ok := b.pops[op]
+	if !ok {
+		id = b.g.Intern(b.r.PopIRI(op))
+		b.pops[op] = id
+	}
+	return id
+}
+
+func (b *builder) obj(obj *qep.BaseObject) rdf.ID {
+	id, ok := b.objs[obj]
+	if !ok {
+		id = b.g.Intern(b.r.ObjIRI(obj))
+		b.objs[obj] = id
+	}
+	return id
 }
 
 // sortedKeys returns m's keys in ascending order. Transform walks the plan
