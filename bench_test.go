@@ -9,6 +9,7 @@ package optimatch
 //
 //	go test -bench=. -benchmem
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -118,7 +119,7 @@ func BenchmarkFigure8KBScan(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := cfg.eng.RunKB(k); err != nil {
+				if _, err := cfg.eng.RunKB(context.Background(), k); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -138,7 +139,7 @@ func BenchmarkFigure9WorkloadSize(b *testing.B) {
 			b.Run(fmt.Sprintf("qeps=%d/pattern=%d", size, pi+1), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := eng.FindCompiled(c); err != nil {
+					if _, err := eng.FindCompiled(context.Background(), c); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -167,7 +168,7 @@ func BenchmarkFigure10LolepopCount(b *testing.B) {
 				b.ReportAllocs()
 				b.ReportMetric(float64(totalOps)/float64(n), "mean-ops/plan")
 				for i := 0; i < b.N; i++ {
-					if _, err := eng.FindCompiled(c); err != nil {
+					if _, err := eng.FindCompiled(context.Background(), c); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -186,7 +187,7 @@ func BenchmarkFigure11KBSize(b *testing.B) {
 		b.Run(fmt.Sprintf("recommendations=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.RunKB(k); err != nil {
+				if _, err := eng.RunKB(context.Background(), k); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -243,7 +244,7 @@ func BenchmarkFigure12Comparative(b *testing.B) {
 		b.Run(fmt.Sprintf("pattern=%d/optimatch", pi+1), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.FindCompiled(compiled[pi]); err != nil {
+				if _, err := eng.FindCompiled(context.Background(), compiled[pi]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -342,7 +343,7 @@ func BenchmarkAblationNoReorder(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, c := range compiled {
-				if _, err := e.FindCompiled(c); err != nil {
+				if _, err := e.FindCompiled(context.Background(), c); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -378,7 +379,7 @@ ORDER BY ?pop1
 	b.Run("derived", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.FindCompiled(cB); err != nil {
+			if _, err := eng.FindCompiled(context.Background(), cB); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -386,7 +387,7 @@ ORDER BY ?pop1
 	b.Run("reified-only", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.FindSPARQL(reified); err != nil {
+			if _, err := eng.FindSPARQL(context.Background(), reified); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -133,8 +133,8 @@ func run() error {
 		core.WithInstrumentation(server.EngineInstrumentation(reg)),
 	}
 
-	// The server's rendered-response cache is the only result cache; the
-	// engine below it caches nothing but parsed queries.
+	// The server's rendered-response cache is the only cache; the engine
+	// below it caches nothing.
 	var resCache *cache.Cache
 	if *cacheBytes > 0 {
 		resCache = cache.New(cache.Config{MaxBytes: *cacheBytes})
@@ -203,10 +203,9 @@ func run() error {
 		stats := st.Stats()
 		log.Info("store recovered", "dir", *data, "generation", stats.Generation,
 			"plans", eng.NumPlans(), "walRecordsReplayed", stats.RecoveredRecords,
+			"kbEntriesSkipped", stats.SkippedEntries,
 			"tornTailsTruncated", stats.RecoveryTruncations)
 	} else {
-		// The engine caches parsed queries, so repeated searches over the
-		// API skip the SPARQL parser entirely.
 		eng = core.New(engOpts...)
 	}
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -43,7 +44,7 @@ func TestQepgenWritesWorkloadAndTruth(t *testing.T) {
 	if n != 8 {
 		t.Fatalf("loaded %d plans, want 8", n)
 	}
-	matches, err := eng.FindPattern(pattern.A())
+	matches, err := eng.FindPattern(context.Background(), pattern.A())
 	if err != nil {
 		t.Fatal(err)
 	}

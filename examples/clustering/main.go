@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,7 +53,7 @@ func main() {
 	}
 	fmt.Println()
 	for _, name := range names {
-		matches, err := eng.FindPattern(patterns[name])
+		matches, err := eng.FindPattern(context.Background(), patterns[name])
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -64,7 +65,7 @@ func main() {
 	if err := eng.LoadPlans(w.Plans); err != nil {
 		log.Fatal(err)
 	}
-	reports, err := eng.RunKB(loaded)
+	reports, err := eng.RunKB(context.Background(), loaded)
 	if err != nil {
 		log.Fatal(err)
 	}

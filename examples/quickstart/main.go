@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -127,7 +128,7 @@ func main() {
 	fmt.Println(optimatch.RenderPlan(plan))
 
 	// Search for Pattern A: NLJOIN whose inner input is a large table scan.
-	matches, err := eng.FindPattern(optimatch.PatternA())
+	matches, err := eng.FindPattern(context.Background(), optimatch.PatternA())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func main() {
 	}
 
 	// Ask the expert knowledge base what to do about it.
-	reports, err := eng.RunKB(optimatch.CanonicalKB())
+	reports, err := eng.RunKB(context.Background(), optimatch.CanonicalKB())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m1, err := eng.FindPattern(p1)
+	m1, err := eng.FindPattern(context.Background(), p1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func main() {
 
 	// Question 2: spilling sorts (Pattern D) across the workload — how many
 	// queries would benefit from more sort memory?
-	m2, err := eng.FindPattern(optimatch.PatternD())
+	m2, err := eng.FindPattern(context.Background(), optimatch.PatternD())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,7 +88,7 @@ WHERE {
   FILTER(?card > 1000000) .
 }
 ORDER BY ?scan`
-	m3, err := eng.FindSPARQL(query)
+	m3, err := eng.FindSPARQL(context.Background(), query)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -124,7 +125,7 @@ LIMIT 5`
 	if err := eng4.LoadPlans([]*optimatch.Plan{costliest}); err != nil {
 		log.Fatal(err)
 	}
-	m4, err := eng4.FindSPARQL(aggQuery)
+	m4, err := eng4.FindSPARQL(context.Background(), aggQuery)
 	if err != nil {
 		log.Fatal(err)
 	}

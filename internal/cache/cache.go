@@ -1,3 +1,19 @@
+// Package cache is the serving stack's result cache: a byte-bounded LRU of
+// rendered response bytes keyed by (canonical request identity, data
+// generation) with singleflight collapsing of concurrent identical misses.
+// The paper's workload is read-heavy and repetitive — the same
+// expert-pattern scans and problem-pattern searches are re-issued
+// continuously against plan corpora that change rarely — so a correct cache
+// in front of the parse/specialize/match pipeline is the single biggest
+// latency lever. internal/server is its one producer.
+//
+// Correctness comes from generation keying, not invalidation walks: every
+// mutable data source (the engine's plan set, a knowledge base's entry
+// list) carries a monotonic generation counter, the counter is part of the
+// cache key, and a mutation therefore orphans every prior entry instead of
+// racing an explicit purge. Orphans age out under the byte budget.
+//
+// The package is dependency-free (stdlib only).
 package cache
 
 import (
@@ -75,7 +91,7 @@ type Cache struct {
 	cfg Config
 
 	mu      sync.Mutex
-	lru     *LRU
+	lru     *lru
 	flights map[string]*flight
 
 	hits      atomic.Int64
@@ -92,9 +108,7 @@ func New(cfg Config) *Cache {
 	if cfg.MaxBytes <= 0 {
 		panic("cache: Config.MaxBytes must be positive (use a nil *Cache to disable caching)")
 	}
-	c := &Cache{cfg: cfg, lru: NewLRU(0, cfg.MaxBytes), flights: make(map[string]*flight)}
-	c.lru.SetOnEvict(func(string, any, int64) { c.evictions.Add(1) })
-	return c
+	return &Cache{cfg: cfg, lru: newLRU(cfg.MaxBytes), flights: make(map[string]*flight)}
 }
 
 // Key joins the parts of a cache key with NUL separators, which cannot
@@ -135,10 +149,10 @@ func (c *Cache) Do(ctx context.Context, key string, fn func(context.Context) (Re
 		return res.Body, Bypass, err
 	}
 	c.mu.Lock()
-	if v, ok := c.lru.Get(key); ok {
+	if b, ok := c.lru.get(key); ok {
 		c.mu.Unlock()
 		c.hits.Add(1)
-		return v.([]byte), Hit, nil
+		return b, Hit, nil
 	}
 	if f, ok := c.flights[key]; ok {
 		f.waiters++
@@ -173,7 +187,7 @@ func (c *Cache) run(key string, f *flight, fctx context.Context, fn func(context
 		// instead of flushing the whole cache on its way through the LRU.
 		size := int64(len(res.Body)) + int64(len(key)) + entryOverhead
 		if !res.NoStore && size <= c.cfg.MaxBytes {
-			c.lru.Add(key, res.Body, size)
+			c.evictions.Add(int64(c.lru.add(key, res.Body, size)))
 		} else {
 			c.rejected.Add(1)
 		}
@@ -251,8 +265,8 @@ func (c *Cache) Stats() Stats {
 		Rejected:  c.rejected.Load(),
 	}
 	c.mu.Lock()
-	s.Bytes = c.lru.Bytes()
-	s.Entries = c.lru.Len()
+	s.Bytes = c.lru.bytes
+	s.Entries = len(c.lru.items)
 	c.mu.Unlock()
 	if total := s.Hits + s.Misses + s.Collapsed; total > 0 {
 		s.HitRatio = float64(s.Hits) / float64(total)

@@ -11,58 +11,45 @@ import (
 )
 
 func TestLRUEvictionOrder(t *testing.T) {
-	l := NewLRU(3, 0)
-	var evicted []string
-	l.SetOnEvict(func(key string, _ any, _ int64) { evicted = append(evicted, key) })
-	l.Add("a", 1, 1)
-	l.Add("b", 2, 1)
-	l.Add("c", 3, 1)
-	if _, ok := l.Get("a"); !ok { // touch a: b becomes coldest
+	l := newLRU(3)
+	l.add("a", nil, 1)
+	l.add("b", nil, 1)
+	l.add("c", nil, 1)
+	if _, ok := l.get("a"); !ok { // touch a: b becomes coldest
 		t.Fatal("a missing")
 	}
-	l.Add("d", 4, 1)
-	if len(evicted) != 1 || evicted[0] != "b" {
-		t.Fatalf("evicted = %v, want [b]", evicted)
+	if n := l.add("d", nil, 1); n != 1 {
+		t.Fatalf("add evicted %d entries, want 1", n)
 	}
-	if _, ok := l.Get("a"); !ok {
+	if _, ok := l.get("b"); ok {
+		t.Error("coldest entry survived")
+	}
+	if _, ok := l.get("a"); !ok {
 		t.Error("recently used entry evicted")
 	}
-	if l.Len() != 3 {
-		t.Errorf("Len = %d", l.Len())
+	if len(l.items) != 3 {
+		t.Errorf("len = %d", len(l.items))
 	}
 }
 
 func TestLRUByteBudget(t *testing.T) {
-	l := NewLRU(0, 100)
-	l.Add("a", nil, 40)
-	l.Add("b", nil, 40)
-	if l.Bytes() != 80 {
-		t.Fatalf("Bytes = %d", l.Bytes())
+	l := newLRU(100)
+	l.add("a", nil, 40)
+	l.add("b", nil, 40)
+	if l.bytes != 80 {
+		t.Fatalf("bytes = %d", l.bytes)
 	}
-	l.Add("c", nil, 40) // over budget: a (coldest) must go
-	if _, ok := l.Peek("a"); ok {
+	l.add("c", nil, 40) // over budget: a (coldest) must go
+	if _, ok := l.items["a"]; ok {
 		t.Error("a survived byte-budget eviction")
 	}
-	if l.Bytes() != 80 || l.Len() != 2 {
-		t.Errorf("after eviction: bytes=%d len=%d", l.Bytes(), l.Len())
+	if l.bytes != 80 || len(l.items) != 2 {
+		t.Errorf("after eviction: bytes=%d len=%d", l.bytes, len(l.items))
 	}
 	// Replacing an entry re-charges its size difference.
-	l.Add("b", nil, 10)
-	if l.Bytes() != 50 {
-		t.Errorf("after replace: bytes=%d", l.Bytes())
-	}
-}
-
-func TestLRURemoveAndClear(t *testing.T) {
-	l := NewLRU(0, 0)
-	l.Add("a", 1, 8)
-	if !l.Remove("a") || l.Remove("a") {
-		t.Error("Remove reporting wrong")
-	}
-	l.Add("b", 2, 8)
-	l.Clear()
-	if l.Len() != 0 || l.Bytes() != 0 {
-		t.Errorf("after Clear: len=%d bytes=%d", l.Len(), l.Bytes())
+	l.add("b", nil, 10)
+	if l.bytes != 50 {
+		t.Errorf("after replace: bytes=%d", l.bytes)
 	}
 }
 

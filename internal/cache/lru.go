@@ -1,20 +1,3 @@
-// Package cache is the serving stack's result cache: a byte-bounded LRU of
-// rendered response bytes keyed by (canonical request identity, data
-// generation) with singleflight collapsing of concurrent identical misses.
-// The paper's workload is read-heavy and repetitive — the same
-// expert-pattern scans and problem-pattern searches are re-issued
-// continuously against plan corpora that change rarely — so a correct cache
-// in front of the parse/specialize/match pipeline is the single biggest
-// latency lever. internal/server is its one producer.
-//
-// Correctness comes from generation keying, not invalidation walks: every
-// mutable data source (the engine's plan set, a knowledge base's entry
-// list) carries a monotonic generation counter, the counter is part of the
-// cache key, and a mutation therefore orphans every prior entry instead of
-// racing an explicit purge. Orphans age out under the byte budget.
-//
-// The package is dependency-free (stdlib only) and imported by core (for
-// the LRU behind the parse-once query cache), so it must stay that way.
 package cache
 
 import "container/list"
@@ -23,39 +6,27 @@ import "container/list"
 // delete the map slot without a reverse lookup.
 type lruItem struct {
 	key  string
-	val  any
+	val  []byte
 	size int64
 }
 
-// LRU is a least-recently-used map bounded by entry count, by total bytes,
-// or both (0 disables a bound). It is not safe for concurrent use — Cache
-// and the engine's parse-once query cache wrap it with their own locks.
-type LRU struct {
-	maxEntries int
-	maxBytes   int64
+// lru is a least-recently-used map bounded by the total charged size of its
+// entries. It is not safe for concurrent use: Cache, its one user, holds its
+// own lock around every call.
+type lru struct {
+	maxBytes int64
 
-	ll      *list.List // front = most recently used
-	items   map[string]*list.Element
-	bytes   int64
-	onEvict func(key string, val any, size int64)
+	ll    *list.List // front = most recently used
+	items map[string]*list.Element
+	bytes int64
 }
 
-// NewLRU returns an empty LRU with the given bounds (0 = unbounded).
-func NewLRU(maxEntries int, maxBytes int64) *LRU {
-	return &LRU{
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		ll:         list.New(),
-		items:      make(map[string]*list.Element),
-	}
+func newLRU(maxBytes int64) *lru {
+	return &lru{maxBytes: maxBytes, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// SetOnEvict installs a hook observing every eviction (bound pressure or
-// Remove). Used for eviction counters.
-func (l *LRU) SetOnEvict(fn func(key string, val any, size int64)) { l.onEvict = fn }
-
-// Get returns the value for key and marks it most recently used.
-func (l *LRU) Get(key string) (any, bool) {
+// get returns the value for key and marks it most recently used.
+func (l *lru) get(key string) ([]byte, bool) {
 	el, ok := l.items[key]
 	if !ok {
 		return nil, false
@@ -64,20 +35,11 @@ func (l *LRU) Get(key string) (any, bool) {
 	return el.Value.(*lruItem).val, true
 }
 
-// Peek returns the value for key without touching recency.
-func (l *LRU) Peek(key string) (any, bool) {
-	el, ok := l.items[key]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*lruItem).val, true
-}
-
-// Add inserts or replaces the value for key, charging size bytes against
-// the budget, then evicts from the cold end until both bounds hold again.
-// A single entry larger than the whole byte budget is evicted immediately;
-// callers that want rejection instead (Cache does) must pre-check.
-func (l *LRU) Add(key string, val any, size int64) {
+// add inserts or replaces the value for key, charging size bytes against the
+// budget, then evicts from the cold end until the budget holds again and
+// reports how many entries that took. A single entry larger than the whole
+// budget is evicted immediately; Cache rejects those before they get here.
+func (l *lru) add(key string, val []byte, size int64) (evicted int) {
 	if el, ok := l.items[key]; ok {
 		item := el.Value.(*lruItem)
 		l.bytes += size - item.size
@@ -87,57 +49,13 @@ func (l *LRU) Add(key string, val any, size int64) {
 		l.items[key] = l.ll.PushFront(&lruItem{key: key, val: val, size: size})
 		l.bytes += size
 	}
-	for l.overBudget() {
-		l.evictOldest()
+	for l.bytes > l.maxBytes {
+		el := l.ll.Back()
+		item := el.Value.(*lruItem)
+		l.ll.Remove(el)
+		delete(l.items, item.key)
+		l.bytes -= item.size
+		evicted++
 	}
-}
-
-func (l *LRU) overBudget() bool {
-	if l.ll.Len() == 0 {
-		return false
-	}
-	return (l.maxEntries > 0 && l.ll.Len() > l.maxEntries) ||
-		(l.maxBytes > 0 && l.bytes > l.maxBytes)
-}
-
-func (l *LRU) evictOldest() {
-	el := l.ll.Back()
-	if el == nil {
-		return
-	}
-	l.removeElement(el)
-}
-
-// Remove deletes key, reporting whether it was resident. Removal counts as
-// an eviction for the OnEvict hook.
-func (l *LRU) Remove(key string) bool {
-	el, ok := l.items[key]
-	if !ok {
-		return false
-	}
-	l.removeElement(el)
-	return true
-}
-
-func (l *LRU) removeElement(el *list.Element) {
-	item := el.Value.(*lruItem)
-	l.ll.Remove(el)
-	delete(l.items, item.key)
-	l.bytes -= item.size
-	if l.onEvict != nil {
-		l.onEvict(item.key, item.val, item.size)
-	}
-}
-
-// Len reports the number of resident entries.
-func (l *LRU) Len() int { return l.ll.Len() }
-
-// Bytes reports the total charged size of resident entries.
-func (l *LRU) Bytes() int64 { return l.bytes }
-
-// Clear drops every entry without calling the eviction hook.
-func (l *LRU) Clear() {
-	l.ll.Init()
-	l.items = make(map[string]*list.Element)
-	l.bytes = 0
+	return evicted
 }

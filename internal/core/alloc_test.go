@@ -3,25 +3,65 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
+	"optimatch/internal/fixtures"
 	"optimatch/internal/kb"
+	"optimatch/internal/pattern"
+	"optimatch/internal/qep"
 	"optimatch/internal/workload"
 )
 
-// scanBytesBudget bounds what one RunKB(kb.MustExtended()) over the 16 plans
-// below may allocate, measured by this test's own loop: 406 472 B when the
-// budget was set (the occurrences' binding maps, fingerprints and rendered
-// recommendations — the evaluator itself runs on pooled scratch), with a tenth
-// of headroom. The level-at-a-time evaluator of commit 555699b, one heap row
-// per intermediate binding, allocated 8 948 707 B; building every occurrence's
-// fingerprint inside the sort's comparator cost 16 139 B of the 422 611 B
-// measured before SortOccurrences built each once.
-const scanBytesBudget = 450_000
+// variantKB builds n pattern-A variants the way the root bench_test.go's
+// benchVariantKB does, with a threshold of its own per entry: n entries are n
+// distinct query texts.
+func variantKB(t *testing.T, n int) *kb.KnowledgeBase {
+	t.Helper()
+	k := kb.New()
+	for i := 0; i < n; i++ {
+		bld := pattern.NewBuilder(fmt.Sprintf("variant-a-%d", i), "variant")
+		top := bld.Pop("NLJOIN").Alias("TOP")
+		outer := bld.Pop(pattern.TypeAny)
+		inner := bld.Pop("TBSCAN").Alias("SCAN3")
+		base := bld.Pop(pattern.TypeBaseObj).Alias("BASE4")
+		top.OuterChild(outer)
+		top.InnerChild(inner)
+		outer.Where("hasEstimateCardinality", ">", 1+i%5)
+		inner.Where("hasEstimateCardinality", ">", 100+i)
+		inner.Child(base)
+		p, err := bld.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Add(p, kb.Recommendation{Title: "Index", Category: "INDEX",
+			Template: "Create index on @BASE4.NAME (@BASE4(INPUT))."}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return k
+}
 
-// TestAllocBudgetKBScan pins the knowledge-base scan's allocation volume.
-// (Outside the race build, whose instrumentation allocates.)
+// TestAllocBudgetKBScan pins what one warm RunKB allocates (outside the race
+// build, whose instrumentation allocates), budgets being the measurement when
+// they were set plus a tenth.
+//
+// extended: kb.MustExtended() over 16 generated plans allocated 406 472 B in
+// 6 172 allocations — the occurrences' binding maps, fingerprints and rendered
+// recommendations; the evaluator itself runs on pooled scratch. The level-at-a-time evaluator of
+// commit 555699b, one heap row per intermediate binding, allocated 8 948 707 B;
+// building every occurrence's fingerprint inside the sort's comparator cost
+// 16 139 B of the 422 611 B measured before SortOccurrences built each once.
+//
+// variants: 300 entries over 8 fixture plans allocated 1 213 944 B in 13 836
+// allocations. A scan reads each entry's parsed query off the entry, so an
+// entry costs what it costs in a knowledge base of 14. When the engine
+// resolved entry text through an LRU of 256 parsed queries, a scan of 257 or
+// more entries — walked in order — evicted every query before its next use
+// and parsed the whole knowledge base again: 9 640 349 B in 68 145 allocations
+// here, against 928 184 B in 11 530 at 250 entries.
 func TestAllocBudgetKBScan(t *testing.T) {
 	w, err := workload.Generate(workload.Config{
 		Seed: 14, NumPlans: 16, InjectA: 3, InjectB: 2, InjectC: 3, InjectD: 2, InjectG: 1,
@@ -29,28 +69,37 @@ func TestAllocBudgetKBScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New()
-	if err := e.LoadPlans(w.Plans); err != nil {
-		t.Fatal(err)
-	}
-	k := kb.MustExtended()
-	scan := func() {
-		if _, err := e.RunKB(k); err != nil {
+	for _, tc := range []struct {
+		name          string
+		plans         []*qep.Plan
+		k             *kb.KnowledgeBase
+		bytes, allocs uint64
+	}{
+		{"extended", w.Plans, kb.MustExtended(), 450_000, 6_800},
+		{"variants", fixtures.Numbered(8), variantKB(t, 300), 1_335_000, 15_200},
+	} {
+		e := New()
+		if err := e.LoadPlans(tc.plans); err != nil {
 			t.Fatal(err)
 		}
-	}
-	scan() // warm-up: query cache, pooled evaluation contexts
+		scan := func() {
+			if _, err := e.RunKB(context.Background(), tc.k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scan() // warm-up: pooled evaluation contexts
 
-	const runs = 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		scan()
-	}
-	runtime.ReadMemStats(&after)
-	perScan := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("%d bytes per scan", perScan)
-	if perScan > scanBytesBudget {
-		t.Errorf("a scan allocates %d bytes, budget %d", perScan, scanBytesBudget)
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			scan()
+		}
+		runtime.ReadMemStats(&after)
+		bytes, allocs := (after.TotalAlloc-before.TotalAlloc)/runs, (after.Mallocs-before.Mallocs)/runs
+		t.Logf("%s: %d bytes, %d allocations per scan", tc.name, bytes, allocs)
+		if bytes > tc.bytes || allocs > tc.allocs {
+			t.Errorf("%s: a scan allocates %d bytes in %d allocations, budget %d in %d", tc.name, bytes, allocs, tc.bytes, tc.allocs)
+		}
 	}
 }

@@ -50,13 +50,13 @@ func checkNoGoroutineLeak(t *testing.T, before int) {
 	}
 }
 
-func TestFindSPARQLContextCancelled(t *testing.T) {
+func TestFindSPARQLCancelled(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		e := workloadEngine(t, workers)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		before := runtime.NumGoroutine()
-		matches, err := e.FindSPARQLContext(ctx, cancelTestQuery)
+		matches, err := e.FindSPARQL(ctx, cancelTestQuery)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -67,13 +67,13 @@ func TestFindSPARQLContextCancelled(t *testing.T) {
 	}
 }
 
-func TestRunKBContextCancelled(t *testing.T) {
+func TestRunKBCancelled(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		e := workloadEngine(t, workers)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		before := runtime.NumGoroutine()
-		reports, err := e.RunKBContext(ctx, kb.MustCanonical())
+		reports, err := e.RunKB(ctx, kb.MustCanonical())
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -84,43 +84,13 @@ func TestRunKBContextCancelled(t *testing.T) {
 	}
 }
 
-func TestRunKBContextDeadline(t *testing.T) {
+func TestRunKBDeadline(t *testing.T) {
 	e := workloadEngine(t, 4)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := e.RunKBContext(ctx, kb.MustCanonical())
+	_, err := e.RunKB(ctx, kb.MustCanonical())
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-}
-
-// TestContextVariantsMatchPlain pins the back-compat contract: the ctx-less
-// wrappers and a Background context produce identical results.
-func TestContextVariantsMatchPlain(t *testing.T) {
-	e := workloadEngine(t, 4)
-	plain, err := e.FindSPARQL(cancelTestQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withCtx, err := e.FindSPARQLContext(context.Background(), cancelTestQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != len(withCtx) {
-		t.Fatalf("match counts differ: %d plain, %d with ctx", len(plain), len(withCtx))
-	}
-
-	base := kb.MustCanonical()
-	r1, err := e.RunKB(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := e.RunKBContext(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1) != len(r2) {
-		t.Fatalf("report counts differ: %d plain, %d with ctx", len(r1), len(r2))
 	}
 }
 

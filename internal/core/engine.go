@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"optimatch/internal/cache"
 	"optimatch/internal/kb"
 	"optimatch/internal/pattern"
 	"optimatch/internal/qep"
@@ -78,13 +77,10 @@ type Engine struct {
 	// section overlapped the scan's snapshot (server.serveCached is that
 	// caller).
 	generation atomic.Uint64
-	benchCache *cache.Cache // see frozen.go
 
-	queries     queryCache
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	evalStats   sparql.EvalStats
-	instr       Instrumentation
+	evalStats sparql.EvalStats
+	instr     Instrumentation
+	frozen    frozenState // see frozen.go
 }
 
 // New returns an empty engine.
@@ -394,47 +390,39 @@ func (m *Match) String() string {
 
 // FindPattern compiles the problem pattern and matches it against every
 // loaded plan (Algorithm 3). Matches are returned in plan load order.
-func (e *Engine) FindPattern(p *pattern.Pattern) ([]Match, error) {
-	return e.FindPatternContext(context.Background(), p)
-}
-
-// FindPatternContext is FindPattern bounded by ctx: the scan stops
-// enqueueing plans and every in-flight evaluation returns as soon as the
-// context is cancelled or its deadline passes.
-func (e *Engine) FindPatternContext(ctx context.Context, p *pattern.Pattern) ([]Match, error) {
+func (e *Engine) FindPattern(ctx context.Context, p *pattern.Pattern) ([]Match, error) {
 	c, err := pattern.Compile(p)
 	if err != nil {
 		return nil, err
 	}
-	return e.FindCompiledContext(ctx, c)
+	return e.find(ctx, c.Parsed)
 }
 
-// FindCompiled matches an already-compiled pattern.
-func (e *Engine) FindCompiled(c *pattern.Compiled) ([]Match, error) {
-	return e.FindCompiledContext(context.Background(), c)
+// FindCompiled matches an already-compiled pattern: it scans the query
+// Compile parsed, without a round trip through its text.
+func (e *Engine) FindCompiled(ctx context.Context, c *pattern.Compiled) ([]Match, error) {
+	return e.find(ctx, c.Parsed)
 }
 
-// FindCompiledContext is FindCompiled bounded by ctx.
-func (e *Engine) FindCompiledContext(ctx context.Context, c *pattern.Compiled) ([]Match, error) {
-	return e.FindSPARQLContext(ctx, c.Query)
-}
-
-// FindSPARQL matches a raw SPARQL query against every loaded plan. Every
-// projected column becomes a binding; resources are de-transformed.
-func (e *Engine) FindSPARQL(query string) ([]Match, error) {
-	return e.FindSPARQLContext(context.Background(), query)
-}
-
-// FindSPARQLContext is FindSPARQL bounded by ctx. Cancellation is
-// cooperative at every layer: the worker-pool fan-out stops dispatching
-// plans, each running SPARQL evaluation returns from its binding loops and
-// closure walks within a bounded number of iterations, and the pool drains
-// without leaking goroutines. The returned error then wraps ctx.Err().
-func (e *Engine) FindSPARQLContext(ctx context.Context, query string) ([]Match, error) {
-	q, err := e.getQuery(query)
+// FindSPARQL parses a raw SPARQL query and matches it against every loaded
+// plan. Every projected column becomes a binding; resources are
+// de-transformed. Raw text is parsed per call: whoever repeats a query
+// repeats it through a cache of responses (internal/server), not of parses.
+func (e *Engine) FindSPARQL(ctx context.Context, query string) ([]Match, error) {
+	q, err := sparql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
+	return e.find(ctx, q)
+}
+
+// find matches one parsed query against every loaded plan, bounded by ctx.
+// Cancellation is cooperative at every layer: the worker-pool fan-out stops
+// dispatching plans, each running SPARQL evaluation returns from its binding
+// loops and closure walks within a bounded number of iterations, and the
+// pool drains without leaking goroutines. The returned error then wraps
+// ctx.Err().
+func (e *Engine) find(ctx context.Context, q *sparql.Query) ([]Match, error) {
 	plans := e.snapshot()
 	if e.instr.Search != nil {
 		defer func(start time.Time) { e.instr.Search(time.Since(start), len(plans)) }(time.Now())
@@ -522,29 +510,13 @@ func (pr *PlanReport) Message() string {
 }
 
 // RunKB scans every loaded plan against every knowledge-base entry
-// (Algorithm 5): each entry's stored SPARQL query is matched, occurrences
-// are de-transformed, recommendation templates are adapted to the plan's
-// context through the handler tags, and the results are ranked by
-// statistical confidence. Reports come back in plan load order.
-func (e *Engine) RunKB(k *kb.KnowledgeBase) ([]PlanReport, error) {
-	return e.RunKBContext(context.Background(), k)
-}
-
-// RunKBContext is RunKB bounded by ctx: cancellation stops the worker-pool
-// fan-out from dispatching further plans, interrupts the SPARQL evaluation
-// of the plan each worker is on, and drains the pool without leaking
-// goroutines before returning an error that wraps ctx.Err().
-func (e *Engine) RunKBContext(ctx context.Context, k *kb.KnowledgeBase) ([]PlanReport, error) {
-	// Parse every entry query once (cached across RunKB calls).
-	entries := make([]compiledEntry, 0, k.Len())
-	for _, entry := range k.Entries() {
-		q, err := e.getQuery(entry.SPARQL)
-		if err != nil {
-			return nil, fmt.Errorf("core: kb entry %q: %w", entry.Name, err)
-		}
-		entries = append(entries, compiledEntry{entry: entry, query: q})
-	}
-
+// (Algorithm 5): each entry's saved query is matched, occurrences are
+// de-transformed, recommendation templates are adapted to the plan's context
+// through the handler tags, and the results are ranked by statistical
+// confidence. Reports come back in plan load order. The scan is bounded by
+// ctx the way find is.
+func (e *Engine) RunKB(ctx context.Context, k *kb.KnowledgeBase) ([]PlanReport, error) {
+	entries := k.Entries()
 	plans := e.snapshot()
 	if e.instr.KBScan != nil {
 		defer func(start time.Time) { e.instr.KBScan(time.Since(start), len(plans), len(entries)) }(time.Now())
@@ -566,20 +538,15 @@ func (e *Engine) RunKBContext(ctx context.Context, k *kb.KnowledgeBase) ([]PlanR
 	return reports, nil
 }
 
-// compiledEntry pairs a knowledge-base entry with its parsed query.
-type compiledEntry struct {
-	entry *kb.Entry
-	query *sparql.Query
-}
-
 // planReport matches every knowledge-base entry against one plan and
-// assembles the ranked recommendation list.
-func (e *Engine) planReport(ctx context.Context, entries []compiledEntry, r *transform.Result) (PlanReport, error) {
+// assembles the ranked recommendation list. An entry's query is the one
+// kb.Add compiled and parsed; nothing is resolved per scan.
+func (e *Engine) planReport(ctx context.Context, entries []*kb.Entry, r *transform.Result) (PlanReport, error) {
 	report := PlanReport{Plan: r.Plan}
-	for _, ce := range entries {
-		res, err := e.execTimed(ctx, ce.query, r)
+	for _, entry := range entries {
+		res, err := e.execTimed(ctx, entry.Compiled().Parsed, r)
 		if err != nil {
-			return report, fmt.Errorf("core: plan %s, entry %s: %w", r.Plan.ID, ce.entry.Name, err)
+			return report, fmt.Errorf("core: plan %s, entry %s: %w", r.Plan.ID, entry.Name, err)
 		}
 		if res.Len() == 0 {
 			continue
@@ -592,9 +559,9 @@ func (e *Engine) planReport(ctx context.Context, entries []compiledEntry, r *tra
 			}
 			occs = append(occs, kb.Occurrence{Plan: r.Plan, Result: r, Bindings: bind})
 		}
-		ranked, err := ce.entry.Apply(occs)
+		ranked, err := entry.Apply(occs)
 		if err != nil {
-			return report, fmt.Errorf("core: plan %s, entry %s: %w", r.Plan.ID, ce.entry.Name, err)
+			return report, fmt.Errorf("core: plan %s, entry %s: %w", r.Plan.ID, entry.Name, err)
 		}
 		report.Recommendations = append(report.Recommendations, ranked...)
 	}

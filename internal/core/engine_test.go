@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -102,7 +103,7 @@ func TestLoadDir(t *testing.T) {
 
 func TestFindPatternAcrossWorkload(t *testing.T) {
 	e := engineWithFixtures(t)
-	matches, err := e.FindPattern(pattern.A())
+	matches, err := e.FindPattern(context.Background(), pattern.A())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestFindPatternAcrossWorkload(t *testing.T) {
 func TestFindSPARQLDirect(t *testing.T) {
 	e := engineWithFixtures(t)
 	// All SORT operators across the workload.
-	matches, err := e.FindSPARQL(`PREFIX preduri: <http://optimatch/pred/>
+	matches, err := e.FindSPARQL(context.Background(), `PREFIX preduri: <http://optimatch/pred/>
 SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +146,7 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`)
 	}
 	// An ungrouped aggregate has one row per plan whether the plan matches
 	// nothing because it lacks the constant (every plan but Q9) or not.
-	counts, err := e.FindSPARQL(`PREFIX preduri: <http://optimatch/pred/>
+	counts, err := e.FindSPARQL(context.Background(), `PREFIX preduri: <http://optimatch/pred/>
 SELECT (COUNT(?s) AS ?n) WHERE { ?s preduri:hasPopType "SORT" }`)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +154,7 @@ SELECT (COUNT(?s) AS ?n) WHERE { ?s preduri:hasPopType "SORT" }`)
 	if len(counts) != e.NumPlans() {
 		t.Errorf("COUNT over %d plans returned %d rows, want one per plan", e.NumPlans(), len(counts))
 	}
-	if _, err := e.FindSPARQL("SELECT nonsense"); err == nil {
+	if _, err := e.FindSPARQL(context.Background(), "SELECT nonsense"); err == nil {
 		t.Error("bad query accepted")
 	}
 }
@@ -173,11 +174,11 @@ func TestFindPatternParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range pattern.Canonical() {
-		m1, err := serial.FindPattern(p)
+		m1, err := serial.FindPattern(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m2, err := parallel.FindPattern(p)
+		m2, err := parallel.FindPattern(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +215,7 @@ func TestFindPatternAgainstGroundTruth(t *testing.T) {
 		workload.KeyD: pattern.D(),
 	}
 	for key, p := range keys {
-		matches, err := e.FindPattern(p)
+		matches, err := e.FindPattern(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +236,7 @@ func TestFindPatternAgainstGroundTruth(t *testing.T) {
 
 func TestRunKB(t *testing.T) {
 	e := engineWithFixtures(t)
-	reports, err := e.RunKB(kb.MustCanonical())
+	reports, err := e.RunKB(context.Background(), kb.MustCanonical())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestRunKB(t *testing.T) {
 
 func TestSummarize(t *testing.T) {
 	e := engineWithFixtures(t)
-	reports, err := e.RunKB(kb.MustCanonical())
+	reports, err := e.RunKB(context.Background(), kb.MustCanonical())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,11 +321,11 @@ func TestWithExecOptionsAblation(t *testing.T) {
 		}
 	}
 	for _, p := range pattern.Canonical() {
-		m1, err := e1.FindPattern(p)
+		m1, err := e1.FindPattern(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m2, err := e2.FindPattern(p)
+		m2, err := e2.FindPattern(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +349,7 @@ func TestConcurrentEngineUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := kb.MustCanonical()
-	wantA, err := e.FindPattern(pattern.A())
+	wantA, err := e.FindPattern(context.Background(), pattern.A())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +362,7 @@ func TestConcurrentEngineUse(t *testing.T) {
 			defer wg.Done()
 			switch i % 3 {
 			case 0:
-				got, err := e.FindPattern(pattern.A())
+				got, err := e.FindPattern(context.Background(), pattern.A())
 				if err != nil {
 					errs <- err
 					return
@@ -370,11 +371,11 @@ func TestConcurrentEngineUse(t *testing.T) {
 					errs <- fmt.Errorf("concurrent FindPattern: %d matches, want %d", len(got), len(wantA))
 				}
 			case 1:
-				if _, err := e.RunKB(base); err != nil {
+				if _, err := e.RunKB(context.Background(), base); err != nil {
 					errs <- err
 				}
 			default:
-				if _, err := e.FindPattern(pattern.D()); err != nil {
+				if _, err := e.FindPattern(context.Background(), pattern.D()); err != nil {
 					errs <- err
 				}
 			}
@@ -398,7 +399,7 @@ func TestGroundTruthIncludesPatternG(t *testing.T) {
 	if err := e.LoadPlans(w.Plans); err != nil {
 		t.Fatal(err)
 	}
-	matches, err := e.FindPattern(pattern.G())
+	matches, err := e.FindPattern(context.Background(), pattern.G())
 	if err != nil {
 		t.Fatal(err)
 	}

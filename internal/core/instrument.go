@@ -28,8 +28,8 @@ type Instrumentation struct {
 	// knowledge-base entries applied.
 	KBScan func(d time.Duration, plans, entries int)
 
-	// Search observes one whole FindSPARQL pass (pattern searches and raw
-	// queries): wall time and plans scanned.
+	// Search observes one whole search pass (a pattern or a raw query over
+	// every plan): wall time and plans scanned.
 	Search func(d time.Duration, plans int)
 
 	// Pool observes one worker-pool fan-out: how many workers served how
@@ -43,41 +43,9 @@ func WithInstrumentation(in Instrumentation) Option {
 	return func(e *Engine) { e.instr = in }
 }
 
-// CacheStats is a snapshot of the parse-once query cache's counters.
-type CacheStats struct {
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
-	Size     int   `json:"size"`     // parsed queries currently cached
-	Bytes    int64 `json:"bytes"`    // query-text bytes held by cached entries
-	Capacity int   `json:"capacity"` // LRU entry bound (maxCachedQueries)
-}
-
-// CacheStats returns the query cache's hit/miss counters.
-func (e *Engine) CacheStats() CacheStats {
-	return CacheStats{
-		Hits:     e.cacheHits.Load(),
-		Misses:   e.cacheMisses.Load(),
-		Size:     e.queries.len(),
-		Bytes:    e.queries.bytes(),
-		Capacity: maxCachedQueries,
-	}
-}
-
 // EvalStats returns a snapshot of the evaluation counters: how many query
 // executions ran, how many of them bailed out on a missing required
 // constant, and the path-closure work they did.
 func (e *Engine) EvalStats() sparql.EvalSnapshot {
 	return e.evalStats.Snapshot()
-}
-
-// getQuery resolves query text through the parse-once cache, counting hits
-// and misses (a parse failure counts as a miss: the parser ran).
-func (e *Engine) getQuery(text string) (*sparql.Query, error) {
-	q, hit, err := e.queries.get(text)
-	if hit {
-		e.cacheHits.Add(1)
-	} else {
-		e.cacheMisses.Add(1)
-	}
-	return q, err
 }

@@ -1,13 +1,11 @@
-// Scan plumbing shared by FindSPARQL and RunKB: the bounded worker pool that
-// fans one scan out over the plan list, and the parse-once query cache.
+// Scan plumbing shared by find and RunKB: the bounded worker pool that fans
+// one scan out over the plan list.
 package core
 
 import (
 	"context"
 	"sync"
 
-	"optimatch/internal/cache"
-	"optimatch/internal/sparql"
 	"optimatch/internal/transform"
 )
 
@@ -65,65 +63,4 @@ dispatch:
 		return err
 	}
 	return ctx.Err()
-}
-
-// maxCachedQueries bounds the engine's parse-once query cache; the least
-// recently used entry is evicted beyond it. Workloads re-run a small set of
-// pattern and knowledge-base queries, so the bound exists to cap an
-// adversarial stream of distinct queries, not to tune a working set.
-const maxCachedQueries = 256
-
-// queryCache memoizes parsed queries by their text so repeated requests —
-// an optimatchd client re-running a search, or every RunKB call re-scanning
-// the same knowledge base — skip the parser. Parsed queries are immutable
-// (their static analysis is pre-computed) and safe to share across
-// concurrent evaluations. Entries are charged at their query-text length,
-// so bytes() approximates the cache's resident key weight.
-type queryCache struct {
-	mu  sync.Mutex
-	lru *cache.LRU
-}
-
-// get reports whether the query was served from the cache (a parse failure
-// counts as a miss: the parser ran).
-func (c *queryCache) get(text string) (q *sparql.Query, hit bool, err error) {
-	c.mu.Lock()
-	if c.lru != nil {
-		if v, ok := c.lru.Get(text); ok {
-			c.mu.Unlock()
-			return v.(*sparql.Query), true, nil
-		}
-	}
-	c.mu.Unlock()
-	q, err = sparql.Parse(text)
-	if err != nil {
-		return nil, false, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.lru == nil {
-		c.lru = cache.NewLRU(maxCachedQueries, 0)
-	}
-	c.lru.Add(text, q, int64(len(text)))
-	return q, false, nil
-}
-
-// len reports how many parsed queries are cached.
-func (c *queryCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.lru == nil {
-		return 0
-	}
-	return c.lru.Len()
-}
-
-// bytes reports the total query-text bytes held by cached entries.
-func (c *queryCache) bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.lru == nil {
-		return 0
-	}
-	return c.lru.Bytes()
 }

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
 	"optimatch/internal/kb"
+	"optimatch/internal/pattern"
+	"optimatch/internal/sparql"
 	"optimatch/internal/transform"
 	"optimatch/internal/workload"
 )
@@ -75,11 +78,11 @@ func TestWorkerPoolParallel(t *testing.T) {
 		}
 	}
 	k := kb.MustExtended()
-	sr, err := serial.RunKB(k)
+	sr, err := serial.RunKB(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := pooled.RunKB(k)
+	pr, err := pooled.RunKB(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +90,11 @@ func TestWorkerPoolParallel(t *testing.T) {
 		t.Fatalf("worker pool changed KB reports:\n--- pooled ---\n%s--- serial ---\n%s", got, want)
 	}
 	q := transform.Prologue + `SELECT ?pop WHERE { ?pop preduri:hasJoinType "LEFT_OUTER" }`
-	sm, err := serial.FindSPARQL(q)
+	sm, err := serial.FindSPARQL(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, err := pooled.FindSPARQL(q)
+	pm, err := pooled.FindSPARQL(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,33 +109,132 @@ func TestWorkerPoolParallel(t *testing.T) {
 	}
 }
 
-// TestQueryCacheReuse pins the parse-once behavior: the same query text
-// yields the same parsed object across FindSPARQL calls.
-func TestQueryCacheReuse(t *testing.T) {
-	e := New()
-	text := transform.Prologue + `SELECT ?pop WHERE { ?pop preduri:hasPopType "TBSCAN" }`
-	q1, hit, err := e.queries.get(text)
-	if err != nil {
-		t.Fatal(err)
+// rawQueries are the five raw query shapes the benchmark sends to
+// /api/sparql (bench/gen.go: descent, closure, filter, OPTIONAL under a
+// UNION, GROUP BY with ORDER BY and LIMIT), with one threshold each.
+var rawQueries = []string{
+	transform.Prologue + `SELECT ?top ?join WHERE {
+  ?top preduri:hasPopType "RETURN" .
+  ?top preduri:hasChildPop+ ?join .
+  ?join preduri:hasPopType "NLJOIN" .
+}`,
+	transform.Prologue + `SELECT ?anc ?sort WHERE {
+  ?anc preduri:hasChildPop+ ?sort .
+  ?sort preduri:hasPopType "SORT" .
+}`,
+	transform.Prologue + `SELECT ?pop ?card WHERE {
+  ?pop preduri:hasPopClass "JOIN" .
+  ?pop preduri:hasEstimateCardinality ?card .
+  FILTER(?card > 1000) .
+}`,
+	transform.Prologue + `SELECT ?pop ?cost ?pred WHERE {
+  { ?pop preduri:hasPopType "FILTER" . } UNION { ?pop preduri:hasPopType "GRPBY" . }
+  ?pop preduri:hasTotalCost ?cost .
+  OPTIONAL { ?pop preduri:hasPredicateText ?pred . }
+  FILTER(?cost > 1000) .
+}`,
+	transform.Prologue + `SELECT ?type (COUNT(?pop) AS ?n) WHERE {
+  ?pop preduri:hasPopType ?type .
+  ?pop preduri:hasIOCost ?io .
+  FILTER(?io > 100) .
+}
+GROUP BY ?type
+ORDER BY DESC(?n) ?type
+LIMIT 5`,
+}
+
+// TestFindFormsAgree: there is one way to ask — find, on a parsed query — and
+// three ways to get there. A pattern, its compiled form and the compiled
+// form's text must give the same matches; the query Compile parsed must be
+// the query its text parses to; and a raw query through the worker pool must
+// give, plan by plan in load order, the rows its evaluation gives.
+func TestFindFormsAgree(t *testing.T) {
+	rs := generated(t, workload.Config{
+		Seed: 21, NumPlans: 16, MinOps: 30, MaxOps: 80,
+		InjectA: 3, InjectB: 2, InjectC: 3, InjectD: 2, InjectG: 1,
+	})
+	e := New(WithWorkers(3))
+	for _, r := range rs {
+		if err := e.LoadResult(r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if hit {
-		t.Error("first lookup reported a cache hit")
+	ctx := context.Background()
+	total := 0
+	for _, p := range pattern.Extended() {
+		c, err := pattern.Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byPattern, err := e.FindPattern(ctx, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byCompiled, err := e.FindCompiled(ctx, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byText, err := e.FindSPARQL(ctx, c.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := renderMatches(byCompiled)
+		if got := renderMatches(byPattern); got != want {
+			t.Errorf("%s: FindPattern and FindCompiled differ:\n%s--- vs ---\n%s", p.Name, got, want)
+		}
+		if got := renderMatches(byText); got != want {
+			t.Errorf("%s: FindSPARQL(c.Query) and FindCompiled differ:\n%s--- vs ---\n%s", p.Name, got, want)
+		}
+		total += len(byCompiled)
+
+		reparsed, err := sparql.Parse(c.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs[:4] {
+			ex1, err1 := sparql.Explain(c.Parsed, r.Graph)
+			ex2, err2 := sparql.Explain(reparsed, r.Graph)
+			if err1 != nil || err2 != nil {
+				t.Fatal(err1, err2)
+			}
+			if ex1.String() != ex2.String() {
+				t.Errorf("%s on %s: Compile's parsed query is not its text's:\n%s--- vs ---\n%s", p.Name, r.Plan.ID, ex1, ex2)
+			}
+		}
 	}
-	q2, hit, err := e.queries.get(text)
-	if err != nil {
-		t.Fatal(err)
+	if total == 0 {
+		t.Error("no pattern matched any plan: the comparison compared nothing")
 	}
-	if !hit {
-		t.Error("second lookup reported a cache miss")
-	}
-	if q1 != q2 {
-		t.Error("query cache re-parsed identical text")
-	}
-	if _, _, err := e.queries.get("SELECT nonsense"); err == nil {
-		t.Error("cache swallowed a parse error")
-	}
-	stats := e.CacheStats()
-	if stats.Size != 1 {
-		t.Errorf("cache size = %d, want 1", stats.Size)
+
+	for qi, text := range rawQueries {
+		got, err := e.FindSPARQL(ctx, text)
+		if err != nil {
+			t.Fatalf("raw query %d: %v", qi, err)
+		}
+		q, err := sparql.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, r := range rs {
+			res, err := q.Exec(r.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < res.Len(); i, n = i+1, n+1 {
+				if n >= len(got) || got[n].Plan != r.Plan {
+					t.Fatalf("raw query %d: match %d is not row %d of plan %s", qi, n, i, r.Plan.ID)
+				}
+				for c, v := range res.Vars {
+					if b := got[n].Bindings[c]; b.Alias != v || b.Term != res.At(i, c) {
+						t.Fatalf("raw query %d, plan %s row %d: binding %d = %s=%v, want %s=%v",
+							qi, r.Plan.ID, i, c, b.Alias, b.Term, v, res.At(i, c))
+					}
+				}
+			}
+		}
+		if n != len(got) || n == 0 {
+			t.Errorf("raw query %d: %d matches, the plans evaluate to %d rows (want equal, and some)", qi, len(got), n)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"slices"
 	"strings"
@@ -75,7 +76,7 @@ func TestLoadOrderAcrossMutations(t *testing.T) {
 	if !slices.Equal(ids, want) {
 		t.Fatalf("Plans() order:\n got %v\nwant %v", ids, want)
 	}
-	reports, err := e.RunKB(k)
+	reports, err := e.RunKB(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestLoadOrderAcrossMutations(t *testing.T) {
 	if !slices.Equal(ids, want) {
 		t.Fatalf("RunKB report order:\n got %v\nwant %v", ids, want)
 	}
-	ms, err := e.FindSPARQL(cancelTestQuery)
+	ms, err := e.FindSPARQL(context.Background(), cancelTestQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +106,11 @@ func TestLoadOrderAcrossMutations(t *testing.T) {
 	}
 
 	shimmed := build(WithShards(8), WithPrefilter(false))
-	shimReports, err := shimmed.RunKB(k)
+	shimReports, err := shimmed.RunKB(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shimMs, err := shimmed.FindSPARQL(cancelTestQuery)
+	shimMs, err := shimmed.FindSPARQL(context.Background(), cancelTestQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestSnapshotSurvivesMutations(t *testing.T) {
 						}
 					}
 				default:
-					if _, err := e.RunKB(k); err != nil {
+					if _, err := e.RunKB(context.Background(), k); err != nil {
 						t.Error(err)
 					}
 				}

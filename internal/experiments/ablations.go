@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -145,7 +146,7 @@ func AblationReorder(cfg AblationConfig) (AblationResult, error) {
 		}
 		return timeIt(cfg.Reps, func() error {
 			for _, c := range compiled {
-				if _, err := e.FindCompiled(c); err != nil {
+				if _, err := e.FindCompiled(context.Background(), c); err != nil {
 					return err
 				}
 			}
@@ -202,11 +203,11 @@ func AblationDerivedPredicates(cfg AblationConfig) (AblationResult, error) {
 	}
 
 	// Sanity: both formulations agree on the matched plan set.
-	m1, err := e.FindCompiled(cB)
+	m1, err := e.FindCompiled(context.Background(), cB)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	m2, err := e.FindSPARQL(reifiedDescendantQuery)
+	m2, err := e.FindSPARQL(context.Background(), reifiedDescendantQuery)
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -216,14 +217,14 @@ func AblationDerivedPredicates(cfg AblationConfig) (AblationResult, error) {
 	}
 
 	base, err := timeIt(cfg.Reps, func() error {
-		_, err := e.FindCompiled(cB)
+		_, err := e.FindCompiled(context.Background(), cB)
 		return err
 	})
 	if err != nil {
 		return AblationResult{}, err
 	}
 	abl, err := timeIt(cfg.Reps, func() error {
-		_, err := e.FindSPARQL(reifiedDescendantQuery)
+		_, err := e.FindSPARQL(context.Background(), reifiedDescendantQuery)
 		return err
 	})
 	if err != nil {

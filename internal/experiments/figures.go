@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -88,13 +89,13 @@ func Figure9(cfg Fig9Config) (*Fig9Result, error) {
 			return nil, err
 		}
 		for pi, c := range compiled {
-			matches, err := eng.FindCompiled(c)
+			matches, err := eng.FindCompiled(context.Background(), c)
 			if err != nil {
 				return nil, err
 			}
 			res.Matches[pi][si] = len(matches)
 			d, err := timeIt(cfg.Reps, func() error {
-				_, err := eng.FindCompiled(c)
+				_, err := eng.FindCompiled(context.Background(), c)
 				return err
 			})
 			if err != nil {
@@ -225,7 +226,7 @@ func Figure10(cfg Fig10Config) (*Fig10Result, error) {
 		}
 		for pi, c := range compiled {
 			d, err := timeIt(cfg.Reps, func() error {
-				_, err := eng.FindCompiled(c)
+				_, err := eng.FindCompiled(context.Background(), c)
 				return err
 			})
 			if err != nil {
@@ -331,7 +332,7 @@ func Figure11(cfg Fig11Config) (*Fig11Result, error) {
 			return nil, err
 		}
 		d, err := timeIt(cfg.Reps, func() error {
-			_, err := eng.RunKB(k)
+			_, err := eng.RunKB(context.Background(), k)
 			return err
 		})
 		if err != nil {
@@ -457,13 +458,13 @@ func Figure12(cfg Fig12Config) (*Fig12Result, error) {
 		// OptImatch: measured search time + modeled pattern-specification
 		// overhead (the paper includes ~60 s of GUI time).
 		searchTime, err := timeIt(cfg.Reps, func() error {
-			_, err := eng.FindCompiled(compiled[pi])
+			_, err := eng.FindCompiled(context.Background(), compiled[pi])
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
-		matches, err := eng.FindCompiled(compiled[pi])
+		matches, err := eng.FindCompiled(context.Background(), compiled[pi])
 		if err != nil {
 			return nil, err
 		}

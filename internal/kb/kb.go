@@ -167,15 +167,6 @@ func (kb *KnowledgeBase) Snapshot() *KnowledgeBase {
 	}
 }
 
-// SetProfile overrides the entry's expert ranking profile.
-func (e *Entry) SetProfile(profile []float64) error {
-	if len(profile) != NumFeatures {
-		return fmt.Errorf("kb: profile must have %d features, got %d", NumFeatures, len(profile))
-	}
-	e.Profile = append([]float64(nil), profile...)
-	return nil
-}
-
 // Ranked is one context-adapted, scored recommendation produced by matching
 // a knowledge-base entry against a plan.
 type Ranked struct {
@@ -242,10 +233,7 @@ func (kb *KnowledgeBase) Save(w io.Writer) error {
 	return enc.Encode(kbFile{Version: 1, Entries: kb.entries})
 }
 
-// Load reads a knowledge base written by Save, recompiling every pattern
-// and re-validating every template. The stored SPARQL is checked against
-// the recompiled form; a mismatch (hand-edited file, version skew) is
-// repaired by preferring the recompiled query.
+// Load reads a knowledge base written by Save, restoring every entry.
 func Load(r io.Reader) (*KnowledgeBase, error) {
 	var f kbFile
 	dec := json.NewDecoder(r)
@@ -254,18 +242,33 @@ func Load(r io.Reader) (*KnowledgeBase, error) {
 	}
 	out := New()
 	for _, e := range f.Entries {
-		if e.Pattern == nil {
-			return nil, fmt.Errorf("kb: entry %q has no pattern", e.Name)
-		}
-		e.Pattern.Name = e.Name
-		e.Pattern.Description = e.Description
-		added, err := out.Add(e.Pattern, e.Recommendations...)
-		if err != nil {
+		if err := out.Restore(e); err != nil {
 			return nil, err
-		}
-		if len(e.Profile) == NumFeatures {
-			added.Profile = e.Profile
 		}
 	}
 	return out, nil
+}
+
+// Restore adds an entry decoded from its persisted JSON form (an element of
+// Save's file, a store's journal record) the way Add adds a new one: the
+// pattern is recompiled and every template re-validated. The stored SPARQL
+// is not trusted — after a hand edit or version skew the recompiled query
+// wins — and a stored ranking profile of the right length is kept.
+func (kb *KnowledgeBase) Restore(e *Entry) error {
+	if e == nil {
+		return fmt.Errorf("kb: null entry")
+	}
+	if e.Pattern == nil {
+		return fmt.Errorf("kb: entry %q has no pattern", e.Name)
+	}
+	e.Pattern.Name = e.Name
+	e.Pattern.Description = e.Description
+	added, err := kb.Add(e.Pattern, e.Recommendations...)
+	if err != nil {
+		return err
+	}
+	if len(e.Profile) == NumFeatures {
+		added.Profile = e.Profile
+	}
+	return nil
 }

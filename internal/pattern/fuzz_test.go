@@ -1,0 +1,80 @@
+package pattern
+
+import (
+	"strings"
+	"testing"
+)
+
+// poisonBodies are pattern documents the binaries before Compile parsed its
+// own output saved into a knowledge base although no scan could run them:
+// each rendered to query text the SPARQL parser refuses.
+var poisonBodies = []string{
+	`{"name":"inf","pops":[{"ID":1,"type":"NLJOIN","popProperties":[{"id":"hasTotalCost","sign":">","value":"Inf"}]}]}`,
+	`{"name":"space","pops":[{"ID":1,"type":"NLJOIN","popProperties":[{"id":"has TotalCost","sign":">","value":"1"}]}]}`,
+	`{"name":"brace","pops":[{"ID":1,"type":"NLJOIN","popProperties":[{"id":"hasTotalCost}","sign":">","value":"1"}]}]}`,
+}
+
+// FuzzCompile feeds FromJSON + Compile arbitrary pattern documents, the way
+// POST /api/search and /api/kb/entries do. No input may panic. Whatever
+// FromJSON accepts must compile — Compile parses what it generates, so an
+// error there means Validate let through something the compiler pastes into
+// the query and the parser refuses —, must project exactly the handler
+// aliases in handler order, and must compile to the same text after a round
+// trip through its JSON form.
+func FuzzCompile(f *testing.F) {
+	for _, p := range Extended() {
+		data, err := p.ToJSON()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, body := range poisonBodies {
+		f.Add([]byte(body))
+	}
+	one := func(pop string) []byte { return []byte(`{"name":"s","pops":[` + pop + `]}`) }
+	for _, v := range []string{"1e400", "0x1p-2", "1_0", "NaN", ".5", "5.", "+5", "-0"} {
+		for _, sign := range []string{">", "="} {
+			f.Add(one(`{"ID":1,"type":"SORT","popProperties":[{"id":"hasIOCost","sign":"` + sign + `","value":"` + v + `"}]}`))
+		}
+	}
+	f.Add(one(`{"ID":1,"type":"` + strings.Repeat(`T\"\\\n`, 16<<10) + `","popProperties":[]}`))
+	f.Add(one(`{"ID":1,"type":"ANY","alias":"A?B","popProperties":[]}`))
+	f.Add(one(`{"ID":1,"type":"ANY","popProperties":[{"id":"hasOutputStream","value":1,"sign":"Descendant"}]}`))
+	f.Add(one(`{"ID":1,"type":"ANY","popProperties":[{"id":"hasIOCost","sign":"<","value":[1]}]}`))
+	f.Add([]byte(`{"name":"d","pops":[{"ID":1,"type":"ANY","popProperties":[]}],"planDetails":{"hasTotalCost":"> .5","has Total":"= x","hasIOCost":"fast"}}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := FromJSON(data)
+		if err != nil {
+			return
+		}
+		c, err := Compile(p)
+		if err != nil {
+			t.Fatalf("FromJSON accepted what Compile refuses: %v\n%s", err, data)
+		}
+		if len(c.Parsed.Select) != len(c.Handlers) {
+			t.Fatalf("query projects %d columns for %d handlers\n%s", len(c.Parsed.Select), len(c.Handlers), c.Query)
+		}
+		for i, h := range c.Handlers {
+			if got := c.Parsed.Select[i].Alias; got != h.Alias {
+				t.Fatalf("column %d is %q, handler alias %q\n%s", i, got, h.Alias, c.Query)
+			}
+		}
+		again, err := p.ToJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2, err := FromJSON(again)
+		if err != nil {
+			t.Fatalf("FromJSON refuses ToJSON's output: %v\n%s", err, again)
+		}
+		c2, err := Compile(p2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c2.Query != c.Query {
+			t.Fatalf("query changed across a JSON round trip:\n%s\nvs\n%s", c.Query, c2.Query)
+		}
+	})
+}

@@ -169,8 +169,26 @@ var validSigns = map[string]bool{
 	SignAbsent: true,
 }
 
-// Validate checks structural consistency: positive unique IDs, known signs,
-// resolvable relationship targets and property references.
+// isName reports whether s can be pasted into the generated query as the
+// local part of a prefixed name (after "preduri:") or as a variable name
+// (after "?"): non-empty, and only the ASCII letters, digits, '_' and '-' the
+// SPARQL lexer reads as part of either.
+func isName(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return s != ""
+}
+
+const nameRule = "want letters, digits, '_' or '-'"
+
+// Validate checks everything Compile relies on: positive unique IDs, known
+// signs, resolvable relationship targets and property references, and that
+// every name the compiler pastes into the query unquoted (aliases, property
+// ids, planDetails keys) is a name there. A pattern that validates compiles.
 func (p *Pattern) Validate() error {
 	if len(p.Pops) == 0 {
 		return fmt.Errorf("pattern %q: no pops", p.Name)
@@ -186,6 +204,9 @@ func (p *Pattern) Validate() error {
 		seen[pop.ID] = true
 		if strings.TrimSpace(pop.Type) == "" {
 			return fmt.Errorf("pattern %q: pop %d has empty type", p.Name, pop.ID)
+		}
+		if pop.Alias != "" && !isName(pop.Alias) {
+			return fmt.Errorf("pattern %q: pop %d alias %q is not a handler name (%s)", p.Name, pop.ID, pop.Alias, nameRule)
 		}
 	}
 	for _, pop := range p.Pops {
@@ -211,7 +232,13 @@ func (p *Pattern) Validate() error {
 				if !seen[target] {
 					return fmt.Errorf("pattern %q: pop %d relationship %s references unknown pop %d", p.Name, pop.ID, prop.ID, target)
 				}
+				if prop.IsRelationship() && prop.ID != RelOuterInput && prop.ID != RelInnerInput && prop.ID != RelInput {
+					return fmt.Errorf("pattern %q: pop %d: unknown relationship property %q", p.Name, pop.ID, prop.ID)
+				}
 				continue
+			}
+			if !isName(prop.ID) {
+				return fmt.Errorf("pattern %q: pop %d property id %q is not a predicate name (%s)", p.Name, pop.ID, prop.ID, nameRule)
 			}
 			if !validSigns[prop.Sign] {
 				return fmt.Errorf("pattern %q: pop %d property %s has unknown sign %q", p.Name, pop.ID, prop.ID, prop.Sign)
@@ -222,15 +249,33 @@ func (p *Pattern) Validate() error {
 				}
 				continue
 			}
-			if prop.Value == nil && prop.ValueOf == nil && prop.PlanOf == nil {
+			switch {
+			case prop.ValueOf != nil:
+				if !seen[prop.ValueOf.Pop] {
+					return fmt.Errorf("pattern %q: pop %d property %s references unknown pop %d", p.Name, pop.ID, prop.ID, prop.ValueOf.Pop)
+				}
+				if !isName(prop.ValueOf.ID) {
+					return fmt.Errorf("pattern %q: pop %d property %s: valueOf id %q is not a predicate name (%s)", p.Name, pop.ID, prop.ID, prop.ValueOf.ID, nameRule)
+				}
+			case prop.PlanOf != nil:
+				if !isName(prop.PlanOf.ID) {
+					return fmt.Errorf("pattern %q: pop %d property %s: planOf id %q is not a predicate name (%s)", p.Name, pop.ID, prop.ID, prop.PlanOf.ID, nameRule)
+				}
+			case prop.Value == nil:
 				return fmt.Errorf("pattern %q: pop %d property %s has no value", p.Name, pop.ID, prop.ID)
+			default:
+				if _, err := renderValue(prop.Sign, prop.Value); err != nil {
+					return fmt.Errorf("pattern %q: pop %d property %s: %w", p.Name, pop.ID, prop.ID, err)
+				}
 			}
-			if prop.PlanOf != nil && strings.TrimSpace(prop.PlanOf.ID) == "" {
-				return fmt.Errorf("pattern %q: pop %d property %s has empty plan reference", p.Name, pop.ID, prop.ID)
-			}
-			if prop.ValueOf != nil && !seen[prop.ValueOf.Pop] {
-				return fmt.Errorf("pattern %q: pop %d property %s references unknown pop %d", p.Name, pop.ID, prop.ID, prop.ValueOf.Pop)
-			}
+		}
+	}
+	for _, k := range sortedKeys(p.PlanDetails) {
+		if !isName(k) {
+			return fmt.Errorf("pattern %q: planDetails key %q is not a predicate name (%s)", p.Name, k, nameRule)
+		}
+		if _, _, err := splitConstraint(p.PlanDetails[k]); err != nil {
+			return fmt.Errorf("pattern %q: planDetails[%s]: %w", p.Name, k, err)
 		}
 	}
 	return nil

@@ -512,6 +512,53 @@ func TestValidateExtensionErrors(t *testing.T) {
 	}
 }
 
+// TestValidateNamesTheField holds the patterns a knowledge base used to save
+// and no scan could then run: each is refused by Validate, with a message
+// that names the offending field rather than an offset into generated text.
+func TestValidateNamesTheField(t *testing.T) {
+	wants := []string{`property hasTotalCost: > "Inf"`, `property id "has TotalCost"`, `property id "hasTotalCost}"`}
+	for i, body := range poisonBodies {
+		_, err := FromJSON([]byte(body))
+		if err == nil || !strings.Contains(err.Error(), wants[i]) || strings.Contains(err.Error(), "offset") {
+			t.Errorf("%s:\n err = %v, want one naming %s", body, err, wants[i])
+		}
+	}
+	for name, p := range map[string]Pattern{
+		"alias":                  {Pops: []Pop{{ID: 1, Type: "SORT", Alias: "A?B"}}},
+		"valueOf id":             {Pops: []Pop{{ID: 1, Type: "SORT", Properties: []Property{{ID: "hasIOCost", Sign: ">", ValueOf: &PropRef{Pop: 1, ID: "a b"}}}}}},
+		"planOf id":              {Pops: []Pop{{ID: 1, Type: "SORT", Properties: []Property{{ID: "hasIOCost", Sign: ">", PlanOf: &PlanRef{ID: "x."}}}}}},
+		"planDetails key":        {Pops: []Pop{{ID: 1, Type: "SORT"}}, PlanDetails: map[string]string{"has}": "> 1"}},
+		"planDetails constraint": {Pops: []Pop{{ID: 1, Type: "SORT"}}, PlanDetails: map[string]string{"hasTotalCost": "fast"}},
+		"relationship id":        {Pops: []Pop{{ID: 1, Type: "SORT", Properties: []Property{{ID: RelOutput, Sign: SignDescendant, Value: 1}}}}},
+		"value type":             {Pops: []Pop{{ID: 1, Type: "SORT", Properties: []Property{{ID: "hasIOCost", Sign: "<", Value: []interface{}{1.0}}}}}},
+	} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestUnspellableNumbersAreStrings: what strconv reads as a number and the
+// SPARQL lexer does not is matched as the string it is — a table may be
+// called NAN — and numbers in any spelling render in the one canonical form.
+func TestUnspellableNumbersAreStrings(t *testing.T) {
+	for value, want := range map[string]string{
+		"NAN": `?pop1 preduri:hasName "NAN" .`, "Infinity": `?pop1 preduri:hasName "Infinity" .`,
+		"0x1p-2": `?pop1 preduri:hasName "0x1p-2" .`, ".5": `FILTER(?internalHandler1 = 0.5)`, "5.": `FILTER(?internalHandler1 = 5)`,
+	} {
+		c, err := Compile(&Pattern{Name: "v", Pops: []Pop{{ID: 1, Type: "ANY", Properties: []Property{{ID: "hasName", Sign: "=", Value: value}}}}})
+		if err != nil {
+			t.Errorf("%s: %v", value, err)
+		} else if !strings.Contains(c.Query, want) {
+			t.Errorf("%s: query lacks %s:\n%s", value, want, c.Query)
+		}
+	}
+	c, err := Compile(&Pattern{Name: "d", Pops: []Pop{{ID: 1, Type: "SORT"}}, PlanDetails: map[string]string{"hasTotalCost": ">= .5"}})
+	if err != nil || !strings.Contains(c.Query, ">= 0.5)") {
+		t.Errorf("planDetails constraint: %v, %v", c, err)
+	}
+}
+
 func TestExtendedPatternsJSONRoundTrip(t *testing.T) {
 	for _, p := range []*Pattern{E(), F(), G()} {
 		data, err := p.ToJSON()

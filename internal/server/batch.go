@@ -106,7 +106,7 @@ func batchLine(line []byte) (string, error) {
 func (s *Server) handleBatchUpload(w http.ResponseWriter, r *http.Request) {
 	limit := s.batchMaxBytes
 	if s.maxBody > limit {
-		limit = s.maxBody // honour a raised -max-body for batches too
+		limit = s.maxBody // a per-plan limit raised with WithMaxBody (optimatchd has no flag for it) holds for batches too
 	}
 	body, err := readBodyLimited(w, r, limit)
 	if err != nil {

@@ -6,7 +6,7 @@
 // cacheable route answers with an X-Cache header (hit | miss | bypass |
 // collapsed), honours Cache-Control: no-cache / no-store as a per-request
 // bypass, and /api/plans/{id}/rdf additionally carries an ETag keyed by
-// (plan id, data generation) for If-None-Match revalidation.
+// (plan id, server process, data generation) for If-None-Match revalidation.
 package server
 
 import (
@@ -108,10 +108,13 @@ func fnv64a(s string) uint64 {
 }
 
 // planETag is the strong validator for GET /api/plans/{id}/rdf: it changes
-// exactly when the served bytes can (the plan set mutated). gen is the
-// engine data generation.
-func planETag(id string, gen uint64) string {
-	return `"qep-` + strconv.FormatUint(fnv64a(id), 16) + `-` + strconv.FormatUint(gen, 10) + `"`
+// whenever the served bytes can (the plan set mutated). gen is the engine
+// data generation, which a restart counts again from the records it replays:
+// the server's epoch, drawn once per process, keeps a validator minted under
+// one process's counter from matching under another's.
+func (s *Server) planETag(id string, gen uint64) string {
+	return `"qep-` + strconv.FormatUint(fnv64a(id), 16) + `-` + strconv.FormatUint(s.epoch, 16) +
+		`-` + strconv.FormatUint(gen, 10) + `"`
 }
 
 // etagMatch implements the If-None-Match comparison: a comma-separated

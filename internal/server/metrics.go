@@ -90,15 +90,6 @@ func (s *Server) registerStateMetrics() {
 			return float64(s.kb.Len())
 		})
 
-	const cacheName = "optimatch_core_query_cache_total"
-	const cacheHelp = "Parse-once query cache lookups by result."
-	reg.CounterFunc(cacheName, cacheHelp, func() float64 { return float64(s.eng.CacheStats().Hits) }, "result", "hit")
-	reg.CounterFunc(cacheName, cacheHelp, func() float64 { return float64(s.eng.CacheStats().Misses) }, "result", "miss")
-	reg.GaugeFunc("optimatch_core_query_cache_entries", "Parsed queries currently held by the parse-once cache.",
-		func() float64 { return float64(s.eng.CacheStats().Size) })
-	reg.GaugeFunc("optimatch_core_query_cache_bytes", "Query-text bytes held by the parse-once cache.",
-		func() float64 { return float64(s.eng.CacheStats().Bytes) })
-
 	const batchName = "optimatch_ingest_batch_records_total"
 	const batchHelp = "NDJSON records received by POST /api/plans:batch, by outcome."
 	reg.CounterFunc(batchName, batchHelp, func() float64 { return float64(s.batch.accepted.Load()) }, "outcome", "accepted")

@@ -258,7 +258,6 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`
 		`optimatch_core_search_seconds_count`,
 		`optimatch_core_pool_tasks_total`,
 		`optimatch_core_plans_loaded`,
-		`optimatch_core_query_cache_total{result="miss"}`,
 		`optimatch_sparql_eval_total{path="all"}`,
 		// A cold kb/run joins: every evaluated pair runs patterns on rows and
 		// tries their matches.
@@ -366,11 +365,10 @@ func TestStatsGainsObservabilityCounters(t *testing.T) {
 	if stats.Plans != 5 || stats.KBEntries != 4 {
 		t.Errorf("legacy stats fields broken: %+v", stats)
 	}
-	if stats.QueryCache.Misses == 0 {
-		t.Errorf("queryCache misses = 0 after kb/run: %+v", stats.QueryCache)
-	}
-	if stats.QueryCache.Hits == 0 {
-		t.Errorf("queryCache hits = 0 after second kb/run: %+v", stats.QueryCache)
+	// The group keeps its place in the body and reads zero: the engine parses
+	// nothing on a scan, so there is nothing to cache or count.
+	if stats.QueryCache != (core.CacheStats{}) {
+		t.Errorf("query-cache group = %+v, want zeros", stats.QueryCache)
 	}
 	if stats.Eval.Specialized == 0 || stats.Eval.JoinRows == 0 || stats.Eval.MatchRows == 0 {
 		t.Errorf("eval.specialized, eval.joinRows or eval.matchRows = 0 after kb/run: %+v", stats.Eval)

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand/v2"
 	"net/http"
 	"strings"
 	"sync"
@@ -71,6 +72,7 @@ type Server struct {
 	baseCtx      context.Context // nil: shutdown indistinguishable from disconnect
 	exec         execCounters
 	cache        *cache.Cache // nil: responses render per request (see cache.go)
+	epoch        uint64       // this process's part of every ETag (see planETag)
 
 	batchMaxRecords int   // NDJSON records per batch (see batch.go)
 	batchMaxBytes   int64 // request-body bytes per batch
@@ -169,6 +171,7 @@ func New(eng *core.Engine, base *kb.KnowledgeBase, opts ...Option) *Server {
 	}
 	s := &Server{
 		eng: eng, kb: base, maxBody: maxBodyBytes,
+		epoch:           rand.Uint64(),
 		batchMaxRecords: defaultBatchMaxRecords,
 		batchMaxBytes:   defaultBatchMaxBytes,
 	}
@@ -351,7 +354,7 @@ func (s *Server) handlePlanRDF(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("plan %q not loaded", id))
 		return
 	}
-	etag := planETag(id, gen)
+	etag := s.planETag(id, gen)
 	if etagMatch(r.Header.Get("If-None-Match"), etag) {
 		w.Header().Set("ETag", etag)
 		w.WriteHeader(http.StatusNotModified)
@@ -399,9 +402,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	// Compile here (FindPatternContext would otherwise do it) so the cache
-	// key names the canonical compiled query, not the JSON spelling: two
-	// bodies that compile identically share one entry.
+	// Compile here (FindPattern would otherwise do it) so the cache key
+	// names the canonical compiled query, not the JSON spelling: two bodies
+	// that compile identically share one entry.
 	c, err := pattern.Compile(p)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
@@ -418,7 +421,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	key := cache.Key("http.search", genToken(gen), p.Name, c.Query)
 	s.serveCached(w, r, ctx, key, gen, "application/json", http.StatusUnprocessableEntity,
 		func(fctx context.Context) ([]byte, error) {
-			matches, err := s.eng.FindCompiledContext(fctx, c)
+			matches, err := s.eng.FindCompiled(fctx, c)
 			if err != nil {
 				return nil, err
 			}
@@ -450,7 +453,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	key := cache.Key("http.sparql", genToken(gen), query)
 	s.serveCached(w, r, ctx, key, gen, "application/json", http.StatusUnprocessableEntity,
 		func(fctx context.Context) ([]byte, error) {
-			matches, err := s.eng.FindSPARQLContext(fctx, query)
+			matches, err := s.eng.FindSPARQL(fctx, query)
 			if err != nil {
 				return nil, err
 			}
@@ -570,7 +573,7 @@ func (s *Server) handleRunKB(w http.ResponseWriter, r *http.Request) {
 	key := cache.Key("http.kbrun", genToken(gen), base.CacheKey())
 	s.serveCached(w, r, ctx, key, gen, "application/json", http.StatusInternalServerError,
 		func(fctx context.Context) ([]byte, error) {
-			reports, err := s.eng.RunKBContext(fctx, base)
+			reports, err := s.eng.RunKB(fctx, base)
 			if err != nil {
 				return nil, err
 			}
@@ -598,9 +601,9 @@ func (s *Server) handleRunKB(w http.ResponseWriter, r *http.Request) {
 type statsBody struct {
 	Plans      int                 `json:"plans"`
 	KBEntries  int                 `json:"kbEntries"`
-	Prefilter  core.PrefilterStats `json:"prefilter"` // the eval counters under their older names (core/frozen.go)
-	QueryCache core.CacheStats     `json:"queryCache"`
-	Eval       sparql.EvalSnapshot `json:"eval"` // "specialized" counts every execution; "fallback" is always 0 (one evaluator)
+	Prefilter  core.PrefilterStats `json:"prefilter"`  // the eval counters under their older names (core/frozen.go)
+	QueryCache core.CacheStats     `json:"queryCache"` // all zeros: there is no query cache (core/frozen.go)
+	Eval       sparql.EvalSnapshot `json:"eval"`       // "specialized" counts every execution; "fallback" is always 0 (one evaluator)
 	Exec       ExecStats           `json:"exec"`
 	Batch      BatchStats          `json:"batch"`
 	Cache      *cache.Stats        `json:"cache,omitempty"` // nil without -cache-bytes

@@ -395,6 +395,80 @@ func TestStoreBackedServerSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestPoisonedEntryRefused posts the three patterns that used to be saved,
+// journaled and then fail every knowledge-base scan with a 500 — also after
+// every restart — because nobody parsed an entry's query until a scan did.
+// Each is a 422 where it is posted, and nothing else changes.
+func TestPoisonedEntryRefused(t *testing.T) {
+	st, ts := storeServer(t, t.TempDir())
+	for _, p := range fixtures.All() {
+		postBody(t, ts.URL+"/api/plans", qep.Text(p), http.StatusCreated, nil)
+	}
+	var before, after []entryInfo
+	getJSON(t, ts.URL+"/api/kb", http.StatusOK, &before)
+	appended := st.Stats().AppendedRecords
+
+	for _, prop := range []string{
+		`{"id":"hasTotalCost","sign":">","value":"Inf"}`,
+		`{"id":"has TotalCost","sign":">","value":"1"}`,
+		`{"id":"hasTotalCost}","sign":">","value":"1"}`,
+	} {
+		body := `{"pattern":{"name":"poison","pops":[{"ID":1,"type":"NLJOIN","popProperties":[` + prop +
+			`]}]},"recommendations":[{"title":"t","template":"look at @TOP"}]}`
+		var e errorBody
+		postBody(t, ts.URL+"/api/kb/entries", body, http.StatusUnprocessableEntity, &e)
+		if !strings.Contains(e.Error, "pop 1 property") || strings.Contains(e.Error, "offset") {
+			t.Errorf("%s: error %q does not name the field", prop, e.Error)
+		}
+		postBody(t, ts.URL+"/api/kb/run", "", http.StatusOK, nil)
+	}
+	getJSON(t, ts.URL+"/api/kb", http.StatusOK, &after)
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("knowledge base changed:\n%v\n%v", before, after)
+	}
+	if got := st.Stats().AppendedRecords; got != appended {
+		t.Errorf("a refused entry was journaled: %d records appended, want %d", got, appended)
+	}
+}
+
+// TestETagDoesNotSurviveRestart: the engine generation a validator embeds
+// restarts from the number of replayed records, so after delete, re-upload
+// under the same ID and compaction, a restarted server reaches the old
+// generation number with different bytes behind it. A validator minted by
+// one process must not match in another.
+func TestETagDoesNotSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	st, ts := storeServer(t, dir)
+	x := qep.Text(fixtures.Renamed(fixtures.Figure1(), "Q1"))
+	y := qep.Text(fixtures.Renamed(fixtures.Figure7(), "Q1"))
+
+	postBody(t, ts.URL+"/api/plans", x, http.StatusCreated, nil)
+	resp, bodyX := cacheReq(t, "GET", ts.URL+"/api/plans/Q1/rdf", "", nil)
+	etag := resp.Header.Get("ETag")
+	if resp, _ := cacheReq(t, "GET", ts.URL+"/api/plans/Q1/rdf", "", map[string]string{"If-None-Match": etag}); resp.StatusCode != http.StatusNotModified {
+		t.Fatalf("same process, same generation: status %d, want 304", resp.StatusCode)
+	}
+	doDelete(t, ts.URL+"/api/plans/Q1", http.StatusOK)
+	postBody(t, ts.URL+"/api/plans", y, http.StatusCreated, nil)
+	postBody(t, ts.URL+"/api/admin/compact", "", http.StatusOK, nil)
+	ts.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := storeServer(t, dir)
+	resp, bodyY := cacheReq(t, "GET", ts2.URL+"/api/plans/Q1/rdf", "", map[string]string{"If-None-Match": etag})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("validator from before the restart: status %d, want 200", resp.StatusCode)
+	}
+	if bodyY == bodyX || !strings.Contains(bodyY, "http://optimatch/") {
+		t.Fatalf("restarted server did not serve the re-uploaded plan: %.100s", bodyY)
+	}
+	if got := resp.Header.Get("ETag"); got == etag || got == "" {
+		t.Fatalf("ETag after restart = %q, want a new validator (was %q)", got, etag)
+	}
+}
+
 // TestConcurrentKBReadsAndWrites hammers the KB read paths while entries
 // are being added; run with -race this fails if any path touches the entry
 // list without synchronization.

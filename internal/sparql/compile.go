@@ -10,8 +10,9 @@ import (
 
 // This file compiles a query into its graph-independent program. Everything
 // about an evaluation that depends only on the query text is decided here,
-// once per parsed query (Parse computes it with the static analysis and the
-// engine's parse-once cache shares it): the variable→slot table, triple
+// once per parsed query (Parse computes it with the static analysis, and
+// whoever holds the parsed query — a compiled pattern, a knowledge-base entry
+// — shares it): the variable→slot table, triple
 // patterns carrying slot and constant numbers, each group's filters with the
 // slots they read as a bitmask and a compiled row predicate, the variables
 // every element binds as a bitmask, and the result tail — which slots are

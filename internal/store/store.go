@@ -155,6 +155,7 @@ type Store struct {
 	batchAppends   int64
 	batchPlans     int64
 	recovered      int64
+	skippedEntries int64
 	truncations    int64
 	compactions    int64
 	lastCompact    time.Time
@@ -179,6 +180,7 @@ type Stats struct {
 	BatchAppends        int64     `json:"batchAppends"`        // batch records appended since open
 	BatchPlans          int64     `json:"batchPlans"`          // plans persisted through batch records since open
 	RecoveredRecords    int64     `json:"recoveredRecords"`    // WAL records replayed at open
+	SkippedEntries      int64     `json:"skippedEntries"`      // of those, kb entries this binary refuses (see applyRecord)
 	RecoveryTruncations int64     `json:"recoveryTruncations"` // torn tails truncated at open
 	Compactions         int64     `json:"compactions"`         // compactions since open
 	LastCompaction      time.Time `json:"lastCompaction"`      // zero if none since open
@@ -243,11 +245,12 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		}
 		s.truncations++
 	}
+	skipped := make(map[string]bool) // names of the entries applyRecord skipped
 	for i := range recs {
 		if recs[i].Seq <= s.seq {
 			continue // already absorbed by the snapshot
 		}
-		if err := s.applyRecord(&recs[i]); err != nil {
+		if err := s.applyRecord(&recs[i], skipped); err != nil {
 			return nil, fmt.Errorf("store: replaying record %d (seq %d): %w", i, recs[i].Seq, err)
 		}
 		s.seq = recs[i].Seq
@@ -279,8 +282,14 @@ func (s *Store) KB() *kb.KnowledgeBase {
 	return s.base
 }
 
-// applyRecord replays one journaled mutation into the engine/KB.
-func (s *Store) applyRecord(rec *record) error {
+// applyRecord replays one journaled mutation into the engine/KB. Replay must
+// accept what the log holds, with one exception: a knowledge-base entry whose
+// pattern this binary's kb.Add refuses. An older binary journaled patterns it
+// never compiled to a query that parses (and the removal that cleaned up
+// after them); failing Open on those would turn a validation fix into a store
+// that cannot start. Such an entry is skipped and counted, its name goes into
+// skipped, and the later removal of a skipped name is a no-op.
+func (s *Store) applyRecord(rec *record, skipped map[string]bool) error {
 	switch rec.Op {
 	case opAddPlan:
 		_, err := s.eng.LoadText(rec.Text)
@@ -305,8 +314,24 @@ func (s *Store) applyRecord(rec *record) error {
 		}
 		return nil
 	case opAddEntry:
-		return addEntryJSON(s.base, rec.Item)
+		var e kb.Entry
+		if err := json.Unmarshal(rec.Item, &e); err != nil {
+			return fmt.Errorf("decoding kb entry: %w", err)
+		}
+		err := s.base.Restore(&e)
+		if err != nil && e.Pattern != nil {
+			if _, cerr := pattern.Compile(e.Pattern); cerr != nil {
+				skipped[e.Name] = true
+				s.skippedEntries++
+				return nil
+			}
+		}
+		return err
 	case opRemoveEntry:
+		if skipped[rec.ID] {
+			delete(skipped, rec.ID)
+			return nil
+		}
 		if !s.base.Remove(rec.ID) {
 			return fmt.Errorf("kb entry %q not found", rec.ID)
 		}
@@ -314,29 +339,6 @@ func (s *Store) applyRecord(rec *record) error {
 	default:
 		return fmt.Errorf("unknown op %q", rec.Op)
 	}
-}
-
-// addEntryJSON reconstructs a knowledge-base entry from its JSON form the
-// same way kb.Load does: recompile the pattern, revalidate the templates,
-// keep the stored ranking profile.
-func addEntryJSON(base *kb.KnowledgeBase, data []byte) error {
-	var e kb.Entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return fmt.Errorf("decoding kb entry: %w", err)
-	}
-	if e.Pattern == nil {
-		return fmt.Errorf("kb entry %q has no pattern", e.Name)
-	}
-	e.Pattern.Name = e.Name
-	e.Pattern.Description = e.Description
-	added, err := base.Add(e.Pattern, e.Recommendations...)
-	if err != nil {
-		return err
-	}
-	if len(e.Profile) == kb.NumFeatures {
-		added.Profile = e.Profile
-	}
-	return nil
 }
 
 // writableLocked reports whether the store currently accepts mutations.
@@ -628,6 +630,7 @@ func (s *Store) Stats() Stats {
 		BatchAppends:        s.batchAppends,
 		BatchPlans:          s.batchPlans,
 		RecoveredRecords:    s.recovered,
+		SkippedEntries:      s.skippedEntries,
 		RecoveryTruncations: s.truncations,
 		Compactions:         s.compactions,
 		LastCompaction:      s.lastCompact,

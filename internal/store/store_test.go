@@ -1,6 +1,8 @@
 package store
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -32,7 +34,7 @@ func planTexts() map[string]string {
 // not depend on it.
 func reportString(t *testing.T, eng *core.Engine, base *kb.KnowledgeBase) string {
 	t.Helper()
-	reports, err := eng.RunKB(base)
+	reports, err := eng.RunKB(context.Background(), base)
 	if err != nil {
 		t.Fatalf("RunKB: %v", err)
 	}
@@ -388,5 +390,59 @@ func TestValidationErrorsAreNotPersistErrors(t *testing.T) {
 	// Failed mutations must not leave records behind.
 	if st := s.Stats(); st.AppendedRecords != 1 {
 		t.Errorf("appended = %d, want 1", st.AppendedRecords)
+	}
+}
+
+// TestReplaySkipsRefusedEntry opens a log as an older binary could have left
+// it: that binary journaled a knowledge-base entry whose pattern compiles to
+// a query that does not parse (nobody parsed it until a scan did), a good
+// entry, and the removal that cleaned the bad one up. The current kb.Add
+// refuses the bad pattern; replay must skip it, treat its removal as the no-op
+// it now is, count the skip, and still fail on anything else.
+func TestReplaySkipsRefusedEntry(t *testing.T) {
+	entry := func(name, propID string) json.RawMessage {
+		return json.RawMessage(`{"name":"` + name + `","pattern":{"pops":[{"ID":1,"type":"NLJOIN","popProperties":[` +
+			`{"id":"` + propID + `","sign":">","value":"1"}]}]},"recommendations":[{"title":"t","template":"look at @TOP"}]}`)
+	}
+	log := func(recs ...record) []byte {
+		var wal []byte
+		for i := range recs {
+			recs[i].Seq = uint64(i + 1)
+			buf, err := encodeRecord(&recs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			wal = append(wal, buf...)
+		}
+		return wal
+	}
+
+	dir := t.TempDir()
+	writeFile(t, filepath.Join(dir, walName), log(
+		record{Op: opAddEntry, ID: "bad", Item: entry("bad", "has TotalCost")},
+		record{Op: opAddEntry, ID: "good", Item: entry("good", "hasTotalCost")},
+		record{Op: opRemoveEntry, ID: "bad"},
+	))
+	s, err := Open(dir, WithDefaultKB(kb.New()))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	if base := s.KB(); base.Len() != 1 || base.Entry("good") == nil {
+		t.Errorf("recovered %d entries, want the good one alone", base.Len())
+	}
+	if st := s.Stats(); st.SkippedEntries != 1 || st.RecoveredRecords != 3 || st.LastSeq != 3 {
+		t.Errorf("stats = %+v, want 1 skipped of 3 replayed", st)
+	}
+	if _, err := s.Engine().RunKB(context.Background(), s.KB()); err != nil {
+		t.Errorf("RunKB over the recovered knowledge base: %v", err)
+	}
+
+	// The removal of a name that was neither added nor skipped is still the
+	// corruption it always was.
+	dir = t.TempDir()
+	writeFile(t, filepath.Join(dir, walName), log(record{Op: opRemoveEntry, ID: "bad"}))
+	if _, err := Open(dir, WithDefaultKB(kb.New())); err == nil {
+		t.Error("Open replayed the removal of an entry that never existed")
 	}
 }

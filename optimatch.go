@@ -9,8 +9,8 @@
 //
 //	eng := optimatch.New()
 //	plan, err := eng.LoadText(explainText) // parse + transform to RDF
-//	matches, err := eng.FindPattern(optimatch.PatternA())
-//	reports, err := eng.RunKB(optimatch.CanonicalKB())
+//	matches, err := eng.FindPattern(context.Background(), optimatch.PatternA())
+//	reports, err := eng.RunKB(context.Background(), optimatch.CanonicalKB())
 //
 // Custom patterns are built fluently (the programmatic equivalent of the
 // paper's GUI pattern builder):

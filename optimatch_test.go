@@ -2,6 +2,7 @@ package optimatch
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Canonical pattern search.
-	matches, err := eng.FindPattern(PatternA())
+	matches, err := eng.FindPattern(context.Background(), PatternA())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Knowledge-base scan.
-	reports, err := eng.RunKB(CanonicalKB())
+	reports, err := eng.RunKB(context.Background(), CanonicalKB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestPublicAPIClustering(t *testing.T) {
 	if clusters.K() != 3 {
 		t.Fatalf("K = %d", clusters.K())
 	}
-	matches, err := eng.FindPattern(PatternA())
+	matches, err := eng.FindPattern(context.Background(), PatternA())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestPublicAPIWorkloadAndKBPersistence(t *testing.T) {
 	if err := eng.LoadPlans(w.Plans); err != nil {
 		t.Fatal(err)
 	}
-	matches, err := eng.FindPattern(PatternA())
+	matches, err := eng.FindPattern(context.Background(), PatternA())
 	if err != nil {
 		t.Fatal(err)
 	}
