@@ -106,7 +106,7 @@ func run() error {
 		data         = flag.String("data", "", "durable store directory (empty: in-memory only, state lost on exit)")
 		compactEvery = flag.Int64("compact-every", 1024, "auto-compact the store once its WAL holds this many records (0: manual only)")
 		failDegraded = flag.Bool("fail-on-degraded", false, "exit with code 3 when shutting down while the store is degraded (read-only)")
-		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "deadline for one engine execution (search/sparql/kb-run); clients may shorten it per request with X-Timeout-Ms (0: no deadline)")
+		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "deadline for one read (search/sparql/kb-run/rdf); clients may shorten it per request with X-Timeout-Ms (0: no deadline)")
 		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "byte budget for the generation-keyed result cache (0: caching disabled)")
 		maxInflight  = flag.Int("max-inflight", 0, "cap on concurrently admitted scan work, in weighted units (kb/run counts 2, search/sparql 1; 0: unlimited)")
 		queueWait    = flag.Duration("queue-wait", 100*time.Millisecond, "how long a request may queue for an admission slot before being shed with 503")

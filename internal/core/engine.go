@@ -74,7 +74,7 @@ type Engine struct {
 	// cache what they derive from it: every load and removal bumps it while
 	// still holding mu, a batch load once, not per plan. A caller that reads
 	// equal values before and after a scan knows no mutation's critical
-	// section overlapped the scan's snapshot (server.serveCached is that
+	// section overlapped the scan's snapshot (server.serveRead is that
 	// caller).
 	generation atomic.Uint64
 

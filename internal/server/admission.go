@@ -1,13 +1,14 @@
-// Deadline-aware, load-shedding execution for the three routes that run
-// engine scans (POST /api/search, /api/sparql, /api/kb/run). Every exec
-// request gets a context that expires at the configured query timeout
-// (clients may shorten — never extend — it per request via X-Timeout-Ms),
-// and an optional weighted admission gate bounds how much scan work runs
-// concurrently: requests over the limit wait in FIFO order for at most the
-// configured queue wait, then are shed with 503 + Retry-After. The engine
-// observes the same context cooperatively, so a deadline, a client
-// disconnect or daemon shutdown stops the scan mid-flight instead of
-// burning the worker pool on an answer nobody will read.
+// Deadline-aware, load-shedding execution. Every read route (POST
+// /api/search, /api/sparql, /api/kb/run, GET /api/plans/{id}/rdf) runs
+// under a context that expires at the configured query timeout (clients may
+// shorten — never extend — it per request via X-Timeout-Ms): serveRead
+// derives it, once, with execContext. An optional weighted admission gate
+// bounds how much scan work runs concurrently on the routes wrapped in gated:
+// requests over the limit wait in FIFO order for at most the configured
+// queue wait, then are shed with 503 + Retry-After. The engine observes the
+// same context cooperatively, so a deadline, a client disconnect or daemon
+// shutdown stops the scan mid-flight instead of burning the worker pool on
+// an answer nobody will read.
 package server
 
 import (
@@ -164,7 +165,7 @@ type admission struct {
 	queueWait time.Duration
 }
 
-// execContext derives the context one engine execution runs under: the
+// execContext derives the context one read renders under: the
 // request context (so client disconnects and shutdown propagate), bounded
 // by the server's query timeout. A client may shorten the deadline with an
 // X-Timeout-Ms header; a malformed or non-positive value is an error (the
@@ -174,11 +175,8 @@ func (s *Server) execContext(r *http.Request) (context.Context, context.CancelFu
 	d := s.queryTimeout
 	if hdr := r.Header.Get("X-Timeout-Ms"); hdr != "" {
 		ms, err := strconv.ParseInt(hdr, 10, 64)
-		if err != nil {
+		if err != nil || ms <= 0 {
 			return nil, nil, fmt.Errorf("invalid X-Timeout-Ms %q: want a positive integer of milliseconds", hdr)
-		}
-		if ms <= 0 {
-			return nil, nil, fmt.Errorf("invalid X-Timeout-Ms %q: must be positive", hdr)
 		}
 		hd := time.Duration(math.MaxInt64) // ms counts that overflow a Duration clamp to the max
 		if ms <= int64(hd/time.Millisecond) {
@@ -189,8 +187,7 @@ func (s *Server) execContext(r *http.Request) (context.Context, context.CancelFu
 		}
 	}
 	if d <= 0 {
-		ctx, cancel := context.WithCancel(r.Context())
-		return ctx, cancel, nil
+		return r.Context(), func() {}, nil
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	return ctx, cancel, nil
@@ -212,71 +209,61 @@ func retryAfterHint(queueWait time.Duration) string {
 // is one query), so under -max-inflight N a full scan consumes more of the
 // budget than a point query.
 func (s *Server) gated(weight int64, h http.HandlerFunc) http.HandlerFunc {
-	if s.adm == nil {
-		return func(w http.ResponseWriter, r *http.Request) {
-			s.exec.inFlight.Add(weight)
-			defer s.exec.inFlight.Add(-weight)
-			h(w, r)
-		}
-	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		waitCtx, cancel := context.WithTimeout(r.Context(), s.adm.queueWait)
-		err := s.adm.sem.Acquire(waitCtx, weight)
-		cancel()
-		if err != nil {
-			if r.Context().Err() != nil {
-				// The client gave up while queued — nothing to shed, no
-				// one to answer. Record the 499 for the access log.
-				s.exec.cancelled.Add(1)
-				w.WriteHeader(StatusClientClosedRequest)
+		if s.adm != nil {
+			waitCtx, cancel := context.WithTimeout(r.Context(), s.adm.queueWait)
+			err := s.adm.sem.Acquire(waitCtx, weight)
+			cancel()
+			if err != nil {
+				if r.Context().Err() != nil {
+					// The client gave up while queued — nothing to shed, no
+					// one to answer. Record the 499 for the access log.
+					s.exec.cancelled.Add(1)
+					w.WriteHeader(StatusClientClosedRequest)
+					return
+				}
+				s.exec.shed.Add(1)
+				w.Header().Set("Retry-After", retryAfterHint(s.adm.queueWait))
+				writeError(w, http.StatusServiceUnavailable, errShed)
 				return
 			}
-			s.exec.shed.Add(1)
-			w.Header().Set("Retry-After", retryAfterHint(s.adm.queueWait))
-			writeError(w, http.StatusServiceUnavailable, errShed)
-			return
+			defer s.adm.sem.Release(weight)
 		}
-		defer s.adm.sem.Release(weight)
 		s.exec.inFlight.Add(weight)
 		defer s.exec.inFlight.Add(-weight)
 		h(w, r)
 	}
 }
 
-// execError writes the response for a failed engine execution, mapping
-// context errors to honest statuses:
+// execError writes the response for a failed render, mapping context errors
+// to honest statuses:
 //
 //   - deadline exceeded  -> 504 Gateway Timeout
 //   - daemon shutdown    -> 503 + Retry-After (come back after restart)
 //   - client disconnect  -> 499 recorded for the log; no body — the
 //     connection is gone
 //
-// Any other error is the caller's fallback status (typically 422 for a
-// malformed query). Returns true when it classified a cancellation, so
-// handlers skip their ordinary error path.
-func (s *Server) execError(w http.ResponseWriter, r *http.Request, err error) bool {
+// Any other error gets the route's fallback status (422 for a malformed
+// query, 500 for a scan or serialisation that broke).
+func (s *Server) execError(w http.ResponseWriter, r *http.Request, err error, fallback int) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.exec.deadline.Add(1)
-		writeError(w, http.StatusGatewayTimeout,
-			fmt.Errorf("query deadline exceeded: %w", err))
-		return true
+		writeError(w, http.StatusGatewayTimeout, fmt.Errorf("query deadline exceeded: %w", err))
 	case errors.Is(err, context.Canceled):
 		s.exec.cancelled.Add(1)
-		if s.baseCtx != nil && s.baseCtx.Err() != nil {
+		switch {
+		case s.baseCtx != nil && s.baseCtx.Err() != nil:
 			// Shutdown cancelled the work, not the client: the connection
 			// is still open, so say so and invite a retry elsewhere.
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Errorf("server shutting down"))
-			return true
-		}
-		if r.Context().Err() != nil {
+			writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server shutting down"))
+		case r.Context().Err() != nil:
 			w.WriteHeader(StatusClientClosedRequest)
-			return true
+		default:
+			writeError(w, http.StatusServiceUnavailable, err)
 		}
-		writeError(w, http.StatusServiceUnavailable, err)
-		return true
+	default:
+		writeError(w, fallback, err)
 	}
-	return false
 }

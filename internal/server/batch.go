@@ -11,11 +11,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync/atomic"
 
 	"optimatch/internal/core"
@@ -85,11 +85,12 @@ type batchResponse struct {
 }
 
 // batchLine decodes one NDJSON record: either a bare JSON string or an
-// object carrying the explain text under "text".
+// object carrying the explain text under "text". A null is neither (it
+// decodes into anything without error, hence the pointers).
 func batchLine(line []byte) (string, error) {
-	var text string
-	if err := json.Unmarshal(line, &text); err == nil {
-		return text, nil
+	var text *string
+	if err := json.Unmarshal(line, &text); err == nil && text != nil {
+		return *text, nil
 	}
 	var obj struct {
 		Text *string `json:"text"`
@@ -98,7 +99,7 @@ func batchLine(line []byte) (string, error) {
 		return "", fmt.Errorf("record is neither a JSON string nor an object: %v", err)
 	}
 	if obj.Text == nil {
-		return "", fmt.Errorf(`record object has no "text" field`)
+		return "", fmt.Errorf(`record is null or an object with no "text"`)
 	}
 	return *obj.Text, nil
 }
@@ -108,9 +109,8 @@ func (s *Server) handleBatchUpload(w http.ResponseWriter, r *http.Request) {
 	if s.maxBody > limit {
 		limit = s.maxBody // a per-plan limit raised with WithMaxBody (optimatchd has no flag for it) holds for batches too
 	}
-	body, err := readBodyLimited(w, r, limit)
-	if err != nil {
-		writeError(w, bodyErrStatus(err), err)
+	body, ok := readBody(w, r, limit)
+	if !ok {
 		return
 	}
 	lines := splitNDJSON(body)
@@ -207,13 +207,16 @@ func (s *Server) handleBatchUpload(w http.ResponseWriter, r *http.Request) {
 
 // splitNDJSON cuts the body into records on newlines, dropping blank lines
 // (a trailing newline is the common case, not an empty record).
+// The records alias body: nothing is copied.
 func splitNDJSON(body []byte) [][]byte {
 	var out [][]byte
-	for _, line := range strings.Split(string(body), "\n") {
-		if strings.TrimSpace(line) == "" {
+	for len(body) > 0 {
+		line, rest, _ := bytes.Cut(body, []byte{'\n'})
+		body = rest
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		out = append(out, []byte(line))
+		out = append(out, line)
 	}
 	return out
 }

@@ -1,18 +1,19 @@
-// Response caching for the read-mostly API routes. The server caches
-// fully-rendered response bytes (JSON reports, N-Triples dumps) in the
-// generation-keyed cache: a warm hit costs one map lookup and one write, no
-// scan and no rendering. This is the only result cache in the system — the
-// engine below is a pure function of (plan set, query or KB). Every
-// cacheable route answers with an X-Cache header (hit | miss | bypass |
-// collapsed), honours Cache-Control: no-cache / no-store as a per-request
-// bypass, and /api/plans/{id}/rdf additionally carries an ETag keyed by
-// (plan id, server process, data generation) for If-None-Match revalidation.
+// The read path. The four read-mostly routes (POST /api/search, /api/sparql,
+// /api/kb/run, GET /api/plans/{id}/rdf) are each a readRoute descriptor, and
+// serveRead is the one function that runs them: body limit, deadline, cache
+// directives, generation pin, key, validator, cache, errors and response
+// headers are spelled there and nowhere else. What it caches is the rendered
+// response bytes, keyed by generation — a warm hit costs a parse of the
+// request, one map lookup and one write, no compile, no scan, no rendering —
+// and this is the only result cache in the system: the engine below is a pure
+// function of (plan set, query or KB).
 package server
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -29,17 +30,13 @@ func WithResultCache(c *cache.Cache) Option {
 	return func(s *Server) { s.cache = c }
 }
 
-// encodeJSON renders v exactly as writeJSON would put it on the wire
-// (two-space indent, trailing newline), so cached and uncached responses
-// are byte-identical.
-func encodeJSON(v interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+// encodeJSON is the one encoder configuration (two-space indent, trailing
+// newline) behind every JSON body, so cached and uncached responses are
+// byte-identical.
+func encodeJSON(w io.Writer, v interface{}) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return enc.Encode(v)
 }
 
 // cacheContext applies the client's cache directives to the execution
@@ -54,41 +51,89 @@ func cacheContext(ctx context.Context, r *http.Request) context.Context {
 	return ctx
 }
 
-// genToken renders a data generation for use as a cache-key component.
-func genToken(gen uint64) string { return strconv.FormatUint(gen, 10) }
+// renderFunc renders one response body into buf under the execution context.
+type renderFunc func(ctx context.Context, buf *bytes.Buffer) error
 
-// serveCached runs render through the response cache under key and writes
-// the result with an X-Cache header. keyGen is the engine generation the
-// key pins: if the generation moved while rendering, the response is still
-// served but not stored, so a newer body is never filed under an older key.
-// Engine errors route through execError, falling back to fallback for
-// ordinary failures. With no cache configured (or a bypass in ctx) render
-// runs directly and X-Cache reports "bypass".
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, ctx context.Context,
-	key string, keyGen uint64, contentType string, fallback int,
-	render func(context.Context) ([]byte, error)) {
+// readRoute describes one cached read route; serveRead runs it.
+type readRoute struct {
+	name        string // first part of the cache key, e.g. "http.search"
+	contentType string
+	body        bool // read the request body and hand it to parse
+	parseStatus int  // status of an error from parse
+	fallback    int  // status of a render error that is no deadline or cancellation
+	// parse turns the request into the key part that, with the generation,
+	// identifies the answer, and the closure that renders it.
+	parse func(r *http.Request, body []byte) (part string, render renderFunc, err error)
+	// validator, when set, names the answer in an ETag and makes the route
+	// honour If-None-Match.
+	validator func(part string, gen uint64) string
+}
 
-	b, out, err := s.cache.Do(ctx, key, func(fctx context.Context) (cache.Result, error) {
-		b, err := render(fctx)
+// serveRead is the handler of a read route. Its steps fail in the order
+// they are written: 413 / 400 for the body, the route's parseStatus, 400 for
+// a malformed X-Timeout-Ms, 304, then whatever the render ends in. The
+// generation is read before parse looks anything up, so neither the key nor
+// the validator claims a newer state than what render closes over; a body
+// rendered while the generation moved is served but not stored, and an error
+// is neither stored nor given a validator. Without a cache, or under
+// Cache-Control: no-cache / no-store, render runs directly and X-Cache says
+// "bypass".
+func (s *Server) serveRead(rt readRoute) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var body []byte
+		if rt.body {
+			var ok bool
+			if body, ok = readBody(w, r, s.maxBody); !ok {
+				return
+			}
+		}
+		gen := s.eng.Generation()
+		part, render, err := rt.parse(r, body)
 		if err != nil {
-			return cache.Result{}, err
+			writeError(w, rt.parseStatus, err)
+			return
 		}
-		return cache.Result{Body: b, NoStore: s.eng.Generation() != keyGen}, nil
-	})
-	if err != nil {
-		if !s.execError(w, r, err) {
-			writeError(w, fallback, err)
+		ctx, cancel, err := s.execContext(r)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
 		}
-		return
-	}
-	w.Header().Set("X-Cache", out.String())
-	w.Header().Set("Content-Type", contentType)
-	// Content-Length is set explicitly so HEAD answers carry the same
-	// headers a GET would; the body itself is GET-only (RFC 9110 §9.3.2).
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		_, _ = w.Write(b)
+		defer cancel()
+		ctx = cacheContext(ctx, r)
+		var etag string
+		if rt.validator != nil {
+			etag = rt.validator(part, gen)
+			if etagMatch(r.Header.Get("If-None-Match"), etag) {
+				w.Header().Set("ETag", etag)
+				w.WriteHeader(http.StatusNotModified)
+				return
+			}
+		}
+		key := cache.Key(rt.name, strconv.FormatUint(gen, 10), part)
+		b, out, err := s.cache.Do(ctx, key, func(fctx context.Context) (cache.Result, error) {
+			var buf bytes.Buffer
+			if err := render(fctx, &buf); err != nil {
+				return cache.Result{}, err
+			}
+			return cache.Result{Body: buf.Bytes(), NoStore: s.eng.Generation() != gen}, nil
+		})
+		if err != nil {
+			s.execError(w, r, err, rt.fallback)
+			return
+		}
+		h := w.Header()
+		if etag != "" {
+			h.Set("ETag", etag)
+		}
+		h.Set("X-Cache", out.String())
+		h.Set("Content-Type", rt.contentType)
+		// Explicit, so a HEAD carries the headers of the GET whose body it
+		// omits (RFC 9110 §9.3.2).
+		h.Set("Content-Length", strconv.Itoa(len(b)))
+		w.WriteHeader(http.StatusOK)
+		if r.Method != http.MethodHead {
+			_, _ = w.Write(b)
+		}
 	}
 }
 

@@ -104,6 +104,11 @@ func (s *Server) withObservability(mux *http.ServeMux) http.Handler {
 				slog.Duration("elapsed", elapsed),
 				slog.String("remote", r.RemoteAddr),
 			}
+			// What the response cache did with a read (hit | miss | bypass |
+			// collapsed); routes serveRead does not serve have no X-Cache.
+			if xc := w.Header().Get("X-Cache"); xc != "" {
+				attrs = append(attrs, slog.String("cache", xc))
+			}
 			// A 499 means the client hung up mid-request: log it under its
 			// own message so disconnect spikes are one grep away, and never
 			// as an ordinary "request" that appears to have been answered.

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"optimatch/internal/cache"
 	"optimatch/internal/core"
 	"optimatch/internal/fixtures"
 	"optimatch/internal/obs"
@@ -315,14 +316,15 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`
 // TestAccessLogAndSlowRequests asserts the middleware writes one structured
 // line per request and a WARN line past the slow threshold.
 func TestAccessLogAndSlowRequests(t *testing.T) {
-	var buf bytes.Buffer
+	var buf syncBuffer // the line is logged after the handler returns, possibly after the client has its answer
 	log := obs.NewLogger(&buf, 0 /* info */, "json")
 	eng := core.New()
 	if err := eng.LoadPlans(fixtures.All()); err != nil {
 		t.Fatal(err)
 	}
 	// Threshold of 0 disables slow logging; 1ns flags everything.
-	ts := httptest.NewServer(New(eng, nil, WithLogger(log), WithSlowThreshold(1)).Handler())
+	ts := httptest.NewServer(New(eng, nil, WithLogger(log), WithSlowThreshold(1),
+		WithResultCache(cache.New(cache.Config{MaxBytes: 1 << 20}))).Handler())
 	t.Cleanup(ts.Close)
 
 	getJSON(t, ts.URL+"/api/plans", http.StatusOK, nil)
@@ -333,6 +335,25 @@ func TestAccessLogAndSlowRequests(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("access log missing %s:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, `"cache"`) {
+		t.Errorf("a route with no X-Cache logged a cache outcome:\n%s", out)
+	}
+	// Both lines of a read say what the response cache did with it.
+	for _, tc := range []struct {
+		hdr  map[string]string
+		want string
+	}{{nil, "miss"}, {nil, "hit"}, {map[string]string{"Cache-Control": "no-cache"}, "bypass"}} {
+		logged := len(buf.String())
+		if resp, _ := cacheReq(t, "POST", ts.URL+"/api/sparql", sortQuery, tc.hdr); resp.Header.Get("X-Cache") != tc.want {
+			t.Fatalf("X-Cache = %q, want %s", resp.Header.Get("X-Cache"), tc.want)
+		}
+		waitFor(t, func() bool { return strings.Count(buf.String()[logged:], "\n") == 2 })
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()[logged:]), "\n") {
+			if !strings.Contains(line, `"cache":"`+tc.want+`"`) {
+				t.Errorf("log line missing cache=%s: %s", tc.want, line)
+			}
 		}
 	}
 	// Client-supplied request IDs are honored end to end.

@@ -21,6 +21,9 @@
 //	POST   /api/admin/compact        fold the durable store's WAL into a snapshot
 //	POST   /api/admin/reopen         re-verify the disk and leave degraded mode
 //
+// The four read-mostly routes (search, sparql, kb/run, rdf) are descriptors
+// run by one function, serveRead: see cache.go.
+//
 // When constructed with WithStore, plan uploads/deletions and
 // knowledge-base mutations write through the durable store, so the served
 // state survives a restart. If the store degrades (a WAL append or
@@ -125,8 +128,8 @@ func WithMaxBody(n int64) Option {
 	}
 }
 
-// WithQueryTimeout bounds every engine execution (search, SPARQL, kb/run)
-// to d. Executions that hit the deadline return 504 Gateway Timeout. A
+// WithQueryTimeout bounds every read (search, SPARQL, kb/run, plan RDF)
+// to d. Reads that hit the deadline return 504 Gateway Timeout. A
 // client can shorten — never extend — the deadline per request with an
 // X-Timeout-Ms header. 0 disables the deadline.
 func WithQueryTimeout(d time.Duration) Option {
@@ -195,15 +198,15 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /api/plans:batch", s.gated(2, s.handleBatchUpload))
 	mux.HandleFunc("DELETE /api/plans/{id}", s.handleDeletePlan)
 	mux.HandleFunc("GET /api/plans/{id}/render", s.handleRenderPlan)
-	mux.HandleFunc("GET /api/plans/{id}/rdf", s.handlePlanRDF)
-	// The three exec routes run engine scans: they share the admission
-	// gate, with a full knowledge-base scan weighing twice a point query.
-	mux.HandleFunc("POST /api/search", s.gated(1, s.handleSearch))
-	mux.HandleFunc("POST /api/sparql", s.gated(1, s.handleSPARQL))
+	// The three read routes that scan share the admission gate, with a full
+	// knowledge-base scan weighing twice a point query; /rdf is ungated.
+	mux.HandleFunc("GET /api/plans/{id}/rdf", s.serveRead(s.planRDFRoute()))
+	mux.HandleFunc("POST /api/search", s.gated(1, s.serveRead(s.searchRoute())))
+	mux.HandleFunc("POST /api/sparql", s.gated(1, s.serveRead(s.sparqlRoute())))
 	mux.HandleFunc("GET /api/kb", s.handleListKB)
 	mux.HandleFunc("POST /api/kb/entries", s.handleAddEntry)
 	mux.HandleFunc("DELETE /api/kb/entries/{name}", s.handleDeleteEntry)
-	mux.HandleFunc("POST /api/kb/run", s.gated(2, s.handleRunKB))
+	mux.HandleFunc("POST /api/kb/run", s.gated(2, s.serveRead(s.runKBRoute())))
 	mux.HandleFunc("GET /api/stats", s.handleStats)
 	mux.HandleFunc("POST /api/admin/compact", s.handleCompact)
 	mux.HandleFunc("POST /api/admin/reopen", s.handleReopen)
@@ -219,43 +222,36 @@ type errorBody struct {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	var buf bytes.Buffer
+	if err := encodeJSON(&buf, v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // network write errors are the client's problem
+	_, _ = w.Write(buf.Bytes()) // network write errors are the client's problem
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-// readBody reads the request body under the configured size limit. The real
-// ResponseWriter goes to MaxBytesReader so oversized requests also close the
-// connection instead of leaving the unread tail to stall keep-alive.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (string, error) {
-	data, err := readBodyLimited(w, r, s.maxBody)
-	return string(data), err
-}
-
-// readBodyLimited is readBody under an explicit limit (the batch route has
-// its own, separate from the per-plan cap).
-func readBodyLimited(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		return nil, fmt.Errorf("reading request body: %w", err)
+// readBody reads the request body under limit and answers a failure itself
+// (ok is false): 413 for an oversized body, 400 for an unreadable one. The
+// real ResponseWriter goes to MaxBytesReader so oversized requests also close
+// the connection instead of leaving the unread tail to stall keep-alive.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		return body, true
 	}
-	return data, nil
-}
-
-// bodyErrStatus maps a readBody failure to its status: an oversized body is
-// the client's 413, anything else a plain 400.
-func bodyErrStatus(err error) int {
+	status := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
+		status = http.StatusRequestEntityTooLarge
 	}
-	return http.StatusBadRequest
+	writeError(w, status, fmt.Errorf("reading request body: %w", err))
+	return nil, false
 }
 
 // planInfo is the list representation of a loaded plan.
@@ -276,17 +272,15 @@ func (s *Server) handleListPlans(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleUploadPlan(w http.ResponseWriter, r *http.Request) {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		writeError(w, bodyErrStatus(err), err)
+	body, ok := readBody(w, r, s.maxBody)
+	if !ok {
 		return
 	}
-	var p *qep.Plan
+	load := s.eng.LoadText
 	if s.st != nil {
-		p, err = s.st.AddPlan(body)
-	} else {
-		p, err = s.eng.LoadText(body)
+		load = s.st.AddPlan
 	}
+	p, err := load(string(body))
 	if err != nil {
 		// A duplicate ID is a conflict with served state, not a malformed
 		// plan: 409 lets idempotent re-uploads (the optimatchd -load path)
@@ -341,36 +335,25 @@ func (s *Server) handleRenderPlan(w http.ResponseWriter, r *http.Request) {
 	_, _ = io.WriteString(w, qep.Render(p))
 }
 
-func (s *Server) handlePlanRDF(w http.ResponseWriter, r *http.Request) {
-	// Serve the engine's own transformed graph: no O(plan) re-transform per
-	// GET, and the bytes are exactly the graph matches run against (a fresh
-	// Transform could differ in blank-node labels). The generation is read
-	// before the plan lookup so the ETag never claims a newer state than
-	// the graph about to be serialized.
-	id := r.PathValue("id")
-	gen := s.eng.Generation()
-	res := s.eng.Result(id)
-	if res == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("plan %q not loaded", id))
-		return
-	}
-	etag := s.planETag(id, gen)
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		w.Header().Set("ETag", etag)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header().Set("ETag", etag)
-	ctx := cacheContext(r.Context(), r)
-	key := cache.Key("http.rdf", genToken(gen), id)
-	s.serveCached(w, r, ctx, key, gen, "application/n-triples", http.StatusInternalServerError,
-		func(context.Context) ([]byte, error) {
-			var buf bytes.Buffer
-			if err := rdf.WriteNTriples(&buf, res.Graph); err != nil {
-				return nil, err
+// planRDFRoute serves the engine's own transformed graph: no O(plan)
+// re-transform per GET, and the bytes are exactly the graph matches run
+// against (a fresh Transform could differ in blank-node labels).
+func (s *Server) planRDFRoute() readRoute {
+	return readRoute{
+		name: "http.rdf", contentType: "application/n-triples",
+		parseStatus: http.StatusNotFound, fallback: http.StatusInternalServerError,
+		validator: s.planETag,
+		parse: func(r *http.Request, _ []byte) (string, renderFunc, error) {
+			id := r.PathValue("id")
+			res := s.eng.Result(id)
+			if res == nil {
+				return "", nil, fmt.Errorf("plan %q not loaded", id)
 			}
-			return buf.Bytes(), nil
-		})
+			return id, func(_ context.Context, buf *bytes.Buffer) error {
+				return rdf.WriteNTriples(buf, res.Graph)
+			}, nil
+		},
+	}
 }
 
 // matchBody is the wire form of one match.
@@ -391,74 +374,56 @@ func matchesToWire(ms []core.Match) []matchBody {
 	return out
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		writeError(w, bodyErrStatus(err), err)
-		return
-	}
-	p, err := pattern.FromJSON([]byte(body))
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	// Compile here (FindPattern would otherwise do it) so the cache key
-	// names the canonical compiled query, not the JSON spelling: two bodies
-	// that compile identically share one entry.
-	c, err := pattern.Compile(p)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	ctx, cancel, err := s.execContext(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
-	ctx = cacheContext(ctx, r)
-	gen := s.eng.Generation()
-	key := cache.Key("http.search", genToken(gen), p.Name, c.Query)
-	s.serveCached(w, r, ctx, key, gen, "application/json", http.StatusUnprocessableEntity,
-		func(fctx context.Context) ([]byte, error) {
-			matches, err := s.eng.FindCompiled(fctx, c)
+// searchRoute keys a search on the canonical pattern document — the parsed
+// and validated pattern marshalled again — so whitespace, key order, number
+// spelling and an omitted vs. empty planDetails share one entry, and a hit
+// never compiles: FindPattern does that inside the render. The echoed name is
+// part of the document, so it needs no key part of its own.
+func (s *Server) searchRoute() readRoute {
+	return readRoute{
+		name: "http.search", contentType: "application/json", body: true,
+		parseStatus: http.StatusUnprocessableEntity, fallback: http.StatusUnprocessableEntity,
+		parse: func(_ *http.Request, body []byte) (string, renderFunc, error) {
+			p, err := pattern.FromJSON(body)
 			if err != nil {
-				return nil, err
+				return "", nil, err
 			}
-			return encodeJSON(map[string]interface{}{
-				"pattern": p.Name,
-				"matches": matchesToWire(matches),
-			})
-		})
+			canon, err := json.Marshal(p)
+			if err != nil {
+				return "", nil, err
+			}
+			return string(canon), func(ctx context.Context, buf *bytes.Buffer) error {
+				matches, err := s.eng.FindPattern(ctx, p)
+				if err != nil {
+					return err
+				}
+				return encodeJSON(buf, map[string]interface{}{
+					"pattern": p.Name,
+					"matches": matchesToWire(matches),
+				})
+			}, nil
+		},
+	}
 }
 
-func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
-	query, err := s.readBody(w, r)
-	if err != nil {
-		writeError(w, bodyErrStatus(err), err)
-		return
-	}
-	if strings.TrimSpace(query) == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("empty query"))
-		return
-	}
-	ctx, cancel, err := s.execContext(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
-	ctx = cacheContext(ctx, r)
-	gen := s.eng.Generation()
-	key := cache.Key("http.sparql", genToken(gen), query)
-	s.serveCached(w, r, ctx, key, gen, "application/json", http.StatusUnprocessableEntity,
-		func(fctx context.Context) ([]byte, error) {
-			matches, err := s.eng.FindSPARQL(fctx, query)
-			if err != nil {
-				return nil, err
+func (s *Server) sparqlRoute() readRoute {
+	return readRoute{
+		name: "http.sparql", contentType: "application/json", body: true,
+		parseStatus: http.StatusBadRequest, fallback: http.StatusUnprocessableEntity,
+		parse: func(_ *http.Request, body []byte) (string, renderFunc, error) {
+			query := string(body)
+			if strings.TrimSpace(query) == "" {
+				return "", nil, fmt.Errorf("empty query")
 			}
-			return encodeJSON(map[string]interface{}{"matches": matchesToWire(matches)})
-		})
+			return query, func(ctx context.Context, buf *bytes.Buffer) error {
+				matches, err := s.eng.FindSPARQL(ctx, query)
+				if err != nil {
+					return err
+				}
+				return encodeJSON(buf, map[string]interface{}{"matches": matchesToWire(matches)})
+			}, nil
+		},
+	}
 }
 
 // entryInfo is the list representation of a knowledge-base entry.
@@ -485,13 +450,12 @@ type addEntryRequest struct {
 }
 
 func (s *Server) handleAddEntry(w http.ResponseWriter, r *http.Request) {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		writeError(w, bodyErrStatus(err), err)
+	body, ok := readBody(w, r, s.maxBody)
+	if !ok {
 		return
 	}
 	var req addEntryRequest
-	if err := json.Unmarshal([]byte(body), &req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding entry: %w", err))
 		return
 	}
@@ -499,13 +463,12 @@ func (s *Server) handleAddEntry(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("entry needs a pattern"))
 		return
 	}
-	s.mu.Lock()
-	var entry *kb.Entry
+	add := s.kb.Add
 	if s.st != nil {
-		entry, err = s.st.AddEntry(req.Pattern, req.Recommendations...)
-	} else {
-		entry, err = s.kb.Add(req.Pattern, req.Recommendations...)
+		add = s.st.AddEntry
 	}
+	s.mu.Lock()
+	entry, err := add(req.Pattern, req.Recommendations...)
 	s.mu.Unlock()
 	if err != nil {
 		s.writeStoreError(w, err, http.StatusUnprocessableEntity)
@@ -554,45 +517,40 @@ type reportBody struct {
 	Recommendations []recBody `json:"recommendations,omitempty"`
 }
 
-func (s *Server) handleRunKB(w http.ResponseWriter, r *http.Request) {
-	// Scan a point-in-time snapshot: the entry list is fixed here, so a
-	// concurrent POST /api/kb/entries cannot race the walk below.
-	s.mu.RLock()
-	base := s.kb.Snapshot()
-	s.mu.RUnlock()
-	ctx, cancel, err := s.execContext(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
-	ctx = cacheContext(ctx, r)
-	gen := s.eng.Generation()
-	// The snapshot's cache key pins the exact entry list, so a concurrent
-	// KB mutation changes the key rather than racing the scan.
-	key := cache.Key("http.kbrun", genToken(gen), base.CacheKey())
-	s.serveCached(w, r, ctx, key, gen, "application/json", http.StatusInternalServerError,
-		func(fctx context.Context) ([]byte, error) {
-			reports, err := s.eng.RunKB(fctx, base)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]reportBody, 0, len(reports))
-			for i := range reports {
-				rb := reportBody{Plan: reports[i].Plan.ID, Message: reports[i].Message()}
-				for _, rec := range reports[i].Recommendations {
-					rb.Recommendations = append(rb.Recommendations, recBody{
-						Entry:      rec.Entry.Name,
-						Title:      rec.Recommendation.Title,
-						Category:   rec.Recommendation.Category,
-						Confidence: rec.Confidence,
-						Text:       rec.Text,
-					})
+func (s *Server) runKBRoute() readRoute {
+	return readRoute{
+		name: "http.kbrun", contentType: "application/json",
+		fallback: http.StatusInternalServerError,
+		parse: func(*http.Request, []byte) (string, renderFunc, error) {
+			// Scan a point-in-time snapshot: the entry list is fixed here and
+			// its cache key pins it, so a concurrent POST /api/kb/entries
+			// changes the key rather than racing the scan.
+			s.mu.RLock()
+			base := s.kb.Snapshot()
+			s.mu.RUnlock()
+			return base.CacheKey(), func(ctx context.Context, buf *bytes.Buffer) error {
+				reports, err := s.eng.RunKB(ctx, base)
+				if err != nil {
+					return err
 				}
-				out = append(out, rb)
-			}
-			return encodeJSON(out)
-		})
+				out := make([]reportBody, 0, len(reports))
+				for i := range reports {
+					rb := reportBody{Plan: reports[i].Plan.ID, Message: reports[i].Message()}
+					for _, rec := range reports[i].Recommendations {
+						rb.Recommendations = append(rb.Recommendations, recBody{
+							Entry:      rec.Entry.Name,
+							Title:      rec.Recommendation.Title,
+							Category:   rec.Recommendation.Category,
+							Confidence: rec.Confidence,
+							Text:       rec.Text,
+						})
+					}
+					out = append(out, rb)
+				}
+				return encodeJSON(buf, out)
+			}, nil
+		},
+	}
 }
 
 // statsBody is the GET /api/stats response. Existing fields never change
