@@ -200,11 +200,7 @@ func run() error {
 		eng = st.Engine()
 		base = st.KB()
 		serverOpts = append(serverOpts, server.WithStore(st))
-		stats := st.Stats()
-		log.Info("store recovered", "dir", *data, "generation", stats.Generation,
-			"plans", eng.NumPlans(), "walRecordsReplayed", stats.RecoveredRecords,
-			"kbEntriesSkipped", stats.SkippedEntries,
-			"tornTailsTruncated", stats.RecoveryTruncations)
+		log.Info("store recovered", recoveryAttrs(*data, st)...)
 	} else {
 		eng = core.New(engOpts...)
 	}
@@ -286,6 +282,23 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// recoveryAttrs is the "store recovered" line: where start-up time went. It
+// must be taken right after store.Open, before -load touches the engine: the
+// engine's generation at that moment is the number of replay steps that
+// changed the plan table — batch-loaded runs of plans, plus one per removal —
+// and every plan replayed and no longer there was removed by one, so "runs" is
+// the difference.
+func recoveryAttrs(dir string, st *store.Store) []any {
+	stats, eng := st.Stats(), st.Engine()
+	removals := stats.RecoveredPlans - int64(eng.NumPlans())
+	return []any{"dir", dir, "generation", stats.Generation, "plans", eng.NumPlans(),
+		"took", time.Duration(stats.RecoveryMillis * float64(time.Millisecond)).Round(time.Microsecond),
+		"walRecordsReplayed", stats.RecoveredRecords, "plansReplayed", stats.RecoveredPlans,
+		"runs", int64(eng.Generation()) - removals,
+		"kbEntriesSkipped", stats.SkippedEntries,
+		"tornTailsTruncated", stats.RecoveryTruncations}
 }
 
 // debugMux serves pprof and the metrics registry on the -debug-addr

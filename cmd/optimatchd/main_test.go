@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"optimatch/internal/fixtures"
 	"optimatch/internal/qep"
@@ -55,6 +56,18 @@ func TestLoadDirIdempotentWithStore(t *testing.T) {
 	defer st2.Close()
 	if got := st2.Engine().NumPlans(); got != want {
 		t.Fatalf("recovered %d plans, want %d", got, want)
+	}
+	// The start-up line says where the time went: one record and one plan per
+	// file, all of them one replay run.
+	attrs := map[string]any{}
+	for line := recoveryAttrs(dataDir, st2); len(line) >= 2; line = line[2:] {
+		attrs[line[0].(string)] = line[1]
+	}
+	if attrs["walRecordsReplayed"] != int64(want) || attrs["plansReplayed"] != int64(want) || attrs["runs"] != int64(1) {
+		t.Errorf("store recovered line = %v, want %d records and plans replayed in 1 run", attrs, want)
+	}
+	if took, ok := attrs["took"].(time.Duration); !ok || took <= 0 {
+		t.Errorf("store recovered line: took = %v, want a positive duration", attrs["took"])
 	}
 	n, err = loadDir(st2.Engine(), st2, workload)
 	if err != nil {

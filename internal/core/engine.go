@@ -205,18 +205,7 @@ func transformValid(p *qep.Plan) (*transform.Result, error) {
 func (e *Engine) loadEach(n int, prepare func(i int) (*transform.Result, error)) []error {
 	errs := make([]error, n)
 	results := make([]*transform.Result, n)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, max(e.workers, 1))
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = prepare(i)
-			<-sem
-		}(i)
-	}
-	wg.Wait()
+	e.Parallel(n, func(i int) { results[i], errs[i] = prepare(i) })
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -235,6 +224,35 @@ func (e *Engine) loadEach(n int, prepare func(i int) (*transform.Result, error))
 	return errs
 }
 
+// Parallel runs task(0) … task(n-1) on the engine's worker pool and returns
+// when all of them have: at most WithWorkers tasks run at a time, handed out
+// in index order, and with one worker (or one task) they run on the calling
+// goroutine, none spawned. It is the write side's pool — batch loads prepare
+// their plans on it, and store recovery decodes its log records on it so that
+// one setting bounds both; scans fan out through forEachPlan, which also
+// observes a context.
+func (e *Engine) Parallel(n int, task func(i int)) {
+	workers := min(e.workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			task(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				task(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // LoadText parses explain text and registers the plan.
 func (e *Engine) LoadText(text string) (*qep.Plan, error) {
 	p, err := qep.Parse(text)
@@ -247,14 +265,19 @@ func (e *Engine) LoadText(text string) (*qep.Plan, error) {
 	return p, nil
 }
 
-// LoadDir parses every explain file (*.txt, *.exfmt, *.exp) in dir and
-// registers the plans. It returns the number of plans loaded.
+// LoadDir reads every explain file (*.txt, *.exfmt, *.exp) in dir, in
+// os.ReadDir order, and registers them as one LoadTextBatch: parsed and
+// transformed on the pool, one generation bump. It returns the number of plans
+// registered and the first failing file's error in that order, naming the
+// file; files after a failing one are still registered, files after one that
+// cannot be read are not.
 func (e *Engine) LoadDir(dir string) (int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return 0, fmt.Errorf("core: %w", err)
 	}
-	n := 0
+	var names, texts []string
+	var readErr error
 	for _, ent := range entries {
 		if ent.IsDir() {
 			continue
@@ -266,14 +289,26 @@ func (e *Engine) LoadDir(dir string) (int, error) {
 		}
 		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
 		if err != nil {
-			return n, fmt.Errorf("core: %s: %w", ent.Name(), err)
+			readErr = fmt.Errorf("core: %s: %w", ent.Name(), err)
+			break
 		}
-		if _, err := e.LoadText(string(data)); err != nil {
-			return n, fmt.Errorf("core: %s: %w", ent.Name(), err)
-		}
-		n++
+		names = append(names, ent.Name())
+		texts = append(texts, string(data))
 	}
-	return n, nil
+	_, errs := e.LoadTextBatch(texts)
+	n := 0
+	var first error
+	for i, err := range errs {
+		if err == nil {
+			n++
+		} else if first == nil {
+			first = fmt.Errorf("core: %s: %w", names[i], err)
+		}
+	}
+	if first == nil {
+		first = readErr
+	}
+	return n, first
 }
 
 // RemovePlan unloads the plan with the given ID, releasing its transformed

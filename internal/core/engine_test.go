@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"optimatch/internal/fixtures"
@@ -62,21 +66,35 @@ func TestLoadText(t *testing.T) {
 	}
 }
 
+// TestLoadDir pins LoadDir's contract: files are taken in os.ReadDir order and
+// registered as one batch (one generation bump), the count is the number
+// registered, and the error is the first failing file's in that order, by
+// name — files after it are still registered.
 func TestLoadDir(t *testing.T) {
 	dir := t.TempDir()
-	for i, p := range fixtures.All() {
-		name := filepath.Join(dir, p.ID+".exfmt")
-		if i == 0 {
-			name = filepath.Join(dir, p.ID+".txt")
-		}
-		if err := os.WriteFile(name, []byte(qep.Text(p)), 0o644); err != nil {
+	write := func(dir, name, text string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Non-explain files are skipped.
-	if err := os.WriteFile(filepath.Join(dir, "README.md"), []byte("hi"), 0o644); err != nil {
+	for i, p := range fixtures.All() {
+		name := p.ID + ".exfmt"
+		if i == 0 {
+			name = p.ID + ".txt"
+		}
+		write(dir, name, qep.Text(p))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var want []string // plan IDs in the directory's order: each file is named after its plan
+	for _, ent := range entries {
+		want = append(want, strings.TrimSuffix(ent.Name(), filepath.Ext(ent.Name())))
+	}
+	// Non-explain files are skipped.
+	write(dir, "README.md", "hi")
 	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -88,17 +106,77 @@ func TestLoadDir(t *testing.T) {
 	if n != 5 || e.NumPlans() != 5 {
 		t.Errorf("loaded %d plans", n)
 	}
+	var got []string
+	for _, p := range e.Plans() {
+		got = append(got, p.ID)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("load order %v, want the directory's order %v", got, want)
+	}
+	if g := e.Generation(); g != 1 {
+		t.Errorf("generation %d after one LoadDir, want 1", g)
+	}
 	if _, err := e.LoadDir(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing dir accepted")
 	}
-	// A broken explain file surfaces an error.
+
+	// Broken files: the first in directory order is the one reported, every
+	// good file is registered whichever side of it it sorts on.
 	bad := t.TempDir()
-	if err := os.WriteFile(filepath.Join(bad, "bad.txt"), []byte("Plan Details:\nnot a plan"), 0o644); err != nil {
-		t.Fatal(err)
+	write(bad, "a.txt", qep.Text(fixtures.Figure1()))
+	write(bad, "b.txt", "Plan Details:\nnot a plan")
+	write(bad, "c.txt", qep.Text(fixtures.Figure1())) // same ID as a.txt
+	write(bad, "d.txt", qep.Text(fixtures.Clean()))
+	for _, workers := range []int{1, 4} {
+		e := New(WithWorkers(workers))
+		n, err := e.LoadDir(bad)
+		if err == nil || !strings.Contains(err.Error(), "b.txt") || errors.Is(err, ErrDuplicatePlan) {
+			t.Errorf("workers=%d: error %v, want b.txt's parse failure", workers, err)
+		}
+		if n != 2 || e.NumPlans() != 2 || e.Plan(fixtures.Clean().ID) == nil {
+			t.Errorf("workers=%d: registered %d plans (engine holds %d), want a.txt and d.txt", workers, n, e.NumPlans())
+		}
 	}
-	if _, err := New().LoadDir(bad); err == nil {
-		t.Error("broken explain file accepted")
+}
+
+// TestParallelBound: the write side's pool visits every index once and never
+// runs more tasks at a time than WithWorkers allows; with one worker the
+// tasks run on the calling goroutine, in order.
+func TestParallelBound(t *testing.T) {
+	for _, workers := range []int{1, 2, 5} {
+		e := New(WithWorkers(workers))
+		const n = 200
+		var running, peak atomic.Int64
+		visits := make([]int, n)
+		var order []int // appended without synchronisation when workers == 1: -race checks the claim
+		e.Parallel(n, func(i int) {
+			now := running.Add(1)
+			for {
+				p := peak.Load()
+				if now <= p || peak.CompareAndSwap(p, now) {
+					break
+				}
+			}
+			visits[i]++
+			if workers == 1 {
+				order = append(order, i)
+			}
+			runtime.Gosched()
+			running.Add(-1)
+		})
+		for i, v := range visits {
+			if v != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times", workers, i, v)
+			}
+		}
+		if got := peak.Load(); got > int64(workers) {
+			t.Errorf("workers=%d: %d tasks ran at once", workers, got)
+		}
+		if workers == 1 && !sort.IntsAreSorted(order) {
+			t.Errorf("one worker ran the tasks out of order: %v", order)
+		}
 	}
+	New().Parallel(0, func(int) { t.Error("task run for n = 0") })
 }
 
 func TestFindPatternAcrossWorkload(t *testing.T) {

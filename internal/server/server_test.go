@@ -393,6 +393,11 @@ func TestStoreBackedServerSurvivesRestart(t *testing.T) {
 	if len(entries) != 5 {
 		t.Fatalf("kb entries after restart = %d", len(entries))
 	}
+	// Where start-up time went: the snapshot's four plans, no log records.
+	getJSON(t, ts2.URL+"/api/stats", http.StatusOK, &stats)
+	if st := stats.Store; st == nil || st.RecoveredPlans != 4 || st.RecoveredRecords != 0 || st.RecoveryMillis <= 0 {
+		t.Errorf("store stats after restart = %+v, want 4 plans recovered from the snapshot in a positive time", st)
+	}
 }
 
 // TestPoisonedEntryRefused posts the three patterns that used to be saved,

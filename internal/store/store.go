@@ -7,7 +7,8 @@
 // every append is fsync'd before the mutation is acknowledged. Periodic
 // compaction folds the log into a snapshot (atomic temp-file + rename)
 // carrying a generation counter and the last absorbed log sequence number,
-// so recovery loads the snapshot and replays only the WAL tail. Opening a
+// so recovery loads the snapshot and replays only the WAL tail — through the
+// batch loader ingest uses, on the engine's worker pool (see Open). Opening a
 // store truncates a torn tail at the first bad checksum instead of failing
 // the boot.
 //
@@ -155,6 +156,8 @@ type Store struct {
 	batchAppends   int64
 	batchPlans     int64
 	recovered      int64
+	recoveredPlans int64
+	recoveryTime   time.Duration
 	skippedEntries int64
 	truncations    int64
 	compactions    int64
@@ -180,6 +183,8 @@ type Stats struct {
 	BatchAppends        int64     `json:"batchAppends"`        // batch records appended since open
 	BatchPlans          int64     `json:"batchPlans"`          // plans persisted through batch records since open
 	RecoveredRecords    int64     `json:"recoveredRecords"`    // WAL records replayed at open
+	RecoveredPlans      int64     `json:"recoveredPlans"`      // plans loaded at open, from the snapshot and the replayed records
+	RecoveryMillis      float64   `json:"recoveryMillis"`      // wall time of that recovery pass
 	SkippedEntries      int64     `json:"skippedEntries"`      // of those, kb entries this binary refuses (see applyRecord)
 	RecoveryTruncations int64     `json:"recoveryTruncations"` // torn tails truncated at open
 	Compactions         int64     `json:"compactions"`         // compactions since open
@@ -198,6 +203,23 @@ type Stats struct {
 // snapshot if one exists, replays the WAL tail into a fresh engine and
 // knowledge base, truncates any torn tail, and leaves the log open for
 // appending.
+//
+// Replay is the loader ingest uses. Plans are not replayed one record at a
+// time: the snapshot's plans and the addPlan / addPlanBatch records that
+// follow them accumulate into a run, and a run enters the engine as one
+// LoadTextBatch — parsed, validated, transformed and frozen on the engine's
+// worker pool (core.WithWorkers, through WithEngineOptions), inserted in log
+// order in one critical section. removePlan, addEntry and removeEntry are
+// barriers: the pending run is flushed, then the record is applied, so a plan
+// deleted and re-added is never in the table twice and the first error in log
+// order is the one Open fails with — naming the record's index, its sequence
+// number and, for a snapshot or batch plan, the plan ID.
+//
+// Engine.Generation() after Open is the number of replay steps that changed
+// the plan table — runs that loaded at least one plan, plus removals — not the
+// number of mutations ever acknowledged. It identifies a plan set within this
+// process only (the server derives ETags from it under a per-process epoch);
+// nothing outside the process may depend on its value.
 func Open(dir string, opts ...Option) (*Store, error) {
 	var cfg config
 	for _, o := range opts {
@@ -216,12 +238,11 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	run := replayRun{eng: s.eng}
 	base := cfg.defaultKB
 	if snap != nil {
 		for _, sp := range snap.Plans {
-			if _, err := s.eng.LoadText(sp.Text); err != nil {
-				return nil, fmt.Errorf("store: recovering plan %s: %w", sp.ID, err)
-			}
+			run.add(sp.Text, planOrigin{rec: -1, id: sp.ID})
 		}
 		base, err = kb.Load(bytes.NewReader(snap.KB))
 		if err != nil {
@@ -234,7 +255,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	s.base = base
 
 	walPath := filepath.Join(dir, walName)
-	recs, ends, torn, err := scanWAL(s.fs, walPath)
+	recs, ends, torn, err := scanWAL(s.fs, walPath, s.eng.Parallel)
 	if err != nil {
 		return nil, err
 	}
@@ -247,15 +268,32 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	}
 	skipped := make(map[string]bool) // names of the entries applyRecord skipped
 	for i := range recs {
-		if recs[i].Seq <= s.seq {
+		rec := &recs[i]
+		if rec.Seq <= s.seq {
 			continue // already absorbed by the snapshot
 		}
-		if err := s.applyRecord(&recs[i], skipped); err != nil {
-			return nil, fmt.Errorf("store: replaying record %d (seq %d): %w", i, recs[i].Seq, err)
+		switch rec.Op {
+		case opAddPlan:
+			run.add(rec.Text, planOrigin{rec: i, seq: rec.Seq})
+		case opAddPlanBatch:
+			for _, it := range rec.Batch {
+				run.add(it.Text, planOrigin{rec: i, seq: rec.Seq, id: it.ID})
+			}
+		default:
+			if err := run.flush(); err != nil {
+				return nil, err
+			}
+			if err := s.applyRecord(rec, skipped); err != nil {
+				return nil, replayError(i, rec.Seq, err)
+			}
 		}
-		s.seq = recs[i].Seq
+		s.seq = rec.Seq
 		s.recovered++
 	}
+	if err := run.flush(); err != nil {
+		return nil, err
+	}
+	s.recoveredPlans = run.loaded
 	s.walRecords = int64(len(recs))
 	s.walBytes = goodOffset
 
@@ -264,10 +302,63 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		return nil, fmt.Errorf("store: opening WAL for append: %w", err)
 	}
 	s.wal = f
+	s.recoveryTime = time.Since(recoverStart)
 	if s.instr.Recovery != nil {
-		s.instr.Recovery(time.Since(recoverStart), s.recovered, s.truncations)
+		s.instr.Recovery(s.recoveryTime, s.recovered, s.truncations)
 	}
 	return s, nil
+}
+
+// planOrigin says where a plan of a replay run came from, for the error that
+// names it: a WAL record (index and sequence number; id set inside a batch)
+// or, with rec < 0, the snapshot.
+type planOrigin struct {
+	rec int
+	seq uint64
+	id  string
+}
+
+// replayRun is the run of plan texts recovery has read but not yet loaded.
+type replayRun struct {
+	eng    *core.Engine
+	texts  []string
+	from   []planOrigin
+	loaded int64 // plans loaded by the flushes so far
+}
+
+func (r *replayRun) add(text string, from planOrigin) {
+	r.texts = append(r.texts, text)
+	r.from = append(r.from, from)
+}
+
+// flush loads the pending run as one batch. The log holds only plans that
+// were accepted, so replay must accept every one of them again: the first
+// refusal in log order fails recovery.
+func (r *replayRun) flush() error {
+	if len(r.texts) == 0 {
+		return nil
+	}
+	_, errs := r.eng.LoadTextBatch(r.texts)
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		switch from := r.from[i]; {
+		case from.rec < 0:
+			return fmt.Errorf("store: recovering plan %s: %w", from.id, err)
+		case from.id != "":
+			return replayError(from.rec, from.seq, fmt.Errorf("batch plan %q: %w", from.id, err))
+		default:
+			return replayError(from.rec, from.seq, err)
+		}
+	}
+	r.loaded += int64(len(r.texts))
+	r.texts, r.from = r.texts[:0], r.from[:0]
+	return nil
+}
+
+func replayError(rec int, seq uint64, err error) error {
+	return fmt.Errorf("store: replaying record %d (seq %d): %w", rec, seq, err)
 }
 
 // Engine returns the recovered engine. The store owns it; use the store's
@@ -282,32 +373,16 @@ func (s *Store) KB() *kb.KnowledgeBase {
 	return s.base
 }
 
-// applyRecord replays one journaled mutation into the engine/KB. Replay must
-// accept what the log holds, with one exception: a knowledge-base entry whose
-// pattern this binary's kb.Add refuses. An older binary journaled patterns it
-// never compiled to a query that parses (and the removal that cleaned up
-// after them); failing Open on those would turn a validation fix into a store
-// that cannot start. Such an entry is skipped and counted, its name goes into
-// skipped, and the later removal of a skipped name is a no-op.
+// applyRecord replays one journaled barrier into the engine/KB: a plan
+// removal or a knowledge-base mutation (plan additions go through replayRun).
+// Replay must accept what the log holds, with one exception: a knowledge-base
+// entry whose pattern this binary's kb.Add refuses. An older binary journaled
+// patterns it never compiled to a query that parses (and the removal that
+// cleaned up after them); failing Open on those would turn a validation fix
+// into a store that cannot start. Such an entry is skipped and counted, its
+// name goes into skipped, and the later removal of a skipped name is a no-op.
 func (s *Store) applyRecord(rec *record, skipped map[string]bool) error {
 	switch rec.Op {
-	case opAddPlan:
-		_, err := s.eng.LoadText(rec.Text)
-		return err
-	case opAddPlanBatch:
-		texts := make([]string, len(rec.Batch))
-		for i := range rec.Batch {
-			texts[i] = rec.Batch[i].Text
-		}
-		_, errs := s.eng.LoadTextBatch(texts)
-		for i, err := range errs {
-			// The record journals only accepted plans, so replay must
-			// accept every one of them again.
-			if err != nil {
-				return fmt.Errorf("batch plan %q: %w", rec.Batch[i].ID, err)
-			}
-		}
-		return nil
 	case opRemovePlan:
 		if !s.eng.RemovePlan(rec.ID) {
 			return fmt.Errorf("plan %q not loaded", rec.ID)
@@ -630,6 +705,8 @@ func (s *Store) Stats() Stats {
 		BatchAppends:        s.batchAppends,
 		BatchPlans:          s.batchPlans,
 		RecoveredRecords:    s.recovered,
+		RecoveredPlans:      s.recoveredPlans,
+		RecoveryMillis:      float64(s.recoveryTime) / float64(time.Millisecond),
 		SkippedEntries:      s.skippedEntries,
 		RecoveryTruncations: s.truncations,
 		Compactions:         s.compactions,
@@ -710,7 +787,7 @@ func (s *Store) Reopen() error {
 // against the acknowledged in-memory sequence. Callers hold s.mu.
 func (s *Store) reopenLocked() error {
 	walPath := filepath.Join(s.dir, walName)
-	recs, ends, torn, err := scanWAL(s.fs, walPath)
+	recs, ends, torn, err := scanWAL(s.fs, walPath, s.eng.Parallel)
 	if err != nil {
 		return fmt.Errorf("%w: re-verifying WAL: %w", ErrPersist, err)
 	}

@@ -113,6 +113,13 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 	if st.RecoveredRecords != 5 || st.RecoveryTruncations != 0 || st.LastSeq != 5 {
 		t.Errorf("recovered stats = %+v", st)
 	}
+	// Three plans were replayed (one of them removed again), in a measured time.
+	if st.RecoveredPlans != 3 || st.RecoveryMillis <= 0 {
+		t.Errorf("recovered stats = %+v, want 3 plans replayed in a positive time", st)
+	}
+	if fresh := s.Stats(); fresh.RecoveredPlans != 0 || fresh.RecoveredRecords != 0 {
+		t.Errorf("the first Open of an empty directory recovered something: %+v", fresh)
+	}
 }
 
 func TestTornTailTruncatedOnOpen(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"io/fs"
 
 	"optimatch/internal/storefs"
@@ -24,9 +23,9 @@ import (
 // everything before that point is intact by CRC.
 const (
 	headerSize = 8
-	// maxRecordBytes bounds a single record so a corrupted length field
-	// cannot make recovery allocate gigabytes. It matches the server's
-	// upload cap with JSON overhead to spare.
+	// maxRecordBytes bounds a single record: what encodeRecord refuses to
+	// write, scanFrames refuses to believe. It matches the server's upload
+	// cap with JSON overhead to spare.
 	maxRecordBytes = 32 << 20
 )
 
@@ -81,58 +80,71 @@ func encodeRecord(rec *record) ([]byte, error) {
 // decoded records, the byte offset just past each good frame (so callers
 // can truncate back to any record boundary; the last entry is the good
 // length of the log), and whether a torn or corrupt tail was found after
-// that offset. A missing file scans as empty.
-func scanWAL(fsys storefs.FS, path string) (recs []record, ends []int64, torn bool, err error) {
-	f, err := fsys.Open(path)
+// that offset. A missing file scans as empty; any other read failure (bad
+// sector, injected fault) is an error, never a torn tail — truncating there
+// would destroy data that may be intact.
+//
+// The log is read whole and its frames are slices of that one buffer, so a
+// length field claiming more than the file still holds is a torn tail before
+// anything is allocated for it. Frames are verified in order on the calling
+// goroutine (a frame's position is the sum of the lengths before it, and the
+// CRC costs a fraction of the decode); the verified payloads are then decoded
+// through parallel, one task per record — the engine's pool, Engine.Parallel.
+// A verified frame that does not decode ends the log there, as a torn tail:
+// the first such frame in log order, whatever order the tasks finished in.
+// The buffer is garbage when scanWAL returns, before replay builds anything.
+func scanWAL(fsys storefs.FS, path string, parallel func(n int, task func(i int))) (recs []record, ends []int64, torn bool, err error) {
+	data, err := fsys.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil, false, nil
+	}
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, nil, false, nil
-		}
-		return nil, nil, false, fmt.Errorf("store: opening WAL: %w", err)
+		return nil, nil, false, fmt.Errorf("store: reading WAL: %w", err)
 	}
-	defer f.Close()
+	payloads, ends, torn := scanFrames(data)
+	recs = make([]record, len(payloads))
+	undecoded := make([]bool, len(payloads))
+	parallel(len(payloads), func(i int) {
+		// The frame verified but the payload is not a record we can read:
+		// the log stops here rather than guess (version skew).
+		undecoded[i] = json.Unmarshal(payloads[i], &recs[i]) != nil
+	})
+	for i, bad := range undecoded {
+		if bad {
+			return recs[:i], ends[:i], true, nil
+		}
+	}
+	return recs, ends, torn, nil
+}
 
-	var offset int64
-	var header [headerSize]byte
-	for {
-		_, err := io.ReadFull(f, header[:])
-		if err == io.EOF {
-			return recs, ends, false, nil // clean end of log
+// scanFrames walks the framing of a whole log: the payload of every frame
+// up to the first whose header, length or checksum does not verify, the
+// offset just past each, and whether bytes were left over after the last
+// good one. Everything it returns is intact by CRC.
+func scanFrames(data []byte) (payloads [][]byte, ends []int64, torn bool) {
+	for off := 0; off < len(data); {
+		rest := data[off:]
+		if len(rest) < headerSize {
+			return payloads, ends, true // torn header
 		}
-		if err == io.ErrUnexpectedEOF {
-			return recs, ends, true, nil // torn header
-		}
-		if err != nil {
-			// A real read failure (bad sector, injected fault) is not a torn
-			// tail: truncating here would destroy data that may be intact, so
-			// recovery fails loudly instead.
-			return nil, nil, false, fmt.Errorf("store: reading WAL: %w", err)
-		}
-		length := binary.LittleEndian.Uint32(header[0:4])
-		sum := binary.LittleEndian.Uint32(header[4:8])
+		length := binary.LittleEndian.Uint32(rest[0:4])
+		sum := binary.LittleEndian.Uint32(rest[4:8])
 		if length < 2 || length > maxRecordBytes {
-			return recs, ends, true, nil // implausible length: corrupt
+			return payloads, ends, true // implausible length: corrupt
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			if err == io.ErrUnexpectedEOF || err == io.EOF {
-				return recs, ends, true, nil // torn payload
-			}
-			return nil, nil, false, fmt.Errorf("store: reading WAL: %w", err)
+		rest = rest[headerSize:]
+		if uint64(length) > uint64(len(rest)) {
+			return payloads, ends, true // torn payload, or a length that lies
 		}
+		payload := rest[:length]
 		if crc32.ChecksumIEEE(payload) != sum {
-			return recs, ends, true, nil // bit rot or torn rewrite
+			return payloads, ends, true // bit rot or torn rewrite
 		}
-		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			// The frame verified but the payload is not a record we can
-			// read: stop here rather than guess (version skew).
-			return recs, ends, true, nil
-		}
-		recs = append(recs, rec)
-		offset += headerSize + int64(length)
-		ends = append(ends, offset)
+		payloads = append(payloads, payload)
+		off += headerSize + int(length)
+		ends = append(ends, int64(off))
 	}
+	return payloads, ends, false
 }
 
 // goodLength is the byte length of the intact prefix scanWAL found.
