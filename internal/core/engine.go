@@ -110,11 +110,7 @@ func (e *Engine) evalOpts(ctx context.Context) sparql.ExecOptions {
 
 // LoadPlan transforms and registers a parsed plan.
 func (e *Engine) LoadPlan(p *qep.Plan) error {
-	r, err := transformValid(p)
-	if err != nil {
-		return err
-	}
-	return e.loadOne(r)
+	return e.load(1, func(int) (*transform.Result, error) { return transformValid(p) })[0]
 }
 
 // LoadResult registers an already-transformed plan, sharing its RDF graph
@@ -122,18 +118,16 @@ func (e *Engine) LoadPlan(p *qep.Plan) error {
 // (the scalability experiments build ten cumulative buckets over the same
 // thousand plans).
 func (e *Engine) LoadResult(r *transform.Result) error {
-	return e.loadOne(r)
+	return e.load(1, func(int) (*transform.Result, error) { return r, nil })[0]
 }
 
-// loadOne registers one transformed plan.
-func (e *Engine) loadOne(r *transform.Result) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.insertLocked(r); err != nil {
-		return err
-	}
-	e.generation.Add(1)
-	return nil
+// load stages n plans and publishes them back to back: every Load… method is
+// this, so the table has one way in whether or not a caller steps between the
+// two halves.
+func (e *Engine) load(n int, prepare func(i int) (*transform.Result, error)) []error {
+	b := e.stage(n, prepare)
+	_ = e.Publish(b) // a refusal at publish is in b.Errs as well
+	return b.Errs
 }
 
 // insertLocked appends a transformed plan to the table unless its ID is
@@ -142,12 +136,16 @@ func (e *Engine) loadOne(r *transform.Result) error {
 // entering the repository mutable.
 func (e *Engine) insertLocked(r *transform.Result) error {
 	if _, dup := e.byID[r.Plan.ID]; dup {
-		return fmt.Errorf("core: plan %q %w", r.Plan.ID, ErrDuplicatePlan)
+		return duplicatePlan(r.Plan.ID)
 	}
 	r.Graph.Freeze()
 	e.plans = append(e.plans, r)
 	e.byID[r.Plan.ID] = r
 	return nil
+}
+
+func duplicatePlan(id string) error {
+	return fmt.Errorf("core: plan %q %w", id, ErrDuplicatePlan)
 }
 
 // LoadPlans registers a batch of plans, stopping at the first error. Each
@@ -171,17 +169,38 @@ func (e *Engine) LoadPlans(plans []*qep.Plan) error {
 // and duplicate IDs (within the engine or earlier in the same batch) are
 // per-plan, never batch-fatal.
 func (e *Engine) LoadBatch(plans []*qep.Plan) []error {
-	return e.loadEach(len(plans), func(i int) (*transform.Result, error) { return transformValid(plans[i]) })
+	return e.load(len(plans), func(i int) (*transform.Result, error) { return transformValid(plans[i]) })
 }
 
 // LoadTextBatch parses and registers a batch of explain texts the way
-// LoadBatch registers plans; a text is parsed in the pool task that validates
-// and transforms its plan, not ahead of the pool on the calling goroutine.
-// plans[i] is the parsed plan when text i parsed (set even when loading then
-// failed as a duplicate); errs[i] is the per-text outcome.
+// LoadBatch registers plans: StageTexts, then Publish. plans[i] is the parsed
+// plan when text i parsed (set even when loading then failed as a duplicate);
+// errs[i] is the per-text outcome.
 func (e *Engine) LoadTextBatch(texts []string) (plans []*qep.Plan, errs []error) {
-	plans = make([]*qep.Plan, len(texts))
-	errs = e.loadEach(len(texts), func(i int) (*transform.Result, error) {
+	b := e.StageTexts(texts)
+	_ = e.Publish(b) // a refusal at publish is in b.Errs as well
+	return b.Plans, b.Errs
+}
+
+// Staged is a batch of plans prepared for the table — parsed, validated,
+// transformed, frozen, checked for duplicate IDs — that no reader can see yet.
+// Publish makes it visible. Everything that can refuse a plan has run by the
+// time the batch is staged, so a caller that must do something between "this
+// will load" and "this is loaded" (the store journals it) does it in between.
+type Staged struct {
+	Plans []*qep.Plan // the parsed plan per text; nil where the text did not parse
+	Errs  []error     // the per-plan outcome: nil, or why the plan was refused
+
+	results []*transform.Result // what Publish inserts; nil where Errs is not
+}
+
+// StageTexts prepares a batch of explain texts on the worker pool — a text is
+// parsed in the pool task that validates and transforms its plan, not ahead of
+// the pool on the calling goroutine — touching nothing a reader can see: the
+// table and the generation stay as they are until Publish.
+func (e *Engine) StageTexts(texts []string) *Staged {
+	plans := make([]*qep.Plan, len(texts))
+	b := e.stage(len(texts), func(i int) (*transform.Result, error) {
 		p, err := qep.Parse(texts[i])
 		if err != nil {
 			return nil, err
@@ -189,7 +208,8 @@ func (e *Engine) LoadTextBatch(texts []string) (plans []*qep.Plan, errs []error)
 		plans[i] = p
 		return transformValid(p)
 	})
-	return plans, errs
+	b.Plans = plans
+	return b
 }
 
 func transformValid(p *qep.Plan) (*transform.Result, error) {
@@ -199,29 +219,60 @@ func transformValid(p *qep.Plan) (*transform.Result, error) {
 	return transform.Transform(p), nil
 }
 
-// loadEach prepares n plans on the worker pool, each task writing only its
-// own slot, and registers what came out in input order — so of two plans with
-// one ID the earlier wins — under the one lock with the one generation bump.
-func (e *Engine) loadEach(n int, prepare func(i int) (*transform.Result, error)) []error {
-	errs := make([]error, n)
-	results := make([]*transform.Result, n)
-	e.Parallel(n, func(i int) { results[i], errs[i] = prepare(i) })
+// stage prepares n plans on the worker pool, each task writing only its own
+// slot, and marks the duplicates: of two plans with one ID the earlier in
+// input order wins, and a plan whose ID the table already holds is refused.
+func (e *Engine) stage(n int, prepare func(i int) (*transform.Result, error)) *Staged {
+	b := &Staged{Errs: make([]error, n), results: make([]*transform.Result, n)}
+	e.Parallel(n, func(i int) { b.results[i], b.Errs[i] = prepare(i) })
 
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	loaded := false
-	for i, r := range results {
+	staged := make(map[string]struct{}, n)
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for i, r := range b.results {
 		if r == nil {
 			continue
 		}
-		if errs[i] = e.insertLocked(r); errs[i] == nil {
-			loaded = true
+		_, dup := e.byID[r.Plan.ID]
+		if !dup {
+			_, dup = staged[r.Plan.ID]
 		}
+		if dup {
+			b.results[i], b.Errs[i] = nil, duplicatePlan(r.Plan.ID)
+			continue
+		}
+		staged[r.Plan.ID] = struct{}{}
 	}
+	return b
+}
+
+// Publish inserts what staging accepted, in input order, in one critical
+// section with one generation bump (none when nothing went in). It cannot fail
+// for a caller that serialises staging and publishing against every other
+// mutation, as the store does under its mutex; without that a plan staged
+// twice, or loaded in between, is refused here by the same duplicate rule:
+// b.Errs gets the refusal and Publish returns it. A batch publishes once.
+func (e *Engine) Publish(b *Staged) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var refused []error
+	loaded := false
+	for i, r := range b.results {
+		if r == nil {
+			continue
+		}
+		if err := e.insertLocked(r); err != nil {
+			b.Errs[i] = err
+			refused = append(refused, err)
+			continue
+		}
+		loaded = true
+	}
+	b.results = nil
 	if loaded {
 		e.generation.Add(1)
 	}
-	return errs
+	return errors.Join(refused...)
 }
 
 // Parallel runs task(0) … task(n-1) on the engine's worker pool and returns

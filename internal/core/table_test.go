@@ -124,10 +124,9 @@ func TestLoadOrderAcrossMutations(t *testing.T) {
 
 // TestSnapshotSurvivesMutations pins the discipline that lets a scan read the
 // table's slice without copying it: a snapshot taken before {append,
-// remove-last (what a failed store.AddPlan rolls back with), append,
-// remove-middle} lists exactly the plans it listed, and keeps doing so while
-// eight goroutines load, batch-load, remove and scan. Under -race an in-place
-// removal is also reported as a write racing the scans.
+// remove-last, append, remove-middle} lists exactly the plans it listed, and
+// keeps doing so while eight goroutines load, batch-load, remove and scan.
+// Under -race an in-place removal is also reported as a write racing the scans.
 func TestSnapshotSurvivesMutations(t *testing.T) {
 	w, err := workload.Generate(workload.Config{Seed: 17, NumPlans: 42, MinOps: 10, MaxOps: 25, InjectA: 4, InjectC: 4})
 	if err != nil {
@@ -327,5 +326,184 @@ func TestLoadTextBatch(t *testing.T) {
 	}
 	if got := e.NumPlans(); got != 2 {
 		t.Fatalf("NumPlans = %d, want 2", got)
+	}
+}
+
+// textsInOrder returns the workload's explain texts in plan order.
+func textsInOrder(w *workload.Workload) []string {
+	byID := w.Texts()
+	texts := make([]string, len(w.Plans))
+	for i, p := range w.Plans {
+		texts[i] = byID[p.ID]
+	}
+	return texts
+}
+
+// TestStageTouchesNothing: staging is the half of a load no reader can see.
+// The table, every lookup and the generation are what they were until Publish,
+// and publishing a batch staging refused whole moves nothing either.
+func TestStageTouchesNothing(t *testing.T) {
+	w, err := workload.Generate(workload.Config{Seed: 7, NumPlans: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := textsInOrder(w)
+	e := New(WithWorkers(2))
+	if err := e.LoadPlan(w.Plans[0]); err != nil {
+		t.Fatal(err)
+	}
+	gen := e.Generation()
+
+	b := e.StageTexts(texts)
+	if !errors.Is(b.Errs[0], ErrDuplicatePlan) {
+		t.Fatalf("staging a loaded plan: err = %v, want ErrDuplicatePlan", b.Errs[0])
+	}
+	for i := 1; i < len(texts); i++ {
+		if b.Errs[i] != nil || b.Plans[i] == nil {
+			t.Fatalf("staging text %d: plan %v, err %v", i, b.Plans[i], b.Errs[i])
+		}
+		if e.Plan(b.Plans[i].ID) != nil || e.Result(b.Plans[i].ID) != nil {
+			t.Fatalf("staged plan %s is visible before Publish", b.Plans[i].ID)
+		}
+	}
+	if e.NumPlans() != 1 || e.Generation() != gen {
+		t.Fatalf("after staging: %d plans at generation %d, want 1 at %d", e.NumPlans(), e.Generation(), gen)
+	}
+
+	if err := e.Publish(b); err != nil {
+		t.Fatalf("Publish: %v", err)
+	}
+	if e.NumPlans() != len(texts) || e.Generation() != gen+1 {
+		t.Fatalf("after Publish: %d plans at generation %d, want %d at %d", e.NumPlans(), e.Generation(), len(texts), gen+1)
+	}
+	// A batch publishes once.
+	if err := e.Publish(b); err != nil || e.Generation() != gen+1 {
+		t.Fatalf("second Publish: err %v, generation %d, want nil and %d", err, e.Generation(), gen+1)
+	}
+
+	dup := e.StageTexts(texts)
+	for i, err := range dup.Errs {
+		if !errors.Is(err, ErrDuplicatePlan) {
+			t.Fatalf("re-staging text %d: err = %v, want ErrDuplicatePlan", i, err)
+		}
+	}
+	if err := e.Publish(dup); err != nil || e.Generation() != gen+1 || e.NumPlans() != len(texts) {
+		t.Fatalf("publishing an all-duplicate batch: err %v, generation %d, %d plans; want nil, %d, %d",
+			err, e.Generation(), e.NumPlans(), gen+1, len(texts))
+	}
+}
+
+// TestPublishRechecksDuplicates: the engine has no mutex around a caller's
+// stage-then-publish, so two goroutines can stage one ID while the table does
+// not hold it. Publish applies the duplicate rule again: the plan loads once
+// and the loser is told ErrDuplicatePlan, by Publish and in Errs.
+func TestPublishRechecksDuplicates(t *testing.T) {
+	w, err := workload.Generate(workload.Config{Seed: 9, NumPlans: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := w.Texts()[w.Plans[0].ID]
+	for round := 0; round < 20; round++ {
+		e := New()
+		staged := [2]*Staged{e.StageTexts([]string{text}), e.StageTexts([]string{text})}
+		var errs [2]error
+		var wg sync.WaitGroup
+		for g := range staged {
+			if staged[g].Errs[0] != nil {
+				t.Fatalf("staging against an empty table: %v", staged[g].Errs[0])
+			}
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				errs[g] = e.Publish(staged[g])
+			}(g)
+		}
+		wg.Wait()
+		won := 0
+		for g := range staged {
+			switch {
+			case errs[g] == nil && staged[g].Errs[0] == nil:
+				won++
+			case !errors.Is(errs[g], ErrDuplicatePlan) || !errors.Is(staged[g].Errs[0], ErrDuplicatePlan):
+				t.Fatalf("loser: Publish = %v, Errs[0] = %v; want ErrDuplicatePlan in both", errs[g], staged[g].Errs[0])
+			}
+		}
+		if won != 1 || e.NumPlans() != 1 || e.Generation() != 1 {
+			t.Fatalf("round %d: %d winners, %d plans, generation %d; want 1, 1, 1", round, won, e.NumPlans(), e.Generation())
+		}
+	}
+}
+
+// TestLoadTextBatchIsStagePublish: LoadTextBatch and a caller that steps
+// between StageTexts and Publish load the same table — plans, per-text errors,
+// order and generation — over the 24-plan `qepgen -seed 42` history with a
+// duplicate and an unparsable text mixed in.
+func TestLoadTextBatchIsStagePublish(t *testing.T) {
+	w, err := workload.Generate(workload.Config{
+		Seed: 42, NumPlans: 24, MinOps: 30, MaxOps: 80, InjectA: 4, InjectB: 3, InjectC: 5, HardFraction: 0.35,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := textsInOrder(w)
+	first, rest := texts[:8], append(texts[8:16:16], texts[3], "not a plan")
+	rest = append(rest, texts[16:]...)
+	rest = append(rest, texts[20]) // a duplicate of an earlier text of the same batch
+
+	whole, stepped := New(WithWorkers(3)), New(WithWorkers(3))
+	outcome := func(plans []*qep.Plan, errs []error) string {
+		var b strings.Builder
+		for i := range errs {
+			id := "-"
+			if plans[i] != nil {
+				id = plans[i].ID
+			}
+			b.WriteString(id)
+			if errs[i] != nil {
+				b.WriteString(": " + errs[i].Error())
+			}
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	for _, batch := range [][]string{first, rest} {
+		plans, errs := whole.LoadTextBatch(batch)
+		b := stepped.StageTexts(batch)
+		before := stepped.Generation()
+		if err := stepped.Publish(b); err != nil {
+			t.Fatalf("Publish: %v", err)
+		}
+		if stepped.Generation() != before+1 {
+			t.Fatalf("Publish moved the generation %d -> %d, want one bump", before, stepped.Generation())
+		}
+		if got, want := outcome(b.Plans, b.Errs), outcome(plans, errs); got != want {
+			t.Fatalf("per-text outcomes differ:\n--- LoadTextBatch\n%s--- StageTexts + Publish\n%s", want, got)
+		}
+	}
+	if whole.Generation() != stepped.Generation() || whole.NumPlans() != 24 {
+		t.Fatalf("generation %d vs %d, %d plans; want equal generations and 24 plans",
+			whole.Generation(), stepped.Generation(), whole.NumPlans())
+	}
+	var a, b []string
+	for _, p := range whole.Plans() {
+		a = append(a, p.ID)
+	}
+	for _, p := range stepped.Plans() {
+		b = append(b, p.ID)
+	}
+	if !slices.Equal(a, b) {
+		t.Fatalf("load order differs:\n LoadTextBatch %v\n stage+publish %v", a, b)
+	}
+	k := kb.MustExtended()
+	ra, err := whole.RunKB(context.Background(), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := stepped.RunKB(context.Background(), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderReports(ra) != renderReports(rb) {
+		t.Fatal("the two engines answer RunKB differently")
 	}
 }

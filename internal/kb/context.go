@@ -60,6 +60,12 @@ const (
 	FieldSelfCost = "SELFCOST"
 )
 
+// notApplicable is what @ALIAS.FIELD renders when the bound resource has no
+// such field (a cost on a base object). An ANY handler can bind an operator or
+// a base object, so only the match knows which: expansion renders the gap, the
+// way an empty helper renders "(none)", instead of failing the whole report.
+const notApplicable = "(n/a)"
+
 // Field evaluates @ALIAS.FIELD.
 func (o *Occurrence) Field(alias, field string) (string, error) {
 	t, ok := o.Binding(alias)
@@ -112,7 +118,7 @@ func (o *Occurrence) Field(alias, field string) (string, error) {
 	default:
 		return "", fmt.Errorf("kb: unknown field %q in @%s.%s", field, alias, field)
 	}
-	return "", fmt.Errorf("kb: field %s not applicable to @%s", field, alias)
+	return notApplicable, nil
 }
 
 // Helper functions usable as @ALIAS(FN) in recommendation templates.

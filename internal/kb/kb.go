@@ -99,10 +99,26 @@ func (kb *KnowledgeBase) Entry(name string) *Entry {
 }
 
 // Add saves a problem pattern with its recommendations (Algorithm 4:
-// SavingRecommendationsKB). The pattern is compiled to SPARQL and preserved
-// in both forms; every recommendation template is validated against the
-// pattern's handler aliases so that context adaptation cannot fail later.
+// SavingRecommendationsKB): Build, then Insert.
 func (kb *KnowledgeBase) Add(p *pattern.Pattern, recs ...Recommendation) (*Entry, error) {
+	e, err := kb.Build(p, recs...)
+	if err != nil {
+		return nil, err
+	}
+	if err := kb.Insert(e); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Build makes the entry Add would save, without saving it: the knowledge base
+// is read (the name must be free) and not changed. The pattern is compiled to
+// SPARQL and preserved in both forms, and every recommendation template is
+// parsed and checked against the pattern's handler aliases, field names and
+// helper names, so that context adaptation cannot fail later: whatever a
+// handler turns out to be bound to, Apply renders every tag Build accepted
+// (a field the bound resource does not have renders "(n/a)").
+func (kb *KnowledgeBase) Build(p *pattern.Pattern, recs ...Recommendation) (*Entry, error) {
 	if p.Name == "" {
 		return nil, fmt.Errorf("kb: pattern must be named")
 	}
@@ -136,9 +152,18 @@ func (kb *KnowledgeBase) Add(p *pattern.Pattern, recs ...Recommendation) (*Entry
 		}
 		e.templates = append(e.templates, nodes)
 	}
+	return e, nil
+}
+
+// Insert appends an entry Build made and bumps the version. It refuses only a
+// name taken since the entry was built.
+func (kb *KnowledgeBase) Insert(e *Entry) error {
+	if kb.Entry(e.Name) != nil {
+		return fmt.Errorf("kb: entry %q already exists", e.Name)
+	}
 	kb.entries = append(kb.entries, e)
 	kb.version++
-	return e, nil
+	return nil
 }
 
 // Remove deletes the named entry. It reports whether the entry existed.
@@ -263,12 +288,12 @@ func (kb *KnowledgeBase) Restore(e *Entry) error {
 	}
 	e.Pattern.Name = e.Name
 	e.Pattern.Description = e.Description
-	added, err := kb.Add(e.Pattern, e.Recommendations...)
+	built, err := kb.Build(e.Pattern, e.Recommendations...)
 	if err != nil {
 		return err
 	}
 	if len(e.Profile) == NumFeatures {
-		added.Profile = e.Profile
+		built.Profile = e.Profile
 	}
-	return nil
+	return kb.Insert(built)
 }

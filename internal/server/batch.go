@@ -149,9 +149,9 @@ func (s *Server) handleBatchUpload(w http.ResponseWriter, r *http.Request) {
 		if s.st != nil {
 			out, err := s.st.AddPlanBatch(texts)
 			if err != nil {
-				// The durability layer failed: nothing was persisted and the
-				// engine was rolled back, so the whole batch is a 5xx — or a
-				// 503 + Retry-After when the store is degraded.
+				// The durability layer failed: nothing was persisted and
+				// nothing was published to the engine, so the whole batch is
+				// a 5xx — or a 503 + Retry-After when the store is degraded.
 				s.writeStoreError(w, err, http.StatusInternalServerError)
 				return
 			}

@@ -10,7 +10,9 @@ import (
 	"optimatch/internal/core"
 	"optimatch/internal/faultfs"
 	"optimatch/internal/fixtures"
+	"optimatch/internal/kb"
 	"optimatch/internal/obs"
+	"optimatch/internal/pattern"
 	"optimatch/internal/qep"
 	"optimatch/internal/store"
 	"optimatch/internal/storefs"
@@ -107,9 +109,9 @@ func TestDegradedModeHTTPContract(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("/readyz while degraded missing Retry-After")
 	}
-	// The failed mutation's load+rollback bumped the data generation, so the
-	// first read after the fault is a legitimate miss that re-executes and
-	// reproduces the exact pre-fault bytes; the repeat must hit.
+	// The failed mutation was never published: the data generation did not
+	// move, so even the first read after the fault is a hit on what was cached
+	// before it (TestFailedWriteOrphansNothing pins that per kind of write).
 	resp, got := cacheReq(t, "GET", rdfURL, "", nil)
 	if resp.StatusCode != http.StatusOK || got != rdfWant {
 		t.Fatalf("rdf while degraded = %d, bytes match %v", resp.StatusCode, got == rdfWant)
@@ -190,6 +192,69 @@ func TestDegradedModeHTTPContract(t *testing.T) {
 	}
 	if v := metricValue(t, metrics, `optimatch_store_reopen_total{result="error"}`); v != 1 {
 		t.Errorf("reopen error counter = %v, want 1", v)
+	}
+}
+
+// TestFailedWriteOrphansNothing: a write the journal refused happened nowhere
+// a reader can tell. The engine generation and the knowledge base's cache key
+// are what they were, so the first read after the failed write is served from
+// the cache under the validator minted before it — for a single upload, a
+// batch, and a knowledge-base entry.
+func TestFailedWriteOrphansNothing(t *testing.T) {
+	plans := fixtures.All()
+	entry, err := json.Marshal(addEntryRequest{
+		Pattern:         pattern.G(),
+		Recommendations: []kb.Recommendation{{Title: "t", Template: "inspect @TOP"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := json.Marshal(qep.Text(plans[2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := []struct{ name, path, body string }{
+		{"upload", "/api/plans", qep.Text(plans[1])},
+		{"batch", "/api/plans:batch", string(batch) + "\n"},
+		{"kb-entry", "/api/kb/entries", string(entry)},
+	}
+	for _, w := range writes {
+		for _, op := range []faultfs.Op{faultfs.OpWrite, faultfs.OpSync} {
+			t.Run(w.name+"/"+string(op), func(t *testing.T) {
+				ffs, _, ts, _ := degradedTestServer(t)
+				if resp, _ := cacheReq(t, "POST", ts.URL+"/api/plans", qep.Text(plans[0]), nil); resp.StatusCode != http.StatusCreated {
+					t.Fatalf("upload status = %d", resp.StatusCode)
+				}
+				reads := []struct{ method, url string }{
+					{"GET", ts.URL + "/api/plans/" + plans[0].ID + "/rdf"},
+					{"POST", ts.URL + "/api/kb/run"},
+				}
+				var etags, bodies []string // only /rdf carries a validator; kb/run's ETag is "" both times
+				for _, r := range reads {
+					resp, body := cacheReq(t, r.method, r.url, "", nil)
+					if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+						t.Fatalf("first %s = %d, X-Cache %q", r.url, resp.StatusCode, resp.Header.Get("X-Cache"))
+					}
+					etags, bodies = append(etags, resp.Header.Get("ETag")), append(bodies, body)
+				}
+				if etags[0] == "" {
+					t.Fatal("rdf response carries no ETag")
+				}
+
+				ffs.FailNth(op, 1, faultfs.KindErr)
+				if resp, body := cacheReq(t, "POST", ts.URL+w.path, w.body, nil); resp.StatusCode != http.StatusServiceUnavailable {
+					t.Fatalf("%s with a failing %s = %d, body %s", w.name, op, resp.StatusCode, body)
+				}
+
+				for i, r := range reads {
+					resp, body := cacheReq(t, r.method, r.url, "", nil)
+					if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" || resp.Header.Get("ETag") != etags[i] || body != bodies[i] {
+						t.Fatalf("first %s after the failed %s = %d, X-Cache %q, ETag %q (was %q), bytes match %v; want a hit under the old validator",
+							r.url, w.name, resp.StatusCode, resp.Header.Get("X-Cache"), resp.Header.Get("ETag"), etags[i], body == bodies[i])
+					}
+				}
+			})
+		}
 	}
 }
 

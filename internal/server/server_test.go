@@ -436,8 +436,34 @@ func TestPoisonedEntryRefused(t *testing.T) {
 	}
 }
 
+// TestInapplicableFieldEntryServes posts an entry whose template asks a
+// base-object handler for a field only operators have. Validation cannot know
+// what an ANY handler will bind, so the entry is saved — and used to fail
+// every knowledge-base run over a plan its pattern matches with a 500, for
+// everyone, until someone deleted it. Expansion is total now: the run answers
+// and renders the gap.
+func TestInapplicableFieldEntryServes(t *testing.T) {
+	_, ts := storeServer(t, t.TempDir())
+	postBody(t, ts.URL+"/api/plans", qep.Text(fixtures.Figure1()), http.StatusCreated, nil)
+	p := pattern.A()
+	p.Name = "cost-of-a-table"
+	body, err := json.Marshal(addEntryRequest{
+		Pattern:         p,
+		Recommendations: []kb.Recommendation{{Title: "t", Template: "@BASE4 costs @BASE4.COST"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	postBody(t, ts.URL+"/api/kb/entries", string(body), http.StatusCreated, nil)
+	resp, run := cacheReq(t, "POST", ts.URL+"/api/kb/run", "", nil)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(run, "CUST_DIM costs (n/a)") {
+		t.Fatalf("kb/run = %d, want 200 with the inapplicable field rendered as (n/a):\n%.400s", resp.StatusCode, run)
+	}
+}
+
 // TestETagDoesNotSurviveRestart: the engine generation a validator embeds
-// restarts from the number of replayed records, so after delete, re-upload
+// restarts from the number of replay steps that changed the plan table (runs
+// that loaded a plan, plus removals), so after delete, re-upload
 // under the same ID and compaction, a restarted server reaches the old
 // generation number with different bytes behind it. A validator minted by
 // one process must not match in another.

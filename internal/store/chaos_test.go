@@ -33,7 +33,9 @@ const chaosSweepEnv = "OPTIMATCH_CHAOS_SEEDS"
 //     a failed fsync whose tail scrub also failed may leave exactly the
 //     failed record, which Reopen then drops).
 //  2. Degraded mode never serves a partially-applied mutation or batch: the
-//     served report always equals the acknowledged reference.
+//     served report always equals the acknowledged reference, plan for plan in
+//     load order, and a failed mutation moves neither the engine's generation
+//     nor the knowledge base's cache key (it was never published).
 //  3. Once faults clear, Reopen succeeds and replays to a byte-identical
 //     RunKB report, live and across a restart.
 func TestChaosProperty(t *testing.T) {
@@ -239,6 +241,7 @@ func runChaosProperty(t *testing.T, seed int64) {
 		candidates = append(candidates, mutation{op: opAddPlanBatch})
 		m := candidates[rng.Intn(len(candidates))]
 
+		served := servedState(s.Engine(), s.KB())
 		var opErr error
 		switch m.op {
 		case opAddPlan:
@@ -302,6 +305,9 @@ func runChaosProperty(t *testing.T, seed int64) {
 			lastFailed = &failed
 		}
 		checkServed(step, "after failed "+m.op)
+		if got := servedState(s.Engine(), s.KB()); got != served {
+			fatalf("step %d: failed %s moved what readers see:\n--- before\n%s\n--- after\n%s", step, m.op, served, got)
+		}
 		if rng.Intn(2) == 0 {
 			checkImage(step)
 		}

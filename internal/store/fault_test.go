@@ -10,21 +10,17 @@ import (
 	"optimatch/internal/storefs"
 )
 
-// faultStore opens a store whose every filesystem operation goes through a
-// fault injector, seeded with two plans and one KB entry as the
-// acknowledged baseline. It returns the injector, the store, the directory
-// and the baseline's deterministic KB-run report.
-func faultStore(t *testing.T) (string, *faultfs.FS, *Store, string) {
+// baselineStore opens a store on fsys and acknowledges two plans and one KB
+// entry: the state the fault and protocol tests start from.
+func baselineStore(t *testing.T, fsys storefs.FS) (string, *Store) {
 	t.Helper()
 	dir := t.TempDir()
-	ffs := faultfs.Wrap(storefs.OS{})
-	s, err := Open(dir, WithFS(ffs))
+	s, err := Open(dir, WithFS(fsys))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	texts := batchTexts(2)
-	for _, text := range texts {
+	for _, text := range batchTexts(2) {
 		if _, err := s.AddPlan(text); err != nil {
 			t.Fatal(err)
 		}
@@ -32,6 +28,16 @@ func faultStore(t *testing.T) (string, *faultfs.FS, *Store, string) {
 	if _, err := s.AddEntry(testEntryPattern(), testEntryRec()); err != nil {
 		t.Fatal(err)
 	}
+	return dir, s
+}
+
+// faultStore is baselineStore with every filesystem operation going through a
+// fault injector. It returns the injector, the store, the directory and the
+// baseline's deterministic KB-run report.
+func faultStore(t *testing.T) (string, *faultfs.FS, *Store, string) {
+	t.Helper()
+	ffs := faultfs.Wrap(storefs.OS{})
+	dir, s := baselineStore(t, ffs)
 	return dir, ffs, s, reportString(t, s.Engine(), s.KB())
 }
 
@@ -261,24 +267,13 @@ func TestDegradedBatchIsAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestFailedRemoveLeavesStateUntouched: a delete whose journal append fails
-// never happened. The plan or entry keeps its place in load order — what the
-// degraded server goes on serving, and what a restart recovers — and neither
-// the engine's generation nor the knowledge base's cache key moves, so no
-// cached response is orphaned for it. (reportString sorts its blocks, so the
-// order is compared here by name.)
-func TestFailedRemoveLeavesStateUntouched(t *testing.T) {
-	state := func(s *Store) string {
-		var plans, entries []string
-		for _, p := range s.Engine().Plans() {
-			plans = append(plans, p.ID)
-		}
-		for _, e := range s.KB().Entries() {
-			entries = append(entries, e.Name)
-		}
-		return fmt.Sprintf("plans %v generation %d, entries %v key %s",
-			plans, s.Engine().Generation(), entries, s.KB().CacheKey())
-	}
+// TestFailedMutationLeavesStateUntouched: a mutation whose journal append
+// fails never happened, whichever of the five it was. Nothing was published,
+// so the plans and entries keep their order — what the degraded server goes on
+// serving, and what a restart recovers — the sequence number stays, and
+// neither the engine's generation nor the knowledge base's cache key moves: no
+// cached response is orphaned for a write that did not happen.
+func TestFailedMutationLeavesStateUntouched(t *testing.T) {
 	faults := []struct {
 		name string
 		op   faultfs.Op
@@ -288,26 +283,21 @@ func TestFailedRemoveLeavesStateUntouched(t *testing.T) {
 		{"fsync", faultfs.OpSync, faultfs.KindErr},
 		{"ENOSPC", faultfs.OpWrite, faultfs.KindENOSPC},
 	}
-	// Both targets are first in their order, where re-adding would show.
-	removals := []struct {
-		name   string
-		remove func(*Store) (bool, error)
-	}{
-		{"plan", func(s *Store) (bool, error) { return s.RemovePlan("W1") }},
-		{"entry", func(s *Store) (bool, error) { return s.RemoveEntry(s.KB().Entries()[0].Name) }},
-	}
 	for _, f := range faults {
-		for _, r := range removals {
-			t.Run(f.name+"/"+r.name, func(t *testing.T) {
+		for _, m := range protocolMutators {
+			t.Run(f.name+"/"+m.op, func(t *testing.T) {
 				dir, ffs, s, want := faultStore(t)
 				ackSeq := s.Stats().LastSeq
-				before := state(s)
+				before := servedState(s.Engine(), s.KB())
 				ffs.FailNth(f.op, 1, f.kind)
-				if ok, err := r.remove(s); ok || !errors.Is(err, ErrPersist) {
-					t.Fatalf("remove = %v, %v; want false, ErrPersist", ok, err)
+				if err := m.do(t, s); !errors.Is(err, ErrPersist) {
+					t.Fatalf("%s = %v, want ErrPersist", m.op, err)
 				}
-				if after := state(s); after != before {
-					t.Fatalf("failed remove changed served state:\n--- before\n%s\n--- after\n%s", before, after)
+				if after := servedState(s.Engine(), s.KB()); after != before {
+					t.Fatalf("failed %s changed served state:\n--- before\n%s\n--- after\n%s", m.op, before, after)
+				}
+				if seq := s.Stats().LastSeq; seq != ackSeq {
+					t.Fatalf("failed %s moved LastSeq %d -> %d", m.op, ackSeq, seq)
 				}
 				wantDegraded(t, s, want)
 				if seq, got := recoverImage(t, dir); seq != ackSeq || got != want {

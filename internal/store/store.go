@@ -4,7 +4,8 @@
 // record streams — plan ingests (raw explain text) and knowledge-base
 // mutations (entries as their kb JSON form) — flow through an append-only
 // write-ahead log whose records are length-prefixed and CRC32-checksummed;
-// every append is fsync'd before the mutation is acknowledged. Periodic
+// every append is fsync'd before the mutation is published to a reader or
+// acknowledged to its caller (see commit: prepare, journal, publish). Periodic
 // compaction folds the log into a snapshot (atomic temp-file + rename)
 // carrying a generation counter and the last absorbed log sequence number,
 // so recovery loads the snapshot and replays only the WAL tail — through the
@@ -15,11 +16,12 @@
 // The store degrades rather than corrupts: every filesystem touch goes
 // through the storefs seam (swap in internal/faultfs to test), and when the
 // durability machinery itself fails — a WAL write or fsync, a snapshot
-// publication — the store scrubs the unacknowledged tail, rolls the failed
-// mutation out of memory, and enters an explicit degraded read-only mode:
-// reads and scans keep serving the acknowledged state, every further
-// mutation returns ErrDegraded, and Reopen re-verifies (and if needed
-// repairs) the on-disk tail before writes are accepted again.
+// publication — the store scrubs the unacknowledged tail and enters an
+// explicit degraded read-only mode; the failed mutation was never published,
+// so memory has nothing to take back. Reads and scans keep serving the
+// acknowledged state, every further mutation returns ErrDegraded, and Reopen
+// re-verifies (and if needed repairs) the on-disk tail before writes are
+// accepted again.
 package store
 
 import (
@@ -84,7 +86,8 @@ type Instrumentation struct {
 	Recovery func(d time.Duration, records, truncations int64)
 
 	// Degrade observes the transition into degraded read-only mode: which
-	// durability operation failed (append, fsync, compact) and why. It
+	// durability operation failed (append, fsync, compact; publish when
+	// memory refused a journaled record, see commit) and why. It
 	// fires once per degradation, not per rejected write.
 	Degrade func(op string, cause error)
 
@@ -384,10 +387,7 @@ func (s *Store) KB() *kb.KnowledgeBase {
 func (s *Store) applyRecord(rec *record, skipped map[string]bool) error {
 	switch rec.Op {
 	case opRemovePlan:
-		if !s.eng.RemovePlan(rec.ID) {
-			return fmt.Errorf("plan %q not loaded", rec.ID)
-		}
-		return nil
+		return found(s.eng.RemovePlan(rec.ID), "plan", rec.ID)
 	case opAddEntry:
 		var e kb.Entry
 		if err := json.Unmarshal(rec.Item, &e); err != nil {
@@ -407,13 +407,20 @@ func (s *Store) applyRecord(rec *record, skipped map[string]bool) error {
 			delete(skipped, rec.ID)
 			return nil
 		}
-		if !s.base.Remove(rec.ID) {
-			return fmt.Errorf("kb entry %q not found", rec.ID)
-		}
-		return nil
+		return found(s.base.Remove(rec.ID), "kb entry", rec.ID)
 	default:
 		return fmt.Errorf("unknown op %q", rec.Op)
 	}
+}
+
+// found turns a removal's "was it there" into an error. Replay and publish
+// both remove what an earlier step saw — the live call that journaled the
+// record, the mutator's prepare — so a target that is not there is a refusal.
+func found(ok bool, what, id string) error {
+	if !ok {
+		return fmt.Errorf("%s %q not found", what, id)
+	}
+	return nil
 }
 
 // writableLocked reports whether the store currently accepts mutations.
@@ -452,12 +459,10 @@ func (s *Store) scrubTailLocked() {
 	_ = s.fs.Truncate(filepath.Join(s.dir, walName), s.walBytes)
 }
 
-// appendLocked journals one record and fsyncs. Callers hold s.mu. A write
-// or fsync failure scrubs the unacknowledged tail and degrades the store.
+// appendLocked journals one record and fsyncs: the journal stage of commit,
+// its only caller, whose callers hold s.mu and have checked writableLocked. A
+// write or fsync failure scrubs the unacknowledged tail and degrades the store.
 func (s *Store) appendLocked(rec *record) error {
-	if err := s.writableLocked(); err != nil {
-		return err
-	}
 	buf, err := encodeRecord(rec)
 	if err != nil {
 		return err
@@ -500,26 +505,55 @@ func (s *Store) maybeAutoCompact() {
 	}
 }
 
+// commit is the one way a mutation happens, and the only place one becomes
+// visible. The mutator has prepared it — everything that can refuse it has run,
+// touching nothing a reader can see — and hands over the record and the publish
+// step. commit journals the record (write + fsync; a failure scrubs the tail,
+// degrades the store and leaves memory exactly as it was, publish never
+// called), then publishes into the engine or the knowledge base, then advances
+// the sequence number, then lets the log compact. So a mutation is visible iff
+// it is durable, and the acknowledging call returns after both. publish cannot
+// fail after a correct prepare under s.mu; if it does, the journal holds what
+// memory refused, and the store takes the record back out of the log and
+// degrades rather than continue with the two in disagreement. Callers hold
+// s.mu and have checked writableLocked.
+func (s *Store) commit(rec *record, publish func() error) error {
+	rec.Seq = s.seq + 1
+	tail := s.walBytes
+	if err := s.appendLocked(rec); err != nil {
+		return err
+	}
+	if err := publish(); err != nil {
+		s.walRecords, s.walBytes = s.walRecords-1, tail
+		s.scrubTailLocked()
+		s.degradeLocked("publish", err)
+		return fmt.Errorf("%w: publishing journaled %s (seq %d): %v", ErrPersist, rec.Op, rec.Seq, err)
+	}
+	s.seq++
+	s.maybeAutoCompact()
+	return nil
+}
+
 // AddPlan parses and ingests an explain file, journaling the raw text. The
-// returned plan is registered in the engine. Validation errors (bad text,
-// duplicate ID) are returned as-is; durability failures wrap ErrPersist.
+// returned plan is registered in the engine — staged, journaled, then
+// published, so no reader sees it before it is durable. Validation errors (bad
+// text, duplicate ID) are returned as-is; durability failures wrap ErrPersist
+// and leave the engine, its generation included, as it was.
 func (s *Store) AddPlan(text string) (*qep.Plan, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writableLocked(); err != nil {
 		return nil, err
 	}
-	p, err := s.eng.LoadText(text)
-	if err != nil {
+	b := s.eng.StageTexts([]string{text})
+	if b.Errs[0] != nil {
+		return nil, b.Errs[0]
+	}
+	rec := &record{Op: opAddPlan, ID: b.Plans[0].ID, Text: text}
+	if err := s.commit(rec, func() error { return s.eng.Publish(b) }); err != nil {
 		return nil, err
 	}
-	if err := s.appendLocked(&record{Seq: s.seq + 1, Op: opAddPlan, ID: p.ID, Text: text}); err != nil {
-		s.eng.RemovePlan(p.ID) // keep memory and log in agreement
-		return nil, err
-	}
-	s.seq++
-	s.maybeAutoCompact()
-	return p, nil
+	return b.Plans[0], nil
 }
 
 // BatchOutcome is the per-record result of AddPlanBatch. Plan is non-nil
@@ -533,47 +567,44 @@ type BatchOutcome struct {
 // AddPlanBatch ingests a batch of explain texts as one durable mutation:
 // each text is validated individually (parse failures, validation errors
 // and duplicate IDs — against the engine or earlier records in the same
-// batch — fail only their own record), the accepted plans are registered in
-// the engine under a single data-generation bump, and the whole batch is
-// journaled as one WAL record with a single fsync. The returned error is
-// nil unless the store is closed or persistence itself failed; per-record
-// outcomes carry all validation results. On a persistence failure every
-// accepted plan is rolled back — the batch is all-or-nothing on disk.
+// batch — fail only their own record), the accepted plans are journaled as
+// one WAL record with a single fsync, and only then registered in the engine
+// under a single data-generation bump. The returned error is nil unless the
+// store is closed or persistence itself failed; per-record outcomes carry all
+// validation results. On a persistence failure no plan of the batch was ever
+// visible — the batch is all-or-nothing, in memory and on disk.
 func (s *Store) AddPlanBatch(texts []string) ([]BatchOutcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writableLocked(); err != nil {
 		return nil, err
 	}
-	plans, errs := s.eng.LoadTextBatch(texts)
-	out := make([]BatchOutcome, len(texts))
+	b := s.eng.StageTexts(texts)
 	var items []batchItem
+	for i, err := range b.Errs {
+		if err == nil {
+			items = append(items, batchItem{ID: b.Plans[i].ID, Text: texts[i]})
+		}
+	}
+	if len(items) > 0 { // nothing accepted: nothing to journal
+		rec := &record{Op: opAddPlanBatch, Batch: items}
+		if err := s.commit(rec, func() error { return s.eng.Publish(b) }); err != nil {
+			return nil, err
+		}
+		s.batchAppends++
+		s.batchPlans += int64(len(items))
+	}
+	out := make([]BatchOutcome, len(texts))
 	for i := range texts {
-		out[i] = BatchOutcome{Plan: plans[i], Err: errs[i]}
-		if errs[i] == nil {
-			items = append(items, batchItem{ID: plans[i].ID, Text: texts[i]})
-		}
+		out[i] = BatchOutcome{Plan: b.Plans[i], Err: b.Errs[i]}
 	}
-	if len(items) == 0 {
-		return out, nil // nothing accepted: nothing to journal
-	}
-	if err := s.appendLocked(&record{Seq: s.seq + 1, Op: opAddPlanBatch, Batch: items}); err != nil {
-		for _, it := range items {
-			s.eng.RemovePlan(it.ID) // keep memory and log in agreement
-		}
-		return nil, err
-	}
-	s.seq++
-	s.batchAppends++
-	s.batchPlans += int64(len(items))
-	s.maybeAutoCompact()
 	return out, nil
 }
 
 // RemovePlan unloads a plan durably. It reports whether the plan existed.
-// The removal is journaled first and applied once the append succeeds (s.mu
-// serialises every mutator, so the existence check cannot go stale): a failed
-// append leaves the engine exactly as it was.
+// s.mu serialises every mutator, so the existence check cannot go stale
+// between prepare and publish; a failed append leaves the engine exactly as it
+// was.
 func (s *Store) RemovePlan(id string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -583,13 +614,9 @@ func (s *Store) RemovePlan(id string) (bool, error) {
 	if s.eng.Plan(id) == nil {
 		return false, nil
 	}
-	if err := s.appendLocked(&record{Seq: s.seq + 1, Op: opRemovePlan, ID: id}); err != nil {
-		return false, err
-	}
-	s.eng.RemovePlan(id)
-	s.seq++
-	s.maybeAutoCompact()
-	return true, nil
+	rec := &record{Op: opRemovePlan, ID: id}
+	err := s.commit(rec, func() error { return found(s.eng.RemovePlan(id), "plan", id) })
+	return err == nil, err
 }
 
 // AddEntry saves a problem pattern with its recommendations to the
@@ -600,26 +627,23 @@ func (s *Store) AddEntry(p *pattern.Pattern, recs ...kb.Recommendation) (*kb.Ent
 	if err := s.writableLocked(); err != nil {
 		return nil, err
 	}
-	entry, err := s.base.Add(p, recs...)
+	entry, err := s.base.Build(p, recs...)
 	if err != nil {
 		return nil, err
 	}
 	data, err := json.Marshal(entry)
 	if err != nil {
-		s.base.Remove(entry.Name)
 		return nil, fmt.Errorf("store: encoding kb entry: %w", err)
 	}
-	if err := s.appendLocked(&record{Seq: s.seq + 1, Op: opAddEntry, ID: entry.Name, Item: data}); err != nil {
-		s.base.Remove(entry.Name)
+	rec := &record{Op: opAddEntry, ID: entry.Name, Item: data}
+	if err := s.commit(rec, func() error { return s.base.Insert(entry) }); err != nil {
 		return nil, err
 	}
-	s.seq++
-	s.maybeAutoCompact()
 	return entry, nil
 }
 
 // RemoveEntry deletes a knowledge-base entry durably. It reports whether
-// the entry existed. Journal first, apply after, as RemovePlan does.
+// the entry existed.
 func (s *Store) RemoveEntry(name string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -629,13 +653,9 @@ func (s *Store) RemoveEntry(name string) (bool, error) {
 	if s.base.Entry(name) == nil {
 		return false, nil
 	}
-	if err := s.appendLocked(&record{Seq: s.seq + 1, Op: opRemoveEntry, ID: name}); err != nil {
-		return false, err
-	}
-	s.base.Remove(name)
-	s.seq++
-	s.maybeAutoCompact()
-	return true, nil
+	rec := &record{Op: opRemoveEntry, ID: name}
+	err := s.commit(rec, func() error { return found(s.base.Remove(name), "kb entry", name) })
+	return err == nil, err
 }
 
 // Compact folds the current state into a fresh snapshot and resets the WAL.
@@ -793,8 +813,8 @@ func (s *Store) reopenLocked() error {
 	}
 	// Keep only records at or below the acknowledged sequence. A record
 	// above it is a mutation whose append failed after the bytes landed
-	// (e.g. the fsync failed): the caller saw an error and the engine
-	// rolled it back, so it must not survive to a future recovery.
+	// (e.g. the fsync failed): the caller saw an error and the mutation was
+	// never published, so it must not survive to a future recovery.
 	keep := len(recs)
 	for keep > 0 && recs[keep-1].Seq > s.seq {
 		keep--

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -28,27 +27,23 @@ func planTexts() map[string]string {
 }
 
 // reportString renders a full KB run deterministically, so tests can
-// compare recovered state to a reference byte for byte. Per-plan blocks are
-// sorted by plan ID: engine iteration order depends on insertion history
-// (a rolled-back removal re-inserts at the end), and state equality must
-// not depend on it.
+// compare recovered state to a reference byte for byte. Per-plan blocks come
+// in the engine's load order: a failed mutation moves nothing and replay loads
+// in log order, so equal states list their plans in the same order.
 func reportString(t *testing.T, eng *core.Engine, base *kb.KnowledgeBase) string {
 	t.Helper()
 	reports, err := eng.RunKB(context.Background(), base)
 	if err != nil {
 		t.Fatalf("RunKB: %v", err)
 	}
-	blocks := make([]string, 0, len(reports))
+	var b strings.Builder
 	for i := range reports {
-		var b strings.Builder
 		fmt.Fprintf(&b, "%s: %s\n", reports[i].Plan.ID, reports[i].Message())
 		for _, r := range reports[i].Recommendations {
 			fmt.Fprintf(&b, "  [%s] %s %.6f %s\n", r.Entry.Name, r.Recommendation.Title, r.Confidence, r.Text)
 		}
-		blocks = append(blocks, b.String())
 	}
-	sort.Strings(blocks)
-	return strings.Join(blocks, "")
+	return b.String()
 }
 
 func testEntryPattern() *pattern.Pattern { return pattern.F() }
@@ -451,5 +446,40 @@ func TestReplaySkipsRefusedEntry(t *testing.T) {
 	writeFile(t, filepath.Join(dir, walName), log(record{Op: opRemoveEntry, ID: "bad"}))
 	if _, err := Open(dir, WithDefaultKB(kb.New())); err == nil {
 		t.Error("Open replayed the removal of an entry that never existed")
+	}
+}
+
+// TestRecoversInapplicableFieldEntry opens a log as the binaries before
+// template expansion was total left it: they accepted and journaled an entry
+// whose template asks a base-object handler for a cost ("@BASE4.COST" on
+// Pattern A), and from then on failed every knowledge-base run over a plan the
+// pattern matches. Refusing the entry now would strand the directory; instead
+// it loads, and the run renders the gap.
+func TestRecoversInapplicableFieldEntry(t *testing.T) {
+	p := pattern.A()
+	p.Name = "cost-of-a-table"
+	e, err := kb.New().Add(p, kb.Recommendation{Title: "t", Template: "@BASE4 costs @BASE4.COST"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	item, err := json.Marshal(e) // what AddEntry journals
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	appendRecords(t, dir,
+		record{Seq: 1, Op: opAddPlan, ID: "Q2", Text: qep.Text(fixtures.Figure1())},
+		record{Seq: 2, Op: opAddEntry, ID: e.Name, Item: item},
+	)
+	s, err := Open(dir, WithDefaultKB(kb.New()))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.SkippedEntries != 0 || s.KB().Entry(e.Name) == nil {
+		t.Fatalf("entry %s not recovered (skipped %d)", e.Name, st.SkippedEntries)
+	}
+	if got := reportString(t, s.Engine(), s.KB()); !strings.Contains(got, "CUST_DIM costs (n/a)") {
+		t.Fatalf("report does not render the inapplicable field:\n%s", got)
 	}
 }
