@@ -16,10 +16,15 @@
 //
 //	optimatchd -addr :8080 -data ./optimatch-data
 //
+// Without -data the daemon runs the same repository with no journal: every
+// write takes the same path, nothing survives the exit.
+//
 // Workload-scale ingest goes through POST /api/plans:batch (NDJSON, one plan
 // per line, bounded by -batch-max-records/-batch-max-bytes): the whole batch
 // is one WAL record, one fsync and one result-cache invalidation, with a
-// per-record outcome report.
+// per-record outcome report. -load is ingested the same way, in batches under
+// the same two bounds: a directory of N plans costs ⌈N/1024⌉ fsyncs at the
+// defaults, and plans the store already holds are skipped.
 //
 // The daemon is observable in production: every request gets a structured
 // access-log line (-log-format json for machine ingestion, -slow-ms for a
@@ -64,7 +69,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -101,8 +105,8 @@ func run() error {
 		kbFile       = flag.String("kb", "", "knowledge base JSON (default: built-in canonical patterns)")
 		extended     = flag.Bool("extended", false, "use the extended built-in knowledge base (patterns E-G)")
 		workers      = flag.Int("workers", 0, "matcher worker-pool size (default: GOMAXPROCS)")
-		batchMaxRecs = flag.Int("batch-max-records", 1024, "max NDJSON records accepted by one POST /api/plans:batch")
-		batchMaxB    = flag.Int64("batch-max-bytes", 8<<20, "max request-body bytes for one POST /api/plans:batch")
+		batchMaxRecs = flag.Int("batch-max-records", 1024, "max NDJSON records accepted by one POST /api/plans:batch (and files per -load batch)")
+		batchMaxB    = flag.Int64("batch-max-bytes", 8<<20, "max request-body bytes for one POST /api/plans:batch (and explain-text bytes per -load batch)")
 		data         = flag.String("data", "", "durable store directory (empty: in-memory only, state lost on exit)")
 		compactEvery = flag.Int64("compact-every", 1024, "auto-compact the store once its WAL holds this many records (0: manual only)")
 		failDegraded = flag.Bool("fail-on-degraded", false, "exit with code 3 when shutting down while the store is degraded (read-only)")
@@ -164,10 +168,10 @@ func run() error {
 	if resCache != nil {
 		serverOpts = append(serverOpts, server.WithResultCache(resCache))
 	}
-	var (
-		eng *core.Engine
-		st  *store.Store
-	)
+	// Every mutation — the -load seeding below and every write the server
+	// takes — goes through one store: a durable one with -data, one with no
+	// journal without.
+	var st *store.Store
 	if *data != "" {
 		// The store owns the engine and knowledge base: recovery replays
 		// the snapshot + WAL tail into them before we serve a byte. The
@@ -196,27 +200,25 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		defer st.Close()
-		eng = st.Engine()
-		base = st.KB()
-		serverOpts = append(serverOpts, server.WithStore(st))
 		log.Info("store recovered", recoveryAttrs(*data, st)...)
 	} else {
-		eng = core.New(engOpts...)
+		st = store.Memory(core.New(engOpts...), base)
 	}
+	defer st.Close()
+	serverOpts = append(serverOpts, server.WithStore(st))
 
 	if *load != "" {
-		n, err := loadDir(eng, st, *load)
+		n, err := loadDir(st, *load, *batchMaxRecs, *batchMaxB)
 		if err != nil {
 			return err
 		}
 		log.Info("workload loaded", "dir", *load, "plans", n)
 	}
-	log.Info("knowledge base ready", "entries", base.Len())
+	log.Info("knowledge base ready", "entries", st.KB().Len())
 
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           server.New(eng, base, serverOpts...).Handler(),
+		Handler:           server.New(st.Engine(), st.KB(), serverOpts...).Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		BaseContext:       func(net.Listener) context.Context { return execCtx },
 	}
@@ -271,15 +273,13 @@ func run() error {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	if st != nil {
-		degraded := st.Health().State == store.HealthDegraded
-		if err := st.Close(); err != nil {
-			return err
-		}
-		log.Info("store flushed and closed")
-		if degraded && *failDegraded {
-			return errDegradedExit
-		}
+	degraded := st.Health().State == store.HealthDegraded
+	if err := st.Close(); err != nil {
+		return err
+	}
+	log.Info("store flushed and closed")
+	if degraded && *failDegraded {
+		return errDegradedExit
 	}
 	return nil
 }
@@ -331,39 +331,42 @@ func loadKB(kbFile string, extended bool) (*kb.KnowledgeBase, error) {
 	}
 }
 
-// loadDir seeds the engine from a directory of explain files. With a store,
-// plans go through the durable ingest path and already-recovered IDs are
-// skipped (core.ErrDuplicatePlan — the same sentinel the server maps to
-// 409), so -load -data restarts are idempotent.
-func loadDir(eng *core.Engine, st *store.Store, dir string) (int, error) {
-	if st == nil {
-		return eng.LoadDir(dir)
-	}
-	entries, err := os.ReadDir(dir)
+// loadDir seeds the store from a directory of explain files, read whole first
+// (core.ReadExplainDir) and ingested as AddPlanBatch chunks of at most
+// maxRecords files and maxBytes of text (a larger file is a chunk of its own):
+// staged on the engine's pool and, with -data, one WAL record and one fsync
+// per chunk. IDs the store already holds are skipped (core.ErrDuplicatePlan —
+// the same sentinel the server maps to 409), so -load -data restarts are
+// idempotent. Any other refusal fails the load naming the first refused file;
+// the accepted plans of its chunk are in, later chunks are not ingested.
+func loadDir(st *store.Store, dir string, maxRecords int, maxBytes int64) (int, error) {
+	names, texts, err := core.ReadExplainDir(dir)
 	if err != nil {
 		return 0, err
 	}
 	n := 0
-	for _, ent := range entries {
-		if ent.IsDir() {
-			continue
+	for start := 0; start < len(texts); {
+		end, size := start+1, int64(len(texts[start]))
+		for end < len(texts) && end-start < maxRecords && size+int64(len(texts[end])) <= maxBytes {
+			size += int64(len(texts[end]))
+			end++
 		}
-		switch filepath.Ext(ent.Name()) {
-		case ".txt", ".exfmt", ".exp":
-		default:
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		out, err := st.AddPlanBatch(texts[start:end])
 		if err != nil {
 			return n, err
 		}
-		if _, err := st.AddPlan(string(data)); err != nil {
-			if errors.Is(err, core.ErrDuplicatePlan) {
-				continue // recovered from the store already
+		var refused error
+		for i, o := range out {
+			if o.Err == nil {
+				n++
+			} else if refused == nil && !errors.Is(o.Err, core.ErrDuplicatePlan) {
+				refused = fmt.Errorf("%s: %w", names[start+i], o.Err)
 			}
-			return n, fmt.Errorf("%s: %w", ent.Name(), err)
 		}
-		n++
+		if refused != nil {
+			return n, refused
+		}
+		start = end
 	}
 	return n, nil
 }

@@ -278,10 +278,10 @@ func (e *Engine) Publish(b *Staged) error {
 // Parallel runs task(0) … task(n-1) on the engine's worker pool and returns
 // when all of them have: at most WithWorkers tasks run at a time, handed out
 // in index order, and with one worker (or one task) they run on the calling
-// goroutine, none spawned. It is the write side's pool — batch loads prepare
-// their plans on it, and store recovery decodes its log records on it so that
-// one setting bounds both; scans fan out through forEachPlan, which also
-// observes a context.
+// goroutine, none spawned. It is the engine's one pool: batch loads prepare
+// their plans on it, store recovery decodes its log records on it, and scans
+// fan out over it through forEachPlan, which adds the context check — so one
+// setting bounds all three.
 func (e *Engine) Parallel(n int, task func(i int)) {
 	workers := min(e.workers, n)
 	if workers <= 1 {
@@ -316,36 +316,36 @@ func (e *Engine) LoadText(text string) (*qep.Plan, error) {
 	return p, nil
 }
 
-// LoadDir reads every explain file (*.txt, *.exfmt, *.exp) in dir, in
-// os.ReadDir order, and registers them as one LoadTextBatch: parsed and
-// transformed on the pool, one generation bump. It returns the number of plans
-// registered and the first failing file's error in that order, naming the
-// file; files after a failing one are still registered, files after one that
-// cannot be read are not.
-func (e *Engine) LoadDir(dir string) (int, error) {
+// ReadExplainDir reads every explain file (*.txt, *.exfmt, *.exp) in dir, in
+// os.ReadDir order, and returns the file names and their texts. A file that
+// cannot be read ends the listing: the files before it come back with the
+// error, which names the file.
+func ReadExplainDir(dir string) (names, texts []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return 0, fmt.Errorf("core: %w", err)
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	var names, texts []string
-	var readErr error
 	for _, ent := range entries {
-		if ent.IsDir() {
-			continue
-		}
-		switch filepath.Ext(ent.Name()) {
-		case ".txt", ".exfmt", ".exp":
-		default:
+		if ext := filepath.Ext(ent.Name()); ent.IsDir() || ext != ".txt" && ext != ".exfmt" && ext != ".exp" {
 			continue
 		}
 		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
 		if err != nil {
-			readErr = fmt.Errorf("core: %s: %w", ent.Name(), err)
-			break
+			return names, texts, fmt.Errorf("core: %s: %w", ent.Name(), err)
 		}
 		names = append(names, ent.Name())
 		texts = append(texts, string(data))
 	}
+	return names, texts, nil
+}
+
+// LoadDir registers the explain files of dir (ReadExplainDir) as one
+// LoadTextBatch: parsed and transformed on the pool, one generation bump. It
+// returns the number of plans registered and the first failing file's error in
+// that order, naming the file; files after a failing one are still
+// registered, files after one that cannot be read are not.
+func (e *Engine) LoadDir(dir string) (int, error) {
+	names, texts, readErr := ReadExplainDir(dir)
 	_, errs := e.LoadTextBatch(texts)
 	n := 0
 	var first error

@@ -1,66 +1,30 @@
-// Scan plumbing shared by find and RunKB: the bounded worker pool that fans
-// one scan out over the plan list.
+// Scan plumbing shared by find and RunKB: one scan's fan-out over the plan
+// list, on the engine's worker pool.
 package core
 
 import (
 	"context"
-	"sync"
 
 	"optimatch/internal/transform"
 )
 
-// forEachPlan runs fn over the plans on the engine's bounded worker pool.
-// Unlike a goroutine-per-plan fan-out, a workload of thousands of plans
-// costs a fixed number of goroutines pulling indexes from a channel.
+// forEachPlan runs fn over the plans on the engine's bounded worker pool
+// (Parallel over the plan indexes): a workload of thousands of plans costs a
+// fixed number of goroutines, not one per plan.
 //
-// Cancellation semantics: once ctx is cancelled no further plan is
-// dispatched; tasks already dequeued finish on their own (each one's SPARQL
-// evaluation observes the same ctx and returns within a bounded number of
-// iterations), the pool drains completely — no goroutine outlives this call
-// — and ctx.Err() is returned.
+// Cancellation semantics: every task checks ctx first, so once ctx is
+// cancelled no further plan is started; tasks already running finish on their
+// own (each one's SPARQL evaluation observes the same ctx and returns within a
+// bounded number of iterations), Parallel returns only when every worker has —
+// no goroutine outlives this call — and ctx.Err() is returned.
 func (e *Engine) forEachPlan(ctx context.Context, plans []*transform.Result, fn func(i int, r *transform.Result)) error {
-	workers := e.workers
-	if workers > len(plans) {
-		workers = len(plans)
-	}
 	if e.instr.Pool != nil {
-		e.instr.Pool(max(workers, 1), len(plans))
+		e.instr.Pool(max(min(e.workers, len(plans)), 1), len(plans))
 	}
-	done := ctx.Done()
-	if workers <= 1 {
-		for i, r := range plans {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(i, r)
+	e.Parallel(len(plans), func(i int) {
+		if ctx.Err() == nil {
+			fn(i, plans[i])
 		}
-		return nil
-	}
-	idx := make(chan int, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i, plans[i])
-			}
-		}()
-	}
-	var err error
-dispatch:
-	for i := range plans {
-		select {
-		case idx <- i:
-		case <-done:
-			err = ctx.Err()
-			break dispatch
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if err != nil {
-		return err
-	}
+	})
 	return ctx.Err()
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"optimatch/internal/pattern"
@@ -58,8 +59,12 @@ func (e *Entry) Aliases() map[string]bool {
 // at the same version.
 var kbIDs atomic.Uint64
 
-// KnowledgeBase is an ordered collection of entries.
+// KnowledgeBase is an ordered collection of entries. It is safe for
+// concurrent use: every method takes mu, so its callers need no lock of their
+// own, and a scan that outlives one call works on a Snapshot.
 type KnowledgeBase struct {
+	mu sync.RWMutex
+
 	// id and version together identify the exact entry list for caching:
 	// id is unique per lineage (snapshots inherit it), version is bumped by
 	// every Add/Remove. Entries themselves are immutable after Add, so an
@@ -78,19 +83,28 @@ func New() *KnowledgeBase { return &KnowledgeBase{id: kbIDs.Add(1)} }
 // keys hold identical entries. Snapshots share the key of the state they
 // were taken from.
 func (kb *KnowledgeBase) CacheKey() string {
+	kb.mu.RLock()
+	defer kb.mu.RUnlock()
 	return fmt.Sprintf("kb%d.%d", kb.id, kb.version)
 }
 
 // Len reports the number of entries.
-func (kb *KnowledgeBase) Len() int { return len(kb.entries) }
+func (kb *KnowledgeBase) Len() int { return len(kb.Entries()) }
 
 // Entries returns the entries in insertion order. The slice is shared; do
-// not mutate.
-func (kb *KnowledgeBase) Entries() []*Entry { return kb.entries }
+// not mutate. Later mutations never write into it (Insert appends past its
+// length, Remove copies), so it stays the list of the moment of the call.
+func (kb *KnowledgeBase) Entries() []*Entry {
+	kb.mu.RLock()
+	defer kb.mu.RUnlock()
+	return kb.entries
+}
 
 // Entry returns the named entry, or nil.
-func (kb *KnowledgeBase) Entry(name string) *Entry {
-	for _, e := range kb.entries {
+func (kb *KnowledgeBase) Entry(name string) *Entry { return find(kb.Entries(), name) }
+
+func find(entries []*Entry, name string) *Entry {
+	for _, e := range entries {
 		if e.Name == name {
 			return e
 		}
@@ -158,7 +172,9 @@ func (kb *KnowledgeBase) Build(p *pattern.Pattern, recs ...Recommendation) (*Ent
 // Insert appends an entry Build made and bumps the version. It refuses only a
 // name taken since the entry was built.
 func (kb *KnowledgeBase) Insert(e *Entry) error {
-	if kb.Entry(e.Name) != nil {
+	kb.mu.Lock()
+	defer kb.mu.Unlock()
+	if find(kb.entries, e.Name) != nil {
 		return fmt.Errorf("kb: entry %q already exists", e.Name)
 	}
 	kb.entries = append(kb.entries, e)
@@ -170,6 +186,8 @@ func (kb *KnowledgeBase) Insert(e *Entry) error {
 // The entries slice is copied on removal so that concurrent readers holding
 // the result of a previous Entries or Snapshot call are unaffected.
 func (kb *KnowledgeBase) Remove(name string) bool {
+	kb.mu.Lock()
+	defer kb.mu.Unlock()
 	for i, e := range kb.entries {
 		if e.Name == name {
 			kb.entries = append(kb.entries[:i:i], kb.entries[i+1:]...)
@@ -185,6 +203,8 @@ func (kb *KnowledgeBase) Remove(name string) bool {
 // themselves are immutable after Add, so the snapshot is safe to scan while
 // the original keeps mutating.
 func (kb *KnowledgeBase) Snapshot() *KnowledgeBase {
+	kb.mu.RLock()
+	defer kb.mu.RUnlock()
 	return &KnowledgeBase{
 		id:      kb.id,
 		version: kb.version,
@@ -255,7 +275,7 @@ type kbFile struct {
 func (kb *KnowledgeBase) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(kbFile{Version: 1, Entries: kb.entries})
+	return enc.Encode(kbFile{Version: 1, Entries: kb.Entries()})
 }
 
 // Load reads a knowledge base written by Save, restoring every entry.

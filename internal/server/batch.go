@@ -144,43 +144,28 @@ func (s *Server) handleBatchUpload(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if len(texts) > 0 {
-		ids := make([]string, len(texts))
-		errs := make([]error, len(texts))
-		if s.st != nil {
-			out, err := s.st.AddPlanBatch(texts)
-			if err != nil {
-				// The durability layer failed: nothing was persisted and
-				// nothing was published to the engine, so the whole batch is
-				// a 5xx — or a 503 + Retry-After when the store is degraded.
-				s.writeStoreError(w, err, http.StatusInternalServerError)
-				return
-			}
-			for j, o := range out {
-				if o.Plan != nil {
-					ids[j] = o.Plan.ID
-				}
-				errs[j] = o.Err
-			}
-		} else {
-			plans, lerrs := s.eng.LoadTextBatch(texts)
-			for j, p := range plans {
-				if p != nil {
-					ids[j] = p.ID
-				}
-			}
-			copy(errs, lerrs)
+		out, err := s.st.AddPlanBatch(texts)
+		if err != nil {
+			// The durability layer failed: nothing was persisted and
+			// nothing was published to the engine, so the whole batch is
+			// a 5xx — or a 503 + Retry-After when the store is degraded.
+			s.writeStoreError(w, err, http.StatusInternalServerError)
+			return
 		}
 		for j, ri := range toRecord {
-			results[ri].ID = ids[j]
+			o := out[j]
+			if o.Plan != nil {
+				results[ri].ID = o.Plan.ID
+			}
 			switch {
-			case errs[j] == nil:
+			case o.Err == nil:
 				results[ri].Status = http.StatusCreated
-			case errors.Is(errs[j], core.ErrDuplicatePlan):
+			case errors.Is(o.Err, core.ErrDuplicatePlan):
 				results[ri].Status = http.StatusConflict
-				results[ri].Error = errs[j].Error()
+				results[ri].Error = o.Err.Error()
 			default:
 				results[ri].Status = http.StatusUnprocessableEntity
-				results[ri].Error = errs[j].Error()
+				results[ri].Error = o.Err.Error()
 			}
 		}
 	}

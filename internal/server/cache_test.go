@@ -352,8 +352,6 @@ func TestResponseCacheHammer(t *testing.T) {
 		return rec
 	}
 	state := func() string {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
 		return fmt.Sprintf("gen %d, %s", s.eng.Generation(), s.kb.CacheKey())
 	}
 

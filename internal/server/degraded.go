@@ -9,7 +9,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 
 	"optimatch/internal/store"
@@ -20,22 +19,31 @@ import (
 // to fix the disk, so the hint is a polling interval, not an estimate.
 const degradedRetryAfter = "10"
 
-// writeStoreError maps a failed durable mutation to its status: a degraded
+// errNotDurable is what a 501 says: compaction and reopen need the daemon's
+// durable store.
+var errNotDurable = errors.New("no durable store configured (start optimatchd with -data)")
+
+// writeStoreError maps a failed store call to its status: a degraded
 // store is an explicit 503 + Retry-After (the server is up, the disk is
 // not), and that includes the persistence failure that just *caused* the
 // degradation — the client's write did not commit and retrying after a
 // reopen is the correct move either way. Persistence failures that left
-// the store writable and a closed store are 500s; anything else is the
-// caller's fallback (typically a 4xx validation status).
+// the store writable and a closed store are 500s, a memory store asked to
+// compact or reopen is a 501; anything else is the caller's fallback
+// (typically a 4xx validation status). Every 503 carries Retry-After.
 func (s *Server) writeStoreError(w http.ResponseWriter, err error, fallback int) {
 	status := fallback
 	switch {
+	case errors.Is(err, store.ErrNotDurable):
+		status, err = http.StatusNotImplemented, errNotDurable
 	case errors.Is(err, store.ErrDegraded),
-		errors.Is(err, store.ErrPersist) && s.st != nil && s.st.Health().State == store.HealthDegraded:
-		w.Header().Set("Retry-After", degradedRetryAfter)
+		errors.Is(err, store.ErrPersist) && s.st.Health().State == store.HealthDegraded:
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, store.ErrPersist) || errors.Is(err, store.ErrClosed):
 		status = http.StatusInternalServerError
+	}
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", degradedRetryAfter)
 	}
 	writeError(w, status, err)
 }
@@ -50,12 +58,8 @@ type readyzBody struct {
 // liveness: a degraded daemon is alive (reads and cached responses still
 // serve) but not ready for traffic that mutates state. Degraded and closed
 // states answer 503 so load balancers drain writes without killing the
-// process.
+// process. A memory store is ok until closed.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if s.st == nil {
-		writeJSON(w, http.StatusOK, readyzBody{Status: store.HealthOK})
-		return
-	}
 	h := s.st.Health()
 	status := http.StatusOK
 	if h.State != store.HealthOK {
@@ -73,16 +77,12 @@ type reopenBody struct {
 
 // handleReopen re-verifies the store's on-disk tail and, when it checks
 // out (or was repaired), returns the daemon to accepting writes. A healthy
-// store reopens as a no-op, so the endpoint is safe to retry.
+// store reopens as a no-op, so the endpoint is safe to retry. A failure that
+// leaves the store degraded is a 503 + Retry-After; a closed store never
+// comes back and is the 500 it is on every other route.
 func (s *Server) handleReopen(w http.ResponseWriter, _ *http.Request) {
-	if s.st == nil {
-		writeError(w, http.StatusNotImplemented, fmt.Errorf("no durable store configured (start optimatchd with -data)"))
-		return
-	}
 	if err := s.st.Reopen(); err != nil {
-		// Still degraded: the disk failed again during re-verification.
-		w.Header().Set("Retry-After", degradedRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, err)
+		s.writeStoreError(w, err, http.StatusServiceUnavailable)
 		return
 	}
 	writeJSON(w, http.StatusOK, reopenBody{Health: s.st.Health(), Stats: s.st.Stats()})

@@ -258,6 +258,27 @@ func TestFailedWriteOrphansNothing(t *testing.T) {
 	}
 }
 
+// TestReopenClosedStoreIs500: a closed store never comes back, so reopening
+// one is no retryable 503 but the 500 a closed store is on every other route,
+// with no Retry-After.
+func TestReopenClosedStoreIs500(t *testing.T) {
+	_, st, ts, _ := degradedTestServer(t)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/api/admin/reopen", "/api/admin/compact"} {
+		resp, body := cacheReq(t, "POST", ts.URL+path, "", nil)
+		if resp.StatusCode != http.StatusInternalServerError || resp.Header.Get("Retry-After") != "" {
+			t.Errorf("%s on a closed store = %d, Retry-After %q, body %s; want 500 without Retry-After",
+				path, resp.StatusCode, resp.Header.Get("Retry-After"), body)
+		}
+	}
+	resp, body := cacheReq(t, "GET", ts.URL+"/readyz", "", nil)
+	if resp.StatusCode != http.StatusServiceUnavailable || readyState(t, body) != store.HealthClosed {
+		t.Errorf("/readyz on a closed store = %d %s", resp.StatusCode, body)
+	}
+}
+
 // TestReadyzWithoutStore pins the stateless deployment: no durable store
 // means no degraded state machine, so readiness is simply ok and reopen is
 // explicit about being unavailable.

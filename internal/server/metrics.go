@@ -84,11 +84,7 @@ func (s *Server) registerStateMetrics() {
 	reg.GaugeFunc("optimatch_core_plans_loaded", "Plans currently loaded in the engine.",
 		func() float64 { return float64(s.eng.NumPlans()) })
 	reg.GaugeFunc("optimatch_kb_entries", "Knowledge-base entries currently served.",
-		func() float64 {
-			s.mu.RLock()
-			defer s.mu.RUnlock()
-			return float64(s.kb.Len())
-		})
+		func() float64 { return float64(s.kb.Len()) })
 
 	const batchName = "optimatch_ingest_batch_records_total"
 	const batchHelp = "NDJSON records received by POST /api/plans:batch, by outcome."
@@ -154,7 +150,7 @@ func (s *Server) registerStateMetrics() {
 		"Bytes of closure visited bitset brought into use, once per bitset per evaluation (allocated or taken from the pooled scratch).",
 		func() float64 { return float64(s.eng.EvalStats().Path.BitsetBytes) })
 
-	if s.st == nil {
+	if !s.st.Durable() {
 		return
 	}
 	stat := func(f func(store.Stats) float64) func() float64 {

@@ -24,12 +24,16 @@
 // The four read-mostly routes (search, sparql, kb/run, rdf) are descriptors
 // run by one function, serveRead: see cache.go.
 //
-// When constructed with WithStore, plan uploads/deletions and
-// knowledge-base mutations write through the durable store, so the served
-// state survives a restart. If the store degrades (a WAL append or
-// compaction failed), writes answer 503 with Retry-After while reads and
-// cache hits keep serving; GET /readyz reports the state and POST
-// /api/admin/reopen recovers once the disk is healthy again.
+// Every plan upload/deletion and knowledge-base mutation goes through one
+// store.Store: the durable one given with WithStore, so the served state
+// survives a restart, or else a store.Memory over the engine and knowledge
+// base passed to New — the same mutators with no journal. Only /api/stats
+// and /metrics ask which it is (a store group and optimatch_store_* series
+// need a durable store); compaction and reopen answer 501 in memory. If a
+// durable store degrades (a WAL append or compaction failed), writes answer
+// 503 with Retry-After while reads and cache hits keep serving; GET /readyz
+// reports the state and POST /api/admin/reopen recovers once the disk is
+// healthy again.
 package server
 
 import (
@@ -43,7 +47,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"optimatch/internal/cache"
@@ -63,7 +66,8 @@ const maxBodyBytes = 16 << 20
 // Server wires an engine and a knowledge base behind an http.Handler.
 type Server struct {
 	eng *core.Engine
-	st  *store.Store // nil when running in-memory only
+	kb  *kb.KnowledgeBase // guards itself; scans that outlive a call work on a kb.Snapshot
+	st  *store.Store      // every mutation goes through it: WithStore's, or a store.Memory
 
 	log     *slog.Logger  // nil: no access logging
 	metrics *obs.Registry // nil: no /metrics endpoint
@@ -80,20 +84,15 @@ type Server struct {
 	batchMaxRecords int   // NDJSON records per batch (see batch.go)
 	batchMaxBytes   int64 // request-body bytes per batch
 	batch           batchCounters
-
-	// mu guards kb access: mutation handlers hold the write lock (also
-	// around write-through store calls), read handlers the read lock.
-	// Scans that outlive the lock work on a kb.Snapshot.
-	mu sync.RWMutex
-	kb *kb.KnowledgeBase
 }
 
 // Option configures a Server.
 type Option func(*Server)
 
-// WithStore routes every mutation through the durable store. The engine
-// and knowledge base passed to New must be the store's own (store.Engine,
-// store.KB) so that served and journaled state are one and the same.
+// WithStore routes every mutation through the durable store instead of an
+// in-memory one. The engine and knowledge base passed to New must be the
+// store's own (store.Engine, store.KB) so that served and journaled state are
+// one and the same.
 func WithStore(st *store.Store) Option {
 	return func(s *Server) { s.st = st }
 }
@@ -166,14 +165,16 @@ func WithBaseContext(ctx context.Context) Option {
 	return func(s *Server) { s.baseCtx = ctx }
 }
 
-// New returns a server over the given engine and knowledge base. A nil
-// knowledge base starts with the canonical expert patterns.
+// New returns a server over the given engine and knowledge base, mutated
+// through a store.Memory over the two unless WithStore names the durable
+// store they belong to. A nil knowledge base starts with the canonical
+// expert patterns.
 func New(eng *core.Engine, base *kb.KnowledgeBase, opts ...Option) *Server {
 	if base == nil {
 		base = kb.MustCanonical()
 	}
 	s := &Server{
-		eng: eng, kb: base, maxBody: maxBodyBytes,
+		eng: eng, kb: base, st: store.Memory(eng, base), maxBody: maxBodyBytes,
 		epoch:           rand.Uint64(),
 		batchMaxRecords: defaultBatchMaxRecords,
 		batchMaxBytes:   defaultBatchMaxBytes,
@@ -276,11 +277,7 @@ func (s *Server) handleUploadPlan(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	load := s.eng.LoadText
-	if s.st != nil {
-		load = s.st.AddPlan
-	}
-	p, err := load(string(body))
+	p, err := s.st.AddPlan(string(body))
 	if err != nil {
 		// A duplicate ID is a conflict with served state, not a malformed
 		// plan: 409 lets idempotent re-uploads (the optimatchd -load path)
@@ -297,15 +294,7 @@ func (s *Server) handleUploadPlan(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDeletePlan(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var (
-		ok  bool
-		err error
-	)
-	if s.st != nil {
-		ok, err = s.st.RemovePlan(id)
-	} else {
-		ok = s.eng.RemovePlan(id)
-	}
+	ok, err := s.st.RemovePlan(id)
 	if err != nil {
 		s.writeStoreError(w, err, http.StatusInternalServerError)
 		return
@@ -434,10 +423,9 @@ type entryInfo struct {
 }
 
 func (s *Server) handleListKB(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]entryInfo, 0, s.kb.Len())
-	for _, e := range s.kb.Entries() {
+	entries := s.kb.Entries()
+	out := make([]entryInfo, 0, len(entries))
+	for _, e := range entries {
 		out = append(out, entryInfo{Name: e.Name, Description: e.Description, Recommendations: len(e.Recommendations)})
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -463,13 +451,7 @@ func (s *Server) handleAddEntry(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("entry needs a pattern"))
 		return
 	}
-	add := s.kb.Add
-	if s.st != nil {
-		add = s.st.AddEntry
-	}
-	s.mu.Lock()
-	entry, err := add(req.Pattern, req.Recommendations...)
-	s.mu.Unlock()
+	entry, err := s.st.AddEntry(req.Pattern, req.Recommendations...)
 	if err != nil {
 		s.writeStoreError(w, err, http.StatusUnprocessableEntity)
 		return
@@ -479,17 +461,7 @@ func (s *Server) handleAddEntry(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDeleteEntry(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	s.mu.Lock()
-	var (
-		ok  bool
-		err error
-	)
-	if s.st != nil {
-		ok, err = s.st.RemoveEntry(name)
-	} else {
-		ok = s.kb.Remove(name)
-	}
-	s.mu.Unlock()
+	ok, err := s.st.RemoveEntry(name)
 	if err != nil {
 		s.writeStoreError(w, err, http.StatusInternalServerError)
 		return
@@ -525,9 +497,7 @@ func (s *Server) runKBRoute() readRoute {
 			// Scan a point-in-time snapshot: the entry list is fixed here and
 			// its cache key pins it, so a concurrent POST /api/kb/entries
 			// changes the key rather than racing the scan.
-			s.mu.RLock()
 			base := s.kb.Snapshot()
-			s.mu.RUnlock()
 			return base.CacheKey(), func(ctx context.Context, buf *bytes.Buffer) error {
 				reports, err := s.eng.RunKB(ctx, base)
 				if err != nil {
@@ -565,16 +535,13 @@ type statsBody struct {
 	Exec       ExecStats           `json:"exec"`
 	Batch      BatchStats          `json:"batch"`
 	Cache      *cache.Stats        `json:"cache,omitempty"` // nil without -cache-bytes
-	Store      *store.Stats        `json:"store,omitempty"` // nil without -data
+	Store      *store.Stats        `json:"store,omitempty"` // nil without -data (a memory store)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	entries := s.kb.Len()
-	s.mu.RUnlock()
 	body := statsBody{
 		Plans:      s.eng.NumPlans(),
-		KBEntries:  entries,
+		KBEntries:  s.kb.Len(),
 		Prefilter:  s.eng.PrefilterStats(),
 		QueryCache: s.eng.CacheStats(),
 		Eval:       s.eng.EvalStats(),
@@ -585,7 +552,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		cs := s.cache.Stats()
 		body.Cache = &cs
 	}
-	if s.st != nil {
+	if s.st.Durable() {
 		st := s.st.Stats()
 		body.Store = &st
 	}
@@ -593,10 +560,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleCompact(w http.ResponseWriter, _ *http.Request) {
-	if s.st == nil {
-		writeError(w, http.StatusNotImplemented, fmt.Errorf("no durable store configured (start optimatchd with -data)"))
-		return
-	}
 	if err := s.st.Compact(); err != nil {
 		s.writeStoreError(w, err, http.StatusInternalServerError)
 		return

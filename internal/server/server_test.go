@@ -13,11 +13,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"optimatch/internal/core"
 	"optimatch/internal/fixtures"
 	"optimatch/internal/kb"
+	"optimatch/internal/obs"
 	"optimatch/internal/pattern"
 	"optimatch/internal/qep"
 	"optimatch/internal/rdf"
@@ -328,14 +330,14 @@ func TestStatsEndpointWithoutStore(t *testing.T) {
 }
 
 // storeServer builds a server over a durable store in dir.
-func storeServer(t *testing.T, dir string) (*store.Store, *httptest.Server) {
+func storeServer(t *testing.T, dir string, opts ...Option) (*store.Store, *httptest.Server) {
 	t.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	ts := httptest.NewServer(New(st.Engine(), st.KB(), WithStore(st)).Handler())
+	ts := httptest.NewServer(New(st.Engine(), st.KB(), append([]Option{WithStore(st)}, opts...)...).Handler())
 	t.Cleanup(ts.Close)
 	return st, ts
 }
@@ -500,13 +502,84 @@ func TestETagDoesNotSurviveRestart(t *testing.T) {
 	}
 }
 
-// TestConcurrentKBReadsAndWrites hammers the KB read paths while entries
-// are being added; run with -race this fails if any path touches the entry
-// list without synchronization.
+// TestConcurrentKBReadsAndWrites hammers the KB read paths — the entry list,
+// kb/run, /api/stats and /metrics — while entries are being added and
+// removed, over a memory store and over a durable one. The server holds no
+// lock of its own: run with -race this fails if any path touches the entry
+// list without the knowledge base's.
 func TestConcurrentKBReadsAndWrites(t *testing.T) {
-	_, ts := testServer(t)
-	const writers, readers, iters = 8, 8, 25
+	for _, input := range []struct {
+		name  string
+		start func(t *testing.T) *httptest.Server
+	}{
+		{"memory", func(t *testing.T) *httptest.Server {
+			eng := core.New()
+			if err := eng.LoadPlans(fixtures.All()); err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(New(eng, nil, WithMetrics(obs.NewRegistry())).Handler())
+			t.Cleanup(ts.Close)
+			return ts
+		}},
+		{"durable", func(t *testing.T) *httptest.Server {
+			_, ts := storeServer(t, t.TempDir(), WithMetrics(obs.NewRegistry()))
+			for _, p := range fixtures.All() {
+				postBody(t, ts.URL+"/api/plans", qep.Text(p), http.StatusCreated, nil)
+			}
+			return ts
+		}},
+	} {
+		t.Run(input.name, func(t *testing.T) { hammerKB(t, input.start(t)) })
+	}
+}
+
+func hammerKB(t *testing.T, ts *httptest.Server) {
+	const writers, removers, readers, iters = 8, 4, 8, 25
 	var wg sync.WaitGroup
+	var removed atomic.Int64
+	// Remover r deletes the entries writer r has added so far, one per round,
+	// picked from the entry list it reads.
+	for rm := 0; rm < removers; rm++ {
+		wg.Add(1)
+		go func(rm int) {
+			defer wg.Done()
+			prefix := fmt.Sprintf("hammer-%d-", rm)
+			for i := 0; i < iters; i++ {
+				resp, err := http.Get(ts.URL + "/api/kb")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var entries []entryInfo
+				err = json.NewDecoder(resp.Body).Decode(&entries)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, e := range entries {
+					if strings.HasPrefix(e.Name, prefix) {
+						req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/kb/entries/"+e.Name, nil)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						resp, err := http.DefaultClient.Do(req)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						resp.Body.Close()
+						if resp.StatusCode != http.StatusOK {
+							t.Errorf("remove entry %s: status %d", e.Name, resp.StatusCode)
+						}
+						removed.Add(1)
+						break
+					}
+				}
+			}
+		}(rm)
+	}
 	for wtr := 0; wtr < writers; wtr++ {
 		wg.Add(1)
 		go func(wtr int) {
@@ -540,26 +613,33 @@ func TestConcurrentKBReadsAndWrites(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				resp, err := http.Get(ts.URL + "/api/kb")
-				if err != nil {
-					t.Error(err)
-					return
+				for _, r := range []struct{ method, path string }{
+					{"GET", "/api/kb"}, {"POST", "/api/kb/run"}, {"GET", "/api/stats"}, {"GET", "/metrics"},
+				} {
+					req, err := http.NewRequest(r.method, ts.URL+r.path, nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					_, _ = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("%s %s: status %d", r.method, r.path, resp.StatusCode)
+					}
 				}
-				resp.Body.Close()
-				resp, err = http.Post(ts.URL+"/api/kb/run", "text/plain", nil)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				resp.Body.Close()
 			}
 		}()
 	}
 	wg.Wait()
 	var entries []entryInfo
 	getJSON(t, ts.URL+"/api/kb", http.StatusOK, &entries)
-	if len(entries) != 4+writers*iters {
-		t.Errorf("entries = %d, want %d", len(entries), 4+writers*iters)
+	if want := 4 + writers*iters - int(removed.Load()); len(entries) != want || removed.Load() == 0 {
+		t.Errorf("entries = %d after %d removals, want %d and some removals", len(entries), removed.Load(), want)
 	}
 }
 

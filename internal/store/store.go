@@ -22,6 +22,11 @@
 // acknowledged state, every further mutation returns ErrDegraded, and Reopen
 // re-verifies (and if needed repairs) the on-disk tail before writes are
 // accepted again.
+//
+// Memory is the same repository with no journal: its mutators run the same
+// prepare and publish code, and only commit's journal stage knows there is no
+// disk — so a daemon without a data directory mutates its state exactly the
+// way a durable one does, minus the fsync.
 package store
 
 import (
@@ -56,6 +61,10 @@ var ErrClosed = errors.New("store: closed")
 // acknowledged in-memory state; Reopen clears the mode once the disk
 // verifies again. Callers can map it to 503 + Retry-After.
 var ErrDegraded = errors.New("store: degraded (read-only)")
+
+// ErrNotDurable is returned by Compact and Reopen on a Memory store, which
+// has no disk to fold a log into or to re-verify. Callers can map it to 501.
+var ErrNotDurable = errors.New("store: in memory, not durable")
 
 // Option configures Open.
 type Option func(*config)
@@ -127,14 +136,14 @@ func WithAutoCompact(n int64) Option {
 	return func(c *config) { c.autoCompact = n }
 }
 
-// Store is a durable plan & knowledge-base repository. All methods are safe
-// for concurrent use. The engine and knowledge base returned by Engine and
-// KB are owned by the store: route every mutation through the store so it
-// is journaled, and snapshot the knowledge base before scanning it
-// concurrently with mutations.
+// Store is a plan & knowledge-base repository: durable when Open made it, in
+// memory when Memory did. All methods are safe for concurrent use. The engine
+// and knowledge base returned by Engine and KB are owned by the store: route
+// every mutation through the store so it is journaled, and snapshot the
+// knowledge base before scanning it concurrently with mutations.
 type Store struct {
 	dir string
-	fs  storefs.FS
+	fs  storefs.FS // nil for a Memory store: the one sign there is no disk
 
 	mu     sync.Mutex
 	wal    storefs.File // nil after Close
@@ -364,17 +373,26 @@ func replayError(rec int, seq uint64, err error) error {
 	return fmt.Errorf("store: replaying record %d (seq %d): %w", rec, seq, err)
 }
 
+// Memory returns a store with no journal over eng and base (non-nil): the
+// five mutators prepare and publish as a durable store's do, but nothing is
+// written, no sequence number advances and nothing compacts. It is healthy
+// until closed and never degrades; Compact and Reopen return ErrNotDurable.
+func Memory(eng *core.Engine, base *kb.KnowledgeBase) *Store {
+	return &Store{eng: eng, base: base}
+}
+
+// Durable reports whether the store journals its mutations (Open) or keeps
+// them in memory only (Memory).
+func (s *Store) Durable() bool { return s.fs != nil }
+
 // Engine returns the recovered engine. The store owns it; use the store's
 // AddPlan/RemovePlan for durable mutations.
 func (s *Store) Engine() *core.Engine { return s.eng }
 
 // KB returns the recovered knowledge base. The store owns it; use
-// AddEntry/RemoveEntry for durable mutations.
-func (s *Store) KB() *kb.KnowledgeBase {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.base
-}
+// AddEntry/RemoveEntry for durable mutations. The pointer is fixed when the
+// store is made, and the knowledge base guards itself.
+func (s *Store) KB() *kb.KnowledgeBase { return s.base }
 
 // applyRecord replays one journaled barrier into the engine/KB: a plan
 // removal or a knowledge-base mutation (plan additions go through replayRun).
@@ -489,6 +507,10 @@ func (s *Store) appendLocked(rec *record) error {
 	s.appended++
 	s.appendedBytes += int64(len(buf))
 	s.fsyncs++
+	if rec.Op == opAddPlanBatch {
+		s.batchAppends++
+		s.batchPlans += int64(len(rec.Batch))
+	}
 	return nil
 }
 
@@ -517,7 +539,14 @@ func (s *Store) maybeAutoCompact() {
 // memory refused, and the store takes the record back out of the log and
 // degrades rather than continue with the two in disagreement. Callers hold
 // s.mu and have checked writableLocked.
+//
+// A Memory store has no journal stage: no record is written, the sequence
+// number stays, nothing compacts, and a publish refusal comes back as-is —
+// nothing was journaled to take back. No mutator knows the difference.
 func (s *Store) commit(rec *record, publish func() error) error {
+	if !s.Durable() {
+		return publish()
+	}
 	rec.Seq = s.seq + 1
 	tail := s.walBytes
 	if err := s.appendLocked(rec); err != nil {
@@ -591,8 +620,6 @@ func (s *Store) AddPlanBatch(texts []string) ([]BatchOutcome, error) {
 		if err := s.commit(rec, func() error { return s.eng.Publish(b) }); err != nil {
 			return nil, err
 		}
-		s.batchAppends++
-		s.batchPlans += int64(len(items))
 	}
 	out := make([]BatchOutcome, len(texts))
 	for i := range texts {
@@ -661,6 +688,9 @@ func (s *Store) RemoveEntry(name string) (bool, error) {
 // Compact folds the current state into a fresh snapshot and resets the WAL.
 // Served state is unchanged; only the on-disk representation shrinks.
 func (s *Store) Compact() error {
+	if !s.Durable() {
+		return ErrNotDurable
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writableLocked(); err != nil {
@@ -780,6 +810,9 @@ func (s *Store) Health() Health {
 // On success the store accepts writes again; on failure it stays degraded
 // and Reopen can be retried. Reopening a healthy store is a no-op.
 func (s *Store) Reopen() error {
+	if !s.Durable() {
+		return ErrNotDurable
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
