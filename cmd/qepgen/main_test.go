@@ -50,7 +50,7 @@ func TestQepgenWritesWorkloadAndTruth(t *testing.T) {
 	}
 	plans := map[string]bool{}
 	for _, m := range matches {
-		plans[m.Plan.ID] = true
+		plans[m.Plan().ID] = true
 	}
 	if len(plans) != 2 {
 		t.Errorf("pattern A plans = %d, want 2", len(plans))

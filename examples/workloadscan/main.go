@@ -70,7 +70,7 @@ func main() {
 	}
 	plans := map[string]bool{}
 	for _, m := range m2 {
-		plans[m.Plan.ID] = true
+		plans[m.Plan().ID] = true
 	}
 	fmt.Printf("\nQ2: %d plan(s) contain a spilling SORT (injected: %d)\n",
 		len(plans), w.Truth.Count("D"))
@@ -133,6 +133,6 @@ LIMIT 5`
 		costliest.ID, costliest.TotalCost)
 	for _, m := range m4 {
 		fmt.Printf("  %-8s x%-4s self-cost %s\n",
-			m.Binding("t").Display, m.Binding("n").Display, m.Binding("selfCost").Display)
+			m.Display(m.Column("t")), m.Display(m.Column("n")), m.Display(m.Column("selfCost")))
 	}
 }

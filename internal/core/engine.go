@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,7 +24,6 @@ import (
 	"optimatch/internal/kb"
 	"optimatch/internal/pattern"
 	"optimatch/internal/qep"
-	"optimatch/internal/rdf"
 	"optimatch/internal/sparql"
 	"optimatch/internal/transform"
 )
@@ -434,129 +432,74 @@ func (e *Engine) Result(id string) *transform.Result {
 	return e.byID[id]
 }
 
-// Binding is one de-transformed result-handler binding of a match.
-type Binding struct {
-	Alias    string
-	Term     rdf.Term
-	Operator *qep.Operator   // non-nil when the resource is a LOLEPOP
-	Object   *qep.BaseObject // non-nil when the resource is a base object
-	Display  string          // "NLJOIN(2)", "CUST_DIM", or the raw term
-}
-
-// Match is one occurrence of a pattern in one plan, with all result
-// handlers de-transformed back to plan entities (Algorithm 3, line 6).
-type Match struct {
-	Plan     *qep.Plan
-	Bindings []Binding
-}
-
-// Binding returns the named binding (case-insensitive), or nil.
-func (m *Match) Binding(alias string) *Binding {
-	for i := range m.Bindings {
-		if strings.EqualFold(m.Bindings[i].Alias, alias) {
-			return &m.Bindings[i]
-		}
-	}
-	return nil
-}
-
-// String renders the match compactly: "Q2: TOP=NLJOIN(2) ANY2=FETCH(3) ...".
-func (m *Match) String() string {
-	var b strings.Builder
-	b.WriteString(m.Plan.ID)
-	b.WriteString(":")
-	for _, bind := range m.Bindings {
-		b.WriteString(" ")
-		b.WriteString(bind.Alias)
-		b.WriteString("=")
-		b.WriteString(bind.Display)
-	}
-	return b.String()
-}
-
 // FindPattern compiles the problem pattern and matches it against every
 // loaded plan (Algorithm 3). Matches are returned in plan load order.
-func (e *Engine) FindPattern(ctx context.Context, p *pattern.Pattern) ([]Match, error) {
+func (e *Engine) FindPattern(ctx context.Context, p *pattern.Pattern) ([]transform.Match, error) {
 	c, err := pattern.Compile(p)
 	if err != nil {
 		return nil, err
 	}
-	return e.find(ctx, c.Parsed)
+	return e.FindCompiled(ctx, c)
 }
 
 // FindCompiled matches an already-compiled pattern: it scans the query
 // Compile parsed, without a round trip through its text.
-func (e *Engine) FindCompiled(ctx context.Context, c *pattern.Compiled) ([]Match, error) {
-	return e.find(ctx, c.Parsed)
+func (e *Engine) FindCompiled(ctx context.Context, c *pattern.Compiled) ([]transform.Match, error) {
+	return e.find(ctx, c.Parsed, c.Columns)
 }
 
 // FindSPARQL parses a raw SPARQL query and matches it against every loaded
-// plan. Every projected column becomes a binding; resources are
-// de-transformed. Raw text is parsed per call: whoever repeats a query
-// repeats it through a cache of responses (internal/server), not of parses.
-func (e *Engine) FindSPARQL(ctx context.Context, query string) ([]Match, error) {
+// plan; every projected column is a column of the matches. Raw text is
+// parsed per call: whoever repeats a query repeats it through a cache of
+// responses (internal/server), not of parses.
+func (e *Engine) FindSPARQL(ctx context.Context, query string) ([]transform.Match, error) {
 	q, err := sparql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return e.find(ctx, q)
+	return e.find(ctx, q, transform.NewColumns(q.Projection()))
 }
 
-// find matches one parsed query against every loaded plan, bounded by ctx.
-// Cancellation is cooperative at every layer: the worker-pool fan-out stops
-// dispatching plans, each running SPARQL evaluation returns from its binding
-// loops and closure walks within a bounded number of iterations, and the
-// pool drains without leaking goroutines. The returned error then wraps
-// ctx.Err().
-func (e *Engine) find(ctx context.Context, q *sparql.Query) ([]Match, error) {
+// find matches one parsed query, whose column table is cols, against every
+// loaded plan, bounded by ctx. Cancellation is cooperative at every layer: the
+// worker-pool fan-out stops dispatching plans, each running SPARQL evaluation
+// returns from its binding loops and closure walks within a bounded number of
+// iterations, and the pool drains without leaking goroutines. The returned
+// error then wraps ctx.Err().
+func (e *Engine) find(ctx context.Context, q *sparql.Query, cols *transform.Columns) ([]transform.Match, error) {
 	plans := e.snapshot()
 	if e.instr.Search != nil {
 		defer func(start time.Time) { e.instr.Search(time.Since(start), len(plans)) }(time.Now())
 	}
 
 	type chunk struct {
-		matches []Match
-		err     error
+		res *sparql.Results
+		err error
 	}
 	results := make([]chunk, len(plans))
 	ferr := e.forEachPlan(ctx, plans, func(i int, r *transform.Result) {
-		ms, err := e.matchPlan(ctx, q, r)
-		results[i] = chunk{matches: ms, err: err}
+		res, err := e.execTimed(ctx, q, r)
+		if err != nil {
+			err = fmt.Errorf("core: plan %s: %w", r.Plan.ID, err)
+		}
+		results[i] = chunk{res: res, err: err}
 	})
 
-	var out []Match
+	rows := 0
 	for _, c := range results {
 		if c.err != nil {
 			return nil, c.err
 		}
-		out = append(out, c.matches...)
+		if c.res != nil {
+			rows += c.res.Len()
+		}
 	}
 	if ferr != nil {
 		return nil, ferr
 	}
-	return out, nil
-}
-
-func (e *Engine) matchPlan(ctx context.Context, q *sparql.Query, r *transform.Result) ([]Match, error) {
-	res, err := e.execTimed(ctx, q, r)
-	if err != nil {
-		return nil, fmt.Errorf("core: plan %s: %w", r.Plan.ID, err)
-	}
-	var out []Match
-	for i := 0; i < res.Len(); i++ {
-		m := Match{Plan: r.Plan}
-		m.Bindings = make([]Binding, 0, len(res.Vars))
-		for c, v := range res.Vars {
-			t := res.At(i, c)
-			m.Bindings = append(m.Bindings, Binding{
-				Alias:    v,
-				Term:     t,
-				Operator: r.Operator(t),
-				Object:   r.Object(t),
-				Display:  r.Describe(t),
-			})
-		}
-		out = append(out, m)
+	out := make([]transform.Match, 0, rows)
+	for i, c := range results {
+		out = transform.AppendMatches(out, plans[i], cols, c.res.Rows)
 	}
 	return out, nil
 }
@@ -625,8 +568,8 @@ func (e *Engine) RunKB(ctx context.Context, k *kb.KnowledgeBase) ([]PlanReport, 
 }
 
 // planReport matches every knowledge-base entry against one plan and
-// assembles the ranked recommendation list. An entry's query is the one
-// kb.Add compiled and parsed; nothing is resolved per scan.
+// assembles the ranked recommendation list. An entry's query and column table
+// are the ones kb.Add built; nothing is resolved or copied per scan.
 func (e *Engine) planReport(ctx context.Context, entries []*kb.Entry, r *transform.Result) (PlanReport, error) {
 	report := PlanReport{Plan: r.Plan}
 	for _, entry := range entries {
@@ -637,19 +580,8 @@ func (e *Engine) planReport(ctx context.Context, entries []*kb.Entry, r *transfo
 		if res.Len() == 0 {
 			continue
 		}
-		occs := make([]kb.Occurrence, 0, res.Len())
-		for i := 0; i < res.Len(); i++ {
-			bind := make(map[string]rdf.Term, len(res.Vars))
-			for c, v := range res.Vars {
-				bind[v] = res.At(i, c)
-			}
-			occs = append(occs, kb.Occurrence{Plan: r.Plan, Result: r, Bindings: bind})
-		}
-		ranked, err := entry.Apply(occs)
-		if err != nil {
-			return report, fmt.Errorf("core: plan %s, entry %s: %w", r.Plan.ID, entry.Name, err)
-		}
-		report.Recommendations = append(report.Recommendations, ranked...)
+		occs := transform.AppendMatches(make([]transform.Match, 0, res.Len()), r, entry.Compiled().Columns, res.Rows)
+		report.Recommendations = append(report.Recommendations, entry.Recommend(occs)...)
 	}
 	kb.SortRanked(report.Recommendations)
 	return report, nil

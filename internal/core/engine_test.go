@@ -19,6 +19,7 @@ import (
 	"optimatch/internal/pattern"
 	"optimatch/internal/qep"
 	"optimatch/internal/sparql"
+	"optimatch/internal/transform"
 	"optimatch/internal/workload"
 )
 
@@ -189,19 +190,17 @@ func TestFindPatternAcrossWorkload(t *testing.T) {
 		t.Fatalf("matches = %d, want 1", len(matches))
 	}
 	m := matches[0]
-	if m.Plan.ID != "Q2" {
-		t.Errorf("matched plan = %s", m.Plan.ID)
+	if m.Plan().ID != "Q2" {
+		t.Errorf("matched plan = %s", m.Plan().ID)
 	}
-	top := m.Binding("TOP")
-	if top == nil || top.Operator == nil || top.Operator.Type != "NLJOIN" {
-		t.Errorf("TOP binding = %+v", top)
+	if top := m.Operator(m.Column("TOP")); top == nil || top.Type != "NLJOIN" {
+		t.Errorf("TOP operator = %+v", top)
 	}
-	base := m.Binding("BASE4")
-	if base == nil || base.Object == nil || base.Object.Name != "CUST_DIM" {
-		t.Errorf("BASE4 binding = %+v", base)
+	if base := m.Object(m.Column("base4")); base == nil || base.Name != "CUST_DIM" {
+		t.Errorf("BASE4 object = %+v", base)
 	}
-	if m.Binding("nosuch") != nil {
-		t.Error("unknown alias returned a binding")
+	if c := m.Column("nosuch"); c != -1 || m.Operator(c) != nil || m.Object(c) != nil || m.Display(c) != "" {
+		t.Errorf("unknown alias is column %d", c)
 	}
 	s := m.String()
 	for _, want := range []string{"Q2:", "TOP=NLJOIN(2)", "BASE4=CUST_DIM"} {
@@ -219,7 +218,7 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(matches) != 1 || matches[0].Plan.ID != "Q9" {
+	if len(matches) != 1 || matches[0].Plan().ID != "Q9" {
 		t.Errorf("matches = %+v", matches)
 	}
 	// An ungrouped aggregate has one row per plan whether the plan matches
@@ -268,7 +267,7 @@ func TestFindPatternParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func matchStrings(ms []Match) []string {
+func matchStrings(ms []transform.Match) []string {
 	out := make([]string, len(ms))
 	for i, m := range ms {
 		out[i] = m.String()
@@ -299,7 +298,7 @@ func TestFindPatternAgainstGroundTruth(t *testing.T) {
 		}
 		got := make(map[string]bool)
 		for _, m := range matches {
-			got[m.Plan.ID] = true
+			got[m.Plan().ID] = true
 		}
 		if len(got) != w.Truth.Count(key) {
 			t.Errorf("pattern %s: matched %d plans, injected %d", key, len(got), w.Truth.Count(key))
@@ -483,7 +482,7 @@ func TestGroundTruthIncludesPatternG(t *testing.T) {
 	}
 	got := map[string]bool{}
 	for _, m := range matches {
-		got[m.Plan.ID] = true
+		got[m.Plan().ID] = true
 	}
 	if len(got) != 6 {
 		t.Errorf("pattern G plans = %d, want 6", len(got))

@@ -38,7 +38,7 @@ func renderReports(reports []PlanReport) string {
 }
 
 // renderMatches flattens a match list, in order, to a canonical string.
-func renderMatches(ms []Match) string {
+func renderMatches(ms []transform.Match) string {
 	var b strings.Builder
 	for i := range ms {
 		b.WriteString(ms[i].String())
@@ -49,7 +49,7 @@ func renderMatches(ms []Match) string {
 
 // sortedMatches renders FindSPARQL matches order-independently (for queries
 // without a total ORDER BY, within-plan row order is not specified).
-func sortedMatches(ms []Match) []string {
+func sortedMatches(ms []transform.Match) []string {
 	out := make([]string, len(ms))
 	for i := range ms {
 		out[i] = ms[i].String()
@@ -222,13 +222,13 @@ func TestFindFormsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < res.Len(); i, n = i+1, n+1 {
-				if n >= len(got) || got[n].Plan != r.Plan {
+				if n >= len(got) || got[n].Plan() != r.Plan {
 					t.Fatalf("raw query %d: match %d is not row %d of plan %s", qi, n, i, r.Plan.ID)
 				}
 				for c, v := range res.Vars {
-					if b := got[n].Bindings[c]; b.Alias != v || b.Term != res.At(i, c) {
-						t.Fatalf("raw query %d, plan %s row %d: binding %d = %s=%v, want %s=%v",
-							qi, r.Plan.ID, i, c, b.Alias, b.Term, v, res.At(i, c))
+					if name, term := got[n].Cols.Names()[c], got[n].Term(c); name != v || term != res.At(i, c) {
+						t.Fatalf("raw query %d, plan %s row %d: column %d = %s=%v, want %s=%v",
+							qi, r.Plan.ID, i, c, name, term, v, res.At(i, c))
 					}
 				}
 			}

@@ -98,9 +98,9 @@ func TestLoadOrderAcrossMutations(t *testing.T) {
 	}
 	last := -1
 	for i := range ms {
-		r, loaded := rank[ms[i].Plan.ID]
+		r, loaded := rank[ms[i].Plan().ID]
 		if !loaded || r < last {
-			t.Fatalf("FindSPARQL match %d is of plan %s: removed, or out of load order", i, ms[i].Plan.ID)
+			t.Fatalf("FindSPARQL match %d is of plan %s: removed, or out of load order", i, ms[i].Plan().ID)
 		}
 		last = r
 	}

@@ -233,15 +233,15 @@ func AblationDerivedPredicates(cfg AblationConfig) (AblationResult, error) {
 	return AblationResult{Name: "derived hasChildPop closure predicates", Baseline: base, Ablated: abl}, nil
 }
 
-func planSet(ms []core.Match) map[string]bool {
+func planSet(ms []transform.Match) map[string]bool {
 	out := make(map[string]bool)
 	for _, m := range ms {
-		out[m.Plan.ID] = true
+		out[m.Plan().ID] = true
 	}
 	return out
 }
 
-func samePlanSet(a, b []core.Match) bool {
+func samePlanSet(a, b []transform.Match) bool {
 	sa, sb := planSet(a), planSet(b)
 	if len(sa) != len(sb) {
 		return false

@@ -470,7 +470,7 @@ func Figure12(cfg Fig12Config) (*Fig12Result, error) {
 		}
 		toolPlans := make(map[string]bool)
 		for _, m := range matches {
-			toolPlans[m.Plan.ID] = true
+			toolPlans[m.Plan().ID] = true
 		}
 		toolMetrics := textsearch.Evaluate(ids, toolPlans, w.Truth[key])
 

@@ -3,51 +3,20 @@
 // in the handler tagging language, automatic context adaptation of those
 // templates to the user's query execution plans, and statistical-correlation
 // ranking of the resulting recommendations with confidence scores
-// (Algorithms 4 and 5).
+// (Algorithms 4 and 5). An occurrence is a transform.Match, a row of the
+// entry's query; Build resolves template tags to its columns.
 package kb
 
 import (
-	"fmt"
+	"cmp"
 	"regexp"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"optimatch/internal/qep"
-	"optimatch/internal/rdf"
 	"optimatch/internal/transform"
 )
-
-// Occurrence is one match of a knowledge-base pattern in one plan: the
-// bindings of the pattern's result handlers (by tagging alias) plus the
-// de-transformation context.
-type Occurrence struct {
-	Plan     *qep.Plan
-	Result   *transform.Result
-	Bindings map[string]rdf.Term // alias -> matched resource
-}
-
-// Binding returns the resource bound to alias (case-insensitive).
-func (o *Occurrence) Binding(alias string) (rdf.Term, bool) {
-	if t, ok := o.Bindings[alias]; ok {
-		return t, true
-	}
-	for k, t := range o.Bindings {
-		if strings.EqualFold(k, alias) {
-			return t, true
-		}
-	}
-	return rdf.Term{}, false
-}
-
-// Display renders the alias binding the way a user sees it in the plan
-// ("NLJOIN(2)", "CUST_DIM").
-func (o *Occurrence) Display(alias string) (string, error) {
-	t, ok := o.Binding(alias)
-	if !ok {
-		return "", fmt.Errorf("kb: handler @%s is not bound in this occurrence", alias)
-	}
-	return o.Result.Describe(t), nil
-}
 
 // Field accessors usable as @ALIAS.FIELD in recommendation templates.
 const (
@@ -66,59 +35,52 @@ const (
 // way an empty helper renders "(none)", instead of failing the whole report.
 const notApplicable = "(n/a)"
 
-// Field evaluates @ALIAS.FIELD.
-func (o *Occurrence) Field(alias, field string) (string, error) {
-	t, ok := o.Binding(alias)
-	if !ok {
-		return "", fmt.Errorf("kb: handler @%s is not bound in this occurrence", alias)
-	}
-	op := o.Result.Operator(t)
-	obj := o.Result.Object(t)
-	switch strings.ToUpper(field) {
+// field evaluates @ALIAS.FIELD, the alias resolved to column c.
+func field(m transform.Match, c int, name string) string {
+	op, obj := m.Operator(c), m.Object(c)
+	switch strings.ToUpper(name) {
 	case FieldName:
 		if obj != nil {
-			return obj.Name, nil
+			return obj.Name
 		}
 		if op != nil {
-			return op.DisplayName(), nil
+			return op.DisplayName()
 		}
 	case FieldType:
 		if obj != nil {
-			return obj.Type, nil
+			return obj.Type
 		}
 		if op != nil {
-			return op.Type, nil
+			return op.Type
 		}
 	case FieldID:
 		if op != nil {
-			return fmt.Sprintf("%d", op.ID), nil
+			return strconv.Itoa(op.ID)
 		}
 		if obj != nil {
-			return obj.Name, nil
+			return obj.Name
 		}
 	case FieldCard:
 		if op != nil {
-			return qep.FormatNumShort(op.Cardinality), nil
+			return qep.FormatNumShort(op.Cardinality)
 		}
 		if obj != nil {
-			return qep.FormatNumShort(obj.Cardinality), nil
+			return qep.FormatNumShort(obj.Cardinality)
 		}
 	case FieldCost:
 		if op != nil {
-			return qep.FormatNumShort(op.TotalCost), nil
+			return qep.FormatNumShort(op.TotalCost)
 		}
 	case FieldIOCost:
 		if op != nil {
-			return qep.FormatNumShort(op.IOCost), nil
+			return qep.FormatNumShort(op.IOCost)
 		}
 	case FieldSelfCost:
 		if op != nil {
-			return qep.FormatNumShort(op.SelfCost()), nil
+			return qep.FormatNumShort(op.SelfCost())
 		}
-	default:
-		return "", fmt.Errorf("kb: unknown field %q in @%s.%s", field, alias, field)
 	}
-	return notApplicable, nil
+	return notApplicable
 }
 
 // Helper functions usable as @ALIAS(FN) in recommendation templates.
@@ -128,20 +90,15 @@ const (
 	FnColumns   = "COLUMNS"   // the handler's own column list
 )
 
-// Fn evaluates @ALIAS(FN).
-func (o *Occurrence) Fn(alias, fn string) (string, error) {
-	t, ok := o.Binding(alias)
-	if !ok {
-		return "", fmt.Errorf("kb: handler @%s is not bound in this occurrence", alias)
-	}
-	op := o.Result.Operator(t)
-	obj := o.Result.Object(t)
+// helper evaluates @ALIAS(FN), the alias resolved to column c.
+func helper(m transform.Match, c int, fn string) string {
+	plan, op, obj := m.Plan(), m.Operator(c), m.Object(c)
 	var cols []string
 	switch strings.ToUpper(fn) {
 	case FnInput:
 		switch {
 		case obj != nil:
-			cols = o.objectStreamColumns(obj)
+			cols = objectStreamColumns(plan, obj)
 			if len(cols) == 0 {
 				cols = obj.Columns
 			}
@@ -155,7 +112,7 @@ func (o *Occurrence) Fn(alias, fn string) (string, error) {
 		case op != nil:
 			cols = predicateColumns(op.Predicates)
 		case obj != nil:
-			if consumer := o.objectConsumer(obj); consumer != nil {
+			if consumer := objectConsumer(plan, obj); consumer != nil {
 				cols = predicateColumns(consumer.Predicates)
 			}
 		}
@@ -164,21 +121,19 @@ func (o *Occurrence) Fn(alias, fn string) (string, error) {
 		case obj != nil:
 			cols = obj.Columns
 		case op != nil:
-			cols = o.operatorOutputColumns(op)
+			cols = operatorOutputColumns(op)
 		}
-	default:
-		return "", fmt.Errorf("kb: unknown helper function %q in @%s(%s)", fn, alias, fn)
 	}
 	cols = dedupeColumns(cols)
 	if len(cols) == 0 {
-		return "(none)", nil
+		return "(none)"
 	}
-	return strings.Join(cols, ", "), nil
+	return strings.Join(cols, ", ")
 }
 
 // objectConsumer finds the operator reading the base object.
-func (o *Occurrence) objectConsumer(obj *qep.BaseObject) *qep.Operator {
-	for _, op := range o.Plan.Ops() {
+func objectConsumer(plan *qep.Plan, obj *qep.BaseObject) *qep.Operator {
+	for _, op := range plan.Ops() {
 		for _, in := range op.Inputs {
 			if in.Obj == obj {
 				return op
@@ -190,8 +145,8 @@ func (o *Occurrence) objectConsumer(obj *qep.BaseObject) *qep.Operator {
 
 // objectStreamColumns returns the columns carried by the stream from obj to
 // its consumer.
-func (o *Occurrence) objectStreamColumns(obj *qep.BaseObject) []string {
-	for _, op := range o.Plan.Ops() {
+func objectStreamColumns(plan *qep.Plan, obj *qep.BaseObject) []string {
+	for _, op := range plan.Ops() {
 		for _, in := range op.Inputs {
 			if in.Obj == obj {
 				return in.Columns
@@ -202,7 +157,7 @@ func (o *Occurrence) objectStreamColumns(obj *qep.BaseObject) []string {
 }
 
 // operatorOutputColumns returns the columns the operator sends to its parent.
-func (o *Occurrence) operatorOutputColumns(op *qep.Operator) []string {
+func operatorOutputColumns(op *qep.Operator) []string {
 	if op.Parent == nil {
 		return nil
 	}
@@ -248,44 +203,57 @@ func dedupeColumns(cols []string) []string {
 	return out
 }
 
-// SortOccurrences orders occurrences deterministically by their binding
-// fingerprint, so reports are stable across runs. Each fingerprint is built
-// once, and moves with its occurrence.
-func SortOccurrences(occs []Occurrence) {
-	if len(occs) < 2 {
-		return
-	}
-	keys := make([]string, len(occs))
-	for i := range occs {
-		keys[i] = occurrenceKey(occs[i])
-	}
-	sort.Stable(byFingerprint{keys, occs})
+// SortOccurrences orders the occurrences of one entry in one plan stably by
+// their fingerprints — per column in alias order the alias, '=', the bound
+// value and ';' — compared as strings, without spelling them. Recommend keeps
+// the first MaxOccurrences of this order, so it decides what a report says.
+func SortOccurrences(ms []transform.Match) {
+	slices.SortStableFunc(ms, compareRows)
 }
 
-type byFingerprint struct {
-	keys []string
-	occs []Occurrence
+// compareRows compares the fingerprints of two rows of one column table. Up to
+// the first column whose values differ they are equal; there the first
+// differing byte decides, unless one value is a proper prefix of the other:
+// then the shorter one's ';' meets the longer one's next byte, and the bytes
+// after decide. So ".../pop/21" sorts before ".../pop/2".
+func compareRows(a, b transform.Match) int {
+	for k, c := range a.Cols.Sorted() {
+		va, vb := a.Cells[c].Value, b.Cells[c].Value
+		if va == vb {
+			continue
+		}
+		n := min(len(va), len(vb))
+		if va[:n] != vb[:n] {
+			return strings.Compare(va[:n], vb[:n])
+		}
+		fa, fb := fingerprint{a, 4*k + 2, n}, fingerprint{b, 4*k + 2, n}
+		for {
+			if x, y := fa.next(), fb.next(); x != y || x < 0 {
+				return cmp.Compare(x, y)
+			}
+		}
+	}
+	return 0
 }
 
-func (b byFingerprint) Len() int           { return len(b.keys) }
-func (b byFingerprint) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
-func (b byFingerprint) Swap(i, j int) {
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
-	b.occs[i], b.occs[j] = b.occs[j], b.occs[i]
+// fingerprint reads a row's fingerprint from byte off of piece i, where the
+// pieces of the column at position k of the alias order are 4k (its alias),
+// 4k+1 ("="), 4k+2 (its value) and 4k+3 (";").
+type fingerprint struct {
+	m      transform.Match
+	i, off int
 }
 
-func occurrenceKey(o Occurrence) string {
-	keys := make([]string, 0, len(o.Bindings))
-	for k := range o.Bindings {
-		keys = append(keys, k)
+// next returns the next byte, or -1 past the end.
+func (f *fingerprint) next() int {
+	order := f.m.Cols.Sorted()
+	for f.i < 4*len(order) {
+		c := order[f.i/4]
+		if piece := [4]string{f.m.Cols.Names()[c], "=", f.m.Cells[c].Value, ";"}[f.i%4]; f.off < len(piece) {
+			f.off++
+			return int(piece[f.off-1])
+		}
+		f.i, f.off = f.i+1, 0
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(o.Bindings[k].Value)
-		b.WriteByte(';')
-	}
-	return b.String()
+	return -1
 }

@@ -11,23 +11,23 @@ import (
 )
 
 // FuzzTemplate feeds the handler tagging language arbitrary template bytes,
-// the way POST /api/kb/entries does, against the handler aliases of patterns
+// the way POST /api/kb/entries does, against the column tables of patterns
 // A–G. No input may panic the parser. Whatever validateTemplate accepts must
-// then expand without error whatever the match binds — every alias to an
-// operator, and every alias to a base object: an ANY handler can be either, so
-// Build cannot know and expansion has to be total (a saved entry whose
-// template errors at match time fails every RunKB over a plan it matches).
-// Escaping each '@' as "@@" turns any text into a template that validates
-// against every alias set and expands to the text, and a template without tags
-// expands to itself.
+// then expand whatever the match binds — every alias to an operator, and every
+// alias to a base object: an ANY handler can be either, so Build cannot know —
+// to what looking each tag's alias up at expansion time gives (oracleExpand):
+// validateTemplate resolves the tags to columns once, and must resolve them to
+// the columns the lookup finds. Escaping each '@' as "@@" turns any text into
+// a template that validates against every column table and expands to the
+// text, and a template without tags expands to itself.
 func FuzzTemplate(f *testing.F) {
-	var aliasSets []map[string]bool
+	var tables []*transform.Columns
 	for _, p := range []*pattern.Pattern{pattern.A(), pattern.B(), pattern.C(), pattern.D(), pattern.E(), pattern.F(), pattern.G()} {
 		c, err := pattern.Compile(p)
 		if err != nil {
 			f.Fatal(err)
 		}
-		aliasSets = append(aliasSets, (&Entry{compiled: c}).Aliases())
+		tables = append(tables, c.Columns)
 	}
 
 	// One plan supplies both kinds of resource a handler can be bound to.
@@ -41,21 +41,21 @@ func FuzzTemplate(f *testing.F) {
 	if r.Operator(operator) == nil || r.Object(object) == nil {
 		f.Fatal("fixture plan yields no operator or no base object term")
 	}
-	occurrence := func(aliases map[string]bool, to rdf.Term) *Occurrence {
-		bind := make(map[string]rdf.Term, len(aliases))
-		for a := range aliases {
-			bind[a] = to
+	occurrence := func(cols *transform.Columns, to rdf.Term) transform.Match {
+		cells := make([]rdf.Term, len(cols.Names()))
+		for c := range cells {
+			cells[c] = to
 		}
-		return &Occurrence{Plan: plan, Result: r, Bindings: bind}
+		return transform.Match{Result: r, Cols: cols, Cells: cells}
 	}
 
-	// Every shipped template, beside the first alias set that accepts it.
+	// Every shipped template, beside the first column table that accepts it.
 	for _, k := range []*KnowledgeBase{MustCanonical(), MustExtended()} {
 		for _, e := range k.Entries() {
 			for _, rec := range e.Recommendations {
 				which := 0
-				for i, aliases := range aliasSets {
-					if _, err := validateTemplate(rec.Template, aliases); err == nil {
+				for i, cols := range tables {
+					if _, err := validateTemplate(rec.Template, cols); err == nil {
 						which = i
 						break
 					}
@@ -69,18 +69,19 @@ func FuzzTemplate(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, tmpl string, which uint8) {
-		aliases := aliasSets[int(which)%len(aliasSets)]
-		onOperator, onObject := occurrence(aliases, operator), occurrence(aliases, object)
+		cols := tables[int(which)%len(tables)]
+		onOperator, onObject := occurrence(cols, operator), occurrence(cols, object)
 
-		if nodes, err := validateTemplate(tmpl, aliases); err == nil {
+		if nodes, err := validateTemplate(tmpl, cols); err == nil {
 			tagged := false
 			for _, n := range nodes {
 				tagged = tagged || n.literal == ""
 			}
-			for _, o := range []*Occurrence{onOperator, onObject} {
-				got, err := expandNodes(nodes, o)
-				if err != nil {
-					t.Fatalf("validateTemplate accepted %q, expansion fails: %v", tmpl, err)
+			for _, m := range []transform.Match{onOperator, onObject} {
+				got := expand(nodes, m)
+				want, err := oracleExpand(nodes, asOccurrence(m))
+				if err != nil || got != want {
+					t.Fatalf("template %q expands to %q; looking each alias up gives %q, %v", tmpl, got, want, err)
 				}
 				if want := strings.ReplaceAll(tmpl, "@@", "@"); !tagged && got != want {
 					t.Fatalf("template %q has no tags and expands to %q, want %q", tmpl, got, want)
@@ -89,12 +90,12 @@ func FuzzTemplate(f *testing.F) {
 		}
 
 		escaped := strings.ReplaceAll(tmpl, "@", "@@")
-		nodes, err := validateTemplate(escaped, aliases)
+		nodes, err := validateTemplate(escaped, cols)
 		if err != nil {
 			t.Fatalf("escaped template %q refused: %v", escaped, err)
 		}
-		if got, err := expandNodes(nodes, onObject); err != nil || got != tmpl {
-			t.Fatalf("escaped template %q expands to %q, %v; want the text it escapes", escaped, got, err)
+		if got := expand(nodes, onObject); got != tmpl {
+			t.Fatalf("escaped template %q expands to %q; want the text it escapes", escaped, got)
 		}
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"optimatch/internal/pattern"
+	"optimatch/internal/transform"
 )
 
 // Recommendation is one expert remedy attached to a pattern. Template is
@@ -44,15 +45,6 @@ type Entry struct {
 
 // Compiled returns the compiled form of the entry's pattern.
 func (e *Entry) Compiled() *pattern.Compiled { return e.compiled }
-
-// Aliases returns the set of legal tagging aliases (uppercased).
-func (e *Entry) Aliases() map[string]bool {
-	out := make(map[string]bool, len(e.compiled.Handlers))
-	for _, h := range e.compiled.Handlers {
-		out[strings.ToUpper(h.Alias)] = true
-	}
-	return out
-}
 
 // kbIDs hands every knowledge base a process-unique instance ID, so two
 // independently built KBs never share a cache identity even when both sit
@@ -130,7 +122,7 @@ func (kb *KnowledgeBase) Add(p *pattern.Pattern, recs ...Recommendation) (*Entry
 // SPARQL and preserved in both forms, and every recommendation template is
 // parsed and checked against the pattern's handler aliases, field names and
 // helper names, so that context adaptation cannot fail later: whatever a
-// handler turns out to be bound to, Apply renders every tag Build accepted
+// handler turns out to be bound to, Recommend renders every tag Build accepted
 // (a field the bound resource does not have renders "(n/a)").
 func (kb *KnowledgeBase) Build(p *pattern.Pattern, recs ...Recommendation) (*Entry, error) {
 	if p.Name == "" {
@@ -155,12 +147,11 @@ func (kb *KnowledgeBase) Build(p *pattern.Pattern, recs ...Recommendation) (*Ent
 		Profile:         DefaultProfile(p),
 		compiled:        compiled,
 	}
-	aliases := e.Aliases()
 	for _, rec := range recs {
 		if strings.TrimSpace(rec.Template) == "" {
 			return nil, fmt.Errorf("kb: entry %q: recommendation %q has empty template", p.Name, rec.Title)
 		}
-		nodes, err := validateTemplate(rec.Template, aliases)
+		nodes, err := validateTemplate(rec.Template, compiled.Columns)
 		if err != nil {
 			return nil, fmt.Errorf("kb: entry %q: recommendation %q: %w", p.Name, rec.Title, err)
 		}
@@ -217,38 +208,34 @@ func (kb *KnowledgeBase) Snapshot() *KnowledgeBase {
 type Ranked struct {
 	Entry          *Entry
 	Recommendation Recommendation
-	Occurrence     Occurrence
+	Occurrence     transform.Match
 	Text           string  // template expanded in the plan's context
 	Confidence     float64 // [0, 1]
 }
 
-// Apply expands and scores the entry's recommendations over the pattern's
-// occurrences in one plan, honoring each recommendation's occurrence limit.
-// Occurrences are processed in deterministic order.
-func (e *Entry) Apply(occs []Occurrence) ([]Ranked, error) {
+// Recommend expands and scores the entry's recommendations over the pattern's
+// occurrences in one plan (rows of the entry's query), honoring each
+// recommendation's occurrence limit, in SortOccurrences order.
+func (e *Entry) Recommend(occs []transform.Match) []Ranked {
 	SortOccurrences(occs)
 	var out []Ranked
 	for ri, rec := range e.Recommendations {
 		limit := rec.MaxOccurrences
-		for i := range occs {
+		for i, m := range occs {
 			if limit > 0 && i >= limit {
 				break
-			}
-			text, err := expandNodes(e.templates[ri], &occs[i])
-			if err != nil {
-				return nil, fmt.Errorf("kb: entry %q: %w", e.Name, err)
 			}
 			out = append(out, Ranked{
 				Entry:          e,
 				Recommendation: rec,
-				Occurrence:     occs[i],
-				Text:           text,
-				Confidence:     Confidence(e.Profile, Features(&occs[i]), rec.Weight),
+				Occurrence:     m,
+				Text:           expand(e.templates[ri], m),
+				Confidence:     Confidence(e.Profile, Features(m), rec.Weight),
 			})
 		}
 	}
 	SortRanked(out)
-	return out, nil
+	return out
 }
 
 // SortRanked orders recommendations by confidence (descending), breaking

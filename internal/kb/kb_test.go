@@ -15,9 +15,9 @@ import (
 	"optimatch/internal/transform"
 )
 
-// matchEntry runs an entry's query against one plan and builds occurrences,
-// the way the core engine does (Algorithm 5 inline for tests).
-func matchEntry(t *testing.T, e *Entry, plan *qep.Plan) []Occurrence {
+// matchEntry runs an entry's query against one plan and returns its rows as
+// occurrences, the way the core engine does (Algorithm 5 inline for tests).
+func matchEntry(t *testing.T, e *Entry, plan *qep.Plan) []transform.Match {
 	t.Helper()
 	r := transform.Transform(plan)
 	q, err := sparql.Parse(e.SPARQL)
@@ -28,24 +28,17 @@ func matchEntry(t *testing.T, e *Entry, plan *qep.Plan) []Occurrence {
 	if err != nil {
 		t.Fatalf("entry %s exec: %v", e.Name, err)
 	}
-	var occs []Occurrence
-	for i := 0; i < res.Len(); i++ {
-		bind := make(map[string]rdf.Term)
-		for _, v := range res.Vars {
-			bind[v] = res.Get(i, v)
-		}
-		occs = append(occs, Occurrence{Plan: plan, Result: r, Bindings: bind})
-	}
-	return occs
+	return transform.AppendMatches(nil, r, e.Compiled().Columns, res.Rows)
 }
 
-// expandTemplate parses a template and renders it against one occurrence.
-func expandTemplate(tmpl string, o *Occurrence) (string, error) {
-	nodes, err := parseTemplate(tmpl)
+// expandTemplate validates a template against the occurrence's columns and
+// renders it there.
+func expandTemplate(tmpl string, m transform.Match) (string, error) {
+	nodes, err := validateTemplate(tmpl, m.Cols)
 	if err != nil {
 		return "", err
 	}
-	return expandNodes(nodes, o)
+	return expand(nodes, m), nil
 }
 
 func TestCanonicalKB(t *testing.T) {
@@ -73,10 +66,7 @@ func TestPatternARecommendationContextAdaptation(t *testing.T) {
 	if len(occs) != 1 {
 		t.Fatalf("occurrences = %d, want 1", len(occs))
 	}
-	ranked, err := e.Apply(occs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ranked := e.Recommend(occs)
 	if len(ranked) != 2 {
 		t.Fatalf("ranked = %d, want 2", len(ranked))
 	}
@@ -119,10 +109,7 @@ func TestPatternBRecommendation(t *testing.T) {
 	if len(occs) == 0 {
 		t.Fatal("no occurrences in Figure 7")
 	}
-	ranked, err := e.Apply(occs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ranked := e.Recommend(occs)
 	found := false
 	for _, r := range ranked {
 		if strings.Contains(r.Text, ">HSJOIN(6)") && strings.Contains(r.Text, ">NLJOIN(15)") {
@@ -163,10 +150,7 @@ func TestPatternDOccurrenceLimit(t *testing.T) {
 	if len(occs) != 2 {
 		t.Fatalf("occurrences = %d, want 2", len(occs))
 	}
-	ranked, err := e.Apply(occs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ranked := e.Recommend(occs)
 	// MaxOccurrences: 1 limits the CONFIG recommendation to one line.
 	if len(ranked) != 1 {
 		t.Errorf("ranked = %d, want 1 (occurrence limit)", len(ranked))
@@ -178,14 +162,7 @@ func TestApplyDeterministic(t *testing.T) {
 	e := k.Entry("nljoin-inner-tbscan")
 	occs1 := matchEntry(t, e, fixtures.Figure1())
 	occs2 := matchEntry(t, e, fixtures.Figure1())
-	r1, err := e.Apply(occs1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := e.Apply(occs2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1, r2 := e.Recommend(occs1), e.Recommend(occs2)
 	if len(r1) != len(r2) {
 		t.Fatal("length mismatch")
 	}
@@ -196,31 +173,38 @@ func TestApplyDeterministic(t *testing.T) {
 	}
 }
 
-// SortOccurrences builds each fingerprint once and sorts on the keys: the order
-// must be the one a comparator that rebuilds both keys per comparison gives —
-// stable, so occurrences with equal fingerprints keep their arrival order.
+// SortOccurrences compares rows without spelling their fingerprints: the
+// order must be the one the fingerprint sort gives — stable, so occurrences
+// with equal fingerprints keep their arrival order —, and sorting allocates
+// nothing. Alias order is not column order here, and one value is a proper
+// prefix of others (".../pop/2", ".../pop/21"), so the ';' after a value
+// decides (".../pop/21" first).
 func TestSortOccurrencesOrder(t *testing.T) {
-	var occs []Occurrence
+	cols := transform.NewColumns([]string{"TOP", "INNER"})
+	var occs []transform.Match
 	for i := 0; i < 200; i++ {
 		// 40 distinct fingerprints, five arrivals of each, told apart by Plan.
-		occs = append(occs, Occurrence{
-			Plan: &qep.Plan{ID: fmt.Sprint(i)},
-			Bindings: map[string]rdf.Term{
-				"TOP":   rdf.IRI(fmt.Sprintf("urn:pop/%d", i*7919%8)),
-				"INNER": rdf.IRI(fmt.Sprintf("urn:pop/%d", i*104729%5)),
+		occs = append(occs, transform.Match{
+			Result: &transform.Result{Plan: &qep.Plan{ID: fmt.Sprint(i)}},
+			Cols:   cols,
+			Cells: []rdf.Term{
+				rdf.IRI(fmt.Sprintf("urn:pop/%d", []int{2, 21, 3, 20, 1, 11, 12, 0}[i*7919%8])),
+				rdf.IRI(fmt.Sprintf("urn:pop/%d", i*104729%5)),
 			},
 		})
 	}
-	want := append([]Occurrence(nil), occs...)
-	sort.SliceStable(want, func(i, j int) bool { return occurrenceKey(want[i]) < occurrenceKey(want[j]) })
+	want := append([]transform.Match(nil), occs...)
+	sort.SliceStable(want, func(i, j int) bool {
+		return occurrenceKey(asOccurrence(want[i])) < occurrenceKey(asOccurrence(want[j]))
+	})
 	SortOccurrences(occs)
 	for i := range occs {
-		if occs[i].Plan != want[i].Plan {
-			t.Fatalf("position %d holds arrival %s, the comparator sort puts %s there", i, occs[i].Plan.ID, want[i].Plan.ID)
+		if occs[i].Result != want[i].Result {
+			t.Fatalf("position %d holds arrival %s, the fingerprint sort puts %s there", i, occs[i].Plan().ID, want[i].Plan().ID)
 		}
 	}
-	if allocs := testing.AllocsPerRun(10, func() { SortOccurrences(occs) }); allocs > 6*float64(len(occs)) {
-		t.Errorf("%.0f allocations to sort %d occurrences: the fingerprints are being rebuilt per comparison", allocs, len(occs))
+	if allocs := testing.AllocsPerRun(10, func() { SortOccurrences(occs) }); allocs != 0 {
+		t.Errorf("%.0f allocations to sort %d occurrences, want none", allocs, len(occs))
 	}
 }
 
@@ -342,7 +326,7 @@ func TestTemplateEscapedAt(t *testing.T) {
 	k := MustCanonical()
 	e := k.Entry("nljoin-inner-tbscan")
 	occs := matchEntry(t, e, fixtures.Figure1())
-	got, err := expandTemplate("email admin@@example.com about @TOP", &occs[0])
+	got, err := expandTemplate("email admin@@example.com about @TOP", occs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +339,7 @@ func TestFieldAccessors(t *testing.T) {
 	k := MustCanonical()
 	e := k.Entry("nljoin-inner-tbscan")
 	occs := matchEntry(t, e, fixtures.Figure1())
-	o := &occs[0]
+	o := occs[0]
 	cases := map[string]string{
 		"@TOP.NAME":     "NLJOIN",
 		"@TOP.TYPE":     "NLJOIN",
@@ -393,11 +377,10 @@ func TestFieldAccessors(t *testing.T) {
 func TestHelperFunctions(t *testing.T) {
 	k := MustCanonical()
 	e := k.Entry("nljoin-inner-tbscan")
-	occs := matchEntry(t, e, fixtures.Figure1())
-	o := &occs[0]
+	o := matchEntry(t, e, fixtures.Figure1())[0]
 
 	// INPUT on the base object: columns flowing from CUST_DIM into TBSCAN.
-	got, err := o.Fn("BASE4", FnInput)
+	got, err := expandTemplate("@BASE4(INPUT)", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +395,7 @@ func TestHelperFunctions(t *testing.T) {
 	}
 
 	// PREDICATE on the join: columns in its join predicate.
-	got, err = o.Fn("TOP", FnPredicate)
+	got, err = expandTemplate("@TOP(PREDICATE)", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +404,7 @@ func TestHelperFunctions(t *testing.T) {
 	}
 
 	// COLUMNS on the base object.
-	got, err = o.Fn("BASE4", FnColumns)
+	got, err = expandTemplate("@base4(columns)", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +413,7 @@ func TestHelperFunctions(t *testing.T) {
 	}
 
 	// Unknown alias errors.
-	if _, err := o.Fn("GHOST", FnInput); err == nil {
+	if _, err := expandTemplate("@GHOST(INPUT)", o); err == nil {
 		t.Error("unknown alias accepted")
 	}
 }
@@ -439,7 +422,7 @@ func TestFeaturesAndConfidence(t *testing.T) {
 	k := MustCanonical()
 	e := k.Entry("nljoin-inner-tbscan")
 	occs := matchEntry(t, e, fixtures.Figure1())
-	f := Features(&occs[0])
+	f := Features(occs[0])
 	if len(f) != NumFeatures {
 		t.Fatalf("features = %v", f)
 	}
@@ -501,10 +484,7 @@ func TestExtendedKB(t *testing.T) {
 	if len(occs) != 2 {
 		t.Fatalf("occurrences = %d, want 2", len(occs))
 	}
-	ranked, err := e.Apply(occs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ranked := e.Recommend(occs)
 	// MaxOccurrences 1 keeps one line despite two symmetric matches.
 	if len(ranked) != 1 {
 		t.Fatalf("ranked = %d, want 1", len(ranked))
@@ -523,10 +503,7 @@ func TestExtendedKB(t *testing.T) {
 	if len(occs) != 1 {
 		t.Fatalf("expensive-subquery occurrences = %d", len(occs))
 	}
-	ranked, err = e.Apply(occs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ranked = e.Recommend(occs)
 	if !strings.Contains(ranked[0].Text, "600") {
 		t.Errorf("cost context missing: %s", ranked[0].Text)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"optimatch/internal/pattern"
 	"optimatch/internal/stats"
+	"optimatch/internal/transform"
 )
 
 // NumFeatures is the length of the characteristic vectors used for ranking.
@@ -22,11 +23,11 @@ const NumFeatures = 5
 //
 // These are the "cardinality and cost estimates" context the paper's
 // statistical correlation analysis compares against the expert profile.
-func Features(o *Occurrence) []float64 {
+func Features(m transform.Match) []float64 {
 	var maxCost, maxCard, maxSelf float64
 	var ops, joins, scans int
-	for _, t := range o.Bindings {
-		if op := o.Result.Operator(t); op != nil {
+	for c := range m.Cells {
+		if op := m.Operator(c); op != nil {
 			ops++
 			if op.TotalCost > maxCost {
 				maxCost = op.TotalCost
@@ -45,13 +46,13 @@ func Features(o *Occurrence) []float64 {
 			}
 			continue
 		}
-		if obj := o.Result.Object(t); obj != nil {
+		if obj := m.Object(c); obj != nil {
 			if obj.Cardinality > maxCard {
 				maxCard = obj.Cardinality
 			}
 		}
 	}
-	total := o.Plan.TotalCost
+	total := m.Plan().TotalCost
 	if total <= 0 {
 		total = 1
 	}

@@ -3,6 +3,8 @@ package kb
 import (
 	"fmt"
 	"strings"
+
+	"optimatch/internal/transform"
 )
 
 // The handler tagging language (paper Section 2.3) embeds dynamic components
@@ -24,6 +26,7 @@ import (
 type templateNode struct {
 	literal string   // non-empty for literal text
 	aliases []string // handler aliases for a tag node
+	cols    []int    // the aliases' columns, resolved by validateTemplate
 	field   string   // .FIELD accessor, if any
 	fn      string   // (FN) helper, if any
 }
@@ -120,22 +123,24 @@ var knownFields = map[string]bool{
 
 var knownFns = map[string]bool{FnInput: true, FnPredicate: true, FnColumns: true}
 
-// validateTemplate parses a template and checks it against the set of legal
-// aliases. It returns the parsed nodes, which the entry keeps so that
-// expanding the template never parses again.
-func validateTemplate(tmpl string, aliases map[string]bool) ([]templateNode, error) {
+// validateTemplate parses a template and resolves every tag's aliases to their
+// columns. It returns the parsed nodes, which the entry keeps so that
+// expanding the template never parses or looks an alias up again.
+func validateTemplate(tmpl string, cols *transform.Columns) ([]templateNode, error) {
 	nodes, err := parseTemplate(tmpl)
 	if err != nil {
 		return nil, err
 	}
-	for _, n := range nodes {
+	for i, n := range nodes {
 		if n.literal != "" {
 			continue
 		}
 		for _, a := range n.aliases {
-			if !aliases[strings.ToUpper(a)] {
+			c := cols.Index(a)
+			if c < 0 {
 				return nil, fmt.Errorf("kb: template references unknown handler @%s", a)
 			}
+			nodes[i].cols = append(nodes[i].cols, c)
 		}
 		if n.field != "" && !knownFields[strings.ToUpper(n.field)] {
 			return nil, fmt.Errorf("kb: template uses unknown field .%s", n.field)
@@ -147,34 +152,28 @@ func validateTemplate(tmpl string, aliases map[string]bool) ([]templateNode, err
 	return nodes, nil
 }
 
-// expandNodes renders a parsed template against one occurrence, adapting the
+// expand renders a validated template against one occurrence, adapting the
 // stored recommendation to the context of the user-supplied plan.
-func expandNodes(nodes []templateNode, o *Occurrence) (string, error) {
+func expand(nodes []templateNode, m transform.Match) string {
 	var b strings.Builder
 	for _, n := range nodes {
 		if n.literal != "" {
 			b.WriteString(n.literal)
 			continue
 		}
-		for i, alias := range n.aliases {
-			var s string
-			var err error
-			switch {
-			case n.field != "":
-				s, err = o.Field(alias, n.field)
-			case n.fn != "":
-				s, err = o.Fn(alias, n.fn)
-			default:
-				s, err = o.Display(alias)
-			}
-			if err != nil {
-				return "", err
-			}
+		for i, c := range n.cols {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			b.WriteString(s)
+			switch {
+			case n.field != "":
+				b.WriteString(field(m, c, n.field))
+			case n.fn != "":
+				b.WriteString(helper(m, c, n.fn))
+			default:
+				b.WriteString(m.Display(c))
+			}
 		}
 	}
-	return b.String(), nil
+	return b.String()
 }

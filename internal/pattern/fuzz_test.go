@@ -19,8 +19,8 @@ var poisonBodies = []string{
 // FromJSON accepts must compile — Compile parses what it generates, so an
 // error there means Validate let through something the compiler pastes into
 // the query and the parser refuses —, must project exactly the handler
-// aliases in handler order, and must compile to the same text after a round
-// trip through its JSON form.
+// aliases in handler order, each unique regardless of case, and must compile
+// to the same text after a round trip through its JSON form.
 func FuzzCompile(f *testing.F) {
 	for _, p := range Extended() {
 		data, err := p.ToJSON()
@@ -43,6 +43,7 @@ func FuzzCompile(f *testing.F) {
 	f.Add(one(`{"ID":1,"type":"ANY","popProperties":[{"id":"hasOutputStream","value":1,"sign":"Descendant"}]}`))
 	f.Add(one(`{"ID":1,"type":"ANY","popProperties":[{"id":"hasIOCost","sign":"<","value":[1]}]}`))
 	f.Add([]byte(`{"name":"d","pops":[{"ID":1,"type":"ANY","popProperties":[]}],"planDetails":{"hasTotalCost":"> .5","has Total":"= x","hasIOCost":"fast"}}`))
+	f.Add([]byte(`{"name":"a","pops":[{"ID":1,"type":"ANY","alias":"top","popProperties":[]},{"ID":2,"type":"ANY","alias":"TOP","popProperties":[]}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := FromJSON(data)
@@ -59,6 +60,13 @@ func FuzzCompile(f *testing.F) {
 		for i, h := range c.Handlers {
 			if got := c.Parsed.Select[i].Alias; got != h.Alias {
 				t.Fatalf("column %d is %q, handler alias %q\n%s", i, got, h.Alias, c.Query)
+			}
+			// Aliases are unique regardless of case: each finds its own column
+			// in any spelling.
+			for _, spelling := range []string{h.Alias, strings.ToLower(h.Alias), strings.ToUpper(h.Alias)} {
+				if got := c.Columns.Index(spelling); got != i {
+					t.Fatalf("alias %q finds column %d, want %d\n%s", spelling, got, i, c.Query)
+				}
 			}
 		}
 		again, err := p.ToJSON()

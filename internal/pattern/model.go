@@ -186,9 +186,10 @@ func isName(s string) bool {
 const nameRule = "want letters, digits, '_' or '-'"
 
 // Validate checks everything Compile relies on: positive unique IDs, known
-// signs, resolvable relationship targets and property references, and that
-// every name the compiler pastes into the query unquoted (aliases, property
-// ids, planDetails keys) is a name there. A pattern that validates compiles.
+// signs, resolvable relationship targets and property references, handler
+// aliases unique regardless of case, and that every name the compiler pastes
+// into the query unquoted (aliases, property ids, planDetails keys) is a name
+// there. A pattern that validates compiles.
 func (p *Pattern) Validate() error {
 	if len(p.Pops) == 0 {
 		return fmt.Errorf("pattern %q: no pops", p.Name)
@@ -208,6 +209,15 @@ func (p *Pattern) Validate() error {
 		if pop.Alias != "" && !isName(pop.Alias) {
 			return fmt.Errorf("pattern %q: pop %d alias %q is not a handler name (%s)", p.Name, pop.ID, pop.Alias, nameRule)
 		}
+	}
+	// An alias names a result column found case-insensitively: no two may fold alike.
+	aliasOf := make(map[string]int, len(p.Pops)) // upper-cased alias -> pop id
+	for _, pop := range p.Pops {
+		alias := p.HandlerAlias(pop)
+		if other, dup := aliasOf[strings.ToUpper(alias)]; dup {
+			return fmt.Errorf("pattern %q: pops %d and %d share handler alias %q (aliases are case-insensitive)", p.Name, other, pop.ID, alias)
+		}
+		aliasOf[strings.ToUpper(alias)] = pop.ID
 	}
 	for _, pop := range p.Pops {
 		for _, prop := range pop.Properties {

@@ -167,11 +167,11 @@ func TestCompilePatternAQueryShape(t *testing.T) {
 	if len(c.Handlers) != 4 {
 		t.Errorf("handlers = %+v", c.Handlers)
 	}
-	if h := c.HandlerByAlias("top"); h == nil || h.PopID != 1 {
-		t.Errorf("HandlerByAlias(top) = %+v", h)
+	if col := c.Columns.Index("top"); col != 0 || c.Handlers[col].PopID != 1 {
+		t.Errorf("alias top is column %d, want 0, pop 1's", col)
 	}
-	if c.HandlerByAlias("nope") != nil {
-		t.Error("HandlerByAlias(nope) should be nil")
+	if col := c.Columns.Index("nope"); col != -1 {
+		t.Errorf("alias nope is column %d, want none", col)
 	}
 }
 
@@ -333,6 +333,10 @@ func TestValidateErrors(t *testing.T) {
 			{ID: "hasIOCost", Sign: ">", ValueOf: &PropRef{Pop: 7, ID: "hasIOCost"}}}}}}},
 		{"relValueNotID", Pattern{Pops: []Pop{{ID: 1, Type: "SORT", Properties: []Property{
 			{ID: RelInput, Value: "x", Sign: SignImmediateChild}}}}}},
+		{"dupAlias", Pattern{Pops: []Pop{{ID: 1, Type: "SORT", Alias: "X"}, {ID: 2, Type: "SORT", Alias: "X"}}}},
+		{"dupAliasCase", Pattern{Pops: []Pop{{ID: 1, Type: "SORT", Alias: "top"}, {ID: 2, Type: "SORT", Alias: "TOP"}}}},
+		{"dupAliasTop", Pattern{Pops: []Pop{{ID: 1, Type: "SORT"}, {ID: 2, Type: "TBSCAN", Alias: "TOP"}}}},
+		{"dupAliasGenerated", Pattern{Pops: []Pop{{ID: 1, Type: "SORT"}, {ID: 2, Type: "ANY"}, {ID: 3, Type: "SORT", Alias: "any2"}}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -344,6 +348,31 @@ func TestValidateErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestValidateDuplicateAliasNamesBothPops: a handler alias is a column name
+// looked up case-insensitively, so two pops may not share one in any spelling —
+// explicit, generated ("TOP" for the lowest pop, type+ID otherwise) or mixed.
+// The refusal names both pops.
+func TestValidateDuplicateAliasNamesBothPops(t *testing.T) {
+	p := Pattern{Name: "twice", Pops: []Pop{{ID: 3, Type: "NLJOIN"}, {ID: 5, Type: "TBSCAN", Alias: "Top"}}}
+	_, err := FromJSON(mustJSON(t, &p))
+	if err == nil || !strings.Contains(err.Error(), "pops 3 and 5") || !strings.Contains(err.Error(), `"Top"`) {
+		t.Errorf("err = %v, want one naming pops 3 and 5 and the alias", err)
+	}
+	p.Pops[1].Alias = "SCAN5"
+	if _, err := FromJSON(mustJSON(t, &p)); err != nil {
+		t.Errorf("distinct aliases refused: %v", err)
+	}
+}
+
+func mustJSON(t *testing.T, p *Pattern) []byte {
+	t.Helper()
+	data, err := p.ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 func TestHandlerAliasDefaults(t *testing.T) {

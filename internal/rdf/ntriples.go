@@ -178,7 +178,10 @@ func appendQuoted(dst []byte, s string) []byte {
 
 // ParseNTriples reads N-Triples statements from r into a fresh graph.
 // Comments (# ...) and blank lines are skipped. The subset accepted is
-// exactly what WriteNTriples emits plus language-free literals.
+// exactly what WriteNTriples emits plus language-free literals, in UTF-8 (the
+// encoding N-Triples is defined in): a line that is not is refused, since the
+// writer would spell its invalid bytes as U+FFFD. A literal typed xsd:string
+// is the plain literal it equals, as the writer spells it.
 func ParseNTriples(r io.Reader) (*Graph, error) {
 	g := NewGraph()
 	sc := bufio.NewScanner(r)
@@ -189,6 +192,9 @@ func ParseNTriples(r io.Reader) (*Graph, error) {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
+		}
+		if !utf8.ValidString(line) {
+			return nil, fmt.Errorf("ntriples: line %d: not UTF-8", lineNo)
 		}
 		t, err := parseNTripleLine(line)
 		if err != nil {
@@ -283,6 +289,9 @@ func (p *ntParser) term() (Term, error) {
 				return Term{}, err
 			}
 			p.pos += end + 1
+		}
+		if datatype == XSDString {
+			datatype = ""
 		}
 		return TypedLiteral(lex, datatype), nil
 	default:

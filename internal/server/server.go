@@ -58,6 +58,7 @@ import (
 	"optimatch/internal/rdf"
 	"optimatch/internal/sparql"
 	"optimatch/internal/store"
+	"optimatch/internal/transform"
 )
 
 // maxBodyBytes bounds uploaded explain files and queries.
@@ -351,12 +352,13 @@ type matchBody struct {
 	Bindings map[string]string `json:"bindings"` // alias -> display name
 }
 
-func matchesToWire(ms []core.Match) []matchBody {
+func matchesToWire(ms []transform.Match) []matchBody {
 	out := make([]matchBody, 0, len(ms))
 	for _, m := range ms {
-		mb := matchBody{Plan: m.Plan.ID, Bindings: make(map[string]string, len(m.Bindings))}
-		for _, b := range m.Bindings {
-			mb.Bindings[b.Alias] = b.Display
+		names := m.Cols.Names()
+		mb := matchBody{Plan: m.Plan().ID, Bindings: make(map[string]string, len(names))}
+		for c, name := range names {
+			mb.Bindings[name] = m.Display(c)
 		}
 		out = append(out, mb)
 	}

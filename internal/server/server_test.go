@@ -438,6 +438,25 @@ func TestPoisonedEntryRefused(t *testing.T) {
 	}
 }
 
+// TestDuplicateAliasRefused: a pattern whose two pops share a handler alias
+// in two spellings answered one way in search and another in a knowledge-base
+// template. Both routes refuse it with a 422 naming the two pops.
+func TestDuplicateAliasRefused(t *testing.T) {
+	_, ts := testServer(t)
+	pat := `{"name":"twice","pops":[{"ID":1,"type":"NLJOIN","alias":"X","popProperties":[]},` +
+		`{"ID":2,"type":"TBSCAN","alias":"x","popProperties":[]}]}`
+	for path, body := range map[string]string{
+		"/api/search":     pat,
+		"/api/kb/entries": `{"pattern":` + pat + `,"recommendations":[{"title":"t","template":"look at @X"}]}`,
+	} {
+		var e errorBody
+		postBody(t, ts.URL+path, body, http.StatusUnprocessableEntity, &e)
+		if !strings.Contains(e.Error, "pops 1 and 2") {
+			t.Errorf("%s: error %q does not name both pops", path, e.Error)
+		}
+	}
+}
+
 // TestInapplicableFieldEntryServes posts an entry whose template asks a
 // base-object handler for a field only operators have. Validation cannot know
 // what an ANY handler will bind, so the entry is saved — and used to fail
@@ -538,11 +557,18 @@ func hammerKB(t *testing.T, ts *httptest.Server) {
 	var wg sync.WaitGroup
 	var removed atomic.Int64
 	// Remover r deletes the entries writer r has added so far, one per round,
-	// picked from the entry list it reads.
+	// picked from the entry list it reads. It starts once writer r's first add
+	// has answered, so however the goroutines are scheduled there is something
+	// to remove.
+	added := make([]chan struct{}, writers)
+	for i := range added {
+		added[i] = make(chan struct{})
+	}
 	for rm := 0; rm < removers; rm++ {
 		wg.Add(1)
 		go func(rm int) {
 			defer wg.Done()
+			<-added[rm]
 			prefix := fmt.Sprintf("hammer-%d-", rm)
 			for i := 0; i < iters; i++ {
 				resp, err := http.Get(ts.URL + "/api/kb")
@@ -584,6 +610,8 @@ func hammerKB(t *testing.T, ts *httptest.Server) {
 		wg.Add(1)
 		go func(wtr int) {
 			defer wg.Done()
+			answered := sync.OnceFunc(func() { close(added[wtr]) })
+			defer answered()
 			for i := 0; i < iters; i++ {
 				b := pattern.NewBuilder(fmt.Sprintf("hammer-%d-%d", wtr, i), "race test")
 				b.Pop("SORT").Alias("TOP")
@@ -605,6 +633,7 @@ func hammerKB(t *testing.T, ts *httptest.Server) {
 				if resp.StatusCode != http.StatusCreated {
 					t.Errorf("add entry: status %d", resp.StatusCode)
 				}
+				answered()
 			}
 		}(wtr)
 	}

@@ -55,6 +55,10 @@ func (q *Query) Analysis() *Analysis {
 	return q.analysis
 }
 
+// Projection returns the names of the query's result columns, the Vars of
+// every Results it evaluates to; do not modify.
+func (q *Query) Projection() []string { return q.Analysis().prog.projVars }
+
 // termSet is an insertion-ordered set of terms.
 type termSet struct {
 	seen  map[rdf.Term]bool

@@ -449,6 +449,39 @@ func TestReplaySkipsRefusedEntry(t *testing.T) {
 	}
 }
 
+// TestReplaySkipsDuplicateAliasEntry opens a log holding an entry whose
+// pattern gives two pops one handler alias in two spellings ("top" beside the
+// generated "TOP"), which the binaries before aliases had to be unique
+// regardless of case journaled. Validate refuses it now, so replay skips it
+// like any entry this binary cannot compile, and the store opens.
+func TestReplaySkipsDuplicateAliasEntry(t *testing.T) {
+	item := json.RawMessage(`{"name":"twice","pattern":{"pops":[{"ID":1,"type":"NLJOIN","popProperties":[]},` +
+		`{"ID":2,"type":"TBSCAN","alias":"top","popProperties":[]}]},"recommendations":[{"title":"t","template":"look at @TOP"}]}`)
+	var e kb.Entry
+	if err := json.Unmarshal(item, &e); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pattern.Compile(e.Pattern); err == nil || !strings.Contains(err.Error(), "pops 1 and 2") {
+		t.Fatalf("Compile of the journaled pattern: %v, want the duplicate alias refused", err)
+	}
+	dir := t.TempDir()
+	appendRecords(t, dir,
+		record{Seq: 1, Op: opAddPlan, ID: "Q2", Text: qep.Text(fixtures.Figure1())},
+		record{Seq: 2, Op: opAddEntry, ID: "twice", Item: item},
+	)
+	s, err := Open(dir, WithDefaultKB(kb.New()))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.SkippedEntries != 1 || st.RecoveredRecords != 2 || s.KB().Len() != 0 {
+		t.Errorf("stats = %+v, %d entries; want the entry skipped and nothing else lost", st, s.KB().Len())
+	}
+	if s.Engine().Plan("Q2") == nil {
+		t.Error("the plan journaled before the entry was not recovered")
+	}
+}
+
 // TestRecoversInapplicableFieldEntry opens a log as the binaries before
 // template expansion was total left it: they accepted and journaled an entry
 // whose template asks a base-object handler for a cost ("@BASE4.COST" on

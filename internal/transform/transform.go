@@ -14,7 +14,6 @@
 package transform
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 
@@ -123,7 +122,7 @@ func (r *Result) Object(t rdf.Term) *qep.BaseObject {
 // term otherwise.
 func (r *Result) Describe(t rdf.Term) string {
 	if op := r.Operator(t); op != nil {
-		return fmt.Sprintf("%s(%d)", op.DisplayName(), op.ID)
+		return op.DisplayName() + "(" + strconv.Itoa(op.ID) + ")"
 	}
 	if obj := r.Object(t); obj != nil {
 		return obj.Name

@@ -39,17 +39,17 @@ import (
 	"optimatch/internal/qep"
 	"optimatch/internal/rdf"
 	"optimatch/internal/sparql"
+	"optimatch/internal/transform"
 	"optimatch/internal/workload"
 )
 
 // Engine loads query execution plans and matches patterns against them.
 type Engine = core.Engine
 
-// Match is one pattern occurrence in one plan with de-transformed bindings.
-type Match = core.Match
-
-// Binding is one result-handler binding of a match.
-type Binding = core.Binding
+// Match is one pattern occurrence in one plan: a result row whose columns
+// (found by handler alias with Column) de-transform to plan operators and base
+// objects on demand.
+type Match = transform.Match
 
 // PlanReport is the knowledge-base outcome for one plan.
 type PlanReport = core.PlanReport
@@ -191,7 +191,7 @@ func ClusterWorkload(plans []*Plan, k int, seed int64) (*ClusterResult, error) {
 func CorrelateMatches(res *ClusterResult, patternName string, matches []Match, totalPlans int) PatternCorrelation {
 	matched := make(map[string]bool, len(matches))
 	for _, m := range matches {
-		matched[m.Plan.ID] = true
+		matched[m.Plan().ID] = true
 	}
 	return cluster.Correlate(res, patternName, matched, totalPlans)
 }

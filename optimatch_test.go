@@ -36,7 +36,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(matches) != 1 || matches[0].Binding("BASE4").Display != "CUST_DIM" {
+	if len(matches) != 1 || matches[0].Display(matches[0].Column("BASE4")) != "CUST_DIM" {
 		t.Fatalf("matches = %+v", matches)
 	}
 
@@ -165,7 +165,7 @@ func TestPublicAPIWorkloadAndKBPersistence(t *testing.T) {
 	}
 	planSet := map[string]bool{}
 	for _, m := range matches {
-		planSet[m.Plan.ID] = true
+		planSet[m.Plan().ID] = true
 	}
 	if len(planSet) != 2 {
 		t.Errorf("matched plans = %d, want 2", len(planSet))
