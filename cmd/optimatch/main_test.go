@@ -53,7 +53,7 @@ func TestRunTransform(t *testing.T) {
 }
 
 func TestRunCompile(t *testing.T) {
-	for _, letter := range []string{"a", "b", "c", "d"} {
+	for _, letter := range []string{"a", "b", "c", "d", "e", "f", "g"} {
 		if err := run([]string{"compile", "-pattern", letter}); err != nil {
 			t.Errorf("compile %s: %v", letter, err)
 		}
@@ -68,8 +68,10 @@ func TestRunCompile(t *testing.T) {
 
 func TestRunSearchCanonical(t *testing.T) {
 	dir := writeFixtures(t)
-	if err := run([]string{"search", "-pattern", "a", dir}); err != nil {
-		t.Errorf("search: %v", err)
+	for _, letter := range []string{"a", "g"} {
+		if err := run([]string{"search", "-pattern", letter, dir}); err != nil {
+			t.Errorf("search -pattern %s: %v", letter, err)
+		}
 	}
 	if err := run([]string{"search", "-pattern", "a"}); err == nil {
 		t.Error("search without inputs accepted")
@@ -204,20 +206,21 @@ func TestResolvePatternJSONName(t *testing.T) {
 	}
 }
 
-func TestRunFromGraph(t *testing.T) {
-	dir := t.TempDir()
-	gfile := filepath.Join(dir, "snippet.txt")
-	if err := os.WriteFile(gfile, []byte(qep.Render(fixtures.Figure1())), 0o644); err != nil {
-		t.Fatal(err)
+// TestResolvePattern names every built-in pattern by its letter, in either
+// case, and nothing past G.
+func TestResolvePattern(t *testing.T) {
+	for i, want := range pattern.Extended() {
+		for _, letter := range []string{string(rune('a' + i)), string(rune('A' + i))} {
+			got, err := resolvePattern(letter)
+			if err != nil || got.Name != want.Name {
+				t.Errorf("resolvePattern(%q) = %v, %v; want %q", letter, got, err, want.Name)
+			}
+		}
 	}
-	if err := run([]string{"fromgraph", gfile}); err != nil {
-		t.Errorf("fromgraph: %v", err)
-	}
-	if err := run([]string{"fromgraph"}); err == nil {
-		t.Error("fromgraph without file accepted")
-	}
-	if err := run([]string{"fromgraph", filepath.Join(dir, "nope.txt")}); err == nil {
-		t.Error("fromgraph of missing file accepted")
+	for _, spec := range []string{"h", "`"} {
+		if _, err := resolvePattern(spec); err == nil {
+			t.Errorf("resolvePattern(%q) accepted", spec)
+		}
 	}
 }
 

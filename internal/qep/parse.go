@@ -10,7 +10,10 @@ import (
 
 // Parse reads a plan in the OptImatch explain format (OEF). The parser is
 // tolerant of whitespace variations: all indentation is insignificant and
-// key/value pairs split on the first ':'.
+// key/value pairs split on the first ':'. Every plan it returns reads back
+// the same from what Write prints for it: it refuses an argument and an
+// object name Write could not spell (docs/FORMAT.md, "What the parser
+// refuses"), and reads '+' and ',' alike as column separators.
 func Parse(text string) (*Plan, error) {
 	pp := &planParser{plan: NewPlan("")}
 	pp.plan.Source = text
@@ -273,6 +276,8 @@ func (pp *planParser) detailsLine(line string) error {
 					return pp.errf("bad input operator id %q", operator)
 				}
 				in.opID = id
+			} else if !declarable(object) {
+				return pp.errf("object name %q cannot be declared in a Base Objects section", object)
 			}
 			pp.cur.inputs = append(pp.cur.inputs, in)
 			pp.curIn = &pp.cur.inputs[len(pp.cur.inputs)-1]
@@ -306,7 +311,13 @@ func (pp *planParser) detailsLine(line string) error {
 	}
 	if pp.subSect == "arguments" {
 		if k, v, ok := strings.Cut(line, ":"); ok {
-			pp.cur.op.Args[strings.TrimSpace(k)] = strings.TrimSpace(v)
+			key, value := strings.TrimSpace(k), strings.TrimSpace(v)
+			// Write prints `key: value`; a key kept apart from its ':' may
+			// then read as a header.
+			if len(key) < len(k) && isHeader(strings.TrimSpace(key+": "+value)) {
+				return pp.errf("argument %q reads as a header without the space before ':'", line)
+			}
+			pp.cur.op.Args[key] = value
 		}
 		return nil
 	}
@@ -356,13 +367,29 @@ func (pp *planParser) objectLine(line string) error {
 		return nil
 	}
 	// Otherwise the line names a new object.
-	name := strings.TrimSpace(line)
-	if name == "" || strings.Contains(name, ":") {
+	if !declarable(line) {
 		return nil
 	}
-	obj := &BaseObject{Name: name, Type: "TABLE"}
-	pp.curObj = pp.plan.AddObject(obj)
+	pp.curObj = pp.plan.AddObject(&BaseObject{Name: line, Type: "TABLE"})
 	return nil
+}
+
+// declarable reports whether a Base Objects section can declare an object of
+// this name: a line that reads back as the name, not as a key, an underline
+// or a shorter name.
+func declarable(name string) bool {
+	return name != "" && !strings.Contains(name, ":") && !strings.HasPrefix(name, "---") && strings.TrimSpace(name) == name
+}
+
+// isHeader reports whether a line of Plan Details opens a section, a
+// subsection or an operator block.
+func isHeader(line string) bool {
+	switch line {
+	case "Access Plan:", "Plan Details:", "Base Objects:", "Arguments:", "Predicates:", "Input Streams:":
+		return true
+	}
+	_, _, _, ok := operatorHeader(line)
+	return ok
 }
 
 // link resolves the collected operator specs into the plan tree.
@@ -440,23 +467,19 @@ func parseNum(s string) (float64, error) {
 }
 
 // parseColumns accepts both the stream form "+A+B+C" and the comma form
-// "A,B,C".
+// "A,B,C". Either separator separates in either form, so no name holds one
+// and the form Write picks reads back as the same list.
 func parseColumns(s string) []string {
-	s = strings.TrimSpace(s)
-	if s == "" {
+	if s = strings.TrimPrefix(s, "+"); s == "" {
 		return nil
 	}
-	var parts []string
-	if strings.HasPrefix(s, "+") {
-		parts = strings.Split(strings.TrimPrefix(s, "+"), "+")
-	} else {
-		parts = strings.Split(s, ",")
-	}
-	out := parts[:0]
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p != "" {
-			out = append(out, p)
+	out := make([]string, 0, 1+strings.Count(s, "+")+strings.Count(s, ","))
+	for start, i := 0, 0; i <= len(s); i++ {
+		if i == len(s) || s[i] == '+' || s[i] == ',' {
+			if name := strings.TrimSpace(s[start:i]); name != "" {
+				out = append(out, name)
+			}
+			start = i + 1
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package qep
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -304,6 +305,48 @@ func TestAddOperatorDuplicate(t *testing.T) {
 	}
 }
 
+// figure7Plan builds the shape of the paper's Figure 7: two left outer joins
+// under an NLJOIN, an exponent cardinality (1.311e-08) and base objects each
+// read by two scans.
+func figure7Plan(t *testing.T) *Plan {
+	t.Helper()
+	p := NewPlan("Q21")
+	mk := func(id int, typ string, mod JoinModifier, cost, io, card float64) *Operator {
+		op := &Operator{ID: id, Type: typ, JoinMod: mod, TotalCost: cost, IOCost: io, Cardinality: card}
+		if err := p.AddOperator(op); err != nil {
+			t.Fatal(err)
+		}
+		return op
+	}
+	ret := mk(1, "RETURN", InnerJoin, 196283, 23130, 6.7)
+	top := mk(5, "NLJOIN", InnerJoin, 196280, 23129, 6.7)
+	lojL := mk(6, "HSJOIN", LeftOuterJoin, 180100, 21000, 78417)
+	tb1 := mk(8, "TBSCAN", InnerJoin, 41000, 5000, 78417)
+	tb2 := mk(12, "TBSCAN", InnerJoin, 41000, 5000, 78417)
+	lojR := mk(15, "NLJOIN", LeftOuterJoin, 16090, 2099, 3.2e-8)
+	fetch := mk(16, "FETCH", InnerJoin, 8000, 1000, 1)
+	ix := mk(38, "IXSCAN", InnerJoin, 4000, 500, 1.311e-8)
+
+	tel := p.AddObject(&BaseObject{Name: "TELEPHONE_DETAIL", Cardinality: 78417})
+	tran := p.AddObject(&BaseObject{Name: "TRAN_BASE", Cardinality: 2.77e8})
+
+	p.Link(ret, GeneralStream, top, nil, 6.7, nil)
+	p.Link(top, OuterStream, lojL, nil, 78417, nil)
+	p.Link(top, InnerStream, lojR, nil, 3.2e-8, nil)
+	p.Link(lojL, OuterStream, tb1, nil, 78417, nil)
+	p.Link(lojL, InnerStream, tb2, nil, 78417, nil)
+	p.Link(tb1, GeneralStream, nil, tel, 78417, nil)
+	p.Link(tb2, GeneralStream, nil, tel, 78417, nil)
+	p.Link(lojR, OuterStream, fetch, nil, 1, nil)
+	p.Link(lojR, InnerStream, ix, nil, 1.311e-8, nil)
+	p.Link(fetch, GeneralStream, nil, tran, 2.77e8, nil)
+	p.Link(ix, GeneralStream, nil, tran, 2.77e8, nil)
+	if err := p.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestRenderFigure1Shape(t *testing.T) {
 	p := figure1Plan(t)
 	out := Render(p)
@@ -328,6 +371,123 @@ func TestRenderFigure1Shape(t *testing.T) {
 	// A connector row exists between NLJOIN block and the children row.
 	if !strings.ContainsAny(out, "/\\|") {
 		t.Errorf("no connectors drawn:\n%s", out)
+	}
+}
+
+// TestRenderFigure1Golden pins Render's layout of Figure 1 exactly.
+func TestRenderFigure1Golden(t *testing.T) {
+	const want = `
+         19.12
+        RETURN
+         ( 1)
+        15782.2
+         1320
+           |
+        19.12
+        NLJOIN
+         ( 2)
+        15771
+         1318
+     /           \
+   19.12       4043
+   FETCH      TBSCAN
+   ( 3)        ( 5)
+   19.12      15771
+     2         1316
+     |           |
+  19.12        4043
+  IXSCAN     CUST_DIM
+   ( 4)
+   12.3
+    1
+     |
+  1e+07
+SALES_FACT
+`
+	if got := Render(figure1Plan(t)); got != want[1:] {
+		t.Errorf("Render(Figure 1) =\n%s\nwant:\n%s", got, want[1:])
+	}
+}
+
+// TestRenderFigure7Shape pins Render's layout of Figure 7's shape exactly:
+// the '>' prefix of a left outer join, exponent cardinalities and a base
+// object drawn under each of the two scans that read it.
+func TestRenderFigure7Shape(t *testing.T) {
+	const want = `
+                              6.7
+                             RETURN
+                              ( 1)
+                             196283
+                             23130
+                                |
+                              6.7
+                             NLJOIN
+                              ( 5)
+                             196280
+                             23129
+                 /                              \
+               78417                         3.2e-08
+              >HSJOIN                        >NLJOIN
+               ( 6)                           ( 15)
+              180100                          16090
+               21000                          2099
+        /                  \              /           \
+     78417              78417             1       1.311e-08
+     TBSCAN             TBSCAN          FETCH      IXSCAN
+      ( 8)              ( 12)           ( 16)       ( 38)
+     41000              41000           8000        4000
+      5000               5000           1000         500
+        |                  |              |           |
+     78417              78417         2.77e+08    2.77e+08
+TELEPHONE_DETAIL   TELEPHONE_DETAIL   TRAN_BASE   TRAN_BASE
+`
+	if got := Render(figure7Plan(t)); got != want[1:] {
+		t.Errorf("Render(Figure 7) =\n%s\nwant:\n%s", got, want[1:])
+	}
+}
+
+// TestRenderJoinModifiers pins the prefix Render draws before each outer-join
+// modifier's operator type; '#' in the golden text stands for the prefix.
+func TestRenderJoinModifiers(t *testing.T) {
+	const want = `
+       5
+    #HSJOIN
+     ( 1)
+      10
+       3
+   /        \
+  5        9
+TBSCAN   IXSCAN
+ ( 2)     ( 3)
+  4        4
+  1        1
+   |        |
+  50       90
+  T1       T2
+`
+	for _, mod := range []JoinModifier{LeftOuterJoin, RightOuterJoin, EarlyOutJoin} {
+		p := NewPlan("J")
+		join := &Operator{ID: 1, Type: "HSJOIN", JoinMod: mod, TotalCost: 10, IOCost: 3, Cardinality: 5}
+		a := &Operator{ID: 2, Type: "TBSCAN", TotalCost: 4, IOCost: 1, Cardinality: 5}
+		b := &Operator{ID: 3, Type: "IXSCAN", TotalCost: 4, IOCost: 1, Cardinality: 9}
+		for _, op := range []*Operator{join, a, b} {
+			if err := p.AddOperator(op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t1 := p.AddObject(&BaseObject{Name: "T1", Cardinality: 50})
+		t2 := p.AddObject(&BaseObject{Name: "T2", Cardinality: 90})
+		p.Link(join, OuterStream, a, nil, 5, nil)
+		p.Link(join, InnerStream, b, nil, 9, nil)
+		p.Link(a, GeneralStream, nil, t1, 50, nil)
+		p.Link(b, GeneralStream, nil, t2, 90, nil)
+		if err := p.Resolve(); err != nil {
+			t.Fatal(err)
+		}
+		exp := strings.ReplaceAll(want[1:], "#", mod.Prefix())
+		if got := Render(p); got != exp {
+			t.Errorf("Render(%s) =\n%s\nwant:\n%s", mod.Description(), got, exp)
+		}
 	}
 }
 
@@ -409,5 +569,47 @@ func TestParseColumns(t *testing.T) {
 	}
 	if got := parseColumns(""); got != nil {
 		t.Errorf("empty = %v", got)
+	}
+}
+
+// TestParseBoundaries pins, per kind of text Write could not spell back, a
+// row just inside the boundary and one at it: Parse refuses an argument key
+// kept apart from its ':' that would then read as a header and an object name
+// no Base Objects section can declare, naming the line, and reads '+' and ','
+// alike in either column list form.
+func TestParseBoundaries(t *testing.T) {
+	for _, c := range []struct {
+		name                         string
+		arg, object, stream, columns string // the argument line, the object and the two column lists
+		want                         string // what Parse read, or its refusal
+	}{
+		{"a subsection header", "Arguments:", "T", "A", "A", `map[] ["A"] "T" ["A"]`},
+		{"a key kept apart as a header", "Arguments :", "T", "A", "A", `qep: line 4: argument "Arguments :" reads as a header without the space before ':'`},
+		{"a key kept apart", "MAX PAGES : ALL", "T", "A", "A", `map[MAX PAGES:ALL] ["A"] "T" ["A"]`},
+		{"a key kept apart as an operator", "3) X : y", "T", "A", "A", `qep: line 4: argument "3) X : y" reads as a header without the space before ':'`},
+		{"a comma list", "K: v", "T", "A,B", "A,B", `map[K:v] ["A" "B"] "T" ["A" "B"]`},
+		{"a + in a comma list", "K: v", "T", "A+B,C", "A+B,C", `map[K:v] ["A" "B" "C"] "T" ["A" "B" "C"]`},
+		{"a + list", "K: v", "T", "+A+B", "+A+B", `map[K:v] ["A" "B"] "T" ["A" "B"]`},
+		{"a , in a + list", "K: v", "T", "+A,B+C", "+A,B+C", `map[K:v] ["A" "B" "C"] "T" ["A" "B" "C"]`},
+		{"an object", "K: v", "SCHEMA.T", "A", "A", `map[K:v] ["A"] "SCHEMA.T" ["A"]`},
+		{"an object with a ':'", "K: v", "a:b", "A", "A", `qep: line 6: object name "a:b" cannot be declared in a Base Objects section`},
+		{"an object underlined", "K: v", "---x", "A", "A", `qep: line 6: object name "---x" cannot be declared in a Base Objects section`},
+		{"an object after white space", "K: v", "\vT", "A", "A", `qep: line 6: object name "\vT" cannot be declared in a Base Objects section`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			text := "Plan Details:\n1) TBSCAN:\nArguments:\n" + c.arg + "\nInput Streams:\n1) From Object " + c.object +
+				"\nColumns: " + c.stream + "\nBase Objects:\n" + c.object + "\nColumns: " + c.columns + "\n"
+			var got string
+			if p, err := Parse(text); err != nil {
+				got = err.Error()
+			} else {
+				op := p.Operators[1]
+				obj := op.Object()
+				got = fmt.Sprintf("%v %q %q %q", op.Args, op.Inputs[0].Columns, obj.Name, obj.Columns)
+			}
+			if got != c.want {
+				t.Errorf("Parse read %s\nwant %s\nfrom:\n%s", got, c.want, text)
+			}
+		})
 	}
 }

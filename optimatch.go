@@ -87,11 +87,6 @@ func ParsePlan(text string) (*Plan, error) { return qep.Parse(text) }
 // RenderPlan draws the classic ASCII plan graph (the paper's Figure 1).
 func RenderPlan(p *Plan) string { return qep.Render(p) }
 
-// ParsePlanGraph parses a Figure-1-style ASCII plan graph back into a
-// (structural) plan — the inverse of RenderPlan. Useful for pasting plan
-// snippets from papers, tickets or terminal captures.
-func ParsePlanGraph(id, text string) (*Plan, error) { return qep.ParseGraph(id, text) }
-
 // WritePlan serializes a plan back to explain text.
 func WritePlan(w io.Writer, p *Plan) error { return qep.Write(w, p) }
 
@@ -133,6 +128,7 @@ var (
 	PatternD = pattern.D // spilling SORT
 	PatternE = pattern.E // materialized subquery above 50% of plan cost
 	PatternF = pattern.F // shared common subexpression (multi-consumer TEMP)
+	PatternG = pattern.G // join without a join predicate (cartesian product)
 )
 
 // KnowledgeBase is a library of expert patterns and recommendations.
@@ -155,8 +151,8 @@ func NewKB() *KnowledgeBase { return kb.New() }
 // expert patterns and their recommendations.
 func CanonicalKB() *KnowledgeBase { return kb.MustCanonical() }
 
-// ExtendedKB returns CanonicalKB plus entries for the expensive-subquery
-// and shared-common-subexpression patterns (E and F).
+// ExtendedKB returns CanonicalKB plus entries for the expensive-subquery,
+// shared-common-subexpression and cartesian-join patterns (E, F and G).
 func ExtendedKB() *KnowledgeBase { return kb.MustExtended() }
 
 // LoadKB reads a knowledge base saved with (*KnowledgeBase).Save.
