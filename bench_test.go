@@ -363,7 +363,7 @@ func BenchmarkAblationDerivedPredicates(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	reified := transform.Prologue + `
+	reified, err := sparql.Parse(transform.Prologue + `
 SELECT DISTINCT ?pop1 AS ?TOP ?pop2 AS ?L ?pop3 AS ?R
 WHERE {
   ?pop1 preduri:hasPopClass "JOIN" .
@@ -375,7 +375,10 @@ WHERE {
   ?pop3 preduri:hasJoinType "LEFT_OUTER" .
 }
 ORDER BY ?pop1
-`
+`)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("derived", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"optimatch/internal/fixtures"
@@ -22,6 +24,26 @@ func writeFixtures(t *testing.T) string {
 		}
 	}
 	return dir
+}
+
+// captureStdout runs f and returns what it printed.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = saved }()
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	ferr := f()
+	w.Close()
+	return string(<-out), ferr
 }
 
 func fixtureFile(t *testing.T, dir, id string) string {
@@ -131,8 +153,21 @@ SELECT DISTINCT ?s WHERE { ?s preduri:hasPopType ?t . FILTER NOT EXISTS { ?s pre
 	if err := os.WriteFile(qfile, []byte(query), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"explain", "-query", qfile, plan}); err != nil {
+	out, err := captureStdout(t, func() error { return run([]string{"explain", "-query", qfile, plan}) })
+	if err != nil {
 		t.Errorf("explain -query: %v", err)
+	}
+	// The canonical query opens the explanation: full IRIs, no prologue.
+	canonical := `SELECT DISTINCT ?s WHERE {
+  ?s <http://optimatch/pred/hasPopType> ?t .
+  FILTER NOT EXISTS {
+    ?s <http://optimatch/pred/hasJoinType> ?j .
+  }
+  ?x <http://optimatch/pred/hasTotalCost> ?c .
+}
+`
+	if !strings.HasPrefix(out, "plan Q2\n"+canonical+"\n3 row(s)") {
+		t.Errorf("explain -query does not open with the canonical query:\n%s", out)
 	}
 	for name, args := range map[string][]string{
 		"neither -query nor -entry": {"explain", plan},

@@ -88,7 +88,11 @@ WHERE {
   FILTER(?card > 1000000) .
 }
 ORDER BY ?scan`
-	m3, err := eng.FindSPARQL(context.Background(), query)
+	q3, err := optimatch.ParseSPARQL(query)
+	if err != nil {
+		log.Fatal(err)
+	}
+	m3, err := eng.FindSPARQL(context.Background(), q3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -125,7 +129,11 @@ LIMIT 5`
 	if err := eng4.LoadPlans([]*optimatch.Plan{costliest}); err != nil {
 		log.Fatal(err)
 	}
-	m4, err := eng4.FindSPARQL(context.Background(), aggQuery)
+	q4, err := optimatch.ParseSPARQL(aggQuery)
+	if err != nil {
+		log.Fatal(err)
+	}
+	m4, err := eng4.FindSPARQL(context.Background(), q4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestFindSPARQLCancelled(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		before := runtime.NumGoroutine()
-		matches, err := e.FindSPARQL(ctx, cancelTestQuery)
+		matches, err := e.FindSPARQL(ctx, mustParseSPARQL(t, cancelTestQuery))
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}

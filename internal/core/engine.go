@@ -448,15 +448,10 @@ func (e *Engine) FindCompiled(ctx context.Context, c *pattern.Compiled) ([]trans
 	return e.find(ctx, c.Parsed, c.Columns)
 }
 
-// FindSPARQL parses a raw SPARQL query and matches it against every loaded
-// plan; every projected column is a column of the matches. Raw text is
-// parsed per call: whoever repeats a query repeats it through a cache of
-// responses (internal/server), not of parses.
-func (e *Engine) FindSPARQL(ctx context.Context, query string) ([]transform.Match, error) {
-	q, err := sparql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
+// FindSPARQL matches a parsed SPARQL query against every loaded plan; every
+// projected column is a column of the matches. Whoever holds text parses it
+// (sparql.Parse), as a pattern's author compiles it for FindCompiled.
+func (e *Engine) FindSPARQL(ctx context.Context, q *sparql.Query) ([]transform.Match, error) {
 	return e.find(ctx, q, transform.NewColumns(q.Projection()))
 }
 

@@ -213,8 +213,8 @@ func TestFindPatternAcrossWorkload(t *testing.T) {
 func TestFindSPARQLDirect(t *testing.T) {
 	e := engineWithFixtures(t)
 	// All SORT operators across the workload.
-	matches, err := e.FindSPARQL(context.Background(), `PREFIX preduri: <http://optimatch/pred/>
-SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`)
+	matches, err := e.FindSPARQL(context.Background(), mustParseSPARQL(t, `PREFIX preduri: <http://optimatch/pred/>
+SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,17 +223,24 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`)
 	}
 	// An ungrouped aggregate has one row per plan whether the plan matches
 	// nothing because it lacks the constant (every plan but Q9) or not.
-	counts, err := e.FindSPARQL(context.Background(), `PREFIX preduri: <http://optimatch/pred/>
-SELECT (COUNT(?s) AS ?n) WHERE { ?s preduri:hasPopType "SORT" }`)
+	counts, err := e.FindSPARQL(context.Background(), mustParseSPARQL(t, `PREFIX preduri: <http://optimatch/pred/>
+SELECT (COUNT(?s) AS ?n) WHERE { ?s preduri:hasPopType "SORT" }`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(counts) != e.NumPlans() {
 		t.Errorf("COUNT over %d plans returned %d rows, want one per plan", e.NumPlans(), len(counts))
 	}
-	if _, err := e.FindSPARQL(context.Background(), "SELECT nonsense"); err == nil {
-		t.Error("bad query accepted")
+}
+
+// mustParseSPARQL parses a query the way FindSPARQL's callers do.
+func mustParseSPARQL(t *testing.T, text string) *sparql.Query {
+	t.Helper()
+	q, err := sparql.Parse(text)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return q
 }
 
 func TestFindPatternParallelMatchesSerial(t *testing.T) {

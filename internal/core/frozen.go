@@ -52,8 +52,8 @@ func (e *Engine) PrefilterStats() PrefilterStats {
 }
 
 // CacheStats is what the parse-once query cache published. There is no such
-// cache: a query is parsed by whoever writes it (pattern.Compile, or
-// FindSPARQL for raw text) and the engine only scans parsed queries.
+// cache: a query is parsed by whoever writes it (pattern.Compile, or the
+// caller of FindSPARQL) and the engine only scans parsed queries.
 type CacheStats struct {
 	Hits     int64 `json:"hits"`
 	Misses   int64 `json:"misses"`

@@ -141,11 +141,8 @@ func TestFindMatchesOracle(t *testing.T) {
 		total += len(got)
 	}
 	for qi, text := range rawQueries {
-		got, err := e.FindSPARQL(ctx, text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, err := sparql.Parse(text)
+		q := mustParseSPARQL(t, text)
+		got, err := e.FindSPARQL(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,11 +168,8 @@ func TestAliasLookupExactFirst(t *testing.T) {
   ?a preduri:hasPopType "NLJOIN" .
   ?A preduri:hasPopType "TBSCAN" .
 }`
-	got, err := e.FindSPARQL(context.Background(), text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := sparql.Parse(text)
+	q := mustParseSPARQL(t, text)
+	got, err := e.FindSPARQL(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

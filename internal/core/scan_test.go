@@ -89,7 +89,7 @@ func TestWorkerPoolParallel(t *testing.T) {
 	if got, want := renderReports(pr), renderReports(sr); got != want {
 		t.Fatalf("worker pool changed KB reports:\n--- pooled ---\n%s--- serial ---\n%s", got, want)
 	}
-	q := transform.Prologue + `SELECT ?pop WHERE { ?pop preduri:hasJoinType "LEFT_OUTER" }`
+	q := mustParseSPARQL(t, transform.Prologue+`SELECT ?pop WHERE { ?pop preduri:hasJoinType "LEFT_OUTER" }`)
 	sm, err := serial.FindSPARQL(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,11 @@ func TestFindFormsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		byText, err := e.FindSPARQL(ctx, c.Query)
+		reparsed, err := sparql.Parse(c.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byText, err := e.FindSPARQL(ctx, reparsed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,11 +190,6 @@ func TestFindFormsAgree(t *testing.T) {
 			t.Errorf("%s: FindSPARQL(c.Query) and FindCompiled differ:\n%s--- vs ---\n%s", p.Name, got, want)
 		}
 		total += len(byCompiled)
-
-		reparsed, err := sparql.Parse(c.Query)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, r := range rs[:4] {
 			ex1, err1 := sparql.Explain(c.Parsed, r.Graph)
 			ex2, err2 := sparql.Explain(reparsed, r.Graph)
@@ -207,13 +206,13 @@ func TestFindFormsAgree(t *testing.T) {
 	}
 
 	for qi, text := range rawQueries {
-		got, err := e.FindSPARQL(ctx, text)
-		if err != nil {
-			t.Fatalf("raw query %d: %v", qi, err)
-		}
 		q, err := sparql.Parse(text)
 		if err != nil {
 			t.Fatal(err)
+		}
+		got, err := e.FindSPARQL(ctx, q)
+		if err != nil {
+			t.Fatalf("raw query %d: %v", qi, err)
 		}
 		n := 0
 		for _, r := range rs {

@@ -89,7 +89,7 @@ func TestLoadOrderAcrossMutations(t *testing.T) {
 	if !slices.Equal(ids, want) {
 		t.Fatalf("RunKB report order:\n got %v\nwant %v", ids, want)
 	}
-	ms, err := e.FindSPARQL(context.Background(), cancelTestQuery)
+	ms, err := e.FindSPARQL(context.Background(), mustParseSPARQL(t, cancelTestQuery))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestLoadOrderAcrossMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shimMs, err := shimmed.FindSPARQL(context.Background(), cancelTestQuery)
+	shimMs, err := shimmed.FindSPARQL(context.Background(), mustParseSPARQL(t, cancelTestQuery))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -207,7 +207,11 @@ func AblationDerivedPredicates(cfg AblationConfig) (AblationResult, error) {
 	if err != nil {
 		return AblationResult{}, err
 	}
-	m2, err := e.FindSPARQL(context.Background(), reifiedDescendantQuery)
+	reified, err := sparql.Parse(reifiedDescendantQuery)
+	if err != nil {
+		return AblationResult{}, err
+	}
+	m2, err := e.FindSPARQL(context.Background(), reified)
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -224,7 +228,7 @@ func AblationDerivedPredicates(cfg AblationConfig) (AblationResult, error) {
 		return AblationResult{}, err
 	}
 	abl, err := timeIt(cfg.Reps, func() error {
-		_, err := e.FindSPARQL(context.Background(), reifiedDescendantQuery)
+		_, err := e.FindSPARQL(context.Background(), reified)
 		return err
 	})
 	if err != nil {

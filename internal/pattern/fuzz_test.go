@@ -1,8 +1,11 @@
 package pattern
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"optimatch/internal/sparql"
 )
 
 // poisonBodies are pattern documents the binaries before Compile parsed its
@@ -19,8 +22,9 @@ var poisonBodies = []string{
 // FromJSON accepts must compile — Compile parses what it generates, so an
 // error there means Validate let through something the compiler pastes into
 // the query and the parser refuses —, must project exactly the handler
-// aliases in handler order, each unique regardless of case, and must compile
-// to the same text after a round trip through its JSON form.
+// aliases in handler order, each unique regardless of case, must parse to a
+// query the printer prints as a fixed point of Parse and String, and must
+// compile to the same text after a round trip through its JSON form.
 func FuzzCompile(f *testing.F) {
 	for _, p := range Extended() {
 		data, err := p.ToJSON()
@@ -69,6 +73,19 @@ func FuzzCompile(f *testing.F) {
 				}
 			}
 		}
+		// The text Compile emits is persisted and served as it is; what it
+		// parses to is pinned to the printer.
+		printed := c.Parsed.String()
+		back, err := sparql.Parse(printed)
+		if err != nil {
+			t.Fatalf("Parse(String()): %v\n%s", err, printed)
+		}
+		if again := back.String(); again != printed {
+			t.Fatalf("the printed query prints otherwise:\n%s\nvs\n%s", printed, again)
+		}
+		if a, b := ast(c.Parsed), ast(back); !reflect.DeepEqual(a, b) {
+			t.Fatalf("the printed query parses to another AST:\n%s\n got: %#v\nwant: %#v", printed, b, a)
+		}
 		again, err := p.ToJSON()
 		if err != nil {
 			t.Fatal(err)
@@ -85,4 +102,11 @@ func FuzzCompile(f *testing.F) {
 			t.Fatalf("query changed across a JSON round trip:\n%s\nvs\n%s", c.Query, c2.Query)
 		}
 	})
+}
+
+// ast is what Parse read into q, its prefix table and memoised analysis
+// aside.
+func ast(q *sparql.Query) sparql.Query {
+	return sparql.Query{Distinct: q.Distinct, Star: q.Star, Select: q.Select, Where: q.Where,
+		GroupBy: q.GroupBy, Having: q.Having, OrderBy: q.OrderBy, Limit: q.Limit, Offset: q.Offset}
 }

@@ -78,7 +78,7 @@ func TestStatusCodes(t *testing.T) {
 		{"unknown plan rdf", "GET", ts, "/api/plans/GHOST/rdf", "", http.StatusNotFound},
 		{"unknown kb entry delete", "DELETE", ts, "/api/kb/entries/ghost", "", http.StatusNotFound},
 		{"garbage plan", "POST", ts, "/api/plans", "not a plan", http.StatusUnprocessableEntity},
-		{"garbage sparql", "POST", ts, "/api/sparql", "nonsense", http.StatusUnprocessableEntity},
+		{"garbage sparql", "POST", ts, "/api/sparql", "nonsense", http.StatusBadRequest},
 		{"closed store upload", "POST", closedTS, "/api/plans", q2, http.StatusInternalServerError},
 		{"closed store kb delete", "DELETE", closedTS, "/api/kb/entries/loj-both-sides", "", http.StatusInternalServerError},
 	}

@@ -79,6 +79,55 @@ func TestSearchSpellingsShareEntry(t *testing.T) {
 	}
 }
 
+// TestSPARQLSpellingsShareEntry: /api/sparql is keyed on the canonical query
+// — the parsed query printed again — so every spelling of one query is one
+// cache entry, and another FILTER threshold is another. A syntax error
+// answers 400 without asking the cache.
+func TestSPARQLSpellingsShareEntry(t *testing.T) {
+	_, ts, c := cachedTestServer(t)
+	query := func(threshold string) string {
+		return "PREFIX preduri: <http://optimatch/pred/>\n" +
+			"SELECT ?pop ?card WHERE { ?pop preduri:hasPopType \"TBSCAN\" . ?pop preduri:hasEstimateCardinality ?card . FILTER(?card > " + threshold + ") }"
+	}
+	resp, first := cacheReq(t, "POST", ts.URL+"/api/sparql", query("100"), nil)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("first request: status %d, X-Cache %q, want 200 miss", resp.StatusCode, resp.Header.Get("X-Cache"))
+	}
+	if !strings.Contains(first, `"plan"`) {
+		t.Fatalf("the query matches nothing; the spellings compare empty bodies: %s", first)
+	}
+	for name, body := range map[string]string{
+		"full IRIs": `SELECT ?pop ?card WHERE { ?pop <http://optimatch/pred/hasPopType> "TBSCAN" . ` +
+			`?pop <http://optimatch/pred/hasEstimateCardinality> ?card . FILTER(?card > 100) }`,
+		"keyword case":            strings.NewReplacer("SELECT", "select", "WHERE", "Where", "FILTER", "filter", "PREFIX", "prefix").Replace(query("100")),
+		"whitespace and comments": "# the same query\n" + strings.ReplaceAll(query("100"), " ", "\n\t  # a comment\n "),
+		"$ variables":             strings.ReplaceAll(query("100"), "?", "$"),
+	} {
+		resp, got := cacheReq(t, "POST", ts.URL+"/api/sparql", body, nil)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
+			t.Errorf("%s: status %d, X-Cache %q, want 200 hit", name, resp.StatusCode, resp.Header.Get("X-Cache"))
+		}
+		if got != first {
+			t.Errorf("%s: body differs from the first response", name)
+		}
+	}
+
+	resp, _ = cacheReq(t, "POST", ts.URL+"/api/sparql", query("1000"), nil)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("another threshold: status %d, X-Cache %q, want 200 miss", resp.StatusCode, resp.Header.Get("X-Cache"))
+	}
+
+	before := c.Stats()
+	for _, body := range []string{query("100") + " }", "", " \n"} {
+		if resp, _ := cacheReq(t, "POST", ts.URL+"/api/sparql", body, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%q: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if after := c.Stats(); after.Misses != before.Misses || after.Collapsed != before.Collapsed || after.Hits != before.Hits {
+		t.Errorf("syntax errors moved the cache: %+v, then %+v", before, after)
+	}
+}
+
 // readCase names one of the four read routes and a request it answers 200.
 type readCase struct {
 	name     string

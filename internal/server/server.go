@@ -46,7 +46,6 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
-	"strings"
 	"time"
 
 	"optimatch/internal/cache"
@@ -397,17 +396,21 @@ func (s *Server) searchRoute() readRoute {
 	}
 }
 
+// sparqlRoute keys a query on its canonical text — the parsed query printed
+// again — so prefixes, keyword case, whitespace, comments and $x for ?x share
+// one entry, and a syntax error (an empty body among them) answers 400 before
+// the cache is asked.
 func (s *Server) sparqlRoute() readRoute {
 	return readRoute{
 		name: "http.sparql", contentType: "application/json", body: true,
 		parseStatus: http.StatusBadRequest, fallback: http.StatusUnprocessableEntity,
 		parse: func(_ *http.Request, body []byte) (string, renderFunc, error) {
-			query := string(body)
-			if strings.TrimSpace(query) == "" {
-				return "", nil, fmt.Errorf("empty query")
+			q, err := sparql.Parse(string(body))
+			if err != nil {
+				return "", nil, err
 			}
-			return query, func(ctx context.Context, buf *bytes.Buffer) error {
-				matches, err := s.eng.FindSPARQL(ctx, query)
+			return q.String(), func(ctx context.Context, buf *bytes.Buffer) error {
+				matches, err := s.eng.FindSPARQL(ctx, q)
 				if err != nil {
 					return err
 				}

@@ -212,7 +212,7 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`
 		t.Errorf("matches = %+v", out.Matches)
 	}
 	postBody(t, ts.URL+"/api/sparql", "", http.StatusBadRequest, nil)
-	postBody(t, ts.URL+"/api/sparql", "nonsense", http.StatusUnprocessableEntity, nil)
+	postBody(t, ts.URL+"/api/sparql", "nonsense", http.StatusBadRequest, nil)
 }
 
 func TestKBEndpoints(t *testing.T) {

@@ -10,8 +10,6 @@
 package sparql
 
 import (
-	"strings"
-
 	"optimatch/internal/rdf"
 )
 
@@ -161,48 +159,6 @@ func (InvPath) pathNode()  {}
 func (SeqPath) pathNode()  {}
 func (AltPath) pathNode()  {}
 func (ModPath) pathNode()  {}
-
-// PathString renders a path in SPARQL syntax; used for error messages and
-// query round-tripping in tests.
-func PathString(p Path) string {
-	switch p := p.(type) {
-	case PredPath:
-		return "<" + p.IRI + ">"
-	case InvPath:
-		switch p.Inner.(type) {
-		case InvPath, ModPath:
-			// `^^p` would lex as the literal datatype marker and `^p*`
-			// binds the modifier inside the inverse; group to keep the
-			// rendered text faithful to the AST.
-			return "^(" + PathString(p.Inner) + ")"
-		}
-		return "^" + PathString(p.Inner)
-	case SeqPath:
-		parts := make([]string, len(p.Parts))
-		for i, sub := range p.Parts {
-			parts[i] = PathString(sub)
-		}
-		return "(" + strings.Join(parts, "/") + ")"
-	case AltPath:
-		parts := make([]string, len(p.Alts))
-		for i, sub := range p.Alts {
-			parts[i] = PathString(sub)
-		}
-		return "(" + strings.Join(parts, "|") + ")"
-	case ModPath:
-		inner := PathString(p.Inner)
-		switch p.Inner.(type) {
-		case ModPath, InvPath:
-			// `<p>**` does not parse and `^<p>*` would re-associate the
-			// modifier under the inverse; a nested prefix/suffix operator
-			// needs grouping.
-			inner = "(" + inner + ")"
-		}
-		return inner + string(p.Mod)
-	default:
-		return "<?>"
-	}
-}
 
 // Vars returns the distinct variable names mentioned anywhere in the group,
 // in first-appearance order. Used for SELECT * expansion.

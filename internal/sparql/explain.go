@@ -13,7 +13,8 @@ import (
 // step was placed with beside what the step then cost, which filters each step
 // was handed, and where only a witness was looked for.
 type Explanation struct {
-	Rows int // rows of the result
+	Query string // the query as Query.String prints it
+	Rows  int    // rows of the result
 	// JoinRows and MatchRows are the evaluation's counters (see EvalSnapshot);
 	// the steps' Descends and Extends sum to them.
 	JoinRows, MatchRows int64
@@ -64,7 +65,7 @@ func Explain(q *Query, g *rdf.Graph) (*Explanation, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex := &Explanation{Rows: res.Len(), JoinRows: ec.joinRows, MatchRows: ec.matchRows, Blocks: make([]BlockExplanation, p.nBlks)}
+	ex := &Explanation{Query: q.String(), Rows: res.Len(), JoinRows: ec.joinRows, MatchRows: ec.matchRows, Blocks: make([]BlockExplanation, p.nBlks)}
 	for _, n := range p.required {
 		ex.Bailout = ex.Bailout || ec.consts[n] == rdf.NoID
 	}
@@ -78,13 +79,17 @@ func (ec *evalCtx) explainGroup(ex *Explanation, gp *groupProg, where string) {
 	filterText := func(i int) string {
 		f := &gp.filters[i]
 		if f.exists == nil {
-			return "FILTER(" + exprString(f.expr) + ")"
+			return printed(func(w *printer) { w.filter(f.expr) })
 		}
-		var vars []string
-		for m := f.vars; m != 0; m &= m - 1 {
-			vars = append(vars, "?"+p.vars[bits.TrailingZeros64(m)])
-		}
-		return fmt.Sprintf("%s, run as a filter on {%s}", existsLabel(f.not), strings.Join(vars, " "))
+		vars := printed(func(w *printer) {
+			for m := f.vars; m != 0; m &= m - 1 {
+				if m != f.vars {
+					w.WriteByte(' ')
+				}
+				w.variable(p.vars[bits.TrailingZeros64(m)])
+			}
+		})
+		return fmt.Sprintf("%s, run as a filter on {%s}", existsLabel(f.not), vars)
 	}
 	var handed uint64
 	lastBlock := -1
@@ -147,61 +152,33 @@ func existsLabel(not bool) string {
 
 // patternString renders a compiled triple pattern in SPARQL syntax.
 func (p *program) patternString(pat *patProg) string {
-	node := func(slot, konst int) string {
-		if slot >= 0 {
-			return "?" + p.vars[slot]
+	return printed(func(w *printer) {
+		node := func(slot, konst int) {
+			if slot >= 0 {
+				w.variable(p.vars[slot])
+			} else {
+				w.term(p.consts[konst])
+			}
 		}
-		return p.consts[konst].String()
-	}
-	pred := ""
-	switch pat.kind {
-	case patSimple:
-		pred = p.consts[pat.pConst].String()
-	case patPredVar:
-		pred = "?" + p.vars[pat.pSlot]
-	default:
-		pred = PathString(pat.path)
-	}
-	return node(pat.sSlot, pat.sConst) + " " + pred + " " + node(pat.oSlot, pat.oConst)
-}
-
-// exprString renders an expression in SPARQL syntax, fully parenthesized.
-func exprString(e Expression) string {
-	switch e := e.(type) {
-	case VarExpr:
-		return "?" + e.Name
-	case LitExpr:
-		if _, ok := e.Term.Float(); ok {
-			return e.Term.Value
+		node(pat.sSlot, pat.sConst)
+		w.WriteByte(' ')
+		switch pat.kind {
+		case patSimple:
+			w.term(p.consts[pat.pConst])
+		case patPredVar:
+			w.variable(p.vars[pat.pSlot])
+		default:
+			w.path(pat.path, pathAlt)
 		}
-		return e.Term.String()
-	case NotExpr:
-		return "!(" + exprString(e.Inner) + ")"
-	case NegExpr:
-		return "-(" + exprString(e.Inner) + ")"
-	case AndExpr:
-		return "(" + exprString(e.L) + " && " + exprString(e.R) + ")"
-	case OrExpr:
-		return "(" + exprString(e.L) + " || " + exprString(e.R) + ")"
-	case CmpExpr:
-		op := [...]string{OpEq: "=", OpNeq: "!=", OpLt: "<", OpGt: ">", OpLe: "<=", OpGe: ">="}[e.Op]
-		return exprString(e.L) + " " + op + " " + exprString(e.R)
-	case ArithExpr:
-		return "(" + exprString(e.L) + " " + string(e.Op) + " " + exprString(e.R) + ")"
-	case CallExpr:
-		args := make([]string, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = exprString(a)
-		}
-		return e.Name + "(" + strings.Join(args, ", ") + ")"
-	default:
-		return fmt.Sprintf("%v", e)
-	}
+		w.WriteByte(' ')
+		node(pat.oSlot, pat.oConst)
+	})
 }
 
 // String renders the explanation as the text `optimatch explain` prints.
 func (ex *Explanation) String() string {
 	var b strings.Builder
+	b.WriteString(ex.Query + "\n")
 	fmt.Fprintf(&b, "%d row(s), %d recursion node(s) (joinRows), %d match(es) tried (matchRows)\n", ex.Rows, ex.JoinRows, ex.MatchRows)
 	if ex.Bailout {
 		b.WriteString("a required constant is missing from the graph: the WHERE clause did not run\n")

@@ -102,7 +102,7 @@ func FuzzPathEquivalence(f *testing.F) {
 		} {
 			want := filterRef(ref, bind[0], bind[1])
 			if got := collectPath(g, p, bind[0], bind[1]); !reflect.DeepEqual(got, want) {
-				t.Fatalf("path %s bind %v: evalPath %v, reference %v", PathString(p), bind, got, want)
+				t.Fatalf("path %s bind %v: evalPath %v, reference %v", pathString(p), bind, got, want)
 			}
 			// The order guarantee holds under every binding, both endpoints
 			// unbound included: every Match shape iterates the graph's index
@@ -118,17 +118,17 @@ func FuzzPathEquivalence(f *testing.F) {
 			live := sequence(env)
 			if fresh := sequence(&pathEnv{g: g}); !reflect.DeepEqual(live, fresh) {
 				t.Fatalf("path %s bind %v: two fresh environments diverged\nfirst:  %v\nsecond: %v",
-					PathString(p), bind, live, fresh)
+					pathString(p), bind, live, fresh)
 			}
 			if replay := sequence(env); !reflect.DeepEqual(live, replay) {
 				t.Fatalf("path %s bind %v: memo replay diverged from the live BFS\nlive:   %v\nreplay: %v",
-					PathString(p), bind, live, replay)
+					pathString(p), bind, live, replay)
 			}
 		}
 
-		q, err := Parse("SELECT ?s ?o WHERE { ?s " + PathString(p) + " ?o }")
+		q, err := Parse("SELECT ?s ?o WHERE { ?s " + pathString(p) + " ?o }")
 		if err != nil {
-			t.Fatalf("Parse(%s): %v", PathString(p), err)
+			t.Fatalf("Parse(%s): %v", pathString(p), err)
 		}
 		requireEquivalent(t, q, g)
 	})
@@ -168,6 +168,20 @@ func fuzzDecodePlanGraph(triples []byte) *rdf.Graph {
 		}
 	}
 	return g
+}
+
+// fuzzPlanTriples is the fuzzDecodePlanGraph input of a graph in the shape
+// of evalTestGraph: a join over a fetch/index-scan arm and a table-scan arm.
+func fuzzPlanTriples() []byte {
+	var plan []byte
+	for _, tr := range [][3]byte{
+		{2, 0, 3}, {3, 3, 3}, {4, 2, 3}, {5, 1, 3}, // types
+		{2, 3, 4}, {5, 5, 4}, {4, 7, 4}, {2, 0, 5}, // cardinalities, join type
+		{2, 3, 0}, {2, 5, 0}, {3, 4, 0}, {2, 3, 2}, {2, 5, 1}, {3, 4, 1}, // edges
+	} {
+		plan = append(plan, tr[0]%8|tr[1]%8<<3, tr[2])
+	}
+	return plan
 }
 
 // fuzzQueryGen decodes a query from fuzz bytes, one choice per byte (zero
@@ -217,7 +231,7 @@ func (r *fuzzQueryGen) triple() string {
 		return r.nodeVar() + " pred:hasEstimateCardinality " + r.numVar()
 	case 3:
 		// Both ends may draw the same variable: the repeated-variable case.
-		return r.nodeVar() + " " + PathString(fuzzDecodePath(r.buf, &r.pos, 2, fuzzNodePreds)) + " " + r.nodeVar()
+		return r.nodeVar() + " " + pathString(fuzzDecodePath(r.buf, &r.pos, 2, fuzzNodePreds)) + " " + r.nodeVar()
 	case 4:
 		return r.nodeVar() + " " + r.use("?p") + " " + r.nodeVar()
 	case 5:
@@ -390,17 +404,8 @@ func (r *fuzzQueryGen) window() string {
 // generator; the first two thirds of the rest decode the graph, the last third
 // the generated query.
 func FuzzEvalEquivalence(f *testing.F) {
-	triple := func(s, o, pred byte) []byte { return []byte{s%8 | o%8<<3, pred} }
-	// A graph in the shape of evalTestGraph (join over a fetch/index-scan arm
-	// and a table-scan arm), padded so the generator's third has room.
-	var plan []byte
-	for _, tr := range [][3]byte{
-		{2, 0, 3}, {3, 3, 3}, {4, 2, 3}, {5, 1, 3}, // types
-		{2, 3, 4}, {5, 5, 4}, {4, 7, 4}, {2, 0, 5}, // cardinalities, join type
-		{2, 3, 0}, {2, 5, 0}, {3, 4, 0}, {2, 3, 2}, {2, 5, 1}, {3, 4, 1}, // edges
-	} {
-		plan = append(plan, triple(tr[0], tr[1], tr[2])...)
-	}
+	// The plan graph, long enough that the generator's third has room.
+	plan := fuzzPlanTriples()
 	for i := range refSeedQueries {
 		f.Add(append([]byte{byte(i)}, plan...))
 	}
@@ -452,5 +457,13 @@ func FuzzEvalEquivalence(f *testing.F) {
 		}
 		t.Log(text)
 		requireEquivalent(t, q, g)
+		printed := q.String()
+		back, err := Parse(printed)
+		if err != nil {
+			t.Fatalf("Parse(String()): %v\n%s", err, printed)
+		}
+		if got, want, _ := execBoth(back, q, g); got != want {
+			t.Fatalf("the printed query answers otherwise:\n%s\n got: %s\nwant: %s", printed, got, want)
+		}
 	})
 }

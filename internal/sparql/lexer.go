@@ -311,36 +311,37 @@ func (l *lexer) lexString(quote byte) error {
 }
 
 func (l *lexer) lexNumber() error {
-	start := l.pos
-	i := l.pos
-	for i < len(l.input) && l.input[i] >= '0' && l.input[i] <= '9' {
-		i++
-	}
-	if i < len(l.input) && l.input[i] == '.' {
-		// Only a decimal point when followed by a digit; otherwise it is the
-		// statement terminator ("FILTER(?x > 100).").
-		if i+1 < len(l.input) && l.input[i+1] >= '0' && l.input[i+1] <= '9' {
+	end := numberEnd(l.input, l.pos)
+	l.emit(tokNumber, l.input[l.pos:end])
+	l.pos = end
+	return nil
+}
+
+// numberEnd returns the end of the number token that starts at s[i], a digit:
+// digits, a decimal part, an exponent.
+func numberEnd(s string, i int) int {
+	digits := func(i int) int {
+		for i < len(s) && s[i] >= '0' && s[i] <= '9' {
 			i++
-			for i < len(l.input) && l.input[i] >= '0' && l.input[i] <= '9' {
-				i++
-			}
 		}
+		return i
 	}
-	if i < len(l.input) && (l.input[i] == 'e' || l.input[i] == 'E') {
+	i = digits(i)
+	// Only a decimal point when followed by a digit; otherwise it is the
+	// statement terminator ("FILTER(?x > 100).").
+	if i+1 < len(s) && s[i] == '.' && s[i+1] >= '0' && s[i+1] <= '9' {
+		i = digits(i + 1)
+	}
+	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
 		j := i + 1
-		if j < len(l.input) && (l.input[j] == '+' || l.input[j] == '-') {
+		if j < len(s) && (s[j] == '+' || s[j] == '-') {
 			j++
 		}
-		if j < len(l.input) && l.input[j] >= '0' && l.input[j] <= '9' {
-			for j < len(l.input) && l.input[j] >= '0' && l.input[j] <= '9' {
-				j++
-			}
-			i = j
+		if j < len(s) && s[j] >= '0' && s[j] <= '9' {
+			i = digits(j)
 		}
 	}
-	l.emit(tokNumber, l.input[start:i])
-	l.pos = i
-	return nil
+	return i
 }
 
 func (l *lexer) lexWord() error {

@@ -360,8 +360,11 @@ func (p *parser) parseTriplesSameSubject(g *GroupPattern) error {
 		return err
 	}
 	for {
-		path, err := p.parsePath()
-		if err != nil {
+		// A variable is a whole predicate, never a part of a path.
+		var path Path
+		if p.at(tokVar) {
+			path = predVarPath{name: p.next().text}
+		} else if path, err = p.parsePath(); err != nil {
 			return err
 		}
 		for {
@@ -415,7 +418,7 @@ func (p *parser) parseNodeRef(what string) (NodeRef, error) {
 			return NodeRef{}, err
 		}
 		p.blankSeq++
-		return VarRef(fmt.Sprintf("!anon%d", p.blankSeq)), nil
+		return VarRef(fmt.Sprintf("%s%d", anonVarPrefix, p.blankSeq)), nil
 	case tokString:
 		p.next()
 		lit := rdf.String(t.text)
@@ -461,13 +464,20 @@ func (p *parser) parseNodeRef(what string) (NodeRef, error) {
 	return NodeRef{}, p.errf("expected %s, found %q", what, t.text)
 }
 
+// The variables blank nodes stand for: _:b is blankVarPrefix+"b", the n-th []
+// of the query anonVarPrefix+"n". A query cannot spell either as ?name.
+const (
+	blankVarPrefix = "!blank_"
+	anonVarPrefix  = "!anon"
+)
+
 // blankVar maps a blank node label used in the query to a stable internal
 // variable name (blank nodes in queries behave as non-projectable variables).
 func (p *parser) blankVar(label string) string {
 	if v, ok := p.blankVars[label]; ok {
 		return v
 	}
-	v := "!blank_" + label
+	v := blankVarPrefix + label
 	p.blankVars[label] = v
 	return v
 }
@@ -584,11 +594,6 @@ func (p *parser) parsePathPrimary() (Path, error) {
 	case tokA:
 		p.next()
 		return PredPath{IRI: RDFType}, nil
-	case tokVar:
-		// A variable in the predicate position is a degenerate "path": we
-		// model it as a special marker handled by the evaluator.
-		p.next()
-		return predVarPath{name: t.text}, nil
 	case tokLParen:
 		p.next()
 		inner, err := p.parsePath()
@@ -604,8 +609,9 @@ func (p *parser) parsePathPrimary() (Path, error) {
 	}
 }
 
-// predVarPath is a variable used in the predicate position (e.g. SELECT all
-// properties of an operator). It is unexported: only the evaluator needs it.
+// predVarPath is a variable used as the predicate (e.g. SELECT all
+// properties of an operator): a degenerate "path" the evaluator handles
+// itself. It is unexported: only the evaluator needs it.
 type predVarPath struct{ name string }
 
 func (predVarPath) pathNode() {}

@@ -252,6 +252,12 @@ func TestParseErrors(t *testing.T) {
 		`SELECT ?s WHERE { ?s <p> "unterminated }`,
 		`SELECT ?s WHERE { ?s <p> ?o . FILTER(NOSUCHFN(?o)) }`,
 		`SELECT ?s WHERE { ?s <p> ?o . FILTER(REGEX(?o)) }`, // arity
+		// A variable is a whole predicate, never part of a path.
+		`SELECT ?s WHERE { ?s ?p+ ?o }`,
+		`SELECT ?s WHERE { ?s ^?p ?o }`,
+		`SELECT ?s WHERE { ?s ?p/<q> ?o }`,
+		`SELECT ?s WHERE { ?s <q>|?p ?o }`,
+		`SELECT ?s WHERE { ?s (?p) ?o }`,
 	}
 	for _, in := range bad {
 		if _, err := Parse(in); err == nil {
@@ -260,13 +266,25 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestPathString pins the printer's path text: full IRIs, and parentheses
+// only where the parser would otherwise build another tree.
 func TestPathString(t *testing.T) {
-	q := mustParse(t, `PREFIX p: <urn:> SELECT ?a WHERE { ?a (p:x/p:y)+|^p:z ?b }`)
-	tp := q.Where.Elems[0].(TriplePattern)
-	s := PathString(tp.P)
-	for _, want := range []string{"urn:x", "urn:y", "urn:z", "+", "^", "|"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("PathString %q missing %q", s, want)
+	for _, c := range []struct{ in, want string }{
+		{`(p:x/p:y)+|^p:z`, `(<urn:x>/<urn:y>)+|^<urn:z>`},
+		{`^(^p:x)`, `^(^<urn:x>)`},
+		{`(p:x*)+`, `(<urn:x>*)+`},
+		{`(^p:x)*`, `(^<urn:x>)*`},
+		{`^p:x*`, `^<urn:x>*`},
+		{`^(p:x*)`, `^<urn:x>*`},
+		{`(p:x/p:y)/p:z`, `(<urn:x>/<urn:y>)/<urn:z>`},
+		{`p:x/(p:y/p:z)`, `<urn:x>/(<urn:y>/<urn:z>)`},
+		{`(p:x|p:y)/p:z|a`, `(<urn:x>|<urn:y>)/<urn:z>|<` + RDFType + `>`},
+		{`p:x|(p:y|p:z)`, `<urn:x>|(<urn:y>|<urn:z>)`},
+		{`^(p:x/p:y)?`, `^(<urn:x>/<urn:y>)?`},
+	} {
+		q := mustParse(t, `PREFIX p: <urn:> SELECT ?a WHERE { ?a `+c.in+` ?b }`)
+		if got := pathString(q.Where.Elems[0].(TriplePattern).P); got != c.want {
+			t.Errorf("%s prints as %s, want %s", c.in, got, c.want)
 		}
 	}
 }

@@ -357,7 +357,7 @@ func (env *pathEnv) closureSet(inner Path, start rdf.ID, backward bool) *closure
 	if iri, inverted, ok := basePred(inner); ok {
 		key.path, key.simple, key.inverted = iri, true, inverted
 	} else {
-		key.path = PathString(inner)
+		key.path = pathString(inner)
 	}
 	if set, ok := env.memo[key]; ok {
 		env.stats.MemoHits++

@@ -218,22 +218,22 @@ func TestPathAgainstReferenceProperty(t *testing.T) {
 
 		// Unbound-unbound.
 		if !reflect.DeepEqual(collectPath(g, p, rdf.NoID, rdf.NoID), filterRef(ref, rdf.NoID, rdf.NoID)) {
-			t.Logf("seed %d path %s: unbound mismatch", seed, PathString(p))
+			t.Logf("seed %d path %s: unbound mismatch", seed, pathString(p))
 			return false
 		}
 		if len(nodes) == 0 {
 			return true
 		}
 		if !reflect.DeepEqual(collectPath(g, p, s, rdf.NoID), filterRef(ref, s, rdf.NoID)) {
-			t.Logf("seed %d path %s: s-bound mismatch", seed, PathString(p))
+			t.Logf("seed %d path %s: s-bound mismatch", seed, pathString(p))
 			return false
 		}
 		if !reflect.DeepEqual(collectPath(g, p, rdf.NoID, o), filterRef(ref, rdf.NoID, o)) {
-			t.Logf("seed %d path %s: o-bound mismatch", seed, PathString(p))
+			t.Logf("seed %d path %s: o-bound mismatch", seed, pathString(p))
 			return false
 		}
 		if !reflect.DeepEqual(collectPath(g, p, s, o), filterRef(ref, s, o)) {
-			t.Logf("seed %d path %s: both-bound mismatch", seed, PathString(p))
+			t.Logf("seed %d path %s: both-bound mismatch", seed, pathString(p))
 			return false
 		}
 		return true
@@ -271,10 +271,10 @@ func TestPathEarlyStop(t *testing.T) {
 			return calls < 2
 		})
 		if stopped {
-			t.Errorf("path %s: early stop not propagated", PathString(p))
+			t.Errorf("path %s: early stop not propagated", pathString(p))
 		}
 		if calls != 2 {
-			t.Errorf("path %s: %d calls after stop, want 2", PathString(p), calls)
+			t.Errorf("path %s: %d calls after stop, want 2", pathString(p), calls)
 		}
 	}
 }

@@ -115,6 +115,13 @@ func NewPatternBuilder(name, description string) *PatternBuilder {
 // ParsePatternJSON decodes a pattern from its JSON (Figure 5) form.
 func ParsePatternJSON(data []byte) (*Pattern, error) { return pattern.FromJSON(data) }
 
+// SPARQLQuery is a parsed SPARQL SELECT query; String prints it back as
+// SPARQL text in full IRIs, the same for every spelling of the query.
+type SPARQLQuery = sparql.Query
+
+// ParseSPARQL parses a SPARQL SELECT query for Engine.FindSPARQL.
+func ParseSPARQL(text string) (*SPARQLQuery, error) { return sparql.Parse(text) }
+
 // CompilePattern translates a pattern into an executable SPARQL query
 // through handlers (the paper's Algorithm 2 / Figure 6).
 func CompilePattern(p *Pattern) (*CompiledPattern, error) { return pattern.Compile(p) }
