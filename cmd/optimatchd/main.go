@@ -22,7 +22,9 @@
 // Workload-scale ingest goes through POST /api/plans:batch (NDJSON, one plan
 // per line, bounded by -batch-max-records/-batch-max-bytes): the whole batch
 // is one WAL record, one fsync and one result-cache invalidation, with a
-// per-record outcome report. -load is ingested the same way, in batches under
+// per-record outcome report. A body over -batch-max-bytes answers 413; a plan
+// larger than that bound goes through POST /api/plans, whose own bound is
+// 16 MiB. -load is ingested the same way, in batches under
 // the same two bounds: a directory of N plans costs ⌈N/1024⌉ fsyncs at the
 // defaults, and plans the store already holds are skipped.
 //

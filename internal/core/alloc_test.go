@@ -15,9 +15,9 @@ import (
 	"optimatch/internal/workload"
 )
 
-// variantKB builds n pattern-A variants the way the root bench_test.go's
-// benchVariantKB does, with a threshold of its own per entry: n entries are n
-// distinct query texts.
+// variantKB builds n pattern-A variants the way Figure 11's variant knowledge
+// base (internal/experiments) builds its pattern-A entries, with a threshold
+// of its own per entry: n entries are n distinct query texts.
 func variantKB(t *testing.T, n int) *kb.KnowledgeBase {
 	t.Helper()
 	k := kb.New()

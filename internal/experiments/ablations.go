@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"optimatch/internal/core"
@@ -264,5 +263,3 @@ func maxInt(a, b int) int {
 	}
 	return b
 }
-
-var _ = strings.TrimSpace

@@ -10,9 +10,10 @@
 // plus three ablation studies for design choices called out in DESIGN.md
 // (triple-store indexes, BGP join reordering, derived closure predicates).
 //
-// Every experiment takes a Scale knob so the same code serves the full
-// reproduction (cmd/experiments), the Go benchmarks (bench_test.go) and the
-// unit tests.
+// Each figure, the study and the ablations take a config of their own
+// (Fig9Config … AblationConfig) whose zero value is the full-scale run: the
+// reproduction (cmd/experiments -all) runs the defaults, -quick and the unit
+// tests shrink them. The system itself is measured by bench/, not here.
 package experiments
 
 import (

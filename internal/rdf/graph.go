@@ -308,7 +308,8 @@ func (g *Graph) Count(s, p, o ID) int {
 
 // MatchScan is a deliberately unindexed matcher with the same contract as
 // Match: a filtered scan of the insertion log. It is the reference the index
-// is tested against and the baseline of the index ablation benchmark.
+// is tested against and the baseline of the index ablation
+// (experiments.AblationIndexes, cmd/experiments -ablations).
 func (g *Graph) MatchScan(s, p, o ID, fn func(s, p, o ID) bool) {
 	for _, t := range g.triples() {
 		if (s == NoID || t[0] == s) && (p == NoID || t[1] == p) && (o == NoID || t[2] == o) {

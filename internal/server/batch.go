@@ -6,8 +6,8 @@
 // data-generation bump, so the result cache invalidates once per batch
 // instead of once per plan. The response reports a per-record outcome; the
 // overall status is 201 when every record loaded, 207 on mixed outcomes,
-// 422 when every record was rejected, and 400 for malformed framing (empty
-// batch, too many records, oversized body).
+// 422 when every record was rejected, 400 for malformed framing (empty batch,
+// too many records) and 413 for a body over the batch byte bound.
 package server
 
 import (
@@ -31,8 +31,10 @@ const (
 )
 
 // WithBatchLimits bounds POST /api/plans:batch: at most maxRecords NDJSON
-// records and maxBytes of request body per batch. Non-positive values keep
-// the defaults.
+// records and maxBytes of request body per batch. A body of maxBytes is read,
+// one byte more answers 413, whatever WithMaxBody says (that bounds the
+// other routes). A plan whose record alone exceeds maxBytes goes through
+// POST /api/plans. Non-positive values keep the defaults.
 func WithBatchLimits(maxRecords int, maxBytes int64) Option {
 	return func(s *Server) {
 		if maxRecords > 0 {
@@ -105,11 +107,7 @@ func batchLine(line []byte) (string, error) {
 }
 
 func (s *Server) handleBatchUpload(w http.ResponseWriter, r *http.Request) {
-	limit := s.batchMaxBytes
-	if s.maxBody > limit {
-		limit = s.maxBody // a per-plan limit raised with WithMaxBody (optimatchd has no flag for it) holds for batches too
-	}
-	body, ok := readBody(w, r, limit)
+	body, ok := readBody(w, r, s.batchMaxBytes)
 	if !ok {
 		return
 	}

@@ -164,6 +164,51 @@ func TestBatchUploadFraming400(t *testing.T) {
 	}
 }
 
+// TestBatchUploadByteBound pins the batch body bound at its boundary: a body
+// of exactly the bound is handled, one byte more answers 413 and loads
+// nothing — even though the single-plan bound (WithMaxBody, 16 MiB by
+// default) is larger — and a plan too large for the batch bound loads through
+// POST /api/plans.
+func TestBatchUploadByteBound(t *testing.T) {
+	var small, big string
+	for _, p := range fixtures.All() {
+		text := qep.Text(p)
+		if small == "" || len(text) < len(small) {
+			small = text
+		}
+		if len(text) > len(big) {
+			big = text
+		}
+	}
+	body := ndjson(t, small)
+	bound := int64(len(body))
+	if int64(len(big)) <= bound {
+		t.Fatalf("largest fixture (%d B) fits the %d B bound: no plan to send through POST /api/plans", len(big), bound)
+	}
+	eng := core.New()
+	s := New(eng, nil, WithBatchLimits(0, bound), WithMaxBody(4*bound))
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	if resp, br := postBatch(t, ts.URL, body+"\n"); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body of bound+1 = %d B: status = %d (%+v), want 413", bound+1, resp.StatusCode, br)
+	}
+	if got := eng.NumPlans(); got != 0 {
+		t.Fatalf("a refused batch loaded %d plans", got)
+	}
+	if resp, br := postBatch(t, ts.URL, body); resp.StatusCode != http.StatusCreated || br.Accepted != 1 {
+		t.Fatalf("body of exactly the bound = %d B: status = %d accepted = %d, want 201 / 1", bound, resp.StatusCode, br.Accepted)
+	}
+	resp, err := http.Post(ts.URL+"/api/plans", "text/plain", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /api/plans of a %d B plan: status = %d, want 201", len(big), resp.StatusCode)
+	}
+}
+
 // TestBatchUploadObjectRecords: the {"text": ...} record form loads like the
 // bare-string form.
 func TestBatchUploadObjectRecords(t *testing.T) {

@@ -33,8 +33,9 @@ type ExecOptions struct {
 // context's done channel. The channel poll is a few nanoseconds, but the
 // binding loops run tens of millions of iterations on pathological queries,
 // so amortizing it keeps the measured overhead of cancellation support under
-// the noise floor of BenchmarkFigure8KBScan while still bounding the
-// reaction latency to a few hundred cheap iterations.
+// the noise floor of a knowledge-base scan (the kb_scan_cold workload of
+// bench/) while still bounding the reaction latency to a few hundred cheap
+// iterations.
 const cancelStride = 256
 
 // canceller is the cooperative cancellation checkpoint shared by every loop

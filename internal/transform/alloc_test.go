@@ -17,7 +17,8 @@ import (
 // with a tenth of headroom. transformReference on the same plan measures 1.02
 // and 296 (a term built per use, the dictionary and the log grown by
 // doubling); the Transform it was copied from, which also kept every triple
-// in a set, 1.23 and 382 over the hundred plans of BenchmarkTransform.
+// in a set, 1.23 and 382 over a hundred plans of Figure 9's workload (the
+// per-plan cost today is transform.us_per_plan of bench/).
 func TestAllocBudgetTransform(t *testing.T) {
 	const allocsPerTriple, bytesPerTriple = 0.95, 240
 	w, err := workload.Generate(workload.Config{Seed: 19, NumPlans: 1, MinOps: 120, MaxOps: 120})
