@@ -18,6 +18,8 @@ package cache
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -73,14 +75,15 @@ type Result struct {
 }
 
 // flight is one in-progress execution that concurrent identical requests
-// collapse onto. waiters is guarded by the cache mutex; body/err are written
-// before done is closed and read only after it.
+// collapse onto. waiters is guarded by the cache mutex; body/err/panicked are
+// written before done is closed and read only after it.
 type flight struct {
-	done    chan struct{}
-	body    []byte
-	err     error
-	waiters int
-	cancel  context.CancelFunc
+	done     chan struct{}
+	body     []byte
+	err      error
+	panicked string // fn's panic with its stack; empty if fn returned
+	waiters  int
+	cancel   context.CancelFunc
 }
 
 // Cache is a byte-bounded, generation-keyed result cache with singleflight
@@ -142,7 +145,8 @@ func Bypassed(ctx context.Context) bool {
 // waiter is individually released by its own ctx. Results are stored only
 // when fn succeeded (a cancelled or deadline-exceeded execution returns a
 // context error and is never cached), did not set NoStore, and fits the
-// byte budget on its own.
+// byte budget on its own. A function that panics stores nothing, and every
+// caller waiting on it panics in turn, on its own goroutine.
 func (c *Cache) Do(ctx context.Context, key string, fn func(context.Context) (Result, error)) ([]byte, Outcome, error) {
 	if c == nil || Bypassed(ctx) {
 		res, err := fn(ctx)
@@ -169,10 +173,21 @@ func (c *Cache) Do(ctx context.Context, key string, fn func(context.Context) (Re
 	return c.wait(ctx, key, f, Miss)
 }
 
-// run executes one flight and publishes its result.
+// run executes one flight and publishes its result. It recovers a panic of
+// fn, which on this goroutine would end the process, and hands it to the
+// waiters.
 func (c *Cache) run(key string, f *flight, fctx context.Context, fn func(context.Context) (Result, error)) {
 	defer f.cancel()
-	res, err := fn(fctx)
+	var res Result
+	var err error
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				f.panicked = fmt.Sprintf("%v\n\n%s", r, debug.Stack())
+			}
+		}()
+		res, err = fn(fctx)
+	}()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -182,7 +197,7 @@ func (c *Cache) run(key string, f *flight, fctx context.Context, fn func(context
 		delete(c.flights, key)
 	}
 	f.body, f.err = res.Body, err
-	if err == nil {
+	if err == nil && f.panicked == "" {
 		// An entry that alone exceeds the budget is rejected outright
 		// instead of flushing the whole cache on its way through the LRU.
 		size := int64(len(res.Body)) + int64(len(key)) + entryOverhead
@@ -205,7 +220,7 @@ func (c *Cache) run(key string, f *flight, fctx context.Context, fn func(context
 func (c *Cache) wait(ctx context.Context, key string, f *flight, oc Outcome) ([]byte, Outcome, error) {
 	select {
 	case <-f.done:
-		return f.body, oc, f.err
+		return f.result(oc)
 	case <-ctx.Done():
 		c.mu.Lock()
 		select {
@@ -213,7 +228,7 @@ func (c *Cache) wait(ctx context.Context, key string, f *flight, oc Outcome) ([]
 			// Completed between ctx firing and taking the lock: the result
 			// is real, deliver it.
 			c.mu.Unlock()
-			return f.body, oc, f.err
+			return f.result(oc)
 		default:
 		}
 		f.waiters--
@@ -226,6 +241,14 @@ func (c *Cache) wait(ctx context.Context, key string, f *flight, oc Outcome) ([]
 		c.mu.Unlock()
 		return nil, oc, ctx.Err()
 	}
+}
+
+// result delivers a completed flight to one waiter, re-raising fn's panic.
+func (f *flight) result(oc Outcome) ([]byte, Outcome, error) {
+	if f.panicked != "" {
+		panic(f.panicked)
+	}
+	return f.body, oc, f.err
 }
 
 // Stats is a point-in-time snapshot of the cache counters, served under

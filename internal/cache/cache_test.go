@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -216,6 +217,51 @@ func TestSingleflightCollapse(t *testing.T) {
 	}
 	if st := c.Stats(); st.Collapsed != n-1 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestDoPanicReachesEveryWaiter: a function that panics on the flight's
+// goroutine does not end the process. The caller that started the flight and
+// a collapsed waiter each panic on their own goroutine, nothing is stored,
+// and the next Do on the key executes again.
+func TestDoPanicReachesEveryWaiter(t *testing.T) {
+	c := New(Config{MaxBytes: 1 << 20})
+	release := make(chan struct{})
+	recovered := make([]any, 2)
+	var wg sync.WaitGroup
+	for i := range recovered {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { recovered[i] = recover() }()
+			c.Do(context.Background(), "k", func(context.Context) (Result, error) {
+				<-release
+				panic("render broke")
+			})
+		}()
+	}
+	for {
+		c.mu.Lock()
+		f := c.flights["k"]
+		ready := f != nil && f.waiters == 2
+		c.mu.Unlock()
+		if ready {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	for i, r := range recovered {
+		if msg, _ := r.(string); !strings.Contains(msg, "render broke") || !strings.Contains(msg, "TestDoPanicReachesEveryWaiter") {
+			t.Errorf("caller %d recovered %v, want the panic with the flight's stack", i, r)
+		}
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Collapsed != 1 || st.Entries != 0 || st.Rejected != 0 {
+		t.Errorf("stats after the panic = %+v", st)
+	}
+	if v, oc, err := doVal(c, context.Background(), "k", "again"); err != nil || v != "again" || oc != Miss {
+		t.Errorf("Do after the panic = (%q, %v, %v), want a fresh execution", v, oc, err)
 	}
 }
 

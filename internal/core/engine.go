@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -279,7 +280,10 @@ func (e *Engine) Publish(b *Staged) error {
 // goroutine, none spawned. It is the engine's one pool: batch loads prepare
 // their plans on it, store recovery decodes its log records on it, and scans
 // fan out over it through forEachPlan, which adds the context check — so one
-// setting bounds all three.
+// setting bounds all three. A task that panics stops its worker, and the
+// others take no further task; once all have stopped, Parallel panics on the
+// calling goroutine with the first panic and its worker's stack, where a
+// recover of the caller's, such as net/http's per-request one, reaches it.
 func (e *Engine) Parallel(n int, task func(i int)) {
 	workers := min(e.workers, n)
 	if workers <= 1 {
@@ -289,17 +293,27 @@ func (e *Engine) Parallel(n int, task func(i int)) {
 		return
 	}
 	var next atomic.Int64
+	var panicked atomic.Value // the first task panic, as text with its stack
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.CompareAndSwap(nil, fmt.Sprintf("%v\n\n%s", r, debug.Stack()))
+					next.Store(int64(n))
+				}
+			}()
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				task(i)
 			}
 		}()
 	}
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(p)
+	}
 }
 
 // LoadText parses explain text and registers the plan.

@@ -180,6 +180,38 @@ func TestParallelBound(t *testing.T) {
 	New().Parallel(0, func(int) { t.Error("task run for n = 0") })
 }
 
+// A task that panics on a worker goroutine does not end the process:
+// Parallel waits until no task is running and panics on its caller with the
+// task's panic, and with more than one worker the worker's stack.
+func TestParallelRepanicsOnCaller(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		e := New(WithWorkers(workers))
+		var running atomic.Int64
+		var recovered any
+		func() {
+			defer func() { recovered = recover() }()
+			e.Parallel(64, func(i int) {
+				running.Add(1)
+				defer running.Add(-1)
+				if i == 5 {
+					panic("task 5 broke")
+				}
+				runtime.Gosched()
+			})
+		}()
+		msg := fmt.Sprint(recovered)
+		if !strings.Contains(msg, "task 5 broke") {
+			t.Fatalf("workers=%d: recovered %v, want the task's panic", workers, recovered)
+		}
+		if workers > 1 && !strings.Contains(msg, "TestParallelRepanicsOnCaller") {
+			t.Errorf("workers=%d: the panic lacks the worker's stack:\n%s", workers, msg)
+		}
+		if n := running.Load(); n != 0 {
+			t.Errorf("workers=%d: %d tasks still running when Parallel panicked", workers, n)
+		}
+	}
+}
+
 func TestFindPatternAcrossWorkload(t *testing.T) {
 	e := engineWithFixtures(t)
 	matches, err := e.FindPattern(context.Background(), pattern.A())

@@ -43,9 +43,8 @@ type PrefilterStats struct {
 
 // PrefilterStats is a view of EvalStats: the pairs the prefilter used to
 // probe are the pairs the evaluator now executes, and the pairs it used to
-// skip are exactly the ones the evaluator bails out of, so /api/stats'
-// "prefilter" group and the benchmark's core.prefilter_skip_ratio keep their
-// values.
+// skip are exactly the ones the evaluator bails out of, so the benchmark's
+// core.prefilter_skip_ratio keeps its value.
 func (e *Engine) PrefilterStats() PrefilterStats {
 	ev := e.EvalStats()
 	return PrefilterStats{Probed: ev.Specialized, Skipped: ev.ConstantBailouts}
@@ -62,6 +61,6 @@ type CacheStats struct {
 	Capacity int   `json:"capacity"`
 }
 
-// CacheStats returns zeros, which keeps /api/stats' "queryCache" group in its
-// shape and the benchmark's core.query_cache_hit_ratio at 0.
+// CacheStats returns zeros, which keeps the benchmark's
+// core.query_cache_hit_ratio at 0.
 func (e *Engine) CacheStats() CacheStats { return CacheStats{} }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -53,8 +54,18 @@ func TestFigure10SmallScale(t *testing.T) {
 			t.Errorf("mean ops not increasing: %v", res.MeanOps)
 		}
 	}
-	if !strings.Contains(res.Table().String(), "LOLEPOP") {
+	table := res.Table()
+	if !strings.Contains(table.String(), "LOLEPOP") {
 		t.Error("table malformed")
+	}
+	// Per-plan times are microseconds: a slope printed to a fixed number of
+	// decimals, or fitted on times cut to whole microseconds, reads 0.
+	for _, note := range table.Notes[:len(res.Patterns)] {
+		_, slope, _ := strings.Cut(note, "slope = ")
+		slope, _, _ = strings.Cut(slope, " ms/op")
+		if v, err := strconv.ParseFloat(slope, 64); err != nil || v == 0 {
+			t.Errorf("note %q: want a non-zero slope", note)
+		}
 	}
 }
 

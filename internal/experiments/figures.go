@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"optimatch/internal/qep"
 	"optimatch/internal/stats"
 	"optimatch/internal/textsearch"
 	"optimatch/internal/transform"
@@ -238,7 +237,7 @@ func Figure10(cfg Fig10Config) (*Fig10Result, error) {
 	for pi := range names {
 		ys := make([]float64, len(res.MeanOps))
 		for i, d := range res.PerPlan[pi] {
-			ys[i] = float64(d.Microseconds()) / 1000.0
+			ys[i] = float64(d) / float64(time.Millisecond)
 		}
 		res.Fits = append(res.Fits, stats.LinearFit(res.MeanOps, ys))
 	}
@@ -262,7 +261,7 @@ func (r *Fig10Result) Table() *Table {
 		t.Rows = append(t.Rows, row)
 	}
 	for pi, p := range r.Patterns {
-		t.Notes = append(t.Notes, fmt.Sprintf("%s: linear fit R^2 = %.3f, slope = %.4f ms/op",
+		t.Notes = append(t.Notes, fmt.Sprintf("%s: linear fit R^2 = %.3f, slope = %.3g ms/op",
 			p, r.Fits[pi].R2, r.Fits[pi].Slope))
 	}
 	t.Notes = append(t.Notes, "buckets 250-500 are empty: the workload is bimodal, as in the paper")
@@ -549,5 +548,3 @@ func (r *Fig12Result) PrecisionTable() *Table {
 	)
 	return t
 }
-
-var _ = qep.FormatNum // keep qep linked for doc references

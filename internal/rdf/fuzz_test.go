@@ -11,17 +11,19 @@ import (
 
 // FuzzGraphIndex is a differential fuzz test for the graph's index. The input
 // drives a sequence of Adds (duplicates included — the graph drops them when
-// it builds its index, the test when it logs them), interleaved reads, terms
-// interned without a triple, and a Freeze at whatever point the bytes put it;
-// the test keeps its own insertion log and, at every read, compares every
-// Match shape (the exact documented sequence, not only the set), Count,
-// HasIDs, the adjacency accessors, NodeIDs, Len and Triples with scans of
-// that log — and the numeric column with Term.Float of every term, the
-// statistics of every predicate with a pass over the log. After the Freeze
-// every Add and Intern must panic and change nothing. At the end the graph is
-// written as N-Triples — by WriteNTriples and by the line-sorting writer it
-// replaced, which must agree — and read back: the loaded graph must pass the
-// same checks and give every predicate the same statistics.
+// it builds its index, the test when it logs them), terms interned without a
+// triple, reads and a Freeze at whatever points the bytes put them; the test
+// keeps its own insertion log and, at every read, compares every Match shape
+// (the exact documented sequence, not only the set), Count, HasIDs, the
+// adjacency accessors, NodeIDs, Len and Triples with scans of that log — and
+// the numeric column with Term.Float of every term, the statistics of every
+// predicate with a pass over the log. The first read freezes the graph as
+// Freeze does: after either, every Add, AddIDs, Intern and InternFloat must
+// panic and change neither the dictionary nor the triples, and at the end of
+// every input each of the four is tried once more. Then the graph is written
+// as N-Triples — by WriteNTriples and by the line-sorting writer it replaced,
+// which must agree — and read back: the loaded graph must pass the same
+// checks and give every predicate the same statistics.
 //
 // Ops, one byte each: b%8 in 0..4 adds the triple named by the next three
 // bytes, 5 reads, 6 interns the term named by the next byte, 7 freezes. All
@@ -37,32 +39,28 @@ func FuzzGraphIndex(f *testing.F) {
 		}
 		return in
 	}
-	f.Add([]byte{})                                   // empty graph
-	f.Add([]byte{5, 7, 5})                            // empty graph, read, frozen, read
-	f.Add(add(1, 2, 3))                               // one triple
-	f.Add(append(add(1, 2, 3), 6, 9, 5))              // a term interned but used in no triple: ID past the last offset
-	f.Add(append(bucket(16), 5, 7))                   // an (s,p) bucket of 16 ...
-	f.Add(append(bucket(17), 5, 7))                   // ... and of 17, either side of the old set-probe threshold
-	f.Add(append(add(4, 2, 4), 5))                    // a self-loop
-	f.Add(append(add(1, 2, 3), add(2, 2, 1)...))      // a predicate that is also a subject (and its own predicate)
-	f.Add(append(add(1, 2, 3), add(1, 2, 3)...))      // a duplicate
-	again := append(add(1, 2, 3), 5)                  // one triple added again after every read, around a second one,
-	again = append(append(again, add(1, 2, 3)...), 5) // and once more before the Freeze: the index build drops each
+	f.Add([]byte{})                                // empty graph
+	f.Add([]byte{5, 7, 5})                         // empty graph, read, frozen, read
+	f.Add(add(1, 2, 3))                            // one triple
+	f.Add(append(add(1, 2, 3), 6, 9, 5))           // a term interned but used in no triple: ID past the last offset
+	f.Add(append(bucket(16), 5, 7))                // an (s,p) bucket of 16 ...
+	f.Add(append(bucket(17), 5, 7))                // ... and of 17, either side of the old set-probe threshold
+	f.Add(append(add(4, 2, 4), 5))                 // a self-loop
+	f.Add(append(add(1, 2, 3), add(2, 2, 1)...))   // a predicate that is also a subject (and its own predicate)
+	f.Add(append(add(1, 2, 3), add(1, 2, 3)...))   // a duplicate
+	again := append(add(1, 2, 3), add(1, 2, 3)...) // one triple added twice, a second one, the first once more:
 	again = append(append(again, add(4, 2, 3)...), add(1, 2, 3)...)
-	f.Add(append(append(again, 5), append(add(1, 2, 3), 7, 5)...))
-	f.Add(append(append(add(1, 2, 3), 5), add(3, 2, 1)...)) // a read, then an Add that discards the index
+	f.Add(append(again, 7, 5))                              // the index build drops each later occurrence
+	f.Add(append(append(add(1, 2, 3), 5), add(3, 2, 1)...)) // a read, then an Add: refused, as after a Freeze
 	f.Add(append(append(add(1, 2, 3), 7), add(3, 2, 1)...)) // an Add after Freeze
 	var lits []byte                                         // one predicate over every literal, another over the numbers that are not NaN, a third over an IRI
 	for i := 0; i < len(fuzzLiterals); i++ {
 		lits = append(lits, add(byte(i), 2, byte(24+i))...)
 	}
 	f.Add(append(append(lits, add(1, 3, 25)...), append(add(1, 3, 30), add(1, 4, 5)...)...))
-	var nums []byte // every number through InternFloat, a read in the middle, one of them twice, one also as a literal
+	var nums []byte // every number through InternFloat, one of them twice, one also as a literal; a term interned, a read, and an InternFloat refused
 	for i := 0; i < len(fuzzFloats); i++ {
 		nums = append(nums, add(byte(i), 2, byte(32+i))...)
-		if i == 3 {
-			nums = append(nums, 5)
-		}
 	}
 	f.Add(append(append(nums, add(9, 2, 32)...), append(add(9, 3, 30), 6, 36, 5, 6, 37)...))
 
@@ -95,13 +93,11 @@ func FuzzGraphIndex(f *testing.F) {
 				}
 				s, p := term(data[i+1]), term(data[i+2])
 				i += 3
-				if frozen {
-					terms := g.Dict().Len()
-					if !panics(func() { g.Add(s, p, object(data[i])) }) {
-						t.Fatalf("Add(%v, %v, object %d) on a frozen graph did not panic", s, p, data[i])
-					}
-					if g.Dict().Len() != terms {
-						t.Fatal("a refused Add interned a term")
+				if o := data[i]; frozen {
+					if o%2 == 0 {
+						mustRefuse(t, g, "AddIDs", func() { g.AddIDs(g.MaxID(), g.MaxID(), g.MaxID()) })
+					} else {
+						mustRefuse(t, g, "Add", func() { g.Add(s, p, object(o)) })
 					}
 					continue
 				}
@@ -118,15 +114,14 @@ func FuzzGraphIndex(f *testing.F) {
 				}
 			case op == 5:
 				checkAgainstLog(t, g, log)
+				frozen = true
 			case op == 6:
 				if i+1 >= len(data) {
 					break
 				}
 				i++
-				if terms := g.Dict().Len(); frozen {
-					if !panics(func() { g.Intern(object(data[i])) }) || g.Dict().Len() != terms {
-						t.Fatalf("Intern of object %d on a frozen graph did not panic, or interned", data[i])
-					}
+				if o := data[i]; frozen {
+					mustRefuse(t, g, "Intern", func() { g.Intern(object(o)) })
 					continue
 				}
 				g.Intern(object(data[i]))
@@ -136,6 +131,10 @@ func FuzzGraphIndex(f *testing.F) {
 			}
 		}
 		checkAgainstLog(t, g, log)
+		mustRefuse(t, g, "Add", func() { g.Add(IRI("urn:fresh"), term(0), term(1)) })
+		mustRefuse(t, g, "AddIDs", func() { g.AddIDs(g.MaxID(), g.MaxID(), g.MaxID()) })
+		mustRefuse(t, g, "Intern", func() { g.Intern(IRI("urn:fresh")) })
+		mustRefuse(t, g, "InternFloat", func() { g.InternFloat(42.5) })
 
 		var nt, ref bytes.Buffer
 		if err := WriteNTriples(&nt, g); err != nil {
@@ -171,6 +170,24 @@ func FuzzGraphIndex(f *testing.F) {
 			}
 		}
 	})
+}
+
+// mustRefuse fails the test unless mutate panics as a frozen graph does and
+// leaves g's dictionary and triples as they were.
+func mustRefuse(t *testing.T, g *Graph, what string, mutate func()) {
+	t.Helper()
+	terms, triples := g.Dict().Len(), g.Triples()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		mutate()
+	}()
+	if got != "rdf: Add on a frozen graph" {
+		t.Fatalf("%s on a frozen graph: panic %v, want the frozen graph's refusal", what, got)
+	}
+	if g.Dict().Len() != terms || !reflect.DeepEqual(g.Triples(), triples) {
+		t.Fatalf("a refused %s changed the graph", what)
+	}
 }
 
 // fuzzLiterals are the literals FuzzGraphIndex puts in the object position:

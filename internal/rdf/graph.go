@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // Graph is an in-memory RDF graph (triple store). Triples are dictionary
@@ -14,28 +13,25 @@ import (
 // index.go) answers every bound/unbound combination of a triple pattern
 // without scanning.
 //
-// A graph is written once and read forever. While it is being built (Add,
-// Intern), nothing else may touch it; the index is built by the first read,
-// shared lock-free by every later one, and discarded by an Add that follows
-// it. An Add only appends: a triple added twice sits in the log twice until
-// the index build, which sorts the log anyway, drops every occurrence but the
-// first — so every read, Len included, starts at the index. Freeze ends the
-// building phase: it builds the index and makes any later Add or Intern
-// panic. From the first read on — frozen or not — a graph is safe for
-// concurrent readers. OptImatch builds one graph per query execution plan,
-// freezes it, then matches many patterns against it.
+// A graph is built, then read, and has two states. While it is being built
+// (Add, Intern) nothing else may touch it. An Add only appends: a triple
+// added twice sits in the log twice until the index build, which sorts the
+// log anyway, drops every occurrence but the first. The first read — any
+// method that consults the index, Len included — or an explicit Freeze
+// freezes the graph: it builds the index once, and from then on every Add or
+// Intern panics and the graph is safe for concurrent readers. OptImatch
+// builds one graph per query execution plan, freezes it, then matches many
+// patterns against it.
 type Graph struct {
 	dict *Dict
 
-	log [][3]ID // triples (s, p, o) in insertion order; distinct once indexed
+	log [][3]ID // triples (s, p, o) in insertion order; distinct once frozen
 	// num is the index's numeric column while it is being filled: InternFloat
-	// records the value it was handed, the index build parses the rest
-	// (unparsed, or past the end) and every index built shares the result.
-	num    []uint64
-	frozen bool
+	// records the value it was handed, the freeze parses the rest.
+	num []uint64
 
-	mu  sync.Mutex // serializes index builds
-	idx atomic.Pointer[index]
+	freeze sync.Once
+	idx    *index // nil until the graph is frozen
 }
 
 // NewGraph returns an empty graph with a fresh dictionary.
@@ -109,33 +105,19 @@ func (g *Graph) AddIDs(s, p, o ID) {
 		panic("rdf: AddIDs with an ID the dictionary never issued")
 	}
 	g.log = append(g.log, [3]ID{s, p, o})
-	if g.idx.Load() != nil {
-		g.idx.Store(nil)
-	}
 }
 
 // mustBeMutable panics when the graph was frozen: like Dict.Term on an ID it
-// never issued, an Add after Freeze is always a programming error.
+// never issued, an Add after the first read is always a programming error.
 func (g *Graph) mustBeMutable() {
-	if g.frozen {
+	if g.idx != nil {
 		panic("rdf: Add on a frozen graph")
 	}
 }
 
-// Freeze ends the graph's building phase: it builds the index now (so no
-// reader pays for it), cuts the dictionary's term table and the log to their
-// lengths — what a capacity hint or an append's doubling left over would stay
-// resident with the graph — and makes every later Add panic. Freezing is
-// one-way and idempotent. Like Add it must not run concurrently with anything
-// else on an unfrozen graph.
-func (g *Graph) Freeze() {
-	if g.frozen {
-		return
-	}
-	g.index()
-	g.dict.byID, g.log = clip(g.dict.byID), clip(g.log)
-	g.frozen = true
-}
+// Freeze ends the graph's building phase now rather than at its first read,
+// so no reader pays for the index. Freezing is one-way and idempotent.
+func (g *Graph) Freeze() { g.index() }
 
 // clip returns s without spare capacity, in a new array if it has any.
 func clip[S ~[]E, E any](s S) S {
@@ -145,22 +127,21 @@ func clip[S ~[]E, E any](s S) S {
 	return slices.Clone(s)
 }
 
-// index returns the graph's index, building it on first use after the last
-// Add. Safe for concurrent readers.
+// index returns the graph's index, freezing the graph on first use. Reads
+// that race the first one wait for it.
 func (g *Graph) index() *index {
-	if ix := g.idx.Load(); ix != nil {
-		return ix
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if ix := g.idx.Load(); ix != nil {
-		return ix
-	}
+	g.freeze.Do(g.build)
+	return g.idx
+}
+
+// build freezes the graph: it parses the numeric column, indexes the log and
+// cuts the dictionary's term table and the log to their lengths — what a
+// capacity hint or an append's doubling left over would stay resident with
+// the graph. index runs it once.
+func (g *Graph) build() {
 	g.num = parseNumbers(g.num, g.dict.byID)
-	var ix *index
-	ix, g.log = buildIndex(g.log, g.num)
-	g.idx.Store(ix)
-	return ix
+	g.idx, g.log = buildIndex(g.log, g.num)
+	g.dict.byID, g.log = clip(g.dict.byID), clip(g.log)
 }
 
 // Has reports whether the triple (s, p, o) is in the graph.
@@ -190,14 +171,11 @@ func (g *Graph) SubjectIDs(p, o ID) []ID { return g.index().pos.third(p, o) }
 // unanchored closures enumerate it instead of rescanning every triple.
 func (g *Graph) NodeIDs() []ID { return g.index().nodes }
 
-// Float is Term.Float of the term behind id, read from the column the index
-// parsed when it was built: FILTERs over cardinalities and costs compare the
-// same few literals for every row of every evaluation.
+// Float is Term.Float of the term behind id, read from the column parsed when
+// the graph froze: FILTERs over cardinalities and costs compare the same few
+// literals for every row of every evaluation.
 func (g *Graph) Float(id ID) (float64, bool) {
 	num := g.index().num
-	if int(id) >= len(num) {
-		return g.dict.Term(id).Float() // interned after the index was built
-	}
 	if num[id] == notNumber {
 		return 0, false
 	}

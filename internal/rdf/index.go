@@ -6,10 +6,9 @@ import "math"
 // permutations SPO, POS and OSP as pointer-free columns, plus the distinct
 // node list, the numeric value of every term and the statistics of every
 // predicate. It exploits the engine's central invariant — plan graphs are
-// immutable after load — so it is built once (by Freeze, or by the first
-// read of a graph still being assembled) and then shared, lock-free, by
-// every concurrent reader. An Add after it was built discards it; the next
-// reader rebuilds it against the new log.
+// immutable after load — so it is built once, when the graph freezes (by
+// Freeze, or by its first read), and then shared, lock-free, by every
+// concurrent reader.
 type index struct {
 	spo, pos, osp perm
 	nodes         []ID // distinct subjects and objects, ascending
@@ -22,16 +21,15 @@ type index struct {
 }
 
 // notNumber marks a term without a numeric value in index.num, unparsed one
-// whose lexical form the next index build has yet to read: NaN payloads no
-// parse produces (strconv's "NaN" is 0x7FF8000000000001).
+// whose lexical form the index build has yet to read: NaN payloads no parse
+// produces (strconv's "NaN" is 0x7FF8000000000001).
 const (
 	notNumber uint64 = 0x7FF8_0000_0BAD_0BAD
 	unparsed  uint64 = 0x7FF8_0000_0BAD_0BAE
 )
 
 // parseNumbers completes the numeric column: it extends num to one entry per
-// term and parses every entry still unparsed. Entries already filled are
-// final, so an index built earlier keeps sharing them.
+// term and parses every entry InternFloat did not fill.
 func parseNumbers(num []uint64, terms []Term) []uint64 {
 	if len(num) != len(terms) {
 		all := make([]uint64, len(terms))
@@ -77,8 +75,7 @@ type perm struct {
 }
 
 // bucket returns the row range whose first component is a; empty for an ID
-// past the last one the index was built for (a term interned later, or one
-// that never was).
+// the dictionary never issued.
 func (p *perm) bucket(a ID) (lo, hi int) {
 	if int(a) >= len(p.off)-1 {
 		return 0, 0

@@ -119,52 +119,6 @@ func TestNodeIDs(t *testing.T) {
 	}
 }
 
-// Mutating the graph after the index was built must discard it: the next
-// read reflects the post-Add state.
-func TestAddInvalidatesIndex(t *testing.T) {
-	g := testGraph()
-	d := g.Dict()
-	p := d.Lookup(IRI("hasOuterInputStream"))
-
-	before := g.NodeIDs()
-	stale := g.index()
-	pop2 := d.Lookup(IRI("pop2"))
-	outBefore := len(g.ObjectIDs(pop2, p))
-	totalBefore := g.Count(NoID, p, NoID)
-
-	g.Add(IRI("pop2"), IRI("hasOuterInputStream"), IRI("brandNewNode"))
-
-	if got := g.Count(NoID, p, NoID); got != totalBefore+1 {
-		t.Errorf("predicate total after Add = %d, want %d", got, totalBefore+1)
-	}
-	if g.index() == stale {
-		t.Error("index after Add should be rebuilt, not the stale one")
-	}
-	if got := len(g.ObjectIDs(pop2, p)); got != outBefore+1 {
-		t.Errorf("rebuilt ObjectIDs(pop2) has %d edges, want %d", got, outBefore+1)
-	}
-
-	after := g.NodeIDs()
-	if len(after) != len(before)+1 {
-		t.Errorf("NodeIDs after Add has %d entries, want %d", len(after), len(before)+1)
-	}
-	fresh := d.Lookup(IRI("brandNewNode"))
-	found := false
-	for _, id := range after {
-		if id == fresh {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("NodeIDs after Add is missing the new node")
-	}
-
-	// The old index must stay internally consistent (immutable), just stale.
-	if got := len(stale.spo.third(pop2, p)); got != outBefore {
-		t.Errorf("stale index mutated: objects of pop2 = %d, want %d", got, outBefore)
-	}
-}
-
 // Concurrent first reads of an unfrozen graph must build one index, race-free
 // (run with -race).
 func TestIndexConcurrentBuild(t *testing.T) {
@@ -187,33 +141,49 @@ func TestIndexConcurrentBuild(t *testing.T) {
 	}
 }
 
-// Freeze is one-way and idempotent: reads are unchanged, Add panics.
+// Freeze is one-way and idempotent, and a graph's first read freezes it just
+// as Freeze does: reads are unchanged, the term table and the log are cut to
+// their lengths, and every Add or Intern panics and changes nothing.
 func TestFreeze(t *testing.T) {
-	g := testGraph()
-	want := g.Triples()
-	g.Freeze()
-	ix := g.index()
-	g.Freeze()
-	if g.index() != ix {
-		t.Error("second Freeze rebuilt the index")
-	}
-	if got := g.Triples(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Triples after Freeze = %v, want %v", got, want)
-	}
-	if !g.Has(IRI("pop5"), IRI("hasPopType"), String("TBSCAN")) {
-		t.Error("Has after Freeze lost a triple")
-	}
-	for name, add := range map[string]func(){
-		"Add":       func() { g.Add(IRI("pop2"), IRI("hasPopType"), String("NLJOIN")) },
-		"AddIDs":    func() { g.AddIDs(1, 2, 3) },
-		"AddTriple": func() { g.AddTriple(Triple{IRI("x"), IRI("y"), IRI("z")}) },
+	want := testGraph().Triples()
+	for name, freeze := range map[string]func(g *Graph){
+		"Freeze": (*Graph).Freeze,
+		"Len":    func(g *Graph) { g.Len() },
+		"Has":    func(g *Graph) { g.Has(IRI("pop2"), IRI("hasPopType"), String("NLJOIN")) },
+		"Float":  func(g *Graph) { g.Float(1) },
 	} {
-		if !panics(add) {
-			t.Errorf("%s on a frozen graph did not panic", name)
+		g := testGraph()
+		freeze(g)
+		ix := g.index()
+		g.Freeze()
+		if g.index() != ix {
+			t.Errorf("%s, then Freeze: the index was rebuilt", name)
 		}
-	}
-	if g.Len() != len(want) || g.Dict().Lookup(IRI("x")) != NoID {
-		t.Error("a refused Add changed the graph")
+		if cap(g.dict.byID) != len(g.dict.byID) || cap(g.log) != len(g.log) {
+			t.Errorf("%s left spare capacity: terms %d of %d, log %d of %d", name,
+				len(g.dict.byID), cap(g.dict.byID), len(g.log), cap(g.log))
+		}
+		if got := g.Triples(); !reflect.DeepEqual(got, want) {
+			t.Errorf("Triples after %s = %v, want %v", name, got, want)
+		}
+		if !g.Has(IRI("pop5"), IRI("hasPopType"), String("TBSCAN")) {
+			t.Errorf("Has after %s lost a triple", name)
+		}
+		terms := g.Dict().Len()
+		for what, add := range map[string]func(){
+			"Add":         func() { g.Add(IRI("pop2"), IRI("hasPopType"), String("NLJOIN")) },
+			"AddIDs":      func() { g.AddIDs(1, 2, 3) },
+			"AddTriple":   func() { g.AddTriple(Triple{IRI("x"), IRI("y"), IRI("z")}) },
+			"Intern":      func() { g.Intern(IRI("x")) },
+			"InternFloat": func() { g.InternFloat(42.5) },
+		} {
+			if !panics(add) {
+				t.Errorf("%s after %s did not panic", what, name)
+			}
+		}
+		if g.Len() != len(want) || g.Dict().Len() != terms || g.Dict().Lookup(IRI("x")) != NoID {
+			t.Errorf("a refused Add after %s changed the graph", name)
+		}
 	}
 }
 

@@ -1,0 +1,146 @@
+package server
+
+import (
+	"encoding/json"
+	"net/http/httptest"
+	"os"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+
+	"optimatch/internal/cache"
+	"optimatch/internal/core"
+	"optimatch/internal/fixtures"
+	"optimatch/internal/kb"
+	"optimatch/internal/obs"
+	"optimatch/internal/pattern"
+	"optimatch/internal/qep"
+	"optimatch/internal/store"
+)
+
+// TestMetricsCatalogue holds DESIGN.md §10's metric table to what /metrics
+// renders. The server is wired as optimatchd -data -cache-bytes wires it — one
+// registry behind the engine's and the store's hooks, a durable store and the
+// response cache — and sent one request per route; then every rendered
+// family must be in the table, and every family in the table rendered.
+func TestMetricsCatalogue(t *testing.T) {
+	reg := obs.NewRegistry()
+	st, err := store.Open(t.TempDir(),
+		store.WithEngineOptions(core.WithInstrumentation(EngineInstrumentation(reg))),
+		store.WithInstrumentation(StoreInstrumentation(reg)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	ts := httptest.NewServer(New(st.Engine(), st.KB(), WithStore(st), WithMetrics(reg),
+		WithResultCache(cache.New(cache.Config{MaxBytes: 1 << 20}))).Handler())
+	t.Cleanup(ts.Close)
+
+	plans := fixtures.All()
+	var batch strings.Builder
+	for _, p := range plans[1:] {
+		line, _ := json.Marshal(qep.Text(p))
+		batch.Write(append(line, '\n'))
+	}
+	search, err := pattern.A().ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, err := json.Marshal(addEntryRequest{Pattern: pattern.F(), Recommendations: []kb.Recommendation{{Title: "t", Template: "look at @TOP"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := plans[0].ID, plans[len(plans)-1].ID
+	var exposition string
+	for _, req := range []struct{ method, path, body string }{
+		{"GET", "/healthz", ""},
+		{"GET", "/readyz", ""},
+		{"POST", "/api/plans", qep.Text(plans[0])},
+		{"POST", "/api/plans:batch", batch.String()},
+		{"GET", "/api/plans", ""},
+		{"GET", "/api/plans/" + first + "/render", ""},
+		{"GET", "/api/plans/" + first + "/rdf", ""},
+		{"POST", "/api/search", string(search)},
+		{"POST", "/api/sparql", sortQuery},
+		{"GET", "/api/kb", ""},
+		{"POST", "/api/kb/entries", string(entry)},
+		{"DELETE", "/api/kb/entries/" + pattern.F().Name, ""},
+		{"POST", "/api/kb/run", ""},
+		{"DELETE", "/api/plans/" + last, ""},
+		{"POST", "/api/admin/compact", ""},
+		{"POST", "/api/admin/reopen", ""},
+		{"GET", "/api/stats", ""},
+		{"GET", "/metrics", ""},
+	} {
+		resp, body := cacheReq(t, req.method, ts.URL+req.path, req.body, nil)
+		if resp.StatusCode >= 300 {
+			t.Fatalf("%s %s: status %d: %s", req.method, req.path, resp.StatusCode, body)
+		}
+		exposition = body
+	}
+
+	rendered := map[string]bool{}
+	for _, line := range strings.Split(exposition, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			rendered[strings.Fields(rest)[0]] = true
+		}
+	}
+	listed := catalogue(t)
+	for _, family := range sortedKeys(rendered) {
+		if !listed[family] {
+			t.Errorf("/metrics renders %s, which DESIGN.md §10's table lacks", family)
+		}
+	}
+	for _, family := range sortedKeys(listed) {
+		if !rendered[family] {
+			t.Errorf("DESIGN.md §10's table lists %s, which /metrics does not render", family)
+		}
+	}
+}
+
+// catalogue returns the families of DESIGN.md §10's metric table: the first
+// table after "**Metric catalogue.**", one family per row in its second
+// column, prefixed as /metrics renders it.
+func catalogue(t *testing.T) map[string]bool {
+	t.Helper()
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "**Metric catalogue.**")
+	if !ok {
+		t.Fatal("DESIGN.md has no metric catalogue")
+	}
+	name := regexp.MustCompile("^`([a-z_]+)`$")
+	families := map[string]bool{}
+	rows := 0
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if rows > 0 {
+				break
+			}
+			continue
+		}
+		if rows++; rows <= 2 { // the header and its rule
+			continue
+		}
+		cells := strings.Split(line, "|")
+		m := name.FindStringSubmatch(strings.TrimSpace(cells[2]))
+		if m == nil {
+			t.Fatalf("catalogue row %q: want one `family` in the second column", line)
+		}
+		families["optimatch_"+m[1]] = true
+	}
+	return families
+}
+
+func sortedKeys(m map[string]bool) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}

@@ -68,11 +68,9 @@ func (s *Server) withObservability(mux *http.ServeMux) http.Handler {
 		rec := &statusRecorder{ResponseWriter: w}
 		if inFlight != nil {
 			inFlight.Add(1)
+			defer inFlight.Add(-1) // a panic that net/http recovers leaves too
 		}
 		mux.ServeHTTP(rec, r.WithContext(obs.WithRequestID(r.Context(), id)))
-		if inFlight != nil {
-			inFlight.Add(-1)
-		}
 		if rec.status == 0 {
 			rec.status = http.StatusOK
 		}

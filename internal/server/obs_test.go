@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -375,8 +376,8 @@ func TestAccessLogAndSlowRequests(t *testing.T) {
 	}
 }
 
-// TestStatsGainsObservabilityCounters pins the backward-compatible /api/stats
-// extension: the original fields survive and the new counter groups appear.
+// TestStatsGainsObservabilityCounters pins the /api/stats body: the counter
+// groups move, and nothing is served that counts what no longer exists.
 func TestStatsGainsObservabilityCounters(t *testing.T) {
 	_, ts := testServer(t)
 	postBody(t, ts.URL+"/api/kb/run", "", http.StatusOK, nil)
@@ -384,15 +385,29 @@ func TestStatsGainsObservabilityCounters(t *testing.T) {
 	var stats statsBody
 	getJSON(t, ts.URL+"/api/stats", http.StatusOK, &stats)
 	if stats.Plans != 5 || stats.KBEntries != 4 {
-		t.Errorf("legacy stats fields broken: %+v", stats)
-	}
-	// The group keeps its place in the body and reads zero: the engine parses
-	// nothing on a scan, so there is nothing to cache or count.
-	if stats.QueryCache != (core.CacheStats{}) {
-		t.Errorf("query-cache group = %+v, want zeros", stats.QueryCache)
+		t.Errorf("plans or kbEntries wrong: %+v", stats)
 	}
 	if stats.Eval.Specialized == 0 || stats.Eval.JoinRows == 0 || stats.Eval.MatchRows == 0 {
-		t.Errorf("eval.specialized, eval.joinRows or eval.matchRows = 0 after kb/run: %+v", stats.Eval)
+		t.Errorf("eval.executions, eval.joinRows or eval.matchRows = 0 after kb/run: %+v", stats.Eval)
+	}
+	// No prefilter, no query cache, one evaluator and no per-predicate CSR:
+	// their groups and counters are gone from the body, the execution count
+	// is served under its own name.
+	var raw struct {
+		Prefilter, QueryCache json.RawMessage
+		Eval                  map[string]json.RawMessage
+	}
+	getJSON(t, ts.URL+"/api/stats", http.StatusOK, &raw)
+	if raw.Prefilter != nil || raw.QueryCache != nil {
+		t.Errorf("legacy groups served: prefilter %s, queryCache %s", raw.Prefilter, raw.QueryCache)
+	}
+	for _, key := range []string{"specialized", "fallback"} {
+		if _, ok := raw.Eval[key]; ok {
+			t.Errorf("eval.%s served", key)
+		}
+	}
+	if _, ok := raw.Eval["executions"]; !ok || strings.Contains(string(raw.Eval["path"]), "csrBuilds") {
+		t.Errorf("eval = %v, want executions and no path.csrBuilds", raw.Eval)
 	}
 	// The canonical KB descendant patterns run closures.
 	if p := stats.Eval.Path; p.MemoMisses == 0 || p.BFSSteps == 0 {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"optimatch/internal/cache"
 	"optimatch/internal/core"
 	"optimatch/internal/fixtures"
+	"optimatch/internal/obs"
 	"optimatch/internal/pattern"
 )
 
@@ -356,4 +358,63 @@ func TestValidatorOnlyOnBodySent(t *testing.T) {
 	if rec.Code != http.StatusNotModified || rec.Header().Get("ETag") != tag || rec.Body.Len() != 0 {
 		t.Errorf("304: status %d, ETag %q, %d body bytes", rec.Code, rec.Header().Get("ETag"), rec.Body.Len())
 	}
+}
+
+// TestRenderPanicDropsOnlyItsConnection: a render that panics on a worker of
+// Engine.Parallel, under the response cache's flight goroutine, reaches the
+// handler's goroutine, where net/http recovers it and closes that one
+// connection. The daemon keeps serving, and neither in-flight gauge keeps the
+// dead request.
+func TestRenderPanicDropsOnlyItsConnection(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(core.New(core.WithWorkers(4)), nil, WithMetrics(reg), WithResultCache(cache.New(cache.Config{MaxBytes: 1 << 20})))
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /boom", s.gated(1, s.serveRead(readRoute{
+		name: "http.boom", contentType: "text/plain", fallback: http.StatusInternalServerError,
+		parse: func(*http.Request, []byte) (string, renderFunc, error) {
+			return "", func(context.Context, *bytes.Buffer) error {
+				s.eng.Parallel(8, func(i int) {
+					if i == 3 {
+						panic("render broke")
+					}
+				})
+				return nil
+			}, nil
+		},
+	})))
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusOK) })
+	s.registerStateMetrics()
+	serverLog := make(logLines, 16) // room for every line the server logs here, read or not
+	ts := httptest.NewUnstartedServer(s.withObservability(mux))
+	ts.Config.ErrorLog = log.New(serverLog, "", 0)
+	ts.Start()
+	defer ts.Close()
+
+	if resp, err := http.Post(ts.URL+"/boom", "text/plain", nil); err == nil {
+		resp.Body.Close()
+		t.Fatalf("POST /boom answered %d, want the connection dropped", resp.StatusCode)
+	}
+	if line := <-serverLog; !strings.Contains(line, "panic serving") || !strings.Contains(line, "render broke") {
+		t.Errorf("net/http logged %q, want the recovered panic", line)
+	}
+	if resp, _ := cacheReq(t, "GET", ts.URL+"/healthz", "", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /healthz after the panic: status %d", resp.StatusCode)
+	}
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, gauge := range []string{"optimatch_http_in_flight", "optimatch_exec_in_flight"} {
+		if v := metricValue(t, out.String(), gauge); v != 0 {
+			t.Errorf("%s = %v after the panic, want 0", gauge, v)
+		}
+	}
+}
+
+// logLines is a log destination that hands each line to the test goroutine.
+type logLines chan string
+
+func (l logLines) Write(p []byte) (int, error) {
+	l <- string(p)
+	return len(p), nil
 }

@@ -528,30 +528,25 @@ func (s *Server) runKBRoute() readRoute {
 	}
 }
 
-// statsBody is the GET /api/stats response. Existing fields never change
-// shape, so old clients keep decoding it; only an omitempty group may go
-// away with what it described (as "shards" did with the shards).
+// statsBody is the GET /api/stats response: one group per layer, each
+// counting something that exists.
 type statsBody struct {
-	Plans      int                 `json:"plans"`
-	KBEntries  int                 `json:"kbEntries"`
-	Prefilter  core.PrefilterStats `json:"prefilter"`  // the eval counters under their older names (core/frozen.go)
-	QueryCache core.CacheStats     `json:"queryCache"` // all zeros: there is no query cache (core/frozen.go)
-	Eval       sparql.EvalSnapshot `json:"eval"`       // "specialized" counts every execution; "fallback" is always 0 (one evaluator)
-	Exec       ExecStats           `json:"exec"`
-	Batch      BatchStats          `json:"batch"`
-	Cache      *cache.Stats        `json:"cache,omitempty"` // nil without -cache-bytes
-	Store      *store.Stats        `json:"store,omitempty"` // nil without -data (a memory store)
+	Plans     int                 `json:"plans"`
+	KBEntries int                 `json:"kbEntries"`
+	Eval      sparql.EvalSnapshot `json:"eval"`
+	Exec      ExecStats           `json:"exec"`
+	Batch     BatchStats          `json:"batch"`
+	Cache     *cache.Stats        `json:"cache,omitempty"` // nil without -cache-bytes
+	Store     *store.Stats        `json:"store,omitempty"` // nil without -data (a memory store)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	body := statsBody{
-		Plans:      s.eng.NumPlans(),
-		KBEntries:  s.kb.Len(),
-		Prefilter:  s.eng.PrefilterStats(),
-		QueryCache: s.eng.CacheStats(),
-		Eval:       s.eng.EvalStats(),
-		Exec:       s.exec.snapshot(),
-		Batch:      s.batch.snapshot(),
+		Plans:     s.eng.NumPlans(),
+		KBEntries: s.kb.Len(),
+		Eval:      s.eng.EvalStats(),
+		Exec:      s.exec.snapshot(),
+		Batch:     s.batch.snapshot(),
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()

@@ -112,10 +112,12 @@ type EvalStats struct {
 // EvalSnapshot is a point-in-time copy of EvalStats, in wire form.
 type EvalSnapshot struct {
 	// Specialized counts every execution (the name predates the removal of
-	// the second evaluator; the benchmark module and /api/stats read it).
-	Specialized int64 `json:"specialized"`
-	// Fallback is always 0; kept because the benchmark module reads it.
-	Fallback int64 `json:"fallback"`
+	// the second evaluator and stays for the benchmark module; /api/stats
+	// serves it as "executions").
+	Specialized int64 `json:"executions"`
+	// Fallback is always 0; kept because the benchmark module reads it, and
+	// not served.
+	Fallback int64 `json:"-"`
 	// ConstantBailouts counts executions that skipped WHERE evaluation
 	// entirely because a required constant was missing from the graph's
 	// vocabulary (a subset of Specialized).
@@ -136,8 +138,9 @@ type EvalSnapshot struct {
 // PathSnapshot is the wire form of the path-acceleration counters.
 type PathSnapshot struct {
 	// CSRBuilds is always 0 (closures walk the graph's one index; nothing is
-	// built per predicate); kept because the benchmark module reads it.
-	CSRBuilds int64 `json:"csrBuilds"`
+	// built per predicate); kept because the benchmark module reads it, and
+	// not served.
+	CSRBuilds int64 `json:"-"`
 	// MemoHits counts closures replayed from a per-evaluation memo.
 	MemoHits int64 `json:"memoHits"`
 	// MemoMisses counts closures that ran a fresh BFS.

@@ -209,14 +209,13 @@ func CorrelateMatches(res *ClusterResult, patternName string, matches []Match, t
 // examples/logdiag).
 
 // Graph is an in-memory RDF graph: a dictionary-encoded, write-once triple
-// store. Build it with Add, then query it; the index (three sorted SPO/POS/OSP
-// permutations of the triples) is built by the first query, or eagerly by
-// Freeze, after which Add panics and the graph is immutable for good. Adding
-// after a query but before Freeze is allowed and rebuilds the index on the
-// next query. Results without ORDER BY come back in an order fixed by the
-// sequence of Adds — the same on every execution and for every graph built
-// the same way. Once reading has begun a graph is safe for concurrent queries;
-// Add and Freeze must not run concurrently with anything else.
+// store. Build it with Add, then query it: the first query, or an earlier
+// Freeze, builds the index (three sorted SPO/POS/OSP permutations of the
+// triples) and freezes the graph, after which Add panics and the graph is
+// immutable for good. Results without ORDER BY come back in an order fixed by
+// the sequence of Adds — the same on every execution and for every graph
+// built the same way. A frozen graph is safe for concurrent queries; Add must
+// not run concurrently with anything else.
 type Graph = rdf.Graph
 
 // Term is an RDF term (IRI, blank node or literal).
