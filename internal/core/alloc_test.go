@@ -4,7 +4,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -14,35 +13,6 @@ import (
 	"optimatch/internal/qep"
 	"optimatch/internal/workload"
 )
-
-// variantKB builds n pattern-A variants the way Figure 11's variant knowledge
-// base (internal/experiments) builds its pattern-A entries, with a threshold
-// of its own per entry: n entries are n distinct query texts.
-func variantKB(t *testing.T, n int) *kb.KnowledgeBase {
-	t.Helper()
-	k := kb.New()
-	for i := 0; i < n; i++ {
-		bld := pattern.NewBuilder(fmt.Sprintf("variant-a-%d", i), "variant")
-		top := bld.Pop("NLJOIN").Alias("TOP")
-		outer := bld.Pop(pattern.TypeAny)
-		inner := bld.Pop("TBSCAN").Alias("SCAN3")
-		base := bld.Pop(pattern.TypeBaseObj).Alias("BASE4")
-		top.OuterChild(outer)
-		top.InnerChild(inner)
-		outer.Where("hasEstimateCardinality", ">", 1+i%5)
-		inner.Where("hasEstimateCardinality", ">", 100+i)
-		inner.Child(base)
-		p, err := bld.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := k.Add(p, kb.Recommendation{Title: "Index", Category: "INDEX",
-			Template: "Create index on @BASE4.NAME (@BASE4(INPUT))."}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return k
-}
 
 // TestAllocBudgetKBScan pins what one warm RunKB allocates (outside the race
 // build, whose instrumentation allocates), budgets being the measurement when
@@ -57,10 +27,12 @@ func variantKB(t *testing.T, n int) *kb.KnowledgeBase {
 // had cost 16 139 B more. The level-at-a-time evaluator of commit 555699b, one
 // heap row per intermediate binding, allocated 8 948 707 B.
 //
-// variants: 300 entries over 8 fixture plans allocated 820 896 B in 12 635
-// allocations (1 213 380 B in 13 834 with binding maps). A scan reads each
-// entry's parsed query and column table off the entry, so an entry costs what
-// it costs in a knowledge base of 14. When the engine resolved entry text
+// variants: 300 entries over 8 fixture plans allocated 621 885 B in 9 054
+// allocations, with the entries whose guard found nothing skipped; evaluating
+// all 2 400 pairs allocated 820 896 B in 12 635 (1 213 380 B in 13 834 with
+// binding maps). A scan reads each entry's parsed query, column table and
+// guard off the knowledge base, so an entry costs what it costs in a knowledge
+// base of 14. When the engine resolved entry text
 // through an LRU of 256 parsed queries, a scan of 257 or more entries — walked
 // in order — evicted every query before its next use and parsed the whole
 // knowledge base again: 9 640 349 B in 68 145 allocations here, against
@@ -79,7 +51,7 @@ func TestAllocBudgetKBScan(t *testing.T) {
 		bytes, allocs uint64
 	}{
 		{"extended", w.Plans, kb.MustExtended(), 365_000, 6_050},
-		{"variants", fixtures.Numbered(8), variantKB(t, 300), 903_000, 13_900},
+		{"variants", fixtures.Numbered(8), variantKB(t, 300), 684_000, 9_960},
 	} {
 		e := New()
 		if err := e.LoadPlans(tc.plans); err != nil {

@@ -77,9 +77,10 @@ type Engine struct {
 	// caller).
 	generation atomic.Uint64
 
-	evalStats sparql.EvalStats
-	instr     Instrumentation
-	frozen    frozenState // see frozen.go
+	evalStats      sparql.EvalStats
+	kbPairsSkipped atomic.Int64 // see KBPairsSkipped
+	instr          Instrumentation
+	frozen         frozenState // see frozen.go
 }
 
 // New returns an empty engine.
@@ -515,8 +516,8 @@ func (e *Engine) find(ctx context.Context, q *sparql.Query, cols *transform.Colu
 
 // execTimed evaluates one (query, plan) pair, reporting the evaluation
 // latency to the PlanMatch hook. With no hook installed the only overhead
-// is one nil check. Every pair of every scan comes through here: whether the
-// plan's vocabulary can match at all is the evaluator's question (the
+// is one nil check. Every pair a scan evaluates comes through here: whether
+// the plan's vocabulary can match at all is the evaluator's question (the
 // required-constant bail-out in sparql's evalCtx.exec), not the engine's.
 func (e *Engine) execTimed(ctx context.Context, q *sparql.Query, r *transform.Result) (*sparql.Results, error) {
 	if e.instr.PlanMatch == nil {
@@ -551,19 +552,20 @@ func (pr *PlanReport) Message() string {
 // (Algorithm 5): each entry's saved query is matched, occurrences are
 // de-transformed, recommendation templates are adapted to the plan's context
 // through the handler tags, and the results are ranked by statistical
-// confidence. Reports come back in plan load order. The scan is bounded by
-// ctx the way find is.
+// confidence. An entry a looser entry has already ruled out for a plan is not
+// evaluated there (planReport). Reports come back in plan load order. The
+// scan is bounded by ctx the way find is.
 func (e *Engine) RunKB(ctx context.Context, k *kb.KnowledgeBase) ([]PlanReport, error) {
-	entries := k.Entries()
+	scan := k.Scan()
 	plans := e.snapshot()
 	if e.instr.KBScan != nil {
-		defer func(start time.Time) { e.instr.KBScan(time.Since(start), len(plans), len(entries)) }(time.Now())
+		defer func(start time.Time) { e.instr.KBScan(time.Since(start), len(plans), len(scan.Entries)) }(time.Now())
 	}
 
 	reports := make([]PlanReport, len(plans))
 	errs := make([]error, len(plans))
 	ferr := e.forEachPlan(ctx, plans, func(i int, r *transform.Result) {
-		reports[i], errs[i] = e.planReport(ctx, entries, r)
+		reports[i], errs[i] = e.planReport(ctx, scan, r)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -578,19 +580,34 @@ func (e *Engine) RunKB(ctx context.Context, k *kb.KnowledgeBase) ([]PlanReport, 
 
 // planReport matches every knowledge-base entry against one plan and
 // assembles the ranked recommendation list. An entry's query and column table
-// are the ones kb.Add built; nothing is resolved or copied per scan.
-func (e *Engine) planReport(ctx context.Context, entries []*kb.Entry, r *transform.Result) (PlanReport, error) {
+// are the ones kb.Add built; nothing is resolved or copied per scan. An entry
+// is not evaluated when its guard, an entry containing it, found nothing in
+// the plan: then it finds nothing either, and counts as empty for the entries
+// it guards in turn. The order of the walk (kb.Scan's) does not reach the
+// report, which SortRanked orders by entry name within a confidence.
+func (e *Engine) planReport(ctx context.Context, scan kb.Scan, r *transform.Result) (PlanReport, error) {
 	report := PlanReport{Plan: r.Plan}
-	for _, entry := range entries {
+	empty := make([]bool, len(scan.Entries))
+	skipped := int64(0)
+	for i, entry := range scan.Entries {
+		if g := scan.Guards[i]; g >= 0 && empty[g] {
+			empty[i] = true
+			skipped++
+			continue
+		}
 		res, err := e.execTimed(ctx, entry.Compiled().Parsed, r)
 		if err != nil {
 			return report, fmt.Errorf("core: plan %s, entry %s: %w", r.Plan.ID, entry.Name, err)
 		}
 		if res.Len() == 0 {
+			empty[i] = true
 			continue
 		}
 		occs := transform.AppendMatches(make([]transform.Match, 0, res.Len()), r, entry.Compiled().Columns, res.Rows)
 		report.Recommendations = append(report.Recommendations, entry.Recommend(occs)...)
+	}
+	if skipped > 0 {
+		e.kbPairsSkipped.Add(skipped)
 	}
 	kb.SortRanked(report.Recommendations)
 	return report, nil

@@ -20,8 +20,9 @@ type Instrumentation struct {
 	PrefilterProbe func(d time.Duration, skipped bool)
 
 	// PlanMatch observes one SPARQL evaluation of a query against one
-	// plan's graph: every (plan, query) pair of a scan, including the ones
-	// the evaluator bails out of on a missing required constant.
+	// plan's graph: every (plan, query) pair a scan evaluates, including the
+	// ones the evaluator bails out of on a missing required constant, and none
+	// of the pairs RunKB skips (Engine.KBPairsSkipped).
 	PlanMatch func(d time.Duration)
 
 	// KBScan observes one whole RunKB pass: wall time, plans scanned,
@@ -49,3 +50,8 @@ func WithInstrumentation(in Instrumentation) Option {
 func (e *Engine) EvalStats() sparql.EvalSnapshot {
 	return e.evalStats.Snapshot()
 }
+
+// KBPairsSkipped returns how many (plan, entry) pairs RunKB has not evaluated
+// because the entry's guard, an entry containing it, found nothing in the plan
+// (kb.Scan). Those pairs are not among EvalStats' executions.
+func (e *Engine) KBPairsSkipped() int64 { return e.kbPairsSkipped.Load() }

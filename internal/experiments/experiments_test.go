@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -70,14 +71,34 @@ func TestFigure10SmallScale(t *testing.T) {
 }
 
 func TestFigure11SmallScale(t *testing.T) {
-	res, err := Figure11(Fig11Config{
+	cfg := Fig11Config{
 		// The median of three: a single run of the one-entry scan is the
 		// process's first and pays its cold start, which on an idle machine
 		// outweighs seven more entries.
 		Seed: 3, NumPlans: 12, KBSizes: []int{1, 4, 8}, MinOps: 15, MaxOps: 30, Reps: 3,
-	})
+	}
+	res, err := Figure11(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The work columns are counts: a second run prints them alike.
+	again, err := Figure11(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := func(r *Fig11Result) (cols []string) {
+		for _, row := range r.Table().Rows {
+			cols = append(cols, strings.Join(row[2:], " "))
+		}
+		return cols
+	}
+	if a, b := work(res), work(again); !slices.Equal(a, b) {
+		t.Errorf("two runs print different work columns: %q and %q", a, b)
+	}
+	for i, n := range res.KBSizes {
+		if res.Evals[i] <= 0 || res.Evals[i] > int64(n*cfg.NumPlans) || res.JoinRows[i] <= 0 {
+			t.Errorf("%d entries: %d evaluations and %d join rows per scan of %d plans", n, res.Evals[i], res.JoinRows[i], cfg.NumPlans)
+		}
 	}
 	if len(res.Times) != 3 {
 		t.Fatalf("times: %+v", res.Times)

@@ -303,6 +303,12 @@ type Fig11Result struct {
 	KBSizes []int
 	Times   []time.Duration
 	Fit     stats.Linear
+	// Evals and JoinRows are the work of one scan per knowledge-base size,
+	// from Engine.EvalStats: the (plan, entry) pairs evaluated — guards skip
+	// the rest — and the join's recursion nodes. Unlike the times they repeat
+	// exactly from run to run.
+	Evals, JoinRows  []int64
+	EvalFit, JoinFit stats.Linear
 }
 
 // Figure11 measures the time to scan the whole workload against growing
@@ -330,6 +336,7 @@ func Figure11(cfg Fig11Config) (*Fig11Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		before := eng.EvalStats()
 		d, err := timeIt(cfg.Reps, func() error {
 			_, err := eng.RunKB(context.Background(), k)
 			return err
@@ -337,15 +344,22 @@ func Figure11(cfg Fig11Config) (*Fig11Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		after, scans := eng.EvalStats(), int64(max(cfg.Reps, 1))
 		res.Times = append(res.Times, d)
+		res.Evals = append(res.Evals, (after.Specialized-before.Specialized)/scans)
+		res.JoinRows = append(res.JoinRows, (after.JoinRows-before.JoinRows)/scans)
 	}
 	xs := make([]float64, len(cfg.KBSizes))
 	ys := make([]float64, len(cfg.KBSizes))
+	evals := make([]float64, len(cfg.KBSizes))
+	joins := make([]float64, len(cfg.KBSizes))
 	for i := range cfg.KBSizes {
 		xs[i] = float64(cfg.KBSizes[i])
 		ys[i] = res.Times[i].Seconds()
+		evals[i], joins[i] = float64(res.Evals[i]), float64(res.JoinRows[i])
 	}
 	res.Fit = stats.LinearFit(xs, ys)
+	res.EvalFit, res.JoinFit = stats.LinearFit(xs, evals), stats.LinearFit(xs, joins)
 	return res, nil
 }
 
@@ -353,13 +367,16 @@ func Figure11(cfg Fig11Config) (*Fig11Result, error) {
 func (r *Fig11Result) Table() *Table {
 	t := &Table{
 		Title:   "Figure 11: workload scan time vs knowledge-base size",
-		Columns: []string{"recommendations", "time [s]"},
+		Columns: []string{"recommendations", "time [s]", "evaluations", "join rows"},
 	}
 	for i, n := range r.KBSizes {
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", n), secs(r.Times[i])})
+		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", n), secs(r.Times[i]),
+			fmt.Sprintf("%d", r.Evals[i]), fmt.Sprintf("%d", r.JoinRows[i])})
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf("linear fit R^2 = %.3f, slope = %.3g s/recommendation",
-		r.Fit.R2, r.Fit.Slope))
+	t.Notes = append(t.Notes,
+		fmt.Sprintf("linear fit R^2 = %.3f, slope = %.3g s/recommendation", r.Fit.R2, r.Fit.Slope),
+		fmt.Sprintf("work per scan: evaluations R^2 = %.3f, slope = %.4g/recommendation; join rows R^2 = %.3f, slope = %.4g/recommendation",
+			r.EvalFit.R2, r.EvalFit.Slope, r.JoinFit.R2, r.JoinFit.Slope))
 	return t
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"optimatch/internal/pattern"
+	"optimatch/internal/sparql"
 	"optimatch/internal/transform"
 )
 
@@ -38,6 +39,7 @@ type Entry struct {
 	Profile         []float64        `json:"profile,omitempty"`
 
 	compiled *pattern.Compiled
+	shape    sparql.Shape // of compiled.Parsed; the zero Shape for none
 	// templates holds the parsed template of every recommendation, by index:
 	// Add parses each once, to validate it, and Apply expands from the nodes.
 	templates [][]templateNode
@@ -65,6 +67,9 @@ type KnowledgeBase struct {
 	version uint64
 
 	entries []*Entry
+	// scan is the entries laid out for a scan (Scan), made by the first Scan
+	// of a version: nil until then, never edited after.
+	scan *Scan
 }
 
 // New returns an empty knowledge base.
@@ -147,6 +152,7 @@ func (kb *KnowledgeBase) Build(p *pattern.Pattern, recs ...Recommendation) (*Ent
 		Profile:         DefaultProfile(p),
 		compiled:        compiled,
 	}
+	e.shape, _ = sparql.ShapeOf(compiled.Parsed)
 	for _, rec := range recs {
 		if strings.TrimSpace(rec.Template) == "" {
 			return nil, fmt.Errorf("kb: entry %q: recommendation %q has empty template", p.Name, rec.Title)
@@ -170,6 +176,7 @@ func (kb *KnowledgeBase) Insert(e *Entry) error {
 	}
 	kb.entries = append(kb.entries, e)
 	kb.version++
+	kb.scan = nil
 	return nil
 }
 
@@ -183,6 +190,7 @@ func (kb *KnowledgeBase) Remove(name string) bool {
 		if e.Name == name {
 			kb.entries = append(kb.entries[:i:i], kb.entries[i+1:]...)
 			kb.version++
+			kb.scan = nil
 			return true
 		}
 	}
@@ -200,7 +208,29 @@ func (kb *KnowledgeBase) Snapshot() *KnowledgeBase {
 		id:      kb.id,
 		version: kb.version,
 		entries: append([]*Entry(nil), kb.entries...),
+		scan:    kb.scan,
 	}
+}
+
+// Scan returns the entries laid out for a scan, as of the moment of the call.
+// It is derived once per version, by the first call after Insert or Remove
+// made the version, under the lock they take; a knowledge base loaded entry by
+// entry pays for one layout, not one per entry. Its slices are shared; do not
+// mutate.
+func (kb *KnowledgeBase) Scan() Scan {
+	kb.mu.RLock()
+	s := kb.scan
+	kb.mu.RUnlock()
+	if s != nil {
+		return *s
+	}
+	kb.mu.Lock()
+	defer kb.mu.Unlock()
+	if kb.scan == nil {
+		s := schedule(kb.entries)
+		kb.scan = &s
+	}
+	return *kb.scan
 }
 
 // Ranked is one context-adapted, scored recommendation produced by matching

@@ -318,7 +318,6 @@ func TestCacheMetricsExported(t *testing.T) {
 		`optimatch_cache_requests_total{result="collapsed"}`,
 		"optimatch_cache_bytes",
 		"optimatch_cache_entries",
-		"optimatch_cache_hit_ratio",
 		"optimatch_cache_evictions_total",
 		"optimatch_cache_rejected_total",
 	} {
@@ -326,9 +325,12 @@ func TestCacheMetricsExported(t *testing.T) {
 			t.Errorf("/metrics missing %s", want)
 		}
 	}
-	// There is no TTL: no series counts expiries.
-	if v := metricValue(t, metrics, "optimatch_cache_expired_total"); v != -1 {
-		t.Errorf("optimatch_cache_expired_total = %v, want the series absent", v)
+	// There is no TTL: no series counts expiries. The hit ratio is the hit
+	// series over the three of optimatch_cache_requests_total.
+	for _, gone := range []string{"optimatch_cache_expired_total", "optimatch_cache_hit_ratio"} {
+		if v := metricValue(t, metrics, gone); v != -1 {
+			t.Errorf("%s = %v, want the series absent", gone, v)
+		}
 	}
 }
 

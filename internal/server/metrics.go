@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync/atomic"
 	"time"
 
 	"optimatch/internal/cache"
@@ -22,7 +23,7 @@ import (
 // struct, and this adapter owns the metric names.
 func EngineInstrumentation(reg *obs.Registry) core.Instrumentation {
 	match := reg.Histogram("optimatch_core_plan_match_seconds",
-		"SPARQL evaluation latency of every (plan, query) pair, required-constant bail-outs included.", nil)
+		"SPARQL evaluation latency of every (plan, query) pair a scan evaluates, required-constant bail-outs included.", nil)
 	kbScan := reg.Histogram("optimatch_core_kb_scan_seconds",
 		"Wall time of one whole RunKB pass over the workload.", nil)
 	search := reg.Histogram("optimatch_core_search_seconds",
@@ -56,8 +57,9 @@ func StoreInstrumentation(reg *obs.Registry) store.Instrumentation {
 	const compactHelp = "Snapshot compaction duration by result."
 	compactOK := reg.Histogram(compactName, compactHelp, nil, "result", "ok")
 	compactErr := reg.Histogram(compactName, compactHelp, nil, "result", "error")
-	recovery := reg.Gauge("optimatch_store_recovery_seconds_micro",
-		"Duration of the recovery pass at open, in microseconds.")
+	var recovery atomic.Int64 // nanoseconds
+	reg.GaugeFunc("optimatch_store_recovery_seconds", "Duration of the recovery pass at open.",
+		func() float64 { return time.Duration(recovery.Load()).Seconds() })
 	return store.Instrumentation{
 		WALAppend: func(write, sync time.Duration, _ int) {
 			walWrite.ObserveDuration(write)
@@ -71,7 +73,7 @@ func StoreInstrumentation(reg *obs.Registry) store.Instrumentation {
 			}
 		},
 		Recovery: func(d time.Duration, _, _ int64) {
-			recovery.Set(d.Microseconds())
+			recovery.Store(int64(d))
 		},
 	}
 }
@@ -95,9 +97,13 @@ func (s *Server) registerStateMetrics() {
 		func() float64 { return float64(s.batch.requests.Load()) })
 
 	const evalName = "optimatch_sparql_eval_total"
-	const evalHelp = "SPARQL executions: all of them (every (plan, query) pair of every scan), and the subset that skipped WHERE evaluation because the plan's vocabulary misses a constant the query requires."
+	const evalHelp = "SPARQL executions: all of them (every (plan, query) pair a scan evaluates; kb_pairs_skipped_total counts the ones it does not), and the subset that skipped WHERE evaluation because the plan's vocabulary misses a constant the query requires."
 	reg.CounterFunc(evalName, evalHelp, func() float64 { return float64(s.eng.EvalStats().Specialized) }, "path", "all")
 	reg.CounterFunc(evalName, evalHelp, func() float64 { return float64(s.eng.EvalStats().ConstantBailouts) }, "path", "constant_bailout")
+
+	reg.CounterFunc("optimatch_kb_pairs_skipped_total",
+		"(plan, entry) pairs a knowledge-base scan did not evaluate because an entry containing the entry, its guard, found nothing in the plan.",
+		func() float64 { return float64(s.eng.KBPairsSkipped()) })
 
 	reg.CounterFunc("optimatch_sparql_join_rows_total",
 		"Recursion nodes of the depth-first join: one per triple pattern run on one row.",
@@ -135,8 +141,6 @@ func (s *Server) registerStateMetrics() {
 			cst(func(st cache.Stats) float64 { return float64(st.Bytes) }))
 		reg.GaugeFunc("optimatch_cache_entries", "Entries currently in the result cache.",
 			cst(func(st cache.Stats) float64 { return float64(st.Entries) }))
-		reg.GaugeFunc("optimatch_cache_hit_ratio", "Hits over all completed result-cache lookups since start.",
-			cst(func(st cache.Stats) float64 { return st.HitRatio }))
 	}
 
 	const pathName = "optimatch_sparql_path_total"

@@ -45,6 +45,17 @@ func statusClass(code int) string {
 	return strconv.Itoa(code/100) + "xx"
 }
 
+// methodLabel bounds the method label: a method outside the nine of RFC 9110
+// and RFC 5789 is the client's own token, so it is labelled OTHER.
+func methodLabel(method string) string {
+	switch method {
+	case http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
+		http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace:
+		return method
+	}
+	return "OTHER"
+}
+
 // withObservability wraps the mux with the access-log/metrics middleware:
 // every request gets an X-Request-ID (minted unless the client sent one), a
 // per-route latency/status-class measurement, a structured access-log line,
@@ -86,7 +97,7 @@ func (s *Server) withObservability(mux *http.ServeMux) http.Handler {
 		if s.metrics != nil {
 			s.metrics.Counter("optimatch_http_requests_total",
 				"HTTP requests by route pattern, method and status class.",
-				"route", route, "method", r.Method, "class", statusClass(rec.status)).Inc()
+				"route", route, "method", methodLabel(r.Method), "class", statusClass(rec.status)).Inc()
 			s.metrics.Histogram("optimatch_http_request_seconds",
 				"HTTP request latency by route pattern.", nil,
 				"route", route).ObserveDuration(elapsed)

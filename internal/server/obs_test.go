@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +15,9 @@ import (
 	"optimatch/internal/cache"
 	"optimatch/internal/core"
 	"optimatch/internal/fixtures"
+	"optimatch/internal/kb"
 	"optimatch/internal/obs"
+	"optimatch/internal/pattern"
 	"optimatch/internal/qep"
 	"optimatch/internal/rdf"
 	"optimatch/internal/store"
@@ -412,5 +415,78 @@ func TestStatsGainsObservabilityCounters(t *testing.T) {
 	// The canonical KB descendant patterns run closures.
 	if p := stats.Eval.Path; p.MemoMisses == 0 || p.BFSSteps == 0 {
 		t.Errorf("eval.path counters did not move: %+v", stats.Eval.Path)
+	}
+}
+
+// TestKBPairsSkippedMetric runs kb/run over a knowledge base holding a family:
+// pattern A and two variants with tighter inner thresholds, which pattern A
+// contains. On a plan where pattern A finds nothing neither variant is
+// evaluated, and optimatch_kb_pairs_skipped_total counts them.
+func TestKBPairsSkippedMetric(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng := core.New()
+	if err := eng.LoadPlans(fixtures.All()); err != nil {
+		t.Fatal(err)
+	}
+	k := kb.MustCanonical()
+	for _, inner := range []float64{200, 5000} {
+		b := pattern.NewBuilder(fmt.Sprintf("nljoin-inner-tbscan-over-%v", inner), "variant")
+		top := b.Pop("NLJOIN").Alias("TOP")
+		outer := b.Pop(pattern.TypeAny)
+		scan := b.Pop("TBSCAN").Alias("SCAN3")
+		base := b.Pop(pattern.TypeBaseObj).Alias("BASE4")
+		top.OuterChild(outer)
+		top.InnerChild(scan)
+		outer.Where("hasEstimateCardinality", ">", 1)
+		scan.Where("hasEstimateCardinality", ">", inner)
+		scan.Child(base)
+		if _, err := k.Add(b.MustBuild(), kb.Recommendation{Title: "t", Template: "index @BASE4"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(New(eng, k, WithMetrics(reg)).Handler())
+	t.Cleanup(ts.Close)
+
+	postBody(t, ts.URL+"/api/kb/run", "", http.StatusOK, nil)
+	_, metrics := cacheReq(t, "GET", ts.URL+"/metrics", "", nil)
+	skipped := metricValue(t, metrics, "optimatch_kb_pairs_skipped_total")
+	if skipped <= 0 || skipped != float64(eng.KBPairsSkipped()) {
+		t.Errorf("optimatch_kb_pairs_skipped_total = %v after kb/run, the engine counts %d; want them equal and > 0", skipped, eng.KBPairsSkipped())
+	}
+	pairs := float64(len(fixtures.All()) * k.Len())
+	if all := metricValue(t, metrics, `optimatch_sparql_eval_total{path="all"}`); all+skipped != pairs {
+		t.Errorf("%v pairs evaluated and %v skipped, want %v in all", all, skipped, pairs)
+	}
+}
+
+// TestHTTPMethodLabelBounded: a method outside the standard nine is the
+// client's own token, and 1 000 of them add one series, labelled OTHER.
+func TestHTTPMethodLabelBounded(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng := core.New()
+	h := New(eng, nil, WithMetrics(reg)).Handler()
+	series := func() (n int, exposition string) {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if strings.HasPrefix(line, "optimatch_http_requests_total{") {
+				n++
+			}
+		}
+		return n, b.String()
+	}
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz", nil))
+	before, _ := series()
+	for i := 0; i < 1000; i++ {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(fmt.Sprintf("INVENTED%d", i), "/healthz", nil))
+	}
+	after, exposition := series()
+	if after != before+1 {
+		t.Errorf("1000 invented methods added %d series, want 1", after-before)
+	}
+	if v := metricValue(t, exposition, `optimatch_http_requests_total{route="unrouted",method="OTHER",class="4xx"}`); v != 1000 {
+		t.Errorf("OTHER series = %v, want 1000:\n%s", v, exposition)
 	}
 }

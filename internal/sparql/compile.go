@@ -496,21 +496,27 @@ func (c *compiler) filter(expr Expression, index int) filterProg {
 	if f.keep, fast = c.fastFilter(expr); !fast {
 		f.keep = genericFilter(expr)
 	}
-	if cmp, ok := expr.(CmpExpr); ok {
-		// ?v op number, or number op ?v turned around.
-		l, r, op := cmp.L, cmp.R, cmp.Op
-		if _, ok := l.(LitExpr); ok {
-			l, r, op = r, l, [...]CmpOp{OpEq: OpEq, OpNeq: OpNeq, OpLt: OpGt, OpGt: OpLt, OpLe: OpGe, OpGe: OpLe}[op]
-		}
-		if v, ok := l.(VarExpr); ok {
-			if lit, ok := r.(LitExpr); ok {
-				if n, ok := lit.Term.Float(); ok {
-					f.cmpSlot, f.cmpOp, f.cmpConst = c.slot(v.Name), op, n
-				}
-			}
-		}
+	if v, op, _, n, ok := varVsNumber(expr); ok {
+		f.cmpSlot, f.cmpOp, f.cmpConst = c.slot(v), op, n
 	}
 	return f
+}
+
+// varVsNumber reads FILTER(?v op number) — or number op ?v, turned around —
+// as the variable, the operator, the literal and its number.
+func varVsNumber(expr Expression) (v string, op CmpOp, lit rdf.Term, n float64, ok bool) {
+	cmp, _ := expr.(CmpExpr) // the zero CmpExpr has no operands: not ok below
+	l, r, op := cmp.L, cmp.R, cmp.Op
+	if _, ok := l.(LitExpr); ok {
+		l, r, op = r, l, [...]CmpOp{OpEq: OpEq, OpNeq: OpNeq, OpLt: OpGt, OpGt: OpLt, OpLe: OpGe, OpGe: OpLe}[op]
+	}
+	vx, isVar := l.(VarExpr)
+	lx, isLit := r.(LitExpr)
+	if !isVar || !isLit {
+		return "", 0, rdf.Term{}, 0, false
+	}
+	n, ok = lx.Term.Float()
+	return vx.Name, op, lx.Term, n, ok
 }
 
 // filterIsEager reports whether the filter may be applied as soon as its

@@ -150,8 +150,9 @@ var (
 func fuzzPop(i int) string { return fmt.Sprintf("http://optimatch/qep/pop/%d", i%8) }
 
 // fuzzDecodePlanGraph reads 2-byte triples: subject and object index packed
-// in byte 0, predicate selector in byte 1.
-func fuzzDecodePlanGraph(triples []byte) *rdf.Graph {
+// in byte 0, predicate selector in byte 1. A cardinality cell is the object
+// index's entry of cards.
+func fuzzDecodePlanGraph(triples []byte, cards []string) *rdf.Graph {
 	g := rdf.NewGraph()
 	for i := 0; i+1 < len(triples) && i < 80; i += 2 {
 		s, o := int(triples[i]%8), int(triples[i]>>3%8)
@@ -162,7 +163,7 @@ func fuzzDecodePlanGraph(triples []byte) *rdf.Graph {
 		case 3:
 			g.Add(subj, rdf.IRI(predIRI+"hasPopType"), rdf.String(fuzzPopTypes[o%len(fuzzPopTypes)]))
 		case 4:
-			g.Add(subj, rdf.IRI(predIRI+"hasEstimateCardinality"), rdf.TypedLiteral(fuzzCards[o], rdf.XSDDouble))
+			g.Add(subj, rdf.IRI(predIRI+"hasEstimateCardinality"), rdf.TypedLiteral(cards[o%len(cards)], rdf.XSDDouble))
 		default:
 			g.Add(subj, rdf.IRI(predIRI+"hasJoinType"), rdf.String(fuzzJoinTypes[o%len(fuzzJoinTypes)]))
 		}
@@ -409,28 +410,7 @@ func FuzzEvalEquivalence(f *testing.F) {
 	for i := range refSeedQueries {
 		f.Add(append([]byte{byte(i)}, plan...))
 	}
-	// Generated shapes: the all-zero query, then a few byte ramps that reach
-	// OPTIONAL/UNION/BIND/EXISTS, aggregates and ordered windows.
-	for _, tail := range [][]byte{
-		{},
-		{1, 6, 2, 0, 1, 5, 0, 1, 9, 1, 1, 2, 0, 4, 1, 1, 1, 1, 0, 1, 1, 2},
-		{3, 7, 0, 0, 0, 1, 1, 3, 8, 0, 1, 0, 3, 5, 11, 1, 0, 2, 1, 1, 1, 1, 1, 1},
-		{2, 2, 0, 1, 0, 0, 3, 4, 1, 2, 4, 0, 1, 0, 1, 1, 1, 3, 1, 1},
-		// The tail over a one- or two-pattern WHERE: grouped with HAVING on an
-		// unprojected aggregate and ORDER BY on an alias, then on an expression
-		// over an aggregate; DISTINCT over a computed column ordered by its
-		// alias; ORDER BY DESC(?n0 + 1). All four windowed.
-		{0, 0, 2, 0, 0, 1, 0, 1, 1, 0, 2, 2, 1, 3, 1, 1},
-		{0, 0, 2, 0, 0, 2, 0, 1, 0, 1, 1, 1, 3, 1, 2, 0},
-		{1, 0, 2, 0, 0, 0, 0, 0, 0, 4, 1, 0, 0, 1, 2, 1, 2, 0},
-		{1, 0, 2, 0, 0, 0, 0, 0, 0, 4, 1, 1, 1, 0, 3, 1, 4, 1, 2},
-		// DISTINCT ?a over { ?a type ?t0 . ?a card ?n0 } closed by the
-		// unprojected cross product: filtered at the step, at the leaf, and at
-		// the leaf with every slot past 63.
-		{1, 0, 0, 0, 0, 0, 2, 0, 0, 4, 0, 0, 1, 1, 1, 0, 0, 1, 0},
-		{1, 0, 0, 0, 0, 0, 2, 0, 0, 4, 0, 0, 1, 1, 1, 0, 0, 2, 0},
-		{1, 0, 0, 0, 0, 0, 2, 0, 0, 4, 0, 0, 1, 1, 1, 0, 0, 2, 1},
-	} {
+	for _, tail := range fuzzQueryTails {
 		f.Add(append(append([]byte{255}, plan...), tail...))
 	}
 
@@ -443,7 +423,7 @@ func FuzzEvalEquivalence(f *testing.F) {
 		}
 		mode, rest := int(data[0]), data[1:]
 		split := len(rest) - len(rest)/3
-		g := fuzzDecodePlanGraph(rest[:split])
+		g := fuzzDecodePlanGraph(rest[:split], fuzzCards)
 		var text string
 		if mode < len(refSeedQueries) {
 			text = refSeedQueries[mode].text
@@ -466,4 +446,29 @@ func FuzzEvalEquivalence(f *testing.F) {
 			t.Fatalf("the printed query answers otherwise:\n%s\n got: %s\nwant: %s", printed, got, want)
 		}
 	})
+}
+
+// fuzzQueryTails seed the query generator: appended to a mode byte past
+// refSeedQueries and fuzzPlanTriples, each decodes to a generated query.
+var fuzzQueryTails = [][]byte{
+	// Generated shapes: the all-zero query, then a few byte ramps that reach
+	// OPTIONAL/UNION/BIND/EXISTS, aggregates and ordered windows.
+	{},
+	{1, 6, 2, 0, 1, 5, 0, 1, 9, 1, 1, 2, 0, 4, 1, 1, 1, 1, 0, 1, 1, 2},
+	{3, 7, 0, 0, 0, 1, 1, 3, 8, 0, 1, 0, 3, 5, 11, 1, 0, 2, 1, 1, 1, 1, 1, 1},
+	{2, 2, 0, 1, 0, 0, 3, 4, 1, 2, 4, 0, 1, 0, 1, 1, 1, 3, 1, 1},
+	// The tail over a one- or two-pattern WHERE: grouped with HAVING on an
+	// unprojected aggregate and ORDER BY on an alias, then on an expression
+	// over an aggregate; DISTINCT over a computed column ordered by its
+	// alias; ORDER BY DESC(?n0 + 1). All four windowed.
+	{0, 0, 2, 0, 0, 1, 0, 1, 1, 0, 2, 2, 1, 3, 1, 1},
+	{0, 0, 2, 0, 0, 2, 0, 1, 0, 1, 1, 1, 3, 1, 2, 0},
+	{1, 0, 2, 0, 0, 0, 0, 0, 0, 4, 1, 0, 0, 1, 2, 1, 2, 0},
+	{1, 0, 2, 0, 0, 0, 0, 0, 0, 4, 1, 1, 1, 0, 3, 1, 4, 1, 2},
+	// DISTINCT ?a over { ?a type ?t0 . ?a card ?n0 } closed by the
+	// unprojected cross product: filtered at the step, at the leaf, and at
+	// the leaf with every slot past 63.
+	{1, 0, 0, 0, 0, 0, 2, 0, 0, 4, 0, 0, 1, 1, 1, 0, 0, 1, 0},
+	{1, 0, 0, 0, 0, 0, 2, 0, 0, 4, 0, 0, 1, 1, 1, 0, 0, 2, 0},
+	{1, 0, 0, 0, 0, 0, 2, 0, 0, 4, 0, 0, 1, 1, 1, 0, 0, 2, 1},
 }

@@ -143,7 +143,7 @@ GROUP BY ?t HAVING(COUNT(*) > 1 && AVG(?c) >= 0) ORDER BY DESC(?n) ASC(-?s) ?t`,
 	} {
 		f.Add(q)
 	}
-	g := fuzzDecodePlanGraph(fuzzPlanTriples())
+	g := fuzzDecodePlanGraph(fuzzPlanTriples(), fuzzCards)
 
 	f.Fuzz(func(t *testing.T, text string) {
 		text = text[:min(len(text), maxQueryInput)]
