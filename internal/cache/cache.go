@@ -32,8 +32,8 @@ const entryOverhead = 128
 
 // Config tunes a Cache.
 type Config struct {
-	// MaxBytes is the budget for resident entries (key + value + fixed
-	// per-entry overhead). Required; New panics on MaxBytes <= 0.
+	// MaxBytes is the budget for resident entries (key + value capacity +
+	// fixed per-entry overhead). Required; New panics on MaxBytes <= 0.
 	MaxBytes int64
 }
 
@@ -66,9 +66,10 @@ func (o Outcome) String() string {
 }
 
 // Result is what a Do function returns: the rendered bytes (charged at
-// their length) and a NoStore escape hatch for results that are valid to
-// return but not to cache — e.g. a response rendered while the data
-// generation baked into the key moved on.
+// their capacity, which is what an entry keeps resident: a body grown by
+// bytes.Buffer can hold up to twice its length) and a NoStore escape hatch for
+// results that are valid to return but not to cache — e.g. a response
+// rendered while the data generation baked into the key moved on.
 type Result struct {
 	Body    []byte
 	NoStore bool
@@ -200,7 +201,7 @@ func (c *Cache) run(key string, f *flight, fctx context.Context, fn func(context
 	if err == nil && f.panicked == "" {
 		// An entry that alone exceeds the budget is rejected outright
 		// instead of flushing the whole cache on its way through the LRU.
-		size := int64(len(res.Body)) + int64(len(key)) + entryOverhead
+		size := int64(cap(res.Body)) + int64(len(key)) + entryOverhead
 		if !res.NoStore && size <= c.cfg.MaxBytes {
 			c.evictions.Add(int64(c.lru.add(key, res.Body, size)))
 		} else {
@@ -251,27 +252,26 @@ func (f *flight) result(oc Outcome) ([]byte, Outcome, error) {
 	return f.body, oc, f.err
 }
 
-// Stats is a point-in-time snapshot of the cache counters, served under
-// /api/stats as the "cache" group and re-exported as optimatch_cache_* in
-// /metrics.
+// Stats is a point-in-time snapshot of the cache counters, exported as
+// optimatch_cache_* in /metrics.
 type Stats struct {
 	// Hits counts Do calls served from a resident entry.
-	Hits int64 `json:"hits"`
+	Hits int64
 	// Misses counts Do calls that executed (and tried to store) the result.
-	Misses int64 `json:"misses"`
+	Misses int64
 	// Collapsed counts Do calls that piggybacked on a concurrent miss.
-	Collapsed int64 `json:"collapsed"`
+	Collapsed int64
 	// Evictions counts entries displaced by byte-budget pressure.
-	Evictions int64 `json:"evictions"`
+	Evictions int64
 	// Rejected counts successful executions not stored: NoStore results,
 	// or a size over the whole budget.
-	Rejected int64 `json:"rejected"`
+	Rejected int64
 	// Bytes is the charged size of resident entries; Entries their count.
-	Bytes   int64 `json:"bytes"`
-	Entries int   `json:"entries"`
+	Bytes   int64
+	Entries int
 	// HitRatio is hits over all non-bypass lookups (hits+misses+collapsed);
 	// 0 until the first lookup.
-	HitRatio float64 `json:"hitRatio"`
+	HitRatio float64
 }
 
 // Stats returns a snapshot of the counters. Safe on a nil cache (all

@@ -456,6 +456,45 @@ func TestGenerationKeyedEntriesAgeOut(t *testing.T) {
 	}
 }
 
+// TestChargedAtCapacity: an entry keeps its body's whole backing array
+// resident, so a body grown to twice its length is charged twice its length,
+// and under a fill-and-evict loop of such bodies the charged bytes — and so the
+// resident capacity — never exceed the budget.
+func TestChargedAtCapacity(t *testing.T) {
+	const budget = 8 << 10
+	c := New(Config{MaxBytes: budget})
+	put := func(key string, length, capacity int) {
+		t.Helper()
+		if _, _, err := c.Do(context.Background(), key, func(context.Context) (Result, error) {
+			return Result{Body: make([]byte, length, capacity)}, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("k", 500, 1000)
+	if st, want := c.Stats(), int64(1000+len("k")+entryOverhead); st.Bytes != want {
+		t.Fatalf("charged %d bytes for a body of length 500 and capacity 1000, want %d", st.Bytes, want)
+	}
+	for i := 0; i < 200; i++ {
+		length := 100 + 37*i%1500
+		put(Key("fill", fmt.Sprint(i)), length, 2*length)
+		st := c.Stats()
+		resident := int64(0)
+		c.mu.Lock()
+		for _, el := range c.lru.items {
+			item := el.Value.(*lruItem)
+			resident += int64(cap(item.val)) + int64(len(item.key)) + entryOverhead
+		}
+		c.mu.Unlock()
+		if st.Bytes > budget || resident != st.Bytes {
+			t.Fatalf("after %d fills: charged %d, resident capacity %d, budget %d", i+1, st.Bytes, resident, budget)
+		}
+	}
+	if st := c.Stats(); st.Evictions == 0 {
+		t.Error("the loop never filled the cache")
+	}
+}
+
 func TestKey(t *testing.T) {
 	if Key("a", "b") == Key("ab", "") || Key("a") == Key("a", "") {
 		t.Error("key parts collide")

@@ -68,7 +68,7 @@ type KnowledgeBase struct {
 
 	entries []*Entry
 	// scan is the entries laid out for a scan (Scan), made by the first Scan
-	// of a version: nil until then, never edited after.
+	// or Snapshot of a version: nil until then, never edited after.
 	scan *Scan
 }
 
@@ -198,39 +198,50 @@ func (kb *KnowledgeBase) Remove(name string) bool {
 }
 
 // Snapshot returns a shallow copy of the knowledge base: a new
-// KnowledgeBase whose entry list is fixed at the time of the call. Entries
-// themselves are immutable after Add, so the snapshot is safe to scan while
-// the original keeps mutating.
-func (kb *KnowledgeBase) Snapshot() *KnowledgeBase {
-	kb.mu.RLock()
-	defer kb.mu.RUnlock()
-	return &KnowledgeBase{
-		id:      kb.id,
-		version: kb.version,
-		entries: append([]*Entry(nil), kb.entries...),
-		scan:    kb.scan,
-	}
+// KnowledgeBase whose entry list is fixed at the time of the call, laid out
+// for a scan as its version is. Entries themselves are immutable after Add,
+// so the snapshot is safe to scan while the original keeps mutating, and
+// every snapshot of one version shares that version's one layout.
+func (kb *KnowledgeBase) Snapshot() (snap *KnowledgeBase) {
+	kb.laidOut(func() {
+		snap = &KnowledgeBase{
+			id:      kb.id,
+			version: kb.version,
+			entries: append([]*Entry(nil), kb.entries...),
+			scan:    kb.scan,
+		}
+	})
+	return snap
 }
 
 // Scan returns the entries laid out for a scan, as of the moment of the call.
-// It is derived once per version, by the first call after Insert or Remove
-// made the version, under the lock they take; a knowledge base loaded entry by
-// entry pays for one layout, not one per entry. Its slices are shared; do not
-// mutate.
-func (kb *KnowledgeBase) Scan() Scan {
+// It is derived once per version, by the first Scan or Snapshot after Insert
+// or Remove made the version, under the lock they take; a knowledge base
+// loaded entry by entry pays for one layout, not one per entry. Its slices are
+// shared; do not mutate.
+func (kb *KnowledgeBase) Scan() (s Scan) {
+	kb.laidOut(func() { s = *kb.scan })
+	return s
+}
+
+// laidOut runs f under the lock with the current version laid out: under the
+// read lock when it already is, else under the write lock, after laying it
+// out.
+func (kb *KnowledgeBase) laidOut(f func()) {
 	kb.mu.RLock()
-	s := kb.scan
-	kb.mu.RUnlock()
-	if s != nil {
-		return *s
+	if kb.scan != nil {
+		defer kb.mu.RUnlock()
+		f()
+		return
 	}
+	kb.mu.RUnlock()
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
 	if kb.scan == nil {
 		s := schedule(kb.entries)
 		kb.scan = &s
 	}
-	return *kb.scan
+	f()
 }
 
 // Ranked is one context-adapted, scored recommendation produced by matching

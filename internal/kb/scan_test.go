@@ -111,6 +111,29 @@ func TestScanGuards(t *testing.T) {
 	}
 }
 
+// TestSnapshotsShareLayout: the server scans a fresh snapshot per kb/run, so
+// every snapshot of one version hands out that version's one layout instead of
+// laying the entries out again; after an Insert the next snapshot has a layout
+// of its own, and the old one keeps its own.
+func TestSnapshotsShareLayout(t *testing.T) {
+	k := MustExtended()
+	addPatternA(t, k, "nljoin-inner-tbscan-over-1600", 1600)
+	first, second := k.Snapshot(), k.Snapshot()
+	a, b := first.Scan().Entries, second.Scan().Entries
+	if &a[0] != &b[0] || &a[0] != &k.Scan().Entries[0] {
+		t.Fatal("two snapshots of one version laid the knowledge base out twice")
+	}
+	addPatternA(t, k, "nljoin-inner-tbscan-over-2500", 2500)
+	third := k.Snapshot()
+	c := third.Scan().Entries
+	if &c[0] == &a[0] || len(c) != len(a)+1 {
+		t.Fatalf("the snapshot after an insert shares the old layout (%d entries, was %d)", len(c), len(a))
+	}
+	if &first.Scan().Entries[0] != &a[0] || len(first.Scan().Entries) != len(a) {
+		t.Error("the old snapshot's layout changed with the knowledge base")
+	}
+}
+
 // TestScanEqualShapes: two entries of one query contain each other. The scan
 // has no cycle: the first added guards the second, and is guarded by nothing.
 func TestScanEqualShapes(t *testing.T) {
@@ -128,9 +151,9 @@ func TestScanEqualShapes(t *testing.T) {
 	}
 }
 
-// TestScanConcurrent lays a knowledge base out from several goroutines while
-// another adds and removes entries: each caller gets a whole layout of some
-// version (run it with -race).
+// TestScanConcurrent lays a knowledge base out from several goroutines, by
+// Scan and by Snapshot, while another adds and removes entries: each caller
+// gets a whole layout of some version (run it with -race).
 func TestScanConcurrent(t *testing.T) {
 	k := New()
 	for i := 0; i < 8; i++ {
@@ -143,6 +166,9 @@ func TestScanConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				s := k.Scan()
+				if i%2 == 1 {
+					s = k.Snapshot().Scan()
+				}
 				if len(s.Entries) != len(s.Guards) {
 					t.Errorf("a scan of %d entries has %d guards", len(s.Entries), len(s.Guards))
 					return

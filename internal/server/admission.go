@@ -33,36 +33,13 @@ const StatusClientClosedRequest = 499
 // errShed reports that the admission gate turned a request away.
 var errShed = errors.New("server overloaded: admission queue wait exceeded")
 
-// ExecStats counts execution outcomes on the gated routes. Served in
-// /api/stats (additive — the group only ever gains fields) and re-exported
-// at scrape time as optimatch_exec_* in /metrics.
-type ExecStats struct {
-	// InFlight is the weighted units of scan work currently admitted.
-	InFlight int64 `json:"inFlight"`
-	// Cancelled counts executions stopped because the client disconnected
-	// or the daemon began shutting down.
-	Cancelled int64 `json:"cancelled"`
-	// Deadline counts executions stopped at their deadline (504s).
-	Deadline int64 `json:"deadline"`
-	// Shed counts requests turned away by the admission gate (503s).
-	Shed int64 `json:"shed"`
-}
-
-// execCounters holds the atomics behind ExecStats.
+// execCounters count execution outcomes on the gated routes, exported at
+// scrape time as optimatch_exec_* in /metrics.
 type execCounters struct {
-	inFlight  atomic.Int64
-	cancelled atomic.Int64
-	deadline  atomic.Int64
-	shed      atomic.Int64
-}
-
-func (c *execCounters) snapshot() ExecStats {
-	return ExecStats{
-		InFlight:  c.inFlight.Load(),
-		Cancelled: c.cancelled.Load(),
-		Deadline:  c.deadline.Load(),
-		Shed:      c.shed.Load(),
-	}
+	inFlight  atomic.Int64 // weighted units of scan work currently admitted
+	cancelled atomic.Int64 // stopped because the client disconnected or the daemon began shutting down
+	deadline  atomic.Int64 // stopped at their deadline (504s)
+	shed      atomic.Int64 // turned away by the admission gate (503s)
 }
 
 // semWaiter is one queued Acquire.

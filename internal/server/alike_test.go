@@ -6,7 +6,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
-	"sort"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,8 +30,8 @@ type answer struct {
 // TestMemoryAndDurableAnswerAlike runs one scripted sequence against a server
 // over a memory store and one over a durable store: since both mutate through
 // the same store code, every request answers with the same status, body,
-// X-Cache and (epoch-masked) ETag. /api/stats, /metrics, compact and reopen
-// then differ exactly where DESIGN.md §9 says they do.
+// X-Cache and (epoch-masked) ETag. /metrics, compact and reopen then differ
+// exactly where DESIGN.md §9 says they do.
 func TestMemoryAndDurableAnswerAlike(t *testing.T) {
 	newCache := func() Option { return WithResultCache(cache.New(cache.Config{MaxBytes: 16 << 20})) }
 	mem := New(core.New(), nil, newCache(), WithMetrics(obs.NewRegistry()))
@@ -150,56 +150,37 @@ SELECT ?pop WHERE { ?pop preduri:hasJoinType "LEFT_OUTER" }`
 		}
 	}
 
-	// /api/stats: the same document, plus a store group where there is a disk.
-	var stats []map[string]json.RawMessage
-	for i := range servers {
-		var m map[string]json.RawMessage
-		if a := ask(i, "GET", "/api/stats", "", false); a.status != http.StatusOK || json.Unmarshal([]byte(a.body), &m) != nil {
-			t.Fatalf("/api/stats = %d %s", a.status, a.body)
+	// /metrics: the same series with the same values, plus optimatch_store_*
+	// where there is a disk. Only latencies differ — the buckets and sums of
+	// the _seconds histograms — and the cache's charged bytes, which count
+	// keys that name each knowledge base's process-unique ID.
+	memSeries, durSeries := scrape(t, urls[0]), scrape(t, urls[1])
+	for _, m := range []map[string]float64{memSeries, durSeries} {
+		if m["optimatch_cache_bytes"] <= 0 {
+			t.Errorf("optimatch_cache_bytes = %v with %v entries", m["optimatch_cache_bytes"], m["optimatch_cache_entries"])
 		}
-		stats = append(stats, m)
+		delete(m, "optimatch_cache_bytes")
 	}
-	if _, ok := stats[0]["store"]; ok {
-		t.Error("memory /api/stats has a store group")
-	}
-	if _, ok := stats[1]["store"]; !ok {
-		t.Error("durable /api/stats has no store group")
-	}
-	delete(stats[1], "store")
-	if !reflect.DeepEqual(stats[0], stats[1]) {
-		t.Errorf("/api/stats differs outside the store group:\nmemory:  %s\ndurable: %s", stats[0], stats[1])
-	}
-
-	// /metrics: the same series, plus optimatch_store_* where there is a disk.
-	var series [][]string
-	for i := range servers {
-		a := ask(i, "GET", "/metrics", "", false)
-		var names []string
-		for _, line := range strings.Split(a.body, "\n") {
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			names = append(names, strings.FieldsFunc(line, func(r rune) bool { return r == '{' || r == ' ' })[0])
-		}
-		sort.Strings(names)
-		series = append(series, names)
-	}
-	var durableOnly []string
-	for _, name := range series[1] {
-		if strings.HasPrefix(name, "optimatch_store_") {
-			durableOnly = append(durableOnly, name)
+	stored := 0
+	for series := range durSeries {
+		if strings.HasPrefix(series, "optimatch_store_") {
+			delete(durSeries, series)
+			stored++
 		}
 	}
-	if len(durableOnly) == 0 {
+	if stored == 0 {
 		t.Error("durable /metrics has no optimatch_store_* series")
 	}
-	for _, name := range series[0] {
-		if strings.HasPrefix(name, "optimatch_store_") {
-			t.Errorf("memory /metrics has %s", name)
+	timing := regexp.MustCompile(`_seconds_(bucket|sum)\b`)
+	for _, m := range []map[string]float64{memSeries, durSeries} {
+		for series := range m {
+			if timing.MatchString(series) {
+				delete(m, series)
+			}
 		}
 	}
-	if len(series[0])+len(durableOnly) != len(series[1]) {
-		t.Errorf("/metrics series differ outside optimatch_store_*:\nmemory:  %v\ndurable: %v", series[0], series[1])
+	if !reflect.DeepEqual(memSeries, durSeries) {
+		t.Errorf("/metrics differs outside optimatch_store_* and latencies:\nmemory:  %v\ndurable: %v", memSeries, durSeries)
 	}
 
 	// Compact and reopen need a disk: 501 in memory, 200 durable. Neither

@@ -46,29 +46,11 @@ func WithBatchLimits(maxRecords int, maxBytes int64) Option {
 	}
 }
 
-// batchCounters feed the optimatch_ingest_batch_* metrics and /api/stats.
+// batchCounters feed the optimatch_ingest_batch_* metrics.
 type batchCounters struct {
 	requests atomic.Int64 // batch requests that passed framing checks
-	records  atomic.Int64 // NDJSON records seen across all batches
 	accepted atomic.Int64 // records loaded (and persisted, with a store)
 	rejected atomic.Int64 // records refused (parse, validation, duplicate)
-}
-
-// BatchStats is the /api/stats view of the batch-ingest counters.
-type BatchStats struct {
-	Requests int64 `json:"requests"`
-	Records  int64 `json:"records"`
-	Accepted int64 `json:"accepted"`
-	Rejected int64 `json:"rejected"`
-}
-
-func (c *batchCounters) snapshot() BatchStats {
-	return BatchStats{
-		Requests: c.requests.Load(),
-		Records:  c.records.Load(),
-		Accepted: c.accepted.Load(),
-		Rejected: c.rejected.Load(),
-	}
 }
 
 // batchRecordResult is the per-record outcome in the batch response.
@@ -122,7 +104,6 @@ func (s *Server) handleBatchUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.batch.requests.Add(1)
-	s.batch.records.Add(int64(len(lines)))
 
 	// Decode the framing first: records that are not valid NDJSON values
 	// fail individually, and only well-formed texts reach the store.

@@ -12,6 +12,7 @@ import (
 	"optimatch/internal/cache"
 	"optimatch/internal/core"
 	"optimatch/internal/fixtures"
+	"optimatch/internal/obs"
 	"optimatch/internal/qep"
 	"optimatch/internal/store"
 )
@@ -235,14 +236,14 @@ func TestBatchUploadObjectRecords(t *testing.T) {
 
 // TestBatchUploadStoreSingleFsync is the durability half of the batch
 // contract over HTTP: a store-backed batch of N plans costs one WAL record
-// and one fsync, and /api/stats exposes the batch counters.
+// and one fsync, and /metrics exposes the batch counters.
 func TestBatchUploadStoreSingleFsync(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	s := New(st.Engine(), st.KB(), WithStore(st))
+	s := New(st.Engine(), st.KB(), WithStore(st), WithMetrics(obs.NewRegistry()))
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
@@ -261,13 +262,13 @@ func TestBatchUploadStoreSingleFsync(t *testing.T) {
 			after.BatchAppends, after.BatchPlans, len(texts))
 	}
 
-	var stats statsBody
-	getJSON(t, ts.URL+"/api/stats", http.StatusOK, &stats)
-	if stats.Batch.Requests != 1 || stats.Batch.Accepted != int64(len(texts)) {
-		t.Fatalf("stats.Batch = %+v", stats.Batch)
+	m := scrape(t, ts.URL)
+	requests, accepted := m["optimatch_ingest_batch_requests_total"], m[`optimatch_ingest_batch_records_total{outcome="accepted"}`]
+	if requests != 1 || accepted != float64(len(texts)) {
+		t.Fatalf("batch requests %v, accepted records %v; want 1 and %d", requests, accepted, len(texts))
 	}
-	if stats.Plans != len(texts) {
-		t.Fatalf("stats.Plans = %d, want %d", stats.Plans, len(texts))
+	if v := m["optimatch_core_plans_loaded"]; v != float64(len(texts)) {
+		t.Fatalf("optimatch_core_plans_loaded = %v, want %d", v, len(texts))
 	}
 }
 

@@ -12,8 +12,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -28,15 +26,6 @@ import (
 // out under the byte budget, and a stale response is never served.
 func WithResultCache(c *cache.Cache) Option {
 	return func(s *Server) { s.cache = c }
-}
-
-// encodeJSON is the one encoder configuration (two-space indent, trailing
-// newline) behind every JSON body, so cached and uncached responses are
-// byte-identical.
-func encodeJSON(w io.Writer, v interface{}) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }
 
 // cacheContext applies the client's cache directives to the execution

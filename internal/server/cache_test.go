@@ -261,57 +261,37 @@ func TestPlanRDFETag(t *testing.T) {
 	}
 }
 
+// TestStatsCacheGroup pins the cache's statistics as /metrics exports them.
 func TestStatsCacheGroup(t *testing.T) {
-	_, ts, _ := cachedTestServer(t)
-
-	type cacheStats struct {
-		Cache map[string]json.Number `json:"cache"`
-	}
+	_, ts, _ := cachedTestServer(t, WithMetrics(obs.NewRegistry()))
 	// One cold cacheable request is exactly one lookup and one flight; the
 	// identical request after it is exactly one hit.
-	for i, want := range []struct{ hits, misses, hitRatio string }{{"0", "1", "0"}, {"1", "1", "0.5"}} {
+	for i, want := range []struct{ hits, misses float64 }{{0, 1}, {1, 1}} {
 		cacheReq(t, "POST", ts.URL+"/api/kb/run", "", nil)
-		var stats cacheStats
-		getJSON(t, ts.URL+"/api/stats", http.StatusOK, &stats)
-		if stats.Cache == nil {
-			t.Fatal("stats missing cache group")
-		}
-		c := stats.Cache
-		if c["hits"].String() != want.hits || c["misses"].String() != want.misses ||
-			c["collapsed"].String() != "0" || c["entries"].String() != "1" || c["hitRatio"].String() != want.hitRatio {
-			t.Fatalf("after kb/run #%d: cache stats = %v, want hits=%s misses=%s hitRatio=%s entries=1",
-				i+1, c, want.hits, want.misses, want.hitRatio)
-		}
-		if _, ok := c["expired"]; ok {
-			t.Errorf("cache stats still carry %q: %v", "expired", c)
+		m := scrape(t, ts.URL)
+		hits, misses := m[`optimatch_cache_requests_total{result="hit"}`], m[`optimatch_cache_requests_total{result="miss"}`]
+		collapsed, entries := m[`optimatch_cache_requests_total{result="collapsed"}`], m["optimatch_cache_entries"]
+		if hits != want.hits || misses != want.misses || collapsed != 0 || entries != 1 {
+			t.Fatalf("after kb/run #%d: hit/miss/collapsed series = %v/%v/%v, entries %v; want %v/%v/0, 1 (one request is one lookup)",
+				i+1, hits, misses, collapsed, entries, want.hits, want.misses)
 		}
 	}
 
-	// A cache-less server omits the group.
-	_, plain := testServer(t)
-	var bare struct {
-		Cache *cache.Stats `json:"cache"`
-	}
-	getJSON(t, plain.URL+"/api/stats", http.StatusOK, &bare)
-	if bare.Cache != nil {
-		t.Fatalf("cache group present without a cache: %+v", bare.Cache)
+	// A cache-less server exports no optimatch_cache_* series.
+	eng := core.New()
+	plain := httptest.NewServer(New(eng, nil, WithMetrics(obs.NewRegistry())).Handler())
+	t.Cleanup(plain.Close)
+	for series := range scrape(t, plain.URL) {
+		if strings.HasPrefix(series, "optimatch_cache_") {
+			t.Errorf("%s exported without a cache", series)
+		}
 	}
 }
 
 func TestCacheMetricsExported(t *testing.T) {
-	reg := obs.NewRegistry()
-	_, ts, _ := cachedTestServer(t, WithMetrics(reg))
-	for _, want := range []struct{ hits, misses float64 }{{0, 1}, {1, 1}} {
-		cacheReq(t, "POST", ts.URL+"/api/kb/run", "", nil)
-		_, metrics := cacheReq(t, "GET", ts.URL+"/metrics", "", nil)
-		hits := metricValue(t, metrics, `optimatch_cache_requests_total{result="hit"}`)
-		misses := metricValue(t, metrics, `optimatch_cache_requests_total{result="miss"}`)
-		if hits != want.hits || misses != want.misses {
-			t.Fatalf("hit/miss series = %v/%v, want %v/%v (one request is one lookup)", hits, misses, want.hits, want.misses)
-		}
-	}
-
-	_, metrics := cacheReq(t, "GET", ts.URL+"/metrics", "", nil)
+	_, ts, _ := cachedTestServer(t, WithMetrics(obs.NewRegistry()))
+	cacheReq(t, "POST", ts.URL+"/api/kb/run", "", nil)
+	m := scrape(t, ts.URL)
 	for _, want := range []string{
 		`optimatch_cache_requests_total{result="hit"}`,
 		`optimatch_cache_requests_total{result="miss"}`,
@@ -321,14 +301,14 @@ func TestCacheMetricsExported(t *testing.T) {
 		"optimatch_cache_evictions_total",
 		"optimatch_cache_rejected_total",
 	} {
-		if !strings.Contains(metrics, want) {
+		if _, ok := m[want]; !ok {
 			t.Errorf("/metrics missing %s", want)
 		}
 	}
 	// There is no TTL: no series counts expiries. The hit ratio is the hit
 	// series over the three of optimatch_cache_requests_total.
 	for _, gone := range []string{"optimatch_cache_expired_total", "optimatch_cache_hit_ratio"} {
-		if v := metricValue(t, metrics, gone); v != -1 {
+		if v, ok := m[gone]; ok {
 			t.Errorf("%s = %v, want the series absent", gone, v)
 		}
 	}

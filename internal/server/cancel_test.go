@@ -17,6 +17,7 @@ import (
 	"optimatch/internal/cache"
 	"optimatch/internal/core"
 	"optimatch/internal/fixtures"
+	"optimatch/internal/obs"
 	"optimatch/internal/workload"
 )
 
@@ -67,7 +68,7 @@ func TestDeadlineReturns504(t *testing.T) {
 	if elapsed > time.Second {
 		t.Fatalf("504 took %v; deadline enforcement is not prompt", elapsed)
 	}
-	if got := s.exec.snapshot().Deadline; got < 1 {
+	if got := s.exec.deadline.Load(); got < 1 {
 		t.Fatalf("exec.Deadline = %d, want >= 1", got)
 	}
 }
@@ -214,7 +215,8 @@ func TestDeadlineWithConcurrentFastQuery(t *testing.T) {
 func TestAdmissionShedsWith503(t *testing.T) {
 	s, ts := slowServer(t,
 		WithQueryTimeout(time.Minute),
-		WithAdmission(1, 5*time.Millisecond))
+		WithAdmission(1, 5*time.Millisecond),
+		WithMetrics(obs.NewRegistry()))
 
 	// Occupy the only slot with a slow query we can abort afterwards.
 	slowCtx, stopSlow := context.WithCancel(context.Background())
@@ -229,7 +231,7 @@ func TestAdmissionShedsWith503(t *testing.T) {
 		}
 	}()
 
-	waitFor(t, func() bool { return s.exec.snapshot().InFlight >= 1 })
+	waitFor(t, func() bool { return s.exec.inFlight.Load() >= 1 })
 
 	resp, err := http.Post(ts.URL+"/api/sparql", "text/plain", strings.NewReader(fastQuery))
 	if err != nil {
@@ -252,18 +254,14 @@ func TestAdmissionShedsWith503(t *testing.T) {
 		t.Fatalf("error body %q does not mention overload", eb.Error)
 	}
 
-	// The shed counter is on /api/stats (ungated) and /metrics.
-	var stats struct {
-		Exec ExecStats `json:"exec"`
-	}
-	getJSON(t, ts.URL+"/api/stats", http.StatusOK, &stats)
-	if stats.Exec.Shed < 1 {
-		t.Fatalf("exec.shed = %d, want >= 1", stats.Exec.Shed)
+	// The shed counter is on /metrics, which is ungated.
+	if v := scrape(t, ts.URL)["optimatch_exec_shed_total"]; v < 1 {
+		t.Fatalf("optimatch_exec_shed_total = %v, want >= 1", v)
 	}
 
 	stopSlow()
 	<-slowDone
-	waitFor(t, func() bool { return s.exec.snapshot().InFlight == 0 })
+	waitFor(t, func() bool { return s.exec.inFlight.Load() == 0 })
 }
 
 func TestClientDisconnectLogs499(t *testing.T) {
@@ -282,11 +280,11 @@ func TestClientDisconnectLogs499(t *testing.T) {
 		}
 	}()
 
-	waitFor(t, func() bool { return s.exec.snapshot().InFlight >= 1 })
+	waitFor(t, func() bool { return s.exec.inFlight.Load() >= 1 })
 	cancel() // client hangs up mid-scan
 	<-done
 
-	waitFor(t, func() bool { return s.exec.snapshot().Cancelled >= 1 })
+	waitFor(t, func() bool { return s.exec.cancelled.Load() >= 1 })
 	waitFor(t, func() bool {
 		line := buf.String()
 		return strings.Contains(line, "client closed request") &&
@@ -326,7 +324,7 @@ func TestDisconnectDoesNotPoisonNextIdenticalRequest(t *testing.T) {
 	<-inScan
 	hangUp()
 	<-gone
-	waitFor(t, func() bool { return s.exec.snapshot().Cancelled == 1 })
+	waitFor(t, func() bool { return s.exec.cancelled.Load() == 1 })
 
 	// The abandoned scan is still parked; the same request arrives again.
 	status := make(chan int, 1)
@@ -345,7 +343,7 @@ func TestDisconnectDoesNotPoisonNextIdenticalRequest(t *testing.T) {
 	if got := <-status; got != http.StatusOK {
 		t.Fatalf("identical request after a disconnect: status = %d, want 200", got)
 	}
-	if got := s.exec.snapshot().Cancelled; got != 1 {
+	if got := s.exec.cancelled.Load(); got != 1 {
 		t.Fatalf("exec.cancelled = %d, want 1 (only the client that hung up)", got)
 	}
 }

@@ -71,7 +71,6 @@ func TestMetricsCatalogue(t *testing.T) {
 		{"DELETE", "/api/plans/" + last, ""},
 		{"POST", "/api/admin/compact", ""},
 		{"POST", "/api/admin/reopen", ""},
-		{"GET", "/api/stats", ""},
 		{"GET", "/metrics", ""},
 	} {
 		resp, body := cacheReq(t, req.method, ts.URL+req.path, req.body, nil)

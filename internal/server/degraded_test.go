@@ -135,21 +135,13 @@ func TestDegradedModeHTTPContract(t *testing.T) {
 		t.Fatalf("plan listing while degraded = %d", resp.StatusCode)
 	}
 
-	// The degraded state is visible to scrapes and /api/stats.
-	resp, metrics := cacheReq(t, "GET", ts.URL+"/metrics", "", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics = %d", resp.StatusCode)
-	}
-	if v := metricValue(t, metrics, "optimatch_store_degraded"); v != 1 {
+	// The degraded state is visible to scrapes.
+	m := scrape(t, ts.URL)
+	if v := m["optimatch_store_degraded"]; v != 1 {
 		t.Errorf("optimatch_store_degraded = %v, want 1", v)
 	}
-	if v := metricValue(t, metrics, `optimatch_store_fault_total{op="append"}`); v != 1 {
+	if v := m[`optimatch_store_fault_total{op="append"}`]; v != 1 {
 		t.Errorf(`optimatch_store_fault_total{op="append"} = %v, want 1`, v)
-	}
-	var stats statsBody
-	getJSON(t, ts.URL+"/api/stats", http.StatusOK, &stats)
-	if stats.Store == nil || !stats.Store.Degraded || stats.Store.FaultWrites != 1 {
-		t.Fatalf("store stats while degraded = %+v", stats.Store)
 	}
 
 	// Reopen on a still-broken disk answers 503 and stays degraded.
@@ -183,14 +175,14 @@ func TestDegradedModeHTTPContract(t *testing.T) {
 	if st.Engine().Plan(plans[1].ID) == nil {
 		t.Fatal("post-reopen upload not applied")
 	}
-	_, metrics = cacheReq(t, "GET", ts.URL+"/metrics", "", nil)
-	if v := metricValue(t, metrics, "optimatch_store_degraded"); v != 0 {
+	m = scrape(t, ts.URL)
+	if v, ok := m["optimatch_store_degraded"]; !ok || v != 0 {
 		t.Errorf("optimatch_store_degraded after reopen = %v, want 0", v)
 	}
-	if v := metricValue(t, metrics, `optimatch_store_reopen_total{result="ok"}`); v != 1 {
+	if v := m[`optimatch_store_reopen_total{result="ok"}`]; v != 1 {
 		t.Errorf("reopen ok counter = %v, want 1", v)
 	}
-	if v := metricValue(t, metrics, `optimatch_store_reopen_total{result="error"}`); v != 1 {
+	if v := m[`optimatch_store_reopen_total{result="error"}`]; v != 1 {
 		t.Errorf("reopen error counter = %v, want 1", v)
 	}
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,7 +16,6 @@ import (
 	"optimatch/internal/fixtures"
 	"optimatch/internal/kb"
 	"optimatch/internal/obs"
-	"optimatch/internal/pattern"
 	"optimatch/internal/qep"
 	"optimatch/internal/rdf"
 	"optimatch/internal/store"
@@ -154,23 +152,34 @@ func TestPlanRDFServedFromEngineCache(t *testing.T) {
 	}
 }
 
-// metricValue extracts the value of one exposition line by exact series
-// match ("name{labels}" or bare "name"), or -1 if absent. Label values may
-// contain spaces, so match by prefix rather than cutting at the first space.
-func metricValue(t *testing.T, exposition, series string) float64 {
+// metrics parses a text exposition into series ("name{labels}" or bare
+// "name") → value. Label values may contain spaces, so a series ends at its
+// line's last space.
+func metrics(t *testing.T, exposition string) map[string]float64 {
 	t.Helper()
+	out := map[string]float64{}
 	for _, line := range strings.Split(exposition, "\n") {
-		value, ok := strings.CutPrefix(line, series+" ")
-		if !ok {
+		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			t.Fatalf("series %s has malformed value %q", series, value)
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if i < 0 || err != nil {
+			t.Fatalf("malformed exposition line %q", line)
 		}
-		return v
+		out[line[:i]] = v
 	}
-	return -1
+	return out
+}
+
+// scrape reads GET /metrics of the server at base through metrics.
+func scrape(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, body := cacheReq(t, "GET", base+"/metrics", "", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", resp.StatusCode)
+	}
+	return metrics(t, body)
 }
 
 // TestEvalBailoutMetric pins the evaluator's two series to exact values: a
@@ -187,10 +196,10 @@ func TestEvalBailoutMetric(t *testing.T) {
 	postBody(t, ts.URL+"/api/sparql", `PREFIX preduri: <http://optimatch/pred/>
 SELECT ?s WHERE { ?s preduri:hasPopType "NO_SUCH_TYPE" }`, http.StatusOK, nil)
 
-	_, metrics := cacheReq(t, "GET", ts.URL+"/metrics", "", nil)
+	m := scrape(t, ts.URL)
 	plans := float64(len(fixtures.All()))
 	for _, path := range []string{"all", "constant_bailout"} {
-		if v := metricValue(t, metrics, `optimatch_sparql_eval_total{path="`+path+`"}`); v != plans {
+		if v := m[`optimatch_sparql_eval_total{path="`+path+`"}`]; v != plans {
 			t.Errorf("optimatch_sparql_eval_total{path=%q} = %v, want %v (one per plan)", path, v, plans)
 		}
 	}
@@ -255,6 +264,7 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`
 	// One series per layer must have moved: HTTP, core scan stages, sparql
 	// evaluator (its required-constant bail-out included: some fixture plan
 	// lacks a constant some canonical entry requires), store.
+	m := metrics(t, out)
 	positive := []string{
 		`optimatch_http_requests_total{route="POST /api/plans",method="POST",class="2xx"}`,
 		`optimatch_http_request_seconds_count{route="POST /api/kb/run"}`,
@@ -279,19 +289,20 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`
 		`optimatch_kb_entries`,
 	}
 	for _, series := range positive {
-		if v := metricValue(t, out, series); v <= 0 {
+		if v := m[series]; v <= 0 {
 			t.Errorf("series %s = %v, want > 0", series, v)
 		}
 	}
 	// There is one evaluator: no series counts a second one.
 	for _, gone := range []string{"specialized", "fallback"} {
-		if v := metricValue(t, out, `optimatch_sparql_eval_total{path="`+gone+`"}`); v != -1 {
+		if v, ok := m[`optimatch_sparql_eval_total{path="`+gone+`"}`]; ok {
 			t.Errorf(`optimatch_sparql_eval_total{path=%q} = %v, want the series absent`, gone, v)
 		}
 	}
-	// The delete left 4 of 5 plans.
-	if v := metricValue(t, out, "optimatch_core_plans_loaded"); v != 4 {
-		t.Errorf("optimatch_core_plans_loaded = %v, want 4", v)
+	// The delete left 4 of 5 plans; the store opened with the canonical 4
+	// entries.
+	if v, k := m["optimatch_core_plans_loaded"], m["optimatch_kb_entries"]; v != 4 || k != 4 {
+		t.Errorf("optimatch_core_plans_loaded = %v, optimatch_kb_entries = %v, want 4 and 4", v, k)
 	}
 	// The engine has no prefilter and no shards to report on.
 	for _, family := range []string{
@@ -379,42 +390,43 @@ func TestAccessLogAndSlowRequests(t *testing.T) {
 	}
 }
 
-// TestStatsGainsObservabilityCounters pins the /api/stats body: the counter
-// groups move, and nothing is served that counts what no longer exists.
+// TestStatsGainsObservabilityCounters pins the statistics a memory-backed
+// server exports on /metrics: the counter groups move, and nothing is served
+// that counts what no longer exists.
 func TestStatsGainsObservabilityCounters(t *testing.T) {
-	_, ts := testServer(t)
+	eng := core.New()
+	if err := eng.LoadPlans(fixtures.All()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(eng, nil, WithMetrics(obs.NewRegistry())).Handler())
+	t.Cleanup(ts.Close)
 	postBody(t, ts.URL+"/api/kb/run", "", http.StatusOK, nil)
 	postBody(t, ts.URL+"/api/kb/run", "", http.StatusOK, nil)
-	var stats statsBody
-	getJSON(t, ts.URL+"/api/stats", http.StatusOK, &stats)
-	if stats.Plans != 5 || stats.KBEntries != 4 {
-		t.Errorf("plans or kbEntries wrong: %+v", stats)
+	m := scrape(t, ts.URL)
+	if m["optimatch_core_plans_loaded"] != 5 || m["optimatch_kb_entries"] != 4 {
+		t.Errorf("plans loaded %v, kb entries %v; want 5 and 4", m["optimatch_core_plans_loaded"], m["optimatch_kb_entries"])
 	}
-	if stats.Eval.Specialized == 0 || stats.Eval.JoinRows == 0 || stats.Eval.MatchRows == 0 {
-		t.Errorf("eval.executions, eval.joinRows or eval.matchRows = 0 after kb/run: %+v", stats.Eval)
-	}
-	// No prefilter, no query cache, one evaluator and no per-predicate CSR:
-	// their groups and counters are gone from the body, the execution count
-	// is served under its own name.
-	var raw struct {
-		Prefilter, QueryCache json.RawMessage
-		Eval                  map[string]json.RawMessage
-	}
-	getJSON(t, ts.URL+"/api/stats", http.StatusOK, &raw)
-	if raw.Prefilter != nil || raw.QueryCache != nil {
-		t.Errorf("legacy groups served: prefilter %s, queryCache %s", raw.Prefilter, raw.QueryCache)
-	}
-	for _, key := range []string{"specialized", "fallback"} {
-		if _, ok := raw.Eval[key]; ok {
-			t.Errorf("eval.%s served", key)
+	// Executions, join rows and match rows move on kb/run; the canonical KB
+	// descendant patterns run closures.
+	for _, series := range []string{
+		`optimatch_sparql_eval_total{path="all"}`,
+		"optimatch_sparql_join_rows_total",
+		"optimatch_sparql_match_rows_total",
+		`optimatch_sparql_path_total{kind="memo_miss"}`,
+		"optimatch_sparql_path_bfs_steps_total",
+	} {
+		if v := m[series]; v <= 0 {
+			t.Errorf("series %s = %v, want > 0 after kb/run", series, v)
 		}
 	}
-	if _, ok := raw.Eval["executions"]; !ok || strings.Contains(string(raw.Eval["path"]), "csrBuilds") {
-		t.Errorf("eval = %v, want executions and no path.csrBuilds", raw.Eval)
-	}
-	// The canonical KB descendant patterns run closures.
-	if p := stats.Eval.Path; p.MemoMisses == 0 || p.BFSSteps == 0 {
-		t.Errorf("eval.path counters did not move: %+v", stats.Eval.Path)
+	// No prefilter, no query cache, one evaluator and no per-predicate CSR:
+	// no series counts them.
+	for series := range m {
+		for _, gone := range []string{"prefilter", "query_cache", "csr", `path="specialized"`, `path="fallback"`} {
+			if strings.Contains(series, gone) {
+				t.Errorf("%s exported", series)
+			}
+		}
 	}
 }
 
@@ -430,17 +442,7 @@ func TestKBPairsSkippedMetric(t *testing.T) {
 	}
 	k := kb.MustCanonical()
 	for _, inner := range []float64{200, 5000} {
-		b := pattern.NewBuilder(fmt.Sprintf("nljoin-inner-tbscan-over-%v", inner), "variant")
-		top := b.Pop("NLJOIN").Alias("TOP")
-		outer := b.Pop(pattern.TypeAny)
-		scan := b.Pop("TBSCAN").Alias("SCAN3")
-		base := b.Pop(pattern.TypeBaseObj).Alias("BASE4")
-		top.OuterChild(outer)
-		top.InnerChild(scan)
-		outer.Where("hasEstimateCardinality", ">", 1)
-		scan.Where("hasEstimateCardinality", ">", inner)
-		scan.Child(base)
-		if _, err := k.Add(b.MustBuild(), kb.Recommendation{Title: "t", Template: "index @BASE4"}); err != nil {
+		if _, err := k.Add(variantA(fmt.Sprintf("nljoin-inner-tbscan-over-%v", inner), inner), kb.Recommendation{Title: "t", Template: "index @BASE4"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -448,13 +450,13 @@ func TestKBPairsSkippedMetric(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	postBody(t, ts.URL+"/api/kb/run", "", http.StatusOK, nil)
-	_, metrics := cacheReq(t, "GET", ts.URL+"/metrics", "", nil)
-	skipped := metricValue(t, metrics, "optimatch_kb_pairs_skipped_total")
+	m := scrape(t, ts.URL)
+	skipped := m["optimatch_kb_pairs_skipped_total"]
 	if skipped <= 0 || skipped != float64(eng.KBPairsSkipped()) {
 		t.Errorf("optimatch_kb_pairs_skipped_total = %v after kb/run, the engine counts %d; want them equal and > 0", skipped, eng.KBPairsSkipped())
 	}
 	pairs := float64(len(fixtures.All()) * k.Len())
-	if all := metricValue(t, metrics, `optimatch_sparql_eval_total{path="all"}`); all+skipped != pairs {
+	if all := m[`optimatch_sparql_eval_total{path="all"}`]; all+skipped != pairs {
 		t.Errorf("%v pairs evaluated and %v skipped, want %v in all", all, skipped, pairs)
 	}
 }
@@ -486,7 +488,7 @@ func TestHTTPMethodLabelBounded(t *testing.T) {
 	if after != before+1 {
 		t.Errorf("1000 invented methods added %d series, want 1", after-before)
 	}
-	if v := metricValue(t, exposition, `optimatch_http_requests_total{route="unrouted",method="OTHER",class="4xx"}`); v != 1000 {
+	if v := metrics(t, exposition)[`optimatch_http_requests_total{route="unrouted",method="OTHER",class="4xx"}`]; v != 1000 {
 		t.Errorf("OTHER series = %v, want 1000:\n%s", v, exposition)
 	}
 }

@@ -404,8 +404,9 @@ func TestRenderPanicDropsOnlyItsConnection(t *testing.T) {
 	if err := reg.WritePrometheus(&out); err != nil {
 		t.Fatal(err)
 	}
+	m := metrics(t, out.String())
 	for _, gauge := range []string{"optimatch_http_in_flight", "optimatch_exec_in_flight"} {
-		if v := metricValue(t, out.String(), gauge); v != 0 {
+		if v, ok := m[gauge]; !ok || v != 0 {
 			t.Errorf("%s = %v after the panic, want 0", gauge, v)
 		}
 	}

@@ -17,7 +17,6 @@
 //	POST   /api/kb/entries           add an entry {pattern, recommendations}
 //	DELETE /api/kb/entries/{name}    remove an entry (404 if unknown)
 //	POST   /api/kb/run               scan all plans, ranked recommendations
-//	GET    /api/stats                engine + store counters
 //	POST   /api/admin/compact        fold the durable store's WAL into a snapshot
 //	POST   /api/admin/reopen         re-verify the disk and leave degraded mode
 //
@@ -27,13 +26,12 @@
 // Every plan upload/deletion and knowledge-base mutation goes through one
 // store.Store: the durable one given with WithStore, so the served state
 // survives a restart, or else a store.Memory over the engine and knowledge
-// base passed to New — the same mutators with no journal. Only /api/stats
-// and /metrics ask which it is (a store group and optimatch_store_* series
-// need a durable store); compaction and reopen answer 501 in memory. If a
-// durable store degrades (a WAL append or compaction failed), writes answer
-// 503 with Retry-After while reads and cache hits keep serving; GET /readyz
-// reports the state and POST /api/admin/reopen recovers once the disk is
-// healthy again.
+// base passed to New — the same mutators with no journal. Only /metrics asks
+// which it is (optimatch_store_* series need a durable store); compaction and
+// reopen answer 501 in memory. If a durable store degrades (a WAL append or
+// compaction failed), writes answer 503 with Retry-After while reads and cache
+// hits keep serving; GET /readyz reports the state and POST /api/admin/reopen
+// recovers once the disk is healthy again.
 package server
 
 import (
@@ -208,7 +206,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /api/kb/entries", s.handleAddEntry)
 	mux.HandleFunc("DELETE /api/kb/entries/{name}", s.handleDeleteEntry)
 	mux.HandleFunc("POST /api/kb/run", s.gated(2, s.serveRead(s.runKBRoute())))
-	mux.HandleFunc("GET /api/stats", s.handleStats)
 	mux.HandleFunc("POST /api/admin/compact", s.handleCompact)
 	mux.HandleFunc("POST /api/admin/reopen", s.handleReopen)
 	if s.metrics != nil {
@@ -508,55 +505,28 @@ func (s *Server) runKBRoute() readRoute {
 				if err != nil {
 					return err
 				}
-				out := make([]reportBody, 0, len(reports))
-				for i := range reports {
-					rb := reportBody{Plan: reports[i].Plan.ID, Message: reports[i].Message()}
-					for _, rec := range reports[i].Recommendations {
-						rb.Recommendations = append(rb.Recommendations, recBody{
-							Entry:      rec.Entry.Name,
-							Title:      rec.Recommendation.Title,
-							Category:   rec.Recommendation.Category,
-							Confidence: rec.Confidence,
-							Text:       rec.Text,
-						})
-					}
-					out = append(out, rb)
-				}
-				return encodeJSON(buf, out)
+				return encodeJSON(buf, reportsToWire(reports))
 			}, nil
 		},
 	}
 }
 
-// statsBody is the GET /api/stats response: one group per layer, each
-// counting something that exists.
-type statsBody struct {
-	Plans     int                 `json:"plans"`
-	KBEntries int                 `json:"kbEntries"`
-	Eval      sparql.EvalSnapshot `json:"eval"`
-	Exec      ExecStats           `json:"exec"`
-	Batch     BatchStats          `json:"batch"`
-	Cache     *cache.Stats        `json:"cache,omitempty"` // nil without -cache-bytes
-	Store     *store.Stats        `json:"store,omitempty"` // nil without -data (a memory store)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	body := statsBody{
-		Plans:     s.eng.NumPlans(),
-		KBEntries: s.kb.Len(),
-		Eval:      s.eng.EvalStats(),
-		Exec:      s.exec.snapshot(),
-		Batch:     s.batch.snapshot(),
+func reportsToWire(reports []core.PlanReport) []reportBody {
+	out := make([]reportBody, 0, len(reports))
+	for i := range reports {
+		rb := reportBody{Plan: reports[i].Plan.ID, Message: reports[i].Message()}
+		for _, rec := range reports[i].Recommendations {
+			rb.Recommendations = append(rb.Recommendations, recBody{
+				Entry:      rec.Entry.Name,
+				Title:      rec.Recommendation.Title,
+				Category:   rec.Recommendation.Category,
+				Confidence: rec.Confidence,
+				Text:       rec.Text,
+			})
+		}
+		out = append(out, rb)
 	}
-	if s.cache != nil {
-		cs := s.cache.Stats()
-		body.Cache = &cs
-	}
-	if s.st.Durable() {
-		st := s.st.Stats()
-		body.Store = &st
-	}
-	writeJSON(w, http.StatusOK, body)
+	return out
 }
 
 func (s *Server) handleCompact(w http.ResponseWriter, _ *http.Request) {

@@ -315,15 +315,23 @@ func TestDeleteKBEntryEndpoint(t *testing.T) {
 	}
 }
 
-func TestStatsEndpointWithoutStore(t *testing.T) {
-	_, ts := testServer(t)
-	var stats statsBody
-	getJSON(t, ts.URL+"/api/stats", http.StatusOK, &stats)
-	if stats.Plans != 5 || stats.KBEntries != 4 {
-		t.Errorf("stats = %+v", stats)
+// TestMetricsWithoutStore: a server over a memory store counts its plans and
+// entries, exports no optimatch_store_* series, and cannot compact.
+func TestMetricsWithoutStore(t *testing.T) {
+	eng := core.New()
+	if err := eng.LoadPlans(fixtures.All()); err != nil {
+		t.Fatal(err)
 	}
-	if stats.Store != nil {
-		t.Errorf("store stats without store: %+v", stats.Store)
+	ts := httptest.NewServer(New(eng, nil, WithMetrics(obs.NewRegistry())).Handler())
+	t.Cleanup(ts.Close)
+	m := scrape(t, ts.URL)
+	if m["optimatch_core_plans_loaded"] != 5 || m["optimatch_kb_entries"] != 4 {
+		t.Errorf("plans loaded %v, kb entries %v; want 5 and 4", m["optimatch_core_plans_loaded"], m["optimatch_kb_entries"])
+	}
+	for series := range m {
+		if strings.HasPrefix(series, "optimatch_store_") {
+			t.Errorf("%s exported without a store", series)
+		}
 	}
 	// Compaction needs a durable store.
 	postBody(t, ts.URL+"/api/admin/compact", "", http.StatusNotImplemented, nil)
@@ -362,16 +370,15 @@ func TestStoreBackedServerSurvivesRestart(t *testing.T) {
 	postBody(t, ts.URL+"/api/kb/entries", string(body), http.StatusCreated, nil)
 	doDelete(t, ts.URL+"/api/plans/Q9", http.StatusOK)
 
-	var stats statsBody
-	getJSON(t, ts.URL+"/api/stats", http.StatusOK, &stats)
-	if stats.Store == nil || stats.Store.AppendedRecords != 7 {
-		t.Fatalf("store stats = %+v", stats.Store)
+	if got := st.Stats().AppendedRecords; got != 7 {
+		t.Fatalf("%d records appended, want 7", got)
 	}
-	// Compaction over the API shrinks the WAL without changing state.
-	postBody(t, ts.URL+"/api/admin/compact", "", http.StatusOK, nil)
-	getJSON(t, ts.URL+"/api/stats", http.StatusOK, &stats)
-	if stats.Store.WALBytes != 0 || stats.Store.Generation != 1 {
-		t.Fatalf("store stats after compact = %+v", stats.Store)
+	// Compaction over the API shrinks the WAL without changing state, and
+	// answers with the store's stats.
+	var compacted store.Stats
+	postBody(t, ts.URL+"/api/admin/compact", "", http.StatusOK, &compacted)
+	if compacted.WALBytes != 0 || compacted.Generation != 1 || compacted.AppendedRecords != 7 {
+		t.Fatalf("store stats after compact = %+v", compacted)
 	}
 	ts.Close()
 	if err := st.Close(); err != nil {
@@ -379,7 +386,7 @@ func TestStoreBackedServerSurvivesRestart(t *testing.T) {
 	}
 
 	// Restart: a fresh store over the same directory serves the same state.
-	_, ts2 := storeServer(t, dir)
+	st2, ts2 := storeServer(t, dir)
 	var plans []planInfo
 	getJSON(t, ts2.URL+"/api/plans", http.StatusOK, &plans)
 	if len(plans) != 4 {
@@ -396,8 +403,7 @@ func TestStoreBackedServerSurvivesRestart(t *testing.T) {
 		t.Fatalf("kb entries after restart = %d", len(entries))
 	}
 	// Where start-up time went: the snapshot's four plans, no log records.
-	getJSON(t, ts2.URL+"/api/stats", http.StatusOK, &stats)
-	if st := stats.Store; st == nil || st.RecoveredPlans != 4 || st.RecoveredRecords != 0 || st.RecoveryMillis <= 0 {
+	if st := st2.Stats(); st.RecoveredPlans != 4 || st.RecoveredRecords != 0 || st.RecoveryMillis <= 0 {
 		t.Errorf("store stats after restart = %+v, want 4 plans recovered from the snapshot in a positive time", st)
 	}
 }
@@ -522,7 +528,7 @@ func TestETagDoesNotSurviveRestart(t *testing.T) {
 }
 
 // TestConcurrentKBReadsAndWrites hammers the KB read paths — the entry list,
-// kb/run, /api/stats and /metrics — while entries are being added and
+// kb/run and /metrics — while entries are being added and
 // removed, over a memory store and over a durable one. The server holds no
 // lock of its own: run with -race this fails if any path touches the entry
 // list without the knowledge base's.
@@ -643,7 +649,7 @@ func hammerKB(t *testing.T, ts *httptest.Server) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				for _, r := range []struct{ method, path string }{
-					{"GET", "/api/kb"}, {"POST", "/api/kb/run"}, {"GET", "/api/stats"}, {"GET", "/metrics"},
+					{"GET", "/api/kb"}, {"POST", "/api/kb/run"}, {"GET", "/metrics"},
 				} {
 					req, err := http.NewRequest(r.method, ts.URL+r.path, nil)
 					if err != nil {

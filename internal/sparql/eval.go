@@ -109,48 +109,45 @@ type EvalStats struct {
 	pathBitsetBytes atomic.Int64
 }
 
-// EvalSnapshot is a point-in-time copy of EvalStats, in wire form.
+// EvalSnapshot is a point-in-time copy of EvalStats.
 type EvalSnapshot struct {
 	// Specialized counts every execution (the name predates the removal of
-	// the second evaluator and stays for the benchmark module; /api/stats
-	// serves it as "executions").
-	Specialized int64 `json:"executions"`
-	// Fallback is always 0; kept because the benchmark module reads it, and
-	// not served.
-	Fallback int64 `json:"-"`
+	// the second evaluator and stays for the benchmark module).
+	Specialized int64
+	// Fallback is always 0; kept because the benchmark module reads it.
+	Fallback int64
 	// ConstantBailouts counts executions that skipped WHERE evaluation
 	// entirely because a required constant was missing from the graph's
 	// vocabulary (a subset of Specialized).
-	ConstantBailouts int64 `json:"constantBailouts"`
+	ConstantBailouts int64
 	// JoinRows counts the recursion nodes of the depth-first join: one per
 	// triple pattern run on one row, whatever number of matches the pattern
 	// then finds there.
-	JoinRows int64 `json:"joinRows"`
+	JoinRows int64
 	// MatchRows counts the matches those runs tried to bind into the row, the
 	// ones a filter or a repeated variable then refused included: the work
 	// JoinRows cannot see, e.g. a last step that scans a predicate to keep one
 	// row.
-	MatchRows int64 `json:"matchRows"`
+	MatchRows int64
 	// Path aggregates the path-closure acceleration counters.
-	Path PathSnapshot `json:"path"`
+	Path PathSnapshot
 }
 
-// PathSnapshot is the wire form of the path-acceleration counters.
+// PathSnapshot is a point-in-time copy of the path-acceleration counters.
 type PathSnapshot struct {
 	// CSRBuilds is always 0 (closures walk the graph's one index; nothing is
-	// built per predicate); kept because the benchmark module reads it, and
-	// not served.
-	CSRBuilds int64 `json:"-"`
+	// built per predicate); kept because the benchmark module reads it.
+	CSRBuilds int64
 	// MemoHits counts closures replayed from a per-evaluation memo.
-	MemoHits int64 `json:"memoHits"`
+	MemoHits int64
 	// MemoMisses counts closures that ran a fresh BFS.
-	MemoMisses int64 `json:"memoMisses"`
+	MemoMisses int64
 	// BFSSteps counts edges traversed by closure BFS walks.
-	BFSSteps int64 `json:"bfsSteps"`
+	BFSSteps int64
 	// BitsetBytes counts the bytes of visited bitset evaluations brought into
 	// use: each bitset once per evaluation that uses it, freshly allocated or
 	// taken over from the pooled scratch alike.
-	BitsetBytes int64 `json:"bitsetBytes"`
+	BitsetBytes int64
 }
 
 // Snapshot returns the current counter values.
