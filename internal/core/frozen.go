@@ -2,9 +2,9 @@
 // edit) compiles against these names; nothing else in the repository should.
 // The engine has no shards, no prefilter, no result cache and no query cache:
 // every name here is inert or a view of a counter kept elsewhere, and the
-// whole file — with Instrumentation.PrefilterProbe and sparql's
-// EvalSnapshot.Fallback — is deleted at the next benchmark re-baseline
-// (ROADMAP).
+// whole file — with Instrumentation.PrefilterProbe, Instrumentation.Pool and
+// sparql's EvalSnapshot.Fallback — is deleted at the next benchmark
+// re-baseline (ROADMAP).
 package core
 
 import "optimatch/internal/cache"

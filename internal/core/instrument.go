@@ -34,8 +34,9 @@ type Instrumentation struct {
 	Search func(d time.Duration, plans int)
 
 	// Pool observes one worker-pool fan-out: how many workers served how
-	// many per-plan tasks. tasks/workers approximates per-worker load;
-	// workers < configured size means the plan list was the limit.
+	// many per-plan tasks. A fan-out is one scan of every plan loaded, on
+	// min(workers, plans) workers, so no metric series carries it; the
+	// benchmark module records it, and it goes with frozen.go.
 	Pool func(workers, tasks int)
 }
 

@@ -189,17 +189,11 @@ type Counter struct{ v atomic.Int64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be >= 0).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a metric that can go up and down.
 type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add adds n (may be negative).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
@@ -234,15 +228,6 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }

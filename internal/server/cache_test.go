@@ -288,21 +288,49 @@ func TestStatsCacheGroup(t *testing.T) {
 	}
 }
 
+// TestCacheMetricsExported moves what a hit and a miss cannot. Under a budget
+// that holds either of two SPARQL answers but not both, the second evicts the
+// first; a kb/run answer larger than the whole budget is not stored.
 func TestCacheMetricsExported(t *testing.T) {
+	requests := []struct{ path, body string }{
+		{"/api/sparql", sortQuery},
+		{"/api/sparql", `PREFIX preduri: <http://optimatch/pred/>
+SELECT ?s WHERE { ?s preduri:hasPopType "TBSCAN" }`},
+		{"/api/kb/run", ""},
+	}
+	// What each answer is charged, read off a cache with room for all three.
 	_, ts, _ := cachedTestServer(t, WithMetrics(obs.NewRegistry()))
-	cacheReq(t, "POST", ts.URL+"/api/kb/run", "", nil)
-	m := scrape(t, ts.URL)
-	for _, want := range []string{
-		`optimatch_cache_requests_total{result="hit"}`,
-		`optimatch_cache_requests_total{result="miss"}`,
-		`optimatch_cache_requests_total{result="collapsed"}`,
-		"optimatch_cache_bytes",
-		"optimatch_cache_entries",
-		"optimatch_cache_evictions_total",
-		"optimatch_cache_rejected_total",
+	charged := make([]float64, len(requests))
+	for i, req := range requests {
+		before := scrape(t, ts.URL)["optimatch_cache_bytes"]
+		cacheReq(t, "POST", ts.URL+req.path, req.body, nil)
+		charged[i] = scrape(t, ts.URL)["optimatch_cache_bytes"] - before
+	}
+	budget := max(charged[0], charged[1])
+	if charged[0] <= 0 || charged[1] <= 0 || charged[2] <= budget {
+		t.Fatalf("charged %v: want two positive SPARQL answers and a kb/run answer larger than either", charged)
+	}
+
+	eng := core.New()
+	if err := eng.LoadPlans(fixtures.All()); err != nil {
+		t.Fatal(err)
+	}
+	bounded := httptest.NewServer(New(eng, nil, WithMetrics(obs.NewRegistry()),
+		WithResultCache(cache.New(cache.Config{MaxBytes: int64(budget)}))).Handler())
+	t.Cleanup(bounded.Close)
+	for _, req := range requests {
+		cacheReq(t, "POST", bounded.URL+req.path, req.body, nil)
+	}
+	m := scrape(t, bounded.URL)
+	for series, want := range map[string]float64{
+		`optimatch_cache_requests_total{result="miss"}`: 3,
+		"optimatch_cache_evictions_total":               1,
+		"optimatch_cache_rejected_total":                1,
+		"optimatch_cache_entries":                       1,
+		"optimatch_cache_bytes":                         charged[1],
 	} {
-		if _, ok := m[want]; !ok {
-			t.Errorf("/metrics missing %s", want)
+		if m[series] != want {
+			t.Errorf("%s = %v, want %v", series, m[series], want)
 		}
 	}
 	// There is no TTL: no series counts expiries. The hit ratio is the hit

@@ -50,7 +50,7 @@ func slowServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
 }
 
 func TestDeadlineReturns504(t *testing.T) {
-	s, ts := slowServer(t, WithQueryTimeout(10*time.Millisecond))
+	_, ts := slowServer(t, WithQueryTimeout(10*time.Millisecond), WithMetrics(obs.NewRegistry()))
 	start := time.Now()
 	resp, err := http.Post(ts.URL+"/api/sparql", "text/plain", strings.NewReader(slowQuery))
 	if err != nil {
@@ -68,8 +68,8 @@ func TestDeadlineReturns504(t *testing.T) {
 	if elapsed > time.Second {
 		t.Fatalf("504 took %v; deadline enforcement is not prompt", elapsed)
 	}
-	if got := s.exec.deadline.Load(); got < 1 {
-		t.Fatalf("exec.Deadline = %d, want >= 1", got)
+	if v := scrape(t, ts.URL)["optimatch_exec_deadline_total"]; v != 1 {
+		t.Fatalf("optimatch_exec_deadline_total = %v, want 1", v)
 	}
 }
 
@@ -254,9 +254,18 @@ func TestAdmissionShedsWith503(t *testing.T) {
 		t.Fatalf("error body %q does not mention overload", eb.Error)
 	}
 
-	// The shed counter is on /metrics, which is ungated.
-	if v := scrape(t, ts.URL)["optimatch_exec_shed_total"]; v < 1 {
+	// The shed counter is on /metrics, which is ungated. While the slow
+	// query holds the slot, it is admitted work, and it and the scrape are
+	// requests being served.
+	m := scrape(t, ts.URL)
+	if v := m["optimatch_exec_shed_total"]; v < 1 {
 		t.Fatalf("optimatch_exec_shed_total = %v, want >= 1", v)
+	}
+	if v := m["optimatch_exec_in_flight"]; v < 1 {
+		t.Errorf("optimatch_exec_in_flight = %v while the slow query runs, want >= 1", v)
+	}
+	if v := m["optimatch_http_in_flight"]; v < 2 {
+		t.Errorf("optimatch_http_in_flight = %v during the slow query and the scrape, want >= 2", v)
 	}
 
 	stopSlow()
@@ -267,7 +276,7 @@ func TestAdmissionShedsWith503(t *testing.T) {
 func TestClientDisconnectLogs499(t *testing.T) {
 	var buf syncBuffer
 	log := slog.New(slog.NewTextHandler(&buf, nil))
-	s, ts := slowServer(t, WithQueryTimeout(time.Minute), WithLogger(log))
+	s, ts := slowServer(t, WithQueryTimeout(time.Minute), WithLogger(log), WithMetrics(obs.NewRegistry()))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/api/sparql", strings.NewReader(slowQuery))
@@ -284,7 +293,7 @@ func TestClientDisconnectLogs499(t *testing.T) {
 	cancel() // client hangs up mid-scan
 	<-done
 
-	waitFor(t, func() bool { return s.exec.cancelled.Load() >= 1 })
+	waitFor(t, func() bool { return scrape(t, ts.URL)["optimatch_exec_cancelled_total"] == 1 })
 	waitFor(t, func() bool {
 		line := buf.String()
 		return strings.Contains(line, "client closed request") &&

@@ -28,21 +28,15 @@ func EngineInstrumentation(reg *obs.Registry) core.Instrumentation {
 		"Wall time of one whole RunKB pass over the workload.", nil)
 	search := reg.Histogram("optimatch_core_search_seconds",
 		"Wall time of one whole pattern/SPARQL search over the workload.", nil)
-	poolWorkers := reg.Gauge("optimatch_core_pool_workers",
-		"Workers used by the most recent scan fan-out.")
-	poolTasks := reg.Counter("optimatch_core_pool_tasks_total",
-		"Per-plan tasks dispatched to the worker pool.")
-	poolFanouts := reg.Counter("optimatch_core_pool_fanouts_total",
-		"Scan fan-outs dispatched to the worker pool.")
 	return core.Instrumentation{
 		PlanMatch: func(d time.Duration) { match.ObserveDuration(d) },
 		KBScan:    func(d time.Duration, _, _ int) { kbScan.ObserveDuration(d) },
 		Search:    func(d time.Duration, _ int) { search.ObserveDuration(d) },
-		Pool: func(workers, tasks int) {
-			poolWorkers.Set(int64(workers))
-			poolTasks.Add(int64(tasks))
-			poolFanouts.Inc()
-		},
+		// A fan-out is one scan, of every plan loaded, on min(workers, plans)
+		// workers: the two scan histograms and optimatch_core_plans_loaded say
+		// it, so no series does. The hook stays non-nil because the benchmark
+		// module wraps these hooks and forwards to each one.
+		Pool: func(int, int) {},
 	}
 }
 
@@ -50,11 +44,11 @@ func EngineInstrumentation(reg *obs.Registry) core.Instrumentation {
 // Install it at store.Open time via store.WithInstrumentation.
 func StoreInstrumentation(reg *obs.Registry) store.Instrumentation {
 	walWrite := reg.Histogram("optimatch_store_wal_append_seconds",
-		"Buffered write latency of one WAL record (excludes fsync).", obs.MicroBuckets)
+		"Buffered write latency of one WAL record (excludes fsync); its count is the records appended since open.", obs.MicroBuckets)
 	walSync := reg.Histogram("optimatch_store_wal_fsync_seconds",
-		"fsync latency of one WAL append — the durability cost every acknowledged mutation pays.", nil)
+		"fsync latency of one WAL append — the durability cost every acknowledged mutation pays; its count is the fsyncs since open.", nil)
 	const compactName = "optimatch_store_compaction_seconds"
-	const compactHelp = "Snapshot compaction duration by result."
+	const compactHelp = "Snapshot compaction duration by result; the count of result=ok is the compactions since open."
 	compactOK := reg.Histogram(compactName, compactHelp, nil, "result", "ok")
 	compactErr := reg.Histogram(compactName, compactHelp, nil, "result", "error")
 	var recovery atomic.Int64 // nanoseconds
@@ -168,20 +162,13 @@ func (s *Server) registerStateMetrics() {
 		stat(func(st store.Stats) float64 { return float64(st.Generation) }))
 	reg.GaugeFunc("optimatch_store_last_seq", "Newest applied log sequence number.",
 		stat(func(st store.Stats) float64 { return float64(st.LastSeq) }))
-	reg.CounterFunc("optimatch_store_appended_records_total", "WAL records appended since open.",
-		stat(func(st store.Stats) float64 { return float64(st.AppendedRecords) }))
 	reg.CounterFunc("optimatch_store_appended_bytes_total", "WAL bytes appended since open.",
 		stat(func(st store.Stats) float64 { return float64(st.AppendedBytes) }))
 	reg.CounterFunc("optimatch_store_recovered_records_total", "WAL records replayed at open.",
 		stat(func(st store.Stats) float64 { return float64(st.RecoveredRecords) }))
 	reg.CounterFunc("optimatch_store_recovery_truncations_total", "Torn WAL tails truncated at open.",
 		stat(func(st store.Stats) float64 { return float64(st.RecoveryTruncations) }))
-	reg.CounterFunc("optimatch_store_compactions_total", "Compactions since open.",
-		stat(func(st store.Stats) float64 { return float64(st.Compactions) }))
-	reg.CounterFunc("optimatch_store_fsyncs_total", "WAL fsyncs since open (one per acknowledged append).",
-		stat(func(st store.Stats) float64 { return float64(st.Fsyncs) }))
-	const batchStoreName = "optimatch_store_batch_appends_total"
-	reg.CounterFunc(batchStoreName, "Batch WAL records appended since open.",
+	reg.CounterFunc("optimatch_store_batch_appends_total", "Batch WAL records appended since open.",
 		stat(func(st store.Stats) float64 { return float64(st.BatchAppends) }))
 	reg.CounterFunc("optimatch_store_batch_plans_total", "Plans persisted through batch records since open.",
 		stat(func(st store.Stats) float64 { return float64(st.BatchPlans) }))

@@ -271,7 +271,6 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`
 		`optimatch_core_plan_match_seconds_count`,
 		`optimatch_core_kb_scan_seconds_count`,
 		`optimatch_core_search_seconds_count`,
-		`optimatch_core_pool_tasks_total`,
 		`optimatch_core_plans_loaded`,
 		`optimatch_sparql_eval_total{path="all"}`,
 		// A cold kb/run joins: every evaluated pair runs patterns on rows and
@@ -285,7 +284,6 @@ SELECT ?s WHERE { ?s preduri:hasPopType "SORT" }`
 		`optimatch_sparql_path_bitset_bytes_total`,
 		`optimatch_sparql_eval_total{path="constant_bailout"}`,
 		`optimatch_store_wal_fsync_seconds_count`,
-		`optimatch_store_appended_records_total`,
 		`optimatch_kb_entries`,
 	}
 	for _, series := range positive {
