@@ -130,6 +130,41 @@ func TestSPARQLSpellingsShareEntry(t *testing.T) {
 	}
 }
 
+// TestSPARQLRefusalsAlike: a query Parse refuses for its shape — a scope rule
+// or an aggregation error — answers 400 with Parse's message before the
+// cache is asked, whatever plans are loaded: an empty server and a loaded one
+// answer alike, and neither keeps an entry.
+func TestSPARQLRefusalsAlike(t *testing.T) {
+	c := cache.New(cache.Config{MaxBytes: 16 << 20})
+	empty := httptest.NewServer(New(core.New(), nil, WithResultCache(c)).Handler())
+	t.Cleanup(empty.Close)
+	_, loaded, lc := cachedTestServer(t)
+	const prologue = "PREFIX preduri: <http://optimatch/pred/>\n"
+	for want, body := range map[string]string{
+		"BIND(LCASE(?t) AS ?t) assigns ?t":             `SELECT ?p WHERE { ?p preduri:hasPopType ?t BIND(LCASE(?t) AS ?t) }`,
+		"OPTIONAL uses ?p from outside its group":      `SELECT ?p WHERE { ?p preduri:hasPopType "SORT" OPTIONAL { ?q preduri:hasPopType ?t OPTIONAL { ?p preduri:hasJoinType ?j } } }`,
+		"uses ?t from outside its group":               `SELECT ?p WHERE { ?p preduri:hasPopType ?t { ?p preduri:hasChildPop ?c FILTER(?t = "SORT") } }`,
+		"SELECT * cannot be combined with aggregation": `SELECT * WHERE { ?p preduri:hasPopType ?t } GROUP BY ?t`,
+	} {
+		var bodies []string
+		for _, ts := range []*httptest.Server{empty, loaded} {
+			resp, got := cacheReq(t, "POST", ts.URL+"/api/sparql", prologue+body, nil)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(got, want) {
+				t.Errorf("%s: status %d, body %s; want 400 naming %q", body, resp.StatusCode, got, want)
+			}
+			bodies = append(bodies, got)
+		}
+		if bodies[0] != bodies[1] {
+			t.Errorf("%s: the empty server answers %s, the loaded one %s", body, bodies[0], bodies[1])
+		}
+	}
+	for _, st := range []cache.Stats{c.Stats(), lc.Stats()} {
+		if st.Entries != 0 || st.Misses != 0 || st.Hits != 0 {
+			t.Errorf("refused queries reached the cache: %+v", st)
+		}
+	}
+}
+
 // readCase names one of the four read routes and a request it answers 200.
 type readCase struct {
 	name     string

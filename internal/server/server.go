@@ -395,8 +395,8 @@ func (s *Server) searchRoute() readRoute {
 
 // sparqlRoute keys a query on its canonical text — the parsed query printed
 // again — so prefixes, keyword case, whitespace, comments and $x for ?x share
-// one entry, and a syntax error (an empty body among them) answers 400 before
-// the cache is asked.
+// one entry, and a query Parse refuses (a syntax error, an empty body, a shape
+// it cannot answer) answers 400 before the cache is asked.
 func (s *Server) sparqlRoute() readRoute {
 	return readRoute{
 		name: "http.sparql", contentType: "application/json", body: true,

@@ -243,8 +243,7 @@ func (ec *evalCtx) group(table []rdf.ID) []rdf.ID {
 
 // checkAggregation reports whether the query needs grouped evaluation and
 // rejects the projections grouped evaluation cannot produce. Both errors
-// depend only on the query's shape, so ExecOpts reports them before it
-// evaluates anything.
+// depend only on the query's shape: Parse refuses them.
 func (q *Query) checkAggregation() (grouped bool, err error) {
 	grouped = len(q.GroupBy) > 0 || q.Having != nil
 	for _, item := range q.Select {

@@ -90,7 +90,7 @@ SELECT DISTINCT ?top WHERE {
 // each entry of the extended knowledge base over the benchmark's 64 resident
 // plans (joinWorkGraphs), as exact counts — recursion nodes (JoinRows) and
 // matches tried (MatchRows), both functions of (query, graph) alone. A change
-// to the estimates, the tie-break, the witness rule or the EXISTS hoisting
+// to the estimates, the tie-break, the witness rule or where an EXISTS runs
 // moves a number here before any benchmark runs; when the move is meant, the
 // failure prints the table to paste. For scale, the evaluator before the
 // estimates read predicate statistics, EXISTS ran as a filter and DISTINCT

@@ -47,7 +47,9 @@ func (a *Analysis) RequiredIn(g *rdf.Graph) bool {
 // Analysis returns the query's static analysis, computing it on first use.
 // Parse pre-computes it, so queries obtained from Parse may share the
 // result across goroutines; hand-assembled Query values must call Analysis
-// (or Exec) once before any concurrent use.
+// (or Exec) once before any concurrent use. Only Parse refuses a query: a
+// hand-assembled value must be one Parse would accept (print it with String
+// and parse that to check), or what it evaluates to is unspecified.
 func (q *Query) Analysis() *Analysis {
 	if q.analysis == nil {
 		q.analysis = analyzeQuery(q)

@@ -39,9 +39,7 @@ type program struct {
 	nPats int // triple patterns in the whole query: the size of the step arena
 	nBlks int // BGP blocks in the whole query
 
-	// grouped and aggErr are checkAggregation's verdict.
-	grouped bool
-	aggErr  error
+	grouped bool // checkAggregation's verdict; Parse has refused its errors
 
 	// The result tail, laid out by compiler.tail: the rows of the WHERE clause
 	// are grouped on groupSlots with every aggregate's value stored in its slot
@@ -84,8 +82,7 @@ type colProg struct {
 
 // groupProg is a compiled group pattern: its elements in evaluation order
 // (consecutive triple patterns gathered into one reorderable block, FILTERs
-// lifted out — they are group-scoped) and its filters, the FILTER [NOT]
-// EXISTS that hoistExists admits among them.
+// and FILTER [NOT] EXISTS lifted out — they are group-scoped) and its filters.
 type groupProg struct {
 	elems   []elemProg
 	filters []filterProg
@@ -99,7 +96,6 @@ const (
 	elemOptional
 	elemUnion
 	elemGroup
-	elemExists
 	elemBind
 )
 
@@ -107,13 +103,14 @@ const (
 type elemProg struct {
 	kind   elemKind
 	block  *blockProg   // elemBlock
-	groups []*groupProg // OPTIONAL, nested group and EXISTS: one; UNION: one per branch
-	not    bool         // FILTER NOT EXISTS
+	groups []*groupProg // OPTIONAL and nested group: one; UNION: one per branch
 	slot   int          // BIND target
 	expr   Expression   // BIND expression
 	// binds holds the slots bound in every row once the element has run: a
-	// block's and a BIND's variables, what a nested group binds, what every
-	// branch of a UNION binds; nothing for OPTIONAL and EXISTS.
+	// block's variables, what a nested group binds, what every branch of a
+	// UNION binds; nothing for OPTIONAL, nor for a BIND, whose expression may
+	// fail and leave its target to a later pattern. checkScope's "every" sets
+	// (scope.go) are the same rule over names: the two change together.
 	binds uint64
 }
 
@@ -145,11 +142,10 @@ type patProg struct {
 
 // rowPred decides one row. It receives the evaluation because numbers are read
 // from the graph's numeric column, the generic fallback reads the row through
-// the evaluation's binding view, and a hoisted EXISTS runs its group on it.
+// the evaluation's binding view, and an EXISTS runs its group on it.
 type rowPred func(ec *evalCtx, row []rdf.ID) bool
 
-// filterProg is a compiled group-level FILTER, or a FILTER [NOT] EXISTS that
-// may run like one (see hoistExists).
+// filterProg is a compiled group-level FILTER or FILTER [NOT] EXISTS.
 type filterProg struct {
 	vars uint64 // slots the filter needs bound: the ones its expression reads
 	// eager filters may run as soon as vars are statically bound. Filters
@@ -221,10 +217,8 @@ func compile(q *Query, consts, required []rdf.Term) *program {
 	}
 
 	p.root = c.group(q.Where)
-	p.grouped, p.aggErr = q.checkAggregation()
-	if p.aggErr == nil {
-		c.tail(q, nWhere)
-	}
+	p.grouped, _ = q.checkAggregation()
+	c.tail(q, nWhere)
 	// Fixed last: group and tail reach their slots through c.slot, so a
 	// variable the walks above missed still gets a cell in every row.
 	p.width = max(len(p.vars), 1)
@@ -342,36 +336,45 @@ func (c *compiler) group(g *GroupPattern) *groupProg {
 			gp.filters = append(gp.filters, c.filter(f.Expr, len(gp.filters)))
 		}
 	}
+	var mentioned map[string]int // per variable, the elements of g that mention it
+	var existsVars [][]string    // per FILTER [NOT] EXISTS of g, what it mentions
+	if slices.ContainsFunc(g.Elems, func(el PatternElem) bool { _, ok := el.(FilterExistsElem); return ok }) {
+		mentioned = make(map[string]int)
+		for _, el := range g.Elems {
+			vars := (&GroupPattern{Elems: []PatternElem{el}}).mentions()
+			if _, ok := el.(FilterExistsElem); ok {
+				existsVars = append(existsVars, vars)
+			}
+			for _, v := range vars {
+				mentioned[v]++
+			}
+		}
+	}
+	for _, el := range g.Elems {
+		if el, ok := el.(FilterExistsElem); ok {
+			gp.filters = append(gp.filters, c.exists(el, existsVars[0], mentioned, len(gp.filters)))
+			existsVars = existsVars[1:]
+		}
+	}
 	for i := 0; i < len(g.Elems); i++ {
 		var ep elemProg
 		switch el := g.Elems[i].(type) {
-		case FilterElem:
+		case FilterElem, FilterExistsElem:
 			continue
 		case TriplePattern:
-			// The maximal run of triple patterns, skipping the filters — the
-			// EXISTS that may run as filters among them — between them.
-			b := &blockProg{}
-			end := i
-		run:
-			for ; end < len(g.Elems); end++ {
-				switch el := g.Elems[end].(type) {
-				case TriplePattern:
-					pat := c.pattern(el)
+			// The maximal run of triple patterns, skipping the filters between
+			// them.
+			b := &blockProg{id: c.p.nBlks, off: c.p.nPats}
+			for ; i < len(g.Elems); i++ {
+				if tp, ok := g.Elems[i].(TriplePattern); ok {
+					pat := c.pattern(tp)
 					b.pats = append(b.pats, pat)
 					ep.binds |= pat.mask
-				case FilterElem:
-				case FilterExistsElem:
-					if !c.hoistExists(g, end, gp, gp.binds|ep.binds) {
-						break run
-					}
-				default:
-					break run
+				} else if !isFilter(g.Elems[i]) {
+					break
 				}
 			}
-			i = end - 1
-			// Numbered once the run is gathered: a hoisted EXISTS in it has
-			// compiled blocks of its own meanwhile.
-			b.id, b.off = c.p.nBlks, c.p.nPats
+			i--
 			c.p.nBlks++
 			c.p.nPats += len(b.pats)
 			ep.kind, ep.block = elemBlock, b
@@ -387,14 +390,8 @@ func (c *compiler) group(g *GroupPattern) *groupProg {
 		case GroupElem:
 			ep.kind, ep.groups = elemGroup, []*groupProg{c.group(el.Group)}
 			ep.binds = ep.groups[0].binds
-		case FilterExistsElem:
-			if c.hoistExists(g, i, gp, gp.binds) {
-				continue
-			}
-			ep.kind, ep.groups, ep.not = elemExists, []*groupProg{c.group(el.Group)}, el.Not
 		case BindElem:
 			ep.kind, ep.slot, ep.expr = elemBind, c.slot(el.Var), el.Expr
-			ep.binds = slotBit(ep.slot)
 		}
 		gp.elems = append(gp.elems, ep)
 		gp.binds |= ep.binds
@@ -402,58 +399,28 @@ func (c *compiler) group(g *GroupPattern) *groupProg {
 	return gp
 }
 
-// hoistExists compiles the FILTER [NOT] EXISTS at g.Elems[i] into a filter of
-// gp — handed, like any eager filter, to the step that completes its
-// variables, instead of splitting the block at its textual position — when
-// that cannot change its verdict: every variable its group mentions is either
-// bound in every row by the elements before it (before; these become the
-// filter's vars) or mentioned nowhere else in g. The first kind has the same
-// value wherever in g the filter runs once vars are bound — patterns only ever
-// constrain a bound variable, but a BIND assigns its target whatever it held,
-// so a variable some BIND of g targets does not qualify —; the second is
-// whatever the seed row made it, everywhere in g. Variables g binds elsewhere —
-// later, under an OPTIONAL, in one UNION branch — are neither: such an EXISTS
-// stays the positional element it is in the reference evaluator. It reports
-// whether it hoisted.
-func (c *compiler) hoistExists(g *GroupPattern, i int, gp *groupProg, before uint64) bool {
-	el := g.Elems[i].(FilterExistsElem)
-	rest := &GroupPattern{Elems: slices.Concat(g.Elems[:i:i], g.Elems[i+1:])}
-	elsewhere, assigned := rest.mentions(), bindTargets(rest, nil)
-	f := filterProg{eager: len(gp.filters) < 64, cmpSlot: -1, not: el.Not}
-	for _, v := range el.Group.mentions() {
+// exists compiles el, a FILTER [NOT] EXISTS of group g that mentions vars and
+// the index-th filter there, into a filter that runs its group seeded with
+// the row. Like any eager filter it is handed to the step that binds the
+// variables it shares with the rest of g (mentioned counts, per variable, the
+// elements of g that mention it: el is one), or else runs at the end of g:
+// SPARQL's group scope. Every variable of g the EXISTS reads is then in the
+// row, as the substitution of §18.6 has it; what it reads from outside g is
+// there from the start.
+func (c *compiler) exists(el FilterExistsElem, vars []string, mentioned map[string]int, index int) filterProg {
+	f := filterProg{eager: index < 64, cmpSlot: -1, not: el.Not}
+	for _, v := range vars {
 		// A variable only a BIND expression reads has no slot, and gets none
 		// here: SELECT * projects every slot.
-		if slot, ok := c.p.varIndex[v]; ok && before&slotBit(slot) != 0 && !slices.Contains(assigned, v) {
+		if slot, ok := c.p.varIndex[v]; ok && mentioned[v] > 1 {
 			f.vars |= slotBit(slot)
-		} else if slices.Contains(elsewhere, v) {
-			return false
+			f.eager = f.eager && slot < 64
 		}
 	}
 	inner, not := c.group(el.Group), el.Not
 	f.exists = inner
 	f.keep = func(ec *evalCtx, row []rdf.ID) bool { return ec.exists(inner, row) != not }
-	gp.filters = append(gp.filters, f)
-	return true
-}
-
-// bindTargets appends to out the variables a BIND assigns anywhere in g. What
-// an EXISTS group assigns stays inside it.
-func bindTargets(g *GroupPattern, out []string) []string {
-	for _, el := range g.Elems {
-		switch el := el.(type) {
-		case BindElem:
-			out = append(out, el.Var)
-		case OptionalElem:
-			out = bindTargets(el.Group, out)
-		case GroupElem:
-			out = bindTargets(el.Group, out)
-		case UnionElem:
-			for _, b := range el.Branches {
-				out = bindTargets(b, out)
-			}
-		}
-	}
-	return out
+	return f
 }
 
 func (c *compiler) pattern(tp TriplePattern) patProg {

@@ -227,7 +227,8 @@ func (q *Query) Exec(g *rdf.Graph) (*Results, error) {
 	return q.ExecOpts(g, ExecOptions{})
 }
 
-// ExecOpts evaluates the query against g.
+// ExecOpts evaluates the query against g. It refuses nothing: the query is
+// one Parse accepted (see Analysis).
 //
 // The query's compiled program (see compile.go) is evaluated on a pooled
 // evalCtx: every constant term the query mentions is resolved to g's dense
@@ -237,9 +238,6 @@ func (q *Query) Exec(g *rdf.Graph) (*Results, error) {
 // tail.
 func (q *Query) ExecOpts(g *rdf.Graph, opts ExecOptions) (*Results, error) {
 	p := q.Analysis().prog
-	if p.aggErr != nil {
-		return nil, p.aggErr
-	}
 	if opts.Ctx != nil {
 		if err := opts.Ctx.Err(); err != nil {
 			return nil, err

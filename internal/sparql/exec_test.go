@@ -65,7 +65,7 @@ func withTail(t *testing.T, text string, early bool) *Query {
 // TestDistinctSortTailEquivalence runs queries whose tail qualifies for
 // DISTINCT at the leaf with that shortcut and without it (stable sort of the
 // full rows, then dedup) and requires the same row sequence from both, and
-// from the reference evaluator's term-space tail.
+// from the algebra oracle and its term-space tail.
 func TestDistinctSortTailEquivalence(t *testing.T) {
 	g := anchoredGraph()
 	body := `WHERE { ` + anchoredRoot + ` pred:hasChildPop ?c . ?c pred:hasPopType ?t . ?c pred:hasEstimateCardinality ?n `
@@ -98,10 +98,7 @@ func TestDistinctSortTailEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := execReference(mustParse(t, text), g)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := execReference(mustParse(t, text), g)
 			if !reflect.DeepEqual(rowStrings(generic), rowStrings(want)) {
 				t.Fatalf("generic tail diverges from the reference\n got: %q\nwant: %q", rowStrings(generic), rowStrings(want))
 			}
@@ -123,9 +120,8 @@ func TestDistinctSortTailEquivalence(t *testing.T) {
 }
 
 // With reordering off and every step anchored, depth-first evaluation must
-// produce the reference evaluator's rows in the reference evaluator's order —
-// not only the same multiset: level-at-a-time evaluation that keeps seed
-// order is depth-first order.
+// produce the algebra oracle's rows in the oracle's order — not only the same
+// multiset: a nested-loop join in textual order is depth-first order.
 func TestAnchoredSequenceEqualsReference(t *testing.T) {
 	g := anchoredGraph()
 	root := anchoredRoot + ` pred:hasChildPop ?c . `
@@ -145,10 +141,7 @@ func TestAnchoredSequenceEqualsReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := execReference(q, g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := execReference(q, g)
 		if len(want.Rows) < 2 {
 			t.Fatalf("%s: %d rows, the order check is vacuous", text, len(want.Rows))
 		}
@@ -260,10 +253,7 @@ func TestCancelMidRecursion(t *testing.T) {
 	} {
 		text := c.text
 		q := mustParse(t, predPrefix+text)
-		want, err := execReference(q, g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := execReference(q, g)
 
 		ec := acquireEvalCtx(g, q.Analysis().prog, ExecOptions{Ctx: newLateCancelCtx()})
 		res, err := ec.exec(q)
@@ -315,10 +305,7 @@ func TestConcurrentEvaluationsShareOneProgram(t *testing.T) {
 	for _, c := range refSeedQueries {
 		j := job{q: mustParse(t, predPrefix+c.text)}
 		for _, g := range graphs {
-			res, err := execReference(j.q, g)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := execReference(j.q, g)
 			rows := rowStrings(res)
 			sort.Strings(rows)
 			j.want = append(j.want, rows)

@@ -55,9 +55,6 @@ type StepExplanation struct {
 // Explain evaluates q against g with default options and reports how.
 func Explain(q *Query, g *rdf.Graph) (*Explanation, error) {
 	p := q.Analysis().prog
-	if p.aggErr != nil {
-		return nil, p.aggErr
-	}
 	ec := acquireEvalCtx(g, p, ExecOptions{})
 	defer ec.release()
 	ec.actuals = make([]stepActual, p.nPats)
@@ -127,8 +124,6 @@ func (ec *evalCtx) explainGroup(ex *Explanation, gp *groupProg, where string) {
 			}
 		case elemGroup:
 			ec.explainGroup(ex, el.groups[0], where+" > group")
-		case elemExists:
-			ec.explainGroup(ex, el.groups[0], where+" > "+existsLabel(el.not))
 		}
 	}
 	for i := range gp.filters {

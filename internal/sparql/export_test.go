@@ -1,6 +1,7 @@
 package sparql
 
-// ExecReference exposes the reference evaluator (eval_ref_test.go) to tests
+// ExecReference exposes the algebra oracle and its result tail
+// (eval_ref_test.go) to tests
 // in package sparql_test, which may import the packages that build real
 // workloads without an import cycle.
 var ExecReference = execReference

@@ -2,7 +2,9 @@ package sparql
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -57,7 +59,7 @@ func fuzzDecodePath(buf []byte, pos *int, depth int, preds []string) Path {
 // endpoint binding, its emission order must be reproducible — two fresh
 // environments emit the same sequence, and replaying a filled closure memo
 // emits what the live BFS that filled it did — and a full query over the
-// path must agree with the reference evaluator.
+// path must agree with the algebra oracle.
 func FuzzPathEquivalence(f *testing.F) {
 	// Seed corpus: edges first (2 bytes each), final bytes decode the path.
 	// Node packing: s = b%8, o = (b>>3)%8.
@@ -391,15 +393,18 @@ func (r *fuzzQueryGen) window() string {
 
 // FuzzEvalEquivalence is the differential fuzz test for the evaluator as a
 // whole: over a random small plan-like graph, ExecOpts (with and without join
-// reordering) must agree with the reference term-space evaluator
-// (execReference) on every query — the hand-written refSeedQueries and
-// queries decoded from the input over the full shape the parser accepts (BGPs
+// reordering) must agree with the bottom-up algebra oracle (execReference) on
+// every query Parse accepts — the hand-written refSeedQueries and queries
+// decoded from the input over the full shape the parser accepts (BGPs
 // with shared, repeated and predicate variables, numeric and variable-to-
 // variable FILTERs, OPTIONAL, UNION, BIND of terms absent from the graph,
 // FILTER [NOT] EXISTS, property paths, GROUP BY/aggregates/HAVING, computed
 // columns, DISTINCT — with and without an unprojected tail —, ORDER BY on
 // variables, aliases and expressions, LIMIT/OFFSET under a total order, and
-// all of it with every variable's slot past the 64 a bitmask tracks).
+// all of it with every variable's slot past the 64 a bitmask tracks). A
+// generated query Parse refuses for its scope (checkScope) is skipped; so
+// about one in six is (TestFuzzQueryGenRefusals). checkScope's verdict on
+// every generated query is held to scopeRefuses, the rules by copying.
 //
 // Input layout: byte 0 selects a refSeedQueries entry or (past the table) the
 // generator; the first two thirds of the rest decode the graph, the last third
@@ -431,9 +436,15 @@ func FuzzEvalEquivalence(f *testing.F) {
 			gen := fuzzQueryGen{buf: rest[split:]}
 			text = gen.query()
 		}
+		if q, err := parseUnchecked(predPrefix + text); err == nil && (checkScope(q.Where) != nil) != scopeRefuses(q.Where) {
+			t.Fatalf("checkScope and scopeRefuses disagree on %s", text)
+		}
 		q, err := Parse(predPrefix + text)
 		if err != nil {
-			t.Fatalf("Parse(%s): %v", text, err)
+			if mode < len(refSeedQueries) || !scopeRefusal(err) {
+				t.Fatalf("Parse(%s): %v", text, err)
+			}
+			return // a shape top-down evaluation cannot answer
 		}
 		t.Log(text)
 		requireEquivalent(t, q, g)
@@ -471,4 +482,42 @@ var fuzzQueryTails = [][]byte{
 	{1, 0, 0, 0, 0, 0, 2, 0, 0, 4, 0, 0, 1, 1, 1, 0, 0, 1, 0},
 	{1, 0, 0, 0, 0, 0, 2, 0, 0, 4, 0, 0, 1, 1, 1, 0, 0, 2, 0},
 	{1, 0, 0, 0, 0, 0, 2, 0, 0, 4, 0, 0, 1, 1, 1, 0, 0, 2, 1},
+	// Two shapes Parse refuses (checkScope), whose rows the evaluator would
+	// get wrong. An OPTIONAL nested in an OPTIONAL mentions ?b, which only the
+	// root binds (R2):
+	{10, 9, 8, 1, 10, 9, 9, 8, 4, 9, 2, 11, 7, 11, 6, 8, 6, 10, 5, 8, 1, 7, 1, 4, 7, 6, 9},
+	// a FILTER in a UNION branch reads ?n0, which only the root and one UNION
+	// of the branch bind (R3: a UNION binds what every branch binds).
+	{3, 1, 1, 11, 9, 0, 7, 5, 11, 4, 2, 8, 0, 7, 9, 5, 7, 2, 9, 7, 1, 7, 11, 9, 8, 10},
+}
+
+// scopeRefusal reports whether err is checkScope's.
+func scopeRefusal(err error) bool {
+	return strings.Contains(err.Error(), "from outside its group") || strings.Contains(err.Error(), "already in scope")
+}
+
+// TestFuzzQueryGenRefusals reports the share of generated queries Parse
+// refuses for their scope, over the generator's seed tails and 2 000 random
+// inputs of the length FuzzEvalEquivalence hands it: past one half, the
+// fuzzers would spend most of their time on nothing.
+func TestFuzzQueryGenRefusals(t *testing.T) {
+	inputs, rng, refused := slices.Clone(fuzzQueryTails), rand.New(rand.NewSource(1)), 0
+	for len(inputs) < 2000+len(fuzzQueryTails) {
+		in := make([]byte, 53)
+		rng.Read(in)
+		inputs = append(inputs, in)
+	}
+	for _, in := range inputs {
+		text := (&fuzzQueryGen{buf: in}).query()
+		if _, err := Parse(predPrefix + text); err != nil {
+			if !scopeRefusal(err) {
+				t.Fatalf("Parse(%s): %v", text, err)
+			}
+			refused++
+		}
+	}
+	t.Logf("%d of %d generated queries refused", refused, len(inputs))
+	if 2*refused > len(inputs) {
+		t.Errorf("%d of %d generated queries refused: more than half", refused, len(inputs))
+	}
 }

@@ -22,6 +22,13 @@ func Parse(input string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The one place a query is refused for its shape rather than its text.
+	if _, err := q.checkAggregation(); err != nil {
+		return nil, err
+	}
+	if err := checkScope(q.Where); err != nil {
+		return nil, err
+	}
 	q.Analysis() // pre-compute so the query is safe to share across goroutines
 	return q, nil
 }

@@ -69,25 +69,23 @@ func refEval(g *rdf.Graph, p Path) map[[2]rdf.ID]bool {
 				out[k] = true
 			}
 		case ModOneOrMore, ModZeroOrMore:
-			// Transitive closure by repeated squaring-ish iteration.
+			// Transitive closure: every pair found is extended by one base
+			// step, until no step finds a new one.
+			succ := map[rdf.ID][]rdf.ID{}
+			var work [][2]rdf.ID
 			for k := range base {
+				succ[k[0]] = append(succ[k[0]], k[1])
 				out[k] = true
+				work = append(work, k)
 			}
-			for {
-				added := false
-				for a := range out {
-					for b := range base {
-						if a[1] == b[0] {
-							k := [2]rdf.ID{a[0], b[1]}
-							if !out[k] {
-								out[k] = true
-								added = true
-							}
-						}
+			for len(work) > 0 {
+				a := work[len(work)-1]
+				work = work[:len(work)-1]
+				for _, o := range succ[a[1]] {
+					if k := [2]rdf.ID{a[0], o}; !out[k] {
+						out[k] = true
+						work = append(work, k)
 					}
-				}
-				if !added {
-					break
 				}
 			}
 			if p.Mod == ModZeroOrMore {

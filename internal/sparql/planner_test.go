@@ -137,7 +137,7 @@ func TestRelatedEntriesSameOrder(t *testing.T) {
 // Explain's per-step actuals are the evaluation's two counters split by
 // triple pattern: they sum to JoinRows and MatchRows, which are what the same
 // evaluation reports through ExecOptions.Stats — over every shape that runs
-// blocks inside blocks (OPTIONAL legs, EXISTS positional and hoisted, unions,
+// blocks inside blocks (OPTIONAL legs, EXISTS filters, unions,
 // paths) and over the knowledge base.
 func TestExplainActualsSum(t *testing.T) {
 	const prologue = "PREFIX preduri: <http://optimatch/pred/>\n"

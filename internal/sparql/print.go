@@ -146,11 +146,7 @@ func (w *printer) group(g *GroupPattern) {
 		case GroupElem:
 			w.group(el.Group)
 		case BindElem:
-			w.WriteString("BIND(")
-			w.expr(el.Expr, precOr)
-			w.WriteString(" AS ")
-			w.variable(el.Var)
-			w.WriteByte(')')
+			w.bind(el)
 		case FilterExistsElem:
 			w.WriteString(existsLabel(el.Not) + " ")
 			w.group(el.Group)
@@ -174,6 +170,14 @@ func nextTriple(elems []PatternElem, i int) (TriplePattern, bool) {
 func (w *printer) filter(e Expression) {
 	w.WriteString("FILTER(")
 	w.expr(e, precOr)
+	w.WriteByte(')')
+}
+
+func (w *printer) bind(b BindElem) {
+	w.WriteString("BIND(")
+	w.expr(b.Expr, precOr)
+	w.WriteString(" AS ")
+	w.variable(b.Var)
 	w.WriteByte(')')
 }
 

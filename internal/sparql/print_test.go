@@ -116,6 +116,24 @@ const maxQueryInput = 64 << 10
 // AST and the compiled program.
 func parseBudget(n int) uint64 { return 64<<10 + 512*uint64(n) }
 
+// scopeSeed is a query that opens depth groups with open, binds thousands of
+// variables, then repeats elem until the input is full and closes with last:
+// the scope check's work must not grow with the variables in scope at each
+// repeat, nor at each depth.
+func scopeSeed(open string, depth int, elem, last string) string {
+	var b strings.Builder
+	b.WriteString("SELECT ?a0 WHERE { " + strings.Repeat(open, depth))
+	for i := 0; b.Len() < maxQueryInput/2; i++ {
+		fmt.Fprintf(&b, "?a%d ?b%d ?c%d . ", i, i, i)
+	}
+	last += strings.Repeat("}", depth+1)
+	for b.Len()+len(elem)+len(last) <= maxQueryInput {
+		b.WriteString(elem)
+	}
+	b.WriteString(last)
+	return b.String()
+}
+
 // FuzzSPARQL holds the parser to the printer on every input /api/sparql
 // could be sent: a rejected input is an error, never a panic, within a second
 // and a heap budget linear in its size; an accepted one prints as text that
@@ -140,6 +158,13 @@ GROUP BY ?t HAVING(COUNT(*) > 1 && AVG(?c) >= 0) ORDER BY DESC(?n) ASC(-?s) ?t`,
 		`SELECT ?a WHERE { { ?a <urn:p> ?b } UNION { ?b <urn:p> ?a } UNION {} FILTER(!BOUND(?b) || -(?b - 1) / 2 < 1 - ?b * 3) }`,
 		strings.Repeat("(", 1<<14),
 		"SELECT * WHERE { " + strings.Repeat("?a <urn:p> ?b . ", (maxQueryInput-64)/16) + "}",
+		scopeSeed("", 0, "{} ", ""),
+		scopeSeed("", 0, "{} UNION ", "{}"),
+		scopeSeed("", 0, "OPTIONAL {} ", ""),
+		scopeSeed("", 0, "FILTER EXISTS {} ", ""),
+		scopeSeed("{ ", 200, "{} ", ""),
+		scopeSeed("{} UNION { ", 200, "{} ", ""),
+		scopeSeed("?a0 ?b0 ?c0 OPTIONAL { ", 200, "{} ", ""),
 	} {
 		f.Add(q)
 	}

@@ -28,7 +28,7 @@ type threshold struct {
 // changes its group's aggregates rather than dropping a row of the answer, and
 // under HAVING(COUNT(*) < 3) it can even add one.
 func ShapeOf(q *Query) (s Shape, ok bool) {
-	if grouped, err := q.checkAggregation(); grouped || err != nil {
+	if q.Analysis().prog.grouped {
 		return Shape{}, false
 	}
 	root := &GroupPattern{Elems: make([]PatternElem, len(q.Where.Elems))}

@@ -166,11 +166,11 @@ func retuned(t *testing.T, q *Query, pick func(n int) int) *Query {
 }
 
 // FuzzContainment holds Shape.Contains to the evaluator. A query from
-// FuzzEvalEquivalence's generator and the same query with its thresholds
-// retuned run on a plan graph whose cardinality cells are sometimes not
-// numbers. The two have one shape key; and whenever one shape contains the
-// other, the container's answer is empty only if the contained one's is, and,
-// without LIMIT or OFFSET, holds every row of it as often.
+// FuzzEvalEquivalence's generator that Parse accepts and the same query with
+// its thresholds retuned run on a plan graph whose cardinality cells are
+// sometimes not numbers. The two have one shape key; and whenever one shape
+// contains the other, the container's answer is empty only if the contained
+// one's is, and, without LIMIT or OFFSET, holds every row of it as often.
 //
 // Input layout as FuzzEvalEquivalence's, with byte 0 unused; the constants are
 // drawn from the whole input, front to back.
@@ -194,7 +194,10 @@ func FuzzContainment(f *testing.F) {
 		text := gen.query()
 		y, err := Parse(predPrefix + text)
 		if err != nil {
-			t.Fatalf("Parse(%s): %v", text, err)
+			if !scopeRefusal(err) {
+				t.Fatalf("Parse(%s): %v", text, err)
+			}
+			return // a shape top-down evaluation cannot answer
 		}
 		x := retuned(t, y, (&fuzzQueryGen{buf: data}).pick)
 		sy, okY := ShapeOf(y)

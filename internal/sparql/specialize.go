@@ -24,9 +24,9 @@ import (
 // variables in place, applies the filters whose variables it completed,
 // recurses, and restores. Only rows that survive the whole block are copied
 // out, into a flat table (width = slots) that the group's other elements
-// consume seed row by seed row. Level-at-a-time evaluation that preserves seed
-// order visits the same rows in the same order, so the row sequence is the
-// one the reference evaluator produces for the same join order. Where the
+// consume seed row by seed row — top-down, which answers as SPARQL's
+// bottom-up algebra does on every query Parse accepts (checkScope). A nested
+// loop join in the same order visits the same rows in the same order. Where the
 // answer cannot tell two rows apart — below the last step that binds a
 // projected variable of a DISTINCT query, inside an EXISTS — the recursion
 // stops at the first one (see blockRun.tail). Every buffer an evaluation needs
@@ -403,12 +403,6 @@ func (ec *evalCtx) evalGroup(gp *groupProg, in []rdf.ID, out int, mode emitMode)
 			}
 		case elemGroup:
 			ec.evalGroup(el.groups[0], cur, next, emitAll)
-		case elemExists:
-			for r := 0; r < len(cur); r += w {
-				if ec.exists(el.groups[0], cur[r:r+w]) != el.not {
-					ec.tabs[next] = append(ec.tabs[next], cur[r:r+w]...)
-				}
-			}
 		case elemBind:
 			for r := 0; r < len(cur); r += w {
 				ec.view = cur[r : r+w]
@@ -420,7 +414,7 @@ func (ec *evalCtx) evalGroup(gp *groupProg, in []rdf.ID, out int, mode emitMode)
 				ec.tabs[next] = t
 			}
 		}
-		if el.kind == elemUnion || el.kind == elemGroup || el.kind == elemBind {
+		if el.kind == elemUnion || el.kind == elemGroup {
 			bound |= el.binds
 			applied = ec.applyEagerFilters(gp, bound, applied, next)
 		}
@@ -439,9 +433,9 @@ func (ec *evalCtx) evalGroup(gp *groupProg, in []rdf.ID, out int, mode emitMode)
 }
 
 // exists reports whether group gp has a solution seeded with row. It may be
-// called from inside a block's recursion — a hoisted EXISTS is a step's filter,
-// and row then is the binding row itself — so it seeds the group with a copy
-// and puts the block being run and its row back as they were.
+// called from inside a block's recursion — an EXISTS is a step's filter, and
+// row then is the binding row itself — so it seeds the group with a copy and
+// puts the block being run and its row back as they were.
 func (ec *evalCtx) exists(gp *groupProg, row []rdf.ID) bool {
 	run := ec.run
 	seed := ec.pushTable()
@@ -541,14 +535,7 @@ func (ec *evalCtx) runBlock(b *blockProg, gp *groupProg, bound, applied uint64, 
 	case mode == emitFirst:
 		pl.tail = -1
 	case mode == emitDistinct:
-		// What the seed rows really bind, not bound: that one takes a BIND's
-		// word for its target, which a failed BIND leaves unbound — for the
-		// step below to bind, projected or not.
-		seeded := ^uint64(0)
-		for r, w := 0, ec.prog.width; r < len(in); r += w {
-			seeded &= boundMask(in[r : r+w])
-		}
-		pl.tail = witnessTail(steps, ec.prog.projected, seeded)
+		pl.tail = witnessTail(steps, ec.prog.projected, bound)
 	}
 	ec.run = blockRun{
 		steps:    steps,

@@ -76,10 +76,7 @@ func TestTailOrderByAlias(t *testing.T) {
 			if got := cellValues(res); !reflect.DeepEqual(got, c.want) {
 				t.Errorf("rows %q, want %q", got, c.want)
 			}
-			want, err := execReference(q, g)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := execReference(q, g)
 			if !reflect.DeepEqual(rowStrings(res), rowStrings(want)) {
 				t.Errorf("rows %q, reference %q", rowStrings(res), rowStrings(want))
 			}
@@ -125,10 +122,7 @@ func TestTailEdges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := execReference(q, c.g)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := execReference(q, c.g)
 			if !reflect.DeepEqual(res.Vars, want.Vars) || !reflect.DeepEqual(rowStrings(res), rowStrings(want)) {
 				t.Errorf("%v %q, reference %v %q", res.Vars, rowStrings(res), want.Vars, rowStrings(want))
 			}
@@ -220,10 +214,7 @@ func TestTailCancelledMidPass(t *testing.T) {
 	} {
 		t.Run(c.pass, func(t *testing.T) {
 			q := mustParse(t, predPrefix+c.text)
-			want, err := execReference(q, g)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := execReference(q, g)
 			ec := acquireEvalCtx(g, q.Analysis().prog, ExecOptions{Ctx: newLateCancelCtx()})
 			res, err := ec.exec(q)
 			if !errors.Is(err, context.Canceled) || res != nil {
