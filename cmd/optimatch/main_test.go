@@ -183,20 +183,22 @@ SELECT DISTINCT ?s WHERE { ?s preduri:hasPopType ?t . FILTER NOT EXISTS { ?s pre
 	}
 }
 
-// A query Parse refuses for its shape fails both commands that take one, with
-// Parse's message, before any plan is read.
+// A query Parse refuses for its shape, or for nesting past its bound, fails
+// both commands that take one, with Parse's message, before any plan is read.
 func TestRunRefusedQuery(t *testing.T) {
 	dir := writeFixtures(t)
 	qfile := filepath.Join(dir, "q.rq")
-	query := `PREFIX preduri: <http://optimatch/pred/>
-SELECT ?s WHERE { ?s preduri:hasPopType ?t { FILTER(BOUND(?t)) } }`
-	if err := os.WriteFile(qfile, []byte(query), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	const want = "sparql: FILTER(BOUND(?t)) uses ?t from outside its group, where nothing binds it in every row"
-	for _, args := range [][]string{{"sparql", "-query", qfile, dir}, {"explain", "-query", qfile, fixtureFile(t, dir, "Q2")}} {
-		if err := run(args); err == nil || err.Error() != want {
-			t.Errorf("%s: err = %v, want %s", args[0], err, want)
+	for query, want := range map[string]string{
+		`SELECT ?s WHERE { ?s preduri:hasPopType ?t { FILTER(BOUND(?t)) } }`:                  "sparql: FILTER(BOUND(?t)) uses ?t from outside its group, where nothing binds it in every row",
+		"SELECT ?s WHERE " + strings.Repeat("{ ", 65) + "?s ?p ?t" + strings.Repeat(" }", 65): "sparql: query nests deeper than 64",
+	} {
+		if err := os.WriteFile(qfile, []byte("PREFIX preduri: <http://optimatch/pred/>\n"+query), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{"sparql", "-query", qfile, dir}, {"explain", "-query", qfile, fixtureFile(t, dir, "Q2")}} {
+			if err := run(args); err == nil || err.Error() != want {
+				t.Errorf("%s: err = %v, want %s", args[0], err, want)
+			}
 		}
 	}
 }

@@ -47,9 +47,9 @@ type renderFunc func(ctx context.Context, buf *bytes.Buffer) error
 type readRoute struct {
 	name        string // first part of the cache key, e.g. "http.search"
 	contentType string
-	body        bool // read the request body and hand it to parse
-	parseStatus int  // status of an error from parse
-	fallback    int  // status of a render error that is no deadline or cancellation
+	maxBody     int64 // read at most this much of the request body and hand it to parse (0: none)
+	parseStatus int   // status of an error from parse
+	fallback    int   // status of a render error that is no deadline or cancellation
 	// parse turns the request into the key part that, with the generation,
 	// identifies the answer, and the closure that renders it.
 	parse func(r *http.Request, body []byte) (part string, render renderFunc, err error)
@@ -70,9 +70,9 @@ type readRoute struct {
 func (s *Server) serveRead(rt readRoute) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var body []byte
-		if rt.body {
+		if rt.maxBody > 0 {
 			var ok bool
-			if body, ok = readBody(w, r, s.maxBody); !ok {
+			if body, ok = readBody(w, r, rt.maxBody); !ok {
 				return
 			}
 		}

@@ -17,6 +17,7 @@ import (
 	"optimatch/internal/fixtures"
 	"optimatch/internal/obs"
 	"optimatch/internal/pattern"
+	"optimatch/internal/sparql"
 )
 
 // TestSearchSpellingsShareEntry: /api/search is keyed on the canonical
@@ -145,6 +146,7 @@ func TestSPARQLRefusalsAlike(t *testing.T) {
 		"OPTIONAL uses ?p from outside its group":      `SELECT ?p WHERE { ?p preduri:hasPopType "SORT" OPTIONAL { ?q preduri:hasPopType ?t OPTIONAL { ?p preduri:hasJoinType ?j } } }`,
 		"uses ?t from outside its group":               `SELECT ?p WHERE { ?p preduri:hasPopType ?t { ?p preduri:hasChildPop ?c FILTER(?t = "SORT") } }`,
 		"SELECT * cannot be combined with aggregation": `SELECT * WHERE { ?p preduri:hasPopType ?t } GROUP BY ?t`,
+		"sparql: query nests deeper than 64":           "SELECT ?p WHERE " + strings.Repeat("{ ", 65) + "?p ?q ?t" + strings.Repeat(" }", 65),
 	} {
 		var bodies []string
 		for _, ts := range []*httptest.Server{empty, loaded} {
@@ -161,6 +163,39 @@ func TestSPARQLRefusalsAlike(t *testing.T) {
 	for _, st := range []cache.Stats{c.Stats(), lc.Stats()} {
 		if st.Entries != 0 || st.Misses != 0 || st.Hits != 0 {
 			t.Errorf("refused queries reached the cache: %+v", st)
+		}
+	}
+}
+
+// TestSPARQLBodyBound: /api/sparql reads at most sparql.MaxQueryBytes of a
+// body, below the server's 16 MiB. A query of exactly the bound answers, one
+// byte more is 413. So is a 16 MiB body of nested groups or parentheses,
+// which Parse would otherwise recurse through until the goroutine's stack
+// overflowed — a fatal error that takes the daemon down —; 64 KiB of them is
+// 400, refused past the nesting bound.
+func TestSPARQLBodyBound(t *testing.T) {
+	h := New(core.New(), nil).Handler()
+	post := func(body string) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/api/sparql", strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	fill := func(prefix, open string, n int) string { return prefix + strings.Repeat(open, n-len(prefix)) }
+	exact := fill(sortQuery, " ", sparql.MaxQueryBytes)
+	for _, c := range []struct {
+		name, body string
+		status     int
+		msg        string
+	}{
+		{"a query of exactly the bound", exact, http.StatusOK, `"matches"`},
+		{"one byte over", exact + " ", http.StatusRequestEntityTooLarge, "request body too large"},
+		{"16 MiB of {", fill("SELECT * WHERE ", "{", maxBodyBytes), http.StatusRequestEntityTooLarge, "request body too large"},
+		{"16 MiB of (", fill("SELECT * WHERE { FILTER", "(", maxBodyBytes), http.StatusRequestEntityTooLarge, "request body too large"},
+		{"64 KiB of {", fill("SELECT * WHERE ", "{", sparql.MaxQueryBytes), http.StatusBadRequest, "sparql: query nests deeper than 64"},
+		{"64 KiB of (", fill("SELECT * WHERE { FILTER", "(", sparql.MaxQueryBytes), http.StatusBadRequest, "sparql: query nests deeper than 64"},
+	} {
+		if status, body := post(c.body); status != c.status || !strings.Contains(body, c.msg) {
+			t.Errorf("%s: status %d, body %.200s; want %d naming %q", c.name, status, body, c.status, c.msg)
 		}
 	}
 }

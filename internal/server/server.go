@@ -115,7 +115,8 @@ func WithSlowThreshold(d time.Duration) Option {
 	return func(s *Server) { s.slow = d }
 }
 
-// WithMaxBody overrides the request-body size limit (default 16 MiB).
+// WithMaxBody overrides the request-body size limit (default 16 MiB;
+// /api/sparql reads no more than sparql.MaxQueryBytes under any limit).
 // Oversized bodies are rejected with 413 Request Entity Too Large.
 func WithMaxBody(n int64) Option {
 	return func(s *Server) {
@@ -368,7 +369,7 @@ func matchesToWire(ms []transform.Match) []matchBody {
 // part of the document, so it needs no key part of its own.
 func (s *Server) searchRoute() readRoute {
 	return readRoute{
-		name: "http.search", contentType: "application/json", body: true,
+		name: "http.search", contentType: "application/json", maxBody: s.maxBody,
 		parseStatus: http.StatusUnprocessableEntity, fallback: http.StatusUnprocessableEntity,
 		parse: func(_ *http.Request, body []byte) (string, renderFunc, error) {
 			p, err := pattern.FromJSON(body)
@@ -396,10 +397,11 @@ func (s *Server) searchRoute() readRoute {
 // sparqlRoute keys a query on its canonical text — the parsed query printed
 // again — so prefixes, keyword case, whitespace, comments and $x for ?x share
 // one entry, and a query Parse refuses (a syntax error, an empty body, a shape
-// it cannot answer) answers 400 before the cache is asked.
+// it cannot answer) answers 400 before the cache is asked. A query is text
+// someone typed: the route reads at most sparql.MaxQueryBytes of it, 413 past.
 func (s *Server) sparqlRoute() readRoute {
 	return readRoute{
-		name: "http.sparql", contentType: "application/json", body: true,
+		name: "http.sparql", contentType: "application/json", maxBody: min(s.maxBody, sparql.MaxQueryBytes),
 		parseStatus: http.StatusBadRequest, fallback: http.StatusUnprocessableEntity,
 		parse: func(_ *http.Request, body []byte) (string, renderFunc, error) {
 			q, err := sparql.Parse(string(body))

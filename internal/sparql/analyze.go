@@ -71,8 +71,9 @@ func newTermSet() *termSet {
 	return &termSet{seen: make(map[rdf.Term]bool)}
 }
 
+// add adds t to s; a nil set takes nothing.
 func (s *termSet) add(t rdf.Term) {
-	if t.Zero() || s.seen[t] {
+	if s == nil || t.Zero() || s.seen[t] {
 		return
 	}
 	s.seen[t] = true
@@ -85,14 +86,30 @@ func (s *termSet) addAll(o *termSet) {
 	}
 }
 
+// intersect returns the terms of s that o holds too, in s's order; a nil s
+// stands for every term.
+func (s *termSet) intersect(o *termSet) *termSet {
+	if s == nil {
+		return o
+	}
+	kept := newTermSet()
+	for _, t := range s.order {
+		if o.seen[t] {
+			kept.add(t)
+		}
+	}
+	return kept
+}
+
 func analyzeQuery(q *Query) *Analysis {
-	consts := newTermSet()
-	req := groupRequired(q.Where, consts)
+	consts, req := newTermSet(), newTermSet()
+	groupRequired(q.Where, consts, req)
 	return &Analysis{Required: req.order, Consts: consts.order, prog: compile(q, consts.order, req.order)}
 }
 
-// groupRequired computes the required-term set of a group pattern while
-// registering every constant it encounters (required or not) in consts.
+// groupRequired adds the terms a group pattern requires to req (nil: they
+// are not required) while registering every constant it encounters
+// (required or not) in consts.
 //
 // Soundness argument, per element kind: a triple pattern in the group must
 // match for the group to produce solutions, and the evaluator yields zero
@@ -104,8 +121,7 @@ func analyzeQuery(q *Query) *Analysis {
 // required), FILTER EXISTS keeps a solution only when its group matches (so
 // its group's requirements propagate), and FILTER NOT EXISTS, plain FILTER
 // and BIND compare values without probing the graph and require nothing.
-func groupRequired(g *GroupPattern, consts *termSet) *termSet {
-	req := newTermSet()
+func groupRequired(g *GroupPattern, consts, req *termSet) {
 	for _, el := range g.Elems {
 		switch el := el.(type) {
 		case TriplePattern:
@@ -120,39 +136,27 @@ func groupRequired(g *GroupPattern, consts *termSet) *termSet {
 			pathConsts(el.P, consts)
 			pathRequired(el.P, req)
 		case GroupElem:
-			req.addAll(groupRequired(el.Group, consts))
+			groupRequired(el.Group, consts, req)
 		case OptionalElem:
-			groupRequired(el.Group, consts)
+			groupRequired(el.Group, consts, nil)
 		case UnionElem:
 			var common *termSet
 			for _, b := range el.Branches {
-				br := groupRequired(b, consts)
-				if common == nil {
-					common = br
-					continue
-				}
-				kept := newTermSet()
-				for _, t := range common.order {
-					if br.seen[t] {
-						kept.add(t)
-					}
-				}
-				common = kept
+				br := newTermSet()
+				groupRequired(b, consts, br)
+				common = common.intersect(br)
 			}
-			if common != nil {
-				req.addAll(common)
-			}
+			req.addAll(common)
 		case FilterExistsElem:
 			if el.Not {
-				groupRequired(el.Group, consts)
+				groupRequired(el.Group, consts, nil)
 			} else {
-				req.addAll(groupRequired(el.Group, consts))
+				groupRequired(el.Group, consts, req)
 			}
 		case FilterElem, BindElem:
 			// Value-space only; nothing must exist in the graph.
 		}
 	}
-	return req
 }
 
 // pathRequired adds the predicate IRIs every traversal of the path must
@@ -174,21 +178,9 @@ func pathRequired(p Path, req *termSet) {
 		for _, alt := range p.Alts {
 			br := newTermSet()
 			pathRequired(alt, br)
-			if common == nil {
-				common = br
-				continue
-			}
-			kept := newTermSet()
-			for _, t := range common.order {
-				if br.seen[t] {
-					kept.add(t)
-				}
-			}
-			common = kept
+			common = common.intersect(br)
 		}
-		if common != nil {
-			req.addAll(common)
-		}
+		req.addAll(common)
 	case ModPath:
 		if p.Mod == ModOneOrMore {
 			pathRequired(p.Inner, req)

@@ -164,54 +164,62 @@ func (ModPath) pathNode()  {}
 // in first-appearance order. Used for SELECT * expansion.
 func (g *GroupPattern) Vars() []string { return g.vars(false) }
 
-// mentions is Vars plus the variables only a BIND expression reads: those are
-// never bound by the group (so SELECT * has no column for them), but whoever
-// asks which bindings the group's evaluation depends on must see them.
-func (g *GroupPattern) mentions() []string { return g.vars(true) }
-
+// vars is what eachVar calls fn on, each variable once.
 func (g *GroupPattern) vars(bindExprs bool) []string {
 	var out []string
 	seen := make(map[string]bool)
-	add := func(v string) {
-		if v != "" && !seen[v] {
+	g.eachVar(bindExprs, func(v string) {
+		if !seen[v] {
 			seen[v] = true
 			out = append(out, v)
 		}
-	}
-	var walkGroup func(gr *GroupPattern)
-	walkGroup = func(gr *GroupPattern) {
-		for _, el := range gr.Elems {
-			switch el := el.(type) {
-			case TriplePattern:
-				add(el.S.Var)
-				if pv, ok := el.P.(predVarPath); ok {
-					add(pv.name)
-				}
-				add(el.O.Var)
-			case FilterElem:
-				for _, v := range exprVars(el.Expr) {
-					add(v)
-				}
-			case OptionalElem:
-				walkGroup(el.Group)
-			case UnionElem:
-				for _, b := range el.Branches {
-					walkGroup(b)
-				}
-			case GroupElem:
-				walkGroup(el.Group)
-			case BindElem:
-				if bindExprs {
-					for _, v := range exprVars(el.Expr) {
-						add(v)
-					}
-				}
-				add(el.Var)
-			case FilterExistsElem:
-				walkGroup(el.Group)
-			}
+	})
+	return out
+}
+
+// eachVar calls fn on every variable mentioned anywhere in the group, in
+// order and as often as it is mentioned. With bindExprs, on the variables
+// only a BIND expression reads too: those are never bound by the group (so
+// SELECT * has no column for them), but whoever asks which bindings the
+// group's evaluation depends on must see them.
+func (g *GroupPattern) eachVar(bindExprs bool, fn func(v string)) {
+	add := func(v string) {
+		if v != "" {
+			fn(v)
 		}
 	}
-	walkGroup(g)
-	return out
+	exprs := func(e Expression) {
+		walkExpr(e, func(sub Expression) {
+			if v, ok := sub.(VarExpr); ok {
+				fn(v.Name)
+			}
+		})
+	}
+	for _, el := range g.Elems {
+		switch el := el.(type) {
+		case TriplePattern:
+			add(el.S.Var)
+			if pv, ok := el.P.(predVarPath); ok {
+				add(pv.name)
+			}
+			add(el.O.Var)
+		case FilterElem:
+			exprs(el.Expr)
+		case OptionalElem:
+			el.Group.eachVar(bindExprs, fn)
+		case UnionElem:
+			for _, b := range el.Branches {
+				b.eachVar(bindExprs, fn)
+			}
+		case GroupElem:
+			el.Group.eachVar(bindExprs, fn)
+		case BindElem:
+			if bindExprs {
+				exprs(el.Expr)
+			}
+			add(el.Var)
+		case FilterExistsElem:
+			el.Group.eachVar(bindExprs, fn)
+		}
+	}
 }

@@ -182,13 +182,14 @@ func slotBit(slot int) uint64 {
 type compiler struct {
 	p       *program
 	constNo map[rdf.Term]int
+	owner   map[string]int // exists' scratch
 }
 
 // compile builds q's program over the constants and requirements the static
 // analysis collected.
 func compile(q *Query, consts, required []rdf.Term) *program {
 	p := &program{varIndex: make(map[string]int), consts: consts, predConst: make(map[string]int)}
-	c := &compiler{p: p, constNo: make(map[rdf.Term]int, len(consts))}
+	c := &compiler{p: p, constNo: make(map[rdf.Term]int, len(consts)), owner: make(map[string]int)}
 	for i, t := range consts {
 		c.constNo[t] = i
 		if t.IsIRI() {
@@ -336,25 +337,8 @@ func (c *compiler) group(g *GroupPattern) *groupProg {
 			gp.filters = append(gp.filters, c.filter(f.Expr, len(gp.filters)))
 		}
 	}
-	var mentioned map[string]int // per variable, the elements of g that mention it
-	var existsVars [][]string    // per FILTER [NOT] EXISTS of g, what it mentions
 	if slices.ContainsFunc(g.Elems, func(el PatternElem) bool { _, ok := el.(FilterExistsElem); return ok }) {
-		mentioned = make(map[string]int)
-		for _, el := range g.Elems {
-			vars := (&GroupPattern{Elems: []PatternElem{el}}).mentions()
-			if _, ok := el.(FilterExistsElem); ok {
-				existsVars = append(existsVars, vars)
-			}
-			for _, v := range vars {
-				mentioned[v]++
-			}
-		}
-	}
-	for _, el := range g.Elems {
-		if el, ok := el.(FilterExistsElem); ok {
-			gp.filters = append(gp.filters, c.exists(el, existsVars[0], mentioned, len(gp.filters)))
-			existsVars = existsVars[1:]
-		}
+		gp.filters = append(gp.filters, c.exists(g, len(gp.filters))...)
 	}
 	for i := 0; i < len(g.Elems); i++ {
 		var ep elemProg
@@ -399,28 +383,49 @@ func (c *compiler) group(g *GroupPattern) *groupProg {
 	return gp
 }
 
-// exists compiles el, a FILTER [NOT] EXISTS of group g that mentions vars and
-// the index-th filter there, into a filter that runs its group seeded with
-// the row. Like any eager filter it is handed to the step that binds the
-// variables it shares with the rest of g (mentioned counts, per variable, the
-// elements of g that mention it: el is one), or else runs at the end of g:
-// SPARQL's group scope. Every variable of g the EXISTS reads is then in the
-// row, as the substitution of §18.6 has it; what it reads from outside g is
-// there from the start.
-func (c *compiler) exists(el FilterExistsElem, vars []string, mentioned map[string]int, index int) filterProg {
-	f := filterProg{eager: index < 64, cmpSlot: -1, not: el.Not}
-	for _, v := range vars {
-		// A variable only a BIND expression reads has no slot, and gets none
-		// here: SELECT * projects every slot.
-		if slot, ok := c.p.varIndex[v]; ok && mentioned[v] > 1 {
-			f.vars |= slotBit(slot)
-			f.eager = f.eager && slot < 64
+// exists compiles the FILTER [NOT] EXISTS of g, the index-th filter there
+// on, into filters that run their group seeded with the row. Like any eager
+// filter each is handed to the step that binds the variables it shares with
+// the rest of g, or else runs at the end of g: SPARQL's group scope. Every
+// variable of g the EXISTS reads is then in the row, as the substitution of
+// §18.6 has it; what it reads from outside g is there from the start.
+func (c *compiler) exists(g *GroupPattern, index int) []filterProg {
+	// c.owner holds, per variable, the element of g that mentions it, or -1
+	// when more than one does. It is scratch every group shares, so the
+	// groups of the EXISTS are compiled once it is cleared.
+	mentions := func(i int, fn func(v string)) { (&GroupPattern{Elems: g.Elems[i : i+1]}).eachVar(true, fn) }
+	for i := range g.Elems {
+		mentions(i, func(v string) {
+			if o, ok := c.owner[v]; !ok {
+				c.owner[v] = i
+			} else if o != i {
+				c.owner[v] = -1
+			}
+		})
+	}
+	var fs []filterProg
+	var groups []*GroupPattern
+	for i, el := range g.Elems {
+		if el, ok := el.(FilterExistsElem); ok {
+			f := filterProg{eager: index+len(fs) < 64, cmpSlot: -1, not: el.Not}
+			mentions(i, func(v string) {
+				// A variable only a BIND expression reads has no slot, and
+				// gets none here: SELECT * projects every slot.
+				if slot, ok := c.p.varIndex[v]; ok && c.owner[v] < 0 {
+					f.vars |= slotBit(slot)
+					f.eager = f.eager && slot < 64
+				}
+			})
+			fs, groups = append(fs, f), append(groups, el.Group)
 		}
 	}
-	inner, not := c.group(el.Group), el.Not
-	f.exists = inner
-	f.keep = func(ec *evalCtx, row []rdf.ID) bool { return ec.exists(inner, row) != not }
-	return f
+	clear(c.owner)
+	for i := range fs {
+		inner, not := c.group(groups[i]), fs[i].not
+		fs[i].exists = inner
+		fs[i].keep = func(ec *evalCtx, row []rdf.ID) bool { return ec.exists(inner, row) != not }
+	}
+	return fs
 }
 
 func (c *compiler) pattern(tp TriplePattern) patProg {

@@ -33,13 +33,38 @@ func Parse(input string) (*Query, error) {
 	return q, nil
 }
 
+// maxDepth bounds how deep a query nests: groups (OPTIONAL, UNION branches
+// and FILTER [NOT] EXISTS included), expressions (parentheses, unary
+// operators, function arguments) and paths, on one count. The root group is
+// at depth 1, and a predicate or an expression one level inside the group
+// it is in. Every walk of the AST after the parser — the scope check, the
+// static analysis, the compiler, the printer, evaluation — then costs at
+// most maxDepth times the input.
+const maxDepth = 64
+
+// MaxQueryBytes is the longest query text a server should read: maxDepth
+// bounds how deep a query nests, this how much there is of it.
+const MaxQueryBytes = 64 << 10
+
 type parser struct {
 	toks      []token
 	pos       int
+	depth     int // the groups, unary expressions and path elements open
 	prefixes  map[string]string
 	blankSeq  int
 	blankVars map[string]string // blank label -> internal var name
 }
+
+// enter opens one level of nesting, refusing the query past maxDepth; leave
+// closes it.
+func (p *parser) enter() error {
+	if p.depth++; p.depth > maxDepth {
+		return fmt.Errorf("sparql: query nests deeper than %d", maxDepth)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
 func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
@@ -259,6 +284,10 @@ func (p *parser) parseOrderKey() (OrderKey, bool, error) {
 }
 
 func (p *parser) parseGroup() (*GroupPattern, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	if _, err := p.expect(tokLBrace, "{"); err != nil {
 		return nil, err
 	}
@@ -567,6 +596,10 @@ func (p *parser) parsePathEltOrInverse() (Path, error) {
 }
 
 func (p *parser) parsePathElt() (Path, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	prim, err := p.parsePathPrimary()
 	if err != nil {
 		return nil, err
@@ -668,7 +701,9 @@ func (p *parser) parseConstraint() (Expression, error) {
 		return expr, nil
 	}
 	if p.at(tokKeyword) {
-		return p.parsePrimaryExpr()
+		// Through parseUnary, so that the call nests as deep as the
+		// FILTER(call) it prints as.
+		return p.parseUnary()
 	}
 	return nil, p.errf("expected FILTER constraint, found %q", p.peek().text)
 }
@@ -778,6 +813,10 @@ func (p *parser) parseMultiplicative() (Expression, error) {
 }
 
 func (p *parser) parseUnary() (Expression, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch p.peek().kind {
 	case tokBang:
 		p.next()

@@ -308,3 +308,64 @@ func TestGroupVars(t *testing.T) {
 		t.Errorf("Vars = %v, want %v", got, want)
 	}
 }
+
+// TestNestingBound: every kind of nesting counts on Parse's one depth count,
+// the root group as 1. At 63 and at 64 a query parses, answers as the algebra
+// oracle does and prints as text that parses again; at 65 Parse refuses it.
+func TestNestingBound(t *testing.T) {
+	g := evalTestGraph()
+	// wrap opens k times around inner and closes as often.
+	wrap := func(open, inner, close string, k int) string {
+		return strings.Repeat(open, k) + inner + strings.Repeat(close, k)
+	}
+	// A predicate, like an expression, sits one level inside its group: the
+	// innermost group of the first five kinds has a variable one.
+	const scan, leaf = "?a pred:hasPopType ?t", "?a ?p ?t"
+	// A filter's expression, like a path, starts at depth 2.
+	filter := func(expr string) string {
+		return "SELECT * WHERE { ?a pred:hasEstimateCardinality ?c FILTER(" + expr + ") }"
+	}
+	for _, c := range []struct {
+		kind  string
+		query func(depth int) string
+	}{
+		{"group", func(d int) string { return "SELECT * WHERE " + wrap("{ ", leaf, " }", d) }},
+		{"OPTIONAL", func(d int) string { return "SELECT * WHERE { " + wrap(scan+" OPTIONAL { ", leaf, " }", d-1) + " }" }},
+		{"UNION branch", func(d int) string {
+			return "SELECT * WHERE { " + scan + " " + wrap("{ ?t ?p ?a } UNION { ", leaf, " }", d-1) + " }"
+		}},
+		{"EXISTS", func(d int) string {
+			return "SELECT * WHERE { " + wrap(scan+" FILTER EXISTS { ", leaf, " }", d-1) + " }"
+		}},
+		{"NOT EXISTS", func(d int) string {
+			return "SELECT * WHERE { " + wrap(scan+" FILTER NOT EXISTS { ", leaf, " }", d-1) + " }"
+		}},
+		{"( in an expression", func(d int) string { return filter(wrap("(", "?c > 100", ")", d-2)) }},
+		{"! chain", func(d int) string { return filter(wrap("!", "?c", "", d-2)) }},
+		{"- chain", func(d int) string { return filter(wrap("-", "?c", "", d-2) + " > 100") }},
+		{"function argument", func(d int) string { return filter(wrap("FLOOR(", "?c", ")", d-2) + " > 100") }},
+		// Counted as the FILTER(ABS(…)) it prints as.
+		{"call as the constraint", func(d int) string {
+			return "SELECT * WHERE { ?a pred:hasEstimateCardinality ?c FILTER " + wrap("ABS(", "?c", ")", d-2) + " }"
+		}},
+		{"( in a path", func(d int) string {
+			return "SELECT * WHERE { ?a " + wrap("(", "pred:hasOuterInputStream/pred:hasOuterInputStream", ")", d-2) + " ?b }"
+		}},
+	} {
+		for _, depth := range []int{63, 64} {
+			q, err := Parse(predPrefix + c.query(depth))
+			if err != nil {
+				t.Errorf("%s at depth %d: %v", c.kind, depth, err)
+				continue
+			}
+			requireEquivalent(t, q, g)
+			if _, err := Parse(q.String()); err != nil {
+				t.Errorf("%s at depth %d prints as a query Parse refuses: %v", c.kind, depth, err)
+			}
+		}
+		const want = "sparql: query nests deeper than 64"
+		if _, err := Parse(predPrefix + c.query(65)); err == nil || err.Error() != want {
+			t.Errorf("%s at depth 65: err = %v, want %s", c.kind, err, want)
+		}
+	}
+}

@@ -108,10 +108,6 @@ ORDER BY DESC(?n) ?type
 LIMIT 5`,
 }
 
-// maxQueryInput is the most of an input FuzzSPARQL parses: a request body of
-// /api/sparql is bounded the same way, by the server's body limit.
-const maxQueryInput = 64 << 10
-
 // parseBudget is the heap a parse of n bytes may allocate: the tokens, the
 // AST and the compiled program.
 func parseBudget(n int) uint64 { return 64<<10 + 512*uint64(n) }
@@ -119,28 +115,46 @@ func parseBudget(n int) uint64 { return 64<<10 + 512*uint64(n) }
 // scopeSeed is a query that opens depth groups with open, binds thousands of
 // variables, then repeats elem until the input is full and closes with last:
 // the scope check's work must not grow with the variables in scope at each
-// repeat, nor at each depth.
+// repeat, and grows at most maxDepth-fold with depth.
 func scopeSeed(open string, depth int, elem, last string) string {
 	var b strings.Builder
 	b.WriteString("SELECT ?a0 WHERE { " + strings.Repeat(open, depth))
-	for i := 0; b.Len() < maxQueryInput/2; i++ {
+	for i := 0; b.Len() < MaxQueryBytes/2; i++ {
 		fmt.Fprintf(&b, "?a%d ?b%d ?c%d . ", i, i, i)
 	}
 	last += strings.Repeat("}", depth+1)
-	for b.Len()+len(elem)+len(last) <= maxQueryInput {
+	for b.Len()+len(elem)+len(last) <= MaxQueryBytes {
 		b.WriteString(elem)
 	}
 	b.WriteString(last)
 	return b.String()
 }
 
+// constantSeed is a query maxDepth deep — the root, maxDepth-2 groups and a
+// predicate — over thousands of distinct constants: 1 000 deep, it cost 3 GB
+// when each group copied the constants it requires into the one around it.
+func constantSeed() string {
+	var b strings.Builder
+	b.WriteString("SELECT * WHERE " + strings.Repeat("{ ", maxDepth-1))
+	for i := 0; b.Len()+64+maxDepth < MaxQueryBytes; i++ {
+		fmt.Fprintf(&b, "<urn:s%d> <urn:p> <urn:o%d> . ", i, i)
+	}
+	b.WriteString(strings.Repeat("}", maxDepth-1))
+	return b.String()
+}
+
 // FuzzSPARQL holds the parser to the printer on every input /api/sparql
-// could be sent: a rejected input is an error, never a panic, within a second
-// and a heap budget linear in its size; an accepted one prints as text that
-// parses to the same AST (prefix table and memoised analysis aside), prints
-// the same again, and answers the same rows on a plan graph.
+// could be sent — at most MaxQueryBytes of it, as the route reads: a rejected
+// input is an error, never a panic, within a second and a heap budget linear
+// in its size; an accepted one prints as text that parses to the same AST
+// (prefix table and memoised analysis aside), prints the same again, and
+// answers the same rows on a plan graph.
 func FuzzSPARQL(f *testing.F) {
 	lit := `PREFIX xsd: <` + xsd + `> SELECT ?s WHERE { ?s <urn:p> ?o . FILTER(?o = %s) }`
+	tooDeep := scopeSeed("{ ", maxDepth-1, "{} ", "")
+	if _, err := Parse(tooDeep); err == nil {
+		f.Fatalf("a query %d deep parsed", maxDepth+1)
+	}
 	for _, l := range []string{`"5"^^xsd:double`, `"1e3"^^xsd:integer`, `" 7"^^xsd:integer`, `"a"^^xsd:string`} {
 		f.Add(fmt.Sprintf(lit, l))
 	}
@@ -157,21 +171,27 @@ GROUP BY ?t HAVING(COUNT(*) > 1 && AVG(?c) >= 0) ORDER BY DESC(?n) ASC(-?s) ?t`,
 		predPrefix + `SELECT DISTINCT ?a WHERE { ?a pred:hasChildPop ?b . FILTER NOT EXISTS { ?b pred:hasJoinType "INNER" } BIND(STR(?a) AS ?x) FILTER(REGEX(?x, "pop/[0-9]", "i")) } ORDER BY ?a LIMIT 3 OFFSET 1`,
 		`SELECT ?a WHERE { { ?a <urn:p> ?b } UNION { ?b <urn:p> ?a } UNION {} FILTER(!BOUND(?b) || -(?b - 1) / 2 < 1 - ?b * 3) }`,
 		strings.Repeat("(", 1<<14),
-		"SELECT * WHERE { " + strings.Repeat("?a <urn:p> ?b . ", (maxQueryInput-64)/16) + "}",
+		"SELECT * WHERE { " + strings.Repeat("?a <urn:p> ?b . ", (MaxQueryBytes-64)/16) + "}",
 		scopeSeed("", 0, "{} ", ""),
 		scopeSeed("", 0, "{} UNION ", "{}"),
 		scopeSeed("", 0, "OPTIONAL {} ", ""),
 		scopeSeed("", 0, "FILTER EXISTS {} ", ""),
-		scopeSeed("{ ", 200, "{} ", ""),
-		scopeSeed("{} UNION { ", 200, "{} ", ""),
-		scopeSeed("?a0 ?b0 ?c0 OPTIONAL { ", 200, "{} ", ""),
+		// maxDepth deep: the root, maxDepth-2 groups opened and elem's. The
+		// nested EXISTS cost 1.35 GB at 1 000 deep, when the compiler listed
+		// the variables below each one at every EXISTS around it.
+		scopeSeed("{ ", maxDepth-2, "{} ", ""),
+		scopeSeed("{} UNION { ", maxDepth-2, "{} ", ""),
+		scopeSeed("?a0 ?b0 ?c0 OPTIONAL { ", maxDepth-2, "{} ", ""),
+		scopeSeed("FILTER EXISTS { ", maxDepth-2, "{} ", ""),
+		constantSeed(),
+		tooDeep,
 	} {
 		f.Add(q)
 	}
 	g := fuzzDecodePlanGraph(fuzzPlanTriples(), fuzzCards)
 
 	f.Fuzz(func(t *testing.T, text string) {
-		text = text[:min(len(text), maxQueryInput)]
+		text = text[:min(len(text), MaxQueryBytes)]
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()

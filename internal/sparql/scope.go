@@ -3,7 +3,6 @@ package sparql
 import (
 	"fmt"
 	"maps"
-	"slices"
 	"sort"
 )
 
@@ -27,19 +26,17 @@ import (
 //	    earlier element binds in every row. The filters of an OPTIONAL's group
 //	    are its LeftJoin's condition: R2 covers them.
 //
-// The check is one pass that copies no scope. A group hands what it binds to
-// the group around it by merging the smaller set into the larger, and a UNION
-// checks its largest branch last, so that only the other branches' bindings
-// are taken back before the next branch and restored after the last; a
-// binding moves O(log n) times in all. A variable an OPTIONAL or EXISTS
-// mentions is held where it is named, to the innermost such checkpoint of
-// each EXISTS context: an outer checkpoint of the same context refuses
-// nothing more, for the triple pattern that binds the variable in every row
-// for the inner one was held to it before. So only nested EXISTS multiply
-// the work, as they multiply the compiler's.
+// The check is one walk with a frame per group being checked, a log of what
+// they may bind — a frame's bindings are the log from its start on, its own
+// and its done groups' — and per variable the stack of the frames that may
+// bind it. A group done hands its bindings to the frame around it; a UNION's
+// branches are each taken back when done, and what any of them binds is then
+// bound around the UNION. A variable an element names is held to every
+// OPTIONAL and EXISTS around it. Parse bounds nesting at maxDepth, so a
+// binding moves at most maxDepth times and a mention meets at most maxDepth
+// checkpoints.
 func checkScope(where *GroupPattern) error {
-	s := &scope{binders: map[string][]*frame{}, size: map[*GroupPattern]int{}}
-	s.weigh(where)
+	s := &scope{binders: map[string][]*frame{}}
 	return s.group(where, &frame{})
 }
 
@@ -54,34 +51,14 @@ func (s varSet) add(v string) varSet {
 	return s
 }
 
-// union returns s ∪ t, made in the larger of the two.
-func union(s, t varSet) varSet {
-	if len(s) < len(t) {
-		s, t = t, s
-	}
-	maps.Copy(s, t)
-	return s
-}
-
-// frame is a group being checked, or one checked whose bindings went to the
-// group it is an element of (up).
+// frame is a group being checked.
 type frame struct {
-	up         *frame
-	level, ctx int    // nesting depth, and that of the nearest EXISTS group (0: the root)
-	leftJoin   bool   // an OPTIONAL's group, whose filters are the LeftJoin's condition
-	may, every varSet // what the elements checked so far may bind, and bind in every row
-}
-
-// owner is the frame f's bindings belong to now: f, or the group being
-// checked they went to.
-func (f *frame) owner() *frame {
-	for f.up != nil {
-		if f.up.up != nil {
-			f.up = f.up.up
-		}
-		f = f.up
-	}
-	return f
+	level, ctx int  // nesting depth, and that of the nearest EXISTS group (0: the root)
+	start      int  // where the frame's bindings begin in the log
+	leftJoin   bool // an OPTIONAL's group, whose filters are the LeftJoin's condition
+	// What the elements checked so far bind in every row; of a done group's,
+	// only the variables in the frame's seed, the only ones a check reads.
+	every varSet
 }
 
 // checkpoint holds the variables an element names to the group at: one in
@@ -91,48 +68,26 @@ type checkpoint struct {
 	at    *frame
 	elem  func() string // the element, for the message
 	where string
-	outer *checkpoint // the innermost checkpoint of the EXISTS contexts around at's
+	outer *checkpoint // the OPTIONAL or EXISTS around this one
 }
 
 // scope is the state of one check.
 type scope struct {
-	binders map[string][]*frame   // per variable, the frames that may bind it, outermost first
-	top     *checkpoint           // the innermost OPTIONAL or EXISTS being checked
-	size    map[*GroupPattern]int // elements at any depth, for a UNION's branches
-}
-
-// weigh records in size the elements of g and of every group in it, at any
-// depth, and returns g's.
-func (s *scope) weigh(g *GroupPattern) int {
-	n := len(g.Elems)
-	for _, el := range g.Elems {
-		switch el := el.(type) {
-		case OptionalElem:
-			n += s.weigh(el.Group)
-		case GroupElem:
-			n += s.weigh(el.Group)
-		case FilterExistsElem:
-			n += s.weigh(el.Group)
-		case UnionElem:
-			for _, b := range el.Branches {
-				n += s.weigh(b)
-			}
-		}
-	}
-	s.size[g] = n
-	return n
+	log     []string            // what the frames being checked may bind, each once per frame
+	binders map[string][]*frame // per variable, the frames being checked that may bind it, outermost first
+	top     *checkpoint         // the innermost OPTIONAL or EXISTS being checked
 }
 
 // seeded reports whether v is in g's seed: whether a group around g, in its
 // EXISTS context, may bind v to g's left.
 func (s *scope) seeded(v string, g *frame) bool {
 	b := s.binders[v]
-	i := sort.Search(len(b), func(i int) bool { return b[i].owner().level >= g.level })
-	return i > 0 && b[i-1].owner().level >= g.ctx
+	i := sort.Search(len(b), func(i int) bool { return b[i].level >= g.level })
+	return i > 0 && b[i-1].level >= g.ctx
 }
 
 // check holds vars, which an element of the group being checked names, to c
-// and the checkpoints beyond it.
+// and the checkpoints around it.
 func (s *scope) check(vars []string, c *checkpoint) error {
 	for ; c != nil; c = c.outer {
 		for _, v := range vars {
@@ -144,57 +99,46 @@ func (s *scope) check(vars []string, c *checkpoint) error {
 	return nil
 }
 
-// enter makes an OPTIONAL or EXISTS of f the innermost checkpoint and returns
-// the one to put back after it.
-func (s *scope) enter(f *frame, elem func() string, where string) (prev *checkpoint) {
-	prev = s.top
-	s.top = &checkpoint{at: f, elem: elem, where: where, outer: prev}
-	if prev != nil && prev.at.ctx == f.ctx {
-		s.top.outer = prev.outer
-	}
-	return prev
-}
-
-// bind records that f may bind v.
+// bind records that f, the innermost frame, may bind v.
 func (s *scope) bind(f *frame, v string) {
-	if !f.may[v] {
-		f.may = f.may.add(v)
-		s.binders[v] = append(s.binders[v], f)
+	if b := s.binders[v]; len(b) == 0 || b[len(b)-1] != f {
+		s.binders[v] = append(b, f)
+		s.log = append(s.log, v)
 	}
 }
 
-// unbind takes back what the done frame c may bind.
-func (s *scope) unbind(c *frame) {
-	for v := range c.may {
+// takeBack takes the done frame c's bindings off the binders, leaving them in
+// the log.
+func (s *scope) takeBack(c *frame) {
+	for _, v := range s.log[c.start:] {
 		s.binders[v] = s.binders[v][:len(s.binders[v])-1]
 	}
 }
 
-// adopt hands what the done frame c may bind — and, when every, binds in
-// every row — to f, the group c is an element of.
-func (s *scope) adopt(f, c *frame, every bool) {
-	c.up = f
-	small, large := f.may, c.may
-	if len(small) > len(large) {
-		small, large = large, small
+// adopt binds on f, the innermost frame, the log from the index from on, and
+// adds to f.every what every holds of f's seed.
+func (s *scope) adopt(f *frame, from int, every varSet) {
+	vars := s.log[from:]
+	s.log = s.log[:from] // bind writes behind what the loop reads
+	for _, v := range vars {
+		s.bind(f, v)
 	}
-	for v := range small {
-		if large[v] {
-			s.binders[v] = s.binders[v][:len(s.binders[v])-1] // c's, above f's
-		} else {
-			large[v] = true
+	for v := range every {
+		if s.seeded(v, f) {
+			f.every = f.every.add(v)
 		}
-	}
-	f.may = large
-	if every {
-		f.every = union(f.every, c.every)
 	}
 }
 
-// nested checks g, an element of f, as a frame of its own and returns it.
+// nested checks g, an element of f, as a frame of its own, and returns it
+// with its bindings taken back.
 func (s *scope) nested(g *GroupPattern, f *frame, leftJoin bool) (*frame, error) {
-	c := &frame{level: f.level + 1, ctx: f.ctx, leftJoin: leftJoin}
-	return c, s.group(g, c)
+	c := &frame{level: f.level + 1, ctx: f.ctx, start: len(s.log), leftJoin: leftJoin}
+	if err := s.group(g, c); err != nil {
+		return nil, err
+	}
+	s.takeBack(c)
+	return c, nil
 }
 
 // group checks g as the frame f, leaving in f what g binds.
@@ -225,22 +169,35 @@ func (s *scope) group(g *GroupPattern, f *frame) error {
 			}
 			s.bind(f, el.Var)
 		case OptionalElem:
-			prev := s.enter(f, func() string { return "OPTIONAL" }, " before it")
+			prev := s.top
+			s.top = &checkpoint{at: f, elem: func() string { return "OPTIONAL" }, where: " before it", outer: prev}
 			c, err := s.nested(el.Group, f, true)
 			if s.top = prev; err != nil {
 				return err
 			}
-			s.adopt(f, c, false)
+			s.adopt(f, c.start, nil)
 		case GroupElem:
 			c, err := s.nested(el.Group, f, false)
 			if err != nil {
 				return err
 			}
-			s.adopt(f, c, true)
+			s.adopt(f, c.start, c.every)
 		case UnionElem:
-			if err := s.union(el, f); err != nil {
-				return err
+			// Each branch is checked on f's seed alone; f binds what any
+			// branch binds, and in every row what every branch does.
+			from := len(s.log)
+			var every varSet
+			for i, b := range el.Branches {
+				c, err := s.nested(b, f, false)
+				if err != nil {
+					return err
+				}
+				if i == 0 {
+					every = c.every
+				}
+				maps.DeleteFunc(every, func(v string, _ bool) bool { return !c.every[v] })
 			}
+			s.adopt(f, from, every)
 		}
 	}
 	// A filter reads the rows of the whole group.
@@ -257,57 +214,17 @@ func (s *scope) group(g *GroupPattern, f *frame) error {
 		case FilterExistsElem:
 			prev := s.top
 			if !f.leftJoin {
-				s.enter(f, func() string { return existsLabel(el.Not) }, "")
+				s.top = &checkpoint{at: f, elem: func() string { return existsLabel(el.Not) }, outer: prev}
 			}
-			c := &frame{level: f.level + 1, ctx: f.level + 1}
+			c := &frame{level: f.level + 1, ctx: f.level + 1, start: len(s.log)}
 			err := s.group(el.Group, c)
 			if s.top = prev; err != nil {
 				return err
 			}
-			s.unbind(c)
+			s.takeBack(c)
+			s.log = s.log[:c.start]
 		}
 	}
-	return nil
-}
-
-// union checks the branches of u, an element of f, each on f's seed alone:
-// what one binds is taken back before the next. The largest goes last.
-func (s *scope) union(u UnionElem, f *frame) error {
-	heavy := 0
-	for i, b := range u.Branches {
-		if s.size[b] > s.size[u.Branches[heavy]] {
-			heavy = i
-		}
-	}
-	order := append(slices.Delete(slices.Clone(u.Branches), heavy, heavy+1), u.Branches[heavy])
-	done := make([]*frame, len(order))
-	for i, b := range order {
-		c, err := s.nested(b, f, false)
-		if err != nil {
-			return err
-		}
-		if done[i] = c; i < len(order)-1 {
-			s.unbind(c)
-		}
-	}
-	last := done[len(done)-1]
-	for _, c := range done[:len(done)-1] {
-		for v := range c.may {
-			s.bind(last, v)
-		}
-	}
-	// What every branch binds in every row, in the smallest such set.
-	every := last.every
-	for _, c := range done {
-		if len(c.every) < len(every) {
-			every = c.every
-		}
-	}
-	for _, c := range done {
-		maps.DeleteFunc(every, func(v string, _ bool) bool { return !c.every[v] })
-	}
-	last.every = every
-	s.adopt(f, last, true)
 	return nil
 }
 

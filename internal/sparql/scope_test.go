@@ -47,11 +47,13 @@ func TestScope(t *testing.T) {
 		{`SELECT * WHERE { ?a pred:hasPopType ?x FILTER EXISTS { BIND("FETCH" AS ?x) } }`, "assigns ?x", nil},
 		{`SELECT * WHERE { ?a pred:hasPopType ?t FILTER EXISTS { BIND(LCASE(?t) AS ?x) ?b pred:hasPopType ?x } }`, "", nil},
 		// R2: a root-group OPTIONAL never; a nested one where the left side
-		// binds the seed variable in every row, not only in one UNION branch.
+		// binds the seed variable in every row, not only in one UNION branch
+		// (a nested group's pattern does).
 		{`SELECT * WHERE { OPTIONAL { ?a pred:hasJoinType ?j } ?a pred:hasPopType ?t OPTIONAL { ?c pred:hasChildPop ?a } }`, "", nil},
 		{`SELECT * WHERE { ?a pred:hasPopType ?t OPTIONAL { ?a pred:hasChildPop ?b OPTIONAL { ?a pred:hasJoinType ?j } } }`, "", nil},
 		{`SELECT * WHERE { ?a pred:hasPopType "FETCH" OPTIONAL { { ?a pred:hasChildPop ?x } UNION { ?y pred:hasPopType "TBSCAN" } OPTIONAL { ?a pred:hasEstimateCardinality ?w } } }`, "OPTIONAL uses ?a", nil},
 		{`SELECT * WHERE { ?a pred:hasPopType ?t { ?b pred:hasChildPop ?c OPTIONAL { ?c pred:hasPopType ?t } } }`, "OPTIONAL uses ?t", nil},
+		{`SELECT * WHERE { ?a pred:hasPopType ?t { { ?a pred:hasChildPop ?b } OPTIONAL { ?a pred:hasJoinType ?j } } }`, "", nil},
 		// R3: an OPTIONAL's own filters read the left row, a UNION branch's and
 		// an EXISTS's in one do not; nothing inside an EXISTS is seeded by the
 		// row it filters.
@@ -98,7 +100,8 @@ func scopeRefuses(where *GroupPattern) bool {
 
 // scopeByCopies checks g, whose rows may arrive seeded with the variables of
 // seed and, inside an EXISTS, of the filtered row (outer holds both), and
-// returns what g may bind and binds in every row.
+// returns what g may bind and binds in every row. What an OPTIONAL or EXISTS
+// mentions is vars(true): BIND expressions included.
 func scopeByCopies(g *GroupPattern, seed, outer varSet, leftJoin bool) (may, every varSet, ok bool) {
 	with := func(s, t varSet) varSet {
 		u := maps.Clone(s)
@@ -124,7 +127,7 @@ func scopeByCopies(g *GroupPattern, seed, outer varSet, leftJoin bool) (may, eve
 			ok = held(append(exprVars(el.Expr), el.Var), every) && !may[el.Var] && !outer[el.Var]
 			m = varSet{el.Var: true}
 		case OptionalElem:
-			if ok = held(el.Group.mentions(), every); ok {
+			if ok = held(el.Group.vars(true), every); ok {
 				m, _, ok = scopeByCopies(el.Group, with(seed, may), with(outer, may), true)
 			}
 		case GroupElem:
@@ -154,7 +157,7 @@ func scopeByCopies(g *GroupPattern, seed, outer varSet, leftJoin bool) (may, eve
 		case FilterElem:
 			ok = leftJoin || held(exprVars(el.Expr), every)
 		case FilterExistsElem:
-			if ok = leftJoin || held(el.Group.mentions(), every); ok {
+			if ok = leftJoin || held(el.Group.vars(true), every); ok {
 				_, _, ok = scopeByCopies(el.Group, varSet{}, with(outer, may), false)
 			}
 		}
@@ -175,9 +178,9 @@ func parseUnchecked(text string) (*Query, error) {
 	return (&parser{toks: toks}).parseQuery()
 }
 
-// TestScopeAgainstCopies holds checkScope — which hands bindings up by
-// merging sets, takes back only a UNION's lighter branches, and holds a
-// mention to one checkpoint per EXISTS context — to scopeRefuses, on random
+// TestScopeAgainstCopies holds checkScope — which hands a done group's
+// bindings to the frame around it, takes back each UNION branch's, and keeps
+// in a frame's every set only what its seed holds — to scopeRefuses, on random
 // WHERE clauses over four variables (every element kind, up to five groups
 // deep, UNIONs of two and three branches) and on the queries the fuzzers
 // generate.
