@@ -86,6 +86,24 @@ SELECT DISTINCT ?top WHERE {
 	}
 }
 
+// Parsing allocates for the query, not for deciding what it binds: the
+// benchmark's five raw SPARQL requests, parsed, analysed and compiled, within
+// the allocations measured when the compiler's one walk replaced the scope
+// check and the required-constant analysis (488 for the five before).
+func TestAllocBudgetParseDeck(t *testing.T) {
+	budgets := []float64{63, 58, 68, 114, 93}
+	for i, text := range sparql.BenchDeck {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := sparql.Parse(text); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > budgets[i] {
+			t.Errorf("deck query %d: %.0f allocations per parse, budget %.0f", i, allocs, budgets[i])
+		}
+	}
+}
+
 // The same-work budget beside the allocation budgets: what the join does for
 // each entry of the extended knowledge base over the benchmark's 64 resident
 // plans (joinWorkGraphs), as exact counts — recursion nodes (JoinRows) and

@@ -161,15 +161,13 @@ func (AltPath) pathNode()  {}
 func (ModPath) pathNode()  {}
 
 // Vars returns the distinct variable names mentioned anywhere in the group,
-// in first-appearance order. Used for SELECT * expansion.
-func (g *GroupPattern) Vars() []string { return g.vars(false) }
-
-// vars is what eachVar calls fn on, each variable once.
-func (g *GroupPattern) vars(bindExprs bool) []string {
+// in first-appearance order, except those only a BIND expression reads: the
+// group never binds them, so SELECT * has no column for them.
+func (g *GroupPattern) Vars() []string {
 	var out []string
 	seen := make(map[string]bool)
-	g.eachVar(bindExprs, func(v string) {
-		if !seen[v] {
+	g.eachVar(func(v string) {
+		if v != "" && !seen[v] {
 			seen[v] = true
 			out = append(out, v)
 		}
@@ -177,49 +175,35 @@ func (g *GroupPattern) vars(bindExprs bool) []string {
 	return out
 }
 
-// eachVar calls fn on every variable mentioned anywhere in the group, in
-// order and as often as it is mentioned. With bindExprs, on the variables
-// only a BIND expression reads too: those are never bound by the group (so
-// SELECT * has no column for them), but whoever asks which bindings the
-// group's evaluation depends on must see them.
-func (g *GroupPattern) eachVar(bindExprs bool, fn func(v string)) {
-	add := func(v string) {
-		if v != "" {
-			fn(v)
-		}
-	}
-	exprs := func(e Expression) {
-		walkExpr(e, func(sub Expression) {
-			if v, ok := sub.(VarExpr); ok {
-				fn(v.Name)
-			}
-		})
-	}
+// eachVar calls fn on every variable Vars lists, in order and as often as it
+// is mentioned, and on "" for a triple pattern's constant.
+func (g *GroupPattern) eachVar(fn func(v string)) {
 	for _, el := range g.Elems {
 		switch el := el.(type) {
 		case TriplePattern:
-			add(el.S.Var)
+			fn(el.S.Var)
 			if pv, ok := el.P.(predVarPath); ok {
-				add(pv.name)
+				fn(pv.name)
 			}
-			add(el.O.Var)
+			fn(el.O.Var)
 		case FilterElem:
-			exprs(el.Expr)
+			walkExpr(el.Expr, func(sub Expression) {
+				if v, ok := sub.(VarExpr); ok {
+					fn(v.Name)
+				}
+			})
 		case OptionalElem:
-			el.Group.eachVar(bindExprs, fn)
+			el.Group.eachVar(fn)
 		case UnionElem:
 			for _, b := range el.Branches {
-				b.eachVar(bindExprs, fn)
+				b.eachVar(fn)
 			}
 		case GroupElem:
-			el.Group.eachVar(bindExprs, fn)
+			el.Group.eachVar(fn)
 		case BindElem:
-			if bindExprs {
-				exprs(el.Expr)
-			}
-			add(el.Var)
+			fn(el.Var)
 		case FilterExistsElem:
-			el.Group.eachVar(bindExprs, fn)
+			el.Group.eachVar(fn)
 		}
 	}
 }

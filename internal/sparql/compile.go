@@ -1,6 +1,8 @@
 package sparql
 
 import (
+	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -10,16 +12,39 @@ import (
 
 // This file compiles a query into its graph-independent program. Everything
 // about an evaluation that depends only on the query text is decided here,
-// once per parsed query (Parse computes it with the static analysis, and
+// once per parsed query (Parse computes it as the static analysis, and
 // whoever holds the parsed query — a compiled pattern, a knowledge-base entry
 // — shares it): the variable→slot table, triple
 // patterns carrying slot and constant numbers, each group's filters with the
 // slots they read as a bitmask and a compiled row predicate, the variables
-// every element binds as a bitmask, and the result tail — which slots are
-// grouped on, aggregated into, computed, sorted by and projected. What is left
-// for the evaluator to do per (query, graph) pair is to resolve the constants
-// to the graph's dense IDs, choose the join order from the graph's statistics,
-// and run (see specialize.go).
+// every element binds as a bitmask, the constants every solution needs, and
+// the result tail — which slots are grouped on, aggregated into, computed,
+// sorted by and projected. What is left for the evaluator to do per (query,
+// graph) pair is to resolve the constants to the graph's dense IDs, choose
+// the join order from the graph's statistics, and run (see specialize.go).
+//
+// The WHERE clause is compiled by one walk (compiler.group), which also
+// decides what each group binds and so whether Parse refuses the query:
+// top-down evaluation seeds a nested group with the rows of the elements
+// before it, where SPARQL evaluates the group on its own and joins (§18.5).
+// The seed of a nested group is what the elements to its left may bind, at
+// every enclosing level up to the root or the nearest EXISTS, whose group
+// sees the filtered row substituted (§18.6). A triple pattern, a nested group
+// and a UNION (what every branch binds) bind a variable in every row; an
+// OPTIONAL and a BIND, whose expression may fail, only may. Refused:
+//
+//	R1: a BIND whose target an earlier element of its group, or the row an
+//	    enclosing EXISTS filters, may bind (§18.2.1);
+//	R2: an OPTIONAL that mentions, at any depth, a seed variable no earlier
+//	    element of its group binds in every row: the query is not
+//	    well-designed;
+//	R3: a FILTER or FILTER [NOT] EXISTS that names a seed variable its group
+//	    does not bind in every row (an EXISTS: at any depth), or a BIND one no
+//	    earlier element binds in every row. The filters of an OPTIONAL's group
+//	    are its LeftJoin's condition: R2 covers them.
+//
+// The walk visits a group's elements in textual order, then its filters in
+// textual order, since a filter reads the rows of the whole group.
 
 // program is the compiled form of one query. It is immutable after compile
 // and shared by every concurrent evaluation of the query.
@@ -86,7 +111,6 @@ type colProg struct {
 type groupProg struct {
 	elems   []elemProg
 	filters []filterProg
-	binds   uint64 // slots bound in every solution the group produces
 }
 
 type elemKind uint8
@@ -106,11 +130,11 @@ type elemProg struct {
 	groups []*groupProg // OPTIONAL and nested group: one; UNION: one per branch
 	slot   int          // BIND target
 	expr   Expression   // BIND expression
-	// binds holds the slots bound in every row once the element has run: a
-	// block's variables, what a nested group binds, what every branch of a
-	// UNION binds; nothing for OPTIONAL, nor for a BIND, whose expression may
-	// fail and leave its target to a later pattern. checkScope's "every" sets
-	// (scope.go) are the same rule over names: the two change together.
+	// binds holds the slots below 64 bound in every row once the element has
+	// run, read off the walk's every sets: a block's variables, what a nested
+	// group binds, what every branch of a UNION binds; nothing for OPTIONAL,
+	// nor for a BIND, whose expression may fail and leave its target to a
+	// later pattern.
 	binds uint64
 }
 
@@ -147,7 +171,11 @@ type rowPred func(ec *evalCtx, row []rdf.ID) bool
 
 // filterProg is a compiled group-level FILTER or FILTER [NOT] EXISTS.
 type filterProg struct {
-	vars uint64 // slots the filter needs bound: the ones its expression reads
+	// vars holds the slots below 64 the filter needs bound: the ones its
+	// expression reads, or the ones an EXISTS shares with the rest of its
+	// group (shared, which holds them all).
+	vars   uint64
+	shared bitset
 	// eager filters may run as soon as vars are statically bound. Filters
 	// that inspect boundness wait for the end of the group, and so do the
 	// ones a 64-bit mask cannot track (see slotBit) — which is always sound,
@@ -179,26 +207,204 @@ func slotBit(slot int) uint64 {
 	return 0
 }
 
+// bitset is a set of slots or of const numbers, of any size; it grows as it
+// is added to.
+type bitset []uint64
+
+func (s bitset) has(i int) bool { return i/64 < len(s) && s[i/64]&(1<<uint(i%64)) != 0 }
+
+func (s *bitset) grow(words int) {
+	for len(*s) < words {
+		*s = append(*s, 0)
+	}
+}
+
+func (s *bitset) add(i int) {
+	s.grow(i/64 + 1)
+	(*s)[i/64] |= 1 << uint(i%64)
+}
+
+func (s *bitset) set(o bitset) { *s = append((*s)[:0], o...) }
+
+func (s *bitset) or(o bitset) {
+	s.grow(len(o))
+	for i, w := range o {
+		(*s)[i] |= w
+	}
+}
+
+// orAnd adds to s what a and b both hold.
+func (s *bitset) orAnd(a, b bitset) {
+	n := min(len(a), len(b))
+	s.grow(n)
+	for i := range n {
+		(*s)[i] |= a[i] & b[i]
+	}
+}
+
+func (s *bitset) and(o bitset) {
+	*s = (*s)[:min(len(*s), len(o))]
+	for i := range *s {
+		(*s)[i] &= o[i]
+	}
+}
+
+// low is the set's slots below 64, as the evaluator's masks hold them.
+func (s bitset) low() uint64 {
+	if len(s) == 0 {
+		return 0
+	}
+	return s[0]
+}
+
+// high reports whether s holds a slot past 63, which no mask tracks.
+func (s bitset) high() bool {
+	return len(s) > 1 && slices.ContainsFunc(s[1:], func(w uint64) bool { return w != 0 })
+}
+
+// members lists s in increasing order.
+func (s bitset) members() []int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	out := make([]int, 0, n)
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, i*64+bits.TrailingZeros64(w))
+		}
+	}
+	return out
+}
+
 type compiler struct {
 	p       *program
 	constNo map[rdf.Term]int
-	owner   map[string]int // exists' scratch
+
+	// The walk's scratch: frames[d] is the group being walked d deep (the
+	// root 0), and marks are the elements whose checks the one being walked
+	// answers to, innermost last.
+	frames []*frame
+	marks  []mark
+	err    error // the first refusal
 }
 
-// compile builds q's program over the constants and requirements the static
-// analysis collected.
-func compile(q *Query, consts, required []rdf.Term) *program {
-	p := &program{varIndex: make(map[string]int), consts: consts, predConst: make(map[string]int)}
-	c := &compiler{p: p, constNo: make(map[rdf.Term]int, len(consts)), owner: make(map[string]int)}
-	for i, t := range consts {
-		c.constNo[t] = i
-		if t.IsIRI() {
-			p.predConst[t.Value] = i
+// frame is the walk's scratch for the group being walked at one depth: what
+// reaches it from the left and what it binds, names and requires so far. The
+// walk is depth-first, so a depth holds one group at a time, and every group
+// walked there reuses its sets.
+type frame struct {
+	// seed is what the elements to the group's left may bind, at every level
+	// around it up to the root or the nearest EXISTS.
+	seed bitset
+	// may and every: what the elements walked so far may bind, and bind in
+	// every row.
+	may, every bitset
+	// mentions holds the variables the group names, at any depth and in BIND
+	// expressions too; twice, the ones two of its elements name.
+	mentions, twice bitset
+	// A UNION's branches, each walked one depth down, gathered: what any may
+	// bind, what all bind, what any names.
+	anyMay, allEvery, anyMentions bitset
+	// required holds the const numbers every solution of the group needs
+	// in the graph: a triple pattern's, those every traversal of a path
+	// crosses, a nested group's and an EXISTS's; not an OPTIONAL's or a NOT
+	// EXISTS's, which remove no solution. allRequired holds those every
+	// branch of a UNION needs.
+	required, allRequired bitset
+}
+
+// sets lists f's sets, the slot sets first.
+func (f *frame) sets() [10]*bitset {
+	return [...]*bitset{&f.seed, &f.may, &f.every, &f.mentions, &f.twice, &f.anyMay, &f.allEvery, &f.anyMentions, &f.required, &f.allRequired}
+}
+
+// frame returns the frame of depth d, emptied. Its slot sets share one block
+// sized to the query's slots.
+func (c *compiler) frame(d int) *frame {
+	if d == len(c.frames) {
+		f, w := &frame{}, (len(c.p.vars)+63)/64
+		block, sets := make([]uint64, 0, 8*w), f.sets()
+		for i, s := range sets[:8] {
+			*s = block[i*w : i*w : (i+1)*w]
+		}
+		c.frames = append(c.frames, f)
+	}
+	f := c.frames[d]
+	for _, s := range f.sets() {
+		*s = (*s)[:0]
+	}
+	return f
+}
+
+// mark is an element whose checks hold what is walked inside it (an
+// OPTIONAL or a FILTER [NOT] EXISTS) or what it names (a FILTER or a BIND):
+// a variable in the seed of the group depth deep that the group does not
+// bind in every row, before the element for an OPTIONAL or a BIND, is
+// refused.
+type mark struct {
+	depth int
+	el    PatternElem
+}
+
+func (m mark) refusal(v string) error {
+	what, where := "OPTIONAL", " before it"
+	switch el := m.el.(type) {
+	case BindElem:
+		what = printed(func(w *printer) { w.bind(el) })
+	case FilterElem:
+		what, where = printed(func(w *printer) { w.filter(el.Expr) }), ""
+	case FilterExistsElem:
+		what, where = existsLabel(el.Not), ""
+	}
+	return fmt.Errorf("sparql: %s uses ?%s from outside its group, where nothing%s binds it in every row", what, v, where)
+}
+
+// check holds vars, which an element names, to the marks around it. A
+// variable without a slot — one only BIND expressions read — is bound
+// nowhere and passes.
+func (c *compiler) check(vars []string) {
+	for i := len(c.marks) - 1; i >= 0 && c.err == nil; i-- {
+		at := c.frames[c.marks[i].depth]
+		for _, v := range vars {
+			if s, ok := c.p.varIndex[v]; ok && at.seed.has(s) && !at.every.has(s) {
+				c.err = c.marks[i].refusal(v)
+				break
+			}
 		}
 	}
-	for _, t := range required {
-		p.required = append(p.required, c.constNo[t])
+}
+
+// mention records that one element of f's group names vars.
+func (c *compiler) mention(f *frame, vars []string) {
+	for _, v := range vars {
+		if s, ok := c.p.varIndex[v]; ok && f.mentions.has(s) {
+			f.twice.add(s)
+		}
 	}
+	for _, v := range vars {
+		if s, ok := c.p.varIndex[v]; ok {
+			f.mentions.add(s)
+		}
+	}
+}
+
+// adopt takes into f what one element of its group may bind, binds in every
+// row, names and requires.
+func (f *frame) adopt(may, every, mentions, required bitset) {
+	f.may.or(may)
+	f.every.or(every)
+	f.twice.orAnd(f.mentions, mentions)
+	f.mentions.or(mentions)
+	f.required.or(required)
+}
+
+// compile builds q's program. Its error is the first of R1–R3 (see the top
+// of this file) that q breaks; the program is whole either way.
+func compile(q *Query) (*program, error) {
+	// Room for the constants and nesting depths of a typical query.
+	p := &program{varIndex: make(map[string]int), consts: make([]rdf.Term, 0, 8), predConst: make(map[string]int)}
+	c := &compiler{p: p, constNo: make(map[rdf.Term]int), frames: make([]*frame, 0, 4)}
 
 	// Slot order is first appearance in WHERE, then in the solution
 	// modifiers; SELECT * projects in this order.
@@ -217,7 +423,8 @@ func compile(q *Query, consts, required []rdf.Term) *program {
 		c.slots(exprVars(q.Having))
 	}
 
-	p.root = c.group(q.Where)
+	p.root = c.group(q.Where, 0, false, false)
+	p.required = c.frames[0].required.members()
 	p.grouped, _ = q.checkAggregation()
 	c.tail(q, nWhere)
 	// Fixed last: group and tail reach their slots through c.slot, so a
@@ -227,7 +434,7 @@ func compile(q *Query, consts, required []rdf.Term) *program {
 	for _, slot := range p.projSlots {
 		p.projected[slot] = true
 	}
-	return p
+	return p, c.err
 }
 
 func (c *compiler) slot(v string) int {
@@ -330,16 +537,17 @@ func (c *compiler) tail(q *Query, nWhere int) {
 		!slices.Contains(p.orderCols, -1)
 }
 
-func (c *compiler) group(g *GroupPattern) *groupProg {
+// group compiles g, which is d deep, into frames[d]: what it binds, names and
+// requires. exists: g is an EXISTS's, so nothing seeds it; leftJoin: g is an
+// OPTIONAL's, whose filters R2 covers.
+func (c *compiler) group(g *GroupPattern, d int, exists, leftJoin bool) *groupProg {
+	f := c.frame(d)
+	if d > 0 && !exists {
+		up := c.frames[d-1]
+		f.seed.or(up.seed)
+		f.seed.or(up.may)
+	}
 	gp := &groupProg{}
-	for _, el := range g.Elems {
-		if f, ok := el.(FilterElem); ok {
-			gp.filters = append(gp.filters, c.filter(f.Expr, len(gp.filters)))
-		}
-	}
-	if slices.ContainsFunc(g.Elems, func(el PatternElem) bool { _, ok := el.(FilterExistsElem); return ok }) {
-		gp.filters = append(gp.filters, c.exists(g, len(gp.filters))...)
-	}
 	for i := 0; i < len(g.Elems); i++ {
 		var ep elemProg
 		switch el := g.Elems[i].(type) {
@@ -347,119 +555,219 @@ func (c *compiler) group(g *GroupPattern) *groupProg {
 			continue
 		case TriplePattern:
 			// The maximal run of triple patterns, skipping the filters between
-			// them.
-			b := &blockProg{id: c.p.nBlks, off: c.p.nPats}
-			for ; i < len(g.Elems); i++ {
-				if tp, ok := g.Elems[i].(TriplePattern); ok {
-					pat := c.pattern(tp)
-					b.pats = append(b.pats, pat)
-					ep.binds |= pat.mask
-				} else if !isFilter(g.Elems[i]) {
+			// them: elements i to j.
+			n, j := 0, i
+			for ; j < len(g.Elems); j++ {
+				if _, ok := g.Elems[j].(TriplePattern); ok {
+					n++
+				} else if !isFilter(g.Elems[j]) {
 					break
 				}
 			}
-			i--
+			b := &blockProg{id: c.p.nBlks, off: c.p.nPats, pats: make([]patProg, 0, n)}
+			for _, el := range g.Elems[i:j] {
+				if tp, ok := el.(TriplePattern); ok {
+					pat := c.pattern(tp, f)
+					b.pats = append(b.pats, pat)
+					ep.binds |= pat.mask
+				}
+			}
+			i = j - 1
 			c.p.nBlks++
 			c.p.nPats += len(b.pats)
 			ep.kind, ep.block = elemBlock, b
 		case OptionalElem:
-			ep.kind, ep.groups = elemOptional, []*groupProg{c.group(el.Group)}
+			c.marks = append(c.marks, mark{d, g.Elems[i]})
+			ep.kind, ep.groups = elemOptional, []*groupProg{c.group(el.Group, d+1, false, true)}
+			c.marks = c.marks[:len(c.marks)-1]
+			sub := c.frames[d+1]
+			f.adopt(sub.may, nil, sub.mentions, nil)
 		case UnionElem:
-			ep.kind, ep.binds = elemUnion, ^uint64(0)
-			for _, b := range el.Branches {
-				bp := c.group(b)
-				ep.groups = append(ep.groups, bp)
-				ep.binds &= bp.binds
+			// Each branch is walked on f's seed alone; f binds what any
+			// branch binds, and in every row what every branch does.
+			ep.kind = elemUnion
+			for k, b := range el.Branches {
+				ep.groups = append(ep.groups, c.group(b, d+1, false, false))
+				sub := c.frames[d+1]
+				f.anyMay.or(sub.may)
+				f.anyMentions.or(sub.mentions)
+				if k == 0 {
+					f.allEvery.set(sub.every)
+					f.allRequired.set(sub.required)
+				} else {
+					f.allEvery.and(sub.every)
+					f.allRequired.and(sub.required)
+				}
 			}
+			f.adopt(f.anyMay, f.allEvery, f.anyMentions, f.allRequired)
+			ep.binds = f.allEvery.low()
 		case GroupElem:
-			ep.kind, ep.groups = elemGroup, []*groupProg{c.group(el.Group)}
-			ep.binds = ep.groups[0].binds
+			ep.kind, ep.groups = elemGroup, []*groupProg{c.group(el.Group, d+1, false, false)}
+			sub := c.frames[d+1]
+			f.adopt(sub.may, sub.every, sub.mentions, sub.required)
+			ep.binds = sub.every.low()
 		case BindElem:
+			vars := append(exprVars(el.Expr), el.Var)
+			c.marks = append(c.marks, mark{d, g.Elems[i]})
+			c.check(vars)
+			c.marks = c.marks[:len(c.marks)-1]
 			ep.kind, ep.slot, ep.expr = elemBind, c.slot(el.Var), el.Expr
+			if c.err == nil && slices.ContainsFunc(c.frames[:d+1], func(f *frame) bool { return f.may.has(ep.slot) }) {
+				c.err = fmt.Errorf("sparql: %s assigns ?%s, which is already in scope there", printed(func(w *printer) { w.bind(el) }), el.Var)
+			}
+			f.may.add(ep.slot)
+			c.mention(f, vars)
 		}
 		gp.elems = append(gp.elems, ep)
-		gp.binds |= ep.binds
+	}
+
+	// The filters read the rows of the whole group. An EXISTS runs its group
+	// seeded with the row: like any eager filter it is handed to the step that
+	// binds the variables it shares with the rest of g, or else runs at the
+	// end of g — SPARQL's group scope. Every variable of g it reads is then in
+	// the row, as the substitution of §18.6 has it; what it reads from outside
+	// g is there from the start. The EXISTS filters follow the others.
+	var existsFilters []filterProg
+	for _, el := range g.Elems {
+		held := len(c.marks)
+		if isFilter(el) && !leftJoin {
+			c.marks = append(c.marks, mark{d, el})
+		}
+		switch e := el.(type) {
+		case FilterElem:
+			vars := exprVars(e.Expr)
+			c.check(vars)
+			c.mention(f, vars)
+			gp.filters = append(gp.filters, c.filter(e.Expr, vars, len(gp.filters)))
+		case FilterExistsElem:
+			inner := c.group(e.Group, d+1, true, false)
+			sub := c.frames[d+1]
+			required := sub.required
+			if e.Not {
+				required = nil
+			}
+			f.adopt(nil, nil, sub.mentions, required)
+			existsFilters = append(existsFilters, filterProg{cmpSlot: -1, exists: inner, not: e.Not, shared: slices.Clone(sub.mentions)})
+		}
+		c.marks = c.marks[:held]
+	}
+	for _, ef := range existsFilters {
+		ef.shared.and(f.twice)
+		ef.vars, ef.eager = ef.shared.low(), len(gp.filters) < 64 && !ef.shared.high()
+		inner, not := ef.exists, ef.not
+		ef.keep = func(ec *evalCtx, row []rdf.ID) bool { return ec.exists(inner, row) != not }
+		gp.filters = append(gp.filters, ef)
 	}
 	return gp
 }
 
-// exists compiles the FILTER [NOT] EXISTS of g, the index-th filter there
-// on, into filters that run their group seeded with the row. Like any eager
-// filter each is handed to the step that binds the variables it shares with
-// the rest of g, or else runs at the end of g: SPARQL's group scope. Every
-// variable of g the EXISTS reads is then in the row, as the substitution of
-// §18.6 has it; what it reads from outside g is there from the start.
-func (c *compiler) exists(g *GroupPattern, index int) []filterProg {
-	// c.owner holds, per variable, the element of g that mentions it, or -1
-	// when more than one does. It is scratch every group shares, so the
-	// groups of the EXISTS are compiled once it is cleared.
-	mentions := func(i int, fn func(v string)) { (&GroupPattern{Elems: g.Elems[i : i+1]}).eachVar(true, fn) }
-	for i := range g.Elems {
-		mentions(i, func(v string) {
-			if o, ok := c.owner[v]; !ok {
-				c.owner[v] = i
-			} else if o != i {
-				c.owner[v] = -1
-			}
-		})
+func isFilter(el PatternElem) bool {
+	switch el.(type) {
+	case FilterElem, FilterExistsElem:
+		return true
 	}
-	var fs []filterProg
-	var groups []*GroupPattern
-	for i, el := range g.Elems {
-		if el, ok := el.(FilterExistsElem); ok {
-			f := filterProg{eager: index+len(fs) < 64, cmpSlot: -1, not: el.Not}
-			mentions(i, func(v string) {
-				// A variable only a BIND expression reads has no slot, and
-				// gets none here: SELECT * projects every slot.
-				if slot, ok := c.p.varIndex[v]; ok && c.owner[v] < 0 {
-					f.vars |= slotBit(slot)
-					f.eager = f.eager && slot < 64
-				}
-			})
-			fs, groups = append(fs, f), append(groups, el.Group)
-		}
-	}
-	clear(c.owner)
-	for i := range fs {
-		inner, not := c.group(groups[i]), fs[i].not
-		fs[i].exists = inner
-		fs[i].keep = func(ec *evalCtx, row []rdf.ID) bool { return ec.exists(inner, row) != not }
-	}
-	return fs
+	return false
 }
 
-func (c *compiler) pattern(tp TriplePattern) patProg {
+// pattern compiles a triple pattern of f's group, which it binds in every row.
+func (c *compiler) pattern(tp TriplePattern, f *frame) patProg {
+	vars := [...]string{tp.S.Var, "", tp.O.Var}
+	if pv, ok := tp.P.(predVarPath); ok {
+		vars[1] = pv.name
+	}
+	c.check(vars[:])
+	c.mention(f, vars[:])
 	pat := patProg{sSlot: -1, oSlot: -1, pSlot: -1, sConst: -1, oConst: -1, pConst: -1}
 	if tp.S.IsVar() {
 		pat.sSlot = c.slot(tp.S.Var)
 	} else {
-		pat.sConst = c.constNo[tp.S.Term]
+		pat.sConst = c.konst(tp.S.Term, &f.required)
 	}
 	if tp.O.IsVar() {
 		pat.oSlot = c.slot(tp.O.Var)
 	} else {
-		pat.oConst = c.constNo[tp.O.Term]
+		pat.oConst = c.konst(tp.O.Term, &f.required)
 	}
 	switch p := tp.P.(type) {
 	case PredPath:
-		pat.kind, pat.pConst = patSimple, c.constNo[rdf.IRI(p.IRI)]
+		pat.kind, pat.pConst = patSimple, c.konst(rdf.IRI(p.IRI), &f.required)
 	case predVarPath:
 		pat.kind, pat.pSlot = patPredVar, c.slot(p.name)
 	default:
 		pat.kind, pat.path = patPath, tp.P
+		c.path(tp.P, &f.required)
 	}
 	for _, slot := range [...]int{pat.sSlot, pat.oSlot, pat.pSlot} {
 		if slot >= 0 {
+			f.may.add(slot)
+			f.every.add(slot)
 			pat.mask |= slotBit(slot)
 		}
 	}
 	return pat
 }
 
-// filter compiles the index-th FILTER of a group.
-func (c *compiler) filter(expr Expression, index int) filterProg {
+// konst returns t's const number, registering t if it is new, and adds it to
+// req unless req is nil.
+func (c *compiler) konst(t rdf.Term, req *bitset) int {
+	n, ok := c.constNo[t]
+	if !ok {
+		n = len(c.p.consts)
+		c.constNo[t] = n
+		c.p.consts = append(c.p.consts, t)
+		if t.IsIRI() {
+			c.p.predConst[t.Value] = n
+		}
+	}
+	if req != nil {
+		req.add(n)
+	}
+	return n
+}
+
+// path registers the predicate IRIs of the property path p and adds to req
+// (nil: nowhere) the ones every traversal of p crosses. A `*` or `?` modifier
+// admits a zero-length traversal, so nothing under it is required; an
+// alternation requires only the predicates common to all its alternatives; a
+// sequence requires each of its parts' requirements.
+func (c *compiler) path(p Path, req *bitset) {
+	switch p := p.(type) {
+	case PredPath:
+		c.konst(rdf.IRI(p.IRI), req)
+	case InvPath:
+		c.path(p.Inner, req)
+	case SeqPath:
+		for _, part := range p.Parts {
+			c.path(part, req)
+		}
+	case AltPath:
+		var common bitset
+		for i, alt := range p.Alts {
+			var r bitset
+			c.path(alt, &r)
+			if i == 0 {
+				common = r
+			} else {
+				common.and(r)
+			}
+		}
+		if req != nil {
+			req.or(common)
+		}
+	case ModPath:
+		if p.Mod == ModOneOrMore {
+			c.path(p.Inner, req)
+		} else {
+			c.path(p.Inner, nil)
+		}
+	}
+}
+
+// filter compiles the index-th FILTER of a group, whose expression reads
+// vars.
+func (c *compiler) filter(expr Expression, vars []string, index int) filterProg {
 	f := filterProg{eager: filterIsEager(expr) && index < 64, cmpSlot: -1, expr: expr}
-	for _, v := range exprVars(expr) {
+	for _, v := range vars {
 		slot := c.slot(v)
 		f.vars |= slotBit(slot)
 		f.eager = f.eager && slot < 64

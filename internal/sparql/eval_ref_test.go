@@ -23,8 +23,8 @@ import (
 // group's filters applied to its whole result —, every operand is evaluated on
 // its own, never seeded with the rows of what precedes it, and EXISTS is
 // evaluated by substitution (§18.6). Production runs the same queries
-// top-down; Parse refuses the shapes on which the two could differ
-// (checkScope). The oracle reads the graph through its triple listing and
+// top-down; Parse refuses the shapes on which the two could differ (the
+// compiler's scope check). The oracle reads the graph through its triple listing and
 // refEval (path_test.go) only, and the query through the AST, Expression.Eval
 // and term comparison: it calls nothing of the compiler, the evaluator or the
 // path walker. Its joins are nested loops, left operand outside, and a triple
@@ -392,7 +392,7 @@ var refSeedQueries = []struct {
 	   ?c pred:hasEstimateCardinality ?n
 	 } ORDER BY ?pop ?jt`, true},
 
-	// FILTER [NOT] EXISTS is a filter of its group (compiler.exists), run once
+	// FILTER [NOT] EXISTS is a filter of its group (compiler.group), run once
 	// the variables it shares with the group are bound, or at the group's end.
 	// Sharing one variable bound early, inside a block:
 	{`SELECT ?pop ?c WHERE {

@@ -21,7 +21,9 @@ type Explanation struct {
 	// Bailout: a required constant is missing from the graph, the WHERE
 	// clause did not run.
 	Bailout bool
-	Blocks  []BlockExplanation // in the order the compiler numbered them
+	// Blocks lists a group's blocks after those of its FILTER [NOT] EXISTS
+	// groups, from the root down.
+	Blocks []BlockExplanation
 }
 
 // BlockExplanation is one block of triple patterns.
@@ -62,7 +64,7 @@ func Explain(q *Query, g *rdf.Graph) (*Explanation, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex := &Explanation{Query: q.String(), Rows: res.Len(), JoinRows: ec.joinRows, MatchRows: ec.matchRows, Blocks: make([]BlockExplanation, p.nBlks)}
+	ex := &Explanation{Query: q.String(), Rows: res.Len(), JoinRows: ec.joinRows, MatchRows: ec.matchRows, Blocks: make([]BlockExplanation, 0, p.nBlks)}
 	for _, n := range p.required {
 		ex.Bailout = ex.Bailout || ec.consts[n] == rdf.NoID
 	}
@@ -79,14 +81,20 @@ func (ec *evalCtx) explainGroup(ex *Explanation, gp *groupProg, where string) {
 			return printed(func(w *printer) { w.filter(f.expr) })
 		}
 		vars := printed(func(w *printer) {
-			for m := f.vars; m != 0; m &= m - 1 {
-				if m != f.vars {
+			for i, slot := range f.shared.members() {
+				if i > 0 {
 					w.WriteByte(' ')
 				}
-				w.variable(p.vars[bits.TrailingZeros64(m)])
+				w.variable(p.vars[slot])
 			}
 		})
 		return fmt.Sprintf("%s, run as a filter on {%s}", existsLabel(f.not), vars)
+	}
+	// An EXISTS's blocks come before the group's own.
+	for i := range gp.filters {
+		if inner := gp.filters[i].exists; inner != nil {
+			ec.explainGroup(ex, inner, where+" > "+existsLabel(gp.filters[i].not))
+		}
 	}
 	var handed uint64
 	lastBlock := -1
@@ -114,8 +122,8 @@ func (ec *evalCtx) explainGroup(ex *Explanation, gp *groupProg, where string) {
 				handed |= st.filters
 				be.Steps = append(be.Steps, se)
 			}
-			ex.Blocks[b.id] = be
-			lastBlock = b.id
+			ex.Blocks = append(ex.Blocks, be)
+			lastBlock = len(ex.Blocks) - 1
 		case elemOptional:
 			ec.explainGroup(ex, el.groups[0], where+" > OPTIONAL")
 		case elemUnion:
@@ -131,9 +139,6 @@ func (ec *evalCtx) explainGroup(ex *Explanation, gp *groupProg, where string) {
 		// block, if it has one.
 		if (i >= 64 || handed&(1<<uint(i)) == 0) && lastBlock >= 0 {
 			ex.Blocks[lastBlock].Late = append(ex.Blocks[lastBlock].Late, filterText(i))
-		}
-		if inner := gp.filters[i].exists; inner != nil {
-			ec.explainGroup(ex, inner, where+" > "+existsLabel(gp.filters[i].not))
 		}
 	}
 }

@@ -8,3 +8,10 @@ var ExecReference = execReference
 
 // RowStrings exposes the row rendering the equivalence tests compare by.
 var RowStrings = rowStrings
+
+// BenchDeck exposes the benchmark's raw SPARQL requests (print_test.go).
+var BenchDeck = benchDeck
+
+// AnalysisOracle exposes the oracle of Analysis.Required and Analysis.Consts
+// (analyze_test.go).
+var AnalysisOracle = oracleAnalysis

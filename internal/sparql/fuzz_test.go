@@ -402,8 +402,8 @@ func (r *fuzzQueryGen) window() string {
 // columns, DISTINCT — with and without an unprojected tail —, ORDER BY on
 // variables, aliases and expressions, LIMIT/OFFSET under a total order, and
 // all of it with every variable's slot past the 64 a bitmask tracks). A
-// generated query Parse refuses for its scope (checkScope) is skipped; so
-// about one in six is (TestFuzzQueryGenRefusals). checkScope's verdict on
+// generated query Parse refuses for its scope (compile.go) is skipped; so
+// about one in six is (TestFuzzQueryGenRefusals). The compiler's verdict on
 // every generated query is held to scopeRefuses, the rules by copying.
 //
 // Input layout: byte 0 selects a refSeedQueries entry or (past the table) the
@@ -436,8 +436,8 @@ func FuzzEvalEquivalence(f *testing.F) {
 			gen := fuzzQueryGen{buf: rest[split:]}
 			text = gen.query()
 		}
-		if q, err := parseUnchecked(predPrefix + text); err == nil && (checkScope(q.Where) != nil) != scopeRefuses(q.Where) {
-			t.Fatalf("checkScope and scopeRefuses disagree on %s", text)
+		if q, err := parseUnchecked(predPrefix + text); err == nil && (scopeError(q) != nil) != scopeRefuses(q.Where) {
+			t.Fatalf("the compiler and scopeRefuses disagree on %s", text)
 		}
 		q, err := Parse(predPrefix + text)
 		if err != nil {
@@ -482,7 +482,7 @@ var fuzzQueryTails = [][]byte{
 	{1, 0, 0, 0, 0, 0, 2, 0, 0, 4, 0, 0, 1, 1, 1, 0, 0, 1, 0},
 	{1, 0, 0, 0, 0, 0, 2, 0, 0, 4, 0, 0, 1, 1, 1, 0, 0, 2, 0},
 	{1, 0, 0, 0, 0, 0, 2, 0, 0, 4, 0, 0, 1, 1, 1, 0, 0, 2, 1},
-	// Two shapes Parse refuses (checkScope), whose rows the evaluator would
+	// Two shapes Parse refuses (the scope check), whose rows the evaluator would
 	// get wrong. An OPTIONAL nested in an OPTIONAL mentions ?b, which only the
 	// root binds (R2):
 	{10, 9, 8, 1, 10, 9, 9, 8, 4, 9, 2, 11, 7, 11, 6, 8, 6, 10, 5, 8, 1, 7, 1, 4, 7, 6, 9},
@@ -491,7 +491,7 @@ var fuzzQueryTails = [][]byte{
 	{3, 1, 1, 11, 9, 0, 7, 5, 11, 4, 2, 8, 0, 7, 9, 5, 7, 2, 9, 7, 1, 7, 11, 9, 8, 10},
 }
 
-// scopeRefusal reports whether err is checkScope's.
+// scopeRefusal reports whether err is the scope check's.
 func scopeRefusal(err error) bool {
 	return strings.Contains(err.Error(), "from outside its group") || strings.Contains(err.Error(), "already in scope")
 }

@@ -26,10 +26,10 @@ func Parse(input string) (*Query, error) {
 	if _, err := q.checkAggregation(); err != nil {
 		return nil, err
 	}
-	if err := checkScope(q.Where); err != nil {
+	// Pre-computed, so that the query is safe to share across goroutines.
+	if q.analysis, err = analyzeQuery(q); err != nil {
 		return nil, err
 	}
-	q.Analysis() // pre-compute so the query is safe to share across goroutines
 	return q, nil
 }
 
@@ -37,9 +37,9 @@ func Parse(input string) (*Query, error) {
 // and FILTER [NOT] EXISTS included), expressions (parentheses, unary
 // operators, function arguments) and paths, on one count. The root group is
 // at depth 1, and a predicate or an expression one level inside the group
-// it is in. Every walk of the AST after the parser — the scope check, the
-// static analysis, the compiler, the printer, evaluation — then costs at
-// most maxDepth times the input.
+// it is in. Every walk of the AST after the parser — the compiler's, which
+// also checks the scope rules and collects the required constants, the
+// printer's, evaluation — then costs at most maxDepth times the input.
 const maxDepth = 64
 
 // MaxQueryBytes is the longest query text a server should read: maxDepth

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -179,6 +180,32 @@ func TestExplainActualsSum(t *testing.T) {
 				t.Errorf("%s\nsteps sum to %d descends and %d extends, Explain reports %d / %d (%d rows), ExecOpts counted %d / %d (%d rows)",
 					text, descends, extends, ex.JoinRows, ex.MatchRows, ex.Rows, snap.JoinRows, snap.MatchRows, res.Len())
 			}
+		}
+	}
+}
+
+// Explain names every variable an EXISTS shares with the rest of its group:
+// past slot 63 too (with 66 patterns before it, ?v65 sits at slot 130), and
+// one only a later FILTER mentions.
+func TestExplainExistsShared(t *testing.T) {
+	wide := "SELECT * WHERE { "
+	for i := range 66 {
+		wide += fmt.Sprintf("?v%d pred:p ?w%d . ", i, i)
+	}
+	for _, c := range []struct{ text, want string }{
+		{wide + "FILTER EXISTS { ?v65 pred:hasChildPop ?v0 } }", "FILTER EXISTS, run as a filter on {?v0 ?v65}"},
+		{"SELECT * WHERE { ?a pred:hasPopType ?t FILTER EXISTS { ?a pred:hasChildPop ?c } FILTER(?c != ?a) }", "FILTER EXISTS, run as a filter on {?a ?c}"},
+	} {
+		q, err := sparql.Parse("PREFIX pred: <http://optimatch/pred/>\n" + c.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := sparql.Explain(q, joinWorkGraphs(t)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(ex.String(), c.want) {
+			t.Errorf("the explanation does not say %q:\n%s", c.want, ex)
 		}
 	}
 }

@@ -148,7 +148,8 @@ func constantSeed() string {
 // input is an error, never a panic, within a second and a heap budget linear
 // in its size; an accepted one prints as text that parses to the same AST
 // (prefix table and memoised analysis aside), prints the same again, and
-// answers the same rows on a plan graph.
+// answers the same rows on a plan graph. On an input of at most 4 KiB, Parse
+// refuses for its scope exactly what scopeRefuses does.
 func FuzzSPARQL(f *testing.F) {
 	lit := `PREFIX xsd: <` + xsd + `> SELECT ?s WHERE { ?s <urn:p> ?o . FILTER(?o = %s) }`
 	tooDeep := scopeSeed("{ ", maxDepth-1, "{} ", "")
@@ -203,6 +204,14 @@ GROUP BY ?t HAVING(COUNT(*) > 1 && AVG(?c) >= 0) ORDER BY DESC(?n) ASC(-?s) ?t`,
 		}
 		if took > time.Second {
 			t.Errorf("parsing %d bytes took %v", len(text), took)
+		}
+		// The copying oracle is quadratic: it judges the short inputs.
+		if uq, uerr := parseUnchecked(text); uerr == nil && len(text) <= 4<<10 {
+			if _, aggErr := uq.checkAggregation(); aggErr == nil {
+				if refused := scopeRefuses(uq.Where); (err != nil) != refused {
+					t.Fatalf("Parse: %v, refused by copies: %v", err, refused)
+				}
+			}
 		}
 		if err != nil {
 			return

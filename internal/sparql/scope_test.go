@@ -65,6 +65,16 @@ func TestScope(t *testing.T) {
 		{`SELECT * WHERE { ?a pred:hasPopType ?t FILTER EXISTS { ?a pred:hasChildPop ?c { ?d pred:hasPopType ?u FILTER(?c != ?d) } } }`, "uses ?c", nil},
 		{`SELECT * WHERE { ?a pred:hasPopType ?t { BIND(?a AS ?b) } }`, "BIND(?a AS ?b) uses ?a", nil},
 		{`SELECT * WHERE { ?a pred:hasPopType ?t { ?a pred:hasChildPop ?c BIND(?a AS ?b) } }`, "", nil},
+		// An OPTIONAL binds nothing in every row, nor does the group around
+		// it: a filter on what it may bind waits for the pattern after it.
+		{`SELECT ?a ?c WHERE { { ?a pred:hasPopType ?t OPTIONAL { ?a pred:hasTotalCost ?c } } ?b pred:hasEstimateCardinality ?c FILTER(?c > 100) }`, "", nil},
+		// Each rule on both sides once more with its variables past slot 63.
+		{padded(`SELECT * WHERE { ?a pred:hasPopType ?t BIND(LCASE(?t) AS ?x) }`), "", nil},
+		{padded(`SELECT * WHERE { ?a pred:hasPopType ?x BIND("x" AS ?x) }`), "BIND(\"x\" AS ?x) assigns ?x", nil},
+		{padded(`SELECT * WHERE { ?a pred:hasPopType ?t OPTIONAL { ?a pred:hasChildPop ?b OPTIONAL { ?a pred:hasJoinType ?j } } }`), "", nil},
+		{padded(`SELECT * WHERE { ?a pred:hasPopType "FETCH" OPTIONAL { ?y pred:hasPopType "TBSCAN" OPTIONAL { ?a pred:hasEstimateCardinality ?c } } }`), "OPTIONAL uses ?a", nil},
+		{padded(`SELECT * WHERE { ?a pred:hasPopType ?t { ?a pred:hasChildPop ?c FILTER NOT EXISTS { ?a pred:hasChildPop ?c } } }`), "", nil},
+		{padded(`SELECT * WHERE { ?a pred:hasPopType ?t { ?b pred:hasChildPop ?c FILTER NOT EXISTS { ?a pred:hasChildPop ?c } } }`), "FILTER NOT EXISTS uses ?a", nil},
 	} {
 		q, err := Parse(predPrefix + c.text)
 		if c.refusal != "" || err != nil {
@@ -90,18 +100,69 @@ func TestScope(t *testing.T) {
 	}
 }
 
-// scopeRefuses is R1–R3 as checkScope's comment states them, with the seed
-// of every nested group copied out: a reference for inputs small enough for
-// the copies.
+// padded puts, first in the WHERE clause of text, a FILTER NOT EXISTS whose
+// 64 patterns match nothing and take slots 0–63: the query's own variables
+// then sit past what a 64-bit mask tracks.
+func padded(text string) string {
+	var pad strings.Builder
+	pad.WriteString("{ FILTER NOT EXISTS { ")
+	for i := range 64 {
+		fmt.Fprintf(&pad, "?pad%d <urn:pad> <urn:pad> . ", i)
+	}
+	pad.WriteString("} ")
+	return strings.Replace(text, "{", pad.String(), 1)
+}
+
+// scopeError is the scope check's verdict on q: compile's error.
+func scopeError(q *Query) error {
+	_, err := compile(q)
+	return err
+}
+
+type varSet map[string]bool
+
+// scopeRefuses is R1–R3 as compile.go's header states them, with the seed of
+// every nested group copied out: a reference for inputs small enough for the
+// copies.
 func scopeRefuses(where *GroupPattern) bool {
 	_, _, ok := scopeByCopies(where, varSet{}, varSet{}, false)
 	return !ok
 }
 
+// mentioned lists every variable g names, at any depth, BIND expressions
+// included.
+func mentioned(g *GroupPattern) []string {
+	var out []string
+	for _, el := range g.Elems {
+		switch el := el.(type) {
+		case TriplePattern:
+			out = append(out, el.S.Var, el.O.Var)
+			if pv, ok := el.P.(predVarPath); ok {
+				out = append(out, pv.name)
+			}
+		case FilterElem:
+			out = append(out, exprVars(el.Expr)...)
+		case BindElem:
+			out = append(append(out, exprVars(el.Expr)...), el.Var)
+		case OptionalElem:
+			out = append(out, mentioned(el.Group)...)
+		case GroupElem:
+			out = append(out, mentioned(el.Group)...)
+		case FilterExistsElem:
+			out = append(out, mentioned(el.Group)...)
+		case UnionElem:
+			for _, b := range el.Branches {
+				out = append(out, mentioned(b)...)
+			}
+		}
+	}
+	return out
+}
+
 // scopeByCopies checks g, whose rows may arrive seeded with the variables of
 // seed and, inside an EXISTS, of the filtered row (outer holds both), and
 // returns what g may bind and binds in every row. What an OPTIONAL or EXISTS
-// mentions is vars(true): BIND expressions included.
+// mentions includes what its BIND expressions read.
 func scopeByCopies(g *GroupPattern, seed, outer varSet, leftJoin bool) (may, every varSet, ok bool) {
 	with := func(s, t varSet) varSet {
 		u := maps.Clone(s)
@@ -127,7 +188,7 @@ func scopeByCopies(g *GroupPattern, seed, outer varSet, leftJoin bool) (may, eve
 			ok = held(append(exprVars(el.Expr), el.Var), every) && !may[el.Var] && !outer[el.Var]
 			m = varSet{el.Var: true}
 		case OptionalElem:
-			if ok = held(el.Group.vars(true), every); ok {
+			if ok = held(mentioned(el.Group), every); ok {
 				m, _, ok = scopeByCopies(el.Group, with(seed, may), with(outer, may), true)
 			}
 		case GroupElem:
@@ -157,7 +218,7 @@ func scopeByCopies(g *GroupPattern, seed, outer varSet, leftJoin bool) (may, eve
 		case FilterElem:
 			ok = leftJoin || held(exprVars(el.Expr), every)
 		case FilterExistsElem:
-			if ok = leftJoin || held(el.Group.vars(true), every); ok {
+			if ok = leftJoin || held(mentioned(el.Group), every); ok {
 				_, _, ok = scopeByCopies(el.Group, varSet{}, with(outer, may), false)
 			}
 		}
@@ -178,13 +239,9 @@ func parseUnchecked(text string) (*Query, error) {
 	return (&parser{toks: toks}).parseQuery()
 }
 
-// TestScopeAgainstCopies holds checkScope — which hands a done group's
-// bindings to the frame around it, takes back each UNION branch's, and keeps
-// in a frame's every set only what its seed holds — to scopeRefuses, on random
-// WHERE clauses over four variables (every element kind, up to five groups
-// deep, UNIONs of two and three branches) and on the queries the fuzzers
-// generate.
-func TestScopeAgainstCopies(t *testing.T) {
+// scopeTexts is what TestScopeAgainstCopies checks: the random clauses
+// first, clauses of them.
+func scopeTexts() (texts []string, clauses int) {
 	rng := rand.New(rand.NewSource(1))
 	v := func() string { return string(rune('a' + rng.Intn(4))) }
 	var group func(depth int) string
@@ -221,10 +278,10 @@ func TestScopeAgainstCopies(t *testing.T) {
 		b.WriteString("}")
 		return b.String()
 	}
-	var texts []string
 	for range 20000 {
 		texts = append(texts, "SELECT * WHERE "+group(0))
 	}
+	clauses = len(texts)
 	for range 2000 {
 		in := make([]byte, 53)
 		rng.Read(in)
@@ -233,18 +290,39 @@ func TestScopeAgainstCopies(t *testing.T) {
 	for _, c := range refSeedQueries {
 		texts = append(texts, predPrefix+c.text)
 	}
+	return texts, clauses
+}
+
+// TestScopeAgainstCopies holds the compiler's scope check — one walk that
+// passes each nested group its seed as a slot set and gathers what each group
+// binds on its way back — to scopeRefuses, on random WHERE clauses over four
+// variables (every element kind, up to five groups deep, UNIONs of two and
+// three branches) and on the queries the fuzzers generate. Each random clause
+// is checked again padded, its variables past slot 63: the same verdict and
+// the same message.
+func TestScopeAgainstCopies(t *testing.T) {
+	texts, clauses := scopeTexts()
 	refused := 0
-	for _, text := range texts {
+	verdict := func(text string) error {
 		q, err := parseUnchecked(text)
 		if err != nil {
 			t.Fatalf("%s\n%v", text, err)
 		}
-		err = checkScope(q.Where)
+		err = scopeError(q)
 		if want := scopeRefuses(q.Where); (err != nil) != want {
-			t.Fatalf("%s\ncheckScope: %v, refused by copies: %v", text, err, want)
+			t.Fatalf("%s\ncompile: %v, refused by copies: %v", text, err, want)
 		}
+		return err
+	}
+	for i, text := range texts {
+		err := verdict(text)
 		if err != nil {
 			refused++
+		}
+		if i < clauses {
+			if perr := verdict(padded(text)); fmt.Sprint(perr) != fmt.Sprint(err) {
+				t.Fatalf("%s\nrefused %v, padded %v", text, err, perr)
+			}
 		}
 	}
 	t.Logf("%d of %d refused", refused, len(texts))

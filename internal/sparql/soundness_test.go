@@ -121,3 +121,18 @@ func TestRequiredConstantSoundness(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalysisOracleKB holds Analysis.Required and Analysis.Consts of every
+// entry of the extended knowledge base to the oracle, in order.
+func TestAnalysisOracleKB(t *testing.T) {
+	for _, e := range kb.MustExtended().Entries() {
+		q, err := sparql.Parse(e.SPARQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := q.Analysis()
+		if required, consts := sparql.AnalysisOracle(q); !slices.Equal(a.Required, required) || !slices.Equal(a.Consts, consts) {
+			t.Errorf("%s: Required %v, Consts %v\nthe oracle: %v, %v", e.Name, a.Required, a.Consts, required, consts)
+		}
+	}
+}

@@ -25,7 +25,7 @@ import (
 // recurses, and restores. Only rows that survive the whole block are copied
 // out, into a flat table (width = slots) that the group's other elements
 // consume seed row by seed row — top-down, which answers as SPARQL's
-// bottom-up algebra does on every query Parse accepts (checkScope). A nested
+// bottom-up algebra does on every query Parse accepts (compile.go). A nested
 // loop join in the same order visits the same rows in the same order. Where the
 // answer cannot tell two rows apart — below the last step that binds a
 // projected variable of a DISTINCT query, inside an EXISTS — the recursion
