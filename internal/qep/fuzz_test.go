@@ -68,7 +68,9 @@ const maxParseInput = 64 << 10
 // on up to 64 KiB the parse — refused or not — stays within a second and
 // within a heap budget linear in the input (parseBudget); and a plan that
 // parsed, written by Write and parsed again, must come back the same plan —
-// field by field (dump), not only text for text.
+// field by field (dump), not only text for text — and so must what its graph
+// carries of it, read back from the graph and from the graph's N-Triples
+// (checkRoundTrip).
 func FuzzParse(f *testing.F) {
 	for _, p := range append(fixtures.All(), fixtures.SharedTemp()) {
 		f.Add(qep.Text(p))
@@ -111,6 +113,7 @@ func FuzzParse(f *testing.F) {
 		if got, want := dump(back), dump(p); got != want {
 			t.Fatalf("Parse(Write(p)) is not p:\n%s\nwant:\n%s\nwritten:\n%s", got, want, written)
 		}
+		checkRoundTrip(t, p)
 	})
 }
 
