@@ -6,47 +6,68 @@ import (
 	"runtime"
 	"testing"
 
+	"optimatch/internal/qep"
 	"optimatch/internal/rdf"
 	"optimatch/internal/workload"
 )
 
-// heapBudgetPerTriple is what a resident plan may hold per triple beyond its
-// parsed plan model. Measured 130.6 B on the plans below (136.2 before Freeze
-// cut the term table and the log to their lengths, and a dictionary sized for
-// every literal occurrence of the plan instead of two fifths of them reads
-// 154.9):
-// triple log and index ≈ 46, the index's numeric column ≈ 4 (8 B per term at
-// ≈ 0.49 terms per triple; the predicate statistics are ≈ 40 entries of 32 B
-// per plan, ≈ 0.4 B per triple), dictionary ≈ 81 (map[Term]ID and []Term
-// ≈ 67, term strings ≈ 14); the engine's table adds a pointer and a map entry
-// per plan, nothing per triple. A second copy of the vocabulary (the shards' union map
-// measured ≈ 32 B) or of the adjacency (the map-of-map indexes measured 436 B
-// in all) trips the budget long before noise does.
-const heapBudgetPerTriple = 145
+// graphBudgetPerTriple is what a resident plan's graph may hold per triple,
+// and residentBudgetPerTriple what the whole resident plan may: the graph and
+// the parsed plan model beside it. Measured 82.6 B for the graph on the plans
+// below (131.6 when every number was a string in the dictionary: a 40 B Term,
+// a map[Term]ID entry and its formatted text, ≈ 155 B for each of ≈ 0.32
+// numbers per triple) and 17.3 B for the model, 99.9 in all: triple log and
+// index ≈ 46, the numeric column ≈ 4 (8 B per term at ≈ 0.49 terms per
+// triple) and the predicate statistics ≈ 0.4, the dictionary ≈ 32 — per term a
+// 4 B ref, per number 4 B in the sorted list of numbers, and per term held as
+// a term (≈ 0.17 per triple: IRIs, strings) a Term, a map entry and its text.
+// The engine's table adds a pointer and a map entry per plan, nothing per
+// triple. A number back in the string dictionary, a second copy of the
+// vocabulary (the shards' union map measured ≈ 32 B) or of the adjacency (the
+// map-of-map indexes measured 436 B in all) trips a budget long before noise
+// does.
+const graphBudgetPerTriple, residentBudgetPerTriple = 100, 120
 
-// TestHeapBudgetPerTriple pins the live heap a loaded plan graph holds, and
-// that whatever enters the repository is frozen. (Outside the race build,
-// whose shadow memory is not the program's heap.)
+// TestHeapBudgetPerTriple pins the live heap a plan loaded from its explain
+// text holds, split into the parsed plan model and the graph, and that
+// whatever enters the repository is frozen. The model is measured as a second
+// parse of the same texts held beside the loaded engine; the graph is the rest
+// of what loading kept. The texts are held throughout, so neither side counts
+// them. (Outside the race build, whose shadow memory is not the program's
+// heap.)
 func TestHeapBudgetPerTriple(t *testing.T) {
 	w, err := workload.Generate(workload.Config{Seed: 16, NumPlans: 16, MinOps: 60, MaxOps: 240})
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveHeap := func() uint64 {
+	texts := make([]string, len(w.Plans))
+	for i, p := range w.Plans {
+		texts[i] = qep.Text(p)
+	}
+	liveHeap := func() float64 {
 		var ms runtime.MemStats
 		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+		return float64(ms.HeapAlloc)
 	}
 	e := New()
 	before := liveHeap()
-	for _, p := range w.Plans {
-		if err := e.LoadPlan(p); err != nil {
+	for _, text := range texts {
+		if _, err := e.LoadText(text); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after := liveHeap()
+	loaded := liveHeap()
+	models := make([]*qep.Plan, len(texts))
+	for i, text := range texts {
+		if models[i], err = qep.Parse(text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	model := liveHeap() - loaded
+	runtime.KeepAlive(models)
+	graph := loaded - before - model
 
 	triples := 0
 	for _, p := range w.Plans {
@@ -61,10 +82,14 @@ func TestHeapBudgetPerTriple(t *testing.T) {
 			g.Add(rdf.IRI("urn:x"), rdf.IRI("urn:y"), rdf.IRI("urn:z"))
 		}()
 	}
-	perTriple := float64(after-before) / float64(triples)
-	t.Logf("%d plans, %d triples, %.1f B/triple live", len(w.Plans), triples, perTriple)
-	if perTriple > heapBudgetPerTriple {
-		t.Errorf("a resident plan holds %.1f B/triple, budget %d", perTriple, heapBudgetPerTriple)
+	plans, n := float64(len(texts)), float64(triples)
+	t.Logf("%.0f plans, %d triples (%.0f a plan): plan model %.1f KB a plan, %.1f B/triple; graph %.1f KB a plan, %.1f B/triple; resident %.1f B/triple",
+		plans, triples, n/plans, model/plans/1e3, model/n, graph/plans/1e3, graph/n, (model+graph)/n)
+	if graph/n > graphBudgetPerTriple {
+		t.Errorf("a resident plan's graph holds %.1f B/triple, budget %d", graph/n, graphBudgetPerTriple)
+	}
+	if (model+graph)/n > residentBudgetPerTriple {
+		t.Errorf("a resident plan holds %.1f B/triple, budget %d", (model+graph)/n, residentBudgetPerTriple)
 	}
 	runtime.KeepAlive(e)
 }

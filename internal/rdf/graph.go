@@ -26,22 +26,20 @@ type Graph struct {
 	dict *Dict
 
 	log [][3]ID // triples (s, p, o) in insertion order; distinct once frozen
-	// num is the index's numeric column while it is being filled: InternFloat
-	// records the value it was handed, the freeze parses the rest.
-	num []uint64
 
 	freeze sync.Once
 	idx    *index // nil until the graph is frozen
 }
 
 // NewGraph returns an empty graph with a fresh dictionary.
-func NewGraph() *Graph { return NewGraphSize(0, 0) }
+func NewGraph() *Graph { return NewGraphSize(0, 0, 0) }
 
-// NewGraphSize returns an empty graph with room for terms distinct terms and
-// triples Adds, for a builder that can count them beforehand: neither the
-// dictionary nor the log then grows by copying itself.
-func NewGraphSize(terms, triples int) *Graph {
-	return &Graph{dict: newDictSize(terms), log: make([][3]ID, 0, triples), num: make([]uint64, 0, terms+1)}
+// NewGraphSize returns an empty graph with room for terms distinct terms held
+// as terms, numbers distinct numbers (see Dict) and triples Adds, for a
+// builder that can count them beforehand: neither the dictionary nor the log
+// then grows by copying itself.
+func NewGraphSize(terms, numbers, triples int) *Graph {
+	return &Graph{dict: newDictSize(terms, numbers), log: make([][3]ID, 0, triples)}
 }
 
 // Dict exposes the graph's term dictionary. Callers must treat it as
@@ -71,19 +69,14 @@ func (g *Graph) Intern(t Term) ID {
 }
 
 // InternFloat is Intern(Float(f)) for a builder that holds the number: the
-// value goes to the numeric column as it is, so the index build does not parse
-// back the lexical form written here. What it records is what Term.Float
-// reads from that form, bit for bit (of a NaN, the one NaN strconv returns).
+// dictionary keeps its float bits (of a NaN, those of the one NaN strconv
+// returns, which is what Term.Float reads from "NaN") and never formats it.
 func (g *Graph) InternFloat(f float64) ID {
-	id := g.Intern(Float(f))
-	for len(g.num) <= int(id) {
-		g.num = append(g.num, unparsed)
-	}
+	g.mustBeMutable()
 	if f != f {
 		f = math.NaN()
 	}
-	g.num[id] = math.Float64bits(f)
-	return id
+	return g.dict.internNumber(numKey{refDouble, math.Float64bits(f)})
 }
 
 // Add inserts the triple (s, p, o); a triple already in the graph is ignored.
@@ -124,7 +117,7 @@ func clip[S ~[]E, E any](s S) S {
 	if cap(s) == len(s) {
 		return s
 	}
-	return slices.Clone(s)
+	return append(make(S, 0, len(s)), s...)
 }
 
 // index returns the graph's index, freezing the graph on first use. Reads
@@ -134,23 +127,30 @@ func (g *Graph) index() *index {
 	return g.idx
 }
 
-// build freezes the graph: it parses the numeric column, indexes the log and
-// cuts the dictionary's term table and the log to their lengths — what a
-// capacity hint or an append's doubling left over would stay resident with
-// the graph. index runs it once.
+// build freezes the graph: it freezes the dictionary, which completes the
+// numeric column, indexes the log and cuts the log to its length. index runs
+// it once.
 func (g *Graph) build() {
-	g.num = parseNumbers(g.num, g.dict.byID)
-	g.idx, g.log = buildIndex(g.log, g.num)
-	g.dict.byID, g.log = clip(g.dict.byID), clip(g.log)
+	g.dict.freeze()
+	g.idx, g.log = buildIndex(g.log, g.dict.num)
+	g.log = clip(g.log)
 }
 
 // Has reports whether the triple (s, p, o) is in the graph.
 func (g *Graph) Has(s, p, o Term) bool {
-	sid, pid, oid := g.dict.Lookup(s), g.dict.Lookup(p), g.dict.Lookup(o)
+	sid, pid, oid := g.lookup(s), g.lookup(p), g.lookup(o)
 	if sid == NoID || pid == NoID || oid == NoID {
 		return false
 	}
 	return g.HasIDs(sid, pid, oid)
+}
+
+// lookup is Dict.Lookup for a read, which freezes the graph first: the freeze
+// swaps the dictionary's map of numbers for a sorted list, so a lookup must
+// not race it.
+func (g *Graph) lookup(t Term) ID {
+	g.index()
+	return g.dict.Lookup(t)
 }
 
 // HasIDs reports whether the fully bound triple is in the graph.
@@ -312,10 +312,10 @@ func (g *Graph) Triples() []Triple {
 // Subjects returns the distinct subjects carrying predicate p with object o
 // (o may be the zero Term as wildcard), as terms. Convenience for tests.
 func (g *Graph) Subjects(p, o Term) []Term {
-	pid := g.dict.Lookup(p)
+	pid := g.lookup(p)
 	var oid ID
 	if !o.Zero() {
-		oid = g.dict.Lookup(o)
+		oid = g.lookup(o)
 		if oid == NoID {
 			return nil
 		}
@@ -338,7 +338,7 @@ func (g *Graph) Subjects(p, o Term) []Term {
 // Objects returns the objects of (s, p) as terms. Convenience accessor used
 // by the de-transformer and tests.
 func (g *Graph) Objects(s, p Term) []Term {
-	sid, pid := g.dict.Lookup(s), g.dict.Lookup(p)
+	sid, pid := g.lookup(s), g.lookup(p)
 	if sid == NoID || pid == NoID {
 		return nil
 	}

@@ -13,42 +13,20 @@ type index struct {
 	spo, pos, osp perm
 	nodes         []ID // distinct subjects and objects, ascending
 	// num holds Term.Float of every term by ID, as float bits: notNumber where
-	// the term has no numeric value. Every literal is parsed — or was handed
-	// over as a number, by InternFloat — once, for all the evaluations the
-	// graph will see.
+	// the term has no numeric value. It is the dictionary's numeric column: a
+	// number is held as its value there, and every other literal was parsed
+	// once, when the graph froze, for all the evaluations the graph will see.
 	num   []uint64
 	preds []PredStats // one entry per predicate in use, ascending by Pred
 }
 
 // notNumber marks a term without a numeric value in index.num, unparsed one
-// whose lexical form the index build has yet to read: NaN payloads no parse
-// produces (strconv's "NaN" is 0x7FF8000000000001).
+// whose lexical form the dictionary's freeze has yet to read: NaN payloads no
+// parse produces (strconv's "NaN" is 0x7FF8000000000001).
 const (
 	notNumber uint64 = 0x7FF8_0000_0BAD_0BAD
 	unparsed  uint64 = 0x7FF8_0000_0BAD_0BAE
 )
-
-// parseNumbers completes the numeric column: it extends num to one entry per
-// term and parses every entry InternFloat did not fill.
-func parseNumbers(num []uint64, terms []Term) []uint64 {
-	if len(num) != len(terms) {
-		all := make([]uint64, len(terms))
-		for i := copy(all, num); i < len(all); i++ {
-			all[i] = unparsed
-		}
-		num = all
-	}
-	for id, bits := range num {
-		if bits != unparsed {
-			continue
-		}
-		num[id] = notNumber
-		if f, ok := terms[id].Float(); ok {
-			num[id] = math.Float64bits(f)
-		}
-	}
-	return num
-}
 
 // PredStats describes the triples of one predicate: what a join-order
 // estimate can know about a pattern over it without looking at a triple.

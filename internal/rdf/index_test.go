@@ -159,9 +159,9 @@ func TestFreeze(t *testing.T) {
 		if g.index() != ix {
 			t.Errorf("%s, then Freeze: the index was rebuilt", name)
 		}
-		if cap(g.dict.byID) != len(g.dict.byID) || cap(g.log) != len(g.log) {
-			t.Errorf("%s left spare capacity: terms %d of %d, log %d of %d", name,
-				len(g.dict.byID), cap(g.dict.byID), len(g.log), cap(g.log))
+		if d := g.dict; cap(d.terms) != len(d.terms) || cap(d.ref) != len(d.ref) || cap(d.num) != len(d.num) || cap(g.log) != len(g.log) {
+			t.Errorf("%s left spare capacity: terms %d of %d, refs %d of %d, numbers %d of %d, log %d of %d", name,
+				len(d.terms), cap(d.terms), len(d.ref), cap(d.ref), len(d.num), cap(d.num), len(g.log), cap(g.log))
 		}
 		if got := g.Triples(); !reflect.DeepEqual(got, want) {
 			t.Errorf("Triples after %s = %v, want %v", name, got, want)

@@ -30,29 +30,30 @@ import (
 // node label holding a space would do it; N-Triples has no such label and
 // cannot read the line back either way.
 func WriteNTriples(w io.Writer, g *Graph) error {
-	log, terms := g.triples(), g.dict.byID
+	log, d := g.triples(), g.dict
+	n := d.Len() + 1 // IDs and the zero ID
 	// Token id is text[start[id]:start[id+1]], its trailing space included.
-	start := make([]int, len(terms)+1)
-	size := 0
-	for _, t := range terms {
+	start := make([]int, n+1)
+	size := (n - len(d.terms)) * (len(`"-1.2345678901234567e-123"^^<>`) + len(XSDDouble) + 1)
+	for _, t := range d.terms {
 		size += len(t.Value) + len(t.Datatype) + 8
 	}
 	text := make([]byte, 0, size)
-	for id := 1; id < len(terms); id++ {
+	for id := 1; id < n; id++ {
 		start[id] = len(text)
-		text = append(appendTerm(text, terms[id]), ' ')
+		text = append(d.appendToken(text, ID(id)), ' ')
 	}
-	start[len(terms)] = len(text)
+	start[n] = len(text)
 	token := func(id ID) []byte { return text[start[id]:start[id+1]] }
 
 	// byRank lists the IDs in token order; two terms that render alike (a plain
 	// literal and its xsd:string twin) share the rank of the first.
-	byRank := make([]ID, len(terms)-1)
+	byRank := make([]ID, n-1)
 	for i := range byRank {
 		byRank[i] = ID(i + 1)
 	}
 	slices.SortFunc(byRank, func(a, b ID) int { return bytes.Compare(token(a), token(b)) })
-	rank := make([]ID, len(terms))
+	rank := make([]ID, n)
 	for i, id := range byRank {
 		rank[id] = ID(i)
 		if i > 0 && bytes.Equal(token(id), token(byRank[i-1])) {
@@ -68,7 +69,7 @@ func WriteNTriples(w io.Writer, g *Graph) error {
 		rows[i] = [3]ID{rank[t[0]], rank[t[1]], rank[t[2]]}
 		size += len(token(t[0])) + len(token(t[1])) + len(token(t[2])) + len(".\n")
 	}
-	next := make([]int, len(terms)+1)
+	next := make([]int, n+1)
 	for k := 2; k >= 0; k-- {
 		clear(next)
 		for _, r := range rows {

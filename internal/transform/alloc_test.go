@@ -11,16 +11,19 @@ import (
 
 // TestAllocBudgetTransform pins what Transform allocates per triple on one
 // 120-operator plan. (Outside the race build, whose instrumentation
-// allocates.) Measured when the budgets were set: 0.85 allocations and 217 B
-// per triple — a string and a dictionary entry per distinct term, the log, the
-// index's three permutations and the scratch of the sorts that build them —
-// with a tenth of headroom. transformReference on the same plan measures 1.02
-// and 296 (a term built per use, the dictionary and the log grown by
-// doubling); the Transform it was copied from, which also kept every triple
-// in a set, 1.23 and 382 over a hundred plans of Figure 9's workload (the
-// per-plan cost today is transform.us_per_plan of bench/).
+// allocates.) Measured when the budgets were set: 0.16 allocations and 171 B
+// per triple — the dictionary, the log, the index's three permutations and the
+// scratch of the sorts that build them; a number is never formatted, and a
+// string is the plan's own — with a tenth of headroom. Before numbers were
+// held as values it measured 0.85 and 217: the text of every number
+// InternFloat was handed, formatted so that a map could hash it.
+// transformReference on the same plan measures 1.03 and 269 (a term built per
+// use, the dictionary and the log grown by doubling); the Transform it was
+// copied from, which also kept every triple in a set, 1.23 and 382 over a
+// hundred plans of Figure 9's workload (the per-plan cost today is
+// transform.us_per_plan of bench/).
 func TestAllocBudgetTransform(t *testing.T) {
-	const allocsPerTriple, bytesPerTriple = 0.95, 240
+	const allocsPerTriple, bytesPerTriple = 0.18, 188
 	w, err := workload.Generate(workload.Config{Seed: 19, NumPlans: 1, MinOps: 120, MaxOps: 120})
 	if err != nil {
 		t.Fatal(err)

@@ -340,34 +340,43 @@ type builder struct {
 }
 
 // newBuilder sizes the graph from the plan. The log is for exactly the triples
-// Transform adds. The dictionary is for the terms that cannot coincide — plan,
-// operators, objects, stream nodes, vocabulary — plus two fifths of the triples
-// whose object is a literal: literals repeat (column names, types, zero
-// costs), the plans measured keep 0.46 to 0.61 of those occurrences distinct,
-// and a hint past the real count would stay resident as a larger map, where
-// one short of it costs a regrow of part of the map (DESIGN.md §11).
+// Transform adds. The dictionary's numbers are at most the triples whose
+// object is a number: seven costs and cardinalities and the number of every
+// operator, an object's cardinality, a stream's rows, the plan's cost and
+// operator count; the map holding them is dropped at the freeze, so the bound
+// costs nothing resident. Its terms are the ones that cannot coincide — plan,
+// operators, objects, stream nodes, vocabulary — plus a fifth of the triples
+// whose object is a string: strings repeat (column names, types, predicate
+// texts), the plans measured keep 0.19 to 0.30 of those occurrences distinct,
+// and a hint past the real count would stay resident as a larger map,
+// where one short of it costs a regrow of part of the map (DESIGN.md §11).
 func newBuilder(r *Result, ops []*qep.Operator) *builder {
 	p := r.Plan
-	triples, links, streams := 5, 1, 0 // links: the triples whose object is a resource
+	// The triples whose object is a string, a number, a resource.
+	strs, nums, links, streams := 2, 2, 1, 0
 	for _, obj := range p.Objects {
-		triples += 5 + len(obj.Columns)
+		strs += 4 + len(obj.Columns)
+		nums++
 	}
 	for _, op := range ops {
-		triples += 11 + len(op.Predicates) + len(op.Args)
+		strs += 3 + len(op.Predicates) + len(op.Args)
+		nums += 8
 		for _, in := range op.Inputs {
 			edges := 5
 			if in.Kind != qep.GeneralStream {
 				edges = 8
 			}
 			streams++
+			strs += len(in.Columns)
+			nums++
 			links += edges
-			triples += edges + 1 + len(in.Columns)
 		}
 	}
-	terms := 1 + len(ops) + len(p.Objects) + streams + int(numPreds) + (triples-links)*2/5
+	triples := strs + nums + links
+	terms := 1 + len(ops) + len(p.Objects) + streams + int(numPreds) + strs/5
 	return &builder{
 		r:    r,
-		g:    rdf.NewGraphSize(terms, triples),
+		g:    rdf.NewGraphSize(terms, nums, triples),
 		args: make(map[string]rdf.ID),
 		pops: make(map[*qep.Operator]rdf.ID, len(ops)),
 		objs: make(map[*qep.BaseObject]rdf.ID, len(p.Objects)),
