@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"optimatch/internal/core"
 	"optimatch/internal/fixtures"
 	"optimatch/internal/kb"
 	"optimatch/internal/pattern"
@@ -296,5 +297,60 @@ func TestRunStats(t *testing.T) {
 	}
 	if err := run([]string{"stats"}); err == nil {
 		t.Error("stats without inputs accepted")
+	}
+}
+
+// TestLoadEngine: file and directory arguments load as one batch, in argument
+// order and each directory in its listing's order, and the first file refused
+// — not the first directory holding one — fails the command by name.
+func TestLoadEngine(t *testing.T) {
+	dir := writeFixtures(t)
+	extra := filepath.Join(t.TempDir(), "extra.exfmt")
+	if err := os.WriteFile(extra, []byte(qep.Text(fixtures.Renamed(fixtures.Clean(), "EXTRA"))), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, err := loadEngine([]string{dir, extra})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, p := range e.Plans() {
+		ids = append(ids, p.ID)
+	}
+	names, _, err := core.ReadExplainDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, name := range names {
+		want = append(want, strings.TrimSuffix(name, ".exfmt"))
+	}
+	want = append(want, "EXTRA")
+	if strings.Join(ids, " ") != strings.Join(want, " ") || e.Generation() != 1 {
+		t.Errorf("loaded %v at generation %d, want %v at 1", ids, e.Generation(), want)
+	}
+
+	bad := t.TempDir()
+	for name, text := range map[string]string{
+		"a.txt": qep.Text(fixtures.Figure1()),
+		"b.txt": "Plan Details:\nnot a plan",
+		"c.txt": qep.Text(fixtures.Figure1()), // same ID as a.txt
+	} {
+		if err := os.WriteFile(filepath.Join(bad, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{bad}, filepath.Join(bad, "b.txt")},
+		{[]string{extra, bad}, filepath.Join(bad, "b.txt")},
+		{[]string{extra, dir, extra}, extra},
+	} {
+		_, err := loadEngine(tc.args)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want+": ") {
+			t.Errorf("loadEngine(%v) = %v, want an error naming %s", tc.args, err, tc.want)
+		}
 	}
 }

@@ -36,12 +36,15 @@ func TestQepgenWritesWorkloadAndTruth(t *testing.T) {
 	}
 
 	// The files load back into an engine and the injected patterns match.
-	eng := core.New()
-	n, err := eng.LoadDir(dir)
+	_, texts, err := core.ReadExplainDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 8 {
+	eng := core.New()
+	if err := eng.Publish(eng.StageTexts(texts)); err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.NumPlans(); n != 8 {
 		t.Fatalf("loaded %d plans, want 8", n)
 	}
 	matches, err := eng.FindPattern(context.Background(), pattern.A())

@@ -7,6 +7,11 @@
 // FindingRecommendationsKB). Plan matching is parallelized across a worker
 // pool; each plan's graph is immutable after load and safe for concurrent
 // readers.
+//
+// Every load is one batch: StageTexts prepares it on the worker pool, where no
+// reader sees it, and Publish inserts it in input order with one generation
+// bump; the store journals in between, and LoadText, LoadPlans and LoadResult
+// run the two halves back to back.
 package core
 
 import (
@@ -108,26 +113,14 @@ func (e *Engine) evalOpts(ctx context.Context) sparql.ExecOptions {
 	return opts
 }
 
-// LoadPlan transforms and registers a parsed plan.
-func (e *Engine) LoadPlan(p *qep.Plan) error {
-	return e.load(1, func(int) (*transform.Result, error) { return transformValid(p) })[0]
-}
-
 // LoadResult registers an already-transformed plan, sharing its RDF graph
-// instead of re-transforming. Used when several engines slice one workload
-// (the scalability experiments build ten cumulative buckets over the same
-// thousand plans).
+// instead of re-transforming: a batch of one staged from r, then Publish. Used
+// when several engines slice one workload (the scalability experiments build
+// ten cumulative buckets over the same thousand plans).
 func (e *Engine) LoadResult(r *transform.Result) error {
-	return e.load(1, func(int) (*transform.Result, error) { return r, nil })[0]
-}
-
-// load stages n plans and publishes them back to back: every Load… method is
-// this, so the table has one way in whether or not a caller steps between the
-// two halves.
-func (e *Engine) load(n int, prepare func(i int) (*transform.Result, error)) []error {
-	b := e.stage(n, prepare)
+	b := e.stage(1, func(int) (*transform.Result, error) { return r, nil })
 	_ = e.Publish(b) // a refusal at publish is in b.Errs as well
-	return b.Errs
+	return b.Errs[0]
 }
 
 // insertLocked appends a transformed plan to the table unless its ID is
@@ -148,38 +141,32 @@ func duplicatePlan(id string) error {
 	return fmt.Errorf("core: plan %q %w", id, ErrDuplicatePlan)
 }
 
-// LoadPlans registers a batch of plans, stopping at the first error. Each
-// plan bumps the data generation individually; use LoadBatch for the
-// single-bump ingest path.
+// LoadPlans validates, transforms and registers plans as one batch: prepared
+// on the worker pool outside any lock, then published in input order with one
+// generation bump (none if nothing loaded). Every plan that can load does; the
+// error is the first refusal in input order — an invalid plan, or an ID the
+// engine or an earlier plan of the batch already holds.
 func (e *Engine) LoadPlans(plans []*qep.Plan) error {
-	for _, p := range plans {
-		if err := e.LoadPlan(p); err != nil {
+	b := e.stagePlans(plans)
+	_ = e.Publish(b) // a refusal at publish is in b.Errs as well
+	for _, err := range b.Errs {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// LoadBatch validates, transforms and registers a batch of plans as one
-// repository mutation: transformation runs on the worker pool outside any
-// lock, the inserts happen in one critical section, and the data generation
-// is bumped exactly once inside it (if anything loaded), so a result cache
-// keyed on it invalidates once per batch instead of once per plan.
-// The i-th returned error is the i-th plan's outcome — validation failures
-// and duplicate IDs (within the engine or earlier in the same batch) are
-// per-plan, never batch-fatal.
-func (e *Engine) LoadBatch(plans []*qep.Plan) []error {
-	return e.load(len(plans), func(i int) (*transform.Result, error) { return transformValid(plans[i]) })
-}
-
-// LoadTextBatch parses and registers a batch of explain texts the way
-// LoadBatch registers plans: StageTexts, then Publish. plans[i] is the parsed
-// plan when text i parsed (set even when loading then failed as a duplicate);
-// errs[i] is the per-text outcome.
-func (e *Engine) LoadTextBatch(texts []string) (plans []*qep.Plan, errs []error) {
-	b := e.StageTexts(texts)
-	_ = e.Publish(b) // a refusal at publish is in b.Errs as well
-	return b.Plans, b.Errs
+// stagePlans stages parsed plans the way StageTexts stages texts. Validate
+// resolves an unresolved plan in place, so that is done here, on the calling
+// goroutine, and the pool only reads a plan — one passed twice included.
+func (e *Engine) stagePlans(plans []*qep.Plan) *Staged {
+	for _, p := range plans {
+		if p.Root == nil {
+			_ = p.Resolve() // a failure stays unresolved, and Validate reports it
+		}
+	}
+	return e.stage(len(plans), func(i int) (*transform.Result, error) { return transformValid(plans[i]) })
 }
 
 // Staged is a batch of plans prepared for the table — parsed, validated,
@@ -317,16 +304,15 @@ func (e *Engine) Parallel(n int, task func(i int)) {
 	}
 }
 
-// LoadText parses explain text and registers the plan.
+// LoadText parses explain text and registers the plan: StageTexts of the one
+// text, then Publish.
 func (e *Engine) LoadText(text string) (*qep.Plan, error) {
-	p, err := qep.Parse(text)
-	if err != nil {
-		return nil, err
+	b := e.StageTexts([]string{text})
+	_ = e.Publish(b) // a refusal at publish is in b.Errs as well
+	if b.Errs[0] != nil {
+		return nil, b.Errs[0]
 	}
-	if err := e.LoadPlan(p); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return b.Plans[0], nil
 }
 
 // ReadExplainDir reads every explain file (*.txt, *.exfmt, *.exp) in dir, in
@@ -350,29 +336,6 @@ func ReadExplainDir(dir string) (names, texts []string, err error) {
 		texts = append(texts, string(data))
 	}
 	return names, texts, nil
-}
-
-// LoadDir registers the explain files of dir (ReadExplainDir) as one
-// LoadTextBatch: parsed and transformed on the pool, one generation bump. It
-// returns the number of plans registered and the first failing file's error in
-// that order, naming the file; files after a failing one are still
-// registered, files after one that cannot be read are not.
-func (e *Engine) LoadDir(dir string) (int, error) {
-	names, texts, readErr := ReadExplainDir(dir)
-	_, errs := e.LoadTextBatch(texts)
-	n := 0
-	var first error
-	for i, err := range errs {
-		if err == nil {
-			n++
-		} else if first == nil {
-			first = fmt.Errorf("core: %s: %w", names[i], err)
-		}
-	}
-	if first == nil {
-		first = readErr
-	}
-	return n, first
 }
 
 // RemovePlan unloads the plan with the given ID, releasing its transformed

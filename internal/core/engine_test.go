@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -44,11 +43,11 @@ func TestLoadAndAccessors(t *testing.T) {
 		t.Errorf("Plans() = %d", got)
 	}
 	// Duplicate plan IDs rejected.
-	if err := e.LoadPlan(fixtures.Figure1()); err == nil {
+	if err := e.LoadPlans([]*qep.Plan{fixtures.Figure1()}); err == nil {
 		t.Error("duplicate plan accepted")
 	}
 	// Invalid plan rejected.
-	if err := e.LoadPlan(qep.NewPlan("EMPTY")); err == nil {
+	if err := e.LoadPlans([]*qep.Plan{qep.NewPlan("EMPTY")}); err == nil {
 		t.Error("empty plan accepted")
 	}
 }
@@ -67,13 +66,12 @@ func TestLoadText(t *testing.T) {
 	}
 }
 
-// TestLoadDir pins LoadDir's contract: files are taken in os.ReadDir order and
-// registered as one batch (one generation bump), the count is the number
-// registered, and the error is the first failing file's in that order, by
-// name — files after it are still registered.
-func TestLoadDir(t *testing.T) {
+// TestReadExplainDir pins what a directory load reads: the explain files in
+// os.ReadDir order, by name, other files and subdirectories skipped. Staged and
+// published as one batch, they load in that order with one generation bump.
+func TestReadExplainDir(t *testing.T) {
 	dir := t.TempDir()
-	write := func(dir, name, text string) {
+	write := func(name, text string) {
 		t.Helper()
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
 			t.Fatal(err)
@@ -84,7 +82,7 @@ func TestLoadDir(t *testing.T) {
 		if i == 0 {
 			name = p.ID + ".txt"
 		}
-		write(dir, name, qep.Text(p))
+		write(name, qep.Text(p))
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -95,17 +93,25 @@ func TestLoadDir(t *testing.T) {
 		want = append(want, strings.TrimSuffix(ent.Name(), filepath.Ext(ent.Name())))
 	}
 	// Non-explain files are skipped.
-	write(dir, "README.md", "hi")
+	write("README.md", "hi")
 	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	e := New()
-	n, err := e.LoadDir(dir)
+	names, texts, err := ReadExplainDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 5 || e.NumPlans() != 5 {
-		t.Errorf("loaded %d plans", n)
+	if len(names) != len(want) || len(texts) != len(want) {
+		t.Fatalf("read %d names and %d texts, want %d of each", len(names), len(texts), len(want))
+	}
+	for i, name := range names {
+		if got := strings.TrimSuffix(name, filepath.Ext(name)); got != want[i] {
+			t.Errorf("file %d is %s, want the directory's order %v", i, name, want)
+		}
+	}
+	e := New()
+	if err := e.Publish(e.StageTexts(texts)); err != nil {
+		t.Fatal(err)
 	}
 	var got []string
 	for _, p := range e.Plans() {
@@ -115,28 +121,10 @@ func TestLoadDir(t *testing.T) {
 		t.Errorf("load order %v, want the directory's order %v", got, want)
 	}
 	if g := e.Generation(); g != 1 {
-		t.Errorf("generation %d after one LoadDir, want 1", g)
+		t.Errorf("generation %d after one batch, want 1", g)
 	}
-	if _, err := e.LoadDir(filepath.Join(dir, "missing")); err == nil {
+	if _, _, err := ReadExplainDir(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing dir accepted")
-	}
-
-	// Broken files: the first in directory order is the one reported, every
-	// good file is registered whichever side of it it sorts on.
-	bad := t.TempDir()
-	write(bad, "a.txt", qep.Text(fixtures.Figure1()))
-	write(bad, "b.txt", "Plan Details:\nnot a plan")
-	write(bad, "c.txt", qep.Text(fixtures.Figure1())) // same ID as a.txt
-	write(bad, "d.txt", qep.Text(fixtures.Clean()))
-	for _, workers := range []int{1, 4} {
-		e := New(WithWorkers(workers))
-		n, err := e.LoadDir(bad)
-		if err == nil || !strings.Contains(err.Error(), "b.txt") || errors.Is(err, ErrDuplicatePlan) {
-			t.Errorf("workers=%d: error %v, want b.txt's parse failure", workers, err)
-		}
-		if n != 2 || e.NumPlans() != 2 || e.Plan(fixtures.Clean().ID) == nil {
-			t.Errorf("workers=%d: registered %d plans (engine holds %d), want a.txt and d.txt", workers, n, e.NumPlans())
-		}
 	}
 }
 
@@ -547,7 +535,7 @@ func TestRemovePlan(t *testing.T) {
 	// Removal frees the ID for re-ingest.
 	for _, p := range fixtures.All() {
 		if p.ID == "Q2" {
-			if err := e.LoadPlan(p); err != nil {
+			if err := e.LoadPlans([]*qep.Plan{p}); err != nil {
 				t.Fatalf("reload after remove: %v", err)
 			}
 		}

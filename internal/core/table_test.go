@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -37,17 +38,15 @@ func TestLoadOrderAcrossMutations(t *testing.T) {
 		e := New(append(opts, WithWorkers(4))...)
 		third := len(w.Plans) / 3
 		for _, p := range w.Plans[:third] {
-			if err := e.LoadPlan(p); err != nil {
+			if err := e.LoadPlans([]*qep.Plan{p}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, err := range e.LoadBatch(w.Plans[third : 2*third]) {
-			if err != nil {
-				t.Fatal(err)
-			}
+		if err := e.LoadPlans(w.Plans[third : 2*third]); err != nil {
+			t.Fatal(err)
 		}
 		for _, p := range w.Plans[2*third:] {
-			if err := e.LoadPlan(p); err != nil {
+			if err := e.LoadPlans([]*qep.Plan{p}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -153,9 +152,9 @@ func TestSnapshotSurvivesMutations(t *testing.T) {
 		name string
 		do   func() bool
 	}{
-		{"append", func() bool { return e.LoadPlan(spare[0]) == nil }},
+		{"append", func() bool { return e.LoadPlans(spare[:1]) == nil }},
 		{"remove-last", func() bool { return e.RemovePlan(spare[0].ID) }},
-		{"append after remove-last", func() bool { return e.LoadPlan(spare[1]) == nil }},
+		{"append after remove-last", func() bool { return e.LoadPlans(spare[1:2]) == nil }},
 		{"remove-middle", func() bool { return e.RemovePlan(base[3].ID) }},
 	}
 	for _, st := range steps {
@@ -185,15 +184,13 @@ func TestSnapshotSurvivesMutations(t *testing.T) {
 				switch g % 4 {
 				case 0:
 					for _, p := range mine {
-						if err := e.LoadPlan(p); err != nil {
+						if err := e.LoadPlans([]*qep.Plan{p}); err != nil {
 							t.Error(err)
 						}
 					}
 				case 1:
-					for _, err := range e.LoadBatch(mine) {
-						if err != nil {
-							t.Error(err)
-						}
+					if err := e.LoadPlans(mine); err != nil {
+						t.Error(err)
 					}
 				default:
 					if _, err := e.RunKB(context.Background(), k); err != nil {
@@ -223,8 +220,8 @@ func TestSnapshotSurvivesMutations(t *testing.T) {
 }
 
 // TestLoadBatchSingleGenerationBump pins the batch cache-invalidation
-// contract: one batch, however many plans, bumps the data generation exactly
-// once; an all-rejected batch does not bump it at all.
+// contract: one LoadPlans, however many plans, bumps the data generation
+// exactly once; an all-rejected batch does not bump it at all.
 func TestLoadBatchSingleGenerationBump(t *testing.T) {
 	w, err := workload.Generate(workload.Config{Seed: 5, NumPlans: 16})
 	if err != nil {
@@ -232,10 +229,8 @@ func TestLoadBatchSingleGenerationBump(t *testing.T) {
 	}
 	e := New()
 	before := e.Generation()
-	for _, err := range e.LoadBatch(w.Plans) {
-		if err != nil {
-			t.Fatal(err)
-		}
+	if err := e.LoadPlans(w.Plans); err != nil {
+		t.Fatal(err)
 	}
 	if got := e.Generation(); got != before+1 {
 		t.Fatalf("generation after %d-plan batch = %d, want %d", len(w.Plans), got, before+1)
@@ -247,10 +242,8 @@ func TestLoadBatchSingleGenerationBump(t *testing.T) {
 	// Re-loading the same batch rejects every plan as a duplicate and must
 	// leave the generation untouched.
 	before = e.Generation()
-	for i, err := range e.LoadBatch(w.Plans) {
-		if !errors.Is(err, ErrDuplicatePlan) {
-			t.Fatalf("plan %d: err = %v, want ErrDuplicatePlan", i, err)
-		}
+	if err := e.LoadPlans(w.Plans); !errors.Is(err, ErrDuplicatePlan) {
+		t.Fatalf("err = %v, want ErrDuplicatePlan", err)
 	}
 	if got := e.Generation(); got != before {
 		t.Fatalf("generation after all-duplicate batch = %d, want unchanged %d", got, before)
@@ -258,46 +251,78 @@ func TestLoadBatchSingleGenerationBump(t *testing.T) {
 }
 
 // TestLoadBatchPerPlanOutcomes exercises the mixed-outcome contract: invalid
-// plans, intra-batch duplicates and engine-level duplicates fail per-record
-// while the rest of the batch loads.
+// plans, intra-batch duplicates and engine-level duplicates are refused plan
+// by plan while the rest of the batch loads, in input order, with one
+// generation bump; LoadPlans returns the first refusal in input order. One
+// plan, unresolved, is passed more than once: Validate resolves it in place,
+// so under -race two pool tasks resolving it would be reported — most surely
+// where it is the whole batch, and every worker starts on it at once.
 func TestLoadBatchPerPlanOutcomes(t *testing.T) {
 	w, err := workload.Generate(workload.Config{Seed: 11, NumPlans: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New()
-	if err := e.LoadPlan(w.Plans[0]); err != nil {
-		t.Fatal(err)
-	}
 	batch := []*qep.Plan{
-		w.Plans[0], // duplicate of an already-loaded plan
-		w.Plans[1], // fresh
-		w.Plans[1], // intra-batch duplicate
 		{},         // invalid: fails validation
+		w.Plans[0], // duplicate of an already-loaded plan
+		w.Plans[1], // fresh, unresolved
+		w.Plans[1], // intra-batch duplicate: the same plan again
 		w.Plans[2], // fresh
 	}
-	errs := e.LoadBatch(batch)
-	if !errors.Is(errs[0], ErrDuplicatePlan) {
-		t.Fatalf("errs[0] = %v, want ErrDuplicatePlan", errs[0])
+	staged := New(WithWorkers(4))
+	if err := staged.LoadPlans(w.Plans[:1]); err != nil {
+		t.Fatal(err)
 	}
-	if errs[1] != nil {
-		t.Fatalf("errs[1] = %v, want nil", errs[1])
+	w.Plans[1].Root = nil
+	b := staged.stagePlans(batch)
+	if err := staged.Publish(b); err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(errs[2], ErrDuplicatePlan) {
-		t.Fatalf("errs[2] = %v, want ErrDuplicatePlan (intra-batch)", errs[2])
+	if b.Errs[0] == nil || errors.Is(b.Errs[0], ErrDuplicatePlan) {
+		t.Fatalf("Errs[0] = %v, want a validation error", b.Errs[0])
 	}
-	if errs[3] == nil {
-		t.Fatal("errs[3] = nil, want a validation error")
+	for _, i := range []int{1, 3} {
+		if !errors.Is(b.Errs[i], ErrDuplicatePlan) {
+			t.Fatalf("Errs[%d] = %v, want ErrDuplicatePlan", i, b.Errs[i])
+		}
 	}
-	if errs[4] != nil {
-		t.Fatalf("errs[4] = %v, want nil", errs[4])
+	if b.Errs[2] != nil || b.Errs[4] != nil {
+		t.Fatalf("fresh plans refused: %v / %v", b.Errs[2], b.Errs[4])
 	}
-	if got := e.NumPlans(); got != 3 {
-		t.Fatalf("NumPlans = %d, want 3", got)
+
+	e := New(WithWorkers(4))
+	if err := e.LoadPlans(w.Plans[:1]); err != nil {
+		t.Fatal(err)
+	}
+	gen := e.Generation()
+	w.Plans[1].Root = nil
+	err = e.LoadPlans(batch)
+	if err == nil || err.Error() != b.Errs[0].Error() {
+		t.Fatalf("LoadPlans = %v, want the first refusal %v", err, b.Errs[0])
+	}
+	if got := e.Generation(); got != gen+1 {
+		t.Fatalf("generation %d after one LoadPlans, want %d", got, gen+1)
+	}
+	var ids []string
+	for _, p := range e.Plans() {
+		ids = append(ids, p.ID)
+	}
+	if want := []string{w.Plans[0].ID, w.Plans[1].ID, w.Plans[2].ID}; !slices.Equal(ids, want) {
+		t.Fatalf("loaded %v, want %v", ids, want)
+	}
+
+	same := make([]*qep.Plan, 8)
+	for i := range same {
+		same[i] = w.Plans[3]
+	}
+	w.Plans[3].Root = nil
+	e = New(WithWorkers(4))
+	if err := e.LoadPlans(same); !errors.Is(err, ErrDuplicatePlan) || e.NumPlans() != 1 {
+		t.Fatalf("one plan eight times: %d loaded, error %v; want 1 and ErrDuplicatePlan", e.NumPlans(), err)
 	}
 }
 
-// TestLoadTextBatch exercises the text-level batch entry point: parse
+// TestLoadTextBatch exercises a batch of texts staged and published: parse
 // failures are per-record and parsed plans are reported even when loading
 // then fails as a duplicate.
 func TestLoadTextBatch(t *testing.T) {
@@ -308,7 +333,11 @@ func TestLoadTextBatch(t *testing.T) {
 	byID := w.Texts()
 	texts := []string{byID[w.Plans[0].ID], "not a plan", byID[w.Plans[1].ID], byID[w.Plans[0].ID]}
 	e := New()
-	plans, errs := e.LoadTextBatch(texts)
+	b := e.StageTexts(texts)
+	if err := e.Publish(b); err != nil {
+		t.Fatal(err)
+	}
+	plans, errs := b.Plans, b.Errs
 	if errs[0] != nil || errs[2] != nil {
 		t.Fatalf("valid texts failed: %v / %v", errs[0], errs[2])
 	}
@@ -349,7 +378,7 @@ func TestStageTouchesNothing(t *testing.T) {
 	}
 	texts := textsInOrder(w)
 	e := New(WithWorkers(2))
-	if err := e.LoadPlan(w.Plans[0]); err != nil {
+	if err := e.LoadPlans(w.Plans[:1]); err != nil {
 		t.Fatal(err)
 	}
 	gen := e.Generation()
@@ -434,11 +463,12 @@ func TestPublishRechecksDuplicates(t *testing.T) {
 	}
 }
 
-// TestLoadTextBatchIsStagePublish: LoadTextBatch and a caller that steps
-// between StageTexts and Publish load the same table — plans, per-text errors,
+// TestLoadPlansIsStagePublish: LoadPlans of parsed plans and StageTexts +
+// Publish of their texts load the same table — plans, per-plan outcomes,
 // order and generation — over the 24-plan `qepgen -seed 42` history with a
-// duplicate and an unparsable text mixed in.
-func TestLoadTextBatchIsStagePublish(t *testing.T) {
+// duplicate of an earlier batch, a refused plan and a plan passed twice mixed
+// in, and LoadPlans returns the first refusal.
+func TestLoadPlansIsStagePublish(t *testing.T) {
 	w, err := workload.Generate(workload.Config{
 		Seed: 42, NumPlans: 24, MinOps: 30, MaxOps: 80, InjectA: 4, InjectB: 3, InjectC: 5, HardFraction: 0.35,
 	})
@@ -446,29 +476,32 @@ func TestLoadTextBatchIsStagePublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	texts := textsInOrder(w)
-	first, rest := texts[:8], append(texts[8:16:16], texts[3], "not a plan")
-	rest = append(rest, texts[16:]...)
-	rest = append(rest, texts[20]) // a duplicate of an earlier text of the same batch
+	textBatches := [][]string{
+		texts[:8],
+		slices.Concat(texts[8:16], texts[3:4], []string{"not a plan"}, texts[16:], texts[20:21]),
+	}
+	planBatches := [][]*qep.Plan{
+		w.Plans[:8],
+		slices.Concat(w.Plans[8:16], w.Plans[3:4], []*qep.Plan{{ID: "EMPTY"}}, w.Plans[16:], w.Plans[20:21]),
+	}
 
-	whole, stepped := New(WithWorkers(3)), New(WithWorkers(3))
-	outcome := func(plans []*qep.Plan, errs []error) string {
+	plans, stepped := New(WithWorkers(3)), New(WithWorkers(3))
+	outcome := func(errs []error) string {
 		var b strings.Builder
-		for i := range errs {
-			id := "-"
-			if plans[i] != nil {
-				id = plans[i].ID
+		for _, err := range errs {
+			switch {
+			case err == nil:
+				b.WriteString("ok ")
+			case errors.Is(err, ErrDuplicatePlan):
+				b.WriteString("duplicate ")
+			default:
+				b.WriteString("refused ")
 			}
-			b.WriteString(id)
-			if errs[i] != nil {
-				b.WriteString(": " + errs[i].Error())
-			}
-			b.WriteByte('\n')
 		}
 		return b.String()
 	}
-	for _, batch := range [][]string{first, rest} {
-		plans, errs := whole.LoadTextBatch(batch)
-		b := stepped.StageTexts(batch)
+	for i := range textBatches {
+		b := stepped.StageTexts(textBatches[i])
 		before := stepped.Generation()
 		if err := stepped.Publish(b); err != nil {
 			t.Fatalf("Publish: %v", err)
@@ -476,26 +509,34 @@ func TestLoadTextBatchIsStagePublish(t *testing.T) {
 		if stepped.Generation() != before+1 {
 			t.Fatalf("Publish moved the generation %d -> %d, want one bump", before, stepped.Generation())
 		}
-		if got, want := outcome(b.Plans, b.Errs), outcome(plans, errs); got != want {
-			t.Fatalf("per-text outcomes differ:\n--- LoadTextBatch\n%s--- StageTexts + Publish\n%s", want, got)
+		staged := plans.stagePlans(planBatches[i])
+		if got, want := outcome(staged.Errs), outcome(b.Errs); got != want {
+			t.Fatalf("per-plan outcomes differ:\n StageTexts %s\n stagePlans %s", want, got)
+		}
+		var first error
+		if j := slices.IndexFunc(staged.Errs, func(err error) bool { return err != nil }); j >= 0 {
+			first = staged.Errs[j]
+		}
+		if err := plans.LoadPlans(planBatches[i]); fmt.Sprint(err) != fmt.Sprint(first) {
+			t.Fatalf("LoadPlans = %v, want the first refusal %v", err, first)
 		}
 	}
-	if whole.Generation() != stepped.Generation() || whole.NumPlans() != 24 {
+	if plans.Generation() != stepped.Generation() || plans.NumPlans() != 24 {
 		t.Fatalf("generation %d vs %d, %d plans; want equal generations and 24 plans",
-			whole.Generation(), stepped.Generation(), whole.NumPlans())
+			plans.Generation(), stepped.Generation(), plans.NumPlans())
 	}
 	var a, b []string
-	for _, p := range whole.Plans() {
+	for _, p := range plans.Plans() {
 		a = append(a, p.ID)
 	}
 	for _, p := range stepped.Plans() {
 		b = append(b, p.ID)
 	}
 	if !slices.Equal(a, b) {
-		t.Fatalf("load order differs:\n LoadTextBatch %v\n stage+publish %v", a, b)
+		t.Fatalf("load order differs:\n LoadPlans %v\n stage+publish %v", a, b)
 	}
 	k := kb.MustExtended()
-	ra, err := whole.RunKB(context.Background(), k)
+	ra, err := plans.RunKB(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}

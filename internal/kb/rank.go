@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"optimatch/internal/pattern"
+	"optimatch/internal/qep"
 	"optimatch/internal/stats"
 	"optimatch/internal/transform"
 )
@@ -77,10 +78,10 @@ func DefaultProfile(p *pattern.Pattern) []float64 {
 			continue
 		}
 		ops++
-		switch pop.Type {
-		case pattern.TypeJoin, "NLJOIN", "HSJOIN", "MSJOIN", "ZZJOIN":
+		switch {
+		case pop.Type == pattern.TypeJoin || qep.IsJoinType(pop.Type):
 			joins++
-		case pattern.TypeScan, "TBSCAN", "IXSCAN":
+		case pop.Type == pattern.TypeScan || qep.IsScanType(pop.Type):
 			scans++
 		}
 	}

@@ -180,14 +180,20 @@ func (o *Operator) SelfCost() float64 {
 	return c
 }
 
-// IsJoin reports whether the operator is any join method.
-func (o *Operator) IsJoin() bool {
-	switch o.Type {
+// IsJoinType reports whether typ names a join method: the one list of them.
+func IsJoinType(typ string) bool {
+	switch typ {
 	case "NLJOIN", "HSJOIN", "MSJOIN", "ZZJOIN":
 		return true
 	}
 	return false
 }
+
+// IsScanType reports whether typ names a scan: the one list of them.
+func IsScanType(typ string) bool { return typ == "TBSCAN" || typ == "IXSCAN" }
+
+// IsJoin reports whether the operator is any join method.
+func (o *Operator) IsJoin() bool { return IsJoinType(o.Type) }
 
 // Class buckets the operator type for coarse pattern matching ("type JOIN"
 // in the paper's Pattern B means any join method).
@@ -195,7 +201,7 @@ func (o *Operator) Class() string {
 	switch {
 	case o.IsJoin():
 		return "JOIN"
-	case o.Type == "TBSCAN" || o.Type == "IXSCAN":
+	case IsScanType(o.Type):
 		return "SCAN"
 	case o.Type == "SORT":
 		return "SORT"

@@ -613,3 +613,28 @@ func TestParseBoundaries(t *testing.T) {
 		})
 	}
 }
+
+// TestOperatorClasses pins the classes IsJoin and Class read off the one list
+// of join types and the one of scan types: the pattern language's pseudo types
+// JOIN and SCAN are not operator types, and matching is case-sensitive.
+func TestOperatorClasses(t *testing.T) {
+	for _, tc := range []struct {
+		typ, class string
+		join       bool
+	}{
+		{"NLJOIN", "JOIN", true}, {"HSJOIN", "JOIN", true}, {"MSJOIN", "JOIN", true}, {"ZZJOIN", "JOIN", true},
+		{"TBSCAN", "SCAN", false}, {"IXSCAN", "SCAN", false},
+		{"SORT", "SORT", false}, {"GRPBY", "AGGREGATION", false},
+		{"JOIN", "JOIN", false}, {"SCAN", "SCAN", false}, {"nljoin", "nljoin", false},
+		{"FETCH", "FETCH", false}, {"", "", false},
+	} {
+		op := &Operator{Type: tc.typ}
+		if op.IsJoin() != tc.join || IsJoinType(tc.typ) != tc.join || op.Class() != tc.class {
+			t.Errorf("%q: IsJoin %v, IsJoinType %v, Class %q; want %v, %v, %q",
+				tc.typ, op.IsJoin(), IsJoinType(tc.typ), op.Class(), tc.join, tc.join, tc.class)
+		}
+		if scan := tc.class == "SCAN" && tc.typ != "SCAN"; IsScanType(tc.typ) != scan {
+			t.Errorf("IsScanType(%q) = %v, want %v", tc.typ, !scan, scan)
+		}
+	}
+}

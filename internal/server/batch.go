@@ -32,8 +32,8 @@ const (
 
 // WithBatchLimits bounds POST /api/plans:batch: at most maxRecords NDJSON
 // records and maxBytes of request body per batch. A body of maxBytes is read,
-// one byte more answers 413, whatever WithMaxBody says (that bounds the
-// other routes). A plan whose record alone exceeds maxBytes goes through
+// one byte more answers 413, whatever the other routes' 16 MiB bound
+// (maxBodyBytes) says. A plan whose record alone exceeds maxBytes goes through
 // POST /api/plans. Non-positive values keep the defaults.
 func WithBatchLimits(maxRecords int, maxBytes int64) Option {
 	return func(s *Server) {

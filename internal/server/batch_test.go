@@ -167,9 +167,9 @@ func TestBatchUploadFraming400(t *testing.T) {
 
 // TestBatchUploadByteBound pins the batch body bound at its boundary: a body
 // of exactly the bound is handled, one byte more answers 413 and loads
-// nothing — even though the single-plan bound (WithMaxBody, 16 MiB by
-// default) is larger — and a plan too large for the batch bound loads through
-// POST /api/plans.
+// nothing — even though the single-plan bound (s.maxBody, four times the batch
+// bound here) is larger — and a plan too large for the batch bound loads
+// through POST /api/plans.
 func TestBatchUploadByteBound(t *testing.T) {
 	var small, big string
 	for _, p := range fixtures.All() {
@@ -187,7 +187,8 @@ func TestBatchUploadByteBound(t *testing.T) {
 		t.Fatalf("largest fixture (%d B) fits the %d B bound: no plan to send through POST /api/plans", len(big), bound)
 	}
 	eng := core.New()
-	s := New(eng, nil, WithBatchLimits(0, bound), WithMaxBody(4*bound))
+	s := New(eng, nil, WithBatchLimits(0, bound))
+	s.maxBody = 4 * bound
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 

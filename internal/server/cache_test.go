@@ -188,7 +188,7 @@ func TestKBRunCachedAndInvalidatedByPlanMutation(t *testing.T) {
 
 	// A plan mutation bumps the generation: the old entry is orphaned and
 	// the next run misses.
-	if err := s.eng.LoadPlan(fixtures.Renamed(fixtures.Clean(), "CACHE-X")); err != nil {
+	if err := s.eng.LoadPlans([]*qep.Plan{fixtures.Renamed(fixtures.Clean(), "CACHE-X")}); err != nil {
 		t.Fatal(err)
 	}
 	resp, _ = cacheReq(t, "POST", ts.URL+"/api/kb/run", "", nil)
@@ -236,7 +236,7 @@ func TestPlanRDFETag(t *testing.T) {
 
 	// A generation bump changes the validator: the old tag revalidates as
 	// a full 200 with a new ETag, served from a fresh cache entry.
-	if err := s.eng.LoadPlan(fixtures.Renamed(fixtures.Clean(), "ETAG-X")); err != nil {
+	if err := s.eng.LoadPlans([]*qep.Plan{fixtures.Renamed(fixtures.Clean(), "ETAG-X")}); err != nil {
 		t.Fatal(err)
 	}
 	resp, _ = cacheReq(t, "GET", ts.URL+"/api/plans/Q2/rdf", "", map[string]string{"If-None-Match": etag})

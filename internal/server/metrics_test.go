@@ -72,6 +72,9 @@ func TestStoreMetricsMove(t *testing.T) {
 		"optimatch_store_recovered_records_total":               0,
 		"optimatch_store_recovery_truncations_total":            0,
 	})
+	if s := st.Stats(); s.AppendedRecords != 3 || s.Fsyncs != s.AppendedRecords {
+		t.Errorf("Stats: %d records appended, %d fsyncs; want 3 of each", s.AppendedRecords, s.Fsyncs)
+	}
 	appended := m["optimatch_store_appended_bytes_total"]
 	if appended <= 0 || m["optimatch_store_wal_bytes"] != appended {
 		t.Errorf("WAL holds %v bytes, %v appended: want equal and > 0", m["optimatch_store_wal_bytes"], appended)
@@ -102,8 +105,11 @@ func TestStoreMetricsMove(t *testing.T) {
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, url = open()
+	st, url = open()
 	m = scrape(t, url)
+	if s := st.Stats(); s.AppendedRecords != 0 || s.Fsyncs != 0 {
+		t.Errorf("Stats after restart: %d records appended, %d fsyncs; want 0 of each", s.AppendedRecords, s.Fsyncs)
+	}
 	expect("restart", m, map[string]float64{
 		"optimatch_store_recovered_records_total":    1,
 		"optimatch_store_recovery_truncations_total": 1,

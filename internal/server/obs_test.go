@@ -45,7 +45,8 @@ func TestStatusCodes(t *testing.T) {
 	if err := eng.LoadPlans(fixtures.All()); err != nil {
 		t.Fatal(err)
 	}
-	s := New(eng, nil, WithMaxBody(4<<10))
+	s := New(eng, nil)
+	s.maxBody = 4 << 10
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 

@@ -259,8 +259,9 @@ func TestReadPathPrecedence(t *testing.T) {
 				}
 				base, stop := context.WithCancel(context.Background())
 				defer stop()
-				s := New(eng, nil, WithMaxBody(maxBody), WithBaseContext(base),
+				s := New(eng, nil, WithBaseContext(base),
 					WithResultCache(cache.New(cache.Config{MaxBytes: 1 << 20})))
+				s.maxBody = maxBody
 				if f.shutdown {
 					stop()
 				}

@@ -58,7 +58,9 @@ import (
 	"optimatch/internal/transform"
 )
 
-// maxBodyBytes bounds uploaded explain files and queries.
+// maxBodyBytes bounds uploaded explain files and queries: a larger body is
+// refused with 413 Request Entity Too Large. /api/sparql reads no more than
+// sparql.MaxQueryBytes, and a batch no more than its own bound (batch.go).
 const maxBodyBytes = 16 << 20
 
 // Server wires an engine and a knowledge base behind an http.Handler.
@@ -70,7 +72,7 @@ type Server struct {
 	log     *slog.Logger  // nil: no access logging
 	metrics *obs.Registry // nil: no /metrics endpoint
 	slow    time.Duration // 0: no slow-request log line
-	maxBody int64
+	maxBody int64         // maxBodyBytes; package tests set it smaller
 
 	queryTimeout time.Duration   // 0: engine executions run without a deadline
 	adm          *admission      // nil: no admission gate
@@ -113,17 +115,6 @@ func WithMetrics(reg *obs.Registry) Option {
 // (requires WithLogger; 0 disables).
 func WithSlowThreshold(d time.Duration) Option {
 	return func(s *Server) { s.slow = d }
-}
-
-// WithMaxBody overrides the request-body size limit (default 16 MiB;
-// /api/sparql reads no more than sparql.MaxQueryBytes under any limit).
-// Oversized bodies are rejected with 413 Request Entity Too Large.
-func WithMaxBody(n int64) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxBody = n
-		}
-	}
 }
 
 // WithQueryTimeout bounds every read (search, SPARQL, kb/run, plan RDF)

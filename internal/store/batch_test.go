@@ -59,8 +59,8 @@ func TestAddPlanBatchRoundTrip(t *testing.T) {
 	if got := st.Fsyncs - statsBefore.Fsyncs; got != 1 {
 		t.Fatalf("batch cost %d fsyncs, want 1", got)
 	}
-	if got := st.AppendedRecords - statsBefore.AppendedRecords; got != 1 {
-		t.Fatalf("batch appended %d records, want 1", got)
+	if got := st.AppendedRecords - statsBefore.AppendedRecords; got != 1 || st.Fsyncs != st.AppendedRecords {
+		t.Fatalf("batch appended %d records (%d fsyncs, %d records since open), want 1 and one fsync per record", got, st.Fsyncs, st.AppendedRecords)
 	}
 	if st.BatchAppends != 1 || st.BatchPlans != int64(len(texts)-1) {
 		t.Fatalf("batch counters = %d appends / %d plans, want 1 / %d", st.BatchAppends, st.BatchPlans, len(texts)-1)

@@ -145,7 +145,8 @@ func TestAppendWriteFaultDegradesAndRollsBack(t *testing.T) {
 
 func TestFsyncFaultScrubsUnacknowledgedTail(t *testing.T) {
 	dir, ffs, s, want := faultStore(t)
-	ackSeq := s.Stats().LastSeq
+	before := s.Stats()
+	ackSeq := before.LastSeq
 
 	// The record is fully written before the fsync fails: without the tail
 	// scrub it would sit complete-and-valid on disk, and recovery would
@@ -154,8 +155,14 @@ func TestFsyncFaultScrubsUnacknowledgedTail(t *testing.T) {
 	if _, err := s.AddPlan(batchTexts(3)[2]); !errors.Is(err, ErrPersist) {
 		t.Fatalf("AddPlan = %v, want ErrPersist", err)
 	}
-	if got := s.Stats().FaultSyncs; got != 1 {
-		t.Fatalf("FaultSyncs = %d, want 1", got)
+	st := s.Stats()
+	if st.FaultSyncs != 1 {
+		t.Fatalf("FaultSyncs = %d, want 1", st.FaultSyncs)
+	}
+	// A failed fsync counts neither an append nor an fsync.
+	if st.AppendedRecords != before.AppendedRecords || st.Fsyncs != st.AppendedRecords {
+		t.Fatalf("after a failed fsync: %d records appended, %d fsyncs; want %d of each",
+			st.AppendedRecords, st.Fsyncs, before.AppendedRecords)
 	}
 	seq, got := recoverImage(t, dir)
 	if seq != ackSeq || got != want {

@@ -129,7 +129,7 @@ func replaySerial(dir string) (*Store, error) {
 			return nil, fmt.Errorf("store: replaying record %d (seq %d): %w", i, rec.Seq, err)
 		}
 		s.seq = rec.Seq
-		s.recovered++
+		s.stats.RecoveredRecords++
 	}
 	return s, nil
 }
@@ -446,7 +446,7 @@ func runLog(t *testing.T, n int) (wal []byte, frameEnds []int64, added [][]strin
 }
 
 // TestRecoveryMidRunCrash: a crash anywhere inside a run — the whole log is
-// one LoadTextBatch — still lands on the exact mutation prefix. The log is cut
+// one staged batch — still lands on the exact mutation prefix. The log is cut
 // at every frame boundary and one byte into every frame.
 func TestRecoveryMidRunCrash(t *testing.T) {
 	const n = 12

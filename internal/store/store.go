@@ -160,26 +160,9 @@ type Store struct {
 	degradedReason string
 	degradedSince  time.Time
 
-	walRecords     int64
-	walBytes       int64
-	appended       int64
-	appendedBytes  int64
-	fsyncs         int64
-	batchAppends   int64
-	batchPlans     int64
-	recovered      int64
-	recoveredPlans int64
-	recoveryTime   time.Duration
-	skippedEntries int64
-	truncations    int64
-	compactions    int64
-	lastCompact    time.Time
-	compactErr     string
-	faultWrites    int64
-	faultSyncs     int64
-	faultCompacts  int64
-	reopens        int64
-	reopenFailures int64
+	// stats holds every count the store reports, in the one place Stats reads
+	// it from; Stats fills in the fields that mirror the state above.
+	stats Stats
 }
 
 // Stats is a point-in-time snapshot of the store's counters.
@@ -191,7 +174,7 @@ type Stats struct {
 	WALBytes            int64     `json:"walBytes"`            // bytes currently in the log
 	AppendedRecords     int64     `json:"appendedRecords"`     // records appended since open
 	AppendedBytes       int64     `json:"appendedBytes"`       // bytes appended since open
-	Fsyncs              int64     `json:"fsyncs"`              // WAL fsyncs since open (one per append)
+	Fsyncs              int64     `json:"fsyncs"`              // WAL fsyncs since open: AppendedRecords, one per append
 	BatchAppends        int64     `json:"batchAppends"`        // batch records appended since open
 	BatchPlans          int64     `json:"batchPlans"`          // plans persisted through batch records since open
 	RecoveredRecords    int64     `json:"recoveredRecords"`    // WAL records replayed at open
@@ -219,13 +202,14 @@ type Stats struct {
 // Replay is the loader ingest uses. Plans are not replayed one record at a
 // time: the snapshot's plans and the addPlan / addPlanBatch records that
 // follow them accumulate into a run, and a run enters the engine as one
-// LoadTextBatch — parsed, validated, transformed and frozen on the engine's
-// worker pool (core.WithWorkers, through WithEngineOptions), inserted in log
-// order in one critical section. removePlan, addEntry and removeEntry are
-// barriers: the pending run is flushed, then the record is applied, so a plan
-// deleted and re-added is never in the table twice and the first error in log
-// order is the one Open fails with — naming the record's index, its sequence
-// number and, for a snapshot or batch plan, the plan ID.
+// staged batch — parsed, validated, transformed and frozen on the engine's
+// worker pool (core.WithWorkers, through WithEngineOptions) by StageTexts —
+// and one Publish, which inserts it in log order in one critical section.
+// removePlan, addEntry and removeEntry are barriers: the pending run is
+// flushed, then the record is applied, so a plan deleted and re-added is never
+// in the table twice and the first error in log order is the one Open fails
+// with — naming the record's index, its sequence number and, for a snapshot or
+// batch plan, the plan ID.
 //
 // Engine.Generation() after Open is the number of replay steps that changed
 // the plan table — runs that loaded at least one plan, plus removals — not the
@@ -276,7 +260,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		if err := s.fs.Truncate(walPath, goodOffset); err != nil {
 			return nil, fmt.Errorf("store: truncating torn WAL tail: %w", err)
 		}
-		s.truncations++
+		s.stats.RecoveryTruncations++
 	}
 	skipped := make(map[string]bool) // names of the entries applyRecord skipped
 	for i := range recs {
@@ -300,23 +284,24 @@ func Open(dir string, opts ...Option) (*Store, error) {
 			}
 		}
 		s.seq = rec.Seq
-		s.recovered++
+		s.stats.RecoveredRecords++
 	}
 	if err := run.flush(); err != nil {
 		return nil, err
 	}
-	s.recoveredPlans = run.loaded
-	s.walRecords = int64(len(recs))
-	s.walBytes = goodOffset
+	s.stats.RecoveredPlans = run.loaded
+	s.stats.WALRecords = int64(len(recs))
+	s.stats.WALBytes = goodOffset
 
 	f, err := s.fs.OpenFile(walPath, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening WAL for append: %w", err)
 	}
 	s.wal = f
-	s.recoveryTime = time.Since(recoverStart)
+	took := time.Since(recoverStart)
+	s.stats.RecoveryMillis = float64(took) / float64(time.Millisecond)
 	if s.instr.Recovery != nil {
-		s.instr.Recovery(s.recoveryTime, s.recovered, s.truncations)
+		s.instr.Recovery(took, s.stats.RecoveredRecords, s.stats.RecoveryTruncations)
 	}
 	return s, nil
 }
@@ -350,8 +335,9 @@ func (r *replayRun) flush() error {
 	if len(r.texts) == 0 {
 		return nil
 	}
-	_, errs := r.eng.LoadTextBatch(r.texts)
-	for i, err := range errs {
+	b := r.eng.StageTexts(r.texts)
+	_ = r.eng.Publish(b) // a refusal at publish is in b.Errs as well
+	for i, err := range b.Errs {
 		if err == nil {
 			continue
 		}
@@ -415,7 +401,7 @@ func (s *Store) applyRecord(rec *record, skipped map[string]bool) error {
 		if err != nil && e.Pattern != nil {
 			if _, cerr := pattern.Compile(e.Pattern); cerr != nil {
 				skipped[e.Name] = true
-				s.skippedEntries++
+				s.stats.SkippedEntries++
 				return nil
 			}
 		}
@@ -474,7 +460,7 @@ func (s *Store) degradeLocked(op string, cause error) {
 // Best-effort: on a disk this broken the truncate may fail too, and Reopen
 // re-verifies the tail before writes resume either way.
 func (s *Store) scrubTailLocked() {
-	_ = s.fs.Truncate(filepath.Join(s.dir, walName), s.walBytes)
+	_ = s.fs.Truncate(filepath.Join(s.dir, walName), s.stats.WALBytes)
 }
 
 // appendLocked journals one record and fsyncs: the journal stage of commit,
@@ -487,14 +473,14 @@ func (s *Store) appendLocked(rec *record) error {
 	}
 	writeStart := time.Now()
 	if _, err := s.wal.Write(buf); err != nil {
-		s.faultWrites++
+		s.stats.FaultWrites++
 		s.scrubTailLocked()
 		s.degradeLocked("append", err)
 		return fmt.Errorf("%w: appending record: %w", ErrPersist, err)
 	}
 	syncStart := time.Now()
 	if err := s.wal.Sync(); err != nil {
-		s.faultSyncs++
+		s.stats.FaultSyncs++
 		s.scrubTailLocked()
 		s.degradeLocked("fsync", err)
 		return fmt.Errorf("%w: syncing WAL: %w", ErrPersist, err)
@@ -502,14 +488,14 @@ func (s *Store) appendLocked(rec *record) error {
 	if s.instr.WALAppend != nil {
 		s.instr.WALAppend(syncStart.Sub(writeStart), time.Since(syncStart), len(buf))
 	}
-	s.walRecords++
-	s.walBytes += int64(len(buf))
-	s.appended++
-	s.appendedBytes += int64(len(buf))
-	s.fsyncs++
+	st := &s.stats
+	st.WALRecords++
+	st.WALBytes += int64(len(buf))
+	st.AppendedRecords++
+	st.AppendedBytes += int64(len(buf))
 	if rec.Op == opAddPlanBatch {
-		s.batchAppends++
-		s.batchPlans += int64(len(rec.Batch))
+		st.BatchAppends++
+		st.BatchPlans += int64(len(rec.Batch))
 	}
 	return nil
 }
@@ -519,11 +505,11 @@ func (s *Store) appendLocked(rec *record) error {
 // triggered it (the mutation is already durable in the log); it is surfaced
 // through Stats instead.
 func (s *Store) maybeAutoCompact() {
-	if s.autoCompact <= 0 || s.walRecords < s.autoCompact {
+	if s.autoCompact <= 0 || s.stats.WALRecords < s.autoCompact {
 		return
 	}
 	if err := s.compactLocked(); err != nil {
-		s.compactErr = err.Error()
+		s.stats.LastCompactionError = err.Error()
 	}
 }
 
@@ -548,12 +534,12 @@ func (s *Store) commit(rec *record, publish func() error) error {
 		return publish()
 	}
 	rec.Seq = s.seq + 1
-	tail := s.walBytes
+	tail := s.stats.WALBytes
 	if err := s.appendLocked(rec); err != nil {
 		return err
 	}
 	if err := publish(); err != nil {
-		s.walRecords, s.walBytes = s.walRecords-1, tail
+		s.stats.WALRecords, s.stats.WALBytes = s.stats.WALRecords-1, tail
 		s.scrubTailLocked()
 		s.degradeLocked("publish", err)
 		return fmt.Errorf("%w: publishing journaled %s (seq %d): %v", ErrPersist, rec.Op, rec.Seq, err)
@@ -708,7 +694,7 @@ func (s *Store) compactLocked() (err error) {
 		return err
 	}
 	if err := writeSnapshot(s.fs, s.dir, snap); err != nil {
-		s.faultCompacts++
+		s.stats.FaultCompactions++
 		s.degradeLocked("compact", err)
 		return fmt.Errorf("%w: %w", ErrPersist, err)
 	}
@@ -716,7 +702,7 @@ func (s *Store) compactLocked() (err error) {
 	// between the renames the old log survives alongside the new snapshot,
 	// and replay skips its records by sequence number.
 	if err := atomicWrite(s.fs, s.dir, walName, nil); err != nil {
-		s.faultCompacts++
+		s.stats.FaultCompactions++
 		s.degradeLocked("compact", err)
 		return fmt.Errorf("%w: resetting WAL: %w", ErrPersist, err)
 	}
@@ -724,7 +710,7 @@ func (s *Store) compactLocked() (err error) {
 	if err != nil {
 		// The reset log is already live on disk but we hold no handle to
 		// it: appends have nowhere consistent to go, so degrade.
-		s.faultCompacts++
+		s.stats.FaultCompactions++
 		s.degradeLocked("compact", err)
 		return fmt.Errorf("%w: reopening WAL: %w", ErrPersist, err)
 	}
@@ -732,10 +718,10 @@ func (s *Store) compactLocked() (err error) {
 	s.wal = f
 	old.Close() // the unlinked previous log
 	s.generation = snap.Generation
-	s.compactions++
-	s.walRecords, s.walBytes = 0, 0
-	s.lastCompact = time.Now()
-	s.compactErr = ""
+	s.stats.Compactions++
+	s.stats.WALRecords, s.stats.WALBytes = 0, 0
+	s.stats.LastCompaction = time.Now()
+	s.stats.LastCompactionError = ""
 	return nil
 }
 
@@ -743,33 +729,11 @@ func (s *Store) compactLocked() (err error) {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{
-		Dir:                 s.dir,
-		Generation:          s.generation,
-		LastSeq:             s.seq,
-		WALRecords:          s.walRecords,
-		WALBytes:            s.walBytes,
-		AppendedRecords:     s.appended,
-		AppendedBytes:       s.appendedBytes,
-		Fsyncs:              s.fsyncs,
-		BatchAppends:        s.batchAppends,
-		BatchPlans:          s.batchPlans,
-		RecoveredRecords:    s.recovered,
-		RecoveredPlans:      s.recoveredPlans,
-		RecoveryMillis:      float64(s.recoveryTime) / float64(time.Millisecond),
-		SkippedEntries:      s.skippedEntries,
-		RecoveryTruncations: s.truncations,
-		Compactions:         s.compactions,
-		LastCompaction:      s.lastCompact,
-		LastCompactionError: s.compactErr,
-		Degraded:            s.degraded,
-		DegradedReason:      s.degradedReason,
-		FaultWrites:         s.faultWrites,
-		FaultSyncs:          s.faultSyncs,
-		FaultCompactions:    s.faultCompacts,
-		Reopens:             s.reopens,
-		ReopenFailures:      s.reopenFailures,
-	}
+	st := s.stats
+	st.Dir, st.Generation, st.LastSeq = s.dir, s.generation, s.seq
+	st.Degraded, st.DegradedReason = s.degraded, s.degradedReason
+	st.Fsyncs = st.AppendedRecords // every append is one write and one fsync
+	return st
 }
 
 // Health states, as reported by Health and the server's /readyz.
@@ -826,10 +790,10 @@ func (s *Store) Reopen() error {
 		s.instr.Reopen(err == nil)
 	}
 	if err != nil {
-		s.reopenFailures++
+		s.stats.ReopenFailures++
 		return err
 	}
-	s.reopens++
+	s.stats.Reopens++
 	s.degraded = false
 	s.degradedReason = ""
 	s.degradedSince = time.Time{}
@@ -898,8 +862,8 @@ func (s *Store) reopenLocked() error {
 		// adopt its generation so the next compaction moves forward.
 		s.generation = snapGen
 	}
-	s.walRecords = int64(keep)
-	s.walBytes = keepOffset
+	s.stats.WALRecords = int64(keep)
+	s.stats.WALBytes = keepOffset
 	return nil
 }
 

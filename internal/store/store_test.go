@@ -80,7 +80,7 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 	}
 	want := reportString(t, s.Engine(), s.KB())
 	wantStats := s.Stats()
-	if wantStats.AppendedRecords != 5 || wantStats.LastSeq != 5 {
+	if wantStats.AppendedRecords != 5 || wantStats.LastSeq != 5 || wantStats.Fsyncs != wantStats.AppendedRecords {
 		t.Errorf("stats = %+v", wantStats)
 	}
 	if err := s.Close(); err != nil {
