@@ -42,16 +42,17 @@ const ns = "http://optimatch/logdiag/"
 func main() {
 	// Transform the diagnostic data into an RDF graph — the log-domain
 	// analogue of Algorithm 1.
-	g := optimatch.NewGraph()
+	b := optimatch.NewGraphBuilder()
 	for _, e := range events {
 		node := optimatch.IRI(ns + "event/" + e.id)
-		g.Add(node, optimatch.IRI(ns+"hasKind"), optimatch.Lit(e.kind))
-		g.Add(node, optimatch.IRI(ns+"hasHost"), optimatch.Lit(e.host))
-		g.Add(node, optimatch.IRI(ns+"hasLatencyMs"), optimatch.Num(e.latency))
+		b.Add(node, optimatch.IRI(ns+"hasKind"), optimatch.Lit(e.kind))
+		b.Add(node, optimatch.IRI(ns+"hasHost"), optimatch.Lit(e.host))
+		b.Add(node, optimatch.IRI(ns+"hasLatencyMs"), optimatch.Num(e.latency))
 		if e.caused != "" {
-			g.Add(node, optimatch.IRI(ns+"caused"), optimatch.IRI(ns+"event/"+e.caused))
+			b.Add(node, optimatch.IRI(ns+"caused"), optimatch.IRI(ns+"event/"+e.caused))
 		}
 	}
+	g := b.Graph()
 	fmt.Printf("log transformed into %d triples\n\n", g.Len())
 
 	// The problem pattern, as SPARQL with a recursive property path: a

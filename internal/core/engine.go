@@ -53,12 +53,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithExecOptions overrides SPARQL evaluation options (the join-order
-// ablation in internal/experiments turns reordering off with it).
-func WithExecOptions(opts sparql.ExecOptions) Option {
-	return func(e *Engine) { e.execOpts = opts }
-}
-
 // Engine holds a workload of transformed plans and matches patterns against
 // it. The plan repository is one table under one lock.
 type Engine struct {
@@ -71,8 +65,7 @@ type Engine struct {
 	plans []*transform.Result
 	byID  map[string]*transform.Result
 
-	workers  int
-	execOpts sparql.ExecOptions
+	workers int
 
 	// generation identifies the engine's exact plan set for callers that
 	// cache what they derive from it: every load and removal bumps it while
@@ -100,17 +93,11 @@ func New(opts ...Option) *Engine {
 	return e
 }
 
-// evalOpts returns the SPARQL evaluation options in effect for one scan. The
-// engine's own evaluation counters are attached unless the caller supplied
-// their own through WithExecOptions, and the scan's context is threaded
-// through so every evaluation observes cancellation cooperatively.
+// evalOpts returns the SPARQL evaluation options of one scan: the scan's
+// context, so every evaluation observes cancellation cooperatively, and the
+// engine's evaluation counters.
 func (e *Engine) evalOpts(ctx context.Context) sparql.ExecOptions {
-	opts := e.execOpts
-	opts.Ctx = ctx
-	if opts.Stats == nil {
-		opts.Stats = &e.evalStats
-	}
-	return opts
+	return sparql.ExecOptions{Ctx: ctx, Stats: &e.evalStats}
 }
 
 // LoadResult registers an already-transformed plan, sharing its RDF graph
@@ -124,14 +111,11 @@ func (e *Engine) LoadResult(r *transform.Result) error {
 }
 
 // insertLocked appends a transformed plan to the table unless its ID is
-// taken. Caller holds e.mu. Transform freezes its graph outside the lock; the
-// Freeze here is a no-op for those and keeps a hand-built Result from
-// entering the repository mutable.
+// taken. Caller holds e.mu.
 func (e *Engine) insertLocked(r *transform.Result) error {
 	if _, dup := e.byID[r.Plan.ID]; dup {
 		return duplicatePlan(r.Plan.ID)
 	}
-	r.Graph.Freeze()
 	e.plans = append(e.plans, r)
 	e.byID[r.Plan.ID] = r
 	return nil

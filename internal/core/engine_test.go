@@ -416,29 +416,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestWithExecOptionsAblation(t *testing.T) {
-	e1 := New()
-	e2 := New(WithExecOptions(sparql.ExecOptions{DisableReorder: true}))
-	for _, e := range []*Engine{e1, e2} {
-		if err := e.LoadPlans(fixtures.All()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range pattern.Canonical() {
-		m1, err := e1.FindPattern(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m2, err := e2.FindPattern(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(matchStrings(m1), matchStrings(m2)) {
-			t.Errorf("%s: reorder ablation changed results", p.Name)
-		}
-	}
-}
-
 // TestConcurrentEngineUse hammers one engine from many goroutines mixing
 // pattern search and knowledge-base scans; the race detector (when enabled)
 // and result comparison guard the engine's concurrency contract.

@@ -125,7 +125,8 @@ func AblationIndexes(cfg AblationConfig) (AblationResult, error) {
 }
 
 // AblationReorder times pattern matching with and without the
-// selectivity-based BGP join-order heuristic.
+// selectivity-based BGP join-order heuristic: every canonical pattern's query
+// evaluated over every graph of the workload, on one goroutine.
 func AblationReorder(cfg AblationConfig) (AblationResult, error) {
 	cfg = cfg.withDefaults()
 	results, err := cfg.workloadResults()
@@ -136,27 +137,23 @@ func AblationReorder(cfg AblationConfig) (AblationResult, error) {
 	if err != nil {
 		return AblationResult{}, err
 	}
-	run := func(opts sparql.ExecOptions) (time.Duration, error) {
-		e := core.New(core.WithWorkers(maxInt(cfg.Workers, 1)), core.WithExecOptions(opts))
-		for _, r := range results {
-			if err := e.LoadResult(r); err != nil {
-				return 0, err
-			}
-		}
-		return timeIt(cfg.Reps, func() error {
+	run := func(opts sparql.ExecOptions) func() error {
+		return func() error {
 			for _, c := range compiled {
-				if _, err := e.FindCompiled(context.Background(), c); err != nil {
-					return err
+				for _, r := range results {
+					if _, err := c.Parsed.ExecOpts(r.Graph, opts); err != nil {
+						return err
+					}
 				}
 			}
 			return nil
-		})
+		}
 	}
-	base, err := run(sparql.ExecOptions{})
+	base, err := timeIt(cfg.Reps, run(sparql.ExecOptions{}))
 	if err != nil {
 		return AblationResult{}, err
 	}
-	abl, err := run(sparql.ExecOptions{DisableReorder: true})
+	abl, err := timeIt(cfg.Reps, run(sparql.ExecOptions{DisableReorder: true}))
 	if err != nil {
 		return AblationResult{}, err
 	}

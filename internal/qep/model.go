@@ -361,7 +361,8 @@ func Descendants(op *Operator) []*Operator {
 
 // Validate performs structural sanity checks beyond Resolve: every non-root
 // operator is reachable from the root, stream kinds are consistent for
-// joins, and IDs are positive.
+// joins, and IDs are positive. Of several offending operators it names the
+// lowest ID.
 func (p *Plan) Validate() error {
 	if p.Root == nil {
 		if err := p.Resolve(); err != nil {
@@ -370,15 +371,15 @@ func (p *Plan) Validate() error {
 	}
 	reached := make(map[int]bool)
 	p.Walk(func(op *Operator) { reached[op.ID] = true })
-	for id := range p.Operators {
-		if id <= 0 {
-			return fmt.Errorf("qep: plan %s: non-positive operator id %d", p.ID, id)
+	for _, op := range p.Ops() {
+		if op.ID <= 0 {
+			return fmt.Errorf("qep: plan %s: non-positive operator id %d", p.ID, op.ID)
 		}
-		if !reached[id] {
-			return fmt.Errorf("qep: plan %s: operator %d unreachable from root", p.ID, id)
+		if !reached[op.ID] {
+			return fmt.Errorf("qep: plan %s: operator %d unreachable from root", p.ID, op.ID)
 		}
 	}
-	for _, op := range p.Operators {
+	for _, op := range p.Ops() {
 		if op.IsJoin() {
 			var outer, inner int
 			for _, in := range op.Inputs {

@@ -295,6 +295,43 @@ func TestValidateCatchesBadJoins(t *testing.T) {
 	}
 }
 
+// Of several unreachable operators Validate names the lowest ID, on every
+// parse: a root tree beside a detached two-cycle (5 reads #6, 6 reads #5),
+// which Parse accepts, is refused for operator 5 — not for whichever one a
+// walk of the operator map met first.
+func TestValidateNamesLowestOperator(t *testing.T) {
+	const text = `Plan Details:
+1) RETURN: (x)
+Input Streams:
+-------------
+1) From Operator #2
+2) TBSCAN: (x)
+5) FILTER: (x)
+Input Streams:
+-------------
+1) From Operator #6
+6) FILTER: (x)
+Input Streams:
+-------------
+1) From Operator #5
+`
+	errs := map[string]bool{}
+	for i := 0; i < 100; i++ {
+		p, err := Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Validate(); err != nil {
+			errs[err.Error()] = true
+		} else {
+			t.Fatal("Validate accepted a plan with unreachable operators")
+		}
+	}
+	if len(errs) != 1 || !errs["qep: plan : operator 5 unreachable from root"] {
+		t.Errorf("Validate errors over 100 parses: %v, want only operator 5's", errs)
+	}
+}
+
 func TestAddOperatorDuplicate(t *testing.T) {
 	p := NewPlan("D")
 	if err := p.AddOperator(&Operator{ID: 1, Type: "RETURN"}); err != nil {

@@ -6,20 +6,20 @@ import (
 )
 
 func buildBenchGraph(n int) *Graph {
-	g := NewGraph()
+	b := NewBuilder()
 	typePred := IRI("urn:hasPopType")
 	costPred := IRI("urn:hasTotalCost")
 	childPred := IRI("urn:hasChildPop")
 	types := []Term{String("TBSCAN"), String("NLJOIN"), String("SORT"), String("FETCH")}
 	for i := 0; i < n; i++ {
 		node := IRI(fmt.Sprintf("urn:pop/%d", i))
-		g.Add(node, typePred, types[i%len(types)])
-		g.Add(node, costPred, Float(float64(i)*1.7))
+		b.Add(node, typePred, types[i%len(types)])
+		b.Add(node, costPred, Float(float64(i)*1.7))
 		if i > 0 {
-			g.Add(IRI(fmt.Sprintf("urn:pop/%d", i/2)), childPred, node)
+			b.Add(IRI(fmt.Sprintf("urn:pop/%d", i/2)), childPred, node)
 		}
 	}
-	return g
+	return b.Graph()
 }
 
 // BenchmarkGraphAdd measures dictionary-encoded triple insertion.

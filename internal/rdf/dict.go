@@ -22,9 +22,9 @@ const NoID ID = 0
 // held as it is. Each is still its own term: "100"^^xsd:integer,
 // "100"^^xsd:double and "1.0E+02"^^xsd:double have three IDs.
 //
-// It is not safe for concurrent mutation; the Graph serializes access to it.
-// Freezing the graph freezes its dictionary: the map of numbers gives way to
-// their IDs sorted by value, and no new term may be interned.
+// A Builder interns into it, one caller at a time; Builder.Graph freezes it
+// for the graph, whose readers only look terms up: the map of numbers gives
+// way to their IDs sorted by value.
 type Dict struct {
 	byTerm map[Term]ID // the terms held as terms
 	terms  []Term      // those terms; terms[0] is the invalid zero term
@@ -34,7 +34,7 @@ type Dict struct {
 	// freeze reads Term.Float of it.
 	num []uint64
 	// The numbers by value: byNum while the dictionary is built, numbers —
-	// their IDs sorted by numKey — once it is frozen.
+	// their IDs sorted by numKey — once Builder.Graph has frozen it.
 	byNum   map[numKey]ID
 	numbers []ID
 }
@@ -85,9 +85,6 @@ func number(t Term) (numKey, bool) {
 	return numKey{}, false
 }
 
-// NewDict returns an empty dictionary.
-func NewDict() *Dict { return newDictSize(0, 0) }
-
 // newDictSize returns an empty dictionary with room for terms terms held as
 // terms and numbers numbers.
 func newDictSize(terms, numbers int) *Dict {
@@ -102,16 +99,15 @@ func newDictSize(terms, numbers int) *Dict {
 	return d
 }
 
-// Intern returns the ID for t, assigning a fresh one if t was never seen; a
-// frozen dictionary panics instead of assigning one.
-func (d *Dict) Intern(t Term) ID {
+// intern returns the ID for t, assigning a fresh one if t was never seen.
+func (d *Dict) intern(t Term) ID {
 	if k, ok := number(t); ok {
 		return d.internNumber(k)
 	}
 	if id, ok := d.byTerm[t]; ok {
 		return id
 	}
-	id := d.next()
+	id := ID(len(d.ref))
 	d.byTerm[t] = id
 	d.ref = append(d.ref, uint32(len(d.terms)))
 	d.terms = append(d.terms, t)
@@ -119,24 +115,16 @@ func (d *Dict) Intern(t Term) ID {
 	return id
 }
 
-// internNumber is Intern of the number k.
+// internNumber is intern of the number k.
 func (d *Dict) internNumber(k numKey) ID {
 	if id := d.lookupNumber(k); id != NoID {
 		return id
 	}
-	id := d.next()
+	id := ID(len(d.ref))
 	d.byNum[k] = id
 	d.ref = append(d.ref, k.ref)
 	d.num = append(d.num, k.bits)
 	return id
-}
-
-// next returns the ID the next new term gets.
-func (d *Dict) next() ID {
-	if d.byNum == nil {
-		panic("rdf: Intern of a new term into a frozen dictionary")
-	}
-	return ID(len(d.ref))
 }
 
 // Lookup returns the ID previously assigned to t, or NoID if t was never
@@ -195,10 +183,11 @@ func (d *Dict) appendToken(dst []byte, id ID) []byte {
 // Len reports the number of interned terms.
 func (d *Dict) Len() int { return len(d.ref) - 1 }
 
-// freeze ends the building phase: it reads the numeric value of every term
-// held as a term into the numeric column, sorts the numbers' IDs by value in
-// place of their map, and cuts every column to its length — what a capacity
-// hint or an append's doubling left over would stay resident with the graph.
+// freeze ends the building, for Builder.Graph: it reads the numeric value of
+// every term held as a term into the numeric column, sorts the numbers' IDs by
+// value in place of their map, and cuts every column to its length — what a
+// capacity hint or an append's doubling left over would stay resident with
+// the graph.
 func (d *Dict) freeze() {
 	for id, r := range d.ref {
 		if d.num[id] != unparsed {

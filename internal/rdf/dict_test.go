@@ -65,9 +65,9 @@ func checkDict(t *testing.T, d *Dict, want *oracleDict, probes []Term) {
 	}
 }
 
-// FuzzDict interns a sequence of terms into a graph's dictionary and into the
-// oracle, and compares every answer before and after the freeze. Each input
-// byte picks an operation:
+// FuzzDict interns a sequence of terms into a builder's dictionary and into
+// the oracle, and compares every answer before and after Builder.Graph
+// freezes it. Each input byte picks an operation:
 //
 //	0..31    Intern of dictTerms[b] (wrapped)
 //	32..63   InternFloat of fuzzFloats[b-32] (wrapped)
@@ -94,7 +94,7 @@ func FuzzDict(f *testing.F) {
 	f.Add([]byte{224, 16, '9', '0', '0', '7', '1', '9', '9', '2', '5', '4', '7', '4', '0', '9', '9', '2', 11})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, want := NewGraph(), newOracleDict()
+		b, want := NewBuilder(), newOracleDict()
 		var probes []Term
 		for len(data) > 0 {
 			op := data[0]
@@ -104,19 +104,19 @@ func FuzzDict(f *testing.F) {
 			switch {
 			case op < 32:
 				term = dictTerms[int(op)%len(dictTerms)]
-				id = g.Intern(term)
+				id = b.Intern(term)
 			case op < 64:
 				x := fuzzFloats[int(op-32)%len(fuzzFloats)]
-				term, id = Float(x), g.InternFloat(x)
+				term, id = Float(x), b.InternFloat(x)
 			case op < 192:
-				var b [8]byte
-				data = data[copy(b[:], data):]
-				x := math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+				var buf [8]byte
+				data = data[copy(buf[:], data):]
+				x := math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
 				term = Float(x)
 				if op < 128 {
-					id = g.InternFloat(x)
+					id = b.InternFloat(x)
 				} else {
-					id = g.Intern(term)
+					id = b.Intern(term)
 				}
 			default:
 				n := 0
@@ -130,15 +130,15 @@ func FuzzDict(f *testing.F) {
 					term.Datatype = XSDInteger
 				}
 				probes = append(probes, TypedLiteral(lex, XSDDouble), TypedLiteral(lex, XSDInteger), String(lex))
-				id = g.Intern(term)
+				id = b.Intern(term)
 			}
 			if wantID := want.intern(term); id != wantID {
 				t.Fatalf("interning %v gave ID %d, the oracle %d", term, id, wantID)
 			}
 		}
 		probes = append(probes, dictTerms...)
-		checkDict(t, g.Dict(), want, probes)
-		g.Freeze()
+		checkDict(t, b.Dict(), want, probes)
+		g := b.Graph()
 		checkDict(t, g.Dict(), want, probes)
 		for id := 1; id < len(want.byID); id++ {
 			wf, wok := want.byID[id].Float()
@@ -154,7 +154,7 @@ func FuzzDict(f *testing.F) {
 // edges: each is its own term, held by value or by spelling as the table says,
 // and reads back as itself.
 func TestDictNumbers(t *testing.T) {
-	g := NewGraph()
+	b := NewBuilder()
 	for _, c := range []struct {
 		term   Term
 		number bool
@@ -175,13 +175,13 @@ func TestDictNumbers(t *testing.T) {
 		{String("100"), false, false},
 		{TypedLiteral("1.0E+02", XSDDouble), false, false},
 	} {
-		id := g.Intern(c.term)
+		id := b.Intern(c.term)
 		if c.term.Datatype == XSDDouble && c.term.Value == "NaN" {
-			if other := g.InternFloat(math.Float64frombits(0x7FF8_0000_0000_0123)); other != id {
+			if other := b.InternFloat(math.Float64frombits(0x7FF8_0000_0000_0123)); other != id {
 				t.Errorf("InternFloat of another NaN gave ID %d, %v has %d", other, c.term, id)
 			}
 		}
-		d := g.Dict()
+		d := b.Dict()
 		if number := d.ref[id] >= refDouble; number != c.number {
 			t.Errorf("%v: held as a number %v, want %v", c.term, number, c.number)
 		}
@@ -195,10 +195,10 @@ func TestDictNumbers(t *testing.T) {
 			t.Errorf("%v is not a term of its own: ID %d of %d", c.term, id, d.Len())
 		}
 	}
-	if got := g.Dict().Term(g.InternFloat(1e21)).Value; got != "1e+21" {
+	if got := b.Dict().Term(b.InternFloat(1e21)).Value; got != "1e+21" {
 		t.Errorf("Float(1e21) reads back as %q", got)
 	}
-	g.Freeze()
+	g := b.Graph()
 	if f, ok := g.Float(g.Dict().Lookup(TypedLiteral("1.0E+02", XSDDouble))); !ok || f != 100 {
 		t.Errorf(`Float of "1.0E+02" = %v, %v`, f, ok)
 	}

@@ -10,27 +10,25 @@ import (
 )
 
 // FuzzGraphIndex is a differential fuzz test for the graph's index. The input
-// drives a sequence of Adds (duplicates included — the graph drops them when
-// it builds its index, the test when it logs them), terms interned without a
-// triple, reads and a Freeze at whatever points the bytes put them; the test
-// keeps its own insertion log and, at every read, compares every Match shape
-// (the exact documented sequence, not only the set), Count, HasIDs, the
-// adjacency accessors, NodeIDs, Len and Triples with scans of that log — and
-// the numeric column with Term.Float of every term, the statistics of every
-// predicate with a pass over the log. The first read freezes the graph as
-// Freeze does: after either, every Add, AddIDs, Intern and InternFloat must
-// panic and change neither the dictionary nor the triples, and at the end of
-// every input each of the four is tried once more. Then the graph is written
-// as N-Triples — by WriteNTriples and by the line-sorting writer it replaced,
+// drives a sequence of builder calls — Adds (duplicates included: the graph
+// drops them when it builds its index, the test when it logs them) and terms
+// interned without a triple — and the test keeps its own insertion log. Then
+// Builder.Graph builds the graph, and every Match shape (the exact documented
+// sequence, not only the set), Count, HasIDs, the adjacency accessors,
+// NodeIDs, Len and Triples are compared with scans of that log — and the
+// numeric column with Term.Float of every term, the statistics of every
+// predicate with a pass over the log. The spent builder must refuse every
+// method and leave the graph as it was. Then the graph is written as
+// N-Triples — by WriteNTriples and by the line-sorting writer it replaced,
 // which must agree — and read back: the loaded graph must pass the same
 // checks and give every predicate the same statistics.
 //
-// Ops, one byte each: b%8 in 0..4 adds the triple named by the next three
-// bytes, 5 reads, 6 interns the term named by the next byte, 7 freezes. All
-// positions draw from one pool of 24 IRIs, so a predicate is routinely a
-// subject or an object too; the object position draws from 8 literals
-// (fuzzLiterals) and 9 numbers (fuzzFloats) besides, the numbers entering
-// through InternFloat and AddIDs. A read also runs when the input ends.
+// Ops, one byte each: b%8 in 0..5 adds the triple named by the next three
+// bytes (through AddIDs, Add or AddTriple, as the object byte says), 6 and 7
+// intern the term named by the next byte. All positions draw from one pool of
+// 24 IRIs, so a predicate is routinely a subject or an object too; the object
+// position draws from 8 literals (fuzzLiterals) and 9 numbers (fuzzFloats)
+// besides, the numbers entering through InternFloat.
 func FuzzGraphIndex(f *testing.F) {
 	add := func(s, p, o byte) []byte { return []byte{0, s, p, o} }
 	bucket := func(n int) (in []byte) {
@@ -40,101 +38,81 @@ func FuzzGraphIndex(f *testing.F) {
 		return in
 	}
 	f.Add([]byte{})                                // empty graph
-	f.Add([]byte{5, 7, 5})                         // empty graph, read, frozen, read
+	f.Add([]byte{6, 9})                            // a term, no triple
 	f.Add(add(1, 2, 3))                            // one triple
-	f.Add(append(add(1, 2, 3), 6, 9, 5))           // a term interned but used in no triple: ID past the last offset
-	f.Add(append(bucket(16), 5, 7))                // an (s,p) bucket of 16 ...
-	f.Add(append(bucket(17), 5, 7))                // ... and of 17, either side of the old set-probe threshold
-	f.Add(append(add(4, 2, 4), 5))                 // a self-loop
+	f.Add(append(add(1, 2, 3), 6, 9))              // a term interned but used in no triple: ID past the last offset
+	f.Add(bucket(16))                              // an (s,p) bucket of 16 ...
+	f.Add(bucket(17))                              // ... and of 17, either side of the old set-probe threshold
+	f.Add(add(4, 2, 4))                            // a self-loop
 	f.Add(append(add(1, 2, 3), add(2, 2, 1)...))   // a predicate that is also a subject (and its own predicate)
-	f.Add(append(add(1, 2, 3), add(1, 2, 3)...))   // a duplicate
+	f.Add(append(add(1, 2, 3), add(1, 2, 85)...))  // the same triple, once through AddIDs and once through Add
 	again := append(add(1, 2, 3), add(1, 2, 3)...) // one triple added twice, a second one, the first once more:
 	again = append(append(again, add(4, 2, 3)...), add(1, 2, 3)...)
-	f.Add(append(again, 7, 5))                              // the index build drops each later occurrence
-	f.Add(append(append(add(1, 2, 3), 5), add(3, 2, 1)...)) // a read, then an Add: refused, as after a Freeze
-	f.Add(append(append(add(1, 2, 3), 7), add(3, 2, 1)...)) // an Add after Freeze
-	var lits []byte                                         // one predicate over every literal, another over the numbers that are not NaN, a third over an IRI
+	f.Add(again)                                       // the index build drops each later occurrence
+	f.Add(append(add(1, 2, 44), add(1, 2, 3)...))      // the same triple through AddTriple and AddIDs
+	f.Add(append([]byte{7, 3, 6, 3}, add(3, 2, 1)...)) // a term interned twice before its first triple
+	var lits []byte                                    // one predicate over every literal, another over the numbers that are not NaN, a third over an IRI
 	for i := 0; i < len(fuzzLiterals); i++ {
 		lits = append(lits, add(byte(i), 2, byte(24+i))...)
 	}
 	f.Add(append(append(lits, add(1, 3, 25)...), append(add(1, 3, 30), add(1, 4, 5)...)...))
-	var nums []byte // every number through InternFloat, one of them twice, one also as a literal; a term interned, a read, and an InternFloat refused
+	var nums []byte // every number through InternFloat, one of them twice, one also as a literal, and two numbers interned without a triple
 	for i := 0; i < len(fuzzFloats); i++ {
 		nums = append(nums, add(byte(i), 2, byte(32+i))...)
 	}
-	f.Add(append(append(nums, add(9, 2, 32)...), append(add(9, 3, 30), 6, 36, 5, 6, 37)...))
+	f.Add(append(append(nums, add(9, 2, 32)...), append(add(9, 3, 30), 6, 36, 7, 37)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 160 {
 			data = data[:160]
 		}
 		term := func(b byte) Term { return IRI(fmt.Sprintf("urn:t%d", b%24)) }
-		g := NewGraph()
-		// object interns the object b names the way a builder would, and
+		b := NewBuilder()
+		// object interns the object b names the way a caller would, and
 		// returns the term the dictionary must then hold.
-		object := func(b byte) Term {
-			switch b %= byte(32 + len(fuzzFloats)); {
-			case b >= 32:
-				return g.Dict().Term(g.InternFloat(fuzzFloats[b-32]))
-			case b >= 24:
-				return fuzzLiterals[b-24]
+		object := func(o byte) Term {
+			switch o %= byte(32 + len(fuzzFloats)); {
+			case o >= 32:
+				return b.Dict().Term(b.InternFloat(fuzzFloats[o-32]))
+			case o >= 24:
+				return fuzzLiterals[o-24]
 			}
-			return term(b)
+			return term(o)
 		}
 		var log [][3]ID
 		inLog := map[[3]ID]bool{}
-		frozen := false
 		for i := 0; i < len(data); i++ {
-			switch op := data[i] % 8; {
-			case op <= 4:
-				if i+3 >= len(data) {
-					i = len(data)
-					break
+			if data[i]%8 >= 6 {
+				if i+1 < len(data) {
+					i++
+					b.Intern(object(data[i]))
 				}
-				s, p := term(data[i+1]), term(data[i+2])
-				i += 3
-				if o := data[i]; frozen {
-					if o%2 == 0 {
-						mustRefuse(t, g, "AddIDs", func() { g.AddIDs(g.MaxID(), g.MaxID(), g.MaxID()) })
-					} else {
-						mustRefuse(t, g, "Add", func() { g.Add(s, p, object(o)) })
-					}
-					continue
-				}
-				tr := [3]ID{g.Intern(s), g.Intern(p), NoID}
-				tr[2] = g.Intern(object(data[i]))
-				if data[i]%2 == 0 {
-					g.AddIDs(tr[0], tr[1], tr[2])
-				} else {
-					g.Add(s, p, g.Dict().Term(tr[2]))
-				}
-				if !inLog[tr] {
-					inLog[tr] = true
-					log = append(log, tr)
-				}
-			case op == 5:
-				checkAgainstLog(t, g, log)
-				frozen = true
-			case op == 6:
-				if i+1 >= len(data) {
-					break
-				}
-				i++
-				if o := data[i]; frozen {
-					mustRefuse(t, g, "Intern", func() { g.Intern(object(o)) })
-					continue
-				}
-				g.Intern(object(data[i]))
+				continue
+			}
+			if i+3 >= len(data) {
+				break
+			}
+			s, p := term(data[i+1]), term(data[i+2])
+			i += 3
+			tr := [3]ID{b.Intern(s), b.Intern(p), NoID}
+			o := object(data[i])
+			tr[2] = b.Intern(o)
+			switch data[i] % 3 {
+			case 0:
+				b.AddIDs(tr[0], tr[1], tr[2])
+			case 1:
+				b.Add(s, p, o)
 			default:
-				g.Freeze()
-				frozen = true
+				b.AddTriple(Triple{s, p, o})
+			}
+			if !inLog[tr] {
+				inLog[tr] = true
+				log = append(log, tr)
 			}
 		}
+		g := b.Graph()
 		checkAgainstLog(t, g, log)
-		mustRefuse(t, g, "Add", func() { g.Add(IRI("urn:fresh"), term(0), term(1)) })
-		mustRefuse(t, g, "AddIDs", func() { g.AddIDs(g.MaxID(), g.MaxID(), g.MaxID()) })
-		mustRefuse(t, g, "Intern", func() { g.Intern(IRI("urn:fresh")) })
-		mustRefuse(t, g, "InternFloat", func() { g.InternFloat(42.5) })
+		checkSpent(t, b, g)
 
 		var nt, ref bytes.Buffer
 		if err := WriteNTriples(&nt, g); err != nil {
@@ -172,21 +150,31 @@ func FuzzGraphIndex(f *testing.F) {
 	})
 }
 
-// mustRefuse fails the test unless mutate panics as a frozen graph does and
-// leaves g's dictionary and triples as they were.
-func mustRefuse(t *testing.T, g *Graph, what string, mutate func()) {
+// checkSpent fails the test unless every method of b, whose Graph was g,
+// panics as a spent builder does and leaves g as it was.
+func checkSpent(t *testing.T, b *Builder, g *Graph) {
 	t.Helper()
 	terms, triples := g.Dict().Len(), g.Triples()
-	var got any
-	func() {
-		defer func() { got = recover() }()
-		mutate()
-	}()
-	if got != "rdf: Add on a frozen graph" {
-		t.Fatalf("%s on a frozen graph: panic %v, want the frozen graph's refusal", what, got)
+	for what, call := range map[string]func(){
+		"Dict":        func() { b.Dict() },
+		"Intern":      func() { b.Intern(IRI("urn:fresh")) },
+		"InternFloat": func() { b.InternFloat(42.5) },
+		"Add":         func() { b.Add(IRI("urn:fresh"), IRI("urn:t0"), IRI("urn:t1")) },
+		"AddTriple":   func() { b.AddTriple(Triple{IRI("urn:fresh"), IRI("urn:t0"), IRI("urn:t1")}) },
+		"AddIDs":      func() { b.AddIDs(1, 1, 1) },
+		"Graph":       func() { b.Graph() },
+	} {
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			call()
+		}()
+		if got != "rdf: Builder used after Graph" {
+			t.Fatalf("%s on a spent builder: panic %v, want the spent builder's refusal", what, got)
+		}
 	}
-	if g.Dict().Len() != terms || !reflect.DeepEqual(g.Triples(), triples) {
-		t.Fatalf("a refused %s changed the graph", what)
+	if g.Dict().Len() != terms || g.Dict().Lookup(IRI("urn:fresh")) != NoID || !reflect.DeepEqual(g.Triples(), triples) {
+		t.Fatal("a call on the spent builder changed its graph")
 	}
 }
 

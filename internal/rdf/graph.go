@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sync"
 )
 
 // Graph is an in-memory RDF graph (triple store). Triples are dictionary
@@ -13,104 +12,90 @@ import (
 // index.go) answers every bound/unbound combination of a triple pattern
 // without scanning.
 //
-// A graph is built, then read, and has two states. While it is being built
-// (Add, Intern) nothing else may touch it. An Add only appends: a triple
-// added twice sits in the log twice until the index build, which sorts the
-// log anyway, drops every occurrence but the first. The first read — any
-// method that consults the index, Len included — or an explicit Freeze
-// freezes the graph: it builds the index once, and from then on every Add or
-// Intern panics and the graph is safe for concurrent readers. OptImatch
-// builds one graph per query execution plan, freezes it, then matches many
+// A Graph is read-only: a Builder writes one, and Builder.Graph returns it
+// with its index built, so it is safe for concurrent readers from birth.
+// OptImatch builds one graph per query execution plan, then matches many
 // patterns against it.
 type Graph struct {
 	dict *Dict
-
-	log [][3]ID // triples (s, p, o) in insertion order; distinct once frozen
-
-	freeze sync.Once
-	idx    *index // nil until the graph is frozen
+	log  [][3]ID // the distinct triples (s, p, o) in insertion order
+	idx  *index
 }
 
-// NewGraph returns an empty graph with a fresh dictionary.
-func NewGraph() *Graph { return NewGraphSize(0, 0, 0) }
-
-// NewGraphSize returns an empty graph with room for terms distinct terms held
-// as terms, numbers distinct numbers (see Dict) and triples Adds, for a
-// builder that can count them beforehand: neither the dictionary nor the log
-// then grows by copying itself.
-func NewGraphSize(terms, numbers, triples int) *Graph {
-	return &Graph{dict: newDictSize(terms, numbers), log: make([][3]ID, 0, triples)}
+// Builder writes the one Graph its Graph method returns. Nothing else may
+// touch it meanwhile. An Add only appends: a triple added twice sits in the
+// log twice until Graph, whose index build sorts the log anyway and drops
+// every occurrence but the first.
+type Builder struct {
+	dict *Dict   // nil once Graph has handed it over
+	log  [][3]ID // triples (s, p, o) in insertion order
 }
 
-// Dict exposes the graph's term dictionary. Callers must treat it as
-// read-only; terms are interned through Add or Intern.
-func (g *Graph) Dict() *Dict { return g.dict }
+// NewBuilder returns a builder of an empty graph with a fresh dictionary.
+func NewBuilder() *Builder { return NewBuilderSize(0, 0, 0) }
 
-// Len reports the number of distinct triples in the graph.
-func (g *Graph) Len() int { return len(g.triples()) }
-
-// triples returns the log once the index build has dropped its duplicates.
-func (g *Graph) triples() [][3]ID {
-	g.index()
-	return g.log
+// NewBuilderSize returns a builder with room for terms distinct terms held as
+// terms, numbers distinct numbers (see Dict) and triples Adds, for a caller
+// that can count them beforehand: neither the dictionary nor the log then
+// grows by copying itself.
+func NewBuilderSize(terms, numbers, triples int) *Builder {
+	return &Builder{dict: newDictSize(terms, numbers), log: make([][3]ID, 0, triples)}
 }
 
-// MaxID returns the largest dense term ID the graph's dictionary has issued.
-// Valid IDs are 1..MaxID; bitsets and the index's offset arrays are sized off
-// it.
-func (g *Graph) MaxID() ID { return ID(g.dict.Len()) }
-
-// Intern returns the ID of t in the graph's dictionary, issuing the next one
-// when t is new. A builder that uses a term in many triples interns it once
-// and adds the triples with AddIDs. Intern panics on a frozen graph.
-func (g *Graph) Intern(t Term) ID {
-	g.mustBeMutable()
-	return g.dict.Intern(t)
+// Dict exposes the dictionary being built, read-only; terms are interned
+// through Add or Intern. Like every method of a builder whose Graph was
+// taken, it panics.
+func (b *Builder) Dict() *Dict {
+	if b.dict == nil {
+		panic("rdf: Builder used after Graph")
+	}
+	return b.dict
 }
 
-// InternFloat is Intern(Float(f)) for a builder that holds the number: the
+// Intern returns the ID of t in the dictionary, issuing the next one when t
+// is new. A caller that uses a term in many triples interns it once and adds
+// the triples with AddIDs.
+func (b *Builder) Intern(t Term) ID { return b.Dict().intern(t) }
+
+// InternFloat is Intern(Float(f)) for a caller that holds the number: the
 // dictionary keeps its float bits (of a NaN, those of the one NaN strconv
 // returns, which is what Term.Float reads from "NaN") and never formats it.
-func (g *Graph) InternFloat(f float64) ID {
-	g.mustBeMutable()
+func (b *Builder) InternFloat(f float64) ID {
 	if f != f {
 		f = math.NaN()
 	}
-	return g.dict.internNumber(numKey{refDouble, math.Float64bits(f)})
+	return b.Dict().internNumber(numKey{refDouble, math.Float64bits(f)})
 }
 
 // Add inserts the triple (s, p, o); a triple already in the graph is ignored.
-// Add panics on a frozen graph.
-func (g *Graph) Add(s, p, o Term) {
-	g.mustBeMutable()
-	g.AddIDs(g.dict.Intern(s), g.dict.Intern(p), g.dict.Intern(o))
+func (b *Builder) Add(s, p, o Term) {
+	d := b.Dict()
+	b.AddIDs(d.intern(s), d.intern(p), d.intern(o))
 }
 
 // AddTriple inserts t; a triple already in the graph is ignored.
-func (g *Graph) AddTriple(t Triple) { g.Add(t.S, t.P, t.O) }
+func (b *Builder) AddTriple(t Triple) { b.Add(t.S, t.P, t.O) }
 
-// AddIDs inserts a triple given already-interned IDs. It panics on a frozen
-// graph or on an ID the graph's dictionary never issued (the index is sized
-// off MaxID).
-func (g *Graph) AddIDs(s, p, o ID) {
-	g.mustBeMutable()
-	if max(s, p, o) > g.MaxID() || min(s, p, o) == NoID {
+// AddIDs inserts a triple given already-interned IDs. It panics on an ID the
+// dictionary never issued (the index is sized off the graph's MaxID).
+func (b *Builder) AddIDs(s, p, o ID) {
+	if max(s, p, o) > ID(b.Dict().Len()) || min(s, p, o) == NoID {
 		panic("rdf: AddIDs with an ID the dictionary never issued")
 	}
-	g.log = append(g.log, [3]ID{s, p, o})
+	b.log = append(b.log, [3]ID{s, p, o})
 }
 
-// mustBeMutable panics when the graph was frozen: like Dict.Term on an ID it
-// never issued, an Add after the first read is always a programming error.
-func (g *Graph) mustBeMutable() {
-	if g.idx != nil {
-		panic("rdf: Add on a frozen graph")
-	}
+// Graph ends the building: it freezes the dictionary, which completes the
+// numeric column, indexes the log and cuts it to its length, and hands both
+// to the graph it returns. The builder keeps neither, so no later call can
+// reach the graph: each one panics.
+func (b *Builder) Graph() *Graph {
+	d, log := b.Dict(), b.log
+	b.dict, b.log = nil, nil
+	d.freeze()
+	idx, log := buildIndex(log, d.num)
+	return &Graph{dict: d, log: clip(log), idx: idx}
 }
-
-// Freeze ends the graph's building phase now rather than at its first read,
-// so no reader pays for the index. Freezing is one-way and idempotent.
-func (g *Graph) Freeze() { g.index() }
 
 // clip returns s without spare capacity, in a new array if it has any.
 func clip[S ~[]E, E any](s S) S {
@@ -120,62 +105,49 @@ func clip[S ~[]E, E any](s S) S {
 	return append(make(S, 0, len(s)), s...)
 }
 
-// index returns the graph's index, freezing the graph on first use. Reads
-// that race the first one wait for it.
-func (g *Graph) index() *index {
-	g.freeze.Do(g.build)
-	return g.idx
-}
+// Dict exposes the graph's term dictionary, read-only.
+func (g *Graph) Dict() *Dict { return g.dict }
 
-// build freezes the graph: it freezes the dictionary, which completes the
-// numeric column, indexes the log and cuts the log to its length. index runs
-// it once.
-func (g *Graph) build() {
-	g.dict.freeze()
-	g.idx, g.log = buildIndex(g.log, g.dict.num)
-	g.log = clip(g.log)
-}
+// Len reports the number of distinct triples in the graph.
+func (g *Graph) Len() int { return len(g.log) }
+
+// MaxID returns the largest dense term ID the graph's dictionary has issued.
+// Valid IDs are 1..MaxID; bitsets and the index's offset arrays are sized off
+// it.
+func (g *Graph) MaxID() ID { return ID(g.dict.Len()) }
 
 // Has reports whether the triple (s, p, o) is in the graph.
 func (g *Graph) Has(s, p, o Term) bool {
-	sid, pid, oid := g.lookup(s), g.lookup(p), g.lookup(o)
+	sid, pid, oid := g.dict.Lookup(s), g.dict.Lookup(p), g.dict.Lookup(o)
 	if sid == NoID || pid == NoID || oid == NoID {
 		return false
 	}
 	return g.HasIDs(sid, pid, oid)
 }
 
-// lookup is Dict.Lookup for a read, which freezes the graph first: the freeze
-// swaps the dictionary's map of numbers for a sorted list, so a lookup must
-// not race it.
-func (g *Graph) lookup(t Term) ID {
-	g.index()
-	return g.dict.Lookup(t)
-}
-
 // HasIDs reports whether the fully bound triple is in the graph.
-func (g *Graph) HasIDs(s, p, o ID) bool { return g.index().has(s, p, o) }
+func (g *Graph) HasIDs(s, p, o ID) bool { return g.idx.has(s, p, o) }
 
 // ObjectIDs returns the objects of (s, p) in insertion order. The slice is
 // shared with the index and must not be mutated. This and SubjectIDs are the
 // adjacency lists a property-path closure walks.
-func (g *Graph) ObjectIDs(s, p ID) []ID { return g.index().spo.third(s, p) }
+func (g *Graph) ObjectIDs(s, p ID) []ID { return g.idx.spo.third(s, p) }
 
 // SubjectIDs returns the subjects of (p, o) in insertion order. The slice is
 // shared with the index and must not be mutated.
-func (g *Graph) SubjectIDs(p, o ID) []ID { return g.index().pos.third(p, o) }
+func (g *Graph) SubjectIDs(p, o ID) []ID { return g.idx.pos.third(p, o) }
 
 // NodeIDs returns every distinct term ID used as a subject or an object, in
 // ascending ID (= first-interned) order. The list is part of the index;
 // callers must treat it as read-only. Zero-length property paths and
 // unanchored closures enumerate it instead of rescanning every triple.
-func (g *Graph) NodeIDs() []ID { return g.index().nodes }
+func (g *Graph) NodeIDs() []ID { return g.idx.nodes }
 
 // Float is Term.Float of the term behind id, read from the column parsed when
-// the graph froze: FILTERs over cardinalities and costs compare the same few
+// the graph was built: FILTERs over cardinalities and costs compare the same few
 // literals for every row of every evaluation.
 func (g *Graph) Float(id ID) (float64, bool) {
-	num := g.index().num
+	num := g.idx.num
 	if num[id] == notNumber {
 		return 0, false
 	}
@@ -186,7 +158,7 @@ func (g *Graph) Float(id ID) (float64, bool) {
 // carries it: a binary search over the predicates in use. The entry is part
 // of the index; callers must treat it as read-only.
 func (g *Graph) PredStats(p ID) *PredStats {
-	preds := g.index().preds
+	preds := g.idx.preds
 	i, found := slices.BinarySearchFunc(preds, p, func(e PredStats, p ID) int { return cmp.Compare(e.Pred, p) })
 	if !found {
 		return nil
@@ -205,7 +177,7 @@ func (g *Graph) PredStats(p ID) *PredStats {
 // (s,-,-) by predicate, (-,p,-) by object, (-,-,o) by subject — with ties in
 // insertion order. Two graphs built by the same Add sequence iterate alike.
 func (g *Graph) Match(s, p, o ID, fn func(s, p, o ID) bool) {
-	ix := g.index()
+	ix := g.idx
 	switch {
 	case s != NoID && p != NoID && o != NoID:
 		if ix.has(s, p, o) {
@@ -257,7 +229,7 @@ func (g *Graph) Match(s, p, o ID, fn func(s, p, o ID) bool) {
 // arrays: an offset difference for the single-bound shapes, two short binary
 // searches inside one bucket for the double-bound ones.
 func (g *Graph) Count(s, p, o ID) int {
-	ix := g.index()
+	ix := g.idx
 	switch {
 	case s != NoID && p != NoID && o != NoID:
 		if ix.has(s, p, o) {
@@ -289,7 +261,7 @@ func (g *Graph) Count(s, p, o ID) int {
 // is tested against and the baseline of the index ablation
 // (experiments.AblationIndexes, cmd/experiments -ablations).
 func (g *Graph) MatchScan(s, p, o ID, fn func(s, p, o ID) bool) {
-	for _, t := range g.triples() {
+	for _, t := range g.log {
 		if (s == NoID || t[0] == s) && (p == NoID || t[1] == p) && (o == NoID || t[2] == o) {
 			if !fn(t[0], t[1], t[2]) {
 				return
@@ -301,9 +273,8 @@ func (g *Graph) MatchScan(s, p, o ID, fn func(s, p, o ID) bool) {
 // Triples materializes every triple in the graph, in insertion order.
 // Intended for tests and serialization, not for matching.
 func (g *Graph) Triples() []Triple {
-	log := g.triples()
-	out := make([]Triple, len(log))
-	for i, t := range log {
+	out := make([]Triple, len(g.log))
+	for i, t := range g.log {
 		out[i] = Triple{g.dict.Term(t[0]), g.dict.Term(t[1]), g.dict.Term(t[2])}
 	}
 	return out
@@ -312,10 +283,10 @@ func (g *Graph) Triples() []Triple {
 // Subjects returns the distinct subjects carrying predicate p with object o
 // (o may be the zero Term as wildcard), as terms. Convenience for tests.
 func (g *Graph) Subjects(p, o Term) []Term {
-	pid := g.lookup(p)
+	pid := g.dict.Lookup(p)
 	var oid ID
 	if !o.Zero() {
-		oid = g.lookup(o)
+		oid = g.dict.Lookup(o)
 		if oid == NoID {
 			return nil
 		}
@@ -338,7 +309,7 @@ func (g *Graph) Subjects(p, o Term) []Term {
 // Objects returns the objects of (s, p) as terms. Convenience accessor used
 // by the de-transformer and tests.
 func (g *Graph) Objects(s, p Term) []Term {
-	sid, pid := g.lookup(s), g.lookup(p)
+	sid, pid := g.dict.Lookup(s), g.dict.Lookup(p)
 	if sid == NoID || pid == NoID {
 		return nil
 	}

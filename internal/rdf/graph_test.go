@@ -8,29 +8,31 @@ import (
 	"testing/quick"
 )
 
-func testGraph() *Graph {
-	g := NewGraph()
-	g.Add(IRI("pop2"), IRI("hasPopType"), String("NLJOIN"))
-	g.Add(IRI("pop3"), IRI("hasPopType"), String("FETCH"))
-	g.Add(IRI("pop5"), IRI("hasPopType"), String("TBSCAN"))
-	g.Add(IRI("pop5"), IRI("hasEstimateCardinality"), TypedLiteral("4043.0", XSDDouble))
-	g.Add(IRI("pop2"), IRI("hasOuterInputStream"), IRI("stream1"))
-	g.Add(IRI("stream1"), IRI("hasOuterInputStream"), IRI("pop3"))
-	g.Add(IRI("pop2"), IRI("hasInnerInputStream"), IRI("stream2"))
-	g.Add(IRI("stream2"), IRI("hasInnerInputStream"), IRI("pop5"))
-	return g
+func testGraph() *Graph { return testBuilder().Graph() }
+
+func testBuilder() *Builder {
+	b := NewBuilder()
+	b.Add(IRI("pop2"), IRI("hasPopType"), String("NLJOIN"))
+	b.Add(IRI("pop3"), IRI("hasPopType"), String("FETCH"))
+	b.Add(IRI("pop5"), IRI("hasPopType"), String("TBSCAN"))
+	b.Add(IRI("pop5"), IRI("hasEstimateCardinality"), TypedLiteral("4043.0", XSDDouble))
+	b.Add(IRI("pop2"), IRI("hasOuterInputStream"), IRI("stream1"))
+	b.Add(IRI("stream1"), IRI("hasOuterInputStream"), IRI("pop3"))
+	b.Add(IRI("pop2"), IRI("hasInnerInputStream"), IRI("stream2"))
+	b.Add(IRI("stream2"), IRI("hasInnerInputStream"), IRI("pop5"))
+	return b
 }
 
 func TestGraphAddAndLen(t *testing.T) {
 	if g := testGraph(); g.Len() != 8 {
 		t.Fatalf("Len = %d, want 8", g.Len())
 	}
-	// A duplicate insert is a no-op: the first read drops it.
-	g := testGraph()
-	g.Add(IRI("pop2"), IRI("hasPopType"), String("NLJOIN"))
-	g.Add(IRI("pop2"), IRI("hasPopType"), String("NLJOIN"))
-	g.Add(IRI("pop2"), IRI("hasPopType"), String("HSJOIN"))
-	if g.Len() != 9 {
+	// A duplicate insert is a no-op: the index build drops it.
+	b := testBuilder()
+	b.Add(IRI("pop2"), IRI("hasPopType"), String("NLJOIN"))
+	b.Add(IRI("pop2"), IRI("hasPopType"), String("NLJOIN"))
+	b.Add(IRI("pop2"), IRI("hasPopType"), String("HSJOIN"))
+	if g := b.Graph(); g.Len() != 9 {
 		t.Errorf("Len after two duplicates and a fresh Add = %d, want 9", g.Len())
 	}
 }
@@ -173,13 +175,13 @@ func randomTriples(seed int64, n int) []Triple {
 func TestGraphMatchScanCountAgreementProperty(t *testing.T) {
 	check := func(seed int64, nRaw uint8, sBound, pBound, oBound bool) bool {
 		n := int(nRaw%50) + 1
-		g := NewGraph()
+		gb := NewBuilder()
 		ts := randomTriples(seed, n)
 		for _, tr := range ts {
-			g.AddTriple(tr)
+			gb.AddTriple(tr)
 		}
 		// Pick a pattern from the first triple's IDs.
-		d := g.Dict()
+		d := gb.Dict()
 		var s, p, o ID
 		if sBound {
 			s = d.Lookup(ts[0].S)
@@ -190,6 +192,7 @@ func TestGraphMatchScanCountAgreementProperty(t *testing.T) {
 		if oBound {
 			o = d.Lookup(ts[0].O)
 		}
+		g := gb.Graph()
 		a := collectMatches(g, s, p, o)
 		var b []Triple
 		g.MatchScan(s, p, o, func(s, p, o ID) bool {
@@ -213,14 +216,12 @@ func TestGraphInsertionOrderIndependenceProperty(t *testing.T) {
 	check := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%40) + 1
 		ts := randomTriples(seed, n)
-		g1 := NewGraph()
-		for _, tr := range ts {
-			g1.AddTriple(tr)
+		b1, b2 := NewBuilder(), NewBuilder()
+		for i := range ts {
+			b1.AddTriple(ts[i])
+			b2.AddTriple(ts[len(ts)-1-i])
 		}
-		g2 := NewGraph()
-		for i := len(ts) - 1; i >= 0; i-- {
-			g2.AddTriple(ts[i])
-		}
+		g1, g2 := b1.Graph(), b2.Graph()
 		if g1.Len() != g2.Len() {
 			return false
 		}
@@ -235,13 +236,13 @@ func TestGraphInsertionOrderIndependenceProperty(t *testing.T) {
 }
 
 func TestDict(t *testing.T) {
-	d := NewDict()
-	a := d.Intern(IRI("a"))
-	b := d.Intern(IRI("b"))
+	d := newDictSize(0, 0)
+	a := d.intern(IRI("a"))
+	b := d.intern(IRI("b"))
 	if a == NoID || b == NoID || a == b {
 		t.Fatalf("bad ids: %d %d", a, b)
 	}
-	if d.Intern(IRI("a")) != a {
+	if d.intern(IRI("a")) != a {
 		t.Error("re-intern returned different id")
 	}
 	if d.Lookup(IRI("a")) != a {

@@ -6,16 +6,15 @@ import "math"
 // permutations SPO, POS and OSP as pointer-free columns, plus the distinct
 // node list, the numeric value of every term and the statistics of every
 // predicate. It exploits the engine's central invariant — plan graphs are
-// immutable after load — so it is built once, when the graph freezes (by
-// Freeze, or by its first read), and then shared, lock-free, by every
-// concurrent reader.
+// immutable after load — so it is built once, by Builder.Graph, and then
+// shared, lock-free, by every concurrent reader.
 type index struct {
 	spo, pos, osp perm
 	nodes         []ID // distinct subjects and objects, ascending
 	// num holds Term.Float of every term by ID, as float bits: notNumber where
 	// the term has no numeric value. It is the dictionary's numeric column: a
 	// number is held as its value there, and every other literal was parsed
-	// once, when the graph froze, for all the evaluations the graph will see.
+	// once, when the graph was built, for all the evaluations the graph will see.
 	num   []uint64
 	preds []PredStats // one entry per predicate in use, ascending by Pred
 }

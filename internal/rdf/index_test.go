@@ -24,13 +24,14 @@ func column(match func(s, p, o ID, fn func(s, p, o ID) bool), s, p, o ID, k int)
 // evaluator and the golden reports rely on it.
 func TestAdjacencyAgreesWithMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	g := NewGraph()
+	b := NewBuilder()
 	preds := []Term{IRI("p"), IRI("q"), IRI("r")}
 	for i := 0; i < 400; i++ {
 		s := IRI(string(rune('a' + rng.Intn(26))))
 		o := IRI(string(rune('a' + rng.Intn(26))))
-		g.Add(s, preds[rng.Intn(len(preds))], o)
+		b.Add(s, preds[rng.Intn(len(preds))], o)
 	}
+	g := b.Graph()
 	d := g.Dict()
 	for _, pt := range preds {
 		p := d.Lookup(pt)
@@ -73,8 +74,9 @@ func sameIDs(a, b []ID) bool {
 // A predicate with no triples has no neighbors anywhere, including a
 // predicate ID the graph has never seen.
 func TestAdjacencyEmptyPredicate(t *testing.T) {
-	g := testGraph()
-	unused := g.Dict().Intern(IRI("neverUsedAsPredicate"))
+	b := testBuilder()
+	unused := b.Intern(IRI("neverUsedAsPredicate"))
+	g := b.Graph()
 	for _, p := range []ID{unused, ID(9999)} {
 		if n := g.Count(NoID, p, NoID); n != 0 {
 			t.Errorf("Count for unused predicate %d = %d, want 0", p, n)
@@ -119,76 +121,51 @@ func TestNodeIDs(t *testing.T) {
 	}
 }
 
-// Concurrent first reads of an unfrozen graph must build one index, race-free
-// (run with -race).
-func TestIndexConcurrentBuild(t *testing.T) {
+// Concurrent readers of one graph share its index, race-free (run with
+// -race): every read answers alike on every goroutine.
+func TestConcurrentReaders(t *testing.T) {
 	g := testGraph()
 	p := g.Dict().Lookup(IRI("hasPopType"))
-	results := make(chan *index, 8)
+	triples, nodes := g.Triples(), g.NodeIDs()
+	errs := make(chan string, 8)
 	for i := 0; i < 8; i++ {
 		go func() {
-			g.Match(NoID, p, NoID, func(_, _, _ ID) bool { return true })
-			g.NodeIDs()
-			g.Count(NoID, p, NoID)
-			results <- g.index()
+			n := 0
+			g.Match(NoID, p, NoID, func(_, _, _ ID) bool { n++; return true })
+			switch {
+			case n != 3 || g.Count(NoID, p, NoID) != 3:
+				errs <- "Match and Count disagree"
+			case !reflect.DeepEqual(g.NodeIDs(), nodes) || !reflect.DeepEqual(g.Triples(), triples):
+				errs <- "NodeIDs or Triples changed"
+			default:
+				errs <- ""
+			}
 		}()
 	}
-	first := <-results
-	for i := 1; i < 8; i++ {
-		if ix := <-results; ix != first {
-			t.Fatal("concurrent first reads built distinct indexes")
+	for i := 0; i < 8; i++ {
+		if msg := <-errs; msg != "" {
+			t.Error(msg)
 		}
 	}
 }
 
-// Freeze is one-way and idempotent, and a graph's first read freezes it just
-// as Freeze does: reads are unchanged, the term table and the log are cut to
-// their lengths, and every Add or Intern panics and changes nothing.
+// Builder.Graph cuts the dictionary's columns and the log to their lengths —
+// what a capacity hint or an append's doubling left over would stay resident
+// with the graph — and leaves the builder spent: every method panics and
+// changes nothing.
 func TestFreeze(t *testing.T) {
 	want := testGraph().Triples()
-	for name, freeze := range map[string]func(g *Graph){
-		"Freeze": (*Graph).Freeze,
-		"Len":    func(g *Graph) { g.Len() },
-		"Has":    func(g *Graph) { g.Has(IRI("pop2"), IRI("hasPopType"), String("NLJOIN")) },
-		"Float":  func(g *Graph) { g.Float(1) },
-	} {
-		g := testGraph()
-		freeze(g)
-		ix := g.index()
-		g.Freeze()
-		if g.index() != ix {
-			t.Errorf("%s, then Freeze: the index was rebuilt", name)
-		}
-		if d := g.dict; cap(d.terms) != len(d.terms) || cap(d.ref) != len(d.ref) || cap(d.num) != len(d.num) || cap(g.log) != len(g.log) {
-			t.Errorf("%s left spare capacity: terms %d of %d, refs %d of %d, numbers %d of %d, log %d of %d", name,
-				len(d.terms), cap(d.terms), len(d.ref), cap(d.ref), len(d.num), cap(d.num), len(g.log), cap(g.log))
-		}
-		if got := g.Triples(); !reflect.DeepEqual(got, want) {
-			t.Errorf("Triples after %s = %v, want %v", name, got, want)
-		}
-		if !g.Has(IRI("pop5"), IRI("hasPopType"), String("TBSCAN")) {
-			t.Errorf("Has after %s lost a triple", name)
-		}
-		terms := g.Dict().Len()
-		for what, add := range map[string]func(){
-			"Add":         func() { g.Add(IRI("pop2"), IRI("hasPopType"), String("NLJOIN")) },
-			"AddIDs":      func() { g.AddIDs(1, 2, 3) },
-			"AddTriple":   func() { g.AddTriple(Triple{IRI("x"), IRI("y"), IRI("z")}) },
-			"Intern":      func() { g.Intern(IRI("x")) },
-			"InternFloat": func() { g.InternFloat(42.5) },
-		} {
-			if !panics(add) {
-				t.Errorf("%s after %s did not panic", what, name)
-			}
-		}
-		if g.Len() != len(want) || g.Dict().Len() != terms || g.Dict().Lookup(IRI("x")) != NoID {
-			t.Errorf("a refused Add after %s changed the graph", name)
-		}
+	b := NewBuilderSize(64, 64, 64)
+	for _, tr := range want {
+		b.AddTriple(tr)
 	}
-}
-
-func panics(fn func()) (p bool) {
-	defer func() { p = recover() != nil }()
-	fn()
-	return false
+	g := b.Graph()
+	if d := g.dict; cap(d.terms) != len(d.terms) || cap(d.ref) != len(d.ref) || cap(d.num) != len(d.num) || cap(g.log) != len(g.log) {
+		t.Errorf("spare capacity: terms %d of %d, refs %d of %d, numbers %d of %d, log %d of %d",
+			len(d.terms), cap(d.terms), len(d.ref), cap(d.ref), len(d.num), cap(d.num), len(g.log), cap(g.log))
+	}
+	if got := g.Triples(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Triples = %v, want %v", got, want)
+	}
+	checkSpent(t, b, g)
 }

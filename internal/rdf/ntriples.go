@@ -30,7 +30,7 @@ import (
 // node label holding a space would do it; N-Triples has no such label and
 // cannot read the line back either way.
 func WriteNTriples(w io.Writer, g *Graph) error {
-	log, d := g.triples(), g.dict
+	log, d := g.log, g.dict
 	n := d.Len() + 1 // IDs and the zero ID
 	// Token id is text[start[id]:start[id+1]], its trailing space included.
 	start := make([]int, n+1)
@@ -184,7 +184,7 @@ func appendQuoted(dst []byte, s string) []byte {
 // writer would spell its invalid bytes as U+FFFD. A literal typed xsd:string
 // is the plain literal it equals, as the writer spells it.
 func ParseNTriples(r io.Reader) (*Graph, error) {
-	g := NewGraph()
+	b := NewBuilder()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	lineNo := 0
@@ -201,12 +201,12 @@ func ParseNTriples(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ntriples: line %d: %w", lineNo, err)
 		}
-		g.AddTriple(t)
+		b.AddTriple(t)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("ntriples: %w", err)
 	}
-	return g, nil
+	return b.Graph(), nil
 }
 
 func parseNTripleLine(line string) (Triple, error) {

@@ -20,8 +20,9 @@ const maxNTriplesInput = 64 << 10
 // parses is written by WriteNTriples and read back: the same set of triples.
 func FuzzNTriples(f *testing.F) {
 	var doc bytes.Buffer
-	g := testGraph()
-	g.Add(IRI("pop5"), IRI("hasComment"), String("has \"quotes\" and\nnewline"))
+	gb := testBuilder()
+	gb.Add(IRI("pop5"), IRI("hasComment"), String("has \"quotes\" and\nnewline"))
+	g := gb.Graph()
 	if err := WriteNTriples(&doc, g); err != nil {
 		f.Fatal(err)
 	}

@@ -9,8 +9,9 @@ import (
 )
 
 func TestNTriplesRoundTrip(t *testing.T) {
-	g := testGraph()
-	g.Add(IRI("pop5"), IRI("hasComment"), String("has \"quotes\" and\nnewline"))
+	gb := testBuilder()
+	gb.Add(IRI("pop5"), IRI("hasComment"), String("has \"quotes\" and\nnewline"))
+	g := gb.Graph()
 
 	var buf bytes.Buffer
 	if err := WriteNTriples(&buf, g); err != nil {

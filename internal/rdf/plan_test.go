@@ -47,7 +47,7 @@ func TestWriteNTriplesSameBytes(t *testing.T) {
 	}
 	graphs = append(graphs, transform.Transform(hostile).Graph)
 
-	g := rdf.NewGraph()
+	gb := rdf.NewBuilder()
 	p := rdf.IRI("urn:p")
 	subjects := []rdf.Term{rdf.IRI("urn:s"), rdf.IRI("urn:s "), rdf.IRI("urn:s>"), rdf.IRI("urn:s\x01"), rdf.IRI("urn:sé"), rdf.Blank("s"), rdf.Blank("s1")}
 	objects := append([]rdf.Term{
@@ -57,13 +57,14 @@ func TestWriteNTriplesSameBytes(t *testing.T) {
 	}, rdf.FuzzLiterals...)
 	for _, s := range subjects {
 		for _, o := range objects {
-			g.Add(s, p, o)
-			g.Add(s, s, o)
+			gb.Add(s, p, o)
+			gb.Add(s, s, o)
 		}
 		for _, f := range rdf.FuzzFloats {
-			g.AddIDs(g.Intern(s), g.Intern(p), g.InternFloat(f))
+			gb.AddIDs(gb.Intern(s), gb.Intern(p), gb.InternFloat(f))
 		}
 	}
+	g := gb.Graph()
 	graphs = append(graphs, g)
 
 	for i, g := range graphs {

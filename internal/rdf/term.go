@@ -3,11 +3,12 @@
 // execution plans as labeled directed graphs.
 //
 // A triple is (subject, predicate, object); subjects and predicates are IRIs
-// or blank nodes, objects may additionally be literals. The store keeps the
-// triples in insertion order and, over them, one immutable index of three
-// sorted permutations (SPO, POS, OSP) so that every bound/unbound combination
-// of a triple pattern is answered by an offset read and at most two short
-// binary searches, in an order fixed by the insertion sequence.
+// or blank nodes, objects may additionally be literals. A Builder writes a
+// graph's triples in insertion order; Builder.Graph builds over them one
+// immutable index of three sorted permutations (SPO, POS, OSP) and returns
+// the read-only Graph, on which every bound/unbound combination of a triple
+// pattern is answered by an offset read and at most two short binary
+// searches, in an order fixed by the insertion sequence.
 package rdf
 
 import (

@@ -9,11 +9,11 @@ import (
 
 // aggTestGraph: operators with types and costs for aggregation queries.
 func aggTestGraph() *rdf.Graph {
-	g := rdf.NewGraph()
+	b := rdf.NewBuilder()
 	add := func(id int, typ string, cost float64) {
 		node := rdf.IRI(tfmt("pop", id))
-		g.Add(node, rdf.IRI("urn:type"), rdf.String(typ))
-		g.Add(node, rdf.IRI("urn:cost"), rdf.Float(cost))
+		b.Add(node, rdf.IRI("urn:type"), rdf.String(typ))
+		b.Add(node, rdf.IRI("urn:cost"), rdf.Float(cost))
 	}
 	add(1, "TBSCAN", 100)
 	add(2, "TBSCAN", 200)
@@ -21,7 +21,7 @@ func aggTestGraph() *rdf.Graph {
 	add(4, "NLJOIN", 500)
 	add(5, "NLJOIN", 300)
 	add(6, "SORT", 80)
-	return g
+	return b.Graph()
 }
 
 func tfmt(prefix string, id int) string {

@@ -188,10 +188,11 @@ LIMIT 5`)
 // that a neighbour's burst of load does not.
 func TestTailSortsManyGroups(t *testing.T) {
 	const n = 32000
-	g := rdf.NewGraph()
+	b := rdf.NewBuilder()
 	for i := 0; i < n; i++ {
-		g.Add(rdf.IRI(fmt.Sprintf("urn:pop%d", i)), rdf.IRI("http://optimatch/pred/hasPopType"), rdf.String(fmt.Sprintf("T%05d", i*7919%n)))
+		b.Add(rdf.IRI(fmt.Sprintf("urn:pop%d", i)), rdf.IRI("http://optimatch/pred/hasPopType"), rdf.String(fmt.Sprintf("T%05d", i*7919%n)))
 	}
+	g := b.Graph()
 	q, err := sparql.Parse(`PREFIX pred: <http://optimatch/pred/>
 SELECT ?type (COUNT(?pop) AS ?n) WHERE { ?pop pred:hasPopType ?type } GROUP BY ?type ORDER BY DESC(?n) DESC(?type)`)
 	if err != nil {

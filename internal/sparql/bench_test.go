@@ -51,12 +51,13 @@ func BenchmarkExecReifiedPattern(b *testing.B) {
 
 // BenchmarkPathClosure measures the BFS closure over a deep chain.
 func BenchmarkPathClosure(b *testing.B) {
-	g := rdf.NewGraph()
+	gb := rdf.NewBuilder()
 	pred := rdf.IRI("urn:child")
 	const depth = 300
 	for i := 0; i < depth; i++ {
-		g.Add(rdf.IRI(node(i)), pred, rdf.IRI(node(i+1)))
+		gb.Add(rdf.IRI(node(i)), pred, rdf.IRI(node(i+1)))
 	}
+	g := gb.Graph()
 	path := ModPath{Inner: PredPath{IRI: "urn:child"}, Mod: ModOneOrMore}
 	start := g.Dict().Lookup(rdf.IRI(node(0)))
 	b.ReportAllocs()
@@ -95,11 +96,12 @@ func runPathClosureBench(b *testing.B, g *rdf.Graph, want int) {
 // chain: the worst case for per-step overhead (one node per BFS level).
 func BenchmarkPathClosureDeepChain(b *testing.B) {
 	for _, n := range []int{100, 550, 5000} {
-		g := rdf.NewGraph()
+		gb := rdf.NewBuilder()
 		pred := rdf.IRI("urn:child")
 		for i := 0; i < n; i++ {
-			g.Add(rdf.IRI(node(i)), pred, rdf.IRI(node(i+1)))
+			gb.Add(rdf.IRI(node(i)), pred, rdf.IRI(node(i+1)))
 		}
+		g := gb.Graph()
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			runPathClosureBench(b, g, n)
 		})
@@ -110,15 +112,16 @@ func BenchmarkPathClosureDeepChain(b *testing.B) {
 // interior node is reached twice, exercising the visited-set dedup.
 func BenchmarkPathClosureDiamond(b *testing.B) {
 	for _, k := range []int{33, 183, 1666} { // 3k+1 nodes: ~100/550/5000
-		g := rdf.NewGraph()
+		gb := rdf.NewBuilder()
 		pred := rdf.IRI("urn:child")
 		for i := 0; i < k; i++ {
 			a, l, r, next := node(3*i), node(3*i+1), node(3*i+2), node(3*i+3)
-			g.Add(rdf.IRI(a), pred, rdf.IRI(l))
-			g.Add(rdf.IRI(a), pred, rdf.IRI(r))
-			g.Add(rdf.IRI(l), pred, rdf.IRI(next))
-			g.Add(rdf.IRI(r), pred, rdf.IRI(next))
+			gb.Add(rdf.IRI(a), pred, rdf.IRI(l))
+			gb.Add(rdf.IRI(a), pred, rdf.IRI(r))
+			gb.Add(rdf.IRI(l), pred, rdf.IRI(next))
+			gb.Add(rdf.IRI(r), pred, rdf.IRI(next))
 		}
+		g := gb.Graph()
 		b.Run(fmt.Sprintf("nodes=%d", 3*k+1), func(b *testing.B) {
 			runPathClosureBench(b, g, 3*k)
 		})
@@ -129,11 +132,12 @@ func BenchmarkPathClosureDiamond(b *testing.B) {
 // 5-ary tree: wide frontiers, shallow depth.
 func BenchmarkPathClosureFanOut(b *testing.B) {
 	for _, n := range []int{100, 550, 5000} {
-		g := rdf.NewGraph()
+		gb := rdf.NewBuilder()
 		pred := rdf.IRI("urn:child")
 		for i := 1; i <= n; i++ {
-			g.Add(rdf.IRI(node((i-1)/5)), pred, rdf.IRI(node(i)))
+			gb.Add(rdf.IRI(node((i-1)/5)), pred, rdf.IRI(node(i)))
 		}
+		g := gb.Graph()
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			runPathClosureBench(b, g, n)
 		})
@@ -145,11 +149,12 @@ func BenchmarkPathClosureFanOut(b *testing.B) {
 // number.
 func BenchmarkPathClosureQuery(b *testing.B) {
 	const n = 550
-	g := rdf.NewGraph()
+	gb := rdf.NewBuilder()
 	pred := rdf.IRI("urn:child")
 	for i := 0; i < n; i++ {
-		g.Add(rdf.IRI(node(i)), pred, rdf.IRI(node(i+1)))
+		gb.Add(rdf.IRI(node(i)), pred, rdf.IRI(node(i+1)))
 	}
+	g := gb.Graph()
 	q, err := Parse("SELECT ?a ?b WHERE { ?a <urn:child>+ ?b }")
 	if err != nil {
 		b.Fatal(err)

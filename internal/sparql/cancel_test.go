@@ -13,13 +13,13 @@ import (
 // small triples, but its transitive closure is quadratic, so an unanchored
 // `+` query does far more than cancelStride iterations of work.
 func chainGraph(n int) *rdf.Graph {
-	g := rdf.NewGraph()
+	b := rdf.NewBuilder()
 	pred := rdf.IRI("http://optimatch/pred/hasChildPop")
 	node := func(i int) rdf.Term { return rdf.IRI(fmt.Sprintf("http://optimatch/qep/pop/%d", i)) }
 	for i := 0; i < n-1; i++ {
-		g.Add(node(i), pred, node(i+1))
+		b.Add(node(i), pred, node(i+1))
 	}
-	return g
+	return b.Graph()
 }
 
 func TestExecPreCancelledContext(t *testing.T) {

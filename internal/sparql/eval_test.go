@@ -16,27 +16,27 @@ import (
 //
 // with reified stream nodes, matching the transformer's encoding.
 func evalTestGraph() *rdf.Graph {
-	g := rdf.NewGraph()
+	b := rdf.NewBuilder()
 	pred := func(n string) rdf.Term { return rdf.IRI("http://optimatch/pred/" + n) }
 	pop := func(n int) rdf.Term { return rdf.IRI(fmt.Sprintf("http://optimatch/qep/pop/%d", n)) }
 	str := func(n int) rdf.Term { return rdf.IRI(fmt.Sprintf("http://optimatch/qep/stream/%d", n)) }
 	base := func(n string) rdf.Term { return rdf.IRI("http://optimatch/qep/obj/" + n) }
 
-	g.Add(pop(2), pred("hasPopType"), rdf.String("NLJOIN"))
-	g.Add(pop(3), pred("hasPopType"), rdf.String("FETCH"))
-	g.Add(pop(4), pred("hasPopType"), rdf.String("IXSCAN"))
-	g.Add(pop(5), pred("hasPopType"), rdf.String("TBSCAN"))
+	b.Add(pop(2), pred("hasPopType"), rdf.String("NLJOIN"))
+	b.Add(pop(3), pred("hasPopType"), rdf.String("FETCH"))
+	b.Add(pop(4), pred("hasPopType"), rdf.String("IXSCAN"))
+	b.Add(pop(5), pred("hasPopType"), rdf.String("TBSCAN"))
 
-	g.Add(pop(2), pred("hasEstimateCardinality"), rdf.TypedLiteral("19.12", rdf.XSDDouble))
-	g.Add(pop(5), pred("hasEstimateCardinality"), rdf.TypedLiteral("4043.0", rdf.XSDDouble))
-	g.Add(pop(5), pred("hasTotalCost"), rdf.TypedLiteral("15771", rdf.XSDDouble))
-	g.Add(pop(4), pred("hasEstimateCardinality"), rdf.TypedLiteral("1.0E+07", rdf.XSDDouble))
+	b.Add(pop(2), pred("hasEstimateCardinality"), rdf.TypedLiteral("19.12", rdf.XSDDouble))
+	b.Add(pop(5), pred("hasEstimateCardinality"), rdf.TypedLiteral("4043.0", rdf.XSDDouble))
+	b.Add(pop(5), pred("hasTotalCost"), rdf.TypedLiteral("15771", rdf.XSDDouble))
+	b.Add(pop(4), pred("hasEstimateCardinality"), rdf.TypedLiteral("1.0E+07", rdf.XSDDouble))
 
 	link := func(parent, streamNode, child rdf.Term, kind string) {
-		g.Add(parent, pred(kind), streamNode)
-		g.Add(streamNode, pred(kind), child)
-		g.Add(child, pred("hasOutputStream"), streamNode)
-		g.Add(streamNode, pred("hasOutputStream"), parent)
+		b.Add(parent, pred(kind), streamNode)
+		b.Add(streamNode, pred(kind), child)
+		b.Add(child, pred("hasOutputStream"), streamNode)
+		b.Add(streamNode, pred("hasOutputStream"), parent)
 	}
 	link(pop(2), str(1), pop(3), "hasOuterInputStream")
 	link(pop(2), str(2), pop(5), "hasInnerInputStream")
@@ -46,14 +46,14 @@ func evalTestGraph() *rdf.Graph {
 
 	// Direct child closure predicates (derived, as the transformer does).
 	child := pred("hasChildPop")
-	g.Add(pop(2), child, pop(3))
-	g.Add(pop(2), child, pop(5))
-	g.Add(pop(3), child, pop(4))
+	b.Add(pop(2), child, pop(3))
+	b.Add(pop(2), child, pop(5))
+	b.Add(pop(3), child, pop(4))
 
-	g.Add(base("SALES_FACT"), pred("isABaseObj"), rdf.Bool(true))
-	g.Add(base("CUST_DIM"), pred("isABaseObj"), rdf.Bool(true))
-	g.Add(base("CUST_DIM"), pred("hasName"), rdf.String("CUST_DIM"))
-	return g
+	b.Add(base("SALES_FACT"), pred("isABaseObj"), rdf.Bool(true))
+	b.Add(base("CUST_DIM"), pred("isABaseObj"), rdf.Bool(true))
+	b.Add(base("CUST_DIM"), pred("hasName"), rdf.String("CUST_DIM"))
+	return b.Graph()
 }
 
 func execQuery(t *testing.T, g *rdf.Graph, query string) *Results {
@@ -353,9 +353,10 @@ func TestExecUnprojectedVariablePredicate(t *testing.T) {
 }
 
 func TestExecSameVarSubjectObject(t *testing.T) {
-	g := rdf.NewGraph()
-	g.Add(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("a"))
-	g.Add(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("b"))
+	gb := rdf.NewBuilder()
+	gb.Add(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("a"))
+	gb.Add(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("b"))
+	g := gb.Graph()
 	res := execQuery(t, g, `SELECT ?x WHERE { ?x <p> ?x }`)
 	if res.Len() != 1 || res.Get(0, "x").Value != "a" {
 		t.Errorf("rows = %v", res.Rows)
@@ -478,11 +479,12 @@ func TestResultsAccessors(t *testing.T) {
 }
 
 func TestExecFilterNotExists(t *testing.T) {
-	g := rdf.NewGraph()
-	g.Add(rdf.IRI("j1"), rdf.IRI("type"), rdf.String("NLJOIN"))
-	g.Add(rdf.IRI("j1"), rdf.IRI("pred"), rdf.String("(A.K = B.K)"))
-	g.Add(rdf.IRI("j2"), rdf.IRI("type"), rdf.String("NLJOIN"))
+	b := rdf.NewBuilder()
+	b.Add(rdf.IRI("j1"), rdf.IRI("type"), rdf.String("NLJOIN"))
+	b.Add(rdf.IRI("j1"), rdf.IRI("pred"), rdf.String("(A.K = B.K)"))
+	b.Add(rdf.IRI("j2"), rdf.IRI("type"), rdf.String("NLJOIN"))
 	// j2 has no predicate: a cartesian join.
+	g := b.Graph()
 	res := execQuery(t, g, `
 SELECT ?j WHERE {
   ?j <type> "NLJOIN" .
@@ -494,10 +496,11 @@ SELECT ?j WHERE {
 }
 
 func TestExecFilterExists(t *testing.T) {
-	g := rdf.NewGraph()
-	g.Add(rdf.IRI("j1"), rdf.IRI("type"), rdf.String("NLJOIN"))
-	g.Add(rdf.IRI("j1"), rdf.IRI("pred"), rdf.String("(A.K = B.K)"))
-	g.Add(rdf.IRI("j2"), rdf.IRI("type"), rdf.String("NLJOIN"))
+	b := rdf.NewBuilder()
+	b.Add(rdf.IRI("j1"), rdf.IRI("type"), rdf.String("NLJOIN"))
+	b.Add(rdf.IRI("j1"), rdf.IRI("pred"), rdf.String("(A.K = B.K)"))
+	b.Add(rdf.IRI("j2"), rdf.IRI("type"), rdf.String("NLJOIN"))
+	g := b.Graph()
 	res := execQuery(t, g, `
 SELECT ?j WHERE {
   ?j <type> "NLJOIN" .
@@ -511,11 +514,12 @@ SELECT ?j WHERE {
 func TestExecExistsCorrelation(t *testing.T) {
 	// EXISTS must be evaluated under the outer bindings (correlated), not
 	// independently.
-	g := rdf.NewGraph()
-	g.Add(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("x"))
-	g.Add(rdf.IRI("b"), rdf.IRI("p"), rdf.IRI("y"))
-	g.Add(rdf.IRI("x"), rdf.IRI("q"), rdf.Int(1))
+	gb := rdf.NewBuilder()
+	gb.Add(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("x"))
+	gb.Add(rdf.IRI("b"), rdf.IRI("p"), rdf.IRI("y"))
+	gb.Add(rdf.IRI("x"), rdf.IRI("q"), rdf.Int(1))
 	// Only 'a' reaches a q-bearing node.
+	g := gb.Graph()
 	res := execQuery(t, g, `
 SELECT ?s WHERE {
   ?s <p> ?o .

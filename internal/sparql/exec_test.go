@@ -27,26 +27,26 @@ import (
 // Types repeat across children, cardinalities tie, and only some children
 // carry a join type (so an OPTIONAL over it leaves cells unbound).
 func anchoredGraph() *rdf.Graph {
-	g := rdf.NewGraph()
+	b := rdf.NewBuilder()
 	pred := func(n string) rdf.Term { return rdf.IRI(predIRI + n) }
 	node := func(n string) rdf.Term { return rdf.IRI("http://optimatch/qep/pop/" + n) }
 	types := []string{"B", "A", "B", "C", "A", "B"}
 	cards := []string{"7", "3", "7", "1", "3", "9"}
 	for i := range types {
 		c := node(fmt.Sprintf("c%d", i))
-		g.Add(node("root"), pred("hasChildPop"), c)
-		g.Add(c, pred("hasPopType"), rdf.String(types[i]))
-		g.Add(c, pred("hasEstimateCardinality"), rdf.TypedLiteral(cards[i], rdf.XSDDouble))
+		b.Add(node("root"), pred("hasChildPop"), c)
+		b.Add(c, pred("hasPopType"), rdf.String(types[i]))
+		b.Add(c, pred("hasEstimateCardinality"), rdf.TypedLiteral(cards[i], rdf.XSDDouble))
 		if i%2 == 1 {
-			g.Add(c, pred("hasJoinType"), rdf.String([]string{"INNER", "LEFT_OUTER"}[i/2%2]))
+			b.Add(c, pred("hasJoinType"), rdf.String([]string{"INNER", "LEFT_OUTER"}[i/2%2]))
 		}
 	}
 	for i, parent := range []string{"c0", "c0", "c3"} {
 		gc := node(fmt.Sprintf("g%d", i))
-		g.Add(node(parent), pred("hasChildPop"), gc)
-		g.Add(gc, pred("hasPopType"), rdf.String("A"))
+		b.Add(node(parent), pred("hasChildPop"), gc)
+		b.Add(gc, pred("hasPopType"), rdf.String("A"))
 	}
-	return g
+	return b.Graph()
 }
 
 const anchoredRoot = "<http://optimatch/qep/pop/root>"
@@ -155,26 +155,26 @@ func TestAnchoredSequenceEqualsReference(t *testing.T) {
 // entry looks for: joins whose outer and inner subtrees each hold left outer
 // joins some levels down.
 func lojGraph() *rdf.Graph {
-	g := rdf.NewGraph()
+	b := rdf.NewBuilder()
 	pred := func(n string) rdf.Term { return rdf.IRI(predIRI + n) }
 	pop := func(i int) rdf.Term { return rdf.IRI(fmt.Sprintf("http://optimatch/qep/pop/%d", i)) }
 	// A complete binary tree of 31 joins, children 2i+1 (outer) and 2i+2
 	// (inner); every third one is a left outer join.
 	for i := 0; i < 31; i++ {
-		g.Add(pop(i), pred("hasPopClass"), rdf.String("JOIN"))
+		b.Add(pop(i), pred("hasPopClass"), rdf.String("JOIN"))
 		jt := "INNER"
 		if i%3 == 1 {
 			jt = "LEFT_OUTER"
 		}
-		g.Add(pop(i), pred("hasJoinType"), rdf.String(jt))
+		b.Add(pop(i), pred("hasJoinType"), rdf.String(jt))
 		if l, r := 2*i+1, 2*i+2; r < 31 {
-			g.Add(pop(i), pred("hasOuterChildPop"), pop(l))
-			g.Add(pop(i), pred("hasInnerChildPop"), pop(r))
-			g.Add(pop(i), pred("hasChildPop"), pop(l))
-			g.Add(pop(i), pred("hasChildPop"), pop(r))
+			b.Add(pop(i), pred("hasOuterChildPop"), pop(l))
+			b.Add(pop(i), pred("hasInnerChildPop"), pop(r))
+			b.Add(pop(i), pred("hasChildPop"), pop(l))
+			b.Add(pop(i), pred("hasChildPop"), pop(r))
 		}
 	}
-	return g
+	return b.Graph()
 }
 
 // A block with two closure steps holds the first step's pair buffer while the
@@ -369,14 +369,14 @@ func TestWideQueryBeyondTheBitmasks(t *testing.T) {
 // for a map-ordered index to show a second sequence within a few calls.
 func TestRowSequenceIsAFunctionOfTheAddSequence(t *testing.T) {
 	build := func() *rdf.Graph {
-		g := rdf.NewGraph()
+		b := rdf.NewBuilder()
 		for i := 0; i < 4; i++ {
 			s := rdf.IRI(fmt.Sprintf("urn:s%d", 3-i))
-			g.Add(s, rdf.IRI("urn:p"), rdf.IRI(fmt.Sprintf("urn:o%d", i%2)))
-			g.Add(s, rdf.IRI("urn:q"), rdf.Int(int64(i)))
-			g.Add(rdf.IRI(fmt.Sprintf("urn:o%d", i%2)), rdf.IRI("urn:p"), s)
+			b.Add(s, rdf.IRI("urn:p"), rdf.IRI(fmt.Sprintf("urn:o%d", i%2)))
+			b.Add(s, rdf.IRI("urn:q"), rdf.Int(int64(i)))
+			b.Add(rdf.IRI(fmt.Sprintf("urn:o%d", i%2)), rdf.IRI("urn:p"), s)
 		}
-		return g
+		return b.Graph()
 	}
 	for _, text := range []string{
 		"SELECT ?s ?o WHERE { ?s <urn:p> ?o }",

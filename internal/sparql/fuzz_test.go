@@ -18,14 +18,14 @@ var fuzzPreds = []string{"urn:p", "urn:q", "urn:r"}
 // fuzzDecodeGraph reads 2-byte edges (s, o packed in byte 0, predicate in
 // byte 1) into a graph over nodes urn:n0..urn:n7.
 func fuzzDecodeGraph(edges []byte) *rdf.Graph {
-	g := rdf.NewGraph()
+	b := rdf.NewBuilder()
 	for i := 0; i+1 < len(edges) && i < 64; i += 2 {
 		s := rdf.IRI(fmt.Sprintf("urn:n%d", edges[i]%8))
 		o := rdf.IRI(fmt.Sprintf("urn:n%d", (edges[i]>>3)%8))
 		p := rdf.IRI(fuzzPreds[int(edges[i+1])%len(fuzzPreds)])
-		g.Add(s, p, o)
+		b.Add(s, p, o)
 	}
-	return g
+	return b.Graph()
 }
 
 // fuzzDecodePath reads a path AST over preds from buf, one operator byte per
@@ -155,22 +155,22 @@ func fuzzPop(i int) string { return fmt.Sprintf("http://optimatch/qep/pop/%d", i
 // in byte 0, predicate selector in byte 1. A cardinality cell is the object
 // index's entry of cards.
 func fuzzDecodePlanGraph(triples []byte, cards []string) *rdf.Graph {
-	g := rdf.NewGraph()
+	b := rdf.NewBuilder()
 	for i := 0; i+1 < len(triples) && i < 80; i += 2 {
 		s, o := int(triples[i]%8), int(triples[i]>>3%8)
 		subj := rdf.IRI(fuzzPop(s))
 		switch k := int(triples[i+1]) % 6; k {
 		case 0, 1, 2:
-			g.Add(subj, rdf.IRI(fuzzNodePreds[k]), rdf.IRI(fuzzPop(o)))
+			b.Add(subj, rdf.IRI(fuzzNodePreds[k]), rdf.IRI(fuzzPop(o)))
 		case 3:
-			g.Add(subj, rdf.IRI(predIRI+"hasPopType"), rdf.String(fuzzPopTypes[o%len(fuzzPopTypes)]))
+			b.Add(subj, rdf.IRI(predIRI+"hasPopType"), rdf.String(fuzzPopTypes[o%len(fuzzPopTypes)]))
 		case 4:
-			g.Add(subj, rdf.IRI(predIRI+"hasEstimateCardinality"), rdf.TypedLiteral(cards[o%len(cards)], rdf.XSDDouble))
+			b.Add(subj, rdf.IRI(predIRI+"hasEstimateCardinality"), rdf.TypedLiteral(cards[o%len(cards)], rdf.XSDDouble))
 		default:
-			g.Add(subj, rdf.IRI(predIRI+"hasJoinType"), rdf.String(fuzzJoinTypes[o%len(fuzzJoinTypes)]))
+			b.Add(subj, rdf.IRI(predIRI+"hasJoinType"), rdf.String(fuzzJoinTypes[o%len(fuzzJoinTypes)]))
 		}
 	}
-	return g
+	return b.Graph()
 }
 
 // fuzzPlanTriples is the fuzzDecodePlanGraph input of a graph in the shape

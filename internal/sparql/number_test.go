@@ -14,18 +14,18 @@ import (
 // graph's ID, so that a join on the computed variable, DISTINCT and GROUP BY
 // agree with the bottom-up oracle, which compares terms.
 func TestComputedNumberHasTheGraphsID(t *testing.T) {
-	g := rdf.NewGraph()
-	pred := func(n string) rdf.ID { return g.Intern(rdf.IRI("http://optimatch/pred/" + n)) }
-	pop := func(n string) rdf.ID { return g.Intern(rdf.IRI("http://optimatch/qep/pop/" + n)) }
+	gb := rdf.NewBuilder()
+	pred := func(n string) rdf.ID { return gb.Intern(rdf.IRI("http://optimatch/pred/" + n)) }
+	pop := func(n string) rdf.ID { return gb.Intern(rdf.IRI("http://optimatch/qep/pop/" + n)) }
 	card, cost := pred("hasEstimateCardinality"), pred("hasTotalCost")
 	tenth := 0.1 // a variable: the constant 0.1*3 is exactly 0.3
-	g.AddIDs(pop("1"), card, g.InternFloat(4043))
-	g.AddIDs(pop("2"), card, g.InternFloat(tenth))
-	g.AddIDs(pop("3"), card, g.InternFloat(math.Copysign(0, -1)))
-	g.AddIDs(pop("4"), cost, g.InternFloat(12129))
-	g.AddIDs(pop("5"), cost, g.InternFloat(0.30000000000000004))
-	g.AddIDs(pop("6"), cost, g.InternFloat(0))
-	g.Freeze()
+	gb.AddIDs(pop("1"), card, gb.InternFloat(4043))
+	gb.AddIDs(pop("2"), card, gb.InternFloat(tenth))
+	gb.AddIDs(pop("3"), card, gb.InternFloat(math.Copysign(0, -1)))
+	gb.AddIDs(pop("4"), cost, gb.InternFloat(12129))
+	gb.AddIDs(pop("5"), cost, gb.InternFloat(0.30000000000000004))
+	gb.AddIDs(pop("6"), cost, gb.InternFloat(0))
+	g := gb.Graph()
 
 	ec := &evalCtx{g: g}
 	for _, c := range []struct {

@@ -162,7 +162,7 @@ func filterRef(ref map[[2]rdf.ID]bool, s, o rdf.ID) [][2]rdf.ID {
 // randomPathGraph builds a small random graph over a few predicates.
 func randomPathGraph(seed int64) *rdf.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := rdf.NewGraph()
+	b := rdf.NewBuilder()
 	nodes := make([]rdf.Term, 6)
 	for i := range nodes {
 		nodes[i] = rdf.IRI(fmt.Sprintf("urn:n%d", i))
@@ -170,9 +170,9 @@ func randomPathGraph(seed int64) *rdf.Graph {
 	preds := []rdf.Term{rdf.IRI("urn:p"), rdf.IRI("urn:q"), rdf.IRI("urn:r")}
 	n := 4 + rng.Intn(14)
 	for i := 0; i < n; i++ {
-		g.Add(nodes[rng.Intn(len(nodes))], preds[rng.Intn(len(preds))], nodes[rng.Intn(len(nodes))])
+		b.Add(nodes[rng.Intn(len(nodes))], preds[rng.Intn(len(preds))], nodes[rng.Intn(len(nodes))])
 	}
-	return g
+	return b.Graph()
 }
 
 // randomPath builds a random path AST of bounded depth.

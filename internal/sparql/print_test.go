@@ -20,8 +20,9 @@ const xsd = "http://www.w3.org/2001/XMLSchema#"
 // its lexical form is one number token of its own datatype. The first row
 // once printed as 5 — stable under a second print, yet another query.
 func TestPrintLiterals(t *testing.T) {
-	g := rdf.NewGraph()
-	g.Add(rdf.IRI("urn:s"), rdf.IRI("urn:p"), rdf.Int(5))
+	gb := rdf.NewBuilder()
+	gb.Add(rdf.IRI("urn:s"), rdf.IRI("urn:p"), rdf.Int(5))
+	g := gb.Graph()
 	for _, c := range []struct{ lit, want string }{
 		{`"5"^^xsd:double`, `"5"^^<` + xsd + `double>`},
 		{`"1e3"^^xsd:integer`, `"1e3"^^<` + xsd + `integer>`},

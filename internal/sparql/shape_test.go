@@ -94,12 +94,13 @@ func TestShapeContains(t *testing.T) {
 // "150"). Numeric order alone calls the looser-looking 150 a container of
 // 1000, and a scan that trusted it would skip a query that has a row.
 func TestContainmentNeedsLexicalOrder(t *testing.T) {
-	g := rdf.NewGraph()
-	g.Add(rdf.IRI("urn:op"), rdf.IRI(predIRI+"hasEstimateCardinality"), rdf.String("1200z"))
+	b := rdf.NewBuilder()
+	b.Add(rdf.IRI("urn:op"), rdf.IRI(predIRI+"hasEstimateCardinality"), rdf.String("1200z"))
 	query := func(c string) *Query {
 		return mustParse(t, predPrefix+`SELECT ?a WHERE { ?a pred:hasEstimateCardinality ?c . FILTER(?c > `+c+`) }`)
 	}
 	x, y := query("150"), query("1000")
+	g := b.Graph()
 	rx, err := x.Exec(g)
 	if err != nil {
 		t.Fatal(err)

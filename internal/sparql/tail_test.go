@@ -18,11 +18,11 @@ import (
 // typedGraph holds six operators a1, b1..b3, c1, c2 whose hasPopType is the
 // letter of their name: three groups of sizes 1, 3 and 2.
 func typedGraph() *rdf.Graph {
-	g := rdf.NewGraph()
+	b := rdf.NewBuilder()
 	for _, n := range []string{"a1", "b1", "b2", "b3", "c1", "c2"} {
-		g.Add(rdf.IRI("urn:"+n), rdf.IRI(predIRI+"hasPopType"), rdf.String(strings.ToUpper(n[:1])))
+		b.Add(rdf.IRI("urn:"+n), rdf.IRI(predIRI+"hasPopType"), rdf.String(strings.ToUpper(n[:1])))
 	}
-	return g
+	return b.Graph()
 }
 
 // cellValues renders a result as one space-separated string of cell values
@@ -143,9 +143,10 @@ func TestTailEdges(t *testing.T) {
 // term for term — terms the graph does not hold (computed values) and unbound
 // cells included — and keying a row costs at most the key string.
 func TestTailDistinctKeys(t *testing.T) {
-	g := rdf.NewGraph()
-	g.Add(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("b"))
-	g.Add(rdf.IRI("c"), rdf.IRI("p"), rdf.String("lit"))
+	gb := rdf.NewBuilder()
+	gb.Add(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("b"))
+	gb.Add(rdf.IRI("c"), rdf.IRI("p"), rdf.String("lit"))
+	g := gb.Graph()
 	ec := acquireEvalCtx(g, mustParse(t, `SELECT ?x ?y WHERE { ?x <p> ?y }`).Analysis().prog, ExecOptions{})
 	defer ec.release()
 
@@ -192,11 +193,11 @@ func TestTailDistinctKeys(t *testing.T) {
 
 // manyGroupsGraph gives n operators each a type of its own.
 func manyGroupsGraph(n int) *rdf.Graph {
-	g := rdf.NewGraph()
+	b := rdf.NewBuilder()
 	for i := 0; i < n; i++ {
-		g.Add(rdf.IRI(fmt.Sprintf("urn:pop%d", i)), rdf.IRI(predIRI+"hasPopType"), rdf.String(fmt.Sprintf("T%05d", i*7919%n)))
+		b.Add(rdf.IRI(fmt.Sprintf("urn:pop%d", i)), rdf.IRI(predIRI+"hasPopType"), rdf.String(fmt.Sprintf("T%05d", i*7919%n)))
 	}
-	return g
+	return b.Graph()
 }
 
 // The WHERE clause of these queries polls the canceller once (one step, one

@@ -17,12 +17,11 @@ import (
 // time it is used. It is the oracle TestTransformSameGraph holds Transform to.
 func transformReference(p *qep.Plan) *Result {
 	r := &Result{
-		Plan:  p,
-		Graph: rdf.NewGraph(),
-		ops:   make(map[string]*qep.Operator, len(p.Operators)),
-		objs:  make(map[string]*qep.BaseObject, len(p.Objects)),
+		Plan: p,
+		ops:  make(map[string]*qep.Operator, len(p.Operators)),
+		objs: make(map[string]*qep.BaseObject, len(p.Objects)),
 	}
-	g := r.Graph
+	g := rdf.NewBuilder()
 
 	// Plan-level resource.
 	plan := r.PlanIRI()
@@ -112,7 +111,7 @@ func transformReference(p *qep.Plan) *Result {
 			}
 		}
 	}
-	g.Freeze()
+	r.Graph = g.Graph()
 	return r
 }
 

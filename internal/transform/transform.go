@@ -130,8 +130,7 @@ func (r *Result) Describe(t rdf.Term) string {
 	return t.Value
 }
 
-// Transform converts a plan into its RDF graph representation. The returned
-// graph is frozen.
+// Transform converts a plan into its RDF graph representation.
 //
 // A plan resource or a predicate is in many triples and a literal mostly in
 // one, so the graph is built from IDs: every resource and predicate is
@@ -151,7 +150,6 @@ func Transform(p *qep.Plan) *Result {
 	}
 	b := newBuilder(r, ops)
 	g, add := b.g, b.g.AddIDs
-	r.Graph = g
 	str := func(s string) rdf.ID { return g.Intern(rdf.String(s)) }
 	iriOf := func(id rdf.ID) string { return g.Dict().Term(id).Value }
 
@@ -250,10 +248,9 @@ func Transform(p *qep.Plan) *Result {
 			}
 		}
 	}
-	// A plan's graph is complete here and never changes again: build its
-	// index now, on the transforming goroutine, so neither the engine's
-	// table lock nor the first query pays for it.
-	g.Freeze()
+	// The graph's index is built here, on the transforming goroutine, so
+	// neither the engine's table lock nor the first query pays for it.
+	r.Graph = g.Graph()
 	return r
 }
 
@@ -332,7 +329,7 @@ var predIRI = [numPreds]string{
 // by the plan entity they stand for.
 type builder struct {
 	r     *Result
-	g     *rdf.Graph
+	g     *rdf.Builder
 	preds [numPreds]rdf.ID
 	args  map[string]rdf.ID
 	pops  map[*qep.Operator]rdf.ID
@@ -376,7 +373,7 @@ func newBuilder(r *Result, ops []*qep.Operator) *builder {
 	terms := 1 + len(ops) + len(p.Objects) + streams + int(numPreds) + strs/5
 	return &builder{
 		r:    r,
-		g:    rdf.NewGraphSize(terms, nums, triples),
+		g:    rdf.NewBuilderSize(terms, nums, triples),
 		args: make(map[string]rdf.ID),
 		pops: make(map[*qep.Operator]rdf.ID, len(ops)),
 		objs: make(map[*qep.BaseObject]rdf.ID, len(p.Objects)),

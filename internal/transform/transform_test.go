@@ -272,7 +272,8 @@ func TestTransformAll(t *testing.T) {
 
 // A plan's graph iterates as a function of its Add sequence, so Transform
 // must produce one sequence per plan — in particular not the map order of an
-// operator's arguments — and must hand the graph over frozen.
+// operator's arguments. (That the graph is frozen is its type: an rdf.Graph
+// has no method that writes.)
 func TestTransformIsDeterministicAndFrozen(t *testing.T) {
 	p := figure1Plan(t)
 	p.Operators[2].Args = map[string]string{"FETCHMAX": "IGNORE", "EARLYOUT": "NONE", "JN INPUT": "OUTER", "BITFLTR": "FALSE", "INNERCOL": "1", "OUTERCOL": "2"}
@@ -288,10 +289,4 @@ func TestTransformIsDeterministicAndFrozen(t *testing.T) {
 			}
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Add on a transformed graph did not panic: Transform must freeze it")
-		}
-	}()
-	Transform(p).Graph.Add(rdf.IRI("urn:s"), rdf.IRI("urn:p"), rdf.IRI("urn:o"))
 }

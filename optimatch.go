@@ -208,14 +208,11 @@ func CorrelateMatches(res *ClusterResult, patternName string, matches []Match, t
 // their artifacts and reuse the same pattern matching (see
 // examples/logdiag).
 
-// Graph is an in-memory RDF graph: a dictionary-encoded, write-once triple
-// store. Build it with Add, then query it: the first query, or an earlier
-// Freeze, builds the index (three sorted SPO/POS/OSP permutations of the
-// triples) and freezes the graph, after which Add panics and the graph is
-// immutable for good. Results without ORDER BY come back in an order fixed by
-// the sequence of Adds — the same on every execution and for every graph
-// built the same way. A frozen graph is safe for concurrent queries; Add must
-// not run concurrently with anything else.
+// Graph is an in-memory RDF graph: a dictionary-encoded, read-only triple
+// store with one index (three sorted SPO/POS/OSP permutations of the
+// triples), built by a GraphBuilder. Results without ORDER BY come back in an
+// order fixed by the sequence of Adds — the same on every execution and for
+// every graph built the same way. A graph is safe for concurrent queries.
 type Graph = rdf.Graph
 
 // Term is an RDF term (IRI, blank node or literal).
@@ -227,9 +224,13 @@ type Triple = rdf.Triple
 // QueryResults is a SPARQL solution table.
 type QueryResults = sparql.Results
 
-// NewGraph returns an empty, unfrozen RDF graph (see Graph for the
-// Add / query / Freeze lifecycle).
-func NewGraph() *Graph { return rdf.NewGraph() }
+// GraphBuilder writes one Graph: Add its triples, then take the graph from
+// its Graph method, after which the builder is spent and panics on any call.
+// A builder must not be used concurrently.
+type GraphBuilder = rdf.Builder
+
+// NewGraphBuilder returns a builder of an empty RDF graph.
+func NewGraphBuilder() *GraphBuilder { return rdf.NewBuilder() }
 
 // IRI, Blank, Lit and Num construct RDF terms for custom diagnostic graphs.
 func IRI(iri string) Term     { return rdf.IRI(iri) }

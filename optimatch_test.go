@@ -118,12 +118,13 @@ func TestPublicAPIClustering(t *testing.T) {
 }
 
 func TestPublicAPIGenericGraph(t *testing.T) {
-	g := NewGraph()
-	g.Add(IRI("urn:e1"), IRI("urn:kind"), Lit("REQUEST"))
-	g.Add(IRI("urn:e1"), IRI("urn:caused"), IRI("urn:e2"))
-	g.Add(IRI("urn:e2"), IRI("urn:kind"), Lit("TIMEOUT"))
-	g.Add(IRI("urn:e2"), IRI("urn:latency"), Num(5000))
-	g.Add(IRI("urn:e2"), IRI("urn:flag"), BoolTerm(true))
+	b := NewGraphBuilder()
+	b.Add(IRI("urn:e1"), IRI("urn:kind"), Lit("REQUEST"))
+	b.Add(IRI("urn:e1"), IRI("urn:caused"), IRI("urn:e2"))
+	b.Add(IRI("urn:e2"), IRI("urn:kind"), Lit("TIMEOUT"))
+	b.Add(IRI("urn:e2"), IRI("urn:latency"), Num(5000))
+	b.Add(IRI("urn:e2"), IRI("urn:flag"), BoolTerm(true))
+	g := b.Graph()
 	_ = Blank("b")
 
 	res, err := Query(g, `SELECT ?r WHERE { ?r <urn:kind> "REQUEST" . ?r <urn:caused>+ ?t . ?t <urn:kind> "TIMEOUT" }`)
