@@ -50,8 +50,8 @@
 // answer 503 + Retry-After while reads, scans and cached responses keep
 // serving — and GET /readyz reports ok|degraded|closed for probes. Every
 // fault and degraded/recovered transition is logged; POST
-// /api/admin/reopen re-verifies the journal tail and resumes writes once
-// the disk is fixed. With -fail-on-degraded the daemon exits with code 3
+// /api/admin/reopen compacts from memory (the one compaction allowed while
+// degraded) and resumes writes once the disk is fixed. With -fail-on-degraded the daemon exits with code 3
 // when it shuts down while still degraded, so supervisors distinguish a
 // clean stop from one that left the store read-only.
 //

@@ -18,16 +18,9 @@ import (
 	"optimatch/internal/transform"
 )
 
-// Field accessors usable as @ALIAS.FIELD in recommendation templates.
-const (
-	FieldName     = "NAME"
-	FieldType     = "TYPE"
-	FieldID       = "ID"
-	FieldCard     = "CARD"
-	FieldCost     = "COST"
-	FieldIOCost   = "IOCOST"
-	FieldSelfCost = "SELFCOST"
-)
+// A render writes one template tag for the resource bound to column c of a
+// match: its display name, one of its fields or a helper's columns.
+type render func(m transform.Match, c int) string
 
 // notApplicable is what @ALIAS.FIELD renders when the bound resource has no
 // such field (a cost on a base object). An ANY handler can bind an operator or
@@ -35,125 +28,95 @@ const (
 // way an empty helper renders "(none)", instead of failing the whole report.
 const notApplicable = "(n/a)"
 
-// field evaluates @ALIAS.FIELD, the alias resolved to column c.
-func field(m transform.Match, c int, name string) string {
-	op, obj := m.Operator(c), m.Object(c)
-	switch strings.ToUpper(name) {
-	case FieldName:
-		if obj != nil {
-			return obj.Name
-		}
-		if op != nil {
-			return op.DisplayName()
-		}
-	case FieldType:
-		if obj != nil {
-			return obj.Type
-		}
-		if op != nil {
-			return op.Type
-		}
-	case FieldID:
-		if op != nil {
-			return strconv.Itoa(op.ID)
-		}
-		if obj != nil {
-			return obj.Name
-		}
-	case FieldCard:
-		if op != nil {
-			return qep.FormatNumShort(op.Cardinality)
-		}
-		if obj != nil {
-			return qep.FormatNumShort(obj.Cardinality)
-		}
-	case FieldCost:
-		if op != nil {
-			return qep.FormatNumShort(op.TotalCost)
-		}
-	case FieldIOCost:
-		if op != nil {
-			return qep.FormatNumShort(op.IOCost)
-		}
-	case FieldSelfCost:
-		if op != nil {
-			return qep.FormatNumShort(op.SelfCost())
-		}
-	}
-	return notApplicable
+// fields are the accessors usable as @ALIAS.FIELD in recommendation
+// templates, by name in upper case: a template may spell one in any case.
+var fields = map[string]render{
+	"NAME": field((*qep.Operator).DisplayName, func(o *qep.BaseObject) string { return o.Name }),
+	"TYPE": field(func(op *qep.Operator) string { return op.Type }, func(o *qep.BaseObject) string { return o.Type }),
+	"ID":   field(func(op *qep.Operator) string { return strconv.Itoa(op.ID) }, func(o *qep.BaseObject) string { return o.Name }),
+	"CARD": field(func(op *qep.Operator) string { return qep.FormatNumShort(op.Cardinality) },
+		func(o *qep.BaseObject) string { return qep.FormatNumShort(o.Cardinality) }),
+	"COST":     field(func(op *qep.Operator) string { return qep.FormatNumShort(op.TotalCost) }, nil),
+	"IOCOST":   field(func(op *qep.Operator) string { return qep.FormatNumShort(op.IOCost) }, nil),
+	"SELFCOST": field(func(op *qep.Operator) string { return qep.FormatNumShort(op.SelfCost()) }, nil),
 }
 
-// Helper functions usable as @ALIAS(FN) in recommendation templates.
-const (
-	FnInput     = "INPUT"     // columns flowing from the handler into its consumer
-	FnPredicate = "PREDICATE" // columns referenced by the handler's predicates
-	FnColumns   = "COLUMNS"   // the handler's own column list
-)
-
-// helper evaluates @ALIAS(FN), the alias resolved to column c.
-func helper(m transform.Match, c int, fn string) string {
-	plan, op, obj := m.Plan(), m.Operator(c), m.Object(c)
-	var cols []string
-	switch strings.ToUpper(fn) {
-	case FnInput:
-		switch {
-		case obj != nil:
-			cols = objectStreamColumns(plan, obj)
-			if len(cols) == 0 {
-				cols = obj.Columns
-			}
-		case op != nil:
-			for _, in := range op.Inputs {
-				cols = append(cols, in.Columns...)
-			}
+// field renders a field read from an operator or from a base object,
+// whichever the column binds; a nil reader is a field that kind of resource
+// does not have.
+func field(ofOp func(*qep.Operator) string, ofObj func(*qep.BaseObject) string) render {
+	return func(m transform.Match, c int) string {
+		if op := m.Operator(c); op != nil && ofOp != nil {
+			return ofOp(op)
 		}
-	case FnPredicate:
-		switch {
-		case op != nil:
-			cols = predicateColumns(op.Predicates)
-		case obj != nil:
-			if consumer := objectConsumer(plan, obj); consumer != nil {
-				cols = predicateColumns(consumer.Predicates)
-			}
+		if obj := m.Object(c); obj != nil && ofObj != nil {
+			return ofObj(obj)
 		}
-	case FnColumns:
-		switch {
-		case obj != nil:
-			cols = obj.Columns
-		case op != nil:
-			cols = operatorOutputColumns(op)
-		}
+		return notApplicable
 	}
-	cols = dedupeColumns(cols)
-	if len(cols) == 0 {
-		return "(none)"
-	}
-	return strings.Join(cols, ", ")
 }
 
-// objectConsumer finds the operator reading the base object.
-func objectConsumer(plan *qep.Plan, obj *qep.BaseObject) *qep.Operator {
-	for _, op := range plan.Ops() {
-		for _, in := range op.Inputs {
-			if in.Obj == obj {
-				return op
-			}
-		}
-	}
-	return nil
-}
-
-// objectStreamColumns returns the columns carried by the stream from obj to
-// its consumer.
-func objectStreamColumns(plan *qep.Plan, obj *qep.BaseObject) []string {
-	for _, op := range plan.Ops() {
-		for _, in := range op.Inputs {
-			if in.Obj == obj {
+// helpers are the functions usable as @ALIAS(FN) in recommendation
+// templates, by name in upper case.
+var helpers = map[string]render{
+	// The columns flowing from the handler into its consumer.
+	"INPUT": columnList(func(plan *qep.Plan, op *qep.Operator, obj *qep.BaseObject) (cols []string) {
+		if obj != nil {
+			if _, in := objectInput(plan, obj); in != nil && len(in.Columns) > 0 {
 				return in.Columns
 			}
+			return obj.Columns
+		}
+		for _, in := range op.Inputs {
+			cols = append(cols, in.Columns...)
+		}
+		return cols
+	}),
+	// The columns referenced by the handler's predicates: a base object's are
+	// its consumer's.
+	"PREDICATE": columnList(func(plan *qep.Plan, op *qep.Operator, obj *qep.BaseObject) []string {
+		if obj != nil {
+			if op, _ = objectInput(plan, obj); op == nil {
+				return nil
+			}
+		}
+		return predicateColumns(op.Predicates)
+	}),
+	// The handler's own column list.
+	"COLUMNS": columnList(func(_ *qep.Plan, op *qep.Operator, obj *qep.BaseObject) []string {
+		if obj != nil {
+			return obj.Columns
+		}
+		return operatorOutputColumns(op)
+	}),
+}
+
+// columnList renders a helper's columns for an operator or a base object,
+// whichever the column binds, comma-joined without duplicates, or "(none)".
+func columnList(cols func(plan *qep.Plan, op *qep.Operator, obj *qep.BaseObject) []string) render {
+	return func(m transform.Match, c int) string {
+		var list []string
+		if op, obj := m.Operator(c), m.Object(c); op != nil || obj != nil {
+			list = dedupeColumns(cols(m.Plan(), op, obj))
+		}
+		if len(list) == 0 {
+			return "(none)"
+		}
+		return strings.Join(list, ", ")
+	}
+}
+
+// objectInput finds the operator reading the base object and the input it
+// reads it through, or nil, nil.
+func objectInput(plan *qep.Plan, obj *qep.BaseObject) (*qep.Operator, *qep.Input) {
+	for _, op := range plan.Ops() {
+		for i := range op.Inputs {
+			if op.Inputs[i].Obj == obj {
+				return op, &op.Inputs[i]
+			}
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 // operatorOutputColumns returns the columns the operator sends to its parent.

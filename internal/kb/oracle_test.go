@@ -83,9 +83,9 @@ func oracleExpand(nodes []templateNode, o Occurrence) (string, error) {
 			}
 			switch m := single(o, t); {
 			case n.field != "":
-				b.WriteString(field(m, 0, n.field))
+				b.WriteString(fields[strings.ToUpper(n.field)](m, 0))
 			case n.fn != "":
-				b.WriteString(helper(m, 0, n.fn))
+				b.WriteString(helpers[strings.ToUpper(n.fn)](m, 0))
 			default:
 				b.WriteString(m.Display(0))
 			}

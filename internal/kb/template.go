@@ -29,6 +29,7 @@ type templateNode struct {
 	cols    []int    // the aliases' columns, resolved by validateTemplate
 	field   string   // .FIELD accessor, if any
 	fn      string   // (FN) helper, if any
+	render  render   // what the tag writes per column, resolved by validateTemplate
 }
 
 // parseTemplate splits a template into literal and tag nodes.
@@ -115,17 +116,10 @@ func isAliasChar(c byte) bool {
 	return c >= 'A' && c <= 'Z' || c >= 'a' && c <= 'z' || c >= '0' && c <= '9' || c == '_'
 }
 
-// knownFields and knownFns gate template validation.
-var knownFields = map[string]bool{
-	FieldName: true, FieldType: true, FieldID: true, FieldCard: true,
-	FieldCost: true, FieldIOCost: true, FieldSelfCost: true,
-}
-
-var knownFns = map[string]bool{FnInput: true, FnPredicate: true, FnColumns: true}
-
 // validateTemplate parses a template and resolves every tag's aliases to their
-// columns. It returns the parsed nodes, which the entry keeps so that
-// expanding the template never parses or looks an alias up again.
+// columns and its field or helper to its render. It returns the parsed nodes,
+// which the entry keeps so that expanding the template never parses or looks a
+// name up again.
 func validateTemplate(tmpl string, cols *transform.Columns) ([]templateNode, error) {
 	nodes, err := parseTemplate(tmpl)
 	if err != nil {
@@ -142,11 +136,18 @@ func validateTemplate(tmpl string, cols *transform.Columns) ([]templateNode, err
 			}
 			nodes[i].cols = append(nodes[i].cols, c)
 		}
-		if n.field != "" && !knownFields[strings.ToUpper(n.field)] {
-			return nil, fmt.Errorf("kb: template uses unknown field .%s", n.field)
-		}
-		if n.fn != "" && !knownFns[strings.ToUpper(n.fn)] {
-			return nil, fmt.Errorf("kb: template uses unknown helper (%s)", n.fn)
+		var ok bool
+		switch {
+		case n.field != "":
+			if nodes[i].render, ok = fields[strings.ToUpper(n.field)]; !ok {
+				return nil, fmt.Errorf("kb: template uses unknown field .%s", n.field)
+			}
+		case n.fn != "":
+			if nodes[i].render, ok = helpers[strings.ToUpper(n.fn)]; !ok {
+				return nil, fmt.Errorf("kb: template uses unknown helper (%s)", n.fn)
+			}
+		default:
+			nodes[i].render = transform.Match.Display
 		}
 	}
 	return nodes, nil
@@ -165,14 +166,7 @@ func expand(nodes []templateNode, m transform.Match) string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			switch {
-			case n.field != "":
-				b.WriteString(field(m, c, n.field))
-			case n.fn != "":
-				b.WriteString(helper(m, c, n.fn))
-			default:
-				b.WriteString(m.Display(c))
-			}
+			b.WriteString(n.render(m, c))
 		}
 	}
 	return b.String()

@@ -7,7 +7,8 @@
 // instead of once per plan. The response reports a per-record outcome; the
 // overall status is 201 when every record loaded, 207 on mixed outcomes,
 // 422 when every record was rejected, 400 for malformed framing (empty batch,
-// too many records) and 413 for a body over the batch byte bound.
+// too many records) and 413 for a body over the batch byte bound or a batch
+// record over the journal's.
 package server
 
 import (
@@ -22,9 +23,11 @@ import (
 )
 
 // Default batch-ingest limits (override with WithBatchLimits / the daemon's
-// -batch-max-records and -batch-max-bytes flags). The byte limit stays well
-// under the store's 32 MiB WAL-record cap so an accepted batch always fits
-// one journal record even after JSON escaping of the plan texts.
+// -batch-max-records and -batch-max-bytes flags). The byte limit is well
+// under the store's 32 MiB WAL-record cap, but JSON escaping spells '<', '>'
+// and '&' in six bytes each, so a batch under it can still encode past the
+// cap: the store refuses that record (store.ErrRecordTooLarge) and the batch
+// answers 413 like any other body too large.
 const (
 	defaultBatchMaxRecords = 1024
 	defaultBatchMaxBytes   = 8 << 20

@@ -333,3 +333,44 @@ func TestBatchHammerRace(t *testing.T) {
 		t.Fatalf("final scan reported %d plans, want %d", len(reports), batches*4)
 	}
 }
+
+// TestOversizedJournalRecordIs413: JSON escaping spells each '<', '>' and '&'
+// in six bytes, so an upload inside every body bound can encode to a journal
+// record past the store's 32 MiB limit. That request is too large for the
+// store, not a fault of the disk or the plan: both upload routes answer 413,
+// nothing is journaled or loaded, and the store stays healthy.
+func TestOversizedJournalRecordIs413(t *testing.T) {
+	_, st, ts, _ := degradedTestServer(t)
+	p := fixtures.Figure1()
+	p.Statement = strings.Repeat("<", 7<<20)
+	text := qep.Text(p)
+	var line strings.Builder // the batch line, '<' sent as is
+	enc := json.NewEncoder(&line)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(text); err != nil {
+		t.Fatal(err)
+	}
+
+	before := st.Stats()
+	for _, r := range []struct{ path, body string }{
+		{"/api/plans", text},
+		{"/api/plans:batch", line.String()},
+	} {
+		resp, body := cacheReq(t, "POST", ts.URL+r.path, r.body, nil)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || resp.Header.Get("Retry-After") != "" {
+			t.Fatalf("%s of a %d-byte body = %d (Retry-After %q) %.200s; want 413",
+				r.path, len(r.body), resp.StatusCode, resp.Header.Get("Retry-After"), body)
+		}
+	}
+	after := st.Stats()
+	if after.AppendedRecords != before.AppendedRecords || after.WALBytes != before.WALBytes {
+		t.Fatalf("refused uploads journaled: %d records / %d bytes appended, was %d / %d",
+			after.AppendedRecords, after.WALBytes, before.AppendedRecords, before.WALBytes)
+	}
+	if h := st.Health(); h.State != store.HealthOK {
+		t.Fatalf("Health after refused uploads = %+v, want ok", h)
+	}
+	if st.Engine().Plan(p.ID) != nil {
+		t.Fatal("refused upload left its plan in the engine")
+	}
+}

@@ -29,11 +29,15 @@ var errNotDurable = errors.New("no durable store configured (start optimatchd wi
 // degradation — the client's write did not commit and retrying after a
 // reopen is the correct move either way. Persistence failures that left
 // the store writable and a closed store are 500s, a memory store asked to
-// compact or reopen is a 501; anything else is the caller's fallback
-// (typically a 4xx validation status). Every 503 carries Retry-After.
+// compact or reopen is a 501, and a mutation whose journal record would pass
+// the store's size limit is the client's 413, whatever route sent it; anything
+// else is the caller's fallback (typically a 4xx validation status). Every 503
+// carries Retry-After.
 func (s *Server) writeStoreError(w http.ResponseWriter, err error, fallback int) {
 	status := fallback
 	switch {
+	case errors.Is(err, store.ErrRecordTooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, store.ErrNotDurable):
 		status, err = http.StatusNotImplemented, errNotDurable
 	case errors.Is(err, store.ErrDegraded),
@@ -75,11 +79,12 @@ type reopenBody struct {
 	Stats  store.Stats  `json:"stats"`
 }
 
-// handleReopen re-verifies the store's on-disk tail and, when it checks
-// out (or was repaired), returns the daemon to accepting writes. A healthy
-// store reopens as a no-op, so the endpoint is safe to retry. A failure that
-// leaves the store degraded is a 503 + Retry-After; a closed store never
-// comes back and is the 500 it is on every other route.
+// handleReopen repairs a degraded store by compacting it from memory — a
+// snapshot of the acknowledged state plus an empty log, the one compaction
+// allowed while degraded — and on success returns the daemon to accepting
+// writes. A healthy store reopens as a no-op, so the endpoint is safe to
+// retry. A failure that leaves the store degraded is a 503 + Retry-After; a
+// closed store never comes back and is the 500 it is on every other route.
 func (s *Server) handleReopen(w http.ResponseWriter, _ *http.Request) {
 	if err := s.st.Reopen(); err != nil {
 		s.writeStoreError(w, err, http.StatusServiceUnavailable)

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"optimatch/internal/cache"
 	"optimatch/internal/core"
@@ -144,8 +145,9 @@ func TestDegradedModeHTTPContract(t *testing.T) {
 		t.Errorf(`optimatch_store_fault_total{op="append"} = %v, want 1`, v)
 	}
 
-	// Reopen on a still-broken disk answers 503 and stays degraded.
-	ffs.FailNth(faultfs.OpRead, 1, faultfs.KindErr)
+	// Reopen on a still-broken disk — its compaction cannot publish the
+	// snapshot — answers 503 and stays degraded.
+	ffs.FailNth(faultfs.OpRename, 1, faultfs.KindErr)
 	resp, body = cacheReq(t, "POST", ts.URL+"/api/admin/reopen", "", nil)
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("reopen on broken disk = %d %s", resp.StatusCode, body)
@@ -184,6 +186,10 @@ func TestDegradedModeHTTPContract(t *testing.T) {
 	}
 	if v := m[`optimatch_store_reopen_total{result="error"}`]; v != 1 {
 		t.Errorf("reopen error counter = %v, want 1", v)
+	}
+	// A reopen is a compaction: the failed one counts as a compaction fault.
+	if v := m[`optimatch_store_fault_total{op="compact"}`]; v != 1 {
+		t.Errorf(`optimatch_store_fault_total{op="compact"} = %v, want 1`, v)
 	}
 }
 
@@ -289,5 +295,46 @@ func TestReadyzWithoutStore(t *testing.T) {
 	resp, _ = cacheReq(t, "POST", ts.URL+"/api/admin/reopen", "", nil)
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("reopen without store = %d", resp.StatusCode)
+	}
+}
+
+// TestHealthSinceOnlyWhileDegraded: Health carries "since" only while the
+// store is degraded. A reopen body from a healthy store has no such key —
+// it used to print the zero time — and a degraded Health names the moment
+// the degradation began.
+func TestHealthSinceOnlyWhileDegraded(t *testing.T) {
+	ffs, st, ts, _ := degradedTestServer(t)
+	resp, body := cacheReq(t, "POST", ts.URL+"/api/admin/reopen", "", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("reopen of a healthy store = %d %s", resp.StatusCode, body)
+	}
+	var reopened struct {
+		Health map[string]json.RawMessage `json:"health"`
+	}
+	if err := json.Unmarshal([]byte(body), &reopened); err != nil {
+		t.Fatalf("reopen body: %v", err)
+	}
+	if since, ok := reopened.Health["since"]; ok {
+		t.Fatalf("healthy reopen body carries since %s: %s", since, body)
+	}
+
+	start := time.Now()
+	ffs.FailNth(faultfs.OpWrite, 1, faultfs.KindErr)
+	if resp, body := cacheReq(t, "POST", ts.URL+"/api/plans", qep.Text(fixtures.Figure1()), nil); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("degrading upload = %d %s", resp.StatusCode, body)
+	}
+	data, err := json.Marshal(st.Health())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h struct {
+		State string     `json:"state"`
+		Since *time.Time `json:"since"`
+	}
+	if err := json.Unmarshal(data, &h); err != nil {
+		t.Fatalf("degraded health %s: %v", data, err)
+	}
+	if h.State != store.HealthDegraded || h.Since == nil || h.Since.Before(start) || h.Since.After(time.Now()) {
+		t.Fatalf("degraded health = %s, want since between %v and now", data, start)
 	}
 }

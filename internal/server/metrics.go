@@ -48,7 +48,7 @@ func StoreInstrumentation(reg *obs.Registry) store.Instrumentation {
 	walSync := reg.Histogram("optimatch_store_wal_fsync_seconds",
 		"fsync latency of one WAL append — the durability cost every acknowledged mutation pays; its count is the fsyncs since open.", nil)
 	const compactName = "optimatch_store_compaction_seconds"
-	const compactHelp = "Snapshot compaction duration by result; the count of result=ok is the compactions since open."
+	const compactHelp = "Snapshot compaction duration by result, a reopen's included; the count of result=ok is the compactions since open."
 	compactOK := reg.Histogram(compactName, compactHelp, nil, "result", "ok")
 	compactErr := reg.Histogram(compactName, compactHelp, nil, "result", "error")
 	var recovery atomic.Int64 // nanoseconds

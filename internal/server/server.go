@@ -18,7 +18,7 @@
 //	DELETE /api/kb/entries/{name}    remove an entry (404 if unknown)
 //	POST   /api/kb/run               scan all plans, ranked recommendations
 //	POST   /api/admin/compact        fold the durable store's WAL into a snapshot
-//	POST   /api/admin/reopen         re-verify the disk and leave degraded mode
+//	POST   /api/admin/reopen         compact from memory (allowed while degraded), leave degraded mode
 //
 // The four read-mostly routes (search, sparql, kb/run, rdf) are descriptors
 // run by one function, serveRead: see cache.go.

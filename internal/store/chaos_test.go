@@ -63,8 +63,8 @@ func TestChaosProperty(t *testing.T) {
 }
 
 // chaosArmable are the operation classes the schedule may fail during live
-// mutation and reopen traffic. OpRead is armed separately (it only fires
-// during reopen verification or recovery, never during appends).
+// mutation and reopen traffic. OpRead is not among them: only Open reads the
+// disk, and a crash image is recovered on a clean filesystem.
 var chaosArmable = []faultfs.Op{
 	faultfs.OpWrite, faultfs.OpSync, faultfs.OpCreate,
 	faultfs.OpRename, faultfs.OpOpen, faultfs.OpTruncate,
@@ -185,15 +185,18 @@ func runChaosProperty(t *testing.T, seed int64) {
 	// again, asserting invariant 3.
 	heal := func(step int) {
 		// Sometimes exercise a reopen attempt on the still-broken disk first:
-		// it must fail without losing anything.
+		// its compaction fails to publish the snapshot, or publishes it and
+		// fails to reset the log. It must fail without losing anything.
 		if rng.Intn(2) == 0 {
-			ffs.FailNth(faultfs.OpRead, 1, faultfs.KindErr)
+			ffs.FailNth(faultfs.OpRename, int64(1+step%2), faultfs.KindErr)
 			if err := s.Reopen(); err == nil {
-				fatalf("step %d: Reopen succeeded with a read fault armed", step)
+				fatalf("step %d: Reopen succeeded with a rename fault armed", step)
 			}
 			if h := s.Health(); h.State != HealthDegraded {
 				fatalf("step %d: health %q after failed reopen", step, h.State)
 			}
+			checkServed(step, "after failed reopen")
+			checkImage(step)
 		}
 		ffs.Clear()
 		if err := s.Reopen(); err != nil {

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"syscall"
 	"testing"
 
@@ -45,7 +48,7 @@ func faultStore(t *testing.T) (string, *faultfs.FS, *Store, string) {
 // with ErrDegraded without touching served state.
 func wantDegraded(t *testing.T, s *Store, want string) {
 	t.Helper()
-	if h := s.Health(); h.State != HealthDegraded || h.Reason == "" || h.Since.IsZero() {
+	if h := s.Health(); h.State != HealthDegraded || h.Reason == "" || h.Since == nil {
 		t.Fatalf("Health() = %+v, want degraded with reason and timestamp", h)
 	}
 	if !s.Stats().Degraded {
@@ -194,8 +197,9 @@ func TestFsyncFaultWithFailedScrubRepairsOnReopen(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen re-verified the tail: the unacknowledged record is gone and a
-	// fresh process sees exactly the acknowledged state.
+	// Reopen compacted from memory: the log holding the unscrubbed record
+	// was replaced by an empty one, so a fresh process sees exactly the
+	// acknowledged state.
 	seq, got := recoverImage(t, dir)
 	if seq != ackSeq || got != want {
 		t.Fatalf("post-reopen seq %d, want %d (reopen kept an unacknowledged record)", seq, ackSeq)
@@ -203,21 +207,33 @@ func TestFsyncFaultWithFailedScrubRepairsOnReopen(t *testing.T) {
 }
 
 func TestReopenFailureStaysDegradedAndIsRetryable(t *testing.T) {
-	_, ffs, s, want := faultStore(t)
+	dir, ffs, s, want := faultStore(t)
+	ackSeq := s.Stats().LastSeq
 
 	ffs.FailNth(faultfs.OpWrite, 1, faultfs.KindErr)
 	if _, err := s.AddPlan(batchTexts(3)[2]); !errors.Is(err, ErrPersist) {
 		t.Fatalf("AddPlan = %v, want ErrPersist", err)
 	}
-	// The disk is still broken during re-verification: Reopen's WAL scan
-	// hits a read fault, must NOT truncate anything, and stays degraded.
-	ffs.FailNth(faultfs.OpRead, 1, faultfs.KindErr)
+	walPath := filepath.Join(dir, walName)
+	walBefore, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The disk is still broken during the repair: Reopen's compaction cannot
+	// write its snapshot. It must NOT truncate anything, and stays degraded.
+	ffs.FailNth(faultfs.OpWrite, 1, faultfs.KindErr)
 	if err := s.Reopen(); !errors.Is(err, ErrPersist) {
 		t.Fatalf("Reopen on broken disk = %v, want ErrPersist", err)
 	}
 	st := s.Stats()
-	if !st.Degraded || st.ReopenFailures != 1 || st.Reopens != 0 {
+	if !st.Degraded || st.ReopenFailures != 1 || st.Reopens != 0 || st.FaultCompactions != 1 {
 		t.Fatalf("after failed reopen: %+v", st)
+	}
+	if got, err := os.ReadFile(walPath); err != nil || !bytes.Equal(got, walBefore) {
+		t.Fatalf("failed reopen changed the log: %d bytes (%v), was %d", len(got), err, len(walBefore))
+	}
+	if seq, got := recoverImage(t, dir); seq != ackSeq || got != want {
+		t.Fatalf("crash image after failed reopen: seq %d (want %d), report match %v", seq, ackSeq, got == want)
 	}
 
 	ffs.Clear()
@@ -318,9 +334,14 @@ func TestFailedMutationLeavesStateUntouched(t *testing.T) {
 // TestCompactionCrashWindows walks every persistence step of a compaction —
 // temp-file creation, the data write, the temp fsync, the publishing
 // rename, the directory fsync, the WAL-reset rename and the WAL handle
-// reopen — failing each in turn. Every window must degrade the store
-// without changing served state, and a crash image taken inside the window
-// must recover to exactly the pre-compaction acknowledged state.
+// reopen — failing each in turn, entered two ways: by Compact on a healthy
+// store, and by Reopen on a store a failed append degraded, whose repair is
+// that same compaction. Every window must leave the store degraded without
+// changing served state, and a crash image taken inside the window must
+// recover to exactly the acknowledged state. Every attempt spends one
+// generation, so none is ever written twice: a compaction that failed at the
+// WAL reset leaves generation 1 on disk, and the Reopen after it writes
+// generation 2.
 func TestCompactionCrashWindows(t *testing.T) {
 	windows := []struct {
 		name string
@@ -337,45 +358,75 @@ func TestCompactionCrashWindows(t *testing.T) {
 	}
 	for _, win := range windows {
 		t.Run(win.name, func(t *testing.T) {
-			dir, ffs, s, want := faultStore(t)
-			ackSeq := s.Stats().LastSeq
+			for _, via := range []string{"compact", "reopen"} {
+				t.Run(via, func(t *testing.T) {
+					dir, ffs, s, want := faultStore(t)
+					ackSeq := s.Stats().LastSeq
+					enter, reopens := s.Compact, int64(0)
+					if via == "reopen" {
+						ffs.FailNth(faultfs.OpWrite, 1, faultfs.KindErr)
+						if _, err := s.AddPlan(batchTexts(3)[2]); !errors.Is(err, ErrPersist) {
+							t.Fatalf("degrading AddPlan = %v, want ErrPersist", err)
+						}
+						enter, reopens = s.Reopen, 1
+					}
 
-			ffs.FailNth(win.op, win.n, faultfs.KindErr)
-			err := s.Compact()
-			if !errors.Is(err, ErrPersist) || !errors.Is(err, faultfs.ErrInjected) {
-				t.Fatalf("Compact = %v, want ErrPersist wrapping the injected fault", err)
-			}
-			if got := s.Stats().FaultCompactions; got != 1 {
-				t.Fatalf("FaultCompactions = %d, want 1", got)
-			}
-			wantDegraded(t, s, want)
+					ffs.FailNth(win.op, win.n, faultfs.KindErr)
+					err := enter()
+					if !errors.Is(err, ErrPersist) || !errors.Is(err, faultfs.ErrInjected) {
+						t.Fatalf("%s = %v, want ErrPersist wrapping the injected fault", via, err)
+					}
+					gen := uint64(1) // spent by the failed attempt
+					st := s.Stats()
+					if st.FaultCompactions != 1 || st.Compactions != 0 || st.ReopenFailures != reopens || st.Generation != gen {
+						t.Fatalf("after failed %s: %d compaction faults, %d compactions, %d reopen failures, generation %d; want 1, 0, %d, %d",
+							via, st.FaultCompactions, st.Compactions, st.ReopenFailures, st.Generation, reopens, gen)
+					}
+					wantDegraded(t, s, want)
 
-			seq, got := recoverImage(t, dir)
-			if seq != ackSeq || got != want {
-				t.Fatalf("crash in %s window: recovered seq %d (want %d), report match %v",
-					win.name, seq, ackSeq, got == want)
-			}
+					seq, got := recoverImage(t, dir)
+					if seq != ackSeq || got != want {
+						t.Fatalf("crash in %s window: recovered seq %d (want %d), report match %v",
+							win.name, seq, ackSeq, got == want)
+					}
 
-			// Heal, reopen, and prove both writes and a full compaction work
-			// again — whatever half-published state the window left behind.
-			ffs.Clear()
-			if err := s.Reopen(); err != nil {
-				t.Fatalf("Reopen: %v", err)
-			}
-			if _, err := s.AddPlan(batchTexts(3)[2]); err != nil {
-				t.Fatalf("AddPlan after reopen: %v", err)
-			}
-			if err := s.Compact(); err != nil {
-				t.Fatalf("Compact after reopen: %v", err)
-			}
-			want = reportString(t, s.Engine(), s.KB())
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			seq, got = recoverImage(t, dir)
-			if seq != ackSeq+1 || got != want {
-				t.Fatalf("restart after repaired %s: seq %d (want %d), report match %v",
-					win.name, seq, ackSeq+1, got == want)
+					// Heal and reopen: the disk becomes a snapshot of memory plus
+					// an empty log, whatever half-published state the window left.
+					ffs.Clear()
+					if err := s.Reopen(); err != nil {
+						t.Fatalf("Reopen: %v", err)
+					}
+					gen++
+					st = s.Stats()
+					if st.Degraded || st.Reopens != 1 || st.Compactions != 1 || st.WALRecords != 0 || st.Generation != gen {
+						t.Fatalf("after Reopen: degraded %v, %d reopens, %d compactions, %d WAL records, generation %d; want false, 1, 1, 0, %d",
+							st.Degraded, st.Reopens, st.Compactions, st.WALRecords, st.Generation, gen)
+					}
+					snap, err := readSnapshot(storefs.OS{}, dir)
+					if err != nil || snap == nil || snap.Generation != gen || snap.LastSeq != ackSeq {
+						t.Fatalf("snapshot after Reopen = %+v (%v), want generation %d at seq %d", snap, err, gen, ackSeq)
+					}
+
+					// Writes and a full compaction work again.
+					if _, err := s.AddPlan(batchTexts(3)[2]); err != nil {
+						t.Fatalf("AddPlan after reopen: %v", err)
+					}
+					if err := s.Compact(); err != nil {
+						t.Fatalf("Compact after reopen: %v", err)
+					}
+					if got := s.Stats().Generation; got != gen+1 {
+						t.Fatalf("generation after Compact = %d, want %d", got, gen+1)
+					}
+					want = reportString(t, s.Engine(), s.KB())
+					if err := s.Close(); err != nil {
+						t.Fatal(err)
+					}
+					seq, got = recoverImage(t, dir)
+					if seq != ackSeq+1 || got != want {
+						t.Fatalf("restart after repaired %s: seq %d (want %d), report match %v",
+							win.name, seq, ackSeq+1, got == want)
+					}
+				})
 			}
 		})
 	}

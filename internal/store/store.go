@@ -20,8 +20,8 @@
 // explicit degraded read-only mode; the failed mutation was never published,
 // so memory has nothing to take back. Reads and scans keep serving the
 // acknowledged state, every further mutation returns ErrDegraded, and Reopen
-// re-verifies (and if needed repairs) the on-disk tail before writes are
-// accepted again.
+// — a compaction from memory, allowed while degraded — rewrites the disk as a
+// snapshot of that state plus an empty log before writes are accepted again.
 //
 // Memory is the same repository with no journal: its mutators run the same
 // prepare and publish code, and only commit's journal stage knows there is no
@@ -58,12 +58,12 @@ var ErrClosed = errors.New("store: closed")
 // read-only mode: a durability failure (failed WAL append or fsync, failed
 // snapshot publication) was observed, so accepting further writes could
 // silently diverge disk from memory. Reads and scans keep working on the
-// acknowledged in-memory state; Reopen clears the mode once the disk
-// verifies again. Callers can map it to 503 + Retry-After.
+// acknowledged in-memory state; Reopen clears the mode once a compaction
+// from memory succeeds. Callers can map it to 503 + Retry-After.
 var ErrDegraded = errors.New("store: degraded (read-only)")
 
 // ErrNotDurable is returned by Compact and Reopen on a Memory store, which
-// has no disk to fold a log into or to re-verify. Callers can map it to 501.
+// has no disk to fold a log into. Callers can map it to 501.
 var ErrNotDurable = errors.New("store: in memory, not durable")
 
 // Option configures Open.
@@ -86,8 +86,8 @@ type Instrumentation struct {
 	// dominant, highly variable term — every acknowledged mutation pays it.
 	WALAppend func(write, sync time.Duration, bytes int)
 
-	// Compaction observes one snapshot compaction (manual or automatic)
-	// and whether it succeeded.
+	// Compaction observes one snapshot compaction (manual, automatic or
+	// the one Reopen runs) and whether it succeeded.
 	Compaction func(d time.Duration, ok bool)
 
 	// Recovery observes the one recovery pass Open performs: wall time,
@@ -182,14 +182,14 @@ type Stats struct {
 	RecoveryMillis      float64   `json:"recoveryMillis"`      // wall time of that recovery pass
 	SkippedEntries      int64     `json:"skippedEntries"`      // of those, kb entries this binary refuses (see applyRecord)
 	RecoveryTruncations int64     `json:"recoveryTruncations"` // torn tails truncated at open
-	Compactions         int64     `json:"compactions"`         // compactions since open
+	Compactions         int64     `json:"compactions"`         // compactions since open, successful Reopens included
 	LastCompaction      time.Time `json:"lastCompaction"`      // zero if none since open
 	LastCompactionError string    `json:"lastCompactionError,omitempty"`
 	Degraded            bool      `json:"degraded"`                 // true while in degraded read-only mode
 	DegradedReason      string    `json:"degradedReason,omitempty"` // what failed, when degraded
 	FaultWrites         int64     `json:"faultWrites"`              // failed WAL record writes since open
 	FaultSyncs          int64     `json:"faultSyncs"`               // failed WAL fsyncs since open
-	FaultCompactions    int64     `json:"faultCompactions"`         // failed snapshot compactions since open
+	FaultCompactions    int64     `json:"faultCompactions"`         // failed snapshot compactions since open, failed Reopens included
 	Reopens             int64     `json:"reopens"`                  // successful degraded-mode recoveries since open
 	ReopenFailures      int64     `json:"reopenFailures"`           // failed Reopen attempts since open
 }
@@ -458,7 +458,7 @@ func (s *Store) degradeLocked(op string, cause error) {
 // failed append, so a torn or complete-but-unacknowledged record cannot
 // resurrect a mutation the caller saw fail if we crash while degraded.
 // Best-effort: on a disk this broken the truncate may fail too, and Reopen
-// re-verifies the tail before writes resume either way.
+// replaces the log with an empty one before writes resume either way.
 func (s *Store) scrubTailLocked() {
 	_ = s.fs.Truncate(filepath.Join(s.dir, walName), s.stats.WALBytes)
 }
@@ -693,6 +693,10 @@ func (s *Store) compactLocked() (err error) {
 	if err != nil {
 		return err
 	}
+	// Spend the number before writing: whatever fails from here on, the
+	// disk may hold this generation, and the next snapshot must not write
+	// it again. A failed attempt leaves a gap, which nothing reads.
+	s.generation = snap.Generation
 	if err := writeSnapshot(s.fs, s.dir, snap); err != nil {
 		s.stats.FaultCompactions++
 		s.degradeLocked("compact", err)
@@ -717,7 +721,6 @@ func (s *Store) compactLocked() (err error) {
 	old := s.wal
 	s.wal = f
 	old.Close() // the unlinked previous log
-	s.generation = snap.Generation
 	s.stats.Compactions++
 	s.stats.WALRecords, s.stats.WALBytes = 0, 0
 	s.stats.LastCompaction = time.Now()
@@ -745,9 +748,9 @@ const (
 
 // Health describes whether the store accepts writes right now.
 type Health struct {
-	State  string    `json:"state"` // ok | degraded | closed
-	Reason string    `json:"reason,omitempty"`
-	Since  time.Time `json:"since,omitempty"` // when the degradation began
+	State  string     `json:"state"` // ok | degraded | closed
+	Reason string     `json:"reason,omitempty"`
+	Since  *time.Time `json:"since,omitempty"` // when the degradation began; nil unless degraded
 }
 
 // Health reports the store's current write-path state. Reads (Engine, KB,
@@ -759,19 +762,20 @@ func (s *Store) Health() Health {
 	case s.closed:
 		return Health{State: HealthClosed}
 	case s.degraded:
-		return Health{State: HealthDegraded, Reason: s.degradedReason, Since: s.degradedSince}
+		since := s.degradedSince
+		return Health{State: HealthDegraded, Reason: s.degradedReason, Since: &since}
 	default:
 		return Health{State: HealthOK}
 	}
 }
 
-// Reopen attempts to leave degraded mode: it re-scans the on-disk WAL,
-// drops any torn or unacknowledged tail, and verifies that snapshot + log
-// still reconstruct exactly the acknowledged sequence. If the disk lost
-// acknowledged records (a scrub failed, or bytes never became durable), it
-// repairs by folding the in-memory state — which is the acknowledged truth,
-// every mutation in it was fsync-acknowledged — into a fresh snapshot.
-// On success the store accepts writes again; on failure it stays degraded
+// Reopen leaves degraded mode by compacting from memory, the one compaction
+// allowed while degraded. Memory holds exactly the acknowledged state: every
+// mutation in it was fsync-acknowledged, and a failed one was never published.
+// So a snapshot of memory plus an empty log is a disk that recovers that state,
+// whatever torn, unacknowledged or half-published bytes the failure left
+// behind; nothing on disk is read. A success counts as a compaction as well as
+// a reopen, and the store accepts writes again; on failure it stays degraded
 // and Reopen can be retried. Reopening a healthy store is a no-op.
 func (s *Store) Reopen() error {
 	if !s.Durable() {
@@ -785,7 +789,7 @@ func (s *Store) Reopen() error {
 	if !s.degraded {
 		return nil
 	}
-	err := s.reopenLocked()
+	err := s.compactLocked()
 	if s.instr.Reopen != nil {
 		s.instr.Reopen(err == nil)
 	}
@@ -796,74 +800,6 @@ func (s *Store) Reopen() error {
 	s.stats.Reopens++
 	s.degraded = false
 	s.degradedReason = ""
-	s.degradedSince = time.Time{}
-	return nil
-}
-
-// reopenLocked re-verifies (and if necessary repairs) the on-disk state
-// against the acknowledged in-memory sequence. Callers hold s.mu.
-func (s *Store) reopenLocked() error {
-	walPath := filepath.Join(s.dir, walName)
-	recs, ends, torn, err := scanWAL(s.fs, walPath, s.eng.Parallel)
-	if err != nil {
-		return fmt.Errorf("%w: re-verifying WAL: %w", ErrPersist, err)
-	}
-	// Keep only records at or below the acknowledged sequence. A record
-	// above it is a mutation whose append failed after the bytes landed
-	// (e.g. the fsync failed): the caller saw an error and the mutation was
-	// never published, so it must not survive to a future recovery.
-	keep := len(recs)
-	for keep > 0 && recs[keep-1].Seq > s.seq {
-		keep--
-	}
-	keepOffset := goodLength(ends[:keep])
-	if torn || keep < len(recs) {
-		if err := s.fs.Truncate(walPath, keepOffset); err != nil {
-			return fmt.Errorf("%w: truncating unacknowledged tail: %w", ErrPersist, err)
-		}
-	}
-
-	// Verify snapshot + kept log reconstruct the acknowledged sequence.
-	snap, err := readSnapshot(s.fs, s.dir)
-	if err != nil {
-		return fmt.Errorf("%w: re-verifying snapshot: %w", ErrPersist, err)
-	}
-	var snapSeq, snapGen uint64
-	if snap != nil {
-		snapSeq, snapGen = snap.LastSeq, snap.Generation
-	}
-	diskSeq := snapSeq
-	for _, rec := range recs[:keep] {
-		if rec.Seq == diskSeq+1 {
-			diskSeq = rec.Seq
-		} else if rec.Seq > diskSeq {
-			break // gap: records between diskSeq and rec.Seq are lost
-		}
-	}
-	if diskSeq < s.seq {
-		// The disk cannot reconstruct everything we acknowledged. Repair by
-		// snapshotting the in-memory state; compactLocked publishes it
-		// atomically and resets the log, or fails and we stay degraded.
-		return s.compactLocked()
-	}
-
-	// Disk verified: resume appending where the acknowledged log ends.
-	f, err := s.fs.OpenFile(walPath, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("%w: reopening WAL for append: %w", ErrPersist, err)
-	}
-	old := s.wal
-	s.wal = f
-	if old != nil {
-		old.Close()
-	}
-	if snapGen > s.generation {
-		// A half-finished compaction published its snapshot before failing;
-		// adopt its generation so the next compaction moves forward.
-		s.generation = snapGen
-	}
-	s.stats.WALRecords = int64(keep)
-	s.stats.WALBytes = keepOffset
 	return nil
 }
 

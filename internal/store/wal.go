@@ -29,6 +29,12 @@ const (
 	maxRecordBytes = 32 << 20
 )
 
+// ErrRecordTooLarge is returned by a mutation whose journal record, once
+// JSON-encoded, would exceed maxRecordBytes. Nothing is written and the store
+// stays healthy: the request was too large, not the disk at fault. Callers can
+// map it to 413.
+var ErrRecordTooLarge = errors.New("store: record too large")
+
 // Operation tags for WAL records and the op log.
 const (
 	opAddPlan      = "addPlan"
@@ -67,7 +73,7 @@ func encodeRecord(rec *record) ([]byte, error) {
 		return nil, fmt.Errorf("store: encoding record: %w", err)
 	}
 	if len(payload) > maxRecordBytes {
-		return nil, fmt.Errorf("store: record of %d bytes exceeds limit", len(payload))
+		return nil, fmt.Errorf("%w: %d bytes encoded, limit %d", ErrRecordTooLarge, len(payload), maxRecordBytes)
 	}
 	buf := make([]byte, headerSize+len(payload))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
