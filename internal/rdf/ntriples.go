@@ -30,6 +30,13 @@ import (
 // node label holding a space would do it; N-Triples has no such label and
 // cannot read the line back either way.
 func WriteNTriples(w io.Writer, g *Graph) error {
+	_, err := w.Write(AppendNTriples(nil, g))
+	return err
+}
+
+// AppendNTriples appends what WriteNTriples writes to dst, growing it at most
+// once, to the size the lines need.
+func AppendNTriples(dst []byte, g *Graph) []byte {
 	log, d := g.log, g.dict
 	n := d.Len() + 1 // IDs and the zero ID
 	// Token id is text[start[id]:start[id+1]], its trailing space included.
@@ -84,15 +91,14 @@ func WriteNTriples(w io.Writer, g *Graph) error {
 		}
 		rows, sorted = sorted, rows
 	}
-	out := make([]byte, 0, size)
+	dst = slices.Grow(dst, size)
 	for _, r := range rows {
 		for _, rk := range r {
-			out = append(out, token(byRank[rk])...)
+			dst = append(dst, token(byRank[rk])...)
 		}
-		out = append(out, ".\n"...)
+		dst = append(dst, ".\n"...)
 	}
-	_, err := w.Write(out)
-	return err
+	return dst
 }
 
 // appendTerm appends t in N-Triples syntax: <iri>, _:label, or

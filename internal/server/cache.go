@@ -10,7 +10,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"net/http"
 	"strconv"
@@ -40,8 +39,8 @@ func cacheContext(ctx context.Context, r *http.Request) context.Context {
 	return ctx
 }
 
-// renderFunc renders one response body into buf under the execution context.
-type renderFunc func(ctx context.Context, buf *bytes.Buffer) error
+// renderFunc renders one response body under the execution context.
+type renderFunc func(ctx context.Context) ([]byte, error)
 
 // readRoute describes one cached read route; serveRead runs it.
 type readRoute struct {
@@ -100,11 +99,11 @@ func (s *Server) serveRead(rt readRoute) http.HandlerFunc {
 		}
 		key := cache.Key(rt.name, strconv.FormatUint(gen, 10), part)
 		b, out, err := s.cache.Do(ctx, key, func(fctx context.Context) (cache.Result, error) {
-			var buf bytes.Buffer
-			if err := render(fctx, &buf); err != nil {
+			body, err := render(fctx)
+			if err != nil {
 				return cache.Result{}, err
 			}
-			return cache.Result{Body: buf.Bytes(), NoStore: s.eng.Generation() != gen}, nil
+			return cache.Result{Body: body, NoStore: s.eng.Generation() != gen}, nil
 		})
 		if err != nil {
 			s.execError(w, r, err, rt.fallback)

@@ -3,9 +3,18 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+
+	"optimatch/internal/core"
+	"optimatch/internal/transform"
 )
 
-// encodeJSON appends v to buf as every JSON body is written: two-space
+// maxAnswerBytes bounds the body of a search or SPARQL answer: one that would
+// be larger is not sent, and the route answers 422 naming the bound. The
+// largest body any benchmark deck produces is 564 402 bytes.
+const maxAnswerBytes = 16 << 20
+
+// encodeJSON appends v to buf as every small JSON body is written: two-space
 // indent, trailing newline, byte for byte what json.Encoder with
 // SetIndent("", "  ") writes, so cached and uncached responses are
 // byte-identical. The encoder re-runs its validating scanner over the output
@@ -101,4 +110,160 @@ func newline(dst []byte, depth int) []byte {
 		dst = append(dst, ' ', ' ')
 	}
 	return dst
+}
+
+// The three bodies that carry rows — search, SPARQL and kb/run — are appended
+// straight from their rows, in the bytes encodeJSON writes for the wire
+// structs they replaced (matchBody, reportBody and recBody, which survive in
+// encode_test.go as the oracle): a match's bindings in Columns.Sorted order,
+// as a map's keys are, a repeated name keeping its last column. Only strings
+// that need no escape are spelled here; json.Marshal spells every other string
+// and every number, so no escaping, UTF-8 or float rule of encoding/json is
+// written twice.
+
+// scratch holds the buffers bodies are appended in; renderBody copies each
+// body out once, at its exact size, so a cached body carries no slack and a
+// render that finds a grown buffer here allocates only its body. Appending
+// the body twice, once to measure it, would need no buffer but costs more than
+// the copy. The buffers are kept in a channel, not a sync.Pool, because a
+// collection empties a pool: a render after two collections without one would
+// grow a new buffer by doubling. At most two are kept (a third concurrent
+// render grows its own), and one grown past maxScratchBytes is dropped.
+var scratch = make(chan []byte, 2)
+
+const maxScratchBytes = 4 << 20
+
+// renderBody returns what appendBody appends to an empty buffer.
+func renderBody(appendBody func(dst []byte) ([]byte, error)) ([]byte, error) {
+	var b []byte
+	select {
+	case b = <-scratch:
+	default:
+	}
+	b, err := appendBody(b[:0])
+	var body []byte
+	if err == nil {
+		body = bytes.Clone(b)
+	}
+	if cap(b) <= maxScratchBytes {
+		select {
+		case scratch <- b:
+		default:
+		}
+	}
+	return body, err
+}
+
+// appendMatchBody appends the answer {"matches": [...]} to dst, with
+// "pattern": *pattern after the matches when pattern is not nil (a search).
+// An answer over limit bytes is an error naming limit; the rows are appended
+// until the first one that takes the body past it.
+func appendMatchBody(dst []byte, ms []transform.Match, pattern *string, limit int) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, "{\n  \"matches\": ["...)
+	for i, m := range ms {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendString(append(dst, "\n    {\n      \"plan\": "...), m.Plan().ID)
+		dst = append(dst, ",\n      \"bindings\": {"...)
+		names, sorted := m.Cols.Names(), m.Cols.Sorted()
+		bound := false
+		for k, c := range sorted {
+			if k+1 < len(sorted) && names[sorted[k+1]] == names[c] {
+				continue // a later column of the same name is the one kept
+			}
+			if bound {
+				dst = append(dst, ',')
+			}
+			bound = true
+			dst = append(appendString(append(dst, "\n        "...), names[c]), ": \""...)
+			dst = closeString(m.AppendDisplay(dst, c), len(dst))
+		}
+		if bound {
+			dst = append(dst, "\n      "...)
+		}
+		dst = append(dst, "}\n    }"...)
+		if len(dst)-start > limit {
+			return dst, answerTooLarge(limit)
+		}
+	}
+	if len(ms) > 0 {
+		dst = append(dst, "\n  "...)
+	}
+	dst = append(dst, ']')
+	if pattern != nil {
+		dst = appendString(append(dst, ",\n  \"pattern\": "...), *pattern)
+	}
+	dst = append(dst, "\n}\n"...)
+	if len(dst)-start > limit {
+		return dst, answerTooLarge(limit)
+	}
+	return dst, nil
+}
+
+func answerTooLarge(limit int) error {
+	return fmt.Errorf("answer exceeds %d bytes", limit)
+}
+
+// appendReportBody appends the kb/run body to dst: per plan its ID, Message
+// and ranked recommendations. A confidence json.Marshal refuses (NaN, ±Inf) is
+// the error it returns.
+func appendReportBody(dst []byte, reports []core.PlanReport) ([]byte, error) {
+	dst = append(dst, '[')
+	for i := range reports {
+		r := &reports[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendString(append(dst, "\n  {\n    \"plan\": "...), r.Plan.ID)
+		dst = appendString(append(dst, ",\n    \"message\": "...), r.Message())
+		if len(r.Recommendations) > 0 {
+			dst = append(dst, ",\n    \"recommendations\": ["...)
+			for k := range r.Recommendations {
+				rec := &r.Recommendations[k]
+				if k > 0 {
+					dst = append(dst, ',')
+				}
+				dst = appendString(append(dst, "\n      {\n        \"entry\": "...), rec.Entry.Name)
+				dst = appendString(append(dst, ",\n        \"title\": "...), rec.Recommendation.Title)
+				if rec.Recommendation.Category != "" {
+					dst = appendString(append(dst, ",\n        \"category\": "...), rec.Recommendation.Category)
+				}
+				conf, err := json.Marshal(rec.Confidence)
+				if err != nil {
+					return dst, err
+				}
+				dst = append(append(dst, ",\n        \"confidence\": "...), conf...)
+				dst = appendString(append(dst, ",\n        \"text\": "...), rec.Text)
+				dst = append(dst, "\n      }"...)
+			}
+			dst = append(dst, "\n    ]"...)
+		}
+		dst = append(dst, "\n  }"...)
+	}
+	if len(reports) > 0 {
+		dst = append(dst, '\n')
+	}
+	return append(dst, "]\n"...), nil
+}
+
+// appendString appends s as json.Marshal spells it.
+func appendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	return closeString(append(dst, s...), len(dst))
+}
+
+// closeString makes dst[from:], raw bytes behind the quote at dst[from-1],
+// the JSON string json.Marshal spells for them: it closes the quote when
+// every byte is printable ASCII other than " \ < > &, and has json.Marshal
+// spell the string otherwise.
+func closeString(dst []byte, from int) []byte {
+	for _, c := range dst[from:] {
+		if c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(string(dst[from:])) // a string always marshals
+			return append(dst[:from-1], q...)
+		}
+	}
+	return append(dst, '"')
 }

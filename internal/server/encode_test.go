@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"testing"
 
 	"optimatch/internal/core"
@@ -17,6 +19,7 @@ import (
 	"optimatch/internal/pattern"
 	"optimatch/internal/qep"
 	"optimatch/internal/sparql"
+	"optimatch/internal/transform"
 	"optimatch/internal/workload"
 )
 
@@ -26,6 +29,60 @@ func encodeJSONReference(w io.Writer, v interface{}) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
+}
+
+// matchBody, recBody and reportBody are the wire structs the search, SPARQL
+// and kb/run bodies were encoded from before they were appended from their
+// rows; matchesToWire and reportsToWire built them. With encodeJSON they are
+// the oracle those bodies are held to.
+type matchBody struct {
+	Plan     string            `json:"plan"`
+	Bindings map[string]string `json:"bindings"` // alias -> display name
+}
+
+func matchesToWire(ms []transform.Match) []matchBody {
+	out := make([]matchBody, 0, len(ms))
+	for _, m := range ms {
+		names := m.Cols.Names()
+		mb := matchBody{Plan: m.Plan().ID, Bindings: make(map[string]string, len(names))}
+		for c, name := range names {
+			mb.Bindings[name] = m.Display(c)
+		}
+		out = append(out, mb)
+	}
+	return out
+}
+
+type recBody struct {
+	Entry      string  `json:"entry"`
+	Title      string  `json:"title"`
+	Category   string  `json:"category,omitempty"`
+	Confidence float64 `json:"confidence"`
+	Text       string  `json:"text"`
+}
+
+type reportBody struct {
+	Plan            string    `json:"plan"`
+	Message         string    `json:"message"`
+	Recommendations []recBody `json:"recommendations,omitempty"`
+}
+
+func reportsToWire(reports []core.PlanReport) []reportBody {
+	out := make([]reportBody, 0, len(reports))
+	for i := range reports {
+		rb := reportBody{Plan: reports[i].Plan.ID, Message: reports[i].Message()}
+		for _, rec := range reports[i].Recommendations {
+			rb.Recommendations = append(rb.Recommendations, recBody{
+				Entry:      rec.Entry.Name,
+				Title:      rec.Recommendation.Title,
+				Category:   rec.Recommendation.Category,
+				Confidence: rec.Confidence,
+				Text:       rec.Text,
+			})
+		}
+		out = append(out, rb)
+	}
+	return out
 }
 
 // variantA is pattern A under name with its inner-cardinality threshold set to
@@ -63,27 +120,8 @@ func TestReadBodiesByteIdentical(t *testing.T) {
 	t.Cleanup(ts.Close)
 	ctx := context.Background()
 
-	bodies := 0
-	check := func(method, path, body string, status int, v interface{}) {
-		t.Helper()
-		resp, got := cacheReq(t, method, ts.URL+path, body, nil)
-		if resp.StatusCode != status {
-			t.Fatalf("%s %s: status %d, want %d: %.300s", method, path, resp.StatusCode, status, got)
-		}
-		var want bytes.Buffer
-		if err := encodeJSONReference(&want, v); err != nil {
-			t.Fatal(err)
-		}
-		if got != want.String() {
-			n := 0
-			for n < len(got) && n < want.Len() && got[n] == want.Bytes()[n] {
-				n++
-			}
-			t.Fatalf("%s %s: body differs from the reference encoder's at byte %d of %d:\ngot:  %.200q\nwant: %.200q",
-				method, path, n, want.Len(), got[n:], want.String()[n:])
-		}
-		bodies++
-	}
+	bc := &bodyChecker{t: t, url: ts.URL}
+	check := bc.check
 	entry := func(p *pattern.Pattern) string {
 		b, err := json.Marshal(addEntryRequest{Pattern: p, Recommendations: []kb.Recommendation{{
 			Title: `Index "inner <&> co`, Category: "index\u2028", Template: "Create index on @BASE4.NAME for @SCAN3.CARD rows.",
@@ -163,7 +201,143 @@ SELECT ?type (COUNT(?pop) AS ?n) WHERE { ?pop preduri:hasPopType ?type . } GROUP
 		}
 		check(tc.method, tc.path, tc.body, tc.status, errorBody{Error: tc.err.Error()})
 	}
-	t.Logf("%d bodies byte-identical", bodies)
+	t.Logf("%d bodies byte-identical", bc.bodies)
+}
+
+// bodyChecker issues requests to one server and holds each answer to the
+// bytes the reference encoder writes for v, the value the handlers encoded
+// before the row bodies were appended: the status and v's encoding, or, where
+// v does not encode, the error body the render's error was answered with.
+type bodyChecker struct {
+	t      *testing.T
+	url    string
+	bodies int
+}
+
+func (bc *bodyChecker) check(method, path, body string, status int, v interface{}) {
+	t := bc.t
+	t.Helper()
+	resp, got := cacheReq(t, method, bc.url+path, body, nil)
+	if resp.StatusCode != status {
+		t.Fatalf("%s %s: status %d, want %d: %.300s", method, path, resp.StatusCode, status, got)
+	}
+	var want bytes.Buffer
+	if err := encodeJSONReference(&want, v); err != nil {
+		want.Reset()
+		if err := encodeJSONReference(&want, errorBody{Error: err.Error()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got != want.String() {
+		n := 0
+		for n < len(got) && n < want.Len() && got[n] == want.Bytes()[n] {
+			n++
+		}
+		t.Fatalf("%s %s: body differs from the reference encoder's at byte %d of %d:\ngot:  %.200q\nwant: %.200q",
+			method, path, n, want.Len(), got[n:], want.String()[n:])
+	}
+	bc.bodies++
+}
+
+// TestEdgeBodiesByteIdentical holds the row bodies to the oracle on the
+// edges the history above does not reach: no matches, an unbound OPTIONAL
+// cell, a projected name repeated, a plan ID and an object name that need
+// escapes, a recommendation without a category beside plans with none, and a
+// NaN confidence, which the oracle cannot encode and the route answers with
+// the same status and error body as before.
+func TestEdgeBodiesByteIdentical(t *testing.T) {
+	plans := fixtures.All()
+	q2 := plans[0] // the plan pattern A matches
+	q2.ID = "Q<&>\"\\\u00e9"
+	for name, obj := range q2.Objects {
+		if name == "CUST_DIM" {
+			obj.Name = "CUST_DIM<&>\u00e9\u2028\"\\"
+			delete(q2.Objects, name)
+			q2.Objects[obj.Name] = obj
+		}
+	}
+	run := func(weight float64) (*core.Engine, *kb.KnowledgeBase, *bodyChecker) {
+		eng, k := core.New(), kb.New()
+		for _, p := range plans {
+			if _, err := eng.LoadText(qep.Text(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := k.Add(pattern.A(), kb.Recommendation{Title: "Index the inner table", Weight: weight,
+			Template: "Create index on @BASE4.NAME for @TOP."}); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(New(eng, k).Handler())
+		t.Cleanup(ts.Close)
+		return eng, k, &bodyChecker{t: t, url: ts.URL}
+	}
+	ctx := context.Background()
+	eng, k, bc := run(0.9)
+
+	reports, err := eng.RunKB(ctx, k.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(reports, func(r core.PlanReport) bool { return r.Plan.ID == q2.ID && r.HasRecommendations() }) ||
+		!slices.ContainsFunc(reports, func(r core.PlanReport) bool { return r.Message() == core.NoRecommendation }) {
+		t.Fatalf("want a recommendation for %q and a plan without one: %+v", q2.ID, reportsToWire(reports))
+	}
+	bc.check("POST", "/api/kb/run", "", http.StatusOK, reportsToWire(reports))
+
+	for _, sp := range []*pattern.Pattern{pattern.A(), variantA("nothing", 1e12)} {
+		doc, err := sp.ToJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		matches, err := eng.FindPattern(ctx, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp.Name == pattern.A().Name && (len(matches) != 1 || matches[0].Plan().ID != q2.ID ||
+			matches[0].Display(matches[0].Column("BASE4")) != "CUST_DIM<&>\u00e9\u2028\"\\") {
+			t.Fatalf("pattern A: %d matches, want one in %q binding the renamed object", len(matches), q2.ID)
+		}
+		bc.check("POST", "/api/search", string(doc), http.StatusOK,
+			map[string]interface{}{"pattern": sp.Name, "matches": matchesToWire(matches)})
+	}
+	for _, tc := range []struct {
+		text string
+		want func([]transform.Match) bool
+	}{
+		{`PREFIX preduri: <http://optimatch/pred/>
+SELECT ?s WHERE { ?s preduri:hasPopType "NO SUCH TYPE" }`,
+			func(ms []transform.Match) bool { return len(ms) == 0 }},
+		{`PREFIX preduri: <http://optimatch/pred/>
+SELECT ?obj ?name ?none WHERE { ?obj preduri:hasPopType "BASE OB" ; preduri:hasName ?name .
+  OPTIONAL { ?obj preduri:hasNoSuchPredicate ?none } }`,
+			func(ms []transform.Match) bool { return len(ms) > 0 && ms[0].Term(2).Value == "" }},
+		{`PREFIX preduri: <http://optimatch/pred/>
+SELECT ?t ?s ?t WHERE { ?s preduri:hasPopType ?t }`,
+			func(ms []transform.Match) bool { return len(ms) > 0 && len(ms[0].Cols.Names()) == 3 }},
+	} {
+		q, err := sparql.Parse(tc.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matches, err := eng.FindSPARQL(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tc.want(matches) {
+			t.Fatalf("%s: %d matches, not the edge the case is for", tc.text, len(matches))
+		}
+		text := tc.text
+		bc.check("POST", "/api/sparql", text, http.StatusOK, map[string]interface{}{"matches": matchesToWire(matches)})
+	}
+
+	eng, k, bc = run(math.NaN())
+	if reports, err = eng.RunKB(ctx, k.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := json.Marshal(reportsToWire(reports)); err == nil {
+		t.Fatal("no NaN confidence to refuse")
+	}
+	bc.check("POST", "/api/kb/run", "", http.StatusInternalServerError, reportsToWire(reports))
 }
 
 // kbRunBody is the kb/run body over the fixture plans and the canonical
@@ -209,6 +383,48 @@ func FuzzEncodeJSON(f *testing.F) {
 			if (gotErr == nil) != (wantErr == nil) || !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Fatalf("%T %q:\nencodeJSON = %q (%v)\nreference  = %q (%v)", v, data, got.Bytes(), gotErr, want.Bytes(), wantErr)
 			}
+		}
+	})
+}
+
+// FuzzAppendJSON holds appendString, with which the row bodies spell strings,
+// to json.Marshal on any string behind bytes already in the buffer, and
+// appendReportBody to the oracle on a report whose strings are that string
+// and whose confidence is any float64: NaN and ±Inf erroring as Marshal does.
+func FuzzAppendJSON(f *testing.F) {
+	strs := []string{
+		"", "Q1", "NLJOIN(2)", "plain ascii ~ with space", "\xff", "a\xc3(b", "\xed\xa0\x80",
+		" ", "x y", "\x00\x01\x1f\x7f\t\n\r", "<script>&amp;</script>", `"""`, `\\\`, `\"\\"`,
+		"é ü 漢字 😀", "a b",
+	}
+	floats := []float64{
+		0, math.Copysign(0, -1), 1e-6, math.Nextafter(1e-6, 0), -1e-6, 1e21, math.Nextafter(1e21, 0), -1e21,
+		5e-324, math.SmallestNonzeroFloat64, 2.2250738585072014e-308, math.MaxFloat64, 0.1, 1.0 / 3, 123456789,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	for i := range max(len(strs), len(floats)) {
+		f.Add(strs[i%len(strs)], floats[i%len(floats)])
+	}
+	f.Fuzz(func(t *testing.T, s string, x float64) {
+		prefix := []byte("[1,")
+		want, _ := json.Marshal(s)
+		if got := appendString(bytes.Clone(prefix), s); !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
+			t.Fatalf("appendString(%q) = %q, json.Marshal = %q", s, got[len(prefix):], want)
+		}
+		reports := []core.PlanReport{{
+			Plan: &qep.Plan{ID: s},
+			Recommendations: []kb.Ranked{{
+				Entry:          &kb.Entry{Name: s},
+				Recommendation: kb.Recommendation{Title: s, Category: s},
+				Text:           s,
+				Confidence:     x,
+			}},
+		}}
+		got, gotErr := appendReportBody(nil, reports)
+		var oracle bytes.Buffer
+		wantErr := encodeJSONReference(&oracle, reportsToWire(reports))
+		if (gotErr == nil) != (wantErr == nil) || gotErr == nil && !bytes.Equal(got, oracle.Bytes()) {
+			t.Fatalf("appendReportBody(%q, %v) = %q (%v), oracle %q (%v)", s, x, got, gotErr, oracle.Bytes(), wantErr)
 		}
 	})
 }

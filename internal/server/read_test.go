@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -273,9 +272,9 @@ func TestReadPathPrecedence(t *testing.T) {
 					if err != nil || f.renderErr == nil {
 						return part, render, err
 					}
-					return part, func(context.Context, *bytes.Buffer) error {
+					return part, func(context.Context) ([]byte, error) {
 						renders.Add(1)
-						return f.renderErr
+						return nil, f.renderErr
 					}, nil
 				}
 				var rec *httptest.ResponseRecorder
@@ -404,7 +403,7 @@ func TestValidatorOnlyOnBodySent(t *testing.T) {
 			req = req.WithContext(ctx)
 		}
 		rec := httptest.NewRecorder()
-		s.serveRead(route(func(context.Context, *bytes.Buffer) error { return tc.err }))(rec, req)
+		s.serveRead(route(func(context.Context) ([]byte, error) { return nil, tc.err }))(rec, req)
 		if rec.Code != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, rec.Code, tc.want)
 		}
@@ -413,10 +412,7 @@ func TestValidatorOnlyOnBodySent(t *testing.T) {
 		}
 	}
 
-	ok := s.serveRead(route(func(_ context.Context, buf *bytes.Buffer) error {
-		buf.WriteString("body")
-		return nil
-	}))
+	ok := s.serveRead(route(func(context.Context) ([]byte, error) { return []byte("body"), nil }))
 	rec := httptest.NewRecorder()
 	ok(rec, httptest.NewRequest("GET", "/", nil))
 	if rec.Code != http.StatusOK || rec.Header().Get("ETag") != tag || rec.Body.String() != "body" {
@@ -443,13 +439,13 @@ func TestRenderPanicDropsOnlyItsConnection(t *testing.T) {
 	mux.HandleFunc("POST /boom", s.gated(1, s.serveRead(readRoute{
 		name: "http.boom", contentType: "text/plain", fallback: http.StatusInternalServerError,
 		parse: func(*http.Request, []byte) (string, renderFunc, error) {
-			return "", func(context.Context, *bytes.Buffer) error {
+			return "", func(context.Context) ([]byte, error) {
 				s.eng.Parallel(8, func(i int) {
 					if i == 3 {
 						panic("render broke")
 					}
 				})
-				return nil
+				return nil, nil
 			}, nil
 		},
 	})))

@@ -21,7 +21,8 @@
 //	POST   /api/admin/reopen         compact from memory (allowed while degraded), leave degraded mode
 //
 // The four read-mostly routes (search, sparql, kb/run, rdf) are descriptors
-// run by one function, serveRead: see cache.go.
+// run by one function, serveRead: see cache.go. A search or SPARQL answer
+// whose body would be over 16 MiB is not sent but answered 422 (encode.go).
 //
 // Every plan upload/deletion and knowledge-base mutation goes through one
 // store.Store: the durable one given with WithStore, so the served state
@@ -55,7 +56,6 @@ import (
 	"optimatch/internal/rdf"
 	"optimatch/internal/sparql"
 	"optimatch/internal/store"
-	"optimatch/internal/transform"
 )
 
 // maxBodyBytes bounds uploaded explain files and queries: a larger body is
@@ -327,30 +327,11 @@ func (s *Server) planRDFRoute() readRoute {
 			if res == nil {
 				return "", nil, fmt.Errorf("plan %q not loaded", id)
 			}
-			return id, func(_ context.Context, buf *bytes.Buffer) error {
-				return rdf.WriteNTriples(buf, res.Graph)
+			return id, func(context.Context) ([]byte, error) {
+				return rdf.AppendNTriples(nil, res.Graph), nil
 			}, nil
 		},
 	}
-}
-
-// matchBody is the wire form of one match.
-type matchBody struct {
-	Plan     string            `json:"plan"`
-	Bindings map[string]string `json:"bindings"` // alias -> display name
-}
-
-func matchesToWire(ms []transform.Match) []matchBody {
-	out := make([]matchBody, 0, len(ms))
-	for _, m := range ms {
-		names := m.Cols.Names()
-		mb := matchBody{Plan: m.Plan().ID, Bindings: make(map[string]string, len(names))}
-		for c, name := range names {
-			mb.Bindings[name] = m.Display(c)
-		}
-		out = append(out, mb)
-	}
-	return out
 }
 
 // searchRoute keys a search on the canonical pattern document — the parsed
@@ -371,14 +352,13 @@ func (s *Server) searchRoute() readRoute {
 			if err != nil {
 				return "", nil, err
 			}
-			return string(canon), func(ctx context.Context, buf *bytes.Buffer) error {
+			return string(canon), func(ctx context.Context) ([]byte, error) {
 				matches, err := s.eng.FindPattern(ctx, p)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				return encodeJSON(buf, map[string]interface{}{
-					"pattern": p.Name,
-					"matches": matchesToWire(matches),
+				return renderBody(func(dst []byte) ([]byte, error) {
+					return appendMatchBody(dst, matches, &p.Name, maxAnswerBytes)
 				})
 			}, nil
 		},
@@ -399,12 +379,14 @@ func (s *Server) sparqlRoute() readRoute {
 			if err != nil {
 				return "", nil, err
 			}
-			return q.String(), func(ctx context.Context, buf *bytes.Buffer) error {
+			return q.String(), func(ctx context.Context) ([]byte, error) {
 				matches, err := s.eng.FindSPARQL(ctx, q)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				return encodeJSON(buf, map[string]interface{}{"matches": matchesToWire(matches)})
+				return renderBody(func(dst []byte) ([]byte, error) {
+					return appendMatchBody(dst, matches, nil, maxAnswerBytes)
+				})
 			}, nil
 		},
 	}
@@ -468,22 +450,6 @@ func (s *Server) handleDeleteEntry(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
 
-// recBody is the wire form of one ranked recommendation.
-type recBody struct {
-	Entry      string  `json:"entry"`
-	Title      string  `json:"title"`
-	Category   string  `json:"category,omitempty"`
-	Confidence float64 `json:"confidence"`
-	Text       string  `json:"text"`
-}
-
-// reportBody is the wire form of one plan report.
-type reportBody struct {
-	Plan            string    `json:"plan"`
-	Message         string    `json:"message"`
-	Recommendations []recBody `json:"recommendations,omitempty"`
-}
-
 func (s *Server) runKBRoute() readRoute {
 	return readRoute{
 		name: "http.kbrun", contentType: "application/json",
@@ -493,33 +459,15 @@ func (s *Server) runKBRoute() readRoute {
 			// its cache key pins it, so a concurrent POST /api/kb/entries
 			// changes the key rather than racing the scan.
 			base := s.kb.Snapshot()
-			return base.CacheKey(), func(ctx context.Context, buf *bytes.Buffer) error {
+			return base.CacheKey(), func(ctx context.Context) ([]byte, error) {
 				reports, err := s.eng.RunKB(ctx, base)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				return encodeJSON(buf, reportsToWire(reports))
+				return renderBody(func(dst []byte) ([]byte, error) { return appendReportBody(dst, reports) })
 			}, nil
 		},
 	}
-}
-
-func reportsToWire(reports []core.PlanReport) []reportBody {
-	out := make([]reportBody, 0, len(reports))
-	for i := range reports {
-		rb := reportBody{Plan: reports[i].Plan.ID, Message: reports[i].Message()}
-		for _, rec := range reports[i].Recommendations {
-			rb.Recommendations = append(rb.Recommendations, recBody{
-				Entry:      rec.Entry.Name,
-				Title:      rec.Recommendation.Title,
-				Category:   rec.Recommendation.Category,
-				Confidence: rec.Confidence,
-				Text:       rec.Text,
-			})
-		}
-		out = append(out, rb)
-	}
-	return out
 }
 
 func (s *Server) handleCompact(w http.ResponseWriter, _ *http.Request) {

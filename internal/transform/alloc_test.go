@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"optimatch/internal/rdf"
 	"optimatch/internal/workload"
 )
 
@@ -43,5 +44,32 @@ func TestAllocBudgetTransform(t *testing.T) {
 	t.Logf("%d operators, %.0f triples: %.2f allocations and %.0f B per triple", len(p.Ops()), triples, allocs, bytes)
 	if allocs > allocsPerTriple || bytes > bytesPerTriple {
 		t.Errorf("Transform allocates %.2f times and %.0f B per triple, budget %.2f and %d", allocs, bytes, allocsPerTriple, bytesPerTriple)
+	}
+}
+
+// TestAllocBudgetDescribe pins what rendering one matched resource costs: a
+// base object's name and a raw term are returned as they are held, an
+// operator's text is built in one allocation, and appendDescribe into a buffer
+// with room allocates nothing. The knowledge base's templates render every
+// bare tag through Describe.
+func TestAllocBudgetDescribe(t *testing.T) {
+	p := figure1Plan(t)
+	r := Transform(p)
+	var sink string
+	buf := make([]byte, 0, 64)
+	for _, tc := range []struct {
+		name   string
+		term   rdf.Term
+		budget float64
+	}{
+		{"operator", r.PopIRI(p.Operators[2]), 1},
+		{"base object", r.ObjIRI(p.Objects["CUST_DIM"]), 0},
+		{"raw term", rdf.IRI("urn:other"), 0},
+	} {
+		describe := testing.AllocsPerRun(100, func() { sink = r.Describe(tc.term) })
+		appended := testing.AllocsPerRun(100, func() { buf = r.appendDescribe(buf[:0], tc.term) })
+		if describe > tc.budget || appended > 0 {
+			t.Errorf("%s %q: Describe allocates %.0f times, budget %.0f; appendDescribe with room %.0f, budget 0", tc.name, sink, describe, tc.budget, appended)
+		}
 	}
 }

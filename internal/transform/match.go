@@ -96,6 +96,11 @@ func (m Match) Object(c int) *qep.BaseObject { return m.Result.Object(m.Term(c))
 // "CUST_DIM", or the raw term.
 func (m Match) Display(c int) string { return m.Result.Describe(m.Term(c)) }
 
+// AppendDisplay appends column c as Display renders it.
+func (m Match) AppendDisplay(dst []byte, c int) []byte {
+	return m.Result.appendDescribe(dst, m.Term(c))
+}
+
 // String renders the match compactly: "Q2: TOP=NLJOIN(2) ANY2=FETCH(3) ...".
 func (m Match) String() string {
 	var b strings.Builder

@@ -119,15 +119,40 @@ func (r *Result) Object(t rdf.Term) *qep.BaseObject {
 
 // Describe renders a matched resource the way a user sees it in the plan:
 // "NLJOIN(2)" for operators, the object name for base objects, and the raw
-// term otherwise.
+// term otherwise. Only an operator's text is built; the others are returned
+// as they are held.
 func (r *Result) Describe(t rdf.Term) string {
+	op, s := r.describe(t)
+	if op == nil {
+		return s
+	}
+	return string(appendOperator(make([]byte, 0, 32), op))
+}
+
+// appendDescribe appends what Describe returns.
+func (r *Result) appendDescribe(dst []byte, t rdf.Term) []byte {
+	op, s := r.describe(t)
+	if op == nil {
+		return append(dst, s...)
+	}
+	return appendOperator(dst, op)
+}
+
+// describe returns the operator t is, or else the text Describe returns for t.
+func (r *Result) describe(t rdf.Term) (*qep.Operator, string) {
 	if op := r.Operator(t); op != nil {
-		return op.DisplayName() + "(" + strconv.Itoa(op.ID) + ")"
+		return op, ""
 	}
 	if obj := r.Object(t); obj != nil {
-		return obj.Name
+		return nil, obj.Name
 	}
-	return t.Value
+	return nil, t.Value
+}
+
+// appendOperator appends op as a user sees it: "NLJOIN(2)".
+func appendOperator(dst []byte, op *qep.Operator) []byte {
+	dst = append(append(dst, op.DisplayName()...), '(')
+	return append(strconv.AppendInt(dst, int64(op.ID), 10), ')')
 }
 
 // Transform converts a plan into its RDF graph representation.
