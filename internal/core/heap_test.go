@@ -12,38 +12,40 @@ import (
 
 // graphBudgetPerTriple is what a resident plan's graph may hold per triple,
 // and residentBudgetPerTriple what the whole resident plan may: the graph and
-// the parsed plan model beside it. Measured 82.6 B for the graph on the plans
-// below (131.6 when every number was a string in the dictionary: a 40 B Term,
-// a map[Term]ID entry and its formatted text, ≈ 155 B for each of ≈ 0.32
-// numbers per triple) and 17.3 B for the model, 99.9 in all: triple log and
-// index ≈ 46, the numeric column ≈ 4 (8 B per term at ≈ 0.49 terms per
-// triple) and the predicate statistics ≈ 0.4, the dictionary ≈ 32 — per term a
-// 4 B ref, per number 4 B in the sorted list of numbers, and per term held as
-// a term (≈ 0.17 per triple: IRIs, strings) a Term, a map entry and its text.
-// The engine's table adds a pointer and a map entry per plan, nothing per
-// triple. A number back in the string dictionary, a second copy of the
-// vocabulary (the shards' union map measured ≈ 32 B) or of the adjacency (the
-// map-of-map indexes measured 436 B in all) trips a budget long before noise
-// does.
-const graphBudgetPerTriple, residentBudgetPerTriple = 100, 120
+// the parsed plan model beside it. Measured 69.6 B for the graph on the plans
+// below (82.5 while the graph kept its insertion log beside the index, 131.6
+// when every number was a string in the dictionary) and 18.8 B for the model
+// — the parser's strings among it, copied out of the text into one buffer a
+// plan —, 88.4 in all: the index ≈ 34 (three permutations of two 4 B columns
+// and their offsets; the SPO permutation is the only copy of the triples),
+// the numeric column ≈ 4 (8 B per term at ≈ 0.49 terms per triple) and the
+// predicate statistics ≈ 0.4, the dictionary ≈ 32 — per term a 4 B ref, per
+// number 4 B in the sorted list of numbers, and per term held as a term
+// (≈ 0.17 per triple: IRIs, strings) a Term, a map entry and its text. The
+// engine's table adds a pointer and a map entry per plan, nothing per triple.
+// Each budget is the measurement plus 10 %: the log back beside the index
+// (12 B per triple), a number back in the string dictionary, a second copy of
+// the vocabulary (the shards' union map measured ≈ 32 B) or of the adjacency
+// (the map-of-map indexes measured 436 B in all) trips one. keptTextBudget is
+// what of its explain text a loaded plan may keep alive, per plan: measured
+// ≈ 0 (77.2 KB, all of it, while the model kept it as its Source).
+const (
+	graphBudgetPerTriple, residentBudgetPerTriple = 77, 97
+	keptTextBudget                                = 1e3
+)
 
 // TestHeapBudgetPerTriple pins the live heap a plan loaded from its explain
 // text holds, split into the parsed plan model and the graph. The model is
 // measured as a second parse of the same texts held beside the loaded engine;
 // the graph is the rest of what loading kept. The texts are held through both
-// measurements, so neither side counts them; then they are dropped, and the
-// test logs how much of them the loaded plans keep alive (the model's
-// Source, and the parser's substrings in the model and in the graph's
-// terms), with no budget. (Outside the race build, whose shadow memory is not
-// the program's heap.)
+// measurements, so neither side counts them; then they are dropped, and what
+// of their heap the loaded plans still keep alive — the parser's substrings in
+// the model and in the graph's terms would — is held to keptTextBudget.
+// (Outside the race build, whose shadow memory is not the program's heap.)
 func TestHeapBudgetPerTriple(t *testing.T) {
 	w, err := workload.Generate(workload.Config{Seed: 16, NumPlans: 16, MinOps: 60, MaxOps: 240})
 	if err != nil {
 		t.Fatal(err)
-	}
-	texts := make([]string, len(w.Plans))
-	for i, p := range w.Plans {
-		texts[i] = qep.Text(p)
 	}
 	liveHeap := func() float64 {
 		var ms runtime.MemStats
@@ -52,6 +54,12 @@ func TestHeapBudgetPerTriple(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return float64(ms.HeapAlloc)
 	}
+	noText := liveHeap()
+	texts := make([]string, len(w.Plans))
+	for i, p := range w.Plans {
+		texts[i] = qep.Text(p)
+	}
+	textHeap := liveHeap() - noText // the texts' length and the allocator's rounding
 	e := New()
 	before := liveHeap()
 	for _, text := range texts {
@@ -80,7 +88,7 @@ func TestHeapBudgetPerTriple(t *testing.T) {
 		plans, triples, n/plans, model/plans/1e3, model/n, graph/plans/1e3, graph/n, (model+graph)/n)
 
 	clear(texts)
-	kept := textBytes - (loaded - liveHeap())
+	kept := textHeap - (loaded - liveHeap())
 	t.Logf("explain text %.1f KB a plan, of which %.1f KB stays resident with the loaded plan: resident plan %.1f KB",
 		textBytes/plans/1e3, kept/plans/1e3, (model+graph+kept)/plans/1e3)
 	runtime.KeepAlive(w)
@@ -89,6 +97,9 @@ func TestHeapBudgetPerTriple(t *testing.T) {
 	}
 	if (model+graph)/n > residentBudgetPerTriple {
 		t.Errorf("a resident plan holds %.1f B/triple, budget %d", (model+graph)/n, residentBudgetPerTriple)
+	}
+	if kept/plans > keptTextBudget {
+		t.Errorf("a resident plan keeps %.1f KB of its explain text alive, budget %.1f", kept/plans/1e3, keptTextBudget/1e3)
 	}
 	runtime.KeepAlive(e)
 }

@@ -102,7 +102,13 @@ func AblationIndexes(cfg AblationConfig) (AblationResult, error) {
 					continue
 				}
 				if scan {
-					r.Graph.MatchScan(rdf.NoID, pid, oid, func(_, _, _ rdf.ID) bool { count++; return true })
+					// Every triple visited, the pattern tested on each.
+					r.Graph.Match(rdf.NoID, rdf.NoID, rdf.NoID, func(_, p, o rdf.ID) bool {
+						if p == pid && o == oid {
+							count++
+						}
+						return true
+					})
 				} else {
 					r.Graph.Match(rdf.NoID, pid, oid, func(_, _, _ rdf.ID) bool { count++; return true })
 				}

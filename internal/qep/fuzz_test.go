@@ -66,11 +66,12 @@ const maxParseInput = 64 << 10
 // replay hands it whatever a client sent. It must not panic; on every line of
 // every input the header scanners must agree with the regexps they replaced;
 // on up to 64 KiB the parse — refused or not — stays within a second and
-// within a heap budget linear in the input (parseBudget); and a plan that
-// parsed, written by Write and parsed again, must come back the same plan —
-// field by field (dump), not only text for text — and so must what its graph
-// carries of it, read back from the graph and from the graph's N-Triples
-// (checkRoundTrip).
+// within a heap budget linear in the input (parseBudget); a plan that parsed
+// must hold none of the text (checkOwnStrings) and must render byte for byte
+// as the fmt writer Write replaced renders it (checkSameBytes); and, written
+// by Write and parsed again, it must come back the same plan — field by field
+// (dump), not only text for text — and so must what its graph carries of it,
+// read back from the graph and from the graph's N-Triples (checkRoundTrip).
 func FuzzParse(f *testing.F) {
 	for _, p := range append(fixtures.All(), fixtures.SharedTemp()) {
 		f.Add(qep.Text(p))
@@ -105,6 +106,8 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkOwnStrings(t, p, text)
+		checkSameBytes(t, p)
 		written := qep.Text(p)
 		back, err := qep.Parse(written)
 		if err != nil {

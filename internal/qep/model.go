@@ -231,7 +231,6 @@ type Plan struct {
 	Root      *Operator
 	Operators map[int]*Operator // registered through AddOperator only, which keeps ops beside it
 	Objects   map[string]*BaseObject
-	Source    string // the raw explain text this plan was parsed from, if any
 
 	ops []*Operator // Operators by ascending ID, what Ops returns
 }

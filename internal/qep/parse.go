@@ -13,14 +13,61 @@ import (
 // key/value pairs split on the first ':'. Every plan it returns reads back
 // the same from what Write prints for it: it refuses an argument and an
 // object name Write could not spell (docs/FORMAT.md, "What the parser
-// refuses"), and reads '+' and ',' alike as column separators.
+// refuses"), and reads '+' and ',' alike as column separators. The plan
+// holds none of the text: the strings it keeps are copied into one buffer of
+// their own (own).
 func Parse(text string) (*Plan, error) {
 	pp := &planParser{plan: NewPlan("")}
-	pp.plan.Source = text
 	if err := pp.run(text); err != nil {
 		return nil, err
 	}
+	own(pp.plan)
 	return pp.plan, nil
+}
+
+// own copies every string p holds into one buffer, so that none of them is a
+// substring of the text it was parsed from, which would keep that text alive
+// as long as the plan. The buffer is sized first, so that every string the
+// builder's String returns shares its one array.
+func own(p *Plan) {
+	n := 0
+	eachString(p, func(s string) string { n += len(s); return s })
+	var b strings.Builder
+	b.Grow(n)
+	eachString(p, func(s string) string {
+		b.WriteString(s)
+		all := b.String()
+		return all[len(all)-len(s):]
+	})
+}
+
+// eachString replaces every string p holds with f of it, map keys included.
+func eachString(p *Plan, f func(string) string) {
+	list := func(l []string) {
+		for i, s := range l {
+			l[i] = f(s)
+		}
+	}
+	p.ID, p.Statement = f(p.ID), f(p.Statement)
+	for _, op := range p.ops {
+		op.Type = f(op.Type)
+		args := make(map[string]string, len(op.Args))
+		for k, v := range op.Args {
+			args[f(k)] = f(v)
+		}
+		op.Args = args
+		list(op.Predicates)
+		for _, in := range op.Inputs {
+			list(in.Columns)
+		}
+	}
+	objects := make(map[string]*BaseObject, len(p.Objects))
+	for _, obj := range p.Objects {
+		obj.Name, obj.Type = f(obj.Name), f(obj.Type)
+		list(obj.Columns)
+		objects[obj.Name] = obj
+	}
+	p.Objects = objects
 }
 
 // operatorHeader recognises an operator block header like

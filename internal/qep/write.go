@@ -1,10 +1,9 @@
 package qep
 
 import (
-	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -15,11 +14,8 @@ import (
 // makes naive text search over explain files error-prone (paper, Section
 // 3.3); the formatter reproduces it deliberately.
 func FormatNum(f float64) string {
-	af := math.Abs(f)
-	if f != 0 && (af >= 1e6 || af < 1e-3) {
-		return strconv.FormatFloat(f, 'g', -1, 64)
-	}
-	return strconv.FormatFloat(f, 'f', -1, 64)
+	var buf [32]byte
+	return string(appendNum(buf[:0], f))
 }
 
 // FormatNumShort renders a plan number for human-facing report text with at
@@ -39,99 +35,125 @@ func FormatNumShort(f float64) string {
 // Write serializes the plan in the OptImatch explain format (OEF). The
 // output parses back with Parse into a semantically identical plan.
 func Write(w io.Writer, p *Plan) error {
-	var b strings.Builder
-	b.WriteString("OPTIMATCH EXPLAIN FILE\n\n")
-	fmt.Fprintf(&b, "Statement ID:\t%s\n", p.ID)
-	b.WriteString("Statement:\n")
-	for _, line := range strings.Split(strings.TrimRight(p.Statement, "\n"), "\n") {
-		b.WriteString("\t")
-		b.WriteString(line)
-		b.WriteString("\n")
-	}
-	b.WriteString("\nAccess Plan:\n-----------\n")
-	fmt.Fprintf(&b, "\tTotal Cost:\t\t%s\n", FormatNum(p.TotalCost))
-	b.WriteString("\tQuery Degree:\t\t1\n\n")
-
-	b.WriteString("Plan Details:\n-------------\n\n")
-	for _, op := range p.Ops() {
-		fmt.Fprintf(&b, "\t%d) %s: (%s)\n", op.ID, op.DisplayName(), typeDescription(op.Type))
-		if desc := op.JoinMod.Description(); desc != "" {
-			fmt.Fprintf(&b, "\t\t%s\n", desc)
-		}
-		fmt.Fprintf(&b, "\t\tCumulative Total Cost:\t\t%s\n", FormatNum(op.TotalCost))
-		fmt.Fprintf(&b, "\t\tCumulative CPU Cost:\t\t%s\n", FormatNum(op.CPUCost))
-		fmt.Fprintf(&b, "\t\tCumulative I/O Cost:\t\t%s\n", FormatNum(op.IOCost))
-		fmt.Fprintf(&b, "\t\tCumulative First Row Cost:\t%s\n", FormatNum(op.FirstRow))
-		fmt.Fprintf(&b, "\t\tEstimated Bufferpool Buffers:\t%s\n", FormatNum(op.Buffers))
-		fmt.Fprintf(&b, "\t\tEstimated Cardinality:\t\t%s\n", FormatNum(op.Cardinality))
-
-		if len(op.Args) > 0 {
-			b.WriteString("\n\t\tArguments:\n\t\t---------\n")
-			keys := make([]string, 0, len(op.Args))
-			for k := range op.Args {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				fmt.Fprintf(&b, "\t\t%s: %s\n", k, op.Args[k])
-			}
-		}
-		if len(op.Predicates) > 0 {
-			b.WriteString("\n\t\tPredicates:\n\t\t----------\n")
-			for _, pr := range op.Predicates {
-				fmt.Fprintf(&b, "\t\t%s\n", pr)
-			}
-		}
-		if len(op.Inputs) > 0 {
-			b.WriteString("\n\t\tInput Streams:\n\t\t-------------\n")
-			for i, in := range op.Inputs {
-				if in.Op != nil {
-					fmt.Fprintf(&b, "\t\t\t%d) From Operator #%d\n", i+1, in.Op.ID)
-				} else {
-					fmt.Fprintf(&b, "\t\t\t%d) From Object %s\n", i+1, in.Obj.Name)
-				}
-				fmt.Fprintf(&b, "\t\t\t\tStream Type:\t%s\n", in.Kind)
-				fmt.Fprintf(&b, "\t\t\t\tEstimated Rows:\t%s\n", FormatNum(in.Rows))
-				if len(in.Columns) > 0 {
-					fmt.Fprintf(&b, "\t\t\t\tColumns:\t+%s\n", strings.Join(in.Columns, "+"))
-				}
-				b.WriteString("\n")
-			}
-		} else {
-			b.WriteString("\n")
-		}
-	}
-
-	if len(p.Objects) > 0 {
-		b.WriteString("Base Objects:\n-------------\n")
-		names := make([]string, 0, len(p.Objects))
-		for n := range p.Objects {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			obj := p.Objects[n]
-			fmt.Fprintf(&b, "\t%s\n", obj.Name)
-			fmt.Fprintf(&b, "\t\tType:\t%s\n", obj.Type)
-			fmt.Fprintf(&b, "\t\tCardinality:\t%s\n", FormatNum(obj.Cardinality))
-			if len(obj.Columns) > 0 {
-				fmt.Fprintf(&b, "\t\tColumns:\t%s\n", strings.Join(obj.Columns, ","))
-			}
-			b.WriteString("\n")
-		}
-	}
-	b.WriteString("End of Explain\n")
-
-	_, err := io.WriteString(w, b.String())
+	_, err := w.Write(AppendText(nil, p))
 	return err
 }
 
 // Text returns the OEF serialization as a string.
-func Text(p *Plan) string {
-	var b strings.Builder
-	// strings.Builder writes never fail.
-	_ = Write(&b, p)
-	return b.String()
+func Text(p *Plan) string { return string(AppendText(nil, p)) }
+
+// AppendText appends what Write writes to dst. A caller that renders many
+// plans hands the same buffer back each time.
+func AppendText(dst []byte, p *Plan) []byte {
+	dst = line(dst, "OPTIMATCH EXPLAIN FILE\n\nStatement ID:\t", p.ID)
+	dst = append(dst, "Statement:\n"...)
+	for _, l := range strings.Split(strings.TrimRight(p.Statement, "\n"), "\n") {
+		dst = line(dst, "\t", l)
+	}
+	dst = numLine(append(dst, "\nAccess Plan:\n-----------\n"...), "\tTotal Cost:\t\t", p.TotalCost)
+	dst = append(dst, "\tQuery Degree:\t\t1\n\nPlan Details:\n-------------\n\n"...)
+	var keys []string // an operator's argument keys, then the object names: sorted
+	for _, op := range p.Ops() {
+		dst = strconv.AppendInt(append(dst, '\t'), int64(op.ID), 10)
+		dst = line(dst, ") ", op.JoinMod.Prefix(), op.Type, ": (", typeDescription(op.Type), ")")
+		if desc := op.JoinMod.Description(); desc != "" {
+			dst = line(dst, "\t\t", desc)
+		}
+		dst = numLine(dst, "\t\tCumulative Total Cost:\t\t", op.TotalCost)
+		dst = numLine(dst, "\t\tCumulative CPU Cost:\t\t", op.CPUCost)
+		dst = numLine(dst, "\t\tCumulative I/O Cost:\t\t", op.IOCost)
+		dst = numLine(dst, "\t\tCumulative First Row Cost:\t", op.FirstRow)
+		dst = numLine(dst, "\t\tEstimated Bufferpool Buffers:\t", op.Buffers)
+		dst = numLine(dst, "\t\tEstimated Cardinality:\t\t", op.Cardinality)
+		if len(op.Args) > 0 {
+			dst = append(dst, "\n\t\tArguments:\n\t\t---------\n"...)
+			keys = sortedKeys(keys[:0], op.Args)
+			for _, k := range keys {
+				dst = line(dst, "\t\t", k, ": ", op.Args[k])
+			}
+		}
+		if len(op.Predicates) > 0 {
+			dst = append(dst, "\n\t\tPredicates:\n\t\t----------\n"...)
+			for _, pr := range op.Predicates {
+				dst = line(dst, "\t\t", pr)
+			}
+		}
+		if len(op.Inputs) == 0 {
+			dst = append(dst, '\n')
+			continue
+		}
+		dst = append(dst, "\n\t\tInput Streams:\n\t\t-------------\n"...)
+		for i, in := range op.Inputs {
+			dst = strconv.AppendInt(append(dst, "\t\t\t"...), int64(i+1), 10)
+			if in.Op != nil {
+				dst = line(strconv.AppendInt(append(dst, ") From Operator #"...), int64(in.Op.ID), 10))
+			} else {
+				dst = line(dst, ") From Object ", in.Obj.Name)
+			}
+			dst = line(dst, "\t\t\t\tStream Type:\t", in.Kind.String())
+			dst = numLine(dst, "\t\t\t\tEstimated Rows:\t", in.Rows)
+			if len(in.Columns) > 0 {
+				dst = columnsLine(dst, "\t\t\t\tColumns:\t+", in.Columns, '+')
+			}
+			dst = append(dst, '\n')
+		}
+	}
+	if len(p.Objects) > 0 {
+		dst = append(dst, "Base Objects:\n-------------\n"...)
+		keys = sortedKeys(keys[:0], p.Objects)
+		for _, n := range keys {
+			obj := p.Objects[n]
+			dst = line(line(dst, "\t", obj.Name), "\t\tType:\t", obj.Type)
+			dst = numLine(dst, "\t\tCardinality:\t", obj.Cardinality)
+			if len(obj.Columns) > 0 {
+				dst = columnsLine(dst, "\t\tColumns:\t", obj.Columns, ',')
+			}
+			dst = append(dst, '\n')
+		}
+	}
+	return append(dst, "End of Explain\n"...)
+}
+
+// line appends the parts and a newline.
+func line(dst []byte, parts ...string) []byte {
+	for _, s := range parts {
+		dst = append(dst, s...)
+	}
+	return append(dst, '\n')
+}
+
+// numLine appends the label, FormatNum(f) and a newline.
+func numLine(dst []byte, label string, f float64) []byte {
+	return append(appendNum(append(dst, label...), f), '\n')
+}
+
+// columnsLine appends the label, the names joined by sep and a newline.
+func columnsLine(dst []byte, label string, names []string, sep byte) []byte {
+	dst = append(dst, label...)
+	for i, name := range names {
+		if i > 0 {
+			dst = append(dst, sep)
+		}
+		dst = append(dst, name...)
+	}
+	return append(dst, '\n')
+}
+
+// appendNum appends FormatNum(f).
+func appendNum(dst []byte, f float64) []byte {
+	if af := math.Abs(f); f != 0 && (af >= 1e6 || af < 1e-3) {
+		return strconv.AppendFloat(dst, f, 'g', -1, 64)
+	}
+	return strconv.AppendFloat(dst, f, 'f', -1, 64)
+}
+
+// sortedKeys appends the keys of m to dst, sorted.
+func sortedKeys[V any](dst []string, m map[string]V) []string {
+	for k := range m {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst)
+	return dst
 }
 
 // typeDescription maps an operator type to its long explain name.

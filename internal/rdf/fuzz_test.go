@@ -11,17 +11,20 @@ import (
 
 // FuzzGraphIndex is a differential fuzz test for the graph's index. The input
 // drives a sequence of builder calls — Adds (duplicates included: the graph
-// drops them when it builds its index, the test when it logs them) and terms
-// interned without a triple — and the test keeps its own insertion log. Then
-// Builder.Graph builds the graph, and every Match shape (the exact documented
-// sequence, not only the set), Count, HasIDs, the adjacency accessors,
-// NodeIDs, Len and Triples are compared with scans of that log — and the
-// numeric column with Term.Float of every term, the statistics of every
-// predicate with a pass over the log. The spent builder must refuse every
-// method and leave the graph as it was. Then the graph is written as
-// N-Triples — by WriteNTriples and by the line-sorting writer it replaced,
-// which must agree — and read back: the loaded graph must pass the same
-// checks and give every predicate the same statistics.
+// drops them when it builds its index, the test when it lists them) and terms
+// interned without a triple — and the test keeps its own list of what it
+// added (addList). Then Builder.Graph builds the graph, and every Match shape
+// (the exact documented sequence, not only the set: insertion order for
+// (s,p,-), (-,p,o) and (s,-,o), SPO order for (-,-,-)), Count, HasIDs, the
+// adjacency accessors, NodeIDs, Len and Triples (in SPO order) are compared
+// with scans of that list — and the numeric column with Term.Float of every
+// term, the statistics of every predicate with a pass over the list. The
+// spent builder must refuse every method and leave the graph as it was. Then
+// the graph is written as N-Triples — by WriteNTriples and by the
+// line-sorting writer it replaced, which must agree — and read back: the
+// loaded graph, whose Adds are the lines in order, must pass the same checks
+// against the list of those lines and give every predicate the same
+// statistics.
 //
 // Ops, one byte each: b%8 in 0..5 adds the triple named by the next three
 // bytes (through AddIDs, Add or AddTriple, as the object byte says), 6 and 7
@@ -79,8 +82,7 @@ func FuzzGraphIndex(f *testing.F) {
 			}
 			return term(o)
 		}
-		var log [][3]ID
-		inLog := map[[3]ID]bool{}
+		var log addList
 		for i := 0; i < len(data); i++ {
 			if data[i]%8 >= 6 {
 				if i+1 < len(data) {
@@ -105,10 +107,7 @@ func FuzzGraphIndex(f *testing.F) {
 			default:
 				b.AddTriple(Triple{s, p, o})
 			}
-			if !inLog[tr] {
-				inLog[tr] = true
-				log = append(log, tr)
-			}
+			log.add(tr)
 		}
 		g := b.Graph()
 		checkAgainstLog(t, g, log)
@@ -124,15 +123,23 @@ func FuzzGraphIndex(f *testing.F) {
 		if !bytes.Equal(nt.Bytes(), ref.Bytes()) {
 			t.Fatalf("WriteNTriples:\n%s\nthe line-sorting writer:\n%s", nt.Bytes(), ref.Bytes())
 		}
+		lines := bytes.Split(bytes.TrimSuffix(nt.Bytes(), []byte("\n")), []byte("\n"))
 		loaded, err := ParseNTriples(&nt)
 		if err != nil {
 			t.Fatalf("ParseNTriples of the graph's own N-Triples: %v", err)
 		}
-		var loadedLog [][3]ID
-		loaded.MatchScan(NoID, NoID, NoID, func(s, p, o ID) bool {
-			loadedLog = append(loadedLog, [3]ID{s, p, o})
-			return true
-		})
+		var loadedLog addList
+		for _, line := range lines {
+			if len(line) == 0 {
+				continue
+			}
+			tr, err := parseNTripleLine(string(line))
+			if err != nil {
+				t.Fatalf("line %q: %v", line, err)
+			}
+			d := loaded.Dict()
+			loadedLog.add([3]ID{d.Lookup(tr.S), d.Lookup(tr.P), d.Lookup(tr.O)})
+		}
 		checkAgainstLog(t, loaded, loadedLog)
 		for id := ID(1); id <= g.MaxID(); id++ {
 			want, got := g.PredStats(id), loaded.PredStats(loaded.Dict().Lookup(g.Dict().Term(id)))
@@ -199,8 +206,8 @@ var fuzzFloats = []float64{
 	math.Copysign(0, -1), 1e5, 0.1234567890123456, 0.30000000000000004, -2.5,
 }
 
-// expectPredStats is the reference for PredStats(p): one pass over the log.
-func expectPredStats(g *Graph, log [][3]ID, p ID) *PredStats {
+// expectPredStats is the reference for PredStats(p): one pass over the list.
+func expectPredStats(g *Graph, log addList, p ID) *PredStats {
 	st := PredStats{Pred: p, Min: math.Inf(1), Max: math.Inf(-1)}
 	subjects, objects := map[ID]bool{}, map[ID]bool{}
 	for _, tr := range log {
@@ -221,14 +228,17 @@ func expectPredStats(g *Graph, log [][3]ID, p ID) *PredStats {
 }
 
 // expectMatch is the reference for Match(s, p, o): the matching triples of the
-// log in insertion order, re-sorted — stably — by the component the contract
-// names for the three single-bound shapes.
-func expectMatch(log [][3]ID, s, p, o ID) [][3]ID {
+// list in insertion order, re-sorted — stably — by the component the contract
+// names for the three single-bound shapes, and into SPO order for the
+// unbound one.
+func expectMatch(log addList, s, p, o ID) [][3]ID {
 	out := [][3]ID{}
-	for _, tr := range log {
-		if (s == NoID || tr[0] == s) && (p == NoID || tr[1] == p) && (o == NoID || tr[2] == o) {
-			out = append(out, tr)
-		}
+	log.scan(s, p, o, func(s, p, o ID) bool {
+		out = append(out, [3]ID{s, p, o})
+		return true
+	})
+	if s == NoID && p == NoID && o == NoID {
+		return addList(out).spo()
 	}
 	key := -1
 	switch {
@@ -245,19 +255,16 @@ func expectMatch(log [][3]ID, s, p, o ID) [][3]ID {
 	return out
 }
 
-// checkAgainstLog compares every read the graph offers with the log, probing
-// each shape with every ID the dictionary issued plus two it did not.
-func checkAgainstLog(t *testing.T, g *Graph, log [][3]ID) {
+// checkAgainstLog compares every read the graph offers with the test's list
+// of its Adds, probing each shape with every ID the dictionary issued plus two
+// it did not.
+func checkAgainstLog(t *testing.T, g *Graph, log addList) {
 	t.Helper()
 	if g.Len() != len(log) {
-		t.Fatalf("Len = %d, log has %d", g.Len(), len(log))
+		t.Fatalf("Len = %d, the list has %d", g.Len(), len(log))
 	}
-	triples := g.Triples()
-	for i, tr := range log {
-		want := Triple{g.Dict().Term(tr[0]), g.Dict().Term(tr[1]), g.Dict().Term(tr[2])}
-		if i >= len(triples) || triples[i] != want {
-			t.Fatalf("Triples()[%d] differs from the log entry %v", i, want)
-		}
+	if got, want := g.Triples(), log.spo().triples(g.Dict()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Triples() = %v, the list in SPO order is %v", got, want)
 	}
 
 	// Probe IDs: everything issued, one past it, and one far past it.

@@ -7,10 +7,10 @@ import (
 )
 
 // Graph is an in-memory RDF graph (triple store). Triples are dictionary
-// encoded: every term is interned to a dense ID, the triples are kept as an
-// insertion-ordered log, and one immutable index over that log (see
-// index.go) answers every bound/unbound combination of a triple pattern
-// without scanning.
+// encoded: every term is interned to a dense ID, and the triples are kept
+// only as one immutable index (see index.go), whose SPO permutation is the
+// set of triples itself and which answers every bound/unbound combination of
+// a triple pattern without scanning.
 //
 // A Graph is read-only: a Builder writes one, and Builder.Graph returns it
 // with its index built, so it is safe for concurrent readers from birth.
@@ -18,14 +18,14 @@ import (
 // patterns against it.
 type Graph struct {
 	dict *Dict
-	log  [][3]ID // the distinct triples (s, p, o) in insertion order
 	idx  *index
 }
 
 // Builder writes the one Graph its Graph method returns. Nothing else may
-// touch it meanwhile. An Add only appends: a triple added twice sits in the
-// log twice until Graph, whose index build sorts the log anyway and drops
-// every occurrence but the first.
+// touch it meanwhile. An Add only appends to the builder's log: a triple
+// added twice sits in it twice until Graph, whose index build sorts the log
+// anyway and drops every occurrence but the first. The graph keeps the
+// index, not the log.
 type Builder struct {
 	dict *Dict   // nil once Graph has handed it over
 	log  [][3]ID // triples (s, p, o) in insertion order
@@ -86,15 +86,14 @@ func (b *Builder) AddIDs(s, p, o ID) {
 }
 
 // Graph ends the building: it freezes the dictionary, which completes the
-// numeric column, indexes the log and cuts it to its length, and hands both
-// to the graph it returns. The builder keeps neither, so no later call can
-// reach the graph: each one panics.
+// numeric column, indexes the log and hands the dictionary and the index to
+// the graph it returns; the log is dropped. The builder keeps nothing, so no
+// later call can reach the graph: each one panics.
 func (b *Builder) Graph() *Graph {
 	d, log := b.Dict(), b.log
 	b.dict, b.log = nil, nil
 	d.freeze()
-	idx, log := buildIndex(log, d.num)
-	return &Graph{dict: d, log: clip(log), idx: idx}
+	return &Graph{dict: d, idx: buildIndex(log, d.num)}
 }
 
 // clip returns s without spare capacity, in a new array if it has any.
@@ -109,7 +108,7 @@ func clip[S ~[]E, E any](s S) S {
 func (g *Graph) Dict() *Dict { return g.dict }
 
 // Len reports the number of distinct triples in the graph.
-func (g *Graph) Len() int { return len(g.log) }
+func (g *Graph) Len() int { return len(g.idx.spo.b) }
 
 // MaxID returns the largest dense term ID the graph's dictionary has issued.
 // Valid IDs are 1..MaxID; bitsets and the index's offset arrays are sized off
@@ -172,10 +171,12 @@ func (g *Graph) PredStats(p ID) *PredStats {
 // The iteration order is a function of the sequence of Adds that built the
 // graph, never of a map: (s,p,-) yields objects and (-,p,o) subjects in
 // insertion order (closure walks and the golden reports rely on both),
-// (s,-,o) predicates likewise, (-,-,-) is the insertion order itself, and
-// the single-bound shapes run in ascending ID of the next component —
-// (s,-,-) by predicate, (-,p,-) by object, (-,-,o) by subject — with ties in
-// insertion order. Two graphs built by the same Add sequence iterate alike.
+// (s,-,o) predicates likewise, and the other shapes run in ascending ID of
+// their unbound components, each next one a tie-break — (s,-,-) by
+// predicate, (-,p,-) by object, (-,-,o) by subject, (-,-,-) by subject, then
+// predicate — with the ties left in insertion order. That last is SPO order,
+// the order of Triples. Two graphs built by the same Add sequence iterate
+// alike.
 func (g *Graph) Match(s, p, o ID, fn func(s, p, o ID) bool) {
 	ix := g.idx
 	switch {
@@ -220,7 +221,13 @@ func (g *Graph) Match(s, p, o ID, fn func(s, p, o ID) bool) {
 			}
 		}
 	default:
-		g.MatchScan(NoID, NoID, NoID, fn)
+		for s := ID(1); int(s) < len(ix.spo.off)-1; s++ {
+			for i, end := ix.spo.bucket(s); i < end; i++ {
+				if !fn(s, ix.spo.b[i], ix.spo.c[i]) {
+					return
+				}
+			}
+		}
 	}
 }
 
@@ -252,31 +259,18 @@ func (g *Graph) Count(s, p, o ID) int {
 		lo, hi := ix.osp.bucket(o)
 		return hi - lo
 	default:
-		return len(g.log) // distinct: ix was built over it
+		return g.Len()
 	}
 }
 
-// MatchScan is a deliberately unindexed matcher with the same contract as
-// Match: a filtered scan of the insertion log. It is the reference the index
-// is tested against and the baseline of the index ablation
-// (experiments.AblationIndexes, cmd/experiments -ablations).
-func (g *Graph) MatchScan(s, p, o ID, fn func(s, p, o ID) bool) {
-	for _, t := range g.log {
-		if (s == NoID || t[0] == s) && (p == NoID || t[1] == p) && (o == NoID || t[2] == o) {
-			if !fn(t[0], t[1], t[2]) {
-				return
-			}
-		}
-	}
-}
-
-// Triples materializes every triple in the graph, in insertion order.
-// Intended for tests and serialization, not for matching.
+// Triples materializes every triple in the graph, in SPO order: what
+// Match(NoID, NoID, NoID, …) yields. Intended for tests, not for matching.
 func (g *Graph) Triples() []Triple {
-	out := make([]Triple, len(g.log))
-	for i, t := range g.log {
-		out[i] = Triple{g.dict.Term(t[0]), g.dict.Term(t[1]), g.dict.Term(t[2])}
-	}
+	out := make([]Triple, 0, g.Len())
+	g.Match(NoID, NoID, NoID, func(s, p, o ID) bool {
+		out = append(out, Triple{g.dict.Term(s), g.dict.Term(p), g.dict.Term(o)})
+		return true
+	})
 	return out
 }
 

@@ -10,16 +10,24 @@ import (
 
 func testGraph() *Graph { return testBuilder().Graph() }
 
+// testTriples are testGraph's triples in the order of their Adds. Those of
+// pop2 are not adjacent, so the insertion order is not the SPO order.
+var testTriples = []Triple{
+	{IRI("pop2"), IRI("hasPopType"), String("NLJOIN")},
+	{IRI("pop3"), IRI("hasPopType"), String("FETCH")},
+	{IRI("pop5"), IRI("hasPopType"), String("TBSCAN")},
+	{IRI("pop5"), IRI("hasEstimateCardinality"), TypedLiteral("4043.0", XSDDouble)},
+	{IRI("pop2"), IRI("hasOuterInputStream"), IRI("stream1")},
+	{IRI("stream1"), IRI("hasOuterInputStream"), IRI("pop3")},
+	{IRI("pop2"), IRI("hasInnerInputStream"), IRI("stream2")},
+	{IRI("stream2"), IRI("hasInnerInputStream"), IRI("pop5")},
+}
+
 func testBuilder() *Builder {
 	b := NewBuilder()
-	b.Add(IRI("pop2"), IRI("hasPopType"), String("NLJOIN"))
-	b.Add(IRI("pop3"), IRI("hasPopType"), String("FETCH"))
-	b.Add(IRI("pop5"), IRI("hasPopType"), String("TBSCAN"))
-	b.Add(IRI("pop5"), IRI("hasEstimateCardinality"), TypedLiteral("4043.0", XSDDouble))
-	b.Add(IRI("pop2"), IRI("hasOuterInputStream"), IRI("stream1"))
-	b.Add(IRI("stream1"), IRI("hasOuterInputStream"), IRI("pop3"))
-	b.Add(IRI("pop2"), IRI("hasInnerInputStream"), IRI("stream2"))
-	b.Add(IRI("stream2"), IRI("hasInnerInputStream"), IRI("pop5"))
+	for _, t := range testTriples {
+		b.AddTriple(t)
+	}
 	return b
 }
 
@@ -113,19 +121,29 @@ func TestGraphMatchEarlyStop(t *testing.T) {
 	}
 }
 
-func TestGraphMatchScanAgreesWithMatch(t *testing.T) {
-	g := testGraph()
-	d := g.Dict()
-	pop2 := d.Lookup(IRI("pop2"))
-	want := collectMatches(g, pop2, NoID, NoID)
-	var got []Triple
-	g.MatchScan(pop2, NoID, NoID, func(s, p, o ID) bool {
-		got = append(got, Triple{g.dict.Term(s), g.dict.Term(p), g.dict.Term(o)})
-		return true
-	})
-	sort.Slice(got, func(i, j int) bool { return got[i].String() < got[j].String() })
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("MatchScan = %v, Match = %v", got, want)
+// Match(pop2, -, -) yields pop2's triples by ascending predicate, and
+// Match(-, -, -) every triple in SPO order — not in the order of the Adds,
+// which the test keeps itself.
+func TestGraphMatchAgreesWithAddList(t *testing.T) {
+	b := NewBuilder()
+	var log addList
+	for _, tr := range testTriples {
+		log.addTriple(b, tr)
+	}
+	g := b.Graph()
+	if reflect.DeepEqual(log, log.spo()) {
+		t.Fatal("the Adds are in SPO order already: the test cannot tell the orders apart")
+	}
+	pop2 := g.Dict().Lookup(IRI("pop2"))
+	for _, probe := range [][3]ID{{pop2, NoID, NoID}, {NoID, NoID, NoID}} {
+		got := [][3]ID{}
+		g.Match(probe[0], probe[1], probe[2], func(s, p, o ID) bool {
+			got = append(got, [3]ID{s, p, o})
+			return true
+		})
+		if want := expectMatch(log, probe[0], probe[1], probe[2]); !reflect.DeepEqual(got, want) {
+			t.Errorf("Match%v = %v, want %v", probe, got, want)
+		}
 	}
 }
 
@@ -170,15 +188,17 @@ func randomTriples(seed int64, n int) []Triple {
 	return ts
 }
 
-// Property: for any insertion set and any pattern, Match and MatchScan agree,
-// and Count equals the number of Match callbacks.
-func TestGraphMatchScanCountAgreementProperty(t *testing.T) {
+// Property: for any insertion sequence and any pattern, Match yields the
+// sequence the contract names for the test's own list of its Adds
+// (expectMatch), and Count equals the number of Match callbacks.
+func TestGraphMatchCountAgreementProperty(t *testing.T) {
 	check := func(seed int64, nRaw uint8, sBound, pBound, oBound bool) bool {
 		n := int(nRaw%50) + 1
 		gb := NewBuilder()
 		ts := randomTriples(seed, n)
+		var log addList
 		for _, tr := range ts {
-			gb.AddTriple(tr)
+			log.addTriple(gb, tr)
 		}
 		// Pick a pattern from the first triple's IDs.
 		d := gb.Dict()
@@ -193,17 +213,15 @@ func TestGraphMatchScanCountAgreementProperty(t *testing.T) {
 			o = d.Lookup(ts[0].O)
 		}
 		g := gb.Graph()
-		a := collectMatches(g, s, p, o)
-		var b []Triple
-		g.MatchScan(s, p, o, func(s, p, o ID) bool {
-			b = append(b, Triple{d.Term(s), d.Term(p), d.Term(o)})
+		got := [][3]ID{}
+		g.Match(s, p, o, func(s, p, o ID) bool {
+			got = append(got, [3]ID{s, p, o})
 			return true
 		})
-		sort.Slice(b, func(i, j int) bool { return b[i].String() < b[j].String() })
-		if !reflect.DeepEqual(a, b) {
+		if !reflect.DeepEqual(got, expectMatch(log, s, p, o)) {
 			return false
 		}
-		return g.Count(s, p, o) == len(a)
+		return g.Count(s, p, o) == len(got)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

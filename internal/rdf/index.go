@@ -2,9 +2,10 @@ package rdf
 
 import "math"
 
-// index is the one immutable index over a graph's triple log: the three
-// permutations SPO, POS and OSP as pointer-free columns, plus the distinct
-// node list, the numeric value of every term and the statistics of every
+// index is the one immutable index over a graph's triples: the three
+// permutations SPO, POS and OSP as pointer-free columns — SPO is the set of
+// triples, of which the graph keeps no other copy —, plus the distinct node
+// list, the numeric value of every term and the statistics of every
 // predicate. It exploits the engine's central invariant — plan graphs are
 // immutable after load — so it is built once, by Builder.Graph, and then
 // shared, lock-free, by every concurrent reader.
@@ -95,7 +96,7 @@ func lowerBound(col []ID, v ID) int {
 	return lo
 }
 
-// buildIndex sorts the log three ways and returns it without its duplicates.
+// buildIndex sorts the builder's log three ways, without its duplicates.
 // num is the numeric column, one entry per term; its last ID is the largest a
 // triple may carry. Per column one histogram, prefix-summed into the bucket
 // offsets; each permutation is then two stable counting-sort passes over row
@@ -105,7 +106,7 @@ func lowerBound(col []ID, v ID) int {
 // there are any, the later ones are cut out of the log — in place, every
 // other row keeping its order — and the build starts over on what is left.
 // The predicate statistics are read off the sorted columns afterwards.
-func buildIndex(log [][3]ID, num []uint64) (*index, [][3]ID) {
+func buildIndex(log [][3]ID, num []uint64) *index {
 	maxID := len(num) - 1
 	var off [3][]uint32
 	for k := range off {
@@ -215,5 +216,5 @@ func buildIndex(log [][3]ID, num []uint64) (*index, [][3]ID) {
 		}
 		ix.preds = append(ix.preds, st)
 	}
-	return ix, log
+	return ix
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // column collects component k of every triple match emits for the pattern,
-// in emission order. With g.MatchScan it is the reference — a scan of the
-// insertion log — and with g.Match what the index answers.
+// in emission order. With addList.scan it is the reference — a scan of the
+// test's own list of its Adds — and with g.Match what the index answers.
 func column(match func(s, p, o ID, fn func(s, p, o ID) bool), s, p, o ID, k int) []ID {
 	var out []ID
 	match(s, p, o, func(s, p, o ID) bool {
@@ -19,17 +19,18 @@ func column(match func(s, p, o ID, fn func(s, p, o ID) bool), s, p, o ID, k int)
 }
 
 // Property: for every node and predicate, the index's adjacency slices and
-// Match return exactly the neighbor lists a scan of the insertion log yields,
-// in the same order. Order equality is the load-bearing part — the path
-// evaluator and the golden reports rely on it.
+// Match return exactly the neighbor lists a scan of the test's list of its
+// Adds yields, in the same order. Order equality is the load-bearing part —
+// the path evaluator and the golden reports rely on it.
 func TestAdjacencyAgreesWithMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	b := NewBuilder()
+	var log addList
 	preds := []Term{IRI("p"), IRI("q"), IRI("r")}
 	for i := 0; i < 400; i++ {
 		s := IRI(string(rune('a' + rng.Intn(26))))
 		o := IRI(string(rune('a' + rng.Intn(26))))
-		b.Add(s, preds[rng.Intn(len(preds))], o)
+		log.addTriple(b, Triple{s, preds[rng.Intn(len(preds))], o})
 	}
 	g := b.Graph()
 	d := g.Dict()
@@ -37,7 +38,7 @@ func TestAdjacencyAgreesWithMatch(t *testing.T) {
 		p := d.Lookup(pt)
 		edges := 0
 		for id := ID(1); id <= g.MaxID()+2; id++ {
-			want := column(g.MatchScan, id, p, NoID, 2)
+			want := column(log.scan, id, p, NoID, 2)
 			edges += len(want)
 			if got := g.ObjectIDs(id, p); !sameIDs(got, want) {
 				t.Fatalf("ObjectIDs(%d) over %v = %v, log = %v", id, pt, got, want)
@@ -45,7 +46,7 @@ func TestAdjacencyAgreesWithMatch(t *testing.T) {
 			if got := column(g.Match, id, p, NoID, 2); !sameIDs(got, want) {
 				t.Fatalf("Match(%d, %v, -) = %v, log = %v", id, pt, got, want)
 			}
-			want = column(g.MatchScan, NoID, p, id, 0)
+			want = column(log.scan, NoID, p, id, 0)
 			if got := g.SubjectIDs(p, id); !sameIDs(got, want) {
 				t.Fatalf("SubjectIDs(%d) over %v = %v, log = %v", id, pt, got, want)
 			}
@@ -149,22 +150,23 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 }
 
-// Builder.Graph cuts the dictionary's columns and the log to their lengths —
-// what a capacity hint or an append's doubling left over would stay resident
-// with the graph — and leaves the builder spent: every method panics and
-// changes nothing.
+// Builder.Graph cuts the dictionary's columns to their lengths — what a
+// capacity hint or an append's doubling left over would stay resident with
+// the graph —, keeps the triples in the index alone (Triples in SPO order,
+// the list of Adds reordered) and leaves the builder spent: every method
+// panics and changes nothing.
 func TestFreeze(t *testing.T) {
-	want := testGraph().Triples()
 	b := NewBuilderSize(64, 64, 64)
-	for _, tr := range want {
-		b.AddTriple(tr)
+	var log addList
+	for _, tr := range testTriples {
+		log.addTriple(b, tr)
 	}
 	g := b.Graph()
-	if d := g.dict; cap(d.terms) != len(d.terms) || cap(d.ref) != len(d.ref) || cap(d.num) != len(d.num) || cap(g.log) != len(g.log) {
-		t.Errorf("spare capacity: terms %d of %d, refs %d of %d, numbers %d of %d, log %d of %d",
-			len(d.terms), cap(d.terms), len(d.ref), cap(d.ref), len(d.num), cap(d.num), len(g.log), cap(g.log))
+	if d := g.dict; cap(d.terms) != len(d.terms) || cap(d.ref) != len(d.ref) || cap(d.num) != len(d.num) {
+		t.Errorf("spare capacity: terms %d of %d, refs %d of %d, numbers %d of %d",
+			len(d.terms), cap(d.terms), len(d.ref), cap(d.ref), len(d.num), cap(d.num))
 	}
-	if got := g.Triples(); !reflect.DeepEqual(got, want) {
+	if got, want := g.Triples(), log.spo().triples(g.Dict()); !reflect.DeepEqual(got, want) {
 		t.Errorf("Triples = %v, want %v", got, want)
 	}
 	checkSpent(t, b, g)

@@ -37,7 +37,7 @@ func WriteNTriples(w io.Writer, g *Graph) error {
 // AppendNTriples appends what WriteNTriples writes to dst, growing it at most
 // once, to the size the lines need.
 func AppendNTriples(dst []byte, g *Graph) []byte {
-	log, d := g.log, g.dict
+	spo, d := &g.idx.spo, g.dict
 	n := d.Len() + 1 // IDs and the zero ID
 	// Token id is text[start[id]:start[id+1]], its trailing space included.
 	start := make([]int, n+1)
@@ -70,11 +70,14 @@ func AppendNTriples(dst []byte, g *Graph) []byte {
 
 	// The triples as ranks, ordered by three stable counting-sort passes, the
 	// least significant component first.
-	rows, sorted := make([][3]ID, len(log)), make([][3]ID, len(log))
+	rows, sorted := make([][3]ID, len(spo.b)), make([][3]ID, len(spo.b))
 	size = 0
-	for i, t := range log {
-		rows[i] = [3]ID{rank[t[0]], rank[t[1]], rank[t[2]]}
-		size += len(token(t[0])) + len(token(t[1])) + len(token(t[2])) + len(".\n")
+	for s := ID(1); int(s) < len(spo.off)-1; s++ {
+		for i, end := spo.bucket(s); i < end; i++ {
+			p, o := spo.b[i], spo.c[i]
+			rows[i] = [3]ID{rank[s], rank[p], rank[o]}
+			size += len(token(s)) + len(token(p)) + len(token(o)) + len(".\n")
+		}
 	}
 	next := make([]int, n+1)
 	for k := 2; k >= 0; k-- {

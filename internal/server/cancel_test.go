@@ -21,12 +21,14 @@ import (
 	"optimatch/internal/workload"
 )
 
-// slowQuery joins two unanchored transitive closures with no shared
-// variable: a cross product of O(n^2) path relations per plan, far too much
-// work to finish inside the test deadlines but cancellable within one
-// poll stride.
+// slowQuery joins three unanchored transitive closures with no shared
+// variable under a FILTER no row passes — no operator is its own descendant:
+// a cross product of O(n^2) path relations per plan, of which no row is kept,
+// far too much work to finish inside the test deadlines but cancellable
+// within one poll stride. (A query that kept its rows would end sooner, at
+// the row ceiling, sparql.MaxRows.)
 const slowQuery = `PREFIX preduri: <http://optimatch/pred/>
-SELECT ?a ?y WHERE { ?x preduri:hasChildPop+ ?y . ?a preduri:hasChildPop+ ?b }`
+SELECT ?a ?y WHERE { ?x preduri:hasChildPop+ ?y . ?a preduri:hasChildPop+ ?b . ?c preduri:hasChildPop+ ?d FILTER(?c = ?d) }`
 
 const fastQuery = `PREFIX preduri: <http://optimatch/pred/>
 SELECT ?op WHERE { ?op preduri:hasPopType "TBSCAN" } LIMIT 1`

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -77,11 +78,56 @@ SELECT ?pop ?type WHERE { ?pop preduri:hasPopType ?type }`)
 	}
 }
 
-// TestAnswerOverCeiling is the regression test for a 32 MB answer: one query
-// of a join with no shared variable over one resident plan, whose rows are the
-// product of two triple counts, answers 422 naming the ceiling, and neither
-// the error nor the body it refused is cached.
+// TestAnswerOverCeiling is the regression test for a 32 MB answer, made of
+// many plans now that one plan's rows stop at the row ceiling: a query of
+// every triple over 40 resident plans, each answering a few thousand rows,
+// answers 422 naming the byte ceiling, and neither the error nor the body it
+// refused is cached.
 func TestAnswerOverCeiling(t *testing.T) {
+	w, err := workload.Generate(workload.Config{Seed: 1, NumPlans: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := core.New()
+	if err := eng.LoadPlans(w.Plans); err != nil {
+		t.Fatal(err)
+	}
+	const query = `SELECT * WHERE { ?a ?b ?c }`
+	q, err := sparql.Parse(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches, err := eng.FindSPARQL(context.Background(), q)
+	if err != nil {
+		t.Fatalf("no plan may reach the row ceiling: %v", err)
+	}
+	if full, _ := appendMatchBody(nil, matches, nil, math.MaxInt); len(full) <= maxAnswerBytes {
+		t.Fatalf("the whole answer is %d bytes, not past the ceiling", len(full))
+	}
+	c := cache.New(cache.Config{MaxBytes: 64 << 20})
+	ts := httptest.NewServer(New(eng, nil, WithResultCache(c)).Handler())
+	t.Cleanup(ts.Close)
+	for i := 0; i < 2; i++ {
+		resp, body := cacheReq(t, "POST", ts.URL+"/api/sparql", query, nil)
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(body, strconv.Itoa(maxAnswerBytes)) {
+			t.Fatalf("request %d: status %d, %d bytes: %.200s", i, resp.StatusCode, len(body), body)
+		}
+		if got := resp.Header.Get("X-Cache"); got != "" {
+			t.Errorf("request %d: X-Cache %q on an error", i, got)
+		}
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Entries != 0 {
+		t.Errorf("cache: %d misses, %d entries; want both requests rendered and nothing stored", st.Misses, st.Entries)
+	}
+}
+
+// TestRowCeilingOverOnePlan is the regression test for the query the byte
+// ceiling was first met with: a join with no shared variable over one
+// resident plan, whose rows are the product of two triple counts (≈ 700 000).
+// It answers 422 naming the row ceiling, is not cached, and is refused after
+// sparql.MaxRows rows are built, not all of them: the request allocates 16 MB
+// where it allocated 153 MB (≈ 100 MB peak heap) with every row built.
+func TestRowCeilingOverOnePlan(t *testing.T) {
 	w, err := workload.Generate(workload.Config{Seed: 1, NumPlans: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -95,12 +141,18 @@ func TestAnswerOverCeiling(t *testing.T) {
 	const query = `PREFIX preduri: <http://optimatch/pred/>
 SELECT * WHERE { ?a ?b ?c . ?d preduri:hasTotalCost ?f }`
 	for i := 0; i < 2; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		resp, body := cacheReq(t, "POST", ts.URL+"/api/sparql", query, nil)
-		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(body, strconv.Itoa(maxAnswerBytes)) {
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(body, strconv.Itoa(sparql.MaxRows)) {
 			t.Fatalf("request %d: status %d, %d bytes: %.200s", i, resp.StatusCode, len(body), body)
 		}
 		if got := resp.Header.Get("X-Cache"); got != "" {
 			t.Errorf("request %d: X-Cache %q on an error", i, got)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 32<<20 {
+			t.Errorf("request %d allocated %d MB, budget 32: more rows were built than the ceiling lets through", i, alloc>>20)
 		}
 	}
 	if st := c.Stats(); st.Misses != 2 || st.Entries != 0 {

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 
 	"optimatch/internal/rdf"
@@ -184,12 +185,26 @@ func (s *EvalStats) addEval(p PathStats, joinRows, matchRows int64) {
 	s.pathBitsetBytes.Add(p.BitsetBytes)
 }
 
+// MaxRows bounds the rows one evaluation materialises. An answer that would
+// hold more is cut at MaxRows rows, flagged Truncated and returned with
+// ErrRowCeiling. The largest answer a benchmark deck request gets from one
+// plan holds 229 rows.
+const MaxRows = 8192
+
+// ErrRowCeiling is the error of an evaluation whose answer would hold more
+// than MaxRows rows.
+var ErrRowCeiling = fmt.Errorf("sparql: the answer holds more than %d rows", MaxRows)
+
 // Results is a solution table: one row per solution, one column per
 // projected variable. A zero rdf.Term in a cell means the variable is
 // unbound in that solution (possible under OPTIONAL).
 type Results struct {
 	Vars []string
 	Rows [][]rdf.Term
+	// Truncated reports that the answer holds more rows than MaxRows: Rows
+	// holds the first MaxRows of them, and the evaluation's error is
+	// ErrRowCeiling.
+	Truncated bool
 }
 
 // Len reports the number of solutions.
@@ -235,7 +250,8 @@ func (q *Query) Exec(g *rdf.Graph) (*Results, error) {
 // dictionary ID exactly once, WHERE evaluation is skipped altogether when a
 // required constant is absent from g's vocabulary, and pattern matching runs
 // in ID space (see specialize.go); terms materialize once, in the projection
-// tail.
+// tail. An answer of more than MaxRows rows comes back cut, with
+// ErrRowCeiling (see Results.Truncated).
 func (q *Query) ExecOpts(g *rdf.Graph, opts ExecOptions) (*Results, error) {
 	p := q.Analysis().prog
 	if opts.Ctx != nil {

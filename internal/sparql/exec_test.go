@@ -239,13 +239,14 @@ func TestBitsetBytesIgnoresPoolState(t *testing.T) {
 // A cancellation observed deep in the recursion unwinds it, surfaces as the
 // context's error with no rows, and leaves the evalCtx fit for the pool.
 func TestCancelMidRecursion(t *testing.T) {
-	g := chainGraph(30)
+	g := chainGraph(21)
 	for _, c := range []struct {
 		text     string
 		minNodes int64
 	}{
-		// 1 + 29 + 29² recursion nodes: the first stride poll lands three
-		// steps deep in the cross product.
+		// 1 + 20 + 20² recursion nodes: the first stride poll lands three
+		// steps deep in the cross product, whose 8 000 rows the evaluations
+		// after it answer in full, under the row ceiling (MaxRows).
 		{`SELECT ?a ?d ?f WHERE { ?a pred:hasChildPop ?b . ?c pred:hasChildPop ?d . ?e pred:hasChildPop ?f }`, cancelStride / 2},
 		// The BFS walks poll too, so this one trips sooner: inside a walk
 		// started below the first step, whose pair buffer is still out.

@@ -964,6 +964,9 @@ func (ec *evalCtx) compute(table []rdf.ID) {
 // column, so equal projections tie on all keys, a stable sort keeps tied rows
 // in arrival order, and the first occurrence of each projection therefore
 // lands where sort-then-dedup would have kept it.
+//
+// No more than MaxRows rows materialize: the row past them sets Truncated
+// and ends the pass, and the cut answer comes back with ErrRowCeiling.
 func (ec *evalCtx) projectIDs(q *Query, table []rdf.ID) (*Results, error) {
 	p := ec.prog
 	w, cols, orderCols, dedup := p.width, p.projSlots, p.orderSlots, q.Distinct
@@ -1006,7 +1009,7 @@ func (ec *evalCtx) projectIDs(q *Query, table []rdf.ID) (*Results, error) {
 		if q.Limit >= 0 {
 			rows = min(rows, q.Limit)
 		}
-		if rows > 0 {
+		if rows = min(rows, MaxRows); rows > 0 {
 			cells, res.Rows = make([]rdf.Term, 0, rows*len(cols)), make([][]rdf.Term, 0, rows)
 		}
 	}
@@ -1028,6 +1031,10 @@ func (ec *evalCtx) projectIDs(q *Query, table []rdf.ID) (*Results, error) {
 		if q.Limit >= 0 && kept-q.Offset > q.Limit {
 			break
 		}
+		if kept-q.Offset > MaxRows {
+			res.Truncated = true
+			break
+		}
 		for _, c := range cols {
 			cells = append(cells, ec.term(row[c]))
 		}
@@ -1036,6 +1043,9 @@ func (ec *evalCtx) projectIDs(q *Query, table []rdf.ID) (*Results, error) {
 	pc := len(cols)
 	for i := range res.Rows {
 		res.Rows[i] = cells[i*pc : (i+1)*pc : (i+1)*pc]
+	}
+	if res.Truncated {
+		return res, ErrRowCeiling
 	}
 	return res, nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
+	"runtime"
 
 	"optimatch/internal/kb"
 	"optimatch/internal/qep"
@@ -18,10 +19,10 @@ const (
 	walName      = "wal.log"
 )
 
-// snapshot is the compacted state of the repository: every plan's raw
-// explain text plus the knowledge base in its kb.Save envelope. LastSeq
-// records the newest WAL sequence number the snapshot absorbed; replay
-// skips records at or below it. Generation counts compactions.
+// snapshot is the compacted state of the repository: every plan's explain
+// text plus the knowledge base in its kb.Save envelope. LastSeq records the
+// newest WAL sequence number the snapshot absorbed; replay skips records at
+// or below it. Generation counts compactions.
 type snapshot struct {
 	Version    int             `json:"version"`
 	Generation uint64          `json:"generation"`
@@ -30,29 +31,29 @@ type snapshot struct {
 	KB         json.RawMessage `json:"kb"`
 }
 
-// snapshotPlan preserves one plan as the explain text it round-trips
-// through qep.Parse. Plans loaded from files keep their original source;
-// programmatically built plans are rendered with qep.Text.
+// snapshotPlan preserves one plan as explain text that qep.Parse reads back
+// as the same plan. A snapshot this package writes holds qep.Text of the
+// plan; one written before compaction rendered every plan may hold the text
+// a client uploaded, in any spelling Parse accepts, and reads back alike.
 type snapshotPlan struct {
 	ID   string `json:"id"`
 	Text string `json:"text"`
 }
 
-// planText returns the explain text that re-parses into p.
-func planText(p *qep.Plan) string {
-	if p.Source != "" {
-		return p.Source
-	}
-	return qep.Text(p)
-}
-
-// buildSnapshot captures the given state. The caller must hold whatever
-// lock guards the knowledge base.
-func buildSnapshot(gen, lastSeq uint64, plans []*qep.Plan, base *kb.KnowledgeBase) (*snapshot, error) {
-	snap := &snapshot{Version: 1, Generation: gen, LastSeq: lastSeq}
-	for _, p := range plans {
-		snap.Plans = append(snap.Plans, snapshotPlan{ID: p.ID, Text: planText(p)})
-	}
+// buildSnapshot captures the given state, rendering the plans on parallel —
+// the engine's pool, Engine.Parallel — in strides, each stride into one
+// reused buffer. The caller must hold whatever lock guards the knowledge
+// base.
+func buildSnapshot(gen, lastSeq uint64, plans []*qep.Plan, base *kb.KnowledgeBase, parallel func(n int, task func(i int))) (*snapshot, error) {
+	snap := &snapshot{Version: 1, Generation: gen, LastSeq: lastSeq, Plans: make([]snapshotPlan, len(plans))}
+	strides := min(runtime.GOMAXPROCS(0), len(plans))
+	parallel(strides, func(first int) {
+		var buf []byte
+		for i := first; i < len(plans); i += strides {
+			buf = qep.AppendText(buf[:0], plans[i])
+			snap.Plans[i] = snapshotPlan{ID: plans[i].ID, Text: string(buf)}
+		}
+	})
 	var buf bytes.Buffer
 	if err := base.Save(&buf); err != nil {
 		return nil, fmt.Errorf("store: serializing knowledge base: %w", err)

@@ -689,7 +689,7 @@ func (s *Store) compactLocked() (err error) {
 	if s.instr.Compaction != nil {
 		defer func(start time.Time) { s.instr.Compaction(time.Since(start), err == nil) }(time.Now())
 	}
-	snap, err := buildSnapshot(s.generation+1, s.seq, s.eng.Plans(), s.base)
+	snap, err := buildSnapshot(s.generation+1, s.seq, s.eng.Plans(), s.base, s.eng.Parallel)
 	if err != nil {
 		return err
 	}
