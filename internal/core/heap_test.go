@@ -12,25 +12,25 @@ import (
 
 // graphBudgetPerTriple is what a resident plan's graph may hold per triple,
 // and residentBudgetPerTriple what the whole resident plan may: the graph and
-// the parsed plan model beside it. Measured 69.6 B for the graph on the plans
-// below (82.5 while the graph kept its insertion log beside the index, 131.6
-// when every number was a string in the dictionary) and 18.8 B for the model
-// — the parser's strings among it, copied out of the text into one buffer a
-// plan —, 88.4 in all: the index ≈ 34 (three permutations of two 4 B columns
-// and their offsets; the SPO permutation is the only copy of the triples),
-// the numeric column ≈ 4 (8 B per term at ≈ 0.49 terms per triple) and the
-// predicate statistics ≈ 0.4, the dictionary ≈ 32 — per term a 4 B ref, per
-// number 4 B in the sorted list of numbers, and per term held as a term
-// (≈ 0.17 per triple: IRIs, strings) a Term, a map entry and its text. The
-// engine's table adds a pointer and a map entry per plan, nothing per triple.
-// Each budget is the measurement plus 10 %: the log back beside the index
-// (12 B per triple), a number back in the string dictionary, a second copy of
-// the vocabulary (the shards' union map measured ≈ 32 B) or of the adjacency
-// (the map-of-map indexes measured 436 B in all) trips one. keptTextBudget is
-// what of its explain text a loaded plan may keep alive, per plan: measured
-// ≈ 0 (77.2 KB, all of it, while the model kept it as its Source).
+// the parsed plan model beside it. Measured 58.2 B for the graph on the plans
+// below and 18.8 B for the model — the parser's strings among it, copied out
+// of the text into one buffer a plan —, 77.0 in all: the index ≈ 34 (three
+// permutations of two 4 B columns and their offsets; the SPO permutation is
+// the only copy of the triples), the numeric column ≈ 4 (8 B per term at
+// ≈ 0.49 terms per triple) and the predicate statistics ≈ 0.4, the dictionary
+// ≈ 20 — per term a 4 B ref and a 4 B slot of its table, which is more than a
+// quarter empty, and per term held as a term (≈ 0.17 per triple: IRIs,
+// strings) a Term and its text. The engine's table adds a pointer and a map
+// entry per plan, nothing per triple. Each budget is the measurement plus
+// 10 %, and each of these trips one: a map of the terms beside the table
+// (≈ 14 B per triple), the insertion log kept beside the index (12 B), a
+// number held as a string in the dictionary, a second copy of the vocabulary
+// (a union map of every plan's terms, ≈ 32 B) or of the adjacency (map-of-map
+// indexes, ≈ 436 B in all). keptTextBudget is what of its explain text a
+// loaded plan may keep alive, per plan: measured ≈ 0; a model that kept the
+// text it was parsed from keeps all of it, 77.2 KB.
 const (
-	graphBudgetPerTriple, residentBudgetPerTriple = 77, 97
+	graphBudgetPerTriple, residentBudgetPerTriple = 64, 85
 	keptTextBudget                                = 1e3
 )
 

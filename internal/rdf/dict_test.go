@@ -3,6 +3,7 @@ package rdf
 import (
 	"encoding/binary"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -70,14 +71,18 @@ func checkDict(t *testing.T, d *Dict, want *oracleDict, probes []Term) {
 // freezes it. Each input byte picks an operation:
 //
 //	0..31    Intern of dictTerms[b] (wrapped)
-//	32..63   InternFloat of fuzzFloats[b-32] (wrapped)
+//	32..47   InternFloat of fuzzFloats[b-32] (wrapped)
+//	48..63   a run of fresh terms, as many as the next byte says: IRIs,
+//	         integers and doubles by turns, so the table grows mid-sequence
 //	64..127  InternFloat of the next 8 bytes as float bits
 //	128..191 Intern of the next 8 bytes, as float bits, formatted as Float does
 //	192..223 Intern of an xsd:double literal: a length byte, then the text
 //	224..255 the same as an xsd:integer literal
 //
-// The texts are also looked up in their other datatypes and untyped, as terms
-// that may never have been interned.
+// The texts are also looked up in their other datatypes, untyped, and as an
+// IRI and a blank node, and the run's IRIs as blank nodes and strings: terms
+// that may never have been interned, and differ from one that was only in
+// their Kind or datatype.
 func FuzzDict(f *testing.F) {
 	all := make([]byte, len(dictTerms))
 	for i := range all {
@@ -92,10 +97,12 @@ func FuzzDict(f *testing.F) {
 	f.Add(append(append(bits(64, 5e-324), bits(64, -0.0)...), bits(128, 0)...))
 	f.Add([]byte{192, 3, '1', 'e', '5', 224, 3, '1', '0', '0', 8, 9})
 	f.Add([]byte{224, 16, '9', '0', '0', '7', '1', '9', '9', '2', '5', '4', '7', '4', '0', '9', '9', '2', 11})
+	f.Add([]byte{48, 5, 0, 48, 200, 26, 27, 49, 255, 9})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, want := NewBuilder(), newOracleDict()
 		var probes []Term
+		fresh := 0 // the run terms interned so far
 		for len(data) > 0 {
 			op := data[0]
 			data = data[1:]
@@ -105,9 +112,31 @@ func FuzzDict(f *testing.F) {
 			case op < 32:
 				term = dictTerms[int(op)%len(dictTerms)]
 				id = b.Intern(term)
-			case op < 64:
+			case op < 48:
 				x := fuzzFloats[int(op-32)%len(fuzzFloats)]
 				term, id = Float(x), b.InternFloat(x)
+			case op < 64:
+				n := 0
+				if len(data) > 0 {
+					n, data = int(data[0]), data[1:]
+				}
+				for range n {
+					switch fresh++; fresh % 3 {
+					case 0:
+						term = IRI("urn:run:" + strconv.Itoa(fresh))
+						probes = append(probes, Blank(term.Value), String(term.Value))
+						id = b.Intern(term)
+					case 1:
+						term = Int(int64(fresh))
+						id = b.Intern(term)
+					default:
+						term, id = Float(float64(fresh)/4), b.InternFloat(float64(fresh)/4)
+					}
+					if wantID := want.intern(term); id != wantID {
+						t.Fatalf("interning %v gave ID %d, the oracle %d", term, id, wantID)
+					}
+				}
+				continue
 			case op < 192:
 				var buf [8]byte
 				data = data[copy(buf[:], data):]
@@ -129,7 +158,7 @@ func FuzzDict(f *testing.F) {
 				if op >= 224 {
 					term.Datatype = XSDInteger
 				}
-				probes = append(probes, TypedLiteral(lex, XSDDouble), TypedLiteral(lex, XSDInteger), String(lex))
+				probes = append(probes, TypedLiteral(lex, XSDDouble), TypedLiteral(lex, XSDInteger), String(lex), IRI(lex), Blank(lex))
 				id = b.Intern(term)
 			}
 			if wantID := want.intern(term); id != wantID {

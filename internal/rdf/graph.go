@@ -64,7 +64,7 @@ func (b *Builder) InternFloat(f float64) ID {
 	if f != f {
 		f = math.NaN()
 	}
-	return b.Dict().internNumber(numKey{refDouble, math.Float64bits(f)})
+	return b.Dict().add(Term{}, numKey{refDouble, math.Float64bits(f)})
 }
 
 // Add inserts the triple (s, p, o); a triple already in the graph is ignored.
@@ -85,10 +85,10 @@ func (b *Builder) AddIDs(s, p, o ID) {
 	b.log = append(b.log, [3]ID{s, p, o})
 }
 
-// Graph ends the building: it freezes the dictionary, which completes the
-// numeric column, indexes the log and hands the dictionary and the index to
-// the graph it returns; the log is dropped. The builder keeps nothing, so no
-// later call can reach the graph: each one panics.
+// Graph ends the building: it freezes the dictionary, which cuts it to its
+// size, indexes the log and hands the dictionary and the index to the graph
+// it returns; the log is dropped. The builder keeps nothing, so no later call
+// can reach the graph: each one panics.
 func (b *Builder) Graph() *Graph {
 	d, log := b.Dict(), b.log
 	b.dict, b.log = nil, nil
@@ -300,8 +300,8 @@ func (g *Graph) Subjects(p, o Term) []Term {
 	return out
 }
 
-// Objects returns the objects of (s, p) as terms. Convenience accessor used
-// by the de-transformer and tests.
+// Objects returns the objects of (s, p) as terms, in insertion order: a
+// convenience for tests, as are Subjects and FirstObject.
 func (g *Graph) Objects(s, p Term) []Term {
 	sid, pid := g.dict.Lookup(s), g.dict.Lookup(p)
 	if sid == NoID || pid == NoID {

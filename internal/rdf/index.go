@@ -20,13 +20,9 @@ type index struct {
 	preds []PredStats // one entry per predicate in use, ascending by Pred
 }
 
-// notNumber marks a term without a numeric value in index.num, unparsed one
-// whose lexical form the dictionary's freeze has yet to read: NaN payloads no
-// parse produces (strconv's "NaN" is 0x7FF8000000000001).
-const (
-	notNumber uint64 = 0x7FF8_0000_0BAD_0BAD
-	unparsed  uint64 = 0x7FF8_0000_0BAD_0BAE
-)
+// notNumber marks a term without a numeric value in index.num: a NaN payload
+// no parse produces (strconv's "NaN" is 0x7FF8000000000001).
+const notNumber uint64 = 0x7FF8_0000_0BAD_0BAD
 
 // PredStats describes the triples of one predicate: what a join-order
 // estimate can know about a pattern over it without looking at a triple.

@@ -150,11 +150,11 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 }
 
-// Builder.Graph cuts the dictionary's columns to their lengths — what a
-// capacity hint or an append's doubling left over would stay resident with
-// the graph —, keeps the triples in the index alone (Triples in SPO order,
-// the list of Adds reordered) and leaves the builder spent: every method
-// panics and changes nothing.
+// Builder.Graph cuts the dictionary's columns to their lengths and its table
+// to the size its count needs — what a capacity hint or an append's doubling
+// left over would stay resident with the graph —, keeps the triples in the
+// index alone (Triples in SPO order, the list of Adds reordered) and leaves
+// the builder spent: every method panics and changes nothing.
 func TestFreeze(t *testing.T) {
 	b := NewBuilderSize(64, 64, 64)
 	var log addList
@@ -165,6 +165,9 @@ func TestFreeze(t *testing.T) {
 	if d := g.dict; cap(d.terms) != len(d.terms) || cap(d.ref) != len(d.ref) || cap(d.num) != len(d.num) {
 		t.Errorf("spare capacity: terms %d of %d, refs %d of %d, numbers %d of %d",
 			len(d.terms), cap(d.terms), len(d.ref), cap(d.ref), len(d.num), cap(d.num))
+	}
+	if d := g.dict; len(d.slots) != tableSize(d.Len()) {
+		t.Errorf("%d slots for %d IDs, want %d", len(d.slots), d.Len(), tableSize(d.Len()))
 	}
 	if got, want := g.Triples(), log.spo().triples(g.Dict()); !reflect.DeepEqual(got, want) {
 		t.Errorf("Triples = %v, want %v", got, want)

@@ -4,6 +4,7 @@ package sparql_test
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -148,6 +149,57 @@ func TestJoinWorkBudgetKB(t *testing.T) {
 	}
 	if failed {
 		t.Logf("measured:\n%s", table)
+	}
+}
+
+// The estimates' quality beside the work they bought: the q-error of every
+// step the extended knowledge base's entries ran over the benchmark's 64
+// resident plans (joinWorkGraphs), in the sense of "Neuro-Symbolic Query
+// Optimization in Knowledge Graphs" — max(e/a, a/e) for a step's estimate e
+// of the rows out per row in against the rate a = Extends/Descends it then
+// showed. A step that never ran (Descends 0) has no rate and is left out.
+// Either side at zero is floored at 1/Descends, the finest rate the step's
+// descends could show, so that a step estimated and found empty has q-error 1
+// and none is infinite. The median and the maximum over all steps are pinned;
+// when they move, the failure prints each entry's to compare.
+func TestQErrorBudgetKB(t *testing.T) {
+	const wantMedian, wantMax = "1.14352", "2433.5"
+	graphs := joinWorkGraphs(t)
+	summary := func(qs []float64) (median, max float64) {
+		slices.Sort(qs)
+		return (qs[(len(qs)-1)/2] + qs[len(qs)/2]) / 2, qs[len(qs)-1]
+	}
+	var all []float64
+	table := ""
+	for _, e := range kb.MustExtended().Entries() {
+		q, err := sparql.Parse(e.SPARQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qs []float64
+		for _, g := range graphs {
+			ex, err := sparql.Explain(q, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range ex.Blocks {
+				for _, st := range b.Steps {
+					if st.Descends == 0 {
+						continue
+					}
+					floor := 1 / float64(st.Descends)
+					est, act := max(st.Estimate, floor), max(float64(st.Extends)/float64(st.Descends), floor)
+					qs = append(qs, max(est/act, act/est))
+				}
+			}
+		}
+		all = append(all, qs...)
+		median, worst := summary(qs)
+		table += fmt.Sprintf("\t%-26s %5d steps  median %8.6g  max %8.6g\n", e.Name, len(qs), median, worst)
+	}
+	median, worst := summary(all)
+	if got := [2]string{fmt.Sprintf("%.6g", median), fmt.Sprintf("%.6g", worst)}; got != [2]string{wantMedian, wantMax} {
+		t.Errorf("q-error over %d steps: median %s, max %s; pinned at %s, %s\n%s", len(all), got[0], got[1], wantMedian, wantMax, table)
 	}
 }
 

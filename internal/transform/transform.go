@@ -365,13 +365,13 @@ type builder struct {
 // Transform adds. The dictionary's numbers are at most the triples whose
 // object is a number: seven costs and cardinalities and the number of every
 // operator, an object's cardinality, a stream's rows, the plan's cost and
-// operator count; the map holding them is dropped at the freeze, so the bound
-// costs nothing resident. Its terms are the ones that cannot coincide — plan,
+// operator count. Its terms are the ones that cannot coincide — plan,
 // operators, objects, stream nodes, vocabulary — plus a fifth of the triples
 // whose object is a string: strings repeat (column names, types, predicate
-// texts), the plans measured keep 0.19 to 0.30 of those occurrences distinct,
-// and a hint past the real count would stay resident as a larger map,
-// where one short of it costs a regrow of part of the map (DESIGN.md §11).
+// texts), and the plans measured keep 0.19 to 0.30 of those occurrences
+// distinct. Neither hint stays resident: the freeze cuts the dictionary's
+// columns and its table to the real counts, and a hint short of them costs a
+// doubling of the table while the graph is built (DESIGN.md §11).
 func newBuilder(r *Result, ops []*qep.Operator) *builder {
 	p := r.Plan
 	// The triples whose object is a string, a number, a resource.
