@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 
 	"optimatch/internal/core"
+	"optimatch/internal/jsonstr"
 )
 
 // Default batch-ingest limits (override with WithBatchLimits / the daemon's
@@ -72,9 +73,14 @@ type batchResponse struct {
 }
 
 // batchLine decodes one NDJSON record: either a bare JSON string or an
-// object carrying the explain text under "text". A null is neither (it
-// decodes into anything without error, hence the pointers).
+// object carrying the explain text under "text". A bare string, the common
+// record, is read by jsonstr.Unquote in one pass; anything else takes the two
+// json.Unmarshal attempts, which word every error. A null is neither string
+// nor object (it decodes into anything without error, hence the pointers).
 func batchLine(line []byte) (string, error) {
+	if text, ok := jsonstr.Unquote(line); ok {
+		return text, nil
+	}
 	var text *string
 	if err := json.Unmarshal(line, &text); err == nil && text != nil {
 		return *text, nil

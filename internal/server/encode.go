@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"optimatch/internal/core"
+	"optimatch/internal/jsonstr"
 	"optimatch/internal/transform"
 )
 
@@ -116,9 +117,9 @@ func newline(dst []byte, depth int) []byte {
 // straight from their rows, in the bytes encodeJSON writes for the wire
 // structs they replaced (matchBody, reportBody and recBody, which survive in
 // encode_test.go as the oracle): a match's bindings in Columns.Sorted order,
-// as a map's keys are, a repeated name keeping its last column. Only strings
-// that need no escape are spelled here; json.Marshal spells every other string
-// and every number, so no escaping, UTF-8 or float rule of encoding/json is
+// as a map's keys are, a repeated name keeping its last column. Strings are
+// spelled by jsonstr.Append, which FuzzJSONString holds to json.Marshal;
+// json.Marshal spells every number, so no float rule of encoding/json is
 // written twice.
 
 // scratch holds the buffers bodies are appended in; renderBody copies each
@@ -165,7 +166,7 @@ func appendMatchBody(dst []byte, ms []transform.Match, pattern *string, limit in
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendString(append(dst, "\n    {\n      \"plan\": "...), m.Plan().ID)
+		dst = jsonstr.Append(append(dst, "\n    {\n      \"plan\": "...), m.Plan().ID)
 		dst = append(dst, ",\n      \"bindings\": {"...)
 		names, sorted := m.Cols.Names(), m.Cols.Sorted()
 		bound := false
@@ -177,7 +178,7 @@ func appendMatchBody(dst []byte, ms []transform.Match, pattern *string, limit in
 				dst = append(dst, ',')
 			}
 			bound = true
-			dst = append(appendString(append(dst, "\n        "...), names[c]), ": \""...)
+			dst = append(jsonstr.Append(append(dst, "\n        "...), names[c]), ": \""...)
 			dst = closeString(m.AppendDisplay(dst, c), len(dst))
 		}
 		if bound {
@@ -193,7 +194,7 @@ func appendMatchBody(dst []byte, ms []transform.Match, pattern *string, limit in
 	}
 	dst = append(dst, ']')
 	if pattern != nil {
-		dst = appendString(append(dst, ",\n  \"pattern\": "...), *pattern)
+		dst = jsonstr.Append(append(dst, ",\n  \"pattern\": "...), *pattern)
 	}
 	dst = append(dst, "\n}\n"...)
 	if len(dst)-start > limit {
@@ -216,8 +217,8 @@ func appendReportBody(dst []byte, reports []core.PlanReport) ([]byte, error) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendString(append(dst, "\n  {\n    \"plan\": "...), r.Plan.ID)
-		dst = appendString(append(dst, ",\n    \"message\": "...), r.Message())
+		dst = jsonstr.Append(append(dst, "\n  {\n    \"plan\": "...), r.Plan.ID)
+		dst = jsonstr.Append(append(dst, ",\n    \"message\": "...), r.Message())
 		if len(r.Recommendations) > 0 {
 			dst = append(dst, ",\n    \"recommendations\": ["...)
 			for k := range r.Recommendations {
@@ -225,17 +226,17 @@ func appendReportBody(dst []byte, reports []core.PlanReport) ([]byte, error) {
 				if k > 0 {
 					dst = append(dst, ',')
 				}
-				dst = appendString(append(dst, "\n      {\n        \"entry\": "...), rec.Entry.Name)
-				dst = appendString(append(dst, ",\n        \"title\": "...), rec.Recommendation.Title)
+				dst = jsonstr.Append(append(dst, "\n      {\n        \"entry\": "...), rec.Entry.Name)
+				dst = jsonstr.Append(append(dst, ",\n        \"title\": "...), rec.Recommendation.Title)
 				if rec.Recommendation.Category != "" {
-					dst = appendString(append(dst, ",\n        \"category\": "...), rec.Recommendation.Category)
+					dst = jsonstr.Append(append(dst, ",\n        \"category\": "...), rec.Recommendation.Category)
 				}
 				conf, err := json.Marshal(rec.Confidence)
 				if err != nil {
 					return dst, err
 				}
 				dst = append(append(dst, ",\n        \"confidence\": "...), conf...)
-				dst = appendString(append(dst, ",\n        \"text\": "...), rec.Text)
+				dst = jsonstr.Append(append(dst, ",\n        \"text\": "...), rec.Text)
 				dst = append(dst, "\n      }"...)
 			}
 			dst = append(dst, "\n    ]"...)
@@ -248,22 +249,14 @@ func appendReportBody(dst []byte, reports []core.PlanReport) ([]byte, error) {
 	return append(dst, "]\n"...), nil
 }
 
-// appendString appends s as json.Marshal spells it.
-func appendString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	return closeString(append(dst, s...), len(dst))
-}
-
 // closeString makes dst[from:], raw bytes behind the quote at dst[from-1],
-// the JSON string json.Marshal spells for them: it closes the quote when
-// every byte is printable ASCII other than " \ < > &, and has json.Marshal
-// spell the string otherwise.
+// the JSON string json.Marshal spells for them: it closes the quote when no
+// byte needs an escape, and has jsonstr.Append spell a copy of the bytes over
+// them otherwise.
 func closeString(dst []byte, from int) []byte {
-	for _, c := range dst[from:] {
-		if c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(string(dst[from:])) // a string always marshals
-			return append(dst[:from-1], q...)
-		}
+	raw := dst[from:]
+	if jsonstr.Len(raw) == len(raw)+2 {
+		return append(dst, '"')
 	}
-	return append(dst, '"')
+	return jsonstr.Append(dst[:from-1], string(raw))
 }

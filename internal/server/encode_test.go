@@ -387,10 +387,11 @@ func FuzzEncodeJSON(f *testing.F) {
 	})
 }
 
-// FuzzAppendJSON holds appendString, with which the row bodies spell strings,
-// to json.Marshal on any string behind bytes already in the buffer, and
-// appendReportBody to the oracle on a report whose strings are that string
-// and whose confidence is any float64: NaN and ±Inf erroring as Marshal does.
+// FuzzAppendJSON holds closeString, with which the row bodies spell a match's
+// displayed values, to json.Marshal on any bytes behind bytes already in the
+// buffer, and appendReportBody to the oracle on a report whose strings are
+// that string and whose confidence is any float64: NaN and ±Inf erroring as
+// Marshal does.
 func FuzzAppendJSON(f *testing.F) {
 	strs := []string{
 		"", "Q1", "NLJOIN(2)", "plain ascii ~ with space", "\xff", "a\xc3(b", "\xed\xa0\x80",
@@ -408,8 +409,8 @@ func FuzzAppendJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string, x float64) {
 		prefix := []byte("[1,")
 		want, _ := json.Marshal(s)
-		if got := appendString(bytes.Clone(prefix), s); !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
-			t.Fatalf("appendString(%q) = %q, json.Marshal = %q", s, got[len(prefix):], want)
+		if got := closeString(append(append(bytes.Clone(prefix), '"'), s...), len(prefix)+1); !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
+			t.Fatalf("closeString(%q) = %q, json.Marshal = %q", s, got[len(prefix):], want)
 		}
 		reports := []core.PlanReport{{
 			Plan: &qep.Plan{ID: s},

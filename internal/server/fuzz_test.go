@@ -77,6 +77,9 @@ func FuzzBatchFraming(f *testing.F) {
 		"\"a\x00b\"\n\x00\n",
 		`null` + "\n" + `{"text":null}` + "\n" + `{"TEXT":"x","text":1}` + "\n" + `{"text":"a","Text":"b"}` + "\n" + `[1]` + "\n" + `{"text":{"text":"x"}}`,
 		`"` + strings.Repeat("x", 1<<20) + `"` + "\n\"tail\"",
+		// Bare strings as jsonstr.Unquote reads them: a surrogate pair, a lone
+		// surrogate, an escaped solidus, invalid UTF-8 and a trailing \r.
+		`"\ud83d\ude00"` + "\n" + `"\ud800"` + "\n" + `"\ud800\u0041\udc00"` + "\n" + `"a\/b"` + "\n" + "\"\xff\xed\xa0\x80\"\n" + "\"Q1\\t\"\r\n",
 	} {
 		f.Add([]byte(seed))
 	}

@@ -230,8 +230,17 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // (ok is false): 413 for an oversized body, 400 for an unreadable one. The
 // real ResponseWriter goes to MaxBytesReader so oversized requests also close
 // the connection instead of leaving the unread tail to stall keep-alive.
+// A body of known length within limit is read into one buffer of that length
+// (a server's request body ends there: a shorter one is an error); any other
+// is read as io.ReadAll reads, growing from 512 bytes by doubling.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= limit {
+		body = make([]byte, n)
+		_, err = io.ReadFull(http.MaxBytesReader(w, r.Body, limit), body)
+	} else {
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	}
 	if err == nil {
 		return body, true
 	}

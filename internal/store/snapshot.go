@@ -8,7 +8,9 @@ import (
 	"io/fs"
 	"path/filepath"
 	"runtime"
+	"strconv"
 
+	"optimatch/internal/jsonstr"
 	"optimatch/internal/kb"
 	"optimatch/internal/qep"
 	"optimatch/internal/storefs"
@@ -40,37 +42,71 @@ type snapshotPlan struct {
 	Text string `json:"text"`
 }
 
-// buildSnapshot captures the given state, rendering the plans on parallel —
-// the engine's pool, Engine.Parallel — in strides, each stride into one
-// reused buffer. The caller must hold whatever lock guards the knowledge
-// base.
-func buildSnapshot(gen, lastSeq uint64, plans []*qep.Plan, base *kb.KnowledgeBase, parallel func(n int, task func(i int))) (*snapshot, error) {
-	snap := &snapshot{Version: 1, Generation: gen, LastSeq: lastSeq, Plans: make([]snapshotPlan, len(plans))}
+// snapshotImage is a snapshot as compaction writes it: the snapshot's
+// numbers, each plan's ID with its text already spelled as a JSON string, and
+// the knowledge base's envelope.
+type snapshotImage struct {
+	generation, lastSeq uint64
+	ids                 []string
+	texts               [][]byte // texts[i] is plan ids[i]'s text, spelled by jsonstr.Append
+	envelope            []byte   // the knowledge base, as kb.Save writes it
+}
+
+// buildSnapshot captures the given state, rendering the plans and spelling
+// their texts as JSON on parallel — the engine's pool, Engine.Parallel — in
+// strides, each stride rendering into one reused buffer. The caller must hold
+// whatever lock guards the knowledge base.
+func buildSnapshot(gen, lastSeq uint64, plans []*qep.Plan, base *kb.KnowledgeBase, parallel func(n int, task func(i int))) (*snapshotImage, error) {
+	img := &snapshotImage{generation: gen, lastSeq: lastSeq, ids: make([]string, len(plans)), texts: make([][]byte, len(plans))}
 	strides := min(runtime.GOMAXPROCS(0), len(plans))
 	parallel(strides, func(first int) {
 		var buf []byte
 		for i := first; i < len(plans); i += strides {
 			buf = qep.AppendText(buf[:0], plans[i])
-			snap.Plans[i] = snapshotPlan{ID: plans[i].ID, Text: string(buf)}
+			img.ids[i], img.texts[i] = plans[i].ID, jsonstr.Append(nil, buf)
 		}
 	})
 	var buf bytes.Buffer
 	if err := base.Save(&buf); err != nil {
 		return nil, fmt.Errorf("store: serializing knowledge base: %w", err)
 	}
-	snap.KB = json.RawMessage(buf.Bytes())
-	return snap, nil
+	img.envelope = buf.Bytes()
+	return img, nil
 }
 
 // writeSnapshot persists the snapshot atomically: write to a temp file in
 // the same directory, fsync it, rename over the live name, fsync the
 // directory. A crash at any point leaves either the old snapshot or the
-// new one, never a partial file.
-func writeSnapshot(fsys storefs.FS, dir string, snap *snapshot) error {
-	data, err := json.Marshal(snap)
+// new one, never a partial file. The file is the bytes json.Marshal writes
+// for the snapshot struct, joined from the image in one buffer of exact size;
+// the knowledge base goes through json.Marshal as a RawMessage, as it did in
+// the struct: compacted, and escaped for HTML whatever kb.Save escapes.
+func writeSnapshot(fsys storefs.FS, dir string, img *snapshotImage) error {
+	kbJSON, err := json.Marshal(json.RawMessage(img.envelope))
 	if err != nil {
 		return fmt.Errorf("store: encoding snapshot: %w", err)
 	}
+	const (
+		head   = `{"version":1,"generation":`
+		member = `{"id":,"text":}`
+	)
+	n := len(head) + decimalLen(img.generation) + len(`,"lastSeq":,"plans":[],"kb":}`) + decimalLen(img.lastSeq) + len(kbJSON)
+	for i, id := range img.ids {
+		n += len(member) + jsonstr.Len(id) + len(img.texts[i])
+	}
+	n += max(len(img.ids)-1, 0) // the commas between members
+	data := append(make([]byte, 0, n), head...)
+	data = strconv.AppendUint(data, img.generation, 10)
+	data = strconv.AppendUint(append(data, `,"lastSeq":`...), img.lastSeq, 10)
+	data = append(data, `,"plans":[`...)
+	for i, id := range img.ids {
+		if i > 0 {
+			data = append(data, ',')
+		}
+		data = jsonstr.Append(append(data, `{"id":`...), id)
+		data = append(append(append(data, `,"text":`...), img.texts[i]...), '}')
+	}
+	data = append(append(append(data, `],"kb":`...), kbJSON...), '}')
 	return atomicWrite(fsys, dir, snapshotName, data)
 }
 

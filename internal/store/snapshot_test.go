@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"optimatch/internal/fixtures"
+	"optimatch/internal/jsonstr"
 	"optimatch/internal/qep"
 	"optimatch/internal/rdf"
 	"optimatch/internal/storefs"
@@ -94,16 +95,17 @@ func TestUploadedTextSnapshot(t *testing.T) {
 	want := servedBytes(t, built)
 
 	dir := t.TempDir()
-	snap := &snapshot{Version: 1, Generation: 1}
+	img := &snapshotImage{generation: 1}
 	for i, p := range built.Engine().Plans() {
-		snap.Plans = append(snap.Plans, snapshotPlan{ID: p.ID, Text: uploaded[i]})
+		img.ids = append(img.ids, p.ID)
+		img.texts = append(img.texts, jsonstr.Append(nil, uploaded[i]))
 	}
 	var kbJSON bytes.Buffer
 	if err := built.KB().Save(&kbJSON); err != nil {
 		t.Fatal(err)
 	}
-	snap.KB = kbJSON.Bytes()
-	if err := writeSnapshot(storefs.OS{}, dir, snap); err != nil {
+	img.envelope = kbJSON.Bytes()
+	if err := writeSnapshot(storefs.OS{}, dir, img); err != nil {
 		t.Fatal(err)
 	}
 

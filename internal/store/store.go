@@ -696,7 +696,7 @@ func (s *Store) compactLocked() (err error) {
 	// Spend the number before writing: whatever fails from here on, the
 	// disk may hold this generation, and the next snapshot must not write
 	// it again. A failed attempt leaves a gap, which nothing reads.
-	s.generation = snap.Generation
+	s.generation = snap.generation
 	if err := writeSnapshot(s.fs, s.dir, snap); err != nil {
 		s.stats.FaultCompactions++
 		s.degradeLocked("compact", err)

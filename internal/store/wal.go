@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"strconv"
 
+	"optimatch/internal/jsonstr"
 	"optimatch/internal/storefs"
 )
 
@@ -66,20 +68,78 @@ type batchItem struct {
 	Text string `json:"text"`
 }
 
-// encodeRecord frames the record for appending.
+// encodeRecord frames the record for appending. The payload is the bytes
+// json.Marshal writes for the record (recovery reads it with json.Unmarshal),
+// appended field by field in the struct's order and under its omitempty rules,
+// with the strings spelled by jsonstr.Append. Item is json.Marshal output
+// already (AddEntry marshals the entry), and so compact and escaped as Marshal
+// would write it: it is appended as it stands. The payload's length is counted
+// first, so an oversized record is refused before anything is allocated for
+// it, and a record is framed in one buffer of its exact size.
 func encodeRecord(rec *record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("store: encoding record: %w", err)
+	n := recordLen(rec)
+	if n > maxRecordBytes {
+		return nil, fmt.Errorf("%w: %d bytes encoded, limit %d", ErrRecordTooLarge, n, maxRecordBytes)
 	}
-	if len(payload) > maxRecordBytes {
-		return nil, fmt.Errorf("%w: %d bytes encoded, limit %d", ErrRecordTooLarge, len(payload), maxRecordBytes)
+	buf := make([]byte, headerSize, headerSize+n)
+	buf = append(buf, `{"seq":`...)
+	buf = strconv.AppendUint(buf, rec.Seq, 10)
+	buf = jsonstr.Append(append(buf, `,"op":`...), rec.Op)
+	if rec.ID != "" {
+		buf = jsonstr.Append(append(buf, `,"id":`...), rec.ID)
 	}
-	buf := make([]byte, headerSize+len(payload))
+	if rec.Text != "" {
+		buf = jsonstr.Append(append(buf, `,"text":`...), rec.Text)
+	}
+	if len(rec.Item) > 0 {
+		buf = append(append(buf, `,"entry":`...), rec.Item...)
+	}
+	if len(rec.Batch) > 0 {
+		buf = append(buf, `,"batch":[`...)
+		for i, it := range rec.Batch {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = jsonstr.Append(append(buf, `{"id":`...), it.ID)
+			buf = append(jsonstr.Append(append(buf, `,"text":`...), it.Text), '}')
+		}
+		buf = append(buf, ']')
+	}
+	buf = append(buf, '}')
+	payload := buf[headerSize:]
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[headerSize:], payload)
 	return buf, nil
+}
+
+// recordLen is the length of the payload encodeRecord appends for rec.
+func recordLen(rec *record) int {
+	n := len(`{"seq":,"op":}`) + decimalLen(rec.Seq) + jsonstr.Len(rec.Op)
+	if rec.ID != "" {
+		n += len(`,"id":`) + jsonstr.Len(rec.ID)
+	}
+	if rec.Text != "" {
+		n += len(`,"text":`) + jsonstr.Len(rec.Text)
+	}
+	if len(rec.Item) > 0 {
+		n += len(`,"entry":`) + len(rec.Item)
+	}
+	if len(rec.Batch) > 0 {
+		n += len(`,"batch":[]`) + len(rec.Batch) - 1
+		for _, it := range rec.Batch {
+			n += len(`{"id":,"text":}`) + jsonstr.Len(it.ID) + jsonstr.Len(it.Text)
+		}
+	}
+	return n
+}
+
+// decimalLen is the number of digits strconv.AppendUint writes for x in base 10.
+func decimalLen(x uint64) int {
+	n := 1
+	for ; x >= 10; x /= 10 {
+		n++
+	}
+	return n
 }
 
 // scanWAL reads every intact record from the log at path. It returns the

@@ -4,9 +4,11 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"optimatch/internal/core"
@@ -47,5 +49,39 @@ func TestScanLyingLengthAllocatesNothing(t *testing.T) {
 	}
 	if info, err := os.Stat(path); err != nil || info.Size() != 0 {
 		t.Errorf("log is %d bytes after Open (%v), want 0", info.Size(), err)
+	}
+}
+
+// TestAllocBudgetEncodeRecord: an 80 KB addPlan record is framed in one
+// allocation, its frame, of exactly its size; json.Marshal grew a buffer by
+// doubling and copied the payload out of it into the frame.
+func TestAllocBudgetEncodeRecord(t *testing.T) {
+	text := strings.Repeat(oddText, 80<<10/len(oddText)+1)[:80<<10]
+	rec := &record{Seq: 7, Op: opAddPlan, Text: text}
+	var buf []byte
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if buf, err = encodeRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 || cap(buf) != len(buf) {
+		t.Errorf("encoding an %d-byte record = %v allocations, a %d-byte frame in %d; want 1, exact", len(text), allocs, len(buf), cap(buf))
+	}
+}
+
+// TestOversizedRecordAllocatesLittle: a record over maxRecordBytes is refused
+// once its length is counted, before a buffer for it is allocated.
+func TestOversizedRecordAllocatesLittle(t *testing.T) {
+	rec := &record{Seq: 1, Op: opAddPlan, Text: strings.Repeat("<", maxRecordBytes/6)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	buf, err := encodeRecord(rec)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrRecordTooLarge) || buf != nil {
+		t.Fatalf("encodeRecord of %d bytes spelling six each = %d bytes, %v; want ErrRecordTooLarge", len(rec.Text), len(buf), err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("refusing an oversized record allocated %d bytes, want < 64 KiB", got)
 	}
 }
