@@ -31,7 +31,7 @@ const NumFeatures = 5
 //	4: log10(1 + max base cardinality) — data scale touched
 func Features(p *qep.Plan) []float64 {
 	var joins, scans int
-	for _, op := range p.Operators {
+	for _, op := range p.Ops() {
 		if op.IsJoin() {
 			joins++
 		}

@@ -96,7 +96,7 @@ func thresholdDecoys(t *testing.T, sources []*Engine, c *pattern.Compiled, col i
 	op, obj := start.Operator(col), start.Object(col)
 	value := func(p *qep.Plan) *float64 {
 		if op != nil {
-			return &p.Operators[op.ID].Cardinality
+			return &p.Op(op.ID).Cardinality
 		}
 		return &p.Objects[obj.Name].Cardinality
 	}

@@ -56,7 +56,7 @@ func TestRenamed(t *testing.T) {
 
 func TestSharedTempIsDAG(t *testing.T) {
 	p := SharedTemp()
-	temp := p.Operators[6]
+	temp := p.Op(6)
 	if len(temp.Parents) != 2 {
 		t.Fatalf("TEMP parents = %d, want 2", len(temp.Parents))
 	}

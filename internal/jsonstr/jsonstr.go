@@ -87,9 +87,14 @@ func Len[S ~string | ~[]byte](s S) int {
 // dst at most once: an empty dst to exactly the spelling's length, a longer one
 // as append would.
 func Append[S ~string | ~[]byte](dst []byte, s S) []byte {
-	n := Len(s)
-	dst = slices.Grow(dst, n)
-	out := dst[len(dst) : len(dst)+n]
+	return AppendGrown(slices.Grow(dst, Len(s)), s)
+}
+
+// AppendGrown is Append into a dst that has room for Len(s) more bytes already:
+// it spells s without counting the spelling again, for a caller that counted
+// it to size dst. It panics if dst has less room.
+func AppendGrown[S ~string | ~[]byte](dst []byte, s S) []byte {
+	out := dst[len(dst):cap(dst)]
 	out[0] = '"'
 	j := 1
 	for i := 0; i < len(s); i++ {
@@ -123,7 +128,7 @@ func Append[S ~string | ~[]byte](dst []byte, s S) []byte {
 		i += size - 1
 	}
 	out[j] = '"'
-	return dst[:len(dst)+n]
+	return dst[:len(dst)+j+1]
 }
 
 // decodeRune decodes the UTF-8 sequence at s[i]. Only the sequence's bytes are

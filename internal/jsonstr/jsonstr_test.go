@@ -29,7 +29,7 @@ func marshal(t testing.TB, s string) []byte {
 }
 
 // checkAppend holds Append and Len, of s as a string and as bytes, behind a
-// prefix, to json.Marshal.
+// prefix, and AppendGrown into exactly the room it needs, to json.Marshal.
 func checkAppend(t testing.TB, s string) {
 	t.Helper()
 	want := marshal(t, s)
@@ -43,6 +43,10 @@ func checkAppend(t testing.TB, s string) {
 	}
 	if n, m := Len(s), Len([]byte(s)); n != len(want) || m != len(want) {
 		t.Fatalf("Len(%q) = %d (as bytes %d), json.Marshal spells %d bytes", s, n, m, len(want))
+	}
+	exact := append(make([]byte, 0, len(prefix)+len(want)), prefix...)
+	if got := AppendGrown(exact, s); !bytes.Equal(got, append(prefix, want...)) || cap(got) != cap(exact) {
+		t.Fatalf("AppendGrown(%q) into exact room = %q, json.Marshal = %q", s, got[len(prefix):], want)
 	}
 }
 

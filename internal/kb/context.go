@@ -119,12 +119,13 @@ func objectInput(plan *qep.Plan, obj *qep.BaseObject) (*qep.Operator, *qep.Input
 	return nil, nil
 }
 
-// operatorOutputColumns returns the columns the operator sends to its parent.
+// operatorOutputColumns returns the columns the operator sends to its first
+// consumer.
 func operatorOutputColumns(op *qep.Operator) []string {
-	if op.Parent == nil {
+	if len(op.Parents) == 0 {
 		return nil
 	}
-	for _, in := range op.Parent.Inputs {
+	for _, in := range op.Parents[0].Inputs {
 		if in.Op == op {
 			return in.Columns
 		}

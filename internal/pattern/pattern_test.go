@@ -314,6 +314,52 @@ func TestCompileAnchorsLonelyAnyPop(t *testing.T) {
 	}
 }
 
+// TestCompileAnchorsStreamLinkedAnyPops: an ANY pop that immediate
+// relationships connect to unconstrained pops only is anchored, or the
+// reified blocks match chains shifted onto the stream nodes; one connected to
+// a typed pop needs no anchor. Two relationships between one pair of pops get
+// two blank-node handlers, so a join fed twice by one child matches outer and
+// inner both.
+func TestCompileAnchorsStreamLinkedAnyPops(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		build      func(b *Builder)
+		want, omit []string
+	}{
+		{"ANY child ANY", func(b *Builder) { b.Pop(TypeAny).Child(b.Pop(TypeAny)) },
+			[]string{"?pop1 preduri:hasPopType ?internalHandler1 .", "?pop2 preduri:hasPopType ?internalHandler2 ."}, nil},
+		{"ANY child ANY child TBSCAN", func(b *Builder) {
+			m := b.Pop(TypeAny)
+			b.Pop(TypeAny).Child(m)
+			m.Child(b.Pop("TBSCAN"))
+		}, []string{"?pop2 preduri:hasPopType ?internalHandler1 ."}, []string{"?pop1 preduri:hasPopType"}},
+		{"JOIN child ANY", func(b *Builder) { b.Pop(TypeJoin).Child(b.Pop(TypeAny)) },
+			nil, []string{"preduri:hasPopType"}},
+		{"ANY outer and inner ANY", func(b *Builder) {
+			j, x := b.Pop(TypeAny), b.Pop(TypeAny)
+			j.OuterChild(x).InnerChild(x)
+		}, []string{"?pop1 preduri:hasOuterInputStream ?BNodeOfPop2_to_Pop1 .", "?pop1 preduri:hasInnerInputStream ?BNodeOfPop2_to_Pop1_2 .",
+			"?pop1 preduri:hasPopType", "?pop2 preduri:hasPopType"}, nil},
+	} {
+		b := NewBuilder("linked", "")
+		tc.build(b)
+		c, err := Compile(b.MustBuild())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(c.Query, w) {
+				t.Errorf("%s: query lacks %q:\n%s", tc.name, w, c.Query)
+			}
+		}
+		for _, o := range tc.omit {
+			if strings.Contains(c.Query, o) {
+				t.Errorf("%s: query holds %q:\n%s", tc.name, o, c.Query)
+			}
+		}
+	}
+}
+
 func TestValidateErrors(t *testing.T) {
 	cases := []struct {
 		name string

@@ -11,6 +11,7 @@
 package qep
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -110,20 +111,19 @@ type Operator struct {
 	ID          int
 	Type        string // NLJOIN, HSJOIN, MSJOIN, TBSCAN, IXSCAN, FETCH, SORT, GRPBY, TEMP, RETURN, ...
 	JoinMod     JoinModifier
-	TotalCost   float64 // cumulative total cost (self + all inputs)
-	IOCost      float64 // cumulative I/O cost
-	CPUCost     float64 // cumulative CPU cost
-	FirstRow    float64 // cumulative first-row cost
-	Buffers     float64 // estimated bufferpool buffers
-	Cardinality float64 // estimated rows flowing out
-	Args        map[string]string
+	TotalCost   float64           // cumulative total cost (self + all inputs)
+	IOCost      float64           // cumulative I/O cost
+	CPUCost     float64           // cumulative CPU cost
+	FirstRow    float64           // cumulative first-row cost
+	Buffers     float64           // estimated bufferpool buffers
+	Cardinality float64           // estimated rows flowing out
+	Args        map[string]string // nil when the operator has none
 	Predicates  []string
 	Inputs      []Input
-	// Parent is the first consumer; Parents lists all of them. Plans are
-	// trees except for shared common subexpressions (a TEMP with multiple
+	// Parents lists the consumers, the first one first. Plans are trees
+	// except for shared common subexpressions (a TEMP with multiple
 	// consumers, the paper's Section 2.2 ambiguity example), which make the
 	// plan a DAG.
-	Parent  *Operator
 	Parents []*Operator
 }
 
@@ -229,34 +229,41 @@ type Plan struct {
 	Statement string // SQL text (may be multi-line)
 	TotalCost float64
 	Root      *Operator
-	Operators map[int]*Operator // registered through AddOperator only, which keeps ops beside it
 	Objects   map[string]*BaseObject
 
-	ops []*Operator // Operators by ascending ID, what Ops returns
+	ops []*Operator // by ascending ID, registered through AddOperator only: what Ops returns and Op searches
 }
 
-// NewPlan returns an empty plan with initialized maps.
+// NewPlan returns an empty plan with an initialized object map.
 func NewPlan(id string) *Plan {
-	return &Plan{
-		ID:        id,
-		Operators: make(map[int]*Operator),
-		Objects:   make(map[string]*BaseObject),
-	}
+	return &Plan{ID: id, Objects: make(map[string]*BaseObject)}
 }
 
 // AddOperator registers op; it returns an error on a duplicate ID.
 func (p *Plan) AddOperator(op *Operator) error {
-	if _, dup := p.Operators[op.ID]; dup {
-		return fmt.Errorf("qep: duplicate operator id %d", op.ID)
-	}
-	p.Operators[op.ID] = op
 	// Explain files and generators number operators upwards: mostly an append.
 	i := len(p.ops)
 	for i > 0 && p.ops[i-1].ID > op.ID {
 		i--
 	}
+	if i > 0 && p.ops[i-1].ID == op.ID {
+		return fmt.Errorf("qep: duplicate operator id %d", op.ID)
+	}
 	p.ops = slices.Insert(p.ops, i, op)
 	return nil
+}
+
+// Op returns the operator numbered id, or nil.
+func (p *Plan) Op(id int) *Operator {
+	// Operators are mostly numbered 1 to n, which puts id at id-1.
+	if 0 < id && id <= len(p.ops) && p.ops[id-1].ID == id {
+		return p.ops[id-1]
+	}
+	i, found := slices.BinarySearchFunc(p.ops, id, func(op *Operator, id int) int { return cmp.Compare(op.ID, id) })
+	if !found {
+		return nil
+	}
+	return p.ops[i]
 }
 
 // AddObject registers obj, returning the existing object when the name was
@@ -276,7 +283,7 @@ func (p *Plan) AddObject(obj *BaseObject) *BaseObject {
 func (p *Plan) Ops() []*Operator { return p.ops }
 
 // NumOps reports the number of LOLEPOPs in the plan.
-func (p *Plan) NumOps() int { return len(p.Operators) }
+func (p *Plan) NumOps() int { return len(p.ops) }
 
 // Link wires child (operator or object) as an input of parent and records
 // the consumer. Exactly one of childOp/childObj must be non-nil. Linking the
@@ -284,9 +291,6 @@ func (p *Plan) NumOps() int { return len(p.Operators) }
 func (p *Plan) Link(parent *Operator, kind StreamKind, childOp *Operator, childObj *BaseObject, rows float64, cols []string) {
 	parent.Inputs = append(parent.Inputs, Input{Kind: kind, Op: childOp, Obj: childObj, Rows: rows, Columns: cols})
 	if childOp != nil {
-		if childOp.Parent == nil {
-			childOp.Parent = parent
-		}
 		childOp.Parents = append(childOp.Parents, parent)
 	}
 }
@@ -294,7 +298,7 @@ func (p *Plan) Link(parent *Operator, kind StreamKind, childOp *Operator, childO
 // Resolve finalizes the plan after construction: it determines the root
 // (the unique operator without a parent) and validates tree shape.
 func (p *Plan) Resolve() error {
-	if len(p.Operators) == 0 {
+	if len(p.ops) == 0 {
 		return fmt.Errorf("qep: plan %s has no operators", p.ID)
 	}
 	var roots []*Operator
@@ -317,7 +321,7 @@ func (p *Plan) Resolve() error {
 // Walk visits every operator exactly once in pre-order from the root
 // (shared subexpressions are visited at their first occurrence).
 func (p *Plan) Walk(fn func(*Operator)) {
-	seen := make(map[int]bool, len(p.Operators))
+	seen := make(map[int]bool, len(p.ops))
 	var rec func(op *Operator)
 	rec = func(op *Operator) {
 		if seen[op.ID] {

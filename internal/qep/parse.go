@@ -27,13 +27,11 @@ func Parse(text string) (*Plan, error) {
 
 // own copies every string p holds into one buffer, so that none of them is a
 // substring of the text it was parsed from, which would keep that text alive
-// as long as the plan. The buffer is sized first, so that every string the
-// builder's String returns shares its one array.
+// as long as the plan. The buffer is sized first, by a walk that only reads,
+// so that every string the builder's String returns shares its one array.
 func own(p *Plan) {
-	n := 0
-	eachString(p, func(s string) string { n += len(s); return s })
 	var b strings.Builder
-	b.Grow(n)
+	b.Grow(stringBytes(p))
 	eachString(p, func(s string) string {
 		b.WriteString(s)
 		all := b.String()
@@ -41,7 +39,33 @@ func own(p *Plan) {
 	})
 }
 
+// stringBytes is the length of every string eachString hands its function.
+func stringBytes(p *Plan) int {
+	n := len(p.ID) + len(p.Statement)
+	list := func(l []string) {
+		for _, s := range l {
+			n += len(s)
+		}
+	}
+	for _, op := range p.ops {
+		n += len(op.Type)
+		for k, v := range op.Args {
+			n += len(k) + len(v)
+		}
+		list(op.Predicates)
+		for _, in := range op.Inputs {
+			list(in.Columns)
+		}
+	}
+	for _, obj := range p.Objects {
+		n += len(obj.Name) + len(obj.Type)
+		list(obj.Columns)
+	}
+	return n
+}
+
 // eachString replaces every string p holds with f of it, map keys included.
+// An operator without arguments keeps its nil map.
 func eachString(p *Plan, f func(string) string) {
 	list := func(l []string) {
 		for i, s := range l {
@@ -51,11 +75,13 @@ func eachString(p *Plan, f func(string) string) {
 	p.ID, p.Statement = f(p.ID), f(p.Statement)
 	for _, op := range p.ops {
 		op.Type = f(op.Type)
-		args := make(map[string]string, len(op.Args))
-		for k, v := range op.Args {
-			args[f(k)] = f(v)
+		if op.Args != nil {
+			args := make(map[string]string, len(op.Args))
+			for k, v := range op.Args {
+				args[f(k)] = f(v)
+			}
+			op.Args = args
 		}
-		op.Args = args
 		list(op.Predicates)
 		for _, in := range op.Inputs {
 			list(in.Columns)
@@ -263,11 +289,7 @@ func (pp *planParser) detailsLine(line string) error {
 		if err != nil || id <= 0 {
 			return pp.errf("bad operator id %q", number)
 		}
-		op := &Operator{
-			ID:   id,
-			Type: typ,
-			Args: make(map[string]string),
-		}
+		op := &Operator{ID: id, Type: typ} // Args is made by the first argument line
 		switch modifier {
 		case ">":
 			op.JoinMod = LeftOuterJoin
@@ -363,6 +385,9 @@ func (pp *planParser) detailsLine(line string) error {
 			// then read as a header.
 			if len(key) < len(k) && isHeader(strings.TrimSpace(key+": "+value)) {
 				return pp.errf("argument %q reads as a header without the space before ':'", line)
+			}
+			if pp.cur.op.Args == nil {
+				pp.cur.op.Args = make(map[string]string)
 			}
 			pp.cur.op.Args[key] = value
 		}
@@ -461,8 +486,8 @@ func (pp *planParser) link() error {
 	for _, spec := range pp.specs {
 		for _, in := range spec.inputs {
 			if in.opID > 0 {
-				child, ok := pp.plan.Operators[in.opID]
-				if !ok {
+				child := pp.plan.Op(in.opID)
+				if child == nil {
 					return fmt.Errorf("qep: operator %d references unknown input operator #%d", spec.op.ID, in.opID)
 				}
 				if in.opID == spec.op.ID {

@@ -58,34 +58,34 @@ func TestPlanAccessors(t *testing.T) {
 	if p.Root.ID != 1 {
 		t.Errorf("root = %d", p.Root.ID)
 	}
-	nl := p.Operators[2]
+	nl := p.Op(2)
 	if nl.Outer() == nil || nl.Outer().ID != 3 {
 		t.Errorf("Outer = %v", nl.Outer())
 	}
 	if nl.Inner() == nil || nl.Inner().ID != 5 {
 		t.Errorf("Inner = %v", nl.Inner())
 	}
-	if got := p.Operators[5].Object(); got == nil || got.Name != "CUST_DIM" {
+	if got := p.Op(5).Object(); got == nil || got.Name != "CUST_DIM" {
 		t.Errorf("Object = %v", got)
 	}
-	if !nl.IsJoin() || p.Operators[3].IsJoin() {
+	if !nl.IsJoin() || p.Op(3).IsJoin() {
 		t.Error("IsJoin wrong")
 	}
 	if nl.Class() != "JOIN" {
 		t.Errorf("Class = %q", nl.Class())
 	}
-	if p.Operators[5].Class() != "SCAN" {
-		t.Errorf("TBSCAN class = %q", p.Operators[5].Class())
+	if p.Op(5).Class() != "SCAN" {
+		t.Errorf("TBSCAN class = %q", p.Op(5).Class())
 	}
 	// SelfCost of NLJOIN: 15771 - 19.12 (fetch) - 15771 (tbscan) < 0 -> clamped 0.
 	if c := nl.SelfCost(); c != 0 {
 		t.Errorf("SelfCost = %v", c)
 	}
 	// SelfCost of FETCH: 19.12 - 12.3.
-	if c := p.Operators[3].SelfCost(); math.Abs(c-6.82) > 1e-9 {
+	if c := p.Op(3).SelfCost(); math.Abs(c-6.82) > 1e-9 {
 		t.Errorf("FETCH SelfCost = %v", c)
 	}
-	ops := p.Operators[2].InputOps()
+	ops := p.Op(2).InputOps()
 	if len(ops) != 2 || ops[0].ID != 3 || ops[1].ID != 5 {
 		t.Errorf("InputOps = %v", ops)
 	}
@@ -93,7 +93,7 @@ func TestPlanAccessors(t *testing.T) {
 
 func TestDescendantsAndWalk(t *testing.T) {
 	p := figure1Plan(t)
-	desc := Descendants(p.Operators[2])
+	desc := Descendants(p.Op(2))
 	var ids []int
 	for _, d := range desc {
 		ids = append(ids, d.ID)
@@ -128,8 +128,9 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if p2.NumOps() != p.NumOps() {
 		t.Fatalf("NumOps = %d, want %d", p2.NumOps(), p.NumOps())
 	}
-	for id, want := range p.Operators {
-		got := p2.Operators[id]
+	for _, want := range p.Ops() {
+		id := want.ID
+		got := p2.Op(id)
 		if got == nil {
 			t.Fatalf("operator %d missing", id)
 		}
@@ -150,7 +151,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if p2.Root.ID != 1 {
 		t.Errorf("root = %d", p2.Root.ID)
 	}
-	nl := p2.Operators[2]
+	nl := p2.Op(2)
 	if nl.Outer() == nil || nl.Outer().ID != 3 || nl.Inner() == nil || nl.Inner().ID != 5 {
 		t.Errorf("stream kinds lost: outer=%v inner=%v", nl.Outer(), nl.Inner())
 	}
@@ -195,11 +196,11 @@ func TestJoinModifierRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.Operators[1].JoinMod != LeftOuterJoin {
-		t.Errorf("JoinMod = %v", p2.Operators[1].JoinMod)
+	if p2.Op(1).JoinMod != LeftOuterJoin {
+		t.Errorf("JoinMod = %v", p2.Op(1).JoinMod)
 	}
-	if p2.Operators[1].DisplayName() != ">HSJOIN" {
-		t.Errorf("DisplayName = %q", p2.Operators[1].DisplayName())
+	if p2.Op(1).DisplayName() != ">HSJOIN" {
+		t.Errorf("DisplayName = %q", p2.Op(1).DisplayName())
 	}
 }
 
@@ -235,7 +236,7 @@ End of Explain
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := p.Operators[1]
+	op := p.Op(1)
 	if op.TotalCost != 1e7 || op.Cardinality != 4043 || op.IOCost != 1316.5 {
 		t.Errorf("parsed values: %+v", op)
 	}
@@ -334,11 +335,60 @@ Input Streams:
 
 func TestAddOperatorDuplicate(t *testing.T) {
 	p := NewPlan("D")
-	if err := p.AddOperator(&Operator{ID: 1, Type: "RETURN"}); err != nil {
-		t.Fatal(err)
+	for _, id := range []int{5, 1, 9, 3} {
+		if err := p.AddOperator(&Operator{ID: id, Type: "RETURN"}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := p.AddOperator(&Operator{ID: 1, Type: "SORT"}); err == nil {
-		t.Error("duplicate operator id accepted")
+	for _, id := range []int{1, 3, 5, 9} { // first, inside, last
+		if err := p.AddOperator(&Operator{ID: id, Type: "SORT"}); err == nil {
+			t.Errorf("duplicate operator id %d accepted", id)
+		}
+	}
+	if p.NumOps() != 4 || p.Op(3).Type != "RETURN" {
+		t.Errorf("a refused duplicate changed the plan: %d operators, #3 is %s", p.NumOps(), p.Op(3).Type)
+	}
+}
+
+// TestPlanOp: Op finds every operator by its number, however sparse the
+// numbers and in whatever order they were added, and nothing for a number no
+// operator has.
+func TestPlanOp(t *testing.T) {
+	fig7 := figure7Plan(t) // 1 5 6 8 12 15 16 38
+	scrambled := NewPlan("S")
+	for _, id := range []int{38, 5, 16, 1, 12, 8, 15, 6} {
+		if err := scrambled.AddOperator(&Operator{ID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dense := NewPlan("N") // 2 3 4: every operator one place off its number
+	for _, id := range []int{2, 3, 4} {
+		if err := dense.AddOperator(&Operator{ID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []*Plan{fig7, scrambled, dense} {
+		ids := map[int]bool{}
+		for i, op := range p.Ops() {
+			if i > 0 && p.Ops()[i-1].ID >= op.ID {
+				t.Fatalf("plan %s: Ops not in ascending ID order", p.ID)
+			}
+			ids[op.ID] = true
+			if p.Op(op.ID) != op {
+				t.Errorf("plan %s: Op(%d) = %v, want the operator numbered so", p.ID, op.ID, p.Op(op.ID))
+			}
+		}
+		for id := -2; id <= 40; id++ {
+			if !ids[id] && p.Op(id) != nil {
+				t.Errorf("plan %s: Op(%d) = %v, want nil", p.ID, id, p.Op(id))
+			}
+		}
+		if p.NumOps() != len(ids) {
+			t.Errorf("plan %s: NumOps = %d, want %d", p.ID, p.NumOps(), len(ids))
+		}
+	}
+	if op := NewPlan("E").Op(1); op != nil {
+		t.Errorf("Op(1) of an empty plan = %v", op)
 	}
 }
 
@@ -640,7 +690,7 @@ func TestParseBoundaries(t *testing.T) {
 			if p, err := Parse(text); err != nil {
 				got = err.Error()
 			} else {
-				op := p.Operators[1]
+				op := p.Op(1)
 				obj := op.Object()
 				got = fmt.Sprintf("%v %q %q %q", op.Args, op.Inputs[0].Columns, obj.Name, obj.Columns)
 			}

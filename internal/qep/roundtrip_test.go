@@ -17,7 +17,7 @@ import (
 )
 
 // Algorithm 1 (transform.Transform) as a property: a plan's graph, read back
-// without the Result's de-transformation maps, is the plan again. The graph
+// without the plan the Result holds beside it, is the plan again. The graph
 // carries everything dump prints except:
 //   - a repeated entry of an operator's predicate texts, a stream's columns or
 //     an object's columns: a graph holds a triple once, at its first Add;

@@ -142,7 +142,7 @@ func TestPlanRDFEscapesIRIs(t *testing.T) {
 	s, ts := testServer(t)
 	const id = "a>b c"
 	p := fixtures.Renamed(fixtures.Figure1(), id)
-	p.Operators[2].Args["MAX PAGES<^>"] = "ALL"
+	p.Op(2).Args["MAX PAGES<^>"] = "ALL"
 	const object = "CUST{DIM}|`\\\""
 	text := strings.ReplaceAll(qep.Text(p), "CUST_DIM", object)
 	postBody(t, ts.URL+"/api/plans", text, http.StatusCreated, nil)

@@ -71,11 +71,12 @@ type batchItem struct {
 // encodeRecord frames the record for appending. The payload is the bytes
 // json.Marshal writes for the record (recovery reads it with json.Unmarshal),
 // appended field by field in the struct's order and under its omitempty rules,
-// with the strings spelled by jsonstr.Append. Item is json.Marshal output
+// with the strings spelled by jsonstr.AppendGrown. Item is json.Marshal output
 // already (AddEntry marshals the entry), and so compact and escaped as Marshal
 // would write it: it is appended as it stands. The payload's length is counted
 // first, so an oversized record is refused before anything is allocated for
-// it, and a record is framed in one buffer of its exact size.
+// it, and a record is framed in one buffer of its exact size, into which each
+// string is spelled without being counted again.
 func encodeRecord(rec *record) ([]byte, error) {
 	n := recordLen(rec)
 	if n > maxRecordBytes {
@@ -84,12 +85,12 @@ func encodeRecord(rec *record) ([]byte, error) {
 	buf := make([]byte, headerSize, headerSize+n)
 	buf = append(buf, `{"seq":`...)
 	buf = strconv.AppendUint(buf, rec.Seq, 10)
-	buf = jsonstr.Append(append(buf, `,"op":`...), rec.Op)
+	buf = jsonstr.AppendGrown(append(buf, `,"op":`...), rec.Op)
 	if rec.ID != "" {
-		buf = jsonstr.Append(append(buf, `,"id":`...), rec.ID)
+		buf = jsonstr.AppendGrown(append(buf, `,"id":`...), rec.ID)
 	}
 	if rec.Text != "" {
-		buf = jsonstr.Append(append(buf, `,"text":`...), rec.Text)
+		buf = jsonstr.AppendGrown(append(buf, `,"text":`...), rec.Text)
 	}
 	if len(rec.Item) > 0 {
 		buf = append(append(buf, `,"entry":`...), rec.Item...)
@@ -100,8 +101,8 @@ func encodeRecord(rec *record) ([]byte, error) {
 			if i > 0 {
 				buf = append(buf, ',')
 			}
-			buf = jsonstr.Append(append(buf, `{"id":`...), it.ID)
-			buf = append(jsonstr.Append(append(buf, `,"text":`...), it.Text), '}')
+			buf = jsonstr.AppendGrown(append(buf, `{"id":`...), it.ID)
+			buf = append(jsonstr.AppendGrown(append(buf, `,"text":`...), it.Text), '}')
 		}
 		buf = append(buf, ']')
 	}

@@ -15,9 +15,9 @@ func TestSharedTempReification(t *testing.T) {
 	r := Transform(p)
 	g := r.Graph
 
-	temp := r.PopIRI(p.Operators[6])
-	nl := r.PopIRI(p.Operators[3])
-	hs := r.PopIRI(p.Operators[4])
+	temp := r.PopIRI(p.Op(6))
+	nl := r.PopIRI(p.Op(3))
+	hs := r.PopIRI(p.Op(4))
 
 	// The TEMP has two outgoing hasOutputStream edges to two distinct
 	// stream nodes.
@@ -56,7 +56,7 @@ func TestTypedStreamsCarryGenericEdge(t *testing.T) {
 	p := fixtures.Figure1()
 	r := Transform(p)
 	g := r.Graph
-	nl := r.PopIRI(p.Operators[2])
+	nl := r.PopIRI(p.Op(2))
 
 	inner := g.Objects(nl, rdf.IRI(PredInnerInputStream))
 	if len(inner) != 1 {

@@ -13,13 +13,39 @@ import (
 	"optimatch/internal/workload"
 )
 
+// detransformMaps is de-transformation as a Result once held it: a map from
+// every operator's and every base object's IRI to that entity, filled in as
+// the plan was transformed. It is the oracle Result.Operator and
+// Result.Object, which read the IRI instead, are held to.
+type detransformMaps struct {
+	ops  map[string]*qep.Operator
+	objs map[string]*qep.BaseObject
+}
+
+// operator is what the maps de-transform t to, or nil.
+func (m detransformMaps) operator(t rdf.Term) *qep.Operator {
+	if !t.IsIRI() {
+		return nil
+	}
+	return m.ops[t.Value]
+}
+
+// object is what the maps de-transform t to, or nil.
+func (m detransformMaps) object(t rdf.Term) *qep.BaseObject {
+	if !t.IsIRI() {
+		return nil
+	}
+	return m.objs[t.Value]
+}
+
 // transformReference is Transform as it was before it added ID triples: one
 // g.Add of three terms per triple, every term built and looked up again each
-// time it is used. It is the oracle TestTransformSameGraph holds Transform to.
-func transformReference(p *qep.Plan) *Result {
-	r := &Result{
-		Plan: p,
-		ops:  make(map[string]*qep.Operator, len(p.Operators)),
+// time it is used, and the de-transformation maps filled in beside the graph.
+// It is the oracle TestTransformSameGraph holds Transform to.
+func transformReference(p *qep.Plan) (*Result, detransformMaps) {
+	r := &Result{Plan: p}
+	m := detransformMaps{
+		ops:  make(map[string]*qep.Operator, p.NumOps()),
 		objs: make(map[string]*qep.BaseObject, len(p.Objects)),
 	}
 	g := rdf.NewBuilder()
@@ -38,7 +64,7 @@ func transformReference(p *qep.Plan) *Result {
 	for _, name := range sortedKeys(p.Objects) {
 		obj := p.Objects[name]
 		node := r.ObjIRI(obj)
-		r.objs[node.Value] = obj
+		m.objs[node.Value] = obj
 		g.Add(node, rdf.IRI(PredIsBaseObj), rdf.Bool(true))
 		g.Add(node, rdf.IRI(PredPopType), rdf.String(BaseObjType))
 		g.Add(node, rdf.IRI(PredName), rdf.String(obj.Name))
@@ -52,7 +78,7 @@ func transformReference(p *qep.Plan) *Result {
 	// Operators with their properties.
 	for _, op := range p.Ops() {
 		node := r.PopIRI(op)
-		r.ops[node.Value] = op
+		m.ops[node.Value] = op
 		g.Add(node, rdf.IRI(PredPopType), rdf.String(op.Type))
 		g.Add(node, rdf.IRI(PredPopClass), rdf.String(op.Class()))
 		g.Add(node, rdf.IRI(PredOperatorNumber), rdf.Int(int64(op.ID)))
@@ -113,7 +139,7 @@ func transformReference(p *qep.Plan) *Result {
 		}
 	}
 	r.Graph = g.Graph()
-	return r
+	return r, m
 }
 
 // oraclePlans are the plans the build path is checked on: every fixture, 64
@@ -136,12 +162,13 @@ func oraclePlans(t testing.TB) []*qep.Plan {
 
 // TestTransformSameGraph holds Transform to transformReference: the same
 // dictionary ID for ID, the same log, the same N-Triples, the same numeric
-// column and the same predicate statistics, and the same de-transformation
-// maps, for every oracle plan.
+// column and the same predicate statistics, for every oracle plan.
+// (TestDetransformMatchesMaps holds de-transformation to the reference's
+// maps.)
 func TestTransformSameGraph(t *testing.T) {
 	for _, p := range oraclePlans(t) {
-		got, want := Transform(p), transformReference(p)
-		g, ref := got.Graph, want.Graph
+		want, _ := transformReference(p)
+		g, ref := Transform(p).Graph, want.Graph
 		if g.MaxID() != ref.MaxID() {
 			t.Fatalf("plan %s: %d terms, the reference has %d", p.ID, g.MaxID(), ref.MaxID())
 		}
@@ -187,20 +214,6 @@ func TestTransformSameGraph(t *testing.T) {
 		if !bytes.Equal(nt.Bytes(), refNT.Bytes()) {
 			t.Fatalf("plan %s: N-Triples differ from the reference's", p.ID)
 		}
-		if len(got.ops) != len(want.ops) || len(got.objs) != len(want.objs) {
-			t.Fatalf("plan %s: %d operators and %d objects to de-transform to, the reference has %d and %d",
-				p.ID, len(got.ops), len(got.objs), len(want.ops), len(want.objs))
-		}
-		for iri, op := range want.ops {
-			if got.ops[iri] != op {
-				t.Fatalf("plan %s: %s de-transforms to %v, the reference to %v", p.ID, iri, got.ops[iri], op)
-			}
-		}
-		for iri, obj := range want.objs {
-			if got.objs[iri] != obj {
-				t.Fatalf("plan %s: %s de-transforms to %v, the reference to %v", p.ID, iri, got.objs[iri], obj)
-			}
-		}
 	}
 }
 
@@ -210,7 +223,7 @@ func TestTransformDropsDuplicateTriples(t *testing.T) {
 	p := fixtures.DoubleFedJoin()
 	r := Transform(p)
 	g := r.Graph
-	join, temp := r.PopIRI(p.Operators[2]), r.PopIRI(p.Operators[3])
+	join, temp := r.PopIRI(p.Op(2)), r.PopIRI(p.Op(3))
 	if n := len(g.Objects(join, rdf.IRI(PredChildPop))); n != 1 {
 		t.Errorf("hasChildPop edges from the join to its TEMP = %d, want 1", n)
 	}

@@ -16,6 +16,7 @@ package transform
 import (
 	"sort"
 	"strconv"
+	"strings"
 
 	"optimatch/internal/qep"
 	"optimatch/internal/rdf"
@@ -75,14 +76,13 @@ const Prologue = "PREFIX preduri: <" + PredNS + ">\n" +
 // used by the pattern builder's "BASE OB" operator type (paper Figure 5).
 const BaseObjType = "BASE OB"
 
-// Result is the outcome of transforming one plan: the RDF graph plus the
-// de-transformation maps from resource IRIs back to plan entities.
+// Result is the outcome of transforming one plan: the plan and its RDF graph.
+// A resource IRI de-transforms by its own spelling — the plan's ID and the
+// operator's number or the object's name —, so the plan is the only index of
+// its entities.
 type Result struct {
 	Plan  *qep.Plan
 	Graph *rdf.Graph
-
-	ops  map[string]*qep.Operator
-	objs map[string]*qep.BaseObject
 }
 
 // PopIRI returns the resource IRI of an operator in this plan.
@@ -101,20 +101,45 @@ func (r *Result) PlanIRI() rdf.Term {
 }
 
 // Operator de-transforms a matched resource back to its plan operator, or
-// nil when the term is not an operator resource of this plan.
+// nil when the term is not an operator resource of this plan: not the IRI
+// PopIRI spells for one of its operators, which are numbered positively.
 func (r *Result) Operator(t rdf.Term) *qep.Operator {
-	if !t.IsIRI() {
+	number, ok := r.local(t, "/pop/")
+	// strconv.Itoa's spelling of a positive number: no sign, no leading zero.
+	if !ok || number == "" || number[0] < '1' || number[0] > '9' {
 		return nil
 	}
-	return r.ops[t.Value]
+	id, err := strconv.Atoi(number)
+	if err != nil {
+		return nil
+	}
+	return r.Plan.Op(id)
 }
 
-// Object de-transforms a matched resource back to its base object, or nil.
+// Object de-transforms a matched resource back to its base object, or nil:
+// the object ObjIRI spells t for.
 func (r *Result) Object(t rdf.Term) *qep.BaseObject {
-	if !t.IsIRI() {
+	name, ok := r.local(t, "/obj/")
+	if !ok {
 		return nil
 	}
-	return r.objs[t.Value]
+	return r.Plan.Objects[name]
+}
+
+// local returns what follows PopNS, this plan's ID and kind in t's IRI, and
+// whether t is such an IRI.
+func (r *Result) local(t rdf.Term, kind string) (string, bool) {
+	if !t.IsIRI() {
+		return "", false
+	}
+	rest, ok := strings.CutPrefix(t.Value, PopNS)
+	if ok {
+		rest, ok = strings.CutPrefix(rest, r.Plan.ID)
+	}
+	if ok {
+		rest, ok = strings.CutPrefix(rest, kind)
+	}
+	return rest, ok
 }
 
 // Describe renders a matched resource the way a user sees it in the plan:
@@ -168,15 +193,10 @@ func appendOperator(dst []byte, op *qep.Operator) []byte {
 // tests, is the term-at-a-time form of the same sequence.
 func Transform(p *qep.Plan) *Result {
 	ops := p.Ops()
-	r := &Result{
-		Plan: p,
-		ops:  make(map[string]*qep.Operator, len(ops)),
-		objs: make(map[string]*qep.BaseObject, len(p.Objects)),
-	}
+	r := &Result{Plan: p}
 	b := newBuilder(r, ops)
 	g, add := b.g, b.g.AddIDs
 	str := func(s string) rdf.ID { return g.Intern(rdf.String(s)) }
-	iriOf := func(id rdf.ID) string { return g.Dict().Term(id).Value }
 
 	// Plan-level resource.
 	plan := g.Intern(r.PlanIRI())
@@ -192,7 +212,6 @@ func Transform(p *qep.Plan) *Result {
 	for _, name := range sortedKeys(p.Objects) {
 		obj := p.Objects[name]
 		node := b.obj(obj)
-		r.objs[iriOf(node)] = obj
 		add(node, b.pred(isABaseObj), g.Intern(rdf.Bool(true)))
 		add(node, b.pred(hasPopType), str(BaseObjType))
 		add(node, b.pred(hasName), str(obj.Name))
@@ -206,7 +225,6 @@ func Transform(p *qep.Plan) *Result {
 	// Operators with their properties.
 	for _, op := range ops {
 		node := b.pop(op)
-		r.ops[iriOf(node)] = op
 		add(node, b.pred(hasPopType), str(op.Type))
 		add(node, b.pred(hasPopClass), str(op.Class()))
 		add(node, b.pred(hasOperatorNumber), g.Intern(rdf.Int(int64(op.ID))))

@@ -47,7 +47,7 @@ func TestTransformBasicProperties(t *testing.T) {
 	r := Transform(p)
 	g := r.Graph
 
-	nl := r.PopIRI(p.Operators[2])
+	nl := r.PopIRI(p.Op(2))
 	if got := g.FirstObject(nl, rdf.IRI(PredPopType)); got.Value != "NLJOIN" {
 		t.Errorf("hasPopType = %v", got)
 	}
@@ -74,12 +74,12 @@ func TestTransformBasicProperties(t *testing.T) {
 func TestTransformDerivedCostIncrease(t *testing.T) {
 	p := figure1Plan(t)
 	r := Transform(p)
-	fetch := r.PopIRI(p.Operators[3])
+	fetch := r.PopIRI(p.Op(3))
 	f, ok := r.Graph.FirstObject(fetch, rdf.IRI(PredTotalCostIncrease)).Float()
 	if !ok {
 		t.Fatal("hasTotalCostIncrease missing")
 	}
-	if want := p.Operators[3].SelfCost(); f != want {
+	if want := p.Op(3).SelfCost(); f != want {
 		t.Errorf("cost increase = %v, want %v", f, want)
 	}
 }
@@ -88,8 +88,8 @@ func TestTransformReifiedStreams(t *testing.T) {
 	p := figure1Plan(t)
 	r := Transform(p)
 	g := r.Graph
-	nl := r.PopIRI(p.Operators[2])
-	tb := r.PopIRI(p.Operators[5])
+	nl := r.PopIRI(p.Op(2))
+	tb := r.PopIRI(p.Op(5))
 
 	// NLJOIN --hasInnerInputStream--> stream --hasInnerInputStream--> TBSCAN
 	streams := g.Objects(nl, rdf.IRI(PredInnerInputStream))
@@ -120,9 +120,9 @@ func TestTransformDerivedChildEdges(t *testing.T) {
 	p := figure1Plan(t)
 	r := Transform(p)
 	g := r.Graph
-	nl := r.PopIRI(p.Operators[2])
-	fetch := r.PopIRI(p.Operators[3])
-	tb := r.PopIRI(p.Operators[5])
+	nl := r.PopIRI(p.Op(2))
+	fetch := r.PopIRI(p.Op(3))
+	tb := r.PopIRI(p.Op(5))
 
 	if !g.Has(nl, rdf.IRI(PredChildPop), fetch) || !g.Has(nl, rdf.IRI(PredChildPop), tb) {
 		t.Error("hasChildPop edges missing")
@@ -156,7 +156,7 @@ func TestTransformBaseObjects(t *testing.T) {
 		t.Errorf("object columns = %v", cols)
 	}
 	// TBSCAN is linked to CUST_DIM through a reified general stream.
-	tb := r.PopIRI(p.Operators[5])
+	tb := r.PopIRI(p.Op(5))
 	if !g.Has(tb, rdf.IRI(PredChildPop), cd) {
 		t.Error("scan -> object child edge missing")
 	}
@@ -181,7 +181,7 @@ func TestTransformPlanResource(t *testing.T) {
 func TestDetransformation(t *testing.T) {
 	p := figure1Plan(t)
 	r := Transform(p)
-	nlIRI := r.PopIRI(p.Operators[2])
+	nlIRI := r.PopIRI(p.Op(2))
 	if op := r.Operator(nlIRI); op == nil || op.ID != 2 {
 		t.Errorf("Operator() = %v", op)
 	}
@@ -265,7 +265,7 @@ func TestTransformAll(t *testing.T) {
 		t.Error("empty graphs")
 	}
 	// Resources are namespaced by plan ID, so the two graphs don't collide.
-	if rs[0].PopIRI(p1.Operators[2]) == rs[1].PopIRI(p2.Operators[2]) {
+	if rs[0].PopIRI(p1.Op(2)) == rs[1].PopIRI(p2.Op(2)) {
 		t.Error("plan namespaces collide")
 	}
 }
@@ -276,7 +276,7 @@ func TestTransformAll(t *testing.T) {
 // has no method that writes.)
 func TestTransformIsDeterministicAndFrozen(t *testing.T) {
 	p := figure1Plan(t)
-	p.Operators[2].Args = map[string]string{"FETCHMAX": "IGNORE", "EARLYOUT": "NONE", "JN INPUT": "OUTER", "BITFLTR": "FALSE", "INNERCOL": "1", "OUTERCOL": "2"}
+	p.Op(2).Args = map[string]string{"FETCHMAX": "IGNORE", "EARLYOUT": "NONE", "JN INPUT": "OUTER", "BITFLTR": "FALSE", "INNERCOL": "1", "OUTERCOL": "2"}
 	want := Transform(p).Graph.Triples()
 	for i := 0; i < 20; i++ {
 		got := Transform(p).Graph.Triples()
