@@ -81,14 +81,40 @@ func directChildOK(e directEdge, parent, child directNode) bool {
 	return false
 }
 
+// directHas reports whether the plan model gives n the property prop, as
+// docs/PATTERNS.md defines the properties: an operator's predicate texts and
+// its input streams of each kind, a base object's columns. It fails the test
+// on any other property.
+func directHas(t *testing.T, n directNode, prop string) bool {
+	t.Helper()
+	switch prop {
+	case "hasPredicateText":
+		return n.op != nil && len(n.op.Predicates) > 0
+	case "hasColumn":
+		return n.obj != nil && len(n.obj.Columns) > 0
+	case pattern.RelInput, pattern.RelOuterInput, pattern.RelInnerInput:
+		if n.op == nil {
+			return false
+		}
+		return slices.ContainsFunc(n.op.Inputs, func(in qep.Input) bool {
+			return prop == pattern.RelInput ||
+				prop == pattern.RelOuterInput && in.Kind == qep.OuterStream ||
+				prop == pattern.RelInnerInput && in.Kind == qep.InnerStream
+		})
+	}
+	t.Fatalf("property %s is not matched directly", prop)
+	return false
+}
+
 // directMatch matches p against plan by backtracking over the plan model,
 // with no RDF and no SPARQL: every operator and base object is a candidate
 // for every pop, pops take candidates in ID order, and a partial row is
-// dropped as soon as a pop's type or an immediate-child relationship between
-// two bound pops fails. It returns the distinct rows, each spelled as
-// directRowKey spells them. It covers the pop types and the immediate
-// outer, inner and any-child relationships; it fails the test on a pattern
-// that uses anything else.
+// dropped as soon as a pop's type, one of its absent properties or an
+// immediate-child relationship between two bound pops fails. It returns the
+// distinct rows, each spelled as directRowKey spells them. It covers the pop
+// types, the absent properties directHas knows and the immediate outer, inner
+// and any-child relationships; it fails the test on a pattern that uses
+// anything else.
 func directMatch(t *testing.T, p *pattern.Pattern, plan *qep.Plan) map[string]bool {
 	t.Helper()
 	pops := p.SortedPops()
@@ -98,13 +124,18 @@ func directMatch(t *testing.T, p *pattern.Pattern, plan *qep.Plan) map[string]bo
 		index[pop.ID], aliases[i] = i, p.HandlerAlias(pop)
 	}
 	var edges []directEdge
+	absent := make([][]string, len(pops))
 	for i, pop := range pops {
 		for _, prop := range pop.Properties {
 			if prop.ID == pattern.RelOutput && prop.Sign == "" {
 				continue // the builder's reverse declaration of a relationship (Figure 5)
 			}
+			if prop.Sign == pattern.SignAbsent {
+				absent[i] = append(absent[i], prop.ID)
+				continue
+			}
 			if prop.Sign != pattern.SignImmediateChild {
-				t.Fatalf("pattern %s: pop %d's %s %q is not an immediate child relationship", p.Name, pop.ID, prop.ID, prop.Sign)
+				t.Fatalf("pattern %s: pop %d's %s %q is neither absent nor an immediate child relationship", p.Name, pop.ID, prop.ID, prop.Sign)
 			}
 			target, err := prop.TargetPop()
 			if err != nil {
@@ -139,7 +170,7 @@ func directMatch(t *testing.T, p *pattern.Pattern, plan *qep.Plan) map[string]bo
 			return
 		}
 		for _, n := range nodes {
-			if !directTypeOK(pops[i].Type, n) {
+			if !directTypeOK(pops[i].Type, n) || slices.ContainsFunc(absent[i], func(prop string) bool { return directHas(t, n, prop) }) {
 				continue
 			}
 			bound[i] = n
@@ -187,7 +218,8 @@ func matchRowKey(m transform.Match) string {
 // type alone; every parent type over every child type through each of the
 // three immediate relationships; joins with an outer and an inner input of
 // every pair of types, the one pop on both sides among them; chains of three;
-// and two consumers of one child.
+// two consumers of one child; and pops of several types without each property
+// directHas knows, alone, as a parent and as a child.
 func directPatterns() []*pattern.Pattern {
 	types := []string{"ANY", "JOIN", "SCAN", "AGGREGATION", "BASE OB", "NLJOIN", "HSJOIN", "TBSCAN", "IXSCAN", "FETCH", "TEMP", "SORT", "RETURN", "GRPBY"}
 	parents := []string{"ANY", "JOIN", "SCAN", "NLJOIN", "HSJOIN", "FETCH", "TEMP", "SORT", "RETURN", "BASE OB"}
@@ -255,6 +287,13 @@ func directPatterns() []*pattern.Pattern {
 			})
 		}
 	}
+	for _, typ := range []string{"ANY", "JOIN", "SCAN", "BASE OB", "NLJOIN", "TBSCAN", "FETCH", "RETURN"} {
+		for _, prop := range []string{"hasPredicateText", "hasColumn", pattern.RelInput, pattern.RelOuterInput, pattern.RelInnerInput} {
+			add(typ+" without "+prop, func(b *pattern.Builder) { b.Pop(typ).WhereAbsent(prop) })
+			add(typ+" without "+prop+" over ANY", func(b *pattern.Builder) { b.Pop(typ).WhereAbsent(prop).Child(b.Pop("ANY")) })
+			add("ANY over "+typ+" without "+prop, func(b *pattern.Builder) { b.Pop("ANY").Child(b.Pop(typ).WhereAbsent(prop)) })
+		}
+	}
 	return out
 }
 
@@ -302,5 +341,42 @@ func TestDirectMatcherAgrees(t *testing.T) {
 	t.Logf("%d patterns over %d plans: %d (pattern, plan) pairs match, %d rows", len(directPatterns()), len(plans), matched, rows)
 	if matched == 0 {
 		t.Fatal("no pattern matched any plan")
+	}
+}
+
+// TestWhereAbsentAnchored pins the rows of a pop whose only constraint is an
+// absent property. FILTER NOT EXISTS binds nothing, so the pop must still be
+// anchored by its type: on Figure 1, the operators without predicate text and
+// the base objects, which ANY covers. A query without the anchor has no
+// triple to bind the pop and returns no row.
+func TestWhereAbsentAnchored(t *testing.T) {
+	plan := fixtures.Figure1()
+	e := New()
+	if err := e.LoadPlans([]*qep.Plan{plan}); err != nil {
+		t.Fatal(err)
+	}
+	b := pattern.NewBuilder("no predicate text", "")
+	b.Pop("ANY").WhereAbsent("hasPredicateText")
+	p := b.MustBuild()
+	matches, err := e.FindPattern(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, m := range matches {
+		got = append(got, matchRowKey(m))
+	}
+	slices.Sort(got)
+	want := []string{"TOP=obj:CUST_DIM", "TOP=obj:IDX1", "TOP=obj:SALES_FACT", "TOP=op:1", "TOP=op:4", "TOP=op:5"}
+	if !slices.Equal(got, want) {
+		t.Errorf("FindPattern rows %q, want %q", got, want)
+	}
+	var direct []string
+	for row := range directMatch(t, p, plan) {
+		direct = append(direct, row)
+	}
+	slices.Sort(direct)
+	if !slices.Equal(direct, want) {
+		t.Errorf("the direct matcher's rows %q, want %q", direct, want)
 	}
 }

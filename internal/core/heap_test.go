@@ -12,32 +12,34 @@ import (
 
 // graphBudgetPerTriple is what a resident plan's graph may hold per triple,
 // and residentBudgetPerTriple what the whole resident plan may: the graph and
-// the parsed plan model beside it. Measured 55.9 B for the graph on the plans
+// the parsed plan model beside it. Measured 45.5 B for the graph on the plans
 // below and 15.0 B for the model — the parser's strings among it, copied out
-// of the text into one buffer a plan —, 70.9 in all: the index ≈ 34 (three
-// permutations of two 4 B columns and their offsets; the SPO permutation is
-// the only copy of the triples), the numeric column ≈ 4 (8 B per term at
-// ≈ 0.49 terms per triple) and the predicate statistics ≈ 0.4, the dictionary
-// ≈ 20 — per term a 4 B ref and a 4 B slot of its table, which is more than a
-// quarter empty, and per term held as a term (≈ 0.17 per triple: IRIs,
-// strings) a Term and its text. The transform result beside the graph is two
-// pointers: an operator or object IRI de-transforms by its spelling, through
-// the plan's sorted operators and its object map. The engine's table adds a
-// pointer and a map entry per plan, nothing per triple. Before, the graph
-// measured 58.2 and the model 18.8: the result's IRI → operator and
-// IRI → object maps (8.1 KB a plan, ≈ 2.3 B per triple), and in the model the
-// ID → operator map beside the sorted operators (≈ 1.2 B), an empty argument
-// map per operator (≈ 1.9 B) and a Parent pointer beside Parents, which put
-// an operator in the next size class (≈ 0.7 B). Each budget is the
-// measurement plus 10 %, and each of these trips one: a map of the terms
-// beside the table (≈ 14 B per triple), the insertion log kept beside the
-// index (12 B), a number held as a string in the dictionary, a second copy of
-// the vocabulary (a union map of every plan's terms, ≈ 32 B) or of the
-// adjacency (map-of-map indexes, ≈ 436 B in all). keptTextBudget is what of
-// its explain text a loaded plan may keep alive, per plan: measured ≈ 0; a
-// model that kept the text it was parsed from keeps all of it, 77.2 KB.
+// of the text into one buffer a plan —, 60.4 in all: the index ≈ 24 (two
+// permutations, SPO and POS, of two 4 B columns and their offsets; the SPO
+// permutation is the only copy of the triples), the numeric column ≈ 4 (8 B
+// per term at ≈ 0.49 terms per triple) and the predicate statistics ≈ 0.4, the
+// dictionary ≈ 20 — per term a 4 B ref and a 4 B slot of its table, which is
+// more than a quarter empty, and per term held as a term (≈ 0.17 per triple:
+// IRIs, strings) a Term and its text. The transform result beside the graph is
+// two pointers: an operator or object IRI de-transforms by its spelling,
+// through the plan's sorted operators and its object map. The engine's table
+// adds a pointer and a map entry per plan, nothing per triple. With a third
+// permutation, by object, the graph measured 55.9 (≈ 10.4 B per triple more:
+// its two columns and its offsets). Before that, the graph measured 58.2 and
+// the model 18.8: the result's IRI → operator and IRI → object maps (8.1 KB a
+// plan, ≈ 2.3 B per triple), and in the model the ID → operator map beside the
+// sorted operators (≈ 1.2 B), an empty argument map per operator (≈ 1.9 B) and
+// a Parent pointer beside Parents, which put an operator in the next size
+// class (≈ 0.7 B). Each budget is the measurement plus 10 %, and each of these
+// trips one: the third permutation back, a map of the terms beside the table
+// (≈ 14 B per triple), the insertion log kept beside the index (12 B), a
+// number held as a string in the dictionary, a second copy of the vocabulary
+// (a union map of every plan's terms, ≈ 32 B) or of the adjacency (map-of-map
+// indexes, ≈ 436 B in all). keptTextBudget is what of its explain text a
+// loaded plan may keep alive, per plan: measured ≈ 0; a model that kept the
+// text it was parsed from keeps all of it, 77.2 KB.
 const (
-	graphBudgetPerTriple, residentBudgetPerTriple = 62, 78
+	graphBudgetPerTriple, residentBudgetPerTriple = 50, 67
 	keptTextBudget                                = 1e3
 )
 

@@ -81,7 +81,7 @@ func AblationTable(results []AblationResult) *Table {
 }
 
 // AblationIndexes times indexed vs full-scan triple matching on the
-// workload's RDF graphs: the dictionary-encoded SPO/POS/OSP indexes vs a
+// workload's RDF graphs: the dictionary-encoded SPO and POS indexes vs a
 // naive scan, for the bound-predicate lookups the matcher issues constantly.
 func AblationIndexes(cfg AblationConfig) (AblationResult, error) {
 	cfg = cfg.withDefaults()

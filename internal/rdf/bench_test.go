@@ -47,3 +47,21 @@ func BenchmarkGraphMatchBoundPO(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGraphMatchBoundO measures the free-predicate lookup that raw
+// SPARQL such as `?s ?p "NLJOIN"` issues: object bound, subject and
+// predicate free, the rows gathered from one POS probe per predicate in use
+// and sorted into SPO order.
+func BenchmarkGraphMatchBoundO(b *testing.B) {
+	g := buildBenchGraph(2000)
+	oid := g.Dict().Lookup(String("NLJOIN"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		count := 0
+		g.Match(NoID, NoID, oid, func(_, _, _ ID) bool { count++; return true })
+		if count == 0 {
+			b.Fatal("no matches")
+		}
+	}
+}

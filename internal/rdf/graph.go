@@ -8,9 +8,9 @@ import (
 
 // Graph is an in-memory RDF graph (triple store). Triples are dictionary
 // encoded: every term is interned to a dense ID, and the triples are kept
-// only as one immutable index (see index.go), whose SPO permutation is the
-// set of triples itself and which answers every bound/unbound combination of
-// a triple pattern without scanning.
+// only as one immutable index (see index.go) of two permutations, SPO and
+// POS. SPO is the set of triples itself; together they answer every
+// bound/unbound combination of a triple pattern without scanning the graph.
 //
 // A Graph is read-only: a Builder writes one, and Builder.Graph returns it
 // with its index built, so it is safe for concurrent readers from birth.
@@ -170,13 +170,12 @@ func (g *Graph) PredStats(p ID) *PredStats {
 //
 // The iteration order is a function of the sequence of Adds that built the
 // graph, never of a map: (s,p,-) yields objects and (-,p,o) subjects in
-// insertion order (closure walks and the golden reports rely on both),
-// (s,-,o) predicates likewise, and the other shapes run in ascending ID of
-// their unbound components, each next one a tie-break — (s,-,-) by
-// predicate, (-,p,-) by object, (-,-,o) by subject, (-,-,-) by subject, then
-// predicate — with the ties left in insertion order. That last is SPO order,
-// the order of Triples. Two graphs built by the same Add sequence iterate
-// alike.
+// insertion order (closure walks and the golden reports rely on both), and
+// (-,p,-) runs by ascending object, its ties in insertion order. Every shape
+// with a free predicate — (s,-,o), (s,-,-), (-,-,o) and (-,-,-) — yields SPO
+// order: ascending subject, then predicate, the objects of one (s, p) in
+// insertion order. That is the order of Triples. Two graphs built by the same
+// Add sequence iterate alike.
 func (g *Graph) Match(s, p, o ID, fn func(s, p, o ID) bool) {
 	ix := g.idx
 	switch {
@@ -190,21 +189,15 @@ func (g *Graph) Match(s, p, o ID, fn func(s, p, o ID) bool) {
 				return
 			}
 		}
-	case s != NoID && o != NoID:
-		for _, pred := range ix.osp.third(o, s) {
-			if !fn(s, pred, o) {
-				return
-			}
-		}
 	case p != NoID && o != NoID:
 		for _, subj := range ix.pos.third(p, o) {
 			if !fn(subj, p, o) {
 				return
 			}
 		}
-	case s != NoID:
+	case s != NoID: // (s,-,o) filters s's bucket on o
 		for i, end := ix.spo.bucket(s); i < end; i++ {
-			if !fn(s, ix.spo.b[i], ix.spo.c[i]) {
+			if (o == NoID || ix.spo.c[i] == o) && !fn(s, ix.spo.b[i], ix.spo.c[i]) {
 				return
 			}
 		}
@@ -214,9 +207,16 @@ func (g *Graph) Match(s, p, o ID, fn func(s, p, o ID) bool) {
 				return
 			}
 		}
-	case o != NoID:
-		for i, end := ix.osp.bucket(o); i < end; i++ {
-			if !fn(ix.osp.b[i], ix.osp.c[i], o) {
+	case o != NoID: // one POS probe per predicate in use, sorted into SPO order
+		var keys []uint64
+		for _, st := range ix.preds {
+			for _, subj := range ix.pos.third(st.Pred, o) {
+				keys = append(keys, uint64(subj)<<32|uint64(st.Pred))
+			}
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			if !fn(ID(k>>32), ID(k), o) {
 				return
 			}
 		}
@@ -232,9 +232,10 @@ func (g *Graph) Match(s, p, o ID, fn func(s, p, o ID) bool) {
 }
 
 // Count reports the number of triples matching the pattern (NoID =
-// wildcard). Every combination is exact and read off the index's offset
-// arrays: an offset difference for the single-bound shapes, two short binary
-// searches inside one bucket for the double-bound ones.
+// wildcard). Every combination with a bound predicate, and (s,-,-), is exact
+// and read off the index's offset arrays: an offset difference for the
+// single-bound shapes, two short binary searches inside one bucket for the
+// double-bound ones. (s,-,o) and (-,-,o) count what Match yields.
 func (g *Graph) Count(s, p, o ID) int {
 	ix := g.idx
 	switch {
@@ -247,16 +248,15 @@ func (g *Graph) Count(s, p, o ID) int {
 		return len(ix.spo.third(s, p))
 	case p != NoID && o != NoID:
 		return len(ix.pos.third(p, o))
-	case s != NoID && o != NoID:
-		return len(ix.osp.third(o, s))
-	case s != NoID:
-		lo, hi := ix.spo.bucket(s)
-		return hi - lo
 	case p != NoID:
 		lo, hi := ix.pos.bucket(p)
 		return hi - lo
 	case o != NoID:
-		lo, hi := ix.osp.bucket(o)
+		n := 0
+		g.Match(s, p, o, func(_, _, _ ID) bool { n++; return true })
+		return n
+	case s != NoID:
+		lo, hi := ix.spo.bucket(s)
 		return hi - lo
 	default:
 		return g.Len()

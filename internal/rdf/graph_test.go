@@ -147,6 +147,39 @@ func TestGraphMatchAgreesWithAddList(t *testing.T) {
 	}
 }
 
+// One subject reaches one object through two predicates, added in the
+// opposite order to their IDs, and a later subject reaches it first: (s,-,o)
+// and (-,-,o) yield SPO order — by subject, then predicate —, not the order
+// of the Adds, and Count agrees.
+func TestGraphMatchFreePredicateSPOOrder(t *testing.T) {
+	b := NewBuilder()
+	s, s2, o := b.Intern(IRI("pop1")), b.Intern(IRI("pop2")), b.Intern(IRI("stream1"))
+	p1, p2 := b.Intern(IRI("hasOutputStream")), b.Intern(IRI("hasInputStream"))
+	b.AddIDs(s2, p1, o)
+	b.AddIDs(s, p2, o)
+	b.AddIDs(s, p1, o)
+	g := b.Graph()
+	for _, tc := range []struct {
+		s    ID
+		want [][3]ID
+	}{
+		{s, [][3]ID{{s, p1, o}, {s, p2, o}}},
+		{NoID, [][3]ID{{s, p1, o}, {s, p2, o}, {s2, p1, o}}},
+	} {
+		got := [][3]ID{}
+		g.Match(tc.s, NoID, o, func(s, p, o ID) bool {
+			got = append(got, [3]ID{s, p, o})
+			return true
+		})
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Match(%d,-,%d) = %v, want %v", tc.s, o, got, tc.want)
+		}
+		if n := g.Count(tc.s, NoID, o); n != len(tc.want) {
+			t.Errorf("Count(%d,-,%d) = %d, want %d", tc.s, o, n, len(tc.want))
+		}
+	}
+}
+
 func TestGraphObjectsAndSubjects(t *testing.T) {
 	g := testGraph()
 	objs := g.Objects(IRI("pop2"), IRI("hasPopType"))

@@ -1,17 +1,20 @@
 package rdf
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
-// index is the one immutable index over a graph's triples: the three
-// permutations SPO, POS and OSP as pointer-free columns — SPO is the set of
+// index is the one immutable index over a graph's triples: the two
+// permutations SPO and POS as pointer-free columns — SPO is the set of
 // triples, of which the graph keeps no other copy —, plus the distinct node
 // list, the numeric value of every term and the statistics of every
 // predicate. It exploits the engine's central invariant — plan graphs are
 // immutable after load — so it is built once, by Builder.Graph, and then
 // shared, lock-free, by every concurrent reader.
 type index struct {
-	spo, pos, osp perm
-	nodes         []ID // distinct subjects and objects, ascending
+	spo, pos perm
+	nodes    []ID // distinct subjects and objects, ascending
 	// num holds Term.Float of every term by ID, as float bits: notNumber where
 	// the term has no numeric value. It is the dictionary's numeric column: a
 	// number is held as its value there, and every other literal was parsed
@@ -66,16 +69,9 @@ func (p *perm) third(a, b ID) []ID {
 	return p.c[lo:hi]
 }
 
-// has reports whether the fully bound triple is indexed: the predicates
-// linking s to o are nearly always one, whatever the fan-out of (s, p) is.
-func (ix *index) has(s, p, o ID) bool {
-	for _, pred := range ix.osp.third(o, s) {
-		if pred == p {
-			return true
-		}
-	}
-	return false
-}
+// has reports whether the fully bound triple is indexed: the objects of
+// (s, p) are nearly always one.
+func (ix *index) has(s, p, o ID) bool { return slices.Contains(ix.spo.third(s, p), o) }
 
 // lowerBound returns the first position in the ascending col whose value is
 // >= v (len(col) when there is none).
@@ -92,16 +88,17 @@ func lowerBound(col []ID, v ID) int {
 	return lo
 }
 
-// buildIndex sorts the builder's log three ways, without its duplicates.
-// num is the numeric column, one entry per term; its last ID is the largest a
-// triple may carry. Per column one histogram, prefix-summed into the bucket
-// offsets; each permutation is then two stable counting-sort passes over row
-// numbers (least significant key first), so ties keep the log's insertion
-// order. A third pass over POS's rows sorts them by the whole triple, which
-// puts the occurrences of one triple side by side, earliest Add first: when
-// there are any, the later ones are cut out of the log — in place, every
-// other row keeping its order — and the build starts over on what is left.
-// The predicate statistics are read off the sorted columns afterwards.
+// buildIndex sorts the builder's log two ways, without its duplicates. num is
+// the numeric column, one entry per term; its last ID is the largest a triple
+// may carry. Per column one histogram, prefix-summed into the bucket offsets —
+// the objects' is kept only while the index is built, for the sort by object
+// and for nodes —; each permutation is then two stable counting-sort passes
+// over row numbers (least significant key first), so ties keep the log's
+// insertion order. A third pass over POS's rows sorts them by the whole
+// triple, which puts the occurrences of one triple side by side, earliest Add
+// first: when there are any, the later ones are cut out of the log — in place,
+// every other row keeping its order — and the build starts over on what is
+// left. The predicate statistics are read off the sorted columns afterwards.
 func buildIndex(log [][3]ID, num []uint64) *index {
 	maxID := len(num) - 1
 	var off [3][]uint32
@@ -161,7 +158,6 @@ func buildIndex(log [][3]ID, num []uint64) *index {
 	ix := &index{
 		spo:   columns(sortBy(sortBy(insertion, 1), 0), 0, 1, 2),
 		pos:   columns(byPO, 1, 2, 0),
-		osp:   columns(sortBy(sortBy(insertion, 0), 2), 2, 0, 1),
 		nodes: make([]ID, 0, maxID),
 		num:   num,
 	}

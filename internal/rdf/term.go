@@ -5,10 +5,12 @@
 // A triple is (subject, predicate, object); subjects and predicates are IRIs
 // or blank nodes, objects may additionally be literals. A Builder writes a
 // graph's triples in insertion order; Builder.Graph builds over them one
-// immutable index of three sorted permutations (SPO, POS, OSP) and returns
-// the read-only Graph, on which every bound/unbound combination of a triple
-// pattern is answered by an offset read and at most two short binary
-// searches, in an order fixed by the insertion sequence.
+// immutable index of two sorted permutations (SPO and POS) and returns the
+// read-only Graph, on which every triple pattern with a bound predicate, or
+// with only its subject bound, is answered by an offset read and at most two
+// short binary searches, in an order fixed by the insertion sequence. A
+// pattern whose object is bound and predicate free filters the subject's
+// bucket, or probes POS once per predicate in use.
 package rdf
 
 import (

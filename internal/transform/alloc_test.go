@@ -12,10 +12,11 @@ import (
 
 // TestAllocBudgetTransform pins what Transform allocates per triple on one
 // 120-operator plan. (Outside the race build, whose instrumentation
-// allocates.) Measured when the budgets were set: 0.15 allocations and 138 B
-// per triple — the dictionary, the log, the index's three permutations and the
+// allocates.) Measured when the budgets were set: 0.15 allocations and 122 B
+// per triple — the dictionary, the log, the index's two permutations and the
 // scratch of the sorts that build them; a number is never formatted, and a
-// string is the plan's own — with a tenth of headroom. Before an IRI
+// string is the plan's own — with a tenth of headroom. With a third
+// permutation, by object, it measured 0.15 and 138. Before an IRI
 // de-transformed by its spelling it measured 0.15 and 141: the two maps from
 // every operator's and every object's IRI to it. Before numbers were
 // held as values it measured 0.85 and 217: the text of every number
@@ -26,7 +27,7 @@ import (
 // hundred plans of Figure 9's workload (the per-plan cost today is
 // transform.us_per_plan of bench/).
 func TestAllocBudgetTransform(t *testing.T) {
-	const allocsPerTriple, bytesPerTriple = 0.17, 152
+	const allocsPerTriple, bytesPerTriple = 0.17, 134
 	w, err := workload.Generate(workload.Config{Seed: 19, NumPlans: 1, MinOps: 120, MaxOps: 120})
 	if err != nil {
 		t.Fatal(err)

@@ -186,9 +186,9 @@ func TestTransformSameGraph(t *testing.T) {
 				t.Fatalf("plan %s: PredStats(%v) = %+v, the reference has %+v", p.ID, ref.Dict().Term(id), gs, rs)
 			}
 		}
-		// The same triples in every order a read can see: SPO (-,-,-), POS
-		// (-,p,-) per predicate and OSP (-,-,o) per object, each with its
-		// ties in insertion order.
+		// The same triples in every order a read can see: SPO (-,-,-) and
+		// (-,-,o) per object, POS (-,p,-) per predicate, each with its ties
+		// in insertion order.
 		if g.Len() != ref.Len() {
 			t.Fatalf("plan %s: %d triples, the reference has %d", p.ID, g.Len(), ref.Len())
 		}

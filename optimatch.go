@@ -209,8 +209,8 @@ func CorrelateMatches(res *ClusterResult, patternName string, matches []Match, t
 // examples/logdiag).
 
 // Graph is an in-memory RDF graph: a dictionary-encoded, read-only triple
-// store with one index (three sorted SPO/POS/OSP permutations of the
-// triples), built by a GraphBuilder. Results without ORDER BY come back in an
+// store with one index (two sorted permutations of the triples, SPO and POS),
+// built by a GraphBuilder. Results without ORDER BY come back in an
 // order fixed by the sequence of Adds — the same on every execution and for
 // every graph built the same way. A graph is safe for concurrent queries.
 type Graph = rdf.Graph
