@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"log/slog"
+	"net/http"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -174,4 +176,21 @@ func TestLoggerAndLevels(t *testing.T) {
 	if !strings.Contains(out, `"k":"v"`) {
 		t.Errorf("json attrs missing: %s", out)
 	}
+}
+
+// TestTiming: a recorder adds one Server-Timing value per stage, in
+// milliseconds, with its outcome when it has one; it travels in a context,
+// and a nil one — what a context without one yields — records nothing.
+func TestTiming(t *testing.T) {
+	h := http.Header{}
+	ctx := WithTiming(context.Background(), NewTiming(h))
+	TimingFrom(ctx).Record("cache", "miss", 1500*time.Microsecond)
+	TimingFrom(ctx).Record("render", "", 2*time.Nanosecond)
+	if got, want := h.Values("Server-Timing"), []string{"cache;desc=miss;dur=1.500", "render;dur=0.000"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Server-Timing = %q, want %q", got, want)
+	}
+	if TimingFrom(context.Background()) != nil {
+		t.Fatal("a context without a recorder yields one")
+	}
+	TimingFrom(context.Background()).Record("admit", "", time.Second)
 }

@@ -6,6 +6,7 @@ var (
 	WriteNTriplesReference = writeNTriplesReference
 	FuzzLiterals           = fuzzLiterals
 	FuzzFloats             = fuzzFloats
+	FuzzTwins              = fuzzTwins
 )
 
 // ProbeLength reports how far the IDs of d sit from the slots their hashes

@@ -30,9 +30,11 @@ import (
 // Ops, one byte each: b%8 in 0..5 adds the triple named by the next three
 // bytes (through AddIDs, Add or AddTriple, as the object byte says), 6 and 7
 // intern the term named by the next byte. All positions draw from one pool of
-// 24 IRIs, so a predicate is routinely a subject or an object too; the object
-// position draws from 8 literals (fuzzLiterals) and 9 numbers (fuzzFloats)
-// besides, the numbers entering through InternFloat.
+// 24 IRIs, so a predicate is routinely a subject or an object too. The subject
+// and predicate positions draw from 8 twins besides (fuzzTwins: plain literals
+// and their xsd:string spellings, one token each), whose lines the writer
+// must merge; the object position draws from 8 literals (fuzzLiterals) and 9
+// numbers (fuzzFloats), the numbers entering through InternFloat.
 func FuzzGraphIndex(f *testing.F) {
 	add := func(s, p, o byte) []byte { return []byte{0, s, p, o} }
 	bucket := func(n int) (in []byte) {
@@ -65,12 +67,27 @@ func FuzzGraphIndex(f *testing.F) {
 		nums = append(nums, add(byte(i), 2, byte(32+i))...)
 	}
 	f.Add(append(append(nums, add(9, 2, 32)...), append(add(9, 3, 30), 6, 36, 7, 37)...))
+	// A plain literal and its twin, each a subject and a predicate, their rows
+	// interleaved; an object byte 41 higher names the same object through the
+	// next of the three Add methods.
+	var twins []byte
+	for i, tr := range [][3]byte{{24, 2, 5}, {25, 2, 4}, {24, 2, 3}, {25, 24, 6}, {24, 25, 7}, {24, 24, 8}, {26, 27, 9}} {
+		twins = append(twins, add(tr[0], tr[1], tr[2]+byte(i%3)*41)...)
+	}
+	f.Add(twins)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 160 {
 			data = data[:160]
 		}
 		term := func(b byte) Term { return IRI(fmt.Sprintf("urn:t%d", b%24)) }
+		// node names a subject or a predicate: an IRI or a twin.
+		node := func(b byte) Term {
+			if b %= 24 + byte(len(fuzzTwins)); b >= 24 {
+				return fuzzTwins[b-24]
+			}
+			return term(b)
+		}
 		b := NewBuilder()
 		// object interns the object b names the way a caller would, and
 		// returns the term the dictionary must then hold.
@@ -95,7 +112,7 @@ func FuzzGraphIndex(f *testing.F) {
 			if i+3 >= len(data) {
 				break
 			}
-			s, p := term(data[i+1]), term(data[i+2])
+			s, p := node(data[i+1]), node(data[i+2])
 			i += 3
 			tr := [3]ID{b.Intern(s), b.Intern(p), NoID}
 			o := object(data[i])
@@ -142,8 +159,19 @@ func FuzzGraphIndex(f *testing.F) {
 			loadedLog.add([3]ID{d.Lookup(tr.S), d.Lookup(tr.P), d.Lookup(tr.O)})
 		}
 		checkAgainstLog(t, loaded, loadedLog)
+		// Read back, a twin is its plain literal: the triples of two twins
+		// merge, and with them what the statistics count.
+		for _, tw := range fuzzTwins {
+			if tw.Datatype == XSDString && g.Dict().Lookup(tw) != NoID && g.Dict().Lookup(String(tw.Value)) != NoID {
+				return
+			}
+		}
 		for id := ID(1); id <= g.MaxID(); id++ {
-			want, got := g.PredStats(id), loaded.PredStats(loaded.Dict().Lookup(g.Dict().Term(id)))
+			term := g.Dict().Term(id)
+			if term.Datatype == XSDString {
+				term = String(term.Value)
+			}
+			want, got := g.PredStats(id), loaded.PredStats(loaded.Dict().Lookup(term))
 			if (want == nil) != (got == nil) {
 				t.Fatalf("predicate %v: statistics %v, after the round trip %v", g.Dict().Term(id), want, got)
 			}
@@ -194,6 +222,15 @@ func checkSpent(t *testing.T, b *Builder, g *Graph) {
 var fuzzLiterals = []Term{
 	String("NaN"), String(" 12 "), TypedLiteral("1e5", XSDDouble), String("+Inf"),
 	String("0x10"), String("7 rows"), Float(-2.5), String("NLJOIN"),
+}
+
+// fuzzTwins are the literals FuzzGraphIndex puts in the subject and predicate
+// positions besides its IRIs: four plain literals, each beside its twin typed
+// xsd:string, which is a term of its own with the same N-Triples token. "t"
+// and "t " are one a prefix of the other; "urn:t1" is an IRI's value.
+var fuzzTwins = []Term{
+	String("t"), TypedLiteral("t", XSDString), String("t "), TypedLiteral("t ", XSDString),
+	String("urn:t1"), TypedLiteral("urn:t1", XSDString), String(""), TypedLiteral("", XSDString),
 }
 
 // fuzzFloats are the numbers FuzzGraphIndex hands to InternFloat: the values

@@ -232,10 +232,11 @@ func (g *Graph) Match(s, p, o ID, fn func(s, p, o ID) bool) {
 }
 
 // Count reports the number of triples matching the pattern (NoID =
-// wildcard). Every combination with a bound predicate, and (s,-,-), is exact
-// and read off the index's offset arrays: an offset difference for the
-// single-bound shapes, two short binary searches inside one bucket for the
-// double-bound ones. (s,-,o) and (-,-,o) count what Match yields.
+// wildcard), exactly and without allocating. Every combination with a bound
+// predicate, and (s,-,-), is read off the index's offset arrays: an offset
+// difference for the single-bound shapes, two short binary searches inside
+// one bucket for the double-bound ones. (s,-,o) counts o in s's SPO bucket;
+// (-,-,o) sums one POS probe per predicate in use.
 func (g *Graph) Count(s, p, o ID) int {
 	ix := g.idx
 	switch {
@@ -251,13 +252,24 @@ func (g *Graph) Count(s, p, o ID) int {
 	case p != NoID:
 		lo, hi := ix.pos.bucket(p)
 		return hi - lo
-	case o != NoID:
+	case s != NoID && o != NoID:
+		lo, hi := ix.spo.bucket(s)
 		n := 0
-		g.Match(s, p, o, func(_, _, _ ID) bool { n++; return true })
+		for _, obj := range ix.spo.c[lo:hi] {
+			if obj == o {
+				n++
+			}
+		}
 		return n
 	case s != NoID:
 		lo, hi := ix.spo.bucket(s)
 		return hi - lo
+	case o != NoID:
+		n := 0
+		for _, st := range ix.preds {
+			n += len(ix.pos.third(st.Pred, o))
+		}
+		return n
 	default:
 		return g.Len()
 	}

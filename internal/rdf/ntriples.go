@@ -3,6 +3,7 @@ package rdf
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"slices"
@@ -14,21 +15,6 @@ import (
 // WriteNTriples serializes the graph in N-Triples form, one statement per
 // line, the lines in ascending byte order so output is deterministic. This is
 // the "generated RDF in textual representation" of the paper's Figure 2.
-//
-// A term is rendered once, however many triples carry it, and the lines are
-// never compared: the rendered tokens are ranked and the triples ordered by
-// (rank s, rank p, rank o). That is the order of the lines because the set of
-// tokens, each with the space that follows it on a line, is prefix-free — so
-// two lines differ first inside the first token they do not share, at a byte
-// that also decides those two tokens' ranks. Prefix-free: were `a ` a proper
-// prefix of `b `, b would continue behind a with a space. Behind an IRI token
-// that needs a raw '>' inside b's IRI (the IRI of b's datatype, if b is a
-// literal starting with a's), which appendIRI escapes; behind a literal's
-// closing quote it needs an unescaped '"' inside b's lexical form — the same
-// bytes precede it in a and in b, so it is unescaped in both — which
-// appendQuoted escapes; behind a literal's datatype see the IRI case. A blank
-// node label holding a space would do it; N-Triples has no such label and
-// cannot read the line back either way.
 func WriteNTriples(w io.Writer, g *Graph) error {
 	_, err := w.Write(AppendNTriples(nil, g))
 	return err
@@ -36,6 +22,26 @@ func WriteNTriples(w io.Writer, g *Graph) error {
 
 // AppendNTriples appends what WriteNTriples writes to dst, growing it at most
 // once, to the size the lines need.
+//
+// A term is rendered once, however many triples carry it, and the lines are
+// never compared. Only two small sets are sorted by token: the subjects and
+// the predicates in use, two predicates that render alike sharing one rank.
+// The lines go out subject by subject in token order, the rows of subjects
+// that render alike (a plain literal and its xsd:string twin) merged; a
+// subject's rows are ordered by (predicate rank, object token), so an
+// object's token is compared only with another object of the same subject
+// and predicate. That is the order of the lines because the set of tokens,
+// each with the space that follows it on a line, is prefix-free — so two
+// lines differ first inside the first token they do not share, at a byte that
+// also orders those two tokens. Prefix-free: were `a ` a proper prefix of
+// `b `, b would continue behind a with a space. Behind an IRI token that needs
+// a raw '>' inside b's IRI (the IRI of b's datatype, if b is a literal
+// starting with a's), which appendIRI escapes; behind a literal's closing
+// quote it needs an unescaped '"' inside b's lexical form — the same bytes
+// precede it in a and in b, so it is unescaped in both — which appendQuoted
+// escapes; behind a literal's datatype see the IRI case. A blank node label
+// holding a space would do it; N-Triples has no such label and cannot read
+// the line back either way.
 func AppendNTriples(dst []byte, g *Graph) []byte {
 	spo, d := &g.idx.spo, g.dict
 	n := d.Len() + 1 // IDs and the zero ID
@@ -52,54 +58,67 @@ func AppendNTriples(dst []byte, g *Graph) []byte {
 	}
 	start[n] = len(text)
 	token := func(id ID) []byte { return text[start[id]:start[id+1]] }
+	byToken := func(a, b ID) int { return bytes.Compare(token(a), token(b)) }
 
-	// byRank lists the IDs in token order; two terms that render alike (a plain
-	// literal and its xsd:string twin) share the rank of the first.
-	byRank := make([]ID, n-1)
-	for i := range byRank {
-		byRank[i] = ID(i + 1)
-	}
-	slices.SortFunc(byRank, func(a, b ID) int { return bytes.Compare(token(a), token(b)) })
-	rank := make([]ID, n)
-	for i, id := range byRank {
-		rank[id] = ID(i)
-		if i > 0 && bytes.Equal(token(id), token(byRank[i-1])) {
-			rank[id] = rank[byRank[i-1]]
-		}
-	}
-
-	// The triples as ranks, ordered by three stable counting-sort passes, the
-	// least significant component first.
-	rows, sorted := make([][3]ID, len(spo.b)), make([][3]ID, len(spo.b))
-	size = 0
+	// The subjects, in token order, and the size of the lines.
+	subjects := make([]ID, 0, len(spo.off)-1)
+	size, widest := 0, 0
 	for s := ID(1); int(s) < len(spo.off)-1; s++ {
-		for i, end := spo.bucket(s); i < end; i++ {
-			p, o := spo.b[i], spo.c[i]
-			rows[i] = [3]ID{rank[s], rank[p], rank[o]}
-			size += len(token(s)) + len(token(p)) + len(token(o)) + len(".\n")
+		lo, hi := spo.bucket(s)
+		if lo == hi {
+			continue
+		}
+		subjects = append(subjects, s)
+		size += (hi - lo) * (len(token(s)) + len(".\n"))
+		for i := lo; i < hi; i++ {
+			size += len(token(spo.b[i])) + len(token(spo.c[i]))
+		}
+		widest = max(widest, hi-lo)
+	}
+	slices.SortFunc(subjects, byToken)
+
+	// byRank lists the predicates in use in token order; rank[p] is the
+	// position in it of the first predicate that renders as p does.
+	stats := g.idx.preds
+	byRank := make([]ID, len(stats))
+	for i, st := range stats {
+		byRank[i] = st.Pred
+	}
+	slices.SortFunc(byRank, byToken)
+	var rank []uint32
+	if len(stats) > 0 {
+		rank = make([]uint32, stats[len(stats)-1].Pred+1)
+	}
+	for i, p := range byRank {
+		rank[p] = uint32(i)
+		if i > 0 && bytes.Equal(token(p), token(byRank[i-1])) {
+			rank[p] = rank[byRank[i-1]]
 		}
 	}
-	next := make([]int, n+1)
-	for k := 2; k >= 0; k-- {
-		clear(next)
-		for _, r := range rows {
-			next[r[k]+1]++
+
+	// One subject's rows, or its twins' together, as rank<<32 | object, in
+	// line order. pdqsort: insertion sort for a few rows, O(n log n) for many.
+	rows := make([]uint64, 0, widest)
+	byLine := func(a, b uint64) int {
+		if a>>32 != b>>32 {
+			return cmp.Compare(a>>32, b>>32)
 		}
-		for i := 1; i < len(next); i++ {
-			next[i] += next[i-1]
-		}
-		for _, r := range rows {
-			sorted[next[r[k]]] = r
-			next[r[k]]++
-		}
-		rows, sorted = sorted, rows
+		return bytes.Compare(token(ID(a)), token(ID(b)))
 	}
 	dst = slices.Grow(dst, size)
-	for _, r := range rows {
-		for _, rk := range r {
-			dst = append(dst, token(byRank[rk])...)
+	for i := 0; i < len(subjects); {
+		subject := token(subjects[i])
+		rows = rows[:0]
+		for ; i < len(subjects) && bytes.Equal(token(subjects[i]), subject); i++ {
+			for j, end := spo.bucket(subjects[i]); j < end; j++ {
+				rows = append(rows, uint64(rank[spo.b[j]])<<32|uint64(spo.c[j]))
+			}
 		}
-		dst = append(dst, ".\n"...)
+		slices.SortFunc(rows, byLine)
+		for _, r := range rows {
+			dst = append(append(append(dst, subject...), token(byRank[r>>32])...), token(ID(r))...)
+			dst = append(dst, ".\n"...)
+		}
 	}
 	return dst
 }

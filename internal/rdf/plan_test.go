@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"optimatch/internal/fixtures"
 	"optimatch/internal/qep"
@@ -28,14 +29,18 @@ func generatedPlans(tb testing.TB, n int) []*qep.Plan {
 }
 
 // TestWriteNTriplesSameBytes holds WriteNTriples — each term rendered once,
-// the triples ordered by the ranks of their tokens — to the writer it
-// replaced, which formats every line and sorts the lines: the same bytes for
-// the graph of every fixture plan, of the DAG that derives one triple twice
-// and of 64 generated ones, for a plan whose statement ID, argument keys and
-// object name need escaping inside an IRI, and
-// for a graph over the literals and numbers of FuzzGraphIndex with terms one
-// of which is a prefix of the other, where ranking tokens and sorting lines
-// would part if a token could continue behind another one's end.
+// subjects and predicates ranked by token, objects compared within one
+// (subject, predicate) — to the writer it replaced, which formats every line
+// and sorts the lines: the same bytes for the graph of every fixture plan, of
+// the DAG that derives one triple twice and of 64 generated ones, for a plan
+// whose statement ID, argument keys and object name need escaping inside an
+// IRI, for a graph over the literals and numbers of FuzzGraphIndex with terms
+// one of which is a prefix of the other, where ordering tokens and sorting
+// lines would part if a token could continue behind another one's end, for
+// one whose subjects and predicates are twins — a plain literal and its
+// xsd:string spelling, two terms with one token — with interleaved rows, which
+// the writer must merge rather than write one twin after the other, and for a
+// subject of 60 000 rows, which must be written in well under a second.
 func TestWriteNTriplesSameBytes(t *testing.T) {
 	var graphs []*rdf.Graph
 	for _, p := range append(append(fixtures.All(), fixtures.SharedTemp(), fixtures.DoubleFedJoin()), generatedPlans(t, 64)...) {
@@ -64,8 +69,32 @@ func TestWriteNTriplesSameBytes(t *testing.T) {
 			gb.AddIDs(gb.Intern(s), gb.Intern(p), gb.InternFloat(f))
 		}
 	}
+	graphs = append(graphs, gb.Graph())
+
+	gb = rdf.NewBuilder()
+	twins := rdf.FuzzTwins[:4] // "t" and "t ", each plain and typed xsd:string
+	for i := 0; i < 32; i++ {
+		s, p := twins[i%2+i/16*2], twins[i/2%2+i/8%2*2]
+		if i%5 == 0 {
+			p = rdf.IRI("urn:p")
+		}
+		gb.Add(s, p, rdf.String(fmt.Sprintf("o%02d", i*7%32)))
+	}
+	graphs = append(graphs, gb.Graph())
+
+	gb = rdf.NewBuilder()
+	wide := rdf.IRI("urn:wide")
+	for i := 0; i < 60000; i++ {
+		p := rdf.IRI(fmt.Sprintf("urn:p%d", i%3))
+		gb.Add(wide, p, rdf.String(fmt.Sprintf("o%d", (i*7919)%60000)))
+	}
 	g := gb.Graph()
 	graphs = append(graphs, g)
+	began := time.Now()
+	rdf.AppendNTriples(nil, g)
+	if took := time.Since(began); took > time.Second {
+		t.Errorf("a subject of %d rows took %v to write", g.Len(), took)
+	}
 
 	for i, g := range graphs {
 		var got, want bytes.Buffer
@@ -111,32 +140,35 @@ func firstDifference(got, want []byte) string {
 	return fmt.Sprintf("%d lines, want %d", len(g), len(w))
 }
 
-// BenchmarkWriteNTriples serializes the graphs of 20 generated plans, by
-// WriteNTriples and by the writer it replaced.
+// BenchmarkWriteNTriples serializes the graphs of 20 generated plans of the
+// benchmark's sizes (60–240 operators) as the /rdf route does,
+// AppendNTriples(nil, g), and by the line-sorting writer it replaced.
 func BenchmarkWriteNTriples(b *testing.B) {
 	var graphs []*rdf.Graph
 	for _, p := range generatedPlans(b, 20) {
 		graphs = append(graphs, transform.Transform(p).Graph)
 	}
-	for _, writer := range []struct {
-		name  string
-		write func(*bytes.Buffer, *rdf.Graph) error
-	}{
-		{"ranked", func(buf *bytes.Buffer, g *rdf.Graph) error { return rdf.WriteNTriples(buf, g) }},
-		{"reference", func(buf *bytes.Buffer, g *rdf.Graph) error { return rdf.WriteNTriplesReference(buf, g) }},
-	} {
-		b.Run(writer.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, g := range graphs {
-					var buf bytes.Buffer
-					if err := writer.write(&buf, g); err != nil {
-						b.Fatal(err)
-					}
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, g := range graphs {
+				if len(rdf.AppendNTriples(nil, g)) == 0 {
+					b.Fatal("no lines")
 				}
 			}
-		})
-	}
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, g := range graphs {
+				var buf bytes.Buffer
+				if err := rdf.WriteNTriplesReference(&buf, g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // TestGraphCountMatchesEnumeration checks, on a generated plan's graph, that

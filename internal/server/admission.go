@@ -22,6 +22,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"optimatch/internal/obs"
 )
 
 // StatusClientClosedRequest is the non-standard 499 status (nginx
@@ -184,13 +186,19 @@ func retryAfterHint(queueWait time.Duration) string {
 // gated wraps an exec handler with the admission gate. weight expresses
 // relative cost (a kb/run scans every plan for every entry; a single search
 // is one query), so under -max-inflight N a full scan consumes more of the
-// budget than a point query.
+// budget than a point query. Behind a gate, the wait is the response's
+// "admit" stage in Server-Timing, and the recorder goes on to h in the
+// request's context.
 func (s *Server) gated(weight int64, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.adm != nil {
+			timing := obs.NewTiming(w.Header())
+			r = r.WithContext(obs.WithTiming(r.Context(), timing))
+			began := time.Now()
 			waitCtx, cancel := context.WithTimeout(r.Context(), s.adm.queueWait)
 			err := s.adm.sem.Acquire(waitCtx, weight)
 			cancel()
+			timing.Record("admit", "", time.Since(began))
 			if err != nil {
 				if r.Context().Err() != nil {
 					// The client gave up while queued — nothing to shed, no

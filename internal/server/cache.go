@@ -14,8 +14,10 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	"optimatch/internal/cache"
+	"optimatch/internal/obs"
 )
 
 // WithResultCache caches rendered responses for POST /api/search,
@@ -65,9 +67,15 @@ type readRoute struct {
 // rendered while the generation moved is served but not stored, and an error
 // is neither stored nor given a validator. Without a cache, or under
 // Cache-Control: no-cache / no-store, render runs directly and X-Cache says
-// "bypass".
+// "bypass". Server-Timing names the stages: the cache lookup ("cache", its
+// outcome as desc) once one ran, and "render" — rendering and encoding — when
+// this request's render succeeded, besides the gate's "admit".
 func (s *Server) serveRead(rt readRoute) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		timing := obs.TimingFrom(r.Context())
+		if timing == nil {
+			timing = obs.NewTiming(w.Header())
+		}
 		var body []byte
 		if rt.maxBody > 0 {
 			var ok bool
@@ -98,16 +106,27 @@ func (s *Server) serveRead(rt readRoute) http.HandlerFunc {
 			}
 		}
 		key := cache.Key(rt.name, strconv.FormatUint(gen, 10), part)
+		// rendered is written by the flight and read only once Do returned
+		// its result, which the flight published after writing it.
+		var rendered time.Duration
+		began := time.Now()
 		b, out, err := s.cache.Do(ctx, key, func(fctx context.Context) (cache.Result, error) {
+			start := time.Now()
 			body, err := render(fctx)
 			if err != nil {
 				return cache.Result{}, err
 			}
+			rendered = time.Since(start)
 			return cache.Result{Body: body, NoStore: s.eng.Generation() != gen}, nil
 		})
 		if err != nil {
+			timing.Record("cache", out.String(), time.Since(began))
 			s.execError(w, r, err, rt.fallback)
 			return
+		}
+		timing.Record("cache", out.String(), time.Since(began)-rendered)
+		if rendered > 0 {
+			timing.Record("render", "", rendered)
 		}
 		h := w.Header()
 		if etag != "" {
